@@ -608,8 +608,8 @@ def main(argv=None):
     p_run.add_argument("--sim", choices=("cycle", "fast"), default="cycle")
     p_run.add_argument("--backend", choices=("soa", "interp"), default=None,
                        help="cycle-simulator execution backend (default: "
-                            "soa when numpy is available, else interp); "
-                            "results are bit-identical either way")
+                            "soa; interp is the reference tick); results "
+                            "are bit-identical either way")
     p_run.add_argument("--max-cycles", type=int, default=200_000_000)
     p_run.add_argument("--trace", action="store_true")
     p_run.add_argument("--trace-limit", type=int, default=100)

@@ -98,6 +98,47 @@ class FunctionCodegen:
     def label(self, name):
         self.lines.append(name + ":")
 
+    def _reach(self, base, offset, node=None, into=None):
+        """A ``(base, offset)`` pair naming byte ``base + offset`` whose
+        offset fits the 12-bit signed immediate of lw/sw/lb/sb/addi.
+
+        In range nothing is emitted and the arguments come back as they
+        are.  Otherwise the sum is built (``li`` + ``add``) in *into* — a
+        register the caller owns or is about to overwrite, *base* itself
+        included — or, without one, in a fresh temporary the caller
+        frees; the returned offset is then 0.
+        """
+        if -2048 <= offset <= 2047:
+            return base, offset
+        scratch = into
+        if into is None or into == base:
+            scratch = self.alloc_temp(node)
+        self.emit("li %s, %d" % (scratch, offset))
+        if into is None:
+            into = scratch
+        self.emit("add %s, %s, %s" % (into, base, scratch))
+        if scratch != into:
+            self.free(scratch)
+        return into, 0
+
+    def emit_load(self, op, dst, offset, base, node=None):
+        """``op dst, offset(base)``; *dst* doubles as the address scratch."""
+        base, offset = self._reach(base, offset, node, into=dst)
+        self.emit("%s %s, %d(%s)" % (op, dst, offset, base))
+
+    def emit_store(self, op, src, offset, base, node=None):
+        """``op src, offset(base)``."""
+        addr, offset = self._reach(base, offset, node)
+        self.emit("%s %s, %d(%s)" % (op, src, offset, addr))
+        if addr != base:
+            self.free(addr)
+
+    def emit_addi(self, dst, src, value, node=None):
+        """``dst = src + value`` for a compile-time *value*."""
+        base, value = self._reach(src, value, node, into=dst)
+        if base != dst or value:
+            self.emit("addi %s, %s, %d" % (dst, base, value))
+
     def error(self, message, node=None):
         line = node.line if node is not None and node.line else self.line
         raise CompileError(message, line, self.module.source_name)
@@ -185,34 +226,35 @@ class FunctionCodegen:
             if loc.kind == "reg":
                 self.emit("mv %s, %s" % (loc.reg, areg))
             else:
-                self.emit("sw %s, %d(sp)" % (areg, self.frame_offset_placeholder(loc)))
+                self.emit_store("sw", areg, loc.offset, "sp")
         self.gen_stmt(self.body)
         return self.finish()
 
-    # Stack locals are addressed sp+offset where offset is from the local
-    # area base; the local area starts at sp+0, so offsets are final even
-    # though the frame size is only known at the end.
-    def frame_offset_placeholder(self, loc):
-        return loc.offset
-
     def finish(self):
-        """Wrap body lines with prologue/epilogue now that sizes are known."""
+        """Wrap body lines with prologue/epilogue now that sizes are known.
+
+        Stack locals are addressed sp+offset from the local-area base,
+        which is sp+0, so the body's offsets were final even though the
+        frame size is only known here."""
         local_area = (self.max_stack + 15) // 16 * 16
         saved = ["ra"] + self.used_sregs
         frame = local_area + len(saved) * 4
         frame = (frame + 15) // 16 * 16
-        out = []
-        out.append(self.name + ":")
-        out.append("        addi sp, sp, -%d" % frame)
+        body = self.lines
+        self.lines = [self.name + ":"]
+        # every temporary is free again; an out-of-range frame offset must
+        # take t1 as its scratch (a6/a7 carry arguments at entry)
+        self.temps_free = list(TEMP_REGS)
+        self.emit_addi("sp", "sp", -frame)
         for index, reg in enumerate(saved):
-            out.append("        sw %s, %d(sp)" % (reg, local_area + 4 * index))
-        out.extend(self.lines)
-        out.append(self.ret_label + ":")
+            self.emit_store("sw", reg, local_area + 4 * index, "sp")
+        self.lines.extend(body)
+        self.label(self.ret_label)
         for index, reg in enumerate(saved):
-            out.append("        lw %s, %d(sp)" % (reg, local_area + 4 * index))
-        out.append("        addi sp, sp, %d" % frame)
-        out.append("        ret")
-        return "\n".join(out) + "\n"
+            self.emit_load("lw", reg, local_area + 4 * index, "sp")
+        self.emit_addi("sp", "sp", frame)
+        self.emit("ret")
+        return "\n".join(self.lines) + "\n"
 
     # ---- statements -------------------------------------------------------------
 
@@ -256,21 +298,21 @@ class FunctionCodegen:
             self.error("array local must be on the stack", init)
         element = ctype.base
         addr = self.alloc_temp(init)
-        self.emit("addi %s, sp, %d" % (addr, loc.offset))
+        self.emit_addi(addr, "sp", loc.offset, init)
         offset = 0
         for item in init.items:
             if isinstance(item, A.RangeInit):
                 self.error("range initializers only supported on globals", item)
             reg, _ = self.gen_expr(item)
-            self.emit("%s %s, %d(%s)"
-                      % ("sw" if element.size == 4 else "sb", reg, offset, addr))
+            self.emit_store("sw" if element.size == 4 else "sb", reg, offset,
+                            addr, item)
             self.free(reg)
             offset += element.size
         addr_end = ctype.size
         zero_needed = addr_end - offset
         pos = offset
         while zero_needed > 0 and element.size == 4:
-            self.emit("sw zero, %d(%s)" % (pos, addr))
+            self.emit_store("sw", "zero", pos, addr, init)
             pos += 4
             zero_needed -= 4
         self.free(addr)
@@ -413,7 +455,7 @@ class FunctionCodegen:
         count_slot = None
         if region.reduction is not None:
             count_slot = self.alloc_stack(4)
-            self.emit("sw %s, %d(sp)" % (creg, count_slot))
+            self.emit_store("sw", creg, count_slot, "sp", stmt)
         spilled = self._spill_live_temps(exclude=(creg,))
         self.emit("mv a2, %s" % creg)
         self.free(creg)
@@ -439,7 +481,7 @@ class FunctionCodegen:
         base = self.alloc_temp(stmt)
         self.emit("la %s, __omp_red_%d" % (base, region.rid))
         count = self.alloc_temp(stmt)
-        self.emit("lw %s, %d(sp)" % (count, count_slot))
+        self.emit_load("lw", count, count_slot, "sp", stmt)
         acc, _ = self.gen_expr(A.Var(var, stmt.line))
         partial = self.alloc_temp(stmt)
         loop = self.module.new_label("red")
@@ -534,7 +576,7 @@ class FunctionCodegen:
         if loc is not None:
             if isinstance(loc.ctype, T.ArrayType):
                 reg = self.alloc_temp(expr)
-                self.emit("addi %s, sp, %d" % (reg, loc.offset))
+                self.emit_addi(reg, "sp", loc.offset, expr)
                 return reg, T.PtrType(loc.ctype.base)
             if loc.kind == "reg":
                 if not want_value:
@@ -543,8 +585,8 @@ class FunctionCodegen:
                 self.emit("mv %s, %s" % (reg, loc.reg))
                 return reg, loc.ctype
             reg = self.alloc_temp(expr)
-            self.emit("%s %s, %d(sp)"
-                      % (self._load_op(loc.ctype), reg, loc.offset))
+            self.emit_load(self._load_op(loc.ctype), reg, loc.offset, "sp",
+                           expr)
             return reg, loc.ctype
         # globals and functions
         gtype = self.module.global_types.get(name)
@@ -639,7 +681,7 @@ class FunctionCodegen:
             if place[0] == "memsp":
                 stype = place[3]
                 reg = self.alloc_temp(expr)
-                self.emit("addi %s, sp, %d" % (reg, place[2]))
+                self.emit_addi(reg, "sp", place[2], expr)
                 offset = 0
             elif place[0] == "mem":
                 _, reg, offset, stype = place
@@ -679,19 +721,19 @@ class FunctionCodegen:
         if kind == "memsp":
             _, _, offset, ctype = place
             reg = self.alloc_temp(node)
-            self.emit("%s %s, %d(sp)" % (self._load_op(ctype), reg, offset))
+            self.emit_load(self._load_op(ctype), reg, offset, "sp", node)
             return reg, ctype
         _, reg, offset, ctype = place
         if isinstance(ctype, T.ArrayType):
             if offset:
-                self.emit("addi %s, %s, %d" % (reg, reg, offset))
+                self.emit_addi(reg, reg, offset, node)
             return reg, T.PtrType(ctype.base)
         if isinstance(ctype, T.StructType):
             if offset:
-                self.emit("addi %s, %s, %d" % (reg, reg, offset))
+                self.emit_addi(reg, reg, offset, node)
             return reg, T.PtrType(ctype)
         out = self.alloc_temp(node)
-        self.emit("%s %s, %d(%s)" % (self._load_op(ctype), out, offset, reg))
+        self.emit_load(self._load_op(ctype), out, offset, reg, node)
         self.free(reg)
         return out, ctype
 
@@ -702,10 +744,10 @@ class FunctionCodegen:
             return place[1].ctype
         if kind == "memsp":
             _, _, offset, ctype = place
-            self.emit("%s %s, %d(sp)" % (self._store_op(ctype), reg, offset))
+            self.emit_store(self._store_op(ctype), reg, offset, "sp", node)
             return ctype
         _, addr, offset, ctype = place
-        self.emit("%s %s, %d(%s)" % (self._store_op(ctype), reg, offset, addr))
+        self.emit_store(self._store_op(ctype), reg, offset, addr, node)
         self.free(addr)
         return ctype
 
@@ -713,7 +755,8 @@ class FunctionCodegen:
         if loc.kind == "reg":
             self.emit("mv %s, %s" % (loc.reg, reg))
         else:
-            self.emit("%s %s, %d(sp)" % (self._store_op(loc.ctype), reg, loc.offset))
+            self.emit_store(self._store_op(loc.ctype), reg, loc.offset, "sp",
+                            node)
 
     # -- operators --
 
@@ -758,11 +801,11 @@ class FunctionCodegen:
         if kind == "memsp":
             _, _, offset, ctype = place
             reg = self.alloc_temp(node)
-            self.emit("%s %s, %d(sp)" % (self._load_op(ctype), reg, offset))
+            self.emit_load(self._load_op(ctype), reg, offset, "sp", node)
             return reg, ctype
         _, addr, offset, ctype = place
         reg = self.alloc_temp(node)
-        self.emit("%s %s, %d(%s)" % (self._load_op(ctype), reg, offset, addr))
+        self.emit_load(self._load_op(ctype), reg, offset, addr, node)
         return reg, ctype
 
     def _store_place_keep(self, place, reg, node):
@@ -771,10 +814,10 @@ class FunctionCodegen:
             self.emit("mv %s, %s" % (place[1].reg, reg))
         elif kind == "memsp":
             _, _, offset, ctype = place
-            self.emit("%s %s, %d(sp)" % (self._store_op(ctype), reg, offset))
+            self.emit_store(self._store_op(ctype), reg, offset, "sp", node)
         else:
             _, addr, offset, ctype = place
-            self.emit("%s %s, %d(%s)" % (self._store_op(ctype), reg, offset, addr))
+            self.emit_store(self._store_op(ctype), reg, offset, addr, node)
 
     def _expr_IncDec(self, expr, want_value):
         place = self.gen_lvalue(expr.operand)
@@ -787,7 +830,7 @@ class FunctionCodegen:
             self.emit("mv %s, %s" % (saved, cur_reg))
         else:
             saved = None
-        self.emit("addi %s, %s, %d" % (cur_reg, cur_reg, delta))
+        self.emit_addi(cur_reg, cur_reg, delta, expr)
         self._store_place_keep(place, cur_reg, expr)
         self._unpin_place(place)
         if not want_value:
@@ -991,7 +1034,7 @@ class FunctionCodegen:
                         "cannot take the address of register local %r "
                         "(mark it address-taken by using &)" % operand.name, expr)
                 reg = self.alloc_temp(expr)
-                self.emit("addi %s, sp, %d" % (reg, loc.offset))
+                self.emit_addi(reg, "sp", loc.offset, expr)
                 return reg, T.PtrType(loc.ctype)
             gtype = self.module.global_types.get(operand.name)
             if gtype is not None:
@@ -1008,12 +1051,12 @@ class FunctionCodegen:
         place = self.gen_lvalue(operand)
         if place[0] == "memsp":
             reg = self.alloc_temp(expr)
-            self.emit("addi %s, sp, %d" % (reg, place[2]))
+            self.emit_addi(reg, "sp", place[2], expr)
             return reg, T.PtrType(place[3])
         if place[0] == "mem":
             _, reg, offset, ctype = place
             if offset:
-                self.emit("addi %s, %s, %d" % (reg, reg, offset))
+                self.emit_addi(reg, reg, offset, expr)
             return reg, T.PtrType(ctype)
         self.error("cannot take the address of this expression", expr)
 
@@ -1033,13 +1076,13 @@ class FunctionCodegen:
             if reg in exclude:
                 continue
             offset = self.alloc_stack(4)
-            self.emit("sw %s, %d(sp)" % (reg, offset))
+            self.emit_store("sw", reg, offset, "sp")
             spilled.append((reg, offset))
         return spilled
 
     def _reload_spilled(self, spilled):
         for reg, offset in spilled:
-            self.emit("lw %s, %d(sp)" % (reg, offset))
+            self.emit_load("lw", reg, offset, "sp")
         if spilled:
             self.free_stack(min(offset for _, offset in spilled))
 
@@ -1056,7 +1099,7 @@ class FunctionCodegen:
         staging = [self.alloc_stack(4) for _ in expr.args]
         for slot, arg in zip(staging, expr.args):
             reg, _ = self.gen_expr(arg)
-            self.emit("sw %s, %d(sp)" % (reg, slot))
+            self.emit_store("sw", reg, slot, "sp", arg)
             self.free(reg)
 
         direct = None
@@ -1070,16 +1113,16 @@ class FunctionCodegen:
             if isinstance(ftype, T.PtrType) and isinstance(ftype.base, T.FuncType):
                 ret_type = ftype.base.ret
             fn_slot = self.alloc_stack(4)
-            self.emit("sw %s, %d(sp)" % (fn_reg, fn_slot))
+            self.emit_store("sw", fn_reg, fn_slot, "sp", expr)
             self.free(fn_reg)
 
         spilled = self._spill_live_temps()
         for index, slot in enumerate(staging):
-            self.emit("lw %s, %d(sp)" % (ARG_REGS[index], slot))
+            self.emit_load("lw", ARG_REGS[index], slot, "sp")
         if direct is not None:
             self.emit("jal %s" % direct)
         else:
-            self.emit("lw t1, %d(sp)" % fn_slot)
+            self.emit_load("lw", "t1", fn_slot, "sp")
             self.emit("jalr t1")
         self._reload_spilled(spilled)
         self.free_stack(mark)

@@ -55,8 +55,8 @@ class Core:
     """One core: pipeline stages, four harts, three banks."""
 
     __slots__ = (
-        "index", "machine", "mem", "harts", "active",
-        "links", "fork_queue", "_seq", "_tag",
+        "index", "machine", "mem", "harts", "active", "idle_since",
+        "sleep_until", "links", "fork_queue", "_seq", "_tag",
         "_rr_fetch", "_rr_rename", "_rr_issue", "_rr_wb", "_rr_commit",
         "_rob_size",
     )
@@ -79,6 +79,15 @@ class Core:
         #: gating flag: False while no hart of this core can do pipeline
         #: work; maintained by Hart.start / the run loop (processor.py)
         self.active = False
+        #: first gated-off cycle not yet charged to ``skipped_cycles`` /
+        #: the gated_idle stall (see settle_idle).  Derived state, like
+        #: sleep_until: never serialised, reset whenever a run loop starts
+        self.idle_since = 0
+        #: parking: the run loop skips this (active) core while
+        #: ``sleep_until > cycle``; set by a tick that fired no stage to
+        #: the core's next timer expiry, cleared by any event addressed
+        #: to this domain.  Only the SoA tick parks; here it stays 0
+        self.sleep_until = 0
         #: egress link cursors: every path this core *initiates* (requests,
         #: replies, forward/backward messages) reserves hops here, so link
         #: scheduling state is domain-local and shard-partitionable
@@ -105,8 +114,28 @@ class Core:
     def activate(self):
         """Mark this core runnable (idempotent; called on hart wakeup)."""
         if not self.active:
+            machine = self.machine
+            self.settle_idle(machine.cycle)
             self.active = True
-            self.machine._num_active += 1
+            machine._num_active += 1
+            machine._active_cores = None  # the run loop rebuilds its list
+
+    def settle_idle(self, now):
+        """Charge the gated-off cycles [idle_since, now) in one step.
+
+        A gated core costs the run loop nothing per cycle; its idle span
+        is closed here — on wakeup, before an event handler charges
+        telemetry in this domain, and wherever state leaves the loop
+        (``Metrics.idle`` splits the span at window edges, so the
+        samples equal the cycle-by-cycle charge).
+        """
+        delta = now - self.idle_since
+        if delta > 0:
+            machine = self.machine
+            machine.stats.per_core[self.index].skipped_cycles += delta
+            if machine.metrics is not None:
+                machine.metrics.idle(self.index, self.idle_since, delta)
+            self.idle_since = now
 
     # ---- snapshot/restore --------------------------------------------------
 
@@ -125,6 +154,8 @@ class Core:
 
     def load_state_dict(self, state):
         self.active = state["active"]
+        self.idle_since = self.machine.cycle
+        self.sleep_until = 0
         self._seq = state["seq"]
         self._tag = state["tag"]
         (self._rr_fetch, self._rr_rename, self._rr_issue,

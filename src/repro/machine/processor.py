@@ -28,7 +28,6 @@ from repro import memmap
 from repro.isa.semantics import load_value
 from repro.machine.core import Core
 from repro.machine.lowered import LoweredInstr, lower_program
-from repro.machine.soa import flush_alu as soa_flush_alu
 from repro.machine.memory import Bank
 from repro.machine.params import Params
 from repro.machine.router import (
@@ -383,34 +382,17 @@ EVENT_HANDLERS = {
 
 #: process-wide default execution backend, used when ``LBP(backend=None)``:
 #: "soa" (machine/soa.py, the fast struct-of-arrays core — bit-exact with
-#: the interpreter) or "interp" (machine/core.py).  Falls back to
-#: "interp" with a warning when numpy is unavailable.
+#: the interpreter) or "interp" (machine/core.py, the reference).
 DEFAULT_BACKEND = "soa"
-
-_warned_numpy_fallback = False
 
 
 def resolve_backend(backend):
     """Normalise a ``backend=`` argument to "soa" or "interp"."""
-    global _warned_numpy_fallback
     if backend is None:
         backend = DEFAULT_BACKEND
     if backend not in ("soa", "interp"):
         raise ValueError(
             "unknown backend %r (expected 'soa' or 'interp')" % (backend,))
-    if backend == "soa":
-        from repro.machine.soa import HAVE_NUMPY
-
-        if not HAVE_NUMPY:
-            if not _warned_numpy_fallback:
-                import warnings
-
-                warnings.warn(
-                    "numpy is not installed; falling back to the interp "
-                    "backend (slower, same results)", RuntimeWarning,
-                    stacklevel=2)
-                _warned_numpy_fallback = True
-            backend = "interp"
     return backend
 
 
@@ -455,11 +437,11 @@ class LBP:
         #: the sanitizer: telemetry never perturbs the simulation)
         self.metrics = None
         #: number of cores whose ``active`` gating flag is set; kept in
-        #: lockstep with the flags by Core.activate and the run loop
+        #: lockstep with the flags by Core.activate and the cycle loop
         self._num_active = 0
-        #: the SoA backend's deferred ALU issues for the current cycle
-        #: (always empty for interp cores; see repro.machine.soa.flush_alu)
-        self._alu_pending = []
+        #: the cycle loop's cores with the flag set, in core-index order;
+        #: None when stale (a core woke or gated off since it was built)
+        self._active_cores = None
         self.backend = resolve_backend(backend)
         if self.backend == "soa":
             from repro.machine.soa import SoACore as core_cls
@@ -996,104 +978,159 @@ class LBP:
         :class:`MachineError` on traps or when *max_cycles* is exceeded.
 
         *stop_at_cycle* pauses the simulation (without halting the
-        machine) at the first loop iteration whose cycle is >= the given
-        value — before that cycle's events and pipeline stages run — so
-        the machine can be snapshotted and later resumed by calling
-        :meth:`run` again; the continuation is cycle-for-cycle identical
-        to an uninterrupted run.  *snapshot_every* / *snapshot_callback*
-        invoke ``snapshot_callback(machine)`` at the same safe point
-        roughly every *snapshot_every* cycles.
+        machine) at the first cycle >= the given value — before that
+        cycle's events and pipeline stages run — so the machine can be
+        snapshotted and later resumed by calling :meth:`run` again; the
+        continuation is cycle-for-cycle identical to an uninterrupted
+        run.  *snapshot_every* / *snapshot_callback* invoke
+        ``snapshot_callback(machine)`` at the same safe point every
+        *snapshot_every* cycles.
         """
         limit = max_cycles if max_cycles is not None else self.params.max_cycles
         events = self._events
         cores = self.cores
         stats = self.stats
-        per_core = stats.per_core
-        metrics = self.metrics
-        heappop = heapq.heappop
-        handlers = EVENT_HANDLERS
         progress_mark = (0, 0)
         next_progress_check = 4096
         cycle = self.cycle
         next_snapshot = None
         if snapshot_every is not None and snapshot_callback is not None:
             next_snapshot = cycle + snapshot_every
-        while not self.halted:
-            if self._halt_at is not None and cycle >= self._halt_at:
-                # machine.cycle stays the last *simulated* cycle index
-                self.cycle = self._halt_at - 1
-                self.halted = True
-                break
-            if stop_at_cycle is not None and cycle >= stop_at_cycle:
-                self.cycle = cycle
-                stats.cycles = max(stats.cycles, cycle)
-                return stats
-            if next_snapshot is not None and cycle >= next_snapshot:
-                self.cycle = cycle
-                snapshot_callback(self)
-                next_snapshot = cycle + snapshot_every
-            if cycle >= next_progress_check:
-                mark = (stats.retired, sum(core._seq for core in cores))
-                if (mark == progress_mark and not events
+        self._reset_scheduling(cores)
+        try:
+            while not self.halted:
+                if self._halt_at is not None and cycle >= self._halt_at:
+                    # machine.cycle stays the last *simulated* cycle index
+                    self.cycle = self._halt_at - 1
+                    self.halted = True
+                    break
+                if stop_at_cycle is not None and cycle >= stop_at_cycle:
+                    self.cycle = cycle
+                    stats.cycles = max(stats.cycles, cycle)
+                    return stats
+                if next_snapshot is not None and cycle >= next_snapshot:
+                    self.cycle = cycle
+                    self._settle_idle(cores, cycle)
+                    snapshot_callback(self)
+                    next_snapshot = cycle + snapshot_every
+                if cycle >= next_progress_check:
+                    mark = (stats.retired, sum(core._seq for core in cores))
+                    if (mark == progress_mark and not events
+                            and self._halt_at is None):
+                        raise DeadlockError(self._deadlock_dump())
+                    progress_mark = mark
+                    next_progress_check = cycle + 4096
+                if cycle > limit:
+                    raise MachineError(
+                        "cycle limit exceeded (%d); likely livelock" % limit
+                    )
+                # the next cycle at which one of the tests above can fire
+                barrier = min(next_progress_check, limit + 1)
+                if stop_at_cycle is not None and stop_at_cycle < barrier:
+                    barrier = stop_at_cycle
+                if next_snapshot is not None and next_snapshot < barrier:
+                    barrier = next_snapshot
+                # (a snapshot_every <= 0 means "every cycle", as it always did)
+                cycle = self._simulate(cycle, max(barrier, cycle + 1), cores)
+                if self._error is not None:
+                    raise MachineError(self._error)
+                if (self._num_active == 0 and not events
                         and self._halt_at is None):
+                    # every core quiescent, nothing in flight: it went
+                    # dead right after the last simulated cycle
+                    cycle = self.cycle + 1
                     raise DeadlockError(self._deadlock_dump())
-                progress_mark = mark
-                next_progress_check = cycle + 4096
-            if cycle > limit:
-                raise MachineError(
-                    "cycle limit exceeded (%d); likely livelock" % limit
-                )
-            while events and events[0][0] <= cycle:
-                event = heappop(events)
-                self._origin = event[3]
-                handlers[event[4]](self, *event[5])
-            # active-core gating: only cores with runnable pipeline work
-            # tick; wakeups (Hart.start) re-set the flag, and iteration
-            # stays in fixed core-index order so arbitration, event seqs
-            # and traces are identical to the ungated loop.  Idle cycles
-            # are charged to each gated-off core so the totals do not
-            # depend on sharding.
-            for core in cores:
-                if core.active:
-                    self._origin = core.index
-                    if not core.tick():
-                        core.active = False
-                        self._num_active -= 1
-                else:
-                    per_core[core.index].skipped_cycles += 1
-                    if metrics is not None:
-                        metrics.idle(core.index, cycle, 1)
-            if self._alu_pending:
-                # end-of-cycle opcode-grouped pass over the SoA cores'
-                # deferred ALU issues (results only become observable at
-                # next cycle's writeback, so batching is unobservable)
-                soa_flush_alu(self)
-            if self._error is not None:
-                raise MachineError(self._error)
-            cycle += 1
-            if self._num_active == 0:
-                # every core is quiescent: fast-forward to the next event
-                # (in-flight traffic) or the pending halt, else deadlock
-                target = events[0][0] if events else None
-                if self._halt_at is not None and (
-                        target is None or self._halt_at < target):
-                    target = self._halt_at
-                if target is None:
-                    raise DeadlockError(self._deadlock_dump())
-                if target > cycle:
-                    delta = target - cycle
-                    for counters in per_core:
-                        counters.skipped_cycles += delta
-                    if metrics is not None:
-                        for index in range(len(cores)):
-                            metrics.idle(index, cycle, delta)
-                    cycle = target
-            self.cycle = cycle
+                self.cycle = cycle
+        finally:
+            # state leaves the loop: close every gated core's idle span
+            self._settle_idle(cores, cycle)
         if self._halt_at is not None:
             stats.cycles = max(stats.cycles, self._halt_at)
         else:
             stats.cycles = max(stats.cycles, self.cycle)
         return stats
+
+    def _reset_scheduling(self, cores):
+        """Entering a cycle loop over *cores*: reset the derived
+        scheduling state no snapshot carries — nobody parked, gated
+        cores idle (and uncharged) from now on, active list stale."""
+        self._active_cores = None
+        for core in cores:
+            core.sleep_until = 0
+            core.idle_since = self.cycle
+
+    def _settle_idle(self, cores, cycle):
+        """Charge every gated core of *cores* its idle cycles up to
+        *cycle* (exclusive) — called wherever state leaves the loop."""
+        for core in cores:
+            if not core.active:
+                core.settle_idle(cycle)
+
+    def _simulate(self, cycle, barrier, cores):
+        """Simulate cycles [*cycle*, *barrier*) on *cores*; returns the
+        next cycle to simulate.
+
+        The one cycle loop, shared by :meth:`run` (every core) and the
+        sharded engine's workers (their owned cores, one epoch per
+        call).  Returns early — before *barrier* — only at a pending
+        halt's cycle or right after the cycle that recorded an error.
+
+        Per-cycle cost follows the cores that can change state: gated
+        cores are not visited at all (their idle cycles are charged
+        lazily, see :meth:`Core.settle_idle`), parked ones cost one
+        compare, and while every core is gated the loop hops straight
+        to the next event.  Ticking stays in fixed core-index order so
+        arbitration, event seqs and traces equal the all-cores loop.
+        """
+        events = self._events
+        all_cores = self.cores
+        metered = self.metrics is not None
+        heappop = heapq.heappop
+        handlers = EVENT_HANDLERS
+        while cycle < barrier:
+            halt_at = self._halt_at
+            if halt_at is not None and cycle >= halt_at:
+                break
+            if self._num_active == 0:
+                # every core is quiescent: hop to the next event, the
+                # pending halt or the barrier, whichever comes first
+                target = barrier
+                if events and events[0][0] < target:
+                    target = events[0][0]
+                if halt_at is not None and halt_at < target:
+                    target = halt_at
+                if target > cycle:
+                    cycle = target
+                    continue
+            # handlers, ticks and Core.activate read machine.cycle as "now"
+            self.cycle = cycle
+            while events and events[0][0] <= cycle:
+                event = heappop(events)
+                self._origin = dst = event[3]
+                core = all_cores[dst]
+                # the handler may change what this domain's stages see
+                core.sleep_until = 0
+                if metered and not core.active:
+                    # it may also charge link_wait to a gated core's
+                    # current window: close the idle span up to now first
+                    core.settle_idle(cycle)
+                handlers[event[4]](self, *event[5])
+            active = self._active_cores
+            if active is None:
+                active = self._active_cores = [
+                    core for core in cores if core.active]
+            for core in active:
+                if core.sleep_until <= cycle:
+                    self._origin = core.index
+                    if not core.tick():
+                        core.active = False
+                        core.idle_since = cycle + 1
+                        self._num_active -= 1
+                        self._active_cores = None
+            cycle += 1
+            if self._error is not None:
+                break
+        return cycle
 
     def _deadlock_dump(self):
         lines = ["deadlock at cycle %d:" % self.cycle]

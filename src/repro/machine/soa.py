@@ -23,9 +23,9 @@ What changes (and why it cannot change behaviour):
   per-core scoreboard fields maintained at the state-transition sites:
   ``fetch_ok`` (the five-term fetch predicate collapsed to one flag),
   ``n_ready`` (count of operand-ready waiting instructions, gating the
-  issue scan) and ``_wb_wake`` (earliest ready_at over the writeback
-  buffers, gating the writeback scan).  A stage whose gate is closed
-  is skipped without touching any hart.
+  issue scan) and ``_wb_wake`` (a lower bound on the next cycle a
+  filled writeback buffer can drain, gating the writeback scan).  A
+  stage whose gate is closed is skipped without touching any hart.
 
 * **Table-dispatched semantics.**  Decode and issue switch on the
   precomputed ``LoweredInstr.dec_kind`` / ``issue_kind`` ints, and the
@@ -33,33 +33,21 @@ What changes (and why it cannot change behaviour):
   instead of a long if-chain; the four hot classes (ALU/MULDIV, load,
   store, branch) stay inline.
 
-* **Opcode-grouped ALU passes.**  Register-writing ALU/MULDIV results
-  only become observable at the *next* cycle's writeback stage (the
-  result sits in the issuing hart's private writeback buffer, which no
-  same-cycle stage or event reads), so their execution can be deferred
-  to the end of the cycle and executed grouped by opcode across all
-  cores — one vectorized numpy pass per group when the batch is large
-  enough to amortise array overhead, a plain loop otherwise.  The
-  numpy lanes are bit-exact twins of ``ALU_OPS`` (same wrap, shift and
-  compare semantics), property-tested against the scalar ops.
-
-numpy is optional: without it the backend still runs (the grouped pass
-falls back to the scalar loop) — and ``repro.machine.processor``
-additionally falls back to ``backend="interp"`` with a warning when
-numpy is missing, so a bare-python install keeps the seed behaviour.
+* **Parking.**  A tick in which no stage fires cannot have changed
+  anything, and nothing will change until a timer the core owns expires
+  (a filled writeback buffer's ``ready_at``, a fetch-ready hart's
+  ``fetch_ready_at`` — the only stage predicates that read the cycle)
+  or an event addressed to this domain runs.  Such a tick records that
+  expiry in ``sleep_until`` and the cycle loop skips the core — still
+  ``active`` — until then; event dispatch clears it (DESIGN.md, "Core
+  scheduling").  Never with metrics attached: the stall classifier
+  charges every busy cycle.
 """
 
 from repro.isa.semantics import MASK32, join_hart, p_merge_value, p_set_value
 from repro.machine.core import Core, _ORDER
 from repro.machine.hart import Hart, ResultBuffer
 from repro.isa.spec import InstrClass
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via NUMPY fallback test
-    _np = None
-
-HAVE_NUMPY = _np is not None
 
 _C = InstrClass
 _ALU = int(_C.ALU)
@@ -86,16 +74,6 @@ _P_MERGE = int(_C.P_MERGE)
 _P_SYNCM = int(_C.P_SYNCM)
 
 _INF = float("inf")
-
-#: machines with at least this many cores defer register-writing
-#: ALU/MULDIV execution into the end-of-cycle opcode-grouped pass
-#: (below it the per-op bookkeeping outweighs the batching win);
-#: tests pin it to 1 to force the deferred path through the digests
-DEFER_ALU_MIN_CORES = 8
-
-#: minimum opcode-group size for the numpy lane; smaller groups run
-#: the scalar loop (array setup dominates under ~tens of lanes)
-NUMPY_MIN_BATCH = 16
 
 
 class SoAEntry(object):
@@ -434,140 +412,20 @@ EXEC_TABLE = {
 }
 
 
-# ---- opcode-grouped deferred ALU pass ---------------------------------------
-# A register-writing ALU/MULDIV result is invisible until the *next*
-# cycle: it lands in the issuing hart's private writeback buffer, whose
-# earliest ready_at is cycle + latency >= cycle + 1, and no same-cycle
-# stage, event handler or observer reads the buffer's value/ready_at
-# before the next cycle's writeback scan.  (Same-core stages that do
-# read rb.busy — issue and p_fc's is_free — all ran before this core's
-# issue slot selected the op; other cores only ever touch their own
-# harts' buffers.)  Deferring the execution to the end of the cycle and
-# batching it across cores is therefore unobservable — traces, stats
-# and snapshots stay bit-identical — which is what makes the grouped
-# numpy pass safe.
-
-
-def _np_signed(arr):
-    """Reinterpret masked uint64 lanes as signed 32-bit values."""
-    return ((arr ^ 0x80000000).astype(_np.int64) - 0x80000000)
-
-
-def _make_numpy_ops():
-    if _np is None:
-        return {}
-
-    def add(a, b):
-        return (a + b) & MASK32
-
-    def sub(a, b):
-        return (a - b) & MASK32
-
-    def sll(a, b):
-        return (a << (b & 31)) & MASK32
-
-    def srl(a, b):
-        return a >> (b & 31)
-
-    def sra(a, b):
-        return (_np_signed(a) >> (b & 31).astype(_np.int64)) & MASK32
-
-    def slt(a, b):
-        return (_np_signed(a) < _np_signed(b)).astype(_np.uint64)
-
-    def sltu(a, b):
-        return (a < b).astype(_np.uint64)
-
-    def xor(a, b):
-        return a ^ b
-
-    def or_(a, b):
-        return a | b
-
-    def and_(a, b):
-        return a & b
-
-    def mul(a, b):
-        return (a * b) & MASK32  # uint64 wraparound keeps the low bits
-
-    return {
-        "add": add, "addi": add, "sub": sub,
-        "sll": sll, "slli": sll, "srl": srl, "srli": srl,
-        "sra": sra, "srai": sra,
-        "slt": slt, "slti": slt, "sltu": sltu, "sltiu": sltu,
-        "xor": xor, "xori": xor, "or": or_, "ori": or_,
-        "and": and_, "andi": and_, "mul": mul,
-    }
-
-
-#: mnemonic -> vectorized twin of ALU_OPS[mnemonic], operating on
-#: masked uint64 lanes (div/rem/mulh stay scalar: rare + edge-case-y)
-NUMPY_ALU_OPS = _make_numpy_ops()
-
-
-def flush_alu(machine):
-    """Execute the cycle's deferred ALU/MULDIV issues, grouped by opcode.
-
-    Called by the run loops after every core ticked; each pending item
-    is ``(hart, entry, low, a, b)`` appended by ``SoACore``'s issue
-    stage.  Groups meeting :data:`NUMPY_MIN_BATCH` run as one numpy
-    pass; the rest (and every group when numpy is absent) run the
-    scalar ``low.op`` loop — same results either way.
-    """
-    pending = machine._alu_pending
-    cycle = machine.cycle
-    if _np is not None and len(pending) >= NUMPY_MIN_BATCH:
-        groups = {}
-        for item in pending:
-            groups.setdefault(item[2].mnemonic, []).append(item)
-        for mnemonic, group in groups.items():
-            np_op = NUMPY_ALU_OPS.get(mnemonic)
-            if np_op is not None and len(group) >= NUMPY_MIN_BATCH:
-                a = _np.fromiter(
-                    (item[3] & MASK32 for item in group),
-                    dtype=_np.uint64, count=len(group))
-                b = _np.fromiter(
-                    (item[4] & MASK32 for item in group),
-                    dtype=_np.uint64, count=len(group))
-                values = np_op(a, b)
-                for i, (hart, entry, low, _, _b) in enumerate(group):
-                    _fill_rb(hart, entry, low, int(values[i]), cycle)
-            else:
-                for hart, entry, low, a, b in group:
-                    _fill_rb(hart, entry, low, low.op(a, b), cycle)
-    else:
-        for hart, entry, low, a, b in pending:
-            _fill_rb(hart, entry, low, low.op(a, b), cycle)
-    del pending[:]
-
-
-def _fill_rb(hart, entry, low, value, cycle):
-    rb = hart.rb
-    rb.busy = True
-    rb.tag = entry.tag
-    rb.reg = low.rd
-    rb.value = value & MASK32
-    ready_at = cycle + low.latency
-    rb.ready_at = ready_at
-    rb.rob = entry
-    core = hart.core
-    if ready_at < core._wb_wake:
-        core._wb_wake = ready_at
-
-
 class SoACore(Core):
     """Drop-in :class:`Core` with the restructured per-cycle loop."""
 
-    __slots__ = ("_wb_wake", "_defer_alu")
+    __slots__ = ("_wb_wake",)
 
     hart_cls = SoAHart
 
     def __init__(self, index, machine):
         Core.__init__(self, index, machine)
-        #: earliest ready_at over this core's filled writeback buffers
-        #: (inf when none) — the writeback stage's skip gate
+        #: no filled writeback buffer can drain before this cycle (inf
+        #: when none is filled) — the writeback stage's skip gate.  A
+        #: lower bound, not the exact minimum: a stale-low gate costs
+        #: one fruitless scan, which then re-derives it
         self._wb_wake = _INF
-        self._defer_alu = machine.params.num_cores >= DEFER_ALU_MIN_CORES
 
     # ---- snapshot/restore ---------------------------------------------------
 
@@ -613,7 +471,7 @@ class SoACore(Core):
             entry.done = True
         elif cls == _ALU or cls == _MULDIV:
             # reached only via load_state_dict-resumed edge paths; the
-            # tick's issue stage handles ALU inline/deferred
+            # tick's issue stage handles ALU inline
             a = entry.val0
             b = entry.val1 if low.nreads == 2 else low.imm
             self._finish_at(hart, entry, low.op(a, b), now + low.latency)
@@ -647,24 +505,29 @@ class SoACore(Core):
         Stage-for-stage identical to ``Core.tick``: same rotating
         arbitration, same single-hart-per-stage selection, same
         metrics/sanitizer call sites — only the eligibility probing is
-        restructured around the hoisted scoreboard flags.
+        restructured around the hoisted scoreboard flags.  A stage that
+        fires implies the core held work, so the unmetered tick tests
+        "any work at all?" only when nothing fired, and then either
+        gates off (returns False) or parks (sets ``sleep_until``).
         """
         harts = self.harts
-        busy = False
-        for hart in harts:
-            if hart.pc is not None or hart.rob or hart.fetch_buf is not None:
-                busy = True
-                break
         machine = self.machine
         metrics = machine.metrics
-        if not busy:
-            if metrics is not None:
-                metrics.idle(self.index, machine.cycle, 1)
-            return False
         cycle = machine.cycle
-        if metrics is not None and cycle >= metrics.edges[self.index]:
-            metrics.roll(self.index, cycle)
+        if metrics is not None:
+            # metered: the interpreter's order, so the idle / roll
+            # charges land exactly where its tick makes them
+            for hart in harts:
+                if (hart.pc is not None or hart.rob
+                        or hart.fetch_buf is not None):
+                    break
+            else:
+                metrics.idle(self.index, cycle, 1)
+                return False
+            if cycle >= metrics.edges[self.index]:
+                metrics.roll(self.index, cycle)
         committed = False
+        fired = False
         order = _ORDER
 
         # ---- commit ----
@@ -697,10 +560,13 @@ class SoACore(Core):
 
         # ---- writeback (gated on the earliest filled ready_at) ----
         if self._wb_wake <= cycle:
+            wake = _INF
             for h in order[self._rr_wb]:
                 hart = harts[h]
                 rb = hart.rb
-                if rb.busy and rb.value is not None and rb.ready_at <= cycle:
+                if not rb.busy or rb.value is None:
+                    continue
+                if rb.ready_at <= cycle:
                     self._rr_wb = (h + 1) & 3
                     tag = rb.tag
                     value = rb.value
@@ -728,15 +594,16 @@ class SoACore(Core):
                     rb.tag = None
                     rb.value = None
                     rb.rob = None
+                    # one drain per cycle: the next is no earlier than
+                    # cycle + 1 (cheaper than the exact minimum over the
+                    # other harts on the ~90% of saturated ticks that
+                    # drain; a low gate only costs one scan)
+                    wake = cycle + 1
+                    fired = True
                     break
-            # a buffer was drained (or the gate was stale): re-derive
-            # the earliest remaining wakeup (inlined _recompute_wb_wake;
-            # this runs on ~90% of saturated cycles, the call costs)
-            wake = _INF
-            for hx in harts:
-                rbx = hx.rb
-                if rbx.busy and rbx.value is not None and rbx.ready_at < wake:
-                    wake = rbx.ready_at
+                if rb.ready_at < wake:
+                    wake = rb.ready_at
+            # exact when the scan drained nothing (the gate was stale)
             self._wb_wake = wake
 
         # ---- issue (gated on any operand-ready waiting instruction) ----
@@ -793,24 +660,22 @@ class SoACore(Core):
                 a = entry.val0
                 b = entry.val1 if low.nreads == 2 else low.imm
                 if low.writes:
-                    if self._defer_alu:
-                        machine._alu_pending.append((hart, entry, low, a, b))
-                    else:
-                        rb = hart.rb
-                        rb.busy = True
-                        rb.tag = entry.tag
-                        rb.reg = low.rd
-                        rb.value = low.op(a, b) & MASK32
-                        ready_at = cycle + low.latency
-                        rb.ready_at = ready_at
-                        rb.rob = entry
-                        if ready_at < self._wb_wake:
-                            self._wb_wake = ready_at
+                    rb = hart.rb
+                    rb.busy = True
+                    rb.tag = entry.tag
+                    rb.reg = low.rd
+                    rb.value = low.op(a, b) & MASK32
+                    ready_at = cycle + low.latency
+                    rb.ready_at = ready_at
+                    rb.rob = entry
+                    if ready_at < self._wb_wake:
+                        self._wb_wake = ready_at
                 else:
                     low.op(a, b)  # rd == x0: result discarded
                     entry.done = True
             else:
                 self._execute(hart, entry)
+            fired = True
             break
 
         # ---- decode / rename ----
@@ -882,6 +747,7 @@ class SoACore(Core):
                 hart.awaiting_nextpc = False
                 hart.fetch_ready_at = cycle + 1
                 hart.syncm_block = True
+            fired = True
             break
 
         # ---- fetch (gated on the collapsed predicate) ----
@@ -896,7 +762,29 @@ class SoACore(Core):
                 hart.fetch_buf = (pc, low)
                 hart.awaiting_nextpc = True  # suspended until next pc known
                 hart.fetch_ok = False
+                fired = True
                 break
-        if metrics is not None and not committed:
-            metrics.stall(self, cycle)
+        if metrics is not None:
+            if not committed:
+                metrics.stall(self, cycle)
+        elif not (fired or committed):
+            # No stage fired, so this core's state is frozen until one
+            # of its two cycle-reading predicates turns true — a filled
+            # writeback buffer's ready_at, a fetch-ready hart's
+            # fetch_ready_at, both > cycle or a stage had fired — or an
+            # event addressed to this domain runs (dispatch clears
+            # sleep_until): gate off when no hart holds work, else park.
+            wake = self._wb_wake
+            busy = False
+            for hart in harts:
+                if hart.fetch_ok:
+                    busy = True
+                    if hart.fetch_ready_at < wake:
+                        wake = hart.fetch_ready_at
+                elif (hart.pc is not None or hart.rob
+                        or hart.fetch_buf is not None):
+                    busy = True
+            if not busy:
+                return False
+            self.sleep_until = wake
         return True

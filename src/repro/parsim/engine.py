@@ -78,13 +78,11 @@ import struct
 import time
 
 from repro.machine.processor import (
-    EVENT_HANDLERS,
     HALT_LATENCY,
     DeadlockError,
     LBP,
     MachineError,
 )
-from repro.machine.soa import flush_alu as _flush_alu
 from repro.parsim.rings import RingMesh, shm_available
 
 #: conservative lookahead, in cycles: the minimum latency of any
@@ -200,6 +198,7 @@ class _Worker:
         self.shard = shard
         self.bounds = bounds
         self.owned = list(range(*bounds[shard]))
+        self.cores = [machine.cores[index] for index in self.owned]
         #: core index -> owning shard, for routing outbox messages
         self.owner_of = {}
         for index, (start, stop) in enumerate(bounds):
@@ -448,8 +447,11 @@ class _Worker:
                 sum(r.wait_s for r in self.ring_recv.values()), 6)
         return stats
 
-    def _gather_payload(self):
+    def _gather_payload(self, cycle):
         machine = self.machine
+        # the slices carry per-core idle counters, charged lazily: close
+        # the gated cores' spans up to *cycle* (the next to simulate)
+        machine._settle_idle(self.cores, cycle)
         return {
             "cores": [
                 [index, machine.core_state_dict(index)]
@@ -474,7 +476,7 @@ class _Worker:
             profiler = cProfile.Profile()
             profiler.enable()
         try:
-            outcome = self._loop(
+            outcome, cycle = self._loop(
                 max_cycles, stop_at_cycle, snapshot_every, want_snapshots)
         finally:
             if profiler is not None:
@@ -486,7 +488,7 @@ class _Worker:
                 pstats.Stats(profiler).sort_stats(
                     "cumulative").print_stats(20)
                 sys.stdout.flush()
-        payload = self._gather_payload()
+        payload = self._gather_payload(cycle)
         payload["transport"] = self._transport_stats()
         if self.spans is not None:
             payload["spans"] = self.spans.drain()
@@ -503,14 +505,9 @@ class _Worker:
         machine._events = [
             event for event in machine._events if event[3] in machine._owned]
         heapq.heapify(machine._events)
-        machine._num_active = sum(
-            1 for i in owned if machine.cores[i].active)
-
-        cores = machine.cores
-        per_core = machine.stats.per_core
-        metrics = machine.metrics
-        handlers = EVENT_HANDLERS
-        heappop = heapq.heappop
+        cores = self.cores
+        machine._num_active = sum(1 for core in cores if core.active)
+        machine._reset_scheduling(cores)
         cycle = machine.cycle
         progress_mark = (0, 0)
         next_progress = _PROGRESS_PERIOD
@@ -524,14 +521,14 @@ class _Worker:
             if machine._halt_at is not None and cycle >= machine._halt_at:
                 machine.cycle = machine._halt_at - 1
                 machine.halted = True
-                return "halt"
+                return "halt", cycle
             if stop_at_cycle is not None and cycle >= stop_at_cycle:
                 machine.cycle = cycle
-                return "pause"
+                return "pause", cycle
             if next_snapshot is not None and cycle >= next_snapshot:
                 machine.cycle = cycle
                 _send(self.to_parent,
-                      ("snapshot", None, cycle, self._gather_payload()))
+                      ("snapshot", None, cycle, self._gather_payload(cycle)))
                 if _recv(self.from_parent) != "ack":
                     raise EOFError("parent abandoned the snapshot barrier")
                 next_snapshot = cycle + snapshot_every
@@ -541,13 +538,13 @@ class _Worker:
                         and self.global_events == 0
                         and machine._halt_at is None):
                     machine.cycle = cycle
-                    return "deadlock"
+                    return "deadlock", cycle
                 if self.global_mark is not None:
                     progress_mark = self.global_mark
                 next_progress = cycle + _PROGRESS_PERIOD
             if cycle > limit:
                 machine.cycle = cycle
-                return "limit"
+                return "limit", cycle
 
             # -- simulate one epoch.  The width is EPOCH_WIDTH unless
             # the horizons merged at the last barrier prove that no
@@ -575,69 +572,23 @@ class _Worker:
             if barrier > cycle + EPOCH_WIDTH:
                 self.ff_epochs += 1
                 self.ff_cycles += barrier - cycle - EPOCH_WIDTH
-            events = machine._events
-            while cycle < barrier:
-                if (machine._halt_at is not None
-                        and cycle >= machine._halt_at):
-                    break
-                if machine._num_active == 0:
-                    # all owned cores idle: skip ahead to the next local
-                    # event (or the barrier) in one hop — same per-core
-                    # skipped_cycles accounting as the per-cycle path
-                    target = barrier
-                    if events and events[0][0] < target:
-                        target = events[0][0]
-                    if (machine._halt_at is not None
-                            and machine._halt_at < target):
-                        target = machine._halt_at
-                    if target > cycle:
-                        delta = target - cycle
-                        for index in owned:
-                            per_core[index].skipped_cycles += delta
-                            if metrics is not None:
-                                metrics.idle(index, cycle, delta)
-                        cycle = target
-                        continue
-                # handlers and core.tick read machine.cycle as "now"
-                machine.cycle = cycle
-                while events and events[0][0] <= cycle:
-                    event = heappop(events)
-                    machine._origin = event[3]
-                    handlers[event[4]](machine, *event[5])
-                for index in owned:
-                    core = cores[index]
-                    if core.active:
-                        machine._origin = index
-                        if not core.tick():
-                            core.active = False
-                            machine._num_active -= 1
-                    else:
-                        per_core[index].skipped_cycles += 1
-                        if metrics is not None:
-                            metrics.idle(index, cycle, 1)
-                if machine._alu_pending:
-                    # SoA backend: end-of-cycle opcode-grouped ALU pass
-                    _flush_alu(machine)
-                if machine._error is not None:
-                    machine.cycle = cycle
-                    cycle += 1
-                    break
-                cycle += 1
+            # the sequential engine's cycle loop, over the owned cores (it
+            # stops short of the barrier at a halt or a recorded error)
+            cycle = machine._simulate(cycle, barrier, cores)
 
             # -- barrier: ship the epoch's cross-shard traffic, merge
             # coordination state, and take the symmetric global decisions
             active, global_next = self._barrier(cycle)
             if machine._error is not None:
                 machine.cycle = machine._error_key[0]
-                return "error"
+                return "error", cycle
             if (active == 0 and global_next is None
                     and machine._halt_at is None):
                 machine.cycle = cycle
-                return "deadlock"
+                return "deadlock", cycle
             # (no explicit idle jump here: when active == 0 the merged
             # horizons already widen the next epoch to global_next +
-            # EPOCH_WIDTH, and the in-epoch skip-ahead covers the gap in
-            # one hop with identical skipped-cycle/idle accounting)
+            # EPOCH_WIDTH, and the cycle loop hops the gap in one step)
             machine.cycle = cycle
 
 

@@ -1,29 +1,22 @@
 """The SoA execution backend is bit-exact against the interpreter.
 
 ``backend="soa"`` (see ``repro.machine.soa``) restructures the per-cycle
-loop around packed scoreboard state, gated stage scans and
-opcode-grouped (optionally numpy-vectorized) ALU execution.  None of
-that may be observable: every golden digest in
+loop around packed scoreboard state, gated stage scans and parking of
+stalled cores.  None of that may be observable: every golden digest in
 ``tests/data/golden_traces.json`` must reproduce bit-exactly under the
 SoA backend — alone, space-sharded, under the race sanitizer, under
-stall metrics, and through cross-backend snapshot round trips.  The
-numpy operator twins are additionally checked value-for-value against
-the scalar ``ALU_OPS`` on the RISC-V edge cases.
+stall metrics, and through cross-backend snapshot round trips.
 """
 
 import json
 import os
 import sys
-import warnings
 
 import pytest
 
-from repro.isa.semantics import ALU_OPS, MASK32
 from repro.machine import LBP, Params
-from repro.machine.processor import resolve_backend
 from repro.snapshot import restore, snapshot
 import repro.machine.processor as processor
-import repro.machine.soa as soa
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from test_trace_golden import (  # noqa: E402
@@ -66,16 +59,6 @@ def test_golden_digests_per_backend(name, backend, golden, force_backend):
 def test_golden_digests_soa_sharded(name, golden, force_backend):
     force_backend("soa")
     assert measure(name, shards=2) == golden[name]
-
-
-def test_golden_digest_soa_forced_deferral(golden, force_backend, monkeypatch):
-    """The deferred/vectorized ALU lane (normally gated on core count and
-    batch size) is bit-exact even when forced on for every op."""
-    force_backend("soa")
-    monkeypatch.setattr(soa, "DEFER_ALU_MIN_CORES", 1)
-    monkeypatch.setattr(soa, "NUMPY_MIN_BATCH", 1)
-    name = "matmul_tiled_h16_c4"
-    assert measure(name) == golden[name]
 
 
 # ---- observers stay zero-perturbation under soa ------------------------------
@@ -160,48 +143,5 @@ def test_resolve_backend_rejects_unknown():
         LBP(Params(num_cores=1), backend="simd")
 
 
-def test_resolve_backend_falls_back_without_numpy(monkeypatch):
-    monkeypatch.setattr(soa, "HAVE_NUMPY", False)
-    monkeypatch.setattr(processor, "_warned_numpy_fallback", False)
-    with pytest.warns(RuntimeWarning, match="falling back"):
-        assert resolve_backend("soa") == "interp"
-    # the warning fires once per process, not once per machine
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert resolve_backend("soa") == "interp"
-    assert resolve_backend("interp") == "interp"
-
-
-def test_default_backend_is_soa_with_numpy():
-    if not soa.HAVE_NUMPY:
-        pytest.skip("numpy unavailable in this environment")
+def test_default_backend_is_soa():
     assert LBP(Params(num_cores=1)).backend == "soa"
-
-
-# ---- numpy operator twins ----------------------------------------------------
-
-EDGE_A = [0, 1, 2, 31, 32, 33, 0x7FFFFFFF, 0x80000000, 0x80000001,
-          0xFFFFFFFE, 0xFFFFFFFF, 12345, 0xDEADBEEF]
-# raw b operands as the scalar lane sees them: register values are
-# pre-masked, immediates may be negative — the numpy lane masks first
-EDGE_B = EDGE_A + [-1, -2, -31, -32, -2048, -0x80000000]
-
-
-def test_numpy_twins_match_scalar_alu_ops():
-    if not soa.HAVE_NUMPY:
-        pytest.skip("numpy unavailable in this environment")
-    import numpy as np
-
-    for mnemonic, np_op in sorted(soa.NUMPY_ALU_OPS.items()):
-        scalar = ALU_OPS[mnemonic]
-        pairs = [(a, b) for a in EDGE_A for b in EDGE_B]
-        av = np.fromiter((a & MASK32 for a, _ in pairs), dtype=np.uint64,
-                         count=len(pairs))
-        bv = np.fromiter((b & MASK32 for _, b in pairs), dtype=np.uint64,
-                         count=len(pairs))
-        got = np_op(av, bv)
-        for i, (a, b) in enumerate(pairs):
-            want = scalar(a, b) & MASK32
-            assert int(got[i]) & MASK32 == want, (
-                "%s(%#x, %r): numpy %#x != scalar %#x"
-                % (mnemonic, a, b, int(got[i]) & MASK32, want))

@@ -9,6 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.compiler import compile_to_program
 from repro.machine import LBP, Params
+from repro.workloads import (
+    HistogramWorkload, ReductionWorkload, ServingWorkload, SortWorkload,
+    StencilWorkload)
 
 
 @st.composite
@@ -79,3 +82,47 @@ def test_random_team_programs_deterministic_and_correct(case):
         expected = [v & 0xFFFFFFFF for v in _reference(members, work, mix)]
         assert got == expected, (mix, members, work)
     assert traces[0] == traces[1]
+
+
+# ---- scheduling is backend-invisible at every pause ---------------------------
+# The SoA backend parks stalled cores and both backends charge gated
+# cores lazily; the interpreter never parks, so equal state at arbitrary
+# pause points shows that neither shortcut ever skips a cycle that
+# mattered (extends test_backend_parity.test_state_dict_is_backend_invariant
+# beyond one program and one pause).
+
+_FAMILIES = {
+    "serving": lambda size, seed: (
+        ServingWorkload(cores=2, num_requests=2 + size, seed=seed), 2),
+    "sort": lambda size, seed: (
+        SortWorkload(8 << (size % 2), chunk=2, seed=seed), 4),
+    "stencil": lambda size, seed: (
+        StencilWorkload(8 + 4 * (size % 3), width=2, steps=1 + size % 2,
+                        seed=seed), 4),
+    "reduction": lambda size, seed: (
+        ReductionWorkload(8 << (size % 2), chunk=4 + size, seed=seed), 4),
+    "histogram": lambda size, seed: (
+        HistogramWorkload(8, chunk=4 + 2 * size, bins=4, seed=seed), 2),
+}
+
+
+@given(family=st.sampled_from(sorted(_FAMILIES)), size=st.integers(0, 3),
+       seed=st.integers(0, 1000),
+       pauses=st.lists(st.integers(1, 6000), min_size=1, max_size=4))
+@settings(max_examples=12, deadline=None)
+def test_paused_state_is_backend_invariant(family, size, seed, pauses):
+    workload, cores = _FAMILIES[family](size, seed)
+    program = compile_to_program(workload.source, family + ".c")
+    machines = [
+        LBP(Params(num_cores=cores, trace_enabled=True),
+            backend=backend).load(program)
+        for backend in ("interp", "soa")
+    ]
+    for stop in sorted(pauses):
+        for machine in machines:
+            machine.run(max_cycles=5_000_000, stop_at_cycle=stop)
+        assert machines[0].state_dict() == machines[1].state_dict(), stop
+    for machine in machines:
+        machine.run(max_cycles=5_000_000)
+        workload.verify(machine, program)
+    assert machines[0].state_dict() == machines[1].state_dict()

@@ -202,3 +202,58 @@ void main() {
 """
     program, machine, _ = run_c(source)
     assert word(machine, program, "counter") == 10
+
+
+# ---- constant offsets beyond the 12-bit immediate (±2 KiB) --------------------
+
+FAR_INDICES = (511, 512, 1023, 2047)
+
+
+def test_global_array_constant_indices_beyond_the_immediate_range():
+    """A[512] on an int array is byte offset 2048: one past what lw/sw
+    can encode.  511 stays an immediate, the others are materialised."""
+    source = """
+int A[2048];
+int out[8];
+void main() {
+    A[511] = 11; A[512] = 12; A[1023] = 13; A[2047] = 14;
+    A[1023] += 100;
+    out[0] = A[511]; out[1] = A[512]; out[2] = A[1023]; out[3] = A[2047];
+    out[4] = *(&A[2047]);
+}
+"""
+    program, machine, _ = run_c(source)
+    for index, want in zip(FAR_INDICES, (11, 12, 113, 14)):
+        assert word(machine, program, "A", index) == want
+    assert [word(machine, program, "out", i) for i in range(5)] == [
+        11, 12, 113, 14, 14]
+    text = "\n".join(str(i) for i in program.instructions.values())
+    assert "2044(" in text and "2048(" not in text
+
+
+def test_stack_frame_and_members_beyond_the_immediate_range():
+    """Every sp-relative path: a 8 KiB local array pushes the later slots,
+    the saved registers and the frame size itself past 2047."""
+    source = """
+struct wide { int pad[600]; int tail; };
+struct wide g;
+int out[8];
+int sum3(int a, int b, int c) { return a + b + c; }
+void main() {
+    int big[2048];
+    int late = 7;
+    int *p = &late;
+    struct wide w;
+    big[0] = 1; big[2047] = 2;
+    w.tail = 5;
+    g.tail = 6;
+    *p = *p + 1;
+    out[0] = big[0] + big[2047];
+    out[1] = late;
+    out[2] = w.tail + g.tail;
+    out[3] = sum3(big[2047], w.tail, late);
+}
+"""
+    program, machine, _ = run_c(source)
+    assert [word(machine, program, "out", i) for i in range(4)] == [
+        3, 8, 11, 15]

@@ -84,3 +84,16 @@ def test_sensors_source_compiles():
     assert "fusion" in program.symbols
     assert "get_sensor0" in program.symbols
     assert "get_sensor3" in program.symbols
+
+
+def test_wide_stencil_builds_and_verifies():
+    """width=16 puts the last halo element at byte offset 4092 of an int
+    array — past the load/store immediate; the compiler materialises it."""
+    from repro.machine import LBP, Params
+    from repro.workloads import StencilWorkload
+
+    workload = StencilWorkload(64, width=16, steps=2)
+    program = compile_to_program(workload.source, "stencil.c")
+    machine = LBP(Params(num_cores=16)).load(program)
+    machine.run(max_cycles=5_000_000)
+    workload.verify(machine, program)
