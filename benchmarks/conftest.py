@@ -87,27 +87,6 @@ def _extract_stalls(result):
     return merged
 
 
-def _extract_backend(result):
-    """The execution backend recorded in a benchmark's result rows.
-
-    Cycle-simulator rows carry a ``backend`` key (see
-    :func:`repro.eval.figures.run_matmul_experiment`); the first one
-    found wins (a benchmark never mixes backends).  None when absent.
-    """
-    if isinstance(result, dict):
-        backend = result.get("backend")
-        if isinstance(backend, str):
-            return backend
-        result = result.values()
-    if isinstance(result, (list, tuple)) or not isinstance(result, str) \
-            and hasattr(result, "__iter__"):
-        for item in result:
-            backend = _extract_backend(item)
-            if backend is not None:
-                return backend
-    return None
-
-
 def _extract_workload(result):
     """The workload name recorded in a benchmark's result rows.
 
@@ -143,7 +122,6 @@ _WORKLOAD_BY_NAME = (
     ("classic_smp", "synthetic"),
     ("overhead", "matmul"),
     ("cache_sweep", "matmul"),
-    ("backend", "matmul"),
     ("shard", "matmul"),
     ("shm_transport", "matmul"),
     ("pipeline", "alu_micro"),
@@ -170,7 +148,6 @@ def _sharded_transport():
 def _record_perf(experiment, wall, result, jobs=None, extra=None):
     cycles, retired = _extract_counts(result)
     stalls = _extract_stalls(result)
-    backend = _extract_backend(result)
     # a wall time at (or below) the clock's resolution is noise — a warm
     # cache hit, say — and dividing by it fabricates absurd throughput;
     # record the raw time at microsecond precision and null the rates
@@ -207,8 +184,6 @@ def _record_perf(experiment, wall, result, jobs=None, extra=None):
         entry["non_perf"] = True
     if stalls:
         entry["stalls"] = stalls
-    if backend is not None:
-        entry["backend"] = backend
     if jobs is not None:
         entry["jobs"] = jobs
     if extra:

@@ -96,10 +96,6 @@ def cmd_run(args):
         print("error: --shards requires the cycle simulator (--sim cycle)",
               file=sys.stderr)
         return 2
-    if args.backend is not None and args.sim == "fast":
-        print("error: --backend requires the cycle simulator (--sim cycle)",
-              file=sys.stderr)
-        return 2
     want_metrics = bool(args.metrics or args.metrics_out)
     if want_metrics and args.sim == "fast":
         print("error: --metrics requires the cycle simulator (--sim cycle): "
@@ -109,7 +105,7 @@ def cmd_run(args):
     if args.resume:
         from repro.snapshot import load_snapshot
 
-        machine = load_snapshot(args.resume, backend=args.backend)
+        machine = load_snapshot(args.resume)
         program = machine.program
         if want_metrics and machine.metrics is None:
             # the charge history starts at cycle 0 — an unmetered
@@ -143,8 +139,7 @@ def cmd_run(args):
         else:
             metrics = args.metrics_interval if want_metrics else None
             machine = LBP(params, trace=Trace(trace_enabled, kinds=trace_kinds),
-                          shards=args.shards, metrics=metrics,
-                          backend=args.backend)
+                          shards=args.shards, metrics=metrics)
         machine.load(program)
 
     run_kwargs = {"max_cycles": args.max_cycles}
@@ -164,13 +159,14 @@ def cmd_run(args):
         run_kwargs["snapshot_every"] = args.snapshot_every
         run_kwargs["snapshot_callback"] = periodic_snapshot
 
-    if args.profile and getattr(machine, "shards", 1) > 1:
-        # sharded run: the simulation happens in the worker processes, so
-        # a parent-side cProfile would see only pipe reads — profile the
-        # representative shard 0 worker instead
+    if args.profile and hasattr(machine, "profile_shard_zero"):
+        # a sharded façade (whatever its count: --shards auto resolves
+        # it inside run): the simulation happens in the worker processes,
+        # so a parent-side cProfile would see only pipe reads — profile
+        # the representative shard 0 instead
         machine.profile_shard_zero = True
-        print("profiling : shard 0's worker process (of %d shards); the "
-              "other shards run unprofiled" % machine.shards)
+        print("profiling : shard 0 of the sharded run (this process when "
+              "the run resolves to one shard); other shards run unprofiled")
         stats = machine.run(**run_kwargs)
     elif args.profile:
         import cProfile
@@ -606,10 +602,6 @@ def main(argv=None):
                             "processes (bit-identical results; 1 = "
                             "in-process; 'auto' calibrates a count)")
     p_run.add_argument("--sim", choices=("cycle", "fast"), default="cycle")
-    p_run.add_argument("--backend", choices=("soa", "interp"), default=None,
-                       help="cycle-simulator execution backend (default: "
-                            "soa; interp is the reference tick); results "
-                            "are bit-identical either way")
     p_run.add_argument("--max-cycles", type=int, default=200_000_000)
     p_run.add_argument("--trace", action="store_true")
     p_run.add_argument("--trace-limit", type=int, default=100)

@@ -7,8 +7,7 @@ from repro.workloads.matmul import MATMUL_VERSIONS, matmul_source, verify_matmul
 
 
 def run_matmul_experiment(version, h, num_cores, scale=1, simulator="cycle",
-                          max_cycles=500_000_000, shards=None, metrics=False,
-                          backend=None):
+                          max_cycles=500_000_000, shards=None, metrics=False):
     """Compile, run and verify one matmul version; returns a result row.
 
     *shards* (cycle simulator only) runs the space-sharded engine; the
@@ -16,25 +15,19 @@ def run_matmul_experiment(version, h, num_cores, scale=1, simulator="cycle",
     either way — only the wall time changes.  *metrics* (cycle simulator
     only; True or a window interval) runs under stall attribution and
     grows the row a ``stalls`` breakdown plus ``stall_cycles`` — the
-    "why is it slow" column of the BENCH records.  *backend* selects the
-    cycle simulator's execution backend (``"soa"``/``"interp"``; None →
-    the default) — again bit-identical either way; the row records which
-    one ran.
+    "why is it slow" column of the BENCH records.
     """
     program = compile_to_program(
         matmul_source(version, h, scale=scale), "matmul_%s.c" % version
     )
     params = Params(num_cores=num_cores)
     if simulator == "cycle":
-        machine = LBP(params, shards=shards, metrics=metrics,
-                      backend=backend).load(program)
+        machine = LBP(params, shards=shards, metrics=metrics).load(program)
     elif simulator == "fast":
         if shards not in (None, 1):
             raise ValueError("shards requires the cycle simulator")
         if metrics:
             raise ValueError("metrics requires the cycle simulator")
-        if backend is not None:
-            raise ValueError("backend requires the cycle simulator")
         machine = FastLBP(params).load(program)
     else:
         raise ValueError("simulator must be 'cycle' or 'fast'")
@@ -53,8 +46,6 @@ def run_matmul_experiment(version, h, num_cores, scale=1, simulator="cycle",
         "local": stats.local_accesses,
         "remote": stats.remote_accesses,
     }
-    if simulator == "cycle":
-        row["backend"] = machine.backend
     if metrics:
         report = machine.metrics_report()
         row["stalls"] = report["stalls"]

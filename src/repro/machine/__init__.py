@@ -8,6 +8,8 @@ The model follows the paper's section 5:
 * :mod:`repro.machine.core` — the five pipeline stages (fetch,
   decode/rename, issue/execute, writeback, commit), each selecting one
   hart per cycle.
+* :mod:`repro.machine.reference` — the same five stages as a small,
+  slow ``tick()`` over the same state: the tests' oracle.
 * :mod:`repro.machine.memory` / :mod:`repro.machine.router` — banks,
   ports, and the r1/r2/r3 router tree with per-link per-cycle capacity.
 * :mod:`repro.machine.processor` — machine assembly, event queue, the

@@ -11,11 +11,40 @@ the pipeline.
 The stages work on :class:`~repro.machine.lowered.LoweredInstr` records
 (pre-extracted class, operands, callables) so the per-cycle loop never
 re-chases ``Instruction``/spec attributes; see ``machine/lowered.py``.
+
+:meth:`Core.tick` is the production tick; ``machine/reference.py`` keeps
+a small, slow tick over the same state as the oracle the tests compare
+it against (``LBP(backend="interp")``).  How the production tick is
+built for speed, none of which may be observable:
+
+* **Stage gating.**  The per-stage eligibility predicates are hoisted
+  out of the stage scans into flat per-hart / per-core scoreboard fields
+  maintained at the state-transition sites: ``Hart.fetch_ok`` (the
+  five-term fetch predicate collapsed to one flag), ``Hart.n_ready``
+  (count of operand-ready waiting instructions, gating the issue scan)
+  and ``Core._wb_wake`` (a lower bound on the next cycle a filled
+  writeback buffer can drain, gating the writeback scan).  A stage whose
+  gate is closed is skipped without touching any hart.
+
+* **Table-dispatched semantics.**  Decode and issue switch on the
+  precomputed ``LoweredInstr.dec_kind`` / ``issue_kind`` ints, and the
+  execute tail dispatches through :data:`EXEC_TABLE` (class → handler);
+  the four hot classes (ALU/MULDIV, load, store, branch) stay inline.
+
+* **Parking.**  A tick in which no stage fires cannot have changed
+  anything, and nothing will change until a timer the core owns expires
+  (a filled writeback buffer's ``ready_at``, a fetch-ready hart's
+  ``fetch_ready_at`` — the only stage predicates that read the cycle)
+  or an event addressed to this domain runs.  Such a tick records that
+  expiry in ``sleep_until`` and the cycle loop skips the core — still
+  ``active`` — until then; event dispatch clears it (DESIGN.md, "Core
+  scheduling").  Never with metrics attached: the stall classifier
+  charges every busy cycle.
 """
 
-from repro.isa.semantics import join_hart, p_merge_value, p_set_value
+from repro.isa.semantics import MASK32, join_hart, p_merge_value, p_set_value
 from repro.isa.spec import InstrClass
-from repro.machine.hart import Hart, ITEntry, ROBEntry
+from repro.machine.hart import Entry, Hart
 from repro.machine.memory import CoreMemory
 from repro.machine.router import LinkScheduler
 
@@ -50,6 +79,169 @@ _P_SYNCM = int(_C.P_SYNCM)
 # deterministic probe sequence (start, start+1, ... mod 4)
 _ORDER = ((0, 1, 2, 3), (1, 2, 3, 0), (2, 3, 0, 1), (3, 0, 1, 2))
 
+_INF = float("inf")
+
+
+# ---- execute tail: table-dispatched cold instruction classes ----------------
+# Hot classes (ALU/MULDIV, load, store, branch) stay inline in
+# Core._execute; everything else dispatches through EXEC_TABLE.
+
+
+def _exec_lui(core, hart, entry, low):
+    core._finish_at(hart, entry, (low.imm << 12) & MASK32,
+                    core.machine.cycle + 1)
+
+
+def _exec_auipc(core, hart, entry, low):
+    core._finish_at(hart, entry, (entry.pc + (low.imm << 12)) & MASK32,
+                    core.machine.cycle + 1)
+
+
+def _exec_jal(core, hart, entry, low):
+    core._finish_at(hart, entry, entry.pc + 4, core.machine.cycle + 1)
+
+
+def _exec_jalr(core, hart, entry, low):
+    core._resolve_pc(hart, (entry.val0 + low.imm) & 0xFFFFFFFE)
+    core._finish_at(hart, entry, entry.pc + 4, core.machine.cycle + 1)
+
+
+def _exec_nop(core, hart, entry, low):
+    entry.done = True
+
+
+def _exec_p_set(core, hart, entry, low):
+    value = p_set_value(entry.val0, core.index, hart.index)
+    core._finish_at(hart, entry, value, core.machine.cycle + 1)
+
+
+def _exec_p_merge(core, hart, entry, low):
+    core._finish_at(hart, entry, p_merge_value(entry.val0, entry.val1),
+                    core.machine.cycle + 1)
+
+
+def _exec_p_fc(core, hart, entry, low):
+    machine = core.machine
+    now = machine.cycle
+    target = core.alloc_free_hart()
+    target.reserve_for_fork(hart.gid)
+    hart.succ = target.gid
+    machine.wake_re_waiters(target)
+    hart.stats.forks += 1
+    machine.stats.per_core[core.index].forks += 1
+    machine.trace.record(now, core.index, hart.index, "fork",
+                         "allocate hart %d" % target.gid)
+    if machine.sanitizer is not None:
+        machine.sanitizer.record(
+            core.index, (now, "fork", hart.gid, entry.tag, target.gid))
+    core._finish_at(hart, entry, target.gid, now + 1)
+
+
+def _exec_p_fn(core, hart, entry, low):
+    machine = core.machine
+    now = machine.cycle
+    # the hart was granted by the next core (fork token protocol,
+    # requested at decode); consume the oldest token
+    target_gid = hart.fork_tokens.pop(0)
+    hart.succ = target_gid
+    hart.stats.forks += 1
+    machine.stats.per_core[core.index].forks += 1
+    machine.trace.record(now, core.index, hart.index, "fork",
+                         "allocate hart %d" % target_gid)
+    if machine.sanitizer is not None:
+        machine.sanitizer.record(
+            core.index, (now, "fork", hart.gid, entry.tag, target_gid))
+    core._finish_at(hart, entry, target_gid, now + 1)
+
+
+def _exec_p_swcv(core, hart, entry, low):
+    core.machine.schedule_cv_write(
+        core, hart, entry, entry.val0 & 0xFFFF, low.imm, entry.val1)
+
+
+def _exec_p_lwcv(core, hart, entry, low):
+    machine = core.machine
+    if machine.sanitizer is not None:
+        machine.sanitizer.record(
+            core.index,
+            (machine.cycle, "lwcv", hart.gid, entry.tag, low.imm))
+    addr = machine.cv_address(hart, low.imm)
+    machine.schedule_load(core, hart, entry, low, addr)
+
+
+def _exec_p_swre(core, hart, entry, low):
+    core.machine.schedule_re_send(
+        core, hart, entry, entry.val0 & 0xFFFF, low.imm, entry.val1)
+
+
+def _exec_p_lwre(core, hart, entry, low):
+    machine = core.machine
+    now = machine.cycle
+    slot = low.re_slot
+    value = hart.re_buffers[slot]
+    hart.re_buffers[slot] = None
+    if machine.sanitizer is not None:
+        machine.sanitizer.record(
+            core.index, (now, "lwre", hart.gid, entry.tag, slot))
+    machine.wake_re_waiters(hart, slot)
+    core._finish_at(hart, entry, value, now + 1)
+
+
+def _exec_p_jal(core, hart, entry, low):
+    # next pc already resolved at decode; send pc+4, clear rd
+    machine = core.machine
+    now = machine.cycle
+    if machine.sanitizer is not None:
+        machine.sanitizer.record(
+            core.index,
+            (now, "jsend", hart.gid, entry.tag, entry.val0 & 0xFFFF))
+    machine.send_start_pc(core, hart, entry.val0 & 0xFFFF, entry.pc + 4)
+    core._finish_at(hart, entry, 0, now + 1)
+
+
+def _exec_p_jalr(core, hart, entry, low):
+    machine = core.machine
+    now = machine.cycle
+    if low.rd == 0:
+        core._execute_p_ret(hart, entry)
+    else:
+        if machine.sanitizer is not None:
+            machine.sanitizer.record(
+                core.index,
+                (now, "jsend", hart.gid, entry.tag, entry.val0 & 0xFFFF))
+        machine.send_start_pc(core, hart, entry.val0 & 0xFFFF, entry.pc + 4)
+        core._resolve_pc(hart, entry.val1 & 0xFFFFFFFE)
+        core._finish_at(hart, entry, 0, now + 1)
+
+
+def _exec_p_syncm(core, hart, entry, low):
+    hart.syncm_block = False
+    hart._refresh_fetch_ok()
+    entry.done = True
+
+
+#: instruction class -> execute handler, for every class the inline hot
+#: chain does not cover (``Core._execute``)
+EXEC_TABLE = {
+    _LUI: _exec_lui,
+    _AUIPC: _exec_auipc,
+    _JAL: _exec_jal,
+    _JALR: _exec_jalr,
+    _SYSTEM: _exec_nop,
+    _FENCE: _exec_nop,
+    _P_SET: _exec_p_set,
+    _P_MERGE: _exec_p_merge,
+    _P_FC: _exec_p_fc,
+    _P_FN: _exec_p_fn,
+    _P_SWCV: _exec_p_swcv,
+    _P_LWCV: _exec_p_lwcv,
+    _P_SWRE: _exec_p_swre,
+    _P_LWRE: _exec_p_lwre,
+    _P_JAL: _exec_p_jal,
+    _P_JALR: _exec_p_jalr,
+    _P_SYNCM: _exec_p_syncm,
+}
+
 
 class Core:
     """One core: pipeline stages, four harts, three banks."""
@@ -58,22 +250,17 @@ class Core:
         "index", "machine", "mem", "harts", "active", "idle_since",
         "sleep_until", "links", "fork_queue", "_seq", "_tag",
         "_rr_fetch", "_rr_rename", "_rr_issue", "_rr_wb", "_rr_commit",
-        "_rob_size",
+        "_rob_size", "_wb_wake",
     )
-
-    #: hart factory — the SoA backend (machine/soa.py) overrides this so
-    #: SoACore builds SoAHart instances through the shared __init__
-    hart_cls = Hart
 
     def __init__(self, index, machine):
         self.index = index
         self.machine = machine
         params = machine.params
         self.mem = CoreMemory(index, params)
-        hart_cls = self.hart_cls
         self.harts = [
-            hart_cls(self, h, params.num_result_buffers,
-                     machine.stats.harts[index][h])
+            Hart(self, h, params.num_result_buffers,
+                 machine.stats.harts[index][h])
             for h in range(params.harts_per_core)
         ]
         #: gating flag: False while no hart of this core can do pipeline
@@ -86,7 +273,8 @@ class Core:
         #: parking: the run loop skips this (active) core while
         #: ``sleep_until > cycle``; set by a tick that fired no stage to
         #: the core's next timer expiry, cleared by any event addressed
-        #: to this domain.  Only the SoA tick parks; here it stays 0
+        #: to this domain.  The reference tick never parks: there it
+        #: stays 0
         self.sleep_until = 0
         #: egress link cursors: every path this core *initiates* (requests,
         #: replies, forward/backward messages) reserves hops here, so link
@@ -108,6 +296,11 @@ class Core:
         self._rr_wb = 0
         self._rr_commit = 0
         self._rob_size = params.rob_size
+        #: no filled writeback buffer can drain before this cycle (inf
+        #: when none is filled) — the writeback stage's skip gate.  A
+        #: lower bound, not the exact minimum: a stale-low gate costs
+        #: one fruitless scan, which then re-derives it
+        self._wb_wake = _INF
 
     # ---- gating ------------------------------------------------------------
 
@@ -165,6 +358,12 @@ class Core:
         self.mem.load_state_dict(state["mem"])
         for hart, hart_state in zip(self.harts, state["harts"]):
             hart.load_state_dict(hart_state)
+        wake = _INF
+        for hart in self.harts:
+            rb = hart.rb
+            if rb.busy and rb.value is not None and rb.ready_at < wake:
+                wake = rb.ready_at
+        self._wb_wake = wake
 
     # ---- hart selection ----------------------------------------------------
 
@@ -177,153 +376,53 @@ class Core:
 
     # ---- issue / execute ---------------------------------------------------
 
-    def _rob_entry(self, hart, tag):
-        for rob_entry in hart.rob:
-            if rob_entry.tag == tag:
-                return rob_entry
-        raise AssertionError("tag %d not in ROB of hart %d" % (tag, hart.gid))
-
     def _finish_at(self, hart, entry, value, ready_at):
         """Route a register result through the writeback buffer."""
         if entry.low.writes:
-            hart.rb.occupy(entry.tag, entry.low.rd, entry.rob)
+            hart.rb.occupy(entry)
             hart.rb.fill(value, ready_at)
         else:
-            entry.rob.done = True
+            entry.done = True
 
     def _resolve_pc(self, hart, target):
-        hart.pc = target & 0xFFFFFFFF
+        hart.pc = target & MASK32
         hart.awaiting_nextpc = False
         hart.fetch_ready_at = self.machine.cycle + 1
+        hart.fetch_ok = (not hart.syncm_block and hart.fetch_buf is None
+                         and not hart.reserved)
 
     def _execute(self, hart, entry):
         machine = self.machine
         now = machine.cycle
         low = entry.low
         cls = low.cls
-        vals = entry.vals
 
-        if cls == _ALU or cls == _MULDIV:
-            # the single hottest path: compute and route the result
-            # through the writeback buffer with _finish_at inlined
-            a = vals[0]
-            b = vals[1] if len(vals) == 2 else low.imm
-            value = low.op(a, b)
-            if low.writes:
-                rb = hart.rb
-                rb.busy = True
-                rb.tag = entry.tag
-                rb.reg = low.rd
-                rb.value = value & 0xFFFFFFFF
-                rb.ready_at = now + low.latency
-                rb.rob = entry.rob
-            else:
-                entry.rob.done = True
-        elif cls == _LUI:
-            self._finish_at(hart, entry, (low.imm << 12) & 0xFFFFFFFF, now + 1)
-        elif cls == _AUIPC:
-            self._finish_at(hart, entry, (entry.pc + (low.imm << 12)) & 0xFFFFFFFF, now + 1)
-        elif cls == _JAL:
-            self._finish_at(hart, entry, entry.pc + 4, now + 1)
-        elif cls == _JALR:
-            self._resolve_pc(hart, (vals[0] + low.imm) & 0xFFFFFFFE)
-            self._finish_at(hart, entry, entry.pc + 4, now + 1)
-        elif cls == _BRANCH:
-            taken = low.op(vals[0], vals[1])
-            self._resolve_pc(hart, entry.pc + low.imm if taken else entry.pc + 4)
-            entry.rob.done = True
-        elif cls == _LOAD:
-            addr = (vals[0] + low.imm) & 0xFFFFFFFF
+        if cls == _LOAD:
+            addr = (entry.val0 + low.imm) & MASK32
             machine.schedule_load(self, hart, entry, low, addr)
             hart.stats.loads += 1
         elif cls == _STORE:
-            addr = (vals[0] + low.imm) & 0xFFFFFFFF
-            machine.schedule_store(self, hart, entry, low, addr, vals[1])
+            addr = (entry.val0 + low.imm) & MASK32
+            machine.schedule_store(self, hart, entry, low, addr, entry.val1)
             hart.stats.stores += 1
-        elif cls == _SYSTEM or cls == _FENCE:
-            entry.rob.done = True
-        elif cls == _P_SET:
-            value = p_set_value(vals[0], self.index, hart.index)
-            self._finish_at(hart, entry, value, now + 1)
-        elif cls == _P_MERGE:
-            self._finish_at(hart, entry, p_merge_value(vals[0], vals[1]), now + 1)
-        elif cls == _P_FC:
-            target = self.alloc_free_hart()
-            target.reserve_for_fork(hart.gid)
-            hart.succ = target.gid
-            machine.wake_re_waiters(target)
-            hart.stats.forks += 1
-            machine.stats.per_core[self.index].forks += 1
-            machine.trace.record(now, self.index, hart.index, "fork",
-                                 "allocate hart %d" % target.gid)
-            if machine.sanitizer is not None:
-                machine.sanitizer.record(
-                    self.index,
-                    (now, "fork", hart.gid, entry.tag, target.gid))
-            self._finish_at(hart, entry, target.gid, now + 1)
-        elif cls == _P_FN:
-            # the hart was granted by the next core (fork token protocol,
-            # requested at decode); consume the oldest token
-            target_gid = hart.fork_tokens.pop(0)
-            hart.succ = target_gid
-            hart.stats.forks += 1
-            machine.stats.per_core[self.index].forks += 1
-            machine.trace.record(now, self.index, hart.index, "fork",
-                                 "allocate hart %d" % target_gid)
-            if machine.sanitizer is not None:
-                machine.sanitizer.record(
-                    self.index,
-                    (now, "fork", hart.gid, entry.tag, target_gid))
-            self._finish_at(hart, entry, target_gid, now + 1)
-        elif cls == _P_SWCV:
-            machine.schedule_cv_write(
-                self, hart, entry, vals[0] & 0xFFFF, low.imm, vals[1])
-        elif cls == _P_LWCV:
-            if machine.sanitizer is not None:
-                machine.sanitizer.record(
-                    self.index, (now, "lwcv", hart.gid, entry.tag, low.imm))
-            addr = machine.cv_address(hart, low.imm)
-            machine.schedule_load(self, hart, entry, low, addr)
-        elif cls == _P_SWRE:
-            machine.schedule_re_send(
-                self, hart, entry, vals[0] & 0xFFFF, low.imm, vals[1])
-        elif cls == _P_LWRE:
-            slot = low.re_slot
-            value = hart.re_buffers[slot]
-            hart.re_buffers[slot] = None
-            if machine.sanitizer is not None:
-                machine.sanitizer.record(
-                    self.index, (now, "lwre", hart.gid, entry.tag, slot))
-            machine.wake_re_waiters(hart, slot)
-            self._finish_at(hart, entry, value, now + 1)
-        elif cls == _P_JAL:
-            # next pc already resolved at decode; send pc+4, clear rd
-            if machine.sanitizer is not None:
-                machine.sanitizer.record(
-                    self.index,
-                    (now, "jsend", hart.gid, entry.tag, vals[0] & 0xFFFF))
-            machine.send_start_pc(self, hart, vals[0] & 0xFFFF, entry.pc + 4)
-            self._finish_at(hart, entry, 0, now + 1)
-        elif cls == _P_JALR:
-            if low.rd == 0:
-                self._execute_p_ret(hart, entry)
-            else:
-                if machine.sanitizer is not None:
-                    machine.sanitizer.record(
-                        self.index,
-                        (now, "jsend", hart.gid, entry.tag, vals[0] & 0xFFFF))
-                machine.send_start_pc(self, hart, vals[0] & 0xFFFF, entry.pc + 4)
-                self._resolve_pc(hart, vals[1] & 0xFFFFFFFE)
-                self._finish_at(hart, entry, 0, now + 1)
-        elif cls == _P_SYNCM:
-            hart.syncm_block = False
-            entry.rob.done = True
+        elif cls == _BRANCH:
+            taken = low.op(entry.val0, entry.val1)
+            self._resolve_pc(
+                hart, entry.pc + low.imm if taken else entry.pc + 4)
+            entry.done = True
+        elif cls == _ALU or cls == _MULDIV:
+            # the reference tick's path; tick() below handles these
+            # inline in its issue stage
+            a = entry.val0
+            b = entry.val1 if low.nreads == 2 else low.imm
+            self._finish_at(hart, entry, low.op(a, b), now + low.latency)
         else:
-            raise AssertionError("unhandled instruction class %r" % (cls,))
+            EXEC_TABLE[cls](self, hart, entry, low)
 
     def _execute_p_ret(self, hart, entry):
         """p_ret = p_jalr zero, ra, t0: decide the ending case (paper §4)."""
-        ra, t0 = entry.vals
+        ra = entry.val0
+        t0 = entry.val1
         if ra == 0:
             if t0 == 0xFFFFFFFF:
                 action = ("exit", None, None)
@@ -333,12 +432,12 @@ class Core:
                 action = ("end", None, None)
         else:
             action = ("join", join_hart(t0), ra)
-        rob_entry = entry.rob
-        rob_entry.ret_action = action
-        rob_entry.done = True
+        entry.ret_action = action
+        entry.done = True
         # no further fetch on this hart until a join or a new fork
         hart.pc = None
         hart.awaiting_nextpc = False
+        hart.fetch_ok = False
 
     def _commit_p_ret(self, hart, head):
         machine = self.machine
@@ -399,43 +498,49 @@ class Core:
                 src_core_index, parent_gid = self.fork_queue.pop(0)
                 machine.grant_fork(self, child, src_core_index, parent_gid)
 
-    # ---- per-cycle ---------------------------------------------------------
+    # ---- per-cycle ----------------------------------------------------------
 
     def tick(self):
         """Run the five stages for one cycle (commit-side first).
 
         All five stages are inlined here — this method runs once per
-        active core per simulated cycle and used to spend most of its
-        time on Python call overhead.  Each stage block selects at most
-        one hart by deterministic rotating priority, exactly as the
-        former ``stage_*`` methods did.
+        active core per simulated cycle and would otherwise spend most
+        of its time on Python call overhead.  Each stage block selects
+        at most one hart by deterministic rotating priority.
+        Stage-for-stage identical to ``ReferenceCore.tick``: same
+        arbitration, same single-hart-per-stage selection, same
+        metrics/sanitizer call sites — only the eligibility probing is
+        restructured around the hoisted scoreboard flags (see the module
+        doc).  A stage that fires implies the core held work, so the
+        unmetered tick tests "any work at all?" only when nothing fired,
+        and then either gates off or parks (sets ``sleep_until``).
 
         Returns True when any hart had pipeline work; False means the
         core is quiescent and the run loop may gate it off until a
         wakeup (``Hart.start``) re-activates it.
         """
         harts = self.harts
-        busy = False
-        for hart in harts:
-            if hart.pc is not None or hart.rob or hart.fetch_buf is not None:
-                busy = True
-                break
         machine = self.machine
         metrics = machine.metrics
-        if not busy:
-            if metrics is not None:
-                # the run loop gates this core off from the next cycle on;
-                # this cycle's stage slot is the first gated-idle charge
-                metrics.idle(self.index, machine.cycle, 1)
-            return False
         cycle = machine.cycle
-        if metrics is not None and cycle >= metrics.edges[self.index]:
-            # close finished sampling windows before this cycle's charges
-            metrics.roll(self.index, cycle)
+        if metrics is not None:
+            # metered: the reference tick's order, so the idle / roll
+            # charges land exactly where it makes them
+            for hart in harts:
+                if (hart.pc is not None or hart.rob
+                        or hart.fetch_buf is not None):
+                    break
+            else:
+                metrics.idle(self.index, cycle, 1)
+                return False
+            if cycle >= metrics.edges[self.index]:
+                metrics.roll(self.index, cycle)
         committed = False
+        fired = False
+        order = _ORDER
 
         # ---- commit ----
-        for h in _ORDER[self._rr_commit]:
+        for h in order[self._rr_commit]:
             hart = harts[h]
             rob = hart.rob
             if not rob:
@@ -444,10 +549,6 @@ class Core:
             if not head.done:
                 continue
             if head.ret_action is not None:
-                # the ordered-release barrier: wait for the predecessor's
-                # ending-hart signal (if this hart was forked and the
-                # link is still pending), and for our own memory writes
-                # to be visible
                 if hart.pred is not None and not hart.pred_done:
                     continue
                 if hart.outstanding_mem != 0:
@@ -457,113 +558,138 @@ class Core:
             hart.stats.retired += 1
             committed = True
             low = head.low
-            if low.is_ebreak:
-                machine.halt("ebreak")
-            elif low.is_ecall:
-                machine.error("ecall is not supported on bare-metal LBP")
+            if low.trap:
+                if low.trap == 1:
+                    machine.halt("ebreak")
+                else:
+                    machine.error("ecall is not supported on bare-metal LBP")
             elif head.ret_action is not None:
                 self._commit_p_ret(hart, head)
             break
 
-        # ---- writeback ----
-        for h in _ORDER[self._rr_wb]:
-            hart = harts[h]
-            rb = hart.rb
-            if rb.busy and rb.value is not None and rb.ready_at <= cycle:
-                self._rr_wb = (h + 1) & 3
-                # Hart.writeback inlined: latest-rename register update
-                # plus the broadcast to waiting instruction-table entries
-                tag = rb.tag
-                value = rb.value
-                reg = rb.reg
-                rename = hart.rename
-                if reg != 0 and rename[reg] == tag:
-                    hart.regs[reg] = value
-                    rename[reg] = None
-                for waiter in hart.it:
-                    waits = waiter.waits
-                    if tag in waits:
-                        for slot, wait in enumerate(waits):
-                            if wait == tag:
-                                waits[slot] = None
-                                waiter.vals[slot] = value
-                                waiter.nwaits -= 1
-                rb.rob.done = True
-                rb.busy = False
-                rb.tag = None
-                rb.value = None
-                rb.rob = None
-                break
+        # ---- writeback (gated on the earliest filled ready_at) ----
+        if self._wb_wake <= cycle:
+            wake = _INF
+            for h in order[self._rr_wb]:
+                hart = harts[h]
+                rb = hart.rb
+                if not rb.busy or rb.value is None:
+                    continue
+                if rb.ready_at <= cycle:
+                    self._rr_wb = (h + 1) & 3
+                    tag = rb.tag
+                    value = rb.value
+                    reg = rb.reg
+                    rename = hart.rename
+                    if reg != 0 and rename[reg] == tag:
+                        hart.regs[reg] = value
+                        rename[reg] = None
+                    for waiter in hart.it:
+                        hit = False
+                        if waiter.wait0 == tag:
+                            waiter.wait0 = None
+                            waiter.val0 = value
+                            waiter.nwaits -= 1
+                            hit = True
+                        if waiter.wait1 == tag:
+                            waiter.wait1 = None
+                            waiter.val1 = value
+                            waiter.nwaits -= 1
+                            hit = True
+                        if hit and waiter.nwaits == 0:
+                            hart.n_ready += 1
+                    rb.entry.done = True
+                    rb.busy = False
+                    rb.tag = None
+                    rb.value = None
+                    rb.entry = None
+                    # one drain per cycle: the next is no earlier than
+                    # cycle + 1 (cheaper than the exact minimum over the
+                    # other harts on the ~90% of saturated ticks that
+                    # drain; a low gate only costs one scan)
+                    wake = cycle + 1
+                    fired = True
+                    break
+                if rb.ready_at < wake:
+                    wake = rb.ready_at
+            # exact when the scan drained nothing (the gate was stale)
+            self._wb_wake = wake
 
-        # ---- issue (oldest ready entry of the first eligible hart) ----
-        for h in _ORDER[self._rr_issue]:
+        # ---- issue (gated on any operand-ready waiting instruction) ----
+        for h in order[self._rr_issue]:
             hart = harts[h]
-            it = hart.it
-            if not it:
+            if not hart.n_ready:
                 continue
+            it = hart.it
             entry = None
             older_store_pending = False
             rb_busy = hart.rb.busy
             for candidate in it:
-                ready = candidate.nwaits == 0
-                if ready:
+                if candidate.nwaits == 0:
                     low = candidate.low
-                    cls = low.cls
                     if low.writes and rb_busy:
-                        ready = False
-                    elif cls == _LOAD or cls == _P_LWCV:
-                        # LBP has no load/store queue; the minimal
-                        # disambiguation we model is: a load waits for
-                        # all older stores of its hart to have issued
-                        # (port FIFO then orders same-bank accesses)
-                        ready = not older_store_pending
-                    elif cls == _P_LWRE:
-                        ready = hart.re_buffers[low.re_slot] is not None
-                    elif cls == _P_FC:
-                        ready = self.alloc_free_hart() is not None
-                    elif cls == _P_FN:
-                        # issue only once the next core granted a hart
-                        # (request posted at decode; last-core errors are
-                        # raised there)
-                        ready = bool(hart.fork_tokens)
-                    elif cls == _P_SYNCM:
-                        ready = candidate is it[0] and hart.outstanding_mem == 0
-                if ready:
-                    entry = candidate
-                    break
-                cls = candidate.low.cls
-                if cls == _STORE or cls == _P_SWCV:
+                        pass
+                    else:
+                        kind = low.issue_kind
+                        if kind == 0:
+                            entry = candidate
+                            break
+                        elif kind == 1:
+                            if not older_store_pending:
+                                entry = candidate
+                                break
+                        elif kind == 2:
+                            if hart.re_buffers[low.re_slot] is not None:
+                                entry = candidate
+                                break
+                        elif kind == 3:
+                            if self.alloc_free_hart() is not None:
+                                entry = candidate
+                                break
+                        elif kind == 4:
+                            if hart.fork_tokens:
+                                entry = candidate
+                                break
+                        else:  # p_syncm
+                            if (candidate is it[0]
+                                    and hart.outstanding_mem == 0):
+                                entry = candidate
+                                break
+                if candidate.low.store_like:
                     older_store_pending = True
             if entry is None:
                 continue
             self._rr_issue = (h + 1) & 3
             it.remove(entry)
+            hart.n_ready -= 1
             entry.issued = True
             low = entry.low
             cls = low.cls
-            if cls == _ALU or cls == _MULDIV:
-                # the hottest execute path, inlined (mirrors _execute)
-                vals = entry.vals
-                a = vals[0]
-                b = vals[1] if len(vals) == 2 else low.imm
-                value = low.op(a, b)
+            if cls <= _MULDIV:  # ALU (0) or MULDIV (1): the hot path
+                a = entry.val0
+                b = entry.val1 if low.nreads == 2 else low.imm
                 if low.writes:
                     rb = hart.rb
                     rb.busy = True
                     rb.tag = entry.tag
                     rb.reg = low.rd
-                    rb.value = value & 0xFFFFFFFF
-                    rb.ready_at = cycle + low.latency
-                    rb.rob = entry.rob
+                    rb.value = low.op(a, b) & MASK32
+                    ready_at = cycle + low.latency
+                    rb.ready_at = ready_at
+                    rb.entry = entry
+                    if ready_at < self._wb_wake:
+                        self._wb_wake = ready_at
                 else:
-                    entry.rob.done = True
+                    low.op(a, b)  # rd == x0: result discarded
+                    entry.done = True
             else:
                 self._execute(hart, entry)
+            fired = True
             break
 
         # ---- decode / rename ----
         rob_size = self._rob_size
-        for h in _ORDER[self._rr_rename]:
+        for h in order[self._rr_rename]:
             hart = harts[h]
             fetch_buf = hart.fetch_buf
             if fetch_buf is None or len(hart.rob) >= rob_size:
@@ -574,77 +700,100 @@ class Core:
             tag = self._tag + 1
             self._tag = tag
 
-            vals, waits = [], []
-            regs = hart.regs
+            nwaits = 0
+            val0 = val1 = wait0 = wait1 = None
             rename = hart.rename
-            for reg in low.reads:
+            nreads = low.nreads
+            if nreads:
+                reg = low.r1
                 if reg == 0:
-                    vals.append(0)
-                    waits.append(None)
+                    val0 = 0
                 else:
-                    producer = rename[reg]
-                    if producer is None:
-                        vals.append(regs[reg])
-                        waits.append(None)
+                    wait0 = rename[reg]
+                    if wait0 is None:
+                        val0 = hart.regs[reg]
                     else:
-                        vals.append(None)
-                        waits.append(producer)
-
-            rob_entry = ROBEntry(tag, low, pc)
-            hart.it.append(ITEntry(tag, low, pc, vals, waits, rob_entry))
-            hart.rob.append(rob_entry)
+                        nwaits = 1
+                if nreads == 2:
+                    reg = low.r2
+                    if reg == 0:
+                        val1 = 0
+                    else:
+                        wait1 = rename[reg]
+                        if wait1 is None:
+                            val1 = hart.regs[reg]
+                        else:
+                            nwaits += 1
+            entry = Entry(tag, low, pc, val0, val1, wait0, wait1, nwaits)
+            hart.it.append(entry)
+            hart.rob.append(entry)
+            if nwaits == 0:
+                hart.n_ready += 1
             if low.writes:
                 rename[low.rd] = tag
-            if low.cls == _P_FN:
+            dec = low.dec_kind
+            if dec == 5:  # p_fn: fall through + request the fork token
                 machine.send_fork_req(self, hart)
 
             # next-pc determination (fetch resumes when it is known)
-            cls = low.cls
-            if cls == _BRANCH or cls == _JALR or cls == _P_JALR:
-                pass  # resolved at issue; hart stays suspended
-            elif cls == _JAL or cls == _P_JAL:
-                hart.pc = (pc + low.imm) & 0xFFFFFFFF
-                hart.awaiting_nextpc = False
-                hart.fetch_ready_at = cycle + 1
-            elif cls == _SYSTEM:
-                hart.pc = None  # halts (ebreak) or traps (ecall) at commit
-                hart.awaiting_nextpc = False
-            else:
+            if dec == 0 or dec == 5:
                 hart.pc = pc + 4
                 hart.awaiting_nextpc = False
                 hart.fetch_ready_at = cycle + 1
-                if cls == _P_SYNCM:
-                    hart.syncm_block = True
+                hart.fetch_ok = not hart.syncm_block
+            elif dec == 2:
+                pass  # resolved at issue; hart stays suspended
+            elif dec == 1:
+                hart.pc = (pc + low.imm) & MASK32
+                hart.awaiting_nextpc = False
+                hart.fetch_ready_at = cycle + 1
+                hart.fetch_ok = not hart.syncm_block
+            elif dec == 3:
+                hart.pc = None  # halts (ebreak) / traps (ecall) at commit
+                hart.awaiting_nextpc = False
+            else:  # dec == 4, p_syncm: fall through, block further fetch
+                hart.pc = pc + 4
+                hart.awaiting_nextpc = False
+                hart.fetch_ready_at = cycle + 1
+                hart.syncm_block = True
+            fired = True
             break
 
-        # ---- fetch ----
-        for h in _ORDER[self._rr_fetch]:
+        # ---- fetch (gated on the collapsed predicate) ----
+        for h in order[self._rr_fetch]:
             hart = harts[h]
-            pc = hart.pc
-            if (
-                pc is not None
-                and not hart.awaiting_nextpc
-                and not hart.syncm_block
-                and hart.fetch_buf is None
-                and not hart.reserved
-                and cycle >= hart.fetch_ready_at
-            ):
+            if hart.fetch_ok and cycle >= hart.fetch_ready_at:
                 self._rr_fetch = (h + 1) & 3
+                pc = hart.pc
                 low = machine.lowered.get(pc)
                 if low is None:  # non-code address: the slow error path
                     low = machine.fetch_instruction(pc, hart)
                 hart.fetch_buf = (pc, low)
                 hart.awaiting_nextpc = True  # suspended until next pc known
+                hart.fetch_ok = False
+                fired = True
                 break
-        if metrics is not None and not committed:
-            metrics.stall(self, cycle)
+        if metrics is not None:
+            if not committed:
+                metrics.stall(self, cycle)
+        elif not (fired or committed):
+            # No stage fired, so this core's state is frozen until one
+            # of its two cycle-reading predicates turns true — a filled
+            # writeback buffer's ready_at, a fetch-ready hart's
+            # fetch_ready_at, both > cycle or a stage had fired — or an
+            # event addressed to this domain runs (dispatch clears
+            # sleep_until): gate off when no hart holds work, else park.
+            wake = self._wb_wake
+            busy = False
+            for hart in harts:
+                if hart.fetch_ok:
+                    busy = True
+                    if hart.fetch_ready_at < wake:
+                        wake = hart.fetch_ready_at
+                elif (hart.pc is not None or hart.rob
+                        or hart.fetch_buf is not None):
+                    busy = True
+            if not busy:
+                return False
+            self.sleep_until = wake
         return True
-
-    def any_activity_possible(self):
-        """Cheap liveness check for deadlock detection.
-
-        Harts that are merely waiting (for a join, or reserved awaiting a
-        start pc) are passive: they only progress through events, so they
-        do not count as activity by themselves.
-        """
-        return any(not hart.is_idle() for hart in self.harts)

@@ -14,42 +14,35 @@ by the ordered ``p_ret`` commit chain) and the fork reservation flag.
 from repro import memmap
 
 
-class ITEntry:
-    """One instruction waiting (or executing) in the instruction table."""
+class Entry:
+    """One in-flight instruction, from rename to commit.
 
-    __slots__ = ("tag", "low", "pc", "vals", "waits", "nwaits", "issued", "rob")
+    A single record plays both roles of the paper's pipeline: it sits in
+    the hart's instruction table (``Hart.it``) until it issues and in
+    the reorder buffer (``Hart.rob``) until it commits.  RV32
+    instructions read at most two sources, so the operands are two
+    scalar slots: ``valN`` holds source N's value once known, ``waitN``
+    the rename tag of its producer until then (None when the value is
+    present or the instruction has no such source).
+    """
 
-    def __init__(self, tag, low, pc, vals, waits, rob):
+    __slots__ = ("tag", "low", "pc", "val0", "val1", "wait0", "wait1",
+                 "nwaits", "issued", "done", "ret_action")
+
+    def __init__(self, tag, low, pc, val0, val1, wait0, wait1, nwaits):
         self.tag = tag
         #: the :class:`~repro.machine.lowered.LoweredInstr` at this pc
         self.low = low
-        self.pc = pc
-        #: source values, aligned with low.reads (None while waiting)
-        self.vals = vals
-        #: producer tags awaited, aligned with vals (None when value present)
-        self.waits = waits
-        #: count of outstanding producers — the issue stage's O(1)
-        #: readiness check; kept in sync by the writeback broadcast
-        self.nwaits = len(waits) - waits.count(None)
-        self.issued = False
-        #: the paired ROBEntry (created together at rename) — completion
-        #: paths mark ``rob.done`` directly instead of scanning by tag
-        self.rob = rob
-
-    def sources_ready(self):
-        return self.nwaits == 0
-
-
-class ROBEntry:
-    """One reorder-buffer slot."""
-
-    __slots__ = ("tag", "low", "pc", "done", "ret_action")
-
-    def __init__(self, tag, low, pc=None):
-        self.tag = tag
-        self.low = low
         #: program location (lets snapshot/restore re-bind ``low``)
         self.pc = pc
+        self.val0 = val0
+        self.val1 = val1
+        self.wait0 = wait0
+        self.wait1 = wait1
+        #: count of outstanding producers — the issue stage's O(1)
+        #: readiness check; kept in sync by the writeback broadcast
+        self.nwaits = nwaits
+        self.issued = False
         self.done = False
         #: for p_ret: ("exit"|"wait"|"end"|"join", join_hart, join_addr)
         self.ret_action = None
@@ -58,38 +51,46 @@ class ROBEntry:
 class ResultBuffer:
     """The hart's single writeback buffer (one in-flight result)."""
 
-    __slots__ = ("busy", "tag", "reg", "value", "ready_at", "rob")
+    __slots__ = ("hart", "busy", "tag", "reg", "value", "ready_at", "entry")
 
-    def __init__(self):
+    def __init__(self, hart):
+        self.hart = hart
         self.busy = False
         self.tag = None
         self.reg = 0
         self.value = None
         self.ready_at = 0
-        #: ROBEntry of the occupying producer (writeback marks it done)
-        self.rob = None
+        #: the occupying producer's Entry (writeback marks it done)
+        self.entry = None
 
-    def occupy(self, tag, reg, rob):
+    def occupy(self, entry):
         self.busy = True
-        self.tag = tag
-        self.reg = reg
+        self.tag = entry.tag
+        self.reg = entry.low.rd
         self.value = None
         self.ready_at = 0
-        self.rob = rob
+        self.entry = entry
 
     def fill(self, value, ready_at):
         self.value = value & 0xFFFFFFFF
         self.ready_at = ready_at
-
-    def release(self):
-        self.busy = False
-        self.tag = None
-        self.value = None
-        self.rob = None
+        # keep the owning core's writeback gate a lower bound
+        core = self.hart.core
+        if ready_at < core._wb_wake:
+            core._wb_wake = ready_at
 
 
 class Hart:
-    """All state of one hardware thread."""
+    """All state of one hardware thread.
+
+    ``fetch_ok`` and ``n_ready`` are the production tick's hoisted stage
+    gates: the five state terms of the fetch predicate (everything but
+    the ``fetch_ready_at`` timer) collapsed to one bool, re-derived at
+    every site that mutates a term, and the count of waiting instructions
+    with all operands present, which gates the issue scan.  Both are derived
+    state — snapshots neither carry nor need them (``load_state_dict``
+    recomputes), and the reference tick never reads them.
+    """
 
     __slots__ = (
         "core", "index", "gid",
@@ -102,6 +103,7 @@ class Hart:
         "reserved", "waiting_join", "pending_join",
         "pred", "pred_done", "succ", "fork_tokens",
         "stats",
+        "fetch_ok", "n_ready",
     )
 
     def __init__(self, core, index, num_result_buffers, stats):
@@ -117,7 +119,7 @@ class Hart:
         self.fetch_buf = None
         self.it = []
         self.rob = []
-        self.rb = ResultBuffer()
+        self.rb = ResultBuffer(self)
         self.re_buffers = [None] * num_result_buffers
         #: per-slot FIFO of parked p_swre deliveries (flow control: a
         #: send that found the slot occupied waits here for the drain
@@ -136,6 +138,17 @@ class Hart:
         #: FIFO order when this hart's p_fn instructions issue
         self.fork_tokens = []
         self.stats = stats
+        self.fetch_ok = False
+        self.n_ready = 0
+
+    def _refresh_fetch_ok(self):
+        self.fetch_ok = (
+            self.pc is not None
+            and not self.awaiting_nextpc
+            and not self.syncm_block
+            and self.fetch_buf is None
+            and not self.reserved
+        )
 
     # ---- lifecycle --------------------------------------------------------
 
@@ -175,6 +188,7 @@ class Hart:
         self.re_buffers = [None] * len(self.re_buffers)
         self.pred = parent_gid
         self.pred_done = False
+        self.fetch_ok = False
 
     def start(self, pc, cycle):
         """Begin fetching at *pc* (fork start or join resume).
@@ -188,6 +202,7 @@ class Hart:
         self.awaiting_nextpc = False
         self.syncm_block = False
         self.fetch_ready_at = cycle + 1
+        self.fetch_ok = self.fetch_buf is None
         self.core.activate()
 
     def end(self):
@@ -197,17 +212,21 @@ class Hart:
         self.syncm_block = False
         self.reserved = False
         self.waiting_join = False
+        self.fetch_ok = False
 
     # ---- snapshot/restore --------------------------------------------------
 
     def state_dict(self):
         """All architectural and microarchitectural state, as plain data.
 
-        Entry identity: an ITEntry and its paired ROBEntry share a tag,
-        and the writeback buffer names its producer by the same tag, so
-        cross-references are serialized as tags and re-linked by
-        :meth:`load_state_dict`.  ``low`` fields are re-derived from the
-        machine's lowered program via each entry's pc.
+        The format predates the merged :class:`Entry` and is unchanged:
+        ``rob`` lists every in-flight instruction, ``it`` the unissued
+        subset with its operand slots spelled as ``vals``/``waits`` lists
+        (one element per source the instruction reads); the two lists
+        share tags, and the writeback buffer names its producer by the
+        same tag, so :meth:`load_state_dict` re-links everything by tag.
+        ``low`` fields are re-derived from the machine's lowered program
+        via each entry's pc.
         """
         rb = self.rb
         return {
@@ -220,8 +239,10 @@ class Hart:
             "fetch_buf": None if self.fetch_buf is None else self.fetch_buf[0],
             "it": [
                 {
-                    "tag": e.tag, "pc": e.pc, "vals": list(e.vals),
-                    "waits": list(e.waits), "issued": e.issued,
+                    "tag": e.tag, "pc": e.pc,
+                    "vals": [e.val0, e.val1][:e.low.nreads],
+                    "waits": [e.wait0, e.wait1][:e.low.nreads],
+                    "issued": e.issued,
                 }
                 for e in self.it
             ],
@@ -261,25 +282,39 @@ class Hart:
         self.fetch_ready_at = state["fetch_ready_at"]
         self.syncm_block = state["syncm_block"]
         fetch_pc = state["fetch_buf"]
-        self.fetch_buf = None if fetch_pc is None else (fetch_pc, lowered(fetch_pc))
-        self.rob = []
-        rob_by_tag = {}
+        self.fetch_buf = None if fetch_pc is None else (
+            fetch_pc, lowered(fetch_pc))
+        # rebuild the entries: the "rob" list carries every in-flight
+        # instruction, the "it" list the unissued subset (both in
+        # program order); join them by tag
+        it_by_tag = {e["tag"]: e for e in state["it"]}
+        self.rob = rob = []
+        self.it = it = []
+        entry_by_tag = {}
         for entry_state in state["rob"]:
-            rob_entry = ROBEntry(
-                entry_state["tag"], lowered(entry_state["pc"]), entry_state["pc"])
-            rob_entry.done = entry_state["done"]
+            tag = entry_state["tag"]
+            pc = entry_state["pc"]
+            it_state = it_by_tag.get(tag)
+            if it_state is not None:
+                vals = it_state["vals"]
+                waits = it_state["waits"]
+                val0 = vals[0] if vals else None
+                val1 = vals[1] if len(vals) == 2 else None
+                wait0 = waits[0] if waits else None
+                wait1 = waits[1] if len(waits) == 2 else None
+                nwaits = sum(1 for wait in waits if wait is not None)
+                entry = Entry(tag, lowered(pc), pc,
+                              val0, val1, wait0, wait1, nwaits)
+                entry.issued = it_state["issued"]
+                it.append(entry)
+            else:
+                entry = Entry(tag, lowered(pc), pc, None, None, None, None, 0)
+                entry.issued = True
+            entry.done = entry_state["done"]
             if entry_state["ret_action"] is not None:
-                rob_entry.ret_action = tuple(entry_state["ret_action"])
-            self.rob.append(rob_entry)
-            rob_by_tag[rob_entry.tag] = rob_entry
-        self.it = []
-        for entry_state in state["it"]:
-            entry = ITEntry(
-                entry_state["tag"], lowered(entry_state["pc"]),
-                entry_state["pc"], list(entry_state["vals"]),
-                list(entry_state["waits"]), rob_by_tag[entry_state["tag"]])
-            entry.issued = entry_state["issued"]
-            self.it.append(entry)
+                entry.ret_action = tuple(entry_state["ret_action"])
+            rob.append(entry)
+            entry_by_tag[tag] = entry
         rb_state = state["rb"]
         rb = self.rb
         rb.busy = rb_state["busy"]
@@ -287,10 +322,11 @@ class Hart:
         rb.reg = rb_state["reg"]
         rb.value = rb_state["value"]
         rb.ready_at = rb_state["ready_at"]
-        rb.rob = rob_by_tag[rb.tag] if rb.busy else None
+        rb.entry = entry_by_tag[rb.tag] if rb.busy else None
         self.re_buffers = list(state["re_buffers"])
         self.re_waiters = [
-            [tuple(desc) for desc in waiters] for waiters in state["re_waiters"]
+            [tuple(desc) for desc in waiters]
+            for waiters in state["re_waiters"]
         ]
         self.outstanding_mem = state["outstanding_mem"]
         self.reserved = state["reserved"]
@@ -300,36 +336,5 @@ class Hart:
         self.pred_done = state["pred_done"]
         self.succ = state["succ"]
         self.fork_tokens = list(state["fork_tokens"])
-
-    # ---- rename-side helpers ----------------------------------------------
-
-    def read_source(self, reg):
-        """(value, wait_tag): the committed value or the producer tag."""
-        if reg == 0:
-            return 0, None
-        tag = self.rename[reg]
-        if tag is None:
-            return self.regs[reg], None
-        return None, tag
-
-    def writeback(self, tag, reg, value):
-        """Apply a completed result to the register file and wake waiters.
-
-        The architectural register is updated only when this producer is
-        still the *latest* rename of the register; an older producer that
-        writes back after a newer one (possible with out-of-order issue)
-        must not clobber the newer value.  Its value still reaches the
-        consumers that captured its tag, via the broadcast below.
-        """
-        value &= 0xFFFFFFFF
-        if reg != 0 and self.rename[reg] == tag:
-            self.regs[reg] = value
-            self.rename[reg] = None
-        for entry in self.it:
-            waits = entry.waits
-            if tag in waits:  # C-level scan first; a hit is the rare case
-                for slot, wait in enumerate(waits):
-                    if wait == tag:
-                        waits[slot] = None
-                        entry.vals[slot] = value
-                        entry.nwaits -= 1
+        self.n_ready = sum(1 for e in it if e.nwaits == 0)
+        self._refresh_fetch_ok()

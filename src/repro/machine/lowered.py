@@ -16,7 +16,7 @@ from repro.isa.spec import InstrClass
 
 _C = InstrClass
 
-# ---- decode kinds (next-pc determination; see Core.tick / SoACore.tick) -----
+# ---- decode kinds (next-pc determination; see the ticks' decode stage) -----
 #: fall through to pc + 4
 DEC_STRAIGHT = 0
 #: direct jump: pc + imm known at decode (jal, p_jal)
@@ -45,6 +45,9 @@ ISS_FN = 4
 #: p_syncm issues only at the head of the ROB with no outstanding memory
 ISS_SYNCM = 5
 
+#: commit-side trap codes (``LoweredInstr.trap``; 0 = none)
+_TRAPS = {"ebreak": 1, "ecall": 2}
+
 
 class LoweredInstr:
     """One program location, pre-chewed for the pipeline stages.
@@ -53,31 +56,30 @@ class LoweredInstr:
         ins: the original :class:`Instruction` (kept for disassembly and
             error reporting; the stages never touch it).
         mnemonic, cls, rd, imm: copied out of the instruction/spec.
-        reads: source *register numbers* in operand order (the spec's
-            field names already resolved against rs1/rs2).
+        nreads / r1 / r2: how many sources the instruction reads (at
+            most two) and their *register numbers* in operand order —
+            the spec's field names already resolved against rs1/rs2, one
+            per operand slot of an ``Entry`` (r2 only valid when
+            nreads == 2).
         writes: True when the instruction produces a register result
             (``spec.writes_rd`` and ``rd != 0`` folded together).
         op: the ALU/branch callable, or None.
         latency: execution latency in cycles (params-resolved).
         width: access width in bytes for loads/stores, else 0.
         re_slot: result-buffer slot for p_swre/p_lwre, else 0.
-        is_ebreak / is_ecall: commit-side traps, pre-tested.
-        nreads / r1 / r2: ``reads`` unrolled for the SoA backend's
-            scalarised operand slots (r2 only valid when nreads == 2).
         dec_kind / issue_kind: the ``DEC_*`` / ``ISS_*`` dispatch keys
             above, so the decode and issue stages switch on a
             precomputed int instead of re-classifying ``cls``.
         store_like: True for store/p_swcv — the older-store fence that
             loads wait on at issue.
-        trap: commit-side trap code (0 none, 1 ebreak, 2 ecall) — folds
-            ``is_ebreak``/``is_ecall`` into one hot-path compare.
+        trap: commit-side trap code (0 none, 1 ebreak, 2 ecall),
+            pre-tested so the commit stage does one compare.
     """
 
     __slots__ = (
-        "ins", "mnemonic", "cls", "rd", "imm", "reads", "writes",
-        "op", "latency", "width", "re_slot", "is_ebreak", "is_ecall",
-        "nreads", "r1", "r2", "dec_kind", "issue_kind", "store_like",
-        "trap",
+        "ins", "mnemonic", "cls", "rd", "imm", "nreads", "r1", "r2",
+        "writes", "op", "latency", "width", "re_slot",
+        "dec_kind", "issue_kind", "store_like", "trap",
     )
 
     def __init__(self, ins, params):
@@ -89,9 +91,12 @@ class LoweredInstr:
         self.cls = int(cls)
         self.rd = ins.rd
         self.imm = ins.imm
-        self.reads = tuple(
+        reads = [
             ins.rs1 if field == "rs1" else ins.rs2 for field in spec.reads
-        )
+        ]
+        self.nreads = len(reads)
+        self.r1 = reads[0] if reads else 0
+        self.r2 = reads[1] if len(reads) == 2 else 0
         self.writes = spec.writes_rd and ins.rd != 0
         if cls == _C.ALU or cls == _C.MULDIV:
             self.op = ALU_OPS[mnemonic]
@@ -110,12 +115,6 @@ class LoweredInstr:
             self.re_slot = ins.imm % params.num_result_buffers
         else:
             self.re_slot = 0
-        self.is_ebreak = mnemonic == "ebreak"
-        self.is_ecall = mnemonic == "ecall"
-        reads = self.reads
-        self.nreads = len(reads)
-        self.r1 = reads[0] if reads else 0
-        self.r2 = reads[1] if len(reads) == 2 else 0
         if cls == _C.BRANCH or cls == _C.JALR or cls == _C.P_JALR:
             self.dec_kind = DEC_SUSPEND
         elif cls == _C.JAL or cls == _C.P_JAL:
@@ -141,7 +140,7 @@ class LoweredInstr:
         else:
             self.issue_kind = ISS_PLAIN
         self.store_like = cls == _C.STORE or cls == _C.P_SWCV
-        self.trap = 1 if self.is_ebreak else (2 if self.is_ecall else 0)
+        self.trap = _TRAPS.get(mnemonic, 0)
 
     def __repr__(self):
         return "LoweredInstr(%r)" % (self.ins,)

@@ -380,16 +380,12 @@ EVENT_HANDLERS = {
 }
 
 
-#: process-wide default execution backend, used when ``LBP(backend=None)``:
-#: "soa" (machine/soa.py, the fast struct-of-arrays core — bit-exact with
-#: the interpreter) or "interp" (machine/core.py, the reference).
-DEFAULT_BACKEND = "soa"
-
-
 def resolve_backend(backend):
-    """Normalise a ``backend=`` argument to "soa" or "interp"."""
+    """Normalise ``LBP(backend=)``: "soa" (None; the production core,
+    machine/core.py) or "interp" (the tests' oracle tick,
+    machine/reference.py)."""
     if backend is None:
-        backend = DEFAULT_BACKEND
+        backend = "soa"
     if backend not in ("soa", "interp"):
         raise ValueError(
             "unknown backend %r (expected 'soa' or 'interp')" % (backend,))
@@ -403,9 +399,10 @@ class LBP:
     engine (:class:`repro.parsim.ShardedLBP`) instead — same program
     interface, bit-identical results, N worker processes.
 
-    ``backend`` selects the execution core: "soa" (default; see
-    repro.machine.soa) or "interp" — both produce bit-identical traces,
-    stats and snapshots, so the choice is pure performance.
+    ``backend="interp"`` swaps in the reference tick
+    (repro.machine.reference) — bit-identical traces, stats and
+    snapshots, only slower; the tests use it as their oracle and nothing
+    else selects it.
     """
 
     def __new__(cls, params=None, trace=None, shards=None, sanitize=False,
@@ -442,9 +439,8 @@ class LBP:
         #: the cycle loop's cores with the flag set, in core-index order;
         #: None when stale (a core woke or gated off since it was built)
         self._active_cores = None
-        self.backend = resolve_backend(backend)
-        if self.backend == "soa":
-            from repro.machine.soa import SoACore as core_cls
+        if resolve_backend(backend) == "interp":
+            from repro.machine.reference import ReferenceCore as core_cls
         else:
             core_cls = Core
         self.cores = [core_cls(i, self) for i in range(self.params.num_cores)]
@@ -747,7 +743,7 @@ class LBP:
                 bank = self.cores[owner].mem.shared
                 self.stats.per_core[core.index].remote_accesses += 1
                 remote = True
-        hart.rb.occupy(entry.tag, low.rd, entry.rob)
+        hart.rb.occupy(entry)
         hart.outstanding_mem += 1
         self.trace.record(
             now, core.index, hart.index, "mem_load_req",

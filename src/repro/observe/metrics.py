@@ -382,7 +382,7 @@ class Metrics:
             return _BARRIER_WAIT
         entry = None
         for candidate in rep.it:
-            if candidate.rob is head:
+            if candidate is head:
                 entry = candidate
                 break
         cls = head.low.cls

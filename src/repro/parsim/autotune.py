@@ -57,7 +57,7 @@ def measure_crossings(master, calib_cycles, candidates):
     from repro.machine.processor import LBP
     from repro.parsim.engine import partition_cores
 
-    clone = LBP(master.params, backend=master.backend)
+    clone = LBP(master.params)
     clone.load(master.program, start=False)
     clone.load_state_dict(master.state_dict())
     start = clone.cycle

@@ -70,6 +70,7 @@ a sharded run is indistinguishable from a single-process one and can be
 resumed under any shard count.
 """
 
+import contextlib
 import heapq
 import marshal
 import os
@@ -469,25 +470,9 @@ class _Worker:
 
     def run(self, max_cycles, stop_at_cycle, snapshot_every, want_snapshots,
             profile=False):
-        profiler = None
-        if profile:
-            import cProfile
-
-            profiler = cProfile.Profile()
-            profiler.enable()
-        try:
+        with _profiled(profile, "shard 0 profile"):
             outcome, cycle = self._loop(
                 max_cycles, stop_at_cycle, snapshot_every, want_snapshots)
-        finally:
-            if profiler is not None:
-                profiler.disable()
-                import pstats
-                import sys
-
-                print("--- shard 0 profile (top 20 by cumulative time) ---")
-                pstats.Stats(profiler).sort_stats(
-                    "cumulative").print_stats(20)
-                sys.stdout.flush()
         payload = self._gather_payload(cycle)
         payload["transport"] = self._transport_stats()
         if self.spans is not None:
@@ -600,6 +585,28 @@ def _worker_main(machine, shard, bounds, peer_send, peer_recv,
     worker.run(profile=profile, **run_kwargs)
 
 
+@contextlib.contextmanager
+def _profiled(enabled, title):
+    """Run the block under cProfile and print its top-20 table (the
+    ``repro run --profile --shards N`` path); a no-op unless *enabled*."""
+    if not enabled:
+        yield
+        return
+    import cProfile
+    import pstats
+    import sys
+
+    profiler = cProfile.Profile()
+    profiler.enable()
+    try:
+        yield
+    finally:
+        profiler.disable()
+        print("--- %s (top 20 by cumulative time) ---" % title)
+        pstats.Stats(profiler).sort_stats("cumulative").print_stats(20)
+        sys.stdout.flush()
+
+
 # ---- parent-side coordinator -------------------------------------------------
 
 
@@ -666,69 +673,23 @@ class ShardedLBP:
         #: as ``span_records`` (plain dicts, never machine state)
         self.span_ctx = None
         self.span_records = None
-        #: when set, shard 0's worker runs under cProfile and prints its
-        #: top-20 table before exiting (``repro run --profile --shards N``)
+        #: when set, shard 0's worker — or this process, when the run
+        #: turns out in-process — runs under cProfile and prints its
+        #: top-20 table (``repro run --profile --shards N``)
         self.profile_shard_zero = False
 
     # -- façade ---------------------------------------------------------------
 
-    @property
-    def params(self):
-        return self.master.params
-
-    @property
-    def program(self):
-        return self.master.program
-
-    @property
-    def stats(self):
-        return self.master.stats
-
-    @property
-    def trace(self):
-        return self.master.trace
-
-    @property
-    def cores(self):
-        return self.master.cores
-
-    @property
-    def mmio(self):
-        return self.master.mmio
-
-    @property
-    def cycle(self):
-        return self.master.cycle
-
-    @property
-    def halted(self):
-        return self.master.halted
-
-    @property
-    def halt_reason(self):
-        return self.master.halt_reason
-
-    @property
-    def sanitizer(self):
-        return self.master.sanitizer
-
-    @property
-    def metrics(self):
-        return self.master.metrics
-
-    @property
-    def backend(self):
-        return self.master.backend
-
-    def race_report(self, sync=None):
-        """Analyze the gathered shard-local observations (one merged,
-        sharding-independent report — see repro.sanitize)."""
-        return self.master.race_report(sync=sync)
-
-    def metrics_report(self):
-        """The gathered shard-local telemetry, merged — byte-identical
-        to a single-process run's report (see repro.observe)."""
-        return self.master.metrics_report()
+    def __getattr__(self, name):
+        """Everything else — params, stats, trace, cores, cycle, halted,
+        memory access, reports, state_dict … — is the master's: the
+        gathered shard-local results make it behave exactly as if it had
+        simulated the run by itself."""
+        if name == "master":
+            # a half-built instance (constructor raised, unpickling):
+            # fail plainly instead of recursing through self.master
+            raise AttributeError(name)
+        return getattr(self.master, name)
 
     def load(self, program, start=True):
         self.master.load(program, start=start)
@@ -740,21 +701,6 @@ class ShardedLBP:
             "external object living in the parent process, invisible to "
             "the shard workers — run with shards=1 to attach devices"
         )
-
-    def read_word(self, addr):
-        return self.master.read_word(addr)
-
-    def write_word(self, addr, value):
-        return self.master.write_word(addr, value)
-
-    def read_local(self, core_index, addr):
-        return self.master.read_local(core_index, addr)
-
-    def state_dict(self):
-        return self.master.state_dict()
-
-    def load_state_dict(self, state):
-        return self.master.load_state_dict(state)
 
     # -- run -------------------------------------------------------------------
 
@@ -776,10 +722,11 @@ class ShardedLBP:
             # existence check (no epochs were exchanged, so every
             # transport counter is honestly zero).
             self.transport_stats = zeroed_transport_stats()
-            return master.run(
-                max_cycles=max_cycles, stop_at_cycle=stop_at_cycle,
-                snapshot_every=snapshot_every,
-                snapshot_callback=snapshot_callback)
+            with _profiled(self.profile_shard_zero, "profile"):
+                return master.run(
+                    max_cycles=max_cycles, stop_at_cycle=stop_at_cycle,
+                    snapshot_every=snapshot_every,
+                    snapshot_callback=snapshot_callback)
         if master.mmio:
             raise MachineError(
                 "the sharded engine cannot simulate machines with MMIO "

@@ -80,26 +80,23 @@ class JobSpec:
     Wire shape (all but ``source`` optional)::
 
         {"source": "...", "filename": "job.c", "params": {"num_cores": 4},
-         "inputs": <any JSON>, "max_cycles": 500000000,
-         "shards": 2, "backend": "soa"}
+         "inputs": <any JSON>, "max_cycles": 500000000, "shards": 2}
 
     ``params`` are :class:`repro.machine.Params` keyword arguments;
     ``inputs`` is the free-form workload-input component of the cache
     key; ``max_cycles`` bounds the run but — matching
     ``RunCache.run_program`` — does *not* participate in the key (a
     successful run's value is independent of its cycle budget).
-    ``shards`` and ``backend`` pick the execution strategy; both are
-    bit-exact by construction (the sharded-engine and backend-parity
-    invariants), so like ``max_cycles`` they stay out of the key — the
-    same work requested interp/soa or sharded/unsharded is one cache
-    object.
+    ``shards`` picks the sharded engine, bit-exact by construction, so
+    like ``max_cycles`` it stays out of the key — the same work
+    requested sharded or unsharded is one cache object.
     """
 
     __slots__ = ("source", "filename", "params", "inputs", "max_cycles",
-                 "shards", "backend")
+                 "shards")
 
     def __init__(self, source, filename="job.c", params=None, inputs=None,
-                 max_cycles=None, shards=None, backend=None):
+                 max_cycles=None, shards=None):
         if not isinstance(source, str) or not source:
             raise ValueError("job needs a non-empty 'source' string")
         if not isinstance(filename, str) or "/" in filename:
@@ -109,20 +106,19 @@ class JobSpec:
         self.filename = filename
         self.params = dict(params or {})
         self.inputs = inputs
+        for name, count in (("max_cycles", max_cycles), ("shards", shards)):
+            # bool is an int subclass: JSON true must not pass as 1
+            if count is not None and (type(count) is not int or count < 1):
+                raise ValueError("'%s' must be a positive integer" % name)
         self.max_cycles = max_cycles
-        if shards is not None and (not isinstance(shards, int) or shards < 1):
-            raise ValueError("'shards' must be a positive integer")
-        if backend is not None and backend not in ("interp", "soa"):
-            raise ValueError("'backend' must be 'interp' or 'soa'")
         self.shards = shards
-        self.backend = backend
 
     @classmethod
     def from_wire(cls, payload):
         if not isinstance(payload, dict):
             raise ValueError("each job must be a JSON object")
         unknown = set(payload) - {"source", "filename", "params", "inputs",
-                                  "max_cycles", "shards", "backend"}
+                                  "max_cycles", "shards"}
         if unknown:
             raise ValueError("unknown job field(s): %s"
                              % ", ".join(sorted(unknown)))
@@ -131,8 +127,7 @@ class JobSpec:
                    params=payload.get("params"),
                    inputs=payload.get("inputs"),
                    max_cycles=payload.get("max_cycles"),
-                   shards=payload.get("shards"),
-                   backend=payload.get("backend"))
+                   shards=payload.get("shards"))
 
     def machine_params(self):
         """The Params object this spec describes (validates the kwargs)."""

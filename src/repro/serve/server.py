@@ -239,7 +239,7 @@ class SimServer:
                 execute_job,
                 args=(spec.source, spec.filename, spec.params,
                       spec.max_cycles, self.config.progress_every,
-                      spec.shards, spec.backend, job.trace_ctx),
+                      spec.shards, job.trace_ctx),
                 on_progress=on_progress, on_attempt=on_attempt,
                 cancel_event=job.cancel_event)
         except PoolCancelled:

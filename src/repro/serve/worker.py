@@ -68,15 +68,15 @@ def job_value(machine, stats):
 
 
 def execute_job(source, filename, params_kwargs, max_cycles=None,
-                progress_every=None, shards=None, backend=None,
-                trace_ctx=None, progress=None):
+                progress_every=None, shards=None, trace_ctx=None,
+                progress=None):
     """Run one job to completion; returns the canonical result value.
 
     *progress* (injected by the pool) receives :func:`job_progress`
     payloads roughly every *progress_every* cycles; passing it implies a
     metered run so the payloads carry IPC and the top stall reason.
-    *shards*/*backend* select the execution strategy (bit-exact either
-    way).  *trace_ctx* links this execution into the admission's trace.
+    *shards* selects the sharded engine (bit-exact either way).
+    *trace_ctx* links this execution into the admission's trace.
     """
     import time
 
@@ -90,7 +90,7 @@ def execute_job(source, filename, params_kwargs, max_cycles=None,
         spans = SpanRecorder()
         execute_span = spans.start("execute", parent=tuple(trace_ctx))
         flight().note("execute_begin", filename=filename, shards=shards,
-                      backend=backend, trace_id=execute_span.trace_id)
+                      trace_id=execute_span.trace_id)
 
     if spans is not None:
         with spans.span("compile", parent=execute_span, filename=filename):
@@ -100,7 +100,7 @@ def execute_job(source, filename, params_kwargs, max_cycles=None,
     from repro.machine import Params
 
     metered = progress is not None
-    machine = LBP(Params(**params_kwargs), shards=shards, backend=backend,
+    machine = LBP(Params(**params_kwargs), shards=shards,
                   metrics=True if metered else None).load(program)
     run_kwargs = {}
     if max_cycles is not None:

@@ -149,15 +149,8 @@ def _decode(blob):
     return _unjsonable(json.loads(zlib.decompress(body).decode("utf-8")))
 
 
-def restore(blob, backend=None):
-    """Rebuild the machine serialized by :func:`snapshot` (fresh instance).
-
-    *backend* selects the execution backend of the rebuilt machine
-    (``"soa"``/``"interp"``; None → the default).  Snapshots are
-    backend-neutral: the byte format is the interpreter layout and the
-    SoA backend rebuilds its packed state from it, so a snapshot taken
-    under either backend resumes bit-exactly under either.
-    """
+def restore(blob):
+    """Rebuild the machine serialized by :func:`snapshot` (fresh instance)."""
     payload = _decode(blob)
     if payload.get("sim_version") != SIM_VERSION:
         raise SnapshotError(
@@ -167,7 +160,7 @@ def restore(blob, backend=None):
         )
     params = Params.from_state_dict(payload["params"])
     program = program_from_state(payload["program"])
-    machine = LBP(params, backend=backend)
+    machine = LBP(params)
     machine.load(program, start=False)
     machine.load_state_dict(payload["machine"])
     return machine
@@ -200,7 +193,7 @@ def save_snapshot(machine, path):
     return len(blob)
 
 
-def load_snapshot(path, backend=None):
+def load_snapshot(path):
     """:func:`restore` from *path*."""
     with open(path, "rb") as handle:
-        return restore(handle.read(), backend=backend)
+        return restore(handle.read())

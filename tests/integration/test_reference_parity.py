@@ -1,0 +1,203 @@
+"""The production core is bit-exact against the reference tick.
+
+``repro.machine.core.Core.tick`` is built for speed: packed scoreboard
+gates, gated stage scans, parking of stalled cores.  None of that may be
+observable.  ``LBP(backend="interp")`` swaps in
+``repro.machine.reference.ReferenceCore`` — the same state, the same
+instruction semantics, and a tick that re-derives every eligibility
+predicate from architectural state — and every golden digest in
+``tests/data/golden_traces.json`` must reproduce bit-exactly under both:
+alone, space-sharded, under the race sanitizer, under stall metrics, and
+with serialized state moving between the two mid-run.
+"""
+
+import json
+import os
+import random
+import sys
+
+import pytest
+
+from repro.cli import main as cli_main
+from repro.compiler import compile_to_program
+from repro.machine import LBP, Params
+from repro.machine.core import Core
+from repro.machine.reference import ReferenceCore
+from repro.snapshot import snapshot
+from repro.workloads import ServingWorkload
+
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+from test_trace_golden import (  # noqa: E402
+    GOLDEN_PATH,
+    SCENARIOS,
+    WORKLOADS,
+    measure,
+    trace_digest,
+)
+from test_snapshot_roundtrip import _build  # noqa: E402
+
+MAX_CYCLES = 50_000_000
+
+
+@pytest.fixture(scope="module")
+def golden():
+    with open(GOLDEN_PATH) as handle:
+        return json.load(handle)
+
+
+# ---- golden digests ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("backend", ["soa", "interp"])
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_golden_digests_under_both_cores(name, backend, golden):
+    assert measure(name, backend=backend) == golden[name]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name", ["matmul_base_h16_c4", "re_contention_c1"])
+def test_golden_digests_reference_sharded(name, golden):
+    """The façade forwards the selector: shard workers tick the
+    reference too (the production core sharded is
+    ``test_sharded_engine.test_sharded_runs_match_golden_digests``)."""
+    assert measure(name, shards=2, backend="interp") == golden[name]
+
+
+# ---- observers stay zero-perturbation ----------------------------------------
+
+
+def _run_observed(name, backend, sanitize=False, metrics=None):
+    program, cores = _build(name)
+    machine = LBP(Params(num_cores=cores, trace_enabled=True),
+                  sanitize=sanitize, metrics=metrics, backend=backend)
+    machine.load(program)
+    stats = machine.run(max_cycles=MAX_CYCLES)
+    return machine, stats
+
+
+@pytest.mark.parametrize("name", ["matmul_base_h16_c4", "re_contention_c1"])
+def test_sanitized_run_is_bit_exact_and_clean(name, golden):
+    machine, stats = _run_observed(name, "soa", sanitize=True)
+    reference = golden[name]
+    assert stats.cycles == reference["cycles"]
+    assert trace_digest(machine.trace.events) == reference["trace_sha256"]
+    assert machine.race_report().races == []
+
+
+def test_metered_run_is_bit_exact_and_reports_match(golden):
+    name = "matmul_base_h16_c4"
+    reference = golden[name]
+    reports = {}
+    for backend in ("soa", "interp"):
+        machine, stats = _run_observed(name, backend, metrics=4096)
+        assert stats.cycles == reference["cycles"]
+        assert trace_digest(machine.trace.events) == reference["trace_sha256"]
+        reports[backend] = machine.metrics_report()
+    assert reports["soa"] == reports["interp"]
+
+
+# ---- one state layout: serialized state moves between the cores --------------
+
+
+@pytest.mark.parametrize("save_on,resume_on", [
+    ("interp", "soa"),
+    ("soa", "interp"),
+])
+def test_state_resumes_on_the_other_core(save_on, resume_on, golden):
+    """Pause under one core, load the state into the other: the completed
+    trace must still match the golden digest of the uninterrupted run."""
+    name = "matmul_base_h16_c4"
+    reference = golden[name]
+    program, cores = _build(name)
+    params = Params(num_cores=cores, trace_enabled=True)
+    machine = LBP(params, backend=save_on).load(program)
+    machine.run(max_cycles=MAX_CYCLES,
+                stop_at_cycle=reference["cycles"] // 2)
+    assert not machine.halted
+
+    resumed = LBP(params, backend=resume_on).load(program, start=False)
+    resumed.load_state_dict(machine.state_dict())
+    stats = resumed.run(max_cycles=MAX_CYCLES)
+    assert stats.cycles == reference["cycles"]
+    assert stats.retired == reference["retired"]
+    assert trace_digest(resumed.trace.events) == reference["trace_sha256"]
+
+
+def test_paused_state_and_snapshot_bytes_are_core_invariant():
+    """Mid-run serialized state is byte-identical whichever tick produced
+    it — the snapshot format has one dialect."""
+    name = "re_contention_c1"
+    machines = {}
+    for backend in ("interp", "soa"):
+        program, cores = _build(name)
+        machine = LBP(Params(num_cores=cores, trace_enabled=True),
+                      backend=backend).load(program)
+        machine.run(max_cycles=MAX_CYCLES, stop_at_cycle=300)
+        machines[backend] = machine
+    assert machines["interp"].state_dict() == machines["soa"].state_dict()
+    assert snapshot(machines["interp"]) == snapshot(machines["soa"])
+
+
+# ---- the reference is an oracle: it reads no derived gate --------------------
+
+def _oracle_program(name):
+    if name == "serving_c4":
+        workload, cores = ServingWorkload(cores=4, num_requests=8, seed=5), 4
+    else:
+        factory, cores = SCENARIOS[name]
+        workload = factory()
+    return compile_to_program(workload.source, name + ".c"), cores
+
+
+@pytest.mark.parametrize("name", ["serving_c4", "stencil_h8_c2"])
+def test_reference_ignores_scribbled_gates(name, golden):
+    """Step the reference in small strides and overwrite every derived
+    gate with garbage at each pause: nothing it decides may move.  Fails
+    the day the reference tick starts trusting what it is the oracle
+    for."""
+    program, cores = _oracle_program(name)
+    params = Params(num_cores=cores, trace_enabled=True)
+    whole = LBP(params).load(program)
+    whole_stats = whole.run(max_cycles=MAX_CYCLES)
+    if name in golden:
+        assert trace_digest(whole.trace.events) == golden[name]["trace_sha256"]
+
+    rng = random.Random(name)
+    scribbled = LBP(params, backend="interp").load(program)
+    assert all(type(core) is ReferenceCore for core in scribbled.cores)
+    pauses = 0
+    while not scribbled.halted:
+        for core in scribbled.cores:
+            core._wb_wake = rng.choice((0, 1 << 40, float("inf")))
+            for hart in core.harts:
+                hart.fetch_ok = rng.random() < 0.5
+                hart.n_ready = rng.choice((0, 1, 7))
+        stats = scribbled.run(max_cycles=MAX_CYCLES,
+                              stop_at_cycle=scribbled.cycle + rng.randint(1, 9))
+        pauses += 1
+    assert pauses > whole_stats.cycles // 9
+    assert trace_digest(scribbled.trace.events) == trace_digest(
+        whole.trace.events)
+    assert stats.state_dict() == whole_stats.state_dict()
+    assert scribbled.state_dict() == whole.state_dict()
+
+
+# ---- one selector, for tests only --------------------------------------------
+
+
+def test_backend_selects_the_core_class():
+    assert type(LBP(Params(num_cores=1)).cores[0]) is Core
+    assert type(LBP(Params(num_cores=1), backend="soa").cores[0]) is Core
+    assert type(LBP(Params(num_cores=1),
+                    backend="interp").cores[0]) is ReferenceCore
+    with pytest.raises(ValueError, match="unknown backend"):
+        LBP(Params(num_cores=1), backend="simd")
+
+
+def test_cli_has_no_backend_option(tmp_path, capsys):
+    source = tmp_path / "prog.s"
+    source.write_text("main:\n    ebreak\n")
+    with pytest.raises(SystemExit) as err:
+        cli_main(["run", str(source), "--backend", "interp"])
+    assert err.value.code == 2
+    assert "unrecognized arguments: --backend" in capsys.readouterr().err

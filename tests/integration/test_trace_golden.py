@@ -95,23 +95,23 @@ def _run_traced(program, cores, shards=None, **engine):
     return machine, stats
 
 
-def run_matmul_workload(version, shards=None):
+def run_matmul_workload(version, shards=None, **engine):
     program = compile_to_program(matmul_source(version, 16), "mm.c")
-    machine, stats = _run_traced(program, 4, shards)
+    machine, stats = _run_traced(program, 4, shards, **engine)
     verify_matmul(machine, program, version, 16)
     return machine, stats
 
 
-def run_setget_workload(shards=None):
+def run_setget_workload(shards=None, **engine):
     program = compile_to_program(setget_source(16, 64), "setget.c")
-    machine, stats = _run_traced(program, 4, shards)
+    machine, stats = _run_traced(program, 4, shards, **engine)
     verify_setget(machine, 16, 64)
     return machine, stats
 
 
-def run_re_contention_workload(shards=None):
+def run_re_contention_workload(shards=None, **engine):
     program = assemble(RE_CONTENTION)
-    machine, stats = _run_traced(program, 1, shards)
+    machine, stats = _run_traced(program, 1, shards, **engine)
     assert machine.read_word(program.symbol("got")) == 111 + 222 + 333
     return machine, stats
 
@@ -149,19 +149,22 @@ def _scenario_runner(name):
 
 WORKLOADS = {
     "matmul_base_h16_c4":
-        lambda shards=None: run_matmul_workload("base", shards),
+        lambda shards=None, **engine: run_matmul_workload(
+            "base", shards, **engine),
     "matmul_tiled_h16_c4":
-        lambda shards=None: run_matmul_workload("tiled", shards),
+        lambda shards=None, **engine: run_matmul_workload(
+            "tiled", shards, **engine),
     "setget_h16_chunk64_c4": run_setget_workload,
     "re_contention_c1": run_re_contention_workload,
 }
 WORKLOADS.update({name: _scenario_runner(name) for name in SCENARIOS})
 
 
-def measure(name, shards=None):
-    """Result summary of one golden workload (optionally space-sharded —
-    the sharded engine must reproduce the golden digests bit-exactly)."""
-    machine, stats = WORKLOADS[name](shards=shards)
+def measure(name, shards=None, **engine):
+    """Result summary of one golden workload (optionally space-sharded or
+    on the reference core — every engine must reproduce the golden
+    digests bit-exactly)."""
+    machine, stats = WORKLOADS[name](shards=shards, **engine)
     return {
         "cycles": stats.cycles,
         "retired": stats.retired,

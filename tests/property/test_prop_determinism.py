@@ -88,7 +88,7 @@ def test_random_team_programs_deterministic_and_correct(case):
 # The SoA backend parks stalled cores and both backends charge gated
 # cores lazily; the interpreter never parks, so equal state at arbitrary
 # pause points shows that neither shortcut ever skips a cycle that
-# mattered (extends test_backend_parity.test_state_dict_is_backend_invariant
+# mattered (extends test_reference_parity's paused-state invariance test
 # beyond one program and one pause).
 
 _FAMILIES = {

@@ -2,10 +2,10 @@
 
 The cycle loop pays only for cores that can change state: a *gated* core
 is not visited at all and its idle cycles are charged lazily, in bulk; a
-*parked* core (SoA backend: busy, but no stage can fire before a known
-cycle) costs one compare.  None of it may be observable — the
-interpreter backend, which never parks, and a machine stepped one cycle
-at a time, which settles every cycle, are the references.
+*parked* core (busy, but no stage can fire before a known cycle) costs
+one compare.  None of it may be observable — the reference tick
+(``backend="interp"``), which never parks, and a machine stepped one
+cycle at a time, which settles every cycle, are the references.
 """
 
 import random
@@ -16,7 +16,7 @@ from repro.asm import assemble
 from repro.compiler import compile_to_program
 from repro.machine import LBP, DeadlockError, Params
 from repro.machine.core import Core
-from repro.machine.soa import SoACore
+from repro.machine.reference import ReferenceCore
 from repro.workloads import ServingWorkload, SortWorkload, StencilWorkload
 
 MAX_CYCLES = 5_000_000
@@ -45,7 +45,7 @@ def _machine(program, cores, **engine):
 
 @pytest.fixture
 def tick_counter(monkeypatch):
-    """Count the ticks of one backend's core class; returns the list of
+    """Count the ticks of one core class; returns the list of
     ``(cycle, core index, tick's return value)`` it appends to."""
     def install(cls):
         calls = []
@@ -165,12 +165,12 @@ def test_metered_windows_survive_pauses_when_a_gated_core_is_charged(backend):
 def test_serving_parks_most_ticks_and_matches_the_interpreter(
         programs, tick_counter):
     program, cores = programs["serving_c4"]
-    interp_ticks = tick_counter(Core)
+    interp_ticks = tick_counter(ReferenceCore)
     reference = _machine(program, cores, trace=True, backend="interp")
     total = reference.run(max_cycles=MAX_CYCLES).cycles
     never_parks = len(interp_ticks)
 
-    soa_ticks = tick_counter(SoACore)
+    soa_ticks = tick_counter(Core)
     machine = _machine(program, cores, trace=True, backend="soa")
     machine.run(max_cycles=MAX_CYCLES)
     assert len(soa_ticks) < never_parks // 2
@@ -202,7 +202,7 @@ def test_lone_hart_waiting_on_a_div_parks_and_wakes_on_the_exact_cycle(
     reference = _machine(program, 1, backend="interp")
     reference.run(max_cycles=MAX_CYCLES)
 
-    ticks = tick_counter(SoACore)
+    ticks = tick_counter(Core)
     sleeps = {}
     machine = _machine(program, 1, backend="soa")
     core = machine.cores[0]
@@ -249,7 +249,7 @@ main:
 def test_parked_forever_still_deadlocks_with_the_reference_message(
         tick_counter):
     outcomes = {}
-    ticks = tick_counter(SoACore)
+    ticks = tick_counter(Core)
     for backend in ("interp", "soa"):
         machine = _machine(assemble(DEADLOCK), 2, backend=backend)
         with pytest.raises(DeadlockError) as err:
@@ -275,7 +275,7 @@ def test_metered_soa_ticks_every_busy_core_cycle(programs, tick_counter):
                          backend="interp")
     reference.run(max_cycles=MAX_CYCLES)
 
-    ticks = tick_counter(SoACore)
+    ticks = tick_counter(Core)
     metered = _machine(program, cores, trace=True, metrics=True,
                        backend="soa")
     stats = metered.run(max_cycles=MAX_CYCLES)

@@ -95,6 +95,20 @@ def test_cli_run_fast_simulator(tmp_path, capsys):
     assert "[40, 41, 42, 43]" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("cores", ["1", "2"])
+def test_cli_profile_with_auto_shards(tmp_path, capfd, cores):
+    """``--shards auto`` is unresolved ("auto") until the first run(): the
+    profile path must decide on the façade, not compare the count.  One
+    core resolves to an in-process run, two may fork workers — either way
+    a profile table comes out (capfd: shard 0 prints its own)."""
+    assert cli_main(["run", _write(tmp_path, _PROG), "--cores", cores,
+                     "--shards", "auto", "--profile", "--print", "v:4"]) == 0
+    out = capfd.readouterr().out
+    assert "profiling : shard 0" in out
+    assert "profile (top 20 by cumulative time) ---" in out
+    assert "[40, 41, 42, 43]" in out
+
+
 def test_cli_run_assembly_file(tmp_path, capsys):
     path = tmp_path / "prog.s"
     path.write_text("main:\n    li a0, 1\n    ebreak\n")

@@ -29,6 +29,7 @@ from repro.serve.pool import (
     WorkerPool,
 )
 from repro.serve.quota import QuotaExceeded, QuotaManager, TokenBucket
+from repro.serve.server import ServeConfig, SimServer
 from repro.snapshot.cache import RunCache
 
 ASM = """
@@ -121,6 +122,36 @@ def test_jobspec_wire_validation():
         JobSpec.from_wire("not an object")
     with pytest.raises(ValueError):
         JobSpec(ASM, filename="../escape.s")
+
+
+@pytest.mark.parametrize("field", ["max_cycles", "shards"])
+@pytest.mark.parametrize("bad", ["abc", -5, 0, True, 2.5])
+def test_bad_counts_are_rejected_before_quota_or_fork(tmp_path, field, bad):
+    """A non-int (JSON ``true`` included) or non-positive ``max_cycles`` /
+    ``shards`` is a 400 at admission — not a quota charge, a fork and a
+    TypeError from inside the simulator."""
+    with pytest.raises(ValueError, match="'%s' must be a positive" % field):
+        JobSpec.from_wire({"source": ASM, "filename": "job.s", field: bad})
+
+    server = SimServer(ServeConfig(unix_path=str(tmp_path / "unused.sock"),
+                                   cache_root=str(tmp_path / "cache"),
+                                   default_quota=(0, 1)))
+    status, body = _run(server._submit_batch(
+        {"jobs": [{"source": ASM, "filename": "job.s", field: bad}]}))
+    assert status == 400
+    (record,) = body["jobs"]
+    assert record["status"] == "rejected" and record["code"] == 400
+    assert field in record["error"]
+    stats = server.stats()
+    assert stats["jobs"]["submitted"] == 0 and stats["jobs"]["misses"] == 0
+    assert stats["quota"] == {}  # nobody was charged, no bucket was made
+    assert not server._heap and not server.table.inflight
+
+
+def test_backend_is_an_unknown_job_field():
+    with pytest.raises(ValueError, match="unknown job field.*backend"):
+        JobSpec.from_wire({"source": ASM, "filename": "job.s",
+                           "backend": "soa"})
 
 
 def test_jobspec_key_matches_run_cache_keying(tmp_path):
