@@ -159,6 +159,10 @@ def cmd_run(args):
         run_kwargs["snapshot_every"] = args.snapshot_every
         run_kwargs["snapshot_callback"] = periodic_snapshot
 
+    if args.profile:
+        from repro.machine import native
+
+        print("tick      : %s (%s)" % native.status())
     if args.profile and hasattr(machine, "profile_shard_zero"):
         # a sharded façade (whatever its count: --shards auto resolves
         # it inside run): the simulation happens in the worker processes,

@@ -5,11 +5,14 @@ The model follows the paper's section 5:
 * :mod:`repro.machine.params` — all microarchitectural knobs.
 * :mod:`repro.machine.hart` — per-hart state: registers, rename table,
   instruction table, reorder buffer, result buffers.
-* :mod:`repro.machine.core` — the five pipeline stages (fetch,
-  decode/rename, issue/execute, writeback, commit), each selecting one
-  hart per cycle.
+* :mod:`repro.machine.core` — one core's state and what its pipeline
+  needs from the machine (execute, p_ret commit); the five stages
+  themselves (fetch, decode/rename, issue/execute, writeback, commit,
+  each selecting one hart per cycle) are ``_tick.c``, compiled and
+  loaded by :mod:`repro.machine.native`.
 * :mod:`repro.machine.reference` — the same five stages as a small,
-  slow ``tick()`` over the same state: the tests' oracle.
+  slow ``tick()`` over the same state: the tests' oracle, and the tick
+  of a host without a C compiler.
 * :mod:`repro.machine.memory` / :mod:`repro.machine.router` — banks,
   ports, and the r1/r2/r3 router tree with per-link per-cycle capacity.
 * :mod:`repro.machine.processor` — machine assembly, event queue, the

@@ -12,41 +12,27 @@ The stages work on :class:`~repro.machine.lowered.LoweredInstr` records
 (pre-extracted class, operands, callables) so the per-cycle loop never
 re-chases ``Instruction``/spec attributes; see ``machine/lowered.py``.
 
-:meth:`Core.tick` is the production tick; ``machine/reference.py`` keeps
-a small, slow tick over the same state as the oracle the tests compare
-it against (``LBP(backend="interp")``).  How the production tick is
-built for speed, none of which may be observable:
-
-* **Stage gating.**  The per-stage eligibility predicates are hoisted
-  out of the stage scans into flat per-hart / per-core scoreboard fields
-  maintained at the state-transition sites: ``Hart.fetch_ok`` (the
-  five-term fetch predicate collapsed to one flag), ``Hart.n_ready``
-  (count of operand-ready waiting instructions, gating the issue scan)
-  and ``Core._wb_wake`` (a lower bound on the next cycle a filled
-  writeback buffer can drain, gating the writeback scan).  A stage whose
-  gate is closed is skipped without touching any hart.
-
-* **Table-dispatched semantics.**  Decode and issue switch on the
-  precomputed ``LoweredInstr.dec_kind`` / ``issue_kind`` ints, and the
-  execute tail dispatches through :data:`EXEC_TABLE` (class → handler);
-  the four hot classes (ALU/MULDIV, load, store, branch) stay inline.
-
-* **Parking.**  A tick in which no stage fires cannot have changed
-  anything, and nothing will change until a timer the core owns expires
-  (a filled writeback buffer's ``ready_at``, a fetch-ready hart's
-  ``fetch_ready_at`` — the only stage predicates that read the cycle)
-  or an event addressed to this domain runs.  Such a tick records that
-  expiry in ``sleep_until`` and the cycle loop skips the core — still
-  ``active`` — until then; event dispatch clears it (DESIGN.md, "Core
-  scheduling").  Never with metrics attached: the stall classifier
-  charges every busy cycle.
+``Core.tick`` is the compiled tick, ``machine/_tick.c``: one C function
+over the state defined here and in ``machine/hart.py``, bound to the
+class at the bottom of this module when ``machine/native.py`` could
+build and load it (how it is built for speed — stage gating, inline
+issue, parking — is written up at the top of that file).
+``machine/reference.py`` keeps a small, slow tick over the same state:
+the oracle the tests compare the compiled one against
+(``LBP(backend="interp")``), and the only tick on a host without a C
+compiler.  Everything the stages need *from the machine* — loads,
+stores, the X_PAR classes, the p_ret commit — is the Python below, which
+both ticks call.
 """
 
 from repro.isa.semantics import MASK32, join_hart, p_merge_value, p_set_value
 from repro.isa.spec import InstrClass
-from repro.machine.hart import Entry, Hart
+from repro.machine import native
+from repro.machine.hart import NEVER, Entry, Hart, ResultBuffer
+from repro.machine.lowered import LoweredInstr
 from repro.machine.memory import CoreMemory
 from repro.machine.router import LinkScheduler
+from repro.machine.stats import HartStats
 
 _C = InstrClass
 
@@ -76,15 +62,17 @@ _P_MERGE = int(_C.P_MERGE)
 _P_SYNCM = int(_C.P_SYNCM)
 
 # hart scan orders by rotating-priority start index: _ORDER[start] is the
-# deterministic probe sequence (start, start+1, ... mod 4)
+# deterministic probe sequence (start, start+1, ... mod 4) — for the
+# reference tick and the stall classifier (observe/metrics.py); the
+# compiled tick computes (start + k) & 3
 _ORDER = ((0, 1, 2, 3), (1, 2, 3, 0), (2, 3, 0, 1), (3, 0, 1, 2))
-
-_INF = float("inf")
 
 
 # ---- execute tail: table-dispatched cold instruction classes ----------------
 # Hot classes (ALU/MULDIV, load, store, branch) stay inline in
-# Core._execute; everything else dispatches through EXEC_TABLE.
+# Core._execute; everything else dispatches through EXEC_TABLE.  The
+# compiled tick issues lui, auipc and jal itself, so those three handlers
+# serve the reference tick only.
 
 
 def _exec_lui(core, hart, entry, low):
@@ -129,8 +117,9 @@ def _exec_p_fc(core, hart, entry, low):
     machine.wake_re_waiters(target)
     hart.stats.forks += 1
     machine.stats.per_core[core.index].forks += 1
-    machine.trace.record(now, core.index, hart.index, "fork",
-                         "allocate hart %d" % target.gid)
+    if machine.trace.enabled:
+        machine.trace.record(now, core.index, hart.index, "fork",
+                             "allocate hart %d" % target.gid)
     if machine.sanitizer is not None:
         machine.sanitizer.record(
             core.index, (now, "fork", hart.gid, entry.tag, target.gid))
@@ -146,8 +135,9 @@ def _exec_p_fn(core, hart, entry, low):
     hart.succ = target_gid
     hart.stats.forks += 1
     machine.stats.per_core[core.index].forks += 1
-    machine.trace.record(now, core.index, hart.index, "fork",
-                         "allocate hart %d" % target_gid)
+    if machine.trace.enabled:
+        machine.trace.record(now, core.index, hart.index, "fork",
+                             "allocate hart %d" % target_gid)
     if machine.sanitizer is not None:
         machine.sanitizer.record(
             core.index, (now, "fork", hart.gid, entry.tag, target_gid))
@@ -296,11 +286,11 @@ class Core:
         self._rr_wb = 0
         self._rr_commit = 0
         self._rob_size = params.rob_size
-        #: no filled writeback buffer can drain before this cycle (inf
+        #: no filled writeback buffer can drain before this cycle (NEVER
         #: when none is filled) — the writeback stage's skip gate.  A
         #: lower bound, not the exact minimum: a stale-low gate costs
         #: one fruitless scan, which then re-derives it
-        self._wb_wake = _INF
+        self._wb_wake = NEVER
 
     # ---- gating ------------------------------------------------------------
 
@@ -358,7 +348,7 @@ class Core:
         self.mem.load_state_dict(state["mem"])
         for hart, hart_state in zip(self.harts, state["harts"]):
             hart.load_state_dict(hart_state)
-        wake = _INF
+        wake = NEVER
         for hart in self.harts:
             rb = hart.rb
             if rb.busy and rb.value is not None and rb.ready_at < wake:
@@ -411,8 +401,8 @@ class Core:
                 hart, entry.pc + low.imm if taken else entry.pc + 4)
             entry.done = True
         elif cls == _ALU or cls == _MULDIV:
-            # the reference tick's path; tick() below handles these
-            # inline in its issue stage
+            # this arm and the branch one above are the reference tick's
+            # path; the compiled tick issues both itself (_tick.c)
             a = entry.val0
             b = entry.val1 if low.nreads == 2 else low.imm
             self._finish_at(hart, entry, low.op(a, b), now + low.latency)
@@ -443,7 +433,8 @@ class Core:
         machine = self.machine
         now = machine.cycle
         kind, join_gid, join_addr = head.ret_action
-        machine.trace.record(now, self.index, hart.index, "p_ret", kind)
+        if machine.trace.enabled:
+            machine.trace.record(now, self.index, hart.index, "p_ret", kind)
         sanitizer = machine.sanitizer
         if sanitizer is not None:
             # receive the predecessor's signal *before* sending ours so
@@ -498,302 +489,15 @@ class Core:
                 src_core_index, parent_gid = self.fork_queue.pop(0)
                 machine.grant_fork(self, child, src_core_index, parent_gid)
 
-    # ---- per-cycle ----------------------------------------------------------
 
-    def tick(self):
-        """Run the five stages for one cycle (commit-side first).
+def _bind_compiled_tick():
+    """``Core.tick`` := the C function, when the extension is there.
+    Without it ``Core`` has no tick and ``LBP`` builds ``ReferenceCore``s."""
+    extension = native.load()
+    if extension is not None:
+        Core.tick = extension.bind(
+            Core, Hart, ResultBuffer, Entry, LoweredInstr, HartStats, NEVER,
+            _JAL, _LUI, _AUIPC)
 
-        All five stages are inlined here — this method runs once per
-        active core per simulated cycle and would otherwise spend most
-        of its time on Python call overhead.  Each stage block selects
-        at most one hart by deterministic rotating priority.
-        Stage-for-stage identical to ``ReferenceCore.tick``: same
-        arbitration, same single-hart-per-stage selection, same
-        metrics/sanitizer call sites — only the eligibility probing is
-        restructured around the hoisted scoreboard flags (see the module
-        doc).  A stage that fires implies the core held work, so the
-        unmetered tick tests "any work at all?" only when nothing fired,
-        and then either gates off or parks (sets ``sleep_until``).
 
-        Returns True when any hart had pipeline work; False means the
-        core is quiescent and the run loop may gate it off until a
-        wakeup (``Hart.start``) re-activates it.
-        """
-        harts = self.harts
-        machine = self.machine
-        metrics = machine.metrics
-        cycle = machine.cycle
-        if metrics is not None:
-            # metered: the reference tick's order, so the idle / roll
-            # charges land exactly where it makes them
-            for hart in harts:
-                if (hart.pc is not None or hart.rob
-                        or hart.fetch_buf is not None):
-                    break
-            else:
-                metrics.idle(self.index, cycle, 1)
-                return False
-            if cycle >= metrics.edges[self.index]:
-                metrics.roll(self.index, cycle)
-        committed = False
-        fired = False
-        order = _ORDER
-
-        # ---- commit ----
-        for h in order[self._rr_commit]:
-            hart = harts[h]
-            rob = hart.rob
-            if not rob:
-                continue
-            head = rob[0]
-            if not head.done:
-                continue
-            if head.ret_action is not None:
-                if hart.pred is not None and not hart.pred_done:
-                    continue
-                if hart.outstanding_mem != 0:
-                    continue
-            self._rr_commit = (h + 1) & 3
-            rob.pop(0)
-            hart.stats.retired += 1
-            committed = True
-            low = head.low
-            if low.trap:
-                if low.trap == 1:
-                    machine.halt("ebreak")
-                else:
-                    machine.error("ecall is not supported on bare-metal LBP")
-            elif head.ret_action is not None:
-                self._commit_p_ret(hart, head)
-            break
-
-        # ---- writeback (gated on the earliest filled ready_at) ----
-        if self._wb_wake <= cycle:
-            wake = _INF
-            for h in order[self._rr_wb]:
-                hart = harts[h]
-                rb = hart.rb
-                if not rb.busy or rb.value is None:
-                    continue
-                if rb.ready_at <= cycle:
-                    self._rr_wb = (h + 1) & 3
-                    tag = rb.tag
-                    value = rb.value
-                    reg = rb.reg
-                    rename = hart.rename
-                    if reg != 0 and rename[reg] == tag:
-                        hart.regs[reg] = value
-                        rename[reg] = None
-                    for waiter in hart.it:
-                        hit = False
-                        if waiter.wait0 == tag:
-                            waiter.wait0 = None
-                            waiter.val0 = value
-                            waiter.nwaits -= 1
-                            hit = True
-                        if waiter.wait1 == tag:
-                            waiter.wait1 = None
-                            waiter.val1 = value
-                            waiter.nwaits -= 1
-                            hit = True
-                        if hit and waiter.nwaits == 0:
-                            hart.n_ready += 1
-                    rb.entry.done = True
-                    rb.busy = False
-                    rb.tag = None
-                    rb.value = None
-                    rb.entry = None
-                    # one drain per cycle: the next is no earlier than
-                    # cycle + 1 (cheaper than the exact minimum over the
-                    # other harts on the ~90% of saturated ticks that
-                    # drain; a low gate only costs one scan)
-                    wake = cycle + 1
-                    fired = True
-                    break
-                if rb.ready_at < wake:
-                    wake = rb.ready_at
-            # exact when the scan drained nothing (the gate was stale)
-            self._wb_wake = wake
-
-        # ---- issue (gated on any operand-ready waiting instruction) ----
-        for h in order[self._rr_issue]:
-            hart = harts[h]
-            if not hart.n_ready:
-                continue
-            it = hart.it
-            entry = None
-            older_store_pending = False
-            rb_busy = hart.rb.busy
-            for candidate in it:
-                if candidate.nwaits == 0:
-                    low = candidate.low
-                    if low.writes and rb_busy:
-                        pass
-                    else:
-                        kind = low.issue_kind
-                        if kind == 0:
-                            entry = candidate
-                            break
-                        elif kind == 1:
-                            if not older_store_pending:
-                                entry = candidate
-                                break
-                        elif kind == 2:
-                            if hart.re_buffers[low.re_slot] is not None:
-                                entry = candidate
-                                break
-                        elif kind == 3:
-                            if self.alloc_free_hart() is not None:
-                                entry = candidate
-                                break
-                        elif kind == 4:
-                            if hart.fork_tokens:
-                                entry = candidate
-                                break
-                        else:  # p_syncm
-                            if (candidate is it[0]
-                                    and hart.outstanding_mem == 0):
-                                entry = candidate
-                                break
-                if candidate.low.store_like:
-                    older_store_pending = True
-            if entry is None:
-                continue
-            self._rr_issue = (h + 1) & 3
-            it.remove(entry)
-            hart.n_ready -= 1
-            entry.issued = True
-            low = entry.low
-            cls = low.cls
-            if cls <= _MULDIV:  # ALU (0) or MULDIV (1): the hot path
-                a = entry.val0
-                b = entry.val1 if low.nreads == 2 else low.imm
-                if low.writes:
-                    rb = hart.rb
-                    rb.busy = True
-                    rb.tag = entry.tag
-                    rb.reg = low.rd
-                    rb.value = low.op(a, b) & MASK32
-                    ready_at = cycle + low.latency
-                    rb.ready_at = ready_at
-                    rb.entry = entry
-                    if ready_at < self._wb_wake:
-                        self._wb_wake = ready_at
-                else:
-                    low.op(a, b)  # rd == x0: result discarded
-                    entry.done = True
-            else:
-                self._execute(hart, entry)
-            fired = True
-            break
-
-        # ---- decode / rename ----
-        rob_size = self._rob_size
-        for h in order[self._rr_rename]:
-            hart = harts[h]
-            fetch_buf = hart.fetch_buf
-            if fetch_buf is None or len(hart.rob) >= rob_size:
-                continue
-            self._rr_rename = (h + 1) & 3
-            pc, low = fetch_buf
-            hart.fetch_buf = None
-            tag = self._tag + 1
-            self._tag = tag
-
-            nwaits = 0
-            val0 = val1 = wait0 = wait1 = None
-            rename = hart.rename
-            nreads = low.nreads
-            if nreads:
-                reg = low.r1
-                if reg == 0:
-                    val0 = 0
-                else:
-                    wait0 = rename[reg]
-                    if wait0 is None:
-                        val0 = hart.regs[reg]
-                    else:
-                        nwaits = 1
-                if nreads == 2:
-                    reg = low.r2
-                    if reg == 0:
-                        val1 = 0
-                    else:
-                        wait1 = rename[reg]
-                        if wait1 is None:
-                            val1 = hart.regs[reg]
-                        else:
-                            nwaits += 1
-            entry = Entry(tag, low, pc, val0, val1, wait0, wait1, nwaits)
-            hart.it.append(entry)
-            hart.rob.append(entry)
-            if nwaits == 0:
-                hart.n_ready += 1
-            if low.writes:
-                rename[low.rd] = tag
-            dec = low.dec_kind
-            if dec == 5:  # p_fn: fall through + request the fork token
-                machine.send_fork_req(self, hart)
-
-            # next-pc determination (fetch resumes when it is known)
-            if dec == 0 or dec == 5:
-                hart.pc = pc + 4
-                hart.awaiting_nextpc = False
-                hart.fetch_ready_at = cycle + 1
-                hart.fetch_ok = not hart.syncm_block
-            elif dec == 2:
-                pass  # resolved at issue; hart stays suspended
-            elif dec == 1:
-                hart.pc = (pc + low.imm) & MASK32
-                hart.awaiting_nextpc = False
-                hart.fetch_ready_at = cycle + 1
-                hart.fetch_ok = not hart.syncm_block
-            elif dec == 3:
-                hart.pc = None  # halts (ebreak) / traps (ecall) at commit
-                hart.awaiting_nextpc = False
-            else:  # dec == 4, p_syncm: fall through, block further fetch
-                hart.pc = pc + 4
-                hart.awaiting_nextpc = False
-                hart.fetch_ready_at = cycle + 1
-                hart.syncm_block = True
-            fired = True
-            break
-
-        # ---- fetch (gated on the collapsed predicate) ----
-        for h in order[self._rr_fetch]:
-            hart = harts[h]
-            if hart.fetch_ok and cycle >= hart.fetch_ready_at:
-                self._rr_fetch = (h + 1) & 3
-                pc = hart.pc
-                low = machine.lowered.get(pc)
-                if low is None:  # non-code address: the slow error path
-                    low = machine.fetch_instruction(pc, hart)
-                hart.fetch_buf = (pc, low)
-                hart.awaiting_nextpc = True  # suspended until next pc known
-                hart.fetch_ok = False
-                fired = True
-                break
-        if metrics is not None:
-            if not committed:
-                metrics.stall(self, cycle)
-        elif not (fired or committed):
-            # No stage fired, so this core's state is frozen until one
-            # of its two cycle-reading predicates turns true — a filled
-            # writeback buffer's ready_at, a fetch-ready hart's
-            # fetch_ready_at, both > cycle or a stage had fired — or an
-            # event addressed to this domain runs (dispatch clears
-            # sleep_until): gate off when no hart holds work, else park.
-            wake = self._wb_wake
-            busy = False
-            for hart in harts:
-                if hart.fetch_ok:
-                    busy = True
-                    if hart.fetch_ready_at < wake:
-                        wake = hart.fetch_ready_at
-                elif (hart.pc is not None or hart.rob
-                        or hart.fetch_buf is not None):
-                    busy = True
-            if not busy:
-                return False
-            self.sleep_until = wake
-        return True
+_bind_compiled_tick()

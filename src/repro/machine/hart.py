@@ -13,6 +13,12 @@ by the ordered ``p_ret`` commit chain) and the fork reservation flag.
 
 from repro import memmap
 
+#: "no cycle": the value of a timer gate (``Core._wb_wake``,
+#: ``Core.sleep_until``) that nothing is due to open.  An int beyond any
+#: reachable cycle rather than ``float("inf")``, so that the compiled
+#: tick reads every gate as an ``int64``
+NEVER = 1 << 62
+
 
 class Entry:
     """One in-flight instruction, from rename to commit.

@@ -45,6 +45,17 @@ ISS_FN = 4
 #: p_syncm issues only at the head of the ROB with no outstanding memory
 ISS_SYNCM = 5
 
+#: ``LoweredInstr.alu_op`` / ``br_op``: a mnemonic's position here is its
+#: case in the compiled tick's RV32IM switches (``enum alu`` / ``enum br``
+#: in _tick.c, same order; the loader's smoke call checks every one
+#: against ``isa/semantics.py``)
+ALU_CODES = (
+    "add", "addi", "sub", "sll", "slli", "slt", "slti", "sltu", "sltiu",
+    "xor", "xori", "srl", "srli", "sra", "srai", "or", "ori", "and", "andi",
+    "mul", "mulh", "mulhsu", "mulhu", "div", "divu", "rem", "remu",
+)
+BRANCH_CODES = ("beq", "bne", "blt", "bge", "bltu", "bgeu")
+
 #: commit-side trap codes (``LoweredInstr.trap``; 0 = none)
 _TRAPS = {"ebreak": 1, "ecall": 2}
 
@@ -64,6 +75,9 @@ class LoweredInstr:
         writes: True when the instruction produces a register result
             (``spec.writes_rd`` and ``rd != 0`` folded together).
         op: the ALU/branch callable, or None.
+        alu_op / br_op: the same operation as an index into
+            :data:`ALU_CODES` / :data:`BRANCH_CODES` (what the compiled
+            tick switches on), or -1.
         latency: execution latency in cycles (params-resolved).
         width: access width in bytes for loads/stores, else 0.
         re_slot: result-buffer slot for p_swre/p_lwre, else 0.
@@ -78,7 +92,7 @@ class LoweredInstr:
 
     __slots__ = (
         "ins", "mnemonic", "cls", "rd", "imm", "nreads", "r1", "r2",
-        "writes", "op", "latency", "width", "re_slot",
+        "writes", "op", "alu_op", "br_op", "latency", "width", "re_slot",
         "dec_kind", "issue_kind", "store_like", "trap",
     )
 
@@ -98,10 +112,13 @@ class LoweredInstr:
         self.r1 = reads[0] if reads else 0
         self.r2 = reads[1] if len(reads) == 2 else 0
         self.writes = spec.writes_rd and ins.rd != 0
+        self.alu_op = self.br_op = -1
         if cls == _C.ALU or cls == _C.MULDIV:
             self.op = ALU_OPS[mnemonic]
+            self.alu_op = ALU_CODES.index(mnemonic)
         elif cls == _C.BRANCH:
             self.op = BRANCH_OPS[mnemonic]
+            self.br_op = BRANCH_CODES.index(mnemonic)
         else:
             self.op = None
         self.latency = params.latency_for(spec)

@@ -28,8 +28,27 @@ class Params:
         trace_enabled=False,
         max_cycles=200_000_000,
     ):
-        if num_cores < 1:
-            raise ValueError("num_cores must be >= 1")
+        # Values arrive from outside the program (the ``params`` field of
+        # a served job, CLI flags, snapshots) and the compiled tick reads
+        # them as machine integers: refuse here what would otherwise die
+        # deep inside a run, or never end one.
+        counts = dict(
+            num_cores=num_cores, rob_size=rob_size,
+            num_result_buffers=num_result_buffers, alu_latency=alu_latency,
+            mul_latency=mul_latency, div_latency=div_latency,
+            local_mem_latency=local_mem_latency,
+            link_hop_latency=link_hop_latency,
+            bank_access_latency=bank_access_latency,
+            cv_write_latency=cv_write_latency, max_cycles=max_cycles)
+        for name, value in counts.items():
+            # bool is an int subclass: True must not pass as 1
+            if type(value) is not int or value < 1:
+                raise ValueError(
+                    "%s must be an integer >= 1, not %r" % (name, value))
+        if type(trace_enabled) is not bool:
+            raise ValueError(
+                "trace_enabled must be true or false, not %r"
+                % (trace_enabled,))
         if harts_per_core != memmap.HARTS_PER_CORE:
             raise ValueError(
                 "the LBP memory map fixes %d harts per core"

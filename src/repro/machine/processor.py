@@ -26,6 +26,7 @@ import heapq
 
 from repro import memmap
 from repro.isa.semantics import load_value
+from repro.machine import native
 from repro.machine.core import Core
 from repro.machine.lowered import LoweredInstr, lower_program
 from repro.machine.memory import Bank
@@ -104,10 +105,11 @@ def _ev_load_read(machine, bank_ref, addr, width, mnemonic, t_done,
             machine.error(str(exc))
             raw = 0
     hart.rb.fill(load_value(mnemonic, raw), t_done)
-    machine.trace.record(
-        machine.cycle, core_index, hart.index, "mem_load",
-        "addr 0x%x -> 0x%x" % (addr, hart.rb.value),
-    )
+    if machine.trace.enabled:
+        machine.trace.record(
+            machine.cycle, core_index, hart.index, "mem_load",
+            "addr 0x%x -> 0x%x" % (addr, hart.rb.value),
+        )
 
 
 def _ev_load_done(machine, hart_gid):
@@ -127,10 +129,11 @@ def _ev_store_write(machine, bank_ref, addr, value, width,
             machine.error(str(exc))
     hart.outstanding_mem -= 1
     _rob_by_tag(hart, tag).done = True
-    machine.trace.record(
-        machine.cycle, core_index, hart.index, "mem_store",
-        "addr 0x%x <- 0x%x" % (addr, value & 0xFFFFFFFF),
-    )
+    if machine.trace.enabled:
+        machine.trace.record(
+            machine.cycle, core_index, hart.index, "mem_store",
+            "addr 0x%x <- 0x%x" % (addr, value & 0xFFFFFFFF),
+        )
 
 
 def _ev_cv_write(machine, target_core_index, addr, value,
@@ -140,10 +143,12 @@ def _ev_cv_write(machine, target_core_index, addr, value,
     hart = machine.hart_by_gid(hart_gid)
     hart.outstanding_mem -= 1
     _rob_by_tag(hart, tag).done = True
-    machine.trace.record(
-        machine.cycle, core_index, hart.index, "cv_write",
-        "hart %d off %d <- 0x%x" % (target_gid, offset, value & 0xFFFFFFFF),
-    )
+    if machine.trace.enabled:
+        machine.trace.record(
+            machine.cycle, core_index, hart.index, "cv_write",
+            "hart %d off %d <- 0x%x"
+            % (target_gid, offset, value & 0xFFFFFFFF),
+        )
 
 
 # ---- remote shared-memory protocol (request / bank op / reply) ---------------
@@ -180,10 +185,11 @@ def _ev_rrep_load(machine, src, hart_gid, addr, value):
     hart.outstanding_mem -= 1
     if machine.metrics is not None:
         machine.metrics.remote_done(src, hart_gid)
-    machine.trace.record(
-        machine.cycle, src, hart.index, "mem_load",
-        "addr 0x%x -> 0x%x" % (addr, hart.rb.value),
-    )
+    if machine.trace.enabled:
+        machine.trace.record(
+            machine.cycle, src, hart.index, "mem_load",
+            "addr 0x%x -> 0x%x" % (addr, hart.rb.value),
+        )
 
 
 def _ev_rreq_store(machine, src, hart_gid, owner, addr, value, width, tag):
@@ -212,10 +218,11 @@ def _ev_rack_store(machine, src, hart_gid, addr, value, tag):
     if machine.metrics is not None:
         machine.metrics.remote_done(src, hart_gid)
     _rob_by_tag(hart, tag).done = True
-    machine.trace.record(
-        machine.cycle, src, hart.index, "mem_store",
-        "addr 0x%x <- 0x%x" % (addr, value & 0xFFFFFFFF),
-    )
+    if machine.trace.enabled:
+        machine.trace.record(
+            machine.cycle, src, hart.index, "mem_store",
+            "addr 0x%x <- 0x%x" % (addr, value & 0xFFFFFFFF),
+        )
 
 
 # ---- cross-core continuation-value writes (p_swcv over the forward link) -----
@@ -244,10 +251,12 @@ def _ev_rack_cv(machine, src, hart_gid, target_gid, offset, value, tag):
     if machine.metrics is not None:
         machine.metrics.remote_done(src, hart_gid)
     _rob_by_tag(hart, tag).done = True
-    machine.trace.record(
-        machine.cycle, src, hart.index, "cv_write",
-        "hart %d off %d <- 0x%x" % (target_gid, offset, value & 0xFFFFFFFF),
-    )
+    if machine.trace.enabled:
+        machine.trace.record(
+            machine.cycle, src, hart.index, "cv_write",
+            "hart %d off %d <- 0x%x"
+            % (target_gid, offset, value & 0xFFFFFFFF),
+        )
 
 
 # ---- backward-line result messages (p_swre) ----------------------------------
@@ -280,10 +289,11 @@ def _ev_re_ack(machine, core_index, hart_gid, target_gid, slot, value, tag):
     hart = machine.hart_by_gid(hart_gid)
     _rob_by_tag(hart, tag).done = True
     machine.stats.per_core[core_index].re_messages += 1
-    machine.trace.record(
-        machine.cycle, core_index, hart.index, "re_send",
-        "hart %d buf %d <- 0x%x" % (target_gid, slot, value & 0xFFFFFFFF),
-    )
+    if machine.trace.enabled:
+        machine.trace.record(
+            machine.cycle, core_index, hart.index, "re_send",
+            "hart %d buf %d <- 0x%x" % (target_gid, slot, value & 0xFFFFFFFF),
+        )
 
 
 # ---- fork token protocol (p_fn over the forward link) ------------------------
@@ -315,10 +325,11 @@ def _ev_start_pc(machine, target_gid, pc):
         )
         return
     target.start(pc, machine.cycle)
-    machine.trace.record(
-        machine.cycle, target.core.index, target.index, "start",
-        "pc 0x%x" % pc,
-    )
+    if machine.trace.enabled:
+        machine.trace.record(
+            machine.cycle, target.core.index, target.index, "start",
+            "pc 0x%x" % pc,
+        )
     if machine.sanitizer is not None:
         # threshold: every instruction this hart decodes from here on
         # gets a rename tag greater than the core's current counter
@@ -330,20 +341,23 @@ def _ev_start_pc(machine, target_gid, pc):
 def _ev_ending_signal(machine, core_index, hart_index, succ_gid):
     succ = machine.hart_by_gid(succ_gid)
     succ.pred_done = True
-    # the line names the *sender* core but is recorded by the receiving
-    # domain — the explicit domain keeps shard buffers disjoint
-    machine.trace.record(
-        machine.cycle, core_index, hart_index, "ending_signal",
-        "to hart %d" % succ_gid, domain=succ.core.index,
-    )
+    if machine.trace.enabled:
+        # the line names the *sender* core but is recorded by the
+        # receiving domain — the explicit domain keeps shard buffers
+        # disjoint
+        machine.trace.record(
+            machine.cycle, core_index, hart_index, "ending_signal",
+            "to hart %d" % succ_gid, domain=succ.core.index,
+        )
 
 
 def _ev_join(machine, target_gid, addr):
     target = machine.hart_by_gid(target_gid)
-    machine.trace.record(
-        machine.cycle, target.core.index, target.index, "join",
-        "resume 0x%x" % addr,
-    )
+    if machine.trace.enabled:
+        machine.trace.record(
+            machine.cycle, target.core.index, target.index, "join",
+            "resume 0x%x" % addr,
+        )
     if target.waiting_join:
         target.start(addr, machine.cycle)
         if machine.sanitizer is not None:
@@ -382,8 +396,8 @@ EVENT_HANDLERS = {
 
 def resolve_backend(backend):
     """Normalise ``LBP(backend=)``: "soa" (None; the production core,
-    machine/core.py) or "interp" (the tests' oracle tick,
-    machine/reference.py)."""
+    machine/core.py with the compiled tick) or "interp" (the tests'
+    oracle tick, machine/reference.py)."""
     if backend is None:
         backend = "soa"
     if backend not in ("soa", "interp"):
@@ -439,7 +453,9 @@ class LBP:
         #: the cycle loop's cores with the flag set, in core-index order;
         #: None when stale (a core woke or gated off since it was built)
         self._active_cores = None
-        if resolve_backend(backend) == "interp":
+        if resolve_backend(backend) == "interp" or native.load() is None:
+            # the oracle was asked for, or this host could not build the
+            # compiled tick (native.load said why, once)
             from repro.machine.reference import ReferenceCore as core_cls
         else:
             core_cls = Core
@@ -745,10 +761,11 @@ class LBP:
                 remote = True
         hart.rb.occupy(entry)
         hart.outstanding_mem += 1
-        self.trace.record(
-            now, core.index, hart.index, "mem_load_req",
-            "addr 0x%x bank %s" % (addr, bank.name),
-        )
+        if self.trace.enabled:
+            self.trace.record(
+                now, core.index, hart.index, "mem_load_req",
+                "addr 0x%x bank %s" % (addr, bank.name),
+            )
         if (self.sanitizer is not None and addr >= memmap.GLOBAL_BASE
                 and addr not in self.mmio):
             self.sanitizer.record(
@@ -795,10 +812,11 @@ class LBP:
                 self.stats.per_core[core.index].remote_accesses += 1
                 remote = True
         hart.outstanding_mem += 1
-        self.trace.record(
-            now, core.index, hart.index, "mem_store_req",
-            "addr 0x%x bank %s" % (addr, bank.name),
-        )
+        if self.trace.enabled:
+            self.trace.record(
+                now, core.index, hart.index, "mem_store_req",
+                "addr 0x%x bank %s" % (addr, bank.name),
+            )
         if (self.sanitizer is not None and addr >= memmap.GLOBAL_BASE
                 and addr not in self.mmio):
             self.sanitizer.record(

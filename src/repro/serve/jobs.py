@@ -102,6 +102,8 @@ class JobSpec:
         if not isinstance(filename, str) or "/" in filename:
             raise ValueError("'filename' must be a plain name (suffix "
                              "selects .c compile vs .s assemble)")
+        if params is not None and not isinstance(params, dict):
+            raise ValueError("'params' must be an object of Params knobs")
         self.source = source
         self.filename = filename
         self.params = dict(params or {})

@@ -62,6 +62,7 @@ from repro.serve.jobs import (
     JobSpec,
     JobTable,
 )
+from repro.machine import native
 from repro.observe import prom
 from repro.observe.spans import FLIGHT_ENV, SpanRecorder, flight
 from repro.serve.pool import PoolCancelled, PoolTaskError, PoolTimeout, WorkerPool
@@ -415,6 +416,7 @@ class SimServer:
             "pool": self.pool.snapshot(),
             "cache": self.cache.stats(),
             "quota": self.quotas.snapshot(),
+            "machine": dict(zip(("tick", "detail"), native.status())),
         }
 
     def metrics_text(self):

@@ -1,14 +1,14 @@
 """The production core is bit-exact against the reference tick.
 
-``repro.machine.core.Core.tick`` is built for speed: packed scoreboard
-gates, gated stage scans, parking of stalled cores.  None of that may be
-observable.  ``LBP(backend="interp")`` swaps in
-``repro.machine.reference.ReferenceCore`` — the same state, the same
-instruction semantics, and a tick that re-derives every eligibility
-predicate from architectural state — and every golden digest in
-``tests/data/golden_traces.json`` must reproduce bit-exactly under both:
-alone, space-sharded, under the race sanitizer, under stall metrics, and
-with serialized state moving between the two mid-run.
+``Core.tick`` is the compiled tick (``machine/_tick.c``), built for
+speed: scoreboard gates, gated stage scans, inline issue, parking of
+stalled cores.  None of that may be observable.  ``LBP(backend="interp")``
+swaps in ``repro.machine.reference.ReferenceCore`` — the same state, the
+same instruction semantics, and a Python tick that re-derives every
+eligibility predicate from architectural state — and every golden digest
+in ``tests/data/golden_traces.json`` must reproduce bit-exactly under
+both: alone, space-sharded, under the race sanitizer, under stall
+metrics, and with serialized state moving between the two mid-run.
 """
 
 import json
@@ -20,7 +20,7 @@ import pytest
 
 from repro.cli import main as cli_main
 from repro.compiler import compile_to_program
-from repro.machine import LBP, Params
+from repro.machine import LBP, Params, native
 from repro.machine.core import Core
 from repro.machine.reference import ReferenceCore
 from repro.snapshot import snapshot
@@ -43,6 +43,22 @@ MAX_CYCLES = 50_000_000
 def golden():
     with open(GOLDEN_PATH) as handle:
         return json.load(handle)
+
+
+# ---- the comparison has two sides ---------------------------------------------
+
+
+def test_default_core_runs_the_native_tick():
+    """Everything below compares ``backend="soa"`` with the reference; on
+    a host where the extension did not build, both would *be* the
+    reference and the suite would pass by comparing it with itself.  (CI's
+    no-compiler job deselects this test by name: ``-k "not native"``.)"""
+    assert native.status()[0] == "native", native.status()[1]
+    # a C method descriptor bound to the class: no Python frame per tick
+    assert type(Core.tick) is type(list.append)
+    assert Core.tick.__objclass__ is Core
+    assert ReferenceCore.tick is not Core.tick
+    assert all(type(core) is Core for core in LBP(Params(num_cores=2)).cores)
 
 
 # ---- golden digests ----------------------------------------------------------
@@ -186,8 +202,10 @@ def test_reference_ignores_scribbled_gates(name, golden):
 
 
 def test_backend_selects_the_core_class():
-    assert type(LBP(Params(num_cores=1)).cores[0]) is Core
-    assert type(LBP(Params(num_cores=1), backend="soa").cores[0]) is Core
+    # without the extension every machine is built on the reference
+    default = Core if native.load() is not None else ReferenceCore
+    assert type(LBP(Params(num_cores=1)).cores[0]) is default
+    assert type(LBP(Params(num_cores=1), backend="soa").cores[0]) is default
     assert type(LBP(Params(num_cores=1),
                     backend="interp").cores[0]) is ReferenceCore
     with pytest.raises(ValueError, match="unknown backend"):

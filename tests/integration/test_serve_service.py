@@ -14,6 +14,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from repro.machine import native
 from repro.serve import ServeClient, ServeConfig, ServeError, ServerThread
 from repro.snapshot.cache import RunCache
 
@@ -88,6 +89,8 @@ def test_single_flight_100_concurrent_identical_jobs(tmp_path):
     assert jobs["submitted"] == 100
     assert jobs["hits"] + jobs["coalesced"] == 99
     assert jobs["failed"] == 0 and jobs["cancelled"] == 0
+    # ... on the tick this host could build, and /stats says which
+    assert stats["machine"] == dict(zip(("tick", "detail"), native.status()))
 
 
 def test_hit_after_completion_and_cache_shared_with_run_program(tmp_path):

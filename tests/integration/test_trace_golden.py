@@ -11,15 +11,18 @@ Regenerate (only when an intentional model change invalidates them) with
 ``PYTHONPATH=src:tests python tests/data/regen_golden.py``.
 """
 
+import collections
 import hashlib
 import json
 import os
+import sys
 
 import pytest
 
 from repro.asm import assemble
 from repro.compiler import compile_to_program
 from repro.machine import LBP, Params
+from repro.machine.trace import Trace
 from repro.workloads.matmul import matmul_source, verify_matmul
 from repro.workloads.setget import setget_source, verify_setget
 from repro.workloads import (HistogramWorkload, ReductionWorkload,
@@ -188,3 +191,48 @@ def golden():
 def test_trace_matches_golden_reference(name, golden):
     assert name in golden, "no golden reference for %s; run regen_golden.py" % name
     assert measure(name) == golden[name]
+
+
+# ---- an untraced run formats nothing -----------------------------------------
+
+#: the functions that call ``trace.record``: twelve in processor.py, three
+#: in core.py; all but ``_commit_p_ret`` build their payload with ``%``
+TRACE_SITES = {
+    "_ev_load_read", "_ev_store_write", "_ev_cv_write", "_ev_rrep_load",
+    "_ev_rack_store", "_ev_rack_cv", "_ev_re_ack", "_ev_start_pc",
+    "_ev_ending_signal", "_ev_join", "schedule_load", "schedule_store",
+    "_exec_p_fc", "_exec_p_fn", "_commit_p_ret",
+}
+
+
+class SiteTrace(Trace):
+    """Counts entries into ``record`` by calling function."""
+
+    def __init__(self, enabled):
+        super().__init__(enabled)
+        self.sites = collections.Counter()
+
+    def record(self, *args, **kwargs):
+        self.sites[sys._getframe(1).f_code.co_name] += 1
+        super().record(*args, **kwargs)
+
+
+def test_untraced_run_enters_no_trace_site():
+    """Each site tests ``trace.enabled`` *before* it builds its payload:
+    with the trace off, ``record`` is never entered — so nothing was
+    formatted for it — and with it on, the same programs reach all 15."""
+    programs = [(compile_to_program(matmul_source("base", 16), "mm.c"), 4),
+                (assemble(RE_CONTENTION), 1)]
+    outcomes = {}
+    for enabled in (True, False):
+        reached = collections.Counter()
+        stats = []
+        for program, cores in programs:
+            trace = SiteTrace(enabled)
+            machine = LBP(Params(num_cores=cores), trace=trace).load(program)
+            stats.append(machine.run(max_cycles=50_000_000).state_dict())
+            reached.update(trace.sites)
+        outcomes[enabled] = (reached, stats)
+    assert set(outcomes[True][0]) == TRACE_SITES
+    assert not outcomes[False][0]
+    assert outcomes[False][1] == outcomes[True][1]

@@ -1,8 +1,11 @@
 """Property: the 32-bit ALU semantics against Python big-int references."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.isa.semantics import ALU_OPS, BRANCH_OPS, to_signed, to_unsigned
+from repro.machine import native
+from repro.machine.lowered import ALU_CODES, BRANCH_CODES
 
 u32 = st.integers(min_value=0, max_value=0xFFFFFFFF)
 
@@ -79,3 +82,51 @@ def test_branch_consistency(a, b):
 @settings(max_examples=200)
 def test_sign_conversions_inverse(a):
     assert to_unsigned(to_signed(a)) == a
+
+
+# ---- the compiled tick's ALU and branch switches (machine/_tick.c) ------------
+
+compiled = pytest.mark.skipif(
+    native.load() is None, reason="no compiled tick: " + native.status()[1])
+
+#: what the edge table is made of: zero, one, the sign boundary, all ones
+#: (-1, and as a shift amount >= 32), a shift of exactly 32
+EDGES = (0, 1, 31, 32, 33, 0x7FFFFFFF, 0x80000000, 0x80000001, 0xFFFFFFFF)
+#: I-type immediates reach the tick as negative Python ints
+IMMEDIATES = (-2048, -33, -1)
+
+
+def _assert_compiled_matches(a, b):
+    extension = native.load()
+    for op, name in enumerate(ALU_CODES):
+        assert extension.alu(op, a, b) == ALU_OPS[name](a, b), (name, a, b)
+    if b >= 0:  # branches compare two registers: never an immediate
+        for op, name in enumerate(BRANCH_CODES):
+            assert extension.branch(op, a, b) is BRANCH_OPS[name](a, b), (
+                name, a, b)
+
+
+@compiled
+def test_compiled_codes_name_every_op():
+    assert sorted(ALU_CODES) == sorted(ALU_OPS) and len(ALU_CODES) == 27
+    assert sorted(BRANCH_CODES) == sorted(BRANCH_OPS)
+    for module_function, count in ((native.load().alu, len(ALU_CODES)),
+                                   (native.load().branch, len(BRANCH_CODES))):
+        for op in (-1, count):
+            with pytest.raises(ValueError):
+                module_function(op, 1, 1)
+
+
+@compiled
+@given(u32, u32)
+@settings(max_examples=500)
+def test_compiled_ops_match_semantics(a, b):
+    _assert_compiled_matches(a, b)
+
+
+@compiled
+def test_compiled_ops_match_semantics_on_the_edge_table():
+    """div/rem by 0, INT_MIN / -1, shifts by >= 32, negative immediates."""
+    for a in EDGES:
+        for b in EDGES + IMMEDIATES:
+            _assert_compiled_matches(a, b)

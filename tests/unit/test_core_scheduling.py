@@ -14,12 +14,18 @@ import pytest
 
 from repro.asm import assemble
 from repro.compiler import compile_to_program
-from repro.machine import LBP, DeadlockError, Params
+from repro.machine import LBP, DeadlockError, Params, native
 from repro.machine.core import Core
+from repro.machine.hart import NEVER
 from repro.machine.reference import ReferenceCore
 from repro.workloads import ServingWorkload, SortWorkload, StencilWorkload
 
 MAX_CYCLES = 5_000_000
+
+#: parking is the compiled tick's: on a host that could not build it every
+#: machine runs the reference tick, which never parks
+parks = pytest.mark.skipif(native.status()[0] != "native",
+                           reason="no compiled tick: " + native.status()[1])
 
 SCENARIOS = {
     "stencil_c16": (lambda: StencilWorkload(64, width=2, steps=1, seed=5), 16),
@@ -162,6 +168,7 @@ def test_metered_windows_survive_pauses_when_a_gated_core_is_charged(backend):
 # ---- (c) parking -------------------------------------------------------------
 
 
+@parks
 def test_serving_parks_most_ticks_and_matches_the_interpreter(
         programs, tick_counter):
     program, cores = programs["serving_c4"]
@@ -196,6 +203,7 @@ main:
 """
 
 
+@parks
 def test_lone_hart_waiting_on_a_div_parks_and_wakes_on_the_exact_cycle(
         tick_counter):
     program = assemble(DIV_WAIT)
@@ -246,6 +254,7 @@ main:
 """
 
 
+@parks
 def test_parked_forever_still_deadlocks_with_the_reference_message(
         tick_counter):
     outcomes = {}
@@ -260,13 +269,14 @@ def test_parked_forever_still_deadlocks_with_the_reference_message(
     assert outcomes["soa"][0].startswith("deadlock at cycle 4096:")
     # fetch, decode, a fruitless issue scan — then parked with no timer
     assert len(ticks) < 10
-    assert machine.cores[0].sleep_until == float("inf")
+    assert machine.cores[0].sleep_until == NEVER
     assert machine.cores[0].active
 
 
 # ---- (d) metered runs never park ---------------------------------------------
 
 
+@parks
 def test_metered_soa_ticks_every_busy_core_cycle(programs, tick_counter):
     program, cores = programs["serving_c4"]
     plain = _machine(program, cores, trace=True, backend="soa")

@@ -104,6 +104,9 @@ def test_cli_profile_with_auto_shards(tmp_path, capfd, cores):
     assert cli_main(["run", _write(tmp_path, _PROG), "--cores", cores,
                      "--shards", "auto", "--profile", "--print", "v:4"]) == 0
     out = capfd.readouterr().out
+    # the header says which tick the numbers below were measured on
+    from repro.machine import native
+    assert "tick      : %s (%s)" % native.status() in out
     assert "profiling : shard 0" in out
     assert "profile (top 20 by cumulative time) ---" in out
     assert "[40, 41, 42, 43]" in out

@@ -99,6 +99,29 @@ def test_params_validation_and_copy():
     assert tweaked.num_harts == 16
 
 
+#: one row per bad knob value the serve layer used to pass through
+#: (tests/unit/test_serve_unit.py submits the same rows as jobs)
+BAD_KNOBS = [
+    ("alu_latency", "x"),        # died in the worker: int + str
+    ("rob_size", 0),             # ran 4096 cycles into a DeadlockError
+    ("rob_size", 2.5),
+    ("num_cores", True),
+    ("num_cores", "4"),
+    ("alu_latency", -1),
+    ("num_result_buffers", 0),
+    ("link_hop_latency", 0),
+    ("trace_enabled", "yes"),
+]
+
+
+@pytest.mark.parametrize("knob,bad", BAD_KNOBS)
+def test_params_reject_bad_knob_values(knob, bad):
+    with pytest.raises(ValueError, match=knob):
+        Params(**{knob: bad})
+    with pytest.raises(ValueError, match=knob):
+        Params().copy(**{knob: bad})
+
+
 def test_params_latency_for():
     from repro.isa.spec import spec_for
 

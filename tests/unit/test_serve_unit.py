@@ -148,6 +148,32 @@ def test_bad_counts_are_rejected_before_quota_or_fork(tmp_path, field, bad):
     assert not server._heap and not server.table.inflight
 
 
+@pytest.mark.parametrize("params", [
+    {"alu_latency": "x"}, {"rob_size": 0}, {"rob_size": 2.5},
+    {"num_cores": True}, {"num_cores": "4"}, {"alu_latency": -1},
+    {"num_result_buffers": 0}, {"trace_enabled": "yes"}, [1, 2],
+])
+def test_bad_params_are_rejected_before_quota_or_fork(tmp_path, params):
+    """``params`` is outside input that reaches ``Params`` (and, through
+    it, the compiled tick): a bad knob value is a 400 at admission, not a
+    charged, forked job that dies — or never ends — in the worker."""
+    server = SimServer(ServeConfig(unix_path=str(tmp_path / "unused.sock"),
+                                   cache_root=str(tmp_path / "cache"),
+                                   default_quota=(0, 1)))
+    status, body = _run(server._submit_batch(
+        {"jobs": [{"source": ASM, "filename": "job.s", "params": params}]}))
+    assert status == 400
+    (record,) = body["jobs"]
+    assert record["status"] == "rejected" and record["code"] == 400
+    assert not record["error"].startswith("bad program")
+    knob = next(iter(params)) if isinstance(params, dict) else "params"
+    assert knob in record["error"]
+    stats = server.stats()
+    assert stats["jobs"]["submitted"] == 0 and stats["jobs"]["misses"] == 0
+    assert stats["quota"] == {}  # nobody was charged, no bucket was made
+    assert not server._heap and not server.table.inflight
+
+
 def test_backend_is_an_unknown_job_field():
     with pytest.raises(ValueError, match="unknown job field.*backend"):
         JobSpec.from_wire({"source": ASM, "filename": "job.s",
