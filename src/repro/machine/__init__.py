@@ -27,7 +27,12 @@ event queues are ordered by (cycle, sequence number), and devices are
 scripted or seeded.
 """
 
+from repro.machine import native
 from repro.machine.params import Params
 from repro.machine.processor import LBP, DeadlockError, MachineError
 
 __all__ = ["LBP", "DeadlockError", "MachineError", "Params"]
+
+# Core.tick and LBP._simulate become the C functions here, once, when the
+# extension can be built (else: one warning, and the Python ones stay)
+native.load()

@@ -1,4 +1,5 @@
-/* The compiled tick: ``Core.tick`` as one C function over the Python state.
+/* The compiled tick: ``Core.tick`` as one C function over the Python state
+ * (and, in _window.h, the cycle loop that calls it: ``LBP._simulate``).
  *
  * Stage contract (paper §5.2): each of the five stages -- commit,
  * writeback, issue, decode/rename, fetch, run commit-side first --
@@ -35,11 +36,16 @@
  *     attached: the stall classifier charges every busy cycle.
  *
  * Everything that needs the machine is a call back into the one Python
- * implementation: ``Core._execute`` (loads, stores, jalr, SYSTEM/FENCE,
- * every X_PAR class), ``Core._commit_p_ret``, ``Core.alloc_free_hart``,
- * ``machine.halt`` / ``error`` / ``send_fork_req`` / ``fetch_instruction``
- * and ``metrics.idle`` / ``roll`` / ``stall``, at the call sites the
- * reference tick makes them.  Rules for those calls:
+ * implementation: ``Core._execute`` (remote, code-bank and device loads
+ * and stores, jalr, SYSTEM/FENCE, every X_PAR class),
+ * ``Core._commit_p_ret``, ``Core.alloc_free_hart``, ``machine.halt`` /
+ * ``error`` / ``send_fork_req`` / ``fetch_instruction`` and
+ * ``metrics.idle`` / ``roll`` / ``stall``, at the call sites the reference
+ * tick makes them.  The one exception is the access the paper makes cheap,
+ * a load or store to the core's own banks, which the cycle window issues
+ * itself (``local_access`` in _window.h).  Rules for the calls:
+ *   - every one goes through ``callback``, which first lets the window
+ *     publish ``machine.cycle`` and ``machine._origin``;
  *   - a callee may write any slot, so nothing read before a call is
  *     trusted after it: every stage re-reads its inputs from the slots;
  *   - an exception propagates (NULL), it is never swallowed;
@@ -54,22 +60,27 @@
 /* ---- slot offsets, resolved by bind() ------------------------------------ */
 
 #define CORE_SLOTS(X) \
-    X(index) X(machine) X(harts) X(sleep_until) X(_tag) X(_rr_fetch) \
-    X(_rr_rename) X(_rr_issue) X(_rr_wb) X(_rr_commit) X(_rob_size) \
-    X(_wb_wake)
+    X(index) X(machine) X(mem) X(harts) X(active) X(idle_since) \
+    X(sleep_until) X(_seq) X(_tag) X(_rr_fetch) X(_rr_rename) X(_rr_issue) \
+    X(_rr_wb) X(_rr_commit) X(_rob_size) X(_wb_wake)
 #define HART_SLOTS(X) \
     X(regs) X(rename) X(pc) X(awaiting_nextpc) X(fetch_ready_at) \
     X(syncm_block) X(fetch_buf) X(it) X(rob) X(rb) X(re_buffers) \
     X(outstanding_mem) X(reserved) X(pred) X(pred_done) X(fork_tokens) \
-    X(stats) X(fetch_ok) X(n_ready)
+    X(stats) X(fetch_ok) X(n_ready) X(gid)
 #define RB_SLOTS(X) X(busy) X(tag) X(reg) X(value) X(ready_at) X(entry)
 #define ENTRY_SLOTS(X) \
     X(tag) X(low) X(pc) X(val0) X(val1) X(wait0) X(wait1) X(nwaits) \
     X(issued) X(done) X(ret_action)
 #define LOW_SLOTS(X) \
     X(cls) X(rd) X(imm) X(nreads) X(r1) X(r2) X(writes) X(alu_op) X(br_op) \
-    X(latency) X(re_slot) X(dec_kind) X(issue_kind) X(store_like) X(trap)
-#define STATS_SLOTS(X) X(retired)
+    X(latency) X(re_slot) X(dec_kind) X(issue_kind) X(store_like) X(trap) \
+    X(width) X(mnemonic)
+#define STATS_SLOTS(X) X(retired) X(loads) X(stores)
+#define MEM_SLOTS(X) X(local) X(shared) X(local_port) X(shared_local_port)
+#define BANK_SLOTS(X) X(base) X(data)
+#define PORT_SLOTS(X) X(next_free)
+#define COUNTER_SLOTS(X) X(local_accesses)
 
 #define OFFSET_FIELD(name) Py_ssize_t name;
 #define SLOT_NAME(name) #name,
@@ -83,18 +94,40 @@ SLOT_TABLE(R, RB_SLOTS)
 SLOT_TABLE(E, ENTRY_SLOTS)
 SLOT_TABLE(L, LOW_SLOTS)
 SLOT_TABLE(S, STATS_SLOTS)
+SLOT_TABLE(M, MEM_SLOTS)
+SLOT_TABLE(B, BANK_SLOTS)
+SLOT_TABLE(P, PORT_SLOTS)
+SLOT_TABLE(K, COUNTER_SLOTS)
 
-static PyTypeObject *hart_type, *rb_type, *entry_type, *low_type, *stats_type;
+static PyTypeObject *core_type, *hart_type, *rb_type, *entry_type, *low_type,
+    *stats_type, *mem_type, *bank_type, *port_type, *counters_type;
 /* hart.py's NEVER, as the object to store and the value to compare */
 static PyObject *never_obj;
 static int64_t never_val;
-/* LoweredInstr.cls of the three classes issued here by class */
-static int64_t cls_jal, cls_lui, cls_auipc;
+/* LoweredInstr.cls of the classes issued here by class */
+static int64_t cls_jal, cls_lui, cls_auipc, cls_load, cls_store;
 
 static PyObject *zero_obj;
-static PyObject *s_metrics, *s_cycle, *s_lowered, *s_edges, *s_idle, *s_roll,
-    *s_stall, *s_halt, *s_error, *s_ebreak, *s_ecall, *s_commit_p_ret,
-    *s_execute, *s_alloc_free_hart, *s_send_fork_req, *s_fetch_instruction;
+/* interned names and constants; PyInit__tick fills them from STRINGS */
+#define STRINGS(X) \
+    X(metrics, "metrics") X(cycle, "cycle") X(lowered, "lowered") \
+    X(edges, "edges") X(idle, "idle") X(roll, "roll") X(stall, "stall") \
+    X(halt, "halt") X(error, "error") X(ebreak, "ebreak") \
+    X(ecall, "ecall is not supported on bare-metal LBP") \
+    X(commit_p_ret, "_commit_p_ret") X(execute, "_execute") \
+    X(alloc_free_hart, "alloc_free_hart") X(send_fork_req, "send_fork_req") \
+    X(fetch_instruction, "fetch_instruction") X(tick, "tick") \
+    X(settle_idle, "settle_idle") X(_events, "_events") X(cores, "cores") \
+    X(_origin, "_origin") X(_halt_at, "_halt_at") X(_error, "_error") \
+    X(_num_active, "_num_active") X(_active_cores, "_active_cores") \
+    X(_owned, "_owned") X(_outbox, "_outbox") X(trace, "trace") \
+    X(enabled, "enabled") X(sanitizer, "sanitizer") X(mmio, "mmio") \
+    X(params, "params") X(local_mem_latency, "local_mem_latency") \
+    X(stats, "stats") X(per_core, "per_core") X(local, "local") \
+    X(shared, "shared") X(load_read, "load_read") X(load_done, "load_done") \
+    X(store_write, "store_write")
+#define STRING_VAR(name, text) static PyObject *s_##name;
+STRINGS(STRING_VAR)
 
 /* ---- slot access ----------------------------------------------------------- */
 
@@ -157,8 +190,21 @@ set_obj(PyObject *obj, Py_ssize_t off, PyObject *value)
     Py_XDECREF(old);
 }
 
+/* Py_NewRef, which 3.9 lacks */
+static inline PyObject *
+new_ref(PyObject *obj)
+{
+    Py_INCREF(obj);
+    return obj;
+}
+
 #define set_bool(obj, off, b) set_obj(obj, off, (b) ? Py_True : Py_False)
 #define set_none(obj, off) set_obj(obj, off, Py_None)
+
+/* a static that holds its own reference: bind() may run more than once */
+#define KEEP(var, value) \
+    do { PyObject *old_ = (PyObject *)(var); Py_INCREF(value); \
+         (var) = (void *)(value); Py_XDECREF(old_); } while (0)
 
 static inline int
 set_int(PyObject *obj, Py_ssize_t off, int64_t value)
@@ -273,12 +319,34 @@ branch(int64_t op, int64_t a64, int64_t b64)
 
 /* ---- the tick ---------------------------------------------------------------- */
 
+typedef struct Window Window;  /* _window.h */
+
 typedef struct {
     PyObject *core, *machine;   /* borrowed: the caller holds the core */
     PyObject *hart[4];          /* borrowed from core.harts */
-    PyObject *cycle_obj;        /* machine.cycle, owned */
+    /* machine.cycle, .metrics, .lowered: read by whoever calls tick_core,
+     * once per tick (Core.tick on its own) or per cycle / per call of the
+     * window; borrowed from it */
+    PyObject *cycle_obj, *metrics, *lowered;
     int64_t cycle;
+    Window *w;                  /* the window ticking this core, or NULL */
 } Tick;
+
+static int leave_c(Window *w);
+static int local_access(Tick *t, PyObject *hart, PyObject *entry,
+                        PyObject *low, int store);
+
+/* ``obj.name(a, b, c)`` (trailing NULLs are no arguments): every call from
+ * the tick into Python.  Inside a window ``machine.cycle`` and ``_origin``
+ * are written only now, when Python is about to read them. */
+static PyObject *
+callback(Tick *t, PyObject *obj, PyObject *name, PyObject *a, PyObject *b,
+         PyObject *c)
+{
+    if (t->w != NULL && leave_c(t->w) < 0)
+        return NULL;
+    return PyObject_CallMethodObjArgs(obj, name, a, b, c, NULL);
+}
 
 /* Did the callback succeed?  Consumes its result. */
 static inline int
@@ -406,14 +474,14 @@ stage_commit(Tick *t)
                 || set_int(stats, S.retired, retired + 1) < 0)
             status = -1;
         else if (trap == 1)
-            status = called(PyObject_CallMethodObjArgs(
-                t->machine, s_halt, s_ebreak, NULL));
+            status = called(callback(t, t->machine, s_halt, s_ebreak, NULL,
+                                     NULL));
         else if (trap)
-            status = called(PyObject_CallMethodObjArgs(
-                t->machine, s_error, s_ecall, NULL));
+            status = called(callback(t, t->machine, s_error, s_ecall, NULL,
+                                     NULL));
         else if (SLOT(head, E.ret_action) != Py_None)
-            status = called(PyObject_CallMethodObjArgs(
-                t->core, s_commit_p_ret, hart, head, NULL));
+            status = called(callback(t, t->core, s_commit_p_ret, hart, head,
+                                     NULL));
         else
             status = 0;
         Py_DECREF(head);
@@ -537,7 +605,8 @@ fail:
 }
 
 /* The issued instruction's execute step.  ALU/MULDIV, branches, jal, lui
- * and auipc need nothing from the machine; the rest is Core._execute. */
+ * and auipc need nothing from the machine, a load or store to the core's
+ * own banks only the window; the rest is Core._execute. */
 static int
 execute(Tick *t, PyObject *hart, PyObject *entry, PyObject *low)
 {
@@ -588,8 +657,12 @@ execute(Tick *t, PyObject *hart, PyObject *entry, PyObject *low)
                 + (cls == cls_auipc ? (uint32_t)pc : 0);
         return finish_at(t, hart, entry, low, value, t->cycle + 1);
     }
-    return called(PyObject_CallMethodObjArgs(
-        t->core, s_execute, hart, entry, NULL));
+    if (t->w != NULL && (cls == cls_load || cls == cls_store)) {
+        int done = local_access(t, hart, entry, low, cls == cls_store);
+        if (done)
+            return done < 0 ? -1 : 0;
+    }
+    return called(callback(t, t->core, s_execute, hart, entry, NULL));
 bad_op:
     PyErr_SetString(PyExc_ValueError,
                     "compiled tick: alu_op / br_op out of range");
@@ -648,8 +721,8 @@ stage_issue(Tick *t)
                     break;
                 case 3:  /* ISS_FC: a free hart on this core */
                     Py_INCREF(it);
-                    item = PyObject_CallMethodNoArgs(t->core,
-                                                     s_alloc_free_hart);
+                    item = callback(t, t->core, s_alloc_free_hart, NULL,
+                                    NULL, NULL);
                     Py_DECREF(it);
                     if (item == NULL)
                         goto fail;
@@ -782,8 +855,8 @@ rename_into(Tick *t, PyObject *hart, PyObject *rob, PyObject *pc_obj,
     }
     GETI(dec, low, L.dec_kind);
     if (dec == 5  /* DEC_PFN: request the fork token from the next core */
-            && called(PyObject_CallMethodObjArgs(
-                t->machine, s_send_fork_req, t->core, hart, NULL)) < 0)
+            && called(callback(t, t->machine, s_send_fork_req, t->core,
+                               hart, NULL)) < 0)
         goto fail;
     /* next-pc determination (fetch resumes when it is known) */
     if (dec == 2) {
@@ -862,7 +935,7 @@ stage_fetch(Tick *t)
     for (k = 0; k < 4; k++) {
         int h = (int)((start + k) & 3), fetch_ok;
         int64_t fetch_ready_at;
-        PyObject *hart = t->hart[h], *pc, *lowered, *low, *fetch_buf;
+        PyObject *hart = t->hart[h], *pc, *low, *fetch_buf;
         GETB(fetch_ok, hart, H.fetch_ok);
         if (!fetch_ok)
             continue;
@@ -871,18 +944,15 @@ stage_fetch(Tick *t)
             continue;
         SETI(t->core, C._rr_fetch, (h + 1) & 3);
         GETO(pc, hart, H.pc);
-        if ((lowered = PyObject_GetAttr(t->machine, s_lowered)) == NULL)
-            goto fail;
         Py_INCREF(pc);  /* the callback below may end the hart */
-        low = PyDict_Check(lowered) ? PyDict_GetItemWithError(lowered, pc)
-                                    : NULL;
+        low = PyDict_Check(t->lowered)
+            ? PyDict_GetItemWithError(t->lowered, pc) : NULL;
         if (low != NULL)
             Py_INCREF(low);
         else if (!PyErr_Occurred())
             /* non-code address: the slow error path */
-            low = PyObject_CallMethodObjArgs(
-                t->machine, s_fetch_instruction, pc, hart, NULL);
-        Py_DECREF(lowered);
+            low = callback(t, t->machine, s_fetch_instruction, pc, hart,
+                           NULL);
         fetch_buf = low == NULL ? NULL : PyTuple_Pack(2, pc, low);
         Py_DECREF(pc);
         Py_XDECREF(low);
@@ -920,8 +990,8 @@ metered_prologue(Tick *t, PyObject *metrics)
         PyObject *one = PyLong_FromLong(1);
         if (one == NULL)
             goto fail;
-        work = called(PyObject_CallMethodObjArgs(
-            metrics, s_idle, index, t->cycle_obj, one, NULL));
+        work = called(callback(t, metrics, s_idle, index, t->cycle_obj,
+                               one));
         Py_DECREF(one);
         return work < 0 ? -1 : 0;
     }
@@ -936,8 +1006,8 @@ metered_prologue(Tick *t, PyObject *metrics)
     if (edge == -1 && PyErr_Occurred())
         goto fail;
     if (t->cycle >= edge
-            && called(PyObject_CallMethodObjArgs(
-                metrics, s_roll, index, t->cycle_obj, NULL)) < 0)
+            && called(callback(t, metrics, s_roll, index, t->cycle_obj,
+                               NULL)) < 0)
         goto fail;
     return 1;
 fail:
@@ -979,65 +1049,74 @@ fail:
     return -1;
 }
 
-/* Core.tick(): run the five stages for one cycle.  Returns True when any
- * hart had pipeline work; False means the core is quiescent and the run
- * loop may gate it off until Hart.start re-activates it. */
-static PyObject *
-core_tick(PyObject *core, PyObject *Py_UNUSED(ignored))
+/* Run the five stages of t->core for one cycle.  1 when any hart had
+ * pipeline work; 0 means the core is quiescent and the cycle loop may gate
+ * it off until Hart.start re-activates it. */
+static int
+tick_core(Tick *t)
 {
-    Tick t = {core};
-    PyObject *harts, *metrics = NULL, *result = NULL;
+    PyObject *harts;
     int h, busy = 1, committed, fired = 0, status;
+    const int metered = t->metrics != Py_None;
 
-    GETO(t.machine, core, C.machine);
-    GETLIST(harts, core, C.harts);
+    GETLIST(harts, t->core, C.harts);
     if (PyList_GET_SIZE(harts) != 4) {
         wrong_type("list of four harts");
         goto fail;
     }
     for (h = 0; h < 4; h++) {
-        t.hart[h] = PyList_GET_ITEM(harts, h);
-        CHECK(t.hart[h], hart_type);
+        t->hart[h] = PyList_GET_ITEM(harts, h);
+        CHECK(t->hart[h], hart_type);
     }
-    if ((metrics = PyObject_GetAttr(t.machine, s_metrics)) == NULL
-            || (t.cycle_obj = PyObject_GetAttr(t.machine, s_cycle)) == NULL)
-        goto fail;
-    t.cycle = PyLong_AsLongLong(t.cycle_obj);
-    if (t.cycle == -1 && PyErr_Occurred())
-        goto fail;
-
-    if (metrics != Py_None) {
-        if ((busy = metered_prologue(&t, metrics)) < 0)
-            goto fail;
-        if (!busy)
-            goto done;
-    }
-    if ((committed = stage_commit(&t)) < 0
-            || (fired = stage_writeback(&t)) < 0
-            || (status = stage_issue(&t)) < 0)
+    if (metered && (busy = metered_prologue(t, t->metrics)) <= 0)
+        return busy;
+    if ((committed = stage_commit(t)) < 0
+            || (fired = stage_writeback(t)) < 0
+            || (status = stage_issue(t)) < 0)
         goto fail;
     fired |= status;
-    if ((status = stage_rename(&t)) < 0)
+    if ((status = stage_rename(t)) < 0)
         goto fail;
     fired |= status;
-    if ((status = stage_fetch(&t)) < 0)
+    if ((status = stage_fetch(t)) < 0)
         goto fail;
     fired |= status;
-    if (metrics != Py_None) {
-        if (!committed && called(PyObject_CallMethodObjArgs(
-                metrics, s_stall, core, t.cycle_obj, NULL)) < 0)
+    if (metered) {
+        if (!committed && called(callback(t, t->metrics, s_stall, t->core,
+                                          t->cycle_obj, NULL)) < 0)
             goto fail;
     } else if (!(fired || committed)) {
         /* a stage that fires implies the core held work, so "any work at
          * all?" is asked only when nothing fired */
-        if ((busy = park(&t)) < 0)
-            goto fail;
+        busy = park(t);
     }
-done:
+    return busy;
+fail:
+    return -1;
+}
+
+/* Core.tick() called on its own (a test, a wrapper around it): "now" is
+ * what the machine's attributes say. */
+static PyObject *
+core_tick(PyObject *core, PyObject *Py_UNUSED(ignored))
+{
+    Tick t = {.core = core};
+    PyObject *result = NULL;
+    int busy;
+
+    GETO(t.machine, core, C.machine);
+    if ((t.metrics = PyObject_GetAttr(t.machine, s_metrics)) == NULL
+            || (t.lowered = PyObject_GetAttr(t.machine, s_lowered)) == NULL
+            || (t.cycle_obj = PyObject_GetAttr(t.machine, s_cycle)) == NULL)
+        goto fail;
+    t.cycle = PyLong_AsLongLong(t.cycle_obj);
+    if ((t.cycle == -1 && PyErr_Occurred()) || (busy = tick_core(&t)) < 0)
+        goto fail;
     result = busy ? Py_True : Py_False;
     Py_INCREF(result);
 fail:
-    Py_XDECREF(metrics);
+    Py_XDECREF(t.metrics);
+    Py_XDECREF(t.lowered);
     Py_XDECREF(t.cycle_obj);
     return result;
 }
@@ -1047,15 +1126,22 @@ static PyMethodDef tick_def = {
     "Run the five stages for one cycle (commit-side first); the compiled "
     "tick, machine/_tick.c."};
 
+/* bind()'s Core.tick: the window calls tick_core directly only while
+ * ``type(core).tick`` is this very object */
+static PyObject *tick_descr;
+
+#include "_window.h"
+
 /* ---- module ------------------------------------------------------------------ */
 
 /* Fill *offsets* (one Py_ssize_t per name) from the member descriptors of
  * *cls*; every name must be an object slot of it. */
 static int
-resolve_slots(PyObject *cls, const char *const *names, Py_ssize_t *offsets)
+resolve_slots(PyTypeObject *cls, const char *const *names, void *table)
 {
+    Py_ssize_t *offsets = table;
     for (; *names != NULL; names++, offsets++) {
-        PyObject *descr = PyObject_GetAttrString(cls, *names);
+        PyObject *descr = PyObject_GetAttrString((PyObject *)cls, *names);
         PyMemberDef *member;
         if (descr == NULL)
             return -1;
@@ -1076,24 +1162,33 @@ resolve_slots(PyObject *cls, const char *const *names, Py_ssize_t *offsets)
 static PyObject *
 tick_bind(PyObject *Py_UNUSED(module), PyObject *args)
 {
-    PyTypeObject *core, *hart, *rb, *entry, *low, *stats;
-    PyObject *never;
-    long long jal, lui, auipc, never_value;
-    if (!PyArg_ParseTuple(args, "O!O!O!O!O!O!O!LLL:bind",
+    PyTypeObject *core, *hart, *rb, *entry, *low, *stats, *mem, *bank, *port,
+        *counters, *machine;
+    PyObject *never, *handlers, *simulate, *both;
+    long long jal, lui, auipc, load, store, never_value;
+    if (!PyArg_ParseTuple(args, "O!O!O!O!O!O!O!O!O!O!O!O!O!LLLLL:bind",
                           &PyType_Type, &core, &PyType_Type, &hart,
                           &PyType_Type, &rb, &PyType_Type, &entry,
                           &PyType_Type, &low, &PyType_Type, &stats,
-                          &PyLong_Type, &never, &jal, &lui, &auipc))
+                          &PyType_Type, &mem, &PyType_Type, &bank,
+                          &PyType_Type, &port, &PyType_Type, &counters,
+                          &PyType_Type, &machine, &PyDict_Type, &handlers,
+                          &PyLong_Type, &never, &jal, &lui, &auipc, &load,
+                          &store))
         return NULL;
     never_value = PyLong_AsLongLong(never);
     if (never_value == -1 && PyErr_Occurred())
         return NULL;
-    if (resolve_slots((PyObject *)core, C_names, (Py_ssize_t *)&C) < 0
-            || resolve_slots((PyObject *)hart, H_names, (Py_ssize_t *)&H) < 0
-            || resolve_slots((PyObject *)rb, R_names, (Py_ssize_t *)&R) < 0
-            || resolve_slots((PyObject *)entry, E_names, (Py_ssize_t *)&E) < 0
-            || resolve_slots((PyObject *)low, L_names, (Py_ssize_t *)&L) < 0
-            || resolve_slots((PyObject *)stats, S_names, (Py_ssize_t *)&S) < 0)
+    if (resolve_slots(core, C_names, &C) < 0
+            || resolve_slots(hart, H_names, &H) < 0
+            || resolve_slots(rb, R_names, &R) < 0
+            || resolve_slots(entry, E_names, &E) < 0
+            || resolve_slots(low, L_names, &L) < 0
+            || resolve_slots(stats, S_names, &S) < 0
+            || resolve_slots(mem, M_names, &M) < 0
+            || resolve_slots(bank, B_names, &B) < 0
+            || resolve_slots(port, P_names, &P) < 0
+            || resolve_slots(counters, K_names, &K) < 0)
         return NULL;
     /* rename builds Entry objects slot by slot, without __init__: that is
      * only right while these are all the slots an Entry has */
@@ -1104,21 +1199,34 @@ tick_bind(PyObject *Py_UNUSED(module), PyObject *args)
                         "Entry has slots the compiled tick does not fill");
         return NULL;
     }
-#define KEEP(var, value) \
-    do { PyObject *old_ = (PyObject *)(var); Py_INCREF(value); \
-         (var) = (value); Py_XDECREF(old_); } while (0)
+    /* the three requester-local event kinds have a native spelling, used
+     * only while the table still names the functions it names now */
+    if (keep_handlers(handlers) < 0)
+        return NULL;
+    KEEP(core_type, core);
     KEEP(hart_type, hart);
     KEEP(rb_type, rb);
     KEEP(entry_type, entry);
     KEEP(low_type, low);
     KEEP(stats_type, stats);
+    KEEP(mem_type, mem);
+    KEEP(bank_type, bank);
+    KEEP(port_type, port);
+    KEEP(counters_type, counters);
     KEEP(never_obj, never);
-#undef KEEP
     never_val = never_value;
     cls_jal = jal;
     cls_lui = lui;
     cls_auipc = auipc;
-    return PyDescr_NewMethod(core, &tick_def);
+    cls_load = load;
+    cls_store = store;
+    Py_XSETREF(tick_descr, PyDescr_NewMethod(core, &tick_def));
+    if (tick_descr == NULL
+            || (simulate = PyDescr_NewMethod(machine, &simulate_def)) == NULL)
+        return NULL;
+    both = PyTuple_Pack(2, tick_descr, simulate);
+    Py_DECREF(simulate);
+    return both;
 }
 
 static PyObject *
@@ -1149,10 +1257,11 @@ tick_branch(PyObject *Py_UNUSED(module), PyObject *args)
 
 static PyMethodDef module_methods[] = {
     {"bind", tick_bind, METH_VARARGS,
-     "bind(Core, Hart, ResultBuffer, Entry, LoweredInstr, HartStats, NEVER, "
-     "cls_jal, cls_lui, cls_auipc) -> the ``tick`` method descriptor for "
-     "Core.\n\nResolves every slot offset the tick uses; raises if a class "
-     "lacks one."},
+     "bind(Core, Hart, ResultBuffer, Entry, LoweredInstr, HartStats, "
+     "CoreMemory, Bank, Port, CoreCounters, LBP, EVENT_HANDLERS, NEVER, "
+     "cls_jal, cls_lui, cls_auipc, cls_load, cls_store) -> the method "
+     "descriptors (Core.tick, LBP._simulate).\n\nResolves every slot offset "
+     "they use; raises if a class lacks one."},
     {"alu", tick_alu, METH_VARARGS,
      "alu(op, a, b) -> the 32-bit result of ALU_CODES[op] (for tests)."},
     {"branch", tick_branch, METH_VARARGS,
@@ -1161,31 +1270,20 @@ static PyMethodDef module_methods[] = {
 
 static struct PyModuleDef module_def = {
     PyModuleDef_HEAD_INIT, "_tick",
-    "The compiled Core.tick (see machine/native.py for the loader).", -1,
-    module_methods};
+    "The compiled Core.tick and LBP._simulate (see machine/native.py for "
+    "the loader).", -1, module_methods, NULL, NULL, NULL, NULL};
 
 PyMODINIT_FUNC
 PyInit__tick(void)
 {
-    static const struct { PyObject **var; const char *text; } strings[] = {
-        {&s_metrics, "metrics"}, {&s_cycle, "cycle"},
-        {&s_lowered, "lowered"}, {&s_edges, "edges"}, {&s_idle, "idle"},
-        {&s_roll, "roll"}, {&s_stall, "stall"}, {&s_halt, "halt"},
-        {&s_error, "error"}, {&s_ebreak, "ebreak"},
-        {&s_ecall, "ecall is not supported on bare-metal LBP"},
-        {&s_commit_p_ret, "_commit_p_ret"}, {&s_execute, "_execute"},
-        {&s_alloc_free_hart, "alloc_free_hart"},
-        {&s_send_fork_req, "send_fork_req"},
-        {&s_fetch_instruction, "fetch_instruction"},
-    };
-    size_t i;
-    for (i = 0; i < sizeof(strings) / sizeof(strings[0]); i++) {
-        if (*strings[i].var == NULL
-                && (*strings[i].var = PyUnicode_InternFromString(
-                        strings[i].text)) == NULL)
-            return NULL;
-    }
+#define STRING_INTERN(name, text) \
+    if (s_##name == NULL \
+            && (s_##name = PyUnicode_InternFromString(text)) == NULL) \
+        return NULL;
+    STRINGS(STRING_INTERN)
     if (zero_obj == NULL && (zero_obj = PyLong_FromLong(0)) == NULL)
+        return NULL;
+    if (import_heapq() < 0)
         return NULL;
     return PyModule_Create(&module_def);
 }

@@ -14,9 +14,9 @@ re-chases ``Instruction``/spec attributes; see ``machine/lowered.py``.
 
 ``Core.tick`` is the compiled tick, ``machine/_tick.c``: one C function
 over the state defined here and in ``machine/hart.py``, bound to the
-class at the bottom of this module when ``machine/native.py`` could
-build and load it (how it is built for speed — stage gating, inline
-issue, parking — is written up at the top of that file).
+class by ``machine/native.py`` when it could build and load it (how it
+is built for speed — stage gating, inline issue, parking — is written up
+at the top of that file).
 ``machine/reference.py`` keeps a small, slow tick over the same state:
 the oracle the tests compare the compiled one against
 (``LBP(backend="interp")``), and the only tick on a host without a C
@@ -27,12 +27,9 @@ both ticks call.
 
 from repro.isa.semantics import MASK32, join_hart, p_merge_value, p_set_value
 from repro.isa.spec import InstrClass
-from repro.machine import native
-from repro.machine.hart import NEVER, Entry, Hart, ResultBuffer
-from repro.machine.lowered import LoweredInstr
+from repro.machine.hart import NEVER, Hart
 from repro.machine.memory import CoreMemory
 from repro.machine.router import LinkScheduler
-from repro.machine.stats import HartStats
 
 _C = InstrClass
 
@@ -488,16 +485,3 @@ class Core:
             if child is not None:
                 src_core_index, parent_gid = self.fork_queue.pop(0)
                 machine.grant_fork(self, child, src_core_index, parent_gid)
-
-
-def _bind_compiled_tick():
-    """``Core.tick`` := the C function, when the extension is there.
-    Without it ``Core`` has no tick and ``LBP`` builds ``ReferenceCore``s."""
-    extension = native.load()
-    if extension is not None:
-        Core.tick = extension.bind(
-            Core, Hart, ResultBuffer, Entry, LoweredInstr, HartStats, NEVER,
-            _JAL, _LUI, _AUIPC)
-
-
-_bind_compiled_tick()

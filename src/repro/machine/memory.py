@@ -82,6 +82,9 @@ class Port:
 class CoreMemory:
     """The three banks of one core, plus their ports."""
 
+    __slots__ = ("core_index", "local", "shared", "local_port",
+                 "shared_local_port", "shared_router_port")
+
     def __init__(self, core_index, params):
         self.core_index = core_index
         self.local = Bank(memmap.LOCAL_BASE, memmap.LOCAL_SIZE, "local%d" % core_index)

@@ -1,9 +1,11 @@
-"""Build the compiled tick once per checkout, load it, try it — or say why not.
+"""Build the compiled tick once per checkout, load it, bind it, try it — or
+say why not.
 
-``_tick.c`` (next to this file) is compiled with the C compiler Python
-itself was built with into ``_native/_tick-<digest><EXT_SUFFIX>``, the
-digest covering the source, the interpreter and the flags, so an edited
-source or another Python never loads a stale binary.  The output goes
+``_tick.c`` (next to this file; it includes ``_window.h``, the cycle
+loop) is compiled with the C compiler Python itself was built with into
+``_native/_tick-<digest><EXT_SUFFIX>``, the digest covering every source
+file, the interpreter and the flags, so an edited source or another
+Python never loads a stale binary.  The output goes
 *into the package directory* on purpose: a per-user cache would be
 rebuilt by every process that scrubs ``XDG_CACHE_HOME`` (bench/run.py
 does), and the compiler's time and memory would be charged to each of
@@ -12,12 +14,15 @@ directory is not writable (an installed copy) does the user cache take
 over.
 
 There is no switch.  :func:`load` returns the extension module when it
-could be built, loaded and passes a smoke call, else ``None`` after one
-``RuntimeWarning`` naming the reason, and ``LBP`` then builds
-``ReferenceCore``s: the machine runs the same, only slower.
+could be built, loaded, bound (``Core.tick``, ``LBP._simulate``) and
+passes its smoke calls, else ``None`` after one ``RuntimeWarning`` naming
+the reason, and ``LBP`` then builds ``ReferenceCore``s under the Python
+``_simulate``: the machine runs the same, only slower.
 """
 
 import functools
+import gc
+import glob
 import hashlib
 import importlib.util
 import os
@@ -28,25 +33,29 @@ import sysconfig
 import tempfile
 import warnings
 
-_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_tick.c")
+_HERE = os.path.dirname(os.path.abspath(__file__))
+#: every file the one ``cc`` run reads; the first is the one it is given
+_SOURCES = tuple(os.path.join(_HERE, name) for name in ("_tick.c", "_window.h"))
 _FLAGS = ("-O2", "-shared", "-fPIC")
+#: the module :func:`_load` is trying end to end: ``LBP()`` asks :func:`load`
+_trial = None
 
 
 def _build_dirs():
     """Where the binary may live, in order of preference."""
     cache = os.environ.get("XDG_CACHE_HOME") or os.path.join(
         os.path.expanduser("~"), ".cache")
-    return (os.path.join(os.path.dirname(_SOURCE), "_native"),
+    return (os.path.join(_HERE, "_native"),
             os.path.join(cache, "lbp-repro", "native"))
 
 
 def _binary(name):
-    """Path of the binary *name*: where a build directory already has it,
-    else built into the first writable one."""
+    """``(path, fresh)`` of the binary *name*: where a build directory
+    already has it, else built just now into the first writable one."""
     paths = [os.path.join(directory, name) for directory in _build_dirs()]
     for path in paths:
         if os.path.exists(path):
-            return path
+            return path, False
     for path in paths:
         try:
             os.makedirs(os.path.dirname(path), exist_ok=True)
@@ -54,7 +63,7 @@ def _binary(name):
             continue
         if os.access(os.path.dirname(path), os.W_OK):
             _compile(path)
-            return path
+            return path, True
     raise OSError("no writable build directory among %s"
                   % ", ".join(_build_dirs()))
 
@@ -70,7 +79,7 @@ def _compile(target):
     try:
         done = subprocess.run(
             compiler + list(_FLAGS)
-            + ["-I" + sysconfig.get_paths()["include"], _SOURCE,
+            + ["-I" + sysconfig.get_paths()["include"], _SOURCES[0],
                "-o", partial],
             stdin=subprocess.DEVNULL, stdout=subprocess.PIPE,
             stderr=subprocess.STDOUT)
@@ -85,11 +94,42 @@ def _compile(target):
             os.unlink(partial)
 
 
+def _sweep(path):
+    """A fresh build works, so whatever else this directory holds for this
+    Python is dead: best-effort unlink the binaries of other digests (every
+    source edit would otherwise leave one behind for ever)."""
+    suffix = sysconfig.get_config_var("EXT_SUFFIX")
+    for other in glob.glob(os.path.join(os.path.dirname(path),
+                                        "_tick-*" + suffix)):
+        if other != path:
+            try:
+                os.unlink(other)
+            except OSError:
+                pass
+
+
+def _bind(module):
+    """``Core.tick`` and ``LBP._simulate`` := the C functions."""
+    from repro.machine import core, hart, lowered, memory, processor, stats
+
+    core.Core.tick, processor.LBP._simulate = module.bind(
+        core.Core, hart.Hart, hart.ResultBuffer, hart.Entry,
+        lowered.LoweredInstr, stats.HartStats, memory.CoreMemory,
+        memory.Bank, memory.Port, stats.CoreCounters, processor.LBP,
+        processor.EVENT_HANDLERS, hart.NEVER, core._JAL, core._LUI,
+        core._AUIPC, core._LOAD, core._STORE)
+
+
 def _smoke(module):
     """A fresh binary is not trusted unexercised: every ALU and branch
-    case on a fixed vector against ``isa/semantics.py``."""
+    case on a fixed vector against ``isa/semantics.py``, then one tiny
+    machine run (tick, window, a store and a load on the stack) against
+    the whole Python path."""
+    from repro.asm import assemble
     from repro.isa.semantics import ALU_OPS, BRANCH_OPS
     from repro.machine.lowered import ALU_CODES, BRANCH_CODES
+    from repro.machine.params import Params
+    from repro.machine.processor import LBP
 
     vector = ((7, 3), (0x80000000, 0xFFFFFFFF), (0xFFFFFFFF, 0), (5, -3),
               (0x12345678, 33))
@@ -100,6 +140,23 @@ def _smoke(module):
         for op, name in enumerate(BRANCH_CODES):
             if module.branch(op, a, b) != BRANCH_OPS[name](a, b):
                 raise RuntimeError("smoke call: %s(%#x, %#x)" % (name, a, b))
+    program = assemble(
+        "main:\n li t1, 77\n sw t1, -4(sp)\n lw t2, -4(sp)\n ebreak\n")
+    outcomes = []
+    for backend in (None, "interp"):
+        machine = LBP(Params(num_cores=1), backend=backend).load(program)
+        stats = machine.run(max_cycles=1000)
+        outcomes.append((machine.cycle, stats.state_dict(), [
+            hart.state_dict() for hart in machine.cores[0].harts]))
+    # a machine is cyclic garbage holding megabytes of banks: left to the
+    # collector's own schedule, these two would sit under the first real
+    # machine and raise every process's peak memory (the reason the
+    # comparison above is not of state_dict(), which copies the banks)
+    del machine, stats
+    gc.collect()
+    if outcomes[0] != outcomes[1] or outcomes[0][2][0]["regs"][7] != 77:
+        raise RuntimeError("smoke run: the compiled window and the "
+                           "reference loop disagree")
 
 
 def _import(path):
@@ -112,18 +169,26 @@ def _import(path):
 @functools.lru_cache(maxsize=None)
 def _load():
     """(module, path) or (None, reason); decided once per process."""
+    global _trial
     try:
-        with open(_SOURCE, "rb") as handle:
-            digest = hashlib.sha256(
-                handle.read() + sys.version.encode()
-                + " ".join(_FLAGS).encode())
-        path = _binary("_tick-%s%s" % (
+        digest = hashlib.sha256(
+            sys.version.encode() + " ".join(_FLAGS).encode())
+        for source in _SOURCES:
+            with open(source, "rb") as handle:
+                digest.update(handle.read())
+        path, fresh = _binary("_tick-%s%s" % (
             digest.hexdigest()[:16], sysconfig.get_config_var("EXT_SUFFIX")))
         module = _import(path)
+        _bind(module)
+        _trial = module
         _smoke(module)
+        if fresh:
+            _sweep(path)
         return module, path
     except (OSError, ImportError, RuntimeError) as exc:
         reason = "%s: %s" % (type(exc).__name__, exc)
+    finally:
+        _trial = None
     warnings.warn(
         "repro: no compiled tick (%s); simulating on the reference tick, "
         "which is several times slower" % reason, RuntimeWarning,
@@ -133,7 +198,7 @@ def _load():
 
 def load():
     """The extension module, or None (one RuntimeWarning said why)."""
-    return _load()[0]
+    return _trial or _load()[0]
 
 
 def status():

@@ -89,6 +89,8 @@ def _rob_by_tag(hart, tag):
 
 
 # ---- intra-domain kinds (requester-local accesses) ---------------------------
+# (``core_index`` rides in load_read / store_write only to be traced; the
+# arg tuples are the snapshot format's, so it stays)
 
 
 def _ev_load_read(machine, bank_ref, addr, width, mnemonic, t_done,
@@ -455,8 +457,10 @@ class LBP:
         self._active_cores = None
         if resolve_backend(backend) == "interp" or native.load() is None:
             # the oracle was asked for, or this host could not build the
-            # compiled tick (native.load said why, once)
+            # compiled tick (native.load said why, once): the whole
+            # Python path, reference tick under the reference loop
             from repro.machine.reference import ReferenceCore as core_cls
+            self._simulate = self._reference_simulate
         else:
             core_cls = Core
         self.cores = [core_cls(i, self) for i in range(self.params.num_cores)]
@@ -651,9 +655,6 @@ class LBP:
     def core_after(self, core):
         index = core.index + 1
         return self.cores[index] if index < len(self.cores) else None
-
-    def core_index_of(self, gid):
-        return gid // self.params.harts_per_core
 
     def hart_by_gid(self, gid):
         core_index, hart_index = divmod(gid, self.params.harts_per_core)
@@ -1088,6 +1089,8 @@ class LBP:
         sharded engine's workers (their owned cores, one epoch per
         call).  Returns early — before *barrier* — only at a pending
         halt's cycle or right after the cycle that recorded an error.
+        This is the reference spelling: machine/native.py binds the
+        compiled one (machine/_window.h) over the name when it can.
 
         Per-cycle cost follows the cores that can change state: gated
         cores are not visited at all (their idle cycles are charged
@@ -1145,6 +1148,8 @@ class LBP:
             if self._error is not None:
                 break
         return cycle
+
+    _reference_simulate = _simulate
 
     def _deadlock_dump(self):
         lines = ["deadlock at cycle %d:" % self.cycle]

@@ -1,10 +1,13 @@
-"""The compiled tick as a piece of C: what parity tests cannot see.
+"""The compiled tick and cycle window as C: what parity tests cannot see.
 
-``test_reference_parity.py`` holds ``machine/_tick.c`` to the reference
-tick bit for bit.  This file checks the rest of the contract a CPython
-extension has: it balances every reference, errors cross the boundary as
-the exceptions the reference raises, a host that cannot build it falls
-back (once, loudly), and two processes may build it at the same time.
+``test_reference_parity.py`` holds ``machine/_tick.c`` and
+``machine/_window.h`` to the reference tick and loop bit for bit.  This
+file checks the rest of the contract a CPython extension has: it
+balances every reference, errors cross the boundary as the exceptions
+the reference raises, what a test replaces (a tick, an event handler) is
+what runs, a host that cannot build it falls back (once, loudly), two
+processes may build it at the same time, and a rebuild leaves no dead
+binary behind.
 """
 
 import gc
@@ -13,15 +16,17 @@ import os
 import shutil
 import subprocess
 import sys
+import sysconfig
 import warnings
 
 import pytest
 
 import repro
 from repro.asm import assemble
-from repro.machine import LBP, MachineError, Params, native
+from repro.machine import LBP, MachineError, Params, native, processor
 from repro.machine.core import Core
 from repro.machine.reference import ReferenceCore
+from repro.observe import Metrics
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from test_trace_golden import GOLDEN_PATH, measure  # noqa: E402
@@ -75,25 +80,41 @@ def _run(source, backend=None, cores=2, **engine):
 # ---- reference counts ----------------------------------------------------------
 
 
+#: the ways a run reaches the C: plain (private-bank accesses native),
+#: metered, and the three that send every access back to Python
+ENGINES = ({}, {"metrics": True}, {"trace": True}, {"sanitize": True},
+           {"shards": 2})
+
+
+def _assert_no_leak(once, runs, slack):
+    """Call ``once(run)`` *runs* times: past the warm-up, the counts of
+    None, True and False stay within *slack* and no object accumulates."""
+    singletons = (None, True, False)
+    counts = objects = None
+    for run in range(1, runs + 1):
+        once(run)
+        gc.collect()
+        if run == runs // 2:
+            counts = [sys.getrefcount(obj) for obj in singletons]
+            objects = len(gc.get_objects())
+    for before, obj in zip(counts, singletons):
+        assert abs(sys.getrefcount(obj) - before) <= slack, obj
+    assert len(gc.get_objects()) <= objects
+
+
 @compiled
 def test_twenty_runs_leak_no_reference_and_no_object():
     """None, True and False are written into slots thousands of times per
     run; before 3.12 each is an ordinary counted object, so one missing
     INCREF frees a singleton and one missing DECREF leaks per tick."""
-    singletons = (None, True, False)
-    counts = objects = None
-    for run in range(1, 21):
-        machine, stats = _run(FORK_JOIN, metrics=(run % 2 == 0))
+    def once(run):
+        engine = dict(ENGINES[run % len(ENGINES)])
+        params = Params(num_cores=2, trace_enabled=engine.pop("trace", False))
+        machine = LBP(params, **engine).load(assemble(FORK_JOIN))
+        stats = machine.run(max_cycles=100_000)
         assert stats.forks == 1 and stats.retired > 20
-        del machine, stats
-        gc.collect()
-        if run == 2:
-            counts = [sys.getrefcount(obj) for obj in singletons]
-        if run == 5:
-            objects = len(gc.get_objects())
-    for before, obj in zip(counts, singletons):
-        assert abs(sys.getrefcount(obj) - before) <= 50, obj
-    assert len(gc.get_objects()) <= objects
+
+    _assert_no_leak(once, runs=20, slack=50)
 
 
 # ---- errors cross the boundary ---------------------------------------------------
@@ -146,6 +167,154 @@ def test_an_exception_in_a_callback_propagates(monkeypatch, method):
         assert machine.state_dict()["cycle"] >= 0
 
 
+#: where Python runs under the window: an event handler, the idle-span
+#: settlement of a gated core an event wakes (metered runs), the metrics
+#: object, and schedule_load for an access the native path declines
+RAISERS = {
+    "handler": lambda patch, boom: patch.setitem(
+        processor.EVENT_HANDLERS, "fork_req", boom),
+    "native_kind_handler": lambda patch, boom: patch.setitem(
+        processor.EVENT_HANDLERS, "load_done", boom),
+    "settle_idle": lambda patch, boom: patch.setattr(
+        Core, "settle_idle", boom),
+    "metrics.idle": lambda patch, boom: patch.setattr(Metrics, "idle", boom),
+    "schedule_load": lambda patch, boom: patch.setattr(
+        LBP, "schedule_load", boom),
+}
+
+
+@compiled
+@pytest.mark.parametrize("where", sorted(RAISERS))
+def test_an_exception_under_the_window_propagates_and_leaks_nothing(
+        monkeypatch, where):
+    def boom(*args):
+        raise Boom(where)
+
+    def once(run):
+        # (FORK_JOIN's p_lwcv goes through schedule_load on every path)
+        machine = LBP(Params(num_cores=2), metrics=True,
+                      backend="soa" if run % 4 else "interp").load(
+                          assemble(FORK_JOIN))
+        RAISERS[where](monkeypatch, boom)
+        with pytest.raises(Boom, match=where):
+            machine.run(max_cycles=100_000)
+        monkeypatch.undo()
+        assert machine.state_dict()["cycle"] >= 0
+
+    # a raise-and-catch round trip moves None's count by a few on the pure
+    # Python path too; a reference dropped per tick or per event would move
+    # it by thousands
+    _assert_no_leak(once, runs=12, slack=100)
+
+
+@compiled
+def test_state_the_window_cannot_read_is_an_exception_not_a_crash():
+    def machine():
+        return LBP(Params(num_cores=1)).load(assemble(STACK_TRAFFIC))
+
+    broken = machine()
+    broken._events = None
+    with pytest.raises(TypeError, match="compiled window"):
+        broken.run(max_cycles=100)
+    broken = machine()
+    broken._events = [("load_done",)]
+    with pytest.raises(TypeError, match="compiled tick"):
+        broken.run(max_cycles=100)
+    broken = machine()
+    broken._active_cores = 5  # run() resets it: call the window itself
+    with pytest.raises(TypeError, match="compiled tick"):
+        broken._simulate(0, 10, broken.cores)
+    broken = machine()
+    del broken._halt_at
+    with pytest.raises(AttributeError, match="_halt_at"):
+        broken.run(max_cycles=100)
+    broken = machine()
+    broken.cores[0].mem.local_port.next_free = "soon"
+    with pytest.raises(TypeError):
+        broken.run(max_cycles=100)
+    broken = machine()
+    broken.cores[0].mem.local.data = b"frozen"
+    with pytest.raises(TypeError, match="compiled tick"):
+        broken.run(max_cycles=100)
+    with pytest.raises(TypeError):
+        broken._simulate(0, 10, tuple(broken.cores))
+    with pytest.raises(TypeError):
+        LBP._simulate(object(), 0, 10, [])
+    # nothing above left the machine class in a bad way
+    assert machine().run(max_cycles=1000).retired == 6
+
+
+# ---- what a test replaces is what runs -------------------------------------------
+
+STACK_TRAFFIC = """
+main:
+    li  t1, 77
+    sw  t1, -4(sp)
+    lw  t2, -4(sp)
+    sw  t2, -8(sp)
+    lw  t3, -8(sp)
+    ebreak
+"""
+
+
+def _count_calls(monkeypatch, owner, name, item=False, calls=None):
+    calls = [] if calls is None else calls
+    inner = owner[name] if item else getattr(owner, name)
+
+    def counted(*args):
+        calls.append(name)
+        return inner(*args)
+
+    if item:
+        monkeypatch.setitem(owner, name, counted)
+    else:
+        monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+@compiled
+def test_private_bank_accesses_stay_in_c_unless_observed(monkeypatch):
+    """Untraced, unsanitized, no device: the issue, the post and the three
+    event kinds of a stack access run no Python at all.  Traced or
+    sanitized, every one of them is the Python spelling."""
+    issued = _count_calls(monkeypatch, LBP, "schedule_load")
+    _count_calls(monkeypatch, LBP, "schedule_store", calls=issued)
+    posted = _count_calls(monkeypatch, LBP, "post")
+    handled = _count_calls(monkeypatch, LBP, "hart_by_gid")
+    states = []
+    for engine in ({}, {"sanitize": True}, {"backend": "interp"}):
+        del issued[:], posted[:], handled[:]
+        machine = LBP(Params(num_cores=1), **engine).load(
+            assemble(STACK_TRAFFIC))
+        stats = machine.run(max_cycles=1000)
+        assert (machine.cores[0].harts[0].regs[28], stats.retired) == (77, 6)
+        if engine:
+            assert (len(issued), len(posted), len(handled)) == (4, 6, 6)
+            machine.sanitizer = None
+        else:
+            assert issued == posted == handled == []
+        states.append(machine.state_dict())
+    assert states[0] == states[1] == states[2]
+
+
+@compiled
+def test_a_replaced_handler_and_a_replaced_tick_are_what_runs(monkeypatch):
+    plain = LBP(Params(num_cores=1)).load(assemble(STACK_TRAFFIC))
+    plain.run(max_cycles=1000)
+    done = _count_calls(monkeypatch, processor.EVENT_HANDLERS, "load_done",
+                        item=True)
+    ticks = _count_calls(monkeypatch, Core, "tick")
+    machine = LBP(Params(num_cores=1)).load(assemble(STACK_TRAFFIC))
+    machine.run(max_cycles=1000)
+    assert len(done) == 2 and len(ticks) > 10
+    assert machine.state_dict() == plain.state_dict()
+    monkeypatch.undo()
+    # and the tick stays callable on its own, outside any window
+    machine = LBP(Params(num_cores=1)).load(assemble(STACK_TRAFFIC))
+    assert Core.tick(machine.cores[0]) is True
+    assert machine.cores[0].harts[0].fetch_buf is not None
+
+
 @compiled
 def test_state_the_tick_cannot_read_is_an_exception_not_a_crash():
     machine = LBP(Params(num_cores=1)).load(assemble(ECALL))
@@ -163,35 +332,62 @@ def test_state_the_tick_cannot_read_is_an_exception_not_a_crash():
 # ---- a host that cannot build it ---------------------------------------------------
 
 
-def test_fallback_builds_reference_cores_and_warns_once(monkeypatch, tmp_path):
-    """No compiler (here: a compile step that fails) is a supported
-    platform: one RuntimeWarning per process names the reason, every
-    machine is built on the reference tick, the digests hold."""
+def _no_compiler(monkeypatch, tmp_path):
     def no_compiler(target):
         raise OSError("no C compiler in this test")
 
     monkeypatch.setattr(native, "_build_dirs", lambda: (str(tmp_path),))
     monkeypatch.setattr(native, "_compile", no_compiler)
+    return "no C compiler in this test"
+
+
+def _miscompiled_window(monkeypatch, tmp_path):
+    """The binary builds and loads, but its machine run differs from the
+    reference loop's (here: a reference loop that miscounts)."""
+    inner = LBP._reference_simulate
+
+    def off_by_one(self, cycle, barrier, cores):
+        self.stats.harts[0][0].retired += 1
+        return inner(self, cycle, barrier, cores)
+
+    monkeypatch.setattr(LBP, "_reference_simulate", off_by_one)
+    return "smoke run"
+
+
+@pytest.mark.parametrize("fault", [
+    _no_compiler, pytest.param(_miscompiled_window, marks=compiled)])
+def test_fallback_builds_reference_cores_and_warns_once(
+        monkeypatch, tmp_path, fault):
+    """No compiler (here: a compile step that fails) is a supported
+    platform, and so is a compiler whose output does not survive the
+    smoke run: one RuntimeWarning per process names the reason, every
+    machine is built on the reference tick, the digests hold."""
+    before = native.status()[0]
+    reason = fault(monkeypatch, tmp_path)
     native._load.cache_clear()
     try:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             assert native.load() is None
+            monkeypatch.undo()
             machines = [LBP(Params(num_cores=2)) for _ in range(3)]
             assert native.status()[0] == "reference"
-            assert "no C compiler in this test" in native.status()[1]
+            assert reason in native.status()[1]
             with open(GOLDEN_PATH) as handle:
                 golden = json.load(handle)
             for name in ("re_contention_c1", "stencil_h8_c2"):
                 assert measure(name) == golden[name]
         assert all(type(core) is ReferenceCore
                    for machine in machines for core in machine.cores)
+        assert all(machine._simulate.__func__ is LBP._reference_simulate
+                   for machine in machines)
         told = [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert len(told) == 1
-        assert "no C compiler in this test" in str(told[0].message)
+        assert reason in str(told[0].message)
     finally:
         monkeypatch.undo()
         native._load.cache_clear()  # the next load() finds the real one
+    assert native.status()[0] == before
 
 
 # ---- two processes build it at once ------------------------------------------------
@@ -230,3 +426,39 @@ def test_two_processes_racing_to_build_both_run(tmp_path):
     assert len(cycles) == 1 and cycles.pop() > 100
     built = os.listdir(root / "repro" / "machine" / "_native")
     assert len(built) == 1 and not built[0].endswith(".partial")
+
+
+@compiled
+def test_a_build_sweeps_dead_binaries_and_every_source_is_in_the_digest(
+        tmp_path):
+    """Same temp copy.  A build unlinks the binaries of other digests for
+    this Python (and only those); touching the included header -- not
+    ``_tick.c`` -- changes the digest, so a stale binary is never loaded."""
+    root = tmp_path / "src"
+    machine_dir = root / "repro" / "machine"
+    shutil.copytree(
+        os.path.dirname(os.path.abspath(repro.__file__)), root / "repro",
+        ignore=shutil.ignore_patterns("_native", "__pycache__"))
+    suffix = sysconfig.get_config_var("EXT_SUFFIX")
+    dead = "_tick-%s%s" % ("0" * 16, suffix)
+    other_python = "_tick-%s.cpython-27-other.so" % ("0" * 16)
+    os.mkdir(machine_dir / "_native")
+    for name in (dead, other_python):
+        (machine_dir / "_native" / name).write_bytes(b"not a binary")
+
+    def build():
+        done = subprocess.run(
+            [sys.executable, "-c", RACER, str(root)],
+            stdin=subprocess.DEVNULL, stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, timeout=120)
+        assert done.returncode == 0, done.stderr
+        names = set(os.listdir(machine_dir / "_native"))
+        assert other_python in names and dead not in names
+        (ours,) = names - {other_python}
+        return ours
+
+    first = build()
+    assert build() == first  # found, not rebuilt
+    with open(machine_dir / "_window.h", "a") as handle:
+        handle.write("/* edited */\n")
+    assert build() != first

@@ -9,6 +9,14 @@ eligibility predicate from architectural state — and every golden digest
 in ``tests/data/golden_traces.json`` must reproduce bit-exactly under
 both: alone, space-sharded, under the race sanitizer, under stall
 metrics, and with serialized state moving between the two mid-run.
+
+The production *path* is more than the tick: ``LBP._simulate`` is the
+compiled cycle window (``machine/_window.h``), which also issues and
+completes loads and stores to the core's own banks when nothing
+observes them.  ``backend="interp"`` swaps all of it for the Python
+``_simulate``, ``schedule_load``/``schedule_store`` and handlers, so the
+untraced tests at the bottom hold the private-bank access to the same
+standard.
 """
 
 import json
@@ -18,10 +26,13 @@ import sys
 
 import pytest
 
+from repro import memmap
+from repro.asm import assemble
 from repro.cli import main as cli_main
 from repro.compiler import compile_to_program
-from repro.machine import LBP, Params, native
+from repro.machine import LBP, MachineError, Params, native
 from repro.machine.core import Core
+from repro.machine.io import Actuator, ScriptedInput, attach_input, attach_output
 from repro.machine.reference import ReferenceCore
 from repro.snapshot import snapshot
 from repro.workloads import ServingWorkload
@@ -59,6 +70,12 @@ def test_default_core_runs_the_native_tick():
     assert Core.tick.__objclass__ is Core
     assert ReferenceCore.tick is not Core.tick
     assert all(type(core) is Core for core in LBP(Params(num_cores=2)).cores)
+    # the cycle loop too; the reference machine carries the Python one
+    assert type(LBP._simulate) is type(list.append)
+    assert LBP._simulate.__objclass__ is LBP
+    oracle = LBP(Params(num_cores=1), backend="interp")
+    assert oracle._simulate.__func__ is LBP._reference_simulate
+    assert "_simulate" not in vars(LBP(Params(num_cores=1)))
 
 
 # ---- golden digests ----------------------------------------------------------
@@ -219,3 +236,181 @@ def test_cli_has_no_backend_option(tmp_path, capsys):
         cli_main(["run", str(source), "--backend", "interp"])
     assert err.value.code == 2
     assert "unrecognized arguments: --backend" in capsys.readouterr().err
+
+
+# ---- the private-bank access (untraced: the compiled issue and handlers) -----
+
+#: stores and loads of every width to the stack and to the core's own
+#: shared bank, back to back, so ports queue and events overlap; -3 makes
+#: lb / lh sign-extend and lbu / lhu not
+LOCAL_ACCESSES = """
+main:
+    la   a0, cell
+    li   t1, -3
+    sw   t1, -4(sp)
+    lw   t2, -4(sp)
+    sw   t1, 0(a0)
+    lh   t3, 0(a0)
+    sh   t2, 6(a0)
+    lb   t4, 7(a0)
+    lbu  t5, 7(a0)
+    lhu  t6, 6(a0)
+    sb   t4, -8(sp)
+    lw   a1, 4(a0)
+    lw   a2, -8(sp)
+    ebreak
+.data
+cell: .word 0, 0
+"""
+
+LOCAL_KINDS = {"load_read", "load_done", "store_write"}
+
+
+def _untraced(source, backend, cores=1, **engine):
+    return LBP(Params(num_cores=cores), backend=backend,
+               **engine).load(assemble(source))
+
+
+def test_local_accesses_are_bit_exact_untraced():
+    machines = {}
+    for backend in ("soa", "interp"):
+        machine = _untraced(LOCAL_ACCESSES, backend)
+        stats = machine.run(max_cycles=10_000)
+        assert stats.local_accesses == 7 and stats.retired > 12
+        machines[backend] = machine
+    regs = machines["soa"].cores[0].harts[0].regs
+    assert regs[7] == 0xFFFFFFFD and regs[28] == 0xFFFFFFFD      # lw, lh
+    assert regs[29] == 0xFFFFFFFF and regs[30] == 0xFF            # lb, lbu
+    assert regs[31] == 0xFFFD and regs[11] == 0xFFFD0000          # lhu, lw
+    assert regs[12] == 0xFF                                       # sb + lw
+    assert machines["soa"].state_dict() == machines["interp"].state_dict()
+    assert snapshot(machines["soa"]) == snapshot(machines["interp"])
+
+
+@pytest.mark.parametrize("save_on,resume_on", [
+    ("soa", "interp"),
+    ("interp", "soa"),
+])
+def test_pending_local_events_resume_on_the_other_loop(save_on, resume_on):
+    """Pause where the queue holds a load_read, a load_done and a
+    store_write -- posted by the C issue path when *save_on* is the
+    production core -- and finish under the other loop's handlers."""
+    whole = _untraced(LOCAL_ACCESSES, "interp")
+    whole.run(max_cycles=10_000)
+
+    paused = {}
+    for backend in ("soa", "interp"):
+        machine = _untraced(LOCAL_ACCESSES, backend)
+        for cycle in range(1, whole.cycle):
+            machine.run(max_cycles=10_000, stop_at_cycle=cycle)
+            if {event[4] for event in machine._events} >= LOCAL_KINDS:
+                break
+        else:
+            pytest.fail("no cycle with all three kinds pending")
+        assert all(type(event) is tuple and type(event[5]) is tuple
+                   for event in machine._events)
+        paused[backend] = machine
+    assert paused["soa"].state_dict() == paused["interp"].state_dict()
+    assert snapshot(paused["soa"]) == snapshot(paused["interp"])
+
+    resumed = _untraced(LOCAL_ACCESSES, resume_on)
+    resumed.load_state_dict(paused[save_on].state_dict())
+    resumed.run(max_cycles=10_000)
+    assert resumed.state_dict() == whole.state_dict()
+    assert snapshot(resumed) == snapshot(whole)
+
+
+DEVICE_BASE = memmap.GLOBAL_BASE + memmap.IO_REQUEST_OFFSET
+
+#: what the private-bank path must *not* take: each is one access that
+#: the window hands to the Python schedule_load / schedule_store / handler
+SLOW_ACCESSES = {
+    "device": """
+main:
+    li   a0, %d
+poll:
+    lw   t1, 0(a0)
+    beqz t1, poll
+    lw   t2, 4(a0)
+    sw   t2, 12(a0)
+    ebreak
+""" % DEVICE_BASE,
+    "code_bank": """
+main:
+    lw   t1, 0(zero)
+    lw   t2, 4(zero)
+    ebreak
+""",
+    "local_out_of_range": """
+main:
+    li   a0, %d
+    lw   t1, 0(a0)
+    ebreak
+""" % (memmap.LOCAL_BASE + memmap.LOCAL_SIZE - 2),
+    "store_out_of_range": """
+main:
+    li   a0, %d
+    sw   a0, 0(a0)
+    ebreak
+""" % (memmap.GLOBAL_BASE + memmap.GLOBAL_BANK_SIZE - 1),
+    "unmapped": """
+main:
+    li   a0, 0x50000000
+    lw   t1, 0(a0)
+    ebreak
+""",
+    "remote_unmapped": """
+main:
+    li   a0, %d
+    sw   a0, 0(a0)
+    ebreak
+""" % (memmap.GLOBAL_BASE + 8 * memmap.GLOBAL_BANK_SIZE),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SLOW_ACCESSES))
+def test_accesses_the_native_path_declines_equal_the_reference(name):
+    outcomes = {}
+    for backend in ("soa", "interp"):
+        machine = _untraced(SLOW_ACCESSES[name], backend)
+        sensor = attach_input(machine, DEVICE_BASE,
+                              ScriptedInput([(40, 1234)]))
+        motor = attach_output(machine, DEVICE_BASE + 8, Actuator())
+        try:
+            machine.run(max_cycles=10_000)
+            error = None
+        except MachineError as exc:
+            error = str(exc)
+        state = machine.state_dict()
+        outcomes[backend] = (error, machine.cycle, sensor.consumed_at,
+                             motor.writes, state)
+    assert outcomes["soa"] == outcomes["interp"]
+    error = outcomes["soa"][0]
+    if name == "device":
+        assert error is None and outcomes["soa"][3][0][1] == 1234
+    elif name == "code_bank":
+        assert error is None
+        regs = outcomes["soa"][4]["cores"][0]["harts"][0]["regs"]
+        assert regs[6] != 0 and regs[7] != 0  # the program's own words
+    elif "out_of_range" in name:
+        assert "outside bank" in error
+    else:
+        assert "unmapped address" in error
+
+
+def test_untraced_sharded_run_equals_the_reference(golden):
+    """Two shard workers on the compiled path -- ``_owned`` is a set there,
+    so every native ``post`` takes the owned-or-outbox rule -- against the
+    unsharded reference, untraced."""
+    name = "matmul_tiled_h16_c4"
+    program, cores = _build(name)
+    runs = {}
+    for key, engine in (("sharded", {"shards": 2}),
+                        ("reference", {"backend": "interp"})):
+        machine = LBP(Params(num_cores=cores), **engine).load(program)
+        stats = machine.run(max_cycles=MAX_CYCLES)
+        assert stats.cycles == golden[name]["cycles"]
+        assert stats.retired == golden[name]["retired"]
+        assert stats.local_accesses == golden[name]["local"]
+        runs[key] = machine.state_dict()
+    assert runs["sharded"] == runs["reference"]
