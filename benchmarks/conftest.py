@@ -123,7 +123,6 @@ _WORKLOAD_BY_NAME = (
     ("overhead", "matmul"),
     ("cache_sweep", "matmul"),
     ("shard", "matmul"),
-    ("shm_transport", "matmul"),
     ("pipeline", "alu_micro"),
 )
 
@@ -133,16 +132,6 @@ def _infer_workload(experiment):
         if needle in experiment:
             return workload
     return "unknown"
-
-
-def _sharded_transport():
-    """The epoch transport a sharded run resolves on this host/env."""
-    try:
-        from repro.parsim import choose_transport
-
-        return choose_transport()
-    except Exception:
-        return None
 
 
 def _record_perf(experiment, wall, result, jobs=None, extra=None):
@@ -188,10 +177,6 @@ def _record_perf(experiment, wall, result, jobs=None, extra=None):
         entry["jobs"] = jobs
     if extra:
         entry.update(extra)
-    if entry.get("shards") not in (None, 0, 1):
-        # sharded rows name their epoch transport so the perf trajectory
-        # stays attributable across the pipe -> shm transition
-        entry.setdefault("transport", _sharded_transport())
     try:
         with open(_PERF_PATH) as handle:
             data = json.load(handle)

@@ -41,27 +41,20 @@ from repro.machine.trace import Trace
 
 
 def _shards(text):
-    """``--shards`` argument: a worker count, or ``auto`` to let the
-    traffic-driven calibration pick one (see repro.parsim.autotune)."""
-    if text == "auto":
-        return "auto"
+    """``--shards`` argument: a positive worker count."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(
+            "%r is not a positive integer" % (text,))
     return int(text)
 
 
 def _print_shard_telemetry(machine):
-    """One line each for the auto-tune decision and the transport used."""
-    decision = getattr(machine, "auto_decision", None)
-    if decision:
-        print("shards   : auto -> %d (%s%s)"
-              % (decision["shards"], decision["source"],
-                 ", %d candidates" % len(decision["candidates"])
-                 if decision.get("source") == "calibration" else ""))
+    """One wall-clock line for a sharded run's epoch schedule."""
     stats = getattr(machine, "transport_stats", None)
     if stats:
-        print("transport: %s  epochs %d (ff %d, %d cycles skipped)  "
-              "epoch_wait %.3fs"
-              % (stats["transport"], stats["epochs"], stats["ff_epochs"],
-                 stats["ff_cycles"], stats["epoch_wait_s"]))
+        print("epochs   : %d (ff %d, %d cycles skipped)  epoch_wait %.3f s"
+              % (stats["epochs"], stats["ff_epochs"], stats["ff_cycles"],
+                 stats["epoch_wait_s"]))
 
 
 def _read_source(path):
@@ -164,10 +157,9 @@ def cmd_run(args):
 
         print("tick      : %s (%s)" % native.status())
     if args.profile and hasattr(machine, "profile_shard_zero"):
-        # a sharded façade (whatever its count: --shards auto resolves
-        # it inside run): the simulation happens in the worker processes,
-        # so a parent-side cProfile would see only pipe reads — profile
-        # the representative shard 0 instead
+        # a sharded façade: the simulation happens in the worker
+        # processes, so a parent-side cProfile would see only pipe reads
+        # — profile the representative shard 0 instead
         machine.profile_shard_zero = True
         print("profiling : shard 0 of the sharded run (this process when "
               "the run resolves to one shard); other shards run unprofiled")
@@ -380,20 +372,7 @@ def cmd_experiments(args):
     # sharding changes only wall time, never results — keep it out of the
     # task arguments (and thus the cache key) unless actually requested
     extra = {}
-    auto_decision = None
-    if args.shards == "auto":
-        # calibrate once, in the parent, on the figure's base version —
-        # every task then runs with the same concrete shard count, and
-        # the decision lands on ExperimentResults.meta for the record
-        from repro.eval.figures import calibrate_shards
-
-        shards, auto_decision = calibrate_shards(
-            args.h, args.cores, scale=args.scale)
-        print("shards   : auto -> %d (%s)"
-              % (shards, auto_decision["source"]), file=sys.stderr)
-        if shards != 1:
-            extra["shards"] = shards
-    elif args.shards is not None and args.shards != 1:
+    if args.shards is not None and args.shards != 1:
         extra["shards"] = args.shards
     if args.metrics:
         # metrics change the row (it grows a stall breakdown), so they
@@ -405,14 +384,6 @@ def cmd_experiments(args):
         for version in MATMUL_VERSIONS
     ]
     rows = run_experiments(tasks, jobs=args.jobs, cache=cache)
-    if auto_decision is not None:
-        rows.meta["auto_shards"] = auto_decision
-    if extra.get("shards"):
-        # which epoch data plane the sharded tasks ran on (meta only —
-        # result rows stay byte-identical across transports)
-        from repro.parsim import choose_transport
-
-        rows.meta["shard_transport"] = choose_transport()
     print(format_rows(
         rows,
         title="matmul figure — h=%d, %d cores, scale=1/%d, %s sim"
@@ -604,7 +575,7 @@ def main(argv=None):
     p_run.add_argument("--shards", type=_shards, default=None, metavar="N",
                        help="space-shard the cycle simulator across N worker "
                             "processes (bit-identical results; 1 = "
-                            "in-process; 'auto' calibrates a count)")
+                            "in-process)")
     p_run.add_argument("--sim", choices=("cycle", "fast"), default="cycle")
     p_run.add_argument("--max-cycles", type=int, default=200_000_000)
     p_run.add_argument("--trace", action="store_true")
@@ -652,7 +623,7 @@ def main(argv=None):
     p_obs.add_argument("--cores", type=int, default=4)
     p_obs.add_argument("--shards", type=_shards, default=None, metavar="N",
                        help="space-shard the metered run (reports are "
-                            "byte-identical for any N; 'auto' calibrates)")
+                            "byte-identical for any N)")
     p_obs.add_argument("--max-cycles", type=int, default=200_000_000)
     p_obs.add_argument("--metrics-interval", type=int, default=4096,
                        metavar="K", help="sampling window, in cycles")
@@ -681,8 +652,7 @@ def main(argv=None):
     p_check.add_argument("--cores", type=int, default=4)
     p_check.add_argument("--shards", type=_shards, default=None, metavar="N",
                          help="space-shard the sanitized run (the merged "
-                              "report is byte-identical for any N; 'auto' "
-                              "calibrates)")
+                              "report is byte-identical for any N)")
     p_check.add_argument("--max-cycles", type=int, default=200_000_000)
     p_check.add_argument("--sync", metavar="SYM[:WORDS],...",
                          help="treat these globals as synchronization "
@@ -703,8 +673,7 @@ def main(argv=None):
     p_exp.add_argument("--sim", choices=("cycle", "fast"), default="cycle")
     p_exp.add_argument("--shards", type=_shards, default=None, metavar="N",
                        help="space-shard each cycle simulation across N "
-                            "worker processes (results are bit-identical; "
-                            "'auto' calibrates once on the base version)")
+                            "worker processes (results are bit-identical)")
     p_exp.add_argument("--jobs", type=int, default=None,
                        help="worker processes (default: LBP_JOBS or the "
                             "CPU affinity count)")

@@ -10,7 +10,6 @@ processes with a deterministic task-order merge.
 """
 
 from repro.eval.figures import (
-    calibrate_shards,
     format_rows,
     run_matmul_experiment,
     run_matmul_figure,
@@ -23,7 +22,6 @@ __all__ = [
     "PAPER_FIG19",
     "PAPER_FIG20",
     "PAPER_FIG21",
-    "calibrate_shards",
     "default_jobs",
     "format_rows",
     "run_experiments",

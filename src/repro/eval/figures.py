@@ -54,22 +54,6 @@ def run_matmul_experiment(version, h, num_cores, scale=1, simulator="cycle",
     return row
 
 
-def calibrate_shards(h, num_cores, scale=1, version="base"):
-    """Resolve ``shards="auto"`` for a figure sweep: ``(shards, decision)``.
-
-    Runs the traffic-driven calibration (:mod:`repro.parsim.autotune`)
-    once on the figure's *version* workload so every task of the sweep
-    shares one concrete shard count — the sweep's cache keys stay stable
-    and the decision can be recorded on ``ExperimentResults.meta``.
-    """
-    from repro.parsim.autotune import choose_shards
-
-    program = compile_to_program(
-        matmul_source(version, h, scale=scale), "matmul_%s.c" % version)
-    machine = LBP(Params(num_cores=num_cores)).load(program)
-    return choose_shards(machine)
-
-
 def run_matmul_figure(h, num_cores, scale=1, simulator="cycle",
                       versions=MATMUL_VERSIONS):
     """All versions of one figure; returns {version: row}."""

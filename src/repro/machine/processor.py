@@ -408,6 +408,15 @@ def resolve_backend(backend):
     return backend
 
 
+def check_shards(shards):
+    """``shards`` is None (in-process) or a positive ``int`` — not a
+    bool, float or string that compares equal to one."""
+    if shards is not None and (type(shards) is not int or shards < 1):
+        raise ValueError(
+            "shards must be a positive integer, got %r" % (shards,))
+    return shards
+
+
 class LBP:
     """One simulated LBP processor instance.
 
@@ -423,7 +432,7 @@ class LBP:
 
     def __new__(cls, params=None, trace=None, shards=None, sanitize=False,
                 metrics=None, backend=None):
-        if cls is LBP and shards is not None and shards != 1:
+        if cls is LBP and check_shards(shards) not in (None, 1):
             from repro.parsim import ShardedLBP
 
             return ShardedLBP(params, trace=trace, shards=shards,

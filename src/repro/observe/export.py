@@ -120,33 +120,29 @@ def stall_table(report):
 
 
 def transport_table(transport_stats):
-    """The sharded run's epoch/transport counters as text lines.
+    """The sharded run's epoch counters as text lines.
 
     *transport_stats* is ``ShardedLBP.transport_stats`` — the one piece
     of telemetry that deliberately lives OUTSIDE the deterministic
     report: ``epoch_wait`` is wall-clock time the workers spent blocked
-    on the epoch barrier (ring spin or pipe read), so it varies run to
-    run while the metrics report must stay byte-identical for any shard
-    count.  Returns ``[]`` for an in-process (unsharded) run — whether
-    that is a missing stats object (plain ``LBP``) or the zeroed
-    same-schema object degenerate ``shards=1`` runs now publish.
+    on the epoch barrier, so it varies run to run while the metrics
+    report must stay byte-identical for any shard count.  Returns ``[]``
+    for an in-process (unsharded) run — whether that is a missing stats
+    object (plain ``LBP``) or the zeroed same-schema object degenerate
+    ``shards=1`` runs publish.
     """
     if not transport_stats or not transport_stats.get("per_shard"):
         return []
     lines = [
-        "epoch transport: %s, %d shards, %d epochs (%d fast-forwarded, "
+        "epochs: %d shards, %d epochs (%d fast-forwarded, "
         "%d cycles skipped)"
-        % (transport_stats["transport"], transport_stats["shards"],
-           transport_stats["epochs"], transport_stats["ff_epochs"],
-           transport_stats["ff_cycles"]),
-        "  %-8s %12s %10s %10s" % ("shard", "epoch_wait", "send_wait",
-                                   "recv_wait"),
+        % (transport_stats["shards"], transport_stats["epochs"],
+           transport_stats["ff_epochs"], transport_stats["ff_cycles"]),
+        "  %-8s %12s" % ("shard", "epoch_wait"),
     ]
     for shard in transport_stats["per_shard"]:
-        lines.append("  %-8d %11.3fs %9.3fs %9.3fs"
-                     % (shard["shard"], shard["epoch_wait_s"],
-                        shard.get("send_wait_s", 0.0),
-                        shard.get("recv_wait_s", 0.0)))
+        lines.append("  %-8d %11.3fs"
+                     % (shard["shard"], shard["epoch_wait_s"]))
     return lines
 
 

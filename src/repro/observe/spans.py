@@ -31,8 +31,8 @@ PR 5 core timelines and service spans share one Perfetto axis) uses a
 
 The flight recorder is the crash half: a per-process ring of the last N
 structured events that costs nothing until something dies, then spills
-to a ``.jsonl`` dump so a SIGKILLed worker fleet or a fabricated-read
-style war story (DESIGN.md §12) is debuggable post-mortem.
+to a ``.jsonl`` dump so a SIGKILLed worker fleet is debuggable
+post-mortem.
 """
 
 import collections

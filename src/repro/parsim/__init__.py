@@ -5,32 +5,13 @@ shards=N)`` — partitions the machine's core line into N contiguous
 shards and simulates each shard in its own forked worker process, while
 producing *bit-identical* results to the single-process engine: the same
 merged event order, the same trace lines, the same statistics, and the
-same golden digests.  ``shards="auto"`` lets a traffic-driven calibration
-pick the count (:mod:`repro.parsim.autotune`).
-
-The epoch data plane rides shared-memory seqlock rings
-(:mod:`repro.parsim.rings`) when the host supports them, falling back to
-the original pipe transport automatically; ``LBP_SHARD_TRANSPORT``
-(``auto``/``shm``/``pipe``) or ``ShardedLBP(transport=...)`` forces a
-choice.  Both transports are bit-identical by construction.  See
-:mod:`repro.parsim.engine` for the epoch protocol and DESIGN.md
-("Space-sharded cycle-accurate engine", "Making sharding win") for the
-determinism argument.
+same golden digests.  It is the multi-process reference for the claim
+that a run is the same run however it is placed, not a speed-up: it is
+slower than the in-process engine on every host measured
+(EXPERIMENTS.md P5).  See :mod:`repro.parsim.engine` for the epoch
+protocol and DESIGN.md §7 for the determinism argument.
 """
 
-from repro.parsim.engine import (
-    EPOCH_WIDTH,
-    ShardedLBP,
-    choose_transport,
-    partition_cores,
-)
-from repro.parsim.rings import RingMesh, shm_available
+from repro.parsim.engine import EPOCH_WIDTH, ShardedLBP, partition_cores
 
-__all__ = [
-    "EPOCH_WIDTH",
-    "RingMesh",
-    "ShardedLBP",
-    "choose_transport",
-    "partition_cores",
-    "shm_available",
-]
+__all__ = ["EPOCH_WIDTH", "ShardedLBP", "partition_cores"]

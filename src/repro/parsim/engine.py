@@ -38,14 +38,10 @@ Message batch format (one frame per peer per barrier)::
               outbox_count, retired, seq_sum, horizon)
     events = [(cycle, origin, oseq, dst, kind, args), ...]
 
-frames are ``marshal`` payloads; the epoch's events ship as the raw heap
-tuples in one payload per (peer, epoch) — ``marshal`` round-trips nested
-tuples exactly, so the receiver pushes them onto its heap without any
-per-message re-encoding.  The payload travels over a seqlock'd
-shared-memory ring per directed shard pair (:mod:`repro.parsim.rings`)
-when the host supports ``multiprocessing.shared_memory``, or behind a
-4-byte big-endian length on the mesh pipe otherwise; the pipes always
-stay open for control, oversize-frame spill and fallback.
+frames are ``marshal`` payloads behind a 4-byte big-endian length on the
+mesh pipe; the epoch's events ship as the raw heap tuples in one payload
+per (peer, epoch) — ``marshal`` round-trips nested tuples exactly, so the
+receiver pushes them onto its heap without any per-message re-encoding.
 
 Epoch fast-forward: each status publishes a *horizon* — the earliest
 cycle at which any cross-shard event that shard might emit could land
@@ -83,8 +79,8 @@ from repro.machine.processor import (
     DeadlockError,
     LBP,
     MachineError,
+    check_shards,
 )
-from repro.parsim.rings import RingMesh, shm_available
 
 #: conservative lookahead, in cycles: the minimum latency of any
 #: cross-core interaction (see the module docstring for the derivation).
@@ -100,32 +96,8 @@ _PROGRESS_PERIOD = 4096
 _FRAME = struct.Struct(">I")
 
 
-def choose_transport(requested=None):
-    """Resolve the epoch data-plane transport: ``"shm"`` or ``"pipe"``.
-
-    *requested* (or the ``LBP_SHARD_TRANSPORT`` environment variable)
-    may be ``"auto"`` (default: shared memory when the host supports it
-    *and* has more than one usable CPU — ring spin-waits on a single CPU
-    only burn the quantum the writer needs), ``"shm"`` (fail loudly when
-    unsupported — used by CI to keep the matrix honest) or ``"pipe"``.
-    """
-    mode = requested or os.environ.get("LBP_SHARD_TRANSPORT") or "auto"
-    if mode not in ("auto", "shm", "pipe"):
-        raise ValueError(
-            "transport must be 'auto', 'shm' or 'pipe', got %r" % (mode,))
-    if mode == "pipe":
-        return "pipe"
-    if shm_available():
-        if mode == "auto":
-            from repro.parsim.autotune import usable_cpus
-
-            if usable_cpus() <= 1:
-                return "pipe"
-        return "shm"
-    if mode == "shm":
-        raise MachineError(
-            "shm transport requested but multiprocessing.shared_memory "
-            "is unavailable on this host")
+def choose_transport():
+    # the pipe mesh is the only transport; bench/run.py's context line asks
     return "pipe"
 
 
@@ -178,13 +150,9 @@ def _read_exact(fd, size):
     return b"".join(chunks)
 
 
-def _recv_blob(fd):
-    (size,) = _FRAME.unpack(_read_exact(fd, _FRAME.size))
-    return _read_exact(fd, size)
-
-
 def _recv(fd):
-    return marshal.loads(_recv_blob(fd))
+    (size,) = _FRAME.unpack(_read_exact(fd, _FRAME.size))
+    return marshal.loads(_read_exact(fd, size))
 
 
 # ---- worker ------------------------------------------------------------------
@@ -194,7 +162,7 @@ class _Worker:
     """One shard's run loop (executes in the forked child)."""
 
     def __init__(self, machine, shard, bounds, peer_send, peer_recv,
-                 to_parent, from_parent, mesh=None, span_ctx=None):
+                 to_parent, from_parent, span_ctx=None):
         self.machine = machine
         self.shard = shard
         self.bounds = bounds
@@ -219,23 +187,6 @@ class _Worker:
         #: epoch may widen to it.  None until the first merge (and when
         #: nothing anywhere bounds the future: all-idle, empty heaps).
         self.ff_barrier = None
-        # shared-memory data plane (None -> the pipe transport)
-        if mesh is not None:
-            self.transport = "shm"
-            self.ring_send = {p: mesh.writer(shard, p) for p in self.peers}
-            self.ring_recv = {p: mesh.reader(p, shard) for p in self.peers}
-            # oversize frames spill over the retained mesh pipes
-            self._spill_out = {
-                p: (lambda blob, fd=peer_send[p]: _send_blob(fd, blob))
-                for p in self.peers}
-            self._spill_in = {
-                p: (lambda fd=peer_recv[p]: _recv_blob(fd))
-                for p in self.peers}
-        else:
-            self.transport = "pipe"
-            self.ring_send = None
-            self.ring_recv = None
-        self._ppid = os.getppid()
         # transport/scheduling telemetry (wall-clock; lives outside the
         # deterministic machine state — see ShardedLBP.transport_stats)
         self.epochs = 0
@@ -253,11 +204,6 @@ class _Worker:
             self.spans = SpanRecorder()
         else:
             self.spans = None
-
-    def _poll(self):
-        """Ring-wait escape hatch: die if the coordinator is gone."""
-        if os.getppid() != self._ppid:
-            raise EOFError("coordinator died while worker waited on a ring")
 
     # -- pieces ---------------------------------------------------------------
 
@@ -284,7 +230,6 @@ class _Worker:
         status = self._status(cycle, outbox)
         statuses = [None] * len(self.bounds)
         statuses[self.shard] = status
-        rings = self.ring_send
         # the no-traffic frame is identical for every peer: marshal once
         empty = None
         for peer in self.peers:
@@ -301,25 +246,15 @@ class _Worker:
                 if empty is None:
                     empty = marshal.dumps((status, []))
                 blob = empty
-            if rings is not None:
-                rings[peer].push(blob, spill=self._spill_out[peer],
-                                 poll=self._poll)
-            else:
-                _send_blob(self.peer_send[peer], blob)
+            _send_blob(self.peer_send[peer], blob)
         if spans is not None:
             send_span.finish(events=len(outbox))
             recv_span = spans.start("epoch_recv", parent=wait_span,
                                     tags={"shard": self.shard})
         events = machine._events
         heappush = heapq.heappush
-        rings = self.ring_recv
         for peer in self.peers:
-            if rings is not None:
-                peer_status, batch = marshal.loads(
-                    rings[peer].pop(spill=self._spill_in[peer],
-                                    poll=self._poll))
-            else:
-                peer_status, batch = _recv(self.peer_recv[peer])
+            peer_status, batch = _recv(self.peer_recv[peer])
             statuses[peer] = peer_status
             for event in batch:
                 heappush(events, event)
@@ -429,24 +364,16 @@ class _Worker:
         Deliberately *not* part of any machine state or report: wall
         times are nondeterministic, and the deterministic surfaces
         (stats, metrics reports, snapshots) must stay byte-identical
-        across shard counts and transports.  This rides the final gather
-        frame only, surfacing as ``ShardedLBP.transport_stats``.
+        across shard counts.  This rides the final gather frame only,
+        surfacing as ``ShardedLBP.transport_stats``.
         """
-        stats = {
+        return {
             "shard": self.shard,
-            "transport": self.transport,
             "epochs": self.epochs,
             "ff_epochs": self.ff_epochs,
             "ff_cycles": self.ff_cycles,
             "epoch_wait_s": round(self.epoch_wait_s, 6),
         }
-        if self.ring_send is not None:
-            stats["spills"] = sum(w.spills for w in self.ring_send.values())
-            stats["send_wait_s"] = round(
-                sum(w.wait_s for w in self.ring_send.values()), 6)
-            stats["recv_wait_s"] = round(
-                sum(r.wait_s for r in self.ring_recv.values()), 6)
-        return stats
 
     def _gather_payload(self, cycle):
         machine = self.machine
@@ -578,10 +505,9 @@ class _Worker:
 
 
 def _worker_main(machine, shard, bounds, peer_send, peer_recv,
-                 to_parent, from_parent, run_kwargs, profile, mesh=None,
-                 span_ctx=None):
+                 to_parent, from_parent, run_kwargs, profile, span_ctx=None):
     worker = _Worker(machine, shard, bounds, peer_send, peer_recv,
-                     to_parent, from_parent, mesh=mesh, span_ctx=span_ctx)
+                     to_parent, from_parent, span_ctx=span_ctx)
     worker.run(profile=profile, **run_kwargs)
 
 
@@ -618,7 +544,6 @@ def zeroed_transport_stats():
     unconditionally instead of guarding on existence.
     """
     return {
-        "transport": None,
         "shards": 1,
         "epoch_wait_s": 0.0,
         "epochs": 0,
@@ -638,31 +563,17 @@ class ShardedLBP:
     """
 
     def __init__(self, params=None, trace=None, shards=None, master=None,
-                 sanitize=False, metrics=None, backend=None, transport=None):
+                 sanitize=False, metrics=None, backend=None):
+        if shards is None:
+            raise ValueError("ShardedLBP requires an explicit shard count")
+        check_shards(shards)
         if master is not None:
             self.master = master
         else:
             self.master = LBP(params, trace=trace, sanitize=sanitize,
                               metrics=metrics, backend=backend)
-        if shards is None:
-            raise ValueError("ShardedLBP requires an explicit shard count")
-        if shards == "auto":
-            #: resolved lazily at the first run() — the auto-tuner wants
-            #: the loaded program (and any resumed state) to calibrate on
-            self.shards = "auto"
-        else:
-            requested = int(shards)
-            if requested < 1:
-                raise ValueError("shards must be >= 1, got %d" % requested)
-            #: effective shard count: never more than one core per shard
-            self.shards = min(requested, self.master.params.num_cores)
-        #: epoch data plane: None/"auto" (shm when available), "shm",
-        #: "pipe" — see :func:`choose_transport`
-        self.transport = transport
-        #: the auto-tuner's decision record, set when shards == "auto"
-        #: resolves (also surfaced through ExperimentResults.meta by the
-        #: experiments CLI)
-        self.auto_decision = None
+        #: effective shard count: never more than one core per shard
+        self.shards = min(shards, self.master.params.num_cores)
         #: per-shard wall-clock transport/scheduling telemetry from the
         #: last sharded run (nondeterministic by nature, so it lives
         #: here, outside every deterministic surface)
@@ -707,11 +618,6 @@ class ShardedLBP:
     def run(self, max_cycles=None, stop_at_cycle=None,
             snapshot_every=None, snapshot_callback=None):
         master = self.master
-        if self.shards == "auto":
-            from repro.parsim.autotune import choose_shards
-
-            self.shards, self.auto_decision = choose_shards(
-                master, max_cycles=max_cycles)
         if (self.shards <= 1
                 or master.halted
                 or (stop_at_cycle is not None
@@ -746,8 +652,6 @@ class _Coordinator:
         self.pids = []
         self.up = {}      # shard -> read fd (worker -> parent)
         self.down = {}    # shard -> write fd (parent -> worker)
-        self.mesh = None  # shm ring segment (None under the pipe transport)
-        self.transport = choose_transport(sharded.transport)
         self.span_ctx = sharded.span_ctx
         self._spans = None
         self._span = None
@@ -771,20 +675,15 @@ class _Coordinator:
         if self._spans is not None:
             self._span = self._spans.start(
                 "shard_coordinate", parent=tuple(self.span_ctx),
-                tags={"shards": shards, "transport": self.transport})
+                tags={"shards": shards})
 
-        # full mesh: mesh[i][j] = (read, write) pipe carrying i -> j.
-        # Under the shm transport the pipes stay open as the control and
-        # spill channel; the epoch data plane moves to the ring segment,
-        # created here so the forked children inherit the mapping.
+        # full mesh: mesh[i][j] = (read, write) pipe carrying i -> j
         mesh = {
             i: {j: os.pipe() for j in range(shards) if j != i}
             for i in range(shards)
         }
         parent_up = {s: os.pipe() for s in range(shards)}
         parent_down = {s: os.pipe() for s in range(shards)}
-        if self.transport == "shm":
-            self.mesh = RingMesh(shards)
 
         try:
             for shard in range(shards):
@@ -849,7 +748,7 @@ class _Coordinator:
             span_ctx = self._span.ctx if self._span is not None else None
             _worker_main(self.master, shard, self.bounds, peer_send,
                          peer_recv, to_parent, from_parent, run_kwargs,
-                         profile, mesh=self.mesh, span_ctx=span_ctx)
+                         profile, span_ctx=span_ctx)
             status = 0
         except BaseException:
             import traceback
@@ -875,11 +774,9 @@ class _Coordinator:
 
         ``select()`` across the up-pipes rather than reading them in
         shard order: a crashed worker must be noticed even while its
-        peers are stuck mid-epoch (under the shm transport a surviving
-        peer spins on a ring slot that will never be filled, so it
-        neither crashes nor closes its pipe).  On the first crash frame
-        (or EOF) every worker is killed, which unblocks the spinners,
-        before the failure is raised to the caller.
+        peers are stuck mid-epoch.  On the first crash frame (or EOF)
+        every worker is killed before the failure is raised to the
+        caller.
         """
         frames = {}
         pending = dict(self.up)
@@ -895,8 +792,7 @@ class _Coordinator:
                     from repro.observe.spans import flight, flight_dir
 
                     flight().note("crash_frame", shard=frame[1],
-                                  shards=len(self.bounds),
-                                  transport=self.transport)
+                                  shards=len(self.bounds))
                     flight().spill(
                         flight_dir(),
                         "shard crash frame (shard=%r)" % (frame[1],))
@@ -949,7 +845,6 @@ class _Coordinator:
             self.sharded.span_records = records
         if shard_stats:
             self.sharded.transport_stats = {
-                "transport": self.transport,
                 "shards": len(self.bounds),
                 "epoch_wait_s": round(
                     sum(s["epoch_wait_s"] for s in shard_stats), 6),
@@ -1001,10 +896,6 @@ class _Coordinator:
         raise MachineError("unknown sharded outcome %r" % (outcome,))
 
     def _cleanup(self):
-        if self.mesh is not None:
-            self.mesh.close()
-            self.mesh.unlink()
-            self.mesh = None
         for fd in list(self.up.values()) + list(self.down.values()):
             try:
                 os.close(fd)

@@ -13,7 +13,10 @@ These tests pin that contract against the golden workloads of
 
 import json
 import os
+import signal
 import sys
+import threading
+import time
 
 import pytest
 
@@ -151,42 +154,6 @@ def test_error_and_deadlock_parity(source, exc):
     assert outcomes[None] == outcomes[2]
 
 
-def _transports():
-    """The transports this host can exercise (pipe always; shm when real)."""
-    from repro.parsim import shm_available
-
-    return ("pipe", "shm") if shm_available() else ("pipe",)
-
-
-@pytest.mark.parametrize("shards", [1, 2, 4])
-def test_shm_and_pipe_transports_are_byte_identical(shards):
-    """Same digest, stats and snapshot bytes under both transports.
-
-    This is the transport half of the acceptance bar: the epoch data
-    plane (pipe frames vs shared-memory rings) must be invisible to
-    every observable — including events that land *exactly at* a
-    published fast-forward horizon, which both transports must merge at
-    the same barrier.
-    """
-    results = {}
-    for transport in _transports():
-        machine, _ = _setget_machine(shards=shards)
-        if shards != 1:
-            machine.transport = transport
-        machine.run(max_cycles=MAX_CYCLES)
-        results[transport] = (trace_digest(machine.trace.events),
-                             machine.stats.state_dict(),
-                             snapshot(machine))
-        verify_setget(machine, 16, 64)
-    reference, _ = _setget_machine()
-    reference.run(max_cycles=MAX_CYCLES)
-    want = (trace_digest(reference.trace.events),
-            reference.stats.state_dict(), snapshot(reference))
-    for transport, got in results.items():
-        assert got == want, "transport %r diverged at shards=%d" % (
-            transport, shards)
-
-
 def test_fast_forward_engages_and_is_invisible():
     """The widened epochs actually fire and change nothing observable.
 
@@ -198,21 +165,17 @@ def test_fast_forward_engages_and_is_invisible():
     posted at the last cycle before a horizon merges at the widened
     barrier exactly where the sequential engine handles it.
     """
-    engaged = {}
-    for transport in _transports():
-        machine, _ = _setget_machine(shards=2)
-        machine.transport = transport
-        machine.run(max_cycles=MAX_CYCLES)
-        stats = machine.transport_stats
-        assert stats["transport"] == transport
-        assert stats["epochs"] > 0
-        engaged[transport] = (stats["ff_epochs"], stats["ff_cycles"])
-        assert stats["ff_epochs"] >= 1, (
-            "fast-forward never engaged under %s" % transport)
-        assert stats["ff_cycles"] >= stats["ff_epochs"]
-    # the schedule (and therefore the widening opportunities) is
-    # deterministic: both transports widen the same epochs
-    assert len(set(engaged.values())) == 1, engaged
+    machine, _ = _setget_machine(shards=2)
+    machine.run(max_cycles=MAX_CYCLES)
+    stats = machine.transport_stats
+    assert stats["epochs"] > 0
+    assert stats["ff_epochs"] >= 1, "fast-forward never engaged"
+    assert stats["ff_cycles"] >= stats["ff_epochs"]
+    reference, _ = _setget_machine()
+    reference.run(max_cycles=MAX_CYCLES)
+    assert (trace_digest(machine.trace.events)
+            == trace_digest(reference.trace.events))
+    assert snapshot(machine) == snapshot(reference)
 
 
 def test_stop_at_cycle_lands_exactly_despite_fast_forward():
@@ -225,64 +188,36 @@ def test_stop_at_cycle_lands_exactly_despite_fast_forward():
     reference, _ = _setget_machine()
     reference.run(max_cycles=MAX_CYCLES)
     halt_cycle = reference.cycle
-    for transport in _transports():
-        # the machine's final cycles drain through the quiet window
-        # where widening fires — stop just short of the halt
-        for stop in (halt_cycle - 1, halt_cycle - 3):
-            seq, _ = _setget_machine()
-            seq.run(max_cycles=MAX_CYCLES, stop_at_cycle=stop)
-            shd, _ = _setget_machine(shards=2)
-            shd.transport = transport
-            shd.run(max_cycles=MAX_CYCLES, stop_at_cycle=stop)
-            assert shd.cycle == seq.cycle == stop
-            assert snapshot(shd) == snapshot(seq)
+    # the machine's final cycles drain through the quiet window where
+    # widening fires — stop just short of the halt
+    for stop in (halt_cycle - 1, halt_cycle - 3):
+        seq, _ = _setget_machine()
+        seq.run(max_cycles=MAX_CYCLES, stop_at_cycle=stop)
+        shd, _ = _setget_machine(shards=2)
+        shd.run(max_cycles=MAX_CYCLES, stop_at_cycle=stop)
+        assert shd.cycle == seq.cycle == stop
+        assert snapshot(shd) == snapshot(seq)
 
 
-def test_snapshot_cadence_unchanged_by_transport():
+def test_snapshot_cadence_unchanged_by_shard_count():
     """Periodic snapshot barriers land mid-run (including inside quiet
-    windows) at identical cycles with identical bytes on every
-    transport and shard count."""
+    windows) at identical cycles with identical bytes on every shard
+    count."""
     want = None
-    for transport in _transports():
-        for shards in (None, 2, 4):
-            machine, _ = _setget_machine(shards=shards)
-            if shards is not None:
-                machine.transport = transport
-            taken = []
+    for shards in (None, 2, 4):
+        machine, _ = _setget_machine(shards=shards)
+        taken = []
 
-            def take(m, taken=taken):
-                taken.append((m.cycle, snapshot(m)))
+        def take(m, taken=taken):
+            taken.append((m.cycle, snapshot(m)))
 
-            machine.run(max_cycles=MAX_CYCLES, snapshot_every=1777,
-                        snapshot_callback=take)
-            assert taken, "no snapshots fired"
-            if want is None:
-                want = taken
-            else:
-                assert taken == want, (transport, shards)
-
-
-def test_resume_across_transports_and_shard_counts():
-    """Pause under one transport, resume under the other (and a
-    different shard count): still bit-identical to the sequential run."""
-    transports = _transports()
-    if len(transports) < 2:
-        pytest.skip("host has no usable shared memory")
-    reference, _ = _setget_machine()
-    reference.run(max_cycles=MAX_CYCLES)
-    want_digest = trace_digest(reference.trace.events)
-    want_state = reference.state_dict()
-
-    paused, _ = _setget_machine(shards=2)
-    paused.transport = "pipe"
-    paused.run(max_cycles=MAX_CYCLES, stop_at_cycle=5000)
-    blob = snapshot(paused)
-
-    resumed = ShardedLBP(shards=4, master=restore(blob), transport="shm")
-    resumed.run(max_cycles=MAX_CYCLES)
-    assert trace_digest(resumed.trace.events) == want_digest
-    assert resumed.state_dict() == want_state
-    assert resumed.transport_stats["transport"] == "shm"
+        machine.run(max_cycles=MAX_CYCLES, snapshot_every=1777,
+                    snapshot_callback=take)
+        assert taken, "no snapshots fired"
+        if want is None:
+            want = taken
+        else:
+            assert taken == want, shards
 
 
 DELAYED_ERROR_PROGRAM = """
@@ -296,21 +231,14 @@ spin:
 """
 
 
-@pytest.mark.parametrize("transport", ["pipe", "shm"])
-def test_error_election_with_idle_unbounded_peers(transport):
+def test_error_election_with_idle_unbounded_peers():
     """An error raised while every other shard is idle with *unbounded*
     horizons (no heap events, no outbox) elects symmetrically at the
     sequential cycle — the ``None`` horizons must not widen past the
     erroring shard's barrier."""
-    from repro.parsim import shm_available
-
-    if transport == "shm" and not shm_available():
-        pytest.skip("host has no usable shared memory")
     outcomes = {}
     for shards in (None, 2, 4):
         machine = LBP(Params(num_cores=4), shards=shards)
-        if shards is not None:
-            machine.transport = transport
         machine.load(assemble(DELAYED_ERROR_PROGRAM))
         with pytest.raises(MachineError) as err:
             machine.run(max_cycles=MAX_CYCLES)
@@ -322,6 +250,79 @@ def test_shard_count_coerced_to_core_count():
     machine, _ = _setget_machine(shards=64)
     assert isinstance(machine, ShardedLBP)
     assert machine.shards == 4  # never more than one core per shard
+
+
+@pytest.mark.parametrize("bad", [0, -3, 2.7, 1.0, "2", "auto", True])
+@pytest.mark.parametrize("build", [LBP, ShardedLBP])
+def test_shard_count_is_validated_not_coerced(build, bad):
+    """A float, a string or a bool is not a shard count, even one that
+    compares equal to 1 and would route to the in-process machine."""
+    with pytest.raises(ValueError, match="positive integer"):
+        build(Params(num_cores=4), shards=bad)
+
+
+def _child_pids():
+    """Pids of this process's children, zombies included (from /proc)."""
+    own = os.getpid()
+    found = set()
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open("/proc/%s/stat" % entry) as handle:
+                # the command, in parentheses, may hold spaces
+                fields = handle.read().rsplit(")", 1)[1].split()
+        except OSError:  # gone since the listing
+            continue
+        if int(fields[1]) == own:
+            found.add(int(entry))
+    return found
+
+
+SPIN_PROGRAM = """
+main:
+    li   t0, 0x7fffffff
+spin:
+    addi t0, t0, -1
+    bne  t0, zero, spin
+    ebreak
+"""
+
+
+def test_killed_worker_is_a_typed_clean_failure():
+    """SIGKILL one shard worker mid-run: the run ends in MachineError
+    promptly, leaves no child process and no open fd behind, and the next
+    sharded run in this process is correct."""
+    children = _child_pids()
+    open_fds = len(os.listdir("/proc/self/fd"))
+    killed_at = []
+
+    def kill_one_worker():
+        os.kill(max(_child_pids() - children), signal.SIGKILL)
+        killed_at.append(time.monotonic())
+
+    machine = LBP(Params(num_cores=4), shards=2).load(assemble(SPIN_PROGRAM))
+    timer = threading.Timer(0.5, kill_one_worker)
+    timer.start()
+    try:
+        with pytest.raises(MachineError, match="worker crashed"):
+            # a timer that misses ends in "cycle limit", not in a hang
+            machine.run(max_cycles=2_000_000)
+        raised_at = time.monotonic()
+    finally:
+        timer.cancel()
+        timer.join()
+    assert killed_at, "the run ended before the timer fired"
+    assert raised_at - killed_at[0] < 5.0
+    assert _child_pids() == children
+    assert len(os.listdir("/proc/self/fd")) == open_fds
+
+    reference, _ = _setget_machine(trace=False)
+    reference.run(max_cycles=MAX_CYCLES)
+    again, _ = _setget_machine(shards=2, trace=False)
+    again.run(max_cycles=MAX_CYCLES)
+    assert again.halted and again.cycle == reference.cycle
+    assert _child_pids() == children
 
 
 def test_sharded_engine_refuses_mmio_devices():

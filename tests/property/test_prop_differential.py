@@ -10,10 +10,9 @@ ways:
   attached (``LBP(sanitize=True, backend="interp")``),
 * the SoA execution backend (``LBP(backend="soa")``), and
 * the space-sharded cycle engine running SoA cores
-  (``shards=2, backend="soa"``) — over the shared-memory ring transport
-  when the host supports it, the pipe transport otherwise, fuzzing the
-  epoch data plane (seqlock rings, spill frames, fast-forward horizons)
-  against random cross-shard traffic shapes.
+  (``shards=2, backend="soa"``), fuzzing the epoch protocol (pipe
+  frames, fast-forward horizons) against random cross-shard traffic
+  shapes.
 
 All four must agree on every global memory word and on the boot hart's
 final register file; the three cycle-accurate runs must agree on cycle
@@ -33,7 +32,6 @@ from hypothesis import given, settings, strategies as st
 from repro.compiler import compile_to_program
 from repro.fastsim import FastLBP
 from repro.machine import LBP, Params
-from repro.parsim import shm_available
 from repro.workloads import (HistogramWorkload, ReductionWorkload,
                              ServingWorkload, SortWorkload, StencilWorkload)
 
@@ -150,10 +148,6 @@ def test_four_engines_agree(case):
 
     sharded = LBP(Params(num_cores=CORES, trace_enabled=True),
                   shards=2, backend="soa").load(program)
-    if shm_available():
-        # fuzz the shared-memory epoch transport whenever the host has
-        # one; pipe-only hosts still fuzz the sharded engine itself
-        sharded.transport = "shm"
     sharded_stats = sharded.run(max_cycles=5_000_000)
 
     # 1. all four engines computed the same memory image

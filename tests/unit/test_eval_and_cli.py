@@ -96,13 +96,13 @@ def test_cli_run_fast_simulator(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("cores", ["1", "2"])
-def test_cli_profile_with_auto_shards(tmp_path, capfd, cores):
-    """``--shards auto`` is unresolved ("auto") until the first run(): the
-    profile path must decide on the façade, not compare the count.  One
-    core resolves to an in-process run, two may fork workers — either way
-    a profile table comes out (capfd: shard 0 prints its own)."""
+def test_cli_profile_with_shards(tmp_path, capfd, cores):
+    """The profile path must decide on the façade, not compare the count:
+    ``--shards 2`` on one core clamps to an in-process run, on two it
+    forks workers — either way a profile table comes out (capfd: shard 0
+    prints its own)."""
     assert cli_main(["run", _write(tmp_path, _PROG), "--cores", cores,
-                     "--shards", "auto", "--profile", "--print", "v:4"]) == 0
+                     "--shards", "2", "--profile", "--print", "v:4"]) == 0
     out = capfd.readouterr().out
     # the header says which tick the numbers below were measured on
     from repro.machine import native
@@ -110,6 +110,22 @@ def test_cli_profile_with_auto_shards(tmp_path, capfd, cores):
     assert "profiling : shard 0" in out
     assert "profile (top 20 by cumulative time) ---" in out
     assert "[40, 41, 42, 43]" in out
+
+
+@pytest.mark.parametrize("bad", ["0", "-3", "auto", "2.5"])
+@pytest.mark.parametrize("command", ["run", "observe", "check",
+                                     "experiments"])
+def test_cli_rejects_a_shard_count_that_is_not_positive(tmp_path, capsys,
+                                                        command, bad):
+    """A usage error from the parser, not a traceback out of the engine."""
+    argv = [command, "--shards", bad]
+    if command != "experiments":
+        argv.insert(1, _write(tmp_path, _PROG))
+    with pytest.raises(SystemExit) as exit_:
+        cli_main(argv)
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and "not a positive integer" in err
 
 
 def test_cli_run_assembly_file(tmp_path, capsys):

@@ -387,7 +387,6 @@ def test_zeroed_transport_stats_matches_sharded_schema():
 
     zeroed = zeroed_transport_stats()
     assert zeroed["shards"] == 1
-    assert zeroed["transport"] is None
     assert zeroed["epochs"] == 0 and zeroed["epoch_wait_s"] == 0.0
     assert zeroed["ff_epochs"] == 0 and zeroed["ff_cycles"] == 0
     assert zeroed["per_shard"] == []
