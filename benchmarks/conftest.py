@@ -112,7 +112,6 @@ def _extract_workload(result):
 #: ``workload`` key — first substring match wins
 _WORKLOAD_BY_NAME = (
     ("serve_load", "job_service"),
-    ("trace_overhead", "job_service"),
     ("serving", "serving"),
     ("matmul", "matmul"),
     ("setget", "setget"),

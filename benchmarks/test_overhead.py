@@ -50,24 +50,19 @@ def test_parallelization_overhead(once):
 
 
 def test_metrics_overhead(once):
-    """Telemetry is zero-perturbation in simulated time and cheap in wall
-    time: the metered run's cycle count and retired count are identical to
-    the unmetered run, and the stall breakdown rides into BENCH_perf.json
-    via the row's ``stalls`` key."""
-    import time
-
+    """Telemetry is zero-perturbation in simulated time: the metered run's
+    cycle count and retired count are identical to the unmetered run, and
+    the stall breakdown rides into BENCH_perf.json via the row's ``stalls``
+    key.  (What it costs in host time is ``observe.metrics_overhead`` in
+    ``bench/``: a ratio of two wall times taken here would rise whenever
+    the unmetered tick got faster.)"""
     from repro.eval.figures import run_matmul_experiment
 
     def experiment():
         return run_matmul_experiment("base", H, CORES, metrics=True)
 
-    t0 = time.perf_counter()
     bare = run_matmul_experiment("base", H, CORES)
-    bare_wall = time.perf_counter() - t0
-
-    t1 = time.perf_counter()
     metered = once(experiment)
-    metered_wall = time.perf_counter() - t1
 
     # zero perturbation: the simulated machine is unaware of the observer
     assert metered["cycles"] == bare["cycles"]
@@ -76,14 +71,8 @@ def test_metrics_overhead(once):
     stage_cycles = CORES * metered["cycles"]
     assert metered["retired"] + metered["stall_cycles"] == stage_cycles
 
-    slowdown = metered_wall / bare_wall if bare_wall > 1e-6 else 1.0
     print()
-    print("unmetered : %.3fs" % bare_wall)
-    print("metered   : %.3fs (%.2fx)" % (metered_wall, slowdown))
     top = sorted(metered["stalls"].items(), key=lambda kv: -kv[1])[:3]
     for reason, count in top:
         print("  stall %-18s %8d (%.1f%% of stage-cycles)"
               % (reason, count, 100.0 * count / stage_cycles))
-    # loose wall-clock bound: observation must stay a modest constant
-    # factor, not change the complexity of the hot loop
-    assert slowdown < 3.0, slowdown

@@ -34,6 +34,30 @@
  *     stores that expiry in ``sleep_until``; the cycle loop skips the core
  *     until then and event dispatch clears it.  Never with metrics
  *     attached: the stall classifier charges every busy cycle.
+ *   - No object traffic the state does not need.  Slots keep holding the
+ *     Python values they always held; what went is the allocation and the
+ *     call per instruction around them:
+ *     . a slot is read as a number by ``as_int``: an exact one-digit
+ *       ``int`` inline, anything else through ``PyLong_AsLongLong``, so a
+ *       value or an error is the one that call gives;
+ *     . ``rob.pop(0)`` and the removal from the instruction table move
+ *       the list's tail down in place (``list_take``);
+ *     . *shared immutable boxes*: whoever calls ``tick_core`` boxes
+ *       ``cycle + 1`` once, and every timer a tick sets to the next cycle
+ *       (``fetch_ready_at``, a latency-1 ``ready_at``, ``_wb_wake``)
+ *       stores that object.  Each slot owns a reference, an int cannot be
+ *       mutated, and nothing compares timers by identity;
+ *     . *last-reference recycling*: commit parks a retired ``Entry`` in a
+ *       bounded pool (``retire``) when the tick's reference is the only
+ *       one left -- ``Py_REFCNT == 1`` once ``_commit_p_ret`` has
+ *       returned, exact type, no ``__weakref__`` slot to find it by --
+ *       emptied and untracked, and rename fills a parked one before it
+ *       allocates.  An Entry anything in Python still holds has a higher
+ *       count and is left alone;
+ *     . *decode-time objects*: ``lowered.py`` builds, per pc, the int a
+ *       fall-through or ``jal`` resumes fetch at and the fetch buffer's
+ *       ``(pc, low)``; rename and fetch store those objects, after
+ *       checking they hold the value just computed, else build their own.
  *
  * Everything that needs the machine is a call back into the one Python
  * implementation: ``Core._execute`` (remote, code-bank and device loads
@@ -75,7 +99,7 @@
 #define LOW_SLOTS(X) \
     X(cls) X(rd) X(imm) X(nreads) X(r1) X(r2) X(writes) X(alu_op) X(br_op) \
     X(latency) X(re_slot) X(dec_kind) X(issue_kind) X(store_like) X(trap) \
-    X(width) X(mnemonic)
+    X(width) X(mnemonic) X(next_pc) X(fetch_pair)
 #define STATS_SLOTS(X) X(retired) X(loads) X(stores)
 #define MEM_SLOTS(X) X(local) X(shared) X(local_port) X(shared_local_port)
 #define BANK_SLOTS(X) X(base) X(data)
@@ -98,6 +122,8 @@ SLOT_TABLE(M, MEM_SLOTS)
 SLOT_TABLE(B, BANK_SLOTS)
 SLOT_TABLE(P, PORT_SLOTS)
 SLOT_TABLE(K, COUNTER_SLOTS)
+/* E as an array of offsets: every slot an Entry has (bind checks) */
+#define ENTRY_NSLOTS ((Py_ssize_t)(sizeof(E) / sizeof(Py_ssize_t)))
 
 static PyTypeObject *core_type, *hart_type, *rb_type, *entry_type, *low_type,
     *stats_type, *mem_type, *bank_type, *port_type, *counters_type;
@@ -141,7 +167,7 @@ STRINGS(STRING_VAR)
     } while (0)
 #define GETI(var, obj, off) \
     do { PyObject *o_; GETO(o_, obj, off); \
-         (var) = PyLong_AsLongLong(o_); \
+         (var) = as_int(o_); \
          if ((var) == -1 && PyErr_Occurred()) goto fail; } while (0)
 #define GETB(var, obj, off) \
     do { PyObject *o_; GETO(o_, obj, off); \
@@ -167,6 +193,41 @@ wrong_type(const char *expected)
 {
     PyErr_Format(PyExc_TypeError,
                  "compiled tick: expected a %s in the core's state", expected);
+}
+
+/* 1 and *value when *o* is an exact ``int`` of at most one digit, read
+ * from the object itself: ``ob_digit`` under the sign in ``ob_size`` before
+ * 3.12, the "compact" value from 3.12.  Never raises. */
+static inline int
+one_digit(PyObject *o, int64_t *value)
+{
+    if (!PyLong_CheckExact(o))
+        return 0;
+#if PY_VERSION_HEX >= 0x030C0000
+    if (!PyUnstable_Long_IsCompact((PyLongObject *)o))
+        return 0;
+    *value = PyUnstable_Long_CompactValue((PyLongObject *)o);
+#else
+    switch (Py_SIZE(o)) {
+    case 0: *value = 0; break;
+    case 1: *value = ((PyLongObject *)o)->ob_digit[0]; break;
+    case -1: *value = -(int64_t)((PyLongObject *)o)->ob_digit[0]; break;
+    default: return 0;
+    }
+#endif
+    return 1;
+}
+
+/* ``PyLong_AsLongLong(o)`` without the call when *o* is an exact ``int`` of
+ * at most one digit (every register value below 2**30, every tag, counter
+ * and cycle of a run that short).  Anything else -- a bool, a subclass, a
+ * wider int, no int at all -- is PyLong_AsLongLong's: same value, same
+ * exception.  -1 may be a value: callers test PyErr_Occurred() as well. */
+static inline int64_t
+as_int(PyObject *o)
+{
+    int64_t value;
+    return one_digit(o, &value) ? value : PyLong_AsLongLong(o);
 }
 
 static inline int
@@ -226,7 +287,7 @@ tag_is(PyObject *obj, int64_t tag)
     int64_t value;
     if (obj == Py_None)
         return 0;
-    value = PyLong_AsLongLong(obj);
+    value = as_int(obj);
     if (value == -1 && PyErr_Occurred())
         return -1;
     return value == tag;
@@ -248,6 +309,39 @@ list_set(PyObject *list, int64_t index, PyObject *value)
 {
     Py_INCREF(value);
     return PyList_SetItem(list, (Py_ssize_t)index, value);  /* steals */
+}
+
+/* ``list.pop(index)`` for an index the caller checked: the list's reference
+ * becomes the caller's.  The tail moves down inside ``ob_item`` -- what
+ * ``PyList_SetSlice(list, index, index + 1, NULL)`` does, minus the slice
+ * bookkeeping and the reallocation (``allocated`` stays, as after any
+ * ``pop`` that does not halve the list). */
+static inline PyObject *
+list_take(PyObject *list, Py_ssize_t index)
+{
+    PyObject **items = ((PyListObject *)list)->ob_item;
+    const Py_ssize_t size = PyList_GET_SIZE(list);
+    PyObject *item = items[index];
+    memmove(items + index, items + index + 1,
+            (size_t)(size - index - 1) * sizeof(PyObject *));
+    Py_SET_SIZE(list, size - 1);
+    return item;
+}
+
+/* ---- retired Entry objects, to be renamed into again ---------------------------
+ * commit parks an Entry here when the tick holds the only reference to it;
+ * rename takes from here before it allocates.  Parked entries have every
+ * slot NULL and are untracked, so neither Python nor the collector can
+ * reach one: recycling is not observable. */
+#define ENTRY_POOL_MAX 128
+static PyObject *entry_pool[ENTRY_POOL_MAX];
+static int entry_pool_size;
+
+static void
+entry_pool_clear(void)
+{
+    while (entry_pool_size)
+        Py_DECREF(entry_pool[--entry_pool_size]);
 }
 
 /* ---- RV32IM: isa/semantics.py's ALU_OPS and BRANCH_OPS ----------------------
@@ -329,6 +423,9 @@ typedef struct {
      * window; borrowed from it */
     PyObject *cycle_obj, *metrics, *lowered;
     int64_t cycle;
+    /* ``cycle + 1``, boxed once by the same caller: every timer this tick
+     * sets to the next cycle stores this one object */
+    PyObject *next_obj;
     Window *w;                  /* the window ticking this core, or NULL */
 } Tick;
 
@@ -383,7 +480,7 @@ resolve_pc(Tick *t, PyObject *hart, int64_t target)
     PyObject *fetch_buf;
     SETI(hart, H.pc, target & MASK32);
     set_bool(hart, H.awaiting_nextpc, 0);
-    SETI(hart, H.fetch_ready_at, t->cycle + 1);
+    set_obj(hart, H.fetch_ready_at, t->next_obj);
     GETB(syncm_block, hart, H.syncm_block);
     GETO(fetch_buf, hart, H.fetch_buf);
     GETB(reserved, hart, H.reserved);
@@ -400,9 +497,9 @@ static int
 finish_at(Tick *t, PyObject *hart, PyObject *entry, PyObject *low,
           uint32_t value, int64_t ready_at)
 {
-    int writes;
+    int writes, status = -1;
     int64_t wb_wake;
-    PyObject *rb, *tag, *rd;
+    PyObject *rb, *tag, *rd, *ready_obj = NULL;
     GETB(writes, low, L.writes);
     if (!writes) {
         set_bool(entry, E.done, 1);
@@ -416,15 +513,38 @@ finish_at(Tick *t, PyObject *hart, PyObject *entry, PyObject *low,
     set_obj(rb, R.tag, tag);
     set_obj(rb, R.reg, rd);
     SETI(rb, R.value, value);
-    SETI(rb, R.ready_at, ready_at);
+    if (ready_at == t->cycle + 1)
+        ready_obj = new_ref(t->next_obj);
+    else if ((ready_obj = PyLong_FromLongLong(ready_at)) == NULL)
+        goto fail;
+    set_obj(rb, R.ready_at, ready_obj);
     set_obj(rb, R.entry, entry);
     /* keep the writeback gate a lower bound */
     GETI(wb_wake, t->core, C._wb_wake);
     if (ready_at < wb_wake)
-        SETI(t->core, C._wb_wake, ready_at);
-    return 0;
+        set_obj(t->core, C._wb_wake, ready_obj);
+    status = 0;
 fail:
-    return -1;
+    Py_XDECREF(ready_obj);
+    return status;
+}
+
+/* Give up the tick's reference to a committed Entry.  When it is the last
+ * one -- nothing in Python kept the object, so nothing can see what becomes
+ * of it -- the Entry is emptied and parked for rename instead of freed. */
+static void
+retire(PyObject *entry)
+{
+    Py_ssize_t i;
+    if (Py_REFCNT(entry) != 1 || Py_TYPE(entry) != entry_type
+            || entry_pool_size == ENTRY_POOL_MAX) {
+        Py_DECREF(entry);
+        return;
+    }
+    PyObject_GC_UnTrack(entry);
+    for (i = 0; i < ENTRY_NSLOTS; i++)
+        Py_CLEAR(SLOT(entry, ((Py_ssize_t *)&E)[i]));
+    entry_pool[entry_pool_size++] = entry;
 }
 
 /* commit: the oldest instruction of a hart, once done */
@@ -469,9 +589,8 @@ stage_commit(Tick *t)
         GETO(low, head, E.low);
         CHECK(low, low_type);
         GETI(trap, low, L.trap);
-        Py_INCREF(head);  /* the ROB's reference goes with the pop */
-        if (PyList_SetSlice(rob, 0, 1, NULL) < 0
-                || set_int(stats, S.retired, retired + 1) < 0)
+        head = list_take(rob, 0);  /* ``hart.rob.pop(0)`` */
+        if (set_int(stats, S.retired, retired + 1) < 0)
             status = -1;
         else if (trap == 1)
             status = called(callback(t, t->machine, s_halt, s_ebreak, NULL,
@@ -484,7 +603,7 @@ stage_commit(Tick *t)
                                      NULL));
         else
             status = 0;
-        Py_DECREF(head);
+        retire(head);
         return status < 0 ? -1 : 1;
     }
     return 0;
@@ -525,7 +644,7 @@ stage_writeback(Tick *t)
         }
         SETI(t->core, C._rr_wb, (h + 1) & 3);
         GETO(tag_obj, rb, R.tag);
-        tag = PyLong_AsLongLong(tag_obj);
+        tag = as_int(tag_obj);
         if (tag == -1 && PyErr_Occurred())
             goto fail;
         GETI(reg, rb, R.reg);
@@ -597,6 +716,8 @@ stage_writeback(Tick *t)
     /* exact when the scan drained nothing (the gate was stale) */
     if (wake == never_val)
         set_obj(t->core, C._wb_wake, never_obj);
+    else if (wake == t->cycle + 1)
+        set_obj(t->core, C._wb_wake, t->next_obj);
     else
         SETI(t->core, C._wb_wake, wake);
     return fired;
@@ -750,12 +871,14 @@ stage_issue(Tick *t)
         if (found < 0 || found >= PyList_GET_SIZE(it))
             continue;
         SETI(t->core, C._rr_issue, (h + 1) & 3);
+        /* checked again: an ISS_FC probe ran Python since the scan */
         entry = PyList_GET_ITEM(it, found);
-        Py_INCREF(entry);  /* the table's reference goes with the removal */
+        CHECK(entry, entry_type);
         GETO(low, entry, E.low);
+        CHECK(low, low_type);
         Py_INCREF(low);
-        if (PyList_SetSlice(it, found, found + 1, NULL) < 0
-                || set_int(hart, H.n_ready, n_ready - 1) < 0)
+        entry = list_take(it, found);  /* ``hart.it.remove(entry)`` */
+        if (set_int(hart, H.n_ready, n_ready - 1) < 0)
             status = -1;
         else {
             set_bool(entry, E.issued, 1);
@@ -801,8 +924,8 @@ rename_into(Tick *t, PyObject *hart, PyObject *rob, PyObject *pc_obj,
             PyObject *low)
 {
     int status = -1, writes, syncm_block, more;
-    int64_t tag, nreads, reg, nwaits = 0, dec, pc, imm, n_ready;
-    PyObject *it, *rename, *tag_obj = NULL, *entry = NULL;
+    int64_t tag, nreads, reg, nwaits = 0, dec, pc, imm, n_ready, held;
+    PyObject *it, *rename, *next_pc, *tag_obj = NULL, *entry = NULL;
     PyObject *val0 = Py_None, *val1 = Py_None;
     PyObject *wait0 = Py_None, *wait1 = Py_None;
 
@@ -824,8 +947,12 @@ rename_into(Tick *t, PyObject *hart, PyObject *rob, PyObject *pc_obj,
             nwaits += more;
         }
     }
-    /* slot by slot, without Entry.__init__ (bind checked these are all) */
-    if ((entry = entry_type->tp_alloc(entry_type, 0)) == NULL)
+    /* slot by slot, without Entry.__init__ (bind checked these are all),
+     * into a retired Entry when one is parked: every slot NULL, like new */
+    if (entry_pool_size) {
+        entry = entry_pool[--entry_pool_size];
+        PyObject_GC_Track(entry);
+    } else if ((entry = entry_type->tp_alloc(entry_type, 0)) == NULL)
         goto fail;
     set_obj(entry, E.tag, tag_obj);
     set_obj(entry, E.low, low);
@@ -866,7 +993,7 @@ rename_into(Tick *t, PyObject *hart, PyObject *rob, PyObject *pc_obj,
         set_none(hart, H.pc);
         set_bool(hart, H.awaiting_nextpc, 0);
     } else {
-        pc = PyLong_AsLongLong(pc_obj);
+        pc = as_int(pc_obj);
         if (pc == -1 && PyErr_Occurred())
             goto fail;
         if (dec == 1) {  /* DEC_JAL: pc + imm known at decode */
@@ -874,9 +1001,15 @@ rename_into(Tick *t, PyObject *hart, PyObject *rob, PyObject *pc_obj,
             pc = (pc + imm) & MASK32;
         } else
             pc += 4;
-        SETI(hart, H.pc, pc);
+        /* lowered.py boxed this value when it lowered the instruction at
+         * pc_obj; a *low* that says otherwise gets a new int */
+        GETO(next_pc, low, L.next_pc);
+        if (one_digit(next_pc, &held) && held == pc)
+            set_obj(hart, H.pc, next_pc);
+        else
+            SETI(hart, H.pc, pc);
         set_bool(hart, H.awaiting_nextpc, 0);
-        SETI(hart, H.fetch_ready_at, t->cycle + 1);
+        set_obj(hart, H.fetch_ready_at, t->next_obj);
         if (dec == 4)  /* DEC_SYNCM: block further fetch until it issues */
             set_bool(hart, H.syncm_block, 1);
         else {
@@ -925,6 +1058,25 @@ fail:
     return -1;
 }
 
+/* ``(pc, low)`` as a new reference: the pair lowered.py built with *low*
+ * when it is that pair (this pc, this low -- a lowered program's always
+ * is), else a new tuple. */
+static PyObject *
+fetch_pair(PyObject *pc, PyObject *low)
+{
+    int64_t pc_val, pair_pc;
+    PyObject *pair;
+    if (PyObject_TypeCheck(low, low_type)
+            && (pair = SLOT(low, L.fetch_pair)) != NULL
+            && PyTuple_CheckExact(pair) && PyTuple_GET_SIZE(pair) == 2
+            && PyTuple_GET_ITEM(pair, 1) == low
+            && one_digit(pc, &pc_val)
+            && one_digit(PyTuple_GET_ITEM(pair, 0), &pair_pc)
+            && pc_val == pair_pc)
+        return new_ref(pair);
+    return PyTuple_Pack(2, pc, low);
+}
+
 /* fetch (gated on the collapsed predicate): one hart whose next pc is known */
 static int
 stage_fetch(Tick *t)
@@ -953,7 +1105,7 @@ stage_fetch(Tick *t)
             /* non-code address: the slow error path */
             low = callback(t, t->machine, s_fetch_instruction, pc, hart,
                            NULL);
-        fetch_buf = low == NULL ? NULL : PyTuple_Pack(2, pc, low);
+        fetch_buf = low == NULL ? NULL : fetch_pair(pc, low);
         Py_DECREF(pc);
         Py_XDECREF(low);
         if (fetch_buf == NULL)
@@ -1001,7 +1153,7 @@ metered_prologue(Tick *t, PyObject *metrics)
     Py_DECREF(edges);
     if (item == NULL)
         goto fail;
-    edge = PyLong_AsLongLong(item);
+    edge = as_int(item);
     Py_DECREF(item);
     if (edge == -1 && PyErr_Occurred())
         goto fail;
@@ -1110,7 +1262,9 @@ core_tick(PyObject *core, PyObject *Py_UNUSED(ignored))
             || (t.cycle_obj = PyObject_GetAttr(t.machine, s_cycle)) == NULL)
         goto fail;
     t.cycle = PyLong_AsLongLong(t.cycle_obj);
-    if ((t.cycle == -1 && PyErr_Occurred()) || (busy = tick_core(&t)) < 0)
+    if ((t.cycle == -1 && PyErr_Occurred())
+            || (t.next_obj = PyLong_FromLongLong(t.cycle + 1)) == NULL
+            || (busy = tick_core(&t)) < 0)
         goto fail;
     result = busy ? Py_True : Py_False;
     Py_INCREF(result);
@@ -1118,6 +1272,7 @@ fail:
     Py_XDECREF(t.metrics);
     Py_XDECREF(t.lowered);
     Py_XDECREF(t.cycle_obj);
+    Py_XDECREF(t.next_obj);
     return result;
 }
 
@@ -1190,11 +1345,12 @@ tick_bind(PyObject *Py_UNUSED(module), PyObject *args)
             || resolve_slots(port, P_names, &P) < 0
             || resolve_slots(counters, K_names, &K) < 0)
         return NULL;
-    /* rename builds Entry objects slot by slot, without __init__: that is
-     * only right while these are all the slots an Entry has */
+    /* rename builds Entry objects slot by slot, without __init__, and
+     * commit empties them the same way: that is only right while these are
+     * all the slots an Entry has (a class with slots is collectable) */
     if (entry->tp_basicsize != (Py_ssize_t)(sizeof(PyObject)
-            + sizeof(E) / sizeof(Py_ssize_t) * sizeof(PyObject *))
-            || entry->tp_itemsize != 0) {
+            + ENTRY_NSLOTS * sizeof(PyObject *))
+            || entry->tp_itemsize != 0 || !PyType_IS_GC(entry)) {
         PyErr_SetString(PyExc_TypeError,
                         "Entry has slots the compiled tick does not fill");
         return NULL;
@@ -1203,6 +1359,7 @@ tick_bind(PyObject *Py_UNUSED(module), PyObject *args)
      * only while the table still names the functions it names now */
     if (keep_handlers(handlers) < 0)
         return NULL;
+    entry_pool_clear();  /* they are of the Entry class bound before */
     KEEP(core_type, core);
     KEEP(hart_type, hart);
     KEEP(rb_type, rb);
@@ -1255,6 +1412,21 @@ tick_branch(PyObject *Py_UNUSED(module), PyObject *args)
     return PyBool_FromLong(branch(op, a, b));
 }
 
+static PyObject *
+tick_as_int(PyObject *Py_UNUSED(module), PyObject *obj)
+{
+    int64_t value = as_int(obj);
+    if (value == -1 && PyErr_Occurred())
+        return NULL;
+    return PyLong_FromLongLong(value);
+}
+
+static PyObject *
+tick_parked_entries(PyObject *Py_UNUSED(module), PyObject *Py_UNUSED(ignored))
+{
+    return Py_BuildValue("ii", entry_pool_size, ENTRY_POOL_MAX);
+}
+
 static PyMethodDef module_methods[] = {
     {"bind", tick_bind, METH_VARARGS,
      "bind(Core, Hart, ResultBuffer, Entry, LoweredInstr, HartStats, "
@@ -1266,6 +1438,11 @@ static PyMethodDef module_methods[] = {
      "alu(op, a, b) -> the 32-bit result of ALU_CODES[op] (for tests)."},
     {"branch", tick_branch, METH_VARARGS,
      "branch(op, a, b) -> whether BRANCH_CODES[op] is taken (for tests)."},
+    {"as_int", tick_as_int, METH_O,
+     "as_int(obj) -> the int64 every slot read makes of obj (for tests)."},
+    {"parked_entries", tick_parked_entries, METH_NOARGS,
+     "parked_entries() -> (retired Entry objects parked for rename, the "
+     "bound on that number) (for tests)."},
     {NULL, NULL, 0, NULL}};
 
 static struct PyModuleDef module_def = {

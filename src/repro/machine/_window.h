@@ -54,6 +54,7 @@ struct Window {
     int64_t calls, seen;        /* calls into Python made / at last refresh */
     /* "now", and whether the machine's attributes say so yet */
     PyObject *cycle_obj, *origin;   /* owned */
+    PyObject *next_obj;         /* owned: cycle + 1, the Tick's next_obj */
     int cycle_synced, origin_synced;
     /* the private-bank access, resolved by access_context on first use */
     int context;                /* 0 unresolved, 1 native, 2 call Python */
@@ -134,7 +135,7 @@ attr_int(PyObject *obj, PyObject *name, int64_t *out, const int64_t *none)
     if (value == Py_None && none != NULL)
         *out = *none;
     else
-        *out = PyLong_AsLongLong(value);
+        *out = as_int(value);
     Py_DECREF(value);
     return *out == -1 && PyErr_Occurred() ? -1 : 0;
 }
@@ -330,7 +331,8 @@ local_access(Tick *t, PyObject *hart, PyObject *entry, PyObject *low,
     int64_t base, imm, addr, width, next_free, when;
     char *at;
     PyObject *mem, *bank, *port, *index, *gid, *tag, *stats, *width_obj;
-    PyObject *addr_obj = NULL, *when_obj = NULL, *ref = NULL;
+    PyObject *addr_obj = NULL, *when_obj = NULL, *after_obj = NULL;
+    PyObject *ref = NULL;
 
     if ((status = access_context(w)) <= 0)
         return status;
@@ -366,7 +368,9 @@ local_access(Tick *t, PyObject *hart, PyObject *entry, PyObject *low,
     when = t->cycle + w->latency;
     if (next_free > when)
         when = next_free;
-    SETI(port, P.next_free, when + 1);
+    if ((after_obj = PyLong_FromLongLong(when + 1)) == NULL)
+        goto fail;
+    set_obj(port, P.next_free, after_obj);
     GETO(index, t->core, C.index);
     if (shared) {
         int64_t number;
@@ -396,7 +400,7 @@ local_access(Tick *t, PyObject *hart, PyObject *entry, PyObject *low,
                 || add_int(stats, S.stores, 1) < 0)
             goto fail;
     } else {
-        PyObject *rb, *rd, *mnemonic, *done_obj;
+        PyObject *rb, *rd, *mnemonic;
         GETO(rb, hart, H.rb);
         CHECK(rb, rb_type);
         GETO(rd, low, L.rd);
@@ -408,17 +412,14 @@ local_access(Tick *t, PyObject *hart, PyObject *entry, PyObject *low,
         set_none(rb, R.value);
         set_obj(rb, R.ready_at, zero_obj);
         set_obj(rb, R.entry, entry);
+        /* the read is done at when + 1: the port's next free cycle */
         if (add_int(hart, H.outstanding_mem, 1) < 0
-                || (done_obj = PyLong_FromLongLong(when + 1)) == NULL)
-            goto fail;
-        status = post(w, t->core, when_obj, s_load_read,
-                      PyTuple_Pack(7, ref, addr_obj, width_obj, mnemonic,
-                                   done_obj, index, gid));
-        if (status == 0)
-            status = post(w, t->core, done_obj, s_load_done,
-                          PyTuple_Pack(1, gid));
-        Py_DECREF(done_obj);
-        if (status < 0 || add_int(stats, S.loads, 1) < 0)
+                || post(w, t->core, when_obj, s_load_read,
+                        PyTuple_Pack(7, ref, addr_obj, width_obj, mnemonic,
+                                     after_obj, index, gid)) < 0
+                || post(w, t->core, after_obj, s_load_done,
+                        PyTuple_Pack(1, gid)) < 0
+                || add_int(stats, S.loads, 1) < 0)
             goto fail;
     }
     status = 1;
@@ -428,6 +429,7 @@ fail:
 done:
     Py_XDECREF(addr_obj);
     Py_XDECREF(when_obj);
+    Py_XDECREF(after_obj);
     Py_XDECREF(ref);
     return status;
 }
@@ -442,7 +444,7 @@ static int
 hart_of(Window *w, PyObject *gid_obj, PyObject **core, PyObject **hart)
 {
     PyObject *harts;
-    int64_t gid = PyLong_Check(gid_obj) ? PyLong_AsLongLong(gid_obj) : -1;
+    int64_t gid = PyLong_Check(gid_obj) ? as_int(gid_obj) : -1;
     if (gid < 0 || (gid >> 2) >= PyList_GET_SIZE(w->cores)) {
         PyErr_Clear();  /* an id beyond int64 is no hart either */
         return 0;
@@ -475,9 +477,9 @@ event_bytes(Window *w, PyObject *ref, PyObject *addr_obj,
     shared = PyUnicode_CompareWithASCIIString(kind, "shared") == 0;
     if (!shared && PyUnicode_CompareWithASCIIString(kind, "local") != 0)
         return 0;
-    index = PyLong_AsLongLong(PyTuple_GET_ITEM(ref, 1));
-    addr = PyLong_AsLongLong(addr_obj);
-    *width = PyLong_AsLongLong(width_obj);
+    index = as_int(PyTuple_GET_ITEM(ref, 1));
+    addr = as_int(addr_obj);
+    *width = as_int(width_obj);
     if (PyErr_Occurred()) {
         PyErr_Clear();  /* beyond int64: nothing a bank holds */
         return 0;
@@ -519,7 +521,7 @@ ev_load_read(Window *w, PyObject *args)
             || (status = hart_of(w, PyTuple_GET_ITEM(args, 6), &core,
                                  &hart)) <= 0)
         return status;
-    ready_at = PyLong_AsLongLong(done_obj);
+    ready_at = as_int(done_obj);
     if (ready_at == -1 && PyErr_Occurred())
         goto fail;
     GETO(rb, hart, H.rb);
@@ -562,7 +564,7 @@ static int
 ev_store_write(Window *w, PyObject *args)
 {
     int status, same = 0;
-    int64_t width, tag;
+    int64_t width, tag, small;
     uint64_t value;
     char *at;
     Py_ssize_t i;
@@ -577,8 +579,9 @@ ev_store_write(Window *w, PyObject *args)
             || (status = hart_of(w, PyTuple_GET_ITEM(args, 5), &core,
                                  &hart)) <= 0)
         return status;
-    tag = PyLong_AsLongLong(tag_obj);
-    value = PyLong_AsUnsignedLongLongMask(value_obj);
+    tag = as_int(tag_obj);
+    value = one_digit(value_obj, &small) ? (uint64_t)small
+        : PyLong_AsUnsignedLongLongMask(value_obj);
     if (PyErr_Occurred())
         goto fail;
     GETLIST(rob, hart, H.rob);
@@ -618,7 +621,7 @@ next_event(Window *w)
         wrong_type("(cycle, origin, oseq, dst, kind, args) event");
         return -1;
     }
-    cycle = PyLong_AsLongLong(PyTuple_GET_ITEM(event, 0));
+    cycle = as_int(PyTuple_GET_ITEM(event, 0));
     if (cycle < 0 && !PyErr_Occurred())
         PyErr_SetString(PyExc_ValueError,
                         "compiled window: an event before cycle 0");
@@ -637,7 +640,7 @@ dispatch(Window *w)
     if ((event = PyObject_CallOneArg(heappop, w->events)) == NULL)
         return -1;
     /* next_event() checked the shape of the heap's head: this tuple */
-    dst = PyLong_AsLongLong(PyTuple_GET_ITEM(event, 3));
+    dst = as_int(PyTuple_GET_ITEM(event, 3));
     if (dst == -1 && PyErr_Occurred())
         goto fail;
     kind = PyTuple_GET_ITEM(event, 4);
@@ -791,13 +794,21 @@ machine_simulate(PyObject *machine, PyObject *const *args, Py_ssize_t nargs)
                 continue;
             }
         }
-        /* handlers, ticks and Core.activate read machine.cycle as "now" */
-        Py_XSETREF(w.cycle_obj, PyLong_FromLongLong(cycle));
-        if (w.cycle_obj == NULL)
+        /* handlers, ticks and Core.activate read machine.cycle as "now";
+         * the one box of ``cycle + 1`` serves every timer this cycle sets
+         * and, when the next cycle follows, is that cycle's "now" */
+        if (w.next_obj != NULL && cycle == t.cycle + 1) {
+            Py_XSETREF(w.cycle_obj, w.next_obj);
+            w.next_obj = NULL;
+        } else
+            Py_XSETREF(w.cycle_obj, PyLong_FromLongLong(cycle));
+        Py_XSETREF(w.next_obj, PyLong_FromLongLong(cycle + 1));
+        if (w.cycle_obj == NULL || w.next_obj == NULL)
             goto fail;
         w.cycle_synced = 0;
         t.cycle = cycle;
         t.cycle_obj = w.cycle_obj;
+        t.next_obj = w.next_obj;
         while ((due = next_event(&w)) <= cycle) {
             if (due < 0 || dispatch(&w) < 0
                     || (w.calls != w.seen && refresh(&w) < 0))
@@ -824,7 +835,7 @@ machine_simulate(PyObject *machine, PyObject *const *args, Py_ssize_t nargs)
             if (!busy) {
                 /* gate the core off; Hart.start wakes it */
                 set_bool(core, C.active, 0);
-                SETI(core, C.idle_since, cycle + 1);
+                set_obj(core, C.idle_since, w.next_obj);
                 w.num_active--;
                 Py_CLEAR(w.active);
                 if (set_attr_int(machine, s__num_active, w.num_active) < 0
@@ -850,6 +861,7 @@ fail:
     Py_XDECREF(t.lowered);
     Py_XDECREF(w.active);
     Py_XDECREF(w.cycle_obj);
+    Py_XDECREF(w.next_obj);
     Py_XDECREF(w.origin);
     Py_XDECREF(w.mmio);
     Py_XDECREF(w.per_core);

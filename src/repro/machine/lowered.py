@@ -11,7 +11,9 @@ with tuples.  Lowering changes *no* modelled behaviour: the simulator
 must stay bit-exact (see ``tests/integration/test_trace_golden.py``).
 """
 
-from repro.isa.semantics import ALU_OPS, BRANCH_OPS, LOAD_WIDTH, STORE_WIDTH
+from repro.isa.semantics import (
+    ALU_OPS, BRANCH_OPS, LOAD_WIDTH, MASK32, STORE_WIDTH,
+)
 from repro.isa.spec import InstrClass
 
 _C = InstrClass
@@ -88,15 +90,23 @@ class LoweredInstr:
             loads wait on at issue.
         trap: commit-side trap code (0 none, 1 ebreak, 2 ecall),
             pre-tested so the commit stage does one compare.
+        next_pc / fetch_pair: the two objects every trip of this
+            location through the pipeline would otherwise build anew —
+            the pc that decode resumes fetch at (``pc + 4``, or the
+            target of a ``DEC_JAL``) and the fetch buffer's ``(pc,
+            low)``.  The compiled tick stores these very objects (after
+            checking they say what it computed); the reference tick
+            builds its own.
     """
 
     __slots__ = (
         "ins", "mnemonic", "cls", "rd", "imm", "nreads", "r1", "r2",
         "writes", "op", "alu_op", "br_op", "latency", "width", "re_slot",
-        "dec_kind", "issue_kind", "store_like", "trap",
+        "dec_kind", "issue_kind", "store_like", "trap", "next_pc",
+        "fetch_pair",
     )
 
-    def __init__(self, ins, params):
+    def __init__(self, ins, params, pc):
         spec = ins.spec
         mnemonic = ins.mnemonic
         cls = spec.cls
@@ -158,6 +168,9 @@ class LoweredInstr:
             self.issue_kind = ISS_PLAIN
         self.store_like = cls == _C.STORE or cls == _C.P_SWCV
         self.trap = _TRAPS.get(mnemonic, 0)
+        self.next_pc = (
+            (pc + ins.imm) & MASK32 if self.dec_kind == DEC_JAL else pc + 4)
+        self.fetch_pair = (pc, self)
 
     def __repr__(self):
         return "LoweredInstr(%r)" % (self.ins,)
@@ -165,4 +178,4 @@ class LoweredInstr:
 
 def lower_program(code, params):
     """{pc: Instruction} -> {pc: LoweredInstr} for one machine's params."""
-    return {pc: LoweredInstr(ins, params) for pc, ins in code.items()}
+    return {pc: LoweredInstr(ins, params, pc) for pc, ins in code.items()}

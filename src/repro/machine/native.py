@@ -121,16 +121,21 @@ def _bind(module):
 
 
 def _smoke(module):
-    """A fresh binary is not trusted unexercised: every ALU and branch
-    case on a fixed vector against ``isa/semantics.py``, then one tiny
-    machine run (tick, window, a store and a load on the stack) against
-    the whole Python path."""
+    """A fresh binary is not trusted unexercised: the inline int read on
+    both sides of a digit boundary (it reads this Python's ``int`` layout
+    directly), every ALU and branch case on a fixed vector against
+    ``isa/semantics.py``, then one tiny machine run (tick, window, a store
+    and a load on the stack) against the whole Python path."""
     from repro.asm import assemble
     from repro.isa.semantics import ALU_OPS, BRANCH_OPS
+    from repro.machine.hart import NEVER
     from repro.machine.lowered import ALU_CODES, BRANCH_CODES
     from repro.machine.params import Params
     from repro.machine.processor import LBP
 
+    for value in ((1 << 30) - 1, 1 << 30, -(1 << 31), NEVER, -1, True):
+        if module.as_int(value) != value:
+            raise RuntimeError("smoke call: as_int(%r)" % (value,))
     vector = ((7, 3), (0x80000000, 0xFFFFFFFF), (0xFFFFFFFF, 0), (5, -3),
               (0x12345678, 33))
     for a, b in vector:

@@ -734,7 +734,8 @@ class LBP:
             from repro.isa.spec import INSTR_SPECS
 
             low = LoweredInstr(
-                Instruction("ebreak", spec=INSTR_SPECS["ebreak"]), self.params)
+                Instruction("ebreak", spec=INSTR_SPECS["ebreak"]),
+                self.params, pc)
         return low
 
     def cv_address(self, hart, offset):

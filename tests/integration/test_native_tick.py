@@ -25,11 +25,14 @@ import repro
 from repro.asm import assemble
 from repro.machine import LBP, MachineError, Params, native, processor
 from repro.machine.core import Core
+from repro.machine.hart import Entry
 from repro.machine.reference import ReferenceCore
 from repro.observe import Metrics
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from test_trace_golden import GOLDEN_PATH, measure  # noqa: E402
+from test_snapshot_roundtrip import (  # noqa: E402
+    _assert_matches_golden, _build, _fresh)
 
 compiled = pytest.mark.skipif(
     native.load() is None, reason="no compiled tick: " + native.status()[1])
@@ -113,8 +116,98 @@ def test_twenty_runs_leak_no_reference_and_no_object():
         machine = LBP(params, **engine).load(assemble(FORK_JOIN))
         stats = machine.run(max_cycles=100_000)
         assert stats.forks == 1 and stats.retired > 20
+        parked, bound = native.load().parked_entries()
+        assert 0 < parked <= bound
 
     _assert_no_leak(once, runs=20, slack=50)
+
+
+# ---- recycled entries, shared boxes: none of it observable --------------------------
+
+
+def _fields(entry):
+    return {name: getattr(entry, name) for name in Entry.__slots__}
+
+
+def _in_flight(machine):
+    return sum(len(hart.rob) for core in machine.cores for hart in core.harts)
+
+
+@compiled
+def test_an_entry_python_still_holds_is_never_recycled(monkeypatch):
+    """commit parks a retired ``Entry`` for rename only while the tick
+    holds the last reference.  One that ``_commit_p_ret`` stashed, and one
+    read out of ``hart.rob`` before it committed, stay what they were
+    while the run goes on renaming into the parked ones."""
+    stashed = []
+    inner = Core._commit_p_ret
+
+    def stash(core, hart, head):
+        stashed.append((head, _fields(head)))
+        return inner(core, hart, head)
+
+    monkeypatch.setattr(Core, "_commit_p_ret", stash)
+    machine = LBP(Params(num_cores=2)).load(assemble(FORK_JOIN))
+    hart = machine.cores[0].harts[0]
+    while not hart.rob:
+        machine.run(max_cycles=100_000, stop_at_cycle=machine.cycle + 1)
+    held = hart.rob[0]
+    while hart.rob and hart.rob[0] is held:
+        machine.run(max_cycles=100_000, stop_at_cycle=machine.cycle + 1)
+    committed = _fields(held)
+    assert committed["done"] is True and committed["issued"] is True
+    retired = machine.stats.retired
+    machine.run(max_cycles=100_000)
+    assert machine.stats.retired > retired + 20 and len(stashed) >= 3
+    assert _fields(held) == committed
+    for head, fields in stashed:
+        assert fields["ret_action"] is not None
+        assert _fields(head) == fields
+    assert len({id(head) for head, _ in stashed} | {id(held)}) \
+        == len(stashed) + 1
+    # and the others were parked: the run ended with its pipeline drained
+    assert native.load().parked_entries()[0] > 0
+
+
+@compiled
+def test_two_machines_taking_turns_end_on_their_golden_digests():
+    """The parked entries are one pool per process and the window boxes
+    ``cycle + 1`` once per call: two machines advanced alternately share
+    the first and never the second, and neither run can tell."""
+    with open(GOLDEN_PATH) as handle:
+        golden = json.load(handle)
+    strides = {"matmul_tiled_h16_c4": 997, "re_contention_c1": 13}
+    machines = {name: _fresh(name) for name in strides}
+    turns = 0
+    while not all(machine.halted for machine in machines.values()):
+        for name, machine in machines.items():
+            if not machine.halted:
+                machine.run(max_cycles=50_000_000,
+                            stop_at_cycle=machine.cycle + strides[name])
+                turns += 1
+    assert turns > 40
+    for name, machine in machines.items():
+        _assert_matches_golden(machine, machine.stats, golden[name])
+
+
+@compiled
+def test_the_parked_entries_never_exceed_their_bound():
+    """Pause enough machines mid-run that more entries are in flight than
+    the pool may hold, then finish them: all but the few a halt leaves in a
+    ROB retire, and the pool stops at its bound."""
+    tick = native.load()
+    bound = tick.parked_entries()[1]
+    program, cores = _build("matmul_tiled_h16_c4")
+    machines = []
+    while sum(map(_in_flight, machines)) <= bound + 20:
+        machine = LBP(Params(num_cores=cores)).load(program)
+        machine.run(max_cycles=50_000_000, stop_at_cycle=3000)
+        machines.append(machine)
+        assert len(machines) < 40
+    cycles = {machine.run(max_cycles=50_000_000).cycles
+              for machine in machines}
+    assert len(cycles) == 1
+    assert tick.parked_entries() == (bound, bound)
 
 
 # ---- errors cross the boundary ---------------------------------------------------
@@ -142,6 +235,36 @@ def test_machine_errors_equal_the_reference(source):
             machine.run(max_cycles=10_000)
         outcomes[backend] = (str(err.value), machine.cycle,
                              machine.state_dict())
+    assert outcomes["soa"] == outcomes["interp"]
+
+
+@compiled
+def test_state_fetched_from_a_non_code_address_restores_like_the_reference():
+    """``lowered_at`` builds the fault path's ebreak through the one
+    ``LoweredInstr`` constructor, so its decode-time objects exist on a
+    restored fetch buffer too.  The error put aside, that ebreak goes
+    through rename and commit the same on both ticks."""
+    faulted = LBP(Params(num_cores=1)).load(assemble(BAD_FETCH))
+    with pytest.raises(MachineError, match="non-code address 0x1000"):
+        faulted.run(max_cycles=10_000)
+    state = faulted.state_dict()
+    assert state["cores"][0]["harts"][0]["fetch_buf"] == 0x1000
+    outcomes = {}
+    for backend in ("soa", "interp"):
+        machine = LBP(Params(num_cores=1), backend=backend).load(
+            assemble(BAD_FETCH))
+        machine.load_state_dict(state)
+        pc, low = machine.cores[0].harts[0].fetch_buf
+        assert (pc, low.mnemonic, low.fetch_pair) == (0x1000, "ebreak",
+                                                      (0x1000, low))
+        assert machine.state_dict() == state
+        with pytest.raises(MachineError) as err:
+            machine.run(max_cycles=10_000)
+        assert str(err.value) == state["error"]
+        machine._error = machine._error_key = None
+        machine.run(max_cycles=10_000)
+        assert machine.halt_reason == "ebreak"
+        outcomes[backend] = (machine.cycle, machine.state_dict())
     assert outcomes["soa"] == outcomes["interp"]
 
 

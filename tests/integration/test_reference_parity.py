@@ -294,7 +294,11 @@ def test_local_accesses_are_bit_exact_untraced():
 def test_pending_local_events_resume_on_the_other_loop(save_on, resume_on):
     """Pause where the queue holds a load_read, a load_done and a
     store_write -- posted by the C issue path when *save_on* is the
-    production core -- and finish under the other loop's handlers."""
+    production core -- and finish under the other loop's handlers.  By
+    then instructions have retired and others are in flight: on the
+    production core those sit in ``Entry`` objects commit parked and
+    rename took back, with timers that share one ``cycle + 1`` int, and
+    the snapshot bytes must not tell."""
     whole = _untraced(LOCAL_ACCESSES, "interp")
     whole.run(max_cycles=10_000)
 
@@ -303,7 +307,9 @@ def test_pending_local_events_resume_on_the_other_loop(save_on, resume_on):
         machine = _untraced(LOCAL_ACCESSES, backend)
         for cycle in range(1, whole.cycle):
             machine.run(max_cycles=10_000, stop_at_cycle=cycle)
-            if {event[4] for event in machine._events} >= LOCAL_KINDS:
+            if ({event[4] for event in machine._events} >= LOCAL_KINDS
+                    and machine.stats.retired >= 4
+                    and machine.cores[0].harts[0].rob):
                 break
         else:
             pytest.fail("no cycle with all three kinds pending")

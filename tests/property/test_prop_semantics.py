@@ -130,3 +130,66 @@ def test_compiled_ops_match_semantics_on_the_edge_table():
     for a in EDGES:
         for b in EDGES + IMMEDIATES:
             _assert_compiled_matches(a, b)
+
+
+# ---- the compiled tick's int read (``as_int`` in machine/_tick.c) ---------------
+# Every slot the tick reads as a number goes through one inline fast path
+# for exact one-digit ints and PyLong_AsLongLong for the rest; the real
+# PyLong_AsLongLong, called through ctypes, is the oracle.
+
+
+class Tagged(int):
+    """An int subclass: never the fast path's, always the same value."""
+
+
+def _c_api_as_long_long(obj):
+    import ctypes
+
+    function = ctypes.pythonapi.PyLong_AsLongLong
+    function.argtypes = [ctypes.py_object]
+    function.restype = ctypes.c_longlong
+    return function(obj)
+
+
+def _outcome(function, obj):
+    try:
+        value = function(obj)
+    except (OverflowError, TypeError) as exc:
+        return type(exc)
+    return type(value), value
+
+
+@compiled
+@given(st.integers(min_value=-(1 << 64), max_value=1 << 64))
+@settings(max_examples=500)
+def test_compiled_int_read_matches_the_c_api(value):
+    as_int = native.load().as_int
+    assert _outcome(as_int, value) == _outcome(_c_api_as_long_long, value)
+    if -(1 << 63) <= value < 1 << 63:
+        assert as_int(value) == value.__index__()
+
+
+@compiled
+def test_compiled_int_read_on_the_edge_table():
+    """Digit boundaries of both layouts (15- and 30-bit digits, the
+    compact form of 3.12), the value the tick stores for "no cycle", and
+    everything that is not an exact int."""
+    from repro.machine.hart import NEVER
+
+    as_int = native.load().as_int
+    exact = (0, 1, -1, (1 << 15) - 1, 1 << 15, (1 << 30) - 1, 1 << 30,
+             -(1 << 30), 1 << 31, (1 << 32) - 1, 1 << 60, NEVER, -(1 << 31),
+             (1 << 63) - 1, -(1 << 63))
+    for value in exact:
+        assert _outcome(as_int, value) == (int, value), value
+        assert _outcome(as_int, Tagged(value)) == (int, value), value
+    assert _outcome(as_int, True) == (int, 1)
+    assert _outcome(as_int, False) == (int, 0)
+    for value in (1 << 63, -(1 << 63) - 1, Tagged(1 << 64)):
+        assert _outcome(as_int, value) is OverflowError, value
+    for value in (None, "x", [1]):
+        assert _outcome(as_int, value) is TypeError, value
+    # a float is a TypeError from 3.10, __int__() with a warning before
+    for value in exact + (True, Tagged(7), 1 << 63, None, "x", 1.5):
+        assert _outcome(as_int, value) == _outcome(
+            _c_api_as_long_long, value), value

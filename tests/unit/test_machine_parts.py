@@ -142,3 +142,29 @@ def test_memmap_layout():
     assert memmap.is_local(memmap.LOCAL_BASE)
     assert memmap.is_code(0)
     assert memmap.is_global(memmap.GLOBAL_BASE)
+
+
+def test_every_source_of_the_compiled_tick_is_package_data():
+    """An installed copy compiles the extension from the files shipped
+    next to ``native.py``; one that ``pyproject.toml`` forgets (PR 18
+    forgot ``_window.h``) means no build and, silently, the reference
+    tick.  (Parsed by hand: ``tomllib`` is 3.11+.)"""
+    import fnmatch
+    import os
+    import re
+
+    from repro.machine import native
+
+    root = os.path.join(os.path.dirname(__file__), "..", "..")
+    with open(os.path.join(root, "pyproject.toml")) as handle:
+        text = handle.read()
+    section = text.split("[tool.setuptools.package-data]")[1].split("\n[")[0]
+    listed = re.search(r'^"repro\.machine"\s*=\s*\[(.*?)\]', section,
+                       re.MULTILINE | re.DOTALL).group(1)
+    patterns = re.findall(r'"([^"]+)"', listed)
+    assert patterns
+    for source in native._SOURCES:
+        assert os.path.dirname(source) == os.path.dirname(native.__file__)
+        name = os.path.basename(source)
+        assert any(fnmatch.fnmatch(name, pattern) for pattern in patterns), (
+            "%s is compiled by native.py but not shipped" % name)
