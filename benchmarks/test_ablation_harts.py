@@ -12,6 +12,7 @@ We run an arithmetic team of n = 1..4 members on one core and chart IPC.
 from repro.asm import assemble
 from repro.detomp import runtime_asm, start_stub_asm, worker_asm
 from repro.detomp.runtime import omp_globals_asm
+from repro.eval import run_experiments
 from repro.machine import LBP, Params
 
 _BODY = """
@@ -52,8 +53,9 @@ def _ipc(members):
     return stats.ipc
 
 
-def test_multithreading_fills_the_pipeline(fanout):
-    curve = fanout([(members, _ipc, (members,)) for members in (1, 2, 3, 4)])
+def test_multithreading_fills_the_pipeline():
+    curve = run_experiments(
+        [(members, _ipc, (members,)) for members in (1, 2, 3, 4)])
     print()
     for members, value in curve.items():
         print("  %d active hart(s): IPC %.3f  %s"

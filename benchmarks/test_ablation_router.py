@@ -11,6 +11,7 @@ keeps remote traffic, and thus the interconnect requirement, low.
 from conftest import bench_scale
 
 from repro.compiler import compile_to_program
+from repro.eval import run_experiments
 from repro.machine import LBP, Params
 from repro.workloads.matmul import matmul_source, verify_matmul
 
@@ -27,12 +28,12 @@ def _run(version, hop_latency, scale):
     return stats.cycles
 
 
-def test_router_latency_sweep(fanout):
+def test_router_latency_sweep():
     scale = bench_scale(8)
     hops = (1, 2, 4)
     versions = ("base", "d+c")
 
-    points = fanout([
+    points = run_experiments([
         ("%s/hop%d" % (version, hop), _run, (version, hop, scale))
         for version in versions for hop in hops
     ])

@@ -14,6 +14,7 @@ the paper's Xeon measurements needed 1000 runs and a minimum.
 
 from repro.baselines import ClassicSMP
 from repro.compiler import compile_to_program
+from repro.eval import run_experiments
 from repro.machine import LBP, Params
 from repro.workloads.matmul import matmul_source, verify_matmul
 
@@ -29,11 +30,11 @@ def _traced_run():
     return stats, machine.trace.events
 
 
-def test_lbp_cycle_determinism(fanout):
+def test_lbp_cycle_determinism():
     # the two repeats run in separate worker processes through the
     # parallel runner — determinism must hold across process boundaries
-    results = fanout([("run_a", _traced_run), ("run_b", _traced_run)],
-                     jobs=2)
+    results = run_experiments(
+        [("run_a", _traced_run), ("run_b", _traced_run)], jobs=2)
     (stats_a, trace_a) = results["run_a"]
     (stats_b, trace_b) = results["run_b"]
     print()
@@ -47,11 +48,11 @@ def test_lbp_cycle_determinism(fanout):
     print("traces identical, event for event (cycle determinism)")
 
 
-def test_classic_smp_is_not_repeatable(once):
+def test_classic_smp_is_not_repeatable():
     # the same 16 tasks of ~30k instructions each, 8 runs
     tasks = [30_000] * 16
     model = ClassicSMP(num_cores=CORES, seed=100)
-    lowest, average, highest = once(model.run_many, tasks, 8)
+    lowest, average, highest = model.run_many(tasks, 8)
     print()
     print("classic SMP, 8 runs of the same work: min=%d avg=%.0f max=%d"
           % (lowest, average, highest))

@@ -14,8 +14,8 @@ H = 16
 CORES = 4
 
 
-def test_fig19_matmul_4core(once):
-    rows = once(run_matmul_figure, H, CORES, 1, "cycle")
+def test_fig19_matmul_4core():
+    rows = run_matmul_figure(H, CORES)
     print()
     print(format_rows(rows, PAPER_FIG19,
                       "Figure 19 — 4-core LBP (16 harts), h=16, full scale"))

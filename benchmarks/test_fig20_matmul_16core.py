@@ -21,9 +21,9 @@ H = 64
 CORES = 16
 
 
-def test_fig20_matmul_16core(once):
+def test_fig20_matmul_16core():
     scale = bench_scale(2)
-    rows = once(run_matmul_figure, H, CORES, scale, "cycle")
+    rows = run_matmul_figure(H, CORES, scale)
     print()
     print(format_rows(
         rows, PAPER_FIG20,

@@ -1,15 +1,20 @@
 """Figure 21 — the five matmul versions on a 64-core / 256-hart LBP,
 plus the Xeon-Phi-class baseline for the tiled version.
 
-h=256 runs on the fast simulator (validated against the cycle-accurate
-model; see tests/integration/test_fastsim_validation.py), and the tiled
-version once more on the cycle-accurate machine.  Default work scale is
-1/16; ``LBP_BENCH_SCALE=1`` reproduces the paper's full 59 M+ retired
-instructions if you have the patience.
+Cycle-accurate, like every other figure: the five versions run as five
+tasks of the parallel runner.  Default work scale is 1/16 (about 90 M
+retired instructions in all); ``LBP_BENCH_SCALE=1`` reproduces the
+paper's full 59 M+ retired instructions per version if you have the
+patience.
 
-Shape asserted (paper §7):
-* tiled is the fastest version — clearly ahead of distributed, and by
-  a large factor over base (paper: 2x and 4x, per its figure);
+Shape asserted (paper §7), as it holds on the real model:
+* base is the slowest version and tiled beats it by a large factor
+  (paper: 3.5x at full scale; 3.28x here);
+* tiled is the best placement-aware version or within 10 % of it — the
+  paper's 1.8x lead of tiled over distributed does *not* reproduce
+  (distributed/tiled is 0.98 at 1/16): the non-optimising compiler issues
+  half the memory operations per cycle, so the interconnect never
+  saturates (EXPERIMENTS.md E3, ROADMAP item 1);
 * tiled runs close to the 64-IPC peak (paper: 61.7) — the interconnect
   sustains the demand;
 * tiling costs extra retired instructions over base (paper: +23%);
@@ -20,42 +25,58 @@ Shape asserted (paper §7):
 from conftest import bench_scale
 
 from repro.baselines import XeonPhiModel
-from repro.eval import (PAPER_FIG21, format_rows, run_matmul_experiment,
-                        run_matmul_figure)
+from repro.eval import (PAPER_FIG21, format_rows, run_experiments,
+                        run_matmul_experiment)
+from repro.workloads.matmul import MATMUL_VERSIONS
 
 H = 256
 CORES = 64
 
+#: (cycles, retired) at the default 1/16 scale.  The machine is
+#: deterministic, so these are exact on every host; they are tracked
+#: counts, not goldens — a compiler PR rebaselines them once (ROADMAP 1(a)).
+PINNED_SCALE = 16
+PINNED = {
+    "base": (1_100_324, 16_803_015),
+    "copy": (588_678, 14_750_151),
+    "distributed": (327_483, 19_694_791),
+    "d+c": (327_746, 19_730_887),
+    "tiled": (335_639, 20_081_607),
+}
 
-def test_fig21_matmul_64core(once):
-    scale = bench_scale(16)
-    rows = once(run_matmul_figure, H, CORES, scale, "fast")
+
+def test_fig21_matmul_64core():
+    scale = bench_scale(PINNED_SCALE)
+    rows = run_experiments([
+        (version, run_matmul_experiment, (version, H, CORES, scale))
+        for version in MATMUL_VERSIONS])
     xeon = XeonPhiModel().tiled_matmul(H)
     print()
     print(format_rows(
         rows, PAPER_FIG21,
-        "Figure 21 — 64-core LBP (256 harts), h=256, scale=1/%d, fast sim" % scale))
+        "Figure 21 — 64-core LBP (256 harts), h=256, scale=1/%d" % scale))
     print("xeon-phi      %12d %8.2f %12d   (analytic model, full scale; "
           "%.0f%% of 6-IPC peak)"
           % (xeon["cycles"], xeon["ipc"], xeon["retired"],
              100 * xeon["peak_fraction"]))
 
+    if scale == PINNED_SCALE:
+        assert {v: (rows[v]["cycles"], rows[v]["retired"])
+                for v in rows} == PINNED
+
     cycles = {v: rows[v]["cycles"] for v in rows}
     ipc = {v: rows[v]["ipc"] for v in rows}
 
-    # tiled is the best (or within 10% of the best) placement-aware
-    # version — at larger scales our leaner memory mix (a compute-heavier
-    # compiled inner loop than gcc -O2's 7 instructions) lets distributed
-    # catch up to tiled, while the base-vs-placement gap stays put
-    best = min(cycles.values())
-    assert cycles["tiled"] <= 1.1 * best, cycles
-    # base pays for its bank-0 concentration: several times slower
-    assert cycles["tiled"] * 2.0 < cycles["base"], cycles
+    # base pays for its bank-0 concentration: slowest, by a large factor
     assert max(cycles, key=cycles.get) == "base", cycles
+    assert cycles["tiled"] * 2.0 < cycles["base"], cycles
+    # tiled is the best (or within 10% of the best) placement-aware
+    # version: distributed and d+c converge with it (module docstring)
+    assert cycles["tiled"] <= 1.1 * min(cycles.values()), cycles
 
     # tiled runs near the 64-IPC peak (interconnect sustains the demand)
     assert ipc["tiled"] >= 45.0, ipc
-    assert ipc["tiled"] > ipc["base"], ipc
+    assert ipc["tiled"] / CORES > 0.7, ipc
 
     # tiling overhead in retired instructions (paper: +23%)
     assert rows["tiled"]["retired"] > 1.05 * rows["base"]["retired"], rows
@@ -65,19 +86,3 @@ def test_fig21_matmul_64core(once):
     lbp_full_retired = rows["tiled"]["retired"] * scale
     assert xeon["retired"] < lbp_full_retired
     assert xeon["peak_fraction"] < 0.35
-    lbp_peak_fraction = ipc["tiled"] / 64.0
-    assert lbp_peak_fraction > 0.7
-
-
-def test_e3_matmul64_cycle_accurate(once):
-    """The paper's headline machine on the cycle-accurate model."""
-    scale = bench_scale(16)
-    row = once(run_matmul_experiment, "tiled", H, CORES, scale, "cycle")
-    print()
-    print("E3 cycle-accurate tiled: %d cycles, %d retired, ipc %.2f "
-          "(scale=1/%d)" % (row["cycles"], row["retired"], row["ipc"], scale))
-    # the run completed and was verified (verify_matmul ran inside);
-    # pin the shape: tiled keeps the 64-core machine near its peak, as
-    # the fast simulator says it does
-    assert row["cores"] == CORES and row["cycles"] > 0
-    assert row["ipc"] / CORES > 0.7, row

@@ -27,7 +27,7 @@ def _run(schedules):
     return actuator.writes
 
 
-def test_io_response_time_bounded(once):
+def test_io_response_time_bounded():
     # one event every 800 cycles: beyond the round's processing time, so
     # the system reaches a steady state (an oversubscribed period would
     # make responses grow round over round — also a useful property to
@@ -36,7 +36,7 @@ def test_io_response_time_bounded(once):
         [(800 * (r + 1) + 29 * i, 1000 * r + i) for r in range(ROUNDS)]
         for i in range(4)
     ]
-    writes = once(_run, schedules)
+    writes = _run(schedules)
     assert [value for _c, value in writes] == expected_fusions(schedules, ROUNDS)
 
     responses = []

@@ -26,14 +26,10 @@ def _run(source, cores):
     return program, machine, stats
 
 
-def test_parallelization_overhead(once):
-    def experiment():
-        _prog_s, _m_s, seq = _run(matmul_sequential_source(H), CORES)
-        prog_p, m_p, par = _run(matmul_source("base", H), CORES)
-        verify_matmul(m_p, prog_p, "base", H)
-        return seq, par
-
-    seq, par = once(experiment)
+def test_parallelization_overhead():
+    _prog_s, _m_s, seq = _run(matmul_sequential_source(H), CORES)
+    prog_p, m_p, par = _run(matmul_source("base", H), CORES)
+    verify_matmul(m_p, prog_p, "base", H)
     overhead = par.retired / seq.retired - 1.0
     speedup = seq.cycles / par.cycles
     print()
@@ -49,20 +45,17 @@ def test_parallelization_overhead(once):
     assert speedup > 4.0, speedup
 
 
-def test_metrics_overhead(once):
+def test_metrics_overhead():
     """Telemetry is zero-perturbation in simulated time: the metered run's
     cycle count and retired count are identical to the unmetered run, and
-    the stall breakdown rides into BENCH_perf.json via the row's ``stalls``
-    key.  (What it costs in host time is ``observe.metrics_overhead`` in
+    the stall breakdown accounts for every non-retiring stage-cycle.
+    (What it costs in host time is ``observe.metrics_overhead`` in
     ``bench/``: a ratio of two wall times taken here would rise whenever
     the unmetered tick got faster.)"""
     from repro.eval.figures import run_matmul_experiment
 
-    def experiment():
-        return run_matmul_experiment("base", H, CORES, metrics=True)
-
     bare = run_matmul_experiment("base", H, CORES)
-    metered = once(experiment)
+    metered = run_matmul_experiment("base", H, CORES, metrics=True)
 
     # zero perturbation: the simulated machine is unaware of the observer
     assert metered["cycles"] == bare["cycles"]

@@ -1,51 +1,36 @@
 """The content-addressed run cache: warm sweep vs cold sweep.
 
-A figure sweep repeated with an unchanged toolchain should cost almost
-nothing: every task's content key (program + params + inputs +
-SIM_VERSION) is unchanged, so the second pass is pure cache hits.  The
-benchmark times both passes of the Figure-19 sweep through
-``run_experiments`` and asserts the warm one is measurably faster and
-byte-identical.
+A figure sweep repeated with an unchanged toolchain simulates nothing:
+every task's content key (program + params + inputs + SIM_VERSION) is
+unchanged, so the second pass is pure cache hits.  The benchmark runs the
+Figure-19 sweep twice through ``run_experiments`` and asserts the hit and
+miss counts and that the warm pass is byte-identical.  (What a hit costs
+in host time is ``snapshot.cache_get_ms`` and ``serve_hit`` in ``bench/``.)
 """
 
 import json
-import time
 
-from conftest import _record_perf, bench_jobs, bench_scale
-from repro.eval import run_matmul_experiment
+from conftest import bench_scale
+from repro.eval import run_experiments, run_matmul_experiment
+from repro.snapshot import RunCache
 from repro.workloads.matmul import MATMUL_VERSIONS
 
 H = 16
 CORES = 4
 
 
-def test_cache_sweep_warm_vs_cold(tmp_path, request):
-    from repro.eval.runner import run_experiments
-    from repro.snapshot import RunCache
-
+def test_cache_sweep_warm_vs_cold(tmp_path):
     scale = bench_scale(1)
-    tasks = [(version, run_matmul_experiment,
-              (version, H, CORES, scale, "cycle"))
+    tasks = [(version, run_matmul_experiment, (version, H, CORES, scale))
              for version in MATMUL_VERSIONS]
     cache = RunCache(str(tmp_path / "cache"))
 
-    t0 = time.perf_counter()
-    cold = run_experiments(tasks, jobs=bench_jobs(), cache=cache)
-    cold_wall = time.perf_counter() - t0
+    cold = run_experiments(tasks, cache=cache)
     assert cache.misses == len(tasks) and cache.hits == 0
 
-    t0 = time.perf_counter()
-    warm = run_experiments(tasks, jobs=bench_jobs(), cache=cache)
-    warm_wall = time.perf_counter() - t0
-    assert cache.hits == len(tasks)
+    warm = run_experiments(tasks, cache=cache)
+    assert cache.hits == len(tasks) and cache.misses == len(tasks)
 
     assert json.dumps(warm, sort_keys=True) == json.dumps(cold, sort_keys=True)
-    # "measurably faster": a hit reads one small JSON file per task
-    assert warm_wall < cold_wall / 5, (cold_wall, warm_wall)
-
-    _record_perf("cache_sweep_cold_h%d_c%d" % (H, CORES), cold_wall, cold)
-    _record_perf("cache_sweep_warm_h%d_c%d" % (H, CORES), warm_wall, warm)
-    print("\ncold sweep: %.3fs (%d misses)  warm sweep: %.3fs (%d hits), "
-          "speedup %.0fx"
-          % (cold_wall, cache.misses, warm_wall, cache.hits,
-             cold_wall / warm_wall if warm_wall else float("inf")))
+    print("\ncold sweep: %d misses  warm sweep: %d hits, byte-identical"
+          % (cache.misses, cache.hits))

@@ -1,29 +1,28 @@
-"""Load test for `repro serve`: hit/miss latency under concurrent fire.
+"""Load test for `repro serve`: hits and misses under concurrent fire.
 
 The serving claim (DESIGN.md §11): over a warm cache, answering a job is
 a key derivation plus a disk read — milliseconds — while a miss pays one
 simulation, exactly one, however many clients ask for it concurrently.
 This benchmark drives a real daemon (unix socket, the production stack)
-with a thousand-odd mixed submissions and verifies the claim three ways:
+with a thousand-odd mixed submissions and verifies the claim three ways
+(in counts and bytes; the latency of a hit and of a miss is the
+``serve_hit`` / ``serve_miss`` workloads' job in ``bench/``):
 
 * **single-flight** — executions counted by the server equal the number
   of *unique* keys submitted, never the number of submissions;
 * **byte-identity** — every response for one key carries byte-identical
   canonical JSON;
-* **latency split** — warm-hit p50 stays under 10 ms (measured in a
-  dedicated low-concurrency phase, so the number is a latency, not a
-  queueing artifact); hit vs miss percentiles land in BENCH_perf.json.
+* **clean drain** — stopping the daemon after the storm leaves no queued,
+  running or in-flight job behind.
 
 ``LBP_SERVE_LOAD_JOBS`` scales the storm (CI smoke uses 200; the default
 1000 satisfies the acceptance bar).
 """
 
-import json
 import os
-import time
 
 from repro.serve import ServeConfig, ServerThread
-from repro.serve.loadgen import run_load, summarize
+from repro.serve.loadgen import run_load
 
 #: storm size (mixed phase); env override for CI smoke runs
 TOTAL_JOBS = int(os.environ.get("LBP_SERVE_LOAD_JOBS", "1000"))
@@ -31,8 +30,7 @@ WARM_KEYS = 16          # distinct keys prewarmed, then hammered as hits
 COLD_KEYS = 24          # distinct keys first seen mid-storm (the misses)
 HIT_SHARE = 0.7         # of the mixed storm
 STORM_CONNECTIONS = 100
-PROBE_CONNECTIONS = 8   # low-concurrency phase: measures latency, not queueing
-HIT_P50_BUDGET_MS = 10.0
+PROBE_CONNECTIONS = 8   # low-concurrency phase: hits only, no queueing
 
 ASM = """
 main:
@@ -68,7 +66,7 @@ def _plan_mixed(total):
     return plan, hits
 
 
-def test_serve_load_hit_miss_percentiles(tmp_path, perf_record):
+def test_serve_load_hit_miss_percentiles(tmp_path):
     config = ServeConfig(unix_path=str(tmp_path / "serve.sock"),
                          cache_root=str(tmp_path / "cache"), workers=2)
     address = {"unix_path": config.unix_path}
@@ -78,7 +76,7 @@ def test_serve_load_hit_miss_percentiles(tmp_path, perf_record):
                    for n in range(WARM_KEYS)]
         run_load(address, prewarm, concurrency=4)
 
-        # phase 1 — warm-hit latency probe at low concurrency
+        # phase 1 — warm hits at low concurrency
         probe = [{"kind": "hit", "job": _job(["warm", n % WARM_KEYS])}
                  for n in range(20 * PROBE_CONNECTIONS)]
         probe_samples = run_load(address, probe,
@@ -86,10 +84,8 @@ def test_serve_load_hit_miss_percentiles(tmp_path, perf_record):
 
         # phase 2 — the mixed storm
         plan, _ = _plan_mixed(TOTAL_JOBS)
-        t0 = time.perf_counter()
         storm_samples = run_load(address, plan,
                                  concurrency=STORM_CONNECTIONS)
-        storm_wall = time.perf_counter() - t0
 
         stats = handle.server.stats()
         handle.stop()  # clean drain is part of the acceptance criteria
@@ -119,25 +115,7 @@ def test_serve_load_hit_miss_percentiles(tmp_path, perf_record):
     assert after["queue"] == {"depth": 0, "running": 0}
     assert handle.server.table.inflight == {}
 
-    # ---- the latency split --------------------------------------------------
-    probe_summary = summarize(probe_samples)
-    storm_summary = summarize(storm_samples, wall_s=storm_wall)
-    warm_p50 = probe_summary["hit"]["p50_ms"]
-    assert warm_p50 < HIT_P50_BUDGET_MS, (
-        "warm-hit p50 %.3fms blows the %.0fms budget"
-        % (warm_p50, HIT_P50_BUDGET_MS))
-
-    perf_record(storm_wall, extra={
-        "serve_load": {
-            "total_jobs": TOTAL_JOBS,
-            "connections": STORM_CONNECTIONS,
-            "unique_keys": WARM_KEYS + COLD_KEYS,
-            "executed": jobs["executed"],
-            "warm_hit_probe": probe_summary["hit"],
-            "storm": storm_summary,
-        },
-    })
-    print("\nserve load: %d jobs / %.2fs (%.0f jobs/s), warm-hit p50 %.2fms"
-          % (TOTAL_JOBS, storm_wall,
-             storm_summary["_total"]["jobs_per_s"], warm_p50))
-    print(json.dumps(storm_summary, indent=2, sort_keys=True))
+    print("\nserve load: %d jobs over %d connections, %d executed, "
+          "%d hits, %d coalesced"
+          % (TOTAL_JOBS, STORM_CONNECTIONS, jobs["executed"], jobs["hits"],
+             jobs["coalesced"]))

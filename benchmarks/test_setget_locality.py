@@ -22,8 +22,8 @@ def _run(chunk):
     return stats
 
 
-def test_setget_all_accesses_local(once):
-    stats = once(_run, 64)
+def test_setget_all_accesses_local():
+    stats = _run(64)
     print()
     print("chunk=64 : %6d local, %d remote accesses, %d cycles"
           % (stats.local_accesses, stats.remote_accesses, stats.cycles))
@@ -31,14 +31,12 @@ def test_setget_all_accesses_local(once):
     assert stats.local_accesses > 0
 
 
-def test_setget_locality_scales(once):
-    def sweep():
-        return {chunk: _run(chunk) for chunk in (16, 64, 256)}
-
-    results = {
-        chunk: (stats.local_accesses, stats.remote_accesses, stats.cycles)
-        for chunk, stats in once(sweep).items()
-    }
+def test_setget_locality_scales():
+    results = {}
+    for chunk in (16, 64, 256):
+        stats = _run(chunk)
+        results[chunk] = (stats.local_accesses, stats.remote_accesses,
+                          stats.cycles)
     print()
     for chunk, (local, remote, cycles) in results.items():
         print("chunk=%-4d: %6d local, %d remote, %d cycles"

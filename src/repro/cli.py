@@ -8,7 +8,6 @@ Usage (installed as ``python -m repro``):
     python -m repro check prog.c                 # referential-order races
     python -m repro check prog.c --sync req:4    # request words are sync
     python -m repro check prog.c --shards 4 --json
-    python -m repro run prog.c --sim fast        # fast simulator
     python -m repro run prog.c --shards 4        # space-sharded, bit-identical
     python -m repro run prog.c --trace --trace-limit 50
     python -m repro run prog.c --trace-kinds mem_store,fork
@@ -34,14 +33,13 @@ import sys
 
 from repro.asm import assemble
 from repro.compiler import compile_c
-from repro.fastsim import FastLBP
 from repro.isa.semantics import to_signed
 from repro.machine import LBP, Params
 from repro.machine.trace import Trace
 
 
-def _shards(text):
-    """``--shards`` argument: a positive worker count."""
+def positive_int(text):
+    """``--shards`` / ``--scale`` argument: a positive integer."""
     if not text.isdecimal() or int(text) < 1:
         raise argparse.ArgumentTypeError(
             "%r is not a positive integer" % (text,))
@@ -79,22 +77,7 @@ def cmd_disasm(args):
 
 
 def cmd_run(args):
-    snapshotting = (args.resume or args.snapshot_every
-                    or args.snapshot_out or args.stop_at_cycle is not None)
-    if snapshotting and args.sim == "fast":
-        print("error: the fast simulator does not support snapshot/resume "
-              "(use --sim cycle)", file=sys.stderr)
-        return 2
-    if args.shards is not None and args.sim == "fast":
-        print("error: --shards requires the cycle simulator (--sim cycle)",
-              file=sys.stderr)
-        return 2
     want_metrics = bool(args.metrics or args.metrics_out)
-    if want_metrics and args.sim == "fast":
-        print("error: --metrics requires the cycle simulator (--sim cycle): "
-              "stall attribution charges stage-cycles the fast simulator "
-              "never models", file=sys.stderr)
-        return 2
     if args.resume:
         from repro.snapshot import load_snapshot
 
@@ -127,12 +110,9 @@ def cmd_run(args):
             args.trace = True  # a kind filter implies printing the trace
         trace_enabled = bool(args.trace or args.timeline)
         params = Params(num_cores=args.cores, trace_enabled=trace_enabled)
-        if args.sim == "fast":
-            machine = FastLBP(params)
-        else:
-            metrics = args.metrics_interval if want_metrics else None
-            machine = LBP(params, trace=Trace(trace_enabled, kinds=trace_kinds),
-                          shards=args.shards, metrics=metrics)
+        metrics = args.metrics_interval if want_metrics else None
+        machine = LBP(params, trace=Trace(trace_enabled, kinds=trace_kinds),
+                      shards=args.shards, metrics=metrics)
         machine.load(program)
 
     run_kwargs = {"max_cycles": args.max_cycles}
@@ -183,10 +163,10 @@ def cmd_run(args):
         size = save_snapshot(machine, args.snapshot_out)
         print("snapshot : cycle %d -> %s (%d bytes)"
               % (machine.cycle, args.snapshot_out, size))
-    if args.stop_at_cycle is not None and not getattr(machine, "halted", True):
+    if args.stop_at_cycle is not None and not machine.halted:
         print("paused   : cycle %d (resume with --resume)" % machine.cycle)
 
-    print("halt     :", getattr(machine, "halt_reason", "exit"))
+    print("halt     :", machine.halt_reason)
     print("cycles   :", stats.cycles)
     print("retired  :", stats.retired)
     print("IPC      : %.2f (peak %d)" % (stats.ipc, machine.params.num_cores))
@@ -198,7 +178,7 @@ def cmd_run(args):
     if args.stats_json:
         _write_stats_json(machine, args.stats_json)
         print("stats    : %s" % args.stats_json)
-    if getattr(machine, "metrics", None) is not None:
+    if machine.metrics is not None:
         from repro.observe import stall_table, write_report_json
 
         report = machine.metrics_report()
@@ -219,12 +199,12 @@ def cmd_run(args):
                       for i in range(count)]
             print("%-8s : %s" % (name.strip(), values if count > 1 else values[0]))
 
-    if args.timeline and hasattr(machine, "trace"):
+    if args.timeline:
         from repro.machine.timeline import print_timeline
 
         print("--- hart timeline ---")
         print_timeline(machine)
-    if args.trace and hasattr(machine, "trace"):
+    if args.trace:
         print("--- trace (%d events) ---" % len(machine.trace))
         for line in machine.trace.formatted(limit=args.trace_limit):
             print(line)
@@ -239,7 +219,7 @@ def _write_stats_json(machine, path):
     stats = machine.stats
     payload = {
         "summary": stats.summary(),
-        "halt_reason": getattr(machine, "halt_reason", None),
+        "halt_reason": machine.halt_reason,
         "num_cores": stats.num_cores,
         "harts_per_core": stats.harts_per_core,
         "retired_by_core": stats.retired_by_core(),
@@ -360,10 +340,6 @@ def cmd_experiments(args):
     from repro.eval import format_rows, run_experiments, run_matmul_experiment
     from repro.workloads.matmul import MATMUL_VERSIONS
 
-    if args.metrics and args.sim == "fast":
-        print("error: --metrics requires the cycle simulator (--sim cycle)",
-              file=sys.stderr)
-        return 2
     cache = None
     if not args.no_cache:
         from repro.snapshot import RunCache
@@ -380,14 +356,14 @@ def cmd_experiments(args):
         extra["metrics"] = True
     tasks = [
         (version, run_matmul_experiment,
-         (version, args.h, args.cores, args.scale, args.sim), extra)
+         (version, args.h, args.cores, args.scale), extra)
         for version in MATMUL_VERSIONS
     ]
     rows = run_experiments(tasks, jobs=args.jobs, cache=cache)
     print(format_rows(
         rows,
-        title="matmul figure — h=%d, %d cores, scale=1/%d, %s sim"
-              % (args.h, args.cores, args.scale, args.sim)))
+        title="matmul figure — h=%d, %d cores, scale=1/%d"
+              % (args.h, args.cores, args.scale)))
     print("jobs     : %d worker process(es)" % rows.meta["jobs"],
           file=sys.stderr)
     if cache is not None:
@@ -572,11 +548,11 @@ def main(argv=None):
                        help=".c (DetC) or .s (assembly) file "
                             "(optional with --resume)")
     p_run.add_argument("--cores", type=int, default=4)
-    p_run.add_argument("--shards", type=_shards, default=None, metavar="N",
-                       help="space-shard the cycle simulator across N worker "
+    p_run.add_argument("--shards", type=positive_int, default=None,
+                       metavar="N",
+                       help="space-shard the simulator across N worker "
                             "processes (bit-identical results; 1 = "
                             "in-process)")
-    p_run.add_argument("--sim", choices=("cycle", "fast"), default="cycle")
     p_run.add_argument("--max-cycles", type=int, default=200_000_000)
     p_run.add_argument("--trace", action="store_true")
     p_run.add_argument("--trace-limit", type=int, default=100)
@@ -590,9 +566,8 @@ def main(argv=None):
     p_run.add_argument("--profile", action="store_true",
                        help="run under cProfile; print top-20 cumulative")
     p_run.add_argument("--metrics", action="store_true",
-                       help="stall attribution + windowed metrics (cycle "
-                            "sim; zero perturbation — traces stay "
-                            "bit-exact)")
+                       help="stall attribution + windowed metrics (zero "
+                            "perturbation — traces stay bit-exact)")
     p_run.add_argument("--metrics-interval", type=int, default=4096,
                        metavar="K", help="sampling window, in cycles")
     p_run.add_argument("--metrics-out", metavar="PATH",
@@ -604,7 +579,7 @@ def main(argv=None):
                             "stable-keyed JSON")
     p_run.add_argument("--resume", metavar="SNAPSHOT",
                        help="restore a snapshot file and continue the run "
-                            "(bit-exact; cycle sim only)")
+                            "(bit-exact)")
     p_run.add_argument("--stop-at-cycle", type=int, metavar="N",
                        help="pause (without halting) at cycle N; combine "
                             "with --snapshot-out to checkpoint")
@@ -621,7 +596,8 @@ def main(argv=None):
         help="run under full telemetry; export Perfetto/CSV/JSON views")
     p_obs.add_argument("source", help=".c (DetC) or .s (assembly) file")
     p_obs.add_argument("--cores", type=int, default=4)
-    p_obs.add_argument("--shards", type=_shards, default=None, metavar="N",
+    p_obs.add_argument("--shards", type=positive_int, default=None,
+                       metavar="N",
                        help="space-shard the metered run (reports are "
                             "byte-identical for any N)")
     p_obs.add_argument("--max-cycles", type=int, default=200_000_000)
@@ -650,7 +626,8 @@ def main(argv=None):
              "(exit 1 when races are found)")
     p_check.add_argument("source", help=".c (DetC) or .s (assembly) file")
     p_check.add_argument("--cores", type=int, default=4)
-    p_check.add_argument("--shards", type=_shards, default=None, metavar="N",
+    p_check.add_argument("--shards", type=positive_int, default=None,
+                         metavar="N",
                          help="space-shard the sanitized run (the merged "
                               "report is byte-identical for any N)")
     p_check.add_argument("--max-cycles", type=int, default=200_000_000)
@@ -668,18 +645,18 @@ def main(argv=None):
     p_exp.add_argument("--h", type=int, default=16,
                        help="total hart count of the figure (16/64/256)")
     p_exp.add_argument("--cores", type=int, default=4)
-    p_exp.add_argument("--scale", type=int, default=1,
+    p_exp.add_argument("--scale", type=positive_int, default=1,
                        help="work-scale divisor (see LBP_BENCH_SCALE)")
-    p_exp.add_argument("--sim", choices=("cycle", "fast"), default="cycle")
-    p_exp.add_argument("--shards", type=_shards, default=None, metavar="N",
-                       help="space-shard each cycle simulation across N "
+    p_exp.add_argument("--shards", type=positive_int, default=None,
+                       metavar="N",
+                       help="space-shard each simulation across N "
                             "worker processes (results are bit-identical)")
     p_exp.add_argument("--jobs", type=int, default=None,
                        help="worker processes (default: LBP_JOBS or the "
                             "CPU affinity count)")
     p_exp.add_argument("--metrics", action="store_true",
-                       help="record stall breakdowns per version (cycle "
-                            "sim; rows grow a 'stalls' column)")
+                       help="record stall breakdowns per version (rows "
+                            "grow a 'stalls' column)")
     p_exp.add_argument("--no-cache", action="store_true",
                        help="always simulate; skip the run cache")
     p_exp.add_argument("--cache-dir", default=None,

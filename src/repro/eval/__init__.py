@@ -1,7 +1,7 @@
 """Evaluation harness: regenerates every figure of the paper's section 7.
 
 :mod:`repro.eval.figures` runs the matmul experiment at any configuration
-on either simulator and formats paper-vs-measured tables;
+on the cycle-accurate machine and formats paper-vs-measured tables;
 :mod:`repro.eval.paper_data` records the numbers the paper's text states
 for figures 19-21 (the HAL preprint renders the histograms as images, so
 only the values quoted in prose are available as ground truth);

@@ -1,36 +1,25 @@
 """Experiment runners + table formatting for the figure benches."""
 
 from repro.compiler import compile_to_program
-from repro.fastsim import FastLBP
 from repro.machine import LBP, Params
 from repro.workloads.matmul import MATMUL_VERSIONS, matmul_source, verify_matmul
 
 
-def run_matmul_experiment(version, h, num_cores, scale=1, simulator="cycle",
+def run_matmul_experiment(version, h, num_cores, scale=1,
                           max_cycles=500_000_000, shards=None, metrics=False):
     """Compile, run and verify one matmul version; returns a result row.
 
-    *shards* (cycle simulator only) runs the space-sharded engine; the
-    results are bit-identical to ``shards=None``, so the row is the same
-    either way — only the wall time changes.  *metrics* (cycle simulator
-    only; True or a window interval) runs under stall attribution and
-    grows the row a ``stalls`` breakdown plus ``stall_cycles`` — the
-    "why is it slow" column of the BENCH records.
+    *shards* runs the space-sharded engine; the results are bit-identical
+    to ``shards=None``, so the row is the same either way — only the wall
+    time changes.  *metrics* (True or a window interval) runs under stall
+    attribution and grows the row a ``stalls`` breakdown plus
+    ``stall_cycles`` — the "why is it slow" column.
     """
     program = compile_to_program(
         matmul_source(version, h, scale=scale), "matmul_%s.c" % version
     )
-    params = Params(num_cores=num_cores)
-    if simulator == "cycle":
-        machine = LBP(params, shards=shards, metrics=metrics).load(program)
-    elif simulator == "fast":
-        if shards not in (None, 1):
-            raise ValueError("shards requires the cycle simulator")
-        if metrics:
-            raise ValueError("metrics requires the cycle simulator")
-        machine = FastLBP(params).load(program)
-    else:
-        raise ValueError("simulator must be 'cycle' or 'fast'")
+    machine = LBP(Params(num_cores=num_cores), shards=shards,
+                  metrics=metrics).load(program)
     stats = machine.run(max_cycles=max_cycles)
     verify_matmul(machine, program, version, h, scale=scale)
     row = {
@@ -39,7 +28,6 @@ def run_matmul_experiment(version, h, num_cores, scale=1, simulator="cycle",
         "h": h,
         "cores": num_cores,
         "scale": scale,
-        "simulator": simulator,
         "cycles": stats.cycles,
         "retired": stats.retired,
         "ipc": round(stats.ipc, 2),
@@ -54,11 +42,10 @@ def run_matmul_experiment(version, h, num_cores, scale=1, simulator="cycle",
     return row
 
 
-def run_matmul_figure(h, num_cores, scale=1, simulator="cycle",
-                      versions=MATMUL_VERSIONS):
+def run_matmul_figure(h, num_cores, scale=1, versions=MATMUL_VERSIONS):
     """All versions of one figure; returns {version: row}."""
     return {
-        version: run_matmul_experiment(version, h, num_cores, scale, simulator)
+        version: run_matmul_experiment(version, h, num_cores, scale)
         for version in versions
     }
 

@@ -1,20 +1,14 @@
-"""Shared test helpers: compile DetC and run it on a simulator."""
+"""Shared test helpers: compile DetC and run it on the machine."""
 
 from repro.compiler import compile_to_program
-from repro.fastsim import FastLBP
 from repro.isa.semantics import to_signed
 from repro.machine import LBP, Params
 
 
-def run_c(source, cores=1, simulator="cycle", max_cycles=5_000_000, **params):
+def run_c(source, cores=1, max_cycles=5_000_000, **params):
     """Compile *source*, run it; returns (program, machine, stats)."""
     program = compile_to_program(source, "test.c")
-    machine_params = Params(num_cores=cores, **params)
-    if simulator == "cycle":
-        machine = LBP(machine_params)
-    else:
-        machine = FastLBP(machine_params)
-    machine.load(program)
+    machine = LBP(Params(num_cores=cores, **params)).load(program)
     stats = machine.run(max_cycles=max_cycles)
     return program, machine, stats
 

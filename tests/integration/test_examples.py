@@ -38,3 +38,12 @@ def test_matmul_experiment_example_small(capsys):
                        "--version", "base", "--version", "copy"])
     out = capsys.readouterr().out
     assert "base" in out and "copy" in out and "cycles" in out
+
+
+@pytest.mark.parametrize("bad", ["0", "-1", "x"])
+def test_matmul_experiment_example_rejects_bad_scale(capsys, bad):
+    with pytest.raises(SystemExit) as exit_:
+        _run_example("matmul_experiment.py",
+                     argv=["matmul_experiment.py", "--scale", bad])
+    assert exit_.value.code == 2
+    assert "not a positive integer" in capsys.readouterr().err

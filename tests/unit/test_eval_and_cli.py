@@ -28,17 +28,11 @@ def test_paper_quoted_values_present():
 
 
 def test_run_matmul_experiment_row_shape():
-    row = run_matmul_experiment("base", 8, 2, scale=2, simulator="cycle")
+    row = run_matmul_experiment("base", 8, 2, scale=2)
     assert row["workload"] == "matmul"
     assert row["version"] == "base"
     assert row["cycles"] > 0 and row["retired"] > 0
     assert 0 < row["ipc"] <= 2.0
-    assert row["simulator"] == "cycle"
-
-
-def test_run_matmul_experiment_rejects_bad_simulator():
-    with pytest.raises(ValueError):
-        run_matmul_experiment("base", 8, 2, simulator="magic")
 
 
 def test_format_rows_with_and_without_paper():
@@ -89,10 +83,20 @@ def test_cli_run_with_globals(tmp_path, capsys):
     assert "halt     : exit" in out
 
 
-def test_cli_run_fast_simulator(tmp_path, capsys):
-    assert cli_main(["run", _write(tmp_path, _PROG),
-                     "--cores", "1", "--sim", "fast", "--print", "v:4"]) == 0
-    assert "[40, 41, 42, 43]" in capsys.readouterr().out
+@pytest.mark.parametrize("ask, error", [
+    (lambda: cli_main(["run", "prog.c", "--sim", "fast"]), SystemExit),
+    (lambda: cli_main(["experiments", "--sim", "cycle"]), SystemExit),
+    (lambda: run_matmul_experiment("base", 8, 2, simulator="fast"),
+     TypeError),
+], ids=["run", "experiments", "run_matmul_experiment"])
+def test_no_option_selects_a_second_simulator(capsys, ask, error):
+    """``--sim`` / ``simulator=`` picked the fast timing model; every
+    entry point now runs the one cycle-accurate machine."""
+    with pytest.raises(error) as raised:
+        ask()
+    if error is SystemExit:
+        assert raised.value.code == 2
+        assert "unrecognized arguments: --sim" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("cores", ["1", "2"])
@@ -126,6 +130,32 @@ def test_cli_rejects_a_shard_count_that_is_not_positive(tmp_path, capsys,
     assert exit_.value.code == 2
     err = capsys.readouterr().err
     assert "usage:" in err and "not a positive integer" in err
+
+
+@pytest.mark.parametrize("bad", ["0", "-1", "x"])
+def test_cli_experiments_rejects_a_scale_that_is_not_positive(capsys, bad):
+    """Was a ZeroDivisionError traceback out of workloads/matmul.py."""
+    with pytest.raises(SystemExit) as exit_:
+        cli_main(["experiments", "--scale", bad])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and "not a positive integer" in err
+
+
+@pytest.mark.parametrize("bad", ["0", "-1", "x"])
+def test_bench_scale_rejects_a_value_that_is_not_positive(monkeypatch, bad):
+    import os
+    import runpy
+
+    conftest = runpy.run_path(os.path.join(
+        os.path.dirname(__file__), "..", "..", "benchmarks", "conftest.py"))
+    monkeypatch.setenv("LBP_BENCH_SCALE", bad)
+    with pytest.raises(pytest.UsageError, match="LBP_BENCH_SCALE"):
+        conftest["bench_scale"](16)
+    monkeypatch.setenv("LBP_BENCH_SCALE", "4")
+    assert conftest["bench_scale"](16) == 4
+    monkeypatch.delenv("LBP_BENCH_SCALE")
+    assert conftest["bench_scale"](16) == 16
 
 
 def test_cli_run_assembly_file(tmp_path, capsys):
@@ -166,15 +196,6 @@ def test_cli_trace_kinds_subset_of_full_trace(tmp_path, capsys):
     filtered = [line for line in capsys.readouterr().out.splitlines()
                 if "at cycle" in line]
     assert filtered == full  # same events, same order — only non-matching dropped
-
-
-def test_cli_snapshot_flags_rejected_on_fast_sim(tmp_path, capsys):
-    path = _write(tmp_path, _PROG)
-    for flags in (["--stop-at-cycle", "10"], ["--snapshot-every", "10"],
-                  ["--snapshot-out", str(tmp_path / "x.lbpsnap")],
-                  ["--resume", str(tmp_path / "x.lbpsnap")]):
-        assert cli_main(["run", path, "--sim", "fast"] + flags) == 2
-        assert "does not support snapshot" in capsys.readouterr().err
 
 
 def test_cli_run_requires_source_unless_resuming(capsys):
@@ -222,12 +243,6 @@ def test_cli_run_metrics_and_stats_json(tmp_path, capsys):
     assert report["retired"] + report["stall_cycles"] == report["stage_cycles"]
 
 
-def test_cli_run_metrics_rejected_on_fast_sim(tmp_path, capsys):
-    assert cli_main(["run", _write(tmp_path, _PROG), "--sim", "fast",
-                     "--metrics"]) == 2
-    assert "metrics" in capsys.readouterr().err
-
-
 def test_cli_metrics_cannot_be_enabled_mid_run(tmp_path, capsys):
     path = _write(tmp_path, _PROG)
     snap = tmp_path / "pause.lbpsnap"
@@ -261,7 +276,7 @@ def test_cli_observe_writes_all_formats(tmp_path, capsys):
 
 def test_cli_experiments_cache_hits_on_second_run(tmp_path, capsys):
     argv = ["experiments", "--h", "16", "--cores", "4", "--scale", "8",
-            "--sim", "fast", "--jobs", "1",
+            "--jobs", "1",
             "--cache-dir", str(tmp_path / "cache")]
     assert cli_main(argv) == 0
     cold = capsys.readouterr()

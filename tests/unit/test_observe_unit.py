@@ -200,10 +200,3 @@ def test_metrics_report_requires_metrics():
     machine.run(max_cycles=1_000_000)
     with pytest.raises(MachineError):
         machine.metrics_report()
-
-
-def test_figure_runner_refuses_fast_metrics():
-    from repro.eval.figures import run_matmul_experiment
-
-    with pytest.raises(ValueError):
-        run_matmul_experiment("base", 16, 4, simulator="fast", metrics=True)
