@@ -1,0 +1,275 @@
+
+        .text
+_start:
+        jal     main
+        li      ra, 0
+        li      t0, -1
+        p_ret                       # ra==0 && t0==-1: process exit
+
+count_slice:
+        addi sp, sp, -16
+        sw ra, 0(sp)
+        sw s0, 4(sp)
+        sw s1, 8(sp)
+        mv s0, a0
+        mv t1, s0
+        slli t1, t1, 4
+        mv s1, t1
+.Lfor_2:
+        mv t1, s1
+        mv t2, s0
+        addi t2, t2, 1
+        slli t2, t2, 4
+        bge t1, t2, .Lendfor_4
+        la t2, priv
+        mv t1, s0
+        slli t1, t1, 3
+        la t3, D
+        mv t4, s1
+        slli t4, t4, 2
+        add t3, t3, t4
+        lw t4, 0(t3)
+        add t1, t1, t4
+        slli t1, t1, 2
+        add t2, t2, t1
+        lw t1, 0(t2)
+        li t4, 1
+        add t1, t1, t4
+        sw t1, 0(t2)
+.Lforstep_3:
+        mv t1, s1
+        addi t1, t1, 1
+        mv s1, t1
+        j .Lfor_2
+.Lendfor_4:
+.Lret_count_slice_1:
+        lw ra, 0(sp)
+        lw s0, 4(sp)
+        lw s1, 8(sp)
+        addi sp, sp, 16
+        ret
+
+merge_bin:
+        addi sp, sp, -16
+        sw ra, 0(sp)
+        sw s0, 4(sp)
+        sw s1, 8(sp)
+        sw s2, 12(sp)
+        mv s0, a0
+        li t1, 0
+        mv s2, t1
+        li t1, 0
+        mv s1, t1
+.Lfor_6:
+        mv t1, s1
+        li t2, 8
+        bge t1, t2, .Lendfor_8
+        mv t2, s2
+        la t1, priv
+        mv t3, s1
+        slli t3, t3, 3
+        mv t4, s0
+        add t3, t3, t4
+        slli t3, t3, 2
+        add t1, t1, t3
+        lw t3, 0(t1)
+        add t2, t2, t3
+        mv s2, t2
+.Lforstep_7:
+        mv t2, s1
+        addi t2, t2, 1
+        mv s1, t2
+        j .Lfor_6
+.Lendfor_8:
+        mv t2, s2
+        la t3, hist
+        mv t1, s0
+        slli t1, t1, 2
+        add t3, t3, t1
+        sw t2, 0(t3)
+.Lret_merge_bin_5:
+        lw ra, 0(sp)
+        lw s0, 4(sp)
+        lw s1, 8(sp)
+        lw s2, 12(sp)
+        addi sp, sp, 16
+        ret
+
+main:
+        addi sp, sp, -16
+        sw ra, 0(sp)
+        sw s0, 4(sp)
+        li t1, 8
+        la t2, omp_num_threads
+        sw t1, 0(t2)
+        la t1, __omp_cap_0
+        li t1, 8
+        mv a2, t1
+        la a0, __omp_worker_0
+        la a1, __omp_cap_0
+        jal LBP_parallel_start
+        li t1, 8
+        la t2, omp_num_threads
+        sw t1, 0(t2)
+        la t1, __omp_cap_1
+        li t1, 8
+        mv a2, t1
+        la a0, __omp_worker_1
+        la a1, __omp_cap_1
+        jal LBP_parallel_start
+.Lret_main_9:
+        lw ra, 0(sp)
+        lw s0, 4(sp)
+        addi sp, sp, 16
+        ret
+
+__omp_body_0:
+        addi sp, sp, -32
+        sw ra, 16(sp)
+        sw s0, 20(sp)
+        sw s1, 24(sp)
+        sw s2, 28(sp)
+        mv s0, a0
+        mv s1, a1
+        mv t1, s1
+        mv s2, t1
+        mv t1, s2
+        sw t1, 0(sp)
+        lw a0, 0(sp)
+        jal count_slice
+.Lret___omp_body_0_10:
+        lw ra, 16(sp)
+        lw s0, 20(sp)
+        lw s1, 24(sp)
+        lw s2, 28(sp)
+        addi sp, sp, 32
+        ret
+
+__omp_body_1:
+        addi sp, sp, -32
+        sw ra, 16(sp)
+        sw s0, 20(sp)
+        sw s1, 24(sp)
+        sw s2, 28(sp)
+        mv s0, a0
+        mv s1, a1
+        mv t1, s1
+        mv s2, t1
+        mv t1, s2
+        sw t1, 0(sp)
+        lw a0, 0(sp)
+        jal merge_bin
+.Lret___omp_body_1_11:
+        lw ra, 16(sp)
+        lw s0, 20(sp)
+        lw s1, 24(sp)
+        lw s2, 28(sp)
+        addi sp, sp, 32
+        ret
+
+
+__omp_worker_0:
+        addi    sp, sp, -16
+        sw      ra, 0(sp)
+        sw      t0, 4(sp)
+        jal     __omp_body_0
+        lw      ra, 0(sp)
+        lw      t0, 4(sp)
+        addi    sp, sp, 16
+        p_ret
+
+
+__omp_worker_1:
+        addi    sp, sp, -16
+        sw      ra, 0(sp)
+        sw      t0, 4(sp)
+        jal     __omp_body_1
+        lw      ra, 0(sp)
+        lw      t0, 4(sp)
+        addi    sp, sp, 16
+        p_ret
+
+
+# ---- Deterministic OpenMP runtime ------------------------------------------
+# LBP_parallel_start(a0=worker, a1=data, a2=nt)
+# clobbers t1-t6; t0 becomes the merged team identity on every member.
+        .text
+LBP_parallel_start:
+        p_set   t0, t0              # stamp: this hart is the join hart
+        addi    t2, a2, -1          # t2 = last member index
+        li      t1, 0               # t1 = member index
+LBP_ps_loop:
+        beq     t1, t2, LBP_ps_last
+        andi    t3, t1, 3          # hart slot inside the core
+        addi    t4, t1, 1           # successor member index
+        li      t5, 3
+        beq     t3, t5, LBP_ps_next_core
+        p_fc    t6                  # fork on current core
+        j       LBP_ps_send
+LBP_ps_next_core:
+        p_fn    t6                  # fork on next core
+LBP_ps_send:
+        p_swcv  t6, ra, 0          # join address
+        p_swcv  t6, t0, 4          # join identity
+        p_swcv  t6, a0, 8          # worker
+        p_swcv  t6, a1, 12          # data
+        p_swcv  t6, t4, 16          # successor index
+        p_swcv  t6, t2, 20          # last index
+        p_merge t0, t0, t6          # identity: join half | allocated half
+        p_syncm                     # CV writes must land before the start
+        mv      t5, a0
+        mv      a0, a1              # worker(data, index)
+        mv      a1, t1
+        p_jalr  ra, t0, t5          # run worker here; successor starts below
+        # ---- executed by the forked hart ----
+        p_lwcv  ra, 0
+        p_lwcv  t0, 4
+        p_lwcv  a0, 8
+        p_lwcv  a1, 12
+        p_lwcv  t1, 16
+        p_lwcv  t2, 20
+        j       LBP_ps_loop
+LBP_ps_last:
+        mv      t5, a0
+        mv      a0, a1              # worker(data, last index)
+        mv      a1, t1
+        jr      t5                  # tail: worker's p_ret joins via ra/t0
+
+
+        .data
+
+        .bank 0
+        .align 2
+D:
+        .word 3, 2, 5, 7, 1, 0, 7, 4
+        .word 3, 3, 7, 7, 6, 2, 3, 2
+        .word 6, 0, 1, 2, 0, 4, 0, 4
+        .word 7, 6, 6, 6, 7, 2, 5, 1
+        .word 0
+        .word 2, 7, 3, 4, 6, 4, 6, 6
+        .word 5, 6, 3, 5, 0, 4, 2, 5
+        .word 1, 3, 4, 4, 1, 1, 7, 7
+        .word 1, 5, 1, 6, 2, 0, 4, 6
+        .word 6, 1, 0, 0, 6, 5, 4, 3
+        .word 0
+        .word 4, 0, 1, 1, 0, 3, 6, 4
+        .word 4, 2, 0, 5, 5, 5, 2, 6
+        .word 6, 7, 6, 1, 4, 6, 3, 4
+        .word 6, 4, 4, 5, 0, 6, 5, 0
+        .word 6, 2, 0, 5, 7, 5, 5, 4
+        .word 7, 0, 0, 0, 5, 4, 7, 4
+        .word 5, 2, 5, 2, 5, 5
+        .bank 0
+        .align 2
+priv:        .space 256
+        .bank 0
+        .align 2
+hist:        .space 32
+        .bank 0
+__omp_cap_0:        .space 4
+        .bank 0
+__omp_cap_1:        .space 4
+
+        .bank 0
+omp_num_threads:
+        .word 1

@@ -11,6 +11,12 @@ attributable to one reviewable commit, not to uncommitted local edits
 (pass ``--force`` to override, e.g. while iterating on the model change
 itself).  Bump ``repro.snapshot.snapshot.SIM_VERSION`` in the same
 commit — stale snapshots and cache entries key off it.
+
+``--asm`` rewrites ``tests/data/golden_asm/<name>.s`` instead: the
+assembly the golden workloads run from, as today's compiler emits it.
+That moves every digest with the compiler, so it is for the day the
+machine goldens should follow a new code shape on purpose — follow it
+with a plain run to re-record the digests.
 """
 
 import argparse
@@ -21,7 +27,8 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "integration"))
 
-from test_trace_golden import GOLDEN_PATH, WORKLOADS, measure  # noqa: E402
+from test_trace_golden import (  # noqa: E402
+    GOLDEN_ASM_DIR, GOLDEN_PATH, GOLDEN_SOURCES, WORKLOADS, measure)
 
 REPO_ROOT = os.path.abspath(
     os.path.join(os.path.dirname(__file__), "..", ".."))
@@ -43,10 +50,25 @@ def working_tree_dirty():
     return [line for line in out.splitlines() if line.strip()]
 
 
+def write_golden_asm():
+    from repro.compiler import compile_c
+
+    os.makedirs(GOLDEN_ASM_DIR, exist_ok=True)
+    for name in sorted(GOLDEN_SOURCES):
+        path = os.path.join(GOLDEN_ASM_DIR, name + ".s")
+        with open(path, "w") as handle:
+            handle.write(compile_c(GOLDEN_SOURCES[name](), name + ".c"))
+        print("wrote", os.path.relpath(path, REPO_ROOT))
+    return 0
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--force", action="store_true",
                         help="regenerate even from a dirty working tree")
+    parser.add_argument("--asm", action="store_true",
+                        help="recompile tests/data/golden_asm/*.s instead "
+                             "of re-recording the digests")
     args = parser.parse_args(argv)
 
     dirty = working_tree_dirty()
@@ -60,6 +82,9 @@ def main(argv=None):
         print("Commit (or stash) first, or pass --force while iterating.",
               file=sys.stderr)
         return 1
+
+    if args.asm:
+        return write_golden_asm()
 
     golden = {name: measure(name) for name in sorted(WORKLOADS)}
     with open(os.path.abspath(GOLDEN_PATH), "w") as handle:

@@ -28,13 +28,14 @@ from repro.snapshot import restore, snapshot
 from repro.workloads.matmul import matmul_source, verify_matmul
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-from test_trace_golden import GOLDEN_PATH, trace_digest  # noqa: E402
+from test_trace_golden import (  # noqa: E402
+    GOLDEN_PATH, golden_program, trace_digest)
 
 INTERVAL = 512
 
 
 def _metered_run(version="base", shards=None, interval=INTERVAL, trace=False):
-    program = compile_to_program(matmul_source(version, 16), "mm.c")
+    program = golden_program("matmul_%s_h16_c4" % version)
     machine = LBP(Params(num_cores=4, trace_enabled=trace),
                   shards=shards, metrics=interval).load(program)
     machine.run(max_cycles=50_000_000)

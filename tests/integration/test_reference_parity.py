@@ -42,6 +42,7 @@ from test_trace_golden import (  # noqa: E402
     GOLDEN_PATH,
     SCENARIOS,
     WORKLOADS,
+    golden_program,
     measure,
     trace_digest,
 )
@@ -175,11 +176,9 @@ def test_paused_state_and_snapshot_bytes_are_core_invariant():
 
 def _oracle_program(name):
     if name == "serving_c4":
-        workload, cores = ServingWorkload(cores=4, num_requests=8, seed=5), 4
-    else:
-        factory, cores = SCENARIOS[name]
-        workload = factory()
-    return compile_to_program(workload.source, name + ".c"), cores
+        workload = ServingWorkload(cores=4, num_requests=8, seed=5)
+        return compile_to_program(workload.source, name + ".c"), 4
+    return golden_program(name), SCENARIOS[name][1]
 
 
 @pytest.mark.parametrize("name", ["serving_c4", "stencil_h8_c2"])

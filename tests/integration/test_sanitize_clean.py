@@ -41,6 +41,7 @@ from tests.integration.test_trace_golden import (
     GOLDEN_PATH,
     RE_CONTENTION,
     SCENARIOS,
+    golden_program,
     trace_digest,
 )
 
@@ -179,7 +180,7 @@ def test_observation_does_not_perturb_golden_trace():
     """sanitize=True is observation-only: the golden digest still holds."""
     with open(GOLDEN_PATH) as handle:
         golden = json.load(handle)
-    program = compile_to_program(matmul_source("base", 16), "mm.c")
+    program = golden_program("matmul_base_h16_c4")
     machine = _sanitized(program, cores=4, trace=True)
     assert (trace_digest(machine.trace.events)
             == golden["matmul_base_h16_c4"]["trace_sha256"])

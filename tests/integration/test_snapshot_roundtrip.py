@@ -17,15 +17,13 @@ import sys
 import pytest
 
 from repro.asm import assemble
-from repro.compiler import compile_to_program
 from repro.machine import LBP, Params
 from repro.snapshot import load_snapshot, restore, save_snapshot, snapshot
 from repro.snapshot.snapshot import trace_digest
-from repro.workloads.matmul import matmul_source
-from repro.workloads.setget import setget_source
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-from test_trace_golden import GOLDEN_PATH, RE_CONTENTION  # noqa: E402
+from test_trace_golden import (  # noqa: E402
+    GOLDEN_PATH, RE_CONTENTION, golden_program)
 
 MAX_CYCLES = 50_000_000
 
@@ -35,15 +33,9 @@ SRC_ROOT = os.path.abspath(
 
 def _build(name):
     """(program, cores) for a golden workload, by name."""
-    if name == "matmul_base_h16_c4":
-        return compile_to_program(matmul_source("base", 16), "mm.c"), 4
-    if name == "matmul_tiled_h16_c4":
-        return compile_to_program(matmul_source("tiled", 16), "mm.c"), 4
-    if name == "setget_h16_chunk64_c4":
-        return compile_to_program(setget_source(16, 64), "setget.c"), 4
     if name == "re_contention_c1":
         return assemble(RE_CONTENTION), 1
-    raise KeyError(name)
+    return golden_program(name), 4
 
 
 def _fresh(name):

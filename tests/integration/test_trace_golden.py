@@ -7,6 +7,14 @@ counts and the same full event traces as the pre-optimisation simulator.
 the original all-cores-every-cycle implementation; these tests re-run the
 workloads and compare.
 
+The digests guard the *machine*, not the compiler: the eight workloads
+that start as DetC run from the assembly checked in under
+``tests/data/golden_asm/`` (written once by ``regen_golden.py --asm``), so
+a codegen change cannot move them and a digest that moves is a machine
+change.  What the compiler produces is checked at the result level
+(``test_opt_differential.py``) and tracked as counts
+(``tests/data/codegen_counts.json``).
+
 Regenerate (only when an intentional model change invalidates them) with
 ``PYTHONPATH=src:tests python tests/data/regen_golden.py``.
 """
@@ -20,7 +28,6 @@ import sys
 import pytest
 
 from repro.asm import assemble
-from repro.compiler import compile_to_program
 from repro.machine import LBP, Params
 from repro.machine.trace import Trace
 from repro.workloads.matmul import matmul_source, verify_matmul
@@ -30,6 +37,14 @@ from repro.workloads import (HistogramWorkload, ReductionWorkload,
 
 GOLDEN_PATH = os.path.join(
     os.path.dirname(__file__), "..", "data", "golden_traces.json")
+GOLDEN_ASM_DIR = os.path.join(
+    os.path.dirname(__file__), "..", "data", "golden_asm")
+
+
+def golden_program(name):
+    """The checked-in assembly of a compiled golden workload, assembled."""
+    with open(os.path.join(GOLDEN_ASM_DIR, name + ".s")) as handle:
+        return assemble(handle.read(), name + ".s")
 
 #: one producer floods result-buffer slot 0 of hart 0 while the consumer
 #: drains it slowly — the second and third p_swre find the slot occupied
@@ -99,14 +114,14 @@ def _run_traced(program, cores, shards=None, **engine):
 
 
 def run_matmul_workload(version, shards=None, **engine):
-    program = compile_to_program(matmul_source(version, 16), "mm.c")
+    program = golden_program("matmul_%s_h16_c4" % version)
     machine, stats = _run_traced(program, 4, shards, **engine)
     verify_matmul(machine, program, version, 16)
     return machine, stats
 
 
 def run_setget_workload(shards=None, **engine):
-    program = compile_to_program(setget_source(16, 64), "setget.c")
+    program = golden_program("setget_h16_chunk64_c4")
     machine, stats = _run_traced(program, 4, shards, **engine)
     verify_setget(machine, 16, 64)
     return machine, stats
@@ -139,7 +154,7 @@ SCENARIOS = {
 def run_scenario_workload(name, shards=None, **engine):
     factory, cores = SCENARIOS[name]
     workload = factory()
-    program = compile_to_program(workload.source, name + ".c")
+    program = golden_program(name)
     machine, stats = _run_traced(program, cores, shards, **engine)
     workload.verify(machine, program)
     return machine, stats
@@ -161,6 +176,17 @@ WORKLOADS = {
     "re_contention_c1": run_re_contention_workload,
 }
 WORKLOADS.update({name: _scenario_runner(name) for name in SCENARIOS})
+
+#: DetC source of every golden workload that starts as C — what
+#: ``regen_golden.py --asm`` compiles into ``golden_asm/<name>.s``
+GOLDEN_SOURCES = {
+    "matmul_base_h16_c4": lambda: matmul_source("base", 16),
+    "matmul_tiled_h16_c4": lambda: matmul_source("tiled", 16),
+    "setget_h16_chunk64_c4": lambda: setget_source(16, 64),
+}
+GOLDEN_SOURCES.update({
+    name: (lambda factory=factory: factory().source)
+    for name, (factory, _cores) in SCENARIOS.items()})
 
 
 def measure(name, shards=None, **engine):
@@ -221,7 +247,7 @@ def test_untraced_run_enters_no_trace_site():
     """Each site tests ``trace.enabled`` *before* it builds its payload:
     with the trace off, ``record`` is never entered — so nothing was
     formatted for it — and with it on, the same programs reach all 15."""
-    programs = [(compile_to_program(matmul_source("base", 16), "mm.c"), 4),
+    programs = [(golden_program("matmul_base_h16_c4"), 4),
                 (assemble(RE_CONTENTION), 1)]
     outcomes = {}
     for enabled in (True, False):

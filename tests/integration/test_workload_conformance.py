@@ -27,13 +27,13 @@ import sys
 
 import pytest
 
-from repro.compiler import compile_to_program
 from repro.machine import LBP, Params
 from repro.snapshot import restore, snapshot
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from test_trace_golden import (  # noqa: E402
-    GOLDEN_PATH, SCENARIOS, run_scenario_workload, trace_digest)
+    GOLDEN_PATH, SCENARIOS, golden_program, run_scenario_workload,
+    trace_digest)
 
 MAX_CYCLES = 50_000_000
 
@@ -82,7 +82,7 @@ def test_serving_snapshot_resume_mid_burst_is_bit_exact(golden):
     reference = golden["serving_r12_c2"]
     factory, cores = SCENARIOS["serving_r12_c2"]
     workload = factory()
-    program = compile_to_program(workload.source, "serving.c")
+    program = golden_program("serving_r12_c2")
     machine = LBP(Params(num_cores=cores, trace_enabled=True)).load(program)
 
     pause_at = reference["cycles"] // 2
