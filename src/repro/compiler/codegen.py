@@ -17,12 +17,9 @@ Design (simple, predictable, fast enough for the paper's workloads):
   record in shared bank 0.
 """
 
-from repro import memmap
 from repro.compiler import cast as A
 from repro.compiler import ctypes_ as T
 from repro.compiler.errors import CompileError
-from repro.detomp import runtime_asm, start_stub_asm, worker_asm
-from repro.detomp.runtime import omp_globals_asm
 
 TEMP_REGS = ("t1", "t2", "t3", "t4", "t5", "a6", "a7")
 SREGS = ("s0", "s1", "s2", "s3", "s4", "s5", "s6", "s7", "s8", "s9", "s10", "s11")
@@ -240,7 +237,13 @@ class FunctionCodegen:
         saved = ["ra"] + self.used_sregs
         frame = local_area + len(saved) * 4
         frame = (frame + 15) // 16 * 16
+        self.label(self.ret_label)
         body = self.lines
+        # the register-level optimiser (compiler/opt.py) sees the body only:
+        # the save set, the frame and the stack offsets stay as generated
+        if self.module.body_pass is not None:
+            returns = () if isinstance(self.ftype.ret, T.VoidType) else ("a0",)
+            body = self.module.body_pass(body, self.used_sregs, returns)
         self.lines = [self.name + ":"]
         # every temporary is free again; an out-of-range frame offset must
         # take t1 as its scratch (a6/a7 carry arguments at entry)
@@ -249,7 +252,6 @@ class FunctionCodegen:
         for index, reg in enumerate(saved):
             self.emit_store("sw", reg, local_area + 4 * index, "sp")
         self.lines.extend(body)
-        self.label(self.ret_label)
         for index, reg in enumerate(saved):
             self.emit_load("lw", reg, local_area + 4 * index, "sp")
         self.emit_addi("sp", "sp", frame)
@@ -772,7 +774,6 @@ class FunctionCodegen:
         # compound assignment: evaluate place once
         op = expr.op[:-1]
         place = self.gen_lvalue(expr.lhs)
-        place = self._pin_place(place)
         cur_reg, ctype = self._load_place_keep(place, expr)
         rhs_reg, rtype = self.gen_expr(expr.rhs)
         result = self._binary_op(op, cur_reg, ctype, rhs_reg, rtype, expr)
@@ -782,9 +783,6 @@ class FunctionCodegen:
             return result, ctype
         self.free(result)
         return None, ctype
-
-    def _pin_place(self, place):
-        return place
 
     def _unpin_place(self, place):
         if place[0] == "mem":

@@ -119,6 +119,7 @@ void consumer(int c) {
     int *p = CHUNK(c);
     *(tokens + c) = __hart_id();        /* register with the DMA hart */
     __p_lwre(1);                        /* wait for the completion token */
+    __p_syncm();                        /* no chunk load issues before it */
     acc = 0;
     for (i = 0; i < WORDS; i++)
         acc += p[i];                    /* the chunk is core-local now */

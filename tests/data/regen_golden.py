@@ -17,6 +17,11 @@ assembly the golden workloads run from, as today's compiler emits it.
 That moves every digest with the compiler, so it is for the day the
 machine goldens should follow a new code shape on purpose — follow it
 with a plain run to re-record the digests.
+
+``--counts`` rewrites ``tests/data/codegen_counts.json``: ``(asm instrs,
+retired, cycles)`` of the matmul versions and the scenario workloads as
+today's compiler emits them.  ``test_codegen_counts.py`` holds them as
+ceilings, so re-record only after a compiler change that lowered them.
 """
 
 import argparse
@@ -27,6 +32,7 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "integration"))
 
+from test_codegen_counts import COUNTS_PATH, TRACKED, count  # noqa: E402
 from test_trace_golden import (  # noqa: E402
     GOLDEN_ASM_DIR, GOLDEN_PATH, GOLDEN_SOURCES, WORKLOADS, measure)
 
@@ -69,6 +75,9 @@ def main(argv=None):
     parser.add_argument("--asm", action="store_true",
                         help="recompile tests/data/golden_asm/*.s instead "
                              "of re-recording the digests")
+    parser.add_argument("--counts", action="store_true",
+                        help="re-record tests/data/codegen_counts.json "
+                             "instead")
     args = parser.parse_args(argv)
 
     dirty = working_tree_dirty()
@@ -85,12 +94,14 @@ def main(argv=None):
 
     if args.asm:
         return write_golden_asm()
-
-    golden = {name: measure(name) for name in sorted(WORKLOADS)}
-    with open(os.path.abspath(GOLDEN_PATH), "w") as handle:
-        json.dump(golden, handle, indent=2, sort_keys=True)
+    if args.counts:
+        path, record = COUNTS_PATH, {name: count(name) for name in TRACKED}
+    else:
+        path, record = GOLDEN_PATH, {name: measure(name) for name in WORKLOADS}
+    with open(os.path.abspath(path), "w") as handle:
+        json.dump(record, handle, indent=2, sort_keys=True)
         handle.write("\n")
-    print(json.dumps(golden, indent=2, sort_keys=True))
+    print(json.dumps(record, indent=2, sort_keys=True))
     return 0
 
 

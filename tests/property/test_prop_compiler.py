@@ -6,6 +6,10 @@ resulting value is compared against a Python reference interpreter that
 uses the architecture's own 32-bit semantics (:mod:`repro.isa.semantics`).
 One failing case would implicate the whole pipeline — preprocessor,
 parser, register allocation, assembler, encoder, or pipeline model.
+
+Every program runs twice, as ``compile_c`` emits it and as the code
+generator emits it without ``compiler/opt.py`` (``run_c(reference=True)``):
+both must agree with the Python model, so a disagreement names its side.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -72,8 +76,9 @@ def test_random_expressions_end_to_end(case):
     text, expected = case
     decls = "".join("    int %s = %d;\n" % (n, v) for n, v in VARS.items())
     source = "int out;\nvoid main() {\n%s    out = %s;\n}\n" % (decls, text)
-    program, machine, _ = run_c(source)
-    assert word(machine, program, "out") == to_signed(expected), text
+    for reference in (False, True):
+        program, machine, _ = run_c(source, reference=reference)
+        assert word(machine, program, "out") == to_signed(expected), text
 
 
 @given(st.integers(-(1 << 31), (1 << 31) - 1))
@@ -81,8 +86,9 @@ def test_random_expressions_end_to_end(case):
 def test_li_round_trip_any_constant(value):
     source = "int out;\nvoid main() { out = %s; }\n" % (
         str(value) if value >= 0 else "(%d)" % value)
-    program, machine, _ = run_c(source)
-    assert word(machine, program, "out") == value
+    for reference in (False, True):
+        program, machine, _ = run_c(source, reference=reference)
+        assert word(machine, program, "out") == value
 
 
 @given(st.lists(st.integers(-1000, 1000), min_size=1, max_size=12))
@@ -100,5 +106,115 @@ void main() {
     out = acc;
 }
 """ % (len(values), init, len(values))
-    program, machine, _ = run_c(source)
-    assert word(machine, program, "out") == sum(values)
+    for reference in (False, True):
+        program, machine, _ = run_c(source, reference=reference)
+        assert word(machine, program, "out") == sum(values)
+
+
+# ---- nested loops over arrays ---------------------------------------------------
+#
+# Two induction variables (up or down, any step), bounds written as
+# constant expressions, ``a[i*C+k]`` and ``*(p+(i*C+k))`` addressing, a
+# store per trip, ``break``/``continue`` and a call inside the loop: what
+# loop rotation, invariant hoisting and pointer bumps rewrite.  The model
+# is the same walk in Python big ints, wrapped to 32 bits where C wraps.
+
+def _wrap(value):
+    return to_signed(value & 0xFFFFFFFF)
+
+
+@st.composite
+def _headers(draw, var, count):
+    """(C text of a ``for`` header, the values *var* takes)."""
+    step = draw(st.integers(1, 2))
+    divisor = draw(st.integers(1, 3))
+    bound = "(%d / %d)" % (count * divisor, divisor)
+    if draw(st.booleans()):
+        text = "for (%s = 0; %s < %s; %s)" % (
+            var, var, bound, var + "++" if step == 1 else "%s += %d" % (var, step))
+        return text, list(range(0, count, step))
+    text = "for (%s = %s - 1; %s >= 0; %s)" % (
+        var, bound, var, var + "--" if step == 1 else "%s -= %d" % (var, step))
+    return text, list(range(count - 1, -1, -step))
+
+
+_STATEMENTS = ("index", "pointer", "store", "mix", "call", "break", "continue")
+
+
+@st.composite
+def loop_programs(draw):
+    stride = draw(st.integers(1, 5))
+    rows = draw(st.integers(1, 4))
+    outer, i_values = draw(_headers("i", rows))
+    inner, k_values = draw(_headers("k", draw(st.integers(1, stride))))
+    size = rows * stride
+    data = draw(st.lists(st.integers(-50, 50), min_size=size, max_size=size))
+    body = draw(st.lists(
+        st.tuples(st.sampled_from(_STATEMENTS), st.integers(0, 3)),
+        min_size=1, max_size=5))
+    if draw(st.booleans()):
+        body.append(("store", 1))
+    lines = []
+    for kind, n in body:
+        lines.append({
+            "index": "acc += a[i * %d + k];" % stride,
+            "pointer": "acc += *(p + (i * %d + k)) - %d;" % (stride, n),
+            "store": "o[i * %d + k] = acc + %d;" % (stride, n),
+            "mix": "acc = acc * 3 + (i << %d) - k;" % n,
+            "call": "acc += f(k, i);",
+            "break": "if (((i + k) & 3) == %d) break;" % n,
+            "continue": "if ((k & 1) == %d) continue;" % (n & 1),
+        }[kind])
+    source = """
+int a[%d] = {%s};
+int o[%d];
+int out;
+int f(int x, int y) { return x * 3 - y; }
+void main() {
+    int i, k;
+    int acc = 7;
+    int *p = a;
+    %s
+        %s {
+            %s
+        }
+    out = acc;
+}
+""" % (size, ", ".join(map(str, data)), size, outer, inner,
+       "\n            ".join(lines))
+
+    acc, stored = 7, [0] * size
+    for i in i_values:
+        for k in k_values:
+            at = i * stride + k
+            left = False
+            for kind, n in body:
+                if kind == "index":
+                    acc = _wrap(acc + data[at])
+                elif kind == "pointer":
+                    acc = _wrap(acc + data[at] - n)
+                elif kind == "store":
+                    stored[at] = _wrap(acc + n)
+                elif kind == "mix":
+                    acc = _wrap(acc * 3 + (i << n) - k)
+                elif kind == "call":
+                    acc = _wrap(acc + k * 3 - i)
+                elif kind == "break" and (i + k) & 3 == n:
+                    left = True
+                    break
+                elif kind == "continue" and k & 1 == n & 1:
+                    break
+            if left:
+                break
+    return source, acc, stored
+
+
+@given(loop_programs())
+@settings(max_examples=80, deadline=None)
+def test_nested_loops_over_arrays(case):
+    source, acc, stored = case
+    for reference in (False, True):
+        program, machine, _ = run_c(source, reference=reference)
+        assert word(machine, program, "out") == acc, source
+        got = [word(machine, program, "o", at) for at in range(len(stored))]
+        assert got == stored, source
