@@ -12,9 +12,12 @@ the *throughput* of bank 0's port — 64 harts keep it busy whatever the
 round trip costs — so latency barely shows (+4%), while d+c, which is
 not saturated, pays each longer round trip (+11%).  What placement buys
 is the level, not the slope: d+c needs 0.63-0.68x base's cycles at every
-latency.  Both relations are asserted as measured.
+latency.  The level is asserted; the paper's slope relation stays as a
+strict ``xfail`` and the reversed one, an artefact of the bank model, is
+printed and not asserted.
 """
 
+import pytest
 from conftest import bench_scale
 
 from repro.compiler import compile_to_program
@@ -35,7 +38,8 @@ def _run(version, hop_latency, scale):
     return stats.cycles
 
 
-def test_router_latency_sweep():
+@pytest.fixture(scope="module")
+def results():
     scale = bench_scale(8)
     hops = (1, 2, 4)
     versions = ("base", "d+c")
@@ -52,16 +56,27 @@ def test_router_latency_sweep():
     print("16-core machine, link hop latency swept over", list(hops))
     for version, cycles in results.items():
         print("  %-5s cycles   :" % version, cycles)
+    print("  base penalty %.2fx vs d+c penalty %.2fx" % _penalties(results))
+    return results
 
+
+def _penalties(results):
+    return tuple(results[version][-1] / results[version][0]
+                 for version in ("base", "d+c"))
+
+
+def test_router_latency_sweep(results):
     base = results["base"]
     dandc = results["d+c"]
     # slower links cost both versions cycles
     assert base[0] < base[1] < base[2], base
     assert dandc[0] < dandc[1] < dandc[2], dandc
-    base_penalty = base[-1] / base[0]
-    dandc_penalty = dandc[-1] / dandc[0]
-    print("  base penalty %.2fx vs d+c penalty %.2fx" % (base_penalty, dandc_penalty))
     # placement wins at every latency, by a wide margin
     assert all(d < 0.75 * b for b, d in zip(base, dandc)), results
-    # module docstring: base is port-bound, so latency costs it *less*
-    assert 1.0 < base_penalty < dandc_penalty < 1.25, results
+
+
+@pytest.mark.xfail(strict=True, reason="EXPERIMENTS.md A2: base is bound by "
+                   "bank 0's port on optimised code, so latency hides in its queue")
+def test_latency_hurts_the_placement_unaware_version_more(results):
+    base_penalty, dandc_penalty = _penalties(results)
+    assert base_penalty > dandc_penalty, results

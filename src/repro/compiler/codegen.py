@@ -20,6 +20,7 @@ Design (simple, predictable, fast enough for the paper's workloads):
 from repro.compiler import cast as A
 from repro.compiler import ctypes_ as T
 from repro.compiler.errors import CompileError
+from repro.compiler.opt import optimize_body
 
 TEMP_REGS = ("t1", "t2", "t3", "t4", "t5", "a6", "a7")
 SREGS = ("s0", "s1", "s2", "s3", "s4", "s5", "s6", "s7", "s8", "s9", "s10", "s11")
@@ -241,9 +242,9 @@ class FunctionCodegen:
         body = self.lines
         # the register-level optimiser (compiler/opt.py) sees the body only:
         # the save set, the frame and the stack offsets stay as generated
-        if self.module.body_pass is not None:
+        if not self.module.reference:
             returns = () if isinstance(self.ftype.ret, T.VoidType) else ("a0",)
-            body = self.module.body_pass(body, self.used_sregs, returns)
+            body = optimize_body(body, self.used_sregs, returns)
         self.lines = [self.name + ":"]
         # every temporary is free again; an out-of-range frame offset must
         # take t1 as its scratch (a6/a7 carry arguments at entry)

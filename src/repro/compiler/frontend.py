@@ -14,7 +14,6 @@ from repro.compiler.codegen import FunctionCodegen, _Region
 from repro.compiler.cpp import Preprocessor
 from repro.compiler.cparser import parse
 from repro.compiler.errors import CompileError
-from repro.compiler.opt import optimize_body
 from repro.detomp import runtime_asm, start_stub_asm, worker_asm
 from repro.detomp.runtime import omp_globals_asm
 
@@ -40,11 +39,11 @@ def _walk(node, fn):
 
 class ModuleCodegen:
     def __init__(self, module_ast, parser, source_name, det_omp,
-                 num_cores_hint=64, body_pass=optimize_body):
+                 num_cores_hint=64, reference=False):
         self.ast = module_ast
-        #: rewrites each function's body lines (``compiler/opt.py``); None
-        #: leaves them as generated — the differential oracle's reference
-        self.body_pass = body_pass
+        #: True leaves each function's body as generated, without
+        #: ``compiler/opt.py`` — the differential oracle's reference program
+        self.reference = reference
         self.parser = parser
         self.source_name = source_name
         self.det_omp = det_omp
@@ -410,21 +409,20 @@ _BUILTIN_NAMES = frozenset([
 ])
 
 
-def generate(source, source_name="<c>", defines=None, body_pass=optimize_body):
+def _generate(source, source_name, defines, reference=False):
     """Preprocess, parse and generate: the assembly text of *source*.
-    *body_pass* is ``ModuleCodegen``'s: tests pass None for the code
-    generator's own text."""
+    Tests pass *reference* for the code generator's own text."""
     cpp = Preprocessor(source_name, predefined=defines)
     preprocessed = cpp.process(source)
     module_ast, parser = parse(preprocessed, source_name)
     codegen = ModuleCodegen(module_ast, parser, source_name,
-                            cpp.det_omp_included, body_pass=body_pass)
+                            cpp.det_omp_included, reference=reference)
     return codegen.run()
 
 
 def compile_c(source, source_name="<c>", defines=None):
     """Compile DetC source to assembly text."""
-    return generate(source, source_name, defines)
+    return _generate(source, source_name, defines)
 
 
 def compile_to_program(source, source_name="<c>", defines=None):

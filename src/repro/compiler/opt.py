@@ -503,8 +503,8 @@ def clean_branches(code):
 
 
 def _rotate(code):
-    """``T: test; bcc E; body; j T``  ->  ``T: test; bcc E; T_b: body; test;
-    b!cc T_b; j E`` when the test is a few lines of pure arithmetic."""
+    """``T: test; bcc E; body; j T; .. E:``  ->  ``T: test; bcc E; T_b: body;
+    test; b!cc T_b; j E`` for a short pure test; the new jump goes forward."""
     code = list(code)
     index = 0
     while index < len(code):
@@ -522,9 +522,10 @@ def _rotate(code):
         while code[branch].kind == "alu":
             branch += 1
         test = code[branch]
-        if test.kind != "br" or branch - first > _ROTATE_LIMIT \
-                or branch >= index or test.imm == ins.imm:
-            continue
+        if test.kind != "br" or branch - first > _ROTATE_LIMIT or branch >= index \
+                or not any(line.kind == "label" and line.op == test.imm
+                           for line in code[index:]):
+            continue                  # a top-tested loop leaves below its back edge
         bottom = [line.copy() for line in code[first:branch]]
         if code[branch + 1].kind != "label":
             code.insert(branch + 1, Ins("label", ins.imm + "_b"))

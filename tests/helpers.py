@@ -2,7 +2,7 @@
 
 from repro.asm import assemble
 from repro.compiler import compile_c
-from repro.compiler.frontend import generate
+from repro.compiler.frontend import _generate
 from repro.isa.semantics import to_signed
 from repro.machine import LBP, Params
 
@@ -11,7 +11,7 @@ def reference_asm(source, name="test.c"):
     """Assembly of *source* as the code generator emits it, without
     ``compiler/opt.py`` — the referential program of the differential
     oracle.  (An internal seam of ``repro.compiler``, not an option.)"""
-    return generate(source, name, body_pass=None)
+    return _generate(source, name, None, reference=True)
 
 
 def compile_both(source, name="test.c"):

@@ -12,7 +12,7 @@ generator emits it without ``compiler/opt.py`` (``run_c(reference=True)``):
 both must agree with the Python model, so a disagreement names its side.
 """
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from repro.isa.semantics import ALU_OPS, to_signed
 from helpers import run_c, word
@@ -218,3 +218,126 @@ def test_nested_loops_over_arrays(case):
         assert word(machine, program, "out") == acc, source
         got = [word(machine, program, "o", at) for at in range(len(stored))]
         assert got == stored, source
+
+
+# ---- loop shapes ----------------------------------------------------------------
+#
+# ``for (;;)``, ``while (1)``, ``while`` and ``do``-``while`` nested in one
+# another, with ``if``/``else``, ``break`` and ``continue`` anywhere and the
+# tests on parameters, so nothing folds: what loop rotation and branch
+# cleanup rewrite (a ``do`` that starts with an ``if`` inside ``for (;;)``
+# once sent rotation round in circles).  The model walks the same tree in
+# Python; a program it cannot finish in a few hundred trips is discarded.
+
+_CONDS = {
+    "i < n": lambda e: e["i"] < e["n"], "j < 6": lambda e: e["j"] < 6,
+    "p": lambda e: e["p"] != 0, "(x & 1)": lambda e: e["x"] & 1,
+    "x > 40": lambda e: e["x"] > 40, "i + j < 9": lambda e: e["i"] + e["j"] < 9,
+}
+_SIMPLE = {
+    "x = x * 3 + i - j;": lambda e: e.update(x=_wrap(e["x"] * 3 + e["i"] - e["j"])),
+    "i++;": lambda e: e.update(i=e["i"] + 1),
+    "j += 2;": lambda e: e.update(j=e["j"] + 2),
+    "t++;": lambda e: e.update(t=e["t"] + 1),
+}
+_LOOPS = {"for": "for (;;)", "while1": "while (1)", "while": "while (%s)",
+          "do": "do"}
+
+
+@st.composite
+def _blocks(draw, depth=0, in_loop=False):
+    """A list of statements: a text of ``_SIMPLE``, ``"break;"``,
+    ``"continue;"``, ``("if", cond, then, else)`` or ``(loop, cond, body)``."""
+    kinds = sorted(_SIMPLE)[:3] + ["if"]
+    if depth < 3:
+        kinds += sorted(_LOOPS)
+    if in_loop:
+        kinds += ["break;", "continue;"]
+    block = []
+    for kind in draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=3)):
+        if kind == "if":
+            block.append(("if", draw(st.sampled_from(sorted(_CONDS))),
+                          draw(_blocks(depth + 1, in_loop)),
+                          draw(st.none() | _blocks(depth + 1, in_loop))))
+        elif kind in _LOOPS:
+            body = draw(_blocks(depth + 1, True))
+            cond = "1"
+            if kind in ("for", "while1"):   # an exit, somewhere in the body
+                at = draw(st.integers(0, len(body)))
+                body[at:at] = ["t++;", ("if", "t > 5", ["break;"], None)]
+            else:                           # progress towards the test
+                cond = draw(st.sampled_from(["i < n", "j < 6"]))
+                body.append("i++;" if cond == "i < n" else "j += 2;")
+            block.append((kind, cond, body))
+        else:
+            block.append(kind)
+    return block
+
+
+def _render(block, pad):
+    lines = []
+    for item in block:
+        if isinstance(item, str):
+            lines.append(pad + item)
+        elif item[0] == "if":
+            lines.append(pad + "if (%s) {" % item[1])
+            lines += _render(item[2], pad + "    ")
+            if item[3] is not None:
+                lines.append(pad + "} else {")
+                lines += _render(item[3], pad + "    ")
+            lines.append(pad + "}")
+        else:
+            head = _LOOPS[item[0]]
+            lines.append(pad + (head % item[1] if "%" in head else head) + " {")
+            lines += _render(item[2], pad + "    ")
+            lines.append(pad + ("} while (%s);" % item[1] if item[0] == "do"
+                                else "}"))
+    return lines
+
+
+def _walk(block, env):
+    """Run *block* on *env*; "break;"/"continue;" when one leaves it."""
+    for item in block:
+        if isinstance(item, str):
+            if item not in _SIMPLE:
+                return item
+            _SIMPLE[item](env)
+        elif item[0] == "if":
+            holds = env["t"] > 5 if item[1] == "t > 5" else _CONDS[item[1]](env)
+            branch = item[2] if holds else item[3]
+            left = _walk(branch, env) if branch is not None else None
+            if left:
+                return left
+        else:
+            kind, cond, body = item
+            test = (lambda e: True) if cond == "1" else _CONDS[cond]
+            first = kind == "do"
+            while first or test(env):
+                first = False
+                env["trips"] += 1
+                assume(env["trips"] < 300)
+                if _walk(body, env) == "break;":
+                    break
+    return None
+
+
+@given(_blocks(), st.integers(0, 7), st.integers(0, 1))
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+def test_loop_shapes(block, n, p):
+    env = {"x": 1, "i": 0, "j": 0, "t": 0, "n": n, "p": p, "trips": 0}
+    _walk(block, env)
+    source = """
+int out[4];
+void f(int n, int p) {
+    int x = 1, i = 0, j = 0, t = 0;
+%s
+    out[0] = x; out[1] = i; out[2] = j; out[3] = t;
+}
+void main() { f(%d, %d); }
+""" % ("\n".join(_render(block, "    ")), n, p)
+    for reference in (False, True):
+        program, machine, _ = run_c(source, reference=reference)
+        got = [word(machine, program, "out", at) for at in range(4)]
+        assert got == [env[name] for name in "xijt"], source
+

@@ -18,6 +18,7 @@ from repro.compiler import opt
 from repro.compiler.errors import CompileError
 from repro.isa.semantics import ALU_OPS, to_signed
 from repro.workloads.matmul import matmul_source
+from helpers import run_c, word
 
 SRC_ROOT = os.path.abspath(
     os.path.join(os.path.dirname(__file__), "..", "..", "src"))
@@ -180,6 +181,57 @@ def test_a_test_that_loads_is_never_duplicated():
     """)
     assert [line for line in got if line.startswith("lw")] == ["lw t1, 0(t1)"]
     assert "j .Lwhile_1" in got or "beq t1, zero, .Lwhile_1" in got
+
+
+def test_only_a_loop_that_leaves_below_its_back_edge_is_rotated():
+    """Two headers whose tests name each other — a do-while that starts
+    with an ``if``, inside ``for (;;)`` — used to rotate into one another
+    for ever, each step adding a copy of a test."""
+    body = """
+.Lfor_2:
+.Ldo_5:
+        beqz s1, .Lelse_8
+        addi s3, s3, 3
+.Lelse_8:
+        addi s2, s2, 1
+.Ldocond_6:
+        blt s2, s0, .Ldo_5
+        li t1, 20
+        ble s3, t1, .Lelse_10
+        j .Lendfor_4
+.Lelse_10:
+        j .Lfor_2
+.Lendfor_4:
+        sw s3, 0(sp)
+    """
+    got = run(body, saved=("s0", "s1", "s2", "s3"))
+    assert len(got) <= len(body.strip().splitlines())
+    assert [line.split()[0] for line in got
+            if line[0] == "b"] == ["beq", "blt", "bge"], got
+
+
+ENDLESS = """
+int out[2];
+int f(int n, int p) {
+    int i = 0, x = 0;
+    %s {
+        do { if (p) { x = x + 3; } i++; } while (i < n);
+        if (x > 20 || i > 30) break;
+    }
+    return x * 1000 + i;
+}
+void main() { out[0] = f(5, 1); out[1] = f(3, 0) + f(9, 1); }
+"""
+
+
+@pytest.mark.parametrize("head", ["for (;;)", "while (1)"])
+def test_a_do_while_inside_an_endless_loop_compiles_and_runs(head):
+    text = compile_c(ENDLESS % head)
+    assert len(text.splitlines()) < 200
+    for reference in (False, True):
+        program, machine, _ = run_c(ENDLESS % head, reference=reference)
+        assert [word(machine, program, "out", at) for at in (0, 1)] == \
+            [21007, 27040]
 
 
 # ---- 4. loops ---------------------------------------------------------------------------
