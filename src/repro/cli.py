@@ -31,8 +31,7 @@ import argparse
 import os
 import sys
 
-from repro.asm import assemble
-from repro.compiler import compile_c
+from repro.compiler import build_program, compile_c
 from repro.isa.semantics import to_signed
 from repro.machine import LBP, Params
 from repro.machine.trace import Trace
@@ -61,9 +60,7 @@ def _read_source(path):
 
 
 def _build_program(path):
-    if path.endswith(".s") or path.endswith(".S"):
-        return assemble(_read_source(path), path)
-    return assemble(compile_c(_read_source(path), path), path + ".s")
+    return build_program(_read_source(path), path)
 
 
 def cmd_compile(args):
@@ -393,8 +390,7 @@ def cmd_serve(args):
         job_timeout=args.job_timeout, retries=args.retries,
         progress_every=args.progress_every,
         quotas=quotas, default_quota=default_quota,
-        trace=not args.no_trace, trace_out=args.trace_out,
-        flight_dir=args.flight_dir)
+        trace_out=args.trace_out, flight_dir=args.flight_dir)
 
     async def main():
         server = SimServer(config)
@@ -419,7 +415,7 @@ def cmd_serve(args):
         print("drained  : %d completed, %d hits, %d coalesced, %d evictions"
               % (stats["jobs"]["completed"], stats["jobs"]["hits"],
                  stats["jobs"]["coalesced"], stats["cache"]["evictions"]))
-        if config.trace_out and server.spans is not None:
+        if config.trace_out:
             print("trace    : %s (%d span(s); open in ui.perfetto.dev)"
                   % (config.trace_out, len(server.spans)))
 
@@ -499,9 +495,9 @@ def cmd_cache(args):
     if args.action == "ls":
         rows = cache.entries()
         now = time.time()
-        for key, entry_bytes, snap_bytes, mtime in rows:
-            print("%s  %8d B entry  %10d B snapshot  %8ds idle"
-                  % (key, entry_bytes, snap_bytes, max(0, now - mtime)))
+        for key, entry_bytes, mtime in rows:
+            print("%s  %8d B entry  %8ds idle"
+                  % (key, entry_bytes, max(0, now - mtime)))
         print("%d entr%s in %s" % (len(rows), "y" if len(rows) == 1 else "ies",
                                    cache.root))
     elif args.action == "clear":
@@ -646,7 +642,8 @@ def main(argv=None):
                        help="total hart count of the figure (16/64/256)")
     p_exp.add_argument("--cores", type=int, default=4)
     p_exp.add_argument("--scale", type=positive_int, default=1,
-                       help="work-scale divisor (see LBP_BENCH_SCALE)")
+                       help="work-scale divisor: each thread's inner (K) "
+                            "dimension shrinks by it")
     p_exp.add_argument("--shards", type=positive_int, default=None,
                        metavar="N",
                        help="space-shard each simulation across N "
@@ -696,10 +693,6 @@ def main(argv=None):
                               "hits and coalesced joins are free)")
     p_serve.add_argument("--default-quota", metavar="RATE[:BURST]",
                          help="bucket for tenants not listed in --quotas")
-    p_serve.add_argument("--no-trace", action="store_true",
-                         help="disable request-path span recording "
-                              "(tracing is on by default; results are "
-                              "identical either way)")
     p_serve.add_argument("--trace-out", metavar="PATH", default=None,
                          help="write the recorded service spans as a "
                               "Perfetto/Chrome trace file on drain")

@@ -12,8 +12,15 @@ Entry points:
 * :func:`compile_c` — C source → assembly text.
 * :func:`compile_to_program` — C source → assembled
   :class:`~repro.asm.program.Program`, ready to load into a machine.
+* :func:`build_program` — either kind of source (``.c`` or ``.s``, by
+  file name) → Program; what the CLI and the job service both call.
 """
 
-from repro.compiler.frontend import CompileError, compile_c, compile_to_program
+from repro.compiler.frontend import (
+    CompileError,
+    build_program,
+    compile_c,
+    compile_to_program,
+)
 
-__all__ = ["CompileError", "compile_c", "compile_to_program"]
+__all__ = ["CompileError", "build_program", "compile_c", "compile_to_program"]

@@ -429,3 +429,11 @@ def compile_to_program(source, source_name="<c>", defines=None):
     """Compile DetC source all the way to an assembled Program."""
     asm_text = compile_c(source, source_name, defines)
     return assemble(asm_text, source_name + ".s")
+
+
+def build_program(source, filename):
+    """*source* to a Program by what *filename* says it is: assembly
+    (``.s``/``.S``) is assembled, anything else compiled as DetC."""
+    if filename.endswith((".s", ".S")):
+        return assemble(source, filename)
+    return compile_to_program(source, filename)

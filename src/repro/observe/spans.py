@@ -16,9 +16,11 @@ Three design rules keep it safe next to the deterministic simulator:
   ``(trace_id, span_id)`` tuple handed through ordinary function
   arguments (task specs, fork args, run kwargs).  Nothing is ambient,
   so forked workers and shard processes need no shared registry;
-* **near-zero disabled cost** — every instrumentation site guards on
-  ``recorder is not None``; with tracing off the hot paths pay one
-  attribute test.
+* **optional only where a context is passed by value** — the sharded
+  engine and ``repro observe --spans`` record when their caller handed
+  them a context and pay one ``is not None`` test per site when not
+  (both sides have real callers).  The serve daemon has no off position:
+  it always records (DESIGN.md §14.1 says why).
 
 Clocks: all span timestamps are ``time.monotonic()`` seconds.  On the
 platforms this repo targets ``CLOCK_MONOTONIC`` is system-wide, so

@@ -14,15 +14,17 @@ stack uses, applied to deterministic simulations:
   :class:`~repro.eval.runner.ForkedTask`;
 * :mod:`repro.serve.worker` — the forked child: run one simulation,
   stream progress (cycle/IPC/top stall) from periodic-snapshot points;
-* :mod:`repro.serve.server` — the asyncio HTTP daemon (TCP + unix
-  socket), priority scheduling, graceful drain, ``/stats``, the
-  Prometheus ``/metrics`` endpoint, and end-to-end request tracing
-  (admission spans chained through the forked worker down to per-shard
-  epoch spans — see :mod:`repro.observe.spans`);
+* :mod:`repro.serve.http` — the wire framing, sans-IO: the one
+  head parser and the two encoders daemon, client and load harness share;
+* :mod:`repro.serve.server` — the asyncio daemon (TCP + unix socket):
+  the socket-free ``SimServer.handle``, priority scheduling, graceful
+  drain, ``/stats`` and the Prometheus ``/metrics`` from one table, and
+  end-to-end request tracing (admission spans chained through the forked
+  worker down to per-shard epoch spans — see :mod:`repro.observe.spans`);
 * :mod:`repro.serve.client` — the blocking client behind
   ``repro submit``;
-* :mod:`repro.serve.loadgen` — the load harness that records hit/miss
-  latency percentiles into ``BENCH_perf.json``.
+* :mod:`repro.serve.loadgen` — the asyncio load harness
+  (``benchmarks/test_serve_load.py``).
 
 Determinism is the correctness argument for all of it (DESIGN.md §11):
 every interleaving of requests yields byte-identical values per key, so

@@ -1,13 +1,16 @@
 """A small blocking client for the simulation-job service.
 
-Stdlib-socket HTTP/1.1, no dependencies, same dialect over TCP and unix
-sockets.  This is what ``repro submit`` and the integration tests speak;
+A stdlib socket around :mod:`repro.serve.http`'s framing, no
+dependencies, same dialect over TCP and unix sockets.  This is what
+``repro submit`` and the integration tests speak;
 the load generator (:mod:`repro.serve.loadgen`) has its own asyncio
 client for thousand-way concurrency.
 """
 
 import json
 import socket
+
+from repro.serve.http import Head, encode_request
 
 __all__ = ["ServeClient", "ServeError"]
 
@@ -48,41 +51,26 @@ class ServeClient:
                                             timeout=self.timeout)
         return sock
 
-    def _send(self, sock, method, path, payload):
-        body = b""
-        if payload is not None:
-            body = json.dumps(payload, sort_keys=True).encode()
-        head = ("%s %s HTTP/1.1\r\nHost: repro-serve\r\n"
-                "Content-Type: application/json\r\n"
-                "Content-Length: %d\r\nConnection: close\r\n\r\n"
-                % (method, path, len(body)))
-        sock.sendall(head.encode("latin-1") + body)
-
     @staticmethod
-    def _read_head(reader):
-        status_line = reader.readline()
-        if not status_line:
+    def _exchange(sock, method, path, payload):
+        """Send one request; returns the response's parsed head and the
+        reader positioned at its body."""
+        sock.sendall(encode_request(method, path, payload, keep_alive=False))
+        reader = sock.makefile("rb")
+        line = reader.readline()
+        if not line:
             raise ServeError(0, "server closed the connection")
-        status = int(status_line.split()[1])
-        headers = {}
-        while True:
+        head = Head()
+        while not head.feed(line):
             line = reader.readline()
-            if line in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = line.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
-        return status, headers
+        return head, reader
 
     def request(self, method, path, payload=None):
         """One request; returns ``(status, parsed-JSON body)``."""
         with self._connect() as sock:
-            self._send(sock, method, path, payload)
-            reader = sock.makefile("rb")
-            status, headers = self._read_head(reader)
-            length = headers.get("content-length")
-            raw = (reader.read(int(length)) if length is not None
-                   else reader.read())
-            return status, json.loads(raw) if raw else None
+            head, reader = self._exchange(sock, method, path, payload)
+            raw = reader.read(head.length)  # None (no length): to the close
+            return head.status(), json.loads(raw) if raw else None
 
     def _checked(self, method, path, payload=None):
         status, body = self.request(method, path, payload)
@@ -128,11 +116,11 @@ class ServeClient:
     def stream(self, job_id):
         """Yield the job's NDJSON events (progress..., then terminal)."""
         with self._connect() as sock:
-            self._send(sock, "GET", "/v1/jobs/%s/stream" % job_id, None)
-            reader = sock.makefile("rb")
-            status, _headers = self._read_head(reader)
-            if status >= 400:
-                raise ServeError(status, json.loads(reader.read() or b"{}"))
+            head, reader = self._exchange(
+                sock, "GET", "/v1/jobs/%s/stream" % job_id, None)
+            if head.status() >= 400:
+                raise ServeError(head.status(),
+                                 json.loads(reader.read() or b"{}"))
             for line in reader:
                 line = line.strip()
                 if line:

@@ -24,10 +24,11 @@ import collections
 import hashlib
 import threading
 
+from repro.compiler import build_program
 from repro.machine import Params
 
 __all__ = ["Job", "JobSpec", "JobTable", "PRIORITY_CLASSES",
-           "build_program", "compiled_program"]
+           "compiled_program"]
 
 #: scheduling classes, best first; ties break by admission order
 PRIORITY_CLASSES = {"interactive": 0, "batch": 1, "bulk": 2}
@@ -38,23 +39,14 @@ QUEUED, RUNNING, DONE, FAILED, CANCELLED = (
     "queued", "running", "done", "failed", "cancelled")
 
 
-def build_program(source, filename):
-    """Compile (``.c``) or assemble (``.s``/``.S``) *source* to a Program."""
-    from repro.asm import assemble
-    from repro.compiler import compile_to_program
-
-    if filename.endswith(".s") or filename.endswith(".S"):
-        return assemble(source, filename)
-    return compile_to_program(source, filename)
-
-
 _program_memo = {}
 _program_memo_lock = threading.Lock()
 _PROGRAM_MEMO_CAP = 256
 
 
 def compiled_program(source, filename):
-    """Memoized :func:`build_program` — the hot-path half of keying.
+    """Memoized :func:`repro.compiler.build_program` — the hot-path
+    half of keying.
 
     Serving a warm hit must not pay a compile: the memo makes repeat
     keying a dict lookup.  Forked workers inherit the memo, so a miss
@@ -84,9 +76,9 @@ class JobSpec:
 
     ``params`` are :class:`repro.machine.Params` keyword arguments;
     ``inputs`` is the free-form workload-input component of the cache
-    key; ``max_cycles`` bounds the run but — matching
-    ``RunCache.run_program`` — does *not* participate in the key (a
-    successful run's value is independent of its cycle budget).
+    key; ``max_cycles`` bounds the run but does *not* participate in
+    the key (a successful run's value is independent of its cycle
+    budget).
     ``shards`` picks the sharded engine, bit-exact by construction, so
     like ``max_cycles`` it stays out of the key — the same work
     requested sharded or unsharded is one cache object.
@@ -136,12 +128,9 @@ class JobSpec:
         return Params(**self.params)
 
     def cache_key(self, cache):
-        """The run-cache content key for this spec.
-
-        Identical to what ``RunCache.run_program`` would derive for the
-        same (program, params, inputs) — serve jobs and CLI runs share
-        cache entries.
-        """
+        """The run-cache content key for this spec: ``key_for`` of the
+        same (program, params, inputs) an in-process caller would pass,
+        so anyone who can build the program can look the entry up."""
         program = compiled_program(self.source, self.filename)
         return cache.key_for(program=program, params=self.machine_params(),
                              inputs=self.inputs)
@@ -155,7 +144,8 @@ class Job:
                  "done", "cancel_event", "subscribers", "seq", "trace_id",
                  "trace_ctx")
 
-    def __init__(self, job_id, key, spec, tenant, priority, seq):
+    def __init__(self, job_id, key, spec, tenant, priority, seq,
+                 trace_ctx=None):
         self.id = job_id
         self.key = key
         self.spec = spec
@@ -174,13 +164,13 @@ class Job:
         #: boundary without asyncio cancel semantics
         self.cancel_event = threading.Event()
         self.subscribers = []
-        #: the creating admission's trace id — the *execution* trace all
-        #: coalesced admissions reference — and its full
-        #: ``(trace_id, span_id)`` context, propagated by value into the
-        #: forked worker (observability only; never part of the cache
-        #: key or the result value)
-        self.trace_id = None
-        self.trace_ctx = None
+        #: the creating admission's ``(trace_id, span_id)`` context,
+        #: propagated by value into the forked worker, and its trace id —
+        #: the *execution* trace all coalesced admissions reference
+        #: (observability only; never part of the cache key or the
+        #: result value)
+        self.trace_ctx = trace_ctx
+        self.trace_id = trace_ctx[0] if trace_ctx else None
 
     @property
     def sort_key(self):
@@ -198,30 +188,39 @@ class Job:
     def resolve(self, value):
         self.state = DONE
         self.value = value
-        self.publish({"kind": "done", "id": self.id, "key": self.key,
-                      "value": value})
+        self.publish(self.terminal_event())
         self.done.set()
 
     def fail(self, error, state=FAILED):
         self.state = state
         self.error = error
-        self.publish({"kind": state, "id": self.id, "key": self.key,
-                      "error": error})
+        self.publish(self.terminal_event())
         self.done.set()
 
-    def describe(self):
-        """The wire status record for ``GET /v1/jobs/<id>``."""
-        record = {"id": self.id, "key": self.key, "state": self.state,
-                  "tenant": self.tenant, "priority": self.priority,
-                  "attempts": self.attempts, "coalesced": self.coalesced}
-        if self.trace_id is not None:
-            record["trace_id"] = self.trace_id
-        if self.progress is not None:
-            record["progress"] = self.progress
+    def outcome(self, state_key):
+        """State under *state_key*, plus the value or the error once
+        there is one: the part that status records (``state``), batch
+        answers (``status``) and terminal events (``kind``) share."""
+        record = {state_key: self.state}
         if self.value is not None:
             record["value"] = self.value
         if self.error is not None:
             record["error"] = self.error
+        return record
+
+    def terminal_event(self):
+        """What a finished job's stream ends with."""
+        return {"id": self.id, "key": self.key, **self.outcome("kind")}
+
+    def describe(self):
+        """The wire status record for ``GET /v1/jobs/<id>``."""
+        record = {"id": self.id, "key": self.key, "tenant": self.tenant,
+                  "priority": self.priority, "attempts": self.attempts,
+                  "coalesced": self.coalesced, **self.outcome("state")}
+        if self.trace_id is not None:
+            record["trace_id"] = self.trace_id
+        if self.progress is not None:
+            record["progress"] = self.progress
         return record
 
 
@@ -244,8 +243,9 @@ class JobTable:
     def get(self, job_id):
         return self.jobs.get(job_id)
 
-    def admit(self, spec, key, tenant, priority):
-        """(job, created): the single-flight decision for one submission."""
+    def admit(self, spec, key, tenant, priority, trace_ctx=None):
+        """(job, created): the single-flight decision for one submission;
+        a created job adopts *trace_ctx*, the admission span's context."""
         self.counters["submitted"] += 1
         job = self.inflight.get(key)
         if job is not None:
@@ -254,7 +254,7 @@ class JobTable:
             return job, False
         self._next_id += 1
         job = Job("j-%d" % self._next_id, key, spec, tenant, priority,
-                  seq=self._next_id)
+                  seq=self._next_id, trace_ctx=trace_ctx)
         self.inflight[key] = job
         self.jobs[job.id] = job
         while len(self.jobs) > self.history:

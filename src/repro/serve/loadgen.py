@@ -18,6 +18,8 @@ import json
 import math
 import time
 
+from repro.serve.http import Head, encode_request
+
 __all__ = ["percentile", "run_load", "summarize"]
 
 
@@ -37,30 +39,15 @@ async def _open(address):
                                          address["port"])
 
 
-def _encode_request(body):
-    payload = json.dumps(body, sort_keys=True).encode()
-    head = ("POST /v1/jobs HTTP/1.1\r\nHost: loadgen\r\n"
-            "Content-Type: application/json\r\n"
-            "Content-Length: %d\r\nConnection: keep-alive\r\n\r\n"
-            % len(payload))
-    return head.encode("latin-1") + payload
-
-
 async def _read_response(reader):
-    status_line = await reader.readline()
-    if not status_line:
+    line = await reader.readline()
+    if not line:
         raise ConnectionError("server closed the connection")
-    status = int(status_line.split()[1])
-    length = 0
-    while True:
+    head = Head()
+    while not head.feed(line):
         line = await reader.readline()
-        if line in (b"\r\n", b"\n", b""):
-            break
-        name, _, value = line.decode("latin-1").partition(":")
-        if name.strip().lower() == "content-length":
-            length = int(value)
-    body = await reader.readexactly(length) if length else b""
-    return status, json.loads(body) if body else None
+    body = await reader.readexactly(head.length or 0)
+    return head.status(), json.loads(body) if body else None
 
 
 async def _connection_worker(address, queue, samples):
@@ -78,7 +65,7 @@ async def _connection_worker(address, queue, samples):
             if item.get("priority") is not None:
                 body["priority"] = item["priority"]
             t0 = time.perf_counter()
-            writer.write(_encode_request(body))
+            writer.write(encode_request("POST", "/v1/jobs", body))
             await writer.drain()
             status, payload = await _read_response(reader)
             latency = time.perf_counter() - t0

@@ -29,15 +29,14 @@ Endpoints (JSON in, sorted-key JSON out)::
     POST /v1/jobs/<id>/cancel         cancel a queued or running job
 
 Observability (PR 10): every submission mints a trace at admission
-(``admission`` span, ``cache_probe``/``quota`` children); a created
-job's trace context travels by value into the forked worker, where
-``execute``/``compile``/``run`` spans — and, sharded, per-epoch
-wait/send/recv spans from the shard processes — are recorded and shipped
-back over the existing progress pipe as one ``{"kind": "spans"}``
-payload, intercepted here before stream fan-out.  Coalesced admissions
-are their own one-span traces tagged with the executing job's trace id.
-All of it is observation-only: results, cache bytes and golden digests
-are identical with tracing on or off.
+(:meth:`SimServer._submit_one`: ``admission`` span, ``cache_probe`` /
+``quota`` children, coalesced admissions tagged with the executing
+job's trace); a created job's context travels by value into the forked
+worker (:mod:`repro.serve.worker`), whose spans come back over the
+progress pipe and are absorbed here before stream fan-out.  All of it
+is observation-only (results, cache bytes and golden digests are those
+of an untraced in-process run) and always on: the daemon has no
+untraced mode to test or keep in step (DESIGN.md §14.1).
 
 Shutdown is a graceful drain: listeners close first (no new work), the
 queue runs dry, in-flight responses are written, then the workers stop
@@ -51,7 +50,6 @@ import json
 import os
 import threading
 import time
-import urllib.parse
 
 from repro.serve.jobs import (
     CANCELLED,
@@ -65,6 +63,7 @@ from repro.serve.jobs import (
 from repro.machine import native
 from repro.observe import prom
 from repro.observe.spans import FLIGHT_ENV, SpanRecorder, flight
+from repro.serve.http import Head, HttpError, encode_response, json_line
 from repro.serve.pool import PoolCancelled, PoolTaskError, PoolTimeout, WorkerPool
 from repro.serve.quota import QuotaExceeded, QuotaManager
 from repro.serve.worker import execute_job
@@ -72,10 +71,47 @@ from repro.snapshot.cache import RunCache
 
 __all__ = ["ServeConfig", "ServerThread", "SimServer"]
 
-_MAX_HEADER_LINE = 16 * 1024
-_MAX_BODY = 32 * 1024 * 1024
 #: puts between incremental cache-gc sweeps (when a byte budget is set)
 _GC_EVERY_PUTS = 32
+
+#: the job counters, in the order /metrics lists them
+_JOB_EVENTS = ("submitted", "hits", "misses", "coalesced", "executed",
+               "completed", "failed", "cancelled", "job_timeouts")
+
+#: all of ``/metrics``, declared once as (path into the ``/stats`` dict,
+#: family, kind, help); a path that names a dict is one sample per key,
+#: labelled ``event``, and a histogram's names the server's attribute.
+#: A number is exported by putting it into ``stats()`` and a row here.
+_METRICS = (
+    ("jobs", "repro_jobs_total", "counter",
+     "Job admissions by outcome event"),
+    ("queue.depth", "repro_queue_depth", "gauge",
+     "Jobs admitted and waiting for a pool worker"),
+    ("queue.running", "repro_jobs_running", "gauge",
+     "Jobs currently executing in forked workers"),
+    ("pool.workers", "repro_pool_workers", "gauge",
+     "Configured worker pool size"),
+    ("pool.busy", "repro_pool_busy", "gauge",
+     "Pool workers currently occupied"),
+    ("pool.timeouts", "repro_pool_timeouts_total", "counter",
+     "Execution attempts that blew their deadline"),
+    ("pool.retries_spent", "repro_pool_retries_total", "counter",
+     "Execution attempts retried after a timeout"),
+    ("cache.entries", "repro_cache_entries", "gauge",
+     "Run-cache entries on disk"),
+    ("cache.disk_bytes", "repro_cache_disk_bytes", "gauge",
+     "Run-cache on-disk footprint"),
+    ("uptime_s", "repro_uptime_seconds", "gauge",
+     "Seconds since the daemon started"),
+    ("spans.recorded", "repro_spans_recorded_total", "counter",
+     "Spans started in the server process"),
+    ("spans.dropped", "repro_spans_dropped_total", "counter",
+     "Span records evicted from the bounded ring"),
+    ("http_seconds", "repro_http_request_seconds", "histogram",
+     "HTTP request latency"),
+    ("execute_seconds", "repro_job_execute_seconds", "histogram",
+     "Forked execution wall time (admission to result)"),
+)
 
 
 class ServeConfig:
@@ -85,7 +121,7 @@ class ServeConfig:
                  workers=2, cache_root=None, max_cache_bytes=None,
                  max_cache_age_s=None, job_timeout=None, retries=1,
                  progress_every=None, quotas=None, default_quota=None,
-                 history=1024, trace=True, trace_out=None, flight_dir=None):
+                 history=1024, trace_out=None, flight_dir=None):
         if port is None and unix_path is None:
             raise ValueError("serve needs a TCP port and/or a unix socket")
         self.host = host
@@ -101,19 +137,10 @@ class ServeConfig:
         self.quotas = quotas
         self.default_quota = default_quota
         self.history = history
-        #: span recording on the request path (off = spans-free hot path)
-        self.trace = trace
         #: write the drained span buffer here (Perfetto JSON) on drain
         self.trace_out = trace_out
         #: arm the crash flight recorder: dumps land in this directory
         self.flight_dir = flight_dir
-
-
-class _HttpError(Exception):
-    def __init__(self, status, message):
-        super().__init__(message)
-        self.status = status
-        self.payload = {"error": message}
 
 
 class SimServer:
@@ -135,13 +162,22 @@ class SimServer:
         self.bound_port = None
         self._puts_since_gc = 0
         #: service spans (admission and everything the workers ship back)
-        self.spans = SpanRecorder(capacity=16384) if config.trace else None
+        self.spans = SpanRecorder(capacity=16384)
         #: the newest cycles↔wall clock anchor a worker reported — what
         #: ties core timelines into the merged Perfetto view
         self.last_clock = None
         #: request/execution latency histograms for /metrics
         self.http_seconds = prom.Histogram()
         self.execute_seconds = prom.Histogram()
+        #: the GET endpoints that only read state
+        self._documents = {
+            "/healthz": lambda: {"ok": True, "draining": self.draining},
+            "/stats": self.stats,
+            "/metrics": self.metrics_text,
+            "/v1/trace": lambda: {"spans": self.spans.records(),
+                                  "clock": self.last_clock,
+                                  "dropped": self.spans.dropped},
+        }
         if config.flight_dir:
             # exported so forked workers (and their shard children)
             # inherit the spill destination through fork
@@ -174,7 +210,7 @@ class SimServer:
         self._queue_event.set()  # wake idle workers so they can exit
         await asyncio.gather(*self._worker_tasks)
         self._final_gc()
-        if self.config.trace_out and self.spans is not None:
+        if self.config.trace_out:
             from repro.observe.perfetto import write_chrome_trace
 
             write_chrome_trace(None, self.config.trace_out,
@@ -227,10 +263,9 @@ class SimServer:
             # server-internal: absorb them BEFORE stream fan-out (a
             # non-progress kind would terminate client NDJSON streams)
             if event.get("kind") == "spans":
-                if self.spans is not None:
-                    self.spans.absorb(event.get("spans") or ())
-                    if event.get("clock"):
-                        self.last_clock = event["clock"]
+                self.spans.absorb(event.get("spans") or ())
+                if event.get("clock"):
+                    self.last_clock = event["clock"]
                 return
             job.publish(event)
 
@@ -294,106 +329,83 @@ class SimServer:
         running job's trace id so the N:1 fan-in is recoverable.
         """
         spans = self.spans
-        admission = None
-        if spans is not None:
-            admission = spans.start("admission",
-                                    tags={"tenant": tenant,
-                                          "priority": priority})
+        admission = spans.start("admission",
+                                tags={"tenant": tenant, "priority": priority})
         try:
-            spec = JobSpec.from_wire(payload)
             try:
+                spec = JobSpec.from_wire(payload)
                 key = spec.cache_key(self.cache)
-            except ValueError:
-                raise
+            except ValueError as exc:  # a field or a Params knob, by name
+                raise HttpError(400, str(exc))
             except Exception as exc:  # compile/assemble error: client's fault
-                raise _HttpError(400, "bad program: %s: %s"
-                                 % (type(exc).__name__, exc))
-            if spans is not None:
-                with spans.span("cache_probe", parent=admission,
-                                key=key[:16]):
-                    entry = self.cache.get(key)
-            else:
+                raise HttpError(400, "bad program: %s: %s"
+                                % (type(exc).__name__, exc))
+            with spans.span("cache_probe", parent=admission, key=key[:16]):
                 entry = self.cache.get(key)
             if entry is not None:
                 self.table.counters["submitted"] += 1
                 self.table.counters["hits"] += 1
-                if admission is not None:
-                    admission.finish(outcome="hit", key=key[:16])
-                    admission = None
+                admission.finish(outcome="hit", key=key[:16])
                 return {"key": key, "status": "hit", "value": entry["value"]}
             self.table.counters["misses"] += 1
             if key not in self.table.inflight:
                 # charging precedes admission: a rejected job leaves no trace
                 try:
-                    if spans is not None:
-                        with spans.span("quota", parent=admission,
-                                        tenant=tenant):
-                            self.quotas.charge(tenant)
-                    else:
+                    with spans.span("quota", parent=admission, tenant=tenant):
                         self.quotas.charge(tenant)
                 except QuotaExceeded as exc:
-                    raise _HttpError(429, str(exc))
-            job, created = self.table.admit(spec, key, tenant, priority)
+                    raise HttpError(429, str(exc))
+            job, created = self.table.admit(spec, key, tenant, priority,
+                                            trace_ctx=admission.ctx)
+            admission.tags["job"] = job.id
             if created:
-                if admission is not None:
-                    job.trace_id = admission.trace_id
-                    job.trace_ctx = admission.ctx
                 flight().note("admit", job=job.id, key=key[:16],
                               tenant=tenant)
                 heapq.heappush(self._heap, (*job.sort_key, job))
                 self._queue_event.set()
-            if admission is not None:
-                admission.tags["job"] = job.id
-                if created:
-                    admission.finish(outcome="queued")
-                else:
-                    # the N:1 coalesce edge: this admission's trace
-                    # points at the one execution trace serving it
-                    admission.finish(outcome="coalesced",
-                                     execution_trace=job.trace_id)
-                admission = None
+                admission.finish(outcome="queued")
+            else:
+                # the N:1 coalesce edge: this admission's trace
+                # points at the one execution trace serving it
+                admission.finish(outcome="coalesced",
+                                 execution_trace=job.trace_id)
             return {"key": key, "id": job.id,
                     "status": "queued" if created else "coalesced"}
         finally:
-            if admission is not None:
-                admission.finish(outcome="rejected")
+            # a no-op once an outcome above has closed the span
+            admission.finish(outcome="rejected")
 
-    async def _submit_batch(self, body):
+    async def _submit_batch(self, body, wait=None):
+        """``POST /v1/jobs``; *wait*, the query string's, beats the body's."""
         if not isinstance(body, dict):
-            raise _HttpError(400, "body must be a JSON object")
+            raise HttpError(400, "body must be a JSON object")
         jobs = body.get("jobs")
         if not isinstance(jobs, list) or not jobs:
-            raise _HttpError(400, "'jobs' must be a non-empty list")
+            raise HttpError(400, "'jobs' must be a non-empty list")
         tenant = body.get("tenant", "anonymous")
+        if not isinstance(tenant, str):
+            raise HttpError(400, "'tenant' must be a string")
         priority = body.get("priority", DEFAULT_PRIORITY)
-        if priority not in PRIORITY_CLASSES:
-            raise _HttpError(400, "unknown priority %r (one of %s)"
-                             % (priority, "/".join(sorted(PRIORITY_CLASSES))))
-        wait = bool(body.get("wait", True))
+        if not isinstance(priority, str) or priority not in PRIORITY_CLASSES:
+            raise HttpError(400, "unknown priority %r (one of %s)"
+                            % (priority, "/".join(sorted(PRIORITY_CLASSES))))
+        if wait is None:
+            wait = bool(body.get("wait", True))
         records = []
         for payload in jobs:
             try:
                 records.append(self._submit_one(payload, tenant, priority))
-            except _HttpError as exc:
+            except HttpError as exc:
                 records.append({"status": "rejected", "code": exc.status,
-                                "error": exc.payload["error"]})
-            except ValueError as exc:
-                records.append({"status": "rejected", "code": 400,
                                 "error": str(exc)})
         if wait:
             pending = {record["id"] for record in records if "id" in record}
             await asyncio.gather(*(self.table.get(job_id).done.wait()
                                    for job_id in pending))
             for record in records:
-                job_id = record.get("id")
-                if job_id is None:
-                    continue
-                job = self.table.get(job_id)
-                record["status"] = job.state
-                if job.value is not None:
-                    record["value"] = job.value
-                if job.error is not None:
-                    record["error"] = job.error
+                if "id" in record:
+                    record.update(self.table.get(record["id"])
+                                  .outcome("status"))
         rejected = [r for r in records if r.get("status") == "rejected"]
         status = 200
         if rejected and len(rejected) == len(records):
@@ -403,19 +415,19 @@ class SimServer:
     # ---- introspection ------------------------------------------------------
 
     def stats(self):
+        """``GET /stats``; ``/metrics`` is :data:`_METRICS` read out of it."""
         return {
             "uptime_s": round(time.monotonic() - self.started_at, 3)
-            if self.started_at is not None else None,
+            if self.started_at is not None else 0.0,
             "draining": self.draining,
             "queue": {"depth": self.table.depth(),
                       "running": self.table.running()},
-            "jobs": {name: self.table.counters[name]
-                     for name in ("submitted", "hits", "misses", "coalesced",
-                                  "executed", "completed", "failed",
-                                  "cancelled", "job_timeouts")},
+            "jobs": {name: self.table.counters[name] for name in _JOB_EVENTS},
             "pool": self.pool.snapshot(),
             "cache": self.cache.stats(),
             "quota": self.quotas.snapshot(),
+            "spans": {"recorded": self.spans.started,
+                      "dropped": self.spans.dropped},
             "machine": dict(zip(("tick", "detail"), native.status())),
         }
 
@@ -426,227 +438,67 @@ class SimServer:
         keeps — rendering reads state, never mutates it, so a scrape
         can't perturb a running job.
         """
-        counters = self.table.counters
-        pool = self.pool.snapshot()
-        cache = self.cache.stats()
-        uptime = (time.monotonic() - self.started_at
-                  if self.started_at is not None else 0.0)
-        families = [
-            prom.family(
-                "repro_jobs_total", "counter",
-                "Job admissions by outcome event",
-                [({"event": name}, counters[name])
-                 for name in ("submitted", "hits", "misses", "coalesced",
-                              "executed", "completed", "failed",
-                              "cancelled", "job_timeouts")]),
-            prom.family(
-                "repro_queue_depth", "gauge",
-                "Jobs admitted and waiting for a pool worker",
-                [(None, self.table.depth())]),
-            prom.family(
-                "repro_jobs_running", "gauge",
-                "Jobs currently executing in forked workers",
-                [(None, self.table.running())]),
-            prom.family(
-                "repro_pool_workers", "gauge",
-                "Configured worker pool size",
-                [(None, pool["workers"])]),
-            prom.family(
-                "repro_pool_busy", "gauge",
-                "Pool workers currently occupied",
-                [(None, pool["busy"])]),
-            prom.family(
-                "repro_pool_timeouts_total", "counter",
-                "Execution attempts that blew their deadline",
-                [(None, pool["timeouts"])]),
-            prom.family(
-                "repro_pool_retries_total", "counter",
-                "Execution attempts retried after a timeout",
-                [(None, pool["retries_spent"])]),
-            prom.family(
-                "repro_cache_entries", "gauge",
-                "Run-cache entries on disk",
-                [(None, cache["entries"])]),
-            prom.family(
-                "repro_cache_disk_bytes", "gauge",
-                "Run-cache on-disk footprint (entries + snapshots)",
-                [(None, cache["disk_bytes"])]),
-            prom.family(
-                "repro_uptime_seconds", "gauge",
-                "Seconds since the daemon started",
-                [(None, round(uptime, 3))]),
-            prom.family(
-                "repro_http_request_seconds", "histogram",
-                "HTTP request latency",
-                self.http_seconds.samples("repro_http_request_seconds")),
-            prom.family(
-                "repro_job_execute_seconds", "histogram",
-                "Forked execution wall time (admission to result)",
-                self.execute_seconds.samples("repro_job_execute_seconds")),
-        ]
-        if self.spans is not None:
-            families.append(prom.family(
-                "repro_spans_recorded_total", "counter",
-                "Spans started in the server process",
-                [(None, self.spans.started)]))
-            families.append(prom.family(
-                "repro_spans_dropped_total", "counter",
-                "Span records evicted from the bounded ring",
-                [(None, self.spans.dropped)]))
+        stats = self.stats()
+        families = []
+        for path, name, kind, help_text in _METRICS:
+            if kind == "histogram":
+                samples = getattr(self, path).samples(name)
+            else:
+                value = stats
+                for part in path.split("."):
+                    value = value[part]
+                samples = ([({"event": event}, count)
+                            for event, count in value.items()]
+                           if isinstance(value, dict) else [(None, value)])
+            families.append(prom.family(name, kind, help_text, samples))
         return prom.render(families)
 
-    # ---- the HTTP surface ---------------------------------------------------
+    # ---- the service, socket-free -------------------------------------------
 
-    async def _handle_connection(self, reader, writer):
+    async def handle(self, method, path, query=None, body=b""):
+        """Answer one request: ``(status, payload)``.
+
+        *payload* is a JSON value, Prometheus text (a ``str``), or — for
+        a job's progress stream — an async iterator of NDJSON events.
+        Nothing here touches a socket: tests call this directly, and the
+        connection loop below is the one caller that frames the answer.
+        """
         try:
-            while True:
-                request = await self._read_request(reader)
-                if request is None:
-                    break
-                keep_alive = await self._dispatch(request, writer)
-                if not keep_alive:
-                    break
-        except (ConnectionError, asyncio.IncompleteReadError,
-                asyncio.LimitOverrunError):
-            pass
-        except asyncio.CancelledError:
-            # loop shutdown cancels lingering keep-alive connections; the
-            # peer is being dropped anyway, so close quietly
-            pass
-        finally:
-            writer.close()
+            return await self._route(method, path, query or {}, body)
+        except HttpError as exc:
+            return exc.status, {"error": str(exc)}
+
+    async def _route(self, method, path, query, body):
+        job_id, _, action = (path[len("/v1/jobs/"):].partition("/")
+                             if path.startswith("/v1/jobs/") else ("", "", ""))
+        if path in self._documents or (job_id and action in ("", "stream")):
+            allowed = "GET"
+        elif path == "/v1/jobs" or (job_id and action == "cancel"):
+            allowed = "POST"
+        else:
+            raise HttpError(404, "no such endpoint: %s %s" % (method, path))
+        if method != allowed:
+            raise HttpError(405, "unsupported: %s %s" % (method, path))
+        if path in self._documents:
+            return 200, self._documents[path]()
+        if not job_id:
+            if self.draining:
+                raise HttpError(503, "draining")
             try:
-                await writer.wait_closed()
-            except (ConnectionError, BrokenPipeError, asyncio.CancelledError):
-                pass
-
-    @staticmethod
-    async def _read_request(reader):
-        line = await reader.readline()
-        if not line:
-            return None
-        if len(line) > _MAX_HEADER_LINE:
-            raise ConnectionError("request line too long")
-        try:
-            method, target, _version = line.decode("latin-1").split()
-        except ValueError:
-            raise ConnectionError("malformed request line")
-        headers = {}
-        while True:
-            line = await reader.readline()
-            if line in (b"\r\n", b"\n", b""):
-                break
-            if len(line) > _MAX_HEADER_LINE:
-                raise ConnectionError("header too long")
-            name, _, value = line.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", 0) or 0)
-        if length > _MAX_BODY:
-            raise ConnectionError("body too large")
-        body = await reader.readexactly(length) if length else b""
-        split = urllib.parse.urlsplit(target)
-        query = {name: values[-1] for name, values
-                 in urllib.parse.parse_qs(split.query).items()}
-        return {"method": method.upper(), "path": split.path,
-                "query": query, "headers": headers, "body": body}
-
-    @staticmethod
-    def _write_json(writer, status, payload, keep_alive=True):
-        body = (json.dumps(payload, sort_keys=True,
-                           separators=(",", ":")) + "\n").encode()
-        reason = {200: "OK", 400: "Bad Request", 404: "Not Found",
-                  405: "Method Not Allowed", 429: "Too Many Requests",
-                  500: "Internal Server Error",
-                  503: "Service Unavailable"}.get(status, "Status")
-        head = ("HTTP/1.1 %d %s\r\n"
-                "Content-Type: application/json\r\n"
-                "Content-Length: %d\r\n"
-                "Connection: %s\r\n\r\n"
-                % (status, reason, len(body),
-                   "keep-alive" if keep_alive else "close"))
-        writer.write(head.encode("latin-1") + body)
-
-    @staticmethod
-    def _write_text(writer, status, text, keep_alive=True,
-                    content_type="text/plain; version=0.0.4; charset=utf-8"):
-        body = text.encode()
-        head = ("HTTP/1.1 %d %s\r\n"
-                "Content-Type: %s\r\n"
-                "Content-Length: %d\r\n"
-                "Connection: %s\r\n\r\n"
-                % (status, "OK" if status == 200 else "Status", content_type,
-                   len(body), "keep-alive" if keep_alive else "close"))
-        writer.write(head.encode("latin-1") + body)
-
-    async def _dispatch(self, request, writer):
-        method, path = request["method"], request["path"]
-        keep_alive = request["headers"].get("connection", "").lower() != "close"
-        started = time.monotonic()
-        try:
-            return await self._route(request, writer, keep_alive)
-        finally:
-            self.http_seconds.observe(time.monotonic() - started)
-
-    async def _route(self, request, writer, keep_alive):
-        method, path = request["method"], request["path"]
-        try:
-            if path == "/healthz" and method == "GET":
-                self._write_json(writer, 200, {"ok": True,
-                                               "draining": self.draining},
-                                 keep_alive)
-            elif path == "/stats" and method == "GET":
-                self._write_json(writer, 200, self.stats(), keep_alive)
-            elif path == "/metrics" and method == "GET":
-                self._write_text(writer, 200, self.metrics_text(), keep_alive)
-            elif path == "/v1/trace" and method == "GET":
-                if self.spans is None:
-                    raise _HttpError(404, "tracing is disabled")
-                self._write_json(writer, 200,
-                                 {"spans": self.spans.records(),
-                                  "clock": self.last_clock,
-                                  "dropped": self.spans.dropped},
-                                 keep_alive)
-            elif path == "/v1/jobs" and method == "POST":
-                if self.draining:
-                    raise _HttpError(503, "draining")
-                try:
-                    body = json.loads(request["body"] or b"{}")
-                except ValueError:
-                    raise _HttpError(400, "body is not valid JSON")
-                if "wait" in request["query"]:
-                    body["wait"] = request["query"]["wait"] not in ("0", "false")
-                status, payload = await self._submit_batch(body)
-                self._write_json(writer, status, payload, keep_alive)
-            elif path.startswith("/v1/jobs/"):
-                return await self._dispatch_job(request, writer, keep_alive)
-            else:
-                raise _HttpError(404, "no such endpoint: %s %s"
-                                 % (method, path))
-        except _HttpError as exc:
-            self._write_json(writer, exc.status, exc.payload, keep_alive)
-        await writer.drain()
-        return keep_alive
-
-    async def _dispatch_job(self, request, writer, keep_alive):
-        method, path = request["method"], request["path"]
-        parts = path.split("/")  # ['', 'v1', 'jobs', '<id>', maybe-action]
-        job_id = parts[3] if len(parts) > 3 else ""
+                batch = json.loads(body or b"{}")
+            except ValueError:
+                raise HttpError(400, "body is not valid JSON")
+            wait = query.get("wait")
+            return await self._submit_batch(
+                batch, None if wait is None else wait not in ("0", "false"))
         job = self.table.get(job_id)
         if job is None:
-            raise _HttpError(404, "no such job: %s" % (job_id or "?"))
-        action = parts[4] if len(parts) > 4 else None
-        if action is None and method == "GET":
-            self._write_json(writer, 200, job.describe(), keep_alive)
-        elif action == "cancel" and method == "POST":
+            raise HttpError(404, "no such job: %s" % job_id)
+        if action == "stream":
+            return 200, self._events(job)
+        if action == "cancel":
             self._cancel(job)
-            self._write_json(writer, 200, job.describe(), keep_alive)
-        elif action == "stream" and method == "GET":
-            await self._stream(job, writer)
-            return False  # close-delimited response
-        else:
-            raise _HttpError(405, "unsupported: %s %s" % (method, path))
-        await writer.drain()
-        return keep_alive
+        return 200, job.describe()
 
     def _cancel(self, job):
         if job.done.is_set():
@@ -658,47 +510,96 @@ class SimServer:
             job.fail("cancelled", state=CANCELLED)
             self.table.finish(job)
 
-    async def _stream(self, job, writer):
-        """NDJSON progress stream: close-delimited, ends on the terminal
-        event (works on already-finished jobs from history too)."""
-        writer.write(b"HTTP/1.1 200 OK\r\n"
-                     b"Content-Type: application/x-ndjson\r\n"
-                     b"Connection: close\r\n\r\n")
-
-        def send(event):
-            writer.write((json.dumps(event, sort_keys=True,
-                                     separators=(",", ":")) + "\n").encode())
-
+    @staticmethod
+    async def _events(job):
+        """A job's NDJSON stream: the latest progress, then every event
+        published until the terminal one (a finished job, from history
+        too, replays its own)."""
+        if job.progress is not None:
+            yield job.progress
         if job.done.is_set():
-            if job.progress is not None:
-                send(job.progress)
-            send(self._terminal_event(job))
-            await writer.drain()
+            yield job.terminal_event()
             return
         queue = asyncio.Queue()
         job.subscribers.append(queue)
         try:
-            if job.progress is not None:
-                send(job.progress)
-                await writer.drain()
             while True:
                 event = await queue.get()
-                send(event)
-                await writer.drain()
+                yield event
                 if event.get("kind") != "progress":
                     return
         finally:
-            if queue in job.subscribers:
-                job.subscribers.remove(queue)
+            job.subscribers.remove(queue)
+
+    # ---- the connection loop: the only reader and writer of a socket --------
+
+    async def _handle_connection(self, reader, writer):
+        try:
+            while await self._serve_one(reader, writer):
+                pass
+        except (ConnectionError, asyncio.IncompleteReadError,
+                asyncio.CancelledError):
+            # the peer went away, or loop shutdown cancelled a lingering
+            # keep-alive connection: dropped either way, so close quietly
+            pass
+        finally:
+            writer.close()
+            try:
+                await writer.wait_closed()
+            except (ConnectionError, BrokenPipeError, asyncio.CancelledError):
+                pass
+
+    async def _serve_one(self, reader, writer):
+        """One request in, one answer out; False when the connection ends."""
+        try:
+            line = await reader.readline()
+            if not line:
+                return False  # the peer closed between requests
+            head = Head()
+            head.feed(line)
+            # now, so that a bare "GET /stats" is answered, not waited on
+            method, path, query = head.request()
+            while not head.feed(await reader.readline()):
+                pass
+            body = await reader.readexactly(head.length or 0)
+        except ValueError:
+            # readline's (nothing else here raises one): asyncio's own
+            # 64 KiB line limit, ahead of http.MAX_LINE
+            return await self._respond(
+                writer, 431, {"error": "header line too long"}, False)
+        except HttpError as exc:
+            # refused by the framing: where the next request would start
+            # in the byte stream is unknown, so answer and close
+            return await self._respond(writer, exc.status,
+                                       {"error": str(exc)}, False)
+        keep_alive = head.keep_alive
+        started = time.monotonic()
+        try:
+            try:
+                status, payload = await self.handle(method, path, query, body)
+            except Exception as exc:  # a handler bug costs one connection
+                flight().note("http_500", error=repr(exc))
+                status, payload = 500, {"error": "internal: %r" % (exc,)}
+                keep_alive = False
+            return await self._respond(writer, status, payload, keep_alive)
+        finally:
+            self.http_seconds.observe(time.monotonic() - started)
 
     @staticmethod
-    def _terminal_event(job):
-        event = {"kind": job.state, "id": job.id, "key": job.key}
-        if job.value is not None:
-            event["value"] = job.value
-        if job.error is not None:
-            event["error"] = job.error
-        return event
+    async def _respond(writer, status, payload, keep_alive):
+        """Frame and send one answer; True when the connection stays."""
+        if not hasattr(payload, "__aiter__"):
+            writer.write(encode_response(status, payload, keep_alive))
+            await writer.drain()
+            return keep_alive
+        writer.write(encode_response(status, None))
+        try:
+            async for event in payload:
+                writer.write(json_line(event))
+                await writer.drain()
+        finally:
+            await payload.aclose()
+        return False  # close-delimited
 
 
 class ServerThread:

@@ -3,9 +3,9 @@
 :func:`execute_job` is the module-level callable the pool forks for each
 cache miss.  It rebuilds the program (usually a memo hit inherited
 through fork from the parent that just keyed the request), runs the
-cycle-accurate machine, and returns the same value shape
-``RunCache.run_program`` stores — so service entries and CLI entries are
-interchangeable cache objects::
+cycle-accurate machine, and returns :func:`job_value` of it — the one
+spelling of a cached result, which ``bench/`` and the tests rebuild
+in-process to check what the daemon served::
 
     {"summary": {...}, "trace_digest": "...", "cycles": N, "retired": N}
 
@@ -16,18 +16,23 @@ change results) and a compact progress payload is emitted at the same
 safe point periodic snapshots use: cycle count, retired, IPC so far and
 the dominant stall reason.
 
-When the caller additionally hands a *trace_ctx* — the admission span's
-``(trace_id, span_id)``, propagated by value through the fork — the
-worker records its own child spans (compile, load, run; and, sharded,
-per-epoch wait/send/recv spans merged back from the shard processes)
-plus a cycles↔wall clock anchor, and ships them up the same progress
-pipe as one ``{"kind": "spans"}`` payload just before returning.  The
-server intercepts that payload before stream fan-out, so clients never
-see it.  Spans read clocks and nothing else: the result value, the
-trace digest and every cached byte are identical with tracing on.
+The worker always records its spans (execute, compile, run; and,
+sharded, per-epoch wait/send/recv spans merged back from the shard
+processes) plus a cycles↔wall clock anchor, and ships them up the same
+progress pipe as one ``{"kind": "spans"}`` payload just before
+returning.  *trace_ctx* — the admission span's ``(trace_id, span_id)``,
+propagated by value through the fork — is what they chain onto; without
+one ``execute`` is the root of a trace of its own.  The server
+intercepts that payload before stream fan-out, so clients never see it.
+Spans read clocks and nothing else: the result value, the trace digest
+and every cached byte are those of an untraced run.
 """
 
-from repro.machine import LBP
+import time
+
+from repro.machine import LBP, Params
+from repro.observe.spans import SpanRecorder, clock_anchor, flight
+from repro.serve.jobs import compiled_program
 from repro.snapshot.snapshot import trace_digest
 
 __all__ = ["execute_job", "job_progress", "job_value"]
@@ -58,7 +63,8 @@ def job_progress(machine):
 
 
 def job_value(machine, stats):
-    """The canonical result value (mirrors ``RunCache.run_program``)."""
+    """The canonical result value: what the cache stores under a job's
+    key and every submitter of that key receives."""
     return {
         "summary": stats.summary(),
         "trace_digest": trace_digest(machine.trace.events),
@@ -78,26 +84,12 @@ def execute_job(source, filename, params_kwargs, max_cycles=None,
     *shards* selects the sharded engine (bit-exact either way).
     *trace_ctx* links this execution into the admission's trace.
     """
-    import time
-
-    from repro.serve.jobs import compiled_program
-
-    spans = None
-    execute_span = None
-    if trace_ctx is not None:
-        from repro.observe.spans import SpanRecorder, flight
-
-        spans = SpanRecorder()
-        execute_span = spans.start("execute", parent=tuple(trace_ctx))
-        flight().note("execute_begin", filename=filename, shards=shards,
-                      trace_id=execute_span.trace_id)
-
-    if spans is not None:
-        with spans.span("compile", parent=execute_span, filename=filename):
-            program = compiled_program(source, filename)
-    else:
+    spans = SpanRecorder()
+    execute_span = spans.start("execute", parent=trace_ctx)
+    flight().note("execute_begin", filename=filename, shards=shards,
+                  trace_id=execute_span.trace_id)
+    with spans.span("compile", parent=execute_span, filename=filename):
         program = compiled_program(source, filename)
-    from repro.machine import Params
 
     metered = progress is not None
     machine = LBP(Params(**params_kwargs), shards=shards,
@@ -109,36 +101,27 @@ def execute_job(source, filename, params_kwargs, max_cycles=None,
         every = progress_every or DEFAULT_PROGRESS_EVERY
         run_kwargs["snapshot_every"] = every
         run_kwargs["snapshot_callback"] = lambda m: progress(job_progress(m))
-    clock = None
-    if spans is not None:
-        run_span = spans.start("run", parent=execute_span)
-        # the sharded engine forwards this context into each shard
-        # process and merges their epoch spans back via the final
-        # gather payload (engine.span_records)
-        machine.span_ctx = run_span.ctx
-        run_start = time.monotonic()
-        try:
-            stats = machine.run(**run_kwargs)
-        finally:
-            run_span.finish(cycles=machine.cycle)
-        from repro.observe.spans import clock_anchor
-
+    run_span = spans.start("run", parent=execute_span)
+    # the sharded engine forwards this context into each shard
+    # process and merges their epoch spans back via the final
+    # gather payload (engine.span_records)
+    machine.span_ctx = run_span.ctx
+    run_start = time.monotonic()
+    try:
+        stats = machine.run(**run_kwargs)
+    finally:
+        run_span.finish(cycles=machine.cycle)
+    spans.absorb(getattr(machine, "span_records", None) or ())
+    value = job_value(machine, stats)
+    execute_span.finish(cycles=value["cycles"], retired=value["retired"],
+                        trace_digest=value["trace_digest"][:16])
+    flight().note("execute_end", cycles=value["cycles"],
+                  trace_id=execute_span.trace_id)
+    if progress is not None:
         # anchor on stats.cycles — the count chrome_trace reports — so
         # the served clock and a deterministic replay agree exactly
         clock = clock_anchor(run_start, max(run_span.end_s - run_start, 0.0),
                              stats.cycles)
-        shard_spans = getattr(machine, "span_records", None)
-        if shard_spans:
-            spans.absorb(shard_spans)
-    else:
-        stats = machine.run(**run_kwargs)
-    value = job_value(machine, stats)
-    if spans is not None:
-        execute_span.finish(cycles=value["cycles"], retired=value["retired"],
-                            trace_digest=value["trace_digest"][:16])
-        flight().note("execute_end", cycles=value["cycles"],
-                      trace_id=execute_span.trace_id)
-        if progress is not None:
-            progress({"kind": "spans", "spans": spans.drain(),
-                      "clock": clock, "dropped": spans.dropped})
+        progress({"kind": "spans", "spans": spans.drain(),
+                  "clock": clock, "dropped": spans.dropped})
     return value

@@ -18,7 +18,6 @@ forces a miss.
 Storage layout under the cache root (``LBP_CACHE_DIR`` overrides)::
 
     objects/<k[:2]>/<key>.json   result entry (value + metadata)
-    objects/<k[:2]>/<key>.snap   optional final machine snapshot
 
 Values must survive a JSON round-trip unchanged; :meth:`RunCache.put`
 refuses (returns None) otherwise, so a hit is byte-identical to the miss
@@ -45,10 +44,9 @@ import shutil
 import time
 
 from repro.snapshot.progio import program_bytes
-from repro.snapshot.snapshot import SIM_VERSION, trace_digest
+from repro.snapshot.snapshot import SIM_VERSION
 
 _ENTRY_SUFFIX = ".json"
-_SNAP_SUFFIX = ".snap"
 _TMP_MARK = ".tmp"
 #: a staging file older than this is a crashed writer's leftover; gc may
 #: remove it (no live writer stages for minutes)
@@ -149,8 +147,8 @@ class RunCache:
         return entry
 
     @staticmethod
-    def _publish(path, data):
-        """Atomically write *data* (bytes or text) to *path*.
+    def _publish(path, text):
+        """Atomically write *text* to *path*.
 
         The staging name is unique per (pid, call), so concurrent
         writers — even of the same key — never clobber each other's
@@ -159,10 +157,9 @@ class RunCache:
         the simulator is deterministic).
         """
         tmp = "%s.%d.%d%s" % (path, os.getpid(), next(_tmp_counter), _TMP_MARK)
-        mode = "wb" if isinstance(data, (bytes, bytearray)) else "w"
         try:
-            with open(tmp, mode) as handle:
-                handle.write(data)
+            with open(tmp, "w") as handle:
+                handle.write(text)
             os.replace(tmp, path)
         except BaseException:
             try:
@@ -171,7 +168,7 @@ class RunCache:
                 pass
             raise
 
-    def put(self, key, value, extra=None, snapshot_bytes=None):
+    def put(self, key, value, extra=None):
         """Store *value* under *key*; returns the canonical value.
 
         Returns None (and stores nothing) when *value* does not survive a
@@ -190,98 +187,58 @@ class RunCache:
         path = self._entry_path(key)
         os.makedirs(os.path.dirname(path), exist_ok=True)
         self._publish(path, json.dumps(entry, sort_keys=True) + "\n")
-        if snapshot_bytes is not None:
-            snap_path = path[: -len(_ENTRY_SUFFIX)] + _SNAP_SUFFIX
-            self._publish(snap_path, bytes(snapshot_bytes))
         return canonical
-
-    def snapshot_path(self, key):
-        """Path of the stored final snapshot for *key*, or None."""
-        path = self._entry_path(key)[: -len(_ENTRY_SUFFIX)] + _SNAP_SUFFIX
-        return path if os.path.exists(path) else None
-
-    # ---- the content-addressed run ------------------------------------------
-
-    def run_program(self, program, params, inputs=None, max_cycles=None,
-                    store_snapshot=True):
-        """Run *program* on a cycle-accurate machine through the cache.
-
-        Returns ``(value, hit)`` where value is ``{"summary": ...,
-        "trace_digest": ..., "cycles": ..., "retired": ...}``.  On a miss
-        the run executes, its final snapshot is stored next to the entry
-        (resume/inspect later via :meth:`snapshot_path`), and the entry is
-        recorded; on a hit nothing is simulated.
-        """
-        from repro.machine import LBP
-        from repro.snapshot.snapshot import snapshot
-
-        key = self.key_for(program=program, params=params, inputs=inputs)
-        entry = self.get(key)
-        if entry is not None:
-            return entry["value"], True
-        machine = LBP(params).load(program)
-        stats = machine.run(max_cycles=max_cycles)
-        value = {
-            "summary": stats.summary(),
-            "trace_digest": trace_digest(machine.trace.events),
-            "cycles": stats.cycles,
-            "retired": stats.retired,
-        }
-        blob = snapshot(machine) if store_snapshot else None
-        stored = self.put(key, value, snapshot_bytes=blob)
-        return (stored if stored is not None else value), False
 
     # ---- maintenance / introspection ----------------------------------------
 
-    def entries(self):
-        """All stored entries as (key, entry_bytes, snapshot_bytes, mtime)
-        rows, key-sorted.  mtime is the last *use* (:meth:`get` bumps it)."""
-        rows = []
+    def _files(self, suffix):
+        """Paths of the files under ``objects/`` whose name ends in
+        *suffix*, in name order."""
         objects = os.path.join(self.root, "objects")
-        if not os.path.isdir(objects):
-            return rows
-        for shard in sorted(os.listdir(objects)):
-            shard_dir = os.path.join(objects, shard)
-            if not os.path.isdir(shard_dir):
-                continue
-            for name in sorted(os.listdir(shard_dir)):
-                if not name.endswith(_ENTRY_SUFFIX):
-                    continue
-                key = name[: -len(_ENTRY_SUFFIX)]
-                path = os.path.join(shard_dir, name)
-                try:
-                    stat = os.stat(path)
-                except OSError:
-                    continue  # concurrently evicted
-                snap = os.path.join(shard_dir, key + _SNAP_SUFFIX)
-                snap_bytes = os.path.getsize(snap) if os.path.exists(snap) else 0
-                rows.append((key, stat.st_size, snap_bytes, stat.st_mtime))
+        if os.path.isdir(objects):
+            for shard in sorted(os.listdir(objects)):
+                shard_dir = os.path.join(objects, shard)
+                if os.path.isdir(shard_dir):
+                    for name in sorted(os.listdir(shard_dir)):
+                        if name.endswith(suffix):
+                            yield os.path.join(shard_dir, name)
+
+    def entries(self):
+        """All stored entries as (key, entry_bytes, mtime) rows,
+        key-sorted.  mtime is the last *use* (:meth:`get` bumps it)."""
+        rows = []
+        for path in self._files(_ENTRY_SUFFIX):
+            try:
+                stat = os.stat(path)
+            except OSError:
+                continue  # concurrently evicted
+            key = os.path.basename(path)[: -len(_ENTRY_SUFFIX)]
+            rows.append((key, stat.st_size, stat.st_mtime))
         return rows
 
     def stats(self, now=None):
         """Footprint + traffic counters + an entry age histogram.
 
-        ``disk_bytes`` is the full on-disk cost (entries + snapshot
-        sidecars); the ``age_histogram`` buckets entries by seconds since
-        last use — the input the LRU :meth:`gc` policy works from.
+        ``disk_bytes`` is the full on-disk cost (``entry_bytes``: the
+        entries are all the store holds); the ``age_histogram`` buckets
+        entries by seconds since last use — the input the LRU :meth:`gc`
+        policy works from.
         """
         rows = self.entries()
         now = time.time() if now is None else now
         histogram = {label: 0 for label, _ in _AGE_BUCKETS}
         for row in rows:
-            age = max(0.0, now - row[3])
+            age = max(0.0, now - row[2])
             for label, bound in _AGE_BUCKETS:
                 if age < bound:
                     histogram[label] += 1
                     break
         entry_bytes = sum(r[1] for r in rows)
-        snapshot_bytes = sum(r[2] for r in rows)
         return {
             "root": self.root,
             "entries": len(rows),
             "entry_bytes": entry_bytes,
-            "snapshot_bytes": snapshot_bytes,
-            "disk_bytes": entry_bytes + snapshot_bytes,
+            "disk_bytes": entry_bytes,
             "hits": self.hits,
             "misses": self.misses,
             "evictions": self.evictions,
@@ -289,70 +246,57 @@ class RunCache:
         }
 
     def _evict(self, key):
-        """Remove one entry (and its snapshot sidecar) from disk."""
-        path = self._entry_path(key)
-        removed = 0
-        for victim in (path, path[: -len(_ENTRY_SUFFIX)] + _SNAP_SUFFIX):
-            try:
-                os.unlink(victim)
-                removed += 1
-            except OSError:
-                pass
-        return removed > 0
+        """Remove one entry from disk; False when it was already gone."""
+        try:
+            os.unlink(self._entry_path(key))
+        except OSError:
+            return False
+        return True
 
     def gc(self, max_bytes=None, max_age_s=None, now=None):
         """Evict entries: stale first, then least-recently-used.
 
         *max_age_s* drops entries not used for that many seconds;
         *max_bytes* then evicts in LRU order (oldest mtime first — a hit
-        refreshes an entry's mtime) until entries + snapshots fit the
-        budget.  Crashed writers' stale ``.tmp`` staging files are always
-        swept.  Returns a summary dict; evictions accumulate on
+        refreshes an entry's mtime) until the entries fit the budget.
+        Crashed writers' stale ``.tmp`` staging files are always swept.
+        Returns a summary dict; evictions accumulate on
         ``self.evictions`` (surfaced by ``repro serve``'s ``/stats``).
         """
         now = time.time() if now is None else now
         swept_tmp = 0
-        objects = os.path.join(self.root, "objects")
-        if os.path.isdir(objects):
-            for shard in os.listdir(objects):
-                shard_dir = os.path.join(objects, shard)
-                if not os.path.isdir(shard_dir):
-                    continue
-                for name in os.listdir(shard_dir):
-                    if not name.endswith(_TMP_MARK):
-                        continue
-                    path = os.path.join(shard_dir, name)
-                    try:
-                        if now - os.stat(path).st_mtime >= _TMP_STALE_S:
-                            os.unlink(path)
-                            swept_tmp += 1
-                    except OSError:
-                        pass
-        rows = sorted(self.entries(), key=lambda r: (r[3], r[0]))  # LRU first
+        for path in self._files(_TMP_MARK):
+            try:
+                if now - os.stat(path).st_mtime >= _TMP_STALE_S:
+                    os.unlink(path)
+                    swept_tmp += 1
+            except OSError:
+                pass
+        rows = sorted(self.entries(), key=lambda r: (r[2], r[0]))  # LRU first
         evicted = 0
         if max_age_s is not None:
             fresh = []
             for row in rows:
-                if now - row[3] >= max_age_s:
+                if now - row[2] >= max_age_s:
                     evicted += self._evict(row[0])
                 else:
                     fresh.append(row)
             rows = fresh
         if max_bytes is not None:
-            total = sum(r[1] + r[2] for r in rows)
+            total = sum(r[1] for r in rows)
             index = 0
             while total > max_bytes and index < len(rows):
                 row = rows[index]
                 index += 1
                 evicted += self._evict(row[0])
-                total -= row[1] + row[2]
+                total -= row[1]
             rows = rows[index:]
         self.evictions += evicted
         return {
             "evicted": evicted,
             "swept_tmp": swept_tmp,
             "remaining": len(rows),
-            "remaining_bytes": sum(r[1] + r[2] for r in rows),
+            "remaining_bytes": sum(r[1] for r in rows),
         }
 
     def clear(self):

@@ -9,13 +9,17 @@ dedupe invisible).
 """
 
 import json
+import logging
+import socket
 import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.machine import native
+from repro.compiler import build_program
+from repro.machine import LBP, Params, native
 from repro.serve import ServeClient, ServeConfig, ServeError, ServerThread
+from repro.serve.worker import job_value
 from repro.snapshot.cache import RunCache
 
 SHORT_ASM = """
@@ -94,6 +98,10 @@ def test_single_flight_100_concurrent_identical_jobs(tmp_path):
 
 
 def test_hit_after_completion_and_cache_shared_with_run_program(tmp_path):
+    """What the daemon stored is nothing service-specific: the entry
+    under ``key_for(program, params, inputs)`` is the canonical JSON of
+    ``job_value`` from the same run made in this process (the check
+    ``bench/served.py`` makes after every serve workload)."""
     with _serve(tmp_path) as handle:
         client = _client(handle)
         first = client.submit_one(_job())
@@ -102,16 +110,17 @@ def test_hit_after_completion_and_cache_shared_with_run_program(tmp_path):
         assert second["status"] == "hit"
         assert _canonical(first["value"]) == _canonical(second["value"])
         cache_root = handle.config.cache_root
-    # the CLI-side cache API resolves the same key the service stored
-    from repro.serve.jobs import compiled_program
+
+    program = build_program(SHORT_ASM, "job.s")
+    params = Params(num_cores=2)
+    machine = LBP(params).load(program)
+    expected = _canonical(job_value(machine, machine.run()))
 
     cache = RunCache(cache_root)
-    program = compiled_program(SHORT_ASM, "job.s")
-    from repro.machine import Params
-
-    value, hit = cache.run_program(program, Params(num_cores=2))
-    assert hit is True
-    assert _canonical(value) == _canonical(first["value"])
+    key = cache.key_for(program=program, params=params, inputs=None)
+    assert key == first["key"]
+    assert _canonical(cache.get(key)["value"]) == expected
+    assert _canonical(first["value"]) == expected
 
 
 def test_progress_streaming_then_terminal(tmp_path):
@@ -260,3 +269,79 @@ def test_unknown_endpoints_and_jobs(tmp_path):
         assert excinfo.value.status == 404
         status, _body = client.request("GET", "/nowhere")
         assert status == 404
+
+
+def _raw_exchange(unix_path, data):
+    """Send *data* as it is; everything the daemon answers until it
+    closes (or resets: it may close with bytes of ours still unread)."""
+    sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    sock.settimeout(30.0)
+    sock.connect(unix_path)
+    answer = b""
+    try:
+        sock.sendall(data)
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            answer += chunk
+    except ConnectionError:
+        pass
+    finally:
+        sock.close()
+    return answer
+
+
+def _post(body, head=b"", target=b"/v1/jobs"):
+    return (b"POST " + target + b" HTTP/1.1\r\nConnection: close\r\n" + head
+            + b"Content-Length: %d\r\n\r\n" % len(body) + body)
+
+
+@pytest.mark.parametrize("request_bytes, status", [
+    (_post(b"[]", target=b"/v1/jobs?wait=0"), 400),
+    (b"POST /v1/jobs HTTP/1.1\r\nContent-Length: abc\r\n\r\n", 400),
+    (b"POST /v1/jobs HTTP/1.1\r\nContent-Length: -5\r\n\r\n", 400),
+    # over asyncio's own 64 KiB reader limit, and between that and ours
+    (b"GET /stats HTTP/1.1\r\nX-Pad: " + b"a" * 70000 + b"\r\n\r\n", 431),
+    (b"GET /stats HTTP/1.1\r\nX-Pad: " + b"a" * 17000 + b"\r\n\r\n", 431),
+    (b"GET /stats\r\n", 400),
+    (_post(json.dumps({"jobs": [_job()], "priority": ["x"]}).encode()), 400),
+    (_post(json.dumps({"jobs": [_job()], "tenant": {"a": 1}}).encode()), 400),
+    (b"POST /v1/jobs HTTP/1.1\r\nContent-Length: 99999999999\r\n\r\n", 413),
+], ids=["list-body", "length-abc", "length-negative", "header-70k",
+        "header-17k", "no-version", "priority-not-a-string",
+        "tenant-not-a-string", "length-too-large"])
+def test_malformed_request_gets_a_status_and_the_daemon_lives(
+        tmp_path, caplog, request_bytes, status):
+    """Outside input that used to raise out of the connection callback
+    (a dropped connection, a traceback in the log): each is answered
+    with its status, and the next connection is served."""
+    with caplog.at_level(logging.WARNING, logger="asyncio"):
+        with _serve(tmp_path) as handle:
+            answer = _raw_exchange(handle.config.unix_path, request_bytes)
+            assert _client(handle).healthz() == {"draining": False,
+                                                 "ok": True}
+            assert handle.server.stats()["jobs"]["submitted"] == 0
+    head, _, body = answer.partition(b"\r\n\r\n")
+    assert head.split(b"\r\n")[0].split()[:2] == [b"HTTP/1.1",
+                                                  b"%d" % status]
+    assert "error" in json.loads(body)
+    assert not caplog.records, [r.getMessage() for r in caplog.records]
+
+
+def test_handler_bug_is_one_500_not_a_dead_daemon(tmp_path, monkeypatch):
+    """Whatever else a handler raises costs that one connection: a 500,
+    a note in the flight recorder, and the next request is answered."""
+    from repro.observe.spans import flight
+
+    with _serve(tmp_path) as handle:
+        client = _client(handle)
+
+        def broken():
+            raise RuntimeError("boom")
+
+        monkeypatch.setitem(handle.server._documents, "/stats", broken)
+        status, body = client.request("GET", "/stats")
+        assert status == 500 and "boom" in body["error"]
+        assert client.healthz()["ok"] is True
+    assert any(event["kind"] == "http_500" for event in flight().events())

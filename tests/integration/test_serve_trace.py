@@ -185,30 +185,31 @@ def test_job_records_carry_unique_trace_ids(tmp_path):
 
 
 def test_digests_bit_exact_with_tracing_across_shards(tmp_path):
-    """The golden-conformance claim for tracing: shards 1 and 2, traced
-    and untraced, all four runs produce one digest.  Distinct ``inputs``
-    per config force two real executions per server (inputs key the
-    cache but never reach the machine)."""
+    """The golden-conformance claim for tracing: the daemon (always
+    traced) at shards 1 and 2, and the same job run in this process with
+    no span context anywhere, produce one value.  Distinct ``inputs``
+    per config force two real executions (inputs key the cache but never
+    reach the machine)."""
     results = {}
-    spans = None
-    for label, trace in (("traced", True), ("untraced", False)):
-        root = tmp_path / label
-        root.mkdir()
-        with _serve(root, trace=trace) as handle:
-            client = _client(handle)
-            for shards in (1, 2):
-                record = client.submit_one(
-                    _job(cores=4, inputs="shards-%d" % shards,
-                         shards=shards))
-                assert record["status"] == "done"
-                results[(label, shards)] = record["value"]
-            if trace:
-                spans = _trace_snapshot(client)["spans"]
+    with _serve(tmp_path) as handle:
+        client = _client(handle)
+        for shards in (1, 2):
+            record = client.submit_one(
+                _job(cores=4, inputs="shards-%d" % shards, shards=shards))
+            assert record["status"] == "done"
+            results[("traced", shards)] = record["value"]
+        spans = _trace_snapshot(client)["spans"]
 
-    digests = {value["trace_digest"] for value in results.values()}
-    assert len(digests) == 1, "tracing or sharding perturbed the digest"
-    cycles = {value["cycles"] for value in results.values()}
-    assert len(cycles) == 1
+    from repro.asm import assemble
+    from repro.machine import LBP, Params
+    from repro.serve.worker import job_value
+
+    machine = LBP(Params(num_cores=4)).load(assemble(SHORT_ASM, "job.s"))
+    results["untraced"] = job_value(machine, machine.run())
+
+    assert len({json.dumps(value, sort_keys=True)
+                for value in results.values()}) == 1, \
+        "tracing or sharding perturbed the result"
 
     # the sharded runs really were traced down to the epoch barrier
     epoch_waits = _by_name(spans, "epoch_wait")
@@ -255,25 +256,9 @@ def test_metrics_endpoint_is_valid_prometheus_under_load(tmp_path):
     assert execute_count == 2.0
     (_, http_count), = parsed["samples"]["repro_http_request_seconds_count"]
     assert http_count >= 3.0
-    # tracing is on by default, so the span counters are exported
+    # tracing is not a mode: the span counters are always exported
     (_, started), = parsed["samples"]["repro_spans_recorded_total"]
     assert started >= 3.0
-
-
-def test_tracing_disabled_is_invisible_and_trace_endpoint_404s(tmp_path):
-    with _serve(tmp_path, trace=False) as handle:
-        client = _client(handle)
-        record = client.submit_one(_job())
-        assert record["status"] == "done"
-        job_id = client.submit_one(_job(inputs="two"))["id"]
-        described = client.job(job_id)
-        status, _payload = client.request("GET", "/v1/trace")
-        _status, _headers, text = _get_raw(handle.config.unix_path,
-                                           "/metrics")
-    assert "trace_id" not in described
-    assert status == 404
-    parsed = validate_prometheus_text(text)
-    assert "repro_spans_recorded_total" not in parsed["types"]
 
 
 # ---- crash flight recorder ---------------------------------------------------

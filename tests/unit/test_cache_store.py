@@ -34,9 +34,9 @@ def test_get_bumps_mtime_recency(tmp_path):
     _fill(cache, KEYS[:1])
     past = time.time() - 1000
     _set_mtime(cache, KEYS[0], past)
-    assert cache.entries()[0][3] == pytest.approx(past, abs=2)
+    assert cache.entries()[0][2] == pytest.approx(past, abs=2)
     cache.get(KEYS[0])
-    assert cache.entries()[0][3] == pytest.approx(time.time(), abs=5)
+    assert cache.entries()[0][2] == pytest.approx(time.time(), abs=5)
 
 
 def test_gc_evicts_lru_first_to_byte_budget(tmp_path):
@@ -104,7 +104,6 @@ def test_gc_sweeps_stale_tmp_keeps_fresh_tmp(tmp_path):
 def test_stats_histogram_and_disk_bytes(tmp_path):
     cache = RunCache(str(tmp_path))
     _fill(cache, KEYS)
-    cache.put(KEYS[0], {"k": KEYS[0], "pad": ""}, snapshot_bytes=b"s" * 100)
     now = time.time()
     _set_mtime(cache, KEYS[0], now - 10)           # <1m
     _set_mtime(cache, KEYS[1], now - 600)          # <1h
@@ -113,18 +112,9 @@ def test_stats_histogram_and_disk_bytes(tmp_path):
     assert stats["age_histogram"] == {"<1m": 1, "<1h": 1, "<1d": 0,
                                       "<7d": 0, ">=7d": 1}
     assert stats["entries"] == 3
-    assert stats["snapshot_bytes"] == 100
-    assert stats["disk_bytes"] == stats["entry_bytes"] + 100
+    assert stats["disk_bytes"] == stats["entry_bytes"] == sum(
+        size for _, size, _ in cache.entries())
     assert stats["evictions"] == 0
-
-
-def test_eviction_removes_snapshot_sidecar(tmp_path):
-    cache = RunCache(str(tmp_path))
-    cache.put(KEYS[0], {"k": 1}, snapshot_bytes=b"snap")
-    assert cache.snapshot_path(KEYS[0]) is not None
-    cache.gc(max_bytes=0)
-    assert cache.snapshot_path(KEYS[0]) is None
-    assert cache.get(KEYS[0]) is None
 
 
 def _hammer(root, key, rounds):

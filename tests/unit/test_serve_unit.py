@@ -2,18 +2,21 @@
 
 Covers the pieces that don't need a running daemon: token-bucket quota
 accounting (injected clock, no sleeping), job specs and their content
-keys (identical to ``RunCache.run_program`` keying — serve and CLI share
-entries), the single-flight job table, priority ordering, and the
-bounded worker pool's timeout/cancel/error behavior.
+keys (``RunCache.key_for`` of the built program — anyone who can build
+it can look the entry up), the single-flight job table, priority
+ordering, the bounded worker pool's timeout/cancel/error behavior, and
+the whole service through the socket-free ``SimServer.handle``.
 """
 
 import asyncio
+import json
 import threading
 import time
 
 import pytest
 
 from repro.machine import Params
+from repro.observe.prom import validate_prometheus_text
 from repro.serve.jobs import (
     DEFAULT_PRIORITY,
     PRIORITY_CLASSES,
@@ -29,7 +32,7 @@ from repro.serve.pool import (
     WorkerPool,
 )
 from repro.serve.quota import QuotaExceeded, QuotaManager, TokenBucket
-from repro.serve.server import ServeConfig, SimServer
+from repro.serve.server import _METRICS, ServeConfig, SimServer
 from repro.snapshot.cache import RunCache
 
 ASM = """
@@ -181,9 +184,9 @@ def test_backend_is_an_unknown_job_field():
 
 
 def test_jobspec_key_matches_run_cache_keying(tmp_path):
-    """A serve job and a CLI ``run_program`` of the same work share one
-    cache entry — that is the contract that makes the service a cache
-    front-end rather than a second cache."""
+    """A serve job's key is ``RunCache.key_for`` of the same work — that
+    is the contract that makes the service a cache front-end rather than
+    a second cache."""
     cache = RunCache(str(tmp_path))
     spec = JobSpec(ASM, filename="job.s", params={"num_cores": 2},
                    inputs={"n": 64})
@@ -355,6 +358,187 @@ def test_pool_cancellation():
 def test_pool_rejects_bad_worker_count():
     with pytest.raises(ValueError):
         WorkerPool(workers=0)
+
+
+# ---- the service, socket-free -----------------------------------------------
+
+
+def _server(tmp_path, **overrides):
+    """A daemon that was never started: no listener, no worker loop, so
+    an admitted job stays queued — ``handle`` is all there is."""
+    options = {"unix_path": str(tmp_path / "unused.sock"),
+               "cache_root": str(tmp_path / "cache")}
+    options.update(overrides)
+    return SimServer(ServeConfig(**options))
+
+
+def _wire_job(inputs=None, source=ASM, filename="job.s"):
+    return {"source": source, "filename": filename,
+            "params": {"num_cores": 2}, "inputs": inputs}
+
+
+def _submit(server, jobs, query=None, **batch):
+    body = json.dumps(dict(batch, jobs=jobs)).encode()
+    return _run(server.handle("POST", "/v1/jobs", query or {"wait": "0"},
+                              body))
+
+
+def test_handle_404_and_405(tmp_path):
+    server = _server(tmp_path)
+    for path in ("/nowhere", "/v1", "/v1/jobs/", "/v1/jobs/j-1/bogus"):
+        status, body = _run(server.handle("GET", path))
+        assert status == 404 and "no such endpoint" in body["error"]
+    status, body = _run(server.handle("GET", "/v1/jobs/j-999"))
+    assert status == 404 and body == {"error": "no such job: j-999"}
+    for method, path in (("GET", "/v1/jobs"), ("POST", "/stats"),
+                         ("POST", "/metrics"), ("DELETE", "/healthz"),
+                         ("POST", "/v1/jobs/j-1"),
+                         ("POST", "/v1/jobs/j-1/stream"),
+                         ("GET", "/v1/jobs/j-1/cancel")):
+        status, body = _run(server.handle(method, path))
+        assert status == 405, (method, path)
+        assert body == {"error": "unsupported: %s %s" % (method, path)}
+
+
+def test_handle_read_only_documents(tmp_path):
+    server = _server(tmp_path)
+    assert _run(server.handle("GET", "/healthz")) == (
+        200, {"ok": True, "draining": False})
+    status, trace = _run(server.handle("GET", "/v1/trace"))
+    assert status == 200
+    assert trace == {"spans": [], "clock": None, "dropped": 0}
+    status, text = _run(server.handle("GET", "/metrics"))
+    assert status == 200 and isinstance(text, str)
+    validate_prometheus_text(text)
+
+
+def test_handle_503_while_draining_but_still_answers_reads(tmp_path):
+    server = _server(tmp_path)
+    server.draining = True
+    assert _submit(server, [_wire_job()]) == (503, {"error": "draining"})
+    assert _run(server.handle("GET", "/stats"))[1]["draining"] is True
+    assert not server.table.inflight
+
+
+@pytest.mark.parametrize("body, fragment", [
+    (b"{", "not valid JSON"),
+    (b"[]", "must be a JSON object"),
+    (b"{}", "'jobs' must be a non-empty list"),
+    (b'{"jobs": [{"source": "x"}], "tenant": {}}', "'tenant' must be"),
+    (b'{"jobs": [{"source": "x"}], "priority": [1]}', "unknown priority"),
+    (b'{"jobs": [{"source": "x"}], "priority": "asap"}', "unknown priority"),
+])
+def test_handle_400_for_a_bad_batch(tmp_path, body, fragment):
+    server = _server(tmp_path)
+    status, answer = _run(server.handle("POST", "/v1/jobs", {"wait": "0"},
+                                        body))
+    assert status == 400 and fragment in answer["error"]
+    assert server.stats()["jobs"]["submitted"] == 0
+
+
+def test_handle_429_when_the_whole_batch_is_over_quota(tmp_path):
+    server = _server(tmp_path, default_quota=(0, 1))
+    status, body = _submit(server, [_wire_job("first")], tenant="t")
+    assert status == 200 and body["jobs"][0]["status"] == "queued"
+    status, body = _submit(server, [_wire_job("second")], tenant="t")
+    assert status == 429
+    (record,) = body["jobs"]
+    assert record["status"] == "rejected" and record["code"] == 429
+    # coalescing onto the running key is free, as a hit would be
+    status, body = _submit(server, [_wire_job("first")], tenant="t")
+    assert status == 200 and body["jobs"][0]["status"] == "coalesced"
+
+
+def test_handle_mixed_batch(tmp_path):
+    server = _server(tmp_path)
+    warm = JobSpec.from_wire(_wire_job("warm"))
+    server.cache.put(warm.cache_key(server.cache), {"cycles": 7})
+    status, body = _submit(server, [
+        _wire_job("warm"),                                  # hit
+        _wire_job("cold"),                                  # new execution
+        _wire_job("cold"),                                  # coalesced
+        _wire_job(source="int main( {", filename="job.c"),  # bad program
+        {"source": ASM, "bogus": 1},                        # bad field
+    ])
+    assert status == 200  # not every record was rejected
+    hit, queued, coalesced, bad_program, bad_field = body["jobs"]
+    assert hit["status"] == "hit" and hit["value"] == {"cycles": 7}
+    assert queued["status"] == "queued"
+    assert coalesced["status"] == "coalesced"
+    assert coalesced["id"] == queued["id"] and coalesced["key"] == queued["key"]
+    assert bad_program["status"] == "rejected" and bad_program["code"] == 400
+    assert "bad program" in bad_program["error"]
+    assert bad_field["code"] == 400 and "bogus" in bad_field["error"]
+    jobs = server.stats()["jobs"]
+    assert (jobs["submitted"], jobs["hits"], jobs["misses"],
+            jobs["coalesced"]) == (3, 1, 2, 1)
+    # every admission was traced, the two rejected ones included
+    outcomes = sorted(record["tags"]["outcome"]
+                      for record in server.spans.records()
+                      if record["name"] == "admission")
+    assert outcomes == ["coalesced", "hit", "queued", "rejected", "rejected"]
+
+
+def test_handle_cancel_of_a_queued_job_and_its_stream(tmp_path):
+    server = _server(tmp_path)
+    _, body = _submit(server, [_wire_job("victim")])
+    job_id = body["jobs"][0]["id"]
+    status, described = _run(server.handle("GET", "/v1/jobs/" + job_id))
+    assert status == 200 and described["state"] == "queued"
+    assert described["trace_id"] and "value" not in described
+    status, cancelled = _run(server.handle("POST",
+                                           "/v1/jobs/%s/cancel" % job_id))
+    assert status == 200 and cancelled["state"] == "cancelled"
+    assert cancelled["error"] == "cancelled"
+    # idempotent, counted once, and the key is admittable again
+    assert _run(server.handle("POST", "/v1/jobs/%s/cancel" % job_id)) == (
+        200, cancelled)
+    assert server.stats()["jobs"]["cancelled"] == 1
+    assert not server.table.inflight
+
+    async def stream():
+        status, events = await server.handle(
+            "GET", "/v1/jobs/%s/stream" % job_id)
+        return status, [event async for event in events]
+
+    assert _run(stream()) == (200, [{"kind": "cancelled", "id": job_id,
+                                     "key": cancelled["key"],
+                                     "error": "cancelled"}])
+
+
+def test_stats_and_metrics_agree_on_every_exported_number(tmp_path):
+    """One table, two renderings: each row of ``_METRICS`` names a leaf
+    of ``/stats`` and a family of ``/metrics``; the numbers are equal."""
+    server = _server(tmp_path)
+    warm = JobSpec.from_wire(_wire_job("warm"))
+    server.cache.put(warm.cache_key(server.cache), {"cycles": 7})
+    _submit(server, [_wire_job("warm"), _wire_job("a"), _wire_job("a"),
+                     _wire_job("b"), {"source": ""}])
+    _, stats = _run(server.handle("GET", "/stats"))
+    _, text = _run(server.handle("GET", "/metrics"))
+    parsed = validate_prometheus_text(text)
+
+    compared = 0
+    for path, family, kind, _help in _METRICS:
+        assert parsed["types"][family] == kind
+        if kind == "histogram":
+            continue
+        leaf = stats
+        for part in path.split("."):
+            leaf = leaf[part]
+        samples = parsed["samples"][family]
+        if isinstance(leaf, dict):
+            assert ({labels["event"]: value for labels, value in samples}
+                    == {name: float(count) for name, count in leaf.items()})
+            compared += len(leaf)
+        else:
+            assert samples == [({}, float(leaf))]
+            compared += 1
+    assert compared == 9 + 11
+    assert len(parsed["types"]) == len(_METRICS)
+    # the run left something to compare: not every leaf is zero
+    assert stats["jobs"]["submitted"] == 4 and stats["queue"]["depth"] == 2
+    assert stats["cache"]["disk_bytes"] > 0 and stats["spans"]["recorded"] > 5
 
 
 # ---- load-summary arithmetic ------------------------------------------------

@@ -269,34 +269,14 @@ def test_non_json_value_refused(tmp_path):
 def test_entries_stats_clear(tmp_path):
     cache = RunCache(str(tmp_path))
     for n in range(3):
-        cache.put(cache.key_for(inputs=n), {"n": n},
-                  snapshot_bytes=b"x" * 10 if n == 0 else None)
+        cache.put(cache.key_for(inputs=n), {"n": n})
     rows = cache.entries()
     assert len(rows) == 3
-    assert sum(1 for _, _, snap, _ in rows if snap == 10) == 1
     stats = cache.stats()
-    assert stats["entries"] == 3 and stats["snapshot_bytes"] == 10
+    assert stats["entries"] == 3
+    assert stats["disk_bytes"] == sum(size for _, size, _ in rows) > 0
     assert cache.clear() == 3
     assert cache.entries() == [] and cache.stats()["entries"] == 0
-
-
-def test_run_program_miss_then_hit_with_resumable_snapshot(tmp_path):
-    cache = RunCache(str(tmp_path))
-    program = assemble(MEMORY_LOOP)
-    params = Params(num_cores=2)
-
-    cold, hit = cache.run_program(program, params, inputs="unit")
-    assert not hit and cold["cycles"] > 0
-    warm, hit = cache.run_program(program, params, inputs="unit")
-    assert hit
-    assert json.dumps(warm, sort_keys=True) == json.dumps(cold, sort_keys=True)
-
-    key = cache.key_for(program=program, params=params, inputs="unit")
-    snap = cache.snapshot_path(key)
-    assert snap is not None
-    finished = load_snapshot(snap)
-    # machine.cycle is the last simulated cycle index; stats.cycles counts
-    assert finished.halted and finished.cycle + 1 == cold["cycles"]
 
 
 def test_cache_root_from_environment(monkeypatch, tmp_path):
