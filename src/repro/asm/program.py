@@ -77,10 +77,6 @@ class Program:
     def code_size(self):
         return sum(len(seg.data) for seg in self.code_segments())
 
-    def instruction_at(self, addr):
-        """Decoded instruction at *addr* (KeyError if not code)."""
-        return self.instructions[addr]
-
     def read_word_initial(self, addr):
         """Read a 32-bit little-endian word from the initial image.
 

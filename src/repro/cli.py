@@ -731,7 +731,7 @@ def main(argv=None):
                               "~/.cache/lbp-repro)")
     p_cache.add_argument("--max-bytes", type=int, default=None, metavar="N",
                          help="gc: evict least-recently-used entries until "
-                              "entries + snapshots fit N bytes")
+                              "entries fit N bytes")
     p_cache.add_argument("--max-age", type=float, default=None, metavar="S",
                          help="gc: evict entries not used for S seconds")
     p_cache.add_argument("--json", action="store_true",

@@ -849,24 +849,7 @@ class FunctionCodegen:
             return self.gen_expr(expr.rhs, want_value)
         if op in ("&&", "||"):
             return self._logical(expr, want_value)
-        # constant folding of fully constant subtrees
         lhs_reg, ltype = self.gen_expr(expr.lhs)
-        # strength-reduce multiply by power-of-two constant
-        if op == "*" and isinstance(expr.rhs, A.Num) and _is_pow2(expr.rhs.value) \
-                and ltype.is_integer():
-            out = self._result_reg(lhs_reg, expr)
-            self.emit("slli %s, %s, %d" % (out, lhs_reg, _log2(expr.rhs.value)))
-            if lhs_reg != out:
-                self.free(lhs_reg)
-            return out, ltype
-        if op in ("+", "-") and isinstance(expr.rhs, A.Num) and ltype.is_integer() \
-                and -2048 <= (expr.rhs.value if op == "+" else -expr.rhs.value) <= 2047:
-            out = self._result_reg(lhs_reg, expr)
-            delta = expr.rhs.value if op == "+" else -expr.rhs.value
-            self.emit("addi %s, %s, %d" % (out, lhs_reg, delta))
-            if lhs_reg != out:
-                self.free(lhs_reg)
-            return out, ltype
         rhs_reg, rtype = self.gen_expr(expr.rhs)
         result = self._binary_op(op, lhs_reg, ltype, rhs_reg, rtype, expr)
         result_type = self._binary_type(op, ltype, rtype)

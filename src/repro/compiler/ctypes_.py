@@ -18,9 +18,6 @@ class Type:
     def is_pointer(self):
         return False
 
-    def is_arith(self):
-        return self.is_integer()
-
     def is_scalar(self):
         return self.is_integer() or self.is_pointer()
 

@@ -11,11 +11,6 @@ ordered ``p_ret`` chain — there is no lock, no futex, no OS.
 it into every program that includes ``<det_omp.h>``.
 """
 
-from repro.detomp.runtime import (
-    HART_PER_CORE,
-    runtime_asm,
-    start_stub_asm,
-    worker_asm,
-)
+from repro.detomp.runtime import runtime_asm, start_stub_asm, worker_asm
 
-__all__ = ["HART_PER_CORE", "runtime_asm", "start_stub_asm", "worker_asm"]
+__all__ = ["runtime_asm", "start_stub_asm", "worker_asm"]

@@ -23,7 +23,7 @@ team-identity register and ``t6`` the fork-target register; compiled code
 never uses them as scratch.
 """
 
-HART_PER_CORE = 4
+from repro import memmap
 
 # CV-area slot offsets used by the fork protocol.
 CV_RA = 0
@@ -82,8 +82,8 @@ LBP_ps_last:
         mv      a1, t1
         jr      t5                  # tail: worker's p_ret joins via ra/t0
 """ % (
-        HART_PER_CORE - 1,
-        HART_PER_CORE - 1,
+        memmap.HARTS_PER_CORE - 1,
+        memmap.HARTS_PER_CORE - 1,
         CV_RA, CV_T0, CV_WORKER, CV_DATA, CV_INDEX, CV_LAST,
         CV_RA, CV_T0, CV_WORKER, CV_DATA, CV_INDEX, CV_LAST,
     )

@@ -27,25 +27,18 @@ their results are stored for the next sweep.  Cached results pass
 through a canonical JSON round-trip on both the hit and the miss path,
 so a warm re-run merges byte-identically to the cold run that filled it.
 
-Timeouts: ``run_experiments(..., timeout=S)`` switches dispatch from
-``Pool.map`` to one :class:`ForkedTask` child per task — same fork
-semantics, but the parent owns each child individually, so a hung
-simulation is killed at its deadline and retried (``retries=N`` bounded
-attempts) instead of wedging the whole sweep.  ``ExperimentResults.meta``
-records how many ``timeouts`` fired and how many ``retries`` were spent;
-a task that exhausts its attempts raises :class:`TaskTimeoutError`.
-:class:`ForkedTask` is also the execution primitive behind the
-``repro serve`` worker pool (:mod:`repro.serve.pool`), which adds
-progress streaming through the same parent-side pipe.
+:class:`ForkedTask` — one callable in one forked child, owned from the
+parent — is the execution primitive behind the ``repro serve`` worker
+pool (:mod:`repro.serve.pool`), which adds deadlines, cancellation and
+progress streaming through its parent-side pipe.
 """
 
 import multiprocessing
-import multiprocessing.connection
 import os
 import time
 
-__all__ = ["ExperimentResults", "ForkedTask", "TaskFailedError",
-           "TaskTimeoutError", "default_jobs", "run_experiments"]
+__all__ = ["ExperimentResults", "ForkedTask", "default_jobs",
+           "run_experiments"]
 
 
 def default_jobs():
@@ -86,29 +79,6 @@ class ExperimentResults(dict):
 
     def __reduce__(self):
         return (self.__class__, (list(self.items()), self.meta))
-
-
-class TaskTimeoutError(Exception):
-    """A task exceeded its per-attempt deadline on every allowed attempt."""
-
-    def __init__(self, key, timeout, attempts):
-        super().__init__(
-            "task %r timed out after %gs on each of %d attempt(s)"
-            % (key, timeout, attempts))
-        self.key = key
-        self.timeout = timeout
-        self.attempts = attempts
-
-
-class TaskFailedError(Exception):
-    """A forked task raised (or its child died) on every allowed attempt."""
-
-    def __init__(self, key, detail, attempts):
-        super().__init__("task %r failed on each of %d attempt(s): %s"
-                         % (key, attempts, detail))
-        self.key = key
-        self.detail = detail
-        self.attempts = attempts
 
 
 def _forked_child_main(conn, fn, args, kwargs, progress_arg):
@@ -162,9 +132,8 @@ class ForkedTask:
     method; callers degrade to in-process execution.
     """
 
-    def __init__(self, fn, args=(), kwargs=None, progress_arg=None,
-                 context=None):
-        context = context or multiprocessing.get_context("fork")
+    def __init__(self, fn, args=(), kwargs=None, progress_arg=None):
+        context = multiprocessing.get_context("fork")
         self._conn, child_conn = context.Pipe(duplex=False)
         self.process = context.Process(
             target=_forked_child_main,
@@ -173,13 +142,6 @@ class ForkedTask:
         self.started_at = time.monotonic()
         self.process.start()
         child_conn.close()  # parent keeps only the read end
-
-    def fileno(self):
-        return self._conn.fileno()
-
-    @property
-    def connection(self):
-        return self._conn
 
     def poll(self, timeout=0):
         """True when a message (or EOF) is ready within *timeout* seconds."""
@@ -213,76 +175,6 @@ class ForkedTask:
         self.process.join()
 
 
-def _run_all_deadlined(tasks, jobs, timeout, retries, meta):
-    """Fork-per-task dispatch with per-attempt deadlines, input-ordered.
-
-    Up to *jobs* children run at once; each gets *timeout* seconds per
-    attempt and ``retries`` extra attempts after a timeout or crash.
-    Results merge by task order, so the output is byte-identical to the
-    Pool path and the sequential path.
-    """
-    results = {}
-    queue = list(tasks)  # (key, fn, args, kwargs), retried tasks re-enter
-    attempts = {task[0]: 0 for task in tasks}
-    active = {}  # ForkedTask -> task tuple
-    meta.setdefault("timeouts", 0)
-    meta.setdefault("retries", 0)
-
-    from repro.observe.spans import flight, flight_dir
-
-    def reap(forked, task, detail, timed_out):
-        forked.terminate()
-        if timed_out:
-            meta["timeouts"] += 1
-        flight().note("task_timeout" if timed_out else "task_crash",
-                      task=str(task[0]), attempt=attempts[task[0]])
-        if attempts[task[0]] <= retries:
-            meta["retries"] += 1
-            queue.append(task)
-            return
-        for straggler in active:
-            if straggler is not forked:
-                straggler.terminate()
-        # retry budget exhausted: spill the flight ring so the sweep's
-        # dispatch/timeout history survives the raise (no-op unless
-        # LBP_FLIGHT_DIR is set)
-        flight().spill(flight_dir(),
-                       "task %s out of attempts" % (task[0],))
-        if timed_out:
-            raise TaskTimeoutError(task[0], timeout, attempts[task[0]])
-        raise TaskFailedError(task[0], detail, attempts[task[0]])
-
-    while queue or active:
-        while queue and len(active) < jobs:
-            task = queue.pop(0)
-            attempts[task[0]] += 1
-            flight().note("task_dispatch", task=str(task[0]),
-                          attempt=attempts[task[0]])
-            active[ForkedTask(task[1], task[2], task[3])] = task
-        deadline = min(f.started_at for f in active) + timeout
-        wait = max(0.0, deadline - time.monotonic())
-        ready = multiprocessing.connection.wait(
-            [f.connection for f in active], timeout=wait)
-        ready_set = set(ready)
-        now = time.monotonic()
-        for forked in list(active):
-            task = active[forked]
-            if forked.connection in ready_set:
-                kind, payload = forked.recv()
-                if kind == "progress":  # informational; task still running
-                    continue
-                del active[forked]
-                if kind == "ok":
-                    forked.close()
-                    results[task[0]] = payload
-                else:  # "err" — crash counts against the retry budget too
-                    reap(forked, task, payload, timed_out=False)
-            elif now - forked.started_at >= timeout:
-                del active[forked]
-                reap(forked, task, None, timed_out=True)
-    return {key: results[key] for key, _fn, _args, _kwargs in tasks}
-
-
 def _normalize(tasks):
     normalized = []
     seen = set()
@@ -302,7 +194,7 @@ def _call(task):
     return key, fn(*args, **kwargs)
 
 
-def _run_all(tasks, jobs, timeout=None, retries=0, meta=None):
+def _run_all(tasks, jobs):
     """{key: result} for *tasks*, parallel when possible, input-ordered."""
     if not tasks:
         return {}
@@ -311,11 +203,6 @@ def _run_all(tasks, jobs, timeout=None, retries=0, meta=None):
         context = multiprocessing.get_context("fork")
     except ValueError:  # platform without fork: degrade, stay identical
         context = None
-    if timeout is not None and context is not None:
-        # deadline enforcement needs individually owned children, even
-        # at jobs=1 — a hung simulation must not wedge the sweep
-        return _run_all_deadlined(tasks, jobs, timeout, retries,
-                                  meta if meta is not None else {})
     if jobs <= 1 or context is None:
         return {key: fn(*args, **kwargs) for key, fn, args, kwargs in tasks}
     with context.Pool(processes=jobs) as pool:
@@ -325,7 +212,7 @@ def _run_all(tasks, jobs, timeout=None, retries=0, meta=None):
     return dict(pairs)
 
 
-def run_experiments(tasks, jobs=None, cache=None, timeout=None, retries=1):
+def run_experiments(tasks, jobs=None, cache=None):
     """Run every task; return ``{key: result}`` in task order.
 
     ``jobs=None`` uses :func:`default_jobs`; ``jobs=1`` (or a single
@@ -339,13 +226,6 @@ def run_experiments(tasks, jobs=None, cache=None, timeout=None, retries=1):
     from the store without simulating.  Results that do not survive a
     JSON round-trip are returned but not cached.
 
-    ``timeout`` (seconds, per attempt) bounds each task: a child that
-    blows its deadline is killed and retried up to ``retries`` more
-    times, then :class:`TaskTimeoutError` propagates (crashes consume
-    the same budget and end in :class:`TaskFailedError`).  ``meta``
-    records the ``timeouts`` and ``retries`` actually spent.  Timeouts
-    need ``fork``; platforms without it run sequentially, undeadlined.
-
     The returned mapping is an :class:`ExperimentResults`: a plain dict
     of rows plus a ``meta`` attribute recording the resolved ``jobs``
     count for reproducibility (the resolved value, not the clamped
@@ -357,8 +237,7 @@ def run_experiments(tasks, jobs=None, cache=None, timeout=None, retries=1):
     meta = {"jobs": jobs}
 
     if cache is None:
-        return ExperimentResults(
-            _run_all(normalized, jobs, timeout, retries, meta), meta=meta)
+        return ExperimentResults(_run_all(normalized, jobs), meta=meta)
 
     if isinstance(cache, str):
         from repro.snapshot.cache import RunCache
@@ -376,7 +255,7 @@ def run_experiments(tasks, jobs=None, cache=None, timeout=None, retries=1):
         else:
             pending.append(task)
 
-    fresh = _run_all(pending, jobs, timeout, retries, meta)
+    fresh = _run_all(pending, jobs)
     for key, result in fresh.items():
         canonical = cache.put(task_keys[key], result)
         if canonical is not None:

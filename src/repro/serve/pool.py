@@ -2,10 +2,10 @@
 
 The serving daemon is a single asyncio loop; simulations are CPU-bound
 Python.  The pool keeps the two apart: each admitted execution forks a
-child (:class:`repro.eval.runner.ForkedTask` — the same primitive the
-experiment runner's deadline path uses) and a small driver thread relays
-its pipe back into the loop.  Concurrency is capped by a semaphore, so
-at most ``workers`` simulations run at once regardless of queue depth.
+child (:class:`repro.eval.runner.ForkedTask`) and a driver thread from
+the pool's own executor — sized ``workers``, unlike the loop's default —
+relays its pipe back into the loop.  How many run at once is bounded by
+the caller: the server runs ``workers`` scheduler tasks.
 
 Per attempt the driver enforces a wall-clock deadline (kill + bounded
 retry — a timeout may be a loaded host, so one more try is cheap) and a
@@ -21,6 +21,7 @@ spirit as the runner's sequential degrade).
 
 import asyncio
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 from repro.eval.runner import ForkedTask
 
@@ -50,12 +51,13 @@ class PoolTaskError(Exception):
 
 
 class WorkerPool:
-    """At most *workers* concurrent forked simulations.
+    """Forked simulations, up to *workers* of them at once.
 
     ``timeout`` is the per-attempt deadline in seconds (None = no
     deadline); after a timeout the job is retried up to ``retries`` more
     times.  ``timeouts`` and ``retries_spent`` accumulate across jobs
-    for the service's ``/stats``.
+    for the service's ``/stats``.  :meth:`shutdown` joins the driver
+    threads once no job is left.
     """
 
     def __init__(self, workers=2, timeout=None, retries=1):
@@ -64,8 +66,8 @@ class WorkerPool:
         self.workers = workers
         self.timeout = timeout
         self.retries = retries
-        self._semaphore = asyncio.Semaphore(workers)
-        self.busy = 0
+        self._executor = ThreadPoolExecutor(max_workers=workers,
+                                            thread_name_prefix="repro-pool")
         self.timeouts = 0
         self.retries_spent = 0
         try:
@@ -76,7 +78,7 @@ class WorkerPool:
         except ValueError:
             self._has_fork = False
 
-    def _attempt(self, fn, args, kwargs, deadline_s, cancel_event, emit):
+    def _attempt(self, fn, args, kwargs, cancel_event, emit):
         """One forked attempt, driven to completion from a worker thread."""
         if not self._has_fork:
             # degrade: run in this thread; progress flows, deadlines don't
@@ -93,8 +95,8 @@ class WorkerPool:
                 raise PoolTaskError("%s: %s" % (type(exc).__name__, exc))
         task = ForkedTask(fn, args, kwargs,
                           progress_arg="progress" if emit is not None else None)
-        deadline = (task.started_at + deadline_s
-                    if deadline_s is not None else None)
+        deadline = (task.started_at + self.timeout
+                    if self.timeout is not None else None)
         finished = False
         try:
             while True:
@@ -126,8 +128,7 @@ class WorkerPool:
                 task.terminate()
 
     async def run(self, fn, args=(), kwargs=None, on_progress=None,
-                  on_attempt=None, cancel_event=None, timeout=None,
-                  retries=None):
+                  on_attempt=None, cancel_event=None):
         """Run ``fn(*args, **kwargs)`` in a forked child; returns its value.
 
         *on_progress* (called on the event loop) receives the payloads
@@ -138,35 +139,30 @@ class WorkerPool:
         :class:`PoolTaskError`.
         """
         loop = asyncio.get_running_loop()
-        deadline_s = self.timeout if timeout is None else timeout
-        allowed = 1 + (self.retries if retries is None else retries)
         emit = None
         if on_progress is not None:
             def emit(payload):
                 loop.call_soon_threadsafe(on_progress, payload)
-        async with self._semaphore:
-            self.busy += 1
+        for tries in range(1, self.retries + 2):
+            if on_attempt is not None:
+                on_attempt()
             try:
-                for attempt in range(1, allowed + 1):
-                    if on_attempt is not None:
-                        on_attempt()
-                    try:
-                        return await asyncio.to_thread(
-                            self._attempt, fn, args, dict(kwargs or {}),
-                            deadline_s, cancel_event, emit)
-                    except PoolTimeout:
-                        self.timeouts += 1
-                        if attempt == allowed:
-                            raise PoolTimeout(
-                                "timed out after %gs on each of %d "
-                                "attempt(s)" % (deadline_s, attempt))
-                        self.retries_spent += 1
-            finally:
-                self.busy -= 1
+                return await loop.run_in_executor(
+                    self._executor, self._attempt, fn, args,
+                    dict(kwargs or {}), cancel_event, emit)
+            except PoolTimeout:
+                self.timeouts += 1
+                if tries > self.retries:
+                    raise PoolTimeout("timed out after %gs on each of %d "
+                                      "attempt(s)" % (self.timeout, tries))
+                self.retries_spent += 1
+
+    def shutdown(self):
+        """Join the driver threads (call once every :meth:`run` returned)."""
+        self._executor.shutdown()
 
     def snapshot(self):
         """Pool counters for the ``/stats`` endpoint."""
-        return {"workers": self.workers, "busy": self.busy,
-                "timeouts": self.timeouts,
+        return {"workers": self.workers, "timeouts": self.timeouts,
                 "retries_spent": self.retries_spent,
                 "fork": self._has_fork}

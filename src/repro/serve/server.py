@@ -91,8 +91,6 @@ _METRICS = (
      "Jobs currently executing in forked workers"),
     ("pool.workers", "repro_pool_workers", "gauge",
      "Configured worker pool size"),
-    ("pool.busy", "repro_pool_busy", "gauge",
-     "Pool workers currently occupied"),
     ("pool.timeouts", "repro_pool_timeouts_total", "counter",
      "Execution attempts that blew their deadline"),
     ("pool.retries_spent", "repro_pool_retries_total", "counter",
@@ -121,7 +119,7 @@ class ServeConfig:
                  workers=2, cache_root=None, max_cache_bytes=None,
                  max_cache_age_s=None, job_timeout=None, retries=1,
                  progress_every=None, quotas=None, default_quota=None,
-                 history=1024, trace_out=None, flight_dir=None):
+                 trace_out=None, flight_dir=None):
         if port is None and unix_path is None:
             raise ValueError("serve needs a TCP port and/or a unix socket")
         self.host = host
@@ -136,7 +134,6 @@ class ServeConfig:
         self.progress_every = progress_every
         self.quotas = quotas
         self.default_quota = default_quota
-        self.history = history
         #: write the drained span buffer here (Perfetto JSON) on drain
         self.trace_out = trace_out
         #: arm the crash flight recorder: dumps land in this directory
@@ -149,7 +146,7 @@ class SimServer:
     def __init__(self, config):
         self.config = config
         self.cache = RunCache(config.cache_root)
-        self.table = JobTable(history=config.history)
+        self.table = JobTable()
         self.quotas = QuotaManager(config.quotas, default=config.default_quota)
         self.pool = WorkerPool(config.workers, timeout=config.job_timeout,
                                retries=config.retries)
@@ -209,6 +206,7 @@ class SimServer:
             await server.wait_closed()
         self._queue_event.set()  # wake idle workers so they can exit
         await asyncio.gather(*self._worker_tasks)
+        self.pool.shutdown()
         self._final_gc()
         if self.config.trace_out:
             from repro.observe.perfetto import write_chrome_trace
@@ -297,7 +295,7 @@ class SimServer:
             self.table.counters["failed"] += 1
             job.fail("internal: %r" % (exc,))
         else:
-            canonical = self.cache.put(job.key, value, extra={"via": "serve"})
+            canonical = self.cache.put(job.key, value)
             self.table.counters["completed"] += 1
             job.resolve(canonical if canonical is not None else value)
             self._maybe_gc()

@@ -84,8 +84,7 @@ class RunCache:
 
     # ---- keys ---------------------------------------------------------------
 
-    def key_for(self, program=None, params=None, inputs=None,
-                sim_version=SIM_VERSION):
+    def key_for(self, program=None, params=None, inputs=None):
         """Content-addressed key (hex SHA-256) for one run.
 
         *program* is a Program or its canonical bytes; *params* a Params
@@ -101,11 +100,11 @@ class RunCache:
             else hashlib.sha256(bytes(program)).hexdigest(),
             "params": params,
             "inputs": inputs,
-            "sim_version": sim_version,
+            "sim_version": SIM_VERSION,
         }
         return hashlib.sha256(_canonical_json(material).encode()).hexdigest()
 
-    def task_key(self, fn, args=(), kwargs=None, sim_version=SIM_VERSION):
+    def task_key(self, fn, args=(), kwargs=None):
         """Key for a runner task: callable identity + arguments + version.
 
         Used by :func:`repro.eval.runner.run_experiments`; the callable's
@@ -117,7 +116,7 @@ class RunCache:
                              getattr(fn, "__qualname__", fn.__name__)),
             "args": [repr(a) for a in args],
             "kwargs": {k: repr(v) for k, v in sorted((kwargs or {}).items())},
-            "sim_version": sim_version,
+            "sim_version": SIM_VERSION,
         }
         return hashlib.sha256(_canonical_json(material).encode()).hexdigest()
 
@@ -168,7 +167,7 @@ class RunCache:
                 pass
             raise
 
-    def put(self, key, value, extra=None):
+    def put(self, key, value):
         """Store *value* under *key*; returns the canonical value.
 
         Returns None (and stores nothing) when *value* does not survive a
@@ -182,8 +181,6 @@ class RunCache:
         if canonical != value:
             return None
         entry = {"key": key, "value": canonical}
-        if extra:
-            entry.update(extra)
         path = self._entry_path(key)
         os.makedirs(os.path.dirname(path), exist_ok=True)
         self._publish(path, json.dumps(entry, sort_keys=True) + "\n")

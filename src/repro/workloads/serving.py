@@ -204,9 +204,6 @@ void main() {
             return acc
         return (self.lut[arg & 15] + arg) & MASK32
 
-    def expected_responses(self):
-        return [self.expected_response(r) for r in self.requests]
-
     def verify(self, machine, program):
         """Check every response word; raises AssertionError on mismatch."""
         base = program.symbol("results")

@@ -166,104 +166,3 @@ def test_no_fork_degrade_with_cache(tmp_path, monkeypatch):
     warm = run_experiments(tasks, jobs=4, cache=cache)
     assert cache.hits == len(tasks)
     assert pickle.dumps(cold) == pickle.dumps(warm)
-
-
-# ---- per-task deadlines and bounded retry (PR 7) ----------------------------
-
-
-def _sleep_forever():
-    import time
-
-    time.sleep(60)
-
-
-def _flaky_crash(marker):
-    """Crash once (creating *marker*), succeed on the retry."""
-    import os
-
-    if not os.path.exists(marker):
-        with open(marker, "w") as handle:
-            handle.write("seen")
-        raise RuntimeError("transient-looking crash")
-    return "recovered"
-
-
-def _flaky_hang(marker):
-    """Hang past any deadline once, return promptly on the retry."""
-    import os
-    import time
-
-    if not os.path.exists(marker):
-        with open(marker, "w") as handle:
-            handle.write("seen")
-        time.sleep(60)
-    return "recovered"
-
-
-def _fork_available():
-    import multiprocessing
-
-    try:
-        multiprocessing.get_context("fork")
-        return True
-    except ValueError:
-        return False
-
-
-pytestmark_deadline = pytest.mark.skipif(
-    not _fork_available(), reason="deadlines need the fork start method")
-
-
-@pytestmark_deadline
-def test_timeout_kills_and_raises_after_retry_budget():
-    from repro.eval.runner import TaskTimeoutError
-
-    with pytest.raises(TaskTimeoutError) as excinfo:
-        run_experiments([("hang", _sleep_forever)], jobs=1,
-                        timeout=0.3, retries=0)
-    assert excinfo.value.key == "hang"
-    assert excinfo.value.attempts == 1
-
-
-@pytestmark_deadline
-def test_timeout_retry_recovers_and_is_recorded(tmp_path):
-    marker = str(tmp_path / "hang-once")
-    results = run_experiments([("job", _flaky_hang, (marker,))], jobs=1,
-                              timeout=2.0, retries=1)
-    assert results["job"] == "recovered"
-    assert results.meta["timeouts"] == 1
-    assert results.meta["retries"] == 1
-
-
-@pytestmark_deadline
-def test_crash_retry_recovers_under_deadline_path(tmp_path):
-    marker = str(tmp_path / "crash-once")
-    results = run_experiments([("job", _flaky_crash, (marker,))], jobs=1,
-                              timeout=30.0, retries=1)
-    assert results["job"] == "recovered"
-    assert results.meta["timeouts"] == 0  # a crash is not a timeout
-    assert results.meta["retries"] == 1
-
-
-@pytestmark_deadline
-def test_persistent_crash_raises_task_failed():
-    from repro.eval.runner import TaskFailedError
-
-    def boom():
-        raise ValueError("always")
-
-    with pytest.raises(TaskFailedError) as excinfo:
-        run_experiments([("boom", boom)], jobs=1, timeout=30.0, retries=2)
-    assert excinfo.value.attempts == 3  # 1 + 2 retries, all spent
-    assert "always" in excinfo.value.detail
-
-
-@pytestmark_deadline
-def test_deadline_path_results_identical_to_plain_path():
-    unbounded = run_experiments(TASKS, jobs=2)
-    bounded = run_experiments(TASKS, jobs=2, timeout=120.0)
-    assert list(bounded) == list(unbounded)  # same deterministic order
-    for key in unbounded:  # same bytes, result by result
-        assert pickle.dumps(bounded[key]) == pickle.dumps(unbounded[key])
-    assert bounded.meta["timeouts"] == 0
-    assert bounded.meta["retries"] == 0

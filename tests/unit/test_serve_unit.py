@@ -9,6 +9,7 @@ the whole service through the socket-free ``SimServer.handle``.
 """
 
 import asyncio
+import concurrent.futures
 import json
 import threading
 import time
@@ -315,7 +316,24 @@ def test_pool_runs_and_streams_progress():
         assert value == "done"
         await asyncio.sleep(0.05)  # progress is relayed via call_soon
         assert seen == [{"stage": "started"}]
-        assert pool.snapshot()["busy"] == 0
+
+    _run(scenario())
+
+
+def test_pool_runs_workers_children_at_once():
+    """The pool's own threads drive its children: a one-thread default
+    executor must not serialise two jobs on a two-worker pool."""
+    async def scenario():
+        asyncio.get_running_loop().set_default_executor(
+            concurrent.futures.ThreadPoolExecutor(max_workers=1))
+        pool = WorkerPool(workers=2)
+        started = time.monotonic()
+        values = await asyncio.gather(pool.run(_slow, args=(1.0, "a")),
+                                      pool.run(_slow, args=(1.0, "b")))
+        elapsed = time.monotonic() - started
+        assert values == ["a", "b"]
+        assert elapsed < 1.7, elapsed
+        pool.shutdown()
 
     _run(scenario())
 
@@ -534,7 +552,7 @@ def test_stats_and_metrics_agree_on_every_exported_number(tmp_path):
         else:
             assert samples == [({}, float(leaf))]
             compared += 1
-    assert compared == 9 + 11
+    assert compared == 9 + 10
     assert len(parsed["types"]) == len(_METRICS)
     # the run left something to compare: not every leaf is zero
     assert stats["jobs"]["submitted"] == 4 and stats["queue"]["depth"] == 2

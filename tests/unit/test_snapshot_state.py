@@ -32,6 +32,7 @@ from repro.snapshot import (
     snapshot,
     snapshot_info,
 )
+from repro.snapshot import cache as snapshot_cache
 
 MEMORY_LOOP = """
         .equ ROUNDS, 25
@@ -199,7 +200,7 @@ def test_unknown_mnemonic_rejected():
 # ---- cache keys: every component forces a miss -------------------------------
 
 
-def test_key_sensitivity_per_component():
+def test_key_sensitivity_per_component(monkeypatch):
     cache = RunCache("/nonexistent-root-never-touched")
     program = assemble(MEMORY_LOOP)
     params = Params(num_cores=2)
@@ -225,11 +226,12 @@ def test_key_sensitivity_per_component():
     assert cache.key_for(program=program, params=params,
                          inputs={"n": 9}) != base
     # simulator version tag
-    assert cache.key_for(program=program, params=params, inputs={"n": 8},
-                         sim_version="lbp-sim-999") != base
+    monkeypatch.setattr(snapshot_cache, "SIM_VERSION", "lbp-sim-999")
+    assert cache.key_for(program=program, params=params,
+                         inputs={"n": 8}) != base
 
 
-def test_task_key_sensitivity():
+def test_task_key_sensitivity(monkeypatch):
     cache = RunCache("/nonexistent-root-never-touched")
 
     base = cache.task_key(_machine, ("src",), {"cores": 2})
@@ -237,8 +239,8 @@ def test_task_key_sensitivity():
     assert cache.task_key(_paused, ("src",), {"cores": 2}) != base
     assert cache.task_key(_machine, ("other",), {"cores": 2}) != base
     assert cache.task_key(_machine, ("src",), {"cores": 4}) != base
-    assert cache.task_key(_machine, ("src",), {"cores": 2},
-                          sim_version="lbp-sim-999") != base
+    monkeypatch.setattr(snapshot_cache, "SIM_VERSION", "lbp-sim-999")
+    assert cache.task_key(_machine, ("src",), {"cores": 2}) != base
 
 
 # ---- cache store -------------------------------------------------------------
