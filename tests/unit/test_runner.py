@@ -166,3 +166,100 @@ def test_no_fork_degrade_with_cache(tmp_path, monkeypatch):
     warm = run_experiments(tasks, jobs=4, cache=cache)
     assert cache.hits == len(tasks)
     assert pickle.dumps(cold) == pickle.dumps(warm)
+
+
+# ---- ForkedTask: the primitive the serving pool drives ----------------------
+
+
+def _fork_available():
+    import multiprocessing
+
+    try:
+        multiprocessing.get_context("fork")
+        return True
+    except ValueError:
+        return False
+
+
+needs_fork = pytest.mark.skipif(not _fork_available(),
+                                reason="ForkedTask needs the fork start method")
+
+
+def _messages(task, timeout=30.0):
+    """Every message *task* sends, up to and including its final one."""
+    seen = []
+    while task.poll(timeout):
+        seen.append(task.recv())
+        if seen[-1][0] != "progress":
+            break
+    return seen
+
+
+def _report_twice(x, progress):
+    progress({"x": x})
+    progress({"x": x + 1})
+    return x * x
+
+
+def _raise_value_error():
+    raise ValueError("always")
+
+
+def _exit_silently():
+    import os
+
+    os._exit(3)
+
+
+def _sleep_forever():
+    import time
+
+    time.sleep(60)
+
+
+@needs_fork
+def test_forked_task_returns_value_and_streams_progress():
+    from repro.eval.runner import ForkedTask
+
+    task = ForkedTask(_report_twice, (7,), progress_arg="progress")
+    messages = _messages(task)
+    task.close()
+    assert messages == [("progress", {"x": 7}), ("progress", {"x": 8}),
+                        ("ok", 49)]
+    assert task.process.exitcode == 0
+
+
+@needs_fork
+def test_forked_task_reports_a_raised_error():
+    from repro.eval.runner import ForkedTask
+
+    task = ForkedTask(_raise_value_error)
+    messages = _messages(task)
+    task.close()
+    assert messages == [("err", "ValueError: always")]
+    assert task.process.exitcode == 1
+
+
+@needs_fork
+def test_forked_task_reports_a_child_that_died_silently():
+    from repro.eval.runner import ForkedTask
+
+    task = ForkedTask(_exit_silently)
+    messages = _messages(task)
+    task.close()
+    assert len(messages) == 1
+    kind, detail = messages[0]
+    assert kind == "err"
+    assert detail.startswith("worker died")
+    assert task.process.exitcode == 3
+
+
+@needs_fork
+def test_forked_task_terminate_kills_a_hung_child():
+    from repro.eval.runner import ForkedTask
+
+    task = ForkedTask(_sleep_forever)
+    assert not task.poll(0.3)  # still running, nothing sent
+    task.terminate()
+    assert not task.process.is_alive()
+    assert task.process.exitcode is not None and task.process.exitcode < 0

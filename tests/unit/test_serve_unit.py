@@ -350,6 +350,46 @@ def test_pool_timeout_retries_then_raises():
     _run(scenario())
 
 
+def _hang_once(marker):
+    """Hang past any deadline on the first call, return on the retry."""
+    import os
+
+    if not os.path.exists(marker):
+        with open(marker, "w") as handle:
+            handle.write("seen")
+        time.sleep(60)
+    return "recovered"
+
+
+def test_pool_timeout_retry_recovers(tmp_path):
+    async def scenario():
+        pool = WorkerPool(workers=1, timeout=2.0, retries=1)
+        attempts = []
+        value = await pool.run(_hang_once, args=(str(tmp_path / "marker"),),
+                               on_attempt=lambda: attempts.append(1))
+        assert value == "recovered"
+        assert len(attempts) == 2
+        snap = pool.snapshot()
+        assert snap["timeouts"] == 1 and snap["retries_spent"] == 1
+        pool.shutdown()
+
+    _run(scenario())
+
+
+def test_pool_shutdown_joins_driver_threads():
+    async def scenario():
+        pool = WorkerPool(workers=2)
+        await asyncio.gather(pool.run(_slow, args=(0.0, "a")),
+                             pool.run(_slow, args=(0.0, "b")))
+        drivers = [thread for thread in threading.enumerate()
+                   if thread.name.startswith("repro-pool")]
+        assert drivers  # the pool's own threads drove the children
+        pool.shutdown()
+        assert not any(thread.is_alive() for thread in drivers)
+
+    _run(scenario())
+
+
 def test_pool_task_error_not_retried():
     async def scenario():
         pool = WorkerPool(workers=1, retries=3)
