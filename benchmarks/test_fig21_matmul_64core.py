@@ -1,8 +1,8 @@
 """Figure 21 — the five matmul versions on a 64-core / 256-hart LBP,
 plus the Xeon-Phi-class baseline for the tiled version.
 
-Cycle-accurate, like every other figure: the five versions run as five
-tasks of the parallel runner.  Default work scale is 1/16 (about 90 M
+Cycle-accurate, like every other figure: ``run_matmul_figure`` runs the
+five versions as five tasks of the parallel runner.  Default work scale is 1/16 (about 90 M
 retired instructions in all); ``LBP_BENCH_SCALE=1`` reproduces the
 paper's full 59 M+ retired instructions per version if you have the
 patience.
@@ -25,9 +25,7 @@ the optimising back end emits (EXPERIMENTS.md C1, E3):
 from conftest import bench_scale
 
 from repro.baselines import XeonPhiModel
-from repro.eval import (PAPER_FIG21, format_rows, run_experiments,
-                        run_matmul_experiment)
-from repro.workloads.matmul import MATMUL_VERSIONS
+from repro.eval import PAPER_FIG21, format_rows, run_matmul_figure
 
 H = 256
 CORES = 64
@@ -48,9 +46,7 @@ PINNED = {
 
 def test_fig21_matmul_64core():
     scale = bench_scale(PINNED_SCALE)
-    rows = run_experiments([
-        (version, run_matmul_experiment, (version, H, CORES, scale))
-        for version in MATMUL_VERSIONS])
+    rows = run_matmul_figure(H, CORES, scale)
     xeon = XeonPhiModel().tiled_matmul(H)
     print()
     print(format_rows(

@@ -13,7 +13,8 @@ Usage (installed as ``python -m repro``):
     python -m repro run prog.c --trace-kinds mem_store,fork
     python -m repro run prog.c --metrics         # stall attribution table
     python -m repro run prog.c --metrics-out m.json --stats-json s.json
-    python -m repro observe prog.c --perfetto out.json  # ui.perfetto.dev
+    python -m repro run prog.c --perfetto out.json --csv w.csv  # ui.perfetto.dev
+    python -m repro run prog.c --spans --perfetto merged.json  # + service spans
     python -m repro run prog.c --print total,v:8 # dump globals after the run
     python -m repro run prog.c --profile         # cProfile the simulation
     python -m repro run prog.c --snapshot-every 100000 --snapshot-dir snaps
@@ -45,13 +46,9 @@ def positive_int(text):
     return int(text)
 
 
-def _print_shard_telemetry(machine):
-    """One wall-clock line for a sharded run's epoch schedule."""
-    stats = getattr(machine, "transport_stats", None)
-    if stats:
-        print("epochs   : %d (ff %d, %d cycles skipped)  epoch_wait %.3f s"
-              % (stats["epochs"], stats["ff_epochs"], stats["ff_cycles"],
-                 stats["epoch_wait_s"]))
+#: the team-protocol events a Perfetto export draws its hart tracks from;
+#: ``--perfetto`` records only these unless ``--trace`` asks for all
+_PERFETTO_KINDS = ("start", "join", "p_ret", "fork", "ending_signal")
 
 
 def _read_source(path):
@@ -74,7 +71,14 @@ def cmd_disasm(args):
 
 
 def cmd_run(args):
-    want_metrics = bool(args.metrics or args.metrics_out)
+    from repro import observe
+
+    want_metrics = bool(args.metrics or args.metrics_out or args.perfetto
+                        or args.csv)
+    spans = clock = None
+    if args.spans:
+        spans = observe.SpanRecorder()
+        root = spans.start("cli", tags={"source": args.source or args.resume})
     if args.resume:
         from repro.snapshot import load_snapshot
 
@@ -105,7 +109,9 @@ def cmd_run(args):
             trace_kinds = [k.strip() for k in args.trace_kinds.split(",")
                            if k.strip()]
             args.trace = True  # a kind filter implies printing the trace
-        trace_enabled = bool(args.trace or args.timeline)
+        elif args.perfetto and not args.trace:
+            trace_kinds = _PERFETTO_KINDS  # a full trace costs memory
+        trace_enabled = bool(args.trace or args.timeline or args.perfetto)
         params = Params(num_cores=args.cores, trace_enabled=trace_enabled)
         metrics = args.metrics_interval if want_metrics else None
         machine = LBP(params, trace=Trace(trace_enabled, kinds=trace_kinds),
@@ -129,6 +135,11 @@ def cmd_run(args):
         run_kwargs["snapshot_every"] = args.snapshot_every
         run_kwargs["snapshot_callback"] = periodic_snapshot
 
+    if spans is not None:
+        # the sharded engine records per-epoch wait/send/recv child spans
+        # in each shard process and merges them back here
+        run_span = spans.start("run", parent=root)
+        machine.span_ctx = run_span.ctx
     if args.profile:
         from repro.machine import native
 
@@ -153,6 +164,12 @@ def cmd_run(args):
         pstats.Stats(profiler).sort_stats("cumulative").print_stats(20)
     else:
         stats = machine.run(**run_kwargs)
+    if spans is not None:
+        run_span.finish(cycles=machine.cycle)
+        root.finish()
+        clock = observe.clock_anchor(
+            run_span.start_s, run_span.end_s - run_span.start_s, stats.cycles)
+        spans.absorb(getattr(machine, "span_records", None) or [])
 
     if args.snapshot_out:
         from repro.snapshot import save_snapshot
@@ -170,22 +187,35 @@ def cmd_run(args):
     print("memory   : %d local, %d remote accesses"
           % (stats.local_accesses, stats.remote_accesses))
     print("teams    : %d forks, %d joins" % (stats.forks, stats.joins))
-    _print_shard_telemetry(machine)
+    for line in observe.transport_table(
+            getattr(machine, "transport_stats", None)):
+        print(line)
 
     if args.stats_json:
         _write_stats_json(machine, args.stats_json)
         print("stats    : %s" % args.stats_json)
     if machine.metrics is not None:
-        from repro.observe import stall_table, write_report_json
-
         report = machine.metrics_report()
         print("--- stall attribution ---")
-        for line in stall_table(report):
+        for line in observe.stall_table(report):
             print(line)
         if args.metrics_out:
-            write_report_json(report, args.metrics_out)
+            observe.write_report_json(report, args.metrics_out)
             print("metrics  : %s (%d windows)"
                   % (args.metrics_out, len(report["windows"])))
+        if args.csv:
+            observe.write_windows_csv(report, args.csv)
+            print("csv      : %s (%d windows)"
+                  % (args.csv, len(report["windows"])))
+    if args.perfetto:
+        # with --spans: one merged service+core file on a shared clock
+        count = observe.write_chrome_trace(
+            machine, args.perfetto, clock=clock,
+            spans=None if spans is None else spans.records())
+        print("perfetto : %s (%d events; open in ui.perfetto.dev)"
+              % (args.perfetto, count))
+    if spans is not None:
+        print("spans    : %d recorded (trace %s)" % (len(spans), root.trace_id))
 
     if args.print:
         for spec in args.print.split(","):
@@ -227,85 +257,6 @@ def _write_stats_json(machine, path):
         handle.write("\n")
 
 
-def cmd_observe(args):
-    """Run under full telemetry; export Perfetto / CSV / JSON views."""
-    from repro.observe import (
-        stall_table,
-        transport_table,
-        write_chrome_trace,
-        write_report_json,
-        write_windows_csv,
-    )
-
-    spans = clock = None
-    if args.spans:
-        from repro.observe import SpanRecorder, clock_anchor
-
-        spans = SpanRecorder()
-        root = spans.start("observe", tags={"source": args.source})
-    program = _build_program(args.source)
-    # the Perfetto hart tracks only need the team-protocol events; a
-    # full trace is available for debugging but costs memory on long runs
-    kinds = None if args.full_trace else (
-        "start", "join", "p_ret", "fork", "ending_signal")
-    machine = LBP(
-        Params(num_cores=args.cores, trace_enabled=True),
-        trace=Trace(True, kinds=kinds),
-        shards=args.shards,
-        metrics=args.metrics_interval,
-    ).load(program)
-    if spans is not None:
-        import time as _time
-
-        run_span = spans.start("run", parent=root)
-        # the sharded engine records per-epoch wait/send/recv child
-        # spans in each shard process and merges them back here
-        machine.span_ctx = run_span.ctx
-        run_start = _time.monotonic()
-    stats = machine.run(max_cycles=args.max_cycles)
-    if spans is not None:
-        run_span.finish(cycles=machine.cycle)
-        root.finish()
-        clock = clock_anchor(run_start,
-                             max(run_span.end_s - run_start, 0.0),
-                             stats.cycles)
-        shard_spans = getattr(machine, "span_records", None)
-        if shard_spans:
-            spans.absorb(shard_spans)
-    report = machine.metrics_report()
-
-    print("halt     :", machine.halt_reason)
-    print("cycles   :", stats.cycles)
-    print("retired  :", stats.retired)
-    print("IPC      : %.2f (peak %d)" % (stats.ipc, machine.params.num_cores))
-    _print_shard_telemetry(machine)
-    print("--- stall attribution ---")
-    for line in stall_table(report):
-        print(line)
-    for line in transport_table(getattr(machine, "transport_stats", None)):
-        print(line)
-    if spans is not None:
-        print("spans    : %d recorded (trace %s)"
-              % (len(spans), root.trace_id))
-    if args.perfetto:
-        if spans is not None:
-            # merged file: service spans + core timelines on one
-            # wall-clock axis (the run anchor maps cycles onto it)
-            count = write_chrome_trace(machine, args.perfetto,
-                                       spans=spans.records(), clock=clock)
-        else:
-            count = write_chrome_trace(machine, args.perfetto)
-        print("perfetto : %s (%d events; open in ui.perfetto.dev)"
-              % (args.perfetto, count))
-    if args.csv:
-        write_windows_csv(report, args.csv)
-        print("csv      : %s (%d windows)" % (args.csv, len(report["windows"])))
-    if args.json:
-        write_report_json(report, args.json)
-        print("json     : %s" % args.json)
-    return 0
-
-
 def cmd_check(args):
     """Run under the referential-order race detector; exit 1 on races."""
     program = _build_program(args.source)
@@ -334,29 +285,16 @@ def cmd_check(args):
 
 
 def cmd_experiments(args):
-    from repro.eval import format_rows, run_experiments, run_matmul_experiment
-    from repro.workloads.matmul import MATMUL_VERSIONS
+    from repro.eval import format_rows, run_matmul_figure
 
     cache = None
     if not args.no_cache:
         from repro.snapshot import RunCache
 
         cache = RunCache(args.cache_dir)
-    # sharding changes only wall time, never results — keep it out of the
-    # task arguments (and thus the cache key) unless actually requested
-    extra = {}
-    if args.shards is not None and args.shards != 1:
-        extra["shards"] = args.shards
-    if args.metrics:
-        # metrics change the row (it grows a stall breakdown), so they
-        # are a real task argument and a run-cache key component
-        extra["metrics"] = True
-    tasks = [
-        (version, run_matmul_experiment,
-         (version, args.h, args.cores, args.scale), extra)
-        for version in MATMUL_VERSIONS
-    ]
-    rows = run_experiments(tasks, jobs=args.jobs, cache=cache)
+    rows = run_matmul_figure(args.h, args.cores, args.scale, jobs=args.jobs,
+                             cache=cache, shards=args.shards,
+                             metrics=args.metrics)
     print(format_rows(
         rows,
         title="matmul figure — h=%d, %d cores, scale=1/%d"
@@ -526,10 +464,24 @@ def cmd_cache(args):
     return 0
 
 
+def _machine_options(shards_help):
+    """``--cores/--shards/--max-cycles``, shared by ``run`` and ``check``."""
+    options = argparse.ArgumentParser(add_help=False)
+    options.add_argument("--cores", type=int, default=4)
+    options.add_argument("--shards", type=positive_int, default=None,
+                         metavar="N", help=shards_help)
+    options.add_argument("--max-cycles", type=int, default=200_000_000)
+    return options
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="repro", description="Deterministic OpenMP / LBP toolchain")
     sub = parser.add_subparsers(dest="command", required=True)
+    cache_dir = argparse.ArgumentParser(add_help=False)
+    cache_dir.add_argument("--cache-dir", default=None,
+                           help="run-cache root (default: $LBP_CACHE_DIR or "
+                                "~/.cache/lbp-repro)")
 
     p_compile = sub.add_parser("compile", help="DetC source → assembly")
     p_compile.add_argument("source")
@@ -539,17 +491,13 @@ def main(argv=None):
     p_disasm.add_argument("source")
     p_disasm.set_defaults(func=cmd_disasm)
 
-    p_run = sub.add_parser("run", help="simulate a program")
+    p_run = sub.add_parser("run", help="simulate a program", parents=[
+        _machine_options("space-shard the simulator across N worker "
+                         "processes (bit-identical results; 1 = "
+                         "in-process)")])
     p_run.add_argument("source", nargs="?",
                        help=".c (DetC) or .s (assembly) file "
                             "(optional with --resume)")
-    p_run.add_argument("--cores", type=int, default=4)
-    p_run.add_argument("--shards", type=positive_int, default=None,
-                       metavar="N",
-                       help="space-shard the simulator across N worker "
-                            "processes (bit-identical results; 1 = "
-                            "in-process)")
-    p_run.add_argument("--max-cycles", type=int, default=200_000_000)
     p_run.add_argument("--trace", action="store_true")
     p_run.add_argument("--trace-limit", type=int, default=100)
     p_run.add_argument("--trace-kinds", metavar="K1,K2,...",
@@ -569,6 +517,18 @@ def main(argv=None):
     p_run.add_argument("--metrics-out", metavar="PATH",
                        help="write the metrics report as JSON "
                             "(implies --metrics)")
+    p_run.add_argument("--perfetto", metavar="PATH",
+                       help="write Chrome trace-event JSON (open in "
+                            "ui.perfetto.dev; implies --metrics, records "
+                            "the team protocol unless --trace)")
+    p_run.add_argument("--csv", metavar="PATH",
+                       help="write the windowed metrics as CSV "
+                            "(implies --metrics)")
+    p_run.add_argument("--spans", action="store_true",
+                       help="record service spans around the run (and "
+                            "per-epoch spans from shard workers); "
+                            "--perfetto then writes the merged "
+                            "service+core file on one shared clock")
     p_run.add_argument("--stats-json", metavar="PATH",
                        help="dump the full MachineStats (per-hart "
                             "retirement, memory mix, forks/joins) as "
@@ -587,46 +547,14 @@ def main(argv=None):
                        help="directory for --snapshot-every files")
     p_run.set_defaults(func=cmd_run)
 
-    p_obs = sub.add_parser(
-        "observe",
-        help="run under full telemetry; export Perfetto/CSV/JSON views")
-    p_obs.add_argument("source", help=".c (DetC) or .s (assembly) file")
-    p_obs.add_argument("--cores", type=int, default=4)
-    p_obs.add_argument("--shards", type=positive_int, default=None,
-                       metavar="N",
-                       help="space-shard the metered run (reports are "
-                            "byte-identical for any N)")
-    p_obs.add_argument("--max-cycles", type=int, default=200_000_000)
-    p_obs.add_argument("--metrics-interval", type=int, default=4096,
-                       metavar="K", help="sampling window, in cycles")
-    p_obs.add_argument("--perfetto", metavar="PATH",
-                       help="write Chrome trace-event JSON "
-                            "(open in ui.perfetto.dev)")
-    p_obs.add_argument("--csv", metavar="PATH",
-                       help="write the windowed metrics as CSV")
-    p_obs.add_argument("--json", metavar="PATH",
-                       help="write the full metrics report as JSON")
-    p_obs.add_argument("--full-trace", action="store_true",
-                       help="record every event kind, not just the team "
-                            "protocol (more memory, richer trace)")
-    p_obs.add_argument("--spans", action="store_true",
-                       help="record service spans around the run (and "
-                            "per-epoch spans from shard workers); "
-                            "--perfetto then writes the merged "
-                            "service+core file on one shared clock")
-    p_obs.set_defaults(func=cmd_observe)
-
     p_check = sub.add_parser(
         "check",
         help="run under the referential-order race detector "
-             "(exit 1 when races are found)")
+             "(exit 1 when races are found)",
+        parents=[_machine_options("space-shard the sanitized run (the "
+                                  "merged report is byte-identical for "
+                                  "any N)")])
     p_check.add_argument("source", help=".c (DetC) or .s (assembly) file")
-    p_check.add_argument("--cores", type=int, default=4)
-    p_check.add_argument("--shards", type=positive_int, default=None,
-                         metavar="N",
-                         help="space-shard the sanitized run (the merged "
-                              "report is byte-identical for any N)")
-    p_check.add_argument("--max-cycles", type=int, default=200_000_000)
     p_check.add_argument("--sync", metavar="SYM[:WORDS],...",
                          help="treat these globals as synchronization "
                               "cells (release/acquire request words, "
@@ -637,7 +565,8 @@ def main(argv=None):
 
     p_exp = sub.add_parser(
         "experiments",
-        help="run a matmul figure sweep through the parallel runner")
+        help="run a matmul figure sweep through the parallel runner",
+        parents=[cache_dir])
     p_exp.add_argument("--h", type=int, default=16,
                        help="total hart count of the figure (16/64/256)")
     p_exp.add_argument("--cores", type=int, default=4)
@@ -656,14 +585,12 @@ def main(argv=None):
                             "grow a 'stalls' column)")
     p_exp.add_argument("--no-cache", action="store_true",
                        help="always simulate; skip the run cache")
-    p_exp.add_argument("--cache-dir", default=None,
-                       help="run-cache root (default: $LBP_CACHE_DIR or "
-                            "~/.cache/lbp-repro)")
     p_exp.set_defaults(func=cmd_experiments)
 
     p_serve = sub.add_parser(
         "serve",
-        help="run the async simulation-job daemon over the run cache")
+        help="run the async simulation-job daemon over the run cache",
+        parents=[cache_dir])
     p_serve.add_argument("--host", default="127.0.0.1")
     p_serve.add_argument("--port", type=int, default=None,
                          help="TCP port (0 = ephemeral; omit for unix-only)")
@@ -671,9 +598,6 @@ def main(argv=None):
                          help="unix socket path (can combine with --port)")
     p_serve.add_argument("--workers", type=int, default=2,
                          help="max concurrent forked simulations")
-    p_serve.add_argument("--cache-dir", default=None,
-                         help="run-cache root (default: $LBP_CACHE_DIR or "
-                              "~/.cache/lbp-repro)")
     p_serve.add_argument("--max-cache-bytes", type=int, default=None,
                          help="LRU-evict the cache to this byte budget")
     p_serve.add_argument("--max-cache-age", type=float, default=None,
@@ -724,11 +648,9 @@ def main(argv=None):
     p_cache = sub.add_parser(
         "cache",
         help="inspect, garbage-collect or clear the content-addressed "
-             "run cache")
+             "run cache",
+        parents=[cache_dir])
     p_cache.add_argument("action", choices=("ls", "clear", "stats", "gc"))
-    p_cache.add_argument("--cache-dir", default=None,
-                         help="run-cache root (default: $LBP_CACHE_DIR or "
-                              "~/.cache/lbp-repro)")
     p_cache.add_argument("--max-bytes", type=int, default=None, metavar="N",
                          help="gc: evict least-recently-used entries until "
                               "entries fit N bytes")

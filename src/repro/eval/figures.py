@@ -1,8 +1,15 @@
 """Experiment runners + table formatting for the figure benches."""
 
 from repro.compiler import compile_to_program
+from repro.eval.runner import ExperimentResults, run_experiments
 from repro.machine import LBP, Params
 from repro.workloads.matmul import MATMUL_VERSIONS, matmul_source, verify_matmul
+
+
+def _compile(version, h, scale):
+    return compile_to_program(
+        matmul_source(version, h, scale=scale), "matmul_%s.c" % version
+    )
 
 
 def run_matmul_experiment(version, h, num_cores, scale=1,
@@ -15,9 +22,13 @@ def run_matmul_experiment(version, h, num_cores, scale=1,
     attribution and grows the row a ``stalls`` breakdown plus
     ``stall_cycles`` — the "why is it slow" column.
     """
-    program = compile_to_program(
-        matmul_source(version, h, scale=scale), "matmul_%s.c" % version
-    )
+    return _measure(_compile(version, h, scale), version, h, num_cores, scale,
+                    max_cycles=max_cycles, shards=shards, metrics=metrics)
+
+
+def _measure(program, version, h, num_cores, scale,
+             max_cycles=500_000_000, shards=None, metrics=False):
+    """Run and verify one compiled matmul version; returns its row."""
     machine = LBP(Params(num_cores=num_cores), shards=shards,
                   metrics=metrics).load(program)
     stats = machine.run(max_cycles=max_cycles)
@@ -42,12 +53,39 @@ def run_matmul_experiment(version, h, num_cores, scale=1,
     return row
 
 
-def run_matmul_figure(h, num_cores, scale=1, versions=MATMUL_VERSIONS):
-    """All versions of one figure; returns {version: row}."""
-    return {
-        version: run_matmul_experiment(version, h, num_cores, scale)
-        for version in versions
-    }
+def run_matmul_figure(h, num_cores, scale=1, versions=MATMUL_VERSIONS,
+                      jobs=None, cache=None, shards=None, metrics=False):
+    """All versions of one figure as :class:`ExperimentResults`, in
+    *versions* order.
+
+    Each version is compiled here.  With a *cache* (a
+    :class:`repro.snapshot.RunCache`) its row is keyed by what the run
+    depends on — the program, the machine ``Params`` and whether the row
+    carries a stall breakdown — so a hit is exact and a compiler change
+    misses.  The misses fan out through :func:`run_experiments` on *jobs*
+    workers and are stored.  *shards* changes only wall time, so it stays
+    out of the key.
+    """
+    params = Params(num_cores=num_cores)
+    inputs = {"row": "matmul", "metrics": bool(metrics)}
+    rows, keys, tasks = {}, {}, []
+    for version in versions:
+        program = _compile(version, h, scale)
+        if cache is not None:
+            keys[version] = cache.key_for(program, params, inputs)
+            entry = cache.get(keys[version])
+            if entry is not None:
+                rows[version] = entry["value"]
+                continue
+        tasks.append((version, _measure,
+                      (program, version, h, num_cores, scale),
+                      {"shards": shards, "metrics": metrics}))
+    fresh = run_experiments(tasks, jobs=jobs)
+    for version, row in fresh.items():
+        canonical = None if cache is None else cache.put(keys[version], row)
+        rows[version] = row if canonical is None else canonical
+    return ExperimentResults(((version, rows[version]) for version in versions),
+                             meta=fresh.meta)
 
 
 def format_rows(rows, paper=None, title=""):

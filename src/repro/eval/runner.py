@@ -19,13 +19,10 @@ be importable by path.  Where ``fork`` is unavailable (non-POSIX), the
 runner silently degrades to the sequential path — results are identical
 either way, only the wall clock differs.
 
-Caching: pass a :class:`repro.snapshot.RunCache` (or a cache-root path)
-as ``cache=`` and every task is first looked up by its content key
-(callable identity + arguments + simulator version — determinism makes
-the memoization exact); only the misses are dispatched to workers, and
-their results are stored for the next sweep.  Cached results pass
-through a canonical JSON round-trip on both the hit and the miss path,
-so a warm re-run merges byte-identically to the cold run that filled it.
+The runner does not cache: a run's identity is its program, and only the
+caller that compiled it can name that.  ``run_matmul_figure`` keys each
+version with ``RunCache.key_for`` and hands only the misses to the
+runner.
 
 :class:`ForkedTask` — one callable in one forked child, owned from the
 parent — is the execution primitive behind the ``repro serve`` worker
@@ -156,6 +153,9 @@ class ForkedTask:
         try:
             return self._conn.recv()
         except (OSError, EOFError):
+            # the pipe's EOF can arrive before the child is reaped: wait
+            # (bounded) so the detail names the real exit code
+            self.process.join(1.0)
             return ("err", "worker died without reporting a result "
                            "(exitcode %s)" % (self.process.exitcode,))
 
@@ -212,7 +212,7 @@ def _run_all(tasks, jobs):
     return dict(pairs)
 
 
-def run_experiments(tasks, jobs=None, cache=None):
+def run_experiments(tasks, jobs=None):
     """Run every task; return ``{key: result}`` in task order.
 
     ``jobs=None`` uses :func:`default_jobs`; ``jobs=1`` (or a single
@@ -221,47 +221,13 @@ def run_experiments(tasks, jobs=None, cache=None):
     so parallel and sequential runs of the same task list merge to
     byte-identical results.
 
-    ``cache`` (a :class:`repro.snapshot.RunCache` or a cache-root path)
-    memoizes task results by content key; unchanged tasks are returned
-    from the store without simulating.  Results that do not survive a
-    JSON round-trip are returned but not cached.
-
     The returned mapping is an :class:`ExperimentResults`: a plain dict
     of rows plus a ``meta`` attribute recording the resolved ``jobs``
     count for reproducibility (the resolved value, not the clamped
-    dispatch width, so warm- and cold-cache runs record the same thing).
+    dispatch width, so a sweep whose rows all came from a cache records
+    the same thing as the one that filled it).
     """
-    normalized = _normalize(tasks)
     if jobs is None:
         jobs = default_jobs()
-    meta = {"jobs": jobs}
-
-    if cache is None:
-        return ExperimentResults(_run_all(normalized, jobs), meta=meta)
-
-    if isinstance(cache, str):
-        from repro.snapshot.cache import RunCache
-
-        cache = RunCache(cache)
-
-    task_keys = {key: cache.task_key(fn, args, kwargs)
-                 for key, fn, args, kwargs in normalized}
-    cached = {}
-    pending = []
-    for task in normalized:
-        entry = cache.get(task_keys[task[0]])
-        if entry is not None:
-            cached[task[0]] = entry["value"]
-        else:
-            pending.append(task)
-
-    fresh = _run_all(pending, jobs)
-    for key, result in fresh.items():
-        canonical = cache.put(task_keys[key], result)
-        if canonical is not None:
-            fresh[key] = canonical
-
-    return ExperimentResults(
-        ((key, cached[key] if key in cached else fresh[key])
-         for key, _fn, _args, _kwargs in normalized),
-        meta=meta)
+    return ExperimentResults(_run_all(_normalize(tasks), jobs),
+                             meta={"jobs": jobs})

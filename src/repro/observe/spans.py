@@ -17,7 +17,7 @@ Three design rules keep it safe next to the deterministic simulator:
   arguments (task specs, fork args, run kwargs).  Nothing is ambient,
   so forked workers and shard processes need no shared registry;
 * **optional only where a context is passed by value** — the sharded
-  engine and ``repro observe --spans`` record when their caller handed
+  engine and ``repro run --spans`` record when their caller handed
   them a context and pay one ``is not None`` test per site when not
   (both sides have real callers).  The serve daemon has no off position:
   it always records (DESIGN.md §14.1 says why).

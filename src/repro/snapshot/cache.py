@@ -27,8 +27,8 @@ Writes are atomic and concurrency-safe: every writer stages into a
 uniquely named temp file in the destination directory and publishes it
 with ``os.replace``.  Concurrent ``put`` of the same key is harmless —
 the runs are deterministic, so both writers publish identical bytes and
-either replace wins.  That makes the store safe under the fork-pool
-experiment runner and the ``repro serve`` worker pool.
+either replace wins.  That makes the store safe under concurrent figure
+sweeps and the ``repro serve`` worker pool.
 
 The store is *managed*, not append-only: ``get`` bumps the entry's
 mtime (recency), and :meth:`RunCache.gc` evicts least-recently-used
@@ -100,22 +100,6 @@ class RunCache:
             else hashlib.sha256(bytes(program)).hexdigest(),
             "params": params,
             "inputs": inputs,
-            "sim_version": SIM_VERSION,
-        }
-        return hashlib.sha256(_canonical_json(material).encode()).hexdigest()
-
-    def task_key(self, fn, args=(), kwargs=None):
-        """Key for a runner task: callable identity + arguments + version.
-
-        Used by :func:`repro.eval.runner.run_experiments`; the callable's
-        module-qualified name stands in for "lowered program bytes" (the
-        task compiles its own program deterministically from *args*).
-        """
-        material = {
-            "fn": "%s.%s" % (fn.__module__,
-                             getattr(fn, "__qualname__", fn.__name__)),
-            "args": [repr(a) for a in args],
-            "kwargs": {k: repr(v) for k, v in sorted((kwargs or {}).items())},
             "sim_version": SIM_VERSION,
         }
         return hashlib.sha256(_canonical_json(material).encode()).hexdigest()

@@ -404,13 +404,13 @@ def test_cli_submit_stream_recovers_when_stream_ends_silently(
     assert "cycles   :" in captured.out
 
 
-def test_cli_observe_spans_writes_merged_perfetto(tmp_path, capsys):
+def test_cli_run_spans_writes_merged_perfetto(tmp_path, capsys):
     from repro.cli import main as cli_main
 
-    source = tmp_path / "observe.s"
+    source = tmp_path / "traced.s"
     source.write_text(SHORT_ASM)
     out = tmp_path / "merged.json"
-    rc = cli_main(["observe", str(source), "--cores", "2", "--spans",
+    rc = cli_main(["run", str(source), "--cores", "2", "--spans",
                    "--perfetto", str(out)])
     captured = capsys.readouterr()
     assert rc == 0

@@ -9,7 +9,9 @@ from repro.eval import (
     PAPER_FIG21,
     format_rows,
     run_matmul_experiment,
+    run_matmul_figure,
 )
+from repro.snapshot import RunCache
 from repro.workloads.matmul import MATMUL_VERSIONS
 
 
@@ -117,8 +119,7 @@ def test_cli_profile_with_shards(tmp_path, capfd, cores):
 
 
 @pytest.mark.parametrize("bad", ["0", "-3", "auto", "2.5"])
-@pytest.mark.parametrize("command", ["run", "observe", "check",
-                                     "experiments"])
+@pytest.mark.parametrize("command", ["run", "check", "experiments"])
 def test_cli_rejects_a_shard_count_that_is_not_positive(tmp_path, capsys,
                                                         command, bad):
     """A usage error from the parser, not a traceback out of the engine."""
@@ -253,18 +254,20 @@ def test_cli_metrics_cannot_be_enabled_mid_run(tmp_path, capsys):
     assert "mid-run" in capsys.readouterr().err
 
 
-def test_cli_observe_writes_all_formats(tmp_path, capsys):
+def test_cli_run_writes_all_formats(tmp_path, capsys):
     import json
 
     trace = tmp_path / "trace.json"
     csv = tmp_path / "windows.csv"
     report = tmp_path / "report.json"
-    assert cli_main(["observe", _write(tmp_path, _PROG), "--cores", "1",
+    assert cli_main(["run", _write(tmp_path, _PROG), "--cores", "1",
                      "--metrics-interval", "64",
                      "--perfetto", str(trace), "--csv", str(csv),
-                     "--json", str(report)]) == 0
+                     "--metrics-out", str(report)]) == 0
     out = capsys.readouterr().out
     assert "stall attribution" in out and "perfetto" in out
+    # --perfetto records the team protocol only, and prints no trace
+    assert "--- trace" not in out
 
     from repro.observe import validate_chrome_trace
 
@@ -272,6 +275,78 @@ def test_cli_observe_writes_all_formats(tmp_path, capsys):
     assert validate_chrome_trace(data) == []
     assert csv.read_text().startswith("window,start,end")
     assert json.loads(report.read_text())["accounted"] is True
+
+
+def test_cli_run_csv_alone_implies_metrics(tmp_path, capsys):
+    csv = tmp_path / "windows.csv"
+    assert cli_main(["run", _write(tmp_path, _PROG), "--cores", "1",
+                     "--metrics-interval", "64", "--csv", str(csv)]) == 0
+    out = capsys.readouterr().out
+    assert "stall attribution" in out and "csv      :" in out
+    assert "perfetto" not in out
+    assert len(csv.read_text().splitlines()) > 1  # header + windows
+
+
+def test_cli_run_perfetto_with_trace_records_every_kind(tmp_path, capsys):
+    """``--trace`` lifts the team-protocol filter ``--perfetto`` applies."""
+    trace = tmp_path / "trace.json"
+    assert cli_main(["run", _write(tmp_path, _PROG), "--cores", "1",
+                     "--perfetto", str(trace), "--trace",
+                     "--trace-limit", "10000"]) == 0
+    out = capsys.readouterr().out
+    assert "--- trace" in out
+    assert any(" mem_store " in line for line in out.splitlines())
+    assert trace.exists()
+
+
+def test_cli_sharded_run_prints_per_shard_epoch_wait(tmp_path, capsys):
+    assert cli_main(["run", _write(tmp_path, _PROG), "--cores", "2",
+                     "--shards", "2", "--print", "v:4"]) == 0
+    out = capsys.readouterr().out
+    assert "[40, 41, 42, 43]" in out
+    assert "epochs: 2 shards" in out
+    lines = out.splitlines()
+    header = lines.index("  %-8s %12s" % ("shard", "epoch_wait"))
+    assert [line.split()[0] for line in lines[header + 1:header + 3]] == [
+        "0", "1"]
+    assert all(line.endswith("s") for line in lines[header + 1:header + 3])
+
+
+def test_cli_has_one_command_per_kind_of_run(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        cli_main(["--help"])
+    assert exit_.value.code == 0
+    out = capsys.readouterr().out
+    commands = out[out.index("{") + 1:out.index("}")].split(",")
+    assert commands == ["compile", "disasm", "run", "check", "experiments",
+                        "serve", "submit", "cache"]
+    with pytest.raises(SystemExit) as exit_:
+        cli_main(["observe", "prog.c"])
+    assert exit_.value.code == 2
+    assert "invalid choice: 'observe'" in capsys.readouterr().err
+
+
+def _help_text(capsys, argv):
+    with pytest.raises(SystemExit) as exit_:
+        cli_main(argv + ["--help"])
+    assert exit_.value.code == 0
+    return " ".join(capsys.readouterr().out.split())
+
+
+@pytest.mark.parametrize("commands, option, words", [
+    (["run", "check"], "--cores CORES", ""),
+    (["run", "check"], "--max-cycles MAX_CYCLES", ""),
+    (["experiments", "serve", "cache"], "--cache-dir CACHE_DIR",
+     "run-cache root (default: $LBP_CACHE_DIR or ~/.cache/lbp-repro)"),
+], ids=["cores", "max-cycles", "cache-dir"])
+def test_cli_shared_options_are_declared_once(capsys, commands, option,
+                                               words):
+    """One declaration per shared option: every subcommand that takes it
+    shows the same flag with the same help words."""
+    for command in commands:
+        text = _help_text(capsys, [command])
+        assert option in text
+        assert words in text
 
 
 def test_cli_experiments_cache_hits_on_second_run(tmp_path, capsys):
@@ -285,3 +360,51 @@ def test_cli_experiments_cache_hits_on_second_run(tmp_path, capsys):
     warm = capsys.readouterr()
     assert "0 miss(es)" in warm.err
     assert warm.out == cold.out  # byte-identical figure
+
+
+# ---- run identity: a figure row is keyed by the program it ran --------------
+
+_FIGURE = dict(h=16, num_cores=4, scale=8)
+
+
+def test_figure_cache_misses_when_the_program_changes(tmp_path, monkeypatch):
+    """A compiler (or source) change must not serve the old rows."""
+    from repro.eval import figures
+
+    cache = RunCache(str(tmp_path / "cache"))
+    run_matmul_figure(jobs=1, cache=cache, **_FIGURE)
+    assert (cache.hits, cache.misses) == (0, len(MATMUL_VERSIONS))
+
+    source = figures.matmul_source
+    monkeypatch.setattr(figures, "matmul_source", lambda *args, **kwargs:
+                        source(*args, **kwargs) + "\nint figure_probe[64];\n")
+    changed = run_matmul_figure(jobs=1, cache=cache, **_FIGURE)
+    assert (cache.hits, cache.misses) == (0, 2 * len(MATMUL_VERSIONS))
+    assert changed == run_matmul_figure(jobs=1, **_FIGURE)
+    assert list(changed) == list(MATMUL_VERSIONS)
+
+
+def test_cli_experiments_shards_reuse_the_unsharded_rows(tmp_path, capsys):
+    """Sharding changes wall time only, so it is not part of the key."""
+    argv = ["experiments", "--h", "16", "--cores", "4", "--scale", "8",
+            "--jobs", "1", "--cache-dir", str(tmp_path / "cache")]
+    assert cli_main(argv) == 0
+    cold = capsys.readouterr()
+    assert cli_main(argv + ["--shards", "2"]) == 0
+    sharded = capsys.readouterr()
+    assert "%d hit(s), 0 miss(es)" % len(MATMUL_VERSIONS) in sharded.err
+    assert sharded.out == cold.out
+
+
+def test_figure_key_names_h_scale_cores_and_metrics(tmp_path):
+    cache = RunCache(str(tmp_path / "cache"))
+    figure = dict(_FIGURE, versions=("base",), jobs=1, cache=cache)
+    run_matmul_figure(**figure)
+    for change in ({"h": 8}, {"scale": 4}, {"num_cores": 8},
+                   {"metrics": True}):
+        run_matmul_figure(**dict(figure, **change))
+    assert (cache.hits, cache.misses) == (0, 5)
+    # a window interval is still "with metrics": the row does not change
+    run_matmul_figure(**dict(figure, metrics=512))
+    run_matmul_figure(**figure)
+    assert (cache.hits, cache.misses) == (2, 5)

@@ -231,18 +231,6 @@ def test_key_sensitivity_per_component(monkeypatch):
                          inputs={"n": 8}) != base
 
 
-def test_task_key_sensitivity(monkeypatch):
-    cache = RunCache("/nonexistent-root-never-touched")
-
-    base = cache.task_key(_machine, ("src",), {"cores": 2})
-    assert cache.task_key(_machine, ("src",), {"cores": 2}) == base
-    assert cache.task_key(_paused, ("src",), {"cores": 2}) != base
-    assert cache.task_key(_machine, ("other",), {"cores": 2}) != base
-    assert cache.task_key(_machine, ("src",), {"cores": 4}) != base
-    monkeypatch.setattr(snapshot_cache, "SIM_VERSION", "lbp-sim-999")
-    assert cache.task_key(_machine, ("src",), {"cores": 2}) != base
-
-
 # ---- cache store -------------------------------------------------------------
 
 
