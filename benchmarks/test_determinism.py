@@ -24,7 +24,7 @@ CORES = 4
 
 def _traced_run():
     program = compile_to_program(matmul_source("base", H), "mm.c")
-    machine = LBP(Params(num_cores=CORES, trace_enabled=True)).load(program)
+    machine = LBP(Params(num_cores=CORES), trace=True).load(program)
     stats = machine.run(max_cycles=10_000_000)
     verify_matmul(machine, program, "base", H)
     return stats, machine.trace.events

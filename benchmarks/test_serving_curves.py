@@ -38,7 +38,7 @@ CLASSIC_TIMESLICE = 300
 def _run_serving(cores, requests=REQUESTS, seed=SEED):
     workload = ServingWorkload(cores=cores, num_requests=requests, seed=seed)
     program = compile_to_program(workload.source, "serving%d.c" % cores)
-    machine = LBP(Params(num_cores=cores, trace_enabled=True)).load(program)
+    machine = LBP(Params(num_cores=cores), trace=True).load(program)
     stats = machine.run(max_cycles=MAX_CYCLES)
     assert machine.halted
     workload.verify(machine, program)

@@ -34,7 +34,7 @@ import sys
 
 from repro.compiler import build_program, compile_c
 from repro.isa.semantics import to_signed
-from repro.machine import LBP, Params
+from repro.machine import LBP, MAX_CYCLES, Params
 from repro.machine.trace import Trace
 
 
@@ -111,10 +111,10 @@ def cmd_run(args):
             args.trace = True  # a kind filter implies printing the trace
         elif args.perfetto and not args.trace:
             trace_kinds = _PERFETTO_KINDS  # a full trace costs memory
-        trace_enabled = bool(args.trace or args.timeline or args.perfetto)
-        params = Params(num_cores=args.cores, trace_enabled=trace_enabled)
+        traced = bool(args.trace or args.timeline or args.perfetto)
         metrics = args.metrics_interval if want_metrics else None
-        machine = LBP(params, trace=Trace(trace_enabled, kinds=trace_kinds),
+        machine = LBP(Params(num_cores=args.cores),
+                      trace=Trace(traced, kinds=trace_kinds),
                       shards=args.shards, metrics=metrics)
         machine.load(program)
 
@@ -419,7 +419,6 @@ def cmd_submit(args):
     print("cycles   : %s" % value["cycles"])
     print("retired  : %s" % value["retired"])
     print("IPC      : %s" % value["summary"]["ipc"])
-    print("digest   : %s" % value["trace_digest"])
     return 0
 
 
@@ -470,7 +469,7 @@ def _machine_options(shards_help):
     options.add_argument("--cores", type=int, default=4)
     options.add_argument("--shards", type=positive_int, default=None,
                          metavar="N", help=shards_help)
-    options.add_argument("--max-cycles", type=int, default=200_000_000)
+    options.add_argument("--max-cycles", type=int, default=MAX_CYCLES)
     return options
 
 

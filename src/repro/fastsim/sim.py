@@ -22,6 +22,7 @@ from repro.isa.semantics import (
 )
 from repro.isa.spec import InstrClass
 from repro.machine.params import Params
+from repro.machine.processor import MAX_CYCLES
 from repro.machine.router import reply_path, request_path
 from repro.machine.stats import MachineStats
 
@@ -121,7 +122,7 @@ class FastLBP:
         #: API parity with LBP (always None: no detector on the fast sim)
         self.sanitizer = None
         ncores = self.params.num_cores
-        self.stats = MachineStats(ncores, self.params.harts_per_core)
+        self.stats = MachineStats(ncores)
         self.harts = [
             FastHart(core, hart, self.params.num_result_buffers)
             for core in range(ncores)
@@ -264,7 +265,7 @@ class FastLBP:
         heapq.heappush(self._heap, (hart.time, self._seq, hart))
 
     def run(self, max_cycles=None):
-        limit = max_cycles if max_cycles is not None else self.params.max_cycles
+        limit = max_cycles if max_cycles is not None else MAX_CYCLES
         heap = self._heap
         while heap and not self.exited:
             time, _seq, hart = heapq.heappop(heap)

@@ -8,6 +8,8 @@ All values are Python ints in the range [0, 2**32); :func:`to_signed`
 converts to the signed view where an operation is signed.
 """
 
+from repro.memmap import HARTS_PER_CORE
+
 MASK32 = 0xFFFFFFFF
 
 
@@ -138,9 +140,9 @@ def load_value(mnemonic, raw):
 HART_ID_FLAG = 0x80000000
 
 
-def p_set_value(rs1, core, hart, harts_per_core=4):
+def p_set_value(rs1, core, hart):
     """``p_set``: stamp the current hart identity into the high half."""
-    ident = harts_per_core * core + hart
+    ident = HARTS_PER_CORE * core + hart
     return to_unsigned((rs1 & 0x0000FFFF) | (ident << 16) | HART_ID_FLAG)
 
 

@@ -2,7 +2,8 @@
 
 The model follows the paper's section 5:
 
-* :mod:`repro.machine.params` — all microarchitectural knobs.
+* :mod:`repro.machine.params` — the two machine knobs (cores, router
+  hop latency) and the model's fixed latencies.
 * :mod:`repro.machine.hart` — per-hart state: registers, rename table,
   instruction table, reorder buffer, result buffers.
 * :mod:`repro.machine.core` — one core's state and what its pipeline
@@ -29,9 +30,14 @@ scripted or seeded.
 
 from repro.machine import native
 from repro.machine.params import Params
-from repro.machine.processor import LBP, DeadlockError, MachineError
+from repro.machine.processor import (
+    LBP,
+    MAX_CYCLES,
+    DeadlockError,
+    MachineError,
+)
 
-__all__ = ["LBP", "DeadlockError", "MachineError", "Params"]
+__all__ = ["LBP", "MAX_CYCLES", "DeadlockError", "MachineError", "Params"]
 
 # Core.tick and LBP._simulate become the C functions here, once, when the
 # extension can be built (else: one warning, and the Python ones stay)

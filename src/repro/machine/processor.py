@@ -46,6 +46,9 @@ RE_ACK_LATENCY = 2
 #: a halt decision (exit/ebreak committed at cycle t) reaches every
 #: domain at t + HALT_LATENCY — never inside the epoch that produced it
 HALT_LATENCY = 2
+#: the cycle budget of a run that names none: ``LBP.run``, the sharded
+#: engine and ``repro run --max-cycles`` all default to it
+MAX_CYCLES = 200_000_000
 
 
 class MachineError(Exception):
@@ -428,6 +431,11 @@ class LBP:
     (repro.machine.reference) — bit-identical traces, stats and
     snapshots, only slower; the tests use it as their oracle and nothing
     else selects it.
+
+    Observers are constructor arguments, each with a shorthand:
+    ``trace=True`` records every event kind (a :class:`Trace` selects
+    kinds), ``metrics=True`` attaches a default ``Metrics()``,
+    ``sanitize=True`` the race detector.
     """
 
     def __new__(cls, params=None, trace=None, shards=None, sanitize=False,
@@ -443,10 +451,9 @@ class LBP:
     def __init__(self, params=None, trace=None, shards=None, sanitize=False,
                  metrics=None, backend=None):
         self.params = params or Params()
-        self.stats = MachineStats(self.params.num_cores, self.params.harts_per_core)
-        # explicit None test: an empty Trace is falsy (len() == 0)
-        self.trace = trace if trace is not None else Trace(
-            self.params.trace_enabled)
+        self.stats = MachineStats(self.params.num_cores)
+        # a type test, not truthiness: an empty Trace is falsy (len() == 0)
+        self.trace = trace if isinstance(trace, Trace) else Trace(bool(trace))
         #: referential-order race detector (observation only; the hooks
         #: never post events or reserve ports, so traces stay bit-exact)
         if sanitize:
@@ -1000,7 +1007,8 @@ class LBP:
         """Run until exit/ebreak; returns :class:`MachineStats`.
 
         Raises :class:`DeadlockError` when nothing can ever progress and
-        :class:`MachineError` on traps or when *max_cycles* is exceeded.
+        :class:`MachineError` on traps or when *max_cycles* (default
+        :data:`MAX_CYCLES`) is exceeded.
 
         *stop_at_cycle* pauses the simulation (without halting the
         machine) at the first cycle >= the given value — before that
@@ -1011,7 +1019,7 @@ class LBP:
         ``snapshot_callback(machine)`` at the same safe point every
         *snapshot_every* cycles.
         """
-        limit = max_cycles if max_cycles is not None else self.params.max_cycles
+        limit = max_cycles if max_cycles is not None else MAX_CYCLES
         events = self._events
         cores = self.cores
         stats = self.stats

@@ -13,6 +13,8 @@ process owns a contiguous range of cores and only ever touches its own
 slots, so gathering shard statistics is concatenation, not reconciliation.
 """
 
+from repro import memmap
+
 
 class HartStats:
     __slots__ = ("retired", "loads", "stores", "forks")
@@ -72,12 +74,14 @@ class CoreCounters:
 class MachineStats:
     """Aggregated counters for one simulation run."""
 
-    def __init__(self, num_cores, harts_per_core):
+    harts_per_core = memmap.HARTS_PER_CORE
+
+    def __init__(self, num_cores):
         self.num_cores = num_cores
-        self.harts_per_core = harts_per_core
         self.cycles = 0
         self.harts = [
-            [HartStats() for _ in range(harts_per_core)] for _ in range(num_cores)
+            [HartStats() for _ in range(self.harts_per_core)]
+            for _ in range(num_cores)
         ]
         self.per_core = [CoreCounters() for _ in range(num_cores)]
 

@@ -28,20 +28,13 @@ class HartLane:
         self.marks = []       # (cycle, char)
 
 
-def build_lanes(trace_events, num_harts, harts_per_core=None):
-    """Derive per-hart activity lanes from a trace event list.
-
-    *harts_per_core* maps a ``(core, hart)`` event pair to its global
-    hart id; pass the machine's param (``print_timeline`` does) — the
-    memmap default only fits default-shaped machines.
-    """
-    if harts_per_core is None:
-        harts_per_core = memmap.HARTS_PER_CORE
+def build_lanes(trace_events, num_harts):
+    """Derive per-hart activity lanes from a trace event list."""
     lanes = [HartLane(gid) for gid in range(num_harts)]
     open_since = {}
 
     def gid_of(core, hart):
-        return core * harts_per_core + hart
+        return core * memmap.HARTS_PER_CORE + hart
 
     open_since[0] = 0  # the boot hart runs from cycle 0
     lanes[0].marks.append((0, "F"))
@@ -68,9 +61,9 @@ def build_lanes(trace_events, num_harts, harts_per_core=None):
     return lanes, last
 
 
-def render(trace_events, num_harts, width=72, harts_per_core=None):
+def render(trace_events, num_harts, width=72):
     """Render the timeline as text lines."""
-    lanes, last = build_lanes(trace_events, num_harts, harts_per_core)
+    lanes, last = build_lanes(trace_events, num_harts)
     span = max(last, 1)
     scale = (width - 1) / span
 
@@ -93,6 +86,5 @@ def render(trace_events, num_harts, width=72, harts_per_core=None):
 
 def print_timeline(machine, width=72):
     """Convenience: render a finished machine's trace (must be enabled)."""
-    for line in render(machine.trace.events, machine.params.num_harts, width,
-                       machine.params.harts_per_core):
+    for line in render(machine.trace.events, machine.params.num_harts, width):
         print(line)

@@ -36,7 +36,7 @@ def chrome_trace(machine):
     params = machine.params
     hpc = params.harts_per_core
     events = machine.trace.events
-    lanes, last = build_lanes(events, params.num_harts, hpc)
+    lanes, last = build_lanes(events, params.num_harts)
     out = []
     seen_cores = []
     for lane in lanes:

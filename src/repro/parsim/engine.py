@@ -76,6 +76,7 @@ import time
 
 from repro.machine.processor import (
     HALT_LATENCY,
+    MAX_CYCLES,
     DeadlockError,
     LBP,
     MachineError,
@@ -397,6 +398,7 @@ class _Worker:
 
     def run(self, max_cycles, stop_at_cycle, snapshot_every, want_snapshots,
             profile=False):
+        # *max_cycles* arrives resolved: the coordinator applied the default
         with _profiled(profile, "shard 0 profile"):
             outcome, cycle = self._loop(
                 max_cycles, stop_at_cycle, snapshot_every, want_snapshots)
@@ -407,10 +409,8 @@ class _Worker:
         _send(self.to_parent,
               ("final", outcome, self.machine.cycle, payload))
 
-    def _loop(self, max_cycles, stop_at_cycle, snapshot_every, want_snapshots):
+    def _loop(self, limit, stop_at_cycle, snapshot_every, want_snapshots):
         machine = self.machine
-        params = machine.params
-        limit = max_cycles if max_cycles is not None else params.max_cycles
         owned = self.owned
         machine._owned = set(owned)
         machine._outbox = []
@@ -664,10 +664,9 @@ class _Coordinator:
             snapshot_callback):
         master = self.master
         shards = len(self.bounds)
-        self.limit = (max_cycles if max_cycles is not None
-                      else master.params.max_cycles)
+        self.limit = max_cycles if max_cycles is not None else MAX_CYCLES
         run_kwargs = {
-            "max_cycles": max_cycles,
+            "max_cycles": self.limit,
             "stop_at_cycle": stop_at_cycle,
             "snapshot_every": snapshot_every,
             "want_snapshots": snapshot_callback is not None,

@@ -74,11 +74,12 @@ class JobSpec:
         {"source": "...", "filename": "job.c", "params": {"num_cores": 4},
          "inputs": <any JSON>, "max_cycles": 500000000, "shards": 2}
 
-    ``params`` are :class:`repro.machine.Params` keyword arguments;
+    ``params`` holds the two :class:`repro.machine.Params` knobs,
+    ``num_cores`` and ``link_hop_latency`` (any other key is a 400);
     ``inputs`` is the free-form workload-input component of the cache
-    key; ``max_cycles`` bounds the run but does *not* participate in
-    the key (a successful run's value is independent of its cycle
-    budget).
+    key; ``max_cycles`` is the run's one cycle budget (default
+    ``processor.MAX_CYCLES``) and does *not* participate in the key (a
+    successful run's value is independent of its cycle budget).
     ``shards`` picks the sharded engine, bit-exact by construction, so
     like ``max_cycles`` it stays out of the key — the same work
     requested sharded or unsharded is one cache object.
@@ -124,15 +125,16 @@ class JobSpec:
                    shards=payload.get("shards"))
 
     def machine_params(self):
-        """The Params object this spec describes (validates the kwargs)."""
-        return Params(**self.params)
+        """The Params object this spec describes (validates the knobs)."""
+        return Params.from_state_dict(self.params)
 
     def cache_key(self, cache):
         """The run-cache content key for this spec: ``key_for`` of the
         same (program, params, inputs) an in-process caller would pass,
         so anyone who can build the program can look the entry up."""
+        params = self.machine_params()  # a bad knob is not a bad program
         program = compiled_program(self.source, self.filename)
-        return cache.key_for(program=program, params=self.machine_params(),
+        return cache.key_for(program=program, params=params,
                              inputs=self.inputs)
 
 

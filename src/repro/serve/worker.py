@@ -7,7 +7,7 @@ cycle-accurate machine, and returns :func:`job_value` of it — the one
 spelling of a cached result, which ``bench/`` and the tests rebuild
 in-process to check what the daemon served::
 
-    {"summary": {...}, "trace_digest": "...", "cycles": N, "retired": N}
+    {"summary": {...}, "cycles": N, "retired": N}
 
 When the caller wires a *progress* channel (see
 :class:`repro.eval.runner.ForkedTask`'s ``progress_arg``), the run is
@@ -24,8 +24,8 @@ returning.  *trace_ctx* — the admission span's ``(trace_id, span_id)``,
 propagated by value through the fork — is what they chain onto; without
 one ``execute`` is the root of a trace of its own.  The server
 intercepts that payload before stream fan-out, so clients never see it.
-Spans read clocks and nothing else: the result value, the trace digest
-and every cached byte are those of an untraced run.
+Spans read clocks and nothing else: the result value and every cached
+byte are those of an untraced run.
 """
 
 import time
@@ -33,7 +33,6 @@ import time
 from repro.machine import LBP, Params
 from repro.observe.spans import SpanRecorder, clock_anchor, flight
 from repro.serve.jobs import compiled_program
-from repro.snapshot.snapshot import trace_digest
 
 __all__ = ["execute_job", "job_progress", "job_value"]
 
@@ -67,13 +66,12 @@ def job_value(machine, stats):
     key and every submitter of that key receives."""
     return {
         "summary": stats.summary(),
-        "trace_digest": trace_digest(machine.trace.events),
         "cycles": stats.cycles,
         "retired": stats.retired,
     }
 
 
-def execute_job(source, filename, params_kwargs, max_cycles=None,
+def execute_job(source, filename, params, max_cycles=None,
                 progress_every=None, shards=None, trace_ctx=None,
                 progress=None):
     """Run one job to completion; returns the canonical result value.
@@ -92,7 +90,7 @@ def execute_job(source, filename, params_kwargs, max_cycles=None,
         program = compiled_program(source, filename)
 
     metered = progress is not None
-    machine = LBP(Params(**params_kwargs), shards=shards,
+    machine = LBP(Params.from_state_dict(params), shards=shards,
                   metrics=True if metered else None).load(program)
     run_kwargs = {}
     if max_cycles is not None:
@@ -113,8 +111,7 @@ def execute_job(source, filename, params_kwargs, max_cycles=None,
         run_span.finish(cycles=machine.cycle)
     spans.absorb(getattr(machine, "span_records", None) or ())
     value = job_value(machine, stats)
-    execute_span.finish(cycles=value["cycles"], retired=value["retired"],
-                        trace_digest=value["trace_digest"][:16])
+    execute_span.finish(cycles=value["cycles"], retired=value["retired"])
     flight().note("execute_end", cycles=value["cycles"],
                   trace_id=execute_span.trace_id)
     if progress is not None:

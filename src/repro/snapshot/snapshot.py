@@ -9,7 +9,8 @@ On-disk format (all integers big-endian)::
     20      32    SHA-256 digest of the body
     52      ...   body: zlib-compressed canonical JSON payload
 
-The payload carries the simulator version tag, the machine params, the
+The payload carries the simulator version tag, the machine params
+(``Params.state_dict()``: ``num_cores`` and ``link_hop_latency``), the
 full program image (:mod:`repro.snapshot.progio`) and the machine's
 ``state_dict()`` — including the pending event queue, whose entries are
 plain ``(cycle, seq, kind, args)`` descriptors (see
@@ -34,8 +35,9 @@ from repro.machine.params import Params
 from repro.machine.processor import LBP
 from repro.snapshot.progio import program_from_state, program_state
 
-#: binary container version; bump on layout changes
-SNAPSHOT_FORMAT_VERSION = 1
+#: binary container version; bump on layout changes (2: the params part
+#: of the payload holds only the two ``Params`` knobs)
+SNAPSHOT_FORMAT_VERSION = 2
 
 #: semantic version of the simulated machine model.  Bump whenever a model
 #: change invalidates recorded state — i.e. whenever the golden trace
@@ -158,7 +160,10 @@ def restore(blob):
             "deterministic resume across model versions is not defined"
             % (payload.get("sim_version"), SIM_VERSION)
         )
-    params = Params.from_state_dict(payload["params"])
+    try:
+        params = Params.from_state_dict(payload["params"])
+    except ValueError as exc:
+        raise SnapshotError("snapshot params: %s" % exc) from None
     program = program_from_state(payload["program"])
     machine = LBP(params)
     machine.load(program, start=False)

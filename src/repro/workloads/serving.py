@@ -223,10 +223,10 @@ void main() {
     def latencies(self, machine, program):
         """Per-request (dispatch_cycle, completion_cycle) from the trace.
 
-        Needs ``trace_enabled=True``; the dispatch marker is the
-        controller's store into ``issued[r]``, completion is the
-        worker's store into ``results[r]``.  Returns a list of
-        ``(request, dispatch, completion)`` in request order.
+        Needs a machine built with ``LBP(..., trace=True)``; the
+        dispatch marker is the controller's store into ``issued[r]``,
+        completion is the worker's store into ``results[r]``.  Returns a
+        list of ``(request, dispatch, completion)`` in request order.
         """
         nr = self.num_requests
         issued_base = program.symbol("issued")

@@ -19,12 +19,12 @@ def compile_both(source, name="test.c"):
     return compile_c(source, name), reference_asm(source, name)
 
 
-def run_c(source, cores=1, max_cycles=5_000_000, reference=False, **params):
+def run_c(source, cores=1, max_cycles=5_000_000, reference=False):
     """Compile *source* (without the optimiser when *reference*), run it;
     returns (program, machine, stats)."""
     text = reference_asm(source) if reference else compile_c(source, "test.c")
     program = assemble(text, "test.c.s")
-    machine = LBP(Params(num_cores=cores, **params)).load(program)
+    machine = LBP(Params(num_cores=cores)).load(program)
     stats = machine.run(max_cycles=max_cycles)
     return program, machine, stats
 

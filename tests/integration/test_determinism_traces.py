@@ -8,7 +8,7 @@ from repro.workloads.setget import setget_source
 
 def _trace_run(source_text, cores):
     program = compile_to_program(source_text, "t.c")
-    machine = LBP(Params(num_cores=cores, trace_enabled=True)).load(program)
+    machine = LBP(Params(num_cores=cores), trace=True).load(program)
     stats = machine.run(max_cycles=20_000_000)
     return stats, machine.trace.events
 

@@ -72,7 +72,7 @@ def test_dma_consumer_reads_are_local():
     stream = list(range(CORES * words))
     program, machine, _dev = _machine_with_stream(
         dma_source(CORES, words), stream, period=10)
-    machine = LBP(Params(num_cores=CORES, trace_enabled=True)).load(program)
+    machine = LBP(Params(num_cores=CORES), trace=True).load(program)
     device = ScriptedInput([(10 * (i + 1), v) for i, v in enumerate(stream)])
     attach_input(machine, stream_device_addr(CORES), device)
     machine.run(max_cycles=20_000_000)

@@ -36,7 +36,7 @@ INTERVAL = 512
 
 def _metered_run(version="base", shards=None, interval=INTERVAL, trace=False):
     program = golden_program("matmul_%s_h16_c4" % version)
-    machine = LBP(Params(num_cores=4, trace_enabled=trace),
+    machine = LBP(Params(num_cores=4), trace=trace,
                   shards=shards, metrics=interval).load(program)
     machine.run(max_cycles=50_000_000)
     verify_matmul(machine, program, version, 16)

@@ -111,9 +111,8 @@ def test_twenty_runs_leak_no_reference_and_no_object():
     run; before 3.12 each is an ordinary counted object, so one missing
     INCREF frees a singleton and one missing DECREF leaks per tick."""
     def once(run):
-        engine = dict(ENGINES[run % len(ENGINES)])
-        params = Params(num_cores=2, trace_enabled=engine.pop("trace", False))
-        machine = LBP(params, **engine).load(assemble(FORK_JOIN))
+        engine = ENGINES[run % len(ENGINES)]
+        machine = LBP(Params(num_cores=2), **engine).load(assemble(FORK_JOIN))
         stats = machine.run(max_cycles=100_000)
         assert stats.forks == 1 and stats.retired > 20
         parked, bound = native.load().parked_entries()

@@ -184,7 +184,7 @@ class Outcome:
 
     def __init__(self, case, asm_text):
         program = assemble(asm_text, "case.s")
-        machine = LBP(Params(num_cores=case.cores, trace_enabled=True),
+        machine = LBP(Params(num_cores=case.cores), trace=True,
                       sanitize=True).load(program)
         if case.attach is not None:
             case.attach(machine)

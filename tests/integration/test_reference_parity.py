@@ -102,7 +102,7 @@ def test_golden_digests_reference_sharded(name, golden):
 
 def _run_observed(name, backend, sanitize=False, metrics=None):
     program, cores = _build(name)
-    machine = LBP(Params(num_cores=cores, trace_enabled=True),
+    machine = LBP(Params(num_cores=cores), trace=True,
                   sanitize=sanitize, metrics=metrics, backend=backend)
     machine.load(program)
     stats = machine.run(max_cycles=MAX_CYCLES)
@@ -143,8 +143,8 @@ def test_state_resumes_on_the_other_core(save_on, resume_on, golden):
     name = "matmul_base_h16_c4"
     reference = golden[name]
     program, cores = _build(name)
-    params = Params(num_cores=cores, trace_enabled=True)
-    machine = LBP(params, backend=save_on).load(program)
+    params = Params(num_cores=cores)
+    machine = LBP(params, trace=True, backend=save_on).load(program)
     machine.run(max_cycles=MAX_CYCLES,
                 stop_at_cycle=reference["cycles"] // 2)
     assert not machine.halted
@@ -164,7 +164,7 @@ def test_paused_state_and_snapshot_bytes_are_core_invariant():
     machines = {}
     for backend in ("interp", "soa"):
         program, cores = _build(name)
-        machine = LBP(Params(num_cores=cores, trace_enabled=True),
+        machine = LBP(Params(num_cores=cores), trace=True,
                       backend=backend).load(program)
         machine.run(max_cycles=MAX_CYCLES, stop_at_cycle=300)
         machines[backend] = machine
@@ -188,14 +188,14 @@ def test_reference_ignores_scribbled_gates(name, golden):
     the day the reference tick starts trusting what it is the oracle
     for."""
     program, cores = _oracle_program(name)
-    params = Params(num_cores=cores, trace_enabled=True)
-    whole = LBP(params).load(program)
+    params = Params(num_cores=cores)
+    whole = LBP(params, trace=True).load(program)
     whole_stats = whole.run(max_cycles=MAX_CYCLES)
     if name in golden:
         assert trace_digest(whole.trace.events) == golden[name]["trace_sha256"]
 
     rng = random.Random(name)
-    scribbled = LBP(params, backend="interp").load(program)
+    scribbled = LBP(params, trace=True, backend="interp").load(program)
     assert all(type(core) is ReferenceCore for core in scribbled.cores)
     pauses = 0
     while not scribbled.halted:

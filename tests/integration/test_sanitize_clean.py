@@ -47,7 +47,7 @@ from tests.integration.test_trace_golden import (
 
 
 def _sanitized(program, cores, shards=None, trace=False, max_cycles=50_000_000):
-    machine = LBP(Params(num_cores=cores, trace_enabled=trace),
+    machine = LBP(Params(num_cores=cores), trace=trace,
                   shards=shards, sanitize=True)
     machine.load(program)
     machine.run(max_cycles=max_cycles)

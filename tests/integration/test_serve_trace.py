@@ -8,7 +8,7 @@ contracts under test:
 
 * N coalesced submissions of one key are N admission traces pointing at
   ONE execution trace;
-* golden digests are bit-exact with tracing on, across shard counts
+* served values are bit-exact with tracing on, across shard counts
   (observation-only);
 * ``/metrics`` is structurally valid Prometheus text under load;
 * a SIGKILLed worker leaves a flight-recorder ``.jsonl`` dump;
@@ -181,11 +181,11 @@ def test_job_records_carry_unique_trace_ids(tmp_path):
         int(trace_id, 16)
 
 
-# ---- observation-only: golden digests unchanged ------------------------------
+# ---- observation-only: served values unchanged -------------------------------
 
 
-def test_digests_bit_exact_with_tracing_across_shards(tmp_path):
-    """The golden-conformance claim for tracing: the daemon (always
+def test_values_bit_exact_with_tracing_across_shards(tmp_path):
+    """The conformance claim for tracing: the daemon (always
     traced) at shards 1 and 2, and the same job run in this process with
     no span context anywhere, produce one value.  Distinct ``inputs``
     per config force two real executions (inputs key the cache but never
@@ -320,7 +320,7 @@ def test_merged_perfetto_service_spans_plus_core_timelines(tmp_path):
     from repro.machine import LBP, Params
     from repro.machine.trace import Trace
 
-    machine = LBP(Params(num_cores=2, trace_enabled=True),
+    machine = LBP(Params(num_cores=2),
                   trace=Trace(True, kinds=("start", "join", "p_ret", "fork",
                                            "ending_signal"))).load(
         assemble(MEDIUM_ASM, "job.s"))

@@ -55,7 +55,7 @@ def test_sharded_runs_match_golden_digests(name, shards, golden):
 
 def _setget_machine(shards=None, trace=True):
     program = compile_to_program(setget_source(16, 64), "setget.c")
-    machine = LBP(Params(num_cores=4, trace_enabled=trace),
+    machine = LBP(Params(num_cores=4), trace=trace,
                   shards=shards).load(program)
     return machine, program
 

@@ -40,7 +40,7 @@ def _build(name):
 
 def _fresh(name):
     program, cores = _build(name)
-    return LBP(Params(num_cores=cores, trace_enabled=True)).load(program)
+    return LBP(Params(num_cores=cores), trace=True).load(program)
 
 
 @pytest.fixture(scope="module")

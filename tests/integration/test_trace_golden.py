@@ -107,7 +107,7 @@ def trace_digest(events):
 
 
 def _run_traced(program, cores, shards=None, **engine):
-    machine = LBP(Params(num_cores=cores, trace_enabled=True),
+    machine = LBP(Params(num_cores=cores), trace=True,
                   shards=shards, **engine).load(program)
     stats = machine.run(max_cycles=50_000_000)
     return machine, stats

@@ -83,7 +83,7 @@ def test_serving_snapshot_resume_mid_burst_is_bit_exact(golden):
     factory, cores = SCENARIOS["serving_r12_c2"]
     workload = factory()
     program = golden_program("serving_r12_c2")
-    machine = LBP(Params(num_cores=cores, trace_enabled=True)).load(program)
+    machine = LBP(Params(num_cores=cores), trace=True).load(program)
 
     pause_at = reference["cycles"] // 2
     machine.run(max_cycles=MAX_CYCLES, stop_at_cycle=pause_at)

@@ -74,7 +74,7 @@ def test_random_team_programs_deterministic_and_correct(case):
     traces = []
     for _ in range(2):
         program = compile_to_program(source, "team.c")
-        machine = LBP(Params(num_cores=3, trace_enabled=True)).load(program)
+        machine = LBP(Params(num_cores=3), trace=True).load(program)
         machine.run(max_cycles=5_000_000)
         traces.append((machine.stats.cycles, list(machine.trace.events)))
         base = program.symbol("results")
@@ -114,7 +114,7 @@ def test_paused_state_is_backend_invariant(family, size, seed, pauses):
     workload, cores = _FAMILIES[family](size, seed)
     program = compile_to_program(workload.source, family + ".c")
     machines = [
-        LBP(Params(num_cores=cores, trace_enabled=True),
+        LBP(Params(num_cores=cores), trace=True,
             backend=backend).load(program)
         for backend in ("interp", "soa")
     ]

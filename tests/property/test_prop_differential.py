@@ -138,15 +138,15 @@ def test_four_engines_agree(case):
     fast = FastLBP(Params(num_cores=CORES)).load(program)
     fast.run(max_cycles=5_000_000)
 
-    cycle = LBP(Params(num_cores=CORES, trace_enabled=True),
+    cycle = LBP(Params(num_cores=CORES), trace=True,
                 sanitize=True, backend="interp").load(program)
     cycle_stats = cycle.run(max_cycles=5_000_000)
 
-    soa = LBP(Params(num_cores=CORES, trace_enabled=True),
+    soa = LBP(Params(num_cores=CORES), trace=True,
               backend="soa").load(program)
     soa_stats = soa.run(max_cycles=5_000_000)
 
-    sharded = LBP(Params(num_cores=CORES, trace_enabled=True),
+    sharded = LBP(Params(num_cores=CORES), trace=True,
                   shards=2, backend="soa").load(program)
     sharded_stats = sharded.run(max_cycles=5_000_000)
 
@@ -234,12 +234,12 @@ def test_scenario_families_agree_across_engines(case):
     fast.run(max_cycles=5_000_000)
     workload.verify(fast, program)
 
-    cycle = LBP(Params(num_cores=cores, trace_enabled=True),
+    cycle = LBP(Params(num_cores=cores), trace=True,
                 sanitize=True, backend="interp").load(program)
     cycle_stats = cycle.run(max_cycles=5_000_000)
     workload.verify(cycle, program)
 
-    sharded = LBP(Params(num_cores=cores, trace_enabled=True),
+    sharded = LBP(Params(num_cores=cores), trace=True,
                   shards=2 if cores > 1 else None,
                   backend="soa").load(program)
     sharded_stats = sharded.run(max_cycles=5_000_000)

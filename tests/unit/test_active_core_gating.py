@@ -58,7 +58,7 @@ def test_simultaneous_wakeups_tick_in_core_index_order():
     core 1 before core 2 on every subsequent cycle, which shows up as
     core 1's store request preceding core 2's in the trace.
     """
-    machine = LBP(Params(num_cores=4, trace_enabled=True)).load(
+    machine = LBP(Params(num_cores=4), trace=True).load(
         assemble(STORE_AND_SPIN), start=False)
     entry = machine.program.entry
     wake_cycle = 5

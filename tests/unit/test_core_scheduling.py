@@ -44,9 +44,7 @@ def programs():
 
 
 def _machine(program, cores, **engine):
-    params = Params(num_cores=cores,
-                    trace_enabled=engine.pop("trace", False))
-    return LBP(params, **engine).load(program)
+    return LBP(Params(num_cores=cores), **engine).load(program)
 
 
 @pytest.fixture

@@ -87,31 +87,43 @@ def test_link_scheduler_contention():
     assert second > first  # one value per link per cycle
 
 
-def test_params_validation_and_copy():
-    with pytest.raises(ValueError):
-        Params(num_cores=0)
-    with pytest.raises(ValueError):
-        Params(harts_per_core=8)
-    params = Params(num_cores=4)
-    tweaked = params.copy(link_hop_latency=5)
-    assert tweaked.link_hop_latency == 5
-    assert params.link_hop_latency == 1
-    assert tweaked.num_harts == 16
+def test_params_holds_exactly_two_knobs():
+    import inspect
+
+    assert list(inspect.signature(Params).parameters) == [
+        "num_cores", "link_hop_latency"]
+    params = Params(num_cores=4, link_hop_latency=5)
+    assert params.state_dict() == {"num_cores": 4, "link_hop_latency": 5}
+    assert params.num_harts == 16
+    assert sorted(Params().state_dict()) == ["link_hop_latency", "num_cores"]
 
 
 #: one row per bad knob value the serve layer used to pass through
 #: (tests/unit/test_serve_unit.py submits the same rows as jobs)
 BAD_KNOBS = [
-    ("alu_latency", "x"),        # died in the worker: int + str
-    ("rob_size", 0),             # ran 4096 cycles into a DeadlockError
-    ("rob_size", 2.5),
     ("num_cores", True),
     ("num_cores", "4"),
-    ("alu_latency", -1),
-    ("num_result_buffers", 0),
+    ("num_cores", 0),
     ("link_hop_latency", 0),
-    ("trace_enabled", "yes"),
+    ("link_hop_latency", 2.5),
 ]
+
+#: the model's calibration: class constants on ``Params``, not knobs
+CALIBRATION = {
+    "harts_per_core": 4, "rob_size": 8, "num_result_buffers": 4,
+    "alu_latency": 1, "mul_latency": 3, "div_latency": 12,
+    "local_mem_latency": 2, "bank_access_latency": 1, "cv_write_latency": 2,
+}
+
+#: values that were settable ``Params`` knobs once: the constants, the
+#: trace switch (now ``LBP(trace=)``) and the cycle budget (now
+#: ``LBP.run(max_cycles=)``)
+REMOVED_KNOBS = [*CALIBRATION, "trace_enabled", "max_cycles"]
+
+
+def test_params_constants_keep_their_calibration():
+    params = Params(num_cores=2)
+    assert {name: getattr(params, name) for name in CALIBRATION} == CALIBRATION
 
 
 @pytest.mark.parametrize("knob,bad", BAD_KNOBS)
@@ -119,7 +131,22 @@ def test_params_reject_bad_knob_values(knob, bad):
     with pytest.raises(ValueError, match=knob):
         Params(**{knob: bad})
     with pytest.raises(ValueError, match=knob):
-        Params().copy(**{knob: bad})
+        Params.from_state_dict({knob: bad})
+
+
+@pytest.mark.parametrize("knob", REMOVED_KNOBS)
+def test_params_refuse_removed_knobs_by_name(knob):
+    with pytest.raises(TypeError):
+        Params(**{knob: 4})
+    with pytest.raises(ValueError, match="unknown Params knob.*" + knob):
+        Params.from_state_dict({"num_cores": 2, knob: 4})
+
+
+def test_unknown_knobs_are_all_named():
+    with pytest.raises(ValueError) as info:
+        Params.from_state_dict({"rob_sise": 4, "alu_latency": 1,
+                                "num_cores": 2})
+    assert str(info.value) == "unknown Params knob(s): alu_latency, rob_sise"
 
 
 def test_params_latency_for():

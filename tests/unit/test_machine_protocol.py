@@ -14,7 +14,7 @@ from repro.machine.trace import Trace
 
 def _run(source, cores=1, max_cycles=100_000, trace=False):
     program = assemble(source)
-    machine = LBP(Params(num_cores=cores, trace_enabled=trace)).load(program)
+    machine = LBP(Params(num_cores=cores), trace=trace).load(program)
     stats = machine.run(max_cycles=max_cycles)
     return program, machine, stats
 

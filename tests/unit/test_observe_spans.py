@@ -285,7 +285,7 @@ loop:
     bnez t1, loop
     ebreak
 """
-    machine = LBP(Params(num_cores=2, trace_enabled=True)).load(
+    machine = LBP(Params(num_cores=2), trace=True).load(
         assemble(source, "spans.s"))
     machine.run()
     return machine

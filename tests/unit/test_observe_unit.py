@@ -43,7 +43,7 @@ def _run(num_cores, interval=64, trace=False, members=8):
     # the team must fit the machine: one core offers 3 forkable harts
     # beside the boot hart, so clamp the loop to the hart budget
     program = compile_to_program(_SOURCE % {"n": members}, "obs.c")
-    machine = LBP(Params(num_cores=num_cores, trace_enabled=trace),
+    machine = LBP(Params(num_cores=num_cores), trace=trace,
                   metrics=interval).load(program)
     machine.run(max_cycles=1_000_000)
     return machine

@@ -153,14 +153,17 @@ def test_bad_counts_are_rejected_before_quota_or_fork(tmp_path, field, bad):
 
 
 @pytest.mark.parametrize("params", [
-    {"alu_latency": "x"}, {"rob_size": 0}, {"rob_size": 2.5},
-    {"num_cores": True}, {"num_cores": "4"}, {"alu_latency": -1},
-    {"num_result_buffers": 0}, {"trace_enabled": "yes"}, [1, 2],
+    {"num_cores": True}, {"num_cores": "4"}, {"num_cores": 0},
+    {"link_hop_latency": 0}, {"link_hop_latency": 2.5},
+    # knobs no more: constants of the model, or gone
+    {"alu_latency": "x"}, {"rob_size": 0}, {"num_result_buffers": 0},
+    {"trace_enabled": "yes"}, [1, 2],
 ])
 def test_bad_params_are_rejected_before_quota_or_fork(tmp_path, params):
     """``params`` is outside input that reaches ``Params`` (and, through
-    it, the compiled tick): a bad knob value is a 400 at admission, not a
-    charged, forked job that dies — or never ends — in the worker."""
+    it, the compiled tick): a bad knob value or an unknown knob is a 400
+    at admission, not a charged, forked job that dies — or never ends —
+    in the worker."""
     server = SimServer(ServeConfig(unix_path=str(tmp_path / "unused.sock"),
                                    cache_root=str(tmp_path / "cache"),
                                    default_quota=(0, 1)))
@@ -176,6 +179,22 @@ def test_bad_params_are_rejected_before_quota_or_fork(tmp_path, params):
     assert stats["jobs"]["submitted"] == 0 and stats["jobs"]["misses"] == 0
     assert stats["quota"] == {}  # nobody was charged, no bucket was made
     assert not server._heap and not server.table.inflight
+
+
+@pytest.mark.parametrize("knob", [
+    "rob_sise", "trace_enabled", "max_cycles", "rob_size"])
+def test_unknown_params_knob_is_named_not_blamed_on_the_program(tmp_path,
+                                                                 knob):
+    """A misspelled or removed knob is the request's mistake, named as
+    such: not a ``bad program: TypeError`` from ``Params.__init__``."""
+    server = SimServer(ServeConfig(unix_path=str(tmp_path / "unused.sock"),
+                                   cache_root=str(tmp_path / "cache")))
+    status, body = _run(server._submit_batch(
+        {"jobs": [{"source": ASM, "filename": "job.s",
+                   "params": {"num_cores": 2, knob: 4}}]}))
+    assert status == 400
+    (record,) = body["jobs"]
+    assert record["error"] == "unknown Params knob(s): %s" % knob
 
 
 def test_backend_is_an_unknown_job_field():

@@ -11,6 +11,8 @@ sensitivity and byte-identical hit path.
 import hashlib
 import json
 import os
+import struct
+import zlib
 
 import pytest
 
@@ -50,9 +52,9 @@ buf:    .word 0, 0
 """
 
 
-def _machine(source=MEMORY_LOOP, cores=2, **knobs):
+def _machine(source=MEMORY_LOOP, cores=2):
     program = assemble(source)
-    return LBP(Params(num_cores=cores, **knobs)).load(program)
+    return LBP(Params(num_cores=cores)).load(program)
 
 
 def _paused(stop_at_cycle=60):
@@ -127,19 +129,38 @@ def test_corrupt_body_rejected():
         restore(bytes(blob))
 
 
-def test_foreign_sim_version_rejected():
-    import zlib
-
+def _forged(edit, version=SNAPSHOT_FORMAT_VERSION):
+    """A well-formed blob (valid header and digest) of a real snapshot
+    whose payload *edit* changed in place."""
     blob = snapshot(_paused())
     payload = json.loads(zlib.decompress(blob[52:]).decode())
-    payload["sim_version"] = "lbp-sim-0"
+    edit(payload)
     body = zlib.compress(
         json.dumps(payload, sort_keys=True, separators=(",", ":")).encode())
-    import struct
+    return (blob[:8] + struct.pack(">IQ", version, len(body))
+            + hashlib.sha256(body).digest() + body)
 
-    forged = (blob[:8] + struct.pack(">IQ", SNAPSHOT_FORMAT_VERSION, len(body))
-              + hashlib.sha256(body).digest() + body)
+
+def test_foreign_sim_version_rejected():
+    forged = _forged(lambda payload: payload.update(sim_version="lbp-sim-0"))
     with pytest.raises(SnapshotError, match="lbp-sim-0"):
+        restore(forged)
+
+
+def test_format_version_1_rejected():
+    """Version 1 carried thirteen params; its files are refused by type."""
+    def as_v1(payload):
+        payload["snapshot_version"] = 1
+        payload["params"].update({"rob_size": 8, "trace_enabled": False,
+                                  "max_cycles": 200_000_000})
+
+    with pytest.raises(SnapshotError, match="version 1 not supported"):
+        restore(_forged(as_v1, version=1))
+
+
+def test_removed_knob_in_params_is_a_snapshot_error():
+    forged = _forged(lambda payload: payload["params"].update(rob_size=8))
+    with pytest.raises(SnapshotError, match="unknown Params knob.*rob_size"):
         restore(forged)
 
 

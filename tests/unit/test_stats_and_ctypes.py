@@ -5,7 +5,7 @@ from repro.machine.stats import MachineStats
 
 
 def test_stats_aggregation():
-    stats = MachineStats(2, 4)
+    stats = MachineStats(2)
     stats.harts[0][0].retired = 10
     stats.harts[0][3].retired = 5
     stats.harts[1][2].retired = 20
@@ -19,7 +19,7 @@ def test_stats_aggregation():
 
 
 def test_stats_zero_cycles():
-    stats = MachineStats(1, 4)
+    stats = MachineStats(1)
     assert stats.ipc == 0.0
 
 

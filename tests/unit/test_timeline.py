@@ -18,7 +18,7 @@ void main() {
 
 def _traced_machine():
     program = compile_to_program(_SOURCE, "tl.c")
-    machine = LBP(Params(num_cores=2, trace_enabled=True)).load(program)
+    machine = LBP(Params(num_cores=2), trace=True).load(program)
     machine.run(max_cycles=1_000_000)
     return machine
 
@@ -61,15 +61,3 @@ def test_render_empty_trace():
     assert lines[0].startswith("cycles 0..0")
     # only the boot lane appears (its F mark)
     assert len(lines) == 2
-
-
-def test_gid_mapping_uses_harts_per_core_argument():
-    """The (core, hart) → gid map derives from the machine shape, not the
-    memmap default (which only fits default-shaped machines)."""
-    events = [(10, 1, 1, "start", None), (20, 1, 1, "p_ret", "end")]
-    lanes, last = build_lanes(events, 24, harts_per_core=8)
-    assert last == 20
-    assert lanes[9].marks == [(10, "s"), (20, "E")]
-    assert lanes[9].intervals == [(10, 20)]
-    # under the default of 4 the same events land on gid 5 — they must not
-    assert not lanes[5].marks and not lanes[5].intervals
