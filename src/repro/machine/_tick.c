@@ -60,14 +60,16 @@
  *       checking they hold the value just computed, else build their own.
  *
  * Everything that needs the machine is a call back into the one Python
- * implementation: ``Core._execute`` (remote, code-bank and device loads
- * and stores, jalr, SYSTEM/FENCE, every X_PAR class),
- * ``Core._commit_p_ret``, ``Core.alloc_free_hart``, ``machine.halt`` /
- * ``error`` / ``send_fork_req`` / ``fetch_instruction`` and
- * ``metrics.idle`` / ``roll`` / ``stall``, at the call sites the reference
- * tick makes them.  The one exception is the access the paper makes cheap,
- * a load or store to the core's own banks, which the cycle window issues
- * itself (``local_access`` in _window.h).  Rules for the calls:
+ * implementation: ``Core._execute`` (code-bank and device loads and
+ * stores, every access a trace or a sanitizer observes, jalr,
+ * SYSTEM/FENCE, every X_PAR class), ``Core._commit_p_ret``,
+ * ``Core.alloc_free_hart``, ``machine.halt`` / ``error`` /
+ * ``send_fork_req`` / ``fetch_instruction`` and ``metrics.idle`` /
+ * ``roll`` / ``stall``, at the call sites the reference tick makes them.
+ * The one exception is memory: a load or store to the core's own banks or
+ * to another core's shared bank, and ``p_lwcv``, which the cycle window
+ * issues itself when nothing observes it (``mem_access`` in _window.h).
+ * Rules for the calls:
  *   - every one goes through ``callback``, which first lets the window
  *     publish ``machine.cycle`` and ``machine._origin``;
  *   - a callee may write any slot, so nothing read before a call is
@@ -85,13 +87,13 @@
 
 #define CORE_SLOTS(X) \
     X(index) X(machine) X(mem) X(harts) X(active) X(idle_since) \
-    X(sleep_until) X(_seq) X(_tag) X(_rr_fetch) X(_rr_rename) X(_rr_issue) \
-    X(_rr_wb) X(_rr_commit) X(_rob_size) X(_wb_wake)
+    X(sleep_until) X(links) X(_seq) X(_tag) X(_rr_fetch) X(_rr_rename) \
+    X(_rr_issue) X(_rr_wb) X(_rr_commit) X(_rob_size) X(_wb_wake)
 #define HART_SLOTS(X) \
     X(regs) X(rename) X(pc) X(awaiting_nextpc) X(fetch_ready_at) \
     X(syncm_block) X(fetch_buf) X(it) X(rob) X(rb) X(re_buffers) \
     X(outstanding_mem) X(reserved) X(pred) X(pred_done) X(fork_tokens) \
-    X(stats) X(fetch_ok) X(n_ready) X(gid)
+    X(stats) X(fetch_ok) X(n_ready) X(gid) X(index)
 #define RB_SLOTS(X) X(busy) X(tag) X(reg) X(value) X(ready_at) X(entry)
 #define ENTRY_SLOTS(X) \
     X(tag) X(low) X(pc) X(val0) X(val1) X(wait0) X(wait1) X(nwaits) \
@@ -101,10 +103,12 @@
     X(latency) X(re_slot) X(dec_kind) X(issue_kind) X(store_like) X(trap) \
     X(width) X(mnemonic) X(next_pc) X(fetch_pair)
 #define STATS_SLOTS(X) X(retired) X(loads) X(stores)
-#define MEM_SLOTS(X) X(local) X(shared) X(local_port) X(shared_local_port)
+#define MEM_SLOTS(X) \
+    X(local) X(shared) X(local_port) X(shared_local_port) X(shared_router_port)
 #define BANK_SLOTS(X) X(base) X(data)
 #define PORT_SLOTS(X) X(next_free)
-#define COUNTER_SLOTS(X) X(local_accesses)
+#define COUNTER_SLOTS(X) X(local_accesses) X(remote_accesses)
+#define LINK_SLOTS(X) X(hop_latency) X(_links) X(_metrics) X(_core_index)
 
 #define OFFSET_FIELD(name) Py_ssize_t name;
 #define SLOT_NAME(name) #name,
@@ -122,16 +126,21 @@ SLOT_TABLE(M, MEM_SLOTS)
 SLOT_TABLE(B, BANK_SLOTS)
 SLOT_TABLE(P, PORT_SLOTS)
 SLOT_TABLE(K, COUNTER_SLOTS)
+SLOT_TABLE(LS, LINK_SLOTS)
 /* E as an array of offsets: every slot an Entry has (bind checks) */
 #define ENTRY_NSLOTS ((Py_ssize_t)(sizeof(E) / sizeof(Py_ssize_t)))
 
 static PyTypeObject *core_type, *hart_type, *rb_type, *entry_type, *low_type,
-    *stats_type, *mem_type, *bank_type, *port_type, *counters_type;
+    *stats_type, *mem_type, *bank_type, *port_type, *counters_type,
+    *links_type;
 /* hart.py's NEVER, as the object to store and the value to compare */
 static PyObject *never_obj;
 static int64_t never_val;
 /* LoweredInstr.cls of the classes issued here by class */
-static int64_t cls_jal, cls_lui, cls_auipc, cls_load, cls_store;
+static int64_t cls_jal, cls_lui, cls_auipc, cls_load, cls_store, cls_p_lwcv;
+/* memmap.py: where the shared banks start, how big each is, and
+ * hart_cv_base(h) for the four harts of a core */
+static int64_t global_base, global_bank_size, cv_base[4];
 
 static PyObject *zero_obj;
 /* interned names and constants; PyInit__tick fills them from STRINGS */
@@ -151,7 +160,21 @@ static PyObject *zero_obj;
     X(params, "params") X(local_mem_latency, "local_mem_latency") \
     X(stats, "stats") X(per_core, "per_core") X(local, "local") \
     X(shared, "shared") X(load_read, "load_read") X(load_done, "load_done") \
-    X(store_write, "store_write")
+    X(store_write, "store_write") X(rreq_load, "rreq_load") \
+    X(bank_read, "bank_read") X(rrep_load, "rrep_load") \
+    X(rreq_store, "rreq_store") X(bank_write, "bank_write") \
+    X(rack_store, "rack_store") X(bank_access_latency, "bank_access_latency") \
+    X(num_cores, "num_cores") X(remote_issue, "remote_issue") \
+    X(remote_done, "remote_done") X(link_wait, "link_wait") \
+    LINK_TAGS(X)
+/* router.py's link ids are (tag, index) pairs; the request path's tags,
+ * then the reply path's */
+#define LINK_TAGS(X) \
+    X(c_r1, "c>r1") X(r1_m, "r1>m") X(r1_r2, "r1>r2") X(r2_r1, "r2>r1") \
+    X(r2_r3, "r2>r3") X(r3_r4, "r3>r4") X(r4_r3, "r4>r3") X(r3_r2, "r3>r2") \
+    X(m_r1, "m>r1") X(r1_c, "r1>c") X(r1_lt_r2, "r1<r2") \
+    X(r2_lt_r1, "r2<r1") X(r2_lt_r3, "r2<r3") X(r3_lt_r4, "r3<r4") \
+    X(r4_lt_r3, "r4<r3") X(r3_lt_r2, "r3<r2")
 #define STRING_VAR(name, text) static PyObject *s_##name;
 STRINGS(STRING_VAR)
 
@@ -429,9 +452,12 @@ typedef struct {
     Window *w;                  /* the window ticking this core, or NULL */
 } Tick;
 
+/* what mem_access (_window.h) issues */
+enum access { ACC_LOAD, ACC_STORE, ACC_LWCV };
+
 static int leave_c(Window *w);
-static int local_access(Tick *t, PyObject *hart, PyObject *entry,
-                        PyObject *low, int store);
+static int mem_access(Tick *t, PyObject *hart, PyObject *entry,
+                      PyObject *low, enum access kind);
 
 /* ``obj.name(a, b, c)`` (trailing NULLs are no arguments): every call from
  * the tick into Python.  Inside a window ``machine.cycle`` and ``_origin``
@@ -726,8 +752,8 @@ fail:
 }
 
 /* The issued instruction's execute step.  ALU/MULDIV, branches, jal, lui
- * and auipc need nothing from the machine, a load or store to the core's
- * own banks only the window; the rest is Core._execute. */
+ * and auipc need nothing from the machine, a load, a store or a p_lwcv
+ * nothing observed only the window; the rest is Core._execute. */
 static int
 execute(Tick *t, PyObject *hart, PyObject *entry, PyObject *low)
 {
@@ -778,8 +804,11 @@ execute(Tick *t, PyObject *hart, PyObject *entry, PyObject *low)
                 + (cls == cls_auipc ? (uint32_t)pc : 0);
         return finish_at(t, hart, entry, low, value, t->cycle + 1);
     }
-    if (t->w != NULL && (cls == cls_load || cls == cls_store)) {
-        int done = local_access(t, hart, entry, low, cls == cls_store);
+    if (t->w != NULL
+            && (cls == cls_load || cls == cls_store || cls == cls_p_lwcv)) {
+        int done = mem_access(t, hart, entry, low,
+                              cls == cls_load ? ACC_LOAD
+                              : cls == cls_store ? ACC_STORE : ACC_LWCV);
         if (done)
             return done < 0 ? -1 : 0;
     }
@@ -1318,19 +1347,27 @@ static PyObject *
 tick_bind(PyObject *Py_UNUSED(module), PyObject *args)
 {
     PyTypeObject *core, *hart, *rb, *entry, *low, *stats, *mem, *bank, *port,
-        *counters, *machine;
+        *counters, *links, *machine;
     PyObject *never, *handlers, *simulate, *both;
-    long long jal, lui, auipc, load, store, never_value;
-    if (!PyArg_ParseTuple(args, "O!O!O!O!O!O!O!O!O!O!O!O!O!LLLLL:bind",
+    long long jal, lui, auipc, load, store, p_lwcv, never_value, base, size;
+    long long cv[4];
+    int h;
+    if (!PyArg_ParseTuple(args,
+                          "O!O!O!O!O!O!O!O!O!O!O!O!O!O!LLLLLLLL(LLLL):bind",
                           &PyType_Type, &core, &PyType_Type, &hart,
                           &PyType_Type, &rb, &PyType_Type, &entry,
                           &PyType_Type, &low, &PyType_Type, &stats,
                           &PyType_Type, &mem, &PyType_Type, &bank,
                           &PyType_Type, &port, &PyType_Type, &counters,
-                          &PyType_Type, &machine, &PyDict_Type, &handlers,
-                          &PyLong_Type, &never, &jal, &lui, &auipc, &load,
-                          &store))
+                          &PyType_Type, &links, &PyType_Type, &machine,
+                          &PyDict_Type, &handlers, &PyLong_Type, &never,
+                          &jal, &lui, &auipc, &load, &store, &p_lwcv, &base,
+                          &size, &cv[0], &cv[1], &cv[2], &cv[3]))
         return NULL;
+    if (size <= 0) {
+        PyErr_SetString(PyExc_ValueError, "bind: a shared bank of no bytes");
+        return NULL;
+    }
     never_value = PyLong_AsLongLong(never);
     if (never_value == -1 && PyErr_Occurred())
         return NULL;
@@ -1343,7 +1380,8 @@ tick_bind(PyObject *Py_UNUSED(module), PyObject *args)
             || resolve_slots(mem, M_names, &M) < 0
             || resolve_slots(bank, B_names, &B) < 0
             || resolve_slots(port, P_names, &P) < 0
-            || resolve_slots(counters, K_names, &K) < 0)
+            || resolve_slots(counters, K_names, &K) < 0
+            || resolve_slots(links, LS_names, &LS) < 0)
         return NULL;
     /* rename builds Entry objects slot by slot, without __init__, and
      * commit empties them the same way: that is only right while these are
@@ -1355,8 +1393,8 @@ tick_bind(PyObject *Py_UNUSED(module), PyObject *args)
                         "Entry has slots the compiled tick does not fill");
         return NULL;
     }
-    /* the three requester-local event kinds have a native spelling, used
-     * only while the table still names the functions it names now */
+    /* the memory-access event kinds have a native spelling, used only
+     * while the table still names the functions it names now */
     if (keep_handlers(handlers) < 0)
         return NULL;
     entry_pool_clear();  /* they are of the Entry class bound before */
@@ -1370,6 +1408,7 @@ tick_bind(PyObject *Py_UNUSED(module), PyObject *args)
     KEEP(bank_type, bank);
     KEEP(port_type, port);
     KEEP(counters_type, counters);
+    KEEP(links_type, links);
     KEEP(never_obj, never);
     never_val = never_value;
     cls_jal = jal;
@@ -1377,6 +1416,11 @@ tick_bind(PyObject *Py_UNUSED(module), PyObject *args)
     cls_auipc = auipc;
     cls_load = load;
     cls_store = store;
+    cls_p_lwcv = p_lwcv;
+    global_base = base;
+    global_bank_size = size;
+    for (h = 0; h < 4; h++)
+        cv_base[h] = cv[h];
     Py_XSETREF(tick_descr, PyDescr_NewMethod(core, &tick_def));
     if (tick_descr == NULL
             || (simulate = PyDescr_NewMethod(machine, &simulate_def)) == NULL)
@@ -1430,10 +1474,11 @@ tick_parked_entries(PyObject *Py_UNUSED(module), PyObject *Py_UNUSED(ignored))
 static PyMethodDef module_methods[] = {
     {"bind", tick_bind, METH_VARARGS,
      "bind(Core, Hart, ResultBuffer, Entry, LoweredInstr, HartStats, "
-     "CoreMemory, Bank, Port, CoreCounters, LBP, EVENT_HANDLERS, NEVER, "
-     "cls_jal, cls_lui, cls_auipc, cls_load, cls_store) -> the method "
-     "descriptors (Core.tick, LBP._simulate).\n\nResolves every slot offset "
-     "they use; raises if a class lacks one."},
+     "CoreMemory, Bank, Port, CoreCounters, LinkScheduler, LBP, "
+     "EVENT_HANDLERS, NEVER, cls_jal, cls_lui, cls_auipc, cls_load, "
+     "cls_store, cls_p_lwcv, GLOBAL_BASE, GLOBAL_BANK_SIZE, cv_bases) -> the "
+     "method descriptors (Core.tick, LBP._simulate).\n\nResolves every slot "
+     "offset they use; raises if a class lacks one."},
     {"alu", tick_alu, METH_VARARGS,
      "alu(op, a, b) -> the 32-bit result of ALU_CODES[op] (for tests)."},
     {"branch", tick_branch, METH_VARARGS,

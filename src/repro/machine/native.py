@@ -33,6 +33,8 @@ import sysconfig
 import tempfile
 import warnings
 
+from repro import memmap
+
 _HERE = os.path.dirname(os.path.abspath(__file__))
 #: every file the one ``cc`` run reads; the first is the one it is given
 _SOURCES = tuple(os.path.join(_HERE, name) for name in ("_tick.c", "_window.h"))
@@ -110,22 +112,34 @@ def _sweep(path):
 
 def _bind(module):
     """``Core.tick`` and ``LBP._simulate`` := the C functions."""
-    from repro.machine import core, hart, lowered, memory, processor, stats
+    from repro.machine import (
+        core, hart, lowered, memory, processor, router, stats)
 
     core.Core.tick, processor.LBP._simulate = module.bind(
         core.Core, hart.Hart, hart.ResultBuffer, hart.Entry,
         lowered.LoweredInstr, stats.HartStats, memory.CoreMemory,
-        memory.Bank, memory.Port, stats.CoreCounters, processor.LBP,
-        processor.EVENT_HANDLERS, hart.NEVER, core._JAL, core._LUI,
-        core._AUIPC, core._LOAD, core._STORE)
+        memory.Bank, memory.Port, stats.CoreCounters, router.LinkScheduler,
+        processor.LBP, processor.EVENT_HANDLERS, hart.NEVER, core._JAL,
+        core._LUI, core._AUIPC, core._LOAD, core._STORE, core._P_LWCV,
+        memmap.GLOBAL_BASE, memmap.GLOBAL_BANK_SIZE,
+        tuple(memmap.hart_cv_base(h) for h in range(memmap.HARTS_PER_CORE)))
+
+
+#: the smoke run, on two cores: hart 0 stores 77 on its stack and loads it
+#: (the own-bank access), then stores it to core 1's shared bank and loads
+#: it back into t2 (the remote request, bank operation, reply and ack)
+_SMOKE_PROGRAM = (
+    "main:\n li t0, %d\n li t1, 77\n sw t1, -4(sp)\n lw t2, -4(sp)\n"
+    " sw t2, 0(t0)\n lw t2, 0(t0)\n ebreak\n"
+    % (memmap.GLOBAL_BASE + memmap.GLOBAL_BANK_SIZE))
 
 
 def _smoke(module):
     """A fresh binary is not trusted unexercised: the inline int read on
     both sides of a digit boundary (it reads this Python's ``int`` layout
     directly), every ALU and branch case on a fixed vector against
-    ``isa/semantics.py``, then one tiny machine run (tick, window, a store
-    and a load on the stack) against the whole Python path."""
+    ``isa/semantics.py``, then one tiny machine run (tick, window, the
+    own-bank and the remote access) against the whole Python path."""
     from repro.asm import assemble
     from repro.isa.semantics import ALU_OPS, BRANCH_OPS
     from repro.machine.hart import NEVER
@@ -145,20 +159,20 @@ def _smoke(module):
         for op, name in enumerate(BRANCH_CODES):
             if module.branch(op, a, b) != BRANCH_OPS[name](a, b):
                 raise RuntimeError("smoke call: %s(%#x, %#x)" % (name, a, b))
-    program = assemble(
-        "main:\n li t1, 77\n sw t1, -4(sp)\n lw t2, -4(sp)\n ebreak\n")
+    program = assemble(_SMOKE_PROGRAM)
     outcomes = []
     for backend in (None, "interp"):
-        machine = LBP(Params(num_cores=1), backend=backend).load(program)
+        machine = LBP(Params(num_cores=2), backend=backend).load(program)
         stats = machine.run(max_cycles=1000)
         outcomes.append((machine.cycle, stats.state_dict(), [
             hart.state_dict() for hart in machine.cores[0].harts]))
-    # a machine is cyclic garbage holding megabytes of banks: left to the
-    # collector's own schedule, these two would sit under the first real
-    # machine and raise every process's peak memory (the reason the
-    # comparison above is not of state_dict(), which copies the banks)
-    del machine, stats
-    gc.collect()
+        # a machine is cyclic garbage holding megabytes of banks: left to
+        # the collector's own schedule, these would sit under the first
+        # real machine and raise every process's peak memory, and two alive
+        # at once still raise it (by 2 % on sim_dense_c4) -- the reason,
+        # too, the comparison is not of state_dict(), which copies the banks
+        del machine, stats
+        gc.collect()
     if outcomes[0] != outcomes[1] or outcomes[0][2][0]["regs"][7] != 77:
         raise RuntimeError("smoke run: the compiled window and the "
                            "reference loop disagree")

@@ -25,6 +25,10 @@ from repro.machine.memory import Port
 class LinkScheduler:
     """Per-link one-slot-per-cycle reservations over symbolic link ids."""
 
+    # slots: the compiled window reserves remote-access paths in C, reading
+    # these by offset (machine/_window.h)
+    __slots__ = ("hop_latency", "_links", "_metrics", "_core_index")
+
     def __init__(self, hop_latency=1):
         self.hop_latency = hop_latency
         self._links = {}

@@ -22,10 +22,12 @@ import warnings
 import pytest
 
 import repro
+from repro import memmap
 from repro.asm import assemble
 from repro.machine import LBP, MachineError, Params, native, processor
 from repro.machine.core import Core
 from repro.machine.hart import Entry
+from repro.machine.memory import Bank, Port
 from repro.machine.reference import ReferenceCore
 from repro.observe import Metrics
 
@@ -39,7 +41,9 @@ compiled = pytest.mark.skipif(
 
 
 #: hart 0 forks one hart on the next core (p_fn: token request at decode,
-#: CV writes over the forward link), which stores a flag and joins back
+#: CV writes over the forward link), which reads a word of the code bank
+#: (an access only the Python schedule_load spells), stores a flag and
+#: joins back
 FORK_JOIN = """
 main:
     li   t0, -1
@@ -66,12 +70,33 @@ rp: lw  ra, 0(sp)
     addi sp, sp, 8
     p_ret
 child:
+    lw  t4, 0(zero)
     li  t3, 21
     mul t3, t3, t3
     p_ret
 .data
 flag: .word 0
 """
+
+
+REMOTE_BANK = memmap.GLOBAL_BASE + memmap.GLOBAL_BANK_SIZE
+
+#: core 0 stores to and loads from core 1's shared bank in a loop: every
+#: access a remote request, bank operation and reply or ack
+REMOTE_HEAVY = """
+main:
+    li   a0, %d
+    li   t1, 40
+loop:
+    sw   t1, 0(a0)
+    lw   t2, 0(a0)
+    sh   t2, 6(a0)
+    lb   t3, 6(a0)
+    addi a0, a0, 8
+    addi t1, t1, -1
+    bnez t1, loop
+    ebreak
+""" % REMOTE_BANK
 
 
 def _run(source, backend=None, cores=2, **engine):
@@ -83,8 +108,8 @@ def _run(source, backend=None, cores=2, **engine):
 # ---- reference counts ----------------------------------------------------------
 
 
-#: the ways a run reaches the C: plain (private-bank accesses native),
-#: metered, and the three that send every access back to Python
+#: the ways a run reaches the C: plain and metered (memory accesses
+#: native), and the three that send every access back to Python
 ENGINES = ({}, {"metrics": True}, {"trace": True}, {"sanitize": True},
            {"shards": 2})
 
@@ -117,6 +142,10 @@ def test_twenty_runs_leak_no_reference_and_no_object():
         assert stats.forks == 1 and stats.retired > 20
         parked, bound = native.load().parked_entries()
         assert 0 < parked <= bound
+        machine = LBP(Params(num_cores=2), **engine).load(
+            assemble(REMOTE_HEAVY))
+        stats = machine.run(max_cycles=100_000)
+        assert stats.remote_accesses == 160 and stats.retired > 200
 
     _assert_no_leak(once, runs=20, slack=50)
 
@@ -313,7 +342,8 @@ def test_an_exception_under_the_window_propagates_and_leaks_nothing(
         raise Boom(where)
 
     def once(run):
-        # (FORK_JOIN's p_lwcv goes through schedule_load on every path)
+        # (FORK_JOIN's code-bank load goes through schedule_load on every
+        # path)
         machine = LBP(Params(num_cores=2), metrics=True,
                       backend="soa" if run % 4 else "interp").load(
                           assemble(FORK_JOIN))
@@ -362,6 +392,16 @@ def test_state_the_window_cannot_read_is_an_exception_not_a_crash():
         broken._simulate(0, 10, tuple(broken.cores))
     with pytest.raises(TypeError):
         LBP._simulate(object(), 0, 10, [])
+    # the link scheduler a remote request reserves its path on
+    remote = LBP(Params(num_cores=2)).load(assemble(REMOTE_HEAVY))
+    remote.cores[0].links._links = [("c>r1", 0)]
+    with pytest.raises(TypeError, match="compiled tick"):
+        remote.run(max_cycles=1000)
+    remote = LBP(Params(num_cores=2)).load(assemble(REMOTE_HEAVY))
+    port = remote.cores[0].links._links[("c>r1", 0)] = Port()
+    port.next_free = "soon"
+    with pytest.raises(TypeError):
+        remote.run(max_cycles=1000)
     # nothing above left the machine class in a bad way
     assert machine().run(max_cycles=1000).retired == 6
 
@@ -417,6 +457,48 @@ def test_private_bank_accesses_stay_in_c_unless_observed(monkeypatch):
             assert issued == posted == handled == []
         states.append(machine.state_dict())
     assert states[0] == states[1] == states[2]
+
+
+REMOTE_TRAFFIC = """
+main:
+    li  t0, %d
+    li  t1, 77
+    sw  t1, 0(t0)
+    lw  t2, 0(t0)
+    sw  t2, 4(t0)
+    lw  t3, 4(t0)
+    ebreak
+""" % REMOTE_BANK
+
+
+@compiled
+def test_remote_accesses_stay_in_c_unless_observed(monkeypatch):
+    """Plain or metered, the issue of a remote load or store, its request,
+    bank operation and reply or ack run no Python handler and post nothing
+    from Python.  Traced or sanitized, every one is the Python spelling:
+    two loads and two stores, three posts and one hart lookup each."""
+    issued = _count_calls(monkeypatch, LBP, "schedule_load")
+    _count_calls(monkeypatch, LBP, "schedule_store", calls=issued)
+    posted = _count_calls(monkeypatch, LBP, "post")
+    handled = _count_calls(monkeypatch, LBP, "hart_by_gid")
+    states = []
+    for engine in ({}, {"metrics": True}, {"trace": True},
+                   {"sanitize": True}, {"backend": "interp"}):
+        del issued[:], posted[:], handled[:]
+        machine = LBP(Params(num_cores=2), **engine).load(
+            assemble(REMOTE_TRAFFIC))
+        stats = machine.run(max_cycles=1000)
+        assert (machine.cores[0].harts[0].regs[28], stats.retired) == (77, 7)
+        assert stats.remote_accesses == 4
+        if "trace" in engine or "sanitize" in engine or "backend" in engine:
+            assert (len(issued), len(posted), len(handled)) == (4, 12, 4)
+        else:
+            assert issued == posted == handled == []
+        state = machine.state_dict()
+        for observer in ("trace", "sanitize", "observe"):
+            del state[observer]
+        states.append(state)
+    assert all(state == states[0] for state in states)
 
 
 @compiled
@@ -476,8 +558,24 @@ def _miscompiled_window(monkeypatch, tmp_path):
     return "smoke run"
 
 
+def _miscompiled_remote_path(monkeypatch, tmp_path):
+    """Only the remote load of the smoke run differs (here: the reference's
+    shared banks read one more than their bytes, which the native
+    bank_read reads directly): the remote access is compared, not merely
+    run."""
+    inner = Bank.read
+
+    def off_by_one(bank, addr, width):
+        value = inner(bank, addr, width)
+        return value + 1 if bank.name.startswith("shared") else value
+
+    monkeypatch.setattr(Bank, "read", off_by_one)
+    return "smoke run"
+
+
 @pytest.mark.parametrize("fault", [
-    _no_compiler, pytest.param(_miscompiled_window, marks=compiled)])
+    _no_compiler, pytest.param(_miscompiled_window, marks=compiled),
+    pytest.param(_miscompiled_remote_path, marks=compiled)])
 def test_fallback_builds_reference_cores_and_warns_once(
         monkeypatch, tmp_path, fault):
     """No compiler (here: a compile step that fails) is a supported

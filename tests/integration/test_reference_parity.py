@@ -12,13 +12,15 @@ metrics, and with serialized state moving between the two mid-run.
 
 The production *path* is more than the tick: ``LBP._simulate`` is the
 compiled cycle window (``machine/_window.h``), which also issues and
-completes loads and stores to the core's own banks when nothing
-observes them.  ``backend="interp"`` swaps all of it for the Python
-``_simulate``, ``schedule_load``/``schedule_store`` and handlers, so the
-untraced tests at the bottom hold the private-bank access to the same
-standard.
+completes loads and stores -- to the core's own banks and, across the
+router tree, to another core's shared bank -- when nothing observes
+them.  ``backend="interp"`` swaps all of it for the Python
+``_simulate``, ``schedule_load``/``schedule_store`` and handlers.  The
+golden digests are traced, so they never reach that path: the untraced
+tests at the bottom hold the memory access to the same standard.
 """
 
+import gc
 import json
 import os
 import random
@@ -33,6 +35,7 @@ from repro.compiler import compile_to_program
 from repro.machine import LBP, MachineError, Params, native
 from repro.machine.core import Core
 from repro.machine.io import Actuator, ScriptedInput, attach_input, attach_output
+from repro.machine.memory import Port
 from repro.machine.reference import ReferenceCore
 from repro.snapshot import snapshot
 from repro.workloads import ServingWorkload
@@ -40,6 +43,7 @@ from repro.workloads import ServingWorkload
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from test_trace_golden import (  # noqa: E402
     GOLDEN_PATH,
+    RE_CONTENTION,
     SCENARIOS,
     WORKLOADS,
     golden_program,
@@ -237,7 +241,33 @@ def test_cli_has_no_backend_option(tmp_path, capsys):
     assert "unrecognized arguments: --backend" in capsys.readouterr().err
 
 
-# ---- the private-bank access (untraced: the compiled issue and handlers) -----
+# ---- the memory access (untraced: the compiled issue and handlers) -----------
+
+
+def _untraced_golden(name, **engine):
+    if name == "re_contention_c1":
+        program, cores = assemble(RE_CONTENTION), 1
+    else:
+        program, cores = golden_program(name), SCENARIOS.get(name, (0, 4))[1]
+    return LBP(Params(num_cores=cores), **engine).load(program)
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_untraced_runs_equal_the_reference(name, golden):
+    """Every golden program untraced, plain and metered: the remote
+    accesses and their six event kinds on the compiled path (metered: with
+    the metrics hooks called from C) against the whole Python path."""
+    for metrics in (None, 512):
+        runs = {}
+        for backend in ("soa", "interp"):
+            machine = _untraced_golden(name, backend=backend, metrics=metrics)
+            stats = machine.run(max_cycles=MAX_CYCLES)
+            assert stats.cycles == golden[name]["cycles"]
+            assert stats.remote_accesses == golden[name]["remote"]
+            runs[backend] = (machine.state_dict(), stats.state_dict(),
+                             machine.metrics_report() if metrics else None)
+        assert runs["soa"] == runs["interp"]
+
 
 #: stores and loads of every width to the stack and to the core's own
 #: shared bank, back to back, so ports queue and events overlap; -3 makes
@@ -325,10 +355,136 @@ def test_pending_local_events_resume_on_the_other_loop(save_on, resume_on):
     assert snapshot(resumed) == snapshot(whole)
 
 
+REMOTE_BANK = memmap.GLOBAL_BASE + memmap.GLOBAL_BANK_SIZE
+
+#: back-to-back stores of every width from core 0 into core 1's shared
+#: bank, read back: requests, bank writes and acks overlap on the tree
+REMOTE_STORES = """
+main:
+    li   a0, %d
+    li   t1, -3
+    sw   t1, 0(a0)
+    sh   t1, 4(a0)
+    sb   t1, 6(a0)
+    sw   t1, 8(a0)
+    sw   a0, 12(a0)
+    lw   t2, 0(a0)
+    lh   t3, 4(a0)
+    lbu  t4, 6(a0)
+    lw   t5, 12(a0)
+    ebreak
+""" % REMOTE_BANK
+
+#: each program, its cores, and the remote kinds paused with in flight
+REMOTE_PAUSES = {
+    "loads": (lambda: golden_program("sort_h8_c2"), 2,
+              {"rreq_load", "bank_read", "rrep_load"}),
+    "stores": (lambda: assemble(REMOTE_STORES), 2,
+               {"rreq_store", "bank_write", "rack_store"}),
+}
+
+
+@pytest.mark.parametrize("save_on,resume_on", [
+    ("soa", "interp"),
+    ("interp", "soa"),
+])
+def test_pending_remote_events_resume_on_the_other_loop(save_on, resume_on):
+    """Pause where a remote access's three event kinds are all in flight
+    -- posted from C across the router tree when *save_on* is the
+    production core -- and finish under the other loop: state and snapshot
+    bytes equal at the pause, and the resumed run equals a whole one."""
+    for name, (build, cores, kinds) in sorted(REMOTE_PAUSES.items()):
+        program = build()
+        whole = LBP(Params(num_cores=cores), backend="interp").load(program)
+        whole.run(max_cycles=MAX_CYCLES)
+        probe = LBP(Params(num_cores=cores), backend="interp").load(program)
+        while not kinds <= {event[4] for event in probe._events}:
+            assert probe.cycle < whole.cycle, name
+            probe.run(max_cycles=MAX_CYCLES, stop_at_cycle=probe.cycle + 1)
+        paused = {}
+        for backend in ("soa", "interp"):
+            machine = LBP(Params(num_cores=cores),
+                          backend=backend).load(program)
+            machine.run(max_cycles=MAX_CYCLES, stop_at_cycle=probe.cycle)
+            assert {event[4] for event in machine._events} >= kinds
+            assert all(type(event) is tuple and type(event[5]) is tuple
+                       for event in machine._events)
+            paused[backend] = machine
+        assert paused["soa"].state_dict() == paused["interp"].state_dict()
+        assert snapshot(paused["soa"]) == snapshot(paused["interp"])
+
+        resumed = LBP(Params(num_cores=cores),
+                      backend=resume_on).load(program, start=False)
+        resumed.load_state_dict(paused[save_on].state_dict())
+        resumed.run(max_cycles=MAX_CYCLES)
+        assert resumed.state_dict() == whole.state_dict(), name
+        assert snapshot(resumed) == snapshot(whole), name
+        if name == "stores":
+            regs = whole.cores[0].harts[0].regs
+            assert regs[7] == 0xFFFFFFFD and regs[28] == 0xFFFFFFFD  # lw, lh
+            assert regs[29] == 0xFD and regs[30] == REMOTE_BANK      # lbu, lw
+
+
+#: core 0 of a two-chip machine stores to and loads from a bank behind
+#: each router level: r1 (core 1), r2 (core 5), r3 (core 17), r4 (core 65)
+EVERY_LEVEL = """
+main:
+    li   a0, %d
+    li   a1, %d
+    li   a2, %d
+    li   a3, %d
+    li   t1, 77
+    sw   t1, 0(a0)
+    sw   t1, 0(a1)
+    sw   t1, 0(a2)
+    sw   t1, 0(a3)
+    lw   t2, 0(a0)
+    lw   t3, 0(a1)
+    lw   t4, 0(a2)
+    lw   t5, 0(a3)
+    add  t6, t2, t3
+    add  t6, t6, t4
+    add  t6, t6, t5
+    ebreak
+""" % tuple(memmap.global_bank_base(core) for core in (1, 5, 17, 65))
+
+
+def test_remote_paths_through_every_router_level_equal_the_reference():
+    """Request and reply paths up to r4 and back, each link port keyed and
+    reserved as the Python router does.  One link is booked ahead, so the
+    request behind it waits and the metered leg charges ``link_wait``
+    from C.  (State compared without the 66 banks' bytes.)"""
+    program = assemble(EVERY_LEVEL)
+    for metrics in (None, 64):
+        runs = {}
+        for backend in ("soa", "interp"):
+            machine = LBP(Params(num_cores=66), backend=backend,
+                          metrics=metrics).load(program)
+            booked = machine.cores[0].links._links[("r1>r2", 0)] = Port()
+            booked.next_free = 40
+            stats = machine.run(max_cycles=10_000)
+            assert stats.remote_accesses == 8
+            assert machine.cores[0].harts[0].regs[31] == 4 * 77
+            runs[backend] = (
+                machine.cycle, stats.state_dict(),
+                [(core.links.state_dict(),
+                  core.mem.shared_router_port.next_free, core._seq)
+                 for core in machine.cores],
+                machine.cores[0].harts[0].state_dict(),
+                machine.metrics_report() if metrics else None)
+            del machine
+            gc.collect()
+        assert runs["soa"] == runs["interp"]
+        if metrics:
+            assert runs["soa"][4]["link_wait"] > 0
+
+
 DEVICE_BASE = memmap.GLOBAL_BASE + memmap.IO_REQUEST_OFFSET
 
-#: what the private-bank path must *not* take: each is one access that
+#: the edges of the native path: each but remote_lb_lh is one access that
 #: the window hands to the Python schedule_load / schedule_store / handler
+#: (on the issuing side, or at the owner's bank); remote_lb_lh sign-extends
+#: in the native bank_read.  The remote_* programs run on two cores.
 SLOW_ACCESSES = {
     "device": """
 main:
@@ -370,6 +526,56 @@ main:
     sw   a0, 0(a0)
     ebreak
 """ % (memmap.GLOBAL_BASE + 8 * memmap.GLOBAL_BANK_SIZE),
+    # hart 0 forks a hart on core 1 (p_fn), which polls the device in core
+    # 0's bank and answers it, while hart 0 runs `child` and joins
+    "remote_device": """
+main:
+    li   t0, -1
+    addi sp, sp, -8
+    sw   ra, 0(sp)
+    sw   t0, 4(sp)
+    p_set t0, t0
+    p_fn t6
+    la   t1, rp
+    p_swcv t6, t1, 0
+    p_swcv t6, t0, 4
+    p_merge t0, t0, t6
+    p_syncm
+    la   a0, child
+    p_jalr ra, t0, a0
+    p_lwcv ra, 0
+    p_lwcv t0, 4
+    li   a1, %d
+poll:
+    lw   t1, 0(a1)
+    beqz t1, poll
+    lw   t2, 4(a1)
+    sw   t2, 12(a1)
+    p_ret
+rp: lw  ra, 0(sp)
+    lw  t0, 4(sp)
+    addi sp, sp, 8
+    p_ret
+child:
+    p_ret
+""" % DEVICE_BASE,
+    "remote_out_of_range": """
+main:
+    li   a0, %d
+    lw   t1, 0(a0)
+    ebreak
+""" % (REMOTE_BANK + memmap.GLOBAL_BANK_SIZE - 2),
+    "remote_lb_lh": """
+main:
+    li   a0, %d
+    li   t1, -3
+    sw   t1, 0(a0)
+    lb   t2, 0(a0)
+    lh   t3, 2(a0)
+    lbu  t4, 1(a0)
+    lhu  t5, 0(a0)
+    ebreak
+""" % REMOTE_BANK,
 }
 
 
@@ -377,7 +583,8 @@ main:
 def test_accesses_the_native_path_declines_equal_the_reference(name):
     outcomes = {}
     for backend in ("soa", "interp"):
-        machine = _untraced(SLOW_ACCESSES[name], backend)
+        machine = _untraced(SLOW_ACCESSES[name], backend,
+                            cores=2 if name.startswith("remote") else 1)
         sensor = attach_input(machine, DEVICE_BASE,
                               ScriptedInput([(40, 1234)]))
         motor = attach_output(machine, DEVICE_BASE + 8, Actuator())
@@ -391,12 +598,16 @@ def test_accesses_the_native_path_declines_equal_the_reference(name):
                              motor.writes, state)
     assert outcomes["soa"] == outcomes["interp"]
     error = outcomes["soa"][0]
-    if name == "device":
+    regs = outcomes["soa"][4]["cores"][0]["harts"][0]["regs"]
+    if name in ("device", "remote_device"):
         assert error is None and outcomes["soa"][3][0][1] == 1234
     elif name == "code_bank":
         assert error is None
-        regs = outcomes["soa"][4]["cores"][0]["harts"][0]["regs"]
         assert regs[6] != 0 and regs[7] != 0  # the program's own words
+    elif name == "remote_lb_lh":
+        assert error is None
+        assert regs[7] == 0xFFFFFFFD and regs[28] == 0xFFFFFFFF  # lb, lh
+        assert regs[29] == 0xFF and regs[30] == 0xFFFD           # lbu, lhu
     elif "out_of_range" in name:
         assert "outside bank" in error
     else:
@@ -417,5 +628,20 @@ def test_untraced_sharded_run_equals_the_reference(golden):
         assert stats.cycles == golden[name]["cycles"]
         assert stats.retired == golden[name]["retired"]
         assert stats.local_accesses == golden[name]["local"]
+        runs[key] = machine.state_dict()
+    assert runs["sharded"] == runs["reference"]
+
+
+def test_untraced_sharded_remote_posts_equal_the_reference(golden):
+    """One core per shard: every remote request, bank reply and store ack
+    the C posts crosses to the other worker's outbox."""
+    name = "stencil_h8_c2"
+    runs = {}
+    for key, engine in (("sharded", {"shards": 2}),
+                        ("reference", {"backend": "interp"})):
+        machine = _untraced_golden(name, **engine)
+        stats = machine.run(max_cycles=MAX_CYCLES)
+        assert stats.cycles == golden[name]["cycles"]
+        assert stats.remote_accesses == golden[name]["remote"] > 0
         runs[key] = machine.state_dict()
     assert runs["sharded"] == runs["reference"]
