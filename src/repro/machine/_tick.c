@@ -1465,6 +1465,49 @@ tick_as_int(PyObject *Py_UNUSED(module), PyObject *obj)
     return PyLong_FromLongLong(value);
 }
 
+/* ``bytearray(n)`` without the memset, for memory.Bank: the same type,
+ * length and contents, but a zeroing calloc's buffer, so the pages of a
+ * large one are mapped in when first touched, not when the bank is built.
+ * The buffer comes from the allocator domain CPython resizes and frees
+ * every bytearray's with: the object domain (``PyObject_Realloc`` /
+ * ``PyObject_Free``) before 3.13, the ``PyMem_`` one from 3.13 on.  It keeps
+ * the trailing NUL a bytearray always has: ``ob_alloc`` is n + 1.  The
+ * fields are the same on 3.9-3.13. */
+#if PY_VERSION_HEX >= 0x030D0000
+#define BYTEARRAY_CALLOC PyMem_Calloc
+#define BYTEARRAY_FREE PyMem_Free
+#else
+#define BYTEARRAY_CALLOC PyObject_Calloc
+#define BYTEARRAY_FREE PyObject_Free
+#endif
+
+static PyObject *
+tick_zeroed(PyObject *Py_UNUSED(module), PyObject *arg)
+{
+    PyByteArrayObject *array;
+    char *bytes;
+    Py_ssize_t n = PyNumber_AsSsize_t(arg, PyExc_OverflowError);
+    if (n == -1 && PyErr_Occurred())
+        return NULL;
+    if (n < 0) {
+        PyErr_SetString(PyExc_ValueError, "zeroed: negative size");
+        return NULL;
+    }
+    array = (PyByteArrayObject *)PyByteArray_FromStringAndSize(NULL, 0);
+    if (array == NULL || n == 0)
+        return (PyObject *)array;
+    if (n == PY_SSIZE_T_MAX
+            || (bytes = BYTEARRAY_CALLOC(1, (size_t)n + 1)) == NULL) {
+        Py_DECREF(array);
+        return PyErr_NoMemory();
+    }
+    BYTEARRAY_FREE(array->ob_bytes);  /* NULL for an empty one */
+    array->ob_bytes = array->ob_start = bytes;
+    array->ob_alloc = n + 1;
+    Py_SET_SIZE(array, n);
+    return (PyObject *)array;
+}
+
 static PyObject *
 tick_parked_entries(PyObject *Py_UNUSED(module), PyObject *Py_UNUSED(ignored))
 {
@@ -1485,6 +1528,8 @@ static PyMethodDef module_methods[] = {
      "branch(op, a, b) -> whether BRANCH_CODES[op] is taken (for tests)."},
     {"as_int", tick_as_int, METH_O,
      "as_int(obj) -> the int64 every slot read makes of obj (for tests)."},
+    {"zeroed", tick_zeroed, METH_O,
+     "zeroed(n) -> bytearray(n), its pages mapped in when first touched."},
     {"parked_entries", tick_parked_entries, METH_NOARGS,
      "parked_entries() -> (retired Entry objects parked for rename, the "
      "bound on that number) (for tests)."},

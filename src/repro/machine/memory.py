@@ -11,6 +11,12 @@ store→load pairs issued in order; see DESIGN.md).
 
 from repro import memmap
 
+#: what a bank's bytes come from: ``bytearray``, which writes every byte, or
+#: the compiled ``zeroed``, the same bytearray with its pages mapped in when
+#: first touched (machine/native.py installs it when it passes its smoke
+#: calls, and takes it back if the rest of the smoke run fails)
+zeroed = bytearray
+
 
 class Bank:
     """One byte-addressable memory bank."""
@@ -19,7 +25,7 @@ class Bank:
 
     def __init__(self, base, size, name):
         self.base = base
-        self.data = bytearray(size)
+        self.data = zeroed(size)
         self.name = name
 
     def _offset(self, addr, width):
@@ -42,7 +48,9 @@ class Bank:
         )
 
     def load_image(self, offset, payload):
-        if offset + len(payload) > len(self.data):
+        # a negative offset would make the slice assignment insert: the
+        # bank's size is an invariant the compiled access path relies on
+        if offset < 0 or offset + len(payload) > len(self.data):
             raise IndexError("image does not fit in bank %s" % self.name)
         self.data[offset : offset + len(payload)] = payload
 

@@ -14,14 +14,14 @@ directory is not writable (an installed copy) does the user cache take
 over.
 
 There is no switch.  :func:`load` returns the extension module when it
-could be built, loaded, bound (``Core.tick``, ``LBP._simulate``) and
-passes its smoke calls, else ``None`` after one ``RuntimeWarning`` naming
-the reason, and ``LBP`` then builds ``ReferenceCore``s under the Python
-``_simulate``: the machine runs the same, only slower.
+could be built, loaded, bound (``Core.tick``, ``LBP._simulate``,
+``memory.zeroed``) and passes its smoke calls, else ``None`` after one
+``RuntimeWarning`` naming the reason, and ``LBP`` then builds
+``ReferenceCore``s under the Python ``_simulate`` on ``bytearray`` banks:
+the machine runs the same, only slower.
 """
 
 import functools
-import gc
 import glob
 import hashlib
 import importlib.util
@@ -34,6 +34,7 @@ import tempfile
 import warnings
 
 from repro import memmap
+from repro.machine import memory
 
 _HERE = os.path.dirname(os.path.abspath(__file__))
 #: every file the one ``cc`` run reads; the first is the one it is given
@@ -112,8 +113,7 @@ def _sweep(path):
 
 def _bind(module):
     """``Core.tick`` and ``LBP._simulate`` := the C functions."""
-    from repro.machine import (
-        core, hart, lowered, memory, processor, router, stats)
+    from repro.machine import core, hart, lowered, processor, router, stats
 
     core.Core.tick, processor.LBP._simulate = module.bind(
         core.Core, hart.Hart, hart.ResultBuffer, hart.Entry,
@@ -150,6 +150,17 @@ def _smoke(module):
     for value in ((1 << 30) - 1, 1 << 30, -(1 << 31), NEVER, -1, True):
         if module.as_int(value) != value:
             raise RuntimeError("smoke call: as_int(%r)" % (value,))
+    for size in (0, 1, 4097, 1 << 20):
+        try:
+            data, expected = module.zeroed(size), bytearray(size)
+            same = type(data) is bytearray and data == expected
+            for array in (data, expected):
+                array.append(7)  # a grow: CPython reallocates the buffer
+                array[0] ^= 1    # a write
+        except Exception as exc:
+            raise RuntimeError("smoke call: zeroed(%d): %r" % (size, exc))
+        if not same or data != expected:
+            raise RuntimeError("smoke call: zeroed(%d)" % size)
     vector = ((7, 3), (0x80000000, 0xFFFFFFFF), (0xFFFFFFFF, 0), (5, -3),
               (0x12345678, 33))
     for a, b in vector:
@@ -159,20 +170,19 @@ def _smoke(module):
         for op, name in enumerate(BRANCH_CODES):
             if module.branch(op, a, b) != BRANCH_OPS[name](a, b):
                 raise RuntimeError("smoke call: %s(%#x, %#x)" % (name, a, b))
+    # the machines below build their banks with it, so the window is tried
+    # on the banks it will be given (_load takes it back if a check fails)
+    memory.zeroed = module.zeroed
     program = assemble(_SMOKE_PROGRAM)
     outcomes = []
     for backend in (None, "interp"):
         machine = LBP(Params(num_cores=2), backend=backend).load(program)
         stats = machine.run(max_cycles=1000)
+        # not state_dict(), which copies the banks (3.1 MiB a machine);
+        # the machines are left to the collector: only the few pages of
+        # their banks this run touched are mapped in
         outcomes.append((machine.cycle, stats.state_dict(), [
             hart.state_dict() for hart in machine.cores[0].harts]))
-        # a machine is cyclic garbage holding megabytes of banks: left to
-        # the collector's own schedule, these would sit under the first
-        # real machine and raise every process's peak memory, and two alive
-        # at once still raise it (by 2 % on sim_dense_c4) -- the reason,
-        # too, the comparison is not of state_dict(), which copies the banks
-        del machine, stats
-        gc.collect()
     if outcomes[0] != outcomes[1] or outcomes[0][2][0]["regs"][7] != 77:
         raise RuntimeError("smoke run: the compiled window and the "
                            "reference loop disagree")
@@ -205,6 +215,7 @@ def _load():
             _sweep(path)
         return module, path
     except (OSError, ImportError, RuntimeError) as exc:
+        memory.zeroed = bytearray
         reason = "%s: %s" % (type(exc).__name__, exc)
     finally:
         _trial = None

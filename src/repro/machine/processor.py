@@ -518,16 +518,21 @@ class LBP:
         self.program = program
         self.code = program.instructions
         self.lowered = lower_program(self.code, self.params)
-        for seg in program.code_segments():
-            self.code_bank.load_image(seg.base - memmap.CODE_BASE, seg.data)
-        for seg in program.data_segments():
-            if seg.bank >= self.params.num_cores:
+        for seg in program.code_segments() + program.data_segments():
+            if seg.kind == "code":
+                bank = self.code_bank
+            elif 0 <= seg.bank < self.params.num_cores:
+                bank = self.cores[seg.bank].mem.shared
+            else:
                 raise MachineError(
-                    "data bank %d does not exist on a %d-core machine"
-                    % (seg.bank, self.params.num_cores)
-                )
-            bank = self.cores[seg.bank].mem.shared
-            bank.load_image(seg.base - bank.base, seg.data)
+                    "%r: data bank %d does not exist on a %d-core machine"
+                    % (seg, seg.bank, self.params.num_cores))
+            try:
+                bank.load_image(seg.base - bank.base, seg.data)
+            except IndexError:
+                raise MachineError("%r lies outside bank %s [0x%x, 0x%x)" % (
+                    seg, bank.name, bank.base,
+                    bank.base + len(bank.data))) from None
         if start:
             boot = self.cores[0].harts[0]
             boot.regs[2] = memmap.hart_initial_sp(0)

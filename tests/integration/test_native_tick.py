@@ -24,13 +24,15 @@ import pytest
 import repro
 from repro import memmap
 from repro.asm import assemble
-from repro.machine import LBP, MachineError, Params, native, processor
+from repro.machine import LBP, MachineError, Params, memory, native, processor
 from repro.machine.core import Core
 from repro.machine.hart import Entry
 from repro.machine.memory import Bank, Port
 from repro.machine.reference import ReferenceCore
 from repro.observe import Metrics
 
+#: the directory the ``repro`` package is in, for subprocesses
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from test_trace_golden import GOLDEN_PATH, measure  # noqa: E402
 from test_snapshot_roundtrip import (  # noqa: E402
@@ -533,6 +535,116 @@ def test_state_the_tick_cannot_read_is_an_exception_not_a_crash():
         Core.tick(object())
 
 
+# ---- banks: zeroed memory, mapped in when touched -----------------------------------
+
+
+def _banks(machine):
+    return [machine.code_bank] + [
+        bank for core in machine.cores
+        for bank in (core.mem.local, core.mem.shared)]
+
+
+def _subprocess(script, *flags, **env):
+    """stdout of *script* run by this Python with *flags*, the package and
+    this directory importable, *env* set; it must exit 0."""
+    path = os.pathsep.join((SRC, os.path.dirname(os.path.abspath(__file__))))
+    done = subprocess.run(
+        [sys.executable] + list(flags) + ["-c", script],
+        stdin=subprocess.DEVNULL, stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, timeout=300,
+        env=dict(os.environ, PYTHONPATH=path, **env))
+    assert done.returncode == 0, done.stderr.decode(errors="replace")[-2000:]
+    return done.stdout.decode()
+
+
+@compiled
+def test_a_fresh_machine_has_every_bank_zeroed_at_its_configured_size():
+    assert memory.zeroed is native.load().zeroed
+    machine = LBP(Params(num_cores=4))
+    sizes = {bank.name: len(bank.data) for bank in _banks(machine)}
+    assert sizes == dict(
+        code=memmap.CODE_SIZE,
+        **{"local%d" % i: memmap.LOCAL_SIZE for i in range(4)},
+        **{"shared%d" % i: memmap.GLOBAL_BANK_SIZE for i in range(4)})
+    for bank in _banks(machine):
+        assert type(bank.data) is bytearray
+        assert bank.data.count(0) == len(bank.data), bank.name
+
+
+RESIDENT = """
+import os
+from repro.machine import LBP, Params, native
+assert native.status()[0] == "native", native.status()
+
+def resident():
+    with open("/proc/self/statm") as handle:
+        return int(handle.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+
+before = resident()
+machine = LBP(Params(num_cores=64))
+print(resident() - before)
+"""
+
+
+@compiled
+@pytest.mark.skipif(not os.path.exists("/proc/self/statm"),
+                    reason="resident set size is read from /proc")
+def test_building_a_machine_touches_no_bank_page():
+    """A 64-core machine has 129 banks, 65 MiB of them: zero-filling them
+    when the machine is built made 68 MB resident; mapped in when touched,
+    the whole machine is under 9 MB."""
+    grown = int(_subprocess(RESIDENT))
+    assert grown < 24 * 2**20, grown
+
+
+DEBUG_ALLOCATOR = """
+import ctypes, gc, json
+from repro.machine import LBP, Params, memory, native
+assert native.status()[0] == "native", native.status()
+assert memory.zeroed is native.load().zeroed
+
+machine = LBP(Params(num_cores=2))
+banks = [machine.code_bank] + [
+    bank for core in machine.cores for bank in (core.mem.local, core.mem.shared)]
+for bank in banks:
+    data, size = bank.data, len(bank.data)
+    bank.write(bank.base + 8, 0xDEADBEEF, 4)
+    assert bank.read(bank.base + 8, 4) == 0xDEADBEEF
+    data[16:20] = b"abcd"
+    state = bank.state_dict()
+    data.extend(b"xyz" * 1000)
+    del data[:3000]
+    assert len(data) == size and data.endswith(b"xyz")
+    bank.load_state_dict(state)
+    assert bytes(data) == state["data"]
+    data[:] = b""
+del machine, banks, bank, data
+gc.collect()
+for size in (0, 1, 4097, 1 << 20):
+    data = native.load().zeroed(size)
+    if size:  # the trailing NUL, read where the debug allocator pads
+        start = ctypes.c_char.from_buffer(data)
+        assert ctypes.string_at(ctypes.addressof(start) + size, 1) == b"\\0"
+        del start
+    data += b"x"
+    del data
+from test_trace_golden import GOLDEN_PATH, measure
+with open(GOLDEN_PATH) as handle:
+    assert measure("re_contention_c1") == json.load(handle)["re_contention_c1"]
+print("ok")
+"""
+
+
+@compiled
+def test_banks_survive_the_debug_allocator():
+    """Every bank's buffer must belong to the allocator domain CPython
+    resizes and frees it with: under ``PYTHONMALLOC=debug`` a mismatch or a
+    buffer overrun aborts the process, and a missing trailing NUL reads as
+    the allocator's pad byte."""
+    out = _subprocess(DEBUG_ALLOCATOR, "-X", "dev", PYTHONMALLOC="debug")
+    assert out.strip() == "ok"
+
+
 # ---- a host that cannot build it ---------------------------------------------------
 
 
@@ -573,9 +685,36 @@ def _miscompiled_remote_path(monkeypatch, tmp_path):
     return "smoke run"
 
 
+def _with_zeroed(monkeypatch, zeroed):
+    """The binary loads, but its bank allocator is *zeroed*."""
+    inner = native._import
+
+    def patched(path):
+        module = inner(path)
+        module.zeroed = zeroed
+        return module
+
+    monkeypatch.setattr(native, "_import", patched)
+    return "smoke call: zeroed"
+
+
+def _broken_zeroed(monkeypatch, tmp_path):
+    """An allocator whose memory is not zero."""
+    return _with_zeroed(monkeypatch, lambda size: bytearray(b"\x01" * size))
+
+
+def _raising_zeroed(monkeypatch, tmp_path):
+    def no_memory(size):
+        raise MemoryError(size)
+
+    return _with_zeroed(monkeypatch, no_memory)
+
+
 @pytest.mark.parametrize("fault", [
     _no_compiler, pytest.param(_miscompiled_window, marks=compiled),
-    pytest.param(_miscompiled_remote_path, marks=compiled)])
+    pytest.param(_miscompiled_remote_path, marks=compiled),
+    pytest.param(_broken_zeroed, marks=compiled),
+    pytest.param(_raising_zeroed, marks=compiled)])
 def test_fallback_builds_reference_cores_and_warns_once(
         monkeypatch, tmp_path, fault):
     """No compiler (here: a compile step that fails) is a supported
@@ -591,6 +730,7 @@ def test_fallback_builds_reference_cores_and_warns_once(
             assert native.load() is None
             monkeypatch.undo()
             machines = [LBP(Params(num_cores=2)) for _ in range(3)]
+            assert memory.zeroed is bytearray  # banks are memset ones
             assert native.status()[0] == "reference"
             assert reason in native.status()[1]
             with open(GOLDEN_PATH) as handle:
@@ -608,6 +748,7 @@ def test_fallback_builds_reference_cores_and_warns_once(
         monkeypatch.undo()
         native._load.cache_clear()  # the next load() finds the real one
     assert native.status()[0] == before
+    assert (memory.zeroed is bytearray) == (before == "reference")
 
 
 # ---- two processes build it at once ------------------------------------------------

@@ -39,6 +39,32 @@ def test_machine_rejects_overlarge_bank():
         LBP(Params(num_cores=4)).load(program)
 
 
+def test_machine_refuses_a_negative_bank():
+    """Not loaded into the last core's bank, as a list index would have."""
+    program = assemble("main: ebreak")
+    program.segments.append(Segment(
+        "data", -1, memmap.global_bank_base(1), bytearray(b"\x07" * 16)))
+    machine = LBP(Params(num_cores=2))
+    with pytest.raises(MachineError, match=r"Segment\(data, bank=-1"):
+        machine.load(program)
+    assert machine.cores[-1].mem.shared.data.count(0) == memmap.GLOBAL_BANK_SIZE
+
+
+def test_machine_refuses_a_segment_below_its_bank():
+    """A negative offset into the bank would make the slice assignment
+    insert the image, growing the bank past its configured size."""
+    program = assemble("main: ebreak")
+    program.segments.append(Segment(
+        "data", 1, memmap.global_bank_base(1) - 8, bytearray(16)))
+    machine = LBP(Params(num_cores=2))
+    with pytest.raises(MachineError, match=r"Segment\(data, bank=1, .*shared1"):
+        machine.load(program)
+    bank = machine.cores[1].mem.shared
+    with pytest.raises(IndexError):
+        bank.load_image(-8, bytes(16))
+    assert len(bank.data) == memmap.GLOBAL_BANK_SIZE
+
+
 def test_machine_read_write_helpers():
     program = assemble("main: ebreak\n.data\nv: .word 0xABCD")
     machine = LBP(Params(num_cores=2)).load(program)
