@@ -35,20 +35,17 @@ import sys
 from repro.compiler import build_program, compile_c
 from repro.isa.semantics import to_signed
 from repro.machine import LBP, MAX_CYCLES, Params
+from repro.machine.timeline import LANE_KINDS
 from repro.machine.trace import Trace
 
 
 def positive_int(text):
-    """``--shards`` / ``--scale`` argument: a positive integer."""
+    """A count option's argument (``--cores``, ``--shards``,
+    ``--max-cycles``...): a positive integer."""
     if not text.isdecimal() or int(text) < 1:
         raise argparse.ArgumentTypeError(
             "%r is not a positive integer" % (text,))
     return int(text)
-
-
-#: the team-protocol events a Perfetto export draws its hart tracks from;
-#: ``--perfetto`` records only these unless ``--trace`` asks for all
-_PERFETTO_KINDS = ("start", "join", "p_ret", "fork", "ending_signal")
 
 
 def _read_source(path):
@@ -110,7 +107,7 @@ def cmd_run(args):
                            if k.strip()]
             args.trace = True  # a kind filter implies printing the trace
         elif args.perfetto and not args.trace:
-            trace_kinds = _PERFETTO_KINDS  # a full trace costs memory
+            trace_kinds = LANE_KINDS  # a full trace costs memory
         traced = bool(args.trace or args.timeline or args.perfetto)
         metrics = args.metrics_interval if want_metrics else None
         machine = LBP(Params(num_cores=args.cores),
@@ -466,10 +463,11 @@ def cmd_cache(args):
 def _machine_options(shards_help):
     """``--cores/--shards/--max-cycles``, shared by ``run`` and ``check``."""
     options = argparse.ArgumentParser(add_help=False)
-    options.add_argument("--cores", type=int, default=4)
+    options.add_argument("--cores", type=positive_int, default=4)
     options.add_argument("--shards", type=positive_int, default=None,
                          metavar="N", help=shards_help)
-    options.add_argument("--max-cycles", type=int, default=MAX_CYCLES)
+    options.add_argument("--max-cycles", type=positive_int,
+                         default=MAX_CYCLES)
     return options
 
 
@@ -511,7 +509,7 @@ def main(argv=None):
     p_run.add_argument("--metrics", action="store_true",
                        help="stall attribution + windowed metrics (zero "
                             "perturbation — traces stay bit-exact)")
-    p_run.add_argument("--metrics-interval", type=int, default=4096,
+    p_run.add_argument("--metrics-interval", type=positive_int, default=4096,
                        metavar="K", help="sampling window, in cycles")
     p_run.add_argument("--metrics-out", metavar="PATH",
                        help="write the metrics report as JSON "
@@ -540,7 +538,7 @@ def main(argv=None):
                             "with --snapshot-out to checkpoint")
     p_run.add_argument("--snapshot-out", metavar="PATH",
                        help="write a snapshot of the final/paused machine")
-    p_run.add_argument("--snapshot-every", type=int, metavar="N",
+    p_run.add_argument("--snapshot-every", type=positive_int, metavar="N",
                        help="write a periodic snapshot every N cycles")
     p_run.add_argument("--snapshot-dir", default="snapshots",
                        help="directory for --snapshot-every files")
@@ -568,7 +566,7 @@ def main(argv=None):
         parents=[cache_dir])
     p_exp.add_argument("--h", type=int, default=16,
                        help="total hart count of the figure (16/64/256)")
-    p_exp.add_argument("--cores", type=int, default=4)
+    p_exp.add_argument("--cores", type=positive_int, default=4)
     p_exp.add_argument("--scale", type=positive_int, default=1,
                        help="work-scale divisor: each thread's inner (K) "
                             "dimension shrinks by it")
@@ -595,7 +593,7 @@ def main(argv=None):
                          help="TCP port (0 = ephemeral; omit for unix-only)")
     p_serve.add_argument("--unix", metavar="PATH", default=None,
                          help="unix socket path (can combine with --port)")
-    p_serve.add_argument("--workers", type=int, default=2,
+    p_serve.add_argument("--workers", type=positive_int, default=2,
                          help="max concurrent forked simulations")
     p_serve.add_argument("--max-cache-bytes", type=int, default=None,
                          help="LRU-evict the cache to this byte budget")
@@ -631,10 +629,10 @@ def main(argv=None):
     p_submit.add_argument("--host", default="127.0.0.1")
     p_submit.add_argument("--port", type=int, default=None)
     p_submit.add_argument("--unix", metavar="PATH", default=None)
-    p_submit.add_argument("--cores", type=int, default=4)
+    p_submit.add_argument("--cores", type=positive_int, default=4)
     p_submit.add_argument("--inputs", metavar="JSON",
                           help="workload-inputs cache-key component")
-    p_submit.add_argument("--max-cycles", type=int, default=None)
+    p_submit.add_argument("--max-cycles", type=positive_int, default=None)
     p_submit.add_argument("--tenant", default=None)
     p_submit.add_argument("--priority", default=None,
                           choices=("interactive", "batch", "bulk"))

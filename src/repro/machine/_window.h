@@ -32,9 +32,9 @@
  * The memory access.  A load or store whose bytes lie in the issuing
  * core's own local or shared bank, or in another core's shared bank, and
  * a ``p_lwcv`` from the hart's own CV area, are issued here
- * (``mem_access``: what ``Core._execute`` + ``schedule_load`` /
- * ``schedule_store`` do for them), and the events they post are handled
- * here: ``load_read`` / ``load_done`` / ``store_write`` for the own banks,
+ * (``mem_access``: what ``Core._execute`` + ``schedule_access`` do for
+ * them), and the events they post are handled here: ``load_read`` /
+ * ``load_done`` / ``store_write`` for the own banks,
  * ``rreq_load`` -> ``bank_read`` -> ``rrep_load`` and ``rreq_store`` ->
  * ``bank_write`` + ``rack_store`` across the router tree.  Only when
  * nothing observes the access: trace off, no sanitizer, the address no

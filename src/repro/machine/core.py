@@ -105,30 +105,10 @@ def _exec_p_merge(core, hart, entry, low):
                     core.machine.cycle + 1)
 
 
-def _exec_p_fc(core, hart, entry, low):
+def _fork(core, hart, entry, target_gid):
+    """The tail p_fc and p_fn share: hart *target_gid* is the successor."""
     machine = core.machine
     now = machine.cycle
-    target = core.alloc_free_hart()
-    target.reserve_for_fork(hart.gid)
-    hart.succ = target.gid
-    machine.wake_re_waiters(target)
-    hart.stats.forks += 1
-    machine.stats.per_core[core.index].forks += 1
-    if machine.trace.enabled:
-        machine.trace.record(now, core.index, hart.index, "fork",
-                             "allocate hart %d" % target.gid)
-    if machine.sanitizer is not None:
-        machine.sanitizer.record(
-            core.index, (now, "fork", hart.gid, entry.tag, target.gid))
-    core._finish_at(hart, entry, target.gid, now + 1)
-
-
-def _exec_p_fn(core, hart, entry, low):
-    machine = core.machine
-    now = machine.cycle
-    # the hart was granted by the next core (fork token protocol,
-    # requested at decode); consume the oldest token
-    target_gid = hart.fork_tokens.pop(0)
     hart.succ = target_gid
     hart.stats.forks += 1
     machine.stats.per_core[core.index].forks += 1
@@ -139,6 +119,19 @@ def _exec_p_fn(core, hart, entry, low):
         machine.sanitizer.record(
             core.index, (now, "fork", hart.gid, entry.tag, target_gid))
     core._finish_at(hart, entry, target_gid, now + 1)
+
+
+def _exec_p_fc(core, hart, entry, low):
+    target = core.alloc_free_hart()
+    target.reserve_for_fork(hart.gid)
+    core.machine.wake_re_waiters(target)
+    _fork(core, hart, entry, target.gid)
+
+
+def _exec_p_fn(core, hart, entry, low):
+    # the hart was granted by the next core (fork token protocol,
+    # requested at decode); consume the oldest token
+    _fork(core, hart, entry, hart.fork_tokens.pop(0))
 
 
 def _exec_p_swcv(core, hart, entry, low):
@@ -153,7 +146,7 @@ def _exec_p_lwcv(core, hart, entry, low):
             core.index,
             (machine.cycle, "lwcv", hart.gid, entry.tag, low.imm))
     addr = machine.cv_address(hart, low.imm)
-    machine.schedule_load(core, hart, entry, low, addr)
+    machine.schedule_access(core, hart, entry, low, addr)
 
 
 def _exec_p_swre(core, hart, entry, low):
@@ -174,31 +167,29 @@ def _exec_p_lwre(core, hart, entry, low):
     core._finish_at(hart, entry, value, now + 1)
 
 
-def _exec_p_jal(core, hart, entry, low):
-    # next pc already resolved at decode; send pc+4, clear rd
+def _send_start_pc(core, hart, entry):
+    """p_jal / p_jalr: the allocated hart (rs1's low half) starts at pc+4."""
     machine = core.machine
-    now = machine.cycle
     if machine.sanitizer is not None:
         machine.sanitizer.record(
             core.index,
-            (now, "jsend", hart.gid, entry.tag, entry.val0 & 0xFFFF))
+            (machine.cycle, "jsend", hart.gid, entry.tag, entry.val0 & 0xFFFF))
     machine.send_start_pc(core, hart, entry.val0 & 0xFFFF, entry.pc + 4)
-    core._finish_at(hart, entry, 0, now + 1)
+
+
+def _exec_p_jal(core, hart, entry, low):
+    # next pc already resolved at decode; send pc+4, clear rd
+    _send_start_pc(core, hart, entry)
+    core._finish_at(hart, entry, 0, core.machine.cycle + 1)
 
 
 def _exec_p_jalr(core, hart, entry, low):
-    machine = core.machine
-    now = machine.cycle
     if low.rd == 0:
         core._execute_p_ret(hart, entry)
     else:
-        if machine.sanitizer is not None:
-            machine.sanitizer.record(
-                core.index,
-                (now, "jsend", hart.gid, entry.tag, entry.val0 & 0xFFFF))
-        machine.send_start_pc(core, hart, entry.val0 & 0xFFFF, entry.pc + 4)
+        _send_start_pc(core, hart, entry)
         core._resolve_pc(hart, entry.val1 & 0xFFFFFFFE)
-        core._finish_at(hart, entry, 0, now + 1)
+        core._finish_at(hart, entry, 0, core.machine.cycle + 1)
 
 
 def _exec_p_syncm(core, hart, entry, low):
@@ -386,11 +377,11 @@ class Core:
 
         if cls == _LOAD:
             addr = (entry.val0 + low.imm) & MASK32
-            machine.schedule_load(self, hart, entry, low, addr)
+            machine.schedule_access(self, hart, entry, low, addr)
             hart.stats.loads += 1
         elif cls == _STORE:
             addr = (entry.val0 + low.imm) & MASK32
-            machine.schedule_store(self, hart, entry, low, addr, entry.val1)
+            machine.schedule_access(self, hart, entry, low, addr, entry.val1)
             hart.stats.stores += 1
         elif cls == _BRANCH:
             taken = low.op(entry.val0, entry.val1)

@@ -91,6 +91,57 @@ def _rob_by_tag(hart, tag):
     raise AssertionError("tag %d not in ROB of hart %d" % (tag, hart.gid))
 
 
+# ---- the memory access (one helper per decision, as in machine/_window.h) ---
+
+
+def _read(machine, bank_ref, addr, width):
+    """A device's word, or the bytes of the bank *bank_ref* names; bytes
+    outside the bank are a machine error and read as 0."""
+    device = machine.mmio.get(addr)
+    if device is not None:
+        return device.read(machine.cycle) & 0xFFFFFFFF
+    try:
+        return _resolve_bank(machine, bank_ref).read(addr, width)
+    except IndexError as exc:
+        machine.error(str(exc))
+        return 0
+
+
+def _write(machine, bank_ref, addr, value, width):
+    """The store side of :func:`_read`."""
+    device = machine.mmio.get(addr)
+    if device is not None:
+        device.write(machine.cycle, value & 0xFFFFFFFF)
+        return
+    try:
+        _resolve_bank(machine, bank_ref).write(addr, value, width)
+    except IndexError as exc:
+        machine.error(str(exc))
+
+
+def _arrive(machine, src, owner):
+    """A request from core *src* reaches *owner*'s router port: the bank
+    slot it gets, and the cycle its reply, booked from that slot, leaves
+    the last link of the way back."""
+    owner_core = machine.cores[owner]
+    t_bank = owner_core.mem.shared_router_port.reserve(
+        machine.cycle + machine.params.bank_access_latency)
+    return t_bank, owner_core.links.reserve_path(
+        reply_path(src, owner), t_bank)
+
+
+def _remote_done(machine, src, hart_gid, tag=None):
+    """The issuing side sees a remote access complete (and, given its
+    *tag*, the ROB entry of a store or CV write); returns the hart."""
+    hart = machine.hart_by_gid(hart_gid)
+    hart.outstanding_mem -= 1
+    if machine.metrics is not None:
+        machine.metrics.remote_done(src, hart_gid)
+    if tag is not None:
+        _rob_by_tag(hart, tag).done = True
+    return hart
+
+
 # ---- intra-domain kinds (requester-local accesses) ---------------------------
 # (``core_index`` rides in load_read / store_write only to be traced; the
 # arg tuples are the snapshot format's, so it stays)
@@ -100,15 +151,7 @@ def _ev_load_read(machine, bank_ref, addr, width, mnemonic, t_done,
                   core_index, hart_gid):
     """Bank-side read of a local load; fills the hart's result buffer."""
     hart = machine.hart_by_gid(hart_gid)
-    device = machine.mmio.get(addr)
-    if device is not None:
-        raw = device.read(machine.cycle) & 0xFFFFFFFF
-    else:
-        try:
-            raw = _resolve_bank(machine, bank_ref).read(addr, width)
-        except IndexError as exc:
-            machine.error(str(exc))
-            raw = 0
+    raw = _read(machine, bank_ref, addr, width)
     hart.rb.fill(load_value(mnemonic, raw), t_done)
     if machine.trace.enabled:
         machine.trace.record(
@@ -124,14 +167,7 @@ def _ev_load_done(machine, hart_gid):
 def _ev_store_write(machine, bank_ref, addr, value, width,
                     core_index, hart_gid, tag):
     hart = machine.hart_by_gid(hart_gid)
-    device = machine.mmio.get(addr)
-    if device is not None:
-        device.write(machine.cycle, value & 0xFFFFFFFF)
-    else:
-        try:
-            _resolve_bank(machine, bank_ref).write(addr, value, width)
-        except IndexError as exc:
-            machine.error(str(exc))
+    _write(machine, bank_ref, addr, value, width)
     hart.outstanding_mem -= 1
     _rob_by_tag(hart, tag).done = True
     if machine.trace.enabled:
@@ -161,35 +197,21 @@ def _ev_cv_write(machine, target_core_index, addr, value,
 
 def _ev_rreq_load(machine, src, hart_gid, owner, addr, width, mnemonic):
     """A load request arrives at the owning core's router port."""
-    owner_core = machine.cores[owner]
-    t_bank = owner_core.mem.shared_router_port.reserve(
-        machine.cycle + machine.params.bank_access_latency)
-    t_back = owner_core.links.reserve_path(reply_path(src, owner), t_bank)
+    t_bank, t_back = _arrive(machine, src, owner)
     machine.post(owner, t_bank, "bank_read",
                  (src, hart_gid, owner, addr, width, mnemonic, t_back + 1))
 
 
 def _ev_bank_read(machine, src, hart_gid, owner, addr, width, mnemonic,
                   t_done):
-    device = machine.mmio.get(addr)
-    if device is not None:
-        raw = device.read(machine.cycle) & 0xFFFFFFFF
-    else:
-        try:
-            raw = machine.cores[owner].mem.shared.read(addr, width)
-        except IndexError as exc:
-            machine.error(str(exc))
-            raw = 0
+    raw = _read(machine, ("shared", owner), addr, width)
     machine.post(src, t_done, "rrep_load",
                  (src, hart_gid, addr, load_value(mnemonic, raw)))
 
 
 def _ev_rrep_load(machine, src, hart_gid, addr, value):
-    hart = machine.hart_by_gid(hart_gid)
+    hart = _remote_done(machine, src, hart_gid)
     hart.rb.fill(value, machine.cycle)
-    hart.outstanding_mem -= 1
-    if machine.metrics is not None:
-        machine.metrics.remote_done(src, hart_gid)
     if machine.trace.enabled:
         machine.trace.record(
             machine.cycle, src, hart.index, "mem_load",
@@ -198,31 +220,18 @@ def _ev_rrep_load(machine, src, hart_gid, addr, value):
 
 
 def _ev_rreq_store(machine, src, hart_gid, owner, addr, value, width, tag):
-    owner_core = machine.cores[owner]
-    t_bank = owner_core.mem.shared_router_port.reserve(
-        machine.cycle + machine.params.bank_access_latency)
-    t_ack = owner_core.links.reserve_path(reply_path(src, owner), t_bank) + 1
+    t_bank, t_back = _arrive(machine, src, owner)
     machine.post(owner, t_bank, "bank_write", (owner, addr, value, width))
-    machine.post(src, t_ack, "rack_store", (src, hart_gid, addr, value, tag))
+    machine.post(src, t_back + 1, "rack_store",
+                 (src, hart_gid, addr, value, tag))
 
 
 def _ev_bank_write(machine, owner, addr, value, width):
-    device = machine.mmio.get(addr)
-    if device is not None:
-        device.write(machine.cycle, value & 0xFFFFFFFF)
-        return
-    try:
-        machine.cores[owner].mem.shared.write(addr, value, width)
-    except IndexError as exc:
-        machine.error(str(exc))
+    _write(machine, ("shared", owner), addr, value, width)
 
 
 def _ev_rack_store(machine, src, hart_gid, addr, value, tag):
-    hart = machine.hart_by_gid(hart_gid)
-    hart.outstanding_mem -= 1
-    if machine.metrics is not None:
-        machine.metrics.remote_done(src, hart_gid)
-    _rob_by_tag(hart, tag).done = True
+    hart = _remote_done(machine, src, hart_gid, tag)
     if machine.trace.enabled:
         machine.trace.record(
             machine.cycle, src, hart.index, "mem_store",
@@ -251,11 +260,7 @@ def _ev_cv_apply(machine, core_index, addr, value):
 
 
 def _ev_rack_cv(machine, src, hart_gid, target_gid, offset, value, tag):
-    hart = machine.hart_by_gid(hart_gid)
-    hart.outstanding_mem -= 1
-    if machine.metrics is not None:
-        machine.metrics.remote_done(src, hart_gid)
-    _rob_by_tag(hart, tag).done = True
+    hart = _remote_done(machine, src, hart_gid, tag)
     if machine.trace.enabled:
         machine.trace.record(
             machine.cycle, src, hart.index, "cv_write",
@@ -434,7 +439,8 @@ class LBP:
 
     Observers are constructor arguments, each with a shorthand:
     ``trace=True`` records every event kind (a :class:`Trace` selects
-    kinds), ``metrics=True`` attaches a default ``Metrics()``,
+    kinds), ``metrics=True`` attaches a default ``Metrics()`` and an int
+    one with that window interval (None and False mean none),
     ``sanitize=True`` the race detector.
     """
 
@@ -480,7 +486,8 @@ class LBP:
         else:
             core_cls = Core
         self.cores = [core_cls(i, self) for i in range(self.params.num_cores)]
-        if metrics:
+        if metrics is not None and metrics is not False:
+            # not truthiness: metrics=0 is a bad interval, not "no metrics"
             from repro.observe import Metrics
 
             if isinstance(metrics, Metrics):
@@ -489,7 +496,6 @@ class LBP:
                 self._attach_metrics(Metrics())
             else:
                 self._attach_metrics(Metrics(interval=int(metrics)))
-        self.code = {}
         #: {pc: LoweredInstr} built at load time (machine/lowered.py)
         self.lowered = {}
         self.code_bank = Bank(memmap.CODE_BASE, memmap.CODE_SIZE, "code")
@@ -516,8 +522,7 @@ class LBP:
     def load(self, program, start=True):
         """Load a :class:`~repro.asm.program.Program` and start hart 0."""
         self.program = program
-        self.code = program.instructions
-        self.lowered = lower_program(self.code, self.params)
+        self.lowered = lower_program(program.instructions, self.params)
         for seg in program.code_segments() + program.data_segments():
             if seg.kind == "code":
                 bank = self.code_bank
@@ -558,7 +563,7 @@ class LBP:
     def state_dict(self):
         """Complete machine state as plain data (see repro.snapshot).
 
-        Excludes the program image inputs (code/lowered are rebuilt by
+        Excludes the program image inputs (``lowered`` is rebuilt by
         :meth:`load`) and MMIO devices (externally attached; the snapshot
         layer refuses machines with devices).
         """
@@ -673,10 +678,6 @@ class LBP:
 
     # ---- small services used by cores ---------------------------------------
 
-    def core_after(self, core):
-        index = core.index + 1
-        return self.cores[index] if index < len(self.cores) else None
-
     def hart_by_gid(self, gid):
         core_index, hart_index = divmod(gid, self.params.harts_per_core)
         if core_index >= len(self.cores):
@@ -755,107 +756,72 @@ class LBP:
 
     # ---- memory accesses -----------------------------------------------------
 
-    def schedule_load(self, core, hart, entry, low, addr):
-        width = low.width
+    def _route(self, core, addr):
+        """Which bank serves *core*'s access to *addr*, and whether it is
+        remote: ``(bank, bank_ref, t_bank, owner)``, with the port slot
+        *t_bank* booked for an own bank or the code bank, and *owner* the
+        core whose shared bank a remote access goes to (else None)."""
         now = self.cycle
         params = self.params
         if memmap.is_local(addr):
             t_bank = core.mem.local_port.reserve(now + params.local_mem_latency)
-            bank, bank_ref = core.mem.local, ("local", core.index)
-            remote = False
-        elif memmap.is_code(addr):
-            t_bank = now + params.local_mem_latency
-            bank, bank_ref = self.code_bank, ("code", 0)
-            remote = False
-        else:
-            owner = memmap.owner_core_of(addr, params.num_cores)
-            if owner is None:
-                self.error("access to unmapped address 0x%x" % addr)
-                owner = core.index
-            if owner == core.index:
-                t_bank = core.mem.shared_local_port.reserve(
-                    now + params.local_mem_latency)
-                bank, bank_ref = core.mem.shared, ("shared", owner)
-                self.stats.per_core[core.index].local_accesses += 1
-                remote = False
-            else:
-                bank = self.cores[owner].mem.shared
-                self.stats.per_core[core.index].remote_accesses += 1
-                remote = True
-        hart.rb.occupy(entry)
-        hart.outstanding_mem += 1
-        if self.trace.enabled:
-            self.trace.record(
-                now, core.index, hart.index, "mem_load_req",
-                "addr 0x%x bank %s" % (addr, bank.name),
-            )
-        if (self.sanitizer is not None and addr >= memmap.GLOBAL_BASE
-                and addr not in self.mmio):
-            self.sanitizer.record(
-                core.index,
-                (now, "acc", hart.gid, entry.tag, addr, width, 0, entry.pc))
-        if remote:
-            if self.metrics is not None:
-                self.metrics.remote_issue(core.index, hart.gid, now, owner)
-            t_up = core.links.reserve_path(request_path(core.index, owner), now)
-            self.post(owner, t_up, "rreq_load",
-                      (core.index, hart.gid, owner, addr, width, low.mnemonic))
-        else:
-            t_done = t_bank + 1
-            self.post(core.index, t_bank, "load_read",
-                      (bank_ref, addr, width, low.mnemonic, t_done,
-                       core.index, hart.gid))
-            self.post(core.index, t_done, "load_done", (hart.gid,))
+            return core.mem.local, ("local", core.index), t_bank, None
+        if memmap.is_code(addr):
+            return (self.code_bank, ("code", 0),
+                    now + params.local_mem_latency, None)
+        owner = memmap.owner_core_of(addr, params.num_cores)
+        if owner is None:
+            self.error("access to unmapped address 0x%x" % addr)
+            owner = core.index
+        if owner != core.index:
+            self.stats.per_core[core.index].remote_accesses += 1
+            return self.cores[owner].mem.shared, None, None, owner
+        t_bank = core.mem.shared_local_port.reserve(
+            now + params.local_mem_latency)
+        self.stats.per_core[core.index].local_accesses += 1
+        return core.mem.shared, ("shared", owner), t_bank, None
 
-    def schedule_store(self, core, hart, entry, low, addr, value):
+    def schedule_access(self, core, hart, entry, low, addr, value=None):
+        """Issue a load (*value* None) or a store of *value* at *addr*."""
+        store = value is not None
         width = low.width
         now = self.cycle
-        params = self.params
-        if memmap.is_local(addr):
-            t_bank = core.mem.local_port.reserve(now + params.local_mem_latency)
-            bank, bank_ref = core.mem.local, ("local", core.index)
-            remote = False
-        elif memmap.is_code(addr):
-            t_bank = now + params.local_mem_latency
-            bank, bank_ref = self.code_bank, ("code", 0)
-            remote = False
-        else:
-            owner = memmap.owner_core_of(addr, params.num_cores)
-            if owner is None:
-                self.error("access to unmapped address 0x%x" % addr)
-                owner = core.index
-            if owner == core.index:
-                t_bank = core.mem.shared_local_port.reserve(
-                    now + params.local_mem_latency)
-                bank, bank_ref = core.mem.shared, ("shared", owner)
-                self.stats.per_core[core.index].local_accesses += 1
-                remote = False
-            else:
-                bank = self.cores[owner].mem.shared
-                self.stats.per_core[core.index].remote_accesses += 1
-                remote = True
+        bank, bank_ref, t_bank, owner = self._route(core, addr)
+        if not store:
+            hart.rb.occupy(entry)
         hart.outstanding_mem += 1
         if self.trace.enabled:
             self.trace.record(
-                now, core.index, hart.index, "mem_store_req",
+                now, core.index, hart.index,
+                "mem_store_req" if store else "mem_load_req",
                 "addr 0x%x bank %s" % (addr, bank.name),
             )
         if (self.sanitizer is not None and addr >= memmap.GLOBAL_BASE
                 and addr not in self.mmio):
             self.sanitizer.record(
-                core.index,
-                (now, "acc", hart.gid, entry.tag, addr, width, 1, entry.pc))
-        if remote:
+                core.index, (now, "acc", hart.gid, entry.tag, addr, width,
+                             int(store), entry.pc))
+        if owner is not None:
             if self.metrics is not None:
                 self.metrics.remote_issue(core.index, hart.gid, now, owner)
             t_up = core.links.reserve_path(request_path(core.index, owner), now)
-            self.post(owner, t_up, "rreq_store",
-                      (core.index, hart.gid, owner, addr, value, width,
-                       entry.tag))
-        else:
+            if store:
+                self.post(owner, t_up, "rreq_store",
+                          (core.index, hart.gid, owner, addr, value, width,
+                           entry.tag))
+            else:
+                self.post(owner, t_up, "rreq_load",
+                          (core.index, hart.gid, owner, addr, width,
+                           low.mnemonic))
+        elif store:
             self.post(core.index, t_bank, "store_write",
                       (bank_ref, addr, value, width,
                        core.index, hart.gid, entry.tag))
+        else:
+            self.post(core.index, t_bank, "load_read",
+                      (bank_ref, addr, width, low.mnemonic, t_bank + 1,
+                       core.index, hart.gid))
+            self.post(core.index, t_bank + 1, "load_done", (hart.gid,))
 
     # ---- X_PAR messages -------------------------------------------------------
 
@@ -940,8 +906,8 @@ class LBP:
 
     def send_fork_req(self, core, hart):
         """p_fn at decode: ask the next core for a hart (token on grant)."""
-        target = self.core_after(core)
-        if target is None:
+        target = core.index + 1
+        if target == len(self.cores):
             # teams only expand along the line of cores (paper §5.1); a
             # fork past the last core can never succeed
             self.error(
@@ -949,9 +915,8 @@ class LBP:
                 "no next core to fork on" % hart.gid)
             return
         t = core.links.reserve_path(
-            forward_links(core.index, target.index), self.cycle)
-        self.post(target.index, t + 1, "fork_req",
-                  (target.index, core.index, hart.gid))
+            forward_links(core.index, target), self.cycle)
+        self.post(target, t + 1, "fork_req", (target, core.index, hart.gid))
 
     def grant_fork(self, core, child, src_core_index, parent_gid):
         """Allocate *child* on *core* for the requesting parent hart."""
@@ -968,26 +933,20 @@ class LBP:
         if not self._valid_gid(target_gid):
             return
         target_core_index = target_gid // self.params.harts_per_core
-        if target_core_index == core.index:
-            links = []
-        elif target_core_index == core.index + 1:
-            links = forward_links(core.index, target_core_index)
-        else:
+        if target_core_index not in (core.index, core.index + 1):
             self.error(
                 "forward link only reaches the next core (%d -> %d)"
                 % (core.index, target_core_index))
             return
-        t = core.links.reserve_path(links, self.cycle) if links else self.cycle
+        t = core.links.reserve_path(
+            forward_links(core.index, target_core_index), self.cycle)
         self.post(target_core_index, t + 1, "start_pc", (target_gid, pc))
 
     def send_ending_signal(self, core, hart, succ_gid):
         """The ordered-release chain between team members."""
         succ_core_index = succ_gid // self.params.harts_per_core
-        if succ_core_index == core.index:
-            links = []
-        else:
-            links = forward_links(core.index, succ_core_index)
-        t = core.links.reserve_path(links, self.cycle) if links else self.cycle
+        t = core.links.reserve_path(
+            forward_links(core.index, succ_core_index), self.cycle)
         self.post(succ_core_index, t + 1, "ending_signal",
                   (core.index, hart.index, succ_gid))
 

@@ -16,7 +16,9 @@ received, ``R`` resumed, ``X`` exit.
 
 from repro import memmap
 
-_START_KINDS = {"start", "join"}
+#: the trace kinds a lane is built from: all :func:`build_lanes` reads,
+#: and all ``repro run --perfetto`` records unless ``--trace`` asks for more
+LANE_KINDS = ("start", "join", "p_ret", "fork")
 
 
 class HartLane:

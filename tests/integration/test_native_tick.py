@@ -44,7 +44,7 @@ compiled = pytest.mark.skipif(
 
 #: hart 0 forks one hart on the next core (p_fn: token request at decode,
 #: CV writes over the forward link), which reads a word of the code bank
-#: (an access only the Python schedule_load spells), stores a flag and
+#: (an access only the Python schedule_access spells), stores a flag and
 #: joins back
 FORK_JOIN = """
 main:
@@ -322,7 +322,7 @@ def test_an_exception_in_a_callback_propagates(monkeypatch, method):
 
 #: where Python runs under the window: an event handler, the idle-span
 #: settlement of a gated core an event wakes (metered runs), the metrics
-#: object, and schedule_load for an access the native path declines
+#: object, and schedule_access for an access the native path declines
 RAISERS = {
     "handler": lambda patch, boom: patch.setitem(
         processor.EVENT_HANDLERS, "fork_req", boom),
@@ -331,8 +331,8 @@ RAISERS = {
     "settle_idle": lambda patch, boom: patch.setattr(
         Core, "settle_idle", boom),
     "metrics.idle": lambda patch, boom: patch.setattr(Metrics, "idle", boom),
-    "schedule_load": lambda patch, boom: patch.setattr(
-        LBP, "schedule_load", boom),
+    "schedule_access": lambda patch, boom: patch.setattr(
+        LBP, "schedule_access", boom),
 }
 
 
@@ -344,7 +344,7 @@ def test_an_exception_under_the_window_propagates_and_leaks_nothing(
         raise Boom(where)
 
     def once(run):
-        # (FORK_JOIN's code-bank load goes through schedule_load on every
+        # (FORK_JOIN's code-bank load goes through schedule_access on every
         # path)
         machine = LBP(Params(num_cores=2), metrics=True,
                       backend="soa" if run % 4 else "interp").load(
@@ -441,8 +441,7 @@ def test_private_bank_accesses_stay_in_c_unless_observed(monkeypatch):
     """Untraced, unsanitized, no device: the issue, the post and the three
     event kinds of a stack access run no Python at all.  Traced or
     sanitized, every one of them is the Python spelling."""
-    issued = _count_calls(monkeypatch, LBP, "schedule_load")
-    _count_calls(monkeypatch, LBP, "schedule_store", calls=issued)
+    issued = _count_calls(monkeypatch, LBP, "schedule_access")
     posted = _count_calls(monkeypatch, LBP, "post")
     handled = _count_calls(monkeypatch, LBP, "hart_by_gid")
     states = []
@@ -479,8 +478,7 @@ def test_remote_accesses_stay_in_c_unless_observed(monkeypatch):
     bank operation and reply or ack run no Python handler and post nothing
     from Python.  Traced or sanitized, every one is the Python spelling:
     two loads and two stores, three posts and one hart lookup each."""
-    issued = _count_calls(monkeypatch, LBP, "schedule_load")
-    _count_calls(monkeypatch, LBP, "schedule_store", calls=issued)
+    issued = _count_calls(monkeypatch, LBP, "schedule_access")
     posted = _count_calls(monkeypatch, LBP, "post")
     handled = _count_calls(monkeypatch, LBP, "hart_by_gid")
     states = []

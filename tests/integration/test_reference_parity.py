@@ -15,7 +15,7 @@ compiled cycle window (``machine/_window.h``), which also issues and
 completes loads and stores -- to the core's own banks and, across the
 router tree, to another core's shared bank -- when nothing observes
 them.  ``backend="interp"`` swaps all of it for the Python
-``_simulate``, ``schedule_load``/``schedule_store`` and handlers.  The
+``_simulate``, ``schedule_access`` and handlers.  The
 golden digests are traced, so they never reach that path: the untraced
 tests at the bottom hold the memory access to the same standard.
 """
@@ -482,7 +482,7 @@ def test_remote_paths_through_every_router_level_equal_the_reference():
 DEVICE_BASE = memmap.GLOBAL_BASE + memmap.IO_REQUEST_OFFSET
 
 #: the edges of the native path: each but remote_lb_lh is one access that
-#: the window hands to the Python schedule_load / schedule_store / handler
+#: the window hands to the Python schedule_access / handler
 #: (on the issuing side, or at the owner's bank); remote_lb_lh sign-extends
 #: in the native bank_read.  The remote_* programs run on two cores.
 SLOW_ACCESSES = {

@@ -221,13 +221,13 @@ def test_trace_matches_golden_reference(name, golden):
 
 # ---- an untraced run formats nothing -----------------------------------------
 
-#: the functions that call ``trace.record``: twelve in processor.py, three
+#: the functions that call ``trace.record``: eleven in processor.py, two
 #: in core.py; all but ``_commit_p_ret`` build their payload with ``%``
 TRACE_SITES = {
     "_ev_load_read", "_ev_store_write", "_ev_cv_write", "_ev_rrep_load",
     "_ev_rack_store", "_ev_rack_cv", "_ev_re_ack", "_ev_start_pc",
-    "_ev_ending_signal", "_ev_join", "schedule_load", "schedule_store",
-    "_exec_p_fc", "_exec_p_fn", "_commit_p_ret",
+    "_ev_ending_signal", "_ev_join", "schedule_access", "_fork",
+    "_commit_p_ret",
 }
 
 
@@ -246,7 +246,7 @@ class SiteTrace(Trace):
 def test_untraced_run_enters_no_trace_site():
     """Each site tests ``trace.enabled`` *before* it builds its payload:
     with the trace off, ``record`` is never entered — so nothing was
-    formatted for it — and with it on, the same programs reach all 15."""
+    formatted for it — and with it on, the same programs reach all 13."""
     programs = [(golden_program("matmul_base_h16_c4"), 4),
                 (assemble(RE_CONTENTION), 1)]
     outcomes = {}

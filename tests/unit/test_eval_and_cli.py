@@ -133,6 +133,33 @@ def test_cli_rejects_a_shard_count_that_is_not_positive(tmp_path, capsys,
     assert "usage:" in err and "not a positive integer" in err
 
 
+@pytest.mark.parametrize("bad", ["0", "-1"])
+@pytest.mark.parametrize("argv", [
+    ["run", "PROG", "--cores"],
+    ["check", "PROG", "--cores"],
+    ["experiments", "--cores"],
+    ["submit", "PROG", "--cores"],
+    ["run", "PROG", "--max-cycles"],
+    ["check", "PROG", "--max-cycles"],
+    ["submit", "PROG", "--max-cycles"],
+    ["run", "PROG", "--metrics-interval"],
+    ["run", "PROG", "--snapshot-every"],
+    ["serve", "--workers"],
+], ids=lambda argv: "-".join(argv).replace("-PROG", ""))
+def test_cli_count_options_take_a_positive_integer(tmp_path, capsys, argv,
+                                                   bad):
+    """Each was a traceback out of the machine, the runner or the daemon
+    (``--snapshot-every 0`` was ignored, ``-1`` wrote every cycle): now a
+    usage error from the parser."""
+    argv = [_write(tmp_path, _PROG) if word == "PROG" else word
+            for word in argv] + [bad]
+    with pytest.raises(SystemExit) as exit_:
+        cli_main(argv)
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and "not a positive integer" in err
+
+
 @pytest.mark.parametrize("bad", ["0", "-1", "x"])
 def test_cli_experiments_rejects_a_scale_that_is_not_positive(capsys, bad):
     """Was a ZeroDivisionError traceback out of workloads/matmul.py."""
@@ -297,6 +324,20 @@ def test_cli_run_perfetto_with_trace_records_every_kind(tmp_path, capsys):
     assert "--- trace" in out
     assert any(" mem_store " in line for line in out.splitlines())
     assert trace.exists()
+
+
+def test_cli_perfetto_file_is_the_same_with_and_without_trace(tmp_path,
+                                                              capsys):
+    """``--perfetto`` alone records ``timeline.LANE_KINDS``, and those are
+    all the export's lanes read: ``--trace`` adds events, not bytes."""
+    files = []
+    for extra in ([], ["--trace", "--trace-limit", "0"]):
+        path = tmp_path / ("trace%d.json" % len(files))
+        assert cli_main(["run", _write(tmp_path, _PROG), "--cores", "2",
+                         "--perfetto", str(path)] + extra) == 0
+        files.append(path.read_bytes())
+    assert b'"name":"fork"' in files[0]
+    assert files[0] == files[1]
 
 
 def test_cli_sharded_run_prints_per_shard_epoch_wait(tmp_path, capsys):

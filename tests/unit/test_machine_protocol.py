@@ -173,6 +173,74 @@ def test_ending_signal_orders_release():
     assert len(signals) == 1
 
 
+#: team messages the machine refuses: (cores, program, the exact error)
+PROTOCOL_ERRORS = {
+    "p_swcv_past_next_core": (3, """
+main:
+    li   t6, 8            # hart 8 lives on core 2
+    li   t1, 5
+    p_swcv t6, t1, 0
+    ebreak
+""", "forward link only reaches the next core (0 -> 2)"),
+    "p_jal_past_next_core": (3, """
+main:
+    li   t0, 8
+    p_jal ra, t0, child
+    ebreak
+child:
+    ebreak
+""", "forward link only reaches the next core (0 -> 2)"),
+    "p_jal_to_unallocated_hart": (1, """
+main:
+    li   t0, 1            # hart 1 was never forked
+    p_jal ra, t0, child
+    ebreak
+child:
+    li   t1, 50
+spin:
+    addi t1, t1, -1
+    bnez t1, spin
+    ebreak
+""", "start pc sent to hart 1 which was not allocated"),
+    "p_swre_to_missing_hart": (1, """
+main:
+    li   t1, 99
+    li   t2, 5
+    p_swre t1, t2, 0
+    ebreak
+""", "hart id 99 does not exist"),
+    "p_swcv_to_missing_hart": (1, """
+main:
+    li   t6, 99
+    li   t1, 5
+    p_swcv t6, t1, 0
+    ebreak
+""", "hart id 99 does not exist"),
+    "join_to_later_core": (2, """
+main:
+    li   ra, 4            # nonzero: a join, not an end
+    li   t0, 0x40000      # join hart 4, on core 1
+    p_ret
+""", "join from hart 0 to a later core (hart 4)"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PROTOCOL_ERRORS))
+def test_team_protocol_errors_are_the_same_on_both_ticks(name):
+    """Each message is worded once, in processor.py: the compiled tick and
+    the reference one stop at the same cycle with the same text."""
+    cores, source, message = PROTOCOL_ERRORS[name]
+    seen = []
+    for backend in (None, "interp"):
+        machine = LBP(Params(num_cores=cores), backend=backend).load(
+            assemble(source))
+        with pytest.raises(MachineError) as err:
+            machine.run(max_cycles=10_000)
+        assert str(err.value) == "cycle %d: %s" % (machine.cycle, message)
+        seen.append((str(err.value), machine.cycle))
+    assert seen[0] == seen[1]
+
+
 def test_fetch_from_bad_address_traps():
     source = """
 main:

@@ -65,6 +65,17 @@ def test_stall_reasons_are_fixed_and_distinct():
     assert STALL_REASONS[-1] == "gated_idle"
 
 
+def test_only_none_and_false_mean_no_metrics():
+    """``metrics=0`` used to build an unmetered machine (the shorthand
+    was tested for truthiness); an int is a window interval."""
+    with pytest.raises(ValueError, match="interval must be >= 1, got 0"):
+        LBP(Params(num_cores=1), metrics=0)
+    for off in (None, False):
+        assert LBP(Params(num_cores=1), metrics=off).metrics is None
+    assert LBP(Params(num_cores=1), metrics=True).metrics.interval == 4096
+    assert LBP(Params(num_cores=1), metrics=7).metrics.interval == 7
+
+
 # ---- accounting identity ----------------------------------------------------
 
 
