@@ -7,8 +7,7 @@ Usage (installed as ``python -m repro``):
     python -m repro run prog.c --cores 4         # run, print statistics
     python -m repro check prog.c                 # referential-order races
     python -m repro check prog.c --sync req:4    # request words are sync
-    python -m repro check prog.c --shards 4 --json
-    python -m repro run prog.c --shards 4        # space-sharded, bit-identical
+    python -m repro check prog.c --json          # machine-readable report
     python -m repro run prog.c --trace --trace-limit 50
     python -m repro run prog.c --trace-kinds mem_store,fork
     python -m repro run prog.c --metrics         # stall attribution table
@@ -40,11 +39,19 @@ from repro.machine.trace import Trace
 
 
 def positive_int(text):
-    """A count option's argument (``--cores``, ``--shards``,
+    """A count option's argument (``--cores``, ``--jobs``,
     ``--max-cycles``...): a positive integer."""
     if not text.isdecimal() or int(text) < 1:
         raise argparse.ArgumentTypeError(
             "%r is not a positive integer" % (text,))
+    return int(text)
+
+
+def non_negative_int(text):
+    """A count option that may be zero (``--trace-limit``, ``--retries``)."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            "%r is not a non-negative integer" % (text,))
     return int(text)
 
 
@@ -89,12 +96,6 @@ def cmd_run(args):
                   "snapshot resumes metered automatically)",
                   file=sys.stderr)
             return 2
-        if args.shards is not None and args.shards != 1:
-            # a snapshot restores a plain LBP; wrap it so the resumed run
-            # (bit-identical either way) executes across shard workers
-            from repro.parsim import ShardedLBP
-
-            machine = ShardedLBP(shards=args.shards, master=machine)
     else:
         if not args.source:
             print("error: a source file is required unless --resume is given",
@@ -112,7 +113,7 @@ def cmd_run(args):
         metrics = args.metrics_interval if want_metrics else None
         machine = LBP(Params(num_cores=args.cores),
                       trace=Trace(traced, kinds=trace_kinds),
-                      shards=args.shards, metrics=metrics)
+                      metrics=metrics)
         machine.load(program)
 
     run_kwargs = {"max_cycles": args.max_cycles}
@@ -133,26 +134,14 @@ def cmd_run(args):
         run_kwargs["snapshot_callback"] = periodic_snapshot
 
     if spans is not None:
-        # the sharded engine records per-epoch wait/send/recv child spans
-        # in each shard process and merges them back here
         run_span = spans.start("run", parent=root)
-        machine.span_ctx = run_span.ctx
     if args.profile:
-        from repro.machine import native
-
-        print("tick      : %s (%s)" % native.status())
-    if args.profile and hasattr(machine, "profile_shard_zero"):
-        # a sharded façade: the simulation happens in the worker
-        # processes, so a parent-side cProfile would see only pipe reads
-        # — profile the representative shard 0 instead
-        machine.profile_shard_zero = True
-        print("profiling : shard 0 of the sharded run (this process when "
-              "the run resolves to one shard); other shards run unprofiled")
-        stats = machine.run(**run_kwargs)
-    elif args.profile:
         import cProfile
         import pstats
 
+        from repro.machine import native
+
+        print("tick      : %s (%s)" % native.status())
         profiler = cProfile.Profile()
         profiler.enable()
         stats = machine.run(**run_kwargs)
@@ -166,7 +155,6 @@ def cmd_run(args):
         root.finish()
         clock = observe.clock_anchor(
             run_span.start_s, run_span.end_s - run_span.start_s, stats.cycles)
-        spans.absorb(getattr(machine, "span_records", None) or [])
 
     if args.snapshot_out:
         from repro.snapshot import save_snapshot
@@ -184,9 +172,6 @@ def cmd_run(args):
     print("memory   : %d local, %d remote accesses"
           % (stats.local_accesses, stats.remote_accesses))
     print("teams    : %d forks, %d joins" % (stats.forks, stats.joins))
-    for line in observe.transport_table(
-            getattr(machine, "transport_stats", None)):
-        print(line)
 
     if args.stats_json:
         _write_stats_json(machine, args.stats_json)
@@ -258,7 +243,7 @@ def cmd_check(args):
     """Run under the referential-order race detector; exit 1 on races."""
     program = _build_program(args.source)
     params = Params(num_cores=args.cores)
-    machine = LBP(params, shards=args.shards, sanitize=True)
+    machine = LBP(params, sanitize=True)
     machine.load(program)
     try:
         machine.run(max_cycles=args.max_cycles)
@@ -290,8 +275,7 @@ def cmd_experiments(args):
 
         cache = RunCache(args.cache_dir)
     rows = run_matmul_figure(args.h, args.cores, args.scale, jobs=args.jobs,
-                             cache=cache, shards=args.shards,
-                             metrics=args.metrics)
+                             cache=cache, metrics=args.metrics)
     print(format_rows(
         rows,
         title="matmul figure — h=%d, %d cores, scale=1/%d"
@@ -460,12 +444,10 @@ def cmd_cache(args):
     return 0
 
 
-def _machine_options(shards_help):
-    """``--cores/--shards/--max-cycles``, shared by ``run`` and ``check``."""
+def _machine_options():
+    """``--cores/--max-cycles``, shared by ``run`` and ``check``."""
     options = argparse.ArgumentParser(add_help=False)
     options.add_argument("--cores", type=positive_int, default=4)
-    options.add_argument("--shards", type=positive_int, default=None,
-                         metavar="N", help=shards_help)
     options.add_argument("--max-cycles", type=positive_int,
                          default=MAX_CYCLES)
     return options
@@ -488,15 +470,13 @@ def main(argv=None):
     p_disasm.add_argument("source")
     p_disasm.set_defaults(func=cmd_disasm)
 
-    p_run = sub.add_parser("run", help="simulate a program", parents=[
-        _machine_options("space-shard the simulator across N worker "
-                         "processes (bit-identical results; 1 = "
-                         "in-process)")])
+    p_run = sub.add_parser("run", help="simulate a program",
+                           parents=[_machine_options()])
     p_run.add_argument("source", nargs="?",
                        help=".c (DetC) or .s (assembly) file "
                             "(optional with --resume)")
     p_run.add_argument("--trace", action="store_true")
-    p_run.add_argument("--trace-limit", type=int, default=100)
+    p_run.add_argument("--trace-limit", type=non_negative_int, default=100)
     p_run.add_argument("--trace-kinds", metavar="K1,K2,...",
                        help="record only these event kinds (implies --trace; "
                             "e.g. mem_store,fork,join)")
@@ -522,8 +502,7 @@ def main(argv=None):
                        help="write the windowed metrics as CSV "
                             "(implies --metrics)")
     p_run.add_argument("--spans", action="store_true",
-                       help="record service spans around the run (and "
-                            "per-epoch spans from shard workers); "
+                       help="record service spans around the run; "
                             "--perfetto then writes the merged "
                             "service+core file on one shared clock")
     p_run.add_argument("--stats-json", metavar="PATH",
@@ -548,9 +527,7 @@ def main(argv=None):
         "check",
         help="run under the referential-order race detector "
              "(exit 1 when races are found)",
-        parents=[_machine_options("space-shard the sanitized run (the "
-                                  "merged report is byte-identical for "
-                                  "any N)")])
+        parents=[_machine_options()])
     p_check.add_argument("source", help=".c (DetC) or .s (assembly) file")
     p_check.add_argument("--sync", metavar="SYM[:WORDS],...",
                          help="treat these globals as synchronization "
@@ -564,17 +541,13 @@ def main(argv=None):
         "experiments",
         help="run a matmul figure sweep through the parallel runner",
         parents=[cache_dir])
-    p_exp.add_argument("--h", type=int, default=16,
+    p_exp.add_argument("--h", type=positive_int, default=16,
                        help="total hart count of the figure (16/64/256)")
     p_exp.add_argument("--cores", type=positive_int, default=4)
     p_exp.add_argument("--scale", type=positive_int, default=1,
                        help="work-scale divisor: each thread's inner (K) "
                             "dimension shrinks by it")
-    p_exp.add_argument("--shards", type=positive_int, default=None,
-                       metavar="N",
-                       help="space-shard each simulation across N "
-                            "worker processes (results are bit-identical)")
-    p_exp.add_argument("--jobs", type=int, default=None,
+    p_exp.add_argument("--jobs", type=positive_int, default=None,
                        help="worker processes (default: LBP_JOBS or the "
                             "CPU affinity count)")
     p_exp.add_argument("--metrics", action="store_true",
@@ -602,9 +575,10 @@ def main(argv=None):
     p_serve.add_argument("--job-timeout", type=float, default=None,
                          metavar="S", help="kill + retry a simulation after "
                                            "S seconds (default: none)")
-    p_serve.add_argument("--retries", type=int, default=1,
+    p_serve.add_argument("--retries", type=non_negative_int, default=1,
                          help="extra attempts after a timeout")
-    p_serve.add_argument("--progress-every", type=int, default=None,
+    p_serve.add_argument("--progress-every", type=positive_int,
+                         default=None,
                          metavar="CYCLES",
                          help="progress-stream emission interval")
     p_serve.add_argument("--quotas", metavar="JSON",

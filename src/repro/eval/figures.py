@@ -13,24 +13,21 @@ def _compile(version, h, scale):
 
 
 def run_matmul_experiment(version, h, num_cores, scale=1,
-                          max_cycles=500_000_000, shards=None, metrics=False):
+                          max_cycles=500_000_000, metrics=False):
     """Compile, run and verify one matmul version; returns a result row.
 
-    *shards* runs the space-sharded engine; the results are bit-identical
-    to ``shards=None``, so the row is the same either way — only the wall
-    time changes.  *metrics* (True or a window interval) runs under stall
-    attribution and grows the row a ``stalls`` breakdown plus
-    ``stall_cycles`` — the "why is it slow" column.
+    *metrics* (True or a window interval) runs under stall attribution
+    and grows the row a ``stalls`` breakdown plus ``stall_cycles`` — the
+    "why is it slow" column.
     """
     return _measure(_compile(version, h, scale), version, h, num_cores, scale,
-                    max_cycles=max_cycles, shards=shards, metrics=metrics)
+                    max_cycles=max_cycles, metrics=metrics)
 
 
 def _measure(program, version, h, num_cores, scale,
-             max_cycles=500_000_000, shards=None, metrics=False):
+             max_cycles=500_000_000, metrics=False):
     """Run and verify one compiled matmul version; returns its row."""
-    machine = LBP(Params(num_cores=num_cores), shards=shards,
-                  metrics=metrics).load(program)
+    machine = LBP(Params(num_cores=num_cores), metrics=metrics).load(program)
     stats = machine.run(max_cycles=max_cycles)
     verify_matmul(machine, program, version, h, scale=scale)
     row = {
@@ -54,7 +51,7 @@ def _measure(program, version, h, num_cores, scale,
 
 
 def run_matmul_figure(h, num_cores, scale=1, versions=MATMUL_VERSIONS,
-                      jobs=None, cache=None, shards=None, metrics=False):
+                      jobs=None, cache=None, metrics=False):
     """All versions of one figure as :class:`ExperimentResults`, in
     *versions* order.
 
@@ -63,8 +60,7 @@ def run_matmul_figure(h, num_cores, scale=1, versions=MATMUL_VERSIONS,
     depends on — the program, the machine ``Params`` and whether the row
     carries a stall breakdown — so a hit is exact and a compiler change
     misses.  The misses fan out through :func:`run_experiments` on *jobs*
-    workers and are stored.  *shards* changes only wall time, so it stays
-    out of the key.
+    workers and are stored.
     """
     params = Params(num_cores=num_cores)
     inputs = {"row": "matmul", "metrics": bool(metrics)}
@@ -79,7 +75,7 @@ def run_matmul_figure(h, num_cores, scale=1, versions=MATMUL_VERSIONS,
                 continue
         tasks.append((version, _measure,
                       (program, version, h, num_cores, scale),
-                      {"shards": shards, "metrics": metrics}))
+                      {"metrics": metrics}))
     fresh = run_experiments(tasks, jobs=jobs)
     for version, row in fresh.items():
         canonical = None if cache is None else cache.put(keys[version], row)

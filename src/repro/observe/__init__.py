@@ -26,7 +26,6 @@ from repro.observe.export import (
     build_report,
     report_json,
     stall_table,
-    transport_table,
     windows_csv,
     write_report_json,
     write_windows_csv,
@@ -81,7 +80,6 @@ __all__ = [
     "report_json",
     "shared_clock_errors",
     "stall_table",
-    "transport_table",
     "validate_chrome_trace",
     "validate_prometheus_text",
     "windows_csv",

@@ -119,33 +119,6 @@ def stall_table(report):
     return lines
 
 
-def transport_table(transport_stats):
-    """The sharded run's epoch counters as text lines.
-
-    *transport_stats* is ``ShardedLBP.transport_stats`` — the one piece
-    of telemetry that deliberately lives OUTSIDE the deterministic
-    report: ``epoch_wait`` is wall-clock time the workers spent blocked
-    on the epoch barrier, so it varies run to run while the metrics
-    report must stay byte-identical for any shard count.  Returns ``[]``
-    for an in-process (unsharded) run — whether that is a missing stats
-    object (plain ``LBP``) or the zeroed same-schema object degenerate
-    ``shards=1`` runs publish.
-    """
-    if not transport_stats or not transport_stats.get("per_shard"):
-        return []
-    lines = [
-        "epochs: %d shards, %d epochs (%d fast-forwarded, "
-        "%d cycles skipped)"
-        % (transport_stats["shards"], transport_stats["epochs"],
-           transport_stats["ff_epochs"], transport_stats["ff_cycles"]),
-        "  %-8s %12s" % ("shard", "epoch_wait"),
-    ]
-    for shard in transport_stats["per_shard"]:
-        lines.append("  %-8d %11.3fs"
-                     % (shard["shard"], shard["epoch_wait_s"]))
-    return lines
-
-
 def windows_csv(report):
     """The windowed series as CSV text (one row per window)."""
     header = ["window", "start", "end", "retired", "ipc", "active_harts",

@@ -1,7 +1,6 @@
 """Space-sharded execution of the cycle-accurate LBP simulator.
 
-``ShardedLBP(params, shards=N)`` — or equivalently ``LBP(params,
-shards=N)`` — partitions the machine's core line into N contiguous
+``LBP(params, shards=N)`` partitions the machine's core line into N contiguous
 shards and simulates each shard in its own forked worker process, while
 producing *bit-identical* results to the single-process engine: the same
 merged event order, the same trace lines, the same statistics, and the

@@ -66,7 +66,6 @@ a sharded run is indistinguishable from a single-process one and can be
 resumed under any shard count.
 """
 
-import contextlib
 import heapq
 import marshal
 import os
@@ -163,7 +162,7 @@ class _Worker:
     """One shard's run loop (executes in the forked child)."""
 
     def __init__(self, machine, shard, bounds, peer_send, peer_recv,
-                 to_parent, from_parent, span_ctx=None):
+                 to_parent, from_parent):
         self.machine = machine
         self.shard = shard
         self.bounds = bounds
@@ -194,17 +193,6 @@ class _Worker:
         self.ff_epochs = 0
         self.ff_cycles = 0
         self.epoch_wait_s = 0.0
-        # optional span recording (observability only — the ring keeps
-        # the *last* N epoch spans; drained over the final gather frame
-        # and merged by the coordinator).  None keeps the barrier path
-        # span-free: the disabled cost is one attribute test per epoch.
-        self.span_ctx = span_ctx
-        if span_ctx is not None:
-            from repro.observe.spans import SpanRecorder
-
-            self.spans = SpanRecorder()
-        else:
-            self.spans = None
 
     # -- pieces ---------------------------------------------------------------
 
@@ -215,13 +203,6 @@ class _Worker:
         the earliest pending activity (event delivery) anywhere, or None.
         """
         t0 = time.perf_counter()
-        spans = self.spans
-        if spans is not None:
-            wait_span = spans.start("epoch_wait", parent=self.span_ctx,
-                                    tags={"shard": self.shard,
-                                          "cycle": cycle})
-            send_span = spans.start("epoch_send", parent=wait_span,
-                                    tags={"shard": self.shard})
         machine = self.machine
         outbox = machine._outbox
         machine._outbox = []
@@ -248,10 +229,6 @@ class _Worker:
                     empty = marshal.dumps((status, []))
                 blob = empty
             _send_blob(self.peer_send[peer], blob)
-        if spans is not None:
-            send_span.finish(events=len(outbox))
-            recv_span = spans.start("epoch_recv", parent=wait_span,
-                                    tags={"shard": self.shard})
         events = machine._events
         heappush = heapq.heappush
         for peer in self.peers:
@@ -259,13 +236,9 @@ class _Worker:
             statuses[peer] = peer_status
             for event in batch:
                 heappush(events, event)
-        if spans is not None:
-            recv_span.finish()
         merged = self._merge(statuses)
         self.epochs += 1
         self.epoch_wait_s += time.perf_counter() - t0
-        if spans is not None:
-            wait_span.finish()
         return merged
 
     def _status(self, cycle, outbox):
@@ -396,16 +369,12 @@ class _Worker:
 
     # -- the loop --------------------------------------------------------------
 
-    def run(self, max_cycles, stop_at_cycle, snapshot_every, want_snapshots,
-            profile=False):
+    def run(self, max_cycles, stop_at_cycle, snapshot_every, want_snapshots):
         # *max_cycles* arrives resolved: the coordinator applied the default
-        with _profiled(profile, "shard 0 profile"):
-            outcome, cycle = self._loop(
-                max_cycles, stop_at_cycle, snapshot_every, want_snapshots)
+        outcome, cycle = self._loop(
+            max_cycles, stop_at_cycle, snapshot_every, want_snapshots)
         payload = self._gather_payload(cycle)
         payload["transport"] = self._transport_stats()
-        if self.spans is not None:
-            payload["spans"] = self.spans.drain()
         _send(self.to_parent,
               ("final", outcome, self.machine.cycle, payload))
 
@@ -505,32 +474,10 @@ class _Worker:
 
 
 def _worker_main(machine, shard, bounds, peer_send, peer_recv,
-                 to_parent, from_parent, run_kwargs, profile, span_ctx=None):
+                 to_parent, from_parent, run_kwargs):
     worker = _Worker(machine, shard, bounds, peer_send, peer_recv,
-                     to_parent, from_parent, span_ctx=span_ctx)
-    worker.run(profile=profile, **run_kwargs)
-
-
-@contextlib.contextmanager
-def _profiled(enabled, title):
-    """Run the block under cProfile and print its top-20 table (the
-    ``repro run --profile --shards N`` path); a no-op unless *enabled*."""
-    if not enabled:
-        yield
-        return
-    import cProfile
-    import pstats
-    import sys
-
-    profiler = cProfile.Profile()
-    profiler.enable()
-    try:
-        yield
-    finally:
-        profiler.disable()
-        print("--- %s (top 20 by cumulative time) ---" % title)
-        pstats.Stats(profiler).sort_stats("cumulative").print_stats(20)
-        sys.stdout.flush()
+                     to_parent, from_parent)
+    worker.run(**run_kwargs)
 
 
 # ---- parent-side coordinator -------------------------------------------------
@@ -539,9 +486,9 @@ def _profiled(enabled, title):
 def zeroed_transport_stats():
     """The ``transport_stats`` schema with every counter at zero.
 
-    Published by degenerate (in-process, shards<=1) runs so consumers —
-    ``observe.transport_table``, BENCH recorders — read one shape
-    unconditionally instead of guarding on existence.
+    Published by degenerate (in-process, shards<=1) runs so the bench
+    probe reads one shape unconditionally instead of guarding on
+    existence.
     """
     return {
         "shards": 1,
@@ -562,32 +509,19 @@ class ShardedLBP:
     exactly as if it had simulated the run by itself.
     """
 
-    def __init__(self, params=None, trace=None, shards=None, master=None,
+    def __init__(self, params=None, trace=None, shards=None,
                  sanitize=False, metrics=None, backend=None):
         if shards is None:
             raise ValueError("ShardedLBP requires an explicit shard count")
         check_shards(shards)
-        if master is not None:
-            self.master = master
-        else:
-            self.master = LBP(params, trace=trace, sanitize=sanitize,
-                              metrics=metrics, backend=backend)
+        self.master = LBP(params, trace=trace, sanitize=sanitize,
+                          metrics=metrics, backend=backend)
         #: effective shard count: never more than one core per shard
         self.shards = min(shards, self.master.params.num_cores)
         #: per-shard wall-clock transport/scheduling telemetry from the
         #: last sharded run (nondeterministic by nature, so it lives
         #: here, outside every deterministic surface)
         self.transport_stats = None
-        #: optional tracing: callers set ``span_ctx`` to a
-        #: ``(trace_id, span_id)`` tuple before run(); the shard workers
-        #: then record per-epoch wait/send/recv spans, merged back here
-        #: as ``span_records`` (plain dicts, never machine state)
-        self.span_ctx = None
-        self.span_records = None
-        #: when set, shard 0's worker — or this process, when the run
-        #: turns out in-process — runs under cProfile and prints its
-        #: top-20 table (``repro run --profile --shards N``)
-        self.profile_shard_zero = False
 
     # -- façade ---------------------------------------------------------------
 
@@ -624,15 +558,13 @@ class ShardedLBP:
                     and master.cycle >= stop_at_cycle)):
             # degenerate cases: the in-process loop is the sharded run.
             # Publish a zeroed stats object with the sharded schema so
-            # observe.transport_table and BENCH consumers never need an
-            # existence check (no epochs were exchanged, so every
-            # transport counter is honestly zero).
+            # the bench probe never needs an existence check (no epochs
+            # were exchanged, so every transport counter is honestly zero).
             self.transport_stats = zeroed_transport_stats()
-            with _profiled(self.profile_shard_zero, "profile"):
-                return master.run(
-                    max_cycles=max_cycles, stop_at_cycle=stop_at_cycle,
-                    snapshot_every=snapshot_every,
-                    snapshot_callback=snapshot_callback)
+            return master.run(
+                max_cycles=max_cycles, stop_at_cycle=stop_at_cycle,
+                snapshot_every=snapshot_every,
+                snapshot_callback=snapshot_callback)
         if master.mmio:
             raise MachineError(
                 "the sharded engine cannot simulate machines with MMIO "
@@ -652,13 +584,6 @@ class _Coordinator:
         self.pids = []
         self.up = {}      # shard -> read fd (worker -> parent)
         self.down = {}    # shard -> write fd (parent -> worker)
-        self.span_ctx = sharded.span_ctx
-        self._spans = None
-        self._span = None
-        if self.span_ctx is not None:
-            from repro.observe.spans import SpanRecorder
-
-            self._spans = SpanRecorder()
 
     def run(self, max_cycles, stop_at_cycle, snapshot_every,
             snapshot_callback):
@@ -671,10 +596,6 @@ class _Coordinator:
             "snapshot_every": snapshot_every,
             "want_snapshots": snapshot_callback is not None,
         }
-        if self._spans is not None:
-            self._span = self._spans.start(
-                "shard_coordinate", parent=tuple(self.span_ctx),
-                tags={"shards": shards})
 
         # full mesh: mesh[i][j] = (read, write) pipe carrying i -> j
         mesh = {
@@ -707,11 +628,6 @@ class _Coordinator:
 
             return self._serve(snapshot_callback, stop_at_cycle)
         finally:
-            if self._span is not None:
-                self._span.finish()
-                records = self.sharded.span_records or []
-                records.extend(self._spans.drain())
-                self.sharded.span_records = records
             self._cleanup()
 
     def _child(self, shard, mesh, parent_up, parent_down, run_kwargs):
@@ -743,11 +659,8 @@ class _Coordinator:
                     from_parent = r
                 else:
                     os.close(r)
-            profile = self.sharded.profile_shard_zero and shard == 0
-            span_ctx = self._span.ctx if self._span is not None else None
             _worker_main(self.master, shard, self.bounds, peer_send,
-                         peer_recv, to_parent, from_parent, run_kwargs,
-                         profile, span_ctx=span_ctx)
+                         peer_recv, to_parent, from_parent, run_kwargs)
             status = 0
         except BaseException:
             import traceback
@@ -831,17 +744,8 @@ class _Coordinator:
         """Load the gathered shard slices into the master machine."""
         master = self.master
         master._events = []
-        shard_stats = []
-        shard_spans = []
-        for frame in frames:
-            payload = frame[3]
-            if "transport" in payload:
-                shard_stats.append(payload["transport"])
-            shard_spans.extend(payload.get("spans") or ())
-        if shard_spans:
-            records = self.sharded.span_records or []
-            records.extend(shard_spans)
-            self.sharded.span_records = records
+        shard_stats = [frame[3]["transport"] for frame in frames
+                       if "transport" in frame[3]]
         if shard_stats:
             self.sharded.transport_stats = {
                 "shards": len(self.bounds),

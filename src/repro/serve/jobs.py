@@ -72,7 +72,7 @@ class JobSpec:
     Wire shape (all but ``source`` optional)::
 
         {"source": "...", "filename": "job.c", "params": {"num_cores": 4},
-         "inputs": <any JSON>, "max_cycles": 500000000, "shards": 2}
+         "inputs": <any JSON>, "max_cycles": 500000000}
 
     ``params`` holds the two :class:`repro.machine.Params` knobs,
     ``num_cores`` and ``link_hop_latency`` (any other key is a 400);
@@ -80,16 +80,12 @@ class JobSpec:
     key; ``max_cycles`` is the run's one cycle budget (default
     ``processor.MAX_CYCLES``) and does *not* participate in the key (a
     successful run's value is independent of its cycle budget).
-    ``shards`` picks the sharded engine, bit-exact by construction, so
-    like ``max_cycles`` it stays out of the key — the same work
-    requested sharded or unsharded is one cache object.
     """
 
-    __slots__ = ("source", "filename", "params", "inputs", "max_cycles",
-                 "shards")
+    __slots__ = ("source", "filename", "params", "inputs", "max_cycles")
 
     def __init__(self, source, filename="job.c", params=None, inputs=None,
-                 max_cycles=None, shards=None):
+                 max_cycles=None):
         if not isinstance(source, str) or not source:
             raise ValueError("job needs a non-empty 'source' string")
         if not isinstance(filename, str) or "/" in filename:
@@ -101,19 +97,18 @@ class JobSpec:
         self.filename = filename
         self.params = dict(params or {})
         self.inputs = inputs
-        for name, count in (("max_cycles", max_cycles), ("shards", shards)):
-            # bool is an int subclass: JSON true must not pass as 1
-            if count is not None and (type(count) is not int or count < 1):
-                raise ValueError("'%s' must be a positive integer" % name)
+        # bool is an int subclass: JSON true must not pass as 1
+        if max_cycles is not None and (type(max_cycles) is not int
+                                       or max_cycles < 1):
+            raise ValueError("'max_cycles' must be a positive integer")
         self.max_cycles = max_cycles
-        self.shards = shards
 
     @classmethod
     def from_wire(cls, payload):
         if not isinstance(payload, dict):
             raise ValueError("each job must be a JSON object")
         unknown = set(payload) - {"source", "filename", "params", "inputs",
-                                  "max_cycles", "shards"}
+                                  "max_cycles"}
         if unknown:
             raise ValueError("unknown job field(s): %s"
                              % ", ".join(sorted(unknown)))
@@ -121,8 +116,7 @@ class JobSpec:
                    filename=payload.get("filename", "job.c"),
                    params=payload.get("params"),
                    inputs=payload.get("inputs"),
-                   max_cycles=payload.get("max_cycles"),
-                   shards=payload.get("shards"))
+                   max_cycles=payload.get("max_cycles"))
 
     def machine_params(self):
         """The Params object this spec describes (validates the knobs)."""

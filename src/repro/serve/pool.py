@@ -63,6 +63,8 @@ class WorkerPool:
     def __init__(self, workers=2, timeout=None, retries=1):
         if workers < 1:
             raise ValueError("workers must be >= 1")
+        if retries < 0:
+            raise ValueError("retries must be >= 0")
         self.workers = workers
         self.timeout = timeout
         self.retries = retries

@@ -273,7 +273,7 @@ class SimServer:
                 execute_job,
                 args=(spec.source, spec.filename, spec.params,
                       spec.max_cycles, self.config.progress_every,
-                      spec.shards, job.trace_ctx),
+                      job.trace_ctx),
                 on_progress=on_progress, on_attempt=on_attempt,
                 cancel_event=job.cancel_event)
         except PoolCancelled:
@@ -295,7 +295,13 @@ class SimServer:
             self.table.counters["failed"] += 1
             job.fail("internal: %r" % (exc,))
         else:
-            canonical = self.cache.put(job.key, value)
+            try:
+                canonical = self.cache.put(job.key, value)
+            except OSError as exc:
+                # the run succeeded; the cache only memoises it, so a full
+                # or read-only cache root costs the next submitter a miss
+                flight().note("cache_put_failed", job=job.id, error=str(exc))
+                canonical = None
             self.table.counters["completed"] += 1
             job.resolve(canonical if canonical is not None else value)
             self._maybe_gc()

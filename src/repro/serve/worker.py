@@ -16,9 +16,8 @@ change results) and a compact progress payload is emitted at the same
 safe point periodic snapshots use: cycle count, retired, IPC so far and
 the dominant stall reason.
 
-The worker always records its spans (execute, compile, run; and,
-sharded, per-epoch wait/send/recv spans merged back from the shard
-processes) plus a cycles↔wall clock anchor, and ships them up the same
+The worker always records its spans (execute, compile, run) plus a
+cycles↔wall clock anchor, and ships them up the same
 progress pipe as one ``{"kind": "spans"}`` payload just before
 returning.  *trace_ctx* — the admission span's ``(trace_id, span_id)``,
 propagated by value through the fork — is what they chain onto; without
@@ -72,25 +71,24 @@ def job_value(machine, stats):
 
 
 def execute_job(source, filename, params, max_cycles=None,
-                progress_every=None, shards=None, trace_ctx=None,
+                progress_every=None, trace_ctx=None,
                 progress=None):
     """Run one job to completion; returns the canonical result value.
 
     *progress* (injected by the pool) receives :func:`job_progress`
     payloads roughly every *progress_every* cycles; passing it implies a
     metered run so the payloads carry IPC and the top stall reason.
-    *shards* selects the sharded engine (bit-exact either way).
     *trace_ctx* links this execution into the admission's trace.
     """
     spans = SpanRecorder()
     execute_span = spans.start("execute", parent=trace_ctx)
-    flight().note("execute_begin", filename=filename, shards=shards,
+    flight().note("execute_begin", filename=filename,
                   trace_id=execute_span.trace_id)
     with spans.span("compile", parent=execute_span, filename=filename):
         program = compiled_program(source, filename)
 
     metered = progress is not None
-    machine = LBP(Params.from_state_dict(params), shards=shards,
+    machine = LBP(Params.from_state_dict(params),
                   metrics=True if metered else None).load(program)
     run_kwargs = {}
     if max_cycles is not None:
@@ -100,16 +98,11 @@ def execute_job(source, filename, params, max_cycles=None,
         run_kwargs["snapshot_every"] = every
         run_kwargs["snapshot_callback"] = lambda m: progress(job_progress(m))
     run_span = spans.start("run", parent=execute_span)
-    # the sharded engine forwards this context into each shard
-    # process and merges their epoch spans back via the final
-    # gather payload (engine.span_records)
-    machine.span_ctx = run_span.ctx
     run_start = time.monotonic()
     try:
         stats = machine.run(**run_kwargs)
     finally:
         run_span.finish(cycles=machine.cycle)
-    spans.absorb(getattr(machine, "span_records", None) or ())
     value = job_value(machine, stats)
     execute_span.finish(cycles=value["cycles"], retired=value["retired"])
     flight().note("execute_end", cycles=value["cycles"],

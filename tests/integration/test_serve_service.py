@@ -123,6 +123,31 @@ def test_hit_after_completion_and_cache_shared_with_run_program(tmp_path):
     assert _canonical(first["value"]) == expected
 
 
+def test_a_failed_cache_write_still_answers_and_frees_the_worker(
+        tmp_path, monkeypatch):
+    """A cache put that raises (full disk, read-only root) resolves the
+    job with the value it computed, and the one worker runs the next job:
+    caching only memoises a run that succeeded."""
+    import errno
+
+    from repro.observe.spans import flight
+
+    def full(self, key, value):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(RunCache, "put", full)
+    with _serve(tmp_path, workers=1) as handle:
+        client = _client(handle)
+        first = client.submit_one(_job(inputs="a"))
+        second = client.submit_one(_job(inputs="b"))
+    assert first["status"] == second["status"] == "done"
+    machine = LBP(Params(num_cores=2)).load(build_program(SHORT_ASM, "job.s"))
+    assert _canonical(first["value"]) == _canonical(
+        job_value(machine, machine.run()))
+    assert any(event["kind"] == "cache_put_failed"
+               for event in flight().events())
+
+
 def test_progress_streaming_then_terminal(tmp_path):
     with _serve(tmp_path, progress_every=100_000) as handle:
         client = _client(handle)

@@ -62,13 +62,13 @@ def _setget_machine(shards=None, trace=True):
 
 def test_pause_snapshot_resume_across_shard_counts():
     """Pause under shards=2; the snapshot resumes bit-identically under
-    shards=1 (plain restore) and re-wrapped under shards=4."""
+    shards=1 (plain restore) and loaded into a shards=4 machine."""
     reference, _ = _setget_machine()
     reference.run(max_cycles=MAX_CYCLES)
     want_digest = trace_digest(reference.trace.events)
     want_state = reference.state_dict()
 
-    paused, _ = _setget_machine(shards=2)
+    paused, program = _setget_machine(shards=2)
     paused.run(max_cycles=MAX_CYCLES, stop_at_cycle=5000)
     assert not paused.halted and paused.cycle == 5000
     blob = snapshot(paused)
@@ -83,7 +83,8 @@ def test_pause_snapshot_resume_across_shard_counts():
     assert trace_digest(resumed.trace.events) == want_digest
     assert resumed.state_dict() == want_state
 
-    resharded = ShardedLBP(shards=4, master=restore(blob))
+    resharded = LBP(Params(num_cores=4), shards=4).load(program, start=False)
+    resharded.load_state_dict(restore(blob).state_dict())
     resharded.run(max_cycles=MAX_CYCLES)
     assert trace_digest(resharded.trace.events) == want_digest
     assert resharded.state_dict() == want_state

@@ -101,36 +101,43 @@ def test_no_option_selects_a_second_simulator(capsys, ask, error):
         assert "unrecognized arguments: --sim" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("cores", ["1", "2"])
-def test_cli_profile_with_shards(tmp_path, capfd, cores):
-    """The profile path must decide on the façade, not compare the count:
-    ``--shards 2`` on one core clamps to an in-process run, on two it
-    forks workers — either way a profile table comes out (capfd: shard 0
-    prints its own)."""
-    assert cli_main(["run", _write(tmp_path, _PROG), "--cores", cores,
-                     "--shards", "2", "--profile", "--print", "v:4"]) == 0
-    out = capfd.readouterr().out
-    # the header says which tick the numbers below were measured on
-    from repro.machine import native
-    assert "tick      : %s (%s)" % native.status() in out
-    assert "profiling : shard 0" in out
-    assert "profile (top 20 by cumulative time) ---" in out
-    assert "[40, 41, 42, 43]" in out
-
-
-@pytest.mark.parametrize("bad", ["0", "-3", "auto", "2.5"])
 @pytest.mark.parametrize("command", ["run", "check", "experiments"])
-def test_cli_rejects_a_shard_count_that_is_not_positive(tmp_path, capsys,
-                                                        command, bad):
-    """A usage error from the parser, not a traceback out of the engine."""
-    argv = [command, "--shards", bad]
+def test_cli_has_no_shard_option(tmp_path, capsys, command):
+    """The sharded engine is slower everywhere it was measured; the only
+    way to select it is ``LBP(params, shards=N)``."""
+    argv = [command, "--shards", "2"]
     if command != "experiments":
         argv.insert(1, _write(tmp_path, _PROG))
     with pytest.raises(SystemExit) as exit_:
         cli_main(argv)
     assert exit_.value.code == 2
-    err = capsys.readouterr().err
-    assert "usage:" in err and "not a positive integer" in err
+    assert "unrecognized arguments: --shards" in capsys.readouterr().err
+
+
+def _sharded_job():
+    from repro.serve.worker import execute_job
+
+    return execute_job("main:\n    ebreak\n", "job.s", {"num_cores": 2},
+                       shards=2)
+
+
+def _wrapped_master():
+    from repro.machine import LBP, Params
+    from repro.parsim import ShardedLBP
+
+    return ShardedLBP(Params(num_cores=4), shards=2, master=LBP())
+
+
+@pytest.mark.parametrize("ask", [
+    lambda: run_matmul_experiment("base", 8, 2, shards=2),
+    lambda: run_matmul_figure(8, 2, shards=2),
+    _sharded_job,
+    _wrapped_master,
+], ids=["run_matmul_experiment", "run_matmul_figure", "execute_job",
+        "ShardedLBP-master"])
+def test_no_other_entry_point_selects_the_sharded_engine(ask):
+    with pytest.raises(TypeError, match="unexpected keyword"):
+        ask()
 
 
 @pytest.mark.parametrize("bad", ["0", "-1"])
@@ -145,6 +152,9 @@ def test_cli_rejects_a_shard_count_that_is_not_positive(tmp_path, capsys,
     ["run", "PROG", "--metrics-interval"],
     ["run", "PROG", "--snapshot-every"],
     ["serve", "--workers"],
+    ["experiments", "--jobs"],
+    ["experiments", "--h"],
+    ["serve", "--progress-every"],
 ], ids=lambda argv: "-".join(argv).replace("-PROG", ""))
 def test_cli_count_options_take_a_positive_integer(tmp_path, capsys, argv,
                                                    bad):
@@ -158,6 +168,31 @@ def test_cli_count_options_take_a_positive_integer(tmp_path, capsys, argv,
     assert exit_.value.code == 2
     err = capsys.readouterr().err
     assert "usage:" in err and "not a positive integer" in err
+
+
+@pytest.mark.parametrize("bad", ["-1", "x"])
+@pytest.mark.parametrize("argv", [
+    ["run", "PROG", "--trace-limit"],
+    ["serve", "--retries"],
+], ids=lambda argv: "-".join(argv).replace("-PROG", ""))
+def test_cli_zero_allowed_count_options_take_a_non_negative_integer(
+        tmp_path, capsys, argv, bad):
+    """``--trace-limit -1`` dropped the last trace event and ``--retries
+    -1`` made the daemon answer every miss with a cached null."""
+    argv = [_write(tmp_path, _PROG) if word == "PROG" else word
+            for word in argv] + [bad]
+    with pytest.raises(SystemExit) as exit_:
+        cli_main(argv)
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and "not a non-negative integer" in err
+
+
+def test_cli_trace_limit_zero_prints_no_events(tmp_path, capsys):
+    assert cli_main(["run", _write(tmp_path, _PROG), "--cores", "1",
+                     "--trace", "--trace-limit", "0"]) == 0
+    out = capsys.readouterr().out
+    assert "--- trace" in out and "at cycle" not in out
 
 
 @pytest.mark.parametrize("bad", ["0", "-1", "x"])
@@ -340,19 +375,6 @@ def test_cli_perfetto_file_is_the_same_with_and_without_trace(tmp_path,
     assert files[0] == files[1]
 
 
-def test_cli_sharded_run_prints_per_shard_epoch_wait(tmp_path, capsys):
-    assert cli_main(["run", _write(tmp_path, _PROG), "--cores", "2",
-                     "--shards", "2", "--print", "v:4"]) == 0
-    out = capsys.readouterr().out
-    assert "[40, 41, 42, 43]" in out
-    assert "epochs: 2 shards" in out
-    lines = out.splitlines()
-    header = lines.index("  %-8s %12s" % ("shard", "epoch_wait"))
-    assert [line.split()[0] for line in lines[header + 1:header + 3]] == [
-        "0", "1"]
-    assert all(line.endswith("s") for line in lines[header + 1:header + 3])
-
-
 def test_cli_has_one_command_per_kind_of_run(capsys):
     with pytest.raises(SystemExit) as exit_:
         cli_main(["--help"])
@@ -423,18 +445,6 @@ def test_figure_cache_misses_when_the_program_changes(tmp_path, monkeypatch):
     assert (cache.hits, cache.misses) == (0, 2 * len(MATMUL_VERSIONS))
     assert changed == run_matmul_figure(jobs=1, **_FIGURE)
     assert list(changed) == list(MATMUL_VERSIONS)
-
-
-def test_cli_experiments_shards_reuse_the_unsharded_rows(tmp_path, capsys):
-    """Sharding changes wall time only, so it is not part of the key."""
-    argv = ["experiments", "--h", "16", "--cores", "4", "--scale", "8",
-            "--jobs", "1", "--cache-dir", str(tmp_path / "cache")]
-    assert cli_main(argv) == 0
-    cold = capsys.readouterr()
-    assert cli_main(argv + ["--shards", "2"]) == 0
-    sharded = capsys.readouterr()
-    assert "%d hit(s), 0 miss(es)" % len(MATMUL_VERSIONS) in sharded.err
-    assert sharded.out == cold.out
 
 
 def test_figure_key_names_h_scale_cores_and_metrics(tmp_path):

@@ -390,11 +390,3 @@ def test_zeroed_transport_stats_matches_sharded_schema():
     assert zeroed["epochs"] == 0 and zeroed["epoch_wait_s"] == 0.0
     assert zeroed["ff_epochs"] == 0 and zeroed["ff_cycles"] == 0
     assert zeroed["per_shard"] == []
-
-
-def test_transport_table_renders_empty_for_zeroed_stats():
-    from repro.observe.export import transport_table
-    from repro.parsim.engine import zeroed_transport_stats
-
-    assert transport_table(None) == []
-    assert transport_table(zeroed_transport_stats()) == []

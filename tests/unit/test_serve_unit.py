@@ -128,12 +128,12 @@ def test_jobspec_wire_validation():
         JobSpec(ASM, filename="../escape.s")
 
 
-@pytest.mark.parametrize("field", ["max_cycles", "shards"])
+@pytest.mark.parametrize("field", ["max_cycles"])
 @pytest.mark.parametrize("bad", ["abc", -5, 0, True, 2.5])
 def test_bad_counts_are_rejected_before_quota_or_fork(tmp_path, field, bad):
-    """A non-int (JSON ``true`` included) or non-positive ``max_cycles`` /
-    ``shards`` is a 400 at admission — not a quota charge, a fork and a
-    TypeError from inside the simulator."""
+    """A non-int (JSON ``true`` included) or non-positive ``max_cycles``
+    is a 400 at admission — not a quota charge, a fork and a TypeError
+    from inside the simulator."""
     with pytest.raises(ValueError, match="'%s' must be a positive" % field):
         JobSpec.from_wire({"source": ASM, "filename": "job.s", field: bad})
 
@@ -201,6 +201,28 @@ def test_backend_is_an_unknown_job_field():
     with pytest.raises(ValueError, match="unknown job field.*backend"):
         JobSpec.from_wire({"source": ASM, "filename": "job.s",
                            "backend": "soa"})
+
+
+def test_shards_is_an_unknown_job_field():
+    with pytest.raises(ValueError, match="unknown job field.*shards"):
+        JobSpec.from_wire({"source": ASM, "filename": "job.s", "shards": 2})
+
+
+@pytest.mark.parametrize("field, value", [("backend", "soa"), ("shards", 2)])
+def test_selector_field_is_refused_before_quota_or_fork(tmp_path, field,
+                                                        value):
+    server = SimServer(ServeConfig(unix_path=str(tmp_path / "unused.sock"),
+                                   cache_root=str(tmp_path / "cache"),
+                                   default_quota=(0, 1)))
+    status, body = _run(server._submit_batch(
+        {"jobs": [{"source": ASM, "filename": "job.s", field: value}]}))
+    assert status == 400
+    (record,) = body["jobs"]
+    assert record["error"] == "unknown job field(s): %s" % field
+    stats = server.stats()
+    assert stats["jobs"]["submitted"] == 0 and stats["jobs"]["misses"] == 0
+    assert stats["quota"] == {}
+    assert not server._heap and not server.table.inflight
 
 
 def test_jobspec_key_matches_run_cache_keying(tmp_path):
@@ -435,6 +457,13 @@ def test_pool_cancellation():
 def test_pool_rejects_bad_worker_count():
     with pytest.raises(ValueError):
         WorkerPool(workers=0)
+
+
+def test_pool_rejects_a_negative_retry_count():
+    """``retries=-1`` left no attempt at all: ``run`` returned None
+    without forking, and the server cached that None as the value."""
+    with pytest.raises(ValueError, match="retries"):
+        WorkerPool(workers=1, retries=-1)
 
 
 # ---- the service, socket-free -----------------------------------------------
