@@ -68,7 +68,7 @@ def test_pause_snapshot_resume_across_shard_counts():
     want_digest = trace_digest(reference.trace.events)
     want_state = reference.state_dict()
 
-    paused, program = _setget_machine(shards=2)
+    paused, _ = _setget_machine(shards=2)
     paused.run(max_cycles=MAX_CYCLES, stop_at_cycle=5000)
     assert not paused.halted and paused.cycle == 5000
     blob = snapshot(paused)
@@ -83,8 +83,11 @@ def test_pause_snapshot_resume_across_shard_counts():
     assert trace_digest(resumed.trace.events) == want_digest
     assert resumed.state_dict() == want_state
 
-    resharded = LBP(Params(num_cores=4), shards=4).load(program, start=False)
-    resharded.load_state_dict(restore(blob).state_dict())
+    # the snapshot supplies the shape and the program, not the caller
+    source = restore(blob)
+    resharded = LBP(source.params, shards=4).load(source.program,
+                                                  start=False)
+    resharded.load_state_dict(source.state_dict())
     resharded.run(max_cycles=MAX_CYCLES)
     assert trace_digest(resharded.trace.events) == want_digest
     assert resharded.state_dict() == want_state

@@ -85,6 +85,17 @@ def test_cli_run_with_globals(tmp_path, capsys):
     assert "halt     : exit" in out
 
 
+def test_cli_profile(tmp_path, capsys):
+    assert cli_main(["run", _write(tmp_path, _PROG), "--cores", "2",
+                     "--profile", "--print", "v:4"]) == 0
+    out = capsys.readouterr().out
+    # the header says which tick the numbers below were measured on
+    from repro.machine import native
+    assert "tick      : %s (%s)" % native.status() in out
+    assert "--- profile (top 20 by cumulative time) ---" in out
+    assert "[40, 41, 42, 43]" in out
+
+
 @pytest.mark.parametrize("ask, error", [
     (lambda: cli_main(["run", "prog.c", "--sim", "fast"]), SystemExit),
     (lambda: cli_main(["experiments", "--sim", "cycle"]), SystemExit),

@@ -128,28 +128,35 @@ def test_jobspec_wire_validation():
         JobSpec(ASM, filename="../escape.s")
 
 
-@pytest.mark.parametrize("field", ["max_cycles"])
-@pytest.mark.parametrize("bad", ["abc", -5, 0, True, 2.5])
-def test_bad_counts_are_rejected_before_quota_or_fork(tmp_path, field, bad):
-    """A non-int (JSON ``true`` included) or non-positive ``max_cycles``
-    is a 400 at admission — not a quota charge, a fork and a TypeError
-    from inside the simulator."""
-    with pytest.raises(ValueError, match="'%s' must be a positive" % field):
-        JobSpec.from_wire({"source": ASM, "filename": "job.s", field: bad})
-
+def _refused_at_admission(tmp_path, **fields):
+    """Submit one job carrying ``fields`` to a fresh server whose default
+    quota allows one job; check it is a 400 that charged no quota and
+    reached no queue, and return its record."""
     server = SimServer(ServeConfig(unix_path=str(tmp_path / "unused.sock"),
                                    cache_root=str(tmp_path / "cache"),
                                    default_quota=(0, 1)))
     status, body = _run(server._submit_batch(
-        {"jobs": [{"source": ASM, "filename": "job.s", field: bad}]}))
+        {"jobs": [dict(fields, source=ASM, filename="job.s")]}))
     assert status == 400
     (record,) = body["jobs"]
     assert record["status"] == "rejected" and record["code"] == 400
-    assert field in record["error"]
     stats = server.stats()
     assert stats["jobs"]["submitted"] == 0 and stats["jobs"]["misses"] == 0
     assert stats["quota"] == {}  # nobody was charged, no bucket was made
     assert not server._heap and not server.table.inflight
+    return record
+
+
+@pytest.mark.parametrize("bad", ["abc", -5, 0, True, 2.5])
+def test_bad_counts_are_rejected_before_quota_or_fork(tmp_path, bad):
+    """A non-int (JSON ``true`` included) or non-positive ``max_cycles``
+    is a 400 at admission — not a quota charge, a fork and a TypeError
+    from inside the simulator."""
+    with pytest.raises(ValueError, match="'max_cycles' must be a positive"):
+        JobSpec.from_wire({"source": ASM, "filename": "job.s",
+                           "max_cycles": bad})
+    record = _refused_at_admission(tmp_path, max_cycles=bad)
+    assert "max_cycles" in record["error"]
 
 
 @pytest.mark.parametrize("params", [
@@ -164,21 +171,10 @@ def test_bad_params_are_rejected_before_quota_or_fork(tmp_path, params):
     it, the compiled tick): a bad knob value or an unknown knob is a 400
     at admission, not a charged, forked job that dies — or never ends —
     in the worker."""
-    server = SimServer(ServeConfig(unix_path=str(tmp_path / "unused.sock"),
-                                   cache_root=str(tmp_path / "cache"),
-                                   default_quota=(0, 1)))
-    status, body = _run(server._submit_batch(
-        {"jobs": [{"source": ASM, "filename": "job.s", "params": params}]}))
-    assert status == 400
-    (record,) = body["jobs"]
-    assert record["status"] == "rejected" and record["code"] == 400
+    record = _refused_at_admission(tmp_path, params=params)
     assert not record["error"].startswith("bad program")
     knob = next(iter(params)) if isinstance(params, dict) else "params"
     assert knob in record["error"]
-    stats = server.stats()
-    assert stats["jobs"]["submitted"] == 0 and stats["jobs"]["misses"] == 0
-    assert stats["quota"] == {}  # nobody was charged, no bucket was made
-    assert not server._heap and not server.table.inflight
 
 
 @pytest.mark.parametrize("knob", [
@@ -203,26 +199,12 @@ def test_backend_is_an_unknown_job_field():
                            "backend": "soa"})
 
 
-def test_shards_is_an_unknown_job_field():
-    with pytest.raises(ValueError, match="unknown job field.*shards"):
-        JobSpec.from_wire({"source": ASM, "filename": "job.s", "shards": 2})
-
-
 @pytest.mark.parametrize("field, value", [("backend", "soa"), ("shards", 2)])
 def test_selector_field_is_refused_before_quota_or_fork(tmp_path, field,
                                                         value):
-    server = SimServer(ServeConfig(unix_path=str(tmp_path / "unused.sock"),
-                                   cache_root=str(tmp_path / "cache"),
-                                   default_quota=(0, 1)))
-    status, body = _run(server._submit_batch(
-        {"jobs": [{"source": ASM, "filename": "job.s", field: value}]}))
-    assert status == 400
-    (record,) = body["jobs"]
+    """Neither engine selector is a job field."""
+    record = _refused_at_admission(tmp_path, **{field: value})
     assert record["error"] == "unknown job field(s): %s" % field
-    stats = server.stats()
-    assert stats["jobs"]["submitted"] == 0 and stats["jobs"]["misses"] == 0
-    assert stats["quota"] == {}
-    assert not server._heap and not server.table.inflight
 
 
 def test_jobspec_key_matches_run_cache_keying(tmp_path):
