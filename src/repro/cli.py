@@ -55,6 +55,23 @@ def non_negative_int(text):
     return int(text)
 
 
+def _symbol_words(program, text, option):
+    """``--print`` / ``--sync``'s ``NAME[:N],...``: ``(name, address,
+    words)`` per item, N a positive integer (default 1).  Raises
+    ValueError naming the bad item."""
+    items = []
+    for item in text.split(","):
+        name, colon, words = (part.strip() for part in item.partition(":"))
+        if not name and not colon:
+            continue
+        try:
+            address = program.symbol(name)
+            items.append((name, address, positive_int(words) if colon else 1))
+        except (KeyError, argparse.ArgumentTypeError) as exc:
+            raise ValueError("%s %s: %s" % (option, item.strip(), exc.args[0]))
+    return items
+
+
 def _read_source(path):
     with open(path) as handle:
         return handle.read()
@@ -115,6 +132,12 @@ def cmd_run(args):
                       trace=Trace(traced, kinds=trace_kinds),
                       metrics=metrics)
         machine.load(program)
+
+    try:
+        printed = _symbol_words(program, args.print or "", "--print")
+    except ValueError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 2
 
     run_kwargs = {"max_cycles": args.max_cycles}
     if args.stop_at_cycle is not None:
@@ -199,14 +222,10 @@ def cmd_run(args):
     if spans is not None:
         print("spans    : %d recorded (trace %s)" % (len(spans), root.trace_id))
 
-    if args.print:
-        for spec in args.print.split(","):
-            name, _, count_text = spec.partition(":")
-            count = int(count_text) if count_text else 1
-            base = program.symbol(name.strip())
-            values = [to_signed(machine.read_word(base + 4 * i))
-                      for i in range(count)]
-            print("%-8s : %s" % (name.strip(), values if count > 1 else values[0]))
+    for name, base, count in printed:
+        values = [to_signed(machine.read_word(base + 4 * i))
+                  for i in range(count)]
+        print("%-8s : %s" % (name, values if count > 1 else values[0]))
 
     if args.timeline:
         from repro.machine.timeline import print_timeline
@@ -240,30 +259,31 @@ def _write_stats_json(machine, path):
 
 
 def cmd_check(args):
-    """Run under the referential-order race detector; exit 1 on races."""
+    """Run under the referential-order race detector; exit 1 on races,
+    2 when the run did not finish and found none."""
     program = _build_program(args.source)
-    params = Params(num_cores=args.cores)
-    machine = LBP(params, sanitize=True)
+    try:
+        sync = [(base, words * 4) for _name, base, words
+                in _symbol_words(program, args.sync or "", "--sync")]
+    except ValueError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 2
+    machine = LBP(Params(num_cores=args.cores), sanitize=True)
     machine.load(program)
+    stopped_at = None
     try:
         machine.run(max_cycles=args.max_cycles)
     except Exception as exc:  # report observations gathered so far anyway
         print("warning: run ended abnormally: %s" % exc, file=sys.stderr)
-    sync = []
-    if args.sync:
-        for spec in args.sync.split(","):
-            spec = spec.strip()
-            if not spec:
-                continue
-            name, _, words_text = spec.partition(":")
-            words = int(words_text) if words_text else 1
-            sync.append((program.symbol(name.strip()), words * 4))
+        stopped_at = machine.cycle
     report = machine.race_report(sync=sync)
     if args.json:
         print(report.to_json())
     else:
-        print(report.format())
-    return 1 if report else 0
+        print(report.format(stopped_at=stopped_at))
+    if report:
+        return 1
+    return 0 if stopped_at is None else 2
 
 
 def cmd_experiments(args):
@@ -592,9 +612,9 @@ def main(argv=None):
                          help="write the recorded service spans as a "
                               "Perfetto/Chrome trace file on drain")
     p_serve.add_argument("--flight-dir", metavar="DIR", default=None,
-                         help="arm the crash flight recorder: processes "
-                              "spill their last-N event rings here as "
-                              ".jsonl dumps on worker crash")
+                         help="arm the crash flight recorder: the daemon "
+                              "spills its last-N event ring here as a "
+                              ".jsonl dump when a worker dies")
     p_serve.set_defaults(func=cmd_serve)
 
     p_submit = sub.add_parser(

@@ -3,31 +3,28 @@
 This is the service-plane half of ``repro.observe``: PR 5's stall
 attribution answers "where did the *machine* spend its cycles"; spans
 answer "where did a *request* spend its wall-clock" — admission, quota,
-cache probe, fork, shard epochs, merge, response — as one correlated
-trace across every process a job touches.
+cache probe, fork, compile, run, response — as one correlated trace
+across every process a job touches.
 
 Three design rules keep it safe next to the deterministic simulator:
 
 * **observation only** — spans read the wall clock and nothing else;
   span state never enters ``state_dict``, cache keys or cached values,
-  so golden digests and shard byte-identity are unchanged with tracing
-  on;
+  so golden digests are unchanged with tracing on;
 * **propagation by value** — a trace context is a plain
   ``(trace_id, span_id)`` tuple handed through ordinary function
   arguments (task specs, fork args, run kwargs).  Nothing is ambient,
-  so forked workers and shard processes need no shared registry;
-* **optional only where a context is passed by value** — the sharded
-  engine and ``repro run --spans`` record when their caller handed
-  them a context and pay one ``is not None`` test per site when not
-  (both sides have real callers).  The serve daemon has no off position:
-  it always records (DESIGN.md §14.1 says why).
+  so forked workers need no shared registry;
+* **optional only on the command line** — ``repro run --spans`` is the
+  one caller that may record or not.  The serve daemon has no off
+  position: it always records (DESIGN.md §14.1 says why).
 
 Clocks: all span timestamps are ``time.monotonic()`` seconds.  On the
 platforms this repo targets ``CLOCK_MONOTONIC`` is system-wide, so
-timestamps taken in a forked worker or a shard process are directly
-comparable to the parent's — the merged trace needs no skew correction
-between processes.  Mapping *simulated cycles* onto that wall clock (so
-PR 5 core timelines and service spans share one Perfetto axis) uses a
+timestamps taken in a forked worker are directly comparable to the
+parent's — the merged trace needs no skew correction between
+processes.  Mapping *simulated cycles* onto that wall clock (so PR 5
+core timelines and service spans share one Perfetto axis) uses a
 :func:`clock_anchor` taken around the run; see
 :func:`repro.observe.perfetto.chrome_trace`.
 
@@ -52,15 +49,15 @@ __all__ = [
     "mint_trace_id",
 ]
 
-#: default ring capacity: enough for every span of a serving burst or
-#: the last ~1300 epochs of a sharded run (3 spans per barrier)
+#: default ring capacity: enough for every span of a serving burst
 DEFAULT_CAPACITY = 4096
 
 #: flight-recorder ring: the last N structured events per process
 FLIGHT_CAPACITY = 256
 
-#: environment variable naming the flight-dump directory; set by
-#: ``repro serve --flight-dir`` (inherited through fork) or by hand
+#: environment variable naming where the sharded engine's coordinator
+#: spills on a shard crash; set by hand (``repro serve --flight-dir``
+#: configures the daemon directly and exports nothing)
 FLIGHT_ENV = "LBP_FLIGHT_DIR"
 
 
@@ -148,10 +145,10 @@ class _SpanContext:
 class SpanRecorder:
     """A per-process ring buffer of finished span records.
 
-    The ring bounds memory on long runs (a sharded worker simulating
-    millions of epochs keeps the *last* ``capacity`` spans), and
-    :meth:`drain` empties it — the drained list is what rides the
-    existing result pipes back to the coordinating process.
+    The ring bounds memory on long runs (a daemon serving millions of
+    requests keeps the *last* ``capacity`` spans), and :meth:`drain`
+    empties it — the drained list is what rides a forked worker's
+    progress pipe back to the daemon.
     """
 
     def __init__(self, capacity=DEFAULT_CAPACITY):
@@ -296,9 +293,8 @@ def flight():
 
 
 def flight_dir():
-    """Where crash dumps go: the ``LBP_FLIGHT_DIR`` environment variable
-    (set by ``repro serve --flight-dir``, inherited through fork), or
-    None — armed-but-disabled."""
+    """Where the sharded engine's crash dumps go: the ``LBP_FLIGHT_DIR``
+    environment variable, or None — armed-but-disabled."""
     return os.environ.get(FLIGHT_ENV) or None
 
 

@@ -143,7 +143,9 @@ class RaceReport:
     def to_json(self):
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
-    def format(self):
+    def format(self, stopped_at=None):
+        """The report as text; *stopped_at* (the cycle a run that did
+        not finish ended at) qualifies the verdict line."""
         if not self.races:
             lines = ["no races: %d shared accesses, %d observations, "
                      "all conflicting pairs ordered"
@@ -153,6 +155,9 @@ class RaceReport:
                      % (len(self.races), self.accesses)]
             for race in self.races:
                 lines.append(race.format(self.params))
+        if stopped_at is not None:
+            lines[0] += (" (covers only the %d cycles simulated: the run "
+                         "did not finish)" % stopped_at)
         if self.blocked:
             lines.append("warning: %d receive(s) blocked in referential "
                          "order (message consumed before the program-order "

@@ -15,16 +15,15 @@ stack uses, applied to deterministic simulations:
 * :mod:`repro.serve.worker` — the forked child: run one simulation,
   stream progress (cycle/IPC/top stall) from periodic-snapshot points;
 * :mod:`repro.serve.http` — the wire framing, sans-IO: the one
-  head parser and the two encoders daemon, client and load harness share;
+  head parser and the two encoders daemon and client share;
 * :mod:`repro.serve.server` — the asyncio daemon (TCP + unix socket):
   the socket-free ``SimServer.handle``, priority scheduling, graceful
   drain, ``/stats`` and the Prometheus ``/metrics`` from one table, and
   end-to-end request tracing (admission spans chained through the forked
-  worker down to per-shard epoch spans — see :mod:`repro.observe.spans`);
-* :mod:`repro.serve.client` — the blocking client behind
-  ``repro submit``;
-* :mod:`repro.serve.loadgen` — the asyncio load harness
-  (``benchmarks/test_serve_load.py``).
+  worker's compile and run spans — see :mod:`repro.observe.spans`);
+* :mod:`repro.serve.client` — the one client: blocking, one connection
+  per request, behind ``repro submit``, the serve tests and
+  ``benchmarks/test_serve_load.py``.
 
 Determinism is the correctness argument for all of it (DESIGN.md §11):
 every interleaving of requests yields byte-identical values per key, so

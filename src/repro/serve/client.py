@@ -2,9 +2,9 @@
 
 A stdlib socket around :mod:`repro.serve.http`'s framing, no
 dependencies, same dialect over TCP and unix sockets.  This is what
-``repro submit`` and the integration tests speak;
-the load generator (:mod:`repro.serve.loadgen`) has its own asyncio
-client for thousand-way concurrency.
+``repro submit``, the integration tests and the serve load benchmark
+speak (the benchmark from a pool of threads: the client keeps no state
+between requests).
 """
 
 import json

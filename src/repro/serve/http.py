@@ -1,11 +1,11 @@
 """The job service's HTTP/1.1 framing: one head parser, two encoders.
 
-Sans-IO, and the only module that knows the wire format: the daemon,
-:class:`~repro.serve.client.ServeClient` and the load generator keep
-their own read loops (asyncio, blocking, asyncio), hand :meth:`Head.feed`
-the lines and write what :func:`encode_request` / :func:`encode_response`
-return.  Bodies are sized by ``Content-Length`` only; a response without
-one (the NDJSON progress stream) ends when the server closes.
+Sans-IO, and the only module that knows the wire format: the daemon
+and :class:`~repro.serve.client.ServeClient` keep their own read loops
+(asyncio, blocking), hand :meth:`Head.feed` the lines and write what
+:func:`encode_request` / :func:`encode_response` return.  Bodies are
+sized by ``Content-Length`` only; a response without one (the NDJSON
+progress stream) ends when the server closes.
 """
 
 import http as _status  # the standard library's: reason phrases

@@ -47,7 +47,6 @@ and the cache is final-swept (and the span buffer is written to
 import asyncio
 import heapq
 import json
-import os
 import threading
 import time
 
@@ -62,7 +61,7 @@ from repro.serve.jobs import (
 )
 from repro.machine import native
 from repro.observe import prom
-from repro.observe.spans import FLIGHT_ENV, SpanRecorder, flight
+from repro.observe.spans import SpanRecorder, flight
 from repro.serve.http import Head, HttpError, encode_response, json_line
 from repro.serve.pool import PoolCancelled, PoolTaskError, PoolTimeout, WorkerPool
 from repro.serve.quota import QuotaExceeded, QuotaManager
@@ -175,10 +174,6 @@ class SimServer:
                                   "clock": self.last_clock,
                                   "dropped": self.spans.dropped},
         }
-        if config.flight_dir:
-            # exported so forked workers (and their shard children)
-            # inherit the spill destination through fork
-            os.environ[FLIGHT_ENV] = config.flight_dir
 
     # ---- lifecycle ----------------------------------------------------------
 
@@ -285,8 +280,8 @@ class SimServer:
         except PoolTaskError as exc:
             self.table.counters["failed"] += 1
             if exc.worker_died:
-                # the child's flight ring died with it — spill the
-                # server's own view so the crash is debuggable
+                # the child left no report — spill the server's own
+                # view so the crash is debuggable
                 flight().note("worker_died", job=job.id, error=str(exc))
                 flight().spill(self.config.flight_dir,
                                "worker died executing %s" % job.id)

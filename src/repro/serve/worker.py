@@ -30,7 +30,7 @@ byte are those of an untraced run.
 import time
 
 from repro.machine import LBP, Params
-from repro.observe.spans import SpanRecorder, clock_anchor, flight
+from repro.observe.spans import SpanRecorder, clock_anchor
 from repro.serve.jobs import compiled_program
 
 __all__ = ["execute_job", "job_progress", "job_value"]
@@ -82,8 +82,6 @@ def execute_job(source, filename, params, max_cycles=None,
     """
     spans = SpanRecorder()
     execute_span = spans.start("execute", parent=trace_ctx)
-    flight().note("execute_begin", filename=filename,
-                  trace_id=execute_span.trace_id)
     with spans.span("compile", parent=execute_span, filename=filename):
         program = compiled_program(source, filename)
 
@@ -105,8 +103,6 @@ def execute_job(source, filename, params, max_cycles=None,
         run_span.finish(cycles=machine.cycle)
     value = job_value(machine, stats)
     execute_span.finish(cycles=value["cycles"], retired=value["retired"])
-    flight().note("execute_end", cycles=value["cycles"],
-                  trace_id=execute_span.trace_id)
     if progress is not None:
         # anchor on stats.cycles — the count chrome_trace reports — so
         # the served clock and a deterministic replay agree exactly

@@ -125,9 +125,11 @@ def test_c_poll_flag_with_sync_cell():
     assert report.sync_ranges  # the declaration is echoed in the report
 
 
-def test_cli_check_exit_codes(capsys):
+def test_cli_check_exit_codes(tmp_path, capsys):
     """`repro check` exits 1 on the racy file, 0 on the twin and with
-    --sync; the racy report names the planted labels."""
+    --sync; the racy report names the planted labels.  A run cut short
+    found no race in what it simulated, which is not a clean verdict:
+    exit 2, and the verdict line says so."""
     from repro.cli import main
 
     racy = os.path.join(CORPUS, "ww_conflict.s")
@@ -137,11 +139,24 @@ def test_cli_check_exit_codes(capsys):
     assert main(["check", racy, "--cores", "1"]) == 1
     out = capsys.readouterr().out
     assert "write-write race" in out and "race_a" in out and "race_b" in out
+    assert "did not finish" not in out
 
     assert main(["check", twin, "--cores", "1"]) == 0
-    assert "no races" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "no races" in out and "did not finish" not in out
 
     assert main(["check", poll, "--cores", "2"]) == 1
     capsys.readouterr()
     assert main(["check", poll, "--cores", "2", "--sync", "flag"]) == 0
     assert "no races" in capsys.readouterr().out
+
+    spin = tmp_path / "spin.s"
+    spin.write_text("main: li t0, 5\nloop: j loop\n")
+    assert main(["check", str(spin), "--cores", "1",
+                 "--max-cycles", "2000"]) == 2
+    captured = capsys.readouterr()
+    assert "cycle limit exceeded" in captured.err
+    assert captured.out.splitlines()[0] == (
+        "no races: 0 shared accesses, 0 observations, all conflicting pairs "
+        "ordered (covers only the 2001 cycles simulated: the run did not "
+        "finish)")

@@ -370,3 +370,39 @@ def test_handler_bug_is_one_500_not_a_dead_daemon(tmp_path, monkeypatch):
         assert status == 500 and "boom" in body["error"]
         assert client.healthz()["ok"] is True
     assert any(event["kind"] == "http_500" for event in flight().events())
+
+
+def test_keep_alive_connection_serves_requests_until_the_peer_closes(
+        tmp_path, caplog):
+    """Two requests on one kept-alive connection are both answered on it;
+    when the client closes its side between requests the daemon ends
+    the connection without a word or a log line, and serves the next."""
+    from repro.serve.http import Head, encode_request
+
+    def answer(reader):
+        head = Head()
+        while not head.feed(reader.readline()):
+            pass
+        return head, json.loads(reader.read(head.length))
+
+    with caplog.at_level(logging.WARNING, logger="asyncio"):
+        with _serve(tmp_path) as handle:
+            with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
+                sock.settimeout(30.0)
+                sock.connect(handle.config.unix_path)
+                reader = sock.makefile("rb")
+                sock.sendall(encode_request(
+                    "POST", "/v1/jobs", {"jobs": [_job()], "wait": True}))
+                head, body = answer(reader)
+                assert (head.status(), head.keep_alive) == (200, True)
+                assert body["jobs"][0]["status"] == "done"
+                sock.sendall(encode_request("GET", "/stats"))
+                head, body = answer(reader)
+                assert (head.status(), head.keep_alive) == (200, True)
+                assert body["jobs"]["submitted"] == 1
+                sock.shutdown(socket.SHUT_WR)
+                assert reader.read() == b""  # ended, nothing answered
+            assert _client(handle).healthz() == {"draining": False,
+                                                 "ok": True}
+            assert handle.server.http_seconds.count == 3
+    assert not caplog.records, [r.getMessage() for r in caplog.records]

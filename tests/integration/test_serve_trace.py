@@ -251,15 +251,14 @@ def _sigkill_job(*_args, progress=None):
 
 def test_worker_sigkill_produces_a_flight_dump(tmp_path, monkeypatch):
     flight_dir = str(tmp_path / "flight")
-    # pre-set the env var monkeypatch-style so the server's own export of
-    # the same value is restored (removed) on test teardown
-    monkeypatch.setenv(FLIGHT_ENV, flight_dir)
     monkeypatch.setattr("repro.serve.server.execute_job", _sigkill_job)
     with _serve(tmp_path, flight_dir=flight_dir, retries=0) as handle:
         client = _client(handle)
         record = client.submit_one(_job())
     assert record["status"] == "failed"
     assert "worker died" in record["error"]
+    # the daemon spills from its config: the host's environment is untouched
+    assert os.environ.get(FLIGHT_ENV) != flight_dir
 
     dumps = sorted(glob.glob(os.path.join(flight_dir, "flight-*.jsonl")))
     assert dumps, "a dead worker must leave a flight dump"

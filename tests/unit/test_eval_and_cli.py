@@ -199,6 +199,24 @@ def test_cli_zero_allowed_count_options_take_a_non_negative_integer(
     assert "usage:" in err and "not a non-negative integer" in err
 
 
+@pytest.mark.parametrize("option", [["run", "--print"], ["check", "--sync"]],
+                         ids=lambda option: option[1])
+@pytest.mark.parametrize("item, why", [
+    ("nosuch", "undefined symbol 'nosuch'"),  # was a KeyError traceback
+    ("v:abc", "'abc' is not a positive integer"),  # ValueError
+    ("v:0", "'0' is not a positive integer"),  # --print: IndexError
+    ("v:-1", "'-1' is not a positive integer"),  # --sync: synced nothing
+])
+def test_cli_symbol_lists_refuse_a_bad_item(tmp_path, capsys, option, item,
+                                            why):
+    command, flag = option
+    assert cli_main([command, _write(tmp_path, _PROG), "--cores", "1",
+                     flag, "v:2," + item]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: %s %s: %s" % (flag, item, why))
+    assert captured.out == ""  # refused before anything ran
+
+
 def test_cli_trace_limit_zero_prints_no_events(tmp_path, capsys):
     assert cli_main(["run", _write(tmp_path, _PROG), "--cores", "1",
                      "--trace", "--trace-limit", "0"]) == 0

@@ -2,7 +2,9 @@
 
 Covers the four p_ret ending cases, fork placement (p_fc/p_fn), the CV
 transfer handshake, result-buffer synchronisation (p_swre/p_lwre), the
-ordered-release barrier, and the machine's deterministic traps.
+ordered-release barrier, two branches only hand-built teams reach (a
+queued p_fn request, a join that arrives before its wait), and the
+machine's deterministic traps.
 """
 
 import pytest
@@ -239,6 +241,171 @@ def test_team_protocol_errors_are_the_same_on_both_ticks(name):
         assert str(err.value) == "cycle %d: %s" % (machine.cycle, message)
         seen.append((str(err.value), machine.cycle))
     assert seen[0] == seen[1]
+
+
+#: hand-built teams for protocol branches no compiled program reaches:
+#: name -> (cores, program, the branch as a predicate on a paused machine).
+#: Each writes `data` before an edge and reads it after (ordered), and
+#: plants one unordered write-write pair on `shared` (race_a, race_b).
+TEAM_BRANCHES = {
+    # the join reaches its hart before that hart's waiting p_ret: the
+    # ordered release cannot prevent it when the joiner is the waiter's
+    # *predecessor*, here after a one-member team of its own has already
+    # sent the ending signal (so the join is the only edge left)
+    "join_before_its_wait": (1, """
+main:
+    p_fc t6                   # hart 1, hart 0's successor
+    p_jal ra, t6, h0          # hart 0 -> h0, hart 1 starts below
+    la   t2, shared
+    li   t3, 1
+race_b:
+    sw   t3, 0(t2)
+    li   t1, 200
+spin:
+    addi t1, t1, -1
+    bnez t1, spin
+    li   ra, 0
+    li   t0, 0x10000          # join hart 1 = itself: wait
+    p_ret                     # the join is already pending
+resume:
+    la   t2, data
+    lw   t3, 0(t2)
+    la   t2, got
+    sw   t3, 0(t2)
+    ebreak
+h0:
+    la   ra, h0b
+    li   t0, 0                # join hart 0 = itself: a one-member team
+    p_ret                     # signals hart 1, resumes at h0b
+h0b:
+    la   t2, data
+    li   t3, 42
+    sw   t3, 0(t2)
+    la   t2, shared
+    li   t3, 2
+race_a:
+    sw   t3, 0(t2)
+    la   ra, resume
+    li   t0, 0x10000          # join hart 1
+    p_ret                     # no predecessor left: the join goes now
+.data
+data:   .word 0
+got:    .word 0
+shared: .word 0
+""", lambda m: m.hart_by_gid(1).pending_join is not None),
+    # a p_fn request queued at a core with no free hart, granted when a
+    # later p_ret frees one
+    "p_fn_queued_until_a_p_ret": (2, """
+main:
+    p_fc s0                   # hart 1 will ask core 1 for a hart
+    p_jal ra, s0, h0
+    j    requester
+h0:
+    p_fn s1                   # harts 4..7: core 1 is full
+    p_fn s2
+    p_fn s3
+    p_fn s4
+    p_jal ra, s1, h0a
+    j    orphan               # hart 4
+h0a:
+    p_jal ra, s2, h0b
+    j    park
+h0b:
+    p_jal ra, s3, h0c
+    j    park
+h0c:
+    p_jal ra, s4, h0d
+    j    leaver               # hart 7, hart 0's successor by now
+h0d:
+    li   t1, 300
+spin0:
+    addi t1, t1, -1
+    bnez t1, spin0
+    li   ra, 0
+    li   t0, 0
+    p_ret                     # end: the ending signal releases hart 7
+leaver:
+    li   ra, 0
+    li   t0, 0
+    p_ret                     # end: frees hart 7, granted to the queue
+orphan:
+    la   t2, shared
+    li   t3, 1
+race_a:
+    sw   t3, 0(t2)
+park:
+    li   ra, 0
+    li   t0, 0
+    p_ret                     # no ending signal ever comes: stays busy
+requester:
+    la   t2, data
+    li   t3, 42
+    sw   t3, 0(t2)
+    li   t1, 40
+spin1:
+    addi t1, t1, -1
+    bnez t1, spin1
+    p_fn s5                   # core 1 has no free hart: queued
+    p_jal ra, s5, park
+    la   t2, data             # the granted hart
+    lw   t3, 0(t2)
+    la   t2, got
+    sw   t3, 0(t2)
+    la   t2, shared
+    li   t3, 2
+race_b:
+    sw   t3, 0(t2)
+    ebreak
+.data
+data:   .word 0
+got:    .word 0
+shared: .word 0
+""", lambda m: bool(m.cores[1].fork_queue)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TEAM_BRANCHES))
+def test_team_branch_is_reached(name):
+    """Stepped one cycle at a time, the run passes through its branch."""
+    cores, source, reached = TEAM_BRANCHES[name]
+    machine = LBP(Params(num_cores=cores)).load(assemble(source))
+    seen = False
+    while not machine.halted:
+        machine.run(stop_at_cycle=machine.cycle + 1, max_cycles=100_000)
+        seen = seen or reached(machine)
+    assert seen and machine.halt_reason == "ebreak"
+
+
+@pytest.mark.parametrize("name", sorted(TEAM_BRANCHES))
+def test_team_branch_is_the_same_on_both_ticks(name):
+    cores, source, _ = TEAM_BRANCHES[name]
+    program = assemble(source)
+    runs = []
+    for backend in (None, "interp"):
+        machine = LBP(Params(num_cores=cores), backend=backend,
+                      trace=True).load(program)
+        machine.run(max_cycles=100_000)
+        assert machine.halt_reason == "ebreak"
+        assert machine.read_word(program.symbol("got")) == 42
+        runs.append((machine.trace.events, machine.state_dict()))
+    assert runs[0][0] == runs[1][0]
+    assert runs[0][1] == runs[1][1]
+
+
+@pytest.mark.parametrize("name", sorted(TEAM_BRANCHES))
+def test_team_branch_orders_what_the_program_orders(name):
+    """`data` crosses the branch's edge (no race); the planted pair on
+    `shared` has none between its stores (exactly that race)."""
+    cores, source, _ = TEAM_BRANCHES[name]
+    program = assemble(source)
+    machine = LBP(Params(num_cores=cores), sanitize=True).load(program)
+    machine.run(max_cycles=100_000)
+    report = machine.race_report()
+    assert len(report) == 1 and report.blocked == 0, report.format()
+    race = report.races[0]
+    assert race.addr == program.symbol("shared")
+    assert {race.a["pc"], race.b["pc"]} == {program.symbol("race_a"),
+                                            program.symbol("race_b")}
 
 
 def test_fetch_from_bad_address_traps():

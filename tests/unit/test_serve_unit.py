@@ -25,7 +25,6 @@ from repro.serve.jobs import (
     JobTable,
     compiled_program,
 )
-from repro.serve.loadgen import percentile, summarize
 from repro.serve.pool import (
     PoolCancelled,
     PoolTaskError,
@@ -627,33 +626,3 @@ def test_stats_and_metrics_agree_on_every_exported_number(tmp_path):
     # the run left something to compare: not every leaf is zero
     assert stats["jobs"]["submitted"] == 4 and stats["queue"]["depth"] == 2
     assert stats["cache"]["disk_bytes"] > 0 and stats["spans"]["recorded"] > 5
-
-
-# ---- load-summary arithmetic ------------------------------------------------
-
-
-def test_percentile_nearest_rank():
-    samples = [float(n) for n in range(1, 101)]
-    assert percentile(samples, 50) == 50.0
-    assert percentile(samples, 99) == 99.0
-    assert percentile(samples, 100) == 100.0
-    assert percentile([7.0], 50) == 7.0
-    assert percentile([], 50) is None
-
-
-def test_summarize_splits_by_kind_and_counts_errors():
-    samples = [
-        {"kind": "hit", "latency_s": 0.001, "http_status": 200,
-         "status": "hit"},
-        {"kind": "hit", "latency_s": 0.003, "http_status": 200,
-         "status": "hit"},
-        {"kind": "miss", "latency_s": 0.2, "http_status": 200,
-         "status": "done"},
-        {"kind": "miss", "latency_s": 0.1, "http_status": 429,
-         "status": "rejected"},
-    ]
-    summary = summarize(samples, wall_s=2.0)
-    assert summary["hit"]["count"] == 2 and summary["hit"]["errors"] == 0
-    assert summary["miss"]["errors"] == 1
-    assert summary["_total"]["count"] == 4
-    assert summary["_total"]["jobs_per_s"] == 2.0
