@@ -28,6 +28,7 @@ Usage (installed as ``python -m repro``):
 """
 
 import argparse
+import math
 import os
 import sys
 
@@ -53,6 +54,53 @@ def non_negative_int(text):
         raise argparse.ArgumentTypeError(
             "%r is not a non-negative integer" % (text,))
     return int(text)
+
+
+def port_number(text):
+    """``--port``: a TCP port, 0 (ephemeral) to 65535."""
+    if not text.isdecimal() or int(text) > 65535:
+        raise argparse.ArgumentTypeError(
+            "%r is not a port number (0 to 65535)" % (text,))
+    return int(text)
+
+
+def positive_seconds(text):
+    """A duration option (``--job-timeout``): a positive, finite number."""
+    try:
+        if 0 < float(text) < math.inf:
+            return float(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(
+        "%r is not a positive number of seconds" % (text,))
+
+
+def quota_table(text):
+    """``--quotas``: a JSON object, tenant -> {"rate": R, "burst": B}."""
+    import json
+
+    from repro.serve.quota import QuotaManager
+
+    try:
+        table = json.loads(text)
+        QuotaManager(table)
+    except ValueError as exc:  # a JSONDecodeError is one
+        raise argparse.ArgumentTypeError("%r: %s" % (text, exc)) from None
+    return table
+
+
+def quota_spec(text):
+    """``--default-quota``: RATE[:BURST], BURST defaulting to RATE."""
+    from repro.serve.quota import QuotaManager
+
+    rate, _, burst = text.partition(":")
+    try:
+        QuotaManager(default=(rate, burst or rate))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            "%r is not RATE[:BURST] with RATE >= 0 and BURST > 0"
+            % (text,)) from None
+    return float(rate), float(burst or rate)
 
 
 def _symbol_words(program, text, option):
@@ -311,16 +359,10 @@ def cmd_experiments(args):
 def cmd_serve(args):
     """Run the asyncio simulation-job daemon until SIGINT/SIGTERM."""
     import asyncio
-    import json
     import signal
 
     from repro.serve import ServeConfig, SimServer
 
-    quotas = json.loads(args.quotas) if args.quotas else None
-    default_quota = None
-    if args.default_quota:
-        rate_text, _, burst_text = args.default_quota.partition(":")
-        default_quota = (float(rate_text), float(burst_text or rate_text))
     config = ServeConfig(
         host=args.host, port=args.port, unix_path=args.unix,
         workers=args.workers, cache_root=args.cache_dir,
@@ -328,7 +370,7 @@ def cmd_serve(args):
         max_cache_age_s=args.max_cache_age,
         job_timeout=args.job_timeout, retries=args.retries,
         progress_every=args.progress_every,
-        quotas=quotas, default_quota=default_quota,
+        quotas=args.quotas, default_quota=args.default_quota,
         trace_out=args.trace_out, flight_dir=args.flight_dir)
 
     async def main():
@@ -582,7 +624,7 @@ def main(argv=None):
         help="run the async simulation-job daemon over the run cache",
         parents=[cache_dir])
     p_serve.add_argument("--host", default="127.0.0.1")
-    p_serve.add_argument("--port", type=int, default=None,
+    p_serve.add_argument("--port", type=port_number, default=None,
                          help="TCP port (0 = ephemeral; omit for unix-only)")
     p_serve.add_argument("--unix", metavar="PATH", default=None,
                          help="unix socket path (can combine with --port)")
@@ -592,7 +634,8 @@ def main(argv=None):
                          help="LRU-evict the cache to this byte budget")
     p_serve.add_argument("--max-cache-age", type=float, default=None,
                          metavar="S", help="evict entries unused for S seconds")
-    p_serve.add_argument("--job-timeout", type=float, default=None,
+    p_serve.add_argument("--job-timeout", type=positive_seconds,
+                         default=None,
                          metavar="S", help="kill + retry a simulation after "
                                            "S seconds (default: none)")
     p_serve.add_argument("--retries", type=non_negative_int, default=1,
@@ -601,12 +644,13 @@ def main(argv=None):
                          default=None,
                          metavar="CYCLES",
                          help="progress-stream emission interval")
-    p_serve.add_argument("--quotas", metavar="JSON",
+    p_serve.add_argument("--quotas", metavar="JSON", type=quota_table,
                          help='per-tenant token buckets, e.g. '
                               '\'{"t1": {"rate": 2, "burst": 10}}\' '
                               "(one token = one scheduled execution; "
                               "hits and coalesced joins are free)")
     p_serve.add_argument("--default-quota", metavar="RATE[:BURST]",
+                         type=quota_spec,
                          help="bucket for tenants not listed in --quotas")
     p_serve.add_argument("--trace-out", metavar="PATH", default=None,
                          help="write the recorded service spans as a "

@@ -561,7 +561,8 @@ class LBP:
     # ---- snapshot/restore ----------------------------------------------------
 
     def state_dict(self):
-        """Complete machine state as plain data (see repro.snapshot).
+        """Complete machine state as plain data (see repro.snapshot): the
+        run-wide fields, then every core's :meth:`core_state_dict` slice.
 
         Excludes the program image inputs (``lowered`` is rebuilt by
         :meth:`load`) and MMIO devices (externally attached; the snapshot
@@ -571,76 +572,72 @@ class LBP:
             "cycle": self.cycle,
             "halted": self.halted,
             "halt_reason": self.halt_reason,
-            "halt_at": self._halt_at,
             "halt_key": None if self._halt_key is None else list(self._halt_key),
             "error": self._error,
             "error_key": None if self._error_key is None else list(self._error_key),
-            "events": [
-                [cycle, origin, oseq, dst, kind, list(args)]
-                for cycle, origin, oseq, dst, kind, args in sorted(self._events)
-            ],
             "code_bank": self.code_bank.state_dict(),
-            "stats": self.stats.state_dict(),
-            "trace": self.trace.state_dict(),
-            "sanitize": (None if self.sanitizer is None
-                         else self.sanitizer.state_dict()),
+            "cycles": self.stats.cycles,
+            "trace": {
+                "enabled": self.trace.enabled,
+                "kinds": (None if self.trace.kinds is None
+                          else sorted(self.trace.kinds)),
+            },
+            "sanitize": (None if self.sanitizer is None else
+                         {"sync": [list(r) for r in self.sanitizer.sync_ranges]}),
             "observe": (None if self.metrics is None
-                        else self.metrics.state_dict()),
-            "cores": [core.state_dict() for core in self.cores],
+                        else {"interval": self.metrics.interval}),
+            "cores": [self.core_state_dict(i) for i in range(len(self.cores))],
         }
 
     def load_state_dict(self, state):
         """Restore :meth:`state_dict` state onto a machine that has the
         same params and the same program already loaded (start=False)."""
+        if len(state["cores"]) != len(self.cores):
+            raise ValueError(
+                "state has %d cores; this machine has %d"
+                % (len(state["cores"]), len(self.cores)))
         self.cycle = state["cycle"]
         self.halted = state["halted"]
         self.halt_reason = state["halt_reason"]
-        self._halt_at = state["halt_at"]
         self._halt_key = (
             None if state["halt_key"] is None else tuple(state["halt_key"]))
+        self._halt_at = None if self._halt_key is None else self._halt_key[0]
         self._error = state["error"]
         self._error_key = (
             None if state["error_key"] is None else tuple(state["error_key"]))
-        self._events = [
-            (cycle, origin, oseq, dst, kind, _normalize_args(args))
-            for cycle, origin, oseq, dst, kind, args in state["events"]
-        ]
-        heapq.heapify(self._events)
-        for event in self._events:
-            if event[4] not in EVENT_HANDLERS:
-                raise ValueError(
-                    "unknown event kind %r in snapshot" % (event[4],))
         self.code_bank.load_state_dict(state["code_bank"])
-        self.stats.load_state_dict(state["stats"])
-        self.trace.load_state_dict(state["trace"])
-        san_state = state.get("sanitize")
-        if san_state is not None:
+        self.stats.cycles = state["cycles"]
+        self.trace.enabled = state["trace"]["enabled"]
+        kinds = state["trace"]["kinds"]
+        self.trace.kinds = None if kinds is None else frozenset(kinds)
+        if state["sanitize"] is not None:
             from repro.sanitize import Sanitizer
 
             self.sanitizer = Sanitizer()
-            self.sanitizer.load_state_dict(san_state)
+            self.sanitizer.sync_ranges = [
+                tuple(r) for r in state["sanitize"]["sync"]]
         else:
             # the observation history starts at cycle 0; a machine resumed
             # from an unsanitized snapshot cannot be sanitized mid-run
             self.sanitizer = None
-        obs_state = state.get("observe")
-        if obs_state is not None:
+        if state["observe"] is not None:
             from repro.observe import Metrics
 
             if self.metrics is None:
                 self._attach_metrics(Metrics())
-            self.metrics.load_state_dict(obs_state)
+            self.metrics.interval = state["observe"]["interval"]
         else:
             # same rule as the sanitizer: the charge history starts at
             # cycle 0, so an unmetered snapshot resumes unmetered
             self._attach_metrics(None)
-        for core, core_state in zip(self.cores, state["cores"]):
-            core.load_state_dict(core_state)
-        self._num_active = sum(1 for core in self.cores if core.active)
+        self._events = []
+        for index, core_state in enumerate(state["cores"]):
+            self.load_core_state_dict(index, core_state)
 
     def core_state_dict(self, index):
         """One domain's full slice: core + stats counters + trace buffer +
-        pending events addressed to it (shard gathering)."""
+        observer records + pending events addressed to it (the unit of
+        both shard gathering and :meth:`state_dict`)."""
         return {
             "core": self.cores[index].state_dict(),
             "stats": self.stats.core_state_dict(index),
@@ -657,6 +654,10 @@ class LBP:
         }
 
     def load_core_state_dict(self, index, state):
+        for event in state["events"]:
+            if event[4] not in EVENT_HANDLERS:
+                raise ValueError(
+                    "unknown event kind %r in snapshot" % (event[4],))
         self.cores[index].load_state_dict(state["core"])
         self.stats.load_core_state_dict(index, state["stats"])
         self.trace.load_domain_state_dict(index, state["trace"])

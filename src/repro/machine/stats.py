@@ -92,16 +92,9 @@ class MachineStats:
             "harts": [[h.state_dict() for h in core] for core in self.harts],
         }
 
-    def load_state_dict(self, state):
-        self.cycles = state["cycles"]
-        for counters, core_state in zip(self.per_core, state["per_core"]):
-            counters.load_state_dict(core_state)
-        for core, core_state in zip(self.harts, state["harts"]):
-            for hart_stats, hart_state in zip(core, core_state):
-                hart_stats.load_state_dict(hart_state)
-
     def core_state_dict(self, index):
-        """One core's slice (shard gathering): its counters + hart stats."""
+        """One core's slice, for shard gathering and snapshots: its
+        counters and hart stats."""
         return {
             "counters": self.per_core[index].state_dict(),
             "harts": [h.state_dict() for h in self.harts[index]],

@@ -38,28 +38,8 @@ class Trace:
             self._merged = list(heapq.merge(*buffers, key=lambda e: e[0]))
         return self._merged
 
-    def state_dict(self):
-        return {
-            "enabled": self.enabled,
-            "kinds": None if self.kinds is None else sorted(self.kinds),
-            "buffers": [
-                [domain, [list(event) for event in self._buffers[domain]]]
-                for domain in sorted(self._buffers)
-            ],
-        }
-
-    def load_state_dict(self, state):
-        self.enabled = state["enabled"]
-        self.kinds = (
-            None if state["kinds"] is None else frozenset(state["kinds"]))
-        self._buffers = {
-            domain: [tuple(event) for event in events]
-            for domain, events in state["buffers"]
-        }
-        self._merged = None
-
     def domain_state_dict(self, domain):
-        """One domain's buffer (shard gathering)."""
+        """One domain's buffer (shard gathering and snapshots)."""
         return [list(event) for event in self._buffers.get(domain, [])]
 
     def load_domain_state_dict(self, domain, events):

@@ -175,25 +175,8 @@ class Metrics:
 
     # ---- snapshot/restore ----------------------------------------------------
 
-    def state_dict(self):
-        return {
-            "interval": self.interval,
-            "edges": list(self.edges),
-            "slots": [slot.state_dict() for slot in self._slots],
-        }
-
-    def load_state_dict(self, state):
-        self.interval = state["interval"]
-        self.edges = list(state["edges"])
-        hpc = self._machine.params.harts_per_core if self._machine else 4
-        self._slots = []
-        for slot_state in state["slots"]:
-            slot = CoreTelemetry(hpc)
-            slot.load_state_dict(slot_state)
-            self._slots.append(slot)
-
     def domain_state_dict(self, index):
-        """One core's slice (shard gathering)."""
+        """One core's slice (shard gathering and snapshots)."""
         return {
             "edge": self.edges[index],
             "slot": self._slots[index].state_dict(),

@@ -98,22 +98,6 @@ class Sanitizer:
 
     # ---- snapshot / shard gathering ---------------------------------------
 
-    def state_dict(self):
-        return {
-            "buffers": [
-                [domain, [list(rec) for rec in records]]
-                for domain, records in sorted(self._buffers.items())
-            ],
-            "sync": [list(r) for r in self.sync_ranges],
-        }
-
-    def load_state_dict(self, state):
-        self._buffers = {
-            domain: [tuple(rec) for rec in records]
-            for domain, records in state["buffers"]
-        }
-        self.sync_ranges = [tuple(r) for r in state["sync"]]
-
     def domain_state_dict(self, domain):
         return [list(rec) for rec in self._buffers.get(domain, [])]
 

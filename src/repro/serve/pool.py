@@ -65,6 +65,8 @@ class WorkerPool:
             raise ValueError("workers must be >= 1")
         if retries < 0:
             raise ValueError("retries must be >= 0")
+        if timeout is not None and not timeout > 0:
+            raise ValueError("timeout must be > 0 seconds (or None)")
         self.workers = workers
         self.timeout = timeout
         self.retries = retries

@@ -36,9 +36,10 @@ class TokenBucket:
     """
 
     def __init__(self, rate, burst, clock=None):
-        if burst <= 0:
+        # "not >": a NaN is refused too
+        if not burst > 0:
             raise ValueError("burst must be > 0")
-        if rate < 0:
+        if not rate >= 0:
             raise ValueError("rate must be >= 0")
         self.rate = float(rate)
         self.burst = float(burst)
@@ -74,23 +75,34 @@ class QuotaManager:
 
     *limits* maps tenant names to ``(rate, burst)`` pairs (or dicts with
     ``rate``/``burst`` keys — the JSON-config shape).  *default* is the
-    allowance for tenants not listed; ``None`` means unmetered.
+    allowance for tenants not listed; ``None`` means unmetered.  A bad
+    spec is a ValueError here, not at the tenant's first charge.
     """
 
     def __init__(self, limits=None, default=None, clock=None):
         self._clock = clock
+        if not isinstance(limits or {}, dict):
+            raise ValueError("quotas must map tenant names to rate/burst "
+                             "specs, not %r" % (limits,))
         self._specs = {}
         for tenant, spec in (limits or {}).items():
-            self._specs[tenant] = self._parse(spec)
+            try:
+                self._specs[tenant] = self._parse(spec)
+            except ValueError as exc:
+                raise ValueError("tenant %r: %s" % (tenant, exc)) from None
         self._default = self._parse(default) if default is not None else None
         self._buckets = {}
 
     @staticmethod
     def _parse(spec):
-        if isinstance(spec, dict):
-            return float(spec["rate"]), float(spec["burst"])
-        rate, burst = spec
-        return float(rate), float(burst)
+        try:
+            if isinstance(spec, dict):
+                spec = spec["rate"], spec["burst"]
+            rate, burst = map(float, spec)
+        except (KeyError, TypeError, ValueError):
+            raise ValueError("%r is not a rate and a burst" % (spec,)) from None
+        TokenBucket(rate, burst)  # its checks, before any charge
+        return rate, burst
 
     def _bucket(self, tenant):
         bucket = self._buckets.get(tenant)

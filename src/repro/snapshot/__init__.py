@@ -5,8 +5,9 @@ pure function of (program, machine params).  This package turns that
 property into infrastructure:
 
 * :mod:`repro.snapshot.snapshot` — bit-exact serialization of a running
-  cycle-accurate machine (every component exposes ``state_dict()`` /
-  ``load_state_dict()``) into a versioned, digest-stamped on-disk format;
+  cycle-accurate machine (``LBP.state_dict()``: the run-wide fields plus
+  one ``core_state_dict()`` slice per core) into a versioned,
+  digest-stamped on-disk format;
   a restored machine continues with the *identical* event trace and cycle
   count as an uninterrupted run.
 * :mod:`repro.snapshot.cache` — a content-addressed run cache keyed by
@@ -33,7 +34,6 @@ from repro.snapshot.snapshot import (
     restore,
     save_snapshot,
     snapshot,
-    snapshot_info,
     trace_digest,
 )
 
@@ -51,6 +51,5 @@ __all__ = [
     "restore",
     "save_snapshot",
     "snapshot",
-    "snapshot_info",
     "trace_digest",
 ]

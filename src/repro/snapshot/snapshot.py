@@ -12,8 +12,13 @@ On-disk format (all integers big-endian)::
 The payload carries the simulator version tag, the machine params
 (``Params.state_dict()``: ``num_cores`` and ``link_hop_latency``), the
 full program image (:mod:`repro.snapshot.progio`) and the machine's
-``state_dict()`` — including the pending event queue, whose entries are
-plain ``(cycle, seq, kind, args)`` descriptors (see
+``state_dict()``.  That is the run-wide fields (cycle, the halt/error
+election, the code bank, ``stats.cycles``, which observers are attached
+and their config) plus one ``core_state_dict()`` slice per core — the
+same slices the sharded engine gathers from its workers.  A slice holds
+the core (banks, harts, link schedules), its stats counters, its trace,
+sanitizer and metrics buffers, and the pending events addressed to it,
+each a plain ``(cycle, origin, oseq, dst, kind, args)`` descriptor (see
 ``repro.machine.processor.EVENT_HANDLERS``).  ``restore`` verifies the
 digest, rebuilds the program, constructs a fresh machine and loads the
 state; because the machine is deterministic, the restored run continues
@@ -36,8 +41,9 @@ from repro.machine.processor import LBP
 from repro.snapshot.progio import program_from_state, program_state
 
 #: binary container version; bump on layout changes (2: the params part
-#: of the payload holds only the two ``Params`` knobs)
-SNAPSHOT_FORMAT_VERSION = 2
+#: of the payload holds only the two ``Params`` knobs; 3: the machine
+#: state is the run-wide fields plus per-core slices)
+SNAPSHOT_FORMAT_VERSION = 3
 
 #: semantic version of the simulated machine model.  Bump whenever a model
 #: change invalidates recorded state — i.e. whenever the golden trace
@@ -169,21 +175,6 @@ def restore(blob):
     machine.load(program, start=False)
     machine.load_state_dict(payload["machine"])
     return machine
-
-
-def snapshot_info(blob):
-    """Header + summary fields without building a machine (for CLI/ls)."""
-    payload = _decode(blob)
-    machine_state = payload["machine"]
-    return {
-        "sim_version": payload.get("sim_version"),
-        "snapshot_version": payload.get("snapshot_version"),
-        "cycle": machine_state["cycle"],
-        "halted": machine_state["halted"],
-        "pending_events": len(machine_state["events"]),
-        "num_cores": payload["params"]["num_cores"],
-        "source_name": payload["program"]["source_name"],
-    }
 
 
 def save_snapshot(machine, path):

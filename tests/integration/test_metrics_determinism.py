@@ -24,12 +24,12 @@ import pytest
 from repro.compiler import compile_to_program
 from repro.machine import LBP, Params
 from repro.observe import build_report, report_json
-from repro.snapshot import restore, snapshot
+from repro.snapshot import restore, snapshot, trace_digest
 from repro.workloads.matmul import matmul_source, verify_matmul
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from test_trace_golden import (  # noqa: E402
-    GOLDEN_PATH, golden_program, trace_digest)
+    GOLDEN_PATH, golden_program)
 
 INTERVAL = 512
 
@@ -68,7 +68,8 @@ def test_shards_are_byte_identical():
     one = _metered_run(shards=1)
     four = _metered_run(shards=4)
     assert _report_bytes(one) == _report_bytes(four)
-    dump = lambda m: json.dumps(m.metrics.state_dict(), sort_keys=True)
+    dump = lambda m: json.dumps(
+        [m.metrics.domain_state_dict(i) for i in range(4)], sort_keys=True)
     assert dump(one) == dump(four)
 
 

@@ -278,7 +278,7 @@ def test_state_fetched_from_a_non_code_address_restores_like_the_reference():
     with pytest.raises(MachineError, match="non-code address 0x1000"):
         faulted.run(max_cycles=10_000)
     state = faulted.state_dict()
-    assert state["cores"][0]["harts"][0]["fetch_buf"] == 0x1000
+    assert state["cores"][0]["core"]["harts"][0]["fetch_buf"] == 0x1000
     outcomes = {}
     for backend in ("soa", "interp"):
         machine = LBP(Params(num_cores=1), backend=backend).load(
@@ -495,8 +495,9 @@ def test_remote_accesses_stay_in_c_unless_observed(monkeypatch):
         else:
             assert issued == posted == handled == []
         state = machine.state_dict()
-        for observer in ("trace", "sanitize", "observe"):
-            del state[observer]
+        for part in [state] + state["cores"]:
+            for observer in ("trace", "sanitize", "observe"):
+                del part[observer]
         states.append(state)
     assert all(state == states[0] for state in states)
 

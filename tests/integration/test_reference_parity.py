@@ -37,7 +37,7 @@ from repro.machine.core import Core
 from repro.machine.io import Actuator, ScriptedInput, attach_input, attach_output
 from repro.machine.memory import Port
 from repro.machine.reference import ReferenceCore
-from repro.snapshot import snapshot
+from repro.snapshot import snapshot, trace_digest
 from repro.workloads import ServingWorkload
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
@@ -48,7 +48,6 @@ from test_trace_golden import (  # noqa: E402
     WORKLOADS,
     golden_program,
     measure,
-    trace_digest,
 )
 from test_snapshot_roundtrip import _build  # noqa: E402
 
@@ -598,7 +597,7 @@ def test_accesses_the_native_path_declines_equal_the_reference(name):
                              motor.writes, state)
     assert outcomes["soa"] == outcomes["interp"]
     error = outcomes["soa"][0]
-    regs = outcomes["soa"][4]["cores"][0]["harts"][0]["regs"]
+    regs = outcomes["soa"][4]["cores"][0]["core"]["harts"][0]["regs"]
     if name in ("device", "remote_device"):
         assert error is None and outcomes["soa"][3][0][1] == 1234
     elif name == "code_bank":

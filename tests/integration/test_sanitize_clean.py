@@ -22,6 +22,7 @@ from repro.asm import assemble
 from repro.compiler import compile_to_program
 from repro.machine import LBP, Params
 from repro.machine.io import ScriptedInput, attach_input
+from repro.snapshot import trace_digest
 from repro.workloads.iopatterns import (
     controller_source,
     dma_source,
@@ -42,7 +43,6 @@ from tests.integration.test_trace_golden import (
     RE_CONTENTION,
     SCENARIOS,
     golden_program,
-    trace_digest,
 )
 
 

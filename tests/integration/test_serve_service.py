@@ -404,5 +404,7 @@ def test_keep_alive_connection_serves_requests_until_the_peer_closes(
                 assert reader.read() == b""  # ended, nothing answered
             assert _client(handle).healthz() == {"draining": False,
                                                  "ok": True}
-            assert handle.server.http_seconds.count == 3
+        # the server thread records a latency after sending its answer:
+        # read the count once the daemon has drained and its thread ended
+        assert handle.server.http_seconds.count == 3
     assert not caplog.records, [r.getMessage() for r in caplog.records]

@@ -20,7 +20,6 @@ Regenerate (only when an intentional model change invalidates them) with
 """
 
 import collections
-import hashlib
 import json
 import os
 import sys
@@ -30,6 +29,7 @@ import pytest
 from repro.asm import assemble
 from repro.machine import LBP, Params
 from repro.machine.trace import Trace
+from repro.snapshot import trace_digest
 from repro.workloads.matmul import matmul_source, verify_matmul
 from repro.workloads.setget import setget_source, verify_setget
 from repro.workloads import (HistogramWorkload, ReductionWorkload,
@@ -97,13 +97,6 @@ d2: addi t5, t5, -1
 .data
 got: .word 0
 """
-
-
-def trace_digest(events):
-    h = hashlib.sha256()
-    for event in events:
-        h.update(repr(event).encode())
-    return h.hexdigest()
 
 
 def _run_traced(program, cores, shards=None, **engine):

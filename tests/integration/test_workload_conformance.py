@@ -28,12 +28,11 @@ import sys
 import pytest
 
 from repro.machine import LBP, Params
-from repro.snapshot import restore, snapshot
+from repro.snapshot import restore, snapshot, trace_digest
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from test_trace_golden import (  # noqa: E402
-    GOLDEN_PATH, SCENARIOS, golden_program, run_scenario_workload,
-    trace_digest)
+    GOLDEN_PATH, SCENARIOS, golden_program, run_scenario_workload)
 
 MAX_CYCLES = 50_000_000
 

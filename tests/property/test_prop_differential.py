@@ -25,13 +25,13 @@ race-free by construction), fuzzing the happens-before machinery for
 false positives across random fork/join shapes.
 """
 
-import hashlib
 
 from hypothesis import given, settings, strategies as st
 
 from repro.compiler import compile_to_program
 from repro.fastsim import FastLBP
 from repro.machine import LBP, Params
+from repro.snapshot import trace_digest
 from repro.workloads import (HistogramWorkload, ReductionWorkload,
                              ServingWorkload, SortWorkload, StencilWorkload)
 
@@ -113,13 +113,6 @@ def _reference(members, work, mix, init):
     return init, scratch, results, total
 
 
-def _digest(events):
-    h = hashlib.sha256()
-    for event in events:
-        h.update(repr(event).encode())
-    return h.hexdigest()
-
-
 def _globals(machine, program, members):
     out = {}
     for name, count in (("init", 16), ("scratch", 16), ("results", 16),
@@ -173,11 +166,11 @@ def test_four_engines_agree(case):
     #    same full event trace — even though one carried the race
     #    detector (observation must not perturb the machine) and two ran
     #    the restructured SoA tick (unobservable by construction)
-    digest = _digest(cycle.trace.events)
+    digest = trace_digest(cycle.trace.events)
     assert cycle_stats.cycles == soa_stats.cycles == sharded_stats.cycles
     assert cycle_stats.retired == soa_stats.retired == sharded_stats.retired
-    assert _digest(soa.trace.events) == digest
-    assert _digest(sharded.trace.events) == digest
+    assert trace_digest(soa.trace.events) == digest
+    assert trace_digest(sharded.trace.events) == digest
 
     # 5. generated programs are race-free by construction; the detector
     #    must agree (no false positives on random fork/join shapes)
@@ -247,7 +240,8 @@ def test_scenario_families_agree_across_engines(case):
 
     assert cycle_stats.cycles == sharded_stats.cycles
     assert cycle_stats.retired == sharded_stats.retired
-    assert _digest(cycle.trace.events) == _digest(sharded.trace.events)
+    assert (trace_digest(cycle.trace.events)
+            == trace_digest(sharded.trace.events))
 
     sync = getattr(workload, "race_sync", None)
     if sync is not None:

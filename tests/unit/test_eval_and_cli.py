@@ -199,6 +199,30 @@ def test_cli_zero_allowed_count_options_take_a_non_negative_integer(
     assert "usage:" in err and "not a non-negative integer" in err
 
 
+@pytest.mark.parametrize("option, value, why", [
+    ("--default-quota", "abc", "is not RATE[:BURST]"),  # was a ValueError
+    ("--default-quota", "1:0", "is not RATE[:BURST]"),  # failed every miss
+    ("--default-quota", "-1:2", "is not RATE[:BURST]"),  # failed every miss
+    ("--quotas", "{bad", "Expecting property name"),  # a JSONDecodeError
+    ("--quotas", "[1,2]", "quotas must map tenant names"),  # AttributeError
+    ("--quotas", '{"t1": {"rate": 1, "burst": 0}}', "burst must be > 0"),
+    ("--port", "-3", "is not a port number"),  # OverflowError from bind
+    ("--job-timeout", "-1", "is not a positive number of seconds"),
+])
+def test_serve_refuses_a_bad_setting_before_it_binds(tmp_path, capsys,
+                                                    option, value, why):
+    sock = tmp_path / "serve.sock"
+    with pytest.raises(SystemExit) as exit_:
+        cli_main(["serve", "--unix", str(sock),
+                  "--cache-dir", str(tmp_path / "cache"),
+                  "%s=%s" % (option, value)])
+    assert exit_.value.code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if "error:" in line]
+    assert len(errors) == 1 and option in errors[0] and why in errors[0]
+    assert not sock.exists()
+
+
 @pytest.mark.parametrize("option", [["run", "--print"], ["check", "--sync"]],
                          ids=lambda option: option[1])
 @pytest.mark.parametrize("item, why", [

@@ -18,7 +18,6 @@ from repro.machine.processor import MachineError
 from repro.observe import (
     STALL_REASONS,
     CoreTelemetry,
-    Metrics,
     build_report,
     chrome_trace,
     report_json,
@@ -132,10 +131,15 @@ def test_core_telemetry_state_survives_json():
 
 
 def test_metrics_state_roundtrip(metered):
-    state = json.loads(json.dumps(metered.metrics.state_dict()))
-    clone = Metrics(interval=state["interval"])
-    clone.load_state_dict(state)
-    assert clone.state_dict() == metered.metrics.state_dict()
+    """Per-core slices (the snapshot's spelling) rebuild every slot."""
+    metrics = metered.metrics
+    clone = LBP(Params(num_cores=2), metrics=metrics.interval).metrics
+    for index in range(2):
+        wire = json.loads(json.dumps(metrics.domain_state_dict(index)))
+        clone.load_domain_state_dict(index, wire)
+    assert clone.edges == metrics.edges
+    assert ([clone.domain_state_dict(i) for i in range(2)]
+            == [metrics.domain_state_dict(i) for i in range(2)])
 
 
 # ---- exporters --------------------------------------------------------------

@@ -184,15 +184,20 @@ def test_observations_merge_across_domains_by_cycle():
 
 
 def test_state_dict_roundtrip():
+    """A snapshot holds the sync ranges once and each domain's records in
+    its core slice; the two rebuild an equal sanitizer."""
     s = Sanitizer()
     s.record(1, (2, "acc", 4, 1, A, 4, 0, 0x0))
     s.record(0, (1, "fork", 0, 1, 1))
     s.add_sync(A, 8)
     other = Sanitizer()
-    other.load_state_dict(s.state_dict())
+    for base, size in json.loads(json.dumps(s.sync_ranges)):
+        other.add_sync(base, size)
+    for domain in (0, 1):
+        wire = json.loads(json.dumps(s.domain_state_dict(domain)))
+        other.load_domain_state_dict(domain, wire)
     assert list(other.observations()) == list(s.observations())
     assert other.sync_ranges == [(A, 8)]
-    assert other.state_dict() == s.state_dict()
 
 
 def test_domain_state_dict_gather():

@@ -110,6 +110,23 @@ def test_quota_manager_default_allowance():
     quotas.charge("someone-else")  # distinct tenant, distinct bucket
 
 
+@pytest.mark.parametrize("limits, default, why", [
+    (None, (1, 0), "burst must be > 0"),
+    (None, (-1, 2), "rate must be >= 0"),
+    (None, (float("nan"), 2), "rate must be >= 0"),
+    (None, ("abc", "abc"), "is not a rate and a burst"),
+    ([1, 2], None, "quotas must map tenant names"),
+    ({"t1": {"rate": 1}}, None, "tenant 't1': .* is not a rate and a burst"),
+    ({"t1": [1, 2, 3]}, None, "tenant 't1': .* is not a rate and a burst"),
+    ({"t1": {"rate": 1, "burst": 0}}, None, "tenant 't1': burst must be"),
+])
+def test_quota_manager_refuses_a_bad_spec_when_built(limits, default, why):
+    """A bad spec used to pass here and fail every job of its tenants
+    with an HTTP 500, when the first charge built the bucket."""
+    with pytest.raises(ValueError, match=why):
+        QuotaManager(limits, default=default)
+
+
 # ---- job specs and keying ---------------------------------------------------
 
 
@@ -438,6 +455,13 @@ def test_pool_cancellation():
 def test_pool_rejects_bad_worker_count():
     with pytest.raises(ValueError):
         WorkerPool(workers=0)
+
+
+@pytest.mark.parametrize("timeout", [0, -1])
+def test_pool_rejects_a_timeout_that_is_not_positive(timeout):
+    """``timeout=-1`` failed every job as timed out on every attempt."""
+    with pytest.raises(ValueError, match="timeout must be > 0"):
+        WorkerPool(workers=1, timeout=timeout)
 
 
 def test_pool_rejects_a_negative_retry_count():

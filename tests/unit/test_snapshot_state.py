@@ -17,10 +17,10 @@ import zlib
 import pytest
 
 from repro.asm import assemble
+from repro.compiler import compile_to_program
 from repro.fastsim import FastLBP
 from repro.machine import LBP, MachineError, Params
 from repro.snapshot import (
-    SIM_VERSION,
     SNAPSHOT_FORMAT_VERSION,
     RunCache,
     SnapshotError,
@@ -32,7 +32,6 @@ from repro.snapshot import (
     restore,
     save_snapshot,
     snapshot,
-    snapshot_info,
 )
 from repro.snapshot import cache as snapshot_cache
 
@@ -83,14 +82,49 @@ def test_restored_machine_state_dict_matches():
     assert restored.params.state_dict() == machine.params.state_dict()
 
 
-def test_snapshot_info_reads_header_without_machine():
-    machine = _paused()
-    info = snapshot_info(snapshot(machine))
-    assert info["sim_version"] == SIM_VERSION
-    assert info["snapshot_version"] == SNAPSHOT_FORMAT_VERSION
-    assert info["cycle"] == machine.cycle
-    assert info["halted"] is False
-    assert info["num_cores"] == 2
+VEC_SOURCE = """
+#include <det_omp.h>
+int v[16];
+void main() {
+    int t;
+    #pragma omp parallel for
+    for (t = 0; t < 16; t++)
+        v[t] = t * t;
+}
+"""
+
+
+def test_state_dict_is_the_gathered_core_slices():
+    """A snapshot's machine state is the run-wide fields plus the very
+    slices the sharded engine gathers, one per core."""
+    program = compile_to_program(VEC_SOURCE, "vec.c")
+    machine = LBP(Params(num_cores=4), trace=True, sanitize=True,
+                  metrics=64).load(program)
+    machine.run(max_cycles=1_000_000, stop_at_cycle=400)
+    assert not machine.halted
+    state = machine.state_dict()
+    assert len(state["cores"]) == 4
+    for index in range(4):
+        assert state["cores"][index] == machine.core_state_dict(index)
+    slices = state["cores"]
+    # the run is mid-flight and every observer has something to carry
+    assert sum(len(s["events"]) for s in slices) == len(machine._events) > 0
+    assert sum(len(s["trace"]) for s in slices) == len(machine.trace) > 0
+    assert sum(len(s["sanitize"]) for s in slices) == len(
+        machine.sanitizer) > 0
+    assert all(s["observe"]["slot"]["samples"] for s in slices)
+    assert restore(snapshot(machine)).state_dict() == state
+
+
+@pytest.mark.parametrize("cores", [1, 4])
+def test_load_state_dict_refuses_another_core_count(cores):
+    state = _paused().state_dict()
+    other = LBP(Params(num_cores=cores)).load(
+        assemble(MEMORY_LOOP), start=False)
+    with pytest.raises(ValueError,
+                       match="state has 2 cores; this machine has %d" % cores):
+        other.load_state_dict(state)
+    assert other.cycle == 0
 
 
 def test_save_and_load_roundtrip(tmp_path):
@@ -156,6 +190,20 @@ def test_format_version_1_rejected():
 
     with pytest.raises(SnapshotError, match="version 1 not supported"):
         restore(_forged(as_v1, version=1))
+
+
+def test_format_version_2_rejected():
+    """Version 2 spelled the machine whole (one event queue, one trace,
+    one stats block beside the cores); its files are refused by type."""
+    def as_v2(payload):
+        payload["snapshot_version"] = 2
+        machine = payload["machine"]
+        machine["events"] = [
+            event for core in machine["cores"] for event in core["events"]]
+        machine["cores"] = [core["core"] for core in machine["cores"]]
+
+    with pytest.raises(SnapshotError, match="version 2 not supported"):
+        restore(_forged(as_v2, version=2))
 
 
 def test_removed_knob_in_params_is_a_snapshot_error():
