@@ -3,13 +3,24 @@
  * Included by _tick.c (one translation unit, one binary).  This is the
  * loop of ``processor.py``'s ``_simulate`` -- the all-gated hop, due-event
  * dispatch, the ``sleep_until`` compare, the ticks, gate-off bookkeeping,
- * the halt / error exits -- over the *existing* objects: ``machine._events``
- * stays the ``heapq`` list of ``(cycle, origin, oseq, dst, kind, args)``
- * tuples, ``machine.cycle`` / ``_origin`` / ``_num_active`` /
- * ``_active_cores`` / ``_halt_at`` / ``_error`` stay the attributes Python
- * reads and writes.  The Python ``_simulate`` is the reference: it runs
- * when the extension is missing and under ``backend="interp"``, and the
- * parity suite holds this file to it bit for bit.
+ * the halt / error exits -- over the *existing* objects: ``machine.cycle`` /
+ * ``_origin`` / ``_num_active`` / ``_active_cores`` / ``_halt_at`` /
+ * ``_error`` stay the attributes Python reads and writes.  The Python
+ * ``_simulate`` is the reference: it runs when the extension is missing
+ * and under ``backend="interp"``, and the parity suite holds this file to
+ * it bit for bit.
+ *
+ * The event queue.  At rest -- between calls, and whatever Python reads --
+ * ``machine._events`` is the ``heapq`` list of ``(cycle, origin, oseq, dst,
+ * kind, args)`` tuples.  While a call runs, the pending events live in the
+ * window's own binary heap of ``Event`` structs, ordered by the unboxed key
+ * ``(cycle, origin, oseq)``; the key is unique, so the pop order is the
+ * list's.  The window moves the list's tuples in when it starts, checking
+ * their shape, and again after every call into Python (what ``LBP.post``
+ * appended meanwhile); it writes everything it holds back to the list as
+ * 6-tuples, a heap again, on every way out (barrier, halt, error,
+ * exception).  An event posted here is a struct, not a tuple: the tuple is
+ * built only if it is still pending when the call returns.
  *
  * The contract with the Python it calls (handlers, ticks that are not
  * ours, ``settle_idle``, everything behind the tick's ``callback``):
@@ -18,10 +29,12 @@
  *     Python never sees a stale "now" and a cycle that stays in C pays for
  *     neither;
  *   - ``_halt_at``, ``_error``, ``_num_active`` and ``_active_cores`` are
- *     cached and re-read after every call into Python (only Python writes
- *     the first two; ``Core.activate`` writes the others); the window's own
- *     writes (gate-off, the rebuilt active list) go to the attribute at
- *     once;
+ *     cached and re-read after every call into Python (``refresh``; only
+ *     Python writes the first two, ``Core.activate`` the others); the
+ *     window's own writes (gate-off, the rebuilt active list) go to the
+ *     attribute at once.  ``EVENT_HANDLERS[kind]`` of a native kind is
+ *     compared with its bind-time function on that kind's first event after
+ *     a call into Python, not per event;
  *   - ``_events``, ``cores``, ``metrics``, ``lowered`` are read once per
  *     call, as the Python loop reads them; ``trace.enabled``,
  *     ``sanitizer``, ``mmio``, ``params.local_mem_latency`` /
@@ -50,6 +63,30 @@
  * changed anything.
  */
 
+/* The event kinds spelled here.  Each native spelling takes the domain
+ * running the event (the core its posts come from) and the event's args;
+ * it returns 1 when it handled the event, 0 when the event is not one it
+ * spells (nothing is changed; the caller calls the Python handler, which
+ * also words every error), -1 on an exception. */
+#define NATIVE_KINDS(X) \
+    X(load_read) X(load_done) X(store_write) X(rreq_load) X(bank_read) \
+    X(rrep_load) X(rreq_store) X(bank_write) X(rack_store)
+#define KIND_INDEX(kind) EV_##kind,
+enum { NATIVE_KINDS(KIND_INDEX) NATIVE_COUNT };
+#define KIND_NAME(kind) &s_##kind,
+static PyObject **const kind_name[NATIVE_COUNT] = {NATIVE_KINDS(KIND_NAME)};
+
+/* One pending event of the window's heap.  Moved in from
+ * ``machine._events``, it holds that tuple, which owns *name* and *args*
+ * and is what goes back; posted here, it owns *args*, and *name* is the
+ * interned kind. */
+typedef struct {
+    int64_t cycle, origin, oseq, dst;   /* (cycle, origin, oseq): the key */
+    int kind;                   /* a NATIVE_KINDS index, or -1 */
+    PyObject *name, *args;
+    PyObject *tuple;            /* owned, or NULL */
+} Event;
+
 struct Window {
     PyObject *machine;          /* borrowed: the caller's self */
     /* read once per call (owned; the Tick holds metrics and lowered) */
@@ -76,24 +113,21 @@ struct Window {
     /* the core class whose ``tick`` was looked up last, and the answer */
     PyTypeObject *tick_type;
     int tick_direct;
+    /* the pending events while the call runs: a binary heap on the key */
+    Event *heap;
+    Py_ssize_t size, room;
+    /* kind k's handler is native_handler[k]: bit k of *live*, as compared
+     * when ``calls`` was checked[k] - 1 (0: not yet) */
+    unsigned live;
+    int64_t checked[NATIVE_COUNT];
 };
 
-/* The event kinds spelled here.  Each native spelling takes the domain
- * running the event (the core its posts come from) and the event's args;
- * it returns 1 when it handled the event, 0 when the event is not one it
- * spells (nothing is changed; the caller calls the Python handler, which
- * also words every error), -1 on an exception. */
-#define NATIVE_KINDS(X) \
-    X(load_read) X(load_done) X(store_write) X(rreq_load) X(bank_read) \
-    X(rrep_load) X(rreq_store) X(bank_write) X(rack_store)
-#define COUNT_ONE(kind) + 1
-#define NATIVE_COUNT (0 NATIVE_KINDS(COUNT_ONE))
 typedef int (*NativeEvent)(Window *w, PyObject *domain, PyObject *args);
 
 static PyObject *event_handlers;  /* processor.EVENT_HANDLERS */
 /* EVENT_HANDLERS[kind] at bind time, one per native kind, in that order */
 static PyObject *native_handler[NATIVE_COUNT];
-static PyObject *heappush, *heappop;
+static PyObject *heapify;
 
 static int
 import_heapq(void)
@@ -101,24 +135,23 @@ import_heapq(void)
     PyObject *heapq = PyImport_ImportModule("heapq");
     if (heapq == NULL)
         return -1;
-    Py_XSETREF(heappush, PyObject_GetAttrString(heapq, "heappush"));
-    Py_XSETREF(heappop, PyObject_GetAttrString(heapq, "heappop"));
+    Py_XSETREF(heapify, PyObject_GetAttrString(heapq, "heapify"));
     Py_DECREF(heapq);
-    return heappush != NULL && heappop != NULL ? 0 : -1;
+    return heapify != NULL ? 0 : -1;
 }
 
 static int
 keep_handlers(PyObject *table)
 {
-#define KIND_NAME(kind) &s_##kind,
-    PyObject **const kinds[] = {NATIVE_KINDS(KIND_NAME)};
     PyObject *found[NATIVE_COUNT];
     int k;
     for (k = 0; k < NATIVE_COUNT; k++) {
-        if ((found[k] = PyDict_GetItemWithError(table, *kinds[k])) == NULL) {
+        if ((found[k] = PyDict_GetItemWithError(table, *kind_name[k]))
+                == NULL) {
             if (!PyErr_Occurred())
                 PyErr_Format(PyExc_KeyError,
-                             "EVENT_HANDLERS lacks the kind %R", *kinds[k]);
+                             "EVENT_HANDLERS lacks the kind %R",
+                             *kind_name[k]);
             return -1;
         }
     }
@@ -126,6 +159,253 @@ keep_handlers(PyObject *table)
     for (k = 0; k < NATIVE_COUNT; k++)
         KEEP(native_handler[k], found[k]);
     return 0;
+}
+
+/* ---- the event heap ------------------------------------------------------------- */
+
+static inline int
+earlier(const Event *a, const Event *b)
+{
+    if (a->cycle != b->cycle)
+        return a->cycle < b->cycle;
+    if (a->origin != b->origin)
+        return a->origin < b->origin;
+    return a->oseq < b->oseq;
+}
+
+/* Room for *more* events past the heap's end. */
+static int
+heap_room(Window *w, Py_ssize_t more)
+{
+    Event *grown;
+    Py_ssize_t room;
+    if (w->size + more <= w->room)
+        return 0;
+    room = 2 * (w->size + more) + 16;
+    if ((grown = PyMem_Realloc(w->heap, room * sizeof(Event))) == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    w->heap = grown;
+    w->room = room;
+    return 0;
+}
+
+/* The event at the heap's end joins the heap. */
+static void
+heap_push(Window *w)
+{
+    Event *heap = w->heap, item = heap[w->size];
+    Py_ssize_t i = w->size++;
+    while (i > 0 && earlier(&item, &heap[(i - 1) / 2])) {
+        heap[i] = heap[(i - 1) / 2];
+        i = (i - 1) / 2;
+    }
+    heap[i] = item;
+}
+
+/* The earliest event leaves the heap: *out* holds what it held. */
+static void
+heap_pop(Window *w, Event *out)
+{
+    Event *heap = w->heap, last;
+    Py_ssize_t i = 0, child, n = --w->size;
+    *out = heap[0];
+    if (n == 0)
+        return;
+    last = heap[n];
+    while ((child = 2 * i + 1) < n) {
+        if (child + 1 < n && earlier(&heap[child + 1], &heap[child]))
+            child++;
+        if (!earlier(&heap[child], &last))
+            break;
+        heap[i] = heap[child];
+        i = child;
+    }
+    heap[i] = last;
+}
+
+/* Drop what an event out of the heap holds. */
+static void
+release(Event *event)
+{
+    Py_DECREF(event->tuple != NULL ? event->tuple : event->args);
+}
+
+/* The NATIVE_KINDS index of the kind *name*, or -1 (a kind only Python
+ * spells, or no kind at all: its handler lookup words that). */
+static int
+kind_index(PyObject *name)
+{
+    int k;
+    for (k = 0; k < NATIVE_COUNT; k++)
+        if (name == *kind_name[k])
+            return k;
+    /* a kind read back from a snapshot is equal, not the interned string */
+    if (PyUnicode_CheckExact(name) && !PyUnicode_CHECK_INTERNED(name))
+        for (k = 0; k < NATIVE_COUNT; k++)
+            if (PyUnicode_Compare(name, *kind_name[k]) == 0)
+                return k;
+    return -1;
+}
+
+/* ``event[i]`` as the int64 *out* */
+static inline int
+key_field(PyObject *event, Py_ssize_t i, int64_t *out)
+{
+    *out = as_int(PyTuple_GET_ITEM(event, i));
+    return *out == -1 && PyErr_Occurred() ? -1 : 0;
+}
+
+/* *into*: the heap entry for the tuple *event*, holding it. */
+static int
+event_in(PyObject *event, Event *into)
+{
+    if (!PyTuple_Check(event) || PyTuple_GET_SIZE(event) != 6
+            || !PyTuple_Check(PyTuple_GET_ITEM(event, 5))) {
+        wrong_type("(cycle, origin, oseq, dst, kind, args) event");
+        return -1;
+    }
+    if (key_field(event, 0, &into->cycle) < 0
+            || key_field(event, 1, &into->origin) < 0
+            || key_field(event, 2, &into->oseq) < 0
+            || key_field(event, 3, &into->dst) < 0)
+        return -1;
+    if (into->cycle < 0) {
+        PyErr_SetString(PyExc_ValueError,
+                        "compiled window: an event before cycle 0");
+        return -1;
+    }
+    into->name = PyTuple_GET_ITEM(event, 4);
+    into->kind = kind_index(into->name);
+    into->args = PyTuple_GET_ITEM(event, 5);
+    into->tuple = new_ref(event);
+    return 0;
+}
+
+/* The heap entry *event* as the tuple ``machine._events`` holds: a new
+ * reference, or NULL.  What the entry held is the result's (or dropped). */
+static PyObject *
+event_out(Event *event)
+{
+    int64_t key[4] = {event->cycle, event->origin, event->oseq, event->dst};
+    PyObject *tuple, *number;
+    int i;
+    if (event->tuple != NULL)
+        return event->tuple;
+    if ((tuple = PyTuple_New(6)) == NULL) {
+        Py_DECREF(event->args);
+        return NULL;
+    }
+    PyTuple_SET_ITEM(tuple, 4, new_ref(event->name));
+    PyTuple_SET_ITEM(tuple, 5, event->args);
+    for (i = 0; i < 4; i++) {
+        if ((number = PyLong_FromLongLong(key[i])) == NULL) {
+            Py_DECREF(tuple);
+            return NULL;
+        }
+        PyTuple_SET_ITEM(tuple, i, number);
+    }
+    return tuple;
+}
+
+/* Move what ``machine._events`` holds into the heap, all or nothing: at
+ * the start of a call the whole list (a heap already, so every push stops
+ * at its first compare), after a call into Python what ``LBP.post``
+ * appended. */
+static int
+absorb(Window *w)
+{
+    Py_ssize_t i, n = PyList_GET_SIZE(w->events);
+    if (n == 0)
+        return 0;
+    if (heap_room(w, n) < 0)
+        return -1;
+    for (i = 0; i < n; i++)
+        if (event_in(PyList_GET_ITEM(w->events, i),
+                     &w->heap[w->size + i]) < 0) {
+            while (i--)
+                release(&w->heap[w->size + i]);
+            return -1;
+        }
+    for (i = 0; i < n; i++)
+        heap_push(w);
+    /* the heap holds its own references: clearing the list frees nothing */
+    return PyList_SetSlice(w->events, 0, n, NULL);
+}
+
+/* An exception set aside while the window hands its events back. */
+#if PY_VERSION_HEX >= 0x030C0000
+typedef struct { PyObject *value; } Raised;
+#define RAISED(r) ((r)->value != NULL)
+#define SET_ASIDE(r) ((r)->value = PyErr_GetRaisedException())
+#define RAISE_AGAIN(r) PyErr_SetRaisedException((r)->value)
+#else
+typedef struct { PyObject *type, *value, *traceback; } Raised;
+#define RAISED(r) ((r)->type != NULL)
+#define SET_ASIDE(r) PyErr_Fetch(&(r)->type, &(r)->value, &(r)->traceback)
+#define RAISE_AGAIN(r) PyErr_Restore((r)->type, (r)->value, (r)->traceback)
+#endif
+
+/* the first exception is the one the window raises */
+static void
+keep_first(Raised *first)
+{
+    if (RAISED(first))
+        PyErr_Clear();
+    else
+        SET_ASIDE(first);
+}
+
+/* The call is returning, by any way: everything pending goes back to
+ * ``machine._events`` as 6-tuples, and the list is a heap again.  The
+ * exception the window is raising, if any, stays the one raised. */
+static int
+write_back(Window *w)
+{
+    Raised first;
+    Py_ssize_t i;
+    PyObject *event;
+    int foreign;
+    SET_ASIDE(&first);
+    if (absorb(w) < 0)
+        keep_first(&first);
+    /* a heap in the same order is a heap for ``heapq``: the tuples compare
+     * as their keys do */
+    foreign = PyList_GET_SIZE(w->events) > 0;
+    for (i = 0; i < w->size; i++) {
+        if ((event = event_out(&w->heap[i])) == NULL
+                || PyList_Append(w->events, event) < 0)
+            keep_first(&first);
+        Py_XDECREF(event);
+    }
+    w->size = 0;
+    if (foreign && called(PyObject_CallOneArg(heapify, w->events)) < 0)
+        keep_first(&first);
+    if (!RAISED(&first))
+        return 0;
+    RAISE_AGAIN(&first);
+    return -1;
+}
+
+/* 1 while ``EVENT_HANDLERS`` still maps native kind *k* to the function it
+ * did at bind time, else 0.  Only Python can replace it, so the entry is
+ * looked up once per kind between two calls into Python, not per event. */
+static int
+handler_is_native(Window *w, int k)
+{
+    PyObject *found;
+    if (w->checked[k] != w->calls + 1) {
+        found = PyDict_GetItemWithError(event_handlers, *kind_name[k]);
+        if (found == NULL && PyErr_Occurred())
+            return -1;
+        if (found == native_handler[k])
+            w->live |= 1u << k;
+        else
+            w->live &= ~(1u << k);
+        w->checked[k] = w->calls + 1;
+    }
+    return w->live >> k & 1;
 }
 
 /* ---- machine attributes -------------------------------------------------------- */
@@ -195,7 +475,8 @@ leave_c(Window *w)
     return publish_now(w);
 }
 
-/* Python ran: re-read what it may have written. */
+/* Python ran: re-read what it may have written, and move in what it
+ * posted. */
 static int
 refresh(Window *w)
 {
@@ -218,7 +499,7 @@ refresh(Window *w)
         return -1;
     }
     Py_XSETREF(w->active, value);
-    return 0;
+    return absorb(w);
 }
 
 /* May this call of the window take the native memory-access path?  1 yes,
@@ -309,43 +590,52 @@ fail:
     return -1;
 }
 
-/* LBP.post from *origin*'s domain to domain *dst*: the key takes the
- * origin's next ``_seq``, and a shard worker diverts an event for a domain
- * it does not own to ``_outbox``.  Steals *args*. */
+/* LBP.post of the native kind *kind* from *origin*'s domain to domain *dst*:
+ * the key takes the origin's next ``_seq`` (boxed: Python reads it), and a
+ * shard worker diverts an event for a domain it does not own to
+ * ``_outbox``.  Steals *args*. */
 static int
-post(Window *w, PyObject *origin, PyObject *dst, PyObject *when,
-     PyObject *kind, PyObject *args)
+post(Window *w, PyObject *origin, int64_t dst, int64_t when, int kind,
+     PyObject *args)
 {
     int status = -1, mine = 1;
-    int64_t seq;
-    PyObject *index, *seq_obj = NULL, *event = NULL, *outbox, *pushed;
+    int64_t index, seq;
+    PyObject *seq_obj = NULL, *dst_obj = NULL, *when_obj = NULL, *event;
     if (args == NULL)
         return -1;
-    GETO(index, origin, C.index);
+    GETI(index, origin, C.index);
     GETI(seq, origin, C._seq);
-    if ((seq_obj = PyLong_FromLongLong(seq + 1)) == NULL)
+    if ((seq_obj = PyLong_FromLongLong(++seq)) == NULL)
         goto fail;
     set_obj(origin, C._seq, seq_obj);
-    if ((event = PyTuple_Pack(6, when, index, seq_obj, dst, kind,
-                              args)) == NULL)
-        goto fail;
     if (w->owned != Py_None
-            && (mine = PySequence_Contains(w->owned, dst)) < 0)
+            && ((dst_obj = PyLong_FromLongLong(dst)) == NULL
+                || (mine = PySequence_Contains(w->owned, dst_obj)) < 0))
         goto fail;
     if (mine) {
-        PyObject *stack[2] = {w->events, event};
-        pushed = PyObject_Vectorcall(heappush, stack, 2, NULL);
-    } else {
-        if ((outbox = attr_list(w->machine, s__outbox)) == NULL)
+        if (heap_room(w, 1) < 0)
             goto fail;
-        pushed = PyList_Append(outbox, event) < 0 ? NULL : new_ref(Py_None);
+        w->heap[w->size] = (Event){when, index, seq, dst, kind,
+                                   *kind_name[kind], args, NULL};
+        heap_push(w);
+        args = NULL;  /* the heap's */
+        status = 0;
+    } else {
+        PyObject *outbox;
+        if ((when_obj = PyLong_FromLongLong(when)) == NULL
+                || (outbox = attr_list(w->machine, s__outbox)) == NULL)
+            goto fail;
+        event = PyTuple_Pack(6, when_obj, SLOT(origin, C.index), seq_obj,
+                             dst_obj, *kind_name[kind], args);
+        status = event == NULL ? -1 : PyList_Append(outbox, event);
+        Py_XDECREF(event);
         Py_DECREF(outbox);
     }
-    status = called(pushed);
 fail:
-    Py_XDECREF(event);
     Py_XDECREF(seq_obj);
-    Py_DECREF(args);
+    Py_XDECREF(dst_obj);
+    Py_XDECREF(when_obj);
+    Py_XDECREF(args);
     return status;
 }
 
@@ -400,9 +690,9 @@ own_access(Tick *t, PyObject *hart, PyObject *entry, PyObject *low,
 {
     Window *w = t->w;
     int status = -1;
-    int64_t next_free, when;
+    int64_t next_free, when, number;
     PyObject *index, *gid, *tag, *width_obj;
-    PyObject *when_obj = NULL, *after_obj = NULL, *ref = NULL;
+    PyObject *after_obj = NULL, *ref = NULL;
 
     /* Port.reserve(now + local_mem_latency) */
     CHECK(port, port_type);
@@ -414,10 +704,9 @@ own_access(Tick *t, PyObject *hart, PyObject *entry, PyObject *low,
         goto fail;
     set_obj(port, P.next_free, after_obj);
     GETO(index, t->core, C.index);
+    GETI(number, t->core, C.index);
     if (shared) {
-        int64_t number;
         PyObject *counters;
-        GETI(number, t->core, C.index);
         if ((counters = list_item(w->per_core, number)) == NULL)
             goto fail;
         CHECK(counters, counters_type);
@@ -427,15 +716,13 @@ own_access(Tick *t, PyObject *hart, PyObject *entry, PyObject *low,
     GETO(gid, hart, H.gid);
     GETO(tag, entry, E.tag);
     GETO(width_obj, low, L.width);
-    if ((when_obj = PyLong_FromLongLong(when)) == NULL
-            || (ref = PyTuple_Pack(2, shared ? s_shared : s_local,
-                                   index)) == NULL)
+    if ((ref = PyTuple_Pack(2, shared ? s_shared : s_local, index)) == NULL)
         goto fail;
     if (kind == ACC_STORE) {
         PyObject *value;
         GETO(value, entry, E.val1);
         if (add_int(hart, H.outstanding_mem, 1) < 0
-                || post(w, t->core, index, when_obj, s_store_write,
+                || post(w, t->core, number, when, EV_store_write,
                         PyTuple_Pack(7, ref, addr_obj, value, width_obj,
                                      index, gid, tag)) < 0
                 || count_access(hart, S.stores) < 0)
@@ -446,17 +733,16 @@ own_access(Tick *t, PyObject *hart, PyObject *entry, PyObject *low,
         /* the read is done at when + 1: the port's next free cycle */
         if (occupy(hart, entry, low) < 0
                 || add_int(hart, H.outstanding_mem, 1) < 0
-                || post(w, t->core, index, when_obj, s_load_read,
+                || post(w, t->core, number, when, EV_load_read,
                         PyTuple_Pack(7, ref, addr_obj, width_obj, mnemonic,
                                      after_obj, index, gid)) < 0
-                || post(w, t->core, index, after_obj, s_load_done,
+                || post(w, t->core, number, when + 1, EV_load_done,
                         PyTuple_Pack(1, gid)) < 0
                 || (kind == ACC_LOAD && count_access(hart, S.loads) < 0))
             goto fail;
     }
     status = 1;
 fail:
-    Py_XDECREF(when_obj);
     Py_XDECREF(after_obj);
     Py_XDECREF(ref);
     return status;
@@ -611,7 +897,7 @@ remote_access(Tick *t, PyObject *hart, PyObject *entry, PyObject *low,
     int64_t index, t_up;
     Hop path[MAX_HOPS];
     PyObject *counters, *index_obj, *gid, *width_obj, *links = NULL;
-    PyObject *owner_obj = NULL, *up_obj = NULL, *args = NULL;
+    PyObject *owner_obj = NULL, *args = NULL;
 
     GETO(index_obj, t->core, C.index);
     GETI(index, t->core, C.index);
@@ -652,11 +938,10 @@ remote_access(Tick *t, PyObject *hart, PyObject *entry, PyObject *low,
             goto release;
     }
     count = request_path(index, owner, path);
-    if (reserve_path(w, links, path, count, t->cycle, &t_up) < 0
-            || (up_obj = PyLong_FromLongLong(t_up)) == NULL)
+    if (reserve_path(w, links, path, count, t->cycle, &t_up) < 0)
         goto release;
-    status = post(w, t->core, owner_obj, up_obj,
-                  kind == ACC_STORE ? s_rreq_store : s_rreq_load, args);
+    status = post(w, t->core, owner, t_up,
+                  kind == ACC_STORE ? EV_rreq_store : EV_rreq_load, args);
     args = NULL;  /* post took it */
     if (status == 0 && kind != ACC_LWCV)
         status = count_access(hart, kind == ACC_STORE ? S.stores : S.loads);
@@ -667,7 +952,6 @@ release:
     Py_DECREF(links);
 fail:
     Py_XDECREF(owner_obj);
-    Py_XDECREF(up_obj);
     Py_XDECREF(args);
     return status;
 }
@@ -999,21 +1283,23 @@ ev_store_write(Window *w, PyObject *Py_UNUSED(domain), PyObject *args)
 }
 
 /* The arrival of a request (src, hart_gid, owner, ...) at the owner's router
- * port, common to rreq_load and rreq_store: the bank slot *t_bank* and the
- * cycle *t_back* the reply, reserved from it, leaves its last link. */
+ * port, common to rreq_load and rreq_store: *src* and *owner*, the bank slot
+ * *t_bank* and the cycle *t_back* the reply, reserved from it, leaves its
+ * last link. */
 static int
-arrive(Window *w, PyObject *args, int64_t *t_bank, int64_t *t_back)
+arrive(Window *w, PyObject *args, int64_t *src, int64_t *owner,
+       int64_t *t_bank, int64_t *t_back)
 {
     int count;
-    int64_t src, owner, next_free;
+    int64_t next_free;
     Hop path[MAX_HOPS];
     PyObject *core, *mem, *port, *links;
-    if ((src = index_in(PyTuple_GET_ITEM(args, 0),
-                        PyList_GET_SIZE(w->cores))) < 0
-            || (owner = index_in(PyTuple_GET_ITEM(args, 2),
-                                 PyList_GET_SIZE(w->cores))) < 0)
+    if ((*src = index_in(PyTuple_GET_ITEM(args, 0),
+                         PyList_GET_SIZE(w->cores))) < 0
+            || (*owner = index_in(PyTuple_GET_ITEM(args, 2),
+                                  PyList_GET_SIZE(w->cores))) < 0)
         return 0;
-    core = PyList_GET_ITEM(w->cores, owner);
+    core = PyList_GET_ITEM(w->cores, *owner);
     CHECK(core, core_type);
     GETO(mem, core, C.mem);
     CHECK(mem, mem_type);
@@ -1026,7 +1312,7 @@ arrive(Window *w, PyObject *args, int64_t *t_bank, int64_t *t_back)
     if (next_free > *t_bank)
         *t_bank = next_free;
     SETI(port, P.next_free, *t_bank + 1);
-    count = reply_path(src, owner, path);
+    count = reply_path(*src, *owner, path);
     return reserve_path(w, links, path, count, *t_bank, t_back) < 0 ? -1 : 1;
 fail:
     return -1;
@@ -1038,23 +1324,20 @@ static int
 ev_rreq_load(Window *w, PyObject *domain, PyObject *args)
 {
     int status, i;
-    int64_t t_bank, t_back;
-    PyObject *bank_obj = NULL, *done_obj = NULL, *a[6];
+    int64_t src, owner, t_bank, t_back;
+    PyObject *done_obj, *a[6];
     if (PyTuple_GET_SIZE(args) != 6)
         return 0;
-    if ((status = arrive(w, args, &t_bank, &t_back)) <= 0)
+    if ((status = arrive(w, args, &src, &owner, &t_bank, &t_back)) <= 0)
         return status;
     for (i = 0; i < 6; i++)
         a[i] = PyTuple_GET_ITEM(args, i);
-    if ((bank_obj = PyLong_FromLongLong(t_bank)) == NULL
-            || (done_obj = PyLong_FromLongLong(t_back + 1)) == NULL)
-        status = -1;
-    else
-        status = post(w, domain, a[2], bank_obj, s_bank_read,
-                      PyTuple_Pack(7, a[0], a[1], a[2], a[3], a[4], a[5],
-                                   done_obj));
-    Py_XDECREF(bank_obj);
-    Py_XDECREF(done_obj);
+    if ((done_obj = PyLong_FromLongLong(t_back + 1)) == NULL)
+        return -1;
+    status = post(w, domain, owner, t_bank, EV_bank_read,
+                  PyTuple_Pack(7, a[0], a[1], a[2], a[3], a[4], a[5],
+                               done_obj));
+    Py_DECREF(done_obj);
     return status < 0 ? -1 : 1;
 }
 
@@ -1064,11 +1347,14 @@ static int
 ev_bank_read(Window *w, PyObject *domain, PyObject *args)
 {
     int status;
-    int64_t width;
+    int64_t src, t_done, width;
     char *at;
     PyObject *mnemonic, *value;
     if (PyTuple_GET_SIZE(args) != 7
-            || !PyUnicode_Check(mnemonic = PyTuple_GET_ITEM(args, 5)))
+            || !PyUnicode_Check(mnemonic = PyTuple_GET_ITEM(args, 5))
+            || (src = index_in(PyTuple_GET_ITEM(args, 0),
+                               PyList_GET_SIZE(w->cores))) < 0
+            || !one_digit(PyTuple_GET_ITEM(args, 6), &t_done) || t_done < 0)
         return 0;
     if ((status = bank_bytes(w, PyTuple_GET_ITEM(args, 2), 1,
                              PyTuple_GET_ITEM(args, 3),
@@ -1077,8 +1363,7 @@ ev_bank_read(Window *w, PyObject *domain, PyObject *args)
     if ((value = PyLong_FromUnsignedLong(
              load_value(mnemonic, read_bytes(at, width)))) == NULL)
         return -1;
-    status = post(w, domain, PyTuple_GET_ITEM(args, 0),
-                  PyTuple_GET_ITEM(args, 6), s_rrep_load,
+    status = post(w, domain, src, t_done, EV_rrep_load,
                   PyTuple_Pack(4, PyTuple_GET_ITEM(args, 0),
                                PyTuple_GET_ITEM(args, 1),
                                PyTuple_GET_ITEM(args, 3), value));
@@ -1117,24 +1402,20 @@ static int
 ev_rreq_store(Window *w, PyObject *domain, PyObject *args)
 {
     int status, i;
-    int64_t t_bank, t_back;
-    PyObject *bank_obj = NULL, *ack_obj = NULL, *a[7];
+    int64_t src, owner, t_bank, t_back;
+    PyObject *a[7];
     if (PyTuple_GET_SIZE(args) != 7)
         return 0;
-    if ((status = arrive(w, args, &t_bank, &t_back)) <= 0)
+    if ((status = arrive(w, args, &src, &owner, &t_bank, &t_back)) <= 0)
         return status;
     for (i = 0; i < 7; i++)
         a[i] = PyTuple_GET_ITEM(args, i);
-    if ((bank_obj = PyLong_FromLongLong(t_bank)) == NULL
-            || (ack_obj = PyLong_FromLongLong(t_back + 1)) == NULL
-            || post(w, domain, a[2], bank_obj, s_bank_write,
-                    PyTuple_Pack(4, a[2], a[3], a[4], a[5])) < 0
-            || post(w, domain, a[0], ack_obj, s_rack_store,
+    if (post(w, domain, owner, t_bank, EV_bank_write,
+             PyTuple_Pack(4, a[2], a[3], a[4], a[5])) < 0
+            || post(w, domain, src, t_back + 1, EV_rack_store,
                     PyTuple_Pack(5, a[0], a[1], a[3], a[4], a[6])) < 0)
-        status = -1;
-    Py_XDECREF(bank_obj);
-    Py_XDECREF(ack_obj);
-    return status < 0 ? -1 : 1;
+        return -1;
+    return 1;
 }
 
 /* _ev_bank_write(owner, addr, value, width) */
@@ -1187,48 +1468,28 @@ static const NativeEvent native_event[NATIVE_COUNT] = {
 /* ---- the loop --------------------------------------------------------------------- */
 
 /* The cycle of the earliest pending event, never_val when there is none. */
-static int64_t
-next_event(Window *w)
+static inline int64_t
+next_event(const Window *w)
 {
-    PyObject *event;
-    int64_t cycle;
-    if (PyList_GET_SIZE(w->events) == 0)
-        return never_val;
-    event = PyList_GET_ITEM(w->events, 0);
-    if (!PyTuple_Check(event) || PyTuple_GET_SIZE(event) != 6
-            || !PyTuple_Check(PyTuple_GET_ITEM(event, 5))) {
-        wrong_type("(cycle, origin, oseq, dst, kind, args) event");
-        return -1;
-    }
-    cycle = as_int(PyTuple_GET_ITEM(event, 0));
-    if (cycle < 0 && !PyErr_Occurred())
-        PyErr_SetString(PyExc_ValueError,
-                        "compiled window: an event before cycle 0");
-    return cycle < 0 ? -1 : cycle;
+    return w->size ? w->heap[0].cycle : never_val;
 }
 
 /* Pop the earliest event and run its handler in its domain. */
 static int
 dispatch(Window *w)
 {
-    int status = -1, handled = 0, active, k;
-    int64_t dst;
+    int status = -1, handled = 0, active;
     Py_ssize_t i, count;
-    PyObject *event, *kind, *args, *core = NULL, *handler, *call = NULL;
+    Event event;
+    PyObject *core = NULL, *index, *handler, *call = NULL;
 
-    if ((event = PyObject_CallOneArg(heappop, w->events)) == NULL)
-        return -1;
-    /* next_event() checked the shape of the heap's head: this tuple */
-    dst = as_int(PyTuple_GET_ITEM(event, 3));
-    if (dst == -1 && PyErr_Occurred())
-        goto fail;
-    kind = PyTuple_GET_ITEM(event, 4);
-    args = PyTuple_GET_ITEM(event, 5);
-    if ((core = list_item(w->cores, dst)) == NULL)
+    heap_pop(w, &event);
+    if ((core = list_item(w->cores, event.dst)) == NULL)
         goto fail;
     Py_INCREF(core);  /* the domain posts from it after calls into Python */
     CHECK(core, core_type);
-    Py_XSETREF(w->origin, new_ref(PyTuple_GET_ITEM(event, 3)));
+    GETO(index, core, C.index);
+    Py_XSETREF(w->origin, new_ref(index));
     w->origin_synced = 0;
     /* the handler may change what this domain's stages see */
     set_obj(core, C.sleep_until, zero_obj);
@@ -1241,28 +1502,28 @@ dispatch(Window *w)
                             core, s_settle_idle, w->cycle_obj)) < 0))
             goto fail;
     }
-    if ((handler = PyDict_GetItemWithError(event_handlers, kind)) == NULL) {
-        if (!PyErr_Occurred())
-            PyErr_SetObject(PyExc_KeyError, kind);
-        goto fail;
-    }
-    for (k = 0; k < NATIVE_COUNT && handler != native_handler[k]; k++)
-        ;
-    if (k < NATIVE_COUNT) {
-        if ((handled = access_context(w)) > 0)
-            handled = native_event[k](w, core, args);
+    if (event.kind >= 0) {
+        if ((handled = handler_is_native(w, event.kind)) > 0
+                && (handled = access_context(w)) > 0)
+            handled = native_event[event.kind](w, core, event.args);
         if (handled < 0)
             goto fail;
     }
     if (!handled) {
-        /* handler(machine, *args) */
-        count = PyTuple_GET_SIZE(args);
+        /* EVENT_HANDLERS[kind](machine, *args) */
+        if ((handler = PyDict_GetItemWithError(event_handlers,
+                                               event.name)) == NULL) {
+            if (!PyErr_Occurred())
+                PyErr_SetObject(PyExc_KeyError, event.name);
+            goto fail;
+        }
+        count = PyTuple_GET_SIZE(event.args);
         if ((call = PyTuple_New(count + 1)) == NULL || leave_c(w) < 0)
             goto fail;
         PyTuple_SET_ITEM(call, 0, new_ref(w->machine));
         for (i = 0; i < count; i++)
             PyTuple_SET_ITEM(call, i + 1,
-                             new_ref(PyTuple_GET_ITEM(args, i)));
+                             new_ref(PyTuple_GET_ITEM(event.args, i)));
         if (called(PyObject_Call(handler, call, NULL)) < 0)
             goto fail;
     }
@@ -1270,7 +1531,7 @@ dispatch(Window *w)
 fail:
     Py_XDECREF(call);
     Py_XDECREF(core);
-    Py_DECREF(event);
+    release(&event);
     return status;
 }
 
@@ -1364,9 +1625,7 @@ machine_simulate(PyObject *machine, PyObject *const *args, Py_ssize_t nargs)
             /* every core is quiescent: hop to the next event, the pending
              * halt or the barrier, whichever comes first */
             int64_t target = barrier;
-            if ((due = next_event(&w)) < 0)
-                goto fail;
-            if (due < target)
+            if ((due = next_event(&w)) < target)
                 target = due;
             if (w.halt_at < target)
                 target = w.halt_at;
@@ -1390,9 +1649,8 @@ machine_simulate(PyObject *machine, PyObject *const *args, Py_ssize_t nargs)
         w.cycle = t.cycle = cycle;
         t.cycle_obj = w.cycle_obj;
         t.next_obj = w.next_obj;
-        while ((due = next_event(&w)) <= cycle) {
-            if (due < 0 || dispatch(&w) < 0
-                    || (w.calls != w.seen && refresh(&w) < 0))
+        while (next_event(&w) <= cycle) {
+            if (dispatch(&w) < 0 || (w.calls != w.seen && refresh(&w) < 0))
                 goto fail;
         }
         if (w.active == NULL && list_active(&w, cores) < 0)
@@ -1435,6 +1693,10 @@ machine_simulate(PyObject *machine, PyObject *const *args, Py_ssize_t nargs)
     if (publish_now(&w) == 0)
         result = PyLong_FromLongLong(cycle);
 fail:
+    /* every way out: the pending events go back to machine._events */
+    if (w.events != NULL && write_back(&w) < 0)
+        Py_CLEAR(result);
+    PyMem_Free(w.heap);
     Py_XDECREF(scan);
     Py_XDECREF(w.events);
     Py_XDECREF(w.cores);

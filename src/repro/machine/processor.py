@@ -65,6 +65,11 @@ class DeadlockError(MachineError):
 # *no closures* — so that in-flight events survive snapshot/restore
 # (repro.snapshot): the args of every kind are plain ints/strings/tuples
 # and each handler below re-resolves the objects it touches from those.
+# ``machine._events`` is that queue at rest: a ``heapq`` list, which
+# ``LBP.post`` pushes onto and this file's ``_simulate`` pops from.  The
+# compiled loop (machine/_window.h) moves the tuples into a heap of C
+# structs while it runs and hands them back, a heap list again, whenever it
+# returns; a handler it calls still posts through ``LBP.post``.
 # Handlers run with the machine as first argument when their cycle is
 # reached, and only ever mutate state of the *dst* domain (plus posts of
 # follow-up events) — the invariant the sharded engine depends on.
@@ -655,9 +660,7 @@ class LBP:
 
     def load_core_state_dict(self, index, state):
         for event in state["events"]:
-            if event[4] not in EVENT_HANDLERS:
-                raise ValueError(
-                    "unknown event kind %r in snapshot" % (event[4],))
+            self._check_event(index, event)
         self.cores[index].load_state_dict(state["core"])
         self.stats.load_core_state_dict(index, state["stats"])
         self.trace.load_domain_state_dict(index, state["trace"])
@@ -677,17 +680,39 @@ class LBP:
         heapq.heapify(self._events)
         self._num_active = sum(1 for core in self.cores if core.active)
 
+    def _check_event(self, index, event):
+        """Refuse a snapshot event of core *index*'s slice that no run
+        could have posted: the event loops would not agree on it."""
+        def refuse(why):
+            raise ValueError("event %r in core %d's snapshot slice: %s"
+                             % (event, index, why))
+
+        if len(event) != 6:
+            refuse("not (cycle, origin, oseq, dst, kind, args)")
+        cycle, origin, oseq, dst, kind, _args = event
+        if kind not in EVENT_HANDLERS:
+            refuse("unknown event kind %r" % (kind,))
+        if dst != index or type(dst) is not int:
+            refuse("dst is not core %d" % index)
+        for name, value in (("cycle", cycle), ("origin", origin),
+                            ("oseq", oseq)):
+            if type(value) is not int or value < 0:
+                refuse("%s is not a non-negative int" % name)
+        if origin >= len(self.cores):
+            refuse("origin is not a core of this %d-core machine"
+                   % len(self.cores))
+
     # ---- small services used by cores ---------------------------------------
 
     def hart_by_gid(self, gid):
         core_index, hart_index = divmod(gid, self.params.harts_per_core)
-        if core_index >= len(self.cores):
+        if not 0 <= core_index < len(self.cores):
             self.error("hart id %d does not exist" % gid)
             return self.cores[0].harts[0]
         return self.cores[core_index].harts[hart_index]
 
     def _valid_gid(self, gid):
-        if gid // self.params.harts_per_core >= len(self.cores):
+        if not 0 <= gid // self.params.harts_per_core < len(self.cores):
             self.error("hart id %d does not exist" % gid)
             return False
         return True

@@ -30,6 +30,7 @@ from repro.machine.hart import Entry
 from repro.machine.memory import Bank, Port
 from repro.machine.reference import ReferenceCore
 from repro.observe import Metrics
+from repro.snapshot import restore, snapshot
 
 #: the directory the ``repro`` package is in, for subprocesses
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
@@ -343,22 +344,33 @@ def test_an_exception_under_the_window_propagates_and_leaks_nothing(
     def boom(*args):
         raise Boom(where)
 
+    left = {}
+
     def once(run):
         # (FORK_JOIN's code-bank load goes through schedule_access on every
         # path)
+        backend = "soa" if run % 4 else "interp"
         machine = LBP(Params(num_cores=2), metrics=True,
-                      backend="soa" if run % 4 else "interp").load(
-                          assemble(FORK_JOIN))
+                      backend=backend).load(assemble(FORK_JOIN))
         RAISERS[where](monkeypatch, boom)
         with pytest.raises(Boom, match=where):
             machine.run(max_cycles=100_000)
         monkeypatch.undo()
         assert machine.state_dict()["cycle"] >= 0
+        # the window handed back what it held when the raise went through
+        # it: the events the reference loop is left with, as tuples
+        events = machine._events
+        assert all(type(event) is tuple and len(event) == 6
+                   and type(event[5]) is tuple for event in events)
+        assert all(events[(i - 1) // 2] < events[i]
+                   for i in range(1, len(events)))
+        assert left.setdefault(backend, sorted(events)) == sorted(events)
 
     # a raise-and-catch round trip moves None's count by a few on the pure
     # Python path too; a reference dropped per tick or per event would move
     # it by thousands
     _assert_no_leak(once, runs=12, slack=100)
+    assert left["soa"] == left["interp"]
 
 
 @compiled
@@ -460,6 +472,24 @@ def test_private_bank_accesses_stay_in_c_unless_observed(monkeypatch):
     assert states[0] == states[1] == states[2]
 
 
+@compiled
+def test_events_read_back_from_a_snapshot_stay_in_c(monkeypatch):
+    """A snapshot file gives back each kind as an equal string, not the
+    interned one the window compares first: its events still run in C."""
+    whole = LBP(Params(num_cores=1)).load(assemble(STACK_TRAFFIC))
+    whole.run(max_cycles=1000)
+    paused = LBP(Params(num_cores=1)).load(assemble(STACK_TRAFFIC))
+    paused.run(max_cycles=1000, stop_at_cycle=7)
+    resumed = restore(snapshot(paused))
+    kinds = [event[4] for event in resumed._events]
+    assert kinds == ["load_read", "load_done"]
+    assert all(kind is not sys.intern(kind) for kind in kinds)
+    handled = _count_calls(monkeypatch, LBP, "hart_by_gid")
+    resumed.run(max_cycles=1000)
+    assert handled == []
+    assert resumed.state_dict() == whole.state_dict()
+
+
 REMOTE_TRAFFIC = """
 main:
     li  t0, %d
@@ -518,6 +548,54 @@ def test_a_replaced_handler_and_a_replaced_tick_are_what_runs(monkeypatch):
     machine = LBP(Params(num_cores=1)).load(assemble(STACK_TRAFFIC))
     assert Core.tick(machine.cores[0]) is True
     assert machine.cores[0].harts[0].fetch_buf is not None
+
+
+#: a stack store, a fork request (its event has only a Python handler), and
+#: once that has arrived, two more stack stores
+STORE_FORK_STORE = """
+main:
+    li   t1, 7
+    sw   t1, -4(sp)
+    p_fn t6
+    li   t2, 20
+wait:
+    addi t2, t2, -1
+    bnez t2, wait
+    sw   t1, -8(sp)
+    sw   t1, -12(sp)
+    ebreak
+"""
+
+
+@compiled
+def test_a_handler_replaced_under_the_window_is_what_runs_next(monkeypatch):
+    """Python the window calls (here the fork_req handler) may replace a
+    native kind's handler: every event of that kind after the call runs
+    the replacement, as under the reference loop's lookup per event."""
+    fork_req = processor.EVENT_HANDLERS["fork_req"]
+    store_write = processor.EVENT_HANDLERS["store_write"]
+    stores = []
+
+    def counted(*args):
+        stores.append(args[1:])  # (the machine, then the event args)
+        return store_write(*args)
+
+    def swap(*args):
+        monkeypatch.setitem(processor.EVENT_HANDLERS, "store_write", counted)
+        return fork_req(*args)
+
+    seen = []
+    for backend in (None, "interp"):
+        del stores[:]
+        monkeypatch.setitem(processor.EVENT_HANDLERS, "fork_req", swap)
+        machine = LBP(Params(num_cores=2), backend=backend).load(
+            assemble(STORE_FORK_STORE))
+        machine.run(max_cycles=10_000)
+        monkeypatch.undo()
+        seen.append((list(stores), machine.state_dict()))
+    assert [store[1] for store in seen[0][0]] == [
+        memmap.hart_initial_sp(0) - 8, memmap.hart_initial_sp(0) - 12]
+    assert seen[0] == seen[1]
 
 
 @compiled

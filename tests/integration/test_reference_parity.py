@@ -374,6 +374,39 @@ main:
     ebreak
 """ % REMOTE_BANK
 
+def _well_formed_heap(events):
+    """``machine._events`` at rest: (cycle, origin, oseq, dst, kind, args)
+    tuples with tuple args, in ``heapq`` order."""
+    return (all(type(event) is tuple and len(event) == 6
+                and type(event[5]) is tuple for event in events)
+            and all(events[(i - 1) // 2] < events[i]
+                    for i in range(1, len(events))))
+
+
+@pytest.mark.parametrize("source,cores", [(LOCAL_ACCESSES, 1),
+                                          (REMOTE_STORES, 2)],
+                         ids=["local", "remote"])
+def test_every_pause_leaves_the_same_pending_events(source, cores):
+    """Step both loops one cycle at a time, so the compiled window returns
+    at every cycle boundary the run has: each time, it has handed back
+    the very events the reference loop holds, as well-formed tuples."""
+    machines = [_untraced(source, backend, cores)
+                for backend in ("soa", "interp")]
+    cycle = pending = 0
+    while not all(machine.halted for machine in machines):
+        cycle += 1
+        assert cycle < 10_000
+        seen = []
+        for machine in machines:
+            machine.run(max_cycles=10_000, stop_at_cycle=cycle)
+            assert _well_formed_heap(machine._events), cycle
+            seen.append((machine.cycle, sorted(machine._events)))
+        assert seen[0] == seen[1], cycle
+        pending += len(seen[0][1])
+    assert pending > 20
+    assert machines[0].state_dict() == machines[1].state_dict()
+
+
 #: each program, its cores, and the remote kinds paused with in flight
 REMOTE_PAUSES = {
     "loads": (lambda: golden_program("sort_h8_c2"), 2,

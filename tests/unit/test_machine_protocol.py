@@ -243,6 +243,20 @@ def test_team_protocol_errors_are_the_same_on_both_ticks(name):
     assert seen[0] == seen[1]
 
 
+@pytest.mark.parametrize("backend", [None, "interp"])
+@pytest.mark.parametrize("gid", [-1, 2 * 4])
+def test_a_hart_id_outside_the_machine_is_no_hart(backend, gid):
+    """Below 0 or past the last core (2 cores of 4 harts): an error, never
+    a hart Python's negative indexing finds on the last core."""
+    message = "cycle 0: hart id %d does not exist" % gid
+    machine = LBP(Params(num_cores=2), backend=backend)
+    assert machine._valid_gid(gid) is False
+    assert machine._error == message
+    machine = LBP(Params(num_cores=2), backend=backend)
+    assert machine.hart_by_gid(gid) is machine.cores[0].harts[0]
+    assert machine._error == message
+
+
 #: hand-built teams for protocol branches no compiled program reaches:
 #: name -> (cores, program, the branch as a predicate on a paused machine).
 #: Each writes `data` before an edge and reads it after (ordered), and

@@ -127,6 +127,36 @@ def test_load_state_dict_refuses_another_core_count(cores):
     assert other.cycle == 0
 
 
+#: a snapshot event no run could post: (field, value, why it is refused)
+BAD_EVENTS = {
+    "kind": (4, "nosuch", "unknown event kind 'nosuch'"),
+    "dst_negative": (3, -1, "dst is not core 0"),
+    "dst_other_core": (3, 1, "dst is not core 0"),
+    "cycle_negative": (0, -5, "cycle is not a non-negative int"),
+    "cycle_text": (0, "7", "cycle is not a non-negative int"),
+    "origin_negative": (1, -1, "origin is not a non-negative int"),
+    "origin_past_last_core": (1, 2, "origin is not a core of this 2-core"),
+    "oseq_float": (2, 1.5, "oseq is not a non-negative int"),
+}
+
+
+@pytest.mark.parametrize("backend", [None, "interp"])
+@pytest.mark.parametrize("name", sorted(BAD_EVENTS))
+def test_a_snapshot_event_no_run_could_post_is_refused(name, backend):
+    """Both event loops would otherwise treat it differently (the reference
+    one ran a dst of -1 on the last core, the compiled one stopped with an
+    IndexError): the restore refuses it, naming the event."""
+    field, value, why = BAD_EVENTS[name]
+    state = _paused(stop_at_cycle=13).state_dict()  # a load on core 0
+    event = state["cores"][0]["events"][0]
+    event[field] = value
+    machine = LBP(Params(num_cores=2), backend=backend).load(
+        assemble(MEMORY_LOOP), start=False)
+    with pytest.raises(ValueError) as err:
+        machine.load_state_dict(state)
+    assert why in str(err.value) and repr(event) in str(err.value)
+
+
 def test_save_and_load_roundtrip(tmp_path):
     machine = _paused()
     path = str(tmp_path / "pause.lbpsnap")
