@@ -34,6 +34,10 @@
  *     stores that expiry in ``sleep_until``; the cycle loop skips the core
  *     until then and event dispatch clears it.  Never with metrics
  *     attached: the stall classifier charges every busy cycle.
+ *   - Metrics charges: a metered tick classifies its stall and charges
+ *     its idle cycle here, on the CoreTelemetry slots ``Metrics.stall`` /
+ *     ``idle`` write, while the machine's Metrics is exact and its hooks
+ *     are the bind-time ones (see "the metrics charges" below).
  *   - No object traffic the state does not need.  Slots keep holding the
  *     Python values they always held; what went is the allocation and the
  *     call per instruction around them:
@@ -64,8 +68,10 @@
  * stores, every access a trace or a sanitizer observes, jalr,
  * SYSTEM/FENCE, every X_PAR class), ``Core._commit_p_ret``,
  * ``Core.alloc_free_hart``, ``machine.halt`` / ``error`` /
- * ``send_fork_req`` / ``fetch_instruction`` and ``metrics.idle`` /
- * ``roll`` / ``stall``, at the call sites the reference tick makes them.
+ * ``send_fork_req`` / ``fetch_instruction``, ``metrics.roll`` and a
+ * window edge's ``_emit``, at the call sites the reference tick makes
+ * them; ``metrics.idle`` / ``stall`` only for a Metrics the charges here
+ * do not stand for (a subclass, a replaced hook).
  * The one exception is memory: a load or store to the core's own banks or
  * to another core's shared bank, and ``p_lwcv``, which the cycle window
  * issues itself when nothing observes it (``mem_access`` in _window.h).
@@ -82,6 +88,13 @@
 #include <Python.h>
 #include <structmember.h>
 #include <stdint.h>
+
+/* keeps a function out of its callers (Py_NO_INLINE is 3.11's spelling) */
+#if defined(__GNUC__)
+#define NOINLINE __attribute__((noinline))
+#else
+#define NOINLINE
+#endif
 
 /* ---- slot offsets, resolved by bind() ------------------------------------ */
 
@@ -107,8 +120,10 @@
     X(local) X(shared) X(local_port) X(shared_local_port) X(shared_router_port)
 #define BANK_SLOTS(X) X(base) X(data)
 #define PORT_SLOTS(X) X(next_free)
-#define COUNTER_SLOTS(X) X(local_accesses) X(remote_accesses)
+#define COUNTER_SLOTS(X) X(local_accesses) X(remote_accesses) X(skipped_cycles)
 #define LINK_SLOTS(X) X(hop_latency) X(_links) X(_metrics) X(_core_index)
+#define METRICS_SLOTS(X) X(interval) X(_slots) X(edges)
+#define TELEMETRY_SLOTS(X) X(stalls) X(link_wait) X(remote_inflight)
 
 #define OFFSET_FIELD(name) Py_ssize_t name;
 #define SLOT_NAME(name) #name,
@@ -127,17 +142,22 @@ SLOT_TABLE(B, BANK_SLOTS)
 SLOT_TABLE(P, PORT_SLOTS)
 SLOT_TABLE(K, COUNTER_SLOTS)
 SLOT_TABLE(LS, LINK_SLOTS)
+SLOT_TABLE(MX, METRICS_SLOTS)
+SLOT_TABLE(TS, TELEMETRY_SLOTS)
 /* E as an array of offsets: every slot an Entry has (bind checks) */
 #define ENTRY_NSLOTS ((Py_ssize_t)(sizeof(E) / sizeof(Py_ssize_t)))
 
 static PyTypeObject *core_type, *hart_type, *rb_type, *entry_type, *low_type,
     *stats_type, *mem_type, *bank_type, *port_type, *counters_type,
-    *links_type;
+    *links_type, *metrics_type, *telemetry_type;
 /* hart.py's NEVER, as the object to store and the value to compare */
 static PyObject *never_obj;
 static int64_t never_val;
-/* LoweredInstr.cls of the classes issued here by class */
+/* LoweredInstr.cls of the classes issued here by class, and of the ones
+ * the stall classifier tells apart */
 static int64_t cls_jal, cls_lui, cls_auipc, cls_load, cls_store, cls_p_lwcv;
+static int64_t cls_p_swcv, cls_p_syncm, cls_p_lwre, cls_p_swre, cls_p_fc,
+    cls_p_fn;
 /* memmap.py: where the shared banks start, how big each is, and
  * hart_cv_base(h) for the four harts of a core */
 static int64_t global_base, global_bank_size, cv_base[4];
@@ -166,6 +186,9 @@ static PyObject *zero_obj;
     X(rack_store, "rack_store") X(bank_access_latency, "bank_access_latency") \
     X(num_cores, "num_cores") X(remote_issue, "remote_issue") \
     X(remote_done, "remote_done") X(link_wait, "link_wait") \
+    X(_classify, "_classify") X(_mem_reason, "_mem_reason") \
+    X(_remote_rtt, "_remote_rtt") X(_emit, "_emit") \
+    X(link_hop_latency, "link_hop_latency") \
     LINK_TAGS(X)
 /* router.py's link ids are (tag, index) pairs; the request path's tags,
  * then the reply path's */
@@ -456,17 +479,19 @@ typedef struct {
 enum access { ACC_LOAD, ACC_STORE, ACC_LWCV };
 
 static int leave_c(Window *w);
+static int window_charges(Window *w);
 static int mem_access(Tick *t, PyObject *hart, PyObject *entry,
                       PyObject *low, enum access kind);
 
 /* ``obj.name(a, b, c)`` (trailing NULLs are no arguments): every call from
- * the tick into Python.  Inside a window ``machine.cycle`` and ``_origin``
- * are written only now, when Python is about to read them. */
+ * the tick (and the charges) into Python.  Inside a window *w*
+ * ``machine.cycle`` and ``_origin`` are written only now, when Python is
+ * about to read them. */
 static PyObject *
-callback(Tick *t, PyObject *obj, PyObject *name, PyObject *a, PyObject *b,
+callback(Window *w, PyObject *obj, PyObject *name, PyObject *a, PyObject *b,
          PyObject *c)
 {
-    if (t->w != NULL && leave_c(t->w) < 0)
+    if (w != NULL && leave_c(w) < 0)
         return NULL;
     return PyObject_CallMethodObjArgs(obj, name, a, b, c, NULL);
 }
@@ -619,13 +644,13 @@ stage_commit(Tick *t)
         if (set_int(stats, S.retired, retired + 1) < 0)
             status = -1;
         else if (trap == 1)
-            status = called(callback(t, t->machine, s_halt, s_ebreak, NULL,
+            status = called(callback(t->w, t->machine, s_halt, s_ebreak, NULL,
                                      NULL));
         else if (trap)
-            status = called(callback(t, t->machine, s_error, s_ecall, NULL,
+            status = called(callback(t->w, t->machine, s_error, s_ecall, NULL,
                                      NULL));
         else if (SLOT(head, E.ret_action) != Py_None)
-            status = called(callback(t, t->core, s_commit_p_ret, hart, head,
+            status = called(callback(t->w, t->core, s_commit_p_ret, hart, head,
                                      NULL));
         else
             status = 0;
@@ -812,7 +837,7 @@ execute(Tick *t, PyObject *hart, PyObject *entry, PyObject *low)
         if (done)
             return done < 0 ? -1 : 0;
     }
-    return called(callback(t, t->core, s_execute, hart, entry, NULL));
+    return called(callback(t->w, t->core, s_execute, hart, entry, NULL));
 bad_op:
     PyErr_SetString(PyExc_ValueError,
                     "compiled tick: alu_op / br_op out of range");
@@ -871,7 +896,7 @@ stage_issue(Tick *t)
                     break;
                 case 3:  /* ISS_FC: a free hart on this core */
                     Py_INCREF(it);
-                    item = callback(t, t->core, s_alloc_free_hart, NULL,
+                    item = callback(t->w, t->core, s_alloc_free_hart, NULL,
                                     NULL, NULL);
                     Py_DECREF(it);
                     if (item == NULL)
@@ -1011,7 +1036,7 @@ rename_into(Tick *t, PyObject *hart, PyObject *rob, PyObject *pc_obj,
     }
     GETI(dec, low, L.dec_kind);
     if (dec == 5  /* DEC_PFN: request the fork token from the next core */
-            && called(callback(t, t->machine, s_send_fork_req, t->core,
+            && called(callback(t->w, t->machine, s_send_fork_req, t->core,
                                hart, NULL)) < 0)
         goto fail;
     /* next-pc determination (fetch resumes when it is known) */
@@ -1132,7 +1157,7 @@ stage_fetch(Tick *t)
             Py_INCREF(low);
         else if (!PyErr_Occurred())
             /* non-code address: the slow error path */
-            low = callback(t, t->machine, s_fetch_instruction, pc, hart,
+            low = callback(t->w, t->machine, s_fetch_instruction, pc, hart,
                            NULL);
         fetch_buf = low == NULL ? NULL : fetch_pair(pc, low);
         Py_DECREF(pc);
@@ -1151,13 +1176,290 @@ fail:
     return -1;
 }
 
+/* ---- the metrics charges ------------------------------------------------------
+ * A metered machine's charges (observe/metrics.py) are made here, on the
+ * CoreTelemetry slots the Python hooks write, while ``machine.metrics`` is
+ * an exact Metrics whose class still has every hook it had at bind time
+ * (``native_charges``): the stall classifier and the gated-idle charges
+ * here, the remote etas, ``link_wait`` and the idle settlement in
+ * _window.h.  Python is called only where a window edge falls inside a
+ * charge (``roll`` / ``_emit``).  Otherwise -- a subclass, a replaced hook
+ * -- each charge is a call to its hook, where the reference tick makes it. */
+
+/* observe/metrics.py's STALL_REASONS, in its order (bind checks the names) */
+#define REASONS(X) \
+    X(fetch_starved) X(operand_wait) X(issue_wait) X(exec_wait) \
+    X(local_mem_wait) X(remote_mem_wait) X(router_backpressure) \
+    X(re_line_wait) X(fork_wait) X(barrier_wait) X(gated_idle)
+#define REASON_INDEX(name) WHY_##name,
+enum { REASONS(REASON_INDEX) REASON_COUNT };
+#define REASON_NAME(name) #name,
+static const char *const reason_names[REASON_COUNT] = {REASONS(REASON_NAME)};
+
+/* the Metrics methods the charges here stand for, and the functions they
+ * were at bind time */
+#define HOOKS(X) \
+    X(stall) X(_classify) X(_mem_reason) X(idle) X(remote_issue) \
+    X(_remote_rtt) X(remote_done) X(link_wait)
+#define HOOK_INDEX(name) HOOK_##name,
+enum { HOOKS(HOOK_INDEX) HOOK_COUNT };
+#define HOOK_NAME(name) &s_##name,
+static PyObject **const hook_name[HOOK_COUNT] = {HOOKS(HOOK_NAME)};
+static PyObject *hook_fn[HOOK_COUNT];
+
+/* 1: *metrics* is an exact Metrics (``__slots__``: no instance attribute
+ * shadows a hook) and its class still has every bind-time hook; 0: the
+ * charges are calls to the hooks */
+static int
+hooks_native(PyObject *metrics)
+{
+    int k, same;
+    PyObject *found;
+    if (Py_TYPE(metrics) != metrics_type)
+        return 0;
+    for (k = 0; k < HOOK_COUNT; k++) {
+        if ((found = PyObject_GetAttr((PyObject *)metrics_type,
+                                      *hook_name[k])) == NULL)
+            return -1;
+        same = found == hook_fn[k];
+        Py_DECREF(found);
+        if (!same)
+            return 0;
+    }
+    return 1;
+}
+
+/* hooks_native for the machine being ticked: inside a window, as checked
+ * after its last call into Python */
+static inline int
+native_charges(Tick *t)
+{
+    return t->w != NULL ? window_charges(t->w) : hooks_native(t->metrics);
+}
+
+/* ``metrics._slots[index]``: a core's CoreTelemetry, borrowed */
+static PyObject *
+telemetry(PyObject *metrics, int64_t index)
+{
+    PyObject *slots, *slot;
+    GETLIST(slots, metrics, MX._slots);
+    if ((slot = list_item(slots, index)) == NULL)
+        goto fail;
+    CHECK(slot, telemetry_type);
+    return slot;
+fail:
+    return NULL;
+}
+
+/* ``list[index] += delta`` */
+static int
+list_add(PyObject *list, int64_t index, int64_t delta)
+{
+    int64_t value;
+    PyObject *item = list_item(list, index);
+    if (item == NULL)
+        return -1;
+    value = as_int(item);
+    if ((value == -1 && PyErr_Occurred())
+            || (item = PyLong_FromLongLong(value + delta)) == NULL)
+        return -1;
+    return PyList_SetItem(list, (Py_ssize_t)index, item);  /* steals */
+}
+
+/* Metrics.idle(index, cycle, delta): *delta* gated-idle cycles from *cycle*
+ * on, split at every window edge the span reaches; each edge's window is
+ * closed by ``_emit``, the one call into Python. */
+static int
+charge_idle(Window *w, PyObject *metrics, PyObject *index_obj, int64_t cycle,
+            int64_t delta)
+{
+    int status = -1;
+    int64_t index, interval, edge, end = cycle + delta;
+    PyObject *slot, *item, *stalls = NULL, *edges = NULL, *edge_obj = NULL;
+    index = as_int(index_obj);
+    if (index == -1 && PyErr_Occurred())
+        return -1;
+    GETI(interval, metrics, MX.interval);
+    if ((slot = telemetry(metrics, index)) == NULL)
+        goto fail;
+    GETLIST(stalls, slot, TS.stalls);
+    GETLIST(edges, metrics, MX.edges);
+    /* what Metrics.idle holds in locals across its _emit calls */
+    Py_INCREF(slot);
+    Py_INCREF(stalls);
+    Py_INCREF(edges);
+    if ((item = list_item(edges, index)) == NULL)
+        goto release;
+    edge = as_int(item);
+    if (edge == -1 && PyErr_Occurred())
+        goto release;
+    while (edge <= end) {
+        if (interval < 1) {
+            PyErr_Format(PyExc_ValueError,
+                         "metrics interval must be >= 1, got %lld",
+                         (long long)interval);
+            goto release;
+        }
+        if (edge > cycle) {
+            if (list_add(stalls, WHY_gated_idle, edge - cycle) < 0)
+                goto release;
+            cycle = edge;
+        }
+        if ((edge_obj = PyLong_FromLongLong(edge)) == NULL
+                || called(callback(w, metrics, s__emit, index_obj, slot,
+                                   edge_obj)) < 0)
+            goto release;
+        Py_DECREF(edge_obj);
+        edge += interval;
+        if ((edge_obj = PyLong_FromLongLong(edge)) == NULL
+                || list_set(edges, index, edge_obj) < 0)
+            goto release;
+        Py_CLEAR(edge_obj);
+    }
+    if (end > cycle && list_add(stalls, WHY_gated_idle, end - cycle) < 0)
+        goto release;
+    status = 0;
+release:
+    Py_XDECREF(edge_obj);
+    Py_DECREF(slot);
+    Py_DECREF(stalls);
+    Py_DECREF(edges);
+    return status;
+fail:
+    return -1;
+}
+
+/* Metrics._mem_reason: a remote access of *hart* in flight past its
+ * uncontended eta was held up by contention; none in flight, a local one */
+static int
+mem_reason(PyObject *slot, PyObject *hart, int64_t cycle)
+{
+    int64_t eta;
+    PyObject *fifos, *gid, *fifo;
+    GETO(fifos, slot, TS.remote_inflight);
+    if (!PyDict_Check(fifos)) {
+        wrong_type("dict of remote etas");
+        goto fail;
+    }
+    GETO(gid, hart, H.gid);
+    if ((fifo = PyDict_GetItemWithError(fifos, gid)) == NULL) {
+        if (PyErr_Occurred())
+            goto fail;
+        return WHY_local_mem_wait;
+    }
+    if (!PyList_Check(fifo)) {
+        wrong_type("list of remote etas");
+        goto fail;
+    }
+    if (PyList_GET_SIZE(fifo) == 0)
+        return WHY_local_mem_wait;
+    eta = as_int(PyList_GET_ITEM(fifo, 0));
+    if (eta == -1 && PyErr_Occurred())
+        goto fail;
+    return cycle >= eta ? WHY_router_backpressure : WHY_remote_mem_wait;
+fail:
+    return -1;
+}
+
+/* Metrics._classify: the one reason a busy core did not commit this cycle.
+ * The representative is the first hart, in this cycle's commit scan order,
+ * that holds a ROB head -- the instruction the commit stage looked at and
+ * rejected. */
+static int
+classify(Tick *t, PyObject *slot)
+{
+    int64_t start, cls;
+    Py_ssize_t i;
+    int k, flag;
+    PyObject *rep = NULL, *rob = NULL, *head, *ret_action, *pred, *it, *low;
+    GETI(start, t->core, C._rr_commit);
+    for (k = 0; k < 4 && rep == NULL; k++) {
+        GETLIST(rob, t->hart[(start + k) & 3], H.rob);
+        if (PyList_GET_SIZE(rob))
+            rep = t->hart[(start + k) & 3];
+    }
+    if (rep == NULL)
+        return WHY_fetch_starved;
+    head = PyList_GET_ITEM(rob, 0);
+    CHECK(head, entry_type);
+    GETO(ret_action, head, E.ret_action);
+    if (ret_action != Py_None) {
+        GETB(flag, head, E.done);
+        if (flag) {
+            /* p_ret held at the ordered-release barrier: predecessor's
+             * ending signal pending, or own stores still in flight */
+            GETO(pred, rep, H.pred);
+            if (pred != Py_None) {
+                GETB(flag, rep, H.pred_done);
+                if (!flag)
+                    return WHY_barrier_wait;
+            }
+            GETB(flag, rep, H.outstanding_mem);
+            return flag ? mem_reason(slot, rep, t->cycle) : WHY_barrier_wait;
+        }
+    }
+    GETLIST(it, rep, H.it);
+    for (i = 0; i < PyList_GET_SIZE(it); i++)
+        if (PyList_GET_ITEM(it, i) == head)
+            break;
+    GETO(low, head, E.low);
+    CHECK(low, low_type);
+    GETI(cls, low, L.cls);
+    if (i < PyList_GET_SIZE(it)) {
+        /* head not yet issued */
+        GETB(flag, head, E.nwaits);
+        if (flag)
+            return WHY_operand_wait;
+        if (cls == cls_p_lwre)
+            return WHY_re_line_wait;
+        if (cls == cls_p_fc || cls == cls_p_fn)
+            return WHY_fork_wait;
+        if (cls == cls_load || cls == cls_store || cls == cls_p_lwcv
+                || cls == cls_p_swcv || cls == cls_p_syncm)
+            return mem_reason(slot, rep, t->cycle);
+        return WHY_issue_wait;
+    }
+    /* issued; completion in flight */
+    if (cls == cls_load || cls == cls_store || cls == cls_p_lwcv
+            || cls == cls_p_swcv)
+        return mem_reason(slot, rep, t->cycle);
+    if (cls == cls_p_swre)
+        return WHY_re_line_wait;
+    return WHY_exec_wait;
+fail:
+    return -1;
+}
+
+/* Metrics.stall(core, cycle): the one non-retiring stage-cycle of a busy
+ * core.  (Not inlined, nor is the prologue: the unmetered tick_core keeps
+ * its stages inline.) */
+static NOINLINE int
+charge_stall(Tick *t)
+{
+    int native, reason;
+    int64_t index;
+    PyObject *slot, *stalls;
+    if ((native = native_charges(t)) <= 0)
+        return native < 0 ? -1 : called(callback(t->w, t->metrics, s_stall,
+                                                 t->core, t->cycle_obj,
+                                                 NULL));
+    GETI(index, t->core, C.index);
+    if ((slot = telemetry(t->metrics, index)) == NULL
+            || (reason = classify(t, slot)) < 0)
+        goto fail;
+    GETLIST(stalls, slot, TS.stalls);
+    return list_add(stalls, reason, 1);
+fail:
+    return -1;
+}
+
 /* The metered prologue, in the reference tick's order so the idle / roll
  * charges land exactly where it makes them.  1: go on; 0: the core holds
  * no work and the idle cycle is charged. */
-static int
+static NOINLINE int
 metered_prologue(Tick *t, PyObject *metrics)
 {
-    int h, work;
+    int h, work, native;
     int64_t edge;
     PyObject *index, *edges, *item;
     GETO(index, t->core, C.index);
@@ -1167,27 +1469,39 @@ metered_prologue(Tick *t, PyObject *metrics)
         if (work)
             break;
     }
+    if ((native = native_charges(t)) < 0)
+        goto fail;
     if (h == 4) {
-        PyObject *one = PyLong_FromLong(1);
-        if (one == NULL)
+        PyObject *one;
+        if (native)
+            return charge_idle(t->w, metrics, index, t->cycle, 1) < 0 ? -1
+                : 0;
+        if ((one = PyLong_FromLong(1)) == NULL)
             goto fail;
-        work = called(callback(t, metrics, s_idle, index, t->cycle_obj,
+        work = called(callback(t->w, metrics, s_idle, index, t->cycle_obj,
                                one));
         Py_DECREF(one);
         return work < 0 ? -1 : 0;
     }
-    if ((edges = PyObject_GetAttr(metrics, s_edges)) == NULL)
-        goto fail;
-    item = PyObject_GetItem(edges, index);
-    Py_DECREF(edges);
-    if (item == NULL)
-        goto fail;
+    if (native) {
+        /* ``metrics.edges[index]``, read by offset */
+        GETLIST(edges, metrics, MX.edges);
+        if ((item = PyObject_GetItem(edges, index)) == NULL)
+            goto fail;
+    } else {
+        if ((edges = PyObject_GetAttr(metrics, s_edges)) == NULL)
+            goto fail;
+        item = PyObject_GetItem(edges, index);
+        Py_DECREF(edges);
+        if (item == NULL)
+            goto fail;
+    }
     edge = as_int(item);
     Py_DECREF(item);
     if (edge == -1 && PyErr_Occurred())
         goto fail;
     if (t->cycle >= edge
-            && called(callback(t, metrics, s_roll, index, t->cycle_obj,
+            && called(callback(t->w, metrics, s_roll, index, t->cycle_obj,
                                NULL)) < 0)
         goto fail;
     return 1;
@@ -1263,8 +1577,7 @@ tick_core(Tick *t)
         goto fail;
     fired |= status;
     if (metered) {
-        if (!committed && called(callback(t, t->metrics, s_stall, t->core,
-                                          t->cycle_obj, NULL)) < 0)
+        if (!committed && charge_stall(t) < 0)
             goto fail;
     } else if (!(fired || committed)) {
         /* a stage that fires implies the core held work, so "any work at
@@ -1310,9 +1623,10 @@ static PyMethodDef tick_def = {
     "Run the five stages for one cycle (commit-side first); the compiled "
     "tick, machine/_tick.c."};
 
-/* bind()'s Core.tick: the window calls tick_core directly only while
- * ``type(core).tick`` is this very object */
-static PyObject *tick_descr;
+/* bind()'s Core.tick and Core.settle_idle: the window calls tick_core /
+ * settle directly only while ``type(core).tick`` / ``.settle_idle`` is
+ * this very object */
+static PyObject *tick_descr, *settle_descr;
 
 #include "_window.h"
 
@@ -1343,12 +1657,32 @@ resolve_slots(PyTypeObject *cls, const char *const *names, void *table)
     return 0;
 }
 
+/* Is *reasons* STALL_REASONS as the classifier here numbers them? */
+static int
+check_reasons(PyObject *reasons)
+{
+    Py_ssize_t i;
+    if (PyTuple_GET_SIZE(reasons) != REASON_COUNT)
+        goto differ;
+    for (i = 0; i < REASON_COUNT; i++) {
+        PyObject *name = PyTuple_GET_ITEM(reasons, i);
+        if (!PyUnicode_Check(name)
+                || PyUnicode_CompareWithASCIIString(name, reason_names[i]))
+            goto differ;
+    }
+    return 0;
+differ:
+    PyErr_SetString(PyExc_ValueError,
+                    "bind: STALL_REASONS are not the classifier's");
+    return -1;
+}
+
 static PyObject *
 tick_bind(PyObject *Py_UNUSED(module), PyObject *args)
 {
     PyTypeObject *core, *hart, *rb, *entry, *low, *stats, *mem, *bank, *port,
         *counters, *links, *machine;
-    PyObject *never, *handlers, *simulate, *both;
+    PyObject *never, *handlers, *simulate, *bound;
     long long jal, lui, auipc, load, store, p_lwcv, never_value, base, size;
     long long cv[4];
     int h;
@@ -1422,12 +1756,55 @@ tick_bind(PyObject *Py_UNUSED(module), PyObject *args)
     for (h = 0; h < 4; h++)
         cv_base[h] = cv[h];
     Py_XSETREF(tick_descr, PyDescr_NewMethod(core, &tick_def));
-    if (tick_descr == NULL
+    Py_XSETREF(settle_descr, PyDescr_NewMethod(core, &settle_def));
+    if (tick_descr == NULL || settle_descr == NULL
             || (simulate = PyDescr_NewMethod(machine, &simulate_def)) == NULL)
         return NULL;
-    both = PyTuple_Pack(2, tick_descr, simulate);
+    bound = PyTuple_Pack(3, tick_descr, settle_descr, simulate);
     Py_DECREF(simulate);
-    return both;
+    return bound;
+}
+
+/* The metrics classes, bound apart: observe/metrics.py binds them when it
+ * is first imported, so that an unmetered process never imports it.  Until
+ * then (and on a failed bind) no object is an exact Metrics here, and every
+ * charge is a call to its hook. */
+static PyObject *
+tick_bind_metrics(PyObject *Py_UNUSED(module), PyObject *args)
+{
+    PyTypeObject *metrics, *telemetry;
+    PyObject *reasons, *hook[HOOK_COUNT];
+    long long p_swcv, p_syncm, p_lwre, p_swre, p_fc, p_fn;
+    int k;
+    if (!PyArg_ParseTuple(args, "O!O!O!(LLLLLL):bind_metrics",
+                          &PyType_Type, &metrics, &PyType_Type, &telemetry,
+                          &PyTuple_Type, &reasons, &p_swcv, &p_syncm,
+                          &p_lwre, &p_swre, &p_fc, &p_fn))
+        return NULL;
+    Py_CLEAR(metrics_type);
+    if (check_reasons(reasons) < 0
+            || resolve_slots(metrics, MX_names, &MX) < 0
+            || resolve_slots(telemetry, TS_names, &TS) < 0)
+        return NULL;
+    /* the charges are made here while Metrics has these very functions */
+    for (k = 0; k < HOOK_COUNT; k++)
+        if ((hook[k] = PyObject_GetAttr((PyObject *)metrics,
+                                        *hook_name[k])) == NULL) {
+            while (k--)
+                Py_DECREF(hook[k]);
+            return NULL;
+        }
+    for (k = 0; k < HOOK_COUNT; k++)
+        Py_XSETREF(hook_fn[k], hook[k]);
+    cls_p_swcv = p_swcv;
+    cls_p_syncm = p_syncm;
+    cls_p_lwre = p_lwre;
+    cls_p_swre = p_swre;
+    cls_p_fc = p_fc;
+    cls_p_fn = p_fn;
+    KEEP(telemetry_type, telemetry);
+    KEEP(metrics_type, metrics);
+    Py_RETURN_NONE;
 }
 
 static PyObject *
@@ -1520,8 +1897,13 @@ static PyMethodDef module_methods[] = {
      "CoreMemory, Bank, Port, CoreCounters, LinkScheduler, LBP, "
      "EVENT_HANDLERS, NEVER, cls_jal, cls_lui, cls_auipc, cls_load, "
      "cls_store, cls_p_lwcv, GLOBAL_BASE, GLOBAL_BANK_SIZE, cv_bases) -> the "
-     "method descriptors (Core.tick, LBP._simulate).\n\nResolves every slot "
-     "offset they use; raises if a class lacks one."},
+     "method descriptors (Core.tick, Core.settle_idle, LBP._simulate)."
+     "\n\nResolves every slot offset they use; raises if a class lacks "
+     "one."},
+    {"bind_metrics", tick_bind_metrics, METH_VARARGS,
+     "bind_metrics(Metrics, CoreTelemetry, STALL_REASONS, (cls_p_swcv, "
+     "cls_p_syncm, cls_p_lwre, cls_p_swre, cls_p_fc, cls_p_fn)): the "
+     "compiled kernel charges for an exact Metrics itself from now on."},
     {"alu", tick_alu, METH_VARARGS,
      "alu(op, a, b) -> the 32-bit result of ALU_CODES[op] (for tests)."},
     {"branch", tick_branch, METH_VARARGS,

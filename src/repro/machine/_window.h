@@ -23,7 +23,8 @@
  * built only if it is still pending when the call returns.
  *
  * The contract with the Python it calls (handlers, ticks that are not
- * ours, ``settle_idle``, everything behind the tick's ``callback``):
+ * ours, a replaced ``settle_idle``, everything behind the tick's
+ * ``callback``):
  *   - ``machine.cycle`` and ``machine._origin`` are written lazily: before
  *     every call into Python (``leave_c``) and when the window returns, so
  *     Python never sees a stale "now" and a cycle that stays in C pays for
@@ -34,7 +35,9 @@
  *     window's own writes (gate-off, the rebuilt active list) go to the
  *     attribute at once.  ``EVENT_HANDLERS[kind]`` of a native kind is
  *     compared with its bind-time function on that kind's first event after
- *     a call into Python, not per event;
+ *     a call into Python, not per event; so are ``type(core).settle_idle``
+ *     and, on a metered machine, whether the metrics hooks are Metrics'
+ *     own (``window_charges``);
  *   - ``_events``, ``cores``, ``metrics``, ``lowered`` are read once per
  *     call, as the Python loop reads them; ``trace.enabled``,
  *     ``sanitizer``, ``mmio``, ``params.local_mem_latency`` /
@@ -54,9 +57,15 @@
  * device's (on the issuing side for a request, on the owner's side for the
  * bank operation), the bytes inside the bank, and -- for an event --
  * ``EVENT_HANDLERS[kind]`` still the function it was at bind time.  A
- * metered run takes this path too: the metrics hooks the Python spelling
- * calls (``remote_issue``, the link scheduler's ``link_wait``,
- * ``remote_done``) are called from here at the same points.  Every other
+ * metered run takes this path too, and makes the charges the Python
+ * spelling's hooks make at the same points itself: the eta push of
+ * ``remote_issue`` (the round trip from the two paths' lengths), the
+ * scheduler's ``link_wait``, the FIFO pop of ``remote_done``; so does the
+ * settlement of a gated core before an event runs in its domain
+ * (``settle``: ``skipped_cycles``, the gated-idle charge, ``idle_since``).
+ * Python is called only at a window edge inside an idle span (``_emit``);
+ * for a Metrics subclass or a replaced hook each charge is a call to the
+ * hook, as before.  Every other
  * case (code bank, device, traced, sanitized, out of range, unmapped, a
  * malformed event) is *not* spelled here: the window calls the Python
  * ``_execute`` or handler for that one access or event, before it has
@@ -93,6 +102,10 @@ struct Window {
     PyObject *events, *cores;
     PyObject *metrics;          /* machine.metrics: borrowed from the Tick */
     int metered;                /* machine.metrics is not None */
+    /* the charges are made here (1) or are calls to the hooks (0), as
+     * hooks_native said when ``calls`` was charges_checked - 1 */
+    int charges;
+    int64_t charges_checked;
     /* cached machine attributes, re-read when calls != seen */
     PyObject *active;           /* _active_cores: owned list, NULL for None */
     int64_t halt_at;            /* _halt_at, never_val for None */
@@ -109,10 +122,16 @@ struct Window {
     PyObject *mmio, *per_core, *owned;  /* owned */
     int64_t latency;            /* params.local_mem_latency */
     int64_t bank_latency;       /* params.bank_access_latency */
+    int64_t hop_latency;        /* params.link_hop_latency */
     int64_t num_cores;          /* params.num_cores */
     /* the core class whose ``tick`` was looked up last, and the answer */
     PyTypeObject *tick_type;
     int tick_direct;
+    /* the same for ``settle_idle``, looked up again after a call into
+     * Python (when ``calls`` was settle_checked - 1) */
+    PyTypeObject *settle_type;
+    int settle_direct;
+    int64_t settle_checked;
     /* the pending events while the call runs: a binary heap on the key */
     Event *heap;
     Py_ssize_t size, room;
@@ -408,6 +427,20 @@ handler_is_native(Window *w, int k)
     return w->live >> k & 1;
 }
 
+/* hooks_native(machine.metrics) of a metered machine, looked up as
+ * handler_is_native looks up a handler: once between two calls into
+ * Python */
+static int
+window_charges(Window *w)
+{
+    if (w->charges_checked != w->calls + 1) {
+        if ((w->charges = hooks_native(w->metrics)) < 0)
+            return -1;
+        w->charges_checked = w->calls + 1;
+    }
+    return w->charges;
+}
+
 /* ---- machine attributes -------------------------------------------------------- */
 
 static int
@@ -502,6 +535,20 @@ refresh(Window *w)
     return absorb(w);
 }
 
+/* ``machine.stats.per_core``, read once per call: borrowed */
+static PyObject *
+per_core(Window *w)
+{
+    PyObject *stats;
+    if (w->per_core == NULL) {
+        if ((stats = PyObject_GetAttr(w->machine, s_stats)) == NULL)
+            return NULL;
+        w->per_core = attr_list(stats, s_per_core);
+        Py_DECREF(stats);
+    }
+    return w->per_core;
+}
+
 /* May this call of the window take the native memory-access path?  1 yes,
  * 0 no (traced, sanitized: the Python spelling records what they need). */
 static int
@@ -535,13 +582,10 @@ access_context(Window *w)
         return -1;
     status = attr_int(value, s_local_mem_latency, &w->latency, NULL) < 0
         || attr_int(value, s_bank_access_latency, &w->bank_latency, NULL) < 0
+        || attr_int(value, s_link_hop_latency, &w->hop_latency, NULL) < 0
         || attr_int(value, s_num_cores, &w->num_cores, NULL) < 0 ? -1 : 0;
     Py_DECREF(value);
-    if (status < 0 || (value = PyObject_GetAttr(w->machine, s_stats)) == NULL)
-        return -1;
-    w->per_core = attr_list(value, s_per_core);
-    Py_DECREF(value);
-    if (w->per_core == NULL
+    if (status < 0 || per_core(w) == NULL
             || (w->owned = PyObject_GetAttr(w->machine, s__owned)) == NULL)
         return -1;
     w->context = 1;
@@ -830,6 +874,33 @@ link_port(Window *w, PyObject *table, const Hop *hop)
     return port;
 }
 
+/* Metrics.link_wait(index, delay) by *observer*, a metered link
+ * scheduler's: router queueing held a path of core *index_obj* up */
+static int
+link_wait(Window *w, PyObject *observer, PyObject *index_obj, int64_t delay)
+{
+    int native = 0, status;
+    int64_t index;
+    PyObject *slot, *delay_obj;
+    if (observer == w->metrics && (native = window_charges(w)) < 0)
+        return -1;
+    if (native) {
+        index = as_int(index_obj);
+        if ((index == -1 && PyErr_Occurred())
+                || (slot = telemetry(observer, index)) == NULL)
+            return -1;
+        return add_int(slot, TS.link_wait, delay);
+    }
+    if ((delay_obj = PyLong_FromLongLong(delay)) == NULL)
+        return -1;
+    {
+        PyObject *call[] = {observer, index_obj, delay_obj};
+        status = call_method(w, s_link_wait, call, 3);
+    }
+    Py_DECREF(delay_obj);
+    return status;
+}
+
 /* LinkScheduler.reserve_path(path, start) on *links*: *out* the cycle the
  * message leaves the last link.  A metered scheduler is told how long the
  * path held the message up (``_metrics.link_wait``). */
@@ -839,7 +910,7 @@ reserve_path(Window *w, PyObject *links, const Hop *path, int count,
 {
     int status = -1, i;
     int64_t hop, time = start, next_free;
-    PyObject *held = NULL, *table = NULL, *port = NULL, *delay = NULL;
+    PyObject *held = NULL, *table = NULL, *port = NULL;
     PyObject *observer, *index;
     CHECK(links, links_type);
     held = new_ref(links);  /* Port() and link_wait are Python */
@@ -865,24 +936,65 @@ reserve_path(Window *w, PyObject *links, const Hop *path, int count,
     }
     GETO(observer, links, LS._metrics);
     if (observer != Py_None && count && time - (start + hop * count) > 0) {
-        PyObject *call[3];
         GETO(index, links, LS._core_index);
-        if ((delay = PyLong_FromLongLong(time - (start + hop * count)))
-                == NULL)
-            goto fail;
-        call[0] = observer;
-        call[1] = index;
-        call[2] = delay;
-        if (call_method(w, s_link_wait, call, 3) < 0)
+        if (link_wait(w, observer, index, time - (start + hop * count)) < 0)
             goto fail;
     }
     *out = time;
     status = 0;
 fail:
-    Py_XDECREF(delay);
     Py_XDECREF(port);
     Py_XDECREF(table);
     Py_XDECREF(held);
+    return status;
+}
+
+/* Metrics.remote_issue(index, gid, now, owner) for an access of hart *gid*
+ * of the ticked core to core *owner*'s bank, whose request path is *hops*
+ * links long: its uncontended completion eta -- both paths' links, the bank
+ * access and the cycle the reply fills in -- joins the hart's FIFO.  (Not
+ * inlined: the unmetered issue stays as compact as it was.) */
+static NOINLINE int
+remote_issue(Tick *t, PyObject *gid, PyObject *owner_obj, int64_t owner,
+             int hops)
+{
+    Window *w = t->w;
+    int native, status = -1;
+    int64_t index;
+    Hop path[MAX_HOPS];
+    PyObject *index_obj, *slot, *fifos, *fifo, *eta = NULL;
+    GETO(index_obj, t->core, C.index);
+    if ((native = window_charges(w)) <= 0) {
+        PyObject *call[] = {w->metrics, index_obj, gid, t->cycle_obj,
+                            owner_obj};
+        return native < 0 ? -1 : call_method(w, s_remote_issue, call, 5);
+    }
+    GETI(index, t->core, C.index);
+    hops += reply_path(index, owner, path);
+    if ((slot = telemetry(w->metrics, index)) == NULL
+            || (eta = PyLong_FromLongLong(t->cycle + hops * w->hop_latency
+                                          + w->bank_latency + 1)) == NULL)
+        goto fail;
+    GETO(fifos, slot, TS.remote_inflight);
+    if (!PyDict_Check(fifos)) {
+        wrong_type("dict of remote etas");
+        goto fail;
+    }
+    if ((fifo = PyDict_GetItemWithError(fifos, gid)) == NULL
+            && PyErr_Occurred())
+        goto fail;
+    if (fifo == NULL || fifo == Py_None) {
+        if ((fifo = PyList_New(1)) == NULL)
+            goto fail;
+        PyList_SET_ITEM(fifo, 0, new_ref(eta));
+        status = PyDict_SetItem(fifos, gid, fifo);
+        Py_DECREF(fifo);
+    } else if (!PyList_Check(fifo))
+        wrong_type("list of remote etas");
+    else
+        status = PyList_Append(fifo, eta);
+fail:
+    Py_XDECREF(eta);
     return status;
 }
 
@@ -930,14 +1042,9 @@ remote_access(Tick *t, PyObject *hart, PyObject *entry, PyObject *low,
             || (kind != ACC_STORE && occupy(hart, entry, low) < 0)
             || add_int(hart, H.outstanding_mem, 1) < 0)
         goto release;
-    if (w->metered) {
-        PyObject *call[] = {w->metrics, PyTuple_GET_ITEM(args, 0),
-                            PyTuple_GET_ITEM(args, 1), t->cycle_obj,
-                            owner_obj};
-        if (call_method(w, s_remote_issue, call, 5) < 0)
-            goto release;
-    }
     count = request_path(index, owner, path);
+    if (w->metered && remote_issue(t, gid, owner_obj, owner, count) < 0)
+        goto release;
     if (reserve_path(w, links, path, count, t->cycle, &t_up) < 0)
         goto release;
     status = post(w, t->core, owner, t_up,
@@ -1202,17 +1309,43 @@ fail:
     return -1;
 }
 
-/* ``machine.metrics.remote_done(src, hart_gid)`` on a metered machine */
+/* ``machine.metrics.remote_done(src, hart_gid)`` on a metered machine: the
+ * oldest eta of the hart's FIFO goes.  (An empty or missing FIFO is a
+ * machine resumed from an unmetered snapshot: nothing to pop.) */
 static int
 remote_done(Window *w, PyObject *src, PyObject *gid)
 {
-    PyObject *call[3];
+    int native;
+    int64_t index;
+    PyObject *slots, *slot, *fifos, *fifo;
     if (!w->metered)
         return 0;
-    call[0] = w->metrics;
-    call[1] = src;
-    call[2] = gid;
-    return call_method(w, s_remote_done, call, 3);
+    if ((native = window_charges(w)) < 0)
+        return -1;
+    if (native) {
+        GETLIST(slots, w->metrics, MX._slots);
+        if ((index = index_in(src, PyList_GET_SIZE(slots))) >= 0) {
+            slot = PyList_GET_ITEM(slots, index);
+            CHECK(slot, telemetry_type);
+            GETO(fifos, slot, TS.remote_inflight);
+            if (PyDict_Check(fifos)) {
+                if ((fifo = PyDict_GetItemWithError(fifos, gid)) == NULL)
+                    return PyErr_Occurred() ? -1 : 0;
+                if (PyList_Check(fifo)) {
+                    if (PyList_GET_SIZE(fifo))
+                        Py_DECREF(list_take(fifo, 0));
+                    return 0;
+                }
+            }
+        }
+        /* anything else (no such core, no FIFO): the hook words it */
+    }
+    {
+        PyObject *call[] = {w->metrics, src, gid};
+        return call_method(w, s_remote_done, call, 3);
+    }
+fail:
+    return -1;
 }
 
 /* _ev_load_read(bank_ref, addr, width, mnemonic, t_done, core_index,
@@ -1465,6 +1598,124 @@ ev_rack_store(Window *w, PyObject *Py_UNUSED(domain), PyObject *args)
 static const NativeEvent native_event[NATIVE_COUNT] = {
     NATIVE_KINDS(KIND_SPELLING)};
 
+/* ---- the idle settlement ------------------------------------------------------------ */
+
+/* Core.settle_idle(now), compiled: the gated-off cycles [idle_since, now)
+ * are charged in one step -- ``skipped_cycles``, the gated-idle charge,
+ * then ``idle_since`` -- by a window (*w*) before an event runs in a gated
+ * core's domain, or called from Python (NULL).  The charge is made here
+ * for a Core under native charges; a ReferenceCore's is the call to
+ * ``Metrics.idle`` its reference tick makes too. */
+static int
+settle(Window *w, PyObject *core, PyObject *now_obj)
+{
+    int status = -1, native;
+    int64_t now, since, index;
+    PyObject *machine, *since_obj, *index_obj, *counters;
+    PyObject *list = NULL, *metrics = NULL, *delta_obj = NULL;
+    now = as_int(now_obj);
+    if (now == -1 && PyErr_Occurred())
+        return -1;
+    GETO(since_obj, core, C.idle_since);
+    since = as_int(since_obj);
+    if (since == -1 && PyErr_Occurred())
+        return -1;
+    if (now - since <= 0)
+        return 0;
+    GETO(machine, core, C.machine);
+    GETO(index_obj, core, C.index);
+    GETI(index, core, C.index);
+    /* held across the calls below */
+    Py_INCREF(since_obj);
+    Py_INCREF(index_obj);
+    if (w != NULL) {
+        if ((list = per_core(w)) != NULL) {
+            Py_INCREF(list);
+            metrics = new_ref(w->metrics);
+        }
+    } else {
+        PyObject *stats = PyObject_GetAttr(machine, s_stats);
+        list = stats == NULL ? NULL : attr_list(stats, s_per_core);
+        Py_XDECREF(stats);
+        if (list != NULL)
+            metrics = PyObject_GetAttr(machine, s_metrics);
+    }
+    if (list == NULL || metrics == NULL
+            || (counters = list_item(list, index)) == NULL)
+        goto release;
+    if (!PyObject_TypeCheck(counters, counters_type)) {
+        wrong_type(counters_type->tp_name);
+        goto release;
+    }
+    if (add_int(counters, K.skipped_cycles, now - since) < 0)
+        goto release;
+    if (metrics != Py_None) {
+        if (Py_TYPE(core) != core_type)
+            native = 0;
+        else if ((native = w != NULL ? window_charges(w)
+                                     : hooks_native(metrics)) < 0)
+            goto release;
+        if (native) {
+            if (charge_idle(w, metrics, index_obj, since, now - since) < 0)
+                goto release;
+        } else if ((delta_obj = PyLong_FromLongLong(now - since)) == NULL
+                   || called(callback(w, metrics, s_idle, index_obj,
+                                      since_obj, delta_obj)) < 0)
+            goto release;
+    }
+    set_obj(core, C.idle_since, now_obj);
+    status = 0;
+release:
+    Py_DECREF(since_obj);
+    Py_DECREF(index_obj);
+    Py_XDECREF(list);
+    Py_XDECREF(metrics);
+    Py_XDECREF(delta_obj);
+    return status;
+fail:
+    return -1;
+}
+
+static PyObject *
+core_settle_idle(PyObject *core, PyObject *now)
+{
+    if (settle(NULL, core, now) < 0)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+static PyMethodDef settle_def = {
+    "settle_idle", core_settle_idle, METH_O,
+    "settle_idle(now): charge the gated-off cycles [idle_since, now) in one "
+    "step (skipped_cycles and the metrics' gated_idle stall); the compiled "
+    "one, machine/_window.h."};
+
+/* The settlement of gated *core* before an event runs in its domain: the
+ * compiled one while ``type(core).settle_idle`` is the descriptor bind()
+ * made (looked up again after a call into Python), else whatever replaced
+ * it, called the way Python calls it. */
+static int
+settle_of(Window *w, PyObject *core)
+{
+    PyObject *found;
+    if (Py_TYPE(core) != w->settle_type
+            || w->settle_checked != w->calls + 1) {
+        if ((found = PyObject_GetAttr((PyObject *)Py_TYPE(core),
+                                      s_settle_idle)) == NULL)
+            return -1;
+        w->settle_type = Py_TYPE(core);
+        w->settle_direct = found == settle_descr;
+        w->settle_checked = w->calls + 1;
+        Py_DECREF(found);
+    }
+    if (w->settle_direct)
+        return settle(w, core, w->cycle_obj);
+    if (leave_c(w) < 0)
+        return -1;
+    return called(PyObject_CallMethodOneArg(core, s_settle_idle,
+                                            w->cycle_obj));
+}
+
 /* ---- the loop --------------------------------------------------------------------- */
 
 /* The cycle of the earliest pending event, never_val when there is none. */
@@ -1497,9 +1748,7 @@ dispatch(Window *w)
         /* it may also charge link_wait to a gated core's current window:
          * close the idle span up to now first */
         GETB(active, core, C.active);
-        if (!active && (leave_c(w) < 0
-                        || called(PyObject_CallMethodOneArg(
-                            core, s_settle_idle, w->cycle_obj)) < 0))
+        if (!active && settle_of(w, core) < 0)
             goto fail;
     }
     if (event.kind >= 0) {

@@ -298,7 +298,9 @@ class Core:
         is closed here — on wakeup, before an event handler charges
         telemetry in this domain, and wherever state leaves the loop
         (``Metrics.idle`` splits the span at window edges, so the
-        samples equal the cycle-by-cycle charge).
+        samples equal the cycle-by-cycle charge).  The reference
+        spelling: machine/native.py binds the compiled one
+        (machine/_window.h) over the name when it can.
         """
         delta = now - self.idle_since
         if delta > 0:

@@ -14,11 +14,11 @@ directory is not writable (an installed copy) does the user cache take
 over.
 
 There is no switch.  :func:`load` returns the extension module when it
-could be built, loaded, bound (``Core.tick``, ``LBP._simulate``,
-``memory.zeroed``) and passes its smoke calls, else ``None`` after one
-``RuntimeWarning`` naming the reason, and ``LBP`` then builds
-``ReferenceCore``s under the Python ``_simulate`` on ``bytearray`` banks:
-the machine runs the same, only slower.
+could be built, loaded, bound (``Core.tick``, ``Core.settle_idle``,
+``LBP._simulate``, ``memory.zeroed``) and passes its smoke calls, else
+``None`` after one ``RuntimeWarning`` naming the reason, and ``LBP`` then
+builds ``ReferenceCore``s under the Python ``_simulate`` on ``bytearray``
+banks: the machine runs the same, only slower.
 """
 
 import functools
@@ -112,10 +112,12 @@ def _sweep(path):
 
 
 def _bind(module):
-    """``Core.tick`` and ``LBP._simulate`` := the C functions."""
+    """``Core.tick``, ``Core.settle_idle`` and ``LBP._simulate`` := the C
+    functions."""
     from repro.machine import core, hart, lowered, processor, router, stats
 
-    core.Core.tick, processor.LBP._simulate = module.bind(
+    (core.Core.tick, core.Core.settle_idle,
+     processor.LBP._simulate) = module.bind(
         core.Core, hart.Hart, hart.ResultBuffer, hart.Entry,
         lowered.LoweredInstr, stats.HartStats, memory.CoreMemory,
         memory.Bank, memory.Port, stats.CoreCounters, router.LinkScheduler,
@@ -123,6 +125,15 @@ def _bind(module):
         core._LUI, core._AUIPC, core._LOAD, core._STORE, core._P_LWCV,
         memmap.GLOBAL_BASE, memmap.GLOBAL_BANK_SIZE,
         tuple(memmap.hart_cv_base(h) for h in range(memmap.HARTS_PER_CORE)))
+
+
+def bind_metrics(*classes):
+    """``_tick.bind_metrics``, when there is a compiled kernel: from now on
+    it charges for an exact ``Metrics`` itself (observe/metrics.py calls
+    this once, on its first import)."""
+    module = load()
+    if module is not None:
+        module.bind_metrics(*classes)
 
 
 #: the smoke run, on two cores: hart 0 stores 77 on its stack and loads it

@@ -500,7 +500,8 @@ class LBP:
             elif metrics is True:
                 self._attach_metrics(Metrics())
             else:
-                self._attach_metrics(Metrics(interval=int(metrics)))
+                # anything else is an interval, which Metrics checks
+                self._attach_metrics(Metrics(interval=metrics))
         #: {pc: LoweredInstr} built at load time (machine/lowered.py)
         self.lowered = {}
         self.code_bank = Bank(memmap.CODE_BASE, memmap.CODE_SIZE, "code")
@@ -601,6 +602,15 @@ class LBP:
             raise ValueError(
                 "state has %d cores; this machine has %d"
                 % (len(state["cores"]), len(self.cores)))
+        if state["observe"] is not None:
+            from repro.observe.metrics import check_interval
+
+            try:
+                check_interval(state["observe"]["interval"])
+            except (TypeError, ValueError) as exc:
+                # refused before anything is loaded, as a malformed event
+                # is: the window roll would never end, or fail mid-run
+                raise ValueError("snapshot observe state: %s" % exc) from None
         self.cycle = state["cycle"]
         self.halted = state["halted"]
         self.halt_reason = state["halt_reason"]

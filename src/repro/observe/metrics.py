@@ -21,6 +21,7 @@ written only by its owning domain, so the space-sharded engine gathers
 telemetry by concatenation and shards=1 vs N reports are byte-identical.
 """
 
+from repro.machine import native
 from repro.machine.core import _ORDER
 from repro.machine.router import reply_path, request_path
 
@@ -137,19 +138,38 @@ class CoreTelemetry:
         ]
 
 
+def check_interval(interval):
+    """*interval* if it is a window interval: an int >= 1, not a bool."""
+    if type(interval) is bool or not isinstance(interval, int):
+        raise TypeError("metrics interval must be an int, got %r"
+                        % (interval,))
+    if interval < 1:
+        raise ValueError("metrics interval must be >= 1, got %r"
+                         % (interval,))
+    return interval
+
+
 class Metrics:
     """Stall attribution + windowed sampler for one machine.
 
     Construct with ``LBP(params, metrics=Metrics(interval=K))`` (or
     ``metrics=True`` / ``metrics=K`` for the shorthand forms); read the
     results with :meth:`repro.machine.LBP.metrics_report`.
+
+    The hooks below are the reference spelling of every charge.  The
+    compiled kernel (machine/_tick.c, _window.h) makes the same charges
+    on the same slots itself while this object is an exact ``Metrics``
+    whose class still has these functions, and calls into Python only at
+    a window edge (``roll`` / ``_emit``); a subclass or a replaced hook
+    is called, as on the reference tick.
     """
 
+    # slots: the compiled kernel reads interval, _slots and edges by
+    # offset, and no instance attribute can shadow a hook
+    __slots__ = ("interval", "_machine", "_slots", "edges", "_rtt")
+
     def __init__(self, interval=DEFAULT_INTERVAL):
-        interval = int(interval)
-        if interval < 1:
-            raise ValueError("metrics interval must be >= 1, got %d" % interval)
-        self.interval = interval
+        self.interval = check_interval(interval)
         self._machine = None
         self._slots = []
         #: next window edge per core, read on the tick hot path (a plain
@@ -160,7 +180,14 @@ class Metrics:
     # ---- lifecycle ----------------------------------------------------------
 
     def bind(self, machine):
-        """Attach to *machine* (called by LBP.__init__ / load_state_dict)."""
+        """Attach to *machine* (called by LBP.__init__ / load_state_dict).
+
+        One object observes one machine: its slots hold that machine's
+        charges, so binding it to another raises."""
+        if self._machine is not None and self._machine is not machine:
+            raise ValueError(
+                "this Metrics already observes another machine; give each "
+                "machine its own Metrics()")
         self._machine = machine
         num_cores = machine.params.num_cores
         if not self._slots:
@@ -387,3 +414,10 @@ class Metrics:
         if cls == _P_SWRE:
             return _RE_LINE_WAIT
         return _EXEC_WAIT
+
+
+# the compiled kernel learns this class's slots and hooks (and the
+# classifier's taxonomy) once, here, so an unmetered process never
+# imports this module
+native.bind_metrics(Metrics, CoreTelemetry, STALL_REASONS, (
+    _P_SWCV, _P_SYNCM, _P_LWRE, _P_SWRE, _P_FC, _P_FN))

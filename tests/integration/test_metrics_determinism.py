@@ -98,3 +98,19 @@ def test_unmetered_snapshot_stays_unmetered():
     assert resumed.metrics is None
     resumed.run(max_cycles=50_000_000)
     assert resumed.halted
+
+
+@pytest.mark.parametrize("interval", [-64, 0, "x", True])
+def test_a_snapshot_interval_is_checked_when_it_loads(interval):
+    """A resumed run could not use it (-64: the window roll never ends; 0:
+    a division by zero, "x": a TypeError, both mid-run): load_state_dict
+    refuses it before it loads anything."""
+    program = compile_to_program(matmul_source("base", 16), "mm.c")
+    machine = LBP(Params(num_cores=4), metrics=64).load(program)
+    machine.run(stop_at_cycle=500)
+    state = machine.state_dict()
+    state["observe"]["interval"] = interval
+    fresh = LBP(Params(num_cores=4)).load(program, start=False)
+    with pytest.raises(ValueError, match="interval"):
+        fresh.load_state_dict(state)
+    assert fresh.cycle == 0 and fresh.metrics is None

@@ -10,6 +10,7 @@ processes may build it at the same time, and a rebuild leaves no dead
 binary behind.
 """
 
+import collections
 import gc
 import json
 import os
@@ -24,6 +25,7 @@ import pytest
 import repro
 from repro import memmap
 from repro.asm import assemble
+from repro.compiler import compile_to_program
 from repro.machine import LBP, MachineError, Params, memory, native, processor
 from repro.machine.core import Core
 from repro.machine.hart import Entry
@@ -31,6 +33,7 @@ from repro.machine.memory import Bank, Port
 from repro.machine.reference import ReferenceCore
 from repro.observe import Metrics
 from repro.snapshot import restore, snapshot
+from repro.workloads import matmul_source
 
 #: the directory the ``repro`` package is in, for subprocesses
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
@@ -332,6 +335,10 @@ RAISERS = {
     "settle_idle": lambda patch, boom: patch.setattr(
         Core, "settle_idle", boom),
     "metrics.idle": lambda patch, boom: patch.setattr(Metrics, "idle", boom),
+    "metrics.stall": lambda patch, boom: patch.setattr(
+        Metrics, "stall", boom),
+    "metrics.remote_issue": lambda patch, boom: patch.setattr(
+        Metrics, "remote_issue", boom),
     "schedule_access": lambda patch, boom: patch.setattr(
         LBP, "schedule_access", boom),
 }
@@ -550,6 +557,126 @@ def test_a_replaced_handler_and_a_replaced_tick_are_what_runs(monkeypatch):
     assert machine.cores[0].harts[0].fetch_buf is not None
 
 
+#: the Metrics hooks the compiled kernel charges for itself
+HOOKS = ("stall", "idle", "remote_issue", "remote_done", "link_wait")
+
+
+class CountingMetrics(Metrics):
+    """A subclass: every charge is a call to its hook again."""
+
+    __slots__ = ("counts",)
+
+    def __init__(self, interval):
+        super().__init__(interval)
+        self.counts = dict.fromkeys(HOOKS, 0)
+
+
+def _counting(name):
+    def hook(self, *args):
+        self.counts[name] += 1
+        return getattr(Metrics, name)(self, *args)
+    return hook
+
+
+for _name in HOOKS:
+    setattr(CountingMetrics, _name, _counting(_name))
+
+
+def _metered_remote_heavy(backend, metrics):
+    """REMOTE_HEAVY metered, with one link booked ahead so that a request
+    waits behind it (a link_wait charge)."""
+    machine = LBP(Params(num_cores=2), backend=backend,
+                  metrics=metrics).load(assemble(REMOTE_HEAVY))
+    machine.cores[0].links._links[("c>r1", 0)] = Port()
+    machine.cores[0].links._links[("c>r1", 0)].next_free = 30
+    machine.run(max_cycles=100_000)
+    return machine
+
+
+@compiled
+@pytest.mark.parametrize("hook", HOOKS + ("subclass",))
+def test_a_replaced_metrics_hook_is_what_runs(monkeypatch, hook):
+    """The compiled kernel charges for an exact Metrics whose class has its
+    own hooks.  A subclass, or one hook replaced, and every charge is a
+    call to the hooks again: as many as the reference tick makes, with the
+    same report."""
+    seen = {}
+    for backend in ("soa", "interp"):
+        if hook == "subclass":
+            metrics = CountingMetrics(16)
+        else:
+            metrics = Metrics(16)
+            calls = _count_calls(monkeypatch, Metrics, hook)
+        machine = _metered_remote_heavy(backend, metrics)
+        monkeypatch.undo()
+        counts = metrics.counts if hook == "subclass" else len(calls)
+        seen[backend] = (counts, machine.metrics_report(),
+                         machine.state_dict())
+    assert seen["soa"] == seen["interp"]
+    counts = seen["soa"][0]
+    assert all(counts.values()) if hook == "subclass" else counts > 0
+
+
+def _metrics_calls(backend):
+    """Calls into observe/metrics.py made from outside it during a metered
+    run of the served job (matmul base, h=16, on 4 cores), and every
+    ``_emit``: a Counter of ``(function, caller)``.  Returns it and the
+    machine."""
+    program = compile_to_program(matmul_source("base", 16), "job.c")
+    machine = LBP(Params(num_cores=4), metrics=True,
+                  backend=backend).load(program)
+    here = Metrics.stall.__code__.co_filename
+    calls = collections.Counter()
+
+    def profile(frame, event, _arg):
+        if event == "call" and frame.f_code.co_filename == here:
+            caller = frame.f_back.f_code
+            if caller.co_filename != here:
+                calls[frame.f_code.co_name, caller.co_name] += 1
+            elif frame.f_code.co_name == "_emit":
+                calls["_emit", "Metrics." + caller.co_name] += 1
+
+    sys.setprofile(profile)
+    try:
+        machine.run()
+    finally:
+        sys.setprofile(None)
+    return calls, machine
+
+
+@compiled
+def test_a_metered_run_calls_python_only_at_window_edges():
+    """The compiled kernel makes every charge of a metered run itself:
+    Python is called only to close a window (``roll`` from a busy tick,
+    ``_emit`` from an idle span).  The remote etas of the CV writes to the
+    next core are pushed and popped by the Python CV-write chain, which
+    the reference loop shares.  The reference tick calls every hook."""
+    calls, machine = _metrics_calls("soa")
+    rows = sum(len(slot.samples) for slot in machine.metrics.slots)
+    # every window closed is one _emit, from roll or from the C
+    assert rows == sum(n for (name, _caller), n in calls.items()
+                       if name == "_emit") > 0
+    assert {caller for (name, caller) in calls
+            if name in ("roll", "_emit")} \
+        <= {"run", "_settle_idle", "Metrics.roll"}
+    cv_writes = {key: n for key, n in calls.items()
+                 if key[0] in ("remote_issue", "remote_done")}
+    assert set(cv_writes) == {("remote_issue", "schedule_cv_write"),
+                              ("remote_done", "_remote_done")}
+    assert cv_writes[("remote_issue", "schedule_cv_write")] \
+        == cv_writes[("remote_done", "_remote_done")] > 0
+    # no stall, _classify, idle, nor an eta of a remote load or store
+    assert {name for name, _caller in calls} \
+        <= {"roll", "_emit", "remote_issue", "remote_done"}
+
+    reference, _ = _metrics_calls("interp")
+    by_name = collections.Counter()
+    for (name, _caller), n in reference.items():
+        by_name[name] += n
+    assert (by_name["stall"], by_name["remote_issue"],
+            by_name["remote_done"], by_name["idle"]) == (852, 3282, 3282, 643)
+
+
 #: a stack store, a fork request (its event has only a Python handler), and
 #: once that has arrived, two more stack stores
 STORE_FORK_STORE = """
@@ -595,6 +722,30 @@ def test_a_handler_replaced_under_the_window_is_what_runs_next(monkeypatch):
         seen.append((list(stores), machine.state_dict()))
     assert [store[1] for store in seen[0][0]] == [
         memmap.hart_initial_sp(0) - 8, memmap.hart_initial_sp(0) - 12]
+    assert seen[0] == seen[1]
+
+
+@compiled
+def test_a_hook_replaced_under_the_window_is_what_runs_next(monkeypatch):
+    """Python the window calls may replace a metrics hook: every charge
+    after that call is a call to the replacement, as on the reference."""
+    fork_req = processor.EVENT_HANDLERS["fork_req"]
+    stalls = []
+
+    def swap(*args):
+        _count_calls(monkeypatch, Metrics, "stall", calls=stalls)
+        return fork_req(*args)
+
+    seen = []
+    for backend in (None, "interp"):
+        del stalls[:]
+        monkeypatch.setitem(processor.EVENT_HANDLERS, "fork_req", swap)
+        machine = LBP(Params(num_cores=2), backend=backend,
+                      metrics=True).load(assemble(STORE_FORK_STORE))
+        machine.run(max_cycles=10_000)
+        monkeypatch.undo()
+        seen.append((len(stalls), machine.metrics_report()))
+    assert seen[0][0] > 0
     assert seen[0] == seen[1]
 
 

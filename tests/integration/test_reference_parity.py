@@ -38,7 +38,14 @@ from repro.machine.io import Actuator, ScriptedInput, attach_input, attach_outpu
 from repro.machine.memory import Port
 from repro.machine.reference import ReferenceCore
 from repro.snapshot import snapshot, trace_digest
-from repro.workloads import ServingWorkload
+from repro.workloads import (
+    HistogramWorkload,
+    ReductionWorkload,
+    ServingWorkload,
+    SortWorkload,
+    StencilWorkload,
+    matmul_source,
+)
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from test_trace_golden import (  # noqa: E402
@@ -677,3 +684,69 @@ def test_untraced_sharded_remote_posts_equal_the_reference(golden):
         assert stats.remote_accesses == golden[name]["remote"] > 0
         runs[key] = machine.state_dict()
     assert runs["sharded"] == runs["reference"]
+
+
+# ---- the metrics charges (metered: made in C, the hooks the reference) ------
+
+#: the five programs of the irregular benchmark workload, as bench/ builds
+#: them (seed 1), and the dense one and the served job
+METERED = {
+    "stencil": (lambda: StencilWorkload(64, width=8, steps=2, seed=1), 16),
+    "sort": (lambda: SortWorkload(64, chunk=4, seed=1), 16),
+    "histogram": (lambda: HistogramWorkload(64, chunk=16, bins=16, seed=1),
+                  16),
+    "reduction": (lambda: ReductionWorkload(64, chunk=32, seed=1), 16),
+    "serving": (lambda: ServingWorkload(cores=4, num_requests=24, seed=1), 4),
+    "tiled16": (lambda: matmul_source("tiled", 16), 4),
+    "base16": (lambda: matmul_source("base", 16), 4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(METERED))
+def test_metered_charges_equal_the_reference(name):
+    """Interval 64, so windows close inside idle spans as well as at busy
+    ticks: the stall classifier, the gated-idle charges (one cycle, and
+    settled spans split at the edges), the remote etas and their pops, all
+    made by the compiled kernel, against the Python hooks."""
+    build, cores = METERED[name]
+    made = build()
+    source = made if isinstance(made, str) else made.source
+    program = compile_to_program(source, name + ".c")
+    runs = {}
+    for backend in ("soa", "interp"):
+        machine = LBP(Params(num_cores=cores), metrics=64,
+                      backend=backend).load(program)
+        machine.run(max_cycles=MAX_CYCLES)
+        if not isinstance(made, str):
+            made.verify(machine, program)
+        runs[backend] = (machine.metrics_report(), machine.state_dict())
+        del machine
+        gc.collect()
+    assert runs["soa"] == runs["interp"]
+    report = runs["soa"][0]
+    assert report["accounted"] is True
+    assert len(report["windows"]) > 10
+    assert report["stalls"]["gated_idle"] > 0
+    assert report["remote_accesses"] > 0
+
+
+def test_every_metered_pause_leaves_the_same_state():
+    """Metered, stepped one cycle at a time: at every pause both backends
+    hold the same state, the in-flight remote etas included."""
+    machines = [_untraced(REMOTE_STORES, backend, 2, metrics=4)
+                for backend in ("soa", "interp")]
+    cycle = in_flight = 0
+    while not all(machine.halted for machine in machines):
+        cycle += 1
+        assert cycle < 10_000
+        states = []
+        for machine in machines:
+            machine.run(max_cycles=10_000, stop_at_cycle=cycle)
+            states.append(machine.state_dict())
+        assert states[0] == states[1], cycle
+        in_flight += sum(
+            len(etas)
+            for core in states[0]["cores"]
+            for _gid, etas in core["observe"]["slot"]["remote_inflight"])
+    assert in_flight > 20
+    assert (machines[0].metrics_report() == machines[1].metrics_report())

@@ -8,6 +8,7 @@ machine; and the simulators that cannot observe refuse loudly.
 """
 
 import json
+import re
 
 import pytest
 
@@ -18,6 +19,7 @@ from repro.machine.processor import MachineError
 from repro.observe import (
     STALL_REASONS,
     CoreTelemetry,
+    Metrics,
     build_report,
     chrome_trace,
     report_json,
@@ -73,6 +75,52 @@ def test_only_none_and_false_mean_no_metrics():
         assert LBP(Params(num_cores=1), metrics=off).metrics is None
     assert LBP(Params(num_cores=1), metrics=True).metrics.interval == 4096
     assert LBP(Params(num_cores=1), metrics=7).metrics.interval == 7
+
+
+@pytest.mark.parametrize("given, error", [
+    (2.5, TypeError),
+    ("8", TypeError),
+    (-0.5, TypeError),
+    (None, TypeError),
+    (0, ValueError),
+    (-64, ValueError),
+])
+def test_a_metrics_interval_is_an_int_of_at_least_one(given, error):
+    """No rounding and no parsing: anything but an int >= 1 is refused,
+    naming the value given."""
+    with pytest.raises(error, match=r"got %s$" % re.escape(repr(given))):
+        Metrics(interval=given)
+    if given is not None:
+        with pytest.raises(error, match=r"got %s$" % re.escape(repr(given))):
+            LBP(Params(num_cores=1), metrics=given)
+
+
+@pytest.mark.parametrize("given", [True, False])
+def test_a_bool_is_no_metrics_interval(given):
+    """``metrics=True`` means the default interval; ``interval=True`` is
+    not an interval of 1."""
+    with pytest.raises(TypeError, match="got %r$" % given):
+        Metrics(interval=given)
+
+
+@pytest.mark.parametrize("given, interval", [(True, 4096), (1, 1), (9, 9)])
+def test_what_metrics_accepts(given, interval):
+    assert LBP(Params(num_cores=1), metrics=given).metrics.interval == interval
+    metrics = Metrics(interval)
+    assert LBP(Params(num_cores=1), metrics=metrics).metrics is metrics
+
+
+def test_one_metrics_observes_one_machine():
+    """Shared by two machines, one Metrics would sum both runs (or index
+    past its slots on a larger machine): the second bind refuses."""
+    metrics = Metrics(64)
+    machine = LBP(Params(num_cores=4), metrics=metrics)
+    for cores in (4, 8):
+        with pytest.raises(ValueError, match="another machine"):
+            LBP(Params(num_cores=cores), metrics=metrics)
+    # binding the one it observes again is fine (load_state_dict does)
+    assert metrics.bind(machine) is metrics
+    assert machine.metrics is metrics
 
 
 # ---- accounting identity ----------------------------------------------------
