@@ -88,6 +88,11 @@
 #include <Python.h>
 #include <structmember.h>
 #include <stdint.h>
+#include <string.h>
+#if defined(__linux__)
+#include <sys/mman.h>
+#include <unistd.h>
+#endif
 
 /* keeps a function out of its callers (Py_NO_INLINE is 3.11's spelling) */
 #if defined(__GNUC__)
@@ -121,7 +126,8 @@
 #define BANK_SLOTS(X) X(base) X(data)
 #define PORT_SLOTS(X) X(next_free)
 #define COUNTER_SLOTS(X) X(local_accesses) X(remote_accesses) X(skipped_cycles)
-#define LINK_SLOTS(X) X(hop_latency) X(_links) X(_metrics) X(_core_index)
+#define LINK_SLOTS(X) \
+    X(hop_latency) X(num_cores) X(_links) X(_metrics) X(_core_index)
 #define METRICS_SLOTS(X) X(interval) X(_slots) X(edges)
 #define TELEMETRY_SLOTS(X) X(stalls) X(link_wait) X(remote_inflight)
 
@@ -188,18 +194,28 @@ static PyObject *zero_obj;
     X(remote_done, "remote_done") X(link_wait, "link_wait") \
     X(_classify, "_classify") X(_mem_reason, "_mem_reason") \
     X(_remote_rtt, "_remote_rtt") X(_emit, "_emit") \
-    X(link_hop_latency, "link_hop_latency") \
-    LINK_TAGS(X)
-/* router.py's link ids are (tag, index) pairs; the request path's tags,
- * then the reply path's */
-#define LINK_TAGS(X) \
-    X(c_r1, "c>r1") X(r1_m, "r1>m") X(r1_r2, "r1>r2") X(r2_r1, "r2>r1") \
-    X(r2_r3, "r2>r3") X(r3_r4, "r3>r4") X(r4_r3, "r4>r3") X(r3_r2, "r3>r2") \
-    X(m_r1, "m>r1") X(r1_c, "r1>c") X(r1_lt_r2, "r1<r2") \
-    X(r2_lt_r1, "r2<r1") X(r2_lt_r3, "r2<r3") X(r3_lt_r4, "r3<r4") \
-    X(r4_lt_r3, "r4<r3") X(r3_lt_r2, "r3<r2")
+    X(link_hop_latency, "link_hop_latency")
 #define STRING_VAR(name, text) static PyObject *s_##name;
 STRINGS(STRING_VAR)
+
+/* router.LINK_TAGS and LINK_SHIFTS, in their order: a link ``(tag,
+ * index)`` is a LinkScheduler's port ``_links[code][index]``, *code* the
+ * tag's position here, its row ``((num_cores - 1) >> shift) + 1`` long
+ * (bind refuses a router whose tuples differ) */
+#define LINK_TAGS(X) \
+    X(c_r1, "c>r1", 0) X(r1_m, "r1>m", 0) X(r1_r2, "r1>r2", 2) \
+    X(r2_r1, "r2>r1", 2) X(r2_r3, "r2>r3", 4) X(r3_r4, "r3>r4", 6) \
+    X(r4_r3, "r4>r3", 6) X(r3_r2, "r3>r2", 4) \
+    X(m_r1, "m>r1", 0) X(r1_c, "r1>c", 0) X(r1_lt_r2, "r1<r2", 2) \
+    X(r2_lt_r1, "r2<r1", 2) X(r2_lt_r3, "r2<r3", 4) X(r3_lt_r4, "r3<r4", 6) \
+    X(r4_lt_r3, "r4<r3", 6) X(r3_lt_r2, "r3<r2", 4) \
+    X(fwd, "fwd", 0) X(bwd, "bwd", 0)
+#define TAG_CODE(name, text, shift) LINK_##name,
+enum { LINK_TAGS(TAG_CODE) LINK_TAG_COUNT };
+#define TAG_TEXT(name, text, shift) text,
+static const char *const link_tags[] = { LINK_TAGS(TAG_TEXT) };
+#define TAG_SHIFT(name, text, shift) shift,
+static const int link_shifts[] = { LINK_TAGS(TAG_SHIFT) };
 
 /* ---- slot access ----------------------------------------------------------- */
 
@@ -1677,26 +1693,55 @@ differ:
     return -1;
 }
 
+/* Are *tags* and *shifts* router.LINK_TAGS and LINK_SHIFTS as LINK_TAGS
+ * here codes them?  A RuntimeError if not: the loader falls back to the
+ * reference tick. */
+static int
+check_link_tags(PyObject *tags, PyObject *shifts)
+{
+    Py_ssize_t i;
+    if (PyTuple_GET_SIZE(tags) != LINK_TAG_COUNT
+            || PyTuple_GET_SIZE(shifts) != LINK_TAG_COUNT)
+        goto differ;
+    for (i = 0; i < LINK_TAG_COUNT; i++) {
+        PyObject *tag = PyTuple_GET_ITEM(tags, i);
+        PyObject *shift = PyTuple_GET_ITEM(shifts, i);
+        if (!PyUnicode_Check(tag)
+                || PyUnicode_CompareWithASCIIString(tag, link_tags[i])
+                || !PyLong_Check(shift)
+                || PyLong_AsLong(shift) != link_shifts[i])
+            goto differ;
+    }
+    return 0;
+differ:
+    PyErr_SetString(PyExc_RuntimeError, "bind: router.LINK_TAGS and "
+                    "LINK_SHIFTS are not the window's link table");
+    return -1;
+}
+
 static PyObject *
 tick_bind(PyObject *Py_UNUSED(module), PyObject *args)
 {
     PyTypeObject *core, *hart, *rb, *entry, *low, *stats, *mem, *bank, *port,
         *counters, *links, *machine;
-    PyObject *never, *handlers, *simulate, *bound;
+    PyObject *tags, *shifts, *never, *handlers, *simulate, *bound;
     long long jal, lui, auipc, load, store, p_lwcv, never_value, base, size;
     long long cv[4];
     int h;
     if (!PyArg_ParseTuple(args,
-                          "O!O!O!O!O!O!O!O!O!O!O!O!O!O!LLLLLLLL(LLLL):bind",
+                          "O!O!O!O!O!O!O!O!O!O!O!O!O!O!O!O!LLLLLLLL(LLLL):bind",
                           &PyType_Type, &core, &PyType_Type, &hart,
                           &PyType_Type, &rb, &PyType_Type, &entry,
                           &PyType_Type, &low, &PyType_Type, &stats,
                           &PyType_Type, &mem, &PyType_Type, &bank,
                           &PyType_Type, &port, &PyType_Type, &counters,
-                          &PyType_Type, &links, &PyType_Type, &machine,
+                          &PyType_Type, &links, &PyTuple_Type, &tags,
+                          &PyTuple_Type, &shifts, &PyType_Type, &machine,
                           &PyDict_Type, &handlers, &PyLong_Type, &never,
                           &jal, &lui, &auipc, &load, &store, &p_lwcv, &base,
                           &size, &cv[0], &cv[1], &cv[2], &cv[3]))
+        return NULL;
+    if (check_link_tags(tags, shifts) < 0)
         return NULL;
     if (size <= 0) {
         PyErr_SetString(PyExc_ValueError, "bind: a shared bank of no bytes");
@@ -1843,20 +1888,51 @@ tick_as_int(PyObject *Py_UNUSED(module), PyObject *obj)
 }
 
 /* ``bytearray(n)`` without the memset, for memory.Bank: the same type,
- * length and contents, but a zeroing calloc's buffer, so the pages of a
- * large one are mapped in when first touched, not when the bank is built.
- * The buffer comes from the allocator domain CPython resizes and frees
- * every bytearray's with: the object domain (``PyObject_Realloc`` /
- * ``PyObject_Free``) before 3.13, the ``PyMem_`` one from 3.13 on.  It keeps
- * the trailing NUL a bytearray always has: ``ob_alloc`` is n + 1.  The
- * fields are the same on 3.9-3.13. */
+ * length and contents, but the pages of a large one are mapped in when
+ * first touched, not when the bank is built.  A calloc alone does not do
+ * that for long: once the C library has freed a large block it raises its
+ * mmap threshold, serves the next ones from the heap, and clears them
+ * there.  So the buffer is malloc'd uncleared, the whole pages inside it
+ * are handed back (``MADV_DONTNEED``: an anonymous page reads as zeros
+ * when next touched) and only the partial pages at its ends are cleared
+ * (all of a buffer with no whole page inside); where that is not Linux,
+ * or madvise fails, the whole buffer is cleared.  The buffer comes from
+ * the allocator domain CPython resizes and frees every bytearray's with:
+ * the object domain (``PyObject_Realloc`` / ``PyObject_Free``) before
+ * 3.13, the ``PyMem_`` one from 3.13 on.  It keeps the trailing NUL a
+ * bytearray always has: ``ob_alloc`` is n + 1.  The fields are the same
+ * on 3.9-3.13. */
 #if PY_VERSION_HEX >= 0x030D0000
-#define BYTEARRAY_CALLOC PyMem_Calloc
+#define BYTEARRAY_MALLOC PyMem_Malloc
 #define BYTEARRAY_FREE PyMem_Free
 #else
-#define BYTEARRAY_CALLOC PyObject_Calloc
+#define BYTEARRAY_MALLOC PyObject_Malloc
 #define BYTEARRAY_FREE PyObject_Free
 #endif
+
+/* *size* zero bytes, their whole pages unmapped until first touched */
+static char *
+lazy_zeroes(size_t size)
+{
+    char *bytes;
+    if ((bytes = BYTEARRAY_MALLOC(size)) == NULL)
+        return NULL;
+#if defined(__linux__) && defined(MADV_DONTNEED)
+    {
+        uintptr_t page = (uintptr_t)sysconf(_SC_PAGESIZE);
+        char *first = (char *)(((uintptr_t)bytes + page - 1) & ~(page - 1));
+        char *last = (char *)(((uintptr_t)bytes + size) & ~(page - 1));
+        if (first < last
+                && madvise(first, last - first, MADV_DONTNEED) == 0) {
+            memset(bytes, 0, first - bytes);
+            memset(last, 0, bytes + size - last);
+            return bytes;
+        }
+    }
+#endif
+    memset(bytes, 0, size);
+    return bytes;
+}
 
 static PyObject *
 tick_zeroed(PyObject *Py_UNUSED(module), PyObject *arg)
@@ -1873,8 +1949,7 @@ tick_zeroed(PyObject *Py_UNUSED(module), PyObject *arg)
     array = (PyByteArrayObject *)PyByteArray_FromStringAndSize(NULL, 0);
     if (array == NULL || n == 0)
         return (PyObject *)array;
-    if (n == PY_SSIZE_T_MAX
-            || (bytes = BYTEARRAY_CALLOC(1, (size_t)n + 1)) == NULL) {
+    if (n == PY_SSIZE_T_MAX || (bytes = lazy_zeroes((size_t)n + 1)) == NULL) {
         Py_DECREF(array);
         return PyErr_NoMemory();
     }
@@ -1894,7 +1969,8 @@ tick_parked_entries(PyObject *Py_UNUSED(module), PyObject *Py_UNUSED(ignored))
 static PyMethodDef module_methods[] = {
     {"bind", tick_bind, METH_VARARGS,
      "bind(Core, Hart, ResultBuffer, Entry, LoweredInstr, HartStats, "
-     "CoreMemory, Bank, Port, CoreCounters, LinkScheduler, LBP, "
+     "CoreMemory, Bank, Port, CoreCounters, LinkScheduler, LINK_TAGS, "
+     "LINK_SHIFTS, LBP, "
      "EVENT_HANDLERS, NEVER, cls_jal, cls_lui, cls_auipc, cls_load, "
      "cls_store, cls_p_lwcv, GLOBAL_BASE, GLOBAL_BANK_SIZE, cv_bases) -> the "
      "method descriptors (Core.tick, Core.settle_idle, LBP._simulate)."

@@ -792,9 +792,9 @@ fail:
     return status;
 }
 
-/* one link of a path: LinkScheduler keys a link ``(tag, index)`` */
+/* one link of a path: ``(tag, index)``, the tag by its LINK_TAGS code */
 typedef struct {
-    PyObject *tag;
+    int code;
     int64_t index;
 } Hop;
 
@@ -806,22 +806,22 @@ static int
 request_path(int64_t src, int64_t dst, Hop *path)
 {
     int n = 0;
-    path[n++] = (Hop){s_c_r1, src};
+    path[n++] = (Hop){LINK_c_r1, src};
     if (src / 4 == dst / 4) {
-        path[n++] = (Hop){s_r1_m, dst};
+        path[n++] = (Hop){LINK_r1_m, dst};
         return n;
     }
-    path[n++] = (Hop){s_r1_r2, src / 4};
+    path[n++] = (Hop){LINK_r1_r2, src / 4};
     if (src / 16 != dst / 16) {
-        path[n++] = (Hop){s_r2_r3, src / 16};
+        path[n++] = (Hop){LINK_r2_r3, src / 16};
         if (src / 64 != dst / 64) {
-            path[n++] = (Hop){s_r3_r4, src / 64};
-            path[n++] = (Hop){s_r4_r3, dst / 64};
+            path[n++] = (Hop){LINK_r3_r4, src / 64};
+            path[n++] = (Hop){LINK_r4_r3, dst / 64};
         }
-        path[n++] = (Hop){s_r3_r2, dst / 16};
+        path[n++] = (Hop){LINK_r3_r2, dst / 16};
     }
-    path[n++] = (Hop){s_r2_r1, dst / 4};
-    path[n++] = (Hop){s_r1_m, dst};
+    path[n++] = (Hop){LINK_r2_r1, dst / 4};
+    path[n++] = (Hop){LINK_r1_m, dst};
     return n;
 }
 
@@ -830,48 +830,85 @@ static int
 reply_path(int64_t src, int64_t dst, Hop *path)
 {
     int n = 0;
-    path[n++] = (Hop){s_m_r1, dst};
+    path[n++] = (Hop){LINK_m_r1, dst};
     if (src / 4 == dst / 4) {
-        path[n++] = (Hop){s_r1_c, src};
+        path[n++] = (Hop){LINK_r1_c, src};
         return n;
     }
-    path[n++] = (Hop){s_r1_lt_r2, dst / 4};
+    path[n++] = (Hop){LINK_r1_lt_r2, dst / 4};
     if (src / 16 != dst / 16) {
-        path[n++] = (Hop){s_r2_lt_r3, dst / 16};
+        path[n++] = (Hop){LINK_r2_lt_r3, dst / 16};
         if (src / 64 != dst / 64) {
-            path[n++] = (Hop){s_r3_lt_r4, dst / 64};
-            path[n++] = (Hop){s_r4_lt_r3, src / 64};
+            path[n++] = (Hop){LINK_r3_lt_r4, dst / 64};
+            path[n++] = (Hop){LINK_r4_lt_r3, src / 64};
         }
-        path[n++] = (Hop){s_r3_lt_r2, src / 16};
+        path[n++] = (Hop){LINK_r3_lt_r2, src / 16};
     }
-    path[n++] = (Hop){s_r2_lt_r1, src / 4};
-    path[n++] = (Hop){s_r1_c, src};
+    path[n++] = (Hop){LINK_r2_lt_r1, src / 4};
+    path[n++] = (Hop){LINK_r1_c, src};
     return n;
 }
 
-/* The port of link *hop* in a LinkScheduler's ``_links``, created
- * (``Port()``, as the Python spelling creates it) on its first use: a new
- * reference. */
-static PyObject *
-link_port(Window *w, PyObject *table, const Hop *hop)
+/* The first use of link *hop* on *links*, whose ``_links`` is *table*:
+ * its tag's row of ``((num_cores - 1) >> shift) + 1`` Nones if the tag
+ * has none yet, then its ``Port()``, as LinkScheduler.port makes them.  A
+ * new reference. */
+static NOINLINE PyObject *
+first_port(Window *w, PyObject *links, PyObject *table, const Hop *hop)
 {
-    PyObject *number, *key, *port = NULL;
-    if ((number = PyLong_FromLongLong(hop->index)) == NULL)
+    int64_t cores;
+    Py_ssize_t i, size;
+    PyObject *row = PyList_GET_ITEM(table, hop->code), *port = NULL;
+    if (row == Py_None) {
+        GETI(cores, links, LS.num_cores);
+        size = cores < 1 ? 0 : ((cores - 1) >> link_shifts[hop->code]) + 1;
+        if ((row = PyList_New(size)) == NULL)
+            return NULL;
+        for (i = 0; i < size; i++)
+            PyList_SET_ITEM(row, i, new_ref(Py_None));
+        PyList_SetItem(table, hop->code, row);  /* steals it */
+    }
+    if (!PyList_Check(row)) {
+        wrong_type("list of link ports");
         return NULL;
-    key = PyTuple_Pack(2, hop->tag, number);
-    Py_DECREF(number);
-    if (key == NULL)
-        return NULL;
-    port = PyDict_GetItemWithError(table, key);
-    if (port != NULL && port != Py_None)
-        Py_INCREF(port);
-    else if (PyErr_Occurred()
-             || leave_c(w) < 0
-             || (port = PyObject_CallNoArgs((PyObject *)port_type)) == NULL
-             || PyDict_SetItem(table, key, port) < 0)
-        Py_CLEAR(port);
-    Py_DECREF(key);
+    }
+    row = new_ref(row);  /* Port() is Python */
+    if (hop->index < 0 || hop->index >= PyList_GET_SIZE(row))
+        PyErr_Format(PyExc_ValueError, "no link ('%s', %lld): index "
+                     "outside [0, %zd)", link_tags[hop->code],
+                     (long long)hop->index, PyList_GET_SIZE(row));
+    else if (leave_c(w) == 0
+             && (port = PyObject_CallNoArgs((PyObject *)port_type)) != NULL) {
+        if (hop->index < PyList_GET_SIZE(row)) {
+            PyList_SetItem(row, hop->index, new_ref(port));  /* steals */
+        } else {
+            wrong_type("list of link ports");
+            Py_CLEAR(port);
+        }
+    }
+    Py_DECREF(row);
     return port;
+fail:
+    return NULL;
+}
+
+/* The port of link *hop* on the scheduler *links*, whose ``_links`` is
+ * *table*: row ``code``, slot ``index``; a new reference.  The sizes are
+ * checked on every hop, as Python may have run since the caller looked. */
+static PyObject *
+link_port(Window *w, PyObject *links, PyObject *table, const Hop *hop)
+{
+    PyObject *row, *port;
+    if (hop->code >= PyList_GET_SIZE(table)) {
+        wrong_type("list of link port rows");
+        return NULL;
+    }
+    row = PyList_GET_ITEM(table, hop->code);
+    if (PyList_Check(row) && hop->index >= 0
+            && hop->index < PyList_GET_SIZE(row)
+            && (port = PyList_GET_ITEM(row, hop->index)) != Py_None)
+        return new_ref(port);
+    return first_port(w, links, table, hop);
 }
 
 /* Metrics.link_wait(index, delay) by *observer*, a metered link
@@ -916,15 +953,15 @@ reserve_path(Window *w, PyObject *links, const Hop *path, int count,
     held = new_ref(links);  /* Port() and link_wait are Python */
     GETI(hop, links, LS.hop_latency);
     GETO(table, links, LS._links);
-    if (!PyDict_Check(table)) {
+    if (!PyList_Check(table)) {
         table = NULL;
-        wrong_type("dict of link ports");
+        wrong_type("list of link port rows");
         goto fail;
     }
     Py_INCREF(table);
     for (i = 0; i < count; i++) {
         /* Port.reserve(time + hop_latency) */
-        if ((port = link_port(w, table, &path[i])) == NULL)
+        if ((port = link_port(w, links, table, &path[i])) == NULL)
             goto fail;
         CHECK(port, port_type);
         GETI(next_free, port, P.next_free);

@@ -257,7 +257,7 @@ class Core:
         #: egress link cursors: every path this core *initiates* (requests,
         #: replies, forward/backward messages) reserves hops here, so link
         #: scheduling state is domain-local and shard-partitionable
-        self.links = LinkScheduler(params.link_hop_latency)
+        self.links = LinkScheduler(params.link_hop_latency, params.num_cores)
         #: pending p_fn hart-allocation requests ((src core, parent gid)
         #: FIFO) granted as harts of this core free up
         self.fork_queue = []

@@ -17,6 +17,8 @@ from repro.isa.semantics import (
 from repro.isa.spec import InstrClass
 
 _C = InstrClass
+_P_SWRE = int(_C.P_SWRE)
+_P_LWRE = int(_C.P_LWRE)
 
 # ---- decode kinds (next-pc determination; see the ticks' decode stage) -----
 #: fall through to pc + 4
@@ -107,67 +109,24 @@ class LoweredInstr:
     )
 
     def __init__(self, ins, params, pc):
-        spec = ins.spec
-        mnemonic = ins.mnemonic
-        cls = spec.cls
+        self._fill(ins, spec_shape(ins.spec, params), params, pc)
+
+    def _fill(self, ins, shape, params, pc):
+        """Every slot: the spec's *shape*, then the fields of this
+        location's operands and pc."""
+        (self.mnemonic, self.cls, self.op, self.alu_op, self.br_op,
+         self.latency, self.width, self.dec_kind, self.issue_kind,
+         self.store_like, self.trap, self.nreads, reads, writes_rd) = shape
         self.ins = ins
-        self.mnemonic = mnemonic
-        self.cls = int(cls)
         self.rd = ins.rd
         self.imm = ins.imm
-        reads = [
-            ins.rs1 if field == "rs1" else ins.rs2 for field in spec.reads
-        ]
-        self.nreads = len(reads)
-        self.r1 = reads[0] if reads else 0
-        self.r2 = reads[1] if len(reads) == 2 else 0
-        self.writes = spec.writes_rd and ins.rd != 0
-        self.alu_op = self.br_op = -1
-        if cls == _C.ALU or cls == _C.MULDIV:
-            self.op = ALU_OPS[mnemonic]
-            self.alu_op = ALU_CODES.index(mnemonic)
-        elif cls == _C.BRANCH:
-            self.op = BRANCH_OPS[mnemonic]
-            self.br_op = BRANCH_CODES.index(mnemonic)
-        else:
-            self.op = None
-        self.latency = params.latency_for(spec)
-        if cls == _C.LOAD or cls == _C.P_LWCV:
-            self.width = LOAD_WIDTH[mnemonic]
-        elif cls == _C.STORE:
-            self.width = STORE_WIDTH[mnemonic]
-        else:
-            self.width = 0
-        if cls == _C.P_SWRE or cls == _C.P_LWRE:
-            self.re_slot = ins.imm % params.num_result_buffers
-        else:
-            self.re_slot = 0
-        if cls == _C.BRANCH or cls == _C.JALR or cls == _C.P_JALR:
-            self.dec_kind = DEC_SUSPEND
-        elif cls == _C.JAL or cls == _C.P_JAL:
-            self.dec_kind = DEC_JAL
-        elif cls == _C.SYSTEM:
-            self.dec_kind = DEC_SYSTEM
-        elif cls == _C.P_SYNCM:
-            self.dec_kind = DEC_SYNCM
-        elif cls == _C.P_FN:
-            self.dec_kind = DEC_PFN
-        else:
-            self.dec_kind = DEC_STRAIGHT
-        if cls == _C.LOAD or cls == _C.P_LWCV:
-            self.issue_kind = ISS_LOAD
-        elif cls == _C.P_LWRE:
-            self.issue_kind = ISS_LWRE
-        elif cls == _C.P_FC:
-            self.issue_kind = ISS_FC
-        elif cls == _C.P_FN:
-            self.issue_kind = ISS_FN
-        elif cls == _C.P_SYNCM:
-            self.issue_kind = ISS_SYNCM
-        else:
-            self.issue_kind = ISS_PLAIN
-        self.store_like = cls == _C.STORE or cls == _C.P_SWCV
-        self.trap = _TRAPS.get(mnemonic, 0)
+        # the spec's read fields resolved against rs1/rs2, in operand order
+        self.r1 = (ins.rs1 if reads[0] == "rs1" else ins.rs2) if reads else 0
+        self.r2 = (ins.rs1 if reads[1] == "rs1" else ins.rs2) \
+            if len(reads) == 2 else 0
+        self.writes = writes_rd and ins.rd != 0
+        self.re_slot = ins.imm % params.num_result_buffers \
+            if self.cls == _P_SWRE or self.cls == _P_LWRE else 0
         self.next_pc = (
             (pc + ins.imm) & MASK32 if self.dec_kind == DEC_JAL else pc + 4)
         self.fetch_pair = (pc, self)
@@ -176,6 +135,72 @@ class LoweredInstr:
         return "LoweredInstr(%r)" % (self.ins,)
 
 
+def spec_shape(spec, params):
+    """Every :class:`LoweredInstr` field that depends on the mnemonic alone
+    (and on *params*' latencies), in :meth:`LoweredInstr._fill`'s order:
+    mnemonic, cls, op, alu_op, br_op, latency, width, dec_kind, issue_kind,
+    store_like, trap, nreads, the read fields and writes_rd."""
+    mnemonic = spec.mnemonic
+    cls = spec.cls
+    alu_op = br_op = -1
+    if cls == _C.ALU or cls == _C.MULDIV:
+        op = ALU_OPS[mnemonic]
+        alu_op = ALU_CODES.index(mnemonic)
+    elif cls == _C.BRANCH:
+        op = BRANCH_OPS[mnemonic]
+        br_op = BRANCH_CODES.index(mnemonic)
+    else:
+        op = None
+    if cls == _C.LOAD or cls == _C.P_LWCV:
+        width = LOAD_WIDTH[mnemonic]
+    elif cls == _C.STORE:
+        width = STORE_WIDTH[mnemonic]
+    else:
+        width = 0
+    if cls == _C.BRANCH or cls == _C.JALR or cls == _C.P_JALR:
+        dec_kind = DEC_SUSPEND
+    elif cls == _C.JAL or cls == _C.P_JAL:
+        dec_kind = DEC_JAL
+    elif cls == _C.SYSTEM:
+        dec_kind = DEC_SYSTEM
+    elif cls == _C.P_SYNCM:
+        dec_kind = DEC_SYNCM
+    elif cls == _C.P_FN:
+        dec_kind = DEC_PFN
+    else:
+        dec_kind = DEC_STRAIGHT
+    if cls == _C.LOAD or cls == _C.P_LWCV:
+        issue_kind = ISS_LOAD
+    elif cls == _C.P_LWRE:
+        issue_kind = ISS_LWRE
+    elif cls == _C.P_FC:
+        issue_kind = ISS_FC
+    elif cls == _C.P_FN:
+        issue_kind = ISS_FN
+    elif cls == _C.P_SYNCM:
+        issue_kind = ISS_SYNCM
+    else:
+        issue_kind = ISS_PLAIN
+    reads = tuple(spec.reads)
+    return (mnemonic, int(cls), op, alu_op, br_op, params.latency_for(spec),
+            width, dec_kind, issue_kind,
+            cls == _C.STORE or cls == _C.P_SWCV, _TRAPS.get(mnemonic, 0),
+            len(reads), reads, spec.writes_rd)
+
+
 def lower_program(code, params):
-    """{pc: Instruction} -> {pc: LoweredInstr} for one machine's params."""
-    return {pc: LoweredInstr(ins, params, pc) for pc, ins in code.items()}
+    """{pc: Instruction} -> {pc: LoweredInstr} for one machine's params.
+
+    Each distinct spec's shape is worked out once per call; every location
+    then fills in only its own operands and pc."""
+    shapes = {}
+    lowered = {}
+    new = LoweredInstr.__new__
+    for pc, ins in code.items():
+        spec = ins.spec
+        shape = shapes.get(spec)
+        if shape is None:
+            shape = shapes[spec] = spec_shape(spec, params)
+        low = lowered[pc] = new(LoweredInstr)
+        low._fill(ins, shape, params, pc)
+    return lowered

@@ -12,9 +12,11 @@ store→load pairs issued in order; see DESIGN.md).
 from repro import memmap
 
 #: what a bank's bytes come from: ``bytearray``, which writes every byte, or
-#: the compiled ``zeroed``, the same bytearray with its pages mapped in when
-#: first touched (machine/native.py installs it when it passes its smoke
-#: calls, and takes it back if the rest of the smoke run fails)
+#: the compiled ``zeroed``, the same bytearray with its whole pages handed
+#: back to the kernel rather than cleared, so they are mapped in when first
+#: touched however the C library reuses freed banks (machine/native.py
+#: installs it when it passes its smoke calls, and takes it back if the
+#: rest of the smoke run fails)
 zeroed = bytearray
 
 

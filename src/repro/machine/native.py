@@ -121,8 +121,9 @@ def _bind(module):
         core.Core, hart.Hart, hart.ResultBuffer, hart.Entry,
         lowered.LoweredInstr, stats.HartStats, memory.CoreMemory,
         memory.Bank, memory.Port, stats.CoreCounters, router.LinkScheduler,
-        processor.LBP, processor.EVENT_HANDLERS, hart.NEVER, core._JAL,
-        core._LUI, core._AUIPC, core._LOAD, core._STORE, core._P_LWCV,
+        router.LINK_TAGS, router.LINK_SHIFTS, processor.LBP,
+        processor.EVENT_HANDLERS, hart.NEVER, core._JAL, core._LUI,
+        core._AUIPC, core._LOAD, core._STORE, core._P_LWCV,
         memmap.GLOBAL_BASE, memmap.GLOBAL_BANK_SIZE,
         tuple(memmap.hart_cv_base(h) for h in range(memmap.HARTS_PER_CORE)))
 

@@ -35,7 +35,6 @@ from repro.compiler import compile_to_program
 from repro.machine import LBP, MachineError, Params, native
 from repro.machine.core import Core
 from repro.machine.io import Actuator, ScriptedInput, attach_input, attach_output
-from repro.machine.memory import Port
 from repro.machine.reference import ReferenceCore
 from repro.snapshot import snapshot, trace_digest
 from repro.workloads import (
@@ -489,8 +488,9 @@ main:
 
 
 def test_remote_paths_through_every_router_level_equal_the_reference():
-    """Request and reply paths up to r4 and back, each link port keyed and
-    reserved as the Python router does.  One link is booked ahead, so the
+    """Request and reply paths up to r4 and back, each link port found,
+    made (its tag's row too, as long) and reserved as the Python router
+    does.  One link is booked ahead, so the
     request behind it waits and the metered leg charges ``link_wait``
     from C.  (State compared without the 66 banks' bytes.)"""
     program = assemble(EVERY_LEVEL)
@@ -499,14 +499,14 @@ def test_remote_paths_through_every_router_level_equal_the_reference():
         for backend in ("soa", "interp"):
             machine = LBP(Params(num_cores=66), backend=backend,
                           metrics=metrics).load(program)
-            booked = machine.cores[0].links._links[("r1>r2", 0)] = Port()
-            booked.next_free = 40
+            machine.cores[0].links.port(("r1>r2", 0)).next_free = 40
             stats = machine.run(max_cycles=10_000)
             assert stats.remote_accesses == 8
             assert machine.cores[0].harts[0].regs[31] == 4 * 77
             runs[backend] = (
                 machine.cycle, stats.state_dict(),
                 [(core.links.state_dict(),
+                  [row and len(row) for row in core.links._links],
                   core.mem.shared_router_port.next_free, core._seq)
                  for core in machine.cores],
                 machine.cores[0].harts[0].state_dict(),

@@ -3,9 +3,15 @@
 import pytest
 
 from repro import memmap
+from repro.asm import assemble
+from repro.isa.instruction import Instruction
+from repro.isa.spec import INSTR_SPECS
+from repro.machine import LBP, lowered
+from repro.machine.lowered import LoweredInstr, lower_program
 from repro.machine.memory import Bank, Port
 from repro.machine.params import Params
 from repro.machine.router import (
+    LINK_TAGS,
     LinkScheduler,
     backward_links,
     forward_links,
@@ -79,12 +85,110 @@ def test_backward_links_hop_by_hop():
 
 
 def test_link_scheduler_contention():
-    links = LinkScheduler(hop_latency=1)
-    path = [("a", 0), ("b", 0)]
+    links = LinkScheduler(hop_latency=1, num_cores=4)
+    path = [("c>r1", 0), ("r1>m", 1)]
     first = links.reserve_path(path, 0)
     second = links.reserve_path(path, 0)
     assert first == 2
     assert second > first  # one value per link per cycle
+
+
+def test_link_ports_sit_in_one_row_per_tag_sized_by_router_level():
+    links = LinkScheduler(hop_latency=1, num_cores=66)
+    assert links._links == [None] * len(LINK_TAGS)  # no row before use
+    paths = request_path(0, 65) + reply_path(0, 65) + [("fwd", 64),
+                                                       ("bwd", 65)]
+    for link in paths:
+        port = links.port(link)
+        assert port is links.port(link)  # created once, on first use
+        tag, index = link
+        assert links._links[LINK_TAGS.index(tag)][index] is port
+    sizes = {tag: len(row) for tag, row in zip(LINK_TAGS, links._links)
+             if row is not None}
+    assert sizes == {"c>r1": 66, "r1>m": 66, "m>r1": 66, "r1>c": 66,
+                     "fwd": 66, "bwd": 66, "r1>r2": 17, "r2>r1": 17,
+                     "r1<r2": 17, "r2<r1": 17, "r2>r3": 5, "r3>r2": 5,
+                     "r2<r3": 5, "r3<r2": 5, "r3>r4": 2, "r4>r3": 2,
+                     "r3<r4": 2, "r4<r3": 2}
+    assert sum(port is not None for row in links._links
+               for port in row) == len(paths)
+    for link in [("r9>m", 0), ("c>r1", 66), ("c>r1", -1), ("r3>r4", 2),
+                 ("c>r1", 1.0)]:
+        with pytest.raises(ValueError, match="no link"):
+            links.port(link)
+
+
+def test_link_state_rows_are_sorted_by_tag_then_index():
+    links = LinkScheduler(hop_latency=2, num_cores=20)
+    links.reserve_path([("r1>r2", 3), ("r2>r3", 0), ("c>r1", 12)], 5)
+    links.port(("c>r1", 2))
+    state = links.state_dict()
+    assert state == {"hop_latency": 2, "links": [
+        [["c>r1", 2], 0], [["c>r1", 12], 12], [["r1>r2", 3], 8],
+        [["r2>r3", 0], 10]]}
+    again = LinkScheduler(1, num_cores=20)
+    again.load_state_dict(state)
+    assert again.state_dict() == state
+
+
+def _shape_cases():
+    """Every spec, with rd zero and not, and every result-buffer slot of
+    its immediate (negative ones too)."""
+    slots = Params.num_result_buffers
+    pc = 0
+    for spec in INSTR_SPECS.values():
+        for rd in (0, 5):
+            for imm in range(-slots, slots + 1):
+                yield pc, Instruction(spec.mnemonic, rd=rd, rs1=6, rs2=7,
+                                      imm=imm, spec=spec)
+                pc += 4
+
+
+def _slots(low):
+    return {name: getattr(low, name) for name in LoweredInstr.__slots__
+            if name != "fetch_pair"}
+
+
+def test_shape_lowering_equals_the_per_instruction_constructor():
+    """lower_program fills each location from its spec's shape; every slot
+    is the one ``LoweredInstr(ins, params, pc)`` computes."""
+    params = Params(num_cores=2)
+    code = dict(_shape_cases())
+    program = lower_program(code, params)
+    assert list(program) == list(code)
+    for pc, ins in code.items():
+        low, alone = program[pc], LoweredInstr(ins, params, pc)
+        assert type(low) is LoweredInstr
+        assert _slots(low) == _slots(alone), ins
+        assert low.fetch_pair == (pc, low) and low.fetch_pair[1] is low
+        assert low.writes == (ins.spec.writes_rd and ins.rd != 0)
+        reads = [ins.rs1 if f == "rs1" else ins.rs2 for f in ins.spec.reads]
+        assert (low.nreads, low.r1, low.r2) == (
+            len(reads), (reads + [0, 0])[0], (reads + [0, 0])[1])
+    assert {program[pc].re_slot for pc, ins in code.items()
+            if ins.mnemonic == "p_swre"} == set(
+                range(params.num_result_buffers))
+
+
+def test_each_spec_is_shaped_once_per_lowering_and_lowered_at_too(
+        monkeypatch):
+    shaped = []
+    inner = lowered.spec_shape
+
+    def counting(spec, params):
+        shaped.append(spec.mnemonic)
+        return inner(spec, params)
+
+    monkeypatch.setattr(lowered, "spec_shape", counting)
+    program = assemble("main:\n li t0, 1\n li t1, 2\n add t2, t0, t1\n"
+                       " add t2, t2, t1\n ebreak\n")
+    machine = LBP(Params(num_cores=1)).load(program)
+    assert sorted(shaped) == sorted({ins.mnemonic for ins in
+                                     program.instructions.values()})
+    del shaped[:]
+    low = machine.lowered_at(0x1000)  # not code: the fault path's ebreak
+    assert shaped == ["ebreak"]
+    assert low.fetch_pair == (0x1000, low) and low.trap == 1
 
 
 def test_params_holds_exactly_two_knobs():

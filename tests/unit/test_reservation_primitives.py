@@ -81,13 +81,13 @@ CHAIN = [("r1>r2", 0), ("r2>r3", 0), ("r3>r2", 1)]
 
 
 def test_reserve_path_uncontended_latency_is_one_per_hop():
-    sched = LinkScheduler(hop_latency=1)
+    sched = LinkScheduler(hop_latency=1, num_cores=64)
     assert sched.reserve_path(CHAIN, 0) == len(CHAIN)
     assert sched.reserve_path([], 7) == 7  # empty path: no hops, no delay
 
 
 def test_reserve_path_contending_messages_pipeline_in_order():
-    sched = LinkScheduler(hop_latency=1)
+    sched = LinkScheduler(hop_latency=1, num_cores=64)
     first = sched.reserve_path(CHAIN, 0)
     second = sched.reserve_path(CHAIN, 0)
     third = sched.reserve_path(CHAIN, 0)
@@ -100,11 +100,11 @@ def test_reserve_path_commit_order_is_reservation_order():
     """Whoever reserves first wins the earlier slots — swapping which
     message is which (the 'call order' of the two contenders) mirrors the
     outcome and leaves the cursors in the identical final state."""
-    a_then_b = LinkScheduler(hop_latency=1)
+    a_then_b = LinkScheduler(hop_latency=1, num_cores=64)
     exit_a = a_then_b.reserve_path(CHAIN, 0)
     exit_b = a_then_b.reserve_path(CHAIN, 0)
 
-    b_then_a = LinkScheduler(hop_latency=1)
+    b_then_a = LinkScheduler(hop_latency=1, num_cores=64)
     exit_b2 = b_then_a.reserve_path(CHAIN, 0)
     exit_a2 = b_then_a.reserve_path(CHAIN, 0)
 
@@ -113,7 +113,7 @@ def test_reserve_path_commit_order_is_reservation_order():
 
 
 def test_reserve_path_partial_overlap_delays_only_on_shared_links():
-    sched = LinkScheduler(hop_latency=1)
+    sched = LinkScheduler(hop_latency=1, num_cores=64)
     long_path = request_path(0, 5)   # crosses r1>r2 down to core 5's bank
     short_path = request_path(4, 5)  # same r1 group: two hops
     assert long_path[-1] == short_path[-1] == ("r1>m", 5)
@@ -126,7 +126,7 @@ def test_reserve_path_partial_overlap_delays_only_on_shared_links():
 
 
 def test_reserve_path_later_start_does_not_jump_the_queue():
-    sched = LinkScheduler(hop_latency=1)
+    sched = LinkScheduler(hop_latency=1, num_cores=64)
     early = sched.reserve_path(CHAIN, 0)
     late = sched.reserve_path(CHAIN, 10)
     assert (early, late) == (3, 13)

@@ -157,6 +157,35 @@ def test_a_snapshot_event_no_run_could_post_is_refused(name, backend):
     assert why in str(err.value) and repr(event) in str(err.value)
 
 
+#: link rows no run could write: (rows, why they are refused)
+BAD_LINK_ROWS = {
+    "unknown_tag": ([[["r9>m", 0], 3]], "unknown link tag 'r9>m'"),
+    "index_negative": ([[["c>r1", -1], 3]], "index -1 outside [0, 2)"),
+    "index_past_last_core": ([[["r1>m", 2], 3]], "index 2 outside [0, 2)"),
+    "duplicate": ([[["c>r1", 1], 3], [["c>r1", 1], 4]],
+                  "a second row for the link"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_LINK_ROWS))
+def test_a_snapshot_link_row_naming_no_link_is_refused(name):
+    """Link ports sit in a flat list by tag code and index: a row naming a
+    tag or an index this machine does not have (a negative index would
+    alias another link) or a link twice is refused, naming the row, before
+    the scheduler loads anything."""
+    rows, why = BAD_LINK_ROWS[name]
+    state = _paused().state_dict()
+    links = state["cores"][0]["core"]["links"]
+    links["hop_latency"] = 9
+    links["links"] = [[["c>r1", 0], 5]] + rows
+    machine = _machine()
+    before = machine.cores[0].links.state_dict()
+    with pytest.raises(ValueError) as err:
+        machine.load_state_dict(state)
+    assert why in str(err.value) and repr(rows[-1]) in str(err.value)
+    assert machine.cores[0].links.state_dict() == before
+
+
 def test_save_and_load_roundtrip(tmp_path):
     machine = _paused()
     path = str(tmp_path / "pause.lbpsnap")
