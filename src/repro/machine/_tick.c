@@ -25,8 +25,9 @@
  *     writeback buffer can drain) are maintained at the state-transition
  *     sites; a stage whose gate is closed touches no hart.
  *   - ALU/MULDIV, branches, jal, lui and auipc issue here, through the
- *     ``alu_op`` / ``br_op`` switches below; they need nothing from the
- *     machine.
+ *     ``alu_op`` / ``br_op`` switches below, and so do jalr, p_set,
+ *     p_merge, p_syncm, the p_ret decision and SYSTEM / FENCE
+ *     (``execute_local``); they need nothing from the machine.
  *   - Parking: an unmetered tick in which no stage fired cannot have
  *     changed anything, and nothing will change before a timer the core
  *     owns expires (a filled buffer's ``ready_at``, a fetch-ready hart's
@@ -63,18 +64,22 @@
  *       ``(pc, low)``; rename and fetch store those objects, after
  *       checking they hold the value just computed, else build their own.
  *
- * Everything that needs the machine is a call back into the one Python
- * implementation: ``Core._execute`` (code-bank and device loads and
- * stores, every access a trace or a sanitizer observes, jalr,
- * SYSTEM/FENCE, every X_PAR class), ``Core._commit_p_ret``,
- * ``Core.alloc_free_hart``, ``machine.halt`` / ``error`` /
- * ``send_fork_req`` / ``fetch_instruction``, ``metrics.roll`` and a
- * window edge's ``_emit``, at the call sites the reference tick makes
- * them; ``metrics.idle`` / ``stall`` only for a Metrics the charges here
- * do not stand for (a subclass, a replaced hook).
- * The one exception is memory: a load or store to the core's own banks or
- * to another core's shared bank, and ``p_lwcv``, which the cycle window
- * issues itself when nothing observes it (``mem_access`` in _window.h).
+ * What needs the machine is issued by the cycle window (_window.h) when
+ * nothing observes it -- no trace, no sanitizer -- and the method the
+ * reference tick calls at that site is still the one bind() found
+ * (``window_native``): a load or store to the core's own banks or to
+ * another core's shared bank and ``p_lwcv`` (``mem_access``), every X_PAR
+ * message (``team_execute``), issue's free-hart probe, decode's fork
+ * request (``send_fork_req``) and the p_ret commit (``commit_p_ret``).
+ * Everything else is a call back into the one Python implementation, at
+ * the call site the reference tick makes it: ``Core._execute`` (code-bank
+ * and device accesses, every observed step, a step whose Python spelling
+ * words a machine error), ``Core._commit_p_ret``,
+ * ``Core.alloc_free_hart``, ``machine.send_fork_req`` /
+ * ``fetch_instruction`` / ``error`` and -- once a run -- ``halt``,
+ * ``metrics.roll`` and a window edge's ``_emit``; ``metrics.idle`` /
+ * ``stall`` only for a Metrics the charges here do not stand for (a
+ * subclass, a replaced hook).
  * Rules for the calls:
  *   - every one goes through ``callback``, which first lets the window
  *     publish ``machine.cycle`` and ``machine._origin``;
@@ -105,13 +110,15 @@
 
 #define CORE_SLOTS(X) \
     X(index) X(machine) X(mem) X(harts) X(active) X(idle_since) \
-    X(sleep_until) X(links) X(_seq) X(_tag) X(_rr_fetch) X(_rr_rename) \
-    X(_rr_issue) X(_rr_wb) X(_rr_commit) X(_rob_size) X(_wb_wake)
+    X(sleep_until) X(links) X(fork_queue) X(_seq) X(_tag) X(_rr_fetch) \
+    X(_rr_rename) X(_rr_issue) X(_rr_wb) X(_rr_commit) X(_rob_size) \
+    X(_wb_wake)
 #define HART_SLOTS(X) \
     X(regs) X(rename) X(pc) X(awaiting_nextpc) X(fetch_ready_at) \
     X(syncm_block) X(fetch_buf) X(it) X(rob) X(rb) X(re_buffers) \
-    X(outstanding_mem) X(reserved) X(pred) X(pred_done) X(fork_tokens) \
-    X(stats) X(fetch_ok) X(n_ready) X(gid) X(index)
+    X(re_waiters) X(outstanding_mem) X(reserved) X(waiting_join) \
+    X(pending_join) X(pred) X(pred_done) X(succ) X(fork_tokens) X(stats) \
+    X(fetch_ok) X(n_ready) X(gid) X(index)
 #define RB_SLOTS(X) X(busy) X(tag) X(reg) X(value) X(ready_at) X(entry)
 #define ENTRY_SLOTS(X) \
     X(tag) X(low) X(pc) X(val0) X(val1) X(wait0) X(wait1) X(nwaits) \
@@ -120,12 +127,14 @@
     X(cls) X(rd) X(imm) X(nreads) X(r1) X(r2) X(writes) X(alu_op) X(br_op) \
     X(latency) X(re_slot) X(dec_kind) X(issue_kind) X(store_like) X(trap) \
     X(width) X(mnemonic) X(next_pc) X(fetch_pair)
-#define STATS_SLOTS(X) X(retired) X(loads) X(stores)
+#define STATS_SLOTS(X) X(retired) X(loads) X(stores) X(forks)
 #define MEM_SLOTS(X) \
     X(local) X(shared) X(local_port) X(shared_local_port) X(shared_router_port)
 #define BANK_SLOTS(X) X(base) X(data)
 #define PORT_SLOTS(X) X(next_free)
-#define COUNTER_SLOTS(X) X(local_accesses) X(remote_accesses) X(skipped_cycles)
+#define COUNTER_SLOTS(X) \
+    X(local_accesses) X(remote_accesses) X(forks) X(joins) X(re_messages) \
+    X(skipped_cycles)
 #define LINK_SLOTS(X) \
     X(hop_latency) X(num_cores) X(_links) X(_metrics) X(_core_index)
 #define METRICS_SLOTS(X) X(interval) X(_slots) X(edges)
@@ -159,14 +168,19 @@ static PyTypeObject *core_type, *hart_type, *rb_type, *entry_type, *low_type,
 /* hart.py's NEVER, as the object to store and the value to compare */
 static PyObject *never_obj;
 static int64_t never_val;
-/* LoweredInstr.cls of the classes issued here by class, and of the ones
- * the stall classifier tells apart */
-static int64_t cls_jal, cls_lui, cls_auipc, cls_load, cls_store, cls_p_lwcv;
-static int64_t cls_p_swcv, cls_p_syncm, cls_p_lwre, cls_p_swre, cls_p_fc,
-    cls_p_fn;
+/* LoweredInstr.cls of every class issued here by class (isa/spec.py's
+ * InstrClass members; bind is given them in this order) */
+#define CLASSES(X) \
+    X(jal) X(jalr) X(lui) X(auipc) X(load) X(store) X(system) X(fence) \
+    X(p_fc) X(p_fn) X(p_swcv) X(p_lwcv) X(p_swre) X(p_lwre) X(p_jal) \
+    X(p_jalr) X(p_set) X(p_merge) X(p_syncm)
+#define CLASS_VAR(name) static int64_t cls_##name;
+CLASSES(CLASS_VAR)
 /* memmap.py: where the shared banks start, how big each is, and
  * hart_cv_base(h) for the four harts of a core */
 static int64_t global_base, global_bank_size, cv_base[4];
+/* processor.RE_ACK_LATENCY: a p_swre delivery's ack takes this long */
+static int64_t re_ack_latency;
 
 static PyObject *zero_obj;
 /* interned names and constants; PyInit__tick fills them from STRINGS */
@@ -194,7 +208,13 @@ static PyObject *zero_obj;
     X(remote_done, "remote_done") X(link_wait, "link_wait") \
     X(_classify, "_classify") X(_mem_reason, "_mem_reason") \
     X(_remote_rtt, "_remote_rtt") X(_emit, "_emit") \
-    X(link_hop_latency, "link_hop_latency")
+    X(link_hop_latency, "link_hop_latency") X(cv_write, "cv_write") \
+    X(rreq_cv, "rreq_cv") X(cv_apply, "cv_apply") X(rack_cv, "rack_cv") \
+    X(re_deliver, "re_deliver") X(re_ack, "re_ack") X(fork_req, "fork_req") \
+    X(fork_grant, "fork_grant") X(start_pc, "start_pc") \
+    X(ending_signal, "ending_signal") X(join, "join") X(exit, "exit") \
+    X(wait, "wait") X(end, "end") X(cv_write_latency, "cv_write_latency") \
+    X(num_result_buffers, "num_result_buffers")
 #define STRING_VAR(name, text) static PyObject *s_##name;
 STRINGS(STRING_VAR)
 
@@ -494,10 +514,27 @@ typedef struct {
 /* what mem_access (_window.h) issues */
 enum access { ACC_LOAD, ACC_STORE, ACC_LWCV };
 
+/* the Python methods the tick calls back at its sites (Core._execute,
+ * Core._commit_p_ret, Core.alloc_free_hart, LBP.send_fork_req); a window
+ * spells a site itself only while its method is the one bind() found */
+#define METHODS(X) \
+    X(execute) X(commit_p_ret) X(alloc_free_hart) X(send_fork_req)
+#define METHOD_INDEX(name) M_##name,
+enum method { METHODS(METHOD_INDEX) METHOD_COUNT };
+#define METHOD_NAME(name) &s_##name,
+static PyObject **const method_name[METHOD_COUNT] = {METHODS(METHOD_NAME)};
+static PyObject *bound_method[METHOD_COUNT];
+
 static int leave_c(Window *w);
 static int window_charges(Window *w);
+static int window_native(Tick *t, enum method site);
 static int mem_access(Tick *t, PyObject *hart, PyObject *entry,
                       PyObject *low, enum access kind);
+static int team_execute(Tick *t, PyObject *hart, PyObject *entry,
+                        PyObject *low, int64_t cls);
+static int free_hart(PyObject *const *harts);
+static int send_fork_req(Tick *t, PyObject *hart);
+static int commit_p_ret(Tick *t, PyObject *hart, PyObject *head);
 
 /* ``obj.name(a, b, c)`` (trailing NULLs are no arguments): every call from
  * the tick (and the charges) into Python.  Inside a window *w*
@@ -666,8 +703,7 @@ stage_commit(Tick *t)
             status = called(callback(t->w, t->machine, s_error, s_ecall, NULL,
                                      NULL));
         else if (SLOT(head, E.ret_action) != Py_None)
-            status = called(callback(t->w, t->core, s_commit_p_ret, hart, head,
-                                     NULL));
+            status = commit_p_ret(t, hart, head);
         else
             status = 0;
         retire(head);
@@ -792,13 +828,119 @@ fail:
     return -1;
 }
 
-/* The issued instruction's execute step.  ALU/MULDIV, branches, jal, lui
- * and auipc need nothing from the machine, a load, a store or a p_lwcv
- * nothing observed only the window; the rest is Core._execute. */
+/* Hart._refresh_fetch_ok */
+static int
+refresh_fetch_ok(PyObject *hart)
+{
+    int awaiting, syncm_block, reserved;
+    PyObject *pc, *fetch_buf;
+    GETO(pc, hart, H.pc);
+    GETB(awaiting, hart, H.awaiting_nextpc);
+    GETB(syncm_block, hart, H.syncm_block);
+    GETO(fetch_buf, hart, H.fetch_buf);
+    GETB(reserved, hart, H.reserved);
+    set_bool(hart, H.fetch_ok, pc != Py_None && !awaiting && !syncm_block
+             && fetch_buf == Py_None && !reserved);
+    return 0;
+fail:
+    return -1;
+}
+
+/* Core._execute_p_ret: ``p_ret`` (p_jalr zero, ra, t0) decides its ending
+ * case -- exit, wait for the join, end, or join hart ``t0 >> 16`` at ra --
+ * and the hart fetches no further */
+static int
+decide_p_ret(PyObject *hart, PyObject *entry)
+{
+    int64_t ra, t0, gid, joiner;
+    PyObject *action, *joiner_obj;
+    GETI(ra, entry, E.val0);
+    GETI(t0, entry, E.val1);
+    GETI(gid, hart, H.gid);
+    joiner = (int64_t)(((uint64_t)t0 >> 16) & 0x7FFF);  /* join_hart */
+    if (ra != 0) {
+        if ((joiner_obj = PyLong_FromLongLong(joiner)) == NULL)
+            goto fail;
+        action = PyTuple_Pack(3, s_join, joiner_obj, SLOT(entry, E.val0));
+        Py_DECREF(joiner_obj);
+    } else
+        action = PyTuple_Pack(3, t0 == MASK32 ? s_exit
+                              : joiner == gid ? s_wait : s_end,
+                              Py_None, Py_None);
+    if (action == NULL)
+        goto fail;
+    set_obj(entry, E.ret_action, action);
+    Py_DECREF(action);
+    set_bool(entry, E.done, 1);
+    set_none(hart, H.pc);
+    set_bool(hart, H.awaiting_nextpc, 0);
+    set_bool(hart, H.fetch_ok, 0);
+    return 0;
+fail:
+    return -1;
+}
+
+/* The execute step of the classes that need nothing from the machine but
+ * are not plain arithmetic: jalr, p_set, p_merge, p_syncm, the p_ret
+ * decision, and SYSTEM / FENCE (no-ops until commit).  0 done, 1 not one
+ * of them, -1 an exception. */
+static int
+execute_local(Tick *t, PyObject *hart, PyObject *entry, PyObject *low,
+              int64_t cls)
+{
+    int64_t a, b, imm, pc, index, number, rd;
+    if (cls == cls_system || cls == cls_fence) {
+        set_bool(entry, E.done, 1);
+        return 0;
+    }
+    if (cls == cls_p_syncm) {
+        set_bool(hart, H.syncm_block, 0);
+        if (refresh_fetch_ok(hart) < 0)
+            goto fail;
+        set_bool(entry, E.done, 1);
+        return 0;
+    }
+    if (cls == cls_p_jalr) {
+        GETI(rd, low, L.rd);
+        return rd == 0 ? decide_p_ret(hart, entry) : 1;
+    }
+    if (cls != cls_jalr && cls != cls_p_set && cls != cls_p_merge)
+        return 1;
+    GETI(a, entry, E.val0);
+    if (cls == cls_jalr) {
+        GETI(imm, low, L.imm);
+        GETI(pc, entry, E.pc);
+        if (resolve_pc(t, hart, (a + imm) & 0xFFFFFFFE) < 0)
+            goto fail;
+        return finish_at(t, hart, entry, low, (uint32_t)(pc + 4),
+                         t->cycle + 1);
+    }
+    if (cls == cls_p_set) {  /* p_set_value: the hart identity stamped */
+        GETI(index, t->core, C.index);
+        GETI(number, hart, H.index);
+        return finish_at(t, hart, entry, low,
+                         (uint32_t)(((uint64_t)a & 0xFFFF)
+                                    | (uint64_t)(4 * index + number) << 16
+                                    | 0x80000000u), t->cycle + 1);
+    }
+    GETI(b, entry, E.val1);  /* p_merge_value */
+    return finish_at(t, hart, entry, low,
+                     (uint32_t)(((uint64_t)a & 0x7FFF0000)
+                                | ((uint64_t)b & 0xFFFF)), t->cycle + 1);
+fail:
+    return -1;
+}
+
+/* The issued instruction's execute step.  ALU/MULDIV, branches, jal, lui,
+ * auipc and execute_local's classes need nothing from the machine; a
+ * load, a store and every X_PAR message nothing observes need only the
+ * window (mem_access, team_execute in _window.h); the rest -- a code-bank
+ * or device access, an observed or refused step -- is Core._execute. */
 static int
 execute(Tick *t, PyObject *hart, PyObject *entry, PyObject *low)
 {
     int64_t op, a, b, pc, imm, cls;
+    int native, done;
     GETI(op, low, L.alu_op);
     if (op >= 0) {
         int writes;
@@ -845,11 +987,17 @@ execute(Tick *t, PyObject *hart, PyObject *entry, PyObject *low)
                 + (cls == cls_auipc ? (uint32_t)pc : 0);
         return finish_at(t, hart, entry, low, value, t->cycle + 1);
     }
-    if (t->w != NULL
-            && (cls == cls_load || cls == cls_store || cls == cls_p_lwcv)) {
-        int done = mem_access(t, hart, entry, low,
+    if ((done = execute_local(t, hart, entry, low, cls)) <= 0)
+        return done;
+    if ((native = window_native(t, M_execute)) < 0)
+        return -1;
+    if (native) {
+        if (cls == cls_load || cls == cls_store || cls == cls_p_lwcv)
+            done = mem_access(t, hart, entry, low,
                               cls == cls_load ? ACC_LOAD
                               : cls == cls_store ? ACC_STORE : ACC_LWCV);
+        else
+            done = team_execute(t, hart, entry, low, cls);
         if (done)
             return done < 0 ? -1 : 0;
     }
@@ -911,6 +1059,14 @@ stage_issue(Tick *t)
                     ready = item != Py_None;
                     break;
                 case 3:  /* ISS_FC: a free hart on this core */
+                    if ((ready = window_native(t, M_alloc_free_hart)) < 0)
+                        goto fail;
+                    if (ready) {
+                        if ((number = free_hart(t->hart)) < 0)
+                            goto fail;
+                        ready = number < 4;
+                        break;
+                    }
                     Py_INCREF(it);
                     item = callback(t->w, t->core, s_alloc_free_hart, NULL,
                                     NULL, NULL);
@@ -1052,8 +1208,7 @@ rename_into(Tick *t, PyObject *hart, PyObject *rob, PyObject *pc_obj,
     }
     GETI(dec, low, L.dec_kind);
     if (dec == 5  /* DEC_PFN: request the fork token from the next core */
-            && called(callback(t->w, t->machine, s_send_fork_req, t->core,
-                               hart, NULL)) < 0)
+            && send_fork_req(t, hart) < 0)
         goto fail;
     /* next-pc determination (fetch resumes when it is known) */
     if (dec == 2) {
@@ -1719,17 +1874,41 @@ differ:
     return -1;
 }
 
+/* The InstrClass values of CLASSES, in that order, from *classes*. */
+static int
+read_classes(PyObject *classes)
+{
+#define CLASS_SLOT(name) &cls_##name,
+    int64_t *const slot[] = {CLASSES(CLASS_SLOT)};
+    int64_t value[sizeof(slot) / sizeof(slot[0])];
+    Py_ssize_t i, n = (Py_ssize_t)(sizeof(slot) / sizeof(slot[0]));
+    if (PyTuple_GET_SIZE(classes) != n) {
+        PyErr_Format(PyExc_ValueError, "bind: %zd instruction classes, not "
+                     "the %zd of CLASSES", PyTuple_GET_SIZE(classes), n);
+        return -1;
+    }
+    for (i = 0; i < n; i++) {
+        value[i] = PyLong_AsLongLong(PyTuple_GET_ITEM(classes, i));
+        if (value[i] == -1 && PyErr_Occurred())
+            return -1;
+    }
+    for (i = 0; i < n; i++)
+        *slot[i] = value[i];
+    return 0;
+}
+
 static PyObject *
 tick_bind(PyObject *Py_UNUSED(module), PyObject *args)
 {
     PyTypeObject *core, *hart, *rb, *entry, *low, *stats, *mem, *bank, *port,
         *counters, *links, *machine;
-    PyObject *tags, *shifts, *never, *handlers, *simulate, *bound;
-    long long jal, lui, auipc, load, store, p_lwcv, never_value, base, size;
+    PyObject *tags, *shifts, *never, *handlers, *classes, *simulate, *bound;
+    PyObject *method[METHOD_COUNT];
+    long long never_value, base, size, ack_latency;
     long long cv[4];
-    int h;
+    int h, k;
     if (!PyArg_ParseTuple(args,
-                          "O!O!O!O!O!O!O!O!O!O!O!O!O!O!O!O!LLLLLLLL(LLLL):bind",
+                          "O!O!O!O!O!O!O!O!O!O!O!O!O!O!O!O!O!LLL(LLLL):bind",
                           &PyType_Type, &core, &PyType_Type, &hart,
                           &PyType_Type, &rb, &PyType_Type, &entry,
                           &PyType_Type, &low, &PyType_Type, &stats,
@@ -1738,10 +1917,10 @@ tick_bind(PyObject *Py_UNUSED(module), PyObject *args)
                           &PyType_Type, &links, &PyTuple_Type, &tags,
                           &PyTuple_Type, &shifts, &PyType_Type, &machine,
                           &PyDict_Type, &handlers, &PyLong_Type, &never,
-                          &jal, &lui, &auipc, &load, &store, &p_lwcv, &base,
-                          &size, &cv[0], &cv[1], &cv[2], &cv[3]))
+                          &PyTuple_Type, &classes, &base, &size,
+                          &ack_latency, &cv[0], &cv[1], &cv[2], &cv[3]))
         return NULL;
-    if (check_link_tags(tags, shifts) < 0)
+    if (check_link_tags(tags, shifts) < 0 || read_classes(classes) < 0)
         return NULL;
     if (size <= 0) {
         PyErr_SetString(PyExc_ValueError, "bind: a shared bank of no bytes");
@@ -1772,10 +1951,21 @@ tick_bind(PyObject *Py_UNUSED(module), PyObject *args)
                         "Entry has slots the compiled tick does not fill");
         return NULL;
     }
-    /* the memory-access event kinds have a native spelling, used only
-     * while the table still names the functions it names now */
+    /* every event kind has a native spelling, used only while the table
+     * still names the functions it names now; so has every call-back
+     * site, while its method is the one found now */
     if (keep_handlers(handlers) < 0)
         return NULL;
+    for (k = 0; k < METHOD_COUNT; k++)
+        if ((method[k] = PyObject_GetAttr(
+                 (PyObject *)(k == M_send_fork_req ? machine : core),
+                 *method_name[k])) == NULL) {
+            while (k--)
+                Py_DECREF(method[k]);
+            return NULL;
+        }
+    for (k = 0; k < METHOD_COUNT; k++)
+        Py_XSETREF(bound_method[k], method[k]);
     entry_pool_clear();  /* they are of the Entry class bound before */
     KEEP(core_type, core);
     KEEP(hart_type, hart);
@@ -1790,12 +1980,7 @@ tick_bind(PyObject *Py_UNUSED(module), PyObject *args)
     KEEP(links_type, links);
     KEEP(never_obj, never);
     never_val = never_value;
-    cls_jal = jal;
-    cls_lui = lui;
-    cls_auipc = auipc;
-    cls_load = load;
-    cls_store = store;
-    cls_p_lwcv = p_lwcv;
+    re_ack_latency = ack_latency;
     global_base = base;
     global_bank_size = size;
     for (h = 0; h < 4; h++)
@@ -1819,12 +2004,10 @@ tick_bind_metrics(PyObject *Py_UNUSED(module), PyObject *args)
 {
     PyTypeObject *metrics, *telemetry;
     PyObject *reasons, *hook[HOOK_COUNT];
-    long long p_swcv, p_syncm, p_lwre, p_swre, p_fc, p_fn;
     int k;
-    if (!PyArg_ParseTuple(args, "O!O!O!(LLLLLL):bind_metrics",
+    if (!PyArg_ParseTuple(args, "O!O!O!:bind_metrics",
                           &PyType_Type, &metrics, &PyType_Type, &telemetry,
-                          &PyTuple_Type, &reasons, &p_swcv, &p_syncm,
-                          &p_lwre, &p_swre, &p_fc, &p_fn))
+                          &PyTuple_Type, &reasons))
         return NULL;
     Py_CLEAR(metrics_type);
     if (check_reasons(reasons) < 0
@@ -1841,12 +2024,6 @@ tick_bind_metrics(PyObject *Py_UNUSED(module), PyObject *args)
         }
     for (k = 0; k < HOOK_COUNT; k++)
         Py_XSETREF(hook_fn[k], hook[k]);
-    cls_p_swcv = p_swcv;
-    cls_p_syncm = p_syncm;
-    cls_p_lwre = p_lwre;
-    cls_p_swre = p_swre;
-    cls_p_fc = p_fc;
-    cls_p_fn = p_fn;
     KEEP(telemetry_type, telemetry);
     KEEP(metrics_type, metrics);
     Py_RETURN_NONE;
@@ -1961,6 +2138,32 @@ tick_zeroed(PyObject *Py_UNUSED(module), PyObject *arg)
 }
 
 static PyObject *
+tick_class_names(PyObject *Py_UNUSED(module), PyObject *Py_UNUSED(ignored))
+{
+#define CLASS_TEXT(name) #name,
+    static const char *const names[] = {CLASSES(CLASS_TEXT)};
+    Py_ssize_t i, n = (Py_ssize_t)(sizeof(names) / sizeof(names[0]));
+    PyObject *result = PyTuple_New(n), *name;
+    for (i = 0; result != NULL && i < n; i++) {
+        if ((name = PyUnicode_FromString(names[i])) == NULL)
+            Py_CLEAR(result);
+        else
+            PyTuple_SET_ITEM(result, i, name);
+    }
+    return result;
+}
+
+static PyObject *
+tick_native_kinds(PyObject *Py_UNUSED(module), PyObject *Py_UNUSED(ignored))
+{
+    Py_ssize_t k;
+    PyObject *result = PyTuple_New(NATIVE_COUNT);
+    for (k = 0; result != NULL && k < NATIVE_COUNT; k++)
+        PyTuple_SET_ITEM(result, k, new_ref(*kind_name[k]));
+    return result;
+}
+
+static PyObject *
 tick_parked_entries(PyObject *Py_UNUSED(module), PyObject *Py_UNUSED(ignored))
 {
     return Py_BuildValue("ii", entry_pool_size, ENTRY_POOL_MAX);
@@ -1970,16 +2173,19 @@ static PyMethodDef module_methods[] = {
     {"bind", tick_bind, METH_VARARGS,
      "bind(Core, Hart, ResultBuffer, Entry, LoweredInstr, HartStats, "
      "CoreMemory, Bank, Port, CoreCounters, LinkScheduler, LINK_TAGS, "
-     "LINK_SHIFTS, LBP, "
-     "EVENT_HANDLERS, NEVER, cls_jal, cls_lui, cls_auipc, cls_load, "
-     "cls_store, cls_p_lwcv, GLOBAL_BASE, GLOBAL_BANK_SIZE, cv_bases) -> the "
-     "method descriptors (Core.tick, Core.settle_idle, LBP._simulate)."
-     "\n\nResolves every slot offset they use; raises if a class lacks "
-     "one."},
+     "LINK_SHIFTS, LBP, EVENT_HANDLERS, NEVER, classes, GLOBAL_BASE, "
+     "GLOBAL_BANK_SIZE, RE_ACK_LATENCY, cv_bases) -> the method descriptors "
+     "(Core.tick, Core.settle_idle, LBP._simulate).\n\n*classes* are the "
+     "InstrClass values named by class_names().  Resolves every slot offset "
+     "they use; raises if a class lacks one."},
     {"bind_metrics", tick_bind_metrics, METH_VARARGS,
-     "bind_metrics(Metrics, CoreTelemetry, STALL_REASONS, (cls_p_swcv, "
-     "cls_p_syncm, cls_p_lwre, cls_p_swre, cls_p_fc, cls_p_fn)): the "
-     "compiled kernel charges for an exact Metrics itself from now on."},
+     "bind_metrics(Metrics, CoreTelemetry, STALL_REASONS): the compiled "
+     "kernel charges for an exact Metrics itself from now on."},
+    {"class_names", tick_class_names, METH_NOARGS,
+     "class_names() -> the InstrClass member names bind() takes the values "
+     "of, in order."},
+    {"native_kinds", tick_native_kinds, METH_NOARGS,
+     "native_kinds() -> the event kinds the compiled window spells itself."},
     {"alu", tick_alu, METH_VARARGS,
      "alu(op, a, b) -> the 32-bit result of ALU_CODES[op] (for tests)."},
     {"branch", tick_branch, METH_VARARGS,

@@ -1,4 +1,5 @@
-/* The cycle window: ``LBP._simulate`` in C, and the memory access.
+/* The cycle window: ``LBP._simulate`` in C, the memory access and the
+ * team protocol.
  *
  * Included by _tick.c (one translation unit, one binary).  This is the
  * loop of ``processor.py``'s ``_simulate`` -- the all-gated hop, due-event
@@ -70,16 +71,37 @@
  * malformed event) is *not* spelled here: the window calls the Python
  * ``_execute`` or handler for that one access or event, before it has
  * changed anything.
+ *
+ * The team protocol.  The X_PAR messages -- p_fc / p_fn and the fork
+ * token, p_swcv on the core and over the forward link, p_swre / p_lwre,
+ * the start pc of p_jal / p_jalr --, issue's free-hart probe, decode's
+ * fork request and the p_ret commit, and the eleven event kinds they post
+ * (``cv_write``, ``rreq_cv`` -> ``cv_apply`` + ``rack_cv``,
+ * ``re_deliver`` -> ``re_ack``, ``fork_req`` -> ``fork_grant``,
+ * ``start_pc``, ``ending_signal``, ``join``) are spelled here by the same
+ * rule, a replaced ``Core`` / ``LBP`` method sending its site back to
+ * Python as a replaced handler does its kind.  A metered run's CV write
+ * to the next core pushes and pops its eta here too.  Every check the
+ * Python spelling words as a machine error (a hart id outside the
+ * machine, a core beyond the forward link's reach, p_fn on the last core,
+ * a start pc for an unallocated hart, a join or p_swre to a later core)
+ * is made before anything changes, and a step that fails one is handed
+ * to Python whole: each message is worded once, in processor.py.  Only
+ * the halt of an ``exit`` stays a call, once a run.
  */
 
-/* The event kinds spelled here.  Each native spelling takes the domain
+/* The event kinds spelled here: every kind of ``EVENT_HANDLERS``
+ * (native_kinds() returns them for the test that checks that).  Each
+ * native spelling takes the domain
  * running the event (the core its posts come from) and the event's args;
  * it returns 1 when it handled the event, 0 when the event is not one it
  * spells (nothing is changed; the caller calls the Python handler, which
  * also words every error), -1 on an exception. */
 #define NATIVE_KINDS(X) \
-    X(load_read) X(load_done) X(store_write) X(rreq_load) X(bank_read) \
-    X(rrep_load) X(rreq_store) X(bank_write) X(rack_store)
+    X(load_read) X(load_done) X(store_write) X(cv_write) X(rreq_load) \
+    X(bank_read) X(rrep_load) X(rreq_store) X(bank_write) X(rack_store) \
+    X(rreq_cv) X(cv_apply) X(rack_cv) X(re_deliver) X(re_ack) X(fork_req) \
+    X(fork_grant) X(start_pc) X(ending_signal) X(join)
 #define KIND_INDEX(kind) EV_##kind,
 enum { NATIVE_KINDS(KIND_INDEX) NATIVE_COUNT };
 #define KIND_NAME(kind) &s_##kind,
@@ -124,6 +146,13 @@ struct Window {
     int64_t bank_latency;       /* params.bank_access_latency */
     int64_t hop_latency;        /* params.link_hop_latency */
     int64_t num_cores;          /* params.num_cores */
+    int64_t cv_latency;         /* params.cv_write_latency */
+    int64_t result_buffers;     /* params.num_result_buffers */
+    /* the core class whose METHODS were looked up last, when ``calls`` was
+     * methods_checked - 1, and which are still bind()'s (bit per method) */
+    PyTypeObject *method_type;
+    int64_t methods_checked;
+    unsigned methods_live;
     /* the core class whose ``tick`` was looked up last, and the answer */
     PyTypeObject *tick_type;
     int tick_direct;
@@ -583,13 +612,57 @@ access_context(Window *w)
     status = attr_int(value, s_local_mem_latency, &w->latency, NULL) < 0
         || attr_int(value, s_bank_access_latency, &w->bank_latency, NULL) < 0
         || attr_int(value, s_link_hop_latency, &w->hop_latency, NULL) < 0
-        || attr_int(value, s_num_cores, &w->num_cores, NULL) < 0 ? -1 : 0;
+        || attr_int(value, s_num_cores, &w->num_cores, NULL) < 0
+        || attr_int(value, s_cv_write_latency, &w->cv_latency, NULL) < 0
+        || attr_int(value, s_num_result_buffers, &w->result_buffers,
+                    NULL) < 0 ? -1 : 0;
     Py_DECREF(value);
     if (status < 0 || per_core(w) == NULL
             || (w->owned = PyObject_GetAttr(w->machine, s__owned)) == NULL)
         return -1;
     w->context = 1;
     return 1;
+}
+
+/* 1 while ``type(core)``'s (``type(machine)``'s, for send_fork_req)
+ * method *site* is the function bind() found, else 0: looked up once per
+ * core class between two calls into Python, as a handler is */
+static int
+method_is_native(Window *w, PyObject *core, enum method site)
+{
+    int k;
+    unsigned live = 0;
+    PyObject *owner, *found;
+    if (Py_TYPE(core) != w->method_type
+            || w->methods_checked != w->calls + 1) {
+        for (k = 0; k < METHOD_COUNT; k++) {
+            owner = (PyObject *)Py_TYPE(k == M_send_fork_req ? w->machine
+                                        : core);
+            if ((found = PyObject_GetAttr(owner, *method_name[k])) == NULL)
+                return -1;
+            if (found == bound_method[k])
+                live |= 1u << k;
+            Py_DECREF(found);
+        }
+        w->method_type = Py_TYPE(core);
+        w->methods_checked = w->calls + 1;
+        w->methods_live = live;
+    }
+    return w->methods_live >> site & 1;
+}
+
+/* May the window spell the tick's call-back site *site* for the core being
+ * ticked?  1 yes; 0 no: no window (Core.tick called on its own), an
+ * observer (access_context), or a replaced method -- the call is made. */
+static int
+window_native(Tick *t, enum method site)
+{
+    int status;
+    if (t->w == NULL)
+        return 0;
+    if ((status = access_context(t->w)) <= 0)
+        return status;
+    return method_is_native(t->w, t->core, site);
 }
 
 /* ---- the memory access ------------------------------------------------------------ */
@@ -987,18 +1060,17 @@ fail:
 }
 
 /* Metrics.remote_issue(index, gid, now, owner) for an access of hart *gid*
- * of the ticked core to core *owner*'s bank, whose request path is *hops*
- * links long: its uncontended completion eta -- both paths' links, the bank
- * access and the cycle the reply fills in -- joins the hart's FIFO.  (Not
- * inlined: the unmetered issue stays as compact as it was.) */
+ * of the ticked core to core *owner_obj*'s bank (None: a CV write to the
+ * next core), *rtt* its uncontended round trip -- for a bank access both
+ * paths' links, the bank access and the cycle the reply fills in: its
+ * completion eta joins the hart's FIFO.  (Not inlined: the unmetered issue
+ * stays as compact as it was.) */
 static NOINLINE int
-remote_issue(Tick *t, PyObject *gid, PyObject *owner_obj, int64_t owner,
-             int hops)
+remote_issue(Tick *t, PyObject *gid, PyObject *owner_obj, int64_t rtt)
 {
     Window *w = t->w;
     int native, status = -1;
     int64_t index;
-    Hop path[MAX_HOPS];
     PyObject *index_obj, *slot, *fifos, *fifo, *eta = NULL;
     GETO(index_obj, t->core, C.index);
     if ((native = window_charges(w)) <= 0) {
@@ -1007,10 +1079,8 @@ remote_issue(Tick *t, PyObject *gid, PyObject *owner_obj, int64_t owner,
         return native < 0 ? -1 : call_method(w, s_remote_issue, call, 5);
     }
     GETI(index, t->core, C.index);
-    hops += reply_path(index, owner, path);
     if ((slot = telemetry(w->metrics, index)) == NULL
-            || (eta = PyLong_FromLongLong(t->cycle + hops * w->hop_latency
-                                          + w->bank_latency + 1)) == NULL)
+            || (eta = PyLong_FromLongLong(t->cycle + rtt)) == NULL)
         goto fail;
     GETO(fifos, slot, TS.remote_inflight);
     if (!PyDict_Check(fifos)) {
@@ -1044,7 +1114,7 @@ remote_access(Tick *t, PyObject *hart, PyObject *entry, PyObject *low,
     Window *w = t->w;
     int status = -1, count;
     int64_t index, t_up;
-    Hop path[MAX_HOPS];
+    Hop path[MAX_HOPS], back[MAX_HOPS];
     PyObject *counters, *index_obj, *gid, *width_obj, *links = NULL;
     PyObject *owner_obj = NULL, *args = NULL;
 
@@ -1080,7 +1150,10 @@ remote_access(Tick *t, PyObject *hart, PyObject *entry, PyObject *low,
             || add_int(hart, H.outstanding_mem, 1) < 0)
         goto release;
     count = request_path(index, owner, path);
-    if (w->metered && remote_issue(t, gid, owner_obj, owner, count) < 0)
+    if (w->metered
+            && remote_issue(t, gid, owner_obj,
+                            (count + reply_path(index, owner, back))
+                            * w->hop_latency + w->bank_latency + 1) < 0)
         goto release;
     if (reserve_path(w, links, path, count, t->cycle, &t_up) < 0)
         goto release;
@@ -1100,9 +1173,9 @@ fail:
     return status;
 }
 
-/* The issue of a LOAD / STORE / p_lwcv by the core being ticked.  1: it is
- * an access spelled here and is issued; 0: it is not, nothing is changed and
- * the caller calls Core._execute. */
+/* The issue of a LOAD / STORE / p_lwcv by the core being ticked, once
+ * window_native said yes.  1: it is an access spelled here and is issued;
+ * 0: it is not, nothing is changed and the caller calls Core._execute. */
 static int
 mem_access(Tick *t, PyObject *hart, PyObject *entry, PyObject *low,
            enum access kind)
@@ -1113,8 +1186,6 @@ mem_access(Tick *t, PyObject *hart, PyObject *entry, PyObject *low,
     char *at;
     PyObject *mem, *bank, *port = NULL, *addr_obj;
 
-    if ((status = access_context(w)) <= 0)
-        return status;
     GETI(imm, low, L.imm);
     if (kind == ACC_LWCV) {
         /* machine.cv_address: the hart's own CV area, not masked */
@@ -1606,15 +1677,15 @@ ev_bank_write(Window *w, PyObject *Py_UNUSED(domain), PyObject *args)
     return write_bytes(at, value_obj, width) < 0 ? -1 : 1;
 }
 
-/* _ev_rack_store(src, hart_gid, addr, value, tag): the owner wrote, the
- * store's ROB entry completes */
+/* _remote_done(src, hart_gid, tag) of an ack whose *args* are (src,
+ * hart_gid, ...) with the tag at *tag_at*: the store or CV write of that
+ * ROB entry completes */
 static int
-ev_rack_store(Window *w, PyObject *Py_UNUSED(domain), PyObject *args)
+remote_ack(Window *w, PyObject *args, Py_ssize_t tag_at)
 {
     int status;
     PyObject *tag_obj, *core, *hart, *entry;
-    if (PyTuple_GET_SIZE(args) != 5
-            || !PyLong_Check(tag_obj = PyTuple_GET_ITEM(args, 4)))
+    if (!PyLong_Check(tag_obj = PyTuple_GET_ITEM(args, tag_at)))
         return 0;
     if ((status = hart_of(w, PyTuple_GET_ITEM(args, 1), &core, &hart)) <= 0
             || (status = rob_entry(hart, tag_obj, &entry)) <= 0)
@@ -1630,10 +1701,12 @@ ev_rack_store(Window *w, PyObject *Py_UNUSED(domain), PyObject *args)
     return status;
 }
 
-/* NATIVE_KINDS' spellings, in that order */
-#define KIND_SPELLING(kind) ev_##kind,
-static const NativeEvent native_event[NATIVE_COUNT] = {
-    NATIVE_KINDS(KIND_SPELLING)};
+/* _ev_rack_store(src, hart_gid, addr, value, tag): the owner wrote */
+static int
+ev_rack_store(Window *w, PyObject *Py_UNUSED(domain), PyObject *args)
+{
+    return PyTuple_GET_SIZE(args) == 5 ? remote_ack(w, args, 4) : 0;
+}
 
 /* ---- the idle settlement ------------------------------------------------------------ */
 
@@ -1752,6 +1825,1102 @@ settle_of(Window *w, PyObject *core)
     return called(PyObject_CallMethodOneArg(core, s_settle_idle,
                                             w->cycle_obj));
 }
+
+/* ---- the team protocol --------------------------------------------------------------
+ * The X_PAR messages (p_fc / p_fn forks and the fork token, p_swcv,
+ * p_swre / p_lwre, the start pc of p_jal / p_jalr), the p_ret commit and
+ * the eleven event kinds they post: processor.py's and core.py's
+ * spelling, step for step.  A step is spelled here only when nothing
+ * observes it and its method or handler is bind()'s (window_native,
+ * handler_is_native), and only when it is one the Python spelling carries
+ * out without an error: every check that spelling words as a machine
+ * error (or raises on) is made first, and a step that fails one is handed
+ * to Python before anything has changed. */
+
+/* the harts of *core*, borrowed */
+static int
+core_harts(PyObject *core, PyObject **harts)
+{
+    int h;
+    PyObject *list;
+    CHECK(core, core_type);
+    GETLIST(list, core, C.harts);
+    if (PyList_GET_SIZE(list) != 4) {
+        wrong_type("list of four harts");
+        goto fail;
+    }
+    for (h = 0; h < 4; h++) {
+        harts[h] = PyList_GET_ITEM(list, h);
+        CHECK(harts[h], hart_type);
+    }
+    return 0;
+fail:
+    return -1;
+}
+
+/* Hart.is_free */
+static int
+is_free(PyObject *hart)
+{
+    int flag;
+    PyObject *obj;
+    GETO(obj, hart, H.pc);
+    if (obj != Py_None)
+        return 0;
+    GETB(flag, hart, H.reserved);
+    if (flag)
+        return 0;
+    GETB(flag, hart, H.waiting_join);
+    if (flag)
+        return 0;
+    GETO(obj, hart, H.fetch_buf);
+    if (obj != Py_None)
+        return 0;
+    GETLIST(obj, hart, H.it);
+    if (PyList_GET_SIZE(obj))
+        return 0;
+    GETLIST(obj, hart, H.rob);
+    if (PyList_GET_SIZE(obj))
+        return 0;
+    GETO(obj, hart, H.rb);
+    CHECK(obj, rb_type);
+    GETB(flag, obj, R.busy);
+    return !flag;
+fail:
+    return -1;
+}
+
+/* Core.alloc_free_hart over a core's four *harts*: the index of the
+ * lowest free one, 4 when none is */
+static int
+free_hart(PyObject *const *harts)
+{
+    int h, free;
+    for (h = 0; h < 4; h++)
+        if ((free = is_free(harts[h])) != 0)
+            return free < 0 ? -1 : h;
+    return 4;
+}
+
+/* A new list of *n* Nones */
+static PyObject *
+none_list(Py_ssize_t n)
+{
+    Py_ssize_t i;
+    PyObject *list = PyList_New(n);
+    for (i = 0; list != NULL && i < n; i++)
+        PyList_SET_ITEM(list, i, new_ref(Py_None));
+    return list;
+}
+
+/* ``value & 0xFFFFFFFF`` of an int */
+static int
+low32(PyObject *value, uint32_t *out)
+{
+    int64_t small;
+    *out = (uint32_t)(one_digit(value, &small) ? (uint64_t)small
+                      : PyLong_AsUnsignedLongLongMask(value));
+    return PyErr_Occurred() ? -1 : 0;
+}
+
+/* Can wake_re_waiters run on *hart* for *slot* (every slot when -1)?
+ * Each queue a list, each queue's head a 6-tuple descriptor; 0 when not
+ * (the Python spelling deals with it). */
+static int
+waiters_ok(PyObject *hart, int64_t slot)
+{
+    Py_ssize_t i, end;
+    PyObject *lists, *queue;
+    GETO(lists, hart, H.re_waiters);
+    if (!PyList_Check(lists) || slot >= PyList_GET_SIZE(lists))
+        return 0;
+    end = slot < 0 ? PyList_GET_SIZE(lists) : slot + 1;
+    for (i = slot < 0 ? 0 : slot; i < end; i++) {
+        queue = PyList_GET_ITEM(lists, i);
+        if (!PyList_Check(queue))
+            return 0;
+        if (PyList_GET_SIZE(queue)
+                && !(PyTuple_Check(PyList_GET_ITEM(queue, 0))
+                     && PyTuple_GET_SIZE(PyList_GET_ITEM(queue, 0)) == 6))
+            return 0;
+    }
+    return 1;
+fail:
+    return -1;
+}
+
+/* LBP.wake_re_waiters(hart, slot), *core* being the hart's (and the
+ * domain running): the oldest parked p_swre delivery of *slot* (of every
+ * slot when -1) is posted again, marked parked.  waiters_ok said yes. */
+static int
+wake_re_waiters(Window *w, PyObject *core, PyObject *hart, int64_t slot)
+{
+    int64_t index;
+    Py_ssize_t i, k, end;
+    PyObject *lists, *queue, *desc, *args;
+    GETI(index, core, C.index);
+    GETO(lists, hart, H.re_waiters);
+    end = slot < 0 ? PyList_GET_SIZE(lists) : slot + 1;
+    for (i = slot < 0 ? 0 : slot; i < end; i++) {
+        queue = PyList_GET_ITEM(lists, i);
+        if (!PyList_GET_SIZE(queue))
+            continue;
+        desc = list_take(queue, 0);  /* ``tuple(desc) + (True,)`` */
+        if ((args = PyTuple_New(7)) != NULL) {
+            for (k = 0; k < 6; k++)
+                PyTuple_SET_ITEM(args, k,
+                                 new_ref(PyTuple_GET_ITEM(desc, k)));
+            PyTuple_SET_ITEM(args, 6, new_ref(Py_True));
+        }
+        Py_DECREF(desc);
+        if (post(w, core, index, w->cycle + 1, EV_re_deliver, args) < 0)
+            goto fail;
+    }
+    return 0;
+fail:
+    return -1;
+}
+
+/* Hart.reserve_for_fork(parent): *hart* is allocated to hart *parent* */
+static int
+reserve_for_fork(PyObject *hart, PyObject *parent)
+{
+    int64_t index;
+    PyObject *regs, *buffers, *list, *sp;
+    GETI(index, hart, H.index);
+    GETLIST(regs, hart, H.regs);
+    GETLIST(buffers, hart, H.re_buffers);
+    if (index < 0 || index > 3 || list_item(regs, 2) == NULL) {
+        if (!PyErr_Occurred())
+            wrong_type("hart of index 0-3");
+        goto fail;
+    }
+    set_bool(hart, H.reserved, 1);
+    if ((list = none_list(32)) == NULL)
+        goto fail;
+    set_obj(hart, H.rename, list);
+    Py_DECREF(list);
+    if ((sp = PyLong_FromLongLong(cv_base[index])) == NULL
+            || PyList_SetItem(regs, 2, sp) < 0)  /* steals sp */
+        goto fail;
+    if ((list = none_list(PyList_GET_SIZE(buffers))) == NULL)
+        goto fail;
+    set_obj(hart, H.re_buffers, list);
+    Py_DECREF(list);
+    set_obj(hart, H.pred, parent);
+    set_bool(hart, H.pred_done, 0);
+    set_bool(hart, H.fetch_ok, 0);
+    return 0;
+fail:
+    return -1;
+}
+
+/* Core.activate() of *core*, in the window */
+static int
+activate(Window *w, PyObject *core)
+{
+    int active;
+    GETB(active, core, C.active);
+    if (active)
+        return 0;
+    if (settle_of(w, core) < 0
+            || (w->calls != w->seen && refresh(w) < 0))
+        goto fail;
+    set_bool(core, C.active, 1);
+    w->num_active++;
+    Py_CLEAR(w->active);  /* the loop rebuilds its list */
+    if (set_attr_int(w->machine, s__num_active, w->num_active) < 0
+            || PyObject_SetAttr(w->machine, s__active_cores, Py_None) < 0)
+        goto fail;
+    return 0;
+fail:
+    return -1;
+}
+
+/* Hart.start(pc, now) on *hart* of *core* */
+static int
+hart_start(Window *w, PyObject *core, PyObject *hart, PyObject *pc)
+{
+    PyObject *fetch_buf;
+    set_obj(hart, H.pc, pc);
+    set_bool(hart, H.reserved, 0);
+    set_bool(hart, H.waiting_join, 0);
+    set_bool(hart, H.awaiting_nextpc, 0);
+    set_bool(hart, H.syncm_block, 0);
+    set_obj(hart, H.fetch_ready_at, w->next_obj);
+    GETO(fetch_buf, hart, H.fetch_buf);
+    set_bool(hart, H.fetch_ok, fetch_buf == Py_None);
+    return activate(w, core);
+fail:
+    return -1;
+}
+
+/* Hart.end() */
+static void
+hart_end(PyObject *hart)
+{
+    set_none(hart, H.pc);
+    set_bool(hart, H.awaiting_nextpc, 0);
+    set_bool(hart, H.syncm_block, 0);
+    set_bool(hart, H.reserved, 0);
+    set_bool(hart, H.waiting_join, 0);
+    set_bool(hart, H.fetch_ok, 0);
+}
+
+/* links.reserve_path(forward_links(src, dst), start) for *dst* src or
+ * src + 1 (the caller checked) */
+static int
+reserve_forward(Window *w, PyObject *links, int64_t src, int64_t dst,
+                int64_t start, int64_t *out)
+{
+    Hop hop = {LINK_fwd, src};
+    return reserve_path(w, links, &hop, dst != src, start, out);
+}
+
+/* links.reserve_path(backward_links(src, dst), start) for *dst* <= src
+ * (the caller checked): the line ``("bwd", src)`` down to dst + 1 */
+static int
+reserve_backward(Window *w, PyObject *links, int64_t src, int64_t dst,
+                 int64_t start, int64_t *out)
+{
+    int status;
+    int64_t i, count = src - dst;
+    Hop near[MAX_HOPS], *path = near;
+    if (count > MAX_HOPS
+            && (path = PyMem_Malloc(count * sizeof(Hop))) == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    for (i = 0; i < count; i++)
+        path[i] = (Hop){LINK_bwd, src - i};
+    status = reserve_path(w, links, path, (int)count, start, out);
+    if (path != near)
+        PyMem_Free(path);
+    return status;
+}
+
+/* ``core.links`` with a reference of its own (the paths' Port() and
+ * link_wait calls are Python) */
+static PyObject *
+links_of(PyObject *core)
+{
+    PyObject *links;
+    GETO(links, core, C.links);
+    return new_ref(links);
+fail:
+    return NULL;
+}
+
+/* *args* posted as *kind* from domain *core* (index *index*) to core
+ * *dst*, one cycle after its path *forward* (or back) from index to dst
+ * is free.  Steals *args*. */
+static int
+send_along(Window *w, PyObject *core, int64_t index, int64_t dst,
+           int forward, int kind, PyObject *args)
+{
+    int status = -1;
+    int64_t when;
+    PyObject *links;
+    if (args == NULL)
+        return -1;
+    if ((links = links_of(core)) != NULL
+            && (forward ? reserve_forward(w, links, index, dst, w->cycle,
+                                          &when)
+                : reserve_backward(w, links, index, dst, w->cycle,
+                                   &when)) == 0) {
+        status = post(w, core, dst, when + 1, kind, args);
+        args = NULL;
+    }
+    Py_XDECREF(links);
+    Py_XDECREF(args);
+    return status;
+}
+
+/* LBP.grant_fork(core, child, src, parent): *child* (a hart of domain
+ * *core*) is allocated to hart *parent_obj* of core *src* (no later core
+ * than this one: the caller checked), its token sent along the backward
+ * line.
+ * waiters_ok(child) said yes. */
+static int
+grant_fork(Window *w, PyObject *core, PyObject *child, int64_t src,
+           PyObject *parent_obj)
+{
+    int64_t index;
+    PyObject *gid;
+    GETI(index, core, C.index);
+    GETO(gid, child, H.gid);
+    if (reserve_for_fork(child, parent_obj) < 0
+            || wake_re_waiters(w, core, child, -1) < 0)
+        goto fail;
+    return send_along(w, core, index, src, 0, EV_fork_grant,
+                      PyTuple_Pack(2, parent_obj, gid));
+fail:
+    return -1;
+}
+
+/* core._fork, the tail p_fc and p_fn share: hart *target* (an int) is
+ * *hart*'s successor and the instruction's result */
+static int
+fork_to(Tick *t, PyObject *hart, PyObject *entry, PyObject *low,
+        PyObject *target)
+{
+    uint32_t gid;
+    int64_t index;
+    PyObject *stats, *counters;
+    GETI(index, t->core, C.index);
+    if ((counters = list_item(t->w->per_core, index)) == NULL)
+        goto fail;
+    CHECK(counters, counters_type);
+    GETO(stats, hart, H.stats);
+    CHECK(stats, stats_type);
+    if (low32(target, &gid) < 0)
+        goto fail;
+    set_obj(hart, H.succ, target);
+    if (add_int(stats, S.forks, 1) < 0
+            || add_int(counters, K.forks, 1) < 0
+            || finish_at(t, hart, entry, low, gid, t->cycle + 1) < 0)
+        goto fail;
+    return 1;
+fail:
+    return -1;
+}
+
+/* _exec_p_fc: the lowest free hart of this core is allocated */
+static int
+exec_p_fc(Tick *t, PyObject *hart, PyObject *entry, PyObject *low)
+{
+    int h, ok;
+    PyObject *target, *gid, *parent;
+    if ((h = free_hart(t->hart)) < 0)
+        return -1;
+    if (h == 4)
+        return 0;  /* none (issue checked there was): Python raises */
+    target = t->hart[h];
+    if ((ok = waiters_ok(target, -1)) <= 0)
+        return ok;
+    GETO(gid, target, H.gid);
+    GETO(parent, hart, H.gid);
+    if (reserve_for_fork(target, parent) < 0
+            || wake_re_waiters(t->w, t->core, target, -1) < 0)
+        goto fail;
+    return fork_to(t, hart, entry, low, gid);
+fail:
+    return -1;
+}
+
+/* _exec_p_fn: the oldest fork token granted by the next core */
+static int
+exec_p_fn(Tick *t, PyObject *hart, PyObject *entry, PyObject *low)
+{
+    int status;
+    PyObject *tokens, *token;
+    GETLIST(tokens, hart, H.fork_tokens);
+    if (!PyList_GET_SIZE(tokens) || !PyLong_Check(PyList_GET_ITEM(tokens, 0)))
+        return 0;  /* none (issue checked there was): Python raises */
+    token = list_take(tokens, 0);
+    status = fork_to(t, hart, entry, low, token);
+    Py_DECREF(token);
+    return status;
+fail:
+    return -1;
+}
+
+/* LBP.schedule_cv_write: p_swcv into hart ``rs1 & 0xFFFF``'s CV area, on
+ * this core (one cv_write event) or over the forward link to the next
+ * (rreq_cv); any other hart is an error Python words */
+static int
+exec_p_swcv(Tick *t, PyObject *hart, PyObject *entry, PyObject *low)
+{
+    Window *w = t->w;
+    int status = -1;
+    int64_t index, target, dst, offset, when, next_free;
+    PyObject *index_obj, *gid, *value, *offset_obj, *tag, *mem, *port;
+    PyObject *target_obj = NULL, *addr_obj = NULL, *args = NULL;
+    PyObject *links = NULL;
+    GETI(target, entry, E.val0);
+    target &= 0xFFFF;
+    dst = target >> 2;
+    GETO(index_obj, t->core, C.index);
+    GETI(index, t->core, C.index);
+    if (dst >= PyList_GET_SIZE(w->cores) || (dst != index && dst != index + 1))
+        return 0;
+    GETO(gid, hart, H.gid);
+    GETO(value, entry, E.val1);
+    GETO(offset_obj, low, L.imm);
+    GETI(offset, low, L.imm);
+    GETO(tag, entry, E.tag);
+    if ((target_obj = PyLong_FromLongLong(target)) == NULL)
+        goto fail;
+    if (dst == index) {
+        /* local_port.reserve(now + cv_write_latency) */
+        GETO(mem, t->core, C.mem);
+        CHECK(mem, mem_type);
+        GETO(port, mem, M.local_port);
+        CHECK(port, port_type);
+        GETI(next_free, port, P.next_free);
+        when = t->cycle + w->cv_latency;
+        if (next_free > when)
+            when = next_free;
+        SETI(port, P.next_free, when + 1);
+        if ((addr_obj = PyLong_FromLongLong(cv_base[target & 3] + offset))
+                == NULL || add_int(hart, H.outstanding_mem, 1) < 0)
+            goto fail;
+        status = post(w, t->core, index, when, EV_cv_write,
+                      PyTuple_Pack(8, index_obj, addr_obj, value, index_obj,
+                                   gid, target_obj, offset_obj, tag));
+    } else {
+        /* the message holds what it carries across the calls below */
+        if ((args = PyTuple_Pack(6, index_obj, gid, target_obj, offset_obj,
+                                 value, tag)) == NULL
+                || (links = links_of(t->core)) == NULL)
+            goto fail;
+        Py_INCREF(hart);
+        if ((!w->metered
+             || remote_issue(t, gid, Py_None,
+                             2 * w->hop_latency + w->cv_latency + 1) == 0)
+                && reserve_forward(w, links, index, dst, t->cycle, &when) == 0
+                && add_int(hart, H.outstanding_mem, 1) == 0) {
+            status = post(w, t->core, dst, when + w->cv_latency, EV_rreq_cv,
+                          args);
+            args = NULL;
+        }
+        Py_DECREF(hart);
+    }
+    if (status == 0)
+        status = 1;
+fail:
+    Py_XDECREF(target_obj);
+    Py_XDECREF(addr_obj);
+    Py_XDECREF(args);
+    Py_XDECREF(links);
+    return status;
+}
+
+/* LBP.schedule_re_send: p_swre to result buffer ``imm % buffers`` of hart
+ * ``rs1 & 0xFFFF`` on this core or an earlier one, along the backward line;
+ * a later core is an error Python words */
+static int
+exec_p_swre(Tick *t, PyObject *hart, PyObject *entry, PyObject *low)
+{
+    Window *w = t->w;
+    int status = -1;
+    int64_t index, target, dst, slot;
+    PyObject *index_obj, *gid, *value, *tag;
+    PyObject *target_obj = NULL, *slot_obj = NULL;
+    GETI(target, entry, E.val0);
+    target &= 0xFFFF;
+    dst = target >> 2;
+    GETO(index_obj, t->core, C.index);
+    GETI(index, t->core, C.index);
+    if (dst >= PyList_GET_SIZE(w->cores) || dst > index
+            || w->result_buffers < 1)
+        return 0;
+    GETI(slot, low, L.imm);
+    slot %= w->result_buffers;  /* Python's %: never negative */
+    if (slot < 0)
+        slot += w->result_buffers;
+    GETO(gid, hart, H.gid);
+    GETO(value, entry, E.val1);
+    GETO(tag, entry, E.tag);
+    if ((target_obj = PyLong_FromLongLong(target)) != NULL
+            && (slot_obj = PyLong_FromLongLong(slot)) != NULL)
+        status = send_along(w, t->core, index, dst, 0, EV_re_deliver,
+                            PyTuple_Pack(7, index_obj, gid, target_obj,
+                                         slot_obj, value, tag, Py_False));
+    Py_XDECREF(target_obj);
+    Py_XDECREF(slot_obj);
+    return status < 0 ? -1 : 1;
+fail:
+    return -1;
+}
+
+/* _exec_p_lwre: the hart takes its filled result buffer, which a parked
+ * delivery may refill */
+static int
+exec_p_lwre(Tick *t, PyObject *hart, PyObject *entry, PyObject *low)
+{
+    int ok;
+    uint32_t bits;
+    int64_t slot;
+    PyObject *buffers, *value;
+    GETI(slot, low, L.re_slot);
+    GETLIST(buffers, hart, H.re_buffers);
+    if (slot < 0 || slot >= PyList_GET_SIZE(buffers)
+            || !PyLong_Check(value = PyList_GET_ITEM(buffers, slot)))
+        return 0;
+    if ((ok = waiters_ok(hart, slot)) <= 0)
+        return ok;
+    if (low32(value, &bits) < 0 || list_set(buffers, slot, Py_None) < 0
+            || wake_re_waiters(t->w, t->core, hart, slot) < 0
+            || finish_at(t, hart, entry, low, bits, t->cycle + 1) < 0)
+        goto fail;
+    return 1;
+fail:
+    return -1;
+}
+
+/* LBP.send_start_pc for p_jal / p_jalr: hart ``rs1 & 0xFFFF``, on this
+ * core or the next, starts at pc + 4.  0: another hart (Python words it). */
+static int
+send_start_pc(Tick *t, PyObject *entry)
+{
+    int64_t index, target, dst, pc;
+    PyObject *target_obj, *pc_obj, *args;
+    GETI(target, entry, E.val0);
+    target &= 0xFFFF;
+    dst = target >> 2;
+    GETI(index, t->core, C.index);
+    if (dst >= PyList_GET_SIZE(t->w->cores)
+            || (dst != index && dst != index + 1))
+        return 0;
+    GETI(pc, entry, E.pc);
+    target_obj = PyLong_FromLongLong(target);
+    pc_obj = PyLong_FromLongLong(pc + 4);
+    args = target_obj == NULL || pc_obj == NULL ? NULL
+        : PyTuple_Pack(2, target_obj, pc_obj);
+    Py_XDECREF(target_obj);
+    Py_XDECREF(pc_obj);
+    return send_along(t->w, t->core, index, dst, 1, EV_start_pc, args) < 0
+        ? -1 : 1;
+fail:
+    return -1;
+}
+
+/* _exec_p_jal / _exec_p_jalr (its non-p_ret form): the start pc goes, rd
+ * gets 0, and p_jalr resumes fetch at rs2 */
+static int
+exec_p_jal(Tick *t, PyObject *hart, PyObject *entry, PyObject *low,
+           int register_target)
+{
+    int sent;
+    int64_t target = 0;
+    if (register_target)
+        GETI(target, entry, E.val1);
+    if ((sent = send_start_pc(t, entry)) <= 0)
+        return sent;
+    if ((register_target && resolve_pc(t, hart, target & 0xFFFFFFFE) < 0)
+            || finish_at(t, hart, entry, low, 0, t->cycle + 1) < 0)
+        goto fail;
+    return 1;
+fail:
+    return -1;
+}
+
+/* The execute step of an X_PAR message class, once window_native said
+ * yes: 1 issued, 0 not one spelled here (Core._execute is called), -1 */
+static int
+team_execute(Tick *t, PyObject *hart, PyObject *entry, PyObject *low,
+             int64_t cls)
+{
+    if (cls == cls_p_swcv)
+        return exec_p_swcv(t, hart, entry, low);
+    if (cls == cls_p_jalr)
+        return exec_p_jal(t, hart, entry, low, 1);
+    if (cls == cls_p_fc)
+        return exec_p_fc(t, hart, entry, low);
+    if (cls == cls_p_jal)
+        return exec_p_jal(t, hart, entry, low, 0);
+    if (cls == cls_p_fn)
+        return exec_p_fn(t, hart, entry, low);
+    if (cls == cls_p_swre)
+        return exec_p_swre(t, hart, entry, low);
+    if (cls == cls_p_lwre)
+        return exec_p_lwre(t, hart, entry, low);
+    return 0;
+}
+
+/* LBP.send_fork_req at the decode of a p_fn: the next core is asked for a
+ * hart.  Past the last core, or not spelled here, the Python call. */
+static int
+send_fork_req(Tick *t, PyObject *hart)
+{
+    int native;
+    int64_t index;
+    PyObject *index_obj, *gid, *dst_obj;
+    if ((native = window_native(t, M_send_fork_req)) < 0)
+        return -1;
+    if (native) {
+        GETI(index, t->core, C.index);
+        if (index + 1 < PyList_GET_SIZE(t->w->cores)) {
+            GETO(index_obj, t->core, C.index);
+            GETO(gid, hart, H.gid);
+            if ((dst_obj = PyLong_FromLongLong(index + 1)) == NULL)
+                goto fail;
+            native = send_along(t->w, t->core, index, index + 1, 1,
+                                EV_fork_req,
+                                PyTuple_Pack(3, dst_obj, index_obj, gid));
+            Py_DECREF(dst_obj);
+            return native;
+        }
+    }
+    return called(callback(t->w, t->machine, s_send_fork_req, t->core, hart,
+                           NULL));
+fail:
+    return -1;
+}
+
+/* p_ret's ending cases, as ret_action spells them */
+enum { ACT_EXIT, ACT_WAIT, ACT_END, ACT_JOIN };
+
+/* the ACT_ index of a ret_action kind, or -1 */
+static int
+action_kind(PyObject *name)
+{
+    PyObject *const names[] = {s_exit, s_wait, s_end, s_join};
+    int k;
+    for (k = 0; k < 4; k++)
+        if (name == names[k])
+            return k;
+    /* a ret_action read back from a snapshot holds equal strings */
+    if (PyUnicode_CheckExact(name))
+        for (k = 0; k < 4; k++)
+            if (PyUnicode_Compare(name, names[k]) == 0)
+                return k;
+    return -1;
+}
+
+/* Is the head of core *index*'s fork queue a request the grant can serve
+ * (``(src, parent)``, src no later core), and may each of its *harts*
+ * be the child?  1 yes (or an empty queue), 0 no. */
+static int
+fork_queue_ok(PyObject *core, PyObject *const *harts, int64_t index)
+{
+    int h, ok;
+    PyObject *queue, *request;
+    GETLIST(queue, core, C.fork_queue);
+    if (!PyList_GET_SIZE(queue))
+        return 1;
+    request = PyList_GET_ITEM(queue, 0);
+    if (!PyTuple_Check(request) || PyTuple_GET_SIZE(request) != 2
+            || index_in(PyTuple_GET_ITEM(request, 0), index + 1) < 0)
+        return 0;
+    for (h = 0; h < 4; h++)
+        if ((ok = waiters_ok(harts[h], -1)) <= 0)
+            return ok;
+    return 1;
+fail:
+    return -1;
+}
+
+/* After a p_ret frees a hart: the oldest queued p_fn request of *core*
+ * gets the lowest free hart, if there is one (fork_queue_ok said the
+ * request is one grant_fork serves) */
+static int
+grant_queued(Window *w, PyObject *core, PyObject *const *harts)
+{
+    int h, status;
+    PyObject *queue, *request;
+    GETLIST(queue, core, C.fork_queue);
+    if (!PyList_GET_SIZE(queue))
+        return 0;
+    if ((h = free_hart(harts)) < 0)
+        return -1;
+    if (h == 4)
+        return 0;
+    request = list_take(queue, 0);
+    status = grant_fork(w, core, harts[h],
+                        as_int(PyTuple_GET_ITEM(request, 0)),
+                        PyTuple_GET_ITEM(request, 1));
+    Py_DECREF(request);
+    return status;
+fail:
+    return -1;
+}
+
+/* Core._commit_p_ret: the committed p_ret *head* of *hart* consumes its
+ * predecessor link, sends the ending signal to its successor and ends,
+ * waits, joins or exits; a queued p_fn request may take the freed hart.
+ * The Python call when not spelled here. */
+static int
+commit_p_ret(Tick *t, PyObject *hart, PyObject *head)
+{
+    Window *w = t->w;
+    int native, kind, step, status = -1;
+    int64_t index, gid, succ = -1, joiner = -1, cores;
+    PyObject *action, *succ_obj, *index_obj, *number, *pending, *counters;
+    if ((native = window_native(t, M_commit_p_ret)) <= 0)
+        goto python;
+    /* every check the Python spelling could fail, before anything */
+    cores = PyList_GET_SIZE(w->cores);
+    GETO(action, head, E.ret_action);
+    if (!PyTuple_Check(action) || PyTuple_GET_SIZE(action) != 3
+            || (kind = action_kind(PyTuple_GET_ITEM(action, 0))) < 0)
+        goto python;
+    GETI(index, t->core, C.index);
+    GETI(gid, hart, H.gid);
+    GETO(succ_obj, hart, H.succ);
+    if (succ_obj != Py_None
+            && ((succ = index_in(succ_obj, 4 * cores)) < 0
+                || (succ >> 2 != index && succ >> 2 != index + 1)))
+        goto python;
+    if (kind == ACT_JOIN
+            && (!one_digit(PyTuple_GET_ITEM(action, 1), &joiner)
+                || (joiner != gid
+                    && (joiner < 0 || joiner >> 2 >= cores
+                        || joiner >> 2 > index))))
+        goto python;
+    if ((native = fork_queue_ok(t->core, t->hart, index)) <= 0)
+        goto python;
+    GETO(index_obj, t->core, C.index);
+    GETO(number, hart, H.index);
+    if ((counters = list_item(w->per_core, index)) == NULL)
+        goto fail;
+    CHECK(counters, counters_type);
+    Py_INCREF(action);
+    set_none(hart, H.pred);
+    set_bool(hart, H.pred_done, 0);
+    if (succ >= 0) {
+        /* LBP.send_ending_signal */
+        if (send_along(w, t->core, index, succ >> 2, 1, EV_ending_signal,
+                       PyTuple_Pack(3, index_obj, number, succ_obj)) < 0)
+            goto release;
+        set_none(hart, H.succ);
+    }
+    if (kind == ACT_WAIT) {
+        set_none(hart, H.pc);
+        set_bool(hart, H.waiting_join, 1);
+        if ((pending = SLOT(hart, H.pending_join)) != NULL
+                && pending != Py_None) {
+            Py_INCREF(pending);
+            set_none(hart, H.pending_join);
+            step = hart_start(w, t->core, hart, pending);
+            Py_DECREF(pending);
+            if (step < 0)
+                goto release;
+        }
+    } else if (kind != ACT_EXIT) {
+        hart_end(hart);
+        if (kind == ACT_JOIN) {
+            PyObject *addr = PyTuple_GET_ITEM(action, 2);
+            if (add_int(counters, K.joins, 1) < 0)
+                goto release;
+            if (joiner == gid)  /* a one-member team: the join hart resumes */
+                step = hart_start(w, t->core, hart, addr);
+            else  /* LBP.send_join */
+                step = send_along(w, t->core, index, joiner >> 2, 0, EV_join,
+                                  PyTuple_Pack(2, PyTuple_GET_ITEM(action, 1),
+                                               addr));
+            if (step < 0)
+                goto release;
+        }
+    }
+    /* after the restarts above, so a self-resuming hart is never stolen;
+     * the halt last, its one call into Python changing nothing here */
+    if (grant_queued(w, t->core, t->hart) < 0
+            || (kind == ACT_EXIT
+                && called(callback(w, t->machine, s_halt, s_exit, NULL,
+                                   NULL)) < 0))
+        goto release;
+    status = 0;
+release:
+    Py_DECREF(action);
+    return status;
+fail:
+    return -1;
+python:
+    if (native < 0)
+        return -1;
+    return called(callback(w, t->core, s_commit_p_ret, hart, head, NULL));
+}
+
+/* ---- the team-message event kinds (NATIVE_KINDS) --------------------------------- */
+
+/* The four bytes of core *index_obj*'s local bank at *addr_obj* (a CV
+ * word), as bank_bytes */
+static int
+cv_word(Window *w, PyObject *index_obj, PyObject *addr_obj, char **at)
+{
+    int status;
+    int64_t width;
+    PyObject *four = PyLong_FromLong(4);
+    if (four == NULL)
+        return -1;
+    status = bank_bytes(w, index_obj, 0, addr_obj, four, at, &width);
+    Py_DECREF(four);
+    return status;
+}
+
+/* _ev_cv_write(target_core_index, addr, value, core_index, hart_gid,
+ * target_gid, offset, tag): a same-core p_swcv writes and completes */
+static int
+ev_cv_write(Window *w, PyObject *Py_UNUSED(domain), PyObject *args)
+{
+    int status;
+    char *at;
+    PyObject *value, *tag, *core, *hart, *entry;
+    if (PyTuple_GET_SIZE(args) != 8
+            || !PyLong_Check(value = PyTuple_GET_ITEM(args, 2))
+            || !PyLong_Check(tag = PyTuple_GET_ITEM(args, 7)))
+        return 0;
+    if ((status = cv_word(w, PyTuple_GET_ITEM(args, 0),
+                          PyTuple_GET_ITEM(args, 1), &at)) <= 0
+            || (status = hart_of(w, PyTuple_GET_ITEM(args, 4), &core,
+                                 &hart)) <= 0
+            || (status = rob_entry(hart, tag, &entry)) <= 0)
+        return status;
+    if (write_bytes(at, value, 4) < 0
+            || add_int(hart, H.outstanding_mem, -1) < 0)
+        return -1;
+    set_bool(entry, E.done, 1);
+    return 1;
+}
+
+/* _ev_rreq_cv(src, hart_gid, target_gid, offset, value, tag): a CV write
+ * from the previous core reaches the target's local port; the ack goes
+ * back along the backward line */
+static int
+ev_rreq_cv(Window *w, PyObject *domain, PyObject *args)
+{
+    int status = -1;
+    int64_t target, dst, src, offset, t_bank, t_ack;
+    PyObject *core, *index_obj, *mem, *port, *links = NULL, *addr_obj;
+    if (PyTuple_GET_SIZE(args) != 6
+            || (target = index_in(PyTuple_GET_ITEM(args, 2),
+                                  4 * PyList_GET_SIZE(w->cores))) < 0
+            || (src = index_in(PyTuple_GET_ITEM(args, 0),
+                               (target >> 2) + 1)) < 0
+            || !one_digit(PyTuple_GET_ITEM(args, 3), &offset))
+        return 0;
+    dst = target >> 2;
+    core = PyList_GET_ITEM(w->cores, dst);
+    CHECK(core, core_type);
+    GETO(index_obj, core, C.index);
+    GETO(mem, core, C.mem);
+    CHECK(mem, mem_type);
+    GETO(port, mem, M.local_port);
+    CHECK(port, port_type);
+    if ((links = links_of(core)) == NULL)
+        goto fail;
+    /* local_port.reserve(now) */
+    GETI(t_bank, port, P.next_free);
+    if (t_bank < w->cycle)
+        t_bank = w->cycle;
+    SETI(port, P.next_free, t_bank + 1);
+    if ((addr_obj = PyLong_FromLongLong(cv_base[target & 3] + offset))
+            == NULL)
+        goto fail;
+    status = post(w, domain, dst, t_bank, EV_cv_apply,
+                  PyTuple_Pack(3, index_obj, addr_obj,
+                               PyTuple_GET_ITEM(args, 4)));
+    Py_DECREF(addr_obj);
+    if (status == 0
+            && (status = reserve_backward(w, links, dst, src, t_bank,
+                                          &t_ack)) == 0)
+        status = post(w, domain, src, t_ack + 1, EV_rack_cv,
+                      new_ref(args));
+fail:
+    Py_XDECREF(links);
+    return status < 0 ? -1 : 1;
+}
+
+/* _ev_cv_apply(core_index, addr, value) */
+static int
+ev_cv_apply(Window *w, PyObject *Py_UNUSED(domain), PyObject *args)
+{
+    int status;
+    char *at;
+    PyObject *value;
+    if (PyTuple_GET_SIZE(args) != 3
+            || !PyLong_Check(value = PyTuple_GET_ITEM(args, 2)))
+        return 0;
+    if ((status = cv_word(w, PyTuple_GET_ITEM(args, 0),
+                          PyTuple_GET_ITEM(args, 1), &at)) <= 0)
+        return status;
+    return write_bytes(at, value, 4) < 0 ? -1 : 1;
+}
+
+/* _ev_rack_cv(src, hart_gid, target_gid, offset, value, tag) */
+static int
+ev_rack_cv(Window *w, PyObject *Py_UNUSED(domain), PyObject *args)
+{
+    return PyTuple_GET_SIZE(args) == 6 ? remote_ack(w, args, 5) : 0;
+}
+
+/* _ev_re_deliver(core_index, hart_gid, target_gid, slot, value, tag,
+ * parked): a p_swre reaches its result buffer, or parks behind the value
+ * there (at the head of the queue when it had parked before) */
+static int
+ev_re_deliver(Window *w, PyObject *domain, PyObject *args)
+{
+    int status, parked;
+    uint32_t bits;
+    int64_t slot, src;
+    PyObject *core, *target, *buffers, *lists, *queue, *desc, *value;
+    if (PyTuple_GET_SIZE(args) != 7)
+        return 0;
+    if ((status = hart_of(w, PyTuple_GET_ITEM(args, 2), &core,
+                          &target)) <= 0)
+        return status;
+    GETLIST(buffers, target, H.re_buffers);
+    if ((slot = index_in(PyTuple_GET_ITEM(args, 3),
+                         PyList_GET_SIZE(buffers))) < 0)
+        return 0;
+    if (PyList_GET_ITEM(buffers, slot) != Py_None) {
+        GETO(lists, target, H.re_waiters);
+        if (!PyList_Check(lists) || slot >= PyList_GET_SIZE(lists)
+                || !PyList_Check(queue = PyList_GET_ITEM(lists, slot)))
+            return 0;
+        if ((parked = truth(PyTuple_GET_ITEM(args, 6))) < 0
+                || (desc = PyTuple_GetSlice(args, 0, 6)) == NULL)
+            return -1;
+        status = parked ? PyList_Insert(queue, 0, desc)
+            : PyList_Append(queue, desc);
+        Py_DECREF(desc);
+        return status < 0 ? -1 : 1;
+    }
+    if (!PyLong_Check(PyTuple_GET_ITEM(args, 4))
+            || (src = index_in(PyTuple_GET_ITEM(args, 0),
+                               PyList_GET_SIZE(w->cores))) < 0)
+        return 0;
+    if (low32(PyTuple_GET_ITEM(args, 4), &bits) < 0
+            || (value = PyLong_FromUnsignedLong(bits)) == NULL)
+        return -1;
+    status = list_set(buffers, slot, value);
+    Py_DECREF(value);
+    if (status < 0
+            || post(w, domain, src, w->cycle + re_ack_latency, EV_re_ack,
+                    PyTuple_GetSlice(args, 0, 6)) < 0)
+        return -1;
+    return 1;
+fail:
+    return -1;
+}
+
+/* _ev_re_ack(core_index, hart_gid, target_gid, slot, value, tag): the
+ * delivery's ack completes the p_swre */
+static int
+ev_re_ack(Window *w, PyObject *Py_UNUSED(domain), PyObject *args)
+{
+    int status;
+    int64_t index;
+    PyObject *core, *hart, *entry, *counters;
+    if (PyTuple_GET_SIZE(args) != 6
+            || !PyLong_Check(PyTuple_GET_ITEM(args, 5))
+            || (index = index_in(PyTuple_GET_ITEM(args, 0),
+                                 PyList_GET_SIZE(w->per_core))) < 0)
+        return 0;
+    if ((status = hart_of(w, PyTuple_GET_ITEM(args, 1), &core, &hart)) <= 0
+            || (status = rob_entry(hart, PyTuple_GET_ITEM(args, 5),
+                                   &entry)) <= 0)
+        return status;
+    counters = PyList_GET_ITEM(w->per_core, index);
+    CHECK(counters, counters_type);
+    set_bool(entry, E.done, 1);
+    return add_int(counters, K.re_messages, 1) < 0 ? -1 : 1;
+fail:
+    return -1;
+}
+
+/* _ev_fork_req(target_core_index, src_core_index, parent_gid): a p_fn's
+ * request is granted a free hart now, or queued */
+static int
+ev_fork_req(Window *w, PyObject *Py_UNUSED(domain), PyObject *args)
+{
+    int h = 4, ok;
+    int64_t index, src = -1;
+    PyObject *core, *queue, *harts[4], *request;
+    if (PyTuple_GET_SIZE(args) != 3
+            || (index = index_in(PyTuple_GET_ITEM(args, 0),
+                                 PyList_GET_SIZE(w->cores))) < 0)
+        return 0;
+    core = PyList_GET_ITEM(w->cores, index);
+    if (core_harts(core, harts) < 0)
+        return -1;
+    GETLIST(queue, core, C.fork_queue);
+    if (!PyList_GET_SIZE(queue)) {
+        if ((h = free_hart(harts)) < 0)
+            return -1;
+        if (h < 4
+                && ((src = index_in(PyTuple_GET_ITEM(args, 1),
+                                    index + 1)) < 0
+                    || (ok = waiters_ok(harts[h], -1)) <= 0))
+            return src < 0 ? 0 : ok;
+    }
+    if (h < 4)
+        return grant_fork(w, core, harts[h], src,
+                          PyTuple_GET_ITEM(args, 2)) < 0 ? -1 : 1;
+    if ((request = PyTuple_GetSlice(args, 1, 3)) == NULL)
+        return -1;
+    ok = PyList_Append(queue, request);
+    Py_DECREF(request);
+    return ok < 0 ? -1 : 1;
+fail:
+    return -1;
+}
+
+/* _ev_fork_grant(parent_gid, child_gid): the token reaches the parent */
+static int
+ev_fork_grant(Window *w, PyObject *Py_UNUSED(domain), PyObject *args)
+{
+    int status;
+    PyObject *core, *hart, *tokens;
+    if (PyTuple_GET_SIZE(args) != 2)
+        return 0;
+    if ((status = hart_of(w, PyTuple_GET_ITEM(args, 0), &core, &hart)) <= 0)
+        return status;
+    GETLIST(tokens, hart, H.fork_tokens);
+    return PyList_Append(tokens, PyTuple_GET_ITEM(args, 1)) < 0 ? -1 : 1;
+fail:
+    return -1;
+}
+
+/* _ev_start_pc(target_gid, pc): an allocated hart starts */
+static int
+ev_start_pc(Window *w, PyObject *Py_UNUSED(domain), PyObject *args)
+{
+    int status, reserved;
+    PyObject *core, *hart;
+    if (PyTuple_GET_SIZE(args) != 2)
+        return 0;
+    if ((status = hart_of(w, PyTuple_GET_ITEM(args, 0), &core, &hart)) <= 0)
+        return status;
+    GETB(reserved, hart, H.reserved);
+    if (!reserved)
+        return 0;  /* not allocated: Python words the error */
+    return hart_start(w, core, hart, PyTuple_GET_ITEM(args, 1)) < 0 ? -1 : 1;
+fail:
+    return -1;
+}
+
+/* _ev_ending_signal(core_index, hart_index, succ_gid) */
+static int
+ev_ending_signal(Window *w, PyObject *Py_UNUSED(domain), PyObject *args)
+{
+    int status;
+    PyObject *core, *hart;
+    if (PyTuple_GET_SIZE(args) != 3)
+        return 0;
+    if ((status = hart_of(w, PyTuple_GET_ITEM(args, 2), &core, &hart)) <= 0)
+        return status;
+    set_bool(hart, H.pred_done, 1);
+    return 1;
+}
+
+/* _ev_join(target_gid, addr): the join hart resumes, now if it waits,
+ * else when its p_ret commits */
+static int
+ev_join(Window *w, PyObject *Py_UNUSED(domain), PyObject *args)
+{
+    int status, waiting;
+    PyObject *core, *hart;
+    if (PyTuple_GET_SIZE(args) != 2)
+        return 0;
+    if ((status = hart_of(w, PyTuple_GET_ITEM(args, 0), &core, &hart)) <= 0)
+        return status;
+    GETB(waiting, hart, H.waiting_join);
+    if (!waiting) {
+        set_obj(hart, H.pending_join, PyTuple_GET_ITEM(args, 1));
+        return 1;
+    }
+    return hart_start(w, core, hart, PyTuple_GET_ITEM(args, 1)) < 0 ? -1 : 1;
+fail:
+    return -1;
+}
+
+/* NATIVE_KINDS' spellings, in that order */
+#define KIND_SPELLING(kind) ev_##kind,
+static const NativeEvent native_event[NATIVE_COUNT] = {
+    NATIVE_KINDS(KIND_SPELLING)};
 
 /* ---- the loop --------------------------------------------------------------------- */
 

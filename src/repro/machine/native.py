@@ -114,6 +114,7 @@ def _sweep(path):
 def _bind(module):
     """``Core.tick``, ``Core.settle_idle`` and ``LBP._simulate`` := the C
     functions."""
+    from repro.isa.spec import InstrClass
     from repro.machine import core, hart, lowered, processor, router, stats
 
     (core.Core.tick, core.Core.settle_idle,
@@ -122,9 +123,10 @@ def _bind(module):
         lowered.LoweredInstr, stats.HartStats, memory.CoreMemory,
         memory.Bank, memory.Port, stats.CoreCounters, router.LinkScheduler,
         router.LINK_TAGS, router.LINK_SHIFTS, processor.LBP,
-        processor.EVENT_HANDLERS, hart.NEVER, core._JAL, core._LUI,
-        core._AUIPC, core._LOAD, core._STORE, core._P_LWCV,
+        processor.EVENT_HANDLERS, hart.NEVER,
+        tuple(int(InstrClass[name.upper()]) for name in module.class_names()),
         memmap.GLOBAL_BASE, memmap.GLOBAL_BANK_SIZE,
+        processor.RE_ACK_LATENCY,
         tuple(memmap.hart_cv_base(h) for h in range(memmap.HARTS_PER_CORE)))
 
 

@@ -671,6 +671,8 @@ class LBP:
     def load_core_state_dict(self, index, state):
         for event in state["events"]:
             self._check_event(index, event)
+        for number, hart_state in enumerate(state["core"]["harts"]):
+            self._check_team_links(index, number, hart_state)
         self.cores[index].load_state_dict(state["core"])
         self.stats.load_core_state_dict(index, state["stats"])
         self.trace.load_domain_state_dict(index, state["trace"])
@@ -711,6 +713,42 @@ class LBP:
         if origin >= len(self.cores):
             refuse("origin is not a core of this %d-core machine"
                    % len(self.cores))
+
+    def _check_team_links(self, index, number, hart):
+        """Refuse team links of hart *number* in core *index*'s snapshot
+        slice that no run could have made: the p_ret commit, a p_fn and a
+        drained result buffer would send along a line that is not there."""
+        hpc = self.params.harts_per_core
+
+        def on(gid, cores):
+            return (type(gid) is int and 0 <= gid < len(self.cores) * hpc
+                    and gid // hpc in cores)
+
+        def refuse(field, value, why):
+            raise ValueError("core %d hart %d: snapshot %s %r %s"
+                             % (index, number, field, value, why))
+
+        if hart["succ"] is not None and not on(hart["succ"],
+                                               (index, index + 1)):
+            refuse("succ", hart["succ"],
+                   "is not a hart of core %d or the next one" % index)
+        if hart["pred"] is not None and not on(hart["pred"],
+                                               (index - 1, index)):
+            refuse("pred", hart["pred"],
+                   "is not a hart of core %d or the previous one" % index)
+        for token in hart["fork_tokens"]:
+            if not on(token, (index + 1,)):
+                refuse("fork token", token,
+                       "is not a hart of core %d" % (index + 1))
+        for waiters in hart["re_waiters"]:
+            for desc in waiters:
+                if (not isinstance(desc, (list, tuple)) or len(desc) != 6
+                        or not all(type(field) is int for field in desc)
+                        or not on(desc[1], (desc[0],))
+                        or not on(desc[2], (index,))):
+                    refuse("re_waiters descriptor", desc,
+                           "is not (core, hart, target hart, slot, value, "
+                           "tag) naming harts of this machine")
 
     # ---- small services used by cores ---------------------------------------
 

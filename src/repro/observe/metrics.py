@@ -419,5 +419,4 @@ class Metrics:
 # the compiled kernel learns this class's slots and hooks (and the
 # classifier's taxonomy) once, here, so an unmetered process never
 # imports this module
-native.bind_metrics(Metrics, CoreTelemetry, STALL_REASONS, (
-    _P_SWCV, _P_SYNCM, _P_LWRE, _P_SWRE, _P_FC, _P_FN))
+native.bind_metrics(Metrics, CoreTelemetry, STALL_REASONS)

@@ -42,6 +42,7 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from test_trace_golden import GOLDEN_PATH, measure  # noqa: E402
 from test_snapshot_roundtrip import (  # noqa: E402
     _assert_matches_golden, _build, _fresh)
+from helpers import TEAM_KINDS, TEAM_TRAFFIC  # noqa: E402
 
 compiled = pytest.mark.skipif(
     native.load() is None, reason="no compiled tick: " + native.status()[1])
@@ -243,6 +244,84 @@ def test_the_parked_entries_never_exceed_their_bound():
               for machine in machines}
     assert len(cycles) == 1
     assert tick.parked_entries() == (bound, bound)
+
+
+def _well_formed_heap(events):
+    """``machine._events`` at rest: (cycle, origin, oseq, dst, kind, args)
+    tuples with tuple args, in ``heapq`` order."""
+    return (all(type(event) is tuple and len(event) == 6
+                and type(event[5]) is tuple for event in events)
+            and all(events[(i - 1) // 2] < events[i]
+                    for i in range(1, len(events))))
+
+
+def _hold_args(machine):
+    """Give every pending event of *machine* args of its own: an equal new
+    tuple, which the caller holds (the list returned) and nothing else
+    does."""
+    held = []
+    for i, (cycle, origin, oseq, dst, kind, args) in enumerate(
+            machine._events):
+        held.append(tuple(list(args)))
+        machine._events[i] = (cycle, origin, oseq, dst, kind, held[-1])
+    return held
+
+
+def _assert_only_held(held, machine):
+    """Each held args tuple is referenced by the list, the loop, the call
+    -- and by the pending events that still carry it, no one else."""
+    for args in held:
+        pending = sum(event[5] is args for event in machine._events)
+        assert sys.getrefcount(args) == 3 + pending, args
+
+
+@compiled
+@pytest.mark.parametrize("pause,kinds", [
+    (300, {"store_write", "rreq_cv", "rack_cv"}),
+    (2000, {"load_read", "load_done"})])
+def test_the_window_drops_each_event_args_reference_once(pause, kinds):
+    """Reference probe: pause tiled16, give each pending event args only
+    the probe holds -- at cycle 300 a CV write's request and ack posted in
+    C, at 2000 own-bank loads -- and run to the end.  The window moved each
+    in, handled it (a rreq_cv re-posts its args as the rack_cv's) and let
+    go of it exactly once: a reference too many or too few shows here."""
+    program = compile_to_program(matmul_source("tiled", 16), "tiled.c")
+    machine = LBP(Params(num_cores=4)).load(program)
+    machine.run(max_cycles=1_000_000, stop_at_cycle=pause)
+    assert {event[4] for event in machine._events} == kinds
+    held = _hold_args(machine)
+    machine.run(max_cycles=1_000_000)
+    assert machine.halt_reason == "exit"
+    _assert_only_held(held, machine)
+
+
+@compiled
+def test_an_exception_in_a_team_handler_hands_back_well_formed_events():
+    """A CV write's request reaches a core whose local port cannot be read:
+    the TypeError comes out of the compiled handler (and out of the
+    reference one), the window hands back the events it held as a heap of
+    tuples -- the reference loop's -- and holds none of their args."""
+    left = []
+    for backend in (None, "interp"):
+        machine = LBP(Params(num_cores=2), backend=backend).load(
+            assemble(TEAM_TRAFFIC))
+        while not any(event[4] == "rreq_cv" for event in machine._events):
+            machine.run(max_cycles=10_000, stop_at_cycle=machine.cycle + 1)
+        held = _hold_args(machine)
+        machine.cores[1].mem.local_port.next_free = "soon"
+        with pytest.raises(TypeError):
+            machine.run(max_cycles=10_000)
+        assert _well_formed_heap(machine._events)
+        assert "rreq_cv" not in {event[4] for event in machine._events}
+        _assert_only_held(held, machine)
+        left.append(sorted(machine._events))
+    assert left[0] == left[1]
+
+
+@compiled
+def test_the_window_spells_every_event_kind():
+    assert sorted(native.load().native_kinds()) \
+        == sorted(processor.EVENT_HANDLERS)
 
 
 # ---- errors cross the boundary ---------------------------------------------------
@@ -543,6 +622,60 @@ def test_remote_accesses_stay_in_c_unless_observed(monkeypatch):
     assert all(state == states[0] for state in states)
 
 
+#: the Python spelling of the team protocol: the tick's call-back sites
+#: (core.py, processor.py) and the handlers of the team kinds
+TEAM_PYTHON = frozenset(
+    {"_execute", "_commit_p_ret", "alloc_free_hart", "send_fork_req"}
+    | {processor.EVENT_HANDLERS[kind].__name__ for kind in TEAM_KINDS})
+
+
+def _team_python_calls(machine):
+    """Run *machine*; the calls it made into TEAM_PYTHON, by name."""
+    files = {Core._execute.__code__.co_filename,
+             LBP.send_fork_req.__code__.co_filename}
+    calls = collections.Counter()
+
+    def profile(frame, event, _arg):
+        code = frame.f_code
+        if (event == "call" and code.co_name in TEAM_PYTHON
+                and code.co_filename in files):
+            calls[code.co_name] += 1
+
+    sys.setprofile(profile)
+    try:
+        machine.run(max_cycles=10_000)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+@compiled
+def test_team_messages_stay_in_c_unless_observed():
+    """Plain or metered, a team's forks on this core and the next, its CV
+    writes both ways, its result message, starts, p_ret commits and join
+    make no call to the Python spelling of the protocol.  Traced or
+    sanitized, every step is that spelling, as on the reference tick; the
+    states are equal."""
+    states = []
+    for engine in ({}, {"metrics": True}, {"trace": True},
+                   {"sanitize": True}, {"backend": "interp"}):
+        machine = LBP(Params(num_cores=2), **engine).load(
+            assemble(TEAM_TRAFFIC))
+        calls = _team_python_calls(machine)
+        assert machine.halt_reason == "ebreak"
+        assert machine.read_word(machine.program.symbol("result")) == 7
+        if engine in ({}, {"metrics": True}):
+            assert not calls
+        else:
+            assert set(calls) == TEAM_PYTHON
+        state = machine.state_dict()
+        for part in [state] + state["cores"]:
+            for observer in ("trace", "sanitize", "observe"):
+                del part[observer]
+        states.append(state)
+    assert all(state == states[0] for state in states)
+
+
 @compiled
 def test_a_replaced_handler_and_a_replaced_tick_are_what_runs(monkeypatch):
     plain = LBP(Params(num_cores=1)).load(assemble(STACK_TRAFFIC))
@@ -649,11 +782,10 @@ def _metrics_calls(backend):
 
 @compiled
 def test_a_metered_run_calls_python_only_at_window_edges():
-    """The compiled kernel makes every charge of a metered run itself:
-    Python is called only to close a window (``roll`` from a busy tick,
-    ``_emit`` from an idle span).  The remote etas of the CV writes to the
-    next core are pushed and popped by the Python CV-write chain, which
-    the reference loop shares.  The reference tick calls every hook."""
+    """The compiled kernel makes every charge of a metered run itself, the
+    etas of the CV writes to the next core included: Python is called only
+    to close a window (``roll`` from a busy tick, ``_emit`` from an idle
+    span).  The reference tick calls every hook."""
     calls, machine = _metrics_calls("soa")
     rows = sum(len(slot.samples) for slot in machine.metrics.slots)
     # every window closed is one _emit, from roll or from the C
@@ -662,15 +794,8 @@ def test_a_metered_run_calls_python_only_at_window_edges():
     assert {caller for (name, caller) in calls
             if name in ("roll", "_emit")} \
         <= {"run", "_settle_idle", "Metrics.roll"}
-    cv_writes = {key: n for key, n in calls.items()
-                 if key[0] in ("remote_issue", "remote_done")}
-    assert set(cv_writes) == {("remote_issue", "schedule_cv_write"),
-                              ("remote_done", "_remote_done")}
-    assert cv_writes[("remote_issue", "schedule_cv_write")] \
-        == cv_writes[("remote_done", "_remote_done")] > 0
-    # no stall, _classify, idle, nor an eta of a remote load or store
-    assert {name for name, _caller in calls} \
-        <= {"roll", "_emit", "remote_issue", "remote_done"}
+    # no stall, _classify, idle, nor an eta of a remote access or CV write
+    assert {name for name, _caller in calls} == {"roll", "_emit"}
 
     reference, _ = _metrics_calls("interp")
     by_name = collections.Counter()
@@ -680,8 +805,8 @@ def test_a_metered_run_calls_python_only_at_window_edges():
             by_name["remote_done"], by_name["idle"]) == (852, 3282, 3282, 643)
 
 
-#: a stack store, a fork request (its event has only a Python handler), and
-#: once that has arrived, two more stack stores
+#: a stack store, a fork request (the tests below replace its handler: a
+#: call into Python when it arrives), and two more stack stores after it
 STORE_FORK_STORE = """
 main:
     li   t1, 7
@@ -699,9 +824,10 @@ wait:
 
 @compiled
 def test_a_handler_replaced_under_the_window_is_what_runs_next(monkeypatch):
-    """Python the window calls (here the fork_req handler) may replace a
-    native kind's handler: every event of that kind after the call runs
-    the replacement, as under the reference loop's lookup per event."""
+    """Python the window calls (here a replaced fork_req handler) may
+    replace a native kind's handler: every event of that kind after the
+    call runs the replacement, as under the reference loop's lookup per
+    event."""
     fork_req = processor.EVENT_HANDLERS["fork_req"]
     store_write = processor.EVENT_HANDLERS["store_write"]
     stores = []

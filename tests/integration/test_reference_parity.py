@@ -56,6 +56,7 @@ from test_trace_golden import (  # noqa: E402
     measure,
 )
 from test_snapshot_roundtrip import _build  # noqa: E402
+from helpers import TEAM_KINDS, TEAM_TRAFFIC  # noqa: E402
 
 MAX_CYCLES = 50_000_000
 
@@ -390,15 +391,18 @@ def _well_formed_heap(events):
 
 
 @pytest.mark.parametrize("source,cores", [(LOCAL_ACCESSES, 1),
-                                          (REMOTE_STORES, 2)],
-                         ids=["local", "remote"])
+                                          (REMOTE_STORES, 2),
+                                          (TEAM_TRAFFIC, 2)],
+                         ids=["local", "remote", "team"])
 def test_every_pause_leaves_the_same_pending_events(source, cores):
     """Step both loops one cycle at a time, so the compiled window returns
     at every cycle boundary the run has: each time, it has handed back
-    the very events the reference loop holds, as well-formed tuples."""
+    the very events the reference loop holds, as well-formed tuples -- a
+    team's messages of every kind among them."""
     machines = [_untraced(source, backend, cores)
                 for backend in ("soa", "interp")]
     cycle = pending = 0
+    kinds = set()
     while not all(machine.halted for machine in machines):
         cycle += 1
         assert cycle < 10_000
@@ -409,7 +413,9 @@ def test_every_pause_leaves_the_same_pending_events(source, cores):
             seen.append((machine.cycle, sorted(machine._events)))
         assert seen[0] == seen[1], cycle
         pending += len(seen[0][1])
+        kinds.update(event[4] for event in seen[0][1])
     assert pending > 20
+    assert source is not TEAM_TRAFFIC or kinds >= TEAM_KINDS
     assert machines[0].state_dict() == machines[1].state_dict()
 
 

@@ -227,20 +227,31 @@ main:
 }
 
 
-@pytest.mark.parametrize("name", sorted(PROTOCOL_ERRORS))
-def test_team_protocol_errors_are_the_same_on_both_ticks(name):
-    """Each message is worded once, in processor.py: the compiled tick and
-    the reference one stop at the same cycle with the same text."""
+def _errors_on_both_ticks(name, **engine):
     cores, source, message = PROTOCOL_ERRORS[name]
     seen = []
     for backend in (None, "interp"):
-        machine = LBP(Params(num_cores=cores), backend=backend).load(
-            assemble(source))
+        machine = LBP(Params(num_cores=cores), backend=backend,
+                      **engine).load(assemble(source))
         with pytest.raises(MachineError) as err:
             machine.run(max_cycles=10_000)
         assert str(err.value) == "cycle %d: %s" % (machine.cycle, message)
         seen.append((str(err.value), machine.cycle))
     assert seen[0] == seen[1]
+
+
+@pytest.mark.parametrize("name", sorted(PROTOCOL_ERRORS))
+def test_team_protocol_errors_are_the_same_on_both_ticks(name):
+    """Each message is worded once, in processor.py: the compiled window
+    hands the refused step to it, and stops at the reference tick's cycle
+    with the same text."""
+    _errors_on_both_ticks(name)
+
+
+@pytest.mark.parametrize("name", sorted(PROTOCOL_ERRORS))
+def test_team_protocol_errors_are_the_same_metered(name):
+    """The same on a metered run, whose team steps also stay in C."""
+    _errors_on_both_ticks(name, metrics=True)
 
 
 @pytest.mark.parametrize("backend", [None, "interp"])
@@ -390,20 +401,39 @@ def test_team_branch_is_reached(name):
     assert seen and machine.halt_reason == "ebreak"
 
 
-@pytest.mark.parametrize("name", sorted(TEAM_BRANCHES))
-def test_team_branch_is_the_same_on_both_ticks(name):
+def _branch_on_both_ticks(name, **engine):
+    """The branch run on both ticks: (trace events, stats, state, metrics
+    report) of each"""
     cores, source, _ = TEAM_BRANCHES[name]
     program = assemble(source)
     runs = []
     for backend in (None, "interp"):
         machine = LBP(Params(num_cores=cores), backend=backend,
-                      trace=True).load(program)
-        machine.run(max_cycles=100_000)
+                      **engine).load(program)
+        stats = machine.run(max_cycles=100_000)
         assert machine.halt_reason == "ebreak"
         assert machine.read_word(program.symbol("got")) == 42
-        runs.append((machine.trace.events, machine.state_dict()))
-    assert runs[0][0] == runs[1][0]
-    assert runs[0][1] == runs[1][1]
+        runs.append((machine.trace.events, stats.state_dict(),
+                     machine.state_dict(),
+                     None if machine.metrics is None
+                     else machine.metrics_report()))
+    return runs
+
+
+@pytest.mark.parametrize("name", sorted(TEAM_BRANCHES))
+def test_team_branch_is_the_same_on_both_ticks(name):
+    """Traced: every team step is the Python spelling on both ticks."""
+    runs = _branch_on_both_ticks(name, trace=True)
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("metered", [False, True], ids=["plain", "metered"])
+@pytest.mark.parametrize("name", sorted(TEAM_BRANCHES))
+def test_team_branch_untraced_is_the_same_on_both_ticks(name, metered):
+    """Untraced, plain or metered: the compiled window spells the team
+    steps, and holds to the reference tick's state, stats and report."""
+    runs = _branch_on_both_ticks(name, metrics=metered)
+    assert runs[0] == runs[1]
 
 
 @pytest.mark.parametrize("name", sorted(TEAM_BRANCHES))

@@ -8,6 +8,8 @@ canonical program image, and the content-addressed cache's key
 sensitivity and byte-identical hit path.
 """
 
+import copy
+import functools
 import hashlib
 import json
 import os
@@ -34,6 +36,7 @@ from repro.snapshot import (
     snapshot,
 )
 from repro.snapshot import cache as snapshot_cache
+from repro.workloads import matmul_source
 
 MEMORY_LOOP = """
         .equ ROUNDS, 25
@@ -184,6 +187,87 @@ def test_a_snapshot_link_row_naming_no_link_is_refused(name):
         machine.load_state_dict(state)
     assert why in str(err.value) and repr(rows[-1]) in str(err.value)
     assert machine.cores[0].links.state_dict() == before
+
+
+@functools.lru_cache(maxsize=None)
+def _tiled16_at_300():
+    """tiled matmul h=16 on 4 cores paused at cycle 300: hart 3 of core 0
+    leads a team onto core 1 (its succ is hart 4), whose hart 0 follows
+    hart 3 (its pred)."""
+    program = compile_to_program(matmul_source("tiled", 16), "tiled.c")
+    machine = LBP(Params(num_cores=4)).load(program)
+    machine.run(max_cycles=1_000_000, stop_at_cycle=300)
+    harts = machine.state_dict()["cores"][0]["core"]["harts"]
+    assert (harts[3]["succ"], machine.cores[1].harts[0].pred) == (4, 3)
+    return program, machine.state_dict()
+
+
+#: team links no run could make: (core, hart, field, value, why)
+BAD_TEAM_LINKS = {
+    "succ_two_cores_on": (0, 3, "succ", 15,
+                          "succ 15 is not a hart of core 0 or the next one"),
+    "succ_previous_core": (1, 0, "succ", 2,
+                           "succ 2 is not a hart of core 1 or the next one"),
+    "succ_negative": (0, 3, "succ", -1,
+                      "succ -1 is not a hart of core 0 or the next one"),
+    "succ_past_last_core": (3, 0, "succ", 16,
+                            "succ 16 is not a hart of core 3 or the next"),
+    "succ_text": (0, 3, "succ", "4",
+                  "succ '4' is not a hart of core 0 or the next one"),
+    "pred_next_core": (1, 0, "pred", 8,
+                       "pred 8 is not a hart of core 1 or the previous one"),
+    "pred_on_core_0_from_nowhere": (0, 1, "pred", -4,
+                                    "pred -4 is not a hart of core 0 or"),
+    "fork_token_own_core": (0, 0, "fork_tokens", [5, 2],
+                            "fork token 2 is not a hart of core 1"),
+    "fork_token_past_last_core": (3, 1, "fork_tokens", [16],
+                                  "fork token 16 is not a hart of core 4"),
+    "re_waiter_short": (0, 1, "re_waiters", [[[0, 0, 1, 0, 7]], [], [], []],
+                        "re_waiters descriptor [0, 0, 1, 0, 7] is not"),
+    "re_waiter_sender_elsewhere": (
+        0, 1, "re_waiters", [[], [[0, 5, 1, 0, 7, 3]], [], []],
+        "re_waiters descriptor [0, 5, 1, 0, 7, 3] is not"),
+    "re_waiter_target_elsewhere": (
+        0, 1, "re_waiters", [[], [], [], [[0, 0, 99, 0, 7, 3]]],
+        "re_waiters descriptor [0, 0, 99, 0, 7, 3] is not"),
+    "re_waiter_text": (0, 1, "re_waiters", [["sixsix"], [], [], []],
+                       "re_waiters descriptor 'sixsix' is not"),
+}
+
+
+@pytest.mark.parametrize("backend", [None, "interp"])
+@pytest.mark.parametrize("name", sorted(BAD_TEAM_LINKS))
+def test_a_snapshot_team_link_no_run_could_make_is_refused(name, backend):
+    """The p_ret commit sends its ending signal to ``succ`` along the
+    forward link, a granted token names a hart of the next core, a drained
+    result buffer re-posts a parked delivery: a link that is not there
+    (a succ two cores on used to stop the run with a router ValueError at
+    that commit) is refused at the restore, naming core, hart and field,
+    before the core loads anything."""
+    core, hart, field, value, why = BAD_TEAM_LINKS[name]
+    program, state = _tiled16_at_300()
+    state = copy.deepcopy(state)
+    state["cores"][core]["core"]["harts"][hart][field] = value
+    machine = LBP(Params(num_cores=4), backend=backend).load(
+        program, start=False)
+    with pytest.raises(ValueError) as err:
+        machine.load_state_dict(state)
+    assert str(err.value).startswith("core %d hart %d: snapshot " % (
+        core, hart)) and why in str(err.value)
+    assert machine.cores[core].harts[hart].state_dict()[field] in (
+        None, [], [[], [], [], []])
+
+
+def test_a_snapshot_with_every_team_link_kind_resumes():
+    """The check refuses only what no run makes: the paused team loads
+    and runs on to the end of the uninterrupted run."""
+    program, state = _tiled16_at_300()
+    whole = LBP(Params(num_cores=4)).load(program)
+    whole.run(max_cycles=1_000_000)
+    machine = LBP(Params(num_cores=4)).load(program, start=False)
+    machine.load_state_dict(copy.deepcopy(state))
+    machine.run(max_cycles=1_000_000)
+    assert machine.state_dict() == whole.state_dict()
 
 
 def test_save_and_load_roundtrip(tmp_path):
