@@ -9,14 +9,17 @@
  * that used to live in core.py; ``machine/reference.py`` is the readable
  * version and the oracle the tests hold this one to, bit for bit.
  *
- * No second layout.  Every object the tick touches (Core, Hart,
+ * One layout at rest.  Every object the tick touches (Core, Hart,
  * ResultBuffer, Entry, LoweredInstr, HartStats) has ``__slots__``, so a
  * slot is a ``PyObject *`` at a fixed offset of the instance.  ``bind``
  * resolves the offsets once from the classes' member descriptors (CPython
  * orders slots by name, so they are never hard-coded) and fails if a slot
  * it names is missing.  The Python side -- event handlers, ``Hart.start``,
  * ``ResultBuffer.fill``, ``state_dict``, the sanitizer, the metrics --
- * keeps reading and writing the very same slots.
+ * keeps reading and writing the very same slots.  While C runs, the
+ * scalars of Core, Hart, HartStats and CoreCounters live in the *core
+ * view* instead (below): typed, loaded from the slots when first needed,
+ * written back before Python can look.
  *
  * What makes it fast, none of which may be observable:
  *   - Stage gating: ``Hart.fetch_ok`` (the fetch predicate minus its
@@ -42,15 +45,16 @@
  *   - No object traffic the state does not need.  Slots keep holding the
  *     Python values they always held; what went is the allocation and the
  *     call per instruction around them:
- *     . a slot is read as a number by ``as_int``: an exact one-digit
- *       ``int`` inline, anything else through ``PyLong_AsLongLong``, so a
- *       value or an error is the one that call gives;
+ *     . a slot is read as a number by ``as_int``: an exact ``int`` of up
+ *       to three digits inline, anything else through
+ *       ``PyLong_AsLongLong``, so a value or an error is the one that call
+ *       gives;
  *     . ``rob.pop(0)`` and the removal from the instruction table move
  *       the list's tail down in place (``list_take``);
- *     . *shared immutable boxes*: whoever calls ``tick_core`` boxes
- *       ``cycle + 1`` once, and every timer a tick sets to the next cycle
- *       (``fetch_ready_at``, a latency-1 ``ready_at``, ``_wb_wake``)
- *       stores that object.  Each slot owns a reference, an int cannot be
+ *     . *shared immutable boxes*: the window boxes ``cycle`` and
+ *       ``cycle + 1`` once, when first needed, and every timer set to one
+ *       of them (a latency-1 ``ready_at``; a view field's flush) stores
+ *       that object.  Each slot owns a reference, an int cannot be
  *       mutated, and nothing compares timers by identity;
  *     . *last-reference recycling*: commit parks a retired ``Entry`` in a
  *       bounded pool (``retire``) when the tick's reference is the only
@@ -81,10 +85,11 @@
  * ``stall`` only for a Metrics the charges here do not stand for (a
  * subclass, a replaced hook).
  * Rules for the calls:
- *   - every one goes through ``callback``, which first lets the window
- *     publish ``machine.cycle`` and ``machine._origin``;
+ *   - every one goes through ``callback``, which first flushes the views
+ *     and lets the window publish ``machine.cycle`` and ``machine._origin``;
  *   - a callee may write any slot, so nothing read before a call is
- *     trusted after it: every stage re-reads its inputs from the slots;
+ *     trusted after it: the view reloads after a call (``fresh`` /
+ *     ``tick_view`` before the next use of one that may have called);
  *   - an exception propagates (NULL), it is never swallowed;
  *   - objects used across a call are held by a strong reference.
  */
@@ -99,11 +104,15 @@
 #include <unistd.h>
 #endif
 
-/* keeps a function out of its callers (Py_NO_INLINE is 3.11's spelling) */
+/* keeps a function out of its callers (Py_NO_INLINE is 3.11's spelling);
+ * puts one into each of them (the view's loads, whose field masks are
+ * constants at the call sites, fold to the fields asked for) */
 #if defined(__GNUC__)
 #define NOINLINE __attribute__((noinline))
+#define INLINE inline __attribute__((always_inline))
 #else
 #define NOINLINE
+#define INLINE inline
 #endif
 
 /* ---- slot offsets, resolved by bind() ------------------------------------ */
@@ -277,39 +286,66 @@ wrong_type(const char *expected)
                  "compiled tick: expected a %s in the core's state", expected);
 }
 
-/* 1 and *value when *o* is an exact ``int`` of at most one digit, read
- * from the object itself: ``ob_digit`` under the sign in ``ob_size`` before
- * 3.12, the "compact" value from 3.12.  Never raises. */
+/* 1 and *value when *o* is an exact ``int`` of at most three digits whose
+ * value fits an int64, read from the object itself: ``ob_digit`` under the
+ * sign in ``ob_size`` before 3.12, the compact value or the digits under
+ * ``long_value.lv_tag`` from 3.12.  Never raises. */
 static inline int
-one_digit(PyObject *o, int64_t *value)
+small_int(PyObject *o, int64_t *value)
 {
+    const digit *d;
+    Py_ssize_t size;
+    uint64_t magnitude;
     if (!PyLong_CheckExact(o))
         return 0;
 #if PY_VERSION_HEX >= 0x030C0000
-    if (!PyUnstable_Long_IsCompact((PyLongObject *)o))
-        return 0;
-    *value = PyUnstable_Long_CompactValue((PyLongObject *)o);
-#else
-    switch (Py_SIZE(o)) {
-    case 0: *value = 0; break;
-    case 1: *value = ((PyLongObject *)o)->ob_digit[0]; break;
-    case -1: *value = -(int64_t)((PyLongObject *)o)->ob_digit[0]; break;
-    default: return 0;
+    if (PyUnstable_Long_IsCompact((PyLongObject *)o)) {
+        *value = PyUnstable_Long_CompactValue((PyLongObject *)o);
+        return 1;
     }
+    size = (Py_ssize_t)(((PyLongObject *)o)->long_value.lv_tag
+                        >> _PyLong_NON_SIZE_BITS);
+    if ((((PyLongObject *)o)->long_value.lv_tag & _PyLong_SIGN_MASK) == 2)
+        size = -size;
+    d = ((PyLongObject *)o)->long_value.ob_digit;
+#else
+    size = Py_SIZE(o);
+    d = ((PyLongObject *)o)->ob_digit;
 #endif
+    switch (size < 0 ? -size : size) {
+    case 0:
+        magnitude = 0;
+        break;
+    case 1:
+        magnitude = d[0];
+        break;
+    case 2:
+        magnitude = d[0] | (uint64_t)d[1] << PyLong_SHIFT;
+        break;
+    case 3:
+        /* below 2**63 (-2**63 itself is PyLong_AsLongLong's) */
+        if ((uint64_t)d[2] >> (63 - 2 * PyLong_SHIFT))
+            return 0;
+        magnitude = d[0] | (uint64_t)d[1] << PyLong_SHIFT
+            | (uint64_t)d[2] << 2 * PyLong_SHIFT;
+        break;
+    default:
+        return 0;
+    }
+    *value = size < 0 ? -(int64_t)magnitude : (int64_t)magnitude;
     return 1;
 }
 
-/* ``PyLong_AsLongLong(o)`` without the call when *o* is an exact ``int`` of
- * at most one digit (every register value below 2**30, every tag, counter
- * and cycle of a run that short).  Anything else -- a bool, a subclass, a
- * wider int, no int at all -- is PyLong_AsLongLong's: same value, same
- * exception.  -1 may be a value: callers test PyErr_Occurred() as well. */
+/* ``PyLong_AsLongLong(o)`` without the call when *o* is an exact ``int``
+ * small_int reads (every register value, address, tag, counter and cycle,
+ * NEVER).  Anything else -- a bool, a subclass, a wider int, no int at all
+ * -- is PyLong_AsLongLong's: same value, same exception.  -1 may be a
+ * value: callers test PyErr_Occurred() as well. */
 static inline int64_t
 as_int(PyObject *o)
 {
     int64_t value;
-    return one_digit(o, &value) ? value : PyLong_AsLongLong(o);
+    return small_int(o, &value) ? value : PyLong_AsLongLong(o);
 }
 
 static inline int
@@ -497,18 +533,144 @@ branch(int64_t op, int64_t a64, int64_t b64)
 
 typedef struct Window Window;  /* _window.h */
 
+/* ---- the core view ------------------------------------------------------------
+ * While C runs, a core's pipeline scalars live here, typed; the slots are
+ * their at-rest layout, which everything in Python reads.  A view is
+ * loaded from the slots lazily, each field the first time C reads it after
+ * the call started or after its last call into Python; before every call
+ * into Python and on every way out it is flushed: each field C wrote since
+ * the load is stored back as the object set_bool / set_int / set_obj would
+ * have stored (never_obj for NEVER, the window's boxes of ``cycle`` and
+ * ``cycle + 1`` for those values).  Only the load and the flush
+ * (_window.h) touch these fields' slots.  The objects the view points to
+ * are borrowed: their slots hold them, and C changes none of them but
+ * ``rename`` (``view_set_rename``) and the owned ``pc`` / ``fetch_buf`` a
+ * write makes (the flush hands them to their slots). */
+#define CV_INTS(X) \
+    X(idle_since) X(sleep_until) X(_seq) X(_tag) X(_rr_fetch) X(_rr_rename) \
+    X(_rr_issue) X(_rr_wb) X(_rr_commit) X(_wb_wake)
+#define CV_BOOLS(X) X(active)
+#define HV_INTS(X) X(fetch_ready_at) X(n_ready) X(outstanding_mem)
+#define HV_BOOLS(X) \
+    X(fetch_ok) X(awaiting_nextpc) X(syncm_block) X(reserved) X(pred_done)
+#define HV_OBJS(X) X(pc) X(fetch_buf)
+#define FIELD_BIT(name) BIT_##name,
+#define INT_FIELD(name) int64_t name;
+#define BOOL_FIELD(name) int name;
+#define OBJ_FIELD(name) PyObject *name;
+/* (objects and flags first: the flush stores in bit order, and only an
+ * int's box can fail) */
+enum { CV_BOOLS(FIELD_BIT) CV_INTS(FIELD_BIT) BIT__rob_size };
+enum { HV_OBJS(FIELD_BIT) HV_BOOLS(FIELD_BIT) HV_INTS(FIELD_BIT)
+       STATS_SLOTS(FIELD_BIT) BIT_rob, BIT_rb, BIT_regs, BIT_rename, BIT_it,
+       BIT_gid, BIT_index, BIT_stats };
+#define KFIELD_BIT(name) KBIT_##name,
+enum { COUNTER_SLOTS(KFIELD_BIT) KV_BITS };
+
+/* A view is loaded in parts, each when first needed, so that a load after
+ * a call into Python reads hardly more than the slot reads it replaces:
+ * the core's index, always; each of its other scalars, in the groups a
+ * site reads (``cgate``); its harts (V_PIPE); each field of a hart and of its
+ * HartStats, in the groups a site reads (``gate``; HART_ALL for the whole
+ * hart but its HartStats); the CoreCounters (V_COUNTERS) */
+enum { V_PIPE = 1, V_COUNTERS = 2 };
+#define G(field) (1u << BIT_##field)
+#define HART_ALL \
+    (G(fetch_ready_at) | G(n_ready) | G(outstanding_mem) | G(fetch_ok) \
+     | G(awaiting_nextpc) | G(syncm_block) | G(reserved) | G(pred_done) \
+     | G(pc) | G(fetch_buf) | G(rob) | G(rb) | G(regs) | G(rename) | G(it) \
+     | G(gid) | G(index))
+
+/* (the fields a stage probes first, next to the masks that say whether
+ * they are loaded: a view is re-read after every call into Python, so the
+ * fewer cache lines a load touches the better) */
+typedef struct {
+    unsigned dirty;                     /* bit BIT_<field> */
+    unsigned gates;                     /* the G() fields loaded */
+    /* borrowed: the Hart (V_PIPE), its lists, ResultBuffer and
+     * HartStats */
+    PyObject *hart, *rob, *rb, *it, *regs, *rename, *stats;
+    HV_OBJS(OBJ_FIELD)                  /* owned when dirty, else borrowed */
+    HV_INTS(INT_FIELD)
+    HV_BOOLS(BOOL_FIELD)
+    PyObject *gid_obj, *index_obj;      /* borrowed; C never writes them */
+    int64_t gid, index;
+    STATS_SLOTS(INT_FIELD)
+} HartView;
+
+typedef struct {
+    int64_t stamp;                      /* the window's calls + 1 at load */
+    unsigned loaded;                    /* V_ parts */
+    unsigned gates;                     /* the G() scalars loaded */
+    unsigned dirty, kdirty;
+    PyObject *core;                     /* borrowed */
+    CV_INTS(INT_FIELD)
+    CV_BOOLS(BOOL_FIELD)
+    int64_t _rob_size, index;
+    PyObject *index_obj;                /* borrowed */
+    /* the object C set _tag / _wb_wake from, which the flush stores as
+     * set_obj did (owned while dirty; NULL: a new box) */
+    PyObject *_tag_box, *_wb_wake_box;
+    PyObject *counters;                 /* V_COUNTERS: per_core[index] */
+    COUNTER_SLOTS(INT_FIELD)
+    HartView h[4];
+} CoreView;
+
+#define CSET(v, f, x) ((v)->f = (x), (v)->dirty |= 1u << BIT_##f)
+/* ``v.f`` = *x*, an int *box* holds or NULL, for f _tag or _wb_wake */
+#define CSET_BOX(v, f, x, box) \
+    ((v)->f = (x), cset_box(&(v)->f##_box, box), (v)->dirty |= 1u << BIT_##f)
+#define HSET(hv, f, x) ((hv)->f = (x), (hv)->dirty |= 1u << BIT_##f)
+#define KSET(v, f, x) ((v)->f = (x), (v)->kdirty |= 1u << KBIT_##f)
+
+/* ``hv.pc`` / ``hv.fetch_buf`` = *value* (the view owns it until flushed) */
+#define HSET_OBJ(hv, f, value) hset_obj(hv, BIT_##f, &(hv)->f, value)
+
+/* the number of hart view *hv* of view *v* */
+#define HNUM(v, hv) ((int)((hv) - (v)->h))
+
+static inline void
+cset_box(PyObject **field, PyObject *box)
+{
+    Py_XINCREF(box);
+    Py_XSETREF(*field, box);
+}
+
+static inline void
+hset_obj(HartView *hv, int bit, PyObject **field, PyObject *value)
+{
+    PyObject *old = *field;
+    Py_INCREF(value);
+    *field = value;
+    if (hv->dirty & 1u << bit)
+        Py_DECREF(old);
+    else
+        hv->dirty |= 1u << bit;
+}
+
+/* *v* holding *parts*, loaded again if Python ran since (_window.h) */
+static inline int fresh(Window *w, CoreView *v, unsigned parts);
+/* hart *h* of a fresh *v* holding the fields *bits* (G(field) | ...) */
+static INLINE int gate(CoreView *v, int h, unsigned bits);
+/* a fresh *v* holding the core's scalars *bits* (G(field) | ...) */
+static INLINE int cgate(CoreView *v, unsigned bits);
+
+/* the view of *core* holding *parts*, or NULL */
+static CoreView *view_for(Window *w, PyObject *core, unsigned parts);
+/* borrowed boxes of the window's ``cycle`` and ``cycle + 1`` */
+static PyObject *cycle_box(Window *w);
+static PyObject *next_box(Window *w);
+
 typedef struct {
     PyObject *core, *machine;   /* borrowed: the caller holds the core */
-    PyObject *hart[4];          /* borrowed from core.harts */
-    /* machine.cycle, .metrics, .lowered: read by whoever calls tick_core,
-     * once per tick (Core.tick on its own) or per cycle / per call of the
-     * window; borrowed from it */
-    PyObject *cycle_obj, *metrics, *lowered;
+    CoreView *v;                /* the core's view, in w's */
+    /* machine.metrics, .lowered: read by whoever calls tick_core, once per
+     * tick (Core.tick on its own) or per call of the window; borrowed */
+    PyObject *metrics, *lowered;
     int64_t cycle;
-    /* ``cycle + 1``, boxed once by the same caller: every timer this tick
-     * sets to the next cycle stores this one object */
-    PyObject *next_obj;
-    Window *w;                  /* the window ticking this core, or NULL */
+    /* the window ticking this core; for Core.tick called on its own, one
+     * of a single core whose every call-back site is the Python call */
+    Window *w;
 } Tick;
 
 /* what mem_access (_window.h) issues */
@@ -528,23 +690,23 @@ static PyObject *bound_method[METHOD_COUNT];
 static int leave_c(Window *w);
 static int window_charges(Window *w);
 static int window_native(Tick *t, enum method site);
-static int mem_access(Tick *t, PyObject *hart, PyObject *entry,
+static int mem_access(Tick *t, HartView *hv, PyObject *entry,
                       PyObject *low, enum access kind);
-static int team_execute(Tick *t, PyObject *hart, PyObject *entry,
+static int team_execute(Tick *t, HartView *hv, PyObject *entry,
                         PyObject *low, int64_t cls);
-static int free_hart(PyObject *const *harts);
-static int send_fork_req(Tick *t, PyObject *hart);
-static int commit_p_ret(Tick *t, PyObject *hart, PyObject *head);
+static int free_hart(Window *w, CoreView *v);
+static int send_fork_req(Tick *t, HartView *hv);
+static int commit_p_ret(Tick *t, HartView *hv, PyObject *head);
 
 /* ``obj.name(a, b, c)`` (trailing NULLs are no arguments): every call from
- * the tick (and the charges) into Python.  Inside a window *w*
- * ``machine.cycle`` and ``_origin`` are written only now, when Python is
- * about to read them. */
+ * the tick (and the charges) into Python.  The views are flushed, and
+ * inside a window ``machine.cycle`` and ``_origin`` written, only now, when
+ * Python is about to read them. */
 static PyObject *
 callback(Window *w, PyObject *obj, PyObject *name, PyObject *a, PyObject *b,
          PyObject *c)
 {
-    if (w != NULL && leave_c(w) < 0)
+    if (leave_c(w) < 0)
         return NULL;
     return PyObject_CallMethodObjArgs(obj, name, a, b, c, NULL);
 }
@@ -559,75 +721,98 @@ called(PyObject *result)
     return 0;
 }
 
-/* ``hart.pc is not None or hart.rob or hart.fetch_buf is not None`` */
+/* ``hart.pc is not None or hart.rob or hart.fetch_buf is not None`` of
+ * hart *h* of *v*, or -1 */
 static int
-holds_work(PyObject *hart)
+holds_work(CoreView *v, int h)
 {
-    PyObject *pc, *rob, *fetch_buf;
-    GETO(pc, hart, H.pc);
-    if (pc != Py_None)
+    HartView *hv = &v->h[h];
+    if (gate(v, h, G(pc)) < 0)
+        return -1;
+    if (hv->pc != Py_None)
         return 1;
-    GETLIST(rob, hart, H.rob);
-    if (PyList_GET_SIZE(rob))
+    if (gate(v, h, G(rob)) < 0)
+        return -1;
+    if (PyList_GET_SIZE(hv->rob))
         return 1;
-    GETO(fetch_buf, hart, H.fetch_buf);
-    return fetch_buf != Py_None;
-fail:
-    return -1;
+    if (gate(v, h, G(fetch_buf)) < 0)
+        return -1;
+    return hv->fetch_buf != Py_None;
+}
+
+/* The ticked core's view, holding its harts (Python may have run). */
+static inline CoreView *
+tick_view(Tick *t)
+{
+    return fresh(t->w, t->v, V_PIPE) < 0 ? NULL : t->v;
+}
+
+/* tick_view, and all of hart *h* */
+static inline HartView *
+tick_hart(Tick *t, int h)
+{
+    return fresh(t->w, t->v, V_PIPE) < 0 || gate(t->v, h, HART_ALL) < 0
+        ? NULL : &t->v->h[h];
 }
 
 /* Core._resolve_pc */
 static int
-resolve_pc(Tick *t, PyObject *hart, int64_t target)
+resolve_pc(Tick *t, HartView *hv, int64_t target)
 {
-    int syncm_block, reserved;
-    PyObject *fetch_buf;
-    SETI(hart, H.pc, target & MASK32);
-    set_bool(hart, H.awaiting_nextpc, 0);
-    set_obj(hart, H.fetch_ready_at, t->next_obj);
-    GETB(syncm_block, hart, H.syncm_block);
-    GETO(fetch_buf, hart, H.fetch_buf);
-    GETB(reserved, hart, H.reserved);
-    set_bool(hart, H.fetch_ok,
-             !syncm_block && fetch_buf == Py_None && !reserved);
+    PyObject *pc;
+    if (gate(t->v, HNUM(t->v, hv), G(syncm_block) | G(fetch_buf)
+             | G(reserved)) < 0
+            || (pc = PyLong_FromLongLong(target & MASK32)) == NULL)
+        return -1;
+    HSET_OBJ(hv, pc, pc);
+    Py_DECREF(pc);
+    HSET(hv, awaiting_nextpc, 0);
+    HSET(hv, fetch_ready_at, t->cycle + 1);
+    HSET(hv, fetch_ok, !hv->syncm_block && hv->fetch_buf == Py_None
+         && !hv->reserved);
     return 0;
-fail:
-    return -1;
+}
+
+/* ResultBuffer.fill's gate: keep the core's writeback gate a lower bound
+ * (*ready_obj* holds *ready_at*) */
+static inline int
+lower_wb_wake(CoreView *v, int64_t ready_at, PyObject *ready_obj)
+{
+    if (cgate(v, G(_wb_wake)) < 0)
+        return -1;
+    if (ready_at < v->_wb_wake)
+        CSET_BOX(v, _wb_wake, ready_at, ready_obj);
+    return 0;
 }
 
 /* Core._finish_at: a register result goes through the hart's writeback
  * buffer (ResultBuffer.occupy + fill); an instruction without one is done. */
 static int
-finish_at(Tick *t, PyObject *hart, PyObject *entry, PyObject *low,
+finish_at(Tick *t, HartView *hv, PyObject *entry, PyObject *low,
           uint32_t value, int64_t ready_at)
 {
     int writes, status = -1;
-    int64_t wb_wake;
-    PyObject *rb, *tag, *rd, *ready_obj = NULL;
+    PyObject *rb = hv->rb, *tag, *rd, *ready_obj = NULL;
     GETB(writes, low, L.writes);
     if (!writes) {
         set_bool(entry, E.done, 1);
         return 0;
     }
-    GETO(rb, hart, H.rb);
-    CHECK(rb, rb_type);
     GETO(tag, entry, E.tag);
     GETO(rd, low, L.rd);
     set_bool(rb, R.busy, 1);
     set_obj(rb, R.tag, tag);
     set_obj(rb, R.reg, rd);
     SETI(rb, R.value, value);
-    if (ready_at == t->cycle + 1)
-        ready_obj = new_ref(t->next_obj);
-    else if ((ready_obj = PyLong_FromLongLong(ready_at)) == NULL)
+    if (ready_at == t->cycle + 1) {
+        if ((ready_obj = next_box(t->w)) == NULL)
+            goto fail;
+        Py_INCREF(ready_obj);
+    } else if ((ready_obj = PyLong_FromLongLong(ready_at)) == NULL)
         goto fail;
     set_obj(rb, R.ready_at, ready_obj);
     set_obj(rb, R.entry, entry);
-    /* keep the writeback gate a lower bound */
-    GETI(wb_wake, t->core, C._wb_wake);
-    if (ready_at < wb_wake)
-        set_obj(t->core, C._wb_wake, ready_obj);
-    status = 0;
+    status = lower_wb_wake(t->v, ready_at, ready_obj);
 fail:
     Py_XDECREF(ready_obj);
     return status;
@@ -655,15 +840,18 @@ retire(PyObject *entry)
 static int
 stage_commit(Tick *t)
 {
-    int64_t start;
     int k;
-    GETI(start, t->core, C._rr_commit);
+    CoreView *v = tick_view(t);
+    if (v == NULL || cgate(v, G(_rr_commit)) < 0)
+        return -1;
     for (k = 0; k < 4; k++) {
-        int h = (int)((start + k) & 3), done, status;
-        int64_t retired, trap;
-        PyObject *hart = t->hart[h], *rob, *head, *ret_action, *stats, *low;
-        GETLIST(rob, hart, H.rob);
-        if (PyList_GET_SIZE(rob) == 0)
+        int h = (int)((v->_rr_commit + k) & 3), done, status;
+        int64_t trap;
+        HartView *hv = &v->h[h];
+        PyObject *rob, *head, *ret_action, *low;
+        if (gate(v, h, G(rob)) < 0)
+            goto fail;
+        if (PyList_GET_SIZE(rob = hv->rob) == 0)
             continue;
         head = PyList_GET_ITEM(rob, 0);
         CHECK(head, entry_type);
@@ -674,36 +862,30 @@ stage_commit(Tick *t)
         if (ret_action != Py_None) {
             /* the ordered-release barrier of a p_ret */
             PyObject *pred;
-            int64_t outstanding;
-            GETO(pred, hart, H.pred);
-            if (pred != Py_None) {
-                int pred_done;
-                GETB(pred_done, hart, H.pred_done);
-                if (!pred_done)
-                    continue;
-            }
-            GETI(outstanding, hart, H.outstanding_mem);
-            if (outstanding != 0)
+            if (tick_hart(t, h) == NULL)
+                goto fail;
+            GETO(pred, hv->hart, H.pred);
+            if (pred != Py_None && !hv->pred_done)
+                continue;
+            if (hv->outstanding_mem != 0)
                 continue;
         }
-        SETI(t->core, C._rr_commit, (h + 1) & 3);
-        GETO(stats, hart, H.stats);
-        CHECK(stats, stats_type);
-        GETI(retired, stats, S.retired);
+        CSET(v, _rr_commit, (h + 1) & 3);
+        if (gate(v, h, G(stats) | G(retired)) < 0)
+            goto fail;
         GETO(low, head, E.low);
         CHECK(low, low_type);
         GETI(trap, low, L.trap);
         head = list_take(rob, 0);  /* ``hart.rob.pop(0)`` */
-        if (set_int(stats, S.retired, retired + 1) < 0)
-            status = -1;
-        else if (trap == 1)
+        HSET(hv, retired, hv->retired + 1);
+        if (trap == 1)
             status = called(callback(t->w, t->machine, s_halt, s_ebreak, NULL,
                                      NULL));
         else if (trap)
             status = called(callback(t->w, t->machine, s_error, s_ecall, NULL,
                                      NULL));
         else if (SLOT(head, E.ret_action) != Py_None)
-            status = commit_p_ret(t, hart, head);
+            status = commit_p_ret(t, hv, head);
         else
             status = 0;
         retire(head);
@@ -719,20 +901,25 @@ fail:
 static int
 stage_writeback(Tick *t)
 {
-    int64_t start, wake;
+    int64_t wake;
     int k, fired = 0;
-    GETI(wake, t->core, C._wb_wake);
-    if (wake > t->cycle)
+    CoreView *v = tick_view(t);
+    if (v == NULL || cgate(v, G(_wb_wake)) < 0)
+        return -1;
+    if (v->_wb_wake > t->cycle)
         return 0;
+    if (cgate(v, G(_rr_wb)) < 0)
+        return -1;
     wake = never_val;
-    GETI(start, t->core, C._rr_wb);
     for (k = 0; k < 4; k++) {
-        int h = (int)((start + k) & 3), busy;
+        int h = (int)((v->_rr_wb + k) & 3), busy;
         int64_t ready_at, tag, reg;
         Py_ssize_t i;
-        PyObject *hart = t->hart[h], *rb, *value, *tag_obj, *it, *entry;
-        GETO(rb, hart, H.rb);
-        CHECK(rb, rb_type);
+        HartView *hv = &v->h[h];
+        PyObject *rb, *value, *tag_obj, *it, *entry;
+        if (gate(v, h, G(rb)) < 0)
+            goto fail;
+        rb = hv->rb;
         GETB(busy, rb, R.busy);
         if (!busy)
             continue;
@@ -745,7 +932,9 @@ stage_writeback(Tick *t)
                 wake = ready_at;
             continue;
         }
-        SETI(t->core, C._rr_wb, (h + 1) & 3);
+        if (gate(v, h, G(rename) | G(regs) | G(it) | G(n_ready)) < 0)
+            goto fail;
+        CSET(v, _rr_wb, (h + 1) & 3);
         GETO(tag_obj, rb, R.tag);
         tag = as_int(tag_obj);
         if (tag == -1 && PyErr_Occurred())
@@ -756,20 +945,16 @@ stage_writeback(Tick *t)
              * producer is still the latest rename of it: an older one
              * that writes back after a newer one must not clobber the
              * newer value.  Its consumers still get it, below. */
-            PyObject *rename, *latest, *regs;
+            PyObject *latest;
             int same;
-            GETLIST(rename, hart, H.rename);
-            if ((latest = list_item(rename, reg)) == NULL
+            if ((latest = list_item(hv->rename, reg)) == NULL
                     || (same = tag_is(latest, tag)) < 0)
                 goto fail;
-            if (same) {
-                GETLIST(regs, hart, H.regs);
-                if (list_set(regs, reg, value) < 0
-                        || list_set(rename, reg, Py_None) < 0)
-                    goto fail;
-            }
+            if (same && (list_set(hv->regs, reg, value) < 0
+                         || list_set(hv->rename, reg, Py_None) < 0))
+                goto fail;
         }
-        GETLIST(it, hart, H.it);
+        it = hv->it;
         for (i = 0; i < PyList_GET_SIZE(it); i++) {
             PyObject *waiter = PyList_GET_ITEM(it, i), *wait;
             int64_t nwaits;
@@ -794,11 +979,8 @@ stage_writeback(Tick *t)
             }
             if (hit) {
                 SETI(waiter, E.nwaits, nwaits - hit);
-                if (nwaits == hit) {
-                    int64_t n_ready;
-                    GETI(n_ready, hart, H.n_ready);
-                    SETI(hart, H.n_ready, n_ready + 1);
-                }
+                if (nwaits == hit)
+                    HSET(hv, n_ready, hv->n_ready + 1);
             }
         }
         GETO(entry, rb, R.entry);
@@ -817,46 +999,30 @@ stage_writeback(Tick *t)
         break;
     }
     /* exact when the scan drained nothing (the gate was stale) */
-    if (wake == never_val)
-        set_obj(t->core, C._wb_wake, never_obj);
-    else if (wake == t->cycle + 1)
-        set_obj(t->core, C._wb_wake, t->next_obj);
-    else
-        SETI(t->core, C._wb_wake, wake);
+    CSET_BOX(v, _wb_wake, wake, NULL);
     return fired;
 fail:
     return -1;
 }
 
 /* Hart._refresh_fetch_ok */
-static int
-refresh_fetch_ok(PyObject *hart)
+static inline void
+refresh_fetch_ok(HartView *hv)
 {
-    int awaiting, syncm_block, reserved;
-    PyObject *pc, *fetch_buf;
-    GETO(pc, hart, H.pc);
-    GETB(awaiting, hart, H.awaiting_nextpc);
-    GETB(syncm_block, hart, H.syncm_block);
-    GETO(fetch_buf, hart, H.fetch_buf);
-    GETB(reserved, hart, H.reserved);
-    set_bool(hart, H.fetch_ok, pc != Py_None && !awaiting && !syncm_block
-             && fetch_buf == Py_None && !reserved);
-    return 0;
-fail:
-    return -1;
+    HSET(hv, fetch_ok, hv->pc != Py_None && !hv->awaiting_nextpc
+         && !hv->syncm_block && hv->fetch_buf == Py_None && !hv->reserved);
 }
 
 /* Core._execute_p_ret: ``p_ret`` (p_jalr zero, ra, t0) decides its ending
  * case -- exit, wait for the join, end, or join hart ``t0 >> 16`` at ra --
  * and the hart fetches no further */
 static int
-decide_p_ret(PyObject *hart, PyObject *entry)
+decide_p_ret(HartView *hv, PyObject *entry)
 {
-    int64_t ra, t0, gid, joiner;
+    int64_t ra, t0, joiner;
     PyObject *action, *joiner_obj;
     GETI(ra, entry, E.val0);
     GETI(t0, entry, E.val1);
-    GETI(gid, hart, H.gid);
     joiner = (int64_t)(((uint64_t)t0 >> 16) & 0x7FFF);  /* join_hart */
     if (ra != 0) {
         if ((joiner_obj = PyLong_FromLongLong(joiner)) == NULL)
@@ -865,16 +1031,16 @@ decide_p_ret(PyObject *hart, PyObject *entry)
         Py_DECREF(joiner_obj);
     } else
         action = PyTuple_Pack(3, t0 == MASK32 ? s_exit
-                              : joiner == gid ? s_wait : s_end,
+                              : joiner == hv->gid ? s_wait : s_end,
                               Py_None, Py_None);
     if (action == NULL)
         goto fail;
     set_obj(entry, E.ret_action, action);
     Py_DECREF(action);
     set_bool(entry, E.done, 1);
-    set_none(hart, H.pc);
-    set_bool(hart, H.awaiting_nextpc, 0);
-    set_bool(hart, H.fetch_ok, 0);
+    HSET_OBJ(hv, pc, Py_None);
+    HSET(hv, awaiting_nextpc, 0);
+    HSET(hv, fetch_ok, 0);
     return 0;
 fail:
     return -1;
@@ -885,24 +1051,23 @@ fail:
  * decision, and SYSTEM / FENCE (no-ops until commit).  0 done, 1 not one
  * of them, -1 an exception. */
 static int
-execute_local(Tick *t, PyObject *hart, PyObject *entry, PyObject *low,
+execute_local(Tick *t, HartView *hv, PyObject *entry, PyObject *low,
               int64_t cls)
 {
-    int64_t a, b, imm, pc, index, number, rd;
+    int64_t a, b, imm, pc, rd;
     if (cls == cls_system || cls == cls_fence) {
         set_bool(entry, E.done, 1);
         return 0;
     }
     if (cls == cls_p_syncm) {
-        set_bool(hart, H.syncm_block, 0);
-        if (refresh_fetch_ok(hart) < 0)
-            goto fail;
+        HSET(hv, syncm_block, 0);
+        refresh_fetch_ok(hv);
         set_bool(entry, E.done, 1);
         return 0;
     }
     if (cls == cls_p_jalr) {
         GETI(rd, low, L.rd);
-        return rd == 0 ? decide_p_ret(hart, entry) : 1;
+        return rd == 0 ? decide_p_ret(hv, entry) : 1;
     }
     if (cls != cls_jalr && cls != cls_p_set && cls != cls_p_merge)
         return 1;
@@ -910,21 +1075,19 @@ execute_local(Tick *t, PyObject *hart, PyObject *entry, PyObject *low,
     if (cls == cls_jalr) {
         GETI(imm, low, L.imm);
         GETI(pc, entry, E.pc);
-        if (resolve_pc(t, hart, (a + imm) & 0xFFFFFFFE) < 0)
+        if (resolve_pc(t, hv, (a + imm) & 0xFFFFFFFE) < 0)
             goto fail;
-        return finish_at(t, hart, entry, low, (uint32_t)(pc + 4),
+        return finish_at(t, hv, entry, low, (uint32_t)(pc + 4),
                          t->cycle + 1);
     }
-    if (cls == cls_p_set) {  /* p_set_value: the hart identity stamped */
-        GETI(index, t->core, C.index);
-        GETI(number, hart, H.index);
-        return finish_at(t, hart, entry, low,
+    if (cls == cls_p_set)  /* p_set_value: the hart identity stamped */
+        return finish_at(t, hv, entry, low,
                          (uint32_t)(((uint64_t)a & 0xFFFF)
-                                    | (uint64_t)(4 * index + number) << 16
+                                    | (uint64_t)(4 * t->v->index
+                                                 + hv->index) << 16
                                     | 0x80000000u), t->cycle + 1);
-    }
     GETI(b, entry, E.val1);  /* p_merge_value */
-    return finish_at(t, hart, entry, low,
+    return finish_at(t, hv, entry, low,
                      (uint32_t)(((uint64_t)a & 0x7FFF0000)
                                 | ((uint64_t)b & 0xFFFF)), t->cycle + 1);
 fail:
@@ -937,10 +1100,10 @@ fail:
  * window (mem_access, team_execute in _window.h); the rest -- a code-bank
  * or device access, an observed or refused step -- is Core._execute. */
 static int
-execute(Tick *t, PyObject *hart, PyObject *entry, PyObject *low)
+execute(Tick *t, HartView *hv, PyObject *entry, PyObject *low)
 {
     int64_t op, a, b, pc, imm, cls;
-    int native, done;
+    int native, done, mem;
     GETI(op, low, L.alu_op);
     if (op >= 0) {
         int writes;
@@ -959,7 +1122,7 @@ execute(Tick *t, PyObject *hart, PyObject *entry, PyObject *low)
         else
             GETI(b, low, L.imm);
         GETI(latency, low, L.latency);
-        return finish_at(t, hart, entry, low, alu(op, a, b),
+        return finish_at(t, hv, entry, low, alu(op, a, b),
                          t->cycle + latency);
     }
     GETI(op, low, L.br_op);
@@ -970,7 +1133,7 @@ execute(Tick *t, PyObject *hart, PyObject *entry, PyObject *low)
         GETI(b, entry, E.val1);
         GETI(pc, entry, E.pc);
         GETI(imm, low, L.imm);
-        if (resolve_pc(t, hart, branch(op, a, b) ? pc + imm : pc + 4) < 0)
+        if (resolve_pc(t, hv, branch(op, a, b) ? pc + imm : pc + 4) < 0)
             return -1;
         set_bool(entry, E.done, 1);
         return 0;
@@ -985,23 +1148,31 @@ execute(Tick *t, PyObject *hart, PyObject *entry, PyObject *low)
         else
             value = (uint32_t)((uint64_t)imm << 12)
                 + (cls == cls_auipc ? (uint32_t)pc : 0);
-        return finish_at(t, hart, entry, low, value, t->cycle + 1);
+        return finish_at(t, hv, entry, low, value, t->cycle + 1);
     }
-    if ((done = execute_local(t, hart, entry, low, cls)) <= 0)
+    /* the rest: a load or store reads the hart's scalars it issues with
+     * only on the native path; anything else, all of them */
+    mem = cls == cls_load || cls == cls_store || cls == cls_p_lwcv;
+    if (!mem && gate(t->v, HNUM(t->v, hv), HART_ALL) < 0)
+        return -1;
+    if ((done = execute_local(t, hv, entry, low, cls)) <= 0)
         return done;
     if ((native = window_native(t, M_execute)) < 0)
         return -1;
     if (native) {
-        if (cls == cls_load || cls == cls_store || cls == cls_p_lwcv)
-            done = mem_access(t, hart, entry, low,
+        if (!mem)
+            done = team_execute(t, hv, entry, low, cls);
+        else if (gate(t->v, HNUM(t->v, hv), G(gid) | G(index)
+                      | G(outstanding_mem)) < 0)
+            return -1;
+        else
+            done = mem_access(t, hv, entry, low,
                               cls == cls_load ? ACC_LOAD
                               : cls == cls_store ? ACC_STORE : ACC_LWCV);
-        else
-            done = team_execute(t, hart, entry, low, cls);
         if (done)
             return done < 0 ? -1 : 0;
     }
-    return called(callback(t->w, t->core, s_execute, hart, entry, NULL));
+    return called(callback(t->w, t->core, s_execute, hv->hart, entry, NULL));
 bad_op:
     PyErr_SetString(PyExc_ValueError,
                     "compiled tick: alu_op / br_op out of range");
@@ -1014,22 +1185,25 @@ fail:
 static int
 stage_issue(Tick *t)
 {
-    int64_t start;
     int k;
-    GETI(start, t->core, C._rr_issue);
+    CoreView *v = tick_view(t);
+    if (v == NULL || cgate(v, G(_rr_issue)) < 0)
+        return -1;
     for (k = 0; k < 4; k++) {
-        int h = (int)((start + k) & 3), rb_busy, older_store_pending = 0;
-        int status;
+        int h = (int)((v->_rr_issue + k) & 3), rb_busy;
+        int older_store_pending = 0, status;
         int64_t n_ready;
         Py_ssize_t i, found = -1;
-        PyObject *hart = t->hart[h], *it, *rb, *entry, *low;
-        GETI(n_ready, hart, H.n_ready);
-        if (!n_ready)
+        HartView *hv = &v->h[h];
+        PyObject *it, *entry, *low;
+        if (gate(v, h, G(n_ready)) < 0)
+            goto fail;
+        if (!(n_ready = hv->n_ready))
             continue;
-        GETLIST(it, hart, H.it);
-        GETO(rb, hart, H.rb);
-        CHECK(rb, rb_type);
-        GETB(rb_busy, rb, R.busy);
+        if (gate(v, h, G(it) | G(rb)) < 0)
+            goto fail;
+        it = hv->it;
+        GETB(rb_busy, hv->rb, R.busy);
         for (i = 0; i < PyList_GET_SIZE(it); i++) {
             PyObject *candidate = PyList_GET_ITEM(it, i);
             int64_t nwaits;
@@ -1052,7 +1226,7 @@ stage_issue(Tick *t)
                     ready = !older_store_pending;
                     break;
                 case 2:  /* ISS_LWRE: its result buffer is filled */
-                    GETLIST(list, hart, H.re_buffers);
+                    GETLIST(list, hv->hart, H.re_buffers);
                     GETI(number, low, L.re_slot);
                     if ((item = list_item(list, number)) == NULL)
                         goto fail;
@@ -1062,7 +1236,7 @@ stage_issue(Tick *t)
                     if ((ready = window_native(t, M_alloc_free_hart)) < 0)
                         goto fail;
                     if (ready) {
-                        if ((number = free_hart(t->hart)) < 0)
+                        if ((number = free_hart(t->w, v)) < 0)
                             goto fail;
                         ready = number < 4;
                         break;
@@ -1077,12 +1251,13 @@ stage_issue(Tick *t)
                     Py_DECREF(item);
                     break;
                 case 4:  /* ISS_FN: a fork token was granted */
-                    GETLIST(list, hart, H.fork_tokens);
+                    GETLIST(list, hv->hart, H.fork_tokens);
                     ready = PyList_GET_SIZE(list) != 0;
                     break;
                 default:  /* ISS_SYNCM: at the head, memory drained */
-                    GETI(number, hart, H.outstanding_mem);
-                    ready = i == 0 && number == 0;
+                    if (gate(v, h, G(outstanding_mem)) < 0)
+                        goto fail;
+                    ready = i == 0 && hv->outstanding_mem == 0;
                     break;
                 }
                 if (ready) {
@@ -1096,20 +1271,19 @@ stage_issue(Tick *t)
         }
         if (found < 0 || found >= PyList_GET_SIZE(it))
             continue;
-        SETI(t->core, C._rr_issue, (h + 1) & 3);
-        /* checked again: an ISS_FC probe ran Python since the scan */
+        /* an ISS_FC probe may have run Python since the scan */
+        if (tick_view(t) == NULL || gate(v, h, G(it) | G(rb)) < 0)
+            goto fail;
+        CSET(v, _rr_issue, (h + 1) & 3);
         entry = PyList_GET_ITEM(it, found);
         CHECK(entry, entry_type);
         GETO(low, entry, E.low);
         CHECK(low, low_type);
         Py_INCREF(low);
         entry = list_take(it, found);  /* ``hart.it.remove(entry)`` */
-        if (set_int(hart, H.n_ready, n_ready - 1) < 0)
-            status = -1;
-        else {
-            set_bool(entry, E.issued, 1);
-            status = execute(t, hart, entry, low);
-        }
+        HSET(hv, n_ready, n_ready - 1);
+        set_bool(entry, E.issued, 1);
+        status = execute(t, hv, entry, low);
         Py_DECREF(low);
         Py_DECREF(entry);
         return status < 0 ? -1 : 1;
@@ -1122,53 +1296,49 @@ fail:
 /* One source operand at rename: x0, a committed value, or a producer's
  * tag.  Returns borrowed references through *val / *wait. */
 static int
-read_source(PyObject *hart, int64_t reg, PyObject **val, PyObject **wait)
+read_source(HartView *hv, int64_t reg, PyObject **val, PyObject **wait)
 {
-    PyObject *list;
     if (reg == 0) {
         *val = zero_obj;
         return 0;
     }
-    GETLIST(list, hart, H.rename);
-    if ((*wait = list_item(list, reg)) == NULL)
-        goto fail;
+    if ((*wait = list_item(hv->rename, reg)) == NULL)
+        return -1;
     if (*wait != Py_None)
         return 1;  /* one more producer to wait for */
-    GETLIST(list, hart, H.regs);
-    if ((*val = list_item(list, reg)) == NULL)
-        goto fail;
-    return 0;
-fail:
-    return -1;
+    return (*val = list_item(hv->regs, reg)) == NULL ? -1 : 0;
 }
 
-/* Rename the instruction (*pc_obj*, *low*) taken from *hart*'s fetch
- * buffer: Entry(tag, low, pc, val0, val1, wait0, wait1, nwaits) into the
+/* Rename the instruction (*pc_obj*, *low*) taken from the fetch buffer of
+ * hart *h*: Entry(tag, low, pc, val0, val1, wait0, wait1, nwaits) into the
  * instruction table and the ROB, then the next-pc determination. */
 static int
-rename_into(Tick *t, PyObject *hart, PyObject *rob, PyObject *pc_obj,
-            PyObject *low)
+rename_into(Tick *t, int h, PyObject *pc_obj, PyObject *low)
 {
-    int status = -1, writes, syncm_block, more;
-    int64_t tag, nreads, reg, nwaits = 0, dec, pc, imm, n_ready, held;
-    PyObject *it, *rename, *next_pc, *tag_obj = NULL, *entry = NULL;
+    int status = -1, writes, more;
+    int64_t tag, nreads, reg, nwaits = 0, dec, pc, imm, held;
+    CoreView *v = t->v;
+    HartView *hv = &v->h[h];
+    PyObject *next_pc, *tag_obj = NULL, *entry = NULL;
     PyObject *val0 = Py_None, *val1 = Py_None;
     PyObject *wait0 = Py_None, *wait1 = Py_None;
 
     CHECK(low, low_type);
-    GETI(tag, t->core, C._tag);
-    if ((tag_obj = PyLong_FromLongLong(tag + 1)) == NULL)
+    if (cgate(v, G(_tag)) < 0)
         goto fail;
-    set_obj(t->core, C._tag, tag_obj);
+    tag = v->_tag + 1;
+    if ((tag_obj = PyLong_FromLongLong(tag)) == NULL)
+        goto fail;
+    CSET_BOX(v, _tag, tag, tag_obj);
     GETI(nreads, low, L.nreads);
     if (nreads) {
         GETI(reg, low, L.r1);
-        if ((more = read_source(hart, reg, &val0, &wait0)) < 0)
+        if ((more = read_source(hv, reg, &val0, &wait0)) < 0)
             goto fail;
         nwaits += more;
         if (nreads == 2) {
             GETI(reg, low, L.r2);
-            if ((more = read_source(hart, reg, &val1, &wait1)) < 0)
+            if ((more = read_source(hv, reg, &val1, &wait1)) < 0)
                 goto fail;
             nwaits += more;
         }
@@ -1191,32 +1361,32 @@ rename_into(Tick *t, PyObject *hart, PyObject *rob, PyObject *pc_obj,
     set_bool(entry, E.issued, 0);
     set_bool(entry, E.done, 0);
     set_none(entry, E.ret_action);
-    GETLIST(it, hart, H.it);
-    if (PyList_Append(it, entry) < 0 || PyList_Append(rob, entry) < 0)
+    if (PyList_Append(hv->it, entry) < 0
+            || PyList_Append(hv->rob, entry) < 0)
         goto fail;
-    if (nwaits == 0) {
-        GETI(n_ready, hart, H.n_ready);
-        SETI(hart, H.n_ready, n_ready + 1);
-    }
+    if (nwaits == 0)
+        HSET(hv, n_ready, hv->n_ready + 1);
     GETB(writes, low, L.writes);
     if (writes) {
-        GETLIST(rename, hart, H.rename);
         GETI(reg, low, L.rd);
-        if (list_item(rename, reg) == NULL
-                || list_set(rename, reg, tag_obj) < 0)
+        if (list_item(hv->rename, reg) == NULL
+                || list_set(hv->rename, reg, tag_obj) < 0)
             goto fail;
     }
     GETI(dec, low, L.dec_kind);
-    if (dec == 5  /* DEC_PFN: request the fork token from the next core */
-            && send_fork_req(t, hart) < 0)
-        goto fail;
+    if (dec == 5) {
+        /* DEC_PFN: request the fork token from the next core */
+        if (tick_hart(t, h) == NULL || send_fork_req(t, hv) < 0
+                || tick_hart(t, h) == NULL)
+            goto fail;
+    }
     /* next-pc determination (fetch resumes when it is known) */
     if (dec == 2) {
         /* DEC_SUSPEND: resolved at issue; the hart stays suspended */
     } else if (dec == 3) {
         /* DEC_SYSTEM: halts (ebreak) / traps (ecall) at commit */
-        set_none(hart, H.pc);
-        set_bool(hart, H.awaiting_nextpc, 0);
+        HSET_OBJ(hv, pc, Py_None);
+        HSET(hv, awaiting_nextpc, 0);
     } else {
         pc = as_int(pc_obj);
         if (pc == -1 && PyErr_Occurred())
@@ -1229,18 +1399,20 @@ rename_into(Tick *t, PyObject *hart, PyObject *rob, PyObject *pc_obj,
         /* lowered.py boxed this value when it lowered the instruction at
          * pc_obj; a *low* that says otherwise gets a new int */
         GETO(next_pc, low, L.next_pc);
-        if (one_digit(next_pc, &held) && held == pc)
-            set_obj(hart, H.pc, next_pc);
-        else
-            SETI(hart, H.pc, pc);
-        set_bool(hart, H.awaiting_nextpc, 0);
-        set_obj(hart, H.fetch_ready_at, t->next_obj);
-        if (dec == 4)  /* DEC_SYNCM: block further fetch until it issues */
-            set_bool(hart, H.syncm_block, 1);
+        if (small_int(next_pc, &held) && held == pc)
+            HSET_OBJ(hv, pc, next_pc);
         else {
-            GETB(syncm_block, hart, H.syncm_block);
-            set_bool(hart, H.fetch_ok, !syncm_block);
+            if ((next_pc = PyLong_FromLongLong(pc)) == NULL)
+                goto fail;
+            HSET_OBJ(hv, pc, next_pc);
+            Py_DECREF(next_pc);
         }
+        HSET(hv, awaiting_nextpc, 0);
+        HSET(hv, fetch_ready_at, t->cycle + 1);
+        if (dec == 4)  /* DEC_SYNCM: block further fetch until it issues */
+            HSET(hv, syncm_block, 1);
+        else
+            HSET(hv, fetch_ok, !hv->syncm_block);
     }
     status = 0;
 fail:
@@ -1253,34 +1425,38 @@ fail:
 static int
 stage_rename(Tick *t)
 {
-    int64_t start, rob_size;
     int k;
-    GETI(rob_size, t->core, C._rob_size);
-    GETI(start, t->core, C._rr_rename);
+    CoreView *v = tick_view(t);
+    if (v == NULL || cgate(v, G(_rr_rename) | G(_rob_size)) < 0)
+        return -1;
     for (k = 0; k < 4; k++) {
-        int h = (int)((start + k) & 3), status;
-        PyObject *hart = t->hart[h], *fetch_buf, *rob;
-        GETO(fetch_buf, hart, H.fetch_buf);
-        if (fetch_buf == Py_None)
+        int h = (int)((v->_rr_rename + k) & 3), status;
+        HartView *hv = &v->h[h];
+        PyObject *fetch_buf;
+        if (gate(v, h, G(fetch_buf)) < 0)
+            return -1;
+        if ((fetch_buf = hv->fetch_buf) == Py_None)
             continue;
-        GETLIST(rob, hart, H.rob);
-        if (PyList_GET_SIZE(rob) >= rob_size)
+        if (gate(v, h, G(rob)) < 0)
+            return -1;
+        if (PyList_GET_SIZE(hv->rob) >= v->_rob_size)
             continue;
         if (!PyTuple_Check(fetch_buf) || PyTuple_GET_SIZE(fetch_buf) != 2) {
             wrong_type("(pc, low) tuple");
-            goto fail;
+            return -1;
         }
-        SETI(t->core, C._rr_rename, (h + 1) & 3);
+        if (gate(v, h, G(rename) | G(regs) | G(it) | G(n_ready)
+                 | G(syncm_block)) < 0)
+            return -1;
+        CSET(v, _rr_rename, (h + 1) & 3);
         Py_INCREF(fetch_buf);  /* keeps pc and low alive once it is taken */
-        set_none(hart, H.fetch_buf);
-        status = rename_into(t, hart, rob, PyTuple_GET_ITEM(fetch_buf, 0),
+        HSET_OBJ(hv, fetch_buf, Py_None);
+        status = rename_into(t, h, PyTuple_GET_ITEM(fetch_buf, 0),
                              PyTuple_GET_ITEM(fetch_buf, 1));
         Py_DECREF(fetch_buf);
         return status < 0 ? -1 : 1;
     }
     return 0;
-fail:
-    return -1;
 }
 
 /* ``(pc, low)`` as a new reference: the pair lowered.py built with *low*
@@ -1295,8 +1471,8 @@ fetch_pair(PyObject *pc, PyObject *low)
             && (pair = SLOT(low, L.fetch_pair)) != NULL
             && PyTuple_CheckExact(pair) && PyTuple_GET_SIZE(pair) == 2
             && PyTuple_GET_ITEM(pair, 1) == low
-            && one_digit(pc, &pc_val)
-            && one_digit(PyTuple_GET_ITEM(pair, 0), &pair_pc)
+            && small_int(pc, &pc_val)
+            && small_int(PyTuple_GET_ITEM(pair, 0), &pair_pc)
             && pc_val == pair_pc)
         return new_ref(pair);
     return PyTuple_Pack(2, pc, low);
@@ -1306,45 +1482,49 @@ fetch_pair(PyObject *pc, PyObject *low)
 static int
 stage_fetch(Tick *t)
 {
-    int64_t start;
     int k;
-    GETI(start, t->core, C._rr_fetch);
+    CoreView *v = tick_view(t);
+    if (v == NULL || cgate(v, G(_rr_fetch)) < 0)
+        return -1;
     for (k = 0; k < 4; k++) {
-        int h = (int)((start + k) & 3), fetch_ok;
-        int64_t fetch_ready_at;
-        PyObject *hart = t->hart[h], *pc, *low, *fetch_buf;
-        GETB(fetch_ok, hart, H.fetch_ok);
-        if (!fetch_ok)
+        int h = (int)((v->_rr_fetch + k) & 3);
+        HartView *hv = &v->h[h];
+        PyObject *pc, *low, *fetch_buf;
+        if (gate(v, h, G(fetch_ok)) < 0)
+            return -1;
+        if (!hv->fetch_ok)
             continue;
-        GETI(fetch_ready_at, hart, H.fetch_ready_at);
-        if (t->cycle < fetch_ready_at)
+        if (gate(v, h, G(fetch_ready_at)) < 0)
+            return -1;
+        if (t->cycle < hv->fetch_ready_at)
             continue;
-        SETI(t->core, C._rr_fetch, (h + 1) & 3);
-        GETO(pc, hart, H.pc);
-        Py_INCREF(pc);  /* the callback below may end the hart */
+        if (gate(v, h, G(pc)) < 0)
+            return -1;
+        CSET(v, _rr_fetch, (h + 1) & 3);
+        pc = new_ref(hv->pc);  /* the callback below may end the hart */
         low = PyDict_Check(t->lowered)
             ? PyDict_GetItemWithError(t->lowered, pc) : NULL;
         if (low != NULL)
             Py_INCREF(low);
         else if (!PyErr_Occurred())
             /* non-code address: the slow error path */
-            low = callback(t->w, t->machine, s_fetch_instruction, pc, hart,
-                           NULL);
+            low = callback(t->w, t->machine, s_fetch_instruction, pc,
+                           hv->hart, NULL);
         fetch_buf = low == NULL ? NULL : fetch_pair(pc, low);
         Py_DECREF(pc);
         Py_XDECREF(low);
-        if (fetch_buf == NULL)
-            goto fail;
-        set_obj(hart, H.fetch_buf, fetch_buf);
+        if (fetch_buf == NULL || tick_view(t) == NULL) {
+            Py_XDECREF(fetch_buf);
+            return -1;
+        }
+        HSET_OBJ(hv, fetch_buf, fetch_buf);
         Py_DECREF(fetch_buf);
         /* suspended until the next pc is known */
-        set_bool(hart, H.awaiting_nextpc, 1);
-        set_bool(hart, H.fetch_ok, 0);
+        HSET(hv, awaiting_nextpc, 1);
+        HSET(hv, fetch_ok, 0);
         return 1;
     }
     return 0;
-fail:
-    return -1;
 }
 
 /* ---- the metrics charges ------------------------------------------------------
@@ -1400,12 +1580,12 @@ hooks_native(PyObject *metrics)
     return 1;
 }
 
-/* hooks_native for the machine being ticked: inside a window, as checked
- * after its last call into Python */
+/* hooks_native for the machine being ticked, as checked after the
+ * window's last call into Python */
 static inline int
 native_charges(Tick *t)
 {
-    return t->w != NULL ? window_charges(t->w) : hooks_native(t->metrics);
+    return window_charges(t->w);
 }
 
 /* ``metrics._slots[index]``: a core's CoreTelemetry, borrowed */
@@ -1500,20 +1680,19 @@ fail:
     return -1;
 }
 
-/* Metrics._mem_reason: a remote access of *hart* in flight past its
+/* Metrics._mem_reason: a remote access of *hv*'s hart in flight past its
  * uncontended eta was held up by contention; none in flight, a local one */
 static int
-mem_reason(PyObject *slot, PyObject *hart, int64_t cycle)
+mem_reason(PyObject *slot, const HartView *hv, int64_t cycle)
 {
     int64_t eta;
-    PyObject *fifos, *gid, *fifo;
+    PyObject *fifos, *fifo;
     GETO(fifos, slot, TS.remote_inflight);
     if (!PyDict_Check(fifos)) {
         wrong_type("dict of remote etas");
         goto fail;
     }
-    GETO(gid, hart, H.gid);
-    if ((fifo = PyDict_GetItemWithError(fifos, gid)) == NULL) {
+    if ((fifo = PyDict_GetItemWithError(fifos, hv->gid_obj)) == NULL) {
         if (PyErr_Occurred())
             goto fail;
         return WHY_local_mem_wait;
@@ -1539,19 +1718,26 @@ fail:
 static int
 classify(Tick *t, PyObject *slot)
 {
-    int64_t start, cls;
+    int64_t cls;
     Py_ssize_t i;
     int k, flag;
-    PyObject *rep = NULL, *rob = NULL, *head, *ret_action, *pred, *it, *low;
-    GETI(start, t->core, C._rr_commit);
+    CoreView *v = t->v;
+    HartView *rep = NULL;
+    PyObject *head, *ret_action, *pred, *it, *low;
+    if (cgate(v, G(_rr_commit)) < 0)
+        goto fail;
     for (k = 0; k < 4 && rep == NULL; k++) {
-        GETLIST(rob, t->hart[(start + k) & 3], H.rob);
-        if (PyList_GET_SIZE(rob))
-            rep = t->hart[(start + k) & 3];
+        int h = (int)((v->_rr_commit + k) & 3);
+        if (gate(v, h, G(rob)) < 0)
+            goto fail;
+        if (PyList_GET_SIZE(v->h[h].rob))
+            rep = &v->h[h];
     }
     if (rep == NULL)
         return WHY_fetch_starved;
-    head = PyList_GET_ITEM(rob, 0);
+    if (tick_hart(t, HNUM(v, rep)) == NULL)
+        goto fail;
+    head = PyList_GET_ITEM(rep->rob, 0);
     CHECK(head, entry_type);
     GETO(ret_action, head, E.ret_action);
     if (ret_action != Py_None) {
@@ -1559,17 +1745,14 @@ classify(Tick *t, PyObject *slot)
         if (flag) {
             /* p_ret held at the ordered-release barrier: predecessor's
              * ending signal pending, or own stores still in flight */
-            GETO(pred, rep, H.pred);
-            if (pred != Py_None) {
-                GETB(flag, rep, H.pred_done);
-                if (!flag)
-                    return WHY_barrier_wait;
-            }
-            GETB(flag, rep, H.outstanding_mem);
-            return flag ? mem_reason(slot, rep, t->cycle) : WHY_barrier_wait;
+            GETO(pred, rep->hart, H.pred);
+            if (pred != Py_None && !rep->pred_done)
+                return WHY_barrier_wait;
+            return rep->outstanding_mem ? mem_reason(slot, rep, t->cycle)
+                : WHY_barrier_wait;
         }
     }
-    GETLIST(it, rep, H.it);
+    it = rep->it;
     for (i = 0; i < PyList_GET_SIZE(it); i++)
         if (PyList_GET_ITEM(it, i) == head)
             break;
@@ -1608,14 +1791,15 @@ static NOINLINE int
 charge_stall(Tick *t)
 {
     int native, reason;
-    int64_t index;
-    PyObject *slot, *stalls;
-    if ((native = native_charges(t)) <= 0)
-        return native < 0 ? -1 : called(callback(t->w, t->metrics, s_stall,
-                                                 t->core, t->cycle_obj,
-                                                 NULL));
-    GETI(index, t->core, C.index);
-    if ((slot = telemetry(t->metrics, index)) == NULL
+    PyObject *slot, *stalls, *now;
+    if ((native = native_charges(t)) <= 0) {
+        if (native < 0 || (now = cycle_box(t->w)) == NULL)
+            return -1;
+        return called(callback(t->w, t->metrics, s_stall, t->core, now,
+                               NULL));
+    }
+    if (tick_view(t) == NULL
+            || (slot = telemetry(t->metrics, t->v->index)) == NULL
             || (reason = classify(t, slot)) < 0)
         goto fail;
     GETLIST(stalls, slot, TS.stalls);
@@ -1630,53 +1814,60 @@ fail:
 static NOINLINE int
 metered_prologue(Tick *t, PyObject *metrics)
 {
-    int h, work, native;
+    int h, work = 0, native, status = -1;
     int64_t edge;
-    PyObject *index, *edges, *item;
-    GETO(index, t->core, C.index);
-    for (h = 0; h < 4; h++) {
-        if ((work = holds_work(t->hart[h])) < 0)
-            goto fail;
-        if (work)
-            break;
-    }
+    CoreView *v = t->v;
+    PyObject *index, *edges, *item, *now;
+    for (h = 0; h < 4 && !work; h++)
+        if ((work = holds_work(v, h)) < 0)
+            return -1;
+    /* held across the calls below */
+    index = new_ref(v->index_obj);
     if ((native = native_charges(t)) < 0)
-        goto fail;
-    if (h == 4) {
+        goto release;
+    if (!work) {
         PyObject *one;
-        if (native)
-            return charge_idle(t->w, metrics, index, t->cycle, 1) < 0 ? -1
-                : 0;
-        if ((one = PyLong_FromLong(1)) == NULL)
-            goto fail;
-        work = called(callback(t->w, metrics, s_idle, index, t->cycle_obj,
-                               one));
+        if (native) {
+            status = charge_idle(t->w, metrics, index, t->cycle, 1) < 0
+                ? -1 : 0;
+            goto release;
+        }
+        if ((now = cycle_box(t->w)) == NULL
+                || (one = PyLong_FromLong(1)) == NULL)
+            goto release;
+        work = called(callback(t->w, metrics, s_idle, index, now, one));
         Py_DECREF(one);
-        return work < 0 ? -1 : 0;
+        status = work < 0 ? -1 : 0;
+        goto release;
     }
     if (native) {
         /* ``metrics.edges[index]``, read by offset */
         GETLIST(edges, metrics, MX.edges);
         if ((item = PyObject_GetItem(edges, index)) == NULL)
-            goto fail;
+            goto release;
     } else {
         if ((edges = PyObject_GetAttr(metrics, s_edges)) == NULL)
-            goto fail;
+            goto release;
         item = PyObject_GetItem(edges, index);
         Py_DECREF(edges);
         if (item == NULL)
-            goto fail;
+            goto release;
     }
     edge = as_int(item);
     Py_DECREF(item);
     if (edge == -1 && PyErr_Occurred())
-        goto fail;
+        goto release;
     if (t->cycle >= edge
-            && called(callback(t->w, metrics, s_roll, index, t->cycle_obj,
-                               NULL)) < 0)
-        goto fail;
-    return 1;
+            && ((now = cycle_box(t->w)) == NULL
+                || called(callback(t->w, metrics, s_roll, index, now,
+                                   NULL)) < 0))
+        goto release;
+    status = 1;
+release:
+    Py_DECREF(index);
+    return status;
 fail:
+    Py_DECREF(index);
     return -1;
 }
 
@@ -1688,31 +1879,29 @@ fail:
 static int
 park(Tick *t)
 {
-    int64_t wake, fetch_ready_at;
-    int h, busy = 0, fetch_ok, work;
-    GETI(wake, t->core, C._wb_wake);
+    int h, busy = 0;
+    CoreView *v = tick_view(t);
+    int64_t wake;
+    if (v == NULL || cgate(v, G(_wb_wake)) < 0)
+        return -1;
+    wake = v->_wb_wake;
     for (h = 0; h < 4; h++) {
-        GETB(fetch_ok, t->hart[h], H.fetch_ok);
-        if (fetch_ok) {
+        HartView *hv = &v->h[h];
+        if (gate(v, h, G(fetch_ok)) < 0)
+            return -1;
+        if (hv->fetch_ok) {
             busy = 1;
-            GETI(fetch_ready_at, t->hart[h], H.fetch_ready_at);
-            if (fetch_ready_at < wake)
-                wake = fetch_ready_at;
-        } else if (!busy) {
-            if ((work = holds_work(t->hart[h])) < 0)
-                goto fail;
-            busy = work;
-        }
+            if (gate(v, h, G(fetch_ready_at)) < 0)
+                return -1;
+            if (hv->fetch_ready_at < wake)
+                wake = hv->fetch_ready_at;
+        } else if (!busy && (busy = holds_work(v, h)) < 0)
+            return -1;
     }
     if (!busy)
         return 0;
-    if (wake == never_val)
-        set_obj(t->core, C.sleep_until, never_obj);
-    else
-        SETI(t->core, C.sleep_until, wake);
+    CSET(v, sleep_until, wake);
     return 1;
-fail:
-    return -1;
 }
 
 /* Run the five stages of t->core for one cycle.  1 when any hart had
@@ -1721,19 +1910,11 @@ fail:
 static int
 tick_core(Tick *t)
 {
-    PyObject *harts;
-    int h, busy = 1, committed, fired = 0, status;
+    int busy = 1, committed, fired = 0, status;
     const int metered = t->metrics != Py_None;
 
-    GETLIST(harts, t->core, C.harts);
-    if (PyList_GET_SIZE(harts) != 4) {
-        wrong_type("list of four harts");
+    if (tick_view(t) == NULL)
         goto fail;
-    }
-    for (h = 0; h < 4; h++) {
-        t->hart[h] = PyList_GET_ITEM(harts, h);
-        CHECK(t->hart[h], hart_type);
-    }
     if (metered && (busy = metered_prologue(t, t->metrics)) <= 0)
         return busy;
     if ((committed = stage_commit(t)) < 0
@@ -1759,40 +1940,6 @@ tick_core(Tick *t)
 fail:
     return -1;
 }
-
-/* Core.tick() called on its own (a test, a wrapper around it): "now" is
- * what the machine's attributes say. */
-static PyObject *
-core_tick(PyObject *core, PyObject *Py_UNUSED(ignored))
-{
-    Tick t = {.core = core};
-    PyObject *result = NULL;
-    int busy;
-
-    GETO(t.machine, core, C.machine);
-    if ((t.metrics = PyObject_GetAttr(t.machine, s_metrics)) == NULL
-            || (t.lowered = PyObject_GetAttr(t.machine, s_lowered)) == NULL
-            || (t.cycle_obj = PyObject_GetAttr(t.machine, s_cycle)) == NULL)
-        goto fail;
-    t.cycle = PyLong_AsLongLong(t.cycle_obj);
-    if ((t.cycle == -1 && PyErr_Occurred())
-            || (t.next_obj = PyLong_FromLongLong(t.cycle + 1)) == NULL
-            || (busy = tick_core(&t)) < 0)
-        goto fail;
-    result = busy ? Py_True : Py_False;
-    Py_INCREF(result);
-fail:
-    Py_XDECREF(t.metrics);
-    Py_XDECREF(t.lowered);
-    Py_XDECREF(t.cycle_obj);
-    Py_XDECREF(t.next_obj);
-    return result;
-}
-
-static PyMethodDef tick_def = {
-    "tick", core_tick, METH_NOARGS,
-    "Run the five stages for one cycle (commit-side first); the compiled "
-    "tick, machine/_tick.c."};
 
 /* bind()'s Core.tick and Core.settle_idle: the window calls tick_core /
  * settle directly only while ``type(core).tick`` / ``.settle_idle`` is

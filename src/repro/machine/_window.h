@@ -23,9 +23,18 @@
  * exception).  An event posted here is a struct, not a tuple: the tuple is
  * built only if it is still pending when the call returns.
  *
+ * The core views.  The same rule holds for the cores' pipeline scalars
+ * (_tick.c says which): one ``CoreView`` per core of ``machine.cores``,
+ * loaded part by part from the slots the first time C needs a part in the
+ * call or after a call into Python (``fresh``), flushed back -- only what C
+ * wrote -- before every call into Python and on every way out.  A
+ * window-less ``Core.tick`` or ``settle_idle`` has one view of its own.
+ *
  * The contract with the Python it calls (handlers, ticks that are not
  * ours, a replaced ``settle_idle``, everything behind the tick's
  * ``callback``):
+ *   - the views are flushed first, and load again after: the view
+ *     reloads after a call;
  *   - ``machine.cycle`` and ``machine._origin`` are written lazily: before
  *     every call into Python (``leave_c``) and when the window returns, so
  *     Python never sees a stale "now" and a cycle that stays in C pays for
@@ -136,8 +145,10 @@ struct Window {
     int64_t calls, seen;        /* calls into Python made / at last refresh */
     /* "now", and whether the machine's attributes say so yet */
     int64_t cycle;
-    PyObject *cycle_obj, *origin;   /* owned */
-    PyObject *next_obj;         /* owned: cycle + 1, the Tick's next_obj */
+    PyObject *origin;           /* owned */
+    /* owned boxes of cycle and cycle + 1, made when first needed (a call,
+     * a flush, a timer's object); NULL until then */
+    PyObject *cycle_obj, *next_obj;
     int cycle_synced, origin_synced;
     /* the memory access, resolved by access_context on first use */
     int context;                /* 0 unresolved, 1 native, 2 call Python */
@@ -164,13 +175,23 @@ struct Window {
     /* the pending events while the call runs: a binary heap on the key */
     Event *heap;
     Py_ssize_t size, room;
+    /* the core views, one per core of ``cores`` (owned array; a window-less
+     * tick or settlement has the one of its core), and the positions of
+     * those loaded since the last flush */
+    CoreView *views;
+    Py_ssize_t nviews;
+    Py_ssize_t *touched, ntouched;
+    Py_ssize_t hint;            /* the view after the one view_for found */
+    /* no window: Core.tick / settle_idle called on their own, every site
+     * the Python call */
+    int alone;
     /* kind k's handler is native_handler[k]: bit k of *live*, as compared
      * when ``calls`` was checked[k] - 1 (0: not yet) */
     unsigned live;
     int64_t checked[NATIVE_COUNT];
 };
 
-typedef int (*NativeEvent)(Window *w, PyObject *domain, PyObject *args);
+typedef int (*NativeEvent)(Window *w, CoreView *domain, PyObject *args);
 
 static PyObject *event_handlers;  /* processor.EVENT_HANDLERS */
 /* EVENT_HANDLERS[kind] at bind time, one per native kind, in that order */
@@ -470,6 +491,401 @@ window_charges(Window *w)
     return w->charges;
 }
 
+/* ---- the core view ---------------------------------------------------------------
+ * _tick.c says what a view holds.  These are the only functions that read
+ * or write its fields' slots. */
+
+static PyObject *per_core(Window *w);
+
+static PyObject *
+cycle_box(Window *w)
+{
+    if (w->cycle_obj == NULL)
+        w->cycle_obj = PyLong_FromLongLong(w->cycle);
+    return w->cycle_obj;
+}
+
+static PyObject *
+next_box(Window *w)
+{
+    if (w->next_obj == NULL)
+        w->next_obj = PyLong_FromLongLong(w->cycle + 1);
+    return w->next_obj;
+}
+
+/* *out*: *value* as an int64, as GETI reads a slot */
+static INLINE int
+read_int(PyObject *value, int64_t *out)
+{
+    *out = as_int(value);
+    return *out == -1 && PyErr_Occurred() ? -1 : 0;
+}
+
+/* *out*: the slot as an int64, as GETI reads it */
+static INLINE int
+load_int(PyObject *obj, Py_ssize_t off, int64_t *out)
+{
+    PyObject *value = SLOT(obj, off);
+    if (value == NULL) {
+        unset_slot();
+        return -1;
+    }
+    return read_int(value, out);
+}
+
+/* *out*: the slot's truth, as GETB reads it */
+static INLINE int
+load_bool(PyObject *obj, Py_ssize_t off, int *out)
+{
+    PyObject *value = SLOT(obj, off);
+    if (value == NULL) {
+        unset_slot();
+        return -1;
+    }
+    return (*out = truth(value)) < 0 ? -1 : 0;
+}
+
+/* *out*: the slot, borrowed, checked to be a *type* (any object: NULL) */
+static INLINE int
+load_obj(PyObject *obj, Py_ssize_t off, PyTypeObject *type, PyObject **out)
+{
+    if ((*out = SLOT(obj, off)) == NULL) {
+        unset_slot();
+        return -1;
+    }
+    if (type != NULL && !PyObject_TypeCheck(*out, type)) {
+        wrong_type(type->tp_name);
+        return -1;
+    }
+    return 0;
+}
+
+#define LOAD_INT(obj, T, into, name) \
+    if (load_int(obj, T.name, &(into)->name) < 0) return -1;
+#define LOAD_BOOL(obj, T, into, name) \
+    if (load_bool(obj, T.name, &(into)->name) < 0) return -1;
+#define LOAD_C_INT(name) LOAD_INT(v->core, C, v, name)
+#define LOAD_C_BOOL(name) LOAD_BOOL(v->core, C, v, name)
+#define LOAD_H_INT(name) LOAD_INT(hv->hart, H, hv, name)
+#define LOAD_H_BOOL(name) LOAD_BOOL(hv->hart, H, hv, name)
+#define LOAD_S_INT(name) LOAD_INT(hv->stats, S, hv, name)
+#define LOAD_K_INT(name) LOAD_INT(v->counters, K, v, name)
+
+/* The core's scalars *bits* that *v* lacks.  Inlined where *bits* is a
+ * constant, it loads those fields and no others. */
+static INLINE int
+load_cgates(CoreView *v, unsigned bits)
+{
+    /* a scalar C wrote before it needed it keeps what C wrote */
+    unsigned missing = bits & ~v->gates & ~v->dirty;
+#define LOAD_C_MISSING_INT(name) \
+    if (missing & G(name)) LOAD_C_INT(name)
+    CV_INTS(LOAD_C_MISSING_INT)
+    LOAD_C_MISSING_INT(_rob_size)
+    if (missing & G(active))
+        LOAD_C_BOOL(active)
+    v->gates |= bits;
+    return 0;
+}
+
+static int
+load_pipe(CoreView *v)
+{
+    int h;
+    PyObject *harts;
+    if (load_obj(v->core, C.harts, &PyList_Type, &harts) < 0)
+        return -1;
+    if (PyList_GET_SIZE(harts) != 4) {
+        wrong_type("list of four harts");
+        return -1;
+    }
+    for (h = 0; h < 4; h++) {
+        HartView *hv = &v->h[h];
+        hv->hart = PyList_GET_ITEM(harts, h);
+        if (!PyObject_TypeCheck(hv->hart, hart_type)) {
+            wrong_type(hart_type->tp_name);
+            return -1;
+        }
+        hv->gates = 0;
+    }
+    return 0;
+}
+
+#define LOAD_H_MISSING_INT(name) \
+    if (missing & G(name)) LOAD_H_INT(name)
+#define LOAD_H_MISSING_BOOL(name) \
+    if (missing & G(name)) LOAD_H_BOOL(name)
+#define LOAD_S_MISSING_INT(name) \
+    if (missing & G(name)) LOAD_S_INT(name)
+
+/* The fields *bits* of hart *h* that *v* lacks, as load_cgates. */
+static INLINE int
+load_gates(CoreView *v, int h, unsigned bits)
+{
+    HartView *hv = &v->h[h];
+    PyObject *hart = hv->hart;
+    /* a field C wrote before it needed it keeps what C wrote */
+    unsigned missing = bits & ~hv->gates & ~hv->dirty;
+    if ((missing & G(rob)
+         && load_obj(hart, H.rob, &PyList_Type, &hv->rob) < 0)
+            || (missing & G(rb) && load_obj(hart, H.rb, rb_type, &hv->rb) < 0)
+            || (missing & G(regs)
+                && load_obj(hart, H.regs, &PyList_Type, &hv->regs) < 0)
+            || (missing & G(rename)
+                && load_obj(hart, H.rename, &PyList_Type, &hv->rename) < 0)
+            || (missing & G(it)
+                && load_obj(hart, H.it, &PyList_Type, &hv->it) < 0)
+            || (missing & G(pc) && load_obj(hart, H.pc, NULL, &hv->pc) < 0)
+            || (missing & G(fetch_buf)
+                && load_obj(hart, H.fetch_buf, NULL, &hv->fetch_buf) < 0)
+            || (missing & G(gid)
+                && (load_obj(hart, H.gid, NULL, &hv->gid_obj) < 0
+                    || read_int(hv->gid_obj, &hv->gid) < 0))
+            || (missing & G(index)
+                && (load_obj(hart, H.index, NULL, &hv->index_obj) < 0
+                    || read_int(hv->index_obj, &hv->index) < 0))
+            || (missing & G(stats)
+                && load_obj(hart, H.stats, stats_type, &hv->stats) < 0))
+        return -1;
+    HV_INTS(LOAD_H_MISSING_INT)
+    HV_BOOLS(LOAD_H_MISSING_BOOL)
+    STATS_SLOTS(LOAD_S_MISSING_INT)
+    hv->gates |= bits;
+    return 0;
+}
+
+static INLINE int
+gate(CoreView *v, int h, unsigned bits)
+{
+    return (v->h[h].gates & bits) == bits ? 0 : load_gates(v, h, bits);
+}
+
+static INLINE int
+cgate(CoreView *v, unsigned bits)
+{
+    return (v->gates & bits) == bits ? 0 : load_cgates(v, bits);
+}
+
+static int
+load_counters(Window *w, CoreView *v)
+{
+    PyObject *list = per_core(w);
+    if (list == NULL || (v->counters = list_item(list, v->index)) == NULL)
+        return -1;
+    if (!PyObject_TypeCheck(v->counters, counters_type)) {
+        wrong_type(counters_type->tp_name);
+        return -1;
+    }
+    COUNTER_SLOTS(LOAD_K_INT)
+    return 0;
+}
+
+/* Load what *v* lacks of *parts*: all of them when Python ran since its
+ * last load (the flush before that call left nothing dirty). */
+static NOINLINE int
+view_load(Window *w, CoreView *v, unsigned parts)
+{
+    int h;
+    if (v->stamp != w->calls + 1) {
+        v->stamp = w->calls + 1;
+        v->loaded = v->gates = v->dirty = v->kdirty = 0;
+        for (h = 0; h < 4; h++)
+            v->h[h].dirty = 0;
+        w->touched[w->ntouched++] = v - w->views;
+        if (load_obj(v->core, C.index, NULL, &v->index_obj) < 0
+                || read_int(v->index_obj, &v->index) < 0)
+            return -1;
+    }
+    if (parts & ~(unsigned)V_COUNTERS)
+        parts |= V_PIPE;
+    parts &= ~v->loaded;
+    if (parts & V_PIPE) {
+        if (load_pipe(v) < 0)
+            return -1;
+        v->loaded |= V_PIPE;
+    }
+    if (parts & V_COUNTERS) {
+        if (load_counters(w, v) < 0)
+            return -1;
+        v->loaded |= V_COUNTERS;
+    }
+    return 0;
+}
+
+static inline int
+fresh(Window *w, CoreView *v, unsigned parts)
+{
+    return v->stamp == w->calls + 1 && (v->loaded & parts) == parts ? 0
+        : view_load(w, v, parts);
+}
+
+/* The view of ``cores[i]`` holding *parts*, or NULL. */
+static CoreView *
+view_at(Window *w, int64_t i, unsigned parts)
+{
+    PyObject *core;
+    CoreView *v;
+    if (i >= w->nviews) {
+        PyErr_SetString(PyExc_IndexError, "list index out of range");
+        return NULL;
+    }
+    if ((core = list_item(w->cores, i)) == NULL)
+        return NULL;
+    v = &w->views[i];
+    if (v->stamp != w->calls + 1) {
+        /* (only Python can change what ``cores`` holds) */
+        if (!PyObject_TypeCheck(core, core_type)) {
+            wrong_type(core_type->tp_name);
+            return NULL;
+        }
+        v->core = core;
+    }
+    return fresh(w, v, parts) < 0 ? NULL : v;
+}
+
+static CoreView *
+view_for(Window *w, PyObject *core, unsigned parts)
+{
+    int64_t i = w->hint;
+    PyObject *index;
+    if (w->cores == NULL) {
+        /* a window-less call: the one core it was made for */
+        if (core != w->views[0].core) {
+            PyErr_SetString(PyExc_TypeError,
+                            "compiled tick: another core than its own");
+            return NULL;
+        }
+        return fresh(w, w->views, parts) < 0 ? NULL : w->views;
+    }
+    /* the one after the last found (the loop walks its cores in order) */
+    if (i >= w->nviews || i >= PyList_GET_SIZE(w->cores)
+            || PyList_GET_ITEM(w->cores, i) != core) {
+        /* else at its index, normally */
+        index = SLOT(core, C.index);
+        if (index == NULL || !small_int(index, &i) || i < 0
+                || i >= w->nviews || i >= PyList_GET_SIZE(w->cores)
+                || PyList_GET_ITEM(w->cores, i) != core) {
+            for (i = 0; i < w->nviews && i < PyList_GET_SIZE(w->cores); i++)
+                if (PyList_GET_ITEM(w->cores, i) == core)
+                    break;
+            if (i == w->nviews || i == PyList_GET_SIZE(w->cores)) {
+                PyErr_SetString(PyExc_TypeError, "compiled window: a core "
+                                "not in machine.cores");
+                return NULL;
+            }
+        }
+    }
+    w->hint = i + 1;
+    return view_at(w, i, parts);
+}
+
+/* the hart's ``rename`` is *list* (Hart.reserve_for_fork) */
+static void
+view_set_rename(HartView *hv, PyObject *list)
+{
+    set_obj(hv->hart, H.rename, list);
+    hv->rename = list;
+    hv->gates |= G(rename);
+}
+
+/* Store the view's *value* in the int slot: never_obj, the window's boxes
+ * of cycle and cycle + 1, or a new int. */
+static inline int
+flush_int(Window *w, PyObject *obj, Py_ssize_t off, int64_t value)
+{
+    PyObject *box, *old;
+    if (value == never_val)
+        box = new_ref(never_obj);
+    else if (value == w->cycle || value == w->cycle + 1) {
+        if ((box = value == w->cycle ? cycle_box(w) : next_box(w)) == NULL)
+            return -1;
+        Py_INCREF(box);
+    } else if ((box = PyLong_FromLongLong(value)) == NULL)
+        return -1;
+    old = SLOT(obj, off);
+    SLOT(obj, off) = box;
+    Py_XDECREF(old);
+    return 0;
+}
+
+/* the view's object goes to its slot: the slot's reference when the view
+ * owned it */
+static inline void
+flush_obj(PyObject *obj, Py_ssize_t off, PyObject *value)
+{
+    PyObject *old = SLOT(obj, off);
+    SLOT(obj, off) = value;
+    Py_XDECREF(old);
+}
+
+/* Store dirty field *name* of a core (C), a hart (H), its HartStats (S) or
+ * the CoreCounters (K), whose dirty bits are *d*; a failed box leaves that
+ * field and the ones after it dirty. */
+#define FLUSH_INT(obj, T, into, name, dirty, bit) \
+    if (d & (bit) && flush_int(w, obj, T.name, (into)->name) < 0) { \
+        dirty = d & ~((bit) - 1); \
+        return -1; \
+    }
+#define FLUSH_C_BOOL(name) \
+    if (d & G(name)) set_bool(v->core, C.name, v->name);
+#define FLUSH_C_INT(name) FLUSH_INT(v->core, C, v, name, v->dirty, G(name))
+#define FLUSH_C_BOXED(name) \
+    if (d & G(name) && v->name##_box != NULL) { \
+        flush_obj(v->core, C.name, v->name##_box); \
+        v->name##_box = NULL; \
+        d &= ~G(name); \
+    }
+#define FLUSH_H_OBJ(name) \
+    if (d & G(name)) flush_obj(hv->hart, H.name, hv->name);
+#define FLUSH_H_BOOL(name) \
+    if (d & G(name)) set_bool(hv->hart, H.name, hv->name);
+#define FLUSH_H_INT(name) FLUSH_INT(hv->hart, H, hv, name, hv->dirty, G(name))
+#define FLUSH_S_INT(name) FLUSH_INT(hv->stats, S, hv, name, hv->dirty, G(name))
+#define FLUSH_K_INT(name) \
+    FLUSH_INT(v->counters, K, v, name, v->kdirty, 1u << KBIT_##name)
+
+/* Store every field C wrote since the load in its slot, in bit order
+ * (objects and flags first: only an int's box can fail). */
+static int
+view_flush(Window *w, CoreView *v)
+{
+    int h;
+    unsigned d;
+    for (h = 0; h < 4; h++) {
+        HartView *hv = &v->h[h];
+        if ((d = hv->dirty) == 0)
+            continue;
+        HV_OBJS(FLUSH_H_OBJ)
+        HV_BOOLS(FLUSH_H_BOOL)
+        HV_INTS(FLUSH_H_INT)
+        STATS_SLOTS(FLUSH_S_INT)
+        hv->dirty = 0;
+    }
+    if ((d = v->dirty) != 0) {
+        FLUSH_C_BOXED(_tag)
+        FLUSH_C_BOXED(_wb_wake)
+        CV_BOOLS(FLUSH_C_BOOL)
+        CV_INTS(FLUSH_C_INT)
+        v->dirty = 0;
+    }
+    if ((d = v->kdirty) != 0) {
+        COUNTER_SLOTS(FLUSH_K_INT)
+        v->kdirty = 0;
+    }
+    return 0;
+}
+
+/* Flush every view loaded since the last flush. */
+static int
+views_flush(Window *w)
+{
+    Py_ssize_t i;
+    for (i = 0; i < w->ntouched; i++)
+        if (view_flush(w, &w->views[w->touched[i]]) < 0)
+            return -1;
+    return 0;
+}
+
 /* ---- machine attributes -------------------------------------------------------- */
 
 static int
@@ -516,7 +932,8 @@ static int
 publish_now(Window *w)
 {
     if (!w->cycle_synced) {
-        if (PyObject_SetAttr(w->machine, s_cycle, w->cycle_obj) < 0)
+        if (cycle_box(w) == NULL
+                || PyObject_SetAttr(w->machine, s_cycle, w->cycle_obj) < 0)
             return -1;
         w->cycle_synced = 1;
     }
@@ -528,13 +945,33 @@ publish_now(Window *w)
     return 0;
 }
 
-/* About to call into Python, which reads "now" and may write what
- * refresh() re-reads. */
+/* About to call into Python, which reads the slots and "now", and may
+ * write what refresh() re-reads and any slot: the views are flushed, and
+ * loaded again when next needed. */
 static int
 leave_c(Window *w)
 {
+    if (views_flush(w) < 0)
+        return -1;
+    w->ntouched = 0;
     w->calls++;
     return publish_now(w);
+}
+
+/* Every way out of a call: the views are flushed.  The exception being
+ * raised, if any, stays the one raised. */
+static int
+views_close(Window *w)
+{
+    Raised first;
+    SET_ASIDE(&first);
+    if (views_flush(w) < 0)
+        keep_first(&first);
+    w->ntouched = 0;
+    if (!RAISED(&first))
+        return 0;
+    RAISE_AGAIN(&first);
+    return -1;
 }
 
 /* Python ran: re-read what it may have written, and move in what it
@@ -658,7 +1095,7 @@ static int
 window_native(Tick *t, enum method site)
 {
     int status;
-    if (t->w == NULL)
+    if (t->w->alone)
         return 0;
     if ((status = access_context(t->w)) <= 0)
         return status;
@@ -708,23 +1145,21 @@ fail:
 }
 
 /* LBP.post of the native kind *kind* from *origin*'s domain to domain *dst*:
- * the key takes the origin's next ``_seq`` (boxed: Python reads it), and a
- * shard worker diverts an event for a domain it does not own to
- * ``_outbox``.  Steals *args*. */
+ * the key takes the origin's next ``_seq``, and a shard worker diverts an
+ * event for a domain it does not own to ``_outbox``.  Steals *args*. */
 static int
-post(Window *w, PyObject *origin, int64_t dst, int64_t when, int kind,
+post(Window *w, CoreView *origin, int64_t dst, int64_t when, int kind,
      PyObject *args)
 {
     int status = -1, mine = 1;
-    int64_t index, seq;
+    int64_t seq;
     PyObject *seq_obj = NULL, *dst_obj = NULL, *when_obj = NULL, *event;
     if (args == NULL)
         return -1;
-    GETI(index, origin, C.index);
-    GETI(seq, origin, C._seq);
-    if ((seq_obj = PyLong_FromLongLong(++seq)) == NULL)
+    if (fresh(w, origin, 0) < 0 || cgate(origin, G(_seq)) < 0)
         goto fail;
-    set_obj(origin, C._seq, seq_obj);
+    seq = origin->_seq + 1;
+    CSET(origin, _seq, seq);
     if (w->owned != Py_None
             && ((dst_obj = PyLong_FromLongLong(dst)) == NULL
                 || (mine = PySequence_Contains(w->owned, dst_obj)) < 0))
@@ -732,17 +1167,18 @@ post(Window *w, PyObject *origin, int64_t dst, int64_t when, int kind,
     if (mine) {
         if (heap_room(w, 1) < 0)
             goto fail;
-        w->heap[w->size] = (Event){when, index, seq, dst, kind,
+        w->heap[w->size] = (Event){when, origin->index, seq, dst, kind,
                                    *kind_name[kind], args, NULL};
         heap_push(w);
         args = NULL;  /* the heap's */
         status = 0;
     } else {
         PyObject *outbox;
-        if ((when_obj = PyLong_FromLongLong(when)) == NULL
+        if ((seq_obj = PyLong_FromLongLong(seq)) == NULL
+                || (when_obj = PyLong_FromLongLong(when)) == NULL
                 || (outbox = attr_list(w->machine, s__outbox)) == NULL)
             goto fail;
-        event = PyTuple_Pack(6, when_obj, SLOT(origin, C.index), seq_obj,
+        event = PyTuple_Pack(6, when_obj, origin->index_obj, seq_obj,
                              dst_obj, *kind_name[kind], args);
         status = event == NULL ? -1 : PyList_Append(outbox, event);
         Py_XDECREF(event);
@@ -766,13 +1202,11 @@ call_method(Window *w, PyObject *name, PyObject *const *args, size_t nargs)
     return called(PyObject_VectorcallMethod(name, args, nargs, NULL));
 }
 
-/* ResultBuffer.occupy(entry) for the load *entry* of *hart* */
+/* ResultBuffer.occupy(entry) for the load *entry* of *hv*'s hart */
 static int
-occupy(PyObject *hart, PyObject *entry, PyObject *low)
+occupy(HartView *hv, PyObject *entry, PyObject *low)
 {
-    PyObject *rb, *tag, *rd;
-    GETO(rb, hart, H.rb);
-    CHECK(rb, rb_type);
+    PyObject *rb = hv->rb, *tag, *rd;
     GETO(tag, entry, E.tag);
     GETO(rd, low, L.rd);
     set_bool(rb, R.busy, 1);
@@ -786,29 +1220,33 @@ fail:
     return -1;
 }
 
-/* ``hart.stats.loads`` / ``stores`` += 1 */
+/* ``hart.stats.stores`` (*store*) or ``loads`` += 1, *hv* a hart of *v* */
 static int
-count_access(PyObject *hart, Py_ssize_t off)
+count_access(Window *w, CoreView *v, HartView *hv, int store)
 {
-    PyObject *stats;
-    GETO(stats, hart, H.stats);
-    CHECK(stats, stats_type);
-    return add_int(stats, off, 1);
-fail:
-    return -1;
+    if (fresh(w, v, V_PIPE) < 0
+            || gate(v, HNUM(v, hv), G(stats) | (store ? G(stores) : G(loads)))
+            < 0)
+        return -1;
+    if (store)
+        HSET(hv, stores, hv->stores + 1);
+    else
+        HSET(hv, loads, hv->loads + 1);
+    return 0;
 }
 
 /* The issue of an access to the ticked core's own *bank* (its local bank,
  * or its shared one when *shared*) through *port*: Port.reserve, the bank
  * event(s) posted to this domain. */
 static int
-own_access(Tick *t, PyObject *hart, PyObject *entry, PyObject *low,
+own_access(Tick *t, HartView *hv, PyObject *entry, PyObject *low,
            enum access kind, PyObject *addr_obj, PyObject *port, int shared)
 {
     Window *w = t->w;
+    CoreView *v = t->v;
     int status = -1;
-    int64_t next_free, when, number;
-    PyObject *index, *gid, *tag, *width_obj;
+    int64_t next_free, when;
+    PyObject *tag, *width_obj;
     PyObject *after_obj = NULL, *ref = NULL;
 
     /* Port.reserve(now + local_mem_latency) */
@@ -820,42 +1258,38 @@ own_access(Tick *t, PyObject *hart, PyObject *entry, PyObject *low,
     if ((after_obj = PyLong_FromLongLong(when + 1)) == NULL)
         goto fail;
     set_obj(port, P.next_free, after_obj);
-    GETO(index, t->core, C.index);
-    GETI(number, t->core, C.index);
     if (shared) {
-        PyObject *counters;
-        if ((counters = list_item(w->per_core, number)) == NULL)
+        if (fresh(w, v, V_COUNTERS) < 0)
             goto fail;
-        CHECK(counters, counters_type);
-        if (add_int(counters, K.local_accesses, 1) < 0)
-            goto fail;
+        KSET(v, local_accesses, v->local_accesses + 1);
     }
-    GETO(gid, hart, H.gid);
     GETO(tag, entry, E.tag);
     GETO(width_obj, low, L.width);
-    if ((ref = PyTuple_Pack(2, shared ? s_shared : s_local, index)) == NULL)
+    if ((ref = PyTuple_Pack(2, shared ? s_shared : s_local, v->index_obj))
+            == NULL)
         goto fail;
     if (kind == ACC_STORE) {
         PyObject *value;
         GETO(value, entry, E.val1);
-        if (add_int(hart, H.outstanding_mem, 1) < 0
-                || post(w, t->core, number, when, EV_store_write,
-                        PyTuple_Pack(7, ref, addr_obj, value, width_obj,
-                                     index, gid, tag)) < 0
-                || count_access(hart, S.stores) < 0)
+        HSET(hv, outstanding_mem, hv->outstanding_mem + 1);
+        if (post(w, v, v->index, when, EV_store_write,
+                 PyTuple_Pack(7, ref, addr_obj, value, width_obj,
+                              v->index_obj, hv->gid_obj, tag)) < 0
+                || count_access(w, v, hv, 1) < 0)
             goto fail;
     } else {
         PyObject *mnemonic;
         GETO(mnemonic, low, L.mnemonic);
         /* the read is done at when + 1: the port's next free cycle */
-        if (occupy(hart, entry, low) < 0
-                || add_int(hart, H.outstanding_mem, 1) < 0
-                || post(w, t->core, number, when, EV_load_read,
-                        PyTuple_Pack(7, ref, addr_obj, width_obj, mnemonic,
-                                     after_obj, index, gid)) < 0
-                || post(w, t->core, number, when + 1, EV_load_done,
-                        PyTuple_Pack(1, gid)) < 0
-                || (kind == ACC_LOAD && count_access(hart, S.loads) < 0))
+        if (occupy(hv, entry, low) < 0)
+            goto fail;
+        HSET(hv, outstanding_mem, hv->outstanding_mem + 1);
+        if (post(w, v, v->index, when, EV_load_read,
+                 PyTuple_Pack(7, ref, addr_obj, width_obj, mnemonic,
+                              after_obj, v->index_obj, hv->gid_obj)) < 0
+                || post(w, v, v->index, when + 1, EV_load_done,
+                        PyTuple_Pack(1, hv->gid_obj)) < 0
+                || (kind == ACC_LOAD && count_access(w, v, hv, 0) < 0))
             goto fail;
     }
     status = 1;
@@ -1070,16 +1504,14 @@ remote_issue(Tick *t, PyObject *gid, PyObject *owner_obj, int64_t rtt)
 {
     Window *w = t->w;
     int native, status = -1;
-    int64_t index;
-    PyObject *index_obj, *slot, *fifos, *fifo, *eta = NULL;
-    GETO(index_obj, t->core, C.index);
+    PyObject *slot, *fifos, *fifo, *eta = NULL;
     if ((native = window_charges(w)) <= 0) {
-        PyObject *call[] = {w->metrics, index_obj, gid, t->cycle_obj,
+        PyObject *call[] = {w->metrics, t->v->index_obj, gid, cycle_box(w),
                             owner_obj};
-        return native < 0 ? -1 : call_method(w, s_remote_issue, call, 5);
+        return native < 0 || call[3] == NULL ? -1
+            : call_method(w, s_remote_issue, call, 5);
     }
-    GETI(index, t->core, C.index);
-    if ((slot = telemetry(w->metrics, index)) == NULL
+    if ((slot = telemetry(w->metrics, t->v->index)) == NULL
             || (eta = PyLong_FromLongLong(t->cycle + rtt)) == NULL)
         goto fail;
     GETO(fifos, slot, TS.remote_inflight);
@@ -1108,22 +1540,19 @@ fail:
 /* The issue of an access to core *owner*'s shared bank: the request crosses
  * the router tree to the owner's domain (rreq_load / rreq_store). */
 static int
-remote_access(Tick *t, PyObject *hart, PyObject *entry, PyObject *low,
+remote_access(Tick *t, HartView *hv, PyObject *entry, PyObject *low,
               enum access kind, PyObject *addr_obj, int64_t owner)
 {
     Window *w = t->w;
+    CoreView *v = t->v;
     int status = -1, count;
-    int64_t index, t_up;
+    int64_t index = v->index, t_up;
     Hop path[MAX_HOPS], back[MAX_HOPS];
-    PyObject *counters, *index_obj, *gid, *width_obj, *links = NULL;
+    PyObject *gid = hv->gid_obj, *width_obj, *links = NULL;
     PyObject *owner_obj = NULL, *args = NULL;
 
-    GETO(index_obj, t->core, C.index);
-    GETI(index, t->core, C.index);
-    if ((counters = list_item(w->per_core, index)) == NULL)
+    if (fresh(w, v, V_COUNTERS) < 0)
         goto fail;
-    CHECK(counters, counters_type);
-    GETO(gid, hart, H.gid);
     GETO(width_obj, low, L.width);
     GETO(links, t->core, C.links);
     /* the request's args hold what they carry across the calls below */
@@ -1133,22 +1562,19 @@ remote_access(Tick *t, PyObject *hart, PyObject *entry, PyObject *low,
         PyObject *value, *tag;
         GETO(value, entry, E.val1);
         GETO(tag, entry, E.tag);
-        args = PyTuple_Pack(7, index_obj, gid, owner_obj, addr_obj, value,
+        args = PyTuple_Pack(7, v->index_obj, gid, owner_obj, addr_obj, value,
                             width_obj, tag);
     } else {
         PyObject *mnemonic;
         GETO(mnemonic, low, L.mnemonic);
-        args = PyTuple_Pack(6, index_obj, gid, owner_obj, addr_obj,
+        args = PyTuple_Pack(6, v->index_obj, gid, owner_obj, addr_obj,
                             width_obj, mnemonic);
     }
-    if (args == NULL)
+    if (args == NULL || (kind != ACC_STORE && occupy(hv, entry, low) < 0))
         goto fail;
-    Py_INCREF(hart);
+    KSET(v, remote_accesses, v->remote_accesses + 1);
+    HSET(hv, outstanding_mem, hv->outstanding_mem + 1);
     Py_INCREF(links);
-    if (add_int(counters, K.remote_accesses, 1) < 0
-            || (kind != ACC_STORE && occupy(hart, entry, low) < 0)
-            || add_int(hart, H.outstanding_mem, 1) < 0)
-        goto release;
     count = request_path(index, owner, path);
     if (w->metered
             && remote_issue(t, gid, owner_obj,
@@ -1157,15 +1583,14 @@ remote_access(Tick *t, PyObject *hart, PyObject *entry, PyObject *low,
         goto release;
     if (reserve_path(w, links, path, count, t->cycle, &t_up) < 0)
         goto release;
-    status = post(w, t->core, owner, t_up,
+    status = post(w, v, owner, t_up,
                   kind == ACC_STORE ? EV_rreq_store : EV_rreq_load, args);
     args = NULL;  /* post took it */
     if (status == 0 && kind != ACC_LWCV)
-        status = count_access(hart, kind == ACC_STORE ? S.stores : S.loads);
+        status = count_access(w, v, hv, kind == ACC_STORE);
     if (status == 0)
         status = 1;
 release:
-    Py_DECREF(hart);
     Py_DECREF(links);
 fail:
     Py_XDECREF(owner_obj);
@@ -1177,7 +1602,7 @@ fail:
  * window_native said yes.  1: it is an access spelled here and is issued;
  * 0: it is not, nothing is changed and the caller calls Core._execute. */
 static int
-mem_access(Tick *t, PyObject *hart, PyObject *entry, PyObject *low,
+mem_access(Tick *t, HartView *hv, PyObject *entry, PyObject *low,
            enum access kind)
 {
     Window *w = t->w;
@@ -1189,11 +1614,9 @@ mem_access(Tick *t, PyObject *hart, PyObject *entry, PyObject *low,
     GETI(imm, low, L.imm);
     if (kind == ACC_LWCV) {
         /* machine.cv_address: the hart's own CV area, not masked */
-        int64_t number;
-        GETI(number, hart, H.index);
-        if (number < 0 || number > 3)
+        if (hv->index < 0 || hv->index > 3)
             return 0;
-        addr = cv_base[number] + imm;
+        addr = cv_base[hv->index] + imm;
     } else {
         int64_t base;
         GETI(base, entry, E.val0);
@@ -1218,13 +1641,11 @@ mem_access(Tick *t, PyObject *hart, PyObject *entry, PyObject *low,
             /* memmap.owner_core_of: another core's shared bank?  (Not
              * the code bank, nothing unmapped, no bytes past the end of
              * this core's own bank: Python reports those.) */
-            int64_t index;
             PyObject *core;
-            GETI(index, t->core, C.index);
             if (addr < global_base)
                 return 0;
             owner = (addr - global_base) / global_bank_size;
-            if (owner >= w->num_cores || owner == index
+            if (owner >= w->num_cores || owner == t->v->index
                     || owner >= PyList_GET_SIZE(w->cores))
                 return 0;
             core = PyList_GET_ITEM(w->cores, owner);
@@ -1240,8 +1661,8 @@ mem_access(Tick *t, PyObject *hart, PyObject *entry, PyObject *low,
         goto fail;
     if ((status = is_device(w, addr_obj)) == 0)
         status = port != NULL
-            ? own_access(t, hart, entry, low, kind, addr_obj, port, shared)
-            : remote_access(t, hart, entry, low, kind, addr_obj, owner);
+            ? own_access(t, hv, entry, low, kind, addr_obj, port, shared)
+            : remote_access(t, hv, entry, low, kind, addr_obj, owner);
     else if (status > 0)
         status = 0;  /* a device's: the Python path talks to it */
     Py_DECREF(addr_obj);
@@ -1252,25 +1673,21 @@ fail:
 
 /* ---- the memory-access event kinds (NATIVE_KINDS) ---------------------------------- */
 
-/* hart *gid_obj* of this machine and its core, borrowed; 0: no such hart */
+/* hart *gid_obj* of this machine: the view of its core and its part of it;
+ * 0: no such hart */
 static int
-hart_of(Window *w, PyObject *gid_obj, PyObject **core, PyObject **hart)
+hart_of(Window *w, PyObject *gid_obj, CoreView **v, HartView **hv)
 {
-    PyObject *harts;
     int64_t gid = PyLong_Check(gid_obj) ? as_int(gid_obj) : -1;
     if (gid < 0 || (gid >> 2) >= PyList_GET_SIZE(w->cores)) {
         PyErr_Clear();  /* an id beyond int64 is no hart either */
         return 0;
     }
-    *core = PyList_GET_ITEM(w->cores, gid >> 2);
-    CHECK(*core, core_type);
-    GETLIST(harts, *core, C.harts);
-    if ((*hart = list_item(harts, gid & 3)) == NULL)
-        goto fail;
-    CHECK(*hart, hart_type);
+    if ((*v = view_at(w, gid >> 2, V_PIPE)) == NULL
+            || gate(*v, (int)(gid & 3), HART_ALL) < 0)
+        return -1;
+    *hv = &(*v)->h[gid & 3];
     return 1;
-fail:
-    return -1;
 }
 
 /* an exact int in [0, bound), or -1 (the Python handler deals with
@@ -1279,7 +1696,7 @@ static int64_t
 index_in(PyObject *obj, Py_ssize_t bound)
 {
     int64_t value;
-    return one_digit(obj, &value) && value >= 0 && value < bound ? value : -1;
+    return small_int(obj, &value) && value >= 0 && value < bound ? value : -1;
 }
 
 /* The bytes core *index_obj*'s local bank, or shared one when *shared*,
@@ -1351,7 +1768,7 @@ static int
 write_bytes(char *at, PyObject *value_obj, int64_t width)
 {
     int64_t small;
-    uint64_t value = one_digit(value_obj, &small) ? (uint64_t)small
+    uint64_t value = small_int(value_obj, &small) ? (uint64_t)small
         : PyLong_AsUnsignedLongLongMask(value_obj);
     if (PyErr_Occurred())
         return -1;
@@ -1372,38 +1789,30 @@ load_value(PyObject *mnemonic, uint32_t raw)
     return raw;
 }
 
-/* ResultBuffer.fill(value, ready_at) on *hart* of *core*, *ready_obj*
- * holding *ready_at* */
+/* ResultBuffer.fill(value, ready_at) on *hv*'s hart, of core *v*,
+ * *ready_obj* holding *ready_at* */
 static int
-fill(PyObject *core, PyObject *hart, uint32_t value, PyObject *ready_obj,
+fill(CoreView *v, HartView *hv, uint32_t value, PyObject *ready_obj,
      int64_t ready_at)
 {
-    int64_t wake;
-    PyObject *rb;
-    GETO(rb, hart, H.rb);
-    CHECK(rb, rb_type);
-    GETI(wake, core, C._wb_wake);
-    SETI(rb, R.value, value);
-    set_obj(rb, R.ready_at, ready_obj);
-    if (ready_at < wake)
-        set_obj(core, C._wb_wake, ready_obj);
-    return 0;
+    SETI(hv->rb, R.value, value);
+    set_obj(hv->rb, R.ready_at, ready_obj);
+    return lower_wb_wake(v, ready_at, ready_obj);
 fail:
     return -1;
 }
 
-/* _rob_by_tag: 1 and *entry* (borrowed) when *hart*'s ROB holds *tag_obj*,
+/* _rob_by_tag: 1 and *entry* (borrowed) when *hv*'s ROB holds *tag_obj*,
  * else 0 (the Python handler words the assertion) */
 static int
-rob_entry(PyObject *hart, PyObject *tag_obj, PyObject **entry)
+rob_entry(HartView *hv, PyObject *tag_obj, PyObject **entry)
 {
     int same = 0;
     int64_t tag = as_int(tag_obj);
     Py_ssize_t i;
-    PyObject *rob;
+    PyObject *rob = hv->rob;
     if (tag == -1 && PyErr_Occurred())
         goto fail;
-    GETLIST(rob, hart, H.rob);
     for (i = 0; i < PyList_GET_SIZE(rob) && !same; i++) {
         PyObject *entry_tag;
         *entry = PyList_GET_ITEM(rob, i);
@@ -1459,12 +1868,14 @@ fail:
 /* _ev_load_read(bank_ref, addr, width, mnemonic, t_done, core_index,
  * hart_gid): the bank-side read fills the hart's writeback buffer */
 static int
-ev_load_read(Window *w, PyObject *Py_UNUSED(domain), PyObject *args)
+ev_load_read(Window *w, CoreView *Py_UNUSED(domain), PyObject *args)
 {
     int status;
     int64_t width, ready_at;
     char *at;
-    PyObject *mnemonic, *done_obj, *core, *hart;
+    CoreView *v;
+    HartView *hv;
+    PyObject *mnemonic, *done_obj;
     if (PyTuple_GET_SIZE(args) != 7
             || !PyUnicode_Check(mnemonic = PyTuple_GET_ITEM(args, 3))
             || !PyLong_Check(done_obj = PyTuple_GET_ITEM(args, 4)))
@@ -1472,12 +1883,11 @@ ev_load_read(Window *w, PyObject *Py_UNUSED(domain), PyObject *args)
     if ((status = event_bytes(w, PyTuple_GET_ITEM(args, 0),
                               PyTuple_GET_ITEM(args, 1),
                               PyTuple_GET_ITEM(args, 2), &at, &width)) <= 0
-            || (status = hart_of(w, PyTuple_GET_ITEM(args, 6), &core,
-                                 &hart)) <= 0)
+            || (status = hart_of(w, PyTuple_GET_ITEM(args, 6), &v, &hv)) <= 0)
         return status;
     ready_at = as_int(done_obj);
     if ((ready_at == -1 && PyErr_Occurred())
-            || fill(core, hart, load_value(mnemonic, read_bytes(at, width)),
+            || fill(v, hv, load_value(mnemonic, read_bytes(at, width)),
                     done_obj, ready_at) < 0)
         return -1;
     return 1;
@@ -1485,26 +1895,30 @@ ev_load_read(Window *w, PyObject *Py_UNUSED(domain), PyObject *args)
 
 /* _ev_load_done(hart_gid) */
 static int
-ev_load_done(Window *w, PyObject *Py_UNUSED(domain), PyObject *args)
+ev_load_done(Window *w, CoreView *Py_UNUSED(domain), PyObject *args)
 {
     int status;
-    PyObject *core, *hart;
+    CoreView *v;
+    HartView *hv;
     if (PyTuple_GET_SIZE(args) != 1)
         return 0;
-    if ((status = hart_of(w, PyTuple_GET_ITEM(args, 0), &core, &hart)) <= 0)
+    if ((status = hart_of(w, PyTuple_GET_ITEM(args, 0), &v, &hv)) <= 0)
         return status;
-    return add_int(hart, H.outstanding_mem, -1) < 0 ? -1 : 1;
+    HSET(hv, outstanding_mem, hv->outstanding_mem - 1);
+    return 1;
 }
 
 /* _ev_store_write(bank_ref, addr, value, width, core_index, hart_gid, tag):
  * the bank-side write completes the store's ROB entry */
 static int
-ev_store_write(Window *w, PyObject *Py_UNUSED(domain), PyObject *args)
+ev_store_write(Window *w, CoreView *Py_UNUSED(domain), PyObject *args)
 {
     int status;
     int64_t width;
     char *at;
-    PyObject *value_obj, *tag_obj, *core, *hart, *entry;
+    CoreView *v;
+    HartView *hv;
+    PyObject *value_obj, *tag_obj, *entry;
     if (PyTuple_GET_SIZE(args) != 7
             || !PyLong_Check(value_obj = PyTuple_GET_ITEM(args, 2))
             || !PyLong_Check(tag_obj = PyTuple_GET_ITEM(args, 6)))
@@ -1512,13 +1926,12 @@ ev_store_write(Window *w, PyObject *Py_UNUSED(domain), PyObject *args)
     if ((status = event_bytes(w, PyTuple_GET_ITEM(args, 0),
                               PyTuple_GET_ITEM(args, 1),
                               PyTuple_GET_ITEM(args, 3), &at, &width)) <= 0
-            || (status = hart_of(w, PyTuple_GET_ITEM(args, 5), &core,
-                                 &hart)) <= 0
-            || (status = rob_entry(hart, tag_obj, &entry)) <= 0)
+            || (status = hart_of(w, PyTuple_GET_ITEM(args, 5), &v, &hv)) <= 0
+            || (status = rob_entry(hv, tag_obj, &entry)) <= 0)
         return status;
-    if (add_int(hart, H.outstanding_mem, -1) < 0
-            || write_bytes(at, value_obj, width) < 0)
+    if (write_bytes(at, value_obj, width) < 0)
         return -1;
+    HSET(hv, outstanding_mem, hv->outstanding_mem - 1);
     set_bool(entry, E.done, 1);
     return 1;
 }
@@ -1562,7 +1975,7 @@ fail:
 /* _ev_rreq_load(src, hart_gid, owner, addr, width, mnemonic): the bank read
  * is booked, and with it the reply's way back */
 static int
-ev_rreq_load(Window *w, PyObject *domain, PyObject *args)
+ev_rreq_load(Window *w, CoreView *domain, PyObject *args)
 {
     int status, i;
     int64_t src, owner, t_bank, t_back;
@@ -1585,7 +1998,7 @@ ev_rreq_load(Window *w, PyObject *domain, PyObject *args)
 /* _ev_bank_read(src, hart_gid, owner, addr, width, mnemonic, t_done): the
  * owner's bank is read, the value travels back as rrep_load */
 static int
-ev_bank_read(Window *w, PyObject *domain, PyObject *args)
+ev_bank_read(Window *w, CoreView *domain, PyObject *args)
 {
     int status;
     int64_t src, t_done, width;
@@ -1595,7 +2008,7 @@ ev_bank_read(Window *w, PyObject *domain, PyObject *args)
             || !PyUnicode_Check(mnemonic = PyTuple_GET_ITEM(args, 5))
             || (src = index_in(PyTuple_GET_ITEM(args, 0),
                                PyList_GET_SIZE(w->cores))) < 0
-            || !one_digit(PyTuple_GET_ITEM(args, 6), &t_done) || t_done < 0)
+            || !small_int(PyTuple_GET_ITEM(args, 6), &t_done) || t_done < 0)
         return 0;
     if ((status = bank_bytes(w, PyTuple_GET_ITEM(args, 2), 1,
                              PyTuple_GET_ITEM(args, 3),
@@ -1615,32 +2028,33 @@ ev_bank_read(Window *w, PyObject *domain, PyObject *args)
 /* _ev_rrep_load(src, hart_gid, addr, value): the reply fills the hart's
  * writeback buffer, ready now */
 static int
-ev_rrep_load(Window *w, PyObject *Py_UNUSED(domain), PyObject *args)
+ev_rrep_load(Window *w, CoreView *Py_UNUSED(domain), PyObject *args)
 {
     int status;
     int64_t small;
     uint32_t value;
-    PyObject *value_obj, *core, *hart;
+    CoreView *v;
+    HartView *hv;
+    PyObject *value_obj, *now;
     if (PyTuple_GET_SIZE(args) != 4
             || !PyLong_Check(value_obj = PyTuple_GET_ITEM(args, 3)))
         return 0;
-    if ((status = hart_of(w, PyTuple_GET_ITEM(args, 1), &core, &hart)) <= 0)
+    if ((status = hart_of(w, PyTuple_GET_ITEM(args, 1), &v, &hv)) <= 0)
         return status;
-    value = (uint32_t)(one_digit(value_obj, &small) ? (uint64_t)small
+    value = (uint32_t)(small_int(value_obj, &small) ? (uint64_t)small
                        : PyLong_AsUnsignedLongLongMask(value_obj));
-    if (PyErr_Occurred()
-            || fill(core, hart, value, w->cycle_obj, w->cycle) < 0
-            || add_int(hart, H.outstanding_mem, -1) < 0
-            || remote_done(w, PyTuple_GET_ITEM(args, 0),
-                           PyTuple_GET_ITEM(args, 1)) < 0)
+    if (PyErr_Occurred() || (now = cycle_box(w)) == NULL
+            || fill(v, hv, value, now, w->cycle) < 0)
         return -1;
-    return 1;
+    HSET(hv, outstanding_mem, hv->outstanding_mem - 1);
+    return remote_done(w, PyTuple_GET_ITEM(args, 0),
+                       PyTuple_GET_ITEM(args, 1)) < 0 ? -1 : 1;
 }
 
 /* _ev_rreq_store(src, hart_gid, owner, addr, value, width, tag): the bank
  * write is booked, and the ack's way back */
 static int
-ev_rreq_store(Window *w, PyObject *domain, PyObject *args)
+ev_rreq_store(Window *w, CoreView *domain, PyObject *args)
 {
     int status, i;
     int64_t src, owner, t_bank, t_back;
@@ -1661,7 +2075,7 @@ ev_rreq_store(Window *w, PyObject *domain, PyObject *args)
 
 /* _ev_bank_write(owner, addr, value, width) */
 static int
-ev_bank_write(Window *w, PyObject *Py_UNUSED(domain), PyObject *args)
+ev_bank_write(Window *w, CoreView *Py_UNUSED(domain), PyObject *args)
 {
     int status;
     int64_t width;
@@ -1684,16 +2098,18 @@ static int
 remote_ack(Window *w, PyObject *args, Py_ssize_t tag_at)
 {
     int status;
-    PyObject *tag_obj, *core, *hart, *entry;
+    CoreView *v;
+    HartView *hv;
+    PyObject *tag_obj, *entry;
     if (!PyLong_Check(tag_obj = PyTuple_GET_ITEM(args, tag_at)))
         return 0;
-    if ((status = hart_of(w, PyTuple_GET_ITEM(args, 1), &core, &hart)) <= 0
-            || (status = rob_entry(hart, tag_obj, &entry)) <= 0)
+    if ((status = hart_of(w, PyTuple_GET_ITEM(args, 1), &v, &hv)) <= 0
+            || (status = rob_entry(hv, tag_obj, &entry)) <= 0)
         return status;
     Py_INCREF(entry);  /* remote_done is Python */
-    if (add_int(hart, H.outstanding_mem, -1) < 0
-            || remote_done(w, PyTuple_GET_ITEM(args, 0),
-                           PyTuple_GET_ITEM(args, 1)) < 0)
+    HSET(hv, outstanding_mem, hv->outstanding_mem - 1);
+    if (remote_done(w, PyTuple_GET_ITEM(args, 0),
+                    PyTuple_GET_ITEM(args, 1)) < 0)
         status = -1;
     else
         set_bool(entry, E.done, 1);
@@ -1703,7 +2119,7 @@ remote_ack(Window *w, PyObject *args, Py_ssize_t tag_at)
 
 /* _ev_rack_store(src, hart_gid, addr, value, tag): the owner wrote */
 static int
-ev_rack_store(Window *w, PyObject *Py_UNUSED(domain), PyObject *args)
+ev_rack_store(Window *w, CoreView *Py_UNUSED(domain), PyObject *args)
 {
     return PyTuple_GET_SIZE(args) == 5 ? remote_ack(w, args, 4) : 0;
 }
@@ -1711,103 +2127,61 @@ ev_rack_store(Window *w, PyObject *Py_UNUSED(domain), PyObject *args)
 /* ---- the idle settlement ------------------------------------------------------------ */
 
 /* Core.settle_idle(now), compiled: the gated-off cycles [idle_since, now)
- * are charged in one step -- ``skipped_cycles``, the gated-idle charge,
- * then ``idle_since`` -- by a window (*w*) before an event runs in a gated
- * core's domain, or called from Python (NULL).  The charge is made here
- * for a Core under native charges; a ReferenceCore's is the call to
- * ``Metrics.idle`` its reference tick makes too. */
+ * of the core of *v* are charged in one step -- ``skipped_cycles``, the
+ * gated-idle charge, then ``idle_since`` -- by a window before an event
+ * runs in a gated core's domain, or for a call from Python.  The charge is
+ * made here for a Core under native charges; a ReferenceCore's is the
+ * call to ``Metrics.idle`` its reference tick makes too. */
 static int
-settle(Window *w, PyObject *core, PyObject *now_obj)
+settle(Window *w, CoreView *v, int64_t now)
 {
     int status = -1, native;
-    int64_t now, since, index;
-    PyObject *machine, *since_obj, *index_obj, *counters;
-    PyObject *list = NULL, *metrics = NULL, *delta_obj = NULL;
-    now = as_int(now_obj);
-    if (now == -1 && PyErr_Occurred())
+    int64_t since;
+    PyObject *index_obj, *since_obj = NULL, *delta_obj = NULL;
+    if (fresh(w, v, 0) < 0 || cgate(v, G(idle_since)) < 0)
         return -1;
-    GETO(since_obj, core, C.idle_since);
-    since = as_int(since_obj);
-    if (since == -1 && PyErr_Occurred())
-        return -1;
-    if (now - since <= 0)
+    if (now - (since = v->idle_since) <= 0)
         return 0;
-    GETO(machine, core, C.machine);
-    GETO(index_obj, core, C.index);
-    GETI(index, core, C.index);
-    /* held across the calls below */
-    Py_INCREF(since_obj);
-    Py_INCREF(index_obj);
-    if (w != NULL) {
-        if ((list = per_core(w)) != NULL) {
-            Py_INCREF(list);
-            metrics = new_ref(w->metrics);
-        }
-    } else {
-        PyObject *stats = PyObject_GetAttr(machine, s_stats);
-        list = stats == NULL ? NULL : attr_list(stats, s_per_core);
-        Py_XDECREF(stats);
-        if (list != NULL)
-            metrics = PyObject_GetAttr(machine, s_metrics);
-    }
-    if (list == NULL || metrics == NULL
-            || (counters = list_item(list, index)) == NULL)
-        goto release;
-    if (!PyObject_TypeCheck(counters, counters_type)) {
-        wrong_type(counters_type->tp_name);
-        goto release;
-    }
-    if (add_int(counters, K.skipped_cycles, now - since) < 0)
-        goto release;
-    if (metrics != Py_None) {
-        if (Py_TYPE(core) != core_type)
+    if (w->metrics == NULL   /* a settlement called from Python */
+            && (w->metrics = PyObject_GetAttr(w->machine, s_metrics)) == NULL)
+        return -1;
+    if (fresh(w, v, V_COUNTERS) < 0)
+        return -1;
+    KSET(v, skipped_cycles, v->skipped_cycles + now - since);
+    index_obj = new_ref(v->index_obj);  /* held across the calls below */
+    if (w->metrics != Py_None) {
+        if (Py_TYPE(v->core) != core_type)
             native = 0;
-        else if ((native = w != NULL ? window_charges(w)
-                                     : hooks_native(metrics)) < 0)
+        else if ((native = window_charges(w)) < 0)
             goto release;
         if (native) {
-            if (charge_idle(w, metrics, index_obj, since, now - since) < 0)
+            if (charge_idle(w, w->metrics, index_obj, since, now - since) < 0)
                 goto release;
-        } else if ((delta_obj = PyLong_FromLongLong(now - since)) == NULL
-                   || called(callback(w, metrics, s_idle, index_obj,
+        } else if ((since_obj = PyLong_FromLongLong(since)) == NULL
+                   || (delta_obj = PyLong_FromLongLong(now - since)) == NULL
+                   || called(callback(w, w->metrics, s_idle, index_obj,
                                       since_obj, delta_obj)) < 0)
             goto release;
+        if (fresh(w, v, 0) < 0)
+            goto release;
     }
-    set_obj(core, C.idle_since, now_obj);
+    CSET(v, idle_since, now);
     status = 0;
 release:
-    Py_DECREF(since_obj);
     Py_DECREF(index_obj);
-    Py_XDECREF(list);
-    Py_XDECREF(metrics);
+    Py_XDECREF(since_obj);
     Py_XDECREF(delta_obj);
     return status;
-fail:
-    return -1;
 }
 
-static PyObject *
-core_settle_idle(PyObject *core, PyObject *now)
-{
-    if (settle(NULL, core, now) < 0)
-        return NULL;
-    Py_RETURN_NONE;
-}
-
-static PyMethodDef settle_def = {
-    "settle_idle", core_settle_idle, METH_O,
-    "settle_idle(now): charge the gated-off cycles [idle_since, now) in one "
-    "step (skipped_cycles and the metrics' gated_idle stall); the compiled "
-    "one, machine/_window.h."};
-
-/* The settlement of gated *core* before an event runs in its domain: the
- * compiled one while ``type(core).settle_idle`` is the descriptor bind()
- * made (looked up again after a call into Python), else whatever replaced
- * it, called the way Python calls it. */
+/* The settlement of gated *v*'s core before an event runs in its domain:
+ * the compiled one while ``type(core).settle_idle`` is the descriptor
+ * bind() made (looked up again after a call into Python), else whatever
+ * replaced it, called the way Python calls it. */
 static int
-settle_of(Window *w, PyObject *core)
+settle_of(Window *w, CoreView *v)
 {
-    PyObject *found;
+    PyObject *found, *core = v->core, *now;
     if (Py_TYPE(core) != w->settle_type
             || w->settle_checked != w->calls + 1) {
         if ((found = PyObject_GetAttr((PyObject *)Py_TYPE(core),
@@ -1819,11 +2193,10 @@ settle_of(Window *w, PyObject *core)
         Py_DECREF(found);
     }
     if (w->settle_direct)
-        return settle(w, core, w->cycle_obj);
-    if (leave_c(w) < 0)
+        return settle(w, v, w->cycle);
+    if ((now = cycle_box(w)) == NULL || leave_c(w) < 0)
         return -1;
-    return called(PyObject_CallMethodOneArg(core, s_settle_idle,
-                                            w->cycle_obj));
+    return called(PyObject_CallMethodOneArg(core, s_settle_idle, now));
 }
 
 /* ---- the team protocol --------------------------------------------------------------
@@ -1837,68 +2210,36 @@ settle_of(Window *w, PyObject *core)
  * error (or raises on) is made first, and a step that fails one is handed
  * to Python before anything has changed. */
 
-/* the harts of *core*, borrowed */
-static int
-core_harts(PyObject *core, PyObject **harts)
-{
-    int h;
-    PyObject *list;
-    CHECK(core, core_type);
-    GETLIST(list, core, C.harts);
-    if (PyList_GET_SIZE(list) != 4) {
-        wrong_type("list of four harts");
-        goto fail;
-    }
-    for (h = 0; h < 4; h++) {
-        harts[h] = PyList_GET_ITEM(list, h);
-        CHECK(harts[h], hart_type);
-    }
-    return 0;
-fail:
-    return -1;
-}
-
 /* Hart.is_free */
 static int
-is_free(PyObject *hart)
+is_free(const HartView *hv)
 {
     int flag;
-    PyObject *obj;
-    GETO(obj, hart, H.pc);
-    if (obj != Py_None)
+    if (hv->pc != Py_None || hv->reserved)
         return 0;
-    GETB(flag, hart, H.reserved);
-    if (flag)
+    GETB(flag, hv->hart, H.waiting_join);
+    if (flag || hv->fetch_buf != Py_None || PyList_GET_SIZE(hv->it)
+            || PyList_GET_SIZE(hv->rob))
         return 0;
-    GETB(flag, hart, H.waiting_join);
-    if (flag)
-        return 0;
-    GETO(obj, hart, H.fetch_buf);
-    if (obj != Py_None)
-        return 0;
-    GETLIST(obj, hart, H.it);
-    if (PyList_GET_SIZE(obj))
-        return 0;
-    GETLIST(obj, hart, H.rob);
-    if (PyList_GET_SIZE(obj))
-        return 0;
-    GETO(obj, hart, H.rb);
-    CHECK(obj, rb_type);
-    GETB(flag, obj, R.busy);
+    GETB(flag, hv->rb, R.busy);
     return !flag;
 fail:
     return -1;
 }
 
-/* Core.alloc_free_hart over a core's four *harts*: the index of the
- * lowest free one, 4 when none is */
+/* Core.alloc_free_hart over the harts of *v*: the index of the lowest free
+ * one, 4 when none is */
 static int
-free_hart(PyObject *const *harts)
+free_hart(Window *w, CoreView *v)
 {
-    int h, free;
-    for (h = 0; h < 4; h++)
-        if ((free = is_free(harts[h])) != 0)
-            return free < 0 ? -1 : h;
+    int h, found;
+    for (h = 0; h < 4; h++) {
+        if (fresh(w, v, V_PIPE) < 0 || gate(v, h, HART_ALL) < 0
+                || (found = is_free(&v->h[h])) < 0)
+            return -1;
+        if (found)
+            return h;
+    }
     return 4;
 }
 
@@ -1918,20 +2259,20 @@ static int
 low32(PyObject *value, uint32_t *out)
 {
     int64_t small;
-    *out = (uint32_t)(one_digit(value, &small) ? (uint64_t)small
+    *out = (uint32_t)(small_int(value, &small) ? (uint64_t)small
                       : PyLong_AsUnsignedLongLongMask(value));
     return PyErr_Occurred() ? -1 : 0;
 }
 
-/* Can wake_re_waiters run on *hart* for *slot* (every slot when -1)?
+/* Can wake_re_waiters run on *hv*'s hart for *slot* (every slot when -1)?
  * Each queue a list, each queue's head a 6-tuple descriptor; 0 when not
  * (the Python spelling deals with it). */
 static int
-waiters_ok(PyObject *hart, int64_t slot)
+waiters_ok(const HartView *hv, int64_t slot)
 {
     Py_ssize_t i, end;
     PyObject *lists, *queue;
-    GETO(lists, hart, H.re_waiters);
+    GETO(lists, hv->hart, H.re_waiters);
     if (!PyList_Check(lists) || slot >= PyList_GET_SIZE(lists))
         return 0;
     end = slot < 0 ? PyList_GET_SIZE(lists) : slot + 1;
@@ -1949,17 +2290,15 @@ fail:
     return -1;
 }
 
-/* LBP.wake_re_waiters(hart, slot), *core* being the hart's (and the
+/* LBP.wake_re_waiters(hart, slot), *v* being the hart's core (and the
  * domain running): the oldest parked p_swre delivery of *slot* (of every
  * slot when -1) is posted again, marked parked.  waiters_ok said yes. */
 static int
-wake_re_waiters(Window *w, PyObject *core, PyObject *hart, int64_t slot)
+wake_re_waiters(Window *w, CoreView *v, const HartView *hv, int64_t slot)
 {
-    int64_t index;
     Py_ssize_t i, k, end;
     PyObject *lists, *queue, *desc, *args;
-    GETI(index, core, C.index);
-    GETO(lists, hart, H.re_waiters);
+    GETO(lists, hv->hart, H.re_waiters);
     end = slot < 0 ? PyList_GET_SIZE(lists) : slot + 1;
     for (i = slot < 0 ? 0 : slot; i < end; i++) {
         queue = PyList_GET_ITEM(lists, i);
@@ -1973,7 +2312,7 @@ wake_re_waiters(Window *w, PyObject *core, PyObject *hart, int64_t slot)
             PyTuple_SET_ITEM(args, 6, new_ref(Py_True));
         }
         Py_DECREF(desc);
-        if (post(w, core, index, w->cycle + 1, EV_re_deliver, args) < 0)
+        if (post(w, v, v->index, w->cycle + 1, EV_re_deliver, args) < 0)
             goto fail;
     }
     return 0;
@@ -1981,90 +2320,83 @@ fail:
     return -1;
 }
 
-/* Hart.reserve_for_fork(parent): *hart* is allocated to hart *parent* */
+/* Hart.reserve_for_fork(parent): *hv*'s hart is allocated to hart
+ * *parent* */
 static int
-reserve_for_fork(PyObject *hart, PyObject *parent)
+reserve_for_fork(HartView *hv, PyObject *parent)
 {
-    int64_t index;
-    PyObject *regs, *buffers, *list, *sp;
-    GETI(index, hart, H.index);
-    GETLIST(regs, hart, H.regs);
-    GETLIST(buffers, hart, H.re_buffers);
-    if (index < 0 || index > 3 || list_item(regs, 2) == NULL) {
+    PyObject *buffers, *list, *sp;
+    GETLIST(buffers, hv->hart, H.re_buffers);
+    if (hv->index < 0 || hv->index > 3 || list_item(hv->regs, 2) == NULL) {
         if (!PyErr_Occurred())
             wrong_type("hart of index 0-3");
         goto fail;
     }
-    set_bool(hart, H.reserved, 1);
+    HSET(hv, reserved, 1);
     if ((list = none_list(32)) == NULL)
         goto fail;
-    set_obj(hart, H.rename, list);
+    view_set_rename(hv, list);
     Py_DECREF(list);
-    if ((sp = PyLong_FromLongLong(cv_base[index])) == NULL
-            || PyList_SetItem(regs, 2, sp) < 0)  /* steals sp */
+    if ((sp = PyLong_FromLongLong(cv_base[hv->index])) == NULL
+            || PyList_SetItem(hv->regs, 2, sp) < 0)  /* steals sp */
         goto fail;
     if ((list = none_list(PyList_GET_SIZE(buffers))) == NULL)
         goto fail;
-    set_obj(hart, H.re_buffers, list);
+    set_obj(hv->hart, H.re_buffers, list);
     Py_DECREF(list);
-    set_obj(hart, H.pred, parent);
-    set_bool(hart, H.pred_done, 0);
-    set_bool(hart, H.fetch_ok, 0);
+    set_obj(hv->hart, H.pred, parent);
+    HSET(hv, pred_done, 0);
+    HSET(hv, fetch_ok, 0);
     return 0;
 fail:
     return -1;
 }
 
-/* Core.activate() of *core*, in the window */
+/* Core.activate() of *v*'s core, in the window */
 static int
-activate(Window *w, PyObject *core)
+activate(Window *w, CoreView *v)
 {
-    int active;
-    GETB(active, core, C.active);
-    if (active)
+    if (cgate(v, G(active)) < 0)
+        return -1;
+    if (v->active)
         return 0;
-    if (settle_of(w, core) < 0
-            || (w->calls != w->seen && refresh(w) < 0))
-        goto fail;
-    set_bool(core, C.active, 1);
+    if (settle_of(w, v) < 0
+            || (w->calls != w->seen && refresh(w) < 0)
+            || fresh(w, v, 0) < 0)
+        return -1;
+    CSET(v, active, 1);
     w->num_active++;
     Py_CLEAR(w->active);  /* the loop rebuilds its list */
     if (set_attr_int(w->machine, s__num_active, w->num_active) < 0
             || PyObject_SetAttr(w->machine, s__active_cores, Py_None) < 0)
-        goto fail;
+        return -1;
     return 0;
-fail:
-    return -1;
 }
 
-/* Hart.start(pc, now) on *hart* of *core* */
+/* Hart.start(pc, now) on *hv*'s hart of *v*'s core */
 static int
-hart_start(Window *w, PyObject *core, PyObject *hart, PyObject *pc)
+hart_start(Window *w, CoreView *v, HartView *hv, PyObject *pc)
 {
-    PyObject *fetch_buf;
-    set_obj(hart, H.pc, pc);
-    set_bool(hart, H.reserved, 0);
-    set_bool(hart, H.waiting_join, 0);
-    set_bool(hart, H.awaiting_nextpc, 0);
-    set_bool(hart, H.syncm_block, 0);
-    set_obj(hart, H.fetch_ready_at, w->next_obj);
-    GETO(fetch_buf, hart, H.fetch_buf);
-    set_bool(hart, H.fetch_ok, fetch_buf == Py_None);
-    return activate(w, core);
-fail:
-    return -1;
+    HSET_OBJ(hv, pc, pc);
+    HSET(hv, reserved, 0);
+    set_bool(hv->hart, H.waiting_join, 0);
+    HSET(hv, awaiting_nextpc, 0);
+    HSET(hv, syncm_block, 0);
+    HSET(hv, fetch_ready_at, w->cycle + 1);
+    HSET(hv, fetch_ok, hv->fetch_buf == Py_None);
+    return activate(w, v);
 }
 
 /* Hart.end() */
 static void
-hart_end(PyObject *hart)
+hart_end(HartView *hv)
 {
-    set_none(hart, H.pc);
-    set_bool(hart, H.awaiting_nextpc, 0);
-    set_bool(hart, H.syncm_block, 0);
-    set_bool(hart, H.reserved, 0);
-    set_bool(hart, H.waiting_join, 0);
-    set_bool(hart, H.fetch_ok, 0);
+    HSET_OBJ(hv, pc, Py_None);
+    HSET(hv, awaiting_nextpc, 0);
+    HSET(hv, syncm_block, 0);
+    HSET(hv, reserved, 0);
+    set_bool(hv->hart, H.waiting_join, 0);
+    HSET(hv, fetch_ok, 0);
 }
 
 /* links.reserve_path(forward_links(src, dst), start) for *dst* src or
@@ -2111,24 +2443,25 @@ fail:
     return NULL;
 }
 
-/* *args* posted as *kind* from domain *core* (index *index*) to core
- * *dst*, one cycle after its path *forward* (or back) from index to dst
- * is free.  Steals *args*. */
+/* *args* posted as *kind* from the domain of *v* to core *dst*, one cycle
+ * after its path *forward* (or back) from v's core to dst is free.  Steals
+ * *args*.  (The view may need loading again after: the path may have run
+ * Python.) */
 static int
-send_along(Window *w, PyObject *core, int64_t index, int64_t dst,
-           int forward, int kind, PyObject *args)
+send_along(Window *w, CoreView *v, int64_t dst, int forward, int kind,
+           PyObject *args)
 {
     int status = -1;
-    int64_t when;
+    int64_t when, index = v->index;
     PyObject *links;
     if (args == NULL)
         return -1;
-    if ((links = links_of(core)) != NULL
+    if ((links = links_of(v->core)) != NULL
             && (forward ? reserve_forward(w, links, index, dst, w->cycle,
                                           &when)
                 : reserve_backward(w, links, index, dst, w->cycle,
                                    &when)) == 0) {
-        status = post(w, core, dst, when + 1, kind, args);
+        status = post(w, v, dst, when + 1, kind, args);
         args = NULL;
     }
     Py_XDECREF(links);
@@ -2137,88 +2470,70 @@ send_along(Window *w, PyObject *core, int64_t index, int64_t dst,
 }
 
 /* LBP.grant_fork(core, child, src, parent): *child* (a hart of domain
- * *core*) is allocated to hart *parent_obj* of core *src* (no later core
+ * *v*) is allocated to hart *parent_obj* of core *src* (no later core
  * than this one: the caller checked), its token sent along the backward
  * line.
  * waiters_ok(child) said yes. */
 static int
-grant_fork(Window *w, PyObject *core, PyObject *child, int64_t src,
+grant_fork(Window *w, CoreView *v, HartView *child, int64_t src,
            PyObject *parent_obj)
 {
-    int64_t index;
-    PyObject *gid;
-    GETI(index, core, C.index);
-    GETO(gid, child, H.gid);
+    PyObject *gid = child->gid_obj;
     if (reserve_for_fork(child, parent_obj) < 0
-            || wake_re_waiters(w, core, child, -1) < 0)
-        goto fail;
-    return send_along(w, core, index, src, 0, EV_fork_grant,
+            || wake_re_waiters(w, v, child, -1) < 0)
+        return -1;
+    return send_along(w, v, src, 0, EV_fork_grant,
                       PyTuple_Pack(2, parent_obj, gid));
-fail:
-    return -1;
 }
 
 /* core._fork, the tail p_fc and p_fn share: hart *target* (an int) is
- * *hart*'s successor and the instruction's result */
+ * *hv*'s successor and the instruction's result */
 static int
-fork_to(Tick *t, PyObject *hart, PyObject *entry, PyObject *low,
+fork_to(Tick *t, HartView *hv, PyObject *entry, PyObject *low,
         PyObject *target)
 {
     uint32_t gid;
-    int64_t index;
-    PyObject *stats, *counters;
-    GETI(index, t->core, C.index);
-    if ((counters = list_item(t->w->per_core, index)) == NULL)
-        goto fail;
-    CHECK(counters, counters_type);
-    GETO(stats, hart, H.stats);
-    CHECK(stats, stats_type);
-    if (low32(target, &gid) < 0)
-        goto fail;
-    set_obj(hart, H.succ, target);
-    if (add_int(stats, S.forks, 1) < 0
-            || add_int(counters, K.forks, 1) < 0
-            || finish_at(t, hart, entry, low, gid, t->cycle + 1) < 0)
-        goto fail;
-    return 1;
-fail:
-    return -1;
+    CoreView *v = t->v;
+    if (fresh(t->w, v, V_PIPE | V_COUNTERS) < 0
+            || gate(v, HNUM(v, hv), G(stats) | G(forks)) < 0
+            || low32(target, &gid) < 0)
+        return -1;
+    set_obj(hv->hart, H.succ, target);
+    HSET(hv, forks, hv->forks + 1);
+    KSET(v, forks, v->forks + 1);
+    return finish_at(t, hv, entry, low, gid, t->cycle + 1) < 0 ? -1 : 1;
 }
 
 /* _exec_p_fc: the lowest free hart of this core is allocated */
 static int
-exec_p_fc(Tick *t, PyObject *hart, PyObject *entry, PyObject *low)
+exec_p_fc(Tick *t, HartView *hv, PyObject *entry, PyObject *low)
 {
     int h, ok;
-    PyObject *target, *gid, *parent;
-    if ((h = free_hart(t->hart)) < 0)
+    HartView *target;
+    if ((h = free_hart(t->w, t->v)) < 0)
         return -1;
     if (h == 4)
         return 0;  /* none (issue checked there was): Python raises */
-    target = t->hart[h];
+    target = &t->v->h[h];
     if ((ok = waiters_ok(target, -1)) <= 0)
         return ok;
-    GETO(gid, target, H.gid);
-    GETO(parent, hart, H.gid);
-    if (reserve_for_fork(target, parent) < 0
-            || wake_re_waiters(t->w, t->core, target, -1) < 0)
-        goto fail;
-    return fork_to(t, hart, entry, low, gid);
-fail:
-    return -1;
+    if (reserve_for_fork(target, hv->gid_obj) < 0
+            || wake_re_waiters(t->w, t->v, target, -1) < 0)
+        return -1;
+    return fork_to(t, hv, entry, low, target->gid_obj);
 }
 
 /* _exec_p_fn: the oldest fork token granted by the next core */
 static int
-exec_p_fn(Tick *t, PyObject *hart, PyObject *entry, PyObject *low)
+exec_p_fn(Tick *t, HartView *hv, PyObject *entry, PyObject *low)
 {
     int status;
     PyObject *tokens, *token;
-    GETLIST(tokens, hart, H.fork_tokens);
+    GETLIST(tokens, hv->hart, H.fork_tokens);
     if (!PyList_GET_SIZE(tokens) || !PyLong_Check(PyList_GET_ITEM(tokens, 0)))
         return 0;  /* none (issue checked there was): Python raises */
     token = list_take(tokens, 0);
-    status = fork_to(t, hart, entry, low, token);
+    status = fork_to(t, hv, entry, low, token);
     Py_DECREF(token);
     return status;
 fail:
@@ -2229,22 +2544,20 @@ fail:
  * this core (one cv_write event) or over the forward link to the next
  * (rreq_cv); any other hart is an error Python words */
 static int
-exec_p_swcv(Tick *t, PyObject *hart, PyObject *entry, PyObject *low)
+exec_p_swcv(Tick *t, HartView *hv, PyObject *entry, PyObject *low)
 {
     Window *w = t->w;
+    CoreView *v = t->v;
     int status = -1;
-    int64_t index, target, dst, offset, when, next_free;
-    PyObject *index_obj, *gid, *value, *offset_obj, *tag, *mem, *port;
+    int64_t index = v->index, target, dst, offset, when, next_free;
+    PyObject *gid = hv->gid_obj, *value, *offset_obj, *tag, *mem, *port;
     PyObject *target_obj = NULL, *addr_obj = NULL, *args = NULL;
     PyObject *links = NULL;
     GETI(target, entry, E.val0);
     target &= 0xFFFF;
     dst = target >> 2;
-    GETO(index_obj, t->core, C.index);
-    GETI(index, t->core, C.index);
     if (dst >= PyList_GET_SIZE(w->cores) || (dst != index && dst != index + 1))
         return 0;
-    GETO(gid, hart, H.gid);
     GETO(value, entry, E.val1);
     GETO(offset_obj, low, L.imm);
     GETI(offset, low, L.imm);
@@ -2263,28 +2576,29 @@ exec_p_swcv(Tick *t, PyObject *hart, PyObject *entry, PyObject *low)
             when = next_free;
         SETI(port, P.next_free, when + 1);
         if ((addr_obj = PyLong_FromLongLong(cv_base[target & 3] + offset))
-                == NULL || add_int(hart, H.outstanding_mem, 1) < 0)
+                == NULL)
             goto fail;
-        status = post(w, t->core, index, when, EV_cv_write,
-                      PyTuple_Pack(8, index_obj, addr_obj, value, index_obj,
-                                   gid, target_obj, offset_obj, tag));
+        HSET(hv, outstanding_mem, hv->outstanding_mem + 1);
+        status = post(w, v, index, when, EV_cv_write,
+                      PyTuple_Pack(8, v->index_obj, addr_obj, value,
+                                   v->index_obj, gid, target_obj, offset_obj,
+                                   tag));
     } else {
         /* the message holds what it carries across the calls below */
-        if ((args = PyTuple_Pack(6, index_obj, gid, target_obj, offset_obj,
-                                 value, tag)) == NULL
+        if ((args = PyTuple_Pack(6, v->index_obj, gid, target_obj,
+                                 offset_obj, value, tag)) == NULL
                 || (links = links_of(t->core)) == NULL)
             goto fail;
-        Py_INCREF(hart);
         if ((!w->metered
              || remote_issue(t, gid, Py_None,
                              2 * w->hop_latency + w->cv_latency + 1) == 0)
                 && reserve_forward(w, links, index, dst, t->cycle, &when) == 0
-                && add_int(hart, H.outstanding_mem, 1) == 0) {
-            status = post(w, t->core, dst, when + w->cv_latency, EV_rreq_cv,
-                          args);
+                && fresh(w, v, V_PIPE) == 0
+                && gate(v, HNUM(v, hv), HART_ALL) == 0) {
+            HSET(hv, outstanding_mem, hv->outstanding_mem + 1);
+            status = post(w, v, dst, when + w->cv_latency, EV_rreq_cv, args);
             args = NULL;
         }
-        Py_DECREF(hart);
     }
     if (status == 0)
         status = 1;
@@ -2300,33 +2614,30 @@ fail:
  * ``rs1 & 0xFFFF`` on this core or an earlier one, along the backward line;
  * a later core is an error Python words */
 static int
-exec_p_swre(Tick *t, PyObject *hart, PyObject *entry, PyObject *low)
+exec_p_swre(Tick *t, HartView *hv, PyObject *entry, PyObject *low)
 {
     Window *w = t->w;
     int status = -1;
-    int64_t index, target, dst, slot;
-    PyObject *index_obj, *gid, *value, *tag;
-    PyObject *target_obj = NULL, *slot_obj = NULL;
+    int64_t target, dst, slot;
+    PyObject *value, *tag, *target_obj = NULL, *slot_obj = NULL;
     GETI(target, entry, E.val0);
     target &= 0xFFFF;
     dst = target >> 2;
-    GETO(index_obj, t->core, C.index);
-    GETI(index, t->core, C.index);
-    if (dst >= PyList_GET_SIZE(w->cores) || dst > index
+    if (dst >= PyList_GET_SIZE(w->cores) || dst > t->v->index
             || w->result_buffers < 1)
         return 0;
     GETI(slot, low, L.imm);
     slot %= w->result_buffers;  /* Python's %: never negative */
     if (slot < 0)
         slot += w->result_buffers;
-    GETO(gid, hart, H.gid);
     GETO(value, entry, E.val1);
     GETO(tag, entry, E.tag);
     if ((target_obj = PyLong_FromLongLong(target)) != NULL
             && (slot_obj = PyLong_FromLongLong(slot)) != NULL)
-        status = send_along(w, t->core, index, dst, 0, EV_re_deliver,
-                            PyTuple_Pack(7, index_obj, gid, target_obj,
-                                         slot_obj, value, tag, Py_False));
+        status = send_along(w, t->v, dst, 0, EV_re_deliver,
+                            PyTuple_Pack(7, t->v->index_obj, hv->gid_obj,
+                                         target_obj, slot_obj, value, tag,
+                                         Py_False));
     Py_XDECREF(target_obj);
     Py_XDECREF(slot_obj);
     return status < 0 ? -1 : 1;
@@ -2337,22 +2648,22 @@ fail:
 /* _exec_p_lwre: the hart takes its filled result buffer, which a parked
  * delivery may refill */
 static int
-exec_p_lwre(Tick *t, PyObject *hart, PyObject *entry, PyObject *low)
+exec_p_lwre(Tick *t, HartView *hv, PyObject *entry, PyObject *low)
 {
     int ok;
     uint32_t bits;
     int64_t slot;
     PyObject *buffers, *value;
     GETI(slot, low, L.re_slot);
-    GETLIST(buffers, hart, H.re_buffers);
+    GETLIST(buffers, hv->hart, H.re_buffers);
     if (slot < 0 || slot >= PyList_GET_SIZE(buffers)
             || !PyLong_Check(value = PyList_GET_ITEM(buffers, slot)))
         return 0;
-    if ((ok = waiters_ok(hart, slot)) <= 0)
+    if ((ok = waiters_ok(hv, slot)) <= 0)
         return ok;
     if (low32(value, &bits) < 0 || list_set(buffers, slot, Py_None) < 0
-            || wake_re_waiters(t->w, t->core, hart, slot) < 0
-            || finish_at(t, hart, entry, low, bits, t->cycle + 1) < 0)
+            || wake_re_waiters(t->w, t->v, hv, slot) < 0
+            || finish_at(t, hv, entry, low, bits, t->cycle + 1) < 0)
         goto fail;
     return 1;
 fail:
@@ -2364,12 +2675,11 @@ fail:
 static int
 send_start_pc(Tick *t, PyObject *entry)
 {
-    int64_t index, target, dst, pc;
+    int64_t index = t->v->index, target, dst, pc;
     PyObject *target_obj, *pc_obj, *args;
     GETI(target, entry, E.val0);
     target &= 0xFFFF;
     dst = target >> 2;
-    GETI(index, t->core, C.index);
     if (dst >= PyList_GET_SIZE(t->w->cores)
             || (dst != index && dst != index + 1))
         return 0;
@@ -2380,8 +2690,7 @@ send_start_pc(Tick *t, PyObject *entry)
         : PyTuple_Pack(2, target_obj, pc_obj);
     Py_XDECREF(target_obj);
     Py_XDECREF(pc_obj);
-    return send_along(t->w, t->core, index, dst, 1, EV_start_pc, args) < 0
-        ? -1 : 1;
+    return send_along(t->w, t->v, dst, 1, EV_start_pc, args) < 0 ? -1 : 1;
 fail:
     return -1;
 }
@@ -2389,7 +2698,7 @@ fail:
 /* _exec_p_jal / _exec_p_jalr (its non-p_ret form): the start pc goes, rd
  * gets 0, and p_jalr resumes fetch at rs2 */
 static int
-exec_p_jal(Tick *t, PyObject *hart, PyObject *entry, PyObject *low,
+exec_p_jal(Tick *t, HartView *hv, PyObject *entry, PyObject *low,
            int register_target)
 {
     int sent;
@@ -2398,8 +2707,10 @@ exec_p_jal(Tick *t, PyObject *hart, PyObject *entry, PyObject *low,
         GETI(target, entry, E.val1);
     if ((sent = send_start_pc(t, entry)) <= 0)
         return sent;
-    if ((register_target && resolve_pc(t, hart, target & 0xFFFFFFFE) < 0)
-            || finish_at(t, hart, entry, low, 0, t->cycle + 1) < 0)
+    if (tick_hart(t, HNUM(t->v, hv)) == NULL
+            || (register_target
+                && resolve_pc(t, hv, target & 0xFFFFFFFE) < 0)
+            || finish_at(t, hv, entry, low, 0, t->cycle + 1) < 0)
         goto fail;
     return 1;
 fail:
@@ -2409,54 +2720,47 @@ fail:
 /* The execute step of an X_PAR message class, once window_native said
  * yes: 1 issued, 0 not one spelled here (Core._execute is called), -1 */
 static int
-team_execute(Tick *t, PyObject *hart, PyObject *entry, PyObject *low,
+team_execute(Tick *t, HartView *hv, PyObject *entry, PyObject *low,
              int64_t cls)
 {
     if (cls == cls_p_swcv)
-        return exec_p_swcv(t, hart, entry, low);
+        return exec_p_swcv(t, hv, entry, low);
     if (cls == cls_p_jalr)
-        return exec_p_jal(t, hart, entry, low, 1);
+        return exec_p_jal(t, hv, entry, low, 1);
     if (cls == cls_p_fc)
-        return exec_p_fc(t, hart, entry, low);
+        return exec_p_fc(t, hv, entry, low);
     if (cls == cls_p_jal)
-        return exec_p_jal(t, hart, entry, low, 0);
+        return exec_p_jal(t, hv, entry, low, 0);
     if (cls == cls_p_fn)
-        return exec_p_fn(t, hart, entry, low);
+        return exec_p_fn(t, hv, entry, low);
     if (cls == cls_p_swre)
-        return exec_p_swre(t, hart, entry, low);
+        return exec_p_swre(t, hv, entry, low);
     if (cls == cls_p_lwre)
-        return exec_p_lwre(t, hart, entry, low);
+        return exec_p_lwre(t, hv, entry, low);
     return 0;
 }
 
 /* LBP.send_fork_req at the decode of a p_fn: the next core is asked for a
  * hart.  Past the last core, or not spelled here, the Python call. */
 static int
-send_fork_req(Tick *t, PyObject *hart)
+send_fork_req(Tick *t, HartView *hv)
 {
     int native;
-    int64_t index;
-    PyObject *index_obj, *gid, *dst_obj;
+    int64_t index = t->v->index;
+    PyObject *dst_obj;
     if ((native = window_native(t, M_send_fork_req)) < 0)
         return -1;
-    if (native) {
-        GETI(index, t->core, C.index);
-        if (index + 1 < PyList_GET_SIZE(t->w->cores)) {
-            GETO(index_obj, t->core, C.index);
-            GETO(gid, hart, H.gid);
-            if ((dst_obj = PyLong_FromLongLong(index + 1)) == NULL)
-                goto fail;
-            native = send_along(t->w, t->core, index, index + 1, 1,
-                                EV_fork_req,
-                                PyTuple_Pack(3, dst_obj, index_obj, gid));
-            Py_DECREF(dst_obj);
-            return native;
-        }
+    if (native && index + 1 < PyList_GET_SIZE(t->w->cores)) {
+        if ((dst_obj = PyLong_FromLongLong(index + 1)) == NULL)
+            return -1;
+        native = send_along(t->w, t->v, index + 1, 1, EV_fork_req,
+                            PyTuple_Pack(3, dst_obj, t->v->index_obj,
+                                         hv->gid_obj));
+        Py_DECREF(dst_obj);
+        return native;
     }
-    return called(callback(t->w, t->machine, s_send_fork_req, t->core, hart,
-                           NULL));
-fail:
-    return -1;
+    return called(callback(t->w, t->machine, s_send_fork_req, t->core,
+                           hv->hart, NULL));
 }
 
 /* p_ret's ending cases, as ret_action spells them */
@@ -2479,47 +2783,46 @@ action_kind(PyObject *name)
     return -1;
 }
 
-/* Is the head of core *index*'s fork queue a request the grant can serve
- * (``(src, parent)``, src no later core), and may each of its *harts*
- * be the child?  1 yes (or an empty queue), 0 no. */
+/* Is the head of *v*'s core's fork queue a request the grant can serve
+ * (``(src, parent)``, src no later core), and may each of its harts be the
+ * child?  1 yes (or an empty queue), 0 no. */
 static int
-fork_queue_ok(PyObject *core, PyObject *const *harts, int64_t index)
+fork_queue_ok(const CoreView *v)
 {
     int h, ok;
     PyObject *queue, *request;
-    GETLIST(queue, core, C.fork_queue);
+    GETLIST(queue, v->core, C.fork_queue);
     if (!PyList_GET_SIZE(queue))
         return 1;
     request = PyList_GET_ITEM(queue, 0);
     if (!PyTuple_Check(request) || PyTuple_GET_SIZE(request) != 2
-            || index_in(PyTuple_GET_ITEM(request, 0), index + 1) < 0)
+            || index_in(PyTuple_GET_ITEM(request, 0), v->index + 1) < 0)
         return 0;
     for (h = 0; h < 4; h++)
-        if ((ok = waiters_ok(harts[h], -1)) <= 0)
+        if ((ok = waiters_ok(&v->h[h], -1)) <= 0)
             return ok;
     return 1;
 fail:
     return -1;
 }
 
-/* After a p_ret frees a hart: the oldest queued p_fn request of *core*
+/* After a p_ret frees a hart: the oldest queued p_fn request of *v*'s core
  * gets the lowest free hart, if there is one (fork_queue_ok said the
  * request is one grant_fork serves) */
 static int
-grant_queued(Window *w, PyObject *core, PyObject *const *harts)
+grant_queued(Window *w, CoreView *v)
 {
     int h, status;
     PyObject *queue, *request;
-    GETLIST(queue, core, C.fork_queue);
+    GETLIST(queue, v->core, C.fork_queue);
     if (!PyList_GET_SIZE(queue))
         return 0;
-    if ((h = free_hart(harts)) < 0)
+    if ((h = free_hart(w, v)) < 0)
         return -1;
     if (h == 4)
         return 0;
     request = list_take(queue, 0);
-    status = grant_fork(w, core, harts[h],
-                        as_int(PyTuple_GET_ITEM(request, 0)),
+    status = grant_fork(w, v, &v->h[h], as_int(PyTuple_GET_ITEM(request, 0)),
                         PyTuple_GET_ITEM(request, 1));
     Py_DECREF(request);
     return status;
@@ -2527,17 +2830,18 @@ fail:
     return -1;
 }
 
-/* Core._commit_p_ret: the committed p_ret *head* of *hart* consumes its
- * predecessor link, sends the ending signal to its successor and ends,
+/* Core._commit_p_ret: the committed p_ret *head* of *hv*'s hart consumes
+ * its predecessor link, sends the ending signal to its successor and ends,
  * waits, joins or exits; a queued p_fn request may take the freed hart.
  * The Python call when not spelled here. */
 static int
-commit_p_ret(Tick *t, PyObject *hart, PyObject *head)
+commit_p_ret(Tick *t, HartView *hv, PyObject *head)
 {
     Window *w = t->w;
+    CoreView *v = t->v;
     int native, kind, step, status = -1;
-    int64_t index, gid, succ = -1, joiner = -1, cores;
-    PyObject *action, *succ_obj, *index_obj, *number, *pending, *counters;
+    int64_t index = v->index, gid = hv->gid, succ = -1, joiner = -1, cores;
+    PyObject *action, *succ_obj, *pending;
     if ((native = window_native(t, M_commit_p_ret)) <= 0)
         goto python;
     /* every check the Python spelling could fail, before anything */
@@ -2546,58 +2850,55 @@ commit_p_ret(Tick *t, PyObject *hart, PyObject *head)
     if (!PyTuple_Check(action) || PyTuple_GET_SIZE(action) != 3
             || (kind = action_kind(PyTuple_GET_ITEM(action, 0))) < 0)
         goto python;
-    GETI(index, t->core, C.index);
-    GETI(gid, hart, H.gid);
-    GETO(succ_obj, hart, H.succ);
+    GETO(succ_obj, hv->hart, H.succ);
     if (succ_obj != Py_None
             && ((succ = index_in(succ_obj, 4 * cores)) < 0
                 || (succ >> 2 != index && succ >> 2 != index + 1)))
         goto python;
     if (kind == ACT_JOIN
-            && (!one_digit(PyTuple_GET_ITEM(action, 1), &joiner)
+            && (!small_int(PyTuple_GET_ITEM(action, 1), &joiner)
                 || (joiner != gid
                     && (joiner < 0 || joiner >> 2 >= cores
                         || joiner >> 2 > index))))
         goto python;
-    if ((native = fork_queue_ok(t->core, t->hart, index)) <= 0)
+    if ((native = fork_queue_ok(v)) <= 0)
         goto python;
-    GETO(index_obj, t->core, C.index);
-    GETO(number, hart, H.index);
-    if ((counters = list_item(w->per_core, index)) == NULL)
+    if (fresh(w, v, V_COUNTERS) < 0)
         goto fail;
-    CHECK(counters, counters_type);
     Py_INCREF(action);
-    set_none(hart, H.pred);
-    set_bool(hart, H.pred_done, 0);
+    set_none(hv->hart, H.pred);
+    HSET(hv, pred_done, 0);
     if (succ >= 0) {
         /* LBP.send_ending_signal */
-        if (send_along(w, t->core, index, succ >> 2, 1, EV_ending_signal,
-                       PyTuple_Pack(3, index_obj, number, succ_obj)) < 0)
+        if (send_along(w, v, succ >> 2, 1, EV_ending_signal,
+                       PyTuple_Pack(3, v->index_obj, hv->index_obj,
+                                    succ_obj)) < 0
+                || fresh(w, v, V_PIPE | V_COUNTERS) < 0
+                || gate(v, HNUM(v, hv), HART_ALL) < 0)
             goto release;
-        set_none(hart, H.succ);
+        set_none(hv->hart, H.succ);
     }
     if (kind == ACT_WAIT) {
-        set_none(hart, H.pc);
-        set_bool(hart, H.waiting_join, 1);
-        if ((pending = SLOT(hart, H.pending_join)) != NULL
+        HSET_OBJ(hv, pc, Py_None);
+        set_bool(hv->hart, H.waiting_join, 1);
+        if ((pending = SLOT(hv->hart, H.pending_join)) != NULL
                 && pending != Py_None) {
             Py_INCREF(pending);
-            set_none(hart, H.pending_join);
-            step = hart_start(w, t->core, hart, pending);
+            set_none(hv->hart, H.pending_join);
+            step = hart_start(w, v, hv, pending);
             Py_DECREF(pending);
             if (step < 0)
                 goto release;
         }
     } else if (kind != ACT_EXIT) {
-        hart_end(hart);
+        hart_end(hv);
         if (kind == ACT_JOIN) {
             PyObject *addr = PyTuple_GET_ITEM(action, 2);
-            if (add_int(counters, K.joins, 1) < 0)
-                goto release;
+            KSET(v, joins, v->joins + 1);
             if (joiner == gid)  /* a one-member team: the join hart resumes */
-                step = hart_start(w, t->core, hart, addr);
+                step = hart_start(w, v, hv, addr);
             else  /* LBP.send_join */
-                step = send_along(w, t->core, index, joiner >> 2, 0, EV_join,
+                step = send_along(w, v, joiner >> 2, 0, EV_join,
                                   PyTuple_Pack(2, PyTuple_GET_ITEM(action, 1),
                                                addr));
             if (step < 0)
@@ -2606,7 +2907,7 @@ commit_p_ret(Tick *t, PyObject *hart, PyObject *head)
     }
     /* after the restarts above, so a self-resuming hart is never stolen;
      * the halt last, its one call into Python changing nothing here */
-    if (grant_queued(w, t->core, t->hart) < 0
+    if (fresh(w, v, V_PIPE) < 0 || grant_queued(w, v) < 0
             || (kind == ACT_EXIT
                 && called(callback(w, t->machine, s_halt, s_exit, NULL,
                                    NULL)) < 0))
@@ -2620,7 +2921,8 @@ fail:
 python:
     if (native < 0)
         return -1;
-    return called(callback(w, t->core, s_commit_p_ret, hart, head, NULL));
+    return called(callback(w, t->core, s_commit_p_ret, hv->hart, head,
+                           NULL));
 }
 
 /* ---- the team-message event kinds (NATIVE_KINDS) --------------------------------- */
@@ -2643,24 +2945,25 @@ cv_word(Window *w, PyObject *index_obj, PyObject *addr_obj, char **at)
 /* _ev_cv_write(target_core_index, addr, value, core_index, hart_gid,
  * target_gid, offset, tag): a same-core p_swcv writes and completes */
 static int
-ev_cv_write(Window *w, PyObject *Py_UNUSED(domain), PyObject *args)
+ev_cv_write(Window *w, CoreView *Py_UNUSED(domain), PyObject *args)
 {
     int status;
     char *at;
-    PyObject *value, *tag, *core, *hart, *entry;
+    CoreView *v;
+    HartView *hv;
+    PyObject *value, *tag, *entry;
     if (PyTuple_GET_SIZE(args) != 8
             || !PyLong_Check(value = PyTuple_GET_ITEM(args, 2))
             || !PyLong_Check(tag = PyTuple_GET_ITEM(args, 7)))
         return 0;
     if ((status = cv_word(w, PyTuple_GET_ITEM(args, 0),
                           PyTuple_GET_ITEM(args, 1), &at)) <= 0
-            || (status = hart_of(w, PyTuple_GET_ITEM(args, 4), &core,
-                                 &hart)) <= 0
-            || (status = rob_entry(hart, tag, &entry)) <= 0)
+            || (status = hart_of(w, PyTuple_GET_ITEM(args, 4), &v, &hv)) <= 0
+            || (status = rob_entry(hv, tag, &entry)) <= 0)
         return status;
-    if (write_bytes(at, value, 4) < 0
-            || add_int(hart, H.outstanding_mem, -1) < 0)
+    if (write_bytes(at, value, 4) < 0)
         return -1;
+    HSET(hv, outstanding_mem, hv->outstanding_mem - 1);
     set_bool(entry, E.done, 1);
     return 1;
 }
@@ -2669,27 +2972,27 @@ ev_cv_write(Window *w, PyObject *Py_UNUSED(domain), PyObject *args)
  * from the previous core reaches the target's local port; the ack goes
  * back along the backward line */
 static int
-ev_rreq_cv(Window *w, PyObject *domain, PyObject *args)
+ev_rreq_cv(Window *w, CoreView *domain, PyObject *args)
 {
     int status = -1;
     int64_t target, dst, src, offset, t_bank, t_ack;
-    PyObject *core, *index_obj, *mem, *port, *links = NULL, *addr_obj;
+    CoreView *v;
+    PyObject *mem, *port, *links = NULL, *addr_obj;
     if (PyTuple_GET_SIZE(args) != 6
             || (target = index_in(PyTuple_GET_ITEM(args, 2),
                                   4 * PyList_GET_SIZE(w->cores))) < 0
             || (src = index_in(PyTuple_GET_ITEM(args, 0),
                                (target >> 2) + 1)) < 0
-            || !one_digit(PyTuple_GET_ITEM(args, 3), &offset))
+            || !small_int(PyTuple_GET_ITEM(args, 3), &offset))
         return 0;
     dst = target >> 2;
-    core = PyList_GET_ITEM(w->cores, dst);
-    CHECK(core, core_type);
-    GETO(index_obj, core, C.index);
-    GETO(mem, core, C.mem);
+    if ((v = view_at(w, dst, 0)) == NULL)
+        return -1;
+    GETO(mem, v->core, C.mem);
     CHECK(mem, mem_type);
     GETO(port, mem, M.local_port);
     CHECK(port, port_type);
-    if ((links = links_of(core)) == NULL)
+    if ((links = links_of(v->core)) == NULL)
         goto fail;
     /* local_port.reserve(now) */
     GETI(t_bank, port, P.next_free);
@@ -2700,7 +3003,7 @@ ev_rreq_cv(Window *w, PyObject *domain, PyObject *args)
             == NULL)
         goto fail;
     status = post(w, domain, dst, t_bank, EV_cv_apply,
-                  PyTuple_Pack(3, index_obj, addr_obj,
+                  PyTuple_Pack(3, v->index_obj, addr_obj,
                                PyTuple_GET_ITEM(args, 4)));
     Py_DECREF(addr_obj);
     if (status == 0
@@ -2715,7 +3018,7 @@ fail:
 
 /* _ev_cv_apply(core_index, addr, value) */
 static int
-ev_cv_apply(Window *w, PyObject *Py_UNUSED(domain), PyObject *args)
+ev_cv_apply(Window *w, CoreView *Py_UNUSED(domain), PyObject *args)
 {
     int status;
     char *at;
@@ -2731,7 +3034,7 @@ ev_cv_apply(Window *w, PyObject *Py_UNUSED(domain), PyObject *args)
 
 /* _ev_rack_cv(src, hart_gid, target_gid, offset, value, tag) */
 static int
-ev_rack_cv(Window *w, PyObject *Py_UNUSED(domain), PyObject *args)
+ev_rack_cv(Window *w, CoreView *Py_UNUSED(domain), PyObject *args)
 {
     return PyTuple_GET_SIZE(args) == 6 ? remote_ack(w, args, 5) : 0;
 }
@@ -2740,23 +3043,24 @@ ev_rack_cv(Window *w, PyObject *Py_UNUSED(domain), PyObject *args)
  * parked): a p_swre reaches its result buffer, or parks behind the value
  * there (at the head of the queue when it had parked before) */
 static int
-ev_re_deliver(Window *w, PyObject *domain, PyObject *args)
+ev_re_deliver(Window *w, CoreView *domain, PyObject *args)
 {
     int status, parked;
     uint32_t bits;
     int64_t slot, src;
-    PyObject *core, *target, *buffers, *lists, *queue, *desc, *value;
+    CoreView *v;
+    HartView *target;
+    PyObject *buffers, *lists, *queue, *desc, *value;
     if (PyTuple_GET_SIZE(args) != 7)
         return 0;
-    if ((status = hart_of(w, PyTuple_GET_ITEM(args, 2), &core,
-                          &target)) <= 0)
+    if ((status = hart_of(w, PyTuple_GET_ITEM(args, 2), &v, &target)) <= 0)
         return status;
-    GETLIST(buffers, target, H.re_buffers);
+    GETLIST(buffers, target->hart, H.re_buffers);
     if ((slot = index_in(PyTuple_GET_ITEM(args, 3),
                          PyList_GET_SIZE(buffers))) < 0)
         return 0;
     if (PyList_GET_ITEM(buffers, slot) != Py_None) {
-        GETO(lists, target, H.re_waiters);
+        GETO(lists, target->hart, H.re_waiters);
         if (!PyList_Check(lists) || slot >= PyList_GET_SIZE(lists)
                 || !PyList_Check(queue = PyList_GET_ITEM(lists, slot)))
             return 0;
@@ -2789,55 +3093,57 @@ fail:
 /* _ev_re_ack(core_index, hart_gid, target_gid, slot, value, tag): the
  * delivery's ack completes the p_swre */
 static int
-ev_re_ack(Window *w, PyObject *Py_UNUSED(domain), PyObject *args)
+ev_re_ack(Window *w, CoreView *Py_UNUSED(domain), PyObject *args)
 {
     int status;
     int64_t index;
-    PyObject *core, *hart, *entry, *counters;
+    CoreView *v, *src;
+    HartView *hv;
+    PyObject *entry;
     if (PyTuple_GET_SIZE(args) != 6
             || !PyLong_Check(PyTuple_GET_ITEM(args, 5))
             || (index = index_in(PyTuple_GET_ITEM(args, 0),
-                                 PyList_GET_SIZE(w->per_core))) < 0)
+                                 PyList_GET_SIZE(w->per_core))) < 0
+            || index >= PyList_GET_SIZE(w->cores))
         return 0;
-    if ((status = hart_of(w, PyTuple_GET_ITEM(args, 1), &core, &hart)) <= 0
-            || (status = rob_entry(hart, PyTuple_GET_ITEM(args, 5),
+    if ((status = hart_of(w, PyTuple_GET_ITEM(args, 1), &v, &hv)) <= 0
+            || (status = rob_entry(hv, PyTuple_GET_ITEM(args, 5),
                                    &entry)) <= 0)
         return status;
-    counters = PyList_GET_ITEM(w->per_core, index);
-    CHECK(counters, counters_type);
+    if ((src = view_at(w, index, V_COUNTERS)) == NULL)
+        return -1;
     set_bool(entry, E.done, 1);
-    return add_int(counters, K.re_messages, 1) < 0 ? -1 : 1;
-fail:
-    return -1;
+    KSET(src, re_messages, src->re_messages + 1);
+    return 1;
 }
 
 /* _ev_fork_req(target_core_index, src_core_index, parent_gid): a p_fn's
  * request is granted a free hart now, or queued */
 static int
-ev_fork_req(Window *w, PyObject *Py_UNUSED(domain), PyObject *args)
+ev_fork_req(Window *w, CoreView *Py_UNUSED(domain), PyObject *args)
 {
     int h = 4, ok;
     int64_t index, src = -1;
-    PyObject *core, *queue, *harts[4], *request;
+    CoreView *v;
+    PyObject *queue, *request;
     if (PyTuple_GET_SIZE(args) != 3
             || (index = index_in(PyTuple_GET_ITEM(args, 0),
                                  PyList_GET_SIZE(w->cores))) < 0)
         return 0;
-    core = PyList_GET_ITEM(w->cores, index);
-    if (core_harts(core, harts) < 0)
+    if ((v = view_at(w, index, V_PIPE)) == NULL)
         return -1;
-    GETLIST(queue, core, C.fork_queue);
+    GETLIST(queue, v->core, C.fork_queue);
     if (!PyList_GET_SIZE(queue)) {
-        if ((h = free_hart(harts)) < 0)
+        if ((h = free_hart(w, v)) < 0)
             return -1;
         if (h < 4
                 && ((src = index_in(PyTuple_GET_ITEM(args, 1),
                                     index + 1)) < 0
-                    || (ok = waiters_ok(harts[h], -1)) <= 0))
+                    || (ok = waiters_ok(&v->h[h], -1)) <= 0))
             return src < 0 ? 0 : ok;
     }
     if (h < 4)
-        return grant_fork(w, core, harts[h], src,
+        return grant_fork(w, v, &v->h[h], src,
                           PyTuple_GET_ITEM(args, 2)) < 0 ? -1 : 1;
     if ((request = PyTuple_GetSlice(args, 1, 3)) == NULL)
         return -1;
@@ -2850,15 +3156,17 @@ fail:
 
 /* _ev_fork_grant(parent_gid, child_gid): the token reaches the parent */
 static int
-ev_fork_grant(Window *w, PyObject *Py_UNUSED(domain), PyObject *args)
+ev_fork_grant(Window *w, CoreView *Py_UNUSED(domain), PyObject *args)
 {
     int status;
-    PyObject *core, *hart, *tokens;
+    CoreView *v;
+    HartView *hv;
+    PyObject *tokens;
     if (PyTuple_GET_SIZE(args) != 2)
         return 0;
-    if ((status = hart_of(w, PyTuple_GET_ITEM(args, 0), &core, &hart)) <= 0)
+    if ((status = hart_of(w, PyTuple_GET_ITEM(args, 0), &v, &hv)) <= 0)
         return status;
-    GETLIST(tokens, hart, H.fork_tokens);
+    GETLIST(tokens, hv->hart, H.fork_tokens);
     return PyList_Append(tokens, PyTuple_GET_ITEM(args, 1)) < 0 ? -1 : 1;
 fail:
     return -1;
@@ -2866,53 +3174,53 @@ fail:
 
 /* _ev_start_pc(target_gid, pc): an allocated hart starts */
 static int
-ev_start_pc(Window *w, PyObject *Py_UNUSED(domain), PyObject *args)
+ev_start_pc(Window *w, CoreView *Py_UNUSED(domain), PyObject *args)
 {
-    int status, reserved;
-    PyObject *core, *hart;
+    int status;
+    CoreView *v;
+    HartView *hv;
     if (PyTuple_GET_SIZE(args) != 2)
         return 0;
-    if ((status = hart_of(w, PyTuple_GET_ITEM(args, 0), &core, &hart)) <= 0)
+    if ((status = hart_of(w, PyTuple_GET_ITEM(args, 0), &v, &hv)) <= 0)
         return status;
-    GETB(reserved, hart, H.reserved);
-    if (!reserved)
+    if (!hv->reserved)
         return 0;  /* not allocated: Python words the error */
-    return hart_start(w, core, hart, PyTuple_GET_ITEM(args, 1)) < 0 ? -1 : 1;
-fail:
-    return -1;
+    return hart_start(w, v, hv, PyTuple_GET_ITEM(args, 1)) < 0 ? -1 : 1;
 }
 
 /* _ev_ending_signal(core_index, hart_index, succ_gid) */
 static int
-ev_ending_signal(Window *w, PyObject *Py_UNUSED(domain), PyObject *args)
+ev_ending_signal(Window *w, CoreView *Py_UNUSED(domain), PyObject *args)
 {
     int status;
-    PyObject *core, *hart;
+    CoreView *v;
+    HartView *hv;
     if (PyTuple_GET_SIZE(args) != 3)
         return 0;
-    if ((status = hart_of(w, PyTuple_GET_ITEM(args, 2), &core, &hart)) <= 0)
+    if ((status = hart_of(w, PyTuple_GET_ITEM(args, 2), &v, &hv)) <= 0)
         return status;
-    set_bool(hart, H.pred_done, 1);
+    HSET(hv, pred_done, 1);
     return 1;
 }
 
 /* _ev_join(target_gid, addr): the join hart resumes, now if it waits,
  * else when its p_ret commits */
 static int
-ev_join(Window *w, PyObject *Py_UNUSED(domain), PyObject *args)
+ev_join(Window *w, CoreView *Py_UNUSED(domain), PyObject *args)
 {
     int status, waiting;
-    PyObject *core, *hart;
+    CoreView *v;
+    HartView *hv;
     if (PyTuple_GET_SIZE(args) != 2)
         return 0;
-    if ((status = hart_of(w, PyTuple_GET_ITEM(args, 0), &core, &hart)) <= 0)
+    if ((status = hart_of(w, PyTuple_GET_ITEM(args, 0), &v, &hv)) <= 0)
         return status;
-    GETB(waiting, hart, H.waiting_join);
+    GETB(waiting, hv->hart, H.waiting_join);
     if (!waiting) {
-        set_obj(hart, H.pending_join, PyTuple_GET_ITEM(args, 1));
+        set_obj(hv->hart, H.pending_join, PyTuple_GET_ITEM(args, 1));
         return 1;
     }
-    return hart_start(w, core, hart, PyTuple_GET_ITEM(args, 1)) < 0 ? -1 : 1;
+    return hart_start(w, v, hv, PyTuple_GET_ITEM(args, 1)) < 0 ? -1 : 1;
 fail:
     return -1;
 }
@@ -2935,32 +3243,30 @@ next_event(const Window *w)
 static int
 dispatch(Window *w)
 {
-    int status = -1, handled = 0, active;
+    int status = -1, handled = 0;
     Py_ssize_t i, count;
     Event event;
-    PyObject *core = NULL, *index, *handler, *call = NULL;
+    CoreView *v;
+    PyObject *core = NULL, *handler, *call = NULL;
 
     heap_pop(w, &event);
-    if ((core = list_item(w->cores, event.dst)) == NULL)
+    if ((v = view_at(w, event.dst, 0)) == NULL)
         goto fail;
-    Py_INCREF(core);  /* the domain posts from it after calls into Python */
-    CHECK(core, core_type);
-    GETO(index, core, C.index);
-    Py_XSETREF(w->origin, new_ref(index));
+    core = new_ref(v->core);  /* the domain posts from it after calls */
+    Py_XSETREF(w->origin, new_ref(v->index_obj));
     w->origin_synced = 0;
     /* the handler may change what this domain's stages see */
-    set_obj(core, C.sleep_until, zero_obj);
-    if (w->metered) {
-        /* it may also charge link_wait to a gated core's current window:
-         * close the idle span up to now first */
-        GETB(active, core, C.active);
-        if (!active && settle_of(w, core) < 0)
-            goto fail;
-    }
+    CSET(v, sleep_until, 0);
+    /* on a metered machine it may also charge link_wait to a gated core's
+     * current window: close the idle span up to now first */
+    if (w->metered && (cgate(v, G(active)) < 0
+                       || (!v->active && settle_of(w, v) < 0)))
+        goto fail;
     if (event.kind >= 0) {
         if ((handled = handler_is_native(w, event.kind)) > 0
-                && (handled = access_context(w)) > 0)
-            handled = native_event[event.kind](w, core, event.args);
+                && (handled = access_context(w)) > 0
+                && (handled = fresh(w, v, 0)) == 0)
+            handled = native_event[event.kind](w, v, event.args);
         if (handled < 0)
             goto fail;
     }
@@ -2995,15 +3301,15 @@ static int
 list_active(Window *w, PyObject *cores)
 {
     Py_ssize_t i;
-    int active;
+    CoreView *v;
     PyObject *list = PyList_New(0);
     if (list == NULL)
         return -1;
     for (i = 0; i < PyList_GET_SIZE(cores); i++) {
         PyObject *core = PyList_GET_ITEM(cores, i);
         CHECK(core, core_type);
-        GETB(active, core, C.active);
-        if (active && PyList_Append(list, core) < 0)
+        if ((v = view_for(w, core, 0)) == NULL || cgate(v, G(active)) < 0
+                || (v->active && PyList_Append(list, core) < 0))
             goto fail;
     }
     if (PyObject_SetAttr(w->machine, s__active_cores, list) < 0)
@@ -3019,9 +3325,9 @@ fail:
  * descriptor bind() made, else whatever replaced it (a test's wrapper, the
  * reference tick), called the way Python calls it. */
 static int
-tick_of(Window *w, Tick *t, PyObject *core)
+tick_of(Window *w, Tick *t, CoreView *v)
 {
-    PyObject *found;
+    PyObject *found, *core = v->core;
     int busy;
     if (Py_TYPE(core) != w->tick_type) {
         if ((found = PyObject_GetAttr((PyObject *)Py_TYPE(core),
@@ -3033,6 +3339,7 @@ tick_of(Window *w, Tick *t, PyObject *core)
     }
     if (w->tick_direct) {
         t->core = core;
+        t->v = v;
         return tick_core(t);
     }
     if (leave_c(w) < 0
@@ -3041,6 +3348,22 @@ tick_of(Window *w, Tick *t, PyObject *core)
     busy = truth(found);
     Py_DECREF(found);
     return busy;
+}
+
+/* The views of a window over *cores* (a list): one per core, none loaded */
+static int
+views_open(Window *w, Py_ssize_t count)
+{
+    w->nviews = count;
+    if (count == 0)
+        count = 1;
+    w->views = PyMem_Calloc(count, sizeof(CoreView));
+    w->touched = PyMem_Malloc(count * sizeof(Py_ssize_t));
+    if (w->views == NULL || w->touched == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    return 0;
 }
 
 /* LBP._simulate(cycle, barrier, cores): simulate cycles [cycle, barrier) on
@@ -3064,8 +3387,10 @@ machine_simulate(PyObject *machine, PyObject *const *args, Py_ssize_t nargs)
     barrier = PyLong_AsLongLong(args[1]);
     if (PyErr_Occurred())
         return NULL;
+    w.cycle = t.cycle = cycle;
     if ((w.events = attr_list(machine, s__events)) == NULL
             || (w.cores = attr_list(machine, s_cores)) == NULL
+            || views_open(&w, PyList_GET_SIZE(w.cores)) < 0
             || (t.metrics = PyObject_GetAttr(machine, s_metrics)) == NULL
             || (t.lowered = PyObject_GetAttr(machine, s_lowered)) == NULL
             || refresh(&w) < 0)
@@ -3090,20 +3415,18 @@ machine_simulate(PyObject *machine, PyObject *const *args, Py_ssize_t nargs)
             }
         }
         /* handlers, ticks and Core.activate read machine.cycle as "now";
-         * the one box of ``cycle + 1`` serves every timer this cycle sets
-         * and, when the next cycle follows, is that cycle's "now" */
-        if (w.next_obj != NULL && cycle == t.cycle + 1) {
-            Py_XSETREF(w.cycle_obj, w.next_obj);
-            w.next_obj = NULL;
-        } else
-            Py_XSETREF(w.cycle_obj, PyLong_FromLongLong(cycle));
-        Py_XSETREF(w.next_obj, PyLong_FromLongLong(cycle + 1));
-        if (w.cycle_obj == NULL || w.next_obj == NULL)
-            goto fail;
+         * a box of ``cycle + 1`` made this cycle is the next one's "now" */
+        if (cycle != w.cycle) {
+            if (w.next_obj != NULL && cycle == w.cycle + 1) {
+                Py_XSETREF(w.cycle_obj, w.next_obj);
+                w.next_obj = NULL;
+            } else {
+                Py_CLEAR(w.cycle_obj);
+                Py_CLEAR(w.next_obj);
+            }
+            w.cycle = t.cycle = cycle;
+        }
         w.cycle_synced = 0;
-        w.cycle = t.cycle = cycle;
-        t.cycle_obj = w.cycle_obj;
-        t.next_obj = w.next_obj;
         while (next_event(&w) <= cycle) {
             if (dispatch(&w) < 0 || (w.calls != w.seen && refresh(&w) < 0))
                 goto fail;
@@ -3115,21 +3438,25 @@ machine_simulate(PyObject *machine, PyObject *const *args, Py_ssize_t nargs)
         scan = new_ref(w.active);
         for (i = 0; i < PyList_GET_SIZE(scan); i++) {
             PyObject *core = PyList_GET_ITEM(scan, i);
-            int64_t sleep_until;
+            CoreView *v;
             int busy;
             CHECK(core, core_type);
-            GETI(sleep_until, core, C.sleep_until);
-            if (sleep_until > cycle)
+            if ((v = view_for(&w, core, 0)) == NULL
+                    || cgate(v, G(sleep_until)) < 0)
+                goto fail;
+            if (v->sleep_until > cycle)
                 continue;
-            Py_XSETREF(w.origin, new_ref(SLOT(core, C.index)));
+            Py_XSETREF(w.origin, new_ref(v->index_obj));
             w.origin_synced = 0;
-            if ((busy = tick_of(&w, &t, core)) < 0
+            if ((busy = tick_of(&w, &t, v)) < 0
                     || (w.calls != w.seen && refresh(&w) < 0))
                 goto fail;
             if (!busy) {
                 /* gate the core off; Hart.start wakes it */
-                set_bool(core, C.active, 0);
-                set_obj(core, C.idle_since, w.next_obj);
+                if (fresh(&w, v, 0) < 0)
+                    goto fail;
+                CSET(v, active, 0);
+                CSET(v, idle_since, cycle + 1);
                 w.num_active--;
                 Py_CLEAR(w.active);
                 if (set_attr_int(machine, s__num_active, w.num_active) < 0
@@ -3148,10 +3475,15 @@ machine_simulate(PyObject *machine, PyObject *const *args, Py_ssize_t nargs)
     if (publish_now(&w) == 0)
         result = PyLong_FromLongLong(cycle);
 fail:
-    /* every way out: the pending events go back to machine._events */
+    /* every way out: the views go back to the slots, the pending events
+     * to machine._events */
+    if (w.views != NULL && views_close(&w) < 0)
+        Py_CLEAR(result);
     if (w.events != NULL && write_back(&w) < 0)
         Py_CLEAR(result);
     PyMem_Free(w.heap);
+    PyMem_Free(w.views);
+    PyMem_Free(w.touched);
     Py_XDECREF(scan);
     Py_XDECREF(w.events);
     Py_XDECREF(w.cores);
@@ -3171,3 +3503,81 @@ static PyMethodDef simulate_def = {
     "_simulate", (PyCFunction)(void (*)(void))machine_simulate, METH_FASTCALL,
     "_simulate(cycle, barrier, cores) -> next cycle: the cycle loop of "
     "processor.py's LBP._simulate, compiled (machine/_window.h)."};
+
+/* ---- Core.tick and Core.settle_idle called on their own ---------------------------- */
+
+/* A window over *core* alone, "now" being *now* (owned by the window):
+ * no event heap, every call-back site the Python call. */
+#define ALONE(w, view, touched, core) \
+    CoreView view = {.core = core}; \
+    Py_ssize_t touched; \
+    Window w = {.alone = 1, .cycle_synced = 1, .origin_synced = 1, \
+                .views = &view, .nviews = 1, .touched = &touched}
+
+/* Core.tick() called on its own (a test, a wrapper around it): "now" is
+ * what the machine's attributes say. */
+static PyObject *
+core_tick(PyObject *core, PyObject *Py_UNUSED(ignored))
+{
+    ALONE(w, view, touched, core);
+    Tick t = {.core = core, .v = &view, .w = &w};
+    PyObject *result = NULL;
+    int busy = -1;
+
+    GETO(t.machine, core, C.machine);
+    w.machine = t.machine;
+    if ((t.metrics = PyObject_GetAttr(t.machine, s_metrics)) == NULL
+            || (t.lowered = PyObject_GetAttr(t.machine, s_lowered)) == NULL
+            || (w.cycle_obj = PyObject_GetAttr(t.machine, s_cycle)) == NULL)
+        goto fail;
+    w.cycle = t.cycle = PyLong_AsLongLong(w.cycle_obj);
+    w.metrics = t.metrics;
+    w.metered = t.metrics != Py_None;
+    if (!(t.cycle == -1 && PyErr_Occurred()))
+        busy = tick_core(&t);
+    if (views_close(&w) < 0)
+        busy = -1;
+    if (busy >= 0)
+        result = new_ref(busy ? Py_True : Py_False);
+fail:
+    Py_XDECREF(t.metrics);
+    Py_XDECREF(t.lowered);
+    Py_XDECREF(w.cycle_obj);
+    Py_XDECREF(w.next_obj);
+    Py_XDECREF(w.per_core);
+    return result;
+}
+
+static PyMethodDef tick_def = {
+    "tick", core_tick, METH_NOARGS,
+    "Run the five stages for one cycle (commit-side first); the compiled "
+    "tick, machine/_tick.c."};
+
+static PyObject *
+core_settle_idle(PyObject *core, PyObject *now)
+{
+    ALONE(w, view, touched, core);
+    int status = -1;
+    w.cycle = as_int(now);
+    if (w.cycle == -1 && PyErr_Occurred())
+        return NULL;
+    w.cycle_obj = new_ref(now);  /* what idle_since becomes */
+    GETO(w.machine, core, C.machine);
+    status = settle(&w, &view, w.cycle);
+    if (views_close(&w) < 0)
+        status = -1;
+fail:
+    Py_XDECREF(w.metrics);
+    Py_DECREF(w.cycle_obj);
+    Py_XDECREF(w.next_obj);
+    Py_XDECREF(w.per_core);
+    if (status < 0)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+static PyMethodDef settle_def = {
+    "settle_idle", core_settle_idle, METH_O,
+    "settle_idle(now): charge the gated-off cycles [idle_since, now) in one "
+    "step (skipped_cycles and the metrics' gated_idle stall); the compiled "
+    "one, machine/_window.h."};

@@ -161,7 +161,8 @@ def _smoke(module):
     from repro.machine.params import Params
     from repro.machine.processor import LBP
 
-    for value in ((1 << 30) - 1, 1 << 30, -(1 << 31), NEVER, -1, True):
+    for value in ((1 << 30) - 1, 1 << 30, -(1 << 31), (1 << 32) - 1, NEVER,
+                  -1, True):
         if module.as_int(value) != value:
             raise RuntimeError("smoke call: as_int(%r)" % (value,))
     for size in (0, 1, 4097, 1 << 20):

@@ -421,6 +421,21 @@ def resolve_backend(backend):
     return backend
 
 
+#: the types of cycle arguments check_cycle_args passes without a look
+PLAIN_CYCLE_TYPES = (int, type(None))
+
+
+def check_cycle_args(**cycles):
+    """``run()``'s cycle arguments are each None or an ``int`` that is not
+    a bool: anything else is refused before the run starts, so that both
+    ticks see the same numbers (the compiled loop reads them as int64)."""
+    for name, value in cycles.items():
+        if value is not None and (not isinstance(value, int)
+                                  or isinstance(value, bool)):
+            raise TypeError("%s must be None or an int, got %r"
+                            % (name, value))
+
+
 def check_shards(shards):
     """``shards`` is None (in-process) or a positive ``int`` — not a
     bool, float or string that compares equal to one."""
@@ -1057,6 +1072,14 @@ class LBP:
         ``snapshot_callback(machine)`` at the same safe point every
         *snapshot_every* cycles.
         """
+        # None and exact ints pass without a call (the bench's
+        # machine.calls_per_retired counts every call a run makes)
+        if (type(max_cycles) not in PLAIN_CYCLE_TYPES
+                or type(stop_at_cycle) not in PLAIN_CYCLE_TYPES
+                or type(snapshot_every) not in PLAIN_CYCLE_TYPES):
+            check_cycle_args(max_cycles=max_cycles,
+                             stop_at_cycle=stop_at_cycle,
+                             snapshot_every=snapshot_every)
         limit = max_cycles if max_cycles is not None else MAX_CYCLES
         events = self._events
         cores = self.cores

@@ -79,6 +79,7 @@ from repro.machine.processor import (
     DeadlockError,
     LBP,
     MachineError,
+    check_cycle_args,
     check_shards,
 )
 
@@ -551,6 +552,8 @@ class ShardedLBP:
 
     def run(self, max_cycles=None, stop_at_cycle=None,
             snapshot_every=None, snapshot_callback=None):
+        check_cycle_args(max_cycles=max_cycles, stop_at_cycle=stop_at_cycle,
+                         snapshot_every=snapshot_every)
         master = self.master
         if (self.shards <= 1
                 or master.halted

@@ -238,6 +238,30 @@ def test_backend_selects_the_core_class():
         LBP(Params(num_cores=1), backend="simd")
 
 
+#: ``run()`` arguments neither loop could read as a cycle count the same way
+#: (the compiled one reads int64s; a float or a bool is not one)
+BAD_CYCLE_ARGS = [("stop_at_cycle", 100.5), ("stop_at_cycle", True),
+                  ("max_cycles", 1e6), ("max_cycles", False),
+                  ("snapshot_every", 2500.5), ("snapshot_every", "10")]
+
+
+@pytest.mark.parametrize("backend", ["soa", "interp"])
+@pytest.mark.parametrize("argument,value", BAD_CYCLE_ARGS)
+def test_cycle_arguments_are_checked_before_anything_runs(
+        backend, argument, value):
+    machine = LBP(Params(num_cores=1), backend=backend).load(
+        assemble(LOCAL_ACCESSES))
+    machine.cores[0].sleep_until = 5  # run() would reset it first
+    before = machine.state_dict()
+    arguments = {argument: value, "snapshot_callback": lambda machine: None}
+    with pytest.raises(TypeError) as raised:
+        machine.run(**arguments)
+    assert str(raised.value) == "%s must be None or an int, got %r" % (
+        argument, value)
+    assert machine.cores[0].sleep_until == 5
+    assert machine.state_dict() == before
+
+
 def test_cli_has_no_backend_option(tmp_path, capsys):
     source = tmp_path / "prog.s"
     source.write_text("main:\n    ebreak\n")

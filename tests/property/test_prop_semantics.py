@@ -134,8 +134,9 @@ def test_compiled_ops_match_semantics_on_the_edge_table():
 
 # ---- the compiled tick's int read (``as_int`` in machine/_tick.c) ---------------
 # Every slot the tick reads as a number goes through one inline fast path
-# for exact one-digit ints and PyLong_AsLongLong for the rest; the real
-# PyLong_AsLongLong, called through ctypes, is the oracle.
+# for exact ints of up to three digits within int64 and PyLong_AsLongLong
+# for the rest; the real PyLong_AsLongLong, called through ctypes, is the
+# oracle.
 
 
 class Tagged(int):
@@ -172,14 +173,17 @@ def test_compiled_int_read_matches_the_c_api(value):
 @compiled
 def test_compiled_int_read_on_the_edge_table():
     """Digit boundaries of both layouts (15- and 30-bit digits, the
-    compact form of 3.12), the value the tick stores for "no cycle", and
-    everything that is not an exact int."""
+    compact form of 3.12, the two- and three-digit ints read inline), the
+    value the tick stores for "no cycle", and everything that is not an
+    exact int."""
     from repro.machine.hart import NEVER
 
     as_int = native.load().as_int
-    exact = (0, 1, -1, (1 << 15) - 1, 1 << 15, (1 << 30) - 1, 1 << 30,
-             -(1 << 30), 1 << 31, (1 << 32) - 1, 1 << 60, NEVER, -(1 << 31),
-             (1 << 63) - 1, -(1 << 63))
+    wide = ((1 << 30) - 1, 1 << 30, (1 << 30) + 1, 1 << 31, (1 << 32) - 1,
+            (1 << 45) + 1, (1 << 60) - 1, 1 << 60, (1 << 60) + 1, 1 << 62,
+            (1 << 63) - 1)
+    exact = (0, 1, -1, (1 << 15) - 1, 1 << 15, NEVER, -(1 << 63)) + wide + tuple(
+        -value for value in wide)
     for value in exact:
         assert _outcome(as_int, value) == (int, value), value
         assert _outcome(as_int, Tagged(value)) == (int, value), value
