@@ -19,7 +19,9 @@
  * keeps reading and writing the very same slots.  While C runs, the
  * scalars of Core, Hart, HartStats and CoreCounters live in the *core
  * view* instead (below): typed, loaded from the slots when first needed,
- * written back before Python can look.
+ * written back before Python can look.  So does each hart's instruction
+ * window -- its ROB and instruction table, writeback buffer, register file
+ * and rename table -- as *the instruction ring*.
  *
  * What makes it fast, none of which may be observable:
  *   - Stage gating: ``Hart.fetch_ok`` (the fetch predicate minus its
@@ -56,17 +58,21 @@
  *       of them (a latency-1 ``ready_at``; a view field's flush) stores
  *       that object.  Each slot owns a reference, an int cannot be
  *       mutated, and nothing compares timers by identity;
- *     . *last-reference recycling*: commit parks a retired ``Entry`` in a
- *       bounded pool (``retire``) when the tick's reference is the only
- *       one left -- ``Py_REFCNT == 1`` once ``_commit_p_ret`` has
- *       returned, exact type, no ``__weakref__`` slot to find it by --
- *       emptied and untracked, and rename fills a parked one before it
- *       allocates.  An Entry anything in Python still holds has a higher
- *       count and is left alone;
- *     . *decode-time objects*: ``lowered.py`` builds, per pc, the int a
- *       fall-through or ``jal`` resumes fetch at and the fetch buffer's
- *       ``(pc, low)``; rename and fetch store those objects, after
- *       checking they hold the value just computed, else build their own.
+ *     . *no object per instruction*: an in-flight instruction is a record
+ *       of its hart's ring, and its ``Entry`` is made only when Python
+ *       could see it -- at the flush before a call into Python or on the
+ *       way out, or for the call that takes it (``Core._execute``,
+ *       ``_commit_p_ret``).  Most are renamed, issued, written back and
+ *       committed between two calls and never have one; one that has
+ *       keeps it until it commits, and then holds what the reference tick
+ *       leaves in it;
+ *     . *decode records*: what the stages read of a ``LoweredInstr`` is
+ *       read once per (pc, instruction) between two calls into Python
+ *       (``Decode``), and fetch probes ``lowered`` once per pc between
+ *       them.  ``lowered.py`` builds, per pc, the int a fall-through or
+ *       ``jal`` resumes fetch at and the fetch buffer's ``(pc, low)``;
+ *       rename and fetch store those objects when they hold the value the
+ *       record computed, else the record's own.
  *
  * What needs the machine is issued by the cycle window (_window.h) when
  * nothing observes it -- no trace, no sanitizer -- and the method the
@@ -168,12 +174,17 @@ SLOT_TABLE(K, COUNTER_SLOTS)
 SLOT_TABLE(LS, LINK_SLOTS)
 SLOT_TABLE(MX, METRICS_SLOTS)
 SLOT_TABLE(TS, TELEMETRY_SLOTS)
-/* E as an array of offsets: every slot an Entry has (bind checks) */
+/* E as an array of offsets: every slot an Entry has (bind checks); L as
+ * one: every slot of a LoweredInstr the tick reads */
 #define ENTRY_NSLOTS ((Py_ssize_t)(sizeof(E) / sizeof(Py_ssize_t)))
+#define LOW_NSLOTS ((int)(sizeof(L) / sizeof(Py_ssize_t)))
 
 static PyTypeObject *core_type, *hart_type, *rb_type, *entry_type, *low_type,
     *stats_type, *mem_type, *bank_type, *port_type, *counters_type,
     *links_type, *metrics_type, *telemetry_type;
+/* memory.Port.__init__ at bind time (a window makes a Port itself while it
+ * is still the one) */
+static PyObject *port_init;
 /* hart.py's NEVER, as the object to store and the value to compare */
 static PyObject *never_obj;
 static int64_t never_val;
@@ -223,7 +234,7 @@ static PyObject *zero_obj;
     X(fork_grant, "fork_grant") X(start_pc, "start_pc") \
     X(ending_signal, "ending_signal") X(join, "join") X(exit, "exit") \
     X(wait, "wait") X(end, "end") X(cv_write_latency, "cv_write_latency") \
-    X(num_result_buffers, "num_result_buffers")
+    X(num_result_buffers, "num_result_buffers") X(__init__, "__init__")
 #define STRING_VAR(name, text) static PyObject *s_##name;
 STRINGS(STRING_VAR)
 
@@ -248,7 +259,43 @@ static const int link_shifts[] = { LINK_TAGS(TAG_SHIFT) };
 
 /* ---- slot access ----------------------------------------------------------- */
 
+#ifdef TICK_COUNTS
+/* The counting build (``-DTICK_COUNTS``, tests/counting.py): every slot
+ * access is counted by the class of the object it touches, and every int
+ * boxed by PyLong_FromLongLong; ``slot_counts()`` hands the counts over. */
+#define COUNTED(X) \
+    X(Entry) X(ResultBuffer) X(LoweredInstr) X(Core) X(Hart) X(HartStats) \
+    X(CoreCounters) X(other)
+#define COUNTED_INDEX(name) N_##name,
+enum { COUNTED(COUNTED_INDEX) N_COUNTED };
+static long long slot_touches[N_COUNTED], long_boxes;
+
+static PyObject **
+counted_slot(PyObject *obj, Py_ssize_t off)
+{
+    PyTypeObject *type = Py_TYPE(obj);
+    slot_touches[type == entry_type ? N_Entry
+                 : type == rb_type ? N_ResultBuffer
+                 : type == low_type ? N_LoweredInstr
+                 : PyObject_TypeCheck(obj, core_type) ? N_Core
+                 : PyObject_TypeCheck(obj, hart_type) ? N_Hart
+                 : type == stats_type ? N_HartStats
+                 : type == counters_type ? N_CoreCounters : N_other]++;
+    return (PyObject **)((char *)obj + off);
+}
+
+static PyObject *
+counted_long(long long value)
+{
+    long_boxes++;
+    return PyLong_FromLongLong(value);
+}
+
+#define SLOT(obj, off) (*counted_slot((PyObject *)(obj), (off)))
+#define PyLong_FromLongLong(value) counted_long(value)
+#else
 #define SLOT(obj, off) (*(PyObject **)((char *)(obj) + (off)))
+#endif
 #define MASK32 0xFFFFFFFFLL
 
 /* Readers jump to ``fail`` with an exception set.  GETO yields a borrowed
@@ -398,19 +445,6 @@ set_int(PyObject *obj, Py_ssize_t off, int64_t value)
     return 0;
 }
 
-/* ``obj == tag`` for a rename tag slot: None or an int. */
-static inline int
-tag_is(PyObject *obj, int64_t tag)
-{
-    int64_t value;
-    if (obj == Py_None)
-        return 0;
-    value = as_int(obj);
-    if (value == -1 && PyErr_Occurred())
-        return -1;
-    return value == tag;
-}
-
 /* list[index], borrowed, bounds-checked */
 static inline PyObject *
 list_item(PyObject *list, int64_t index)
@@ -444,22 +478,6 @@ list_take(PyObject *list, Py_ssize_t index)
             (size_t)(size - index - 1) * sizeof(PyObject *));
     Py_SET_SIZE(list, size - 1);
     return item;
-}
-
-/* ---- retired Entry objects, to be renamed into again ---------------------------
- * commit parks an Entry here when the tick holds the only reference to it;
- * rename takes from here before it allocates.  Parked entries have every
- * slot NULL and are untracked, so neither Python nor the collector can
- * reach one: recycling is not observable. */
-#define ENTRY_POOL_MAX 128
-static PyObject *entry_pool[ENTRY_POOL_MAX];
-static int entry_pool_size;
-
-static void
-entry_pool_clear(void)
-{
-    while (entry_pool_size)
-        Py_DECREF(entry_pool[--entry_pool_size]);
 }
 
 /* ---- RV32IM: isa/semantics.py's ALU_OPS and BRANCH_OPS ----------------------
@@ -563,7 +581,7 @@ typedef struct Window Window;  /* _window.h */
 enum { CV_BOOLS(FIELD_BIT) CV_INTS(FIELD_BIT) BIT__rob_size };
 enum { HV_OBJS(FIELD_BIT) HV_BOOLS(FIELD_BIT) HV_INTS(FIELD_BIT)
        STATS_SLOTS(FIELD_BIT) BIT_rob, BIT_rb, BIT_regs, BIT_rename, BIT_it,
-       BIT_gid, BIT_index, BIT_stats };
+       BIT_gid, BIT_index, BIT_stats, BIT_rbv, BIT_win };
 #define KFIELD_BIT(name) KBIT_##name,
 enum { COUNTER_SLOTS(KFIELD_BIT) KV_BITS };
 
@@ -571,15 +589,80 @@ enum { COUNTER_SLOTS(KFIELD_BIT) KV_BITS };
  * a call into Python reads hardly more than the slot reads it replaces:
  * the core's index, always; each of its other scalars, in the groups a
  * site reads (``cgate``); its harts (V_PIPE); each field of a hart and of its
- * HartStats, in the groups a site reads (``gate``; HART_ALL for the whole
- * hart but its HartStats); the CoreCounters (V_COUNTERS) */
+ * HartStats, in the groups a site reads (``gate``; G(rbv) for its
+ * writeback buffer, G(win) for its instruction ring and buffer, HART_ALL
+ * for the whole hart but its ring and HartStats); the CoreCounters
+ * (V_COUNTERS) */
 enum { V_PIPE = 1, V_COUNTERS = 2 };
 #define G(field) (1u << BIT_##field)
 #define HART_ALL \
     (G(fetch_ready_at) | G(n_ready) | G(outstanding_mem) | G(fetch_ok) \
      | G(awaiting_nextpc) | G(syncm_block) | G(reserved) | G(pred_done) \
      | G(pc) | G(fetch_buf) | G(rob) | G(rb) | G(regs) | G(rename) | G(it) \
-     | G(gid) | G(index))
+     | G(gid) | G(index) | G(rbv))
+
+/* ---- the instruction ring ------------------------------------------------------
+ * While C runs, each hart's in-flight instructions live in its view too: the
+ * ROB as a ring of ``Instr`` records, oldest first, each flagged while it is
+ * still in the instruction table (``it`` is the ROB's unissued subset, in
+ * its order); the writeback buffer; the register file and rename table as
+ * 32 values and 32 tags, each read from its list the first time a site
+ * reads it.  ``Hart.rob`` / ``it``, the ``Entry`` objects, the
+ * ``ResultBuffer``'s slots and ``regs`` / ``rename`` are the at-rest form.
+ * The ring is loaded from them when a site first needs it after the call
+ * started or after a call into Python (G(win)), each record keeping the
+ * Entry it came from as its ``obj`` and reading that Entry's fields when a
+ * site first reads the record (``LOADED``); it is flushed with the view --
+ * a record with an obj writes the fields C changed into it, one without
+ * gets a new Entry, ``rob`` / ``it`` get their contents rewritten in place,
+ * the buffer and the registers what C wrote -- and then let go, to be
+ * loaded again after the call.  A record pointer is good until the next call into
+ * Python.  What the stages read of an instruction's ``LoweredInstr`` comes
+ * from its ``Decode``, kept per window (_window.h). */
+
+/* a LoweredInstr at a pc, as the stages read it: filled from its slots when
+ * first needed after the call started or after a call into Python */
+typedef struct {
+    int64_t stamp;          /* the window's calls + 1 when it was read */
+    int64_t probed;         /* ... when ``lowered[pc] is low`` was seen */
+    int64_t pc;
+    PyObject *low;          /* owned */
+    /* the objects events carry and rename and fetch store, borrowed from
+     * the instruction's slots (next_pc: a box of the record's own when the
+     * slot holds another value; fetch_pair, pc_obj: NULL when the slot is
+     * not ``(pc, low)``) */
+    PyObject *mnemonic, *width_obj, *imm_obj, *next_pc, *fetch_pair, *pc_obj;
+    PyObject *own_next;     /* owned: next_pc when it is the record's box */
+    /* owned: what each of the instruction's slots (L's order) held when
+     * the fields were read; the same objects after a call into Python
+     * mean the same fields */
+    PyObject *seen[LOW_NSLOTS];
+    int64_t cls, rd, imm, nreads, r1, r2, alu_op, br_op, latency, re_slot,
+        dec_kind, issue_kind, trap, width;
+    int writes, store_like;
+} Decode;
+
+/* Entry fields C changed since the load (the flush stores only those) */
+enum { D_VAL0 = 1, D_VAL1 = 2, D_WAIT0 = 4, D_WAIT1 = 8, D_NWAITS = 16,
+       D_ISSUED = 32, D_DONE = 64, D_RET = 128 };
+
+/* one in-flight instruction: an Entry's fields, typed */
+typedef struct {
+    int64_t tag, pc, nwaits;
+    int64_t wait[2];        /* a producer's tag, when has_wait */
+    uint32_t val[2];        /* the operand, when has_val */
+    unsigned char has_val[2], has_wait[2];
+    unsigned char issued, done, in_it;
+    unsigned char stale;    /* only obj and in_it known: not read yet */
+    unsigned dirty;         /* D_ bits */
+    Decode *dec;
+    PyObject *ret_action;   /* owned; NULL for None */
+    PyObject *obj;          /* owned: the Entry standing for it, or NULL */
+} Instr;
+
+/* writeback-buffer fields C changed since the load */
+enum { RB_BUSY = 1, RB_TAG = 2, RB_REG = 4, RB_VALUE = 8, RB_READY = 16,
+       RB_ENTRY = 32 };
 
 /* (the fields a stage probes first, next to the masks that say whether
  * they are loaded: a view is re-read after every call into Python, so the
@@ -596,6 +679,25 @@ typedef struct {
     PyObject *gid_obj, *index_obj;      /* borrowed; C never writes them */
     int64_t gid, index;
     STATS_SLOTS(INT_FIELD)
+    /* G(win): the ring (``count`` records from ``first``, ``cap`` a power
+     * of two), whether rob / it changed since the load */
+    Instr *ring;
+    Py_ssize_t cap, first, count;
+    int reordered;
+    /* G(rbv): the buffer; its producer is the Entry *rb_entry_obj*
+     * (borrowed, None for none), which is record *rb_entry* once the ring
+     * is loaded too */
+    int rb_busy, rb_has_tag, rb_has_value;
+    uint32_t rb_value;
+    unsigned rb_dirty;                  /* RB_ bits */
+    int64_t rb_tag, rb_reg, rb_ready_at;
+    Instr *rb_entry;
+    PyObject *rb_entry_obj;
+    /* G(regs) / G(rename): register r is read (bit r of *_loaded), C wrote
+     * it (*_dirty); a rename entry holds a tag (bit r of ren_set) */
+    uint32_t reg_loaded, reg_dirty, ren_loaded, ren_dirty, ren_set;
+    uint32_t regv[32];
+    int64_t ren[32];
 } HartView;
 
 typedef struct {
@@ -603,38 +705,31 @@ typedef struct {
     unsigned loaded;                    /* V_ parts */
     unsigned gates;                     /* the G() scalars loaded */
     unsigned dirty, kdirty;
+    Window *w;                          /* the window the view is of */
     PyObject *core;                     /* borrowed */
     CV_INTS(INT_FIELD)
     CV_BOOLS(BOOL_FIELD)
     int64_t _rob_size, index;
     PyObject *index_obj;                /* borrowed */
-    /* the object C set _tag / _wb_wake from, which the flush stores as
-     * set_obj did (owned while dirty; NULL: a new box) */
-    PyObject *_tag_box, *_wb_wake_box;
     PyObject *counters;                 /* V_COUNTERS: per_core[index] */
     COUNTER_SLOTS(INT_FIELD)
     HartView h[4];
 } CoreView;
 
 #define CSET(v, f, x) ((v)->f = (x), (v)->dirty |= 1u << BIT_##f)
-/* ``v.f`` = *x*, an int *box* holds or NULL, for f _tag or _wb_wake */
-#define CSET_BOX(v, f, x, box) \
-    ((v)->f = (x), cset_box(&(v)->f##_box, box), (v)->dirty |= 1u << BIT_##f)
 #define HSET(hv, f, x) ((hv)->f = (x), (hv)->dirty |= 1u << BIT_##f)
 #define KSET(v, f, x) ((v)->f = (x), (v)->kdirty |= 1u << KBIT_##f)
 
 /* ``hv.pc`` / ``hv.fetch_buf`` = *value* (the view owns it until flushed) */
 #define HSET_OBJ(hv, f, value) hset_obj(hv, BIT_##f, &(hv)->f, value)
 
+/* record *i* of *hv*'s ring, 0 the oldest */
+#define AT(hv, i) (&(hv)->ring[((hv)->first + (i)) & ((hv)->cap - 1)])
+/* a record's field *f* changed, for its Entry */
+#define ISET(rec, f, x, bit) ((rec)->f = (x), (rec)->dirty |= (bit))
+
 /* the number of hart view *hv* of view *v* */
 #define HNUM(v, hv) ((int)((hv) - (v)->h))
-
-static inline void
-cset_box(PyObject **field, PyObject *box)
-{
-    Py_XINCREF(box);
-    Py_XSETREF(*field, box);
-}
 
 static inline void
 hset_obj(HartView *hv, int bit, PyObject **field, PyObject *value)
@@ -690,13 +785,168 @@ static PyObject *bound_method[METHOD_COUNT];
 static int leave_c(Window *w);
 static int window_charges(Window *w);
 static int window_native(Tick *t, enum method site);
-static int mem_access(Tick *t, HartView *hv, PyObject *entry,
-                      PyObject *low, enum access kind);
-static int team_execute(Tick *t, HartView *hv, PyObject *entry,
-                        PyObject *low, int64_t cls);
+static int mem_access(Tick *t, HartView *hv, Instr *rec, enum access kind);
+static int team_execute(Tick *t, HartView *hv, Instr *rec, int64_t cls);
 static int free_hart(Window *w, CoreView *v);
 static int send_fork_req(Tick *t, HartView *hv);
-static int commit_p_ret(Tick *t, HartView *hv, PyObject *head);
+static int commit_p_ret(Tick *t, HartView *hv, Instr *head);
+
+/* The ring's side of the view, in _window.h's core view section: */
+/* the decode record of the instruction *low* at *pc*, current, or NULL */
+static Decode *decode_of(Window *w, int64_t pc, PyObject *low);
+/* the decode record of ``lowered[pc]``, current; NULL and no exception
+ * when *lowered* is no dict or has no such key */
+static Decode *decode_fetch(Window *w, PyObject *lowered, PyObject *pc);
+/* register *r* of a hart holding G(regs) / G(rename), read from its list
+ * (an IndexError past it) */
+static int reg_load(HartView *hv, int64_t r);
+static int ren_load(HartView *hv, int64_t r);
+/* whether the ROB head of a hart holding G(rob) is done, and holds a
+ * ret_action (*ret*): read from the Entry while the ring is not loaded */
+static int head_peek(Window *w, HartView *hv, int *done, int *ret);
+/* the fields of a record loaded stale, from its Entry (a field C wrote
+ * since keeps what C wrote) */
+static int record_read(Window *w, Instr *rec);
+#define LOADED(w, rec) ((rec)->stale ? record_read(w, rec) : 0)
+/* the Entry standing for *rec*, made if it has none, holding what C left in
+ * the record: a new reference, or NULL */
+static PyObject *record_entry(Window *w, Instr *rec);
+/* a committed *rec* goes: its Entry, if it has one, takes its last fields */
+static int record_retire(Window *w, Instr *rec);
+
+/* ``regs[r]``; whether ``rename[r]`` holds a tag, and which: -1 on an
+ * exception */
+static inline int
+reg_read(HartView *hv, int64_t r, uint32_t *value)
+{
+    if (!((uint64_t)r < 32 && hv->reg_loaded >> r & 1) && reg_load(hv, r) < 0)
+        return -1;
+    *value = hv->regv[r];
+    return 0;
+}
+
+static inline int
+ren_read(HartView *hv, int64_t r, int64_t *tag)
+{
+    if (!((uint64_t)r < 32 && hv->ren_loaded >> r & 1) && ren_load(hv, r) < 0)
+        return -1;
+    *tag = hv->ren[r];
+    return hv->ren_set >> r & 1;
+}
+
+/* ``regs[r] = value`` / ``rename[r] = tag`` (None unless *set*), *r* one a
+ * read checked */
+static inline void
+reg_write(HartView *hv, int64_t r, uint32_t value)
+{
+    hv->regv[r] = value;
+    hv->reg_loaded |= 1u << r;
+    hv->reg_dirty |= 1u << r;
+}
+
+static inline void
+ren_write(HartView *hv, int64_t r, int set, int64_t tag)
+{
+    hv->ren[r] = tag;
+    if (set)
+        hv->ren_set |= 1u << r;
+    else
+        hv->ren_set &= ~(1u << r);
+    hv->ren_loaded |= 1u << r;
+    hv->ren_dirty |= 1u << r;
+}
+
+/* operand *k* of *rec*, which an issued instruction reads: a TypeError when
+ * it is None */
+static inline int
+operand(const Instr *rec, int k, int64_t *out)
+{
+    if (!rec->has_val[k]) {
+        PyErr_SetString(PyExc_TypeError,
+                        "compiled tick: an operand it reads is None");
+        return -1;
+    }
+    *out = rec->val[k];
+    return 0;
+}
+#define GETV(var, rec, k) \
+    do { if (operand(rec, k, &(var)) < 0) goto fail; } while (0)
+
+/* ``len(hart.rob)`` of a hart holding G(rob): until its ring is loaded, C
+ * has changed nothing of it since Python last ran */
+static inline Py_ssize_t
+rob_len(const HartView *hv)
+{
+    return hv->gates & G(win) ? hv->count : PyList_GET_SIZE(hv->rob);
+}
+
+/* 1 and *rec*, the oldest record of *hv*'s ring holding *tag*
+ * (``_rob_by_tag``), or 0 */
+static int
+ring_find(Window *w, HartView *hv, int64_t tag, Instr **rec)
+{
+    Py_ssize_t i;
+    for (i = 0; i < hv->count; i++) {
+        if (LOADED(w, AT(hv, i)) < 0)
+            return -1;
+        if (AT(hv, i)->tag == tag) {
+            *rec = AT(hv, i);
+            return 1;
+        }
+    }
+    return 0;
+}
+
+/* The ring position of the *pos*-th record still in the instruction table,
+ * or -1 */
+static Py_ssize_t
+it_index(const HartView *hv, Py_ssize_t pos)
+{
+    Py_ssize_t i;
+    for (i = 0; i < hv->count; i++)
+        if (AT(hv, i)->in_it && pos-- == 0)
+            return i;
+    return -1;
+}
+
+/* A new youngest record of *hv*'s ring (uninitialised), the ring grown when
+ * full; NULL on an exception */
+static Instr *
+ring_push(HartView *hv)
+{
+    if (hv->count == hv->cap) {
+        Py_ssize_t i, cap = 2 * hv->cap;
+        Instr *grown = PyMem_Malloc(cap * sizeof(Instr));
+        if (grown == NULL) {
+            PyErr_NoMemory();
+            return NULL;
+        }
+        for (i = 0; i < hv->count; i++) {
+            grown[i] = *AT(hv, i);
+            if (hv->rb_entry == AT(hv, i))
+                hv->rb_entry = &grown[i];
+        }
+        PyMem_Free(hv->ring);
+        hv->ring = grown;
+        hv->cap = cap;
+        hv->first = 0;
+    }
+    hv->reordered = 1;
+    return AT(hv, hv->count++);
+}
+
+/* The oldest record leaves the ring (its references are the caller's) */
+static inline void
+ring_pop(HartView *hv)
+{
+    if (hv->rb_entry == AT(hv, 0)) {
+        hv->rb_entry = NULL;
+        hv->rb_dirty |= RB_ENTRY;
+    }
+    hv->first = (hv->first + 1) & (hv->cap - 1);
+    hv->count--;
+    hv->reordered = 1;
+}
 
 /* ``obj.name(a, b, c)`` (trailing NULLs are no arguments): every call from
  * the tick (and the charges) into Python.  The views are flushed, and
@@ -733,7 +983,7 @@ holds_work(CoreView *v, int h)
         return 1;
     if (gate(v, h, G(rob)) < 0)
         return -1;
-    if (PyList_GET_SIZE(hv->rob))
+    if (rob_len(hv))
         return 1;
     if (gate(v, h, G(fetch_buf)) < 0)
         return -1;
@@ -773,67 +1023,54 @@ resolve_pc(Tick *t, HartView *hv, int64_t target)
     return 0;
 }
 
-/* ResultBuffer.fill's gate: keep the core's writeback gate a lower bound
- * (*ready_obj* holds *ready_at*) */
+/* ResultBuffer.fill's gate: keep the core's writeback gate a lower bound */
 static inline int
-lower_wb_wake(CoreView *v, int64_t ready_at, PyObject *ready_obj)
+lower_wb_wake(CoreView *v, int64_t ready_at)
 {
     if (cgate(v, G(_wb_wake)) < 0)
         return -1;
     if (ready_at < v->_wb_wake)
-        CSET_BOX(v, _wb_wake, ready_at, ready_obj);
+        CSET(v, _wb_wake, ready_at);
     return 0;
+}
+
+/* ResultBuffer.occupy(entry) of *hv*'s buffer, *rec* the producer */
+static inline void
+rb_occupy(HartView *hv, Instr *rec)
+{
+    hv->rb_busy = 1;
+    hv->rb_has_tag = 1;
+    hv->rb_tag = rec->tag;
+    hv->rb_reg = rec->dec->rd;
+    hv->rb_has_value = 0;
+    hv->rb_ready_at = 0;
+    hv->rb_entry = rec;
+    hv->rb_dirty |= RB_BUSY | RB_TAG | RB_REG | RB_VALUE | RB_READY
+        | RB_ENTRY;
+}
+
+/* ResultBuffer.fill(value, ready_at) but the gate (lower_wb_wake) */
+static inline void
+rb_fill(HartView *hv, uint32_t value, int64_t ready_at)
+{
+    hv->rb_has_value = 1;
+    hv->rb_value = value;
+    hv->rb_ready_at = ready_at;
+    hv->rb_dirty |= RB_VALUE | RB_READY;
 }
 
 /* Core._finish_at: a register result goes through the hart's writeback
  * buffer (ResultBuffer.occupy + fill); an instruction without one is done. */
 static int
-finish_at(Tick *t, HartView *hv, PyObject *entry, PyObject *low,
-          uint32_t value, int64_t ready_at)
+finish_at(Tick *t, HartView *hv, Instr *rec, uint32_t value, int64_t ready_at)
 {
-    int writes, status = -1;
-    PyObject *rb = hv->rb, *tag, *rd, *ready_obj = NULL;
-    GETB(writes, low, L.writes);
-    if (!writes) {
-        set_bool(entry, E.done, 1);
+    if (!rec->dec->writes) {
+        ISET(rec, done, 1, D_DONE);
         return 0;
     }
-    GETO(tag, entry, E.tag);
-    GETO(rd, low, L.rd);
-    set_bool(rb, R.busy, 1);
-    set_obj(rb, R.tag, tag);
-    set_obj(rb, R.reg, rd);
-    SETI(rb, R.value, value);
-    if (ready_at == t->cycle + 1) {
-        if ((ready_obj = next_box(t->w)) == NULL)
-            goto fail;
-        Py_INCREF(ready_obj);
-    } else if ((ready_obj = PyLong_FromLongLong(ready_at)) == NULL)
-        goto fail;
-    set_obj(rb, R.ready_at, ready_obj);
-    set_obj(rb, R.entry, entry);
-    status = lower_wb_wake(t->v, ready_at, ready_obj);
-fail:
-    Py_XDECREF(ready_obj);
-    return status;
-}
-
-/* Give up the tick's reference to a committed Entry.  When it is the last
- * one -- nothing in Python kept the object, so nothing can see what becomes
- * of it -- the Entry is emptied and parked for rename instead of freed. */
-static void
-retire(PyObject *entry)
-{
-    Py_ssize_t i;
-    if (Py_REFCNT(entry) != 1 || Py_TYPE(entry) != entry_type
-            || entry_pool_size == ENTRY_POOL_MAX) {
-        Py_DECREF(entry);
-        return;
-    }
-    PyObject_GC_UnTrack(entry);
-    for (i = 0; i < ENTRY_NSLOTS; i++)
-        Py_CLEAR(SLOT(entry, ((Py_ssize_t *)&E)[i]));
-    entry_pool[entry_pool_size++] = entry;
+    rb_occupy(hv, rec);
+    rb_fill(hv, value, ready_at);
+    return lower_wb_wake(t->v, ready_at);
 }
 
 /* commit: the oldest instruction of a hart, once done */
@@ -845,21 +1082,19 @@ stage_commit(Tick *t)
     if (v == NULL || cgate(v, G(_rr_commit)) < 0)
         return -1;
     for (k = 0; k < 4; k++) {
-        int h = (int)((v->_rr_commit + k) & 3), done, status;
+        int h = (int)((v->_rr_commit + k) & 3), status, done, ret;
         int64_t trap;
         HartView *hv = &v->h[h];
-        PyObject *rob, *head, *ret_action, *low;
+        Instr out;
         if (gate(v, h, G(rob)) < 0)
             goto fail;
-        if (PyList_GET_SIZE(rob = hv->rob) == 0)
+        if (rob_len(hv) == 0)
             continue;
-        head = PyList_GET_ITEM(rob, 0);
-        CHECK(head, entry_type);
-        GETB(done, head, E.done);
+        if (head_peek(t->w, hv, &done, &ret) < 0)
+            goto fail;
         if (!done)
             continue;
-        GETO(ret_action, head, E.ret_action);
-        if (ret_action != Py_None) {
+        if (ret) {
             /* the ordered-release barrier of a p_ret */
             PyObject *pred;
             if (tick_hart(t, h) == NULL)
@@ -871,24 +1106,21 @@ stage_commit(Tick *t)
                 continue;
         }
         CSET(v, _rr_commit, (h + 1) & 3);
-        if (gate(v, h, G(stats) | G(retired)) < 0)
+        if (gate(v, h, G(stats) | G(retired) | G(win)) < 0
+                || LOADED(t->w, AT(hv, 0)) < 0)
             goto fail;
-        GETO(low, head, E.low);
-        CHECK(low, low_type);
-        GETI(trap, low, L.trap);
-        head = list_take(rob, 0);  /* ``hart.rob.pop(0)`` */
+        out = *AT(hv, 0);  /* ``hart.rob.pop(0)`` */
+        ring_pop(hv);
         HSET(hv, retired, hv->retired + 1);
-        if (trap == 1)
+        trap = out.dec->trap;
+        if (trap == 0 && out.ret_action != NULL)
+            status = commit_p_ret(t, hv, &out);  /* it retires the record */
+        else if ((status = record_retire(t->w, &out)) == 0 && trap == 1)
             status = called(callback(t->w, t->machine, s_halt, s_ebreak, NULL,
                                      NULL));
-        else if (trap)
+        else if (status == 0 && trap)
             status = called(callback(t->w, t->machine, s_error, s_ecall, NULL,
                                      NULL));
-        else if (SLOT(head, E.ret_action) != Py_None)
-            status = commit_p_ret(t, hv, head);
-        else
-            status = 0;
-        retire(head);
         return status < 0 ? -1 : 1;
     }
     return 0;
@@ -912,84 +1144,75 @@ stage_writeback(Tick *t)
         return -1;
     wake = never_val;
     for (k = 0; k < 4; k++) {
-        int h = (int)((v->_rr_wb + k) & 3), busy;
-        int64_t ready_at, tag, reg;
+        int h = (int)((v->_rr_wb + k) & 3);
+        int64_t tag, reg, latest;
+        uint32_t value;
         Py_ssize_t i;
         HartView *hv = &v->h[h];
-        PyObject *rb, *value, *tag_obj, *it, *entry;
-        if (gate(v, h, G(rb)) < 0)
+        if (gate(v, h, G(rbv)) < 0)
             goto fail;
-        rb = hv->rb;
-        GETB(busy, rb, R.busy);
-        if (!busy)
+        if (!hv->rb_busy || !hv->rb_has_value)
             continue;
-        GETO(value, rb, R.value);
-        if (value == Py_None)
-            continue;
-        GETI(ready_at, rb, R.ready_at);
-        if (ready_at > t->cycle) {
-            if (ready_at < wake)
-                wake = ready_at;
+        if (hv->rb_ready_at > t->cycle) {
+            if (hv->rb_ready_at < wake)
+                wake = hv->rb_ready_at;
             continue;
         }
-        if (gate(v, h, G(rename) | G(regs) | G(it) | G(n_ready)) < 0)
+        if (gate(v, h, G(win) | G(rename) | G(regs) | G(n_ready)) < 0)
             goto fail;
+        if (!hv->rb_has_tag) {
+            wrong_type("int rename tag");
+            goto fail;
+        }
+        if (hv->rb_entry == NULL) {
+            wrong_type(entry_type->tp_name);
+            goto fail;
+        }
         CSET(v, _rr_wb, (h + 1) & 3);
-        GETO(tag_obj, rb, R.tag);
-        tag = as_int(tag_obj);
-        if (tag == -1 && PyErr_Occurred())
-            goto fail;
-        GETI(reg, rb, R.reg);
-        if (reg != 0) {
+        tag = hv->rb_tag;
+        value = hv->rb_value;
+        if ((reg = hv->rb_reg) != 0) {
             /* The architectural register is updated only when this
              * producer is still the latest rename of it: an older one
              * that writes back after a newer one must not clobber the
              * newer value.  Its consumers still get it, below. */
-            PyObject *latest;
             int same;
-            if ((latest = list_item(hv->rename, reg)) == NULL
-                    || (same = tag_is(latest, tag)) < 0)
+            uint32_t old;
+            if ((same = ren_read(hv, reg, &latest)) < 0)
                 goto fail;
-            if (same && (list_set(hv->regs, reg, value) < 0
-                         || list_set(hv->rename, reg, Py_None) < 0))
-                goto fail;
+            if (same && latest == tag) {
+                if (reg_read(hv, reg, &old) < 0)
+                    goto fail;
+                reg_write(hv, reg, value);
+                ren_write(hv, reg, 0, 0);
+            }
         }
-        it = hv->it;
-        for (i = 0; i < PyList_GET_SIZE(it); i++) {
-            PyObject *waiter = PyList_GET_ITEM(it, i), *wait;
-            int64_t nwaits;
-            int hit = 0, same;
-            CHECK(waiter, entry_type);
-            GETI(nwaits, waiter, E.nwaits);
-            GETO(wait, waiter, E.wait0);
-            if ((same = tag_is(wait, tag)) < 0)
+        for (i = 0; i < hv->count; i++) {
+            Instr *waiter = AT(hv, i);
+            int hit = 0, slot;
+            if (!waiter->in_it)
+                continue;
+            if (LOADED(t->w, waiter) < 0)
                 goto fail;
-            if (same) {
-                set_none(waiter, E.wait0);
-                set_obj(waiter, E.val0, value);
-                hit++;
-            }
-            GETO(wait, waiter, E.wait1);
-            if ((same = tag_is(wait, tag)) < 0)
-                goto fail;
-            if (same) {
-                set_none(waiter, E.wait1);
-                set_obj(waiter, E.val1, value);
-                hit++;
-            }
+            for (slot = 0; slot < 2; slot++)
+                if (waiter->has_wait[slot] && waiter->wait[slot] == tag) {
+                    waiter->has_wait[slot] = 0;
+                    waiter->has_val[slot] = 1;
+                    waiter->val[slot] = value;
+                    waiter->dirty |= slot ? D_WAIT1 | D_VAL1
+                        : D_WAIT0 | D_VAL0;
+                    hit++;
+                }
             if (hit) {
-                SETI(waiter, E.nwaits, nwaits - hit);
-                if (nwaits == hit)
+                if (waiter->nwaits == hit)
                     HSET(hv, n_ready, hv->n_ready + 1);
+                ISET(waiter, nwaits, waiter->nwaits - hit, D_NWAITS);
             }
         }
-        GETO(entry, rb, R.entry);
-        CHECK(entry, entry_type);
-        set_bool(entry, E.done, 1);
-        set_bool(rb, R.busy, 0);
-        set_none(rb, R.tag);
-        set_none(rb, R.value);
-        set_none(rb, R.entry);
+        ISET(hv->rb_entry, done, 1, D_DONE);
+        hv->rb_busy = hv->rb_has_tag = hv->rb_has_value = 0;
+        hv->rb_entry = NULL;
+        hv->rb_dirty |= RB_BUSY | RB_TAG | RB_VALUE | RB_ENTRY;
         /* one drain per cycle: the next is no earlier than cycle + 1
          * (cheaper than the exact minimum over the other harts on the
          * ~90% of saturated ticks that drain; a low gate only costs one
@@ -999,7 +1222,7 @@ stage_writeback(Tick *t)
         break;
     }
     /* exact when the scan drained nothing (the gate was stale) */
-    CSET_BOX(v, _wb_wake, wake, NULL);
+    CSET(v, _wb_wake, wake);
     return fired;
 fail:
     return -1;
@@ -1017,27 +1240,29 @@ refresh_fetch_ok(HartView *hv)
  * case -- exit, wait for the join, end, or join hart ``t0 >> 16`` at ra --
  * and the hart fetches no further */
 static int
-decide_p_ret(HartView *hv, PyObject *entry)
+decide_p_ret(HartView *hv, Instr *rec)
 {
     int64_t ra, t0, joiner;
-    PyObject *action, *joiner_obj;
-    GETI(ra, entry, E.val0);
-    GETI(t0, entry, E.val1);
+    PyObject *action, *joiner_obj, *ra_obj;
+    GETV(ra, rec, 0);
+    GETV(t0, rec, 1);
     joiner = (int64_t)(((uint64_t)t0 >> 16) & 0x7FFF);  /* join_hart */
     if (ra != 0) {
-        if ((joiner_obj = PyLong_FromLongLong(joiner)) == NULL)
-            goto fail;
-        action = PyTuple_Pack(3, s_join, joiner_obj, SLOT(entry, E.val0));
-        Py_DECREF(joiner_obj);
+        joiner_obj = PyLong_FromLongLong(joiner);
+        ra_obj = PyLong_FromLongLong(ra);
+        action = joiner_obj == NULL || ra_obj == NULL ? NULL
+            : PyTuple_Pack(3, s_join, joiner_obj, ra_obj);
+        Py_XDECREF(joiner_obj);
+        Py_XDECREF(ra_obj);
     } else
         action = PyTuple_Pack(3, t0 == MASK32 ? s_exit
                               : joiner == hv->gid ? s_wait : s_end,
                               Py_None, Py_None);
     if (action == NULL)
         goto fail;
-    set_obj(entry, E.ret_action, action);
-    Py_DECREF(action);
-    set_bool(entry, E.done, 1);
+    Py_XSETREF(rec->ret_action, action);
+    rec->dirty |= D_RET;
+    ISET(rec, done, 1, D_DONE);
     HSET_OBJ(hv, pc, Py_None);
     HSET(hv, awaiting_nextpc, 0);
     HSET(hv, fetch_ok, 0);
@@ -1051,43 +1276,38 @@ fail:
  * decision, and SYSTEM / FENCE (no-ops until commit).  0 done, 1 not one
  * of them, -1 an exception. */
 static int
-execute_local(Tick *t, HartView *hv, PyObject *entry, PyObject *low,
-              int64_t cls)
+execute_local(Tick *t, HartView *hv, Instr *rec, int64_t cls)
 {
-    int64_t a, b, imm, pc, rd;
+    int64_t a, b;
+    const Decode *d = rec->dec;
     if (cls == cls_system || cls == cls_fence) {
-        set_bool(entry, E.done, 1);
+        ISET(rec, done, 1, D_DONE);
         return 0;
     }
     if (cls == cls_p_syncm) {
         HSET(hv, syncm_block, 0);
         refresh_fetch_ok(hv);
-        set_bool(entry, E.done, 1);
+        ISET(rec, done, 1, D_DONE);
         return 0;
     }
-    if (cls == cls_p_jalr) {
-        GETI(rd, low, L.rd);
-        return rd == 0 ? decide_p_ret(hv, entry) : 1;
-    }
+    if (cls == cls_p_jalr)
+        return d->rd == 0 ? decide_p_ret(hv, rec) : 1;
     if (cls != cls_jalr && cls != cls_p_set && cls != cls_p_merge)
         return 1;
-    GETI(a, entry, E.val0);
+    GETV(a, rec, 0);
     if (cls == cls_jalr) {
-        GETI(imm, low, L.imm);
-        GETI(pc, entry, E.pc);
-        if (resolve_pc(t, hv, (a + imm) & 0xFFFFFFFE) < 0)
+        if (resolve_pc(t, hv, (a + d->imm) & 0xFFFFFFFE) < 0)
             goto fail;
-        return finish_at(t, hv, entry, low, (uint32_t)(pc + 4),
-                         t->cycle + 1);
+        return finish_at(t, hv, rec, (uint32_t)(rec->pc + 4), t->cycle + 1);
     }
     if (cls == cls_p_set)  /* p_set_value: the hart identity stamped */
-        return finish_at(t, hv, entry, low,
+        return finish_at(t, hv, rec,
                          (uint32_t)(((uint64_t)a & 0xFFFF)
                                     | (uint64_t)(4 * t->v->index
                                                  + hv->index) << 16
                                     | 0x80000000u), t->cycle + 1);
-    GETI(b, entry, E.val1);  /* p_merge_value */
-    return finish_at(t, hv, entry, low,
+    GETV(b, rec, 1);  /* p_merge_value */
+    return finish_at(t, hv, rec,
                      (uint32_t)(((uint64_t)a & 0x7FFF0000)
                                 | ((uint64_t)b & 0xFFFF)), t->cycle + 1);
 fail:
@@ -1098,81 +1318,77 @@ fail:
  * auipc and execute_local's classes need nothing from the machine; a
  * load, a store and every X_PAR message nothing observes need only the
  * window (mem_access, team_execute in _window.h); the rest -- a code-bank
- * or device access, an observed or refused step -- is Core._execute. */
+ * or device access, an observed or refused step -- is Core._execute, given
+ * the record's Entry. */
 static int
-execute(Tick *t, HartView *hv, PyObject *entry, PyObject *low)
+execute(Tick *t, HartView *hv, Instr *rec)
 {
-    int64_t op, a, b, pc, imm, cls;
+    int64_t op, a, b, cls;
     int native, done, mem;
-    GETI(op, low, L.alu_op);
-    if (op >= 0) {
-        int writes;
-        int64_t nreads, latency;
+    const Decode *d = rec->dec;
+    PyObject *entry;
+    if ((op = d->alu_op) >= 0) {
         if (op >= A_COUNT)
             goto bad_op;
-        GETB(writes, low, L.writes);
-        if (!writes) {  /* rd == x0: result discarded */
-            set_bool(entry, E.done, 1);
+        if (!d->writes) {  /* rd == x0: result discarded */
+            ISET(rec, done, 1, D_DONE);
             return 0;
         }
-        GETI(a, entry, E.val0);
-        GETI(nreads, low, L.nreads);
-        if (nreads == 2)
-            GETI(b, entry, E.val1);
+        GETV(a, rec, 0);
+        if (d->nreads == 2)
+            GETV(b, rec, 1);
         else
-            GETI(b, low, L.imm);
-        GETI(latency, low, L.latency);
-        return finish_at(t, hv, entry, low, alu(op, a, b),
-                         t->cycle + latency);
+            b = d->imm;
+        return finish_at(t, hv, rec, alu(op, a, b), t->cycle + d->latency);
     }
-    GETI(op, low, L.br_op);
-    if (op >= 0) {
+    if ((op = d->br_op) >= 0) {
         if (op >= B_COUNT)
             goto bad_op;
-        GETI(a, entry, E.val0);
-        GETI(b, entry, E.val1);
-        GETI(pc, entry, E.pc);
-        GETI(imm, low, L.imm);
-        if (resolve_pc(t, hv, branch(op, a, b) ? pc + imm : pc + 4) < 0)
+        GETV(a, rec, 0);
+        GETV(b, rec, 1);
+        if (resolve_pc(t, hv, branch(op, a, b) ? rec->pc + d->imm
+                       : rec->pc + 4) < 0)
             return -1;
-        set_bool(entry, E.done, 1);
+        ISET(rec, done, 1, D_DONE);
         return 0;
     }
-    GETI(cls, low, L.cls);
+    cls = d->cls;
     if (cls == cls_jal || cls == cls_lui || cls == cls_auipc) {
         uint32_t value;
-        GETI(pc, entry, E.pc);
-        GETI(imm, low, L.imm);
         if (cls == cls_jal)
-            value = (uint32_t)(pc + 4);
+            value = (uint32_t)(rec->pc + 4);
         else
-            value = (uint32_t)((uint64_t)imm << 12)
-                + (cls == cls_auipc ? (uint32_t)pc : 0);
-        return finish_at(t, hv, entry, low, value, t->cycle + 1);
+            value = (uint32_t)((uint64_t)d->imm << 12)
+                + (cls == cls_auipc ? (uint32_t)rec->pc : 0);
+        return finish_at(t, hv, rec, value, t->cycle + 1);
     }
     /* the rest: a load or store reads the hart's scalars it issues with
      * only on the native path; anything else, all of them */
     mem = cls == cls_load || cls == cls_store || cls == cls_p_lwcv;
     if (!mem && gate(t->v, HNUM(t->v, hv), HART_ALL) < 0)
         return -1;
-    if ((done = execute_local(t, hv, entry, low, cls)) <= 0)
+    if ((done = execute_local(t, hv, rec, cls)) <= 0)
         return done;
     if ((native = window_native(t, M_execute)) < 0)
         return -1;
     if (native) {
         if (!mem)
-            done = team_execute(t, hv, entry, low, cls);
+            done = team_execute(t, hv, rec, cls);
         else if (gate(t->v, HNUM(t->v, hv), G(gid) | G(index)
                       | G(outstanding_mem)) < 0)
             return -1;
         else
-            done = mem_access(t, hv, entry, low,
+            done = mem_access(t, hv, rec,
                               cls == cls_load ? ACC_LOAD
                               : cls == cls_store ? ACC_STORE : ACC_LWCV);
         if (done)
             return done < 0 ? -1 : 0;
     }
-    return called(callback(t->w, t->core, s_execute, hv->hart, entry, NULL));
+    if ((entry = record_entry(t->w, rec)) == NULL)
+        return -1;
+    done = called(callback(t->w, t->core, s_execute, hv->hart, entry, NULL));
+    Py_DECREF(entry);
+    return done;
 bad_op:
     PyErr_SetString(PyExc_ValueError,
                     "compiled tick: alu_op / br_op out of range");
@@ -1190,35 +1406,32 @@ stage_issue(Tick *t)
     if (v == NULL || cgate(v, G(_rr_issue)) < 0)
         return -1;
     for (k = 0; k < 4; k++) {
-        int h = (int)((v->_rr_issue + k) & 3), rb_busy;
+        int h = (int)((v->_rr_issue + k) & 3);
         int older_store_pending = 0, status;
-        int64_t n_ready;
-        Py_ssize_t i, found = -1;
+        Py_ssize_t i, pos = 0;
         HartView *hv = &v->h[h];
-        PyObject *it, *entry, *low;
+        Instr *found = NULL;
         if (gate(v, h, G(n_ready)) < 0)
             goto fail;
-        if (!(n_ready = hv->n_ready))
+        if (!hv->n_ready)
             continue;
-        if (gate(v, h, G(it) | G(rb)) < 0)
+        if (gate(v, h, G(win)) < 0)
             goto fail;
-        it = hv->it;
-        GETB(rb_busy, hv->rb, R.busy);
-        for (i = 0; i < PyList_GET_SIZE(it); i++) {
-            PyObject *candidate = PyList_GET_ITEM(it, i);
-            int64_t nwaits;
-            int writes, store_like;
-            CHECK(candidate, entry_type);
-            GETO(low, candidate, E.low);
-            CHECK(low, low_type);
-            GETI(nwaits, candidate, E.nwaits);
-            GETB(writes, low, L.writes);
-            if (nwaits == 0 && !(writes && rb_busy)) {
-                int64_t kind, number;
+        /* the records still in the instruction table, in its order; *pos*
+         * counts them */
+        for (i = 0; i < hv->count; i++) {
+            Instr *candidate = AT(hv, i);
+            const Decode *d;
+            if (!candidate->in_it)
+                continue;
+            if (LOADED(t->w, candidate) < 0)
+                goto fail;
+            d = candidate->dec;
+            if (candidate->nwaits == 0 && !(d->writes && hv->rb_busy)) {
+                int64_t number;
                 int ready;
                 PyObject *list, *item;
-                GETI(kind, low, L.issue_kind);
-                switch (kind) {
+                switch (d->issue_kind) {
                 case 0:  /* ISS_PLAIN */
                     ready = 1;
                     break;
@@ -1227,8 +1440,7 @@ stage_issue(Tick *t)
                     break;
                 case 2:  /* ISS_LWRE: its result buffer is filled */
                     GETLIST(list, hv->hart, H.re_buffers);
-                    GETI(number, low, L.re_slot);
-                    if ((item = list_item(list, number)) == NULL)
+                    if ((item = list_item(list, d->re_slot)) == NULL)
                         goto fail;
                     ready = item != Py_None;
                     break;
@@ -1241,14 +1453,22 @@ stage_issue(Tick *t)
                         ready = number < 4;
                         break;
                     }
-                    Py_INCREF(it);
                     item = callback(t->w, t->core, s_alloc_free_hart, NULL,
                                     NULL, NULL);
-                    Py_DECREF(it);
                     if (item == NULL)
                         goto fail;
                     ready = item != Py_None;
                     Py_DECREF(item);
+                    /* Python ran: the scan goes on at the same place of
+                     * the instruction table as it is now */
+                    if (tick_view(t) == NULL || gate(v, h, G(win)) < 0)
+                        goto fail;
+                    if ((i = it_index(hv, pos)) < 0)
+                        goto next;
+                    candidate = AT(hv, i);
+                    if (LOADED(t->w, candidate) < 0)
+                        goto fail;
+                    d = candidate->dec;
                     break;
                 case 4:  /* ISS_FN: a fork token was granted */
                     GETLIST(list, hv->hart, H.fork_tokens);
@@ -1257,168 +1477,120 @@ stage_issue(Tick *t)
                 default:  /* ISS_SYNCM: at the head, memory drained */
                     if (gate(v, h, G(outstanding_mem)) < 0)
                         goto fail;
-                    ready = i == 0 && hv->outstanding_mem == 0;
+                    ready = pos == 0 && hv->outstanding_mem == 0;
                     break;
                 }
                 if (ready) {
-                    found = i;
+                    found = candidate;
                     break;
                 }
             }
-            GETB(store_like, low, L.store_like);
-            if (store_like)
+            if (d->store_like)
                 older_store_pending = 1;
+            pos++;
         }
-        if (found < 0 || found >= PyList_GET_SIZE(it))
+        if (found == NULL)
             continue;
-        /* an ISS_FC probe may have run Python since the scan */
-        if (tick_view(t) == NULL || gate(v, h, G(it) | G(rb)) < 0)
-            goto fail;
         CSET(v, _rr_issue, (h + 1) & 3);
-        entry = PyList_GET_ITEM(it, found);
-        CHECK(entry, entry_type);
-        GETO(low, entry, E.low);
-        CHECK(low, low_type);
-        Py_INCREF(low);
-        entry = list_take(it, found);  /* ``hart.it.remove(entry)`` */
-        HSET(hv, n_ready, n_ready - 1);
-        set_bool(entry, E.issued, 1);
-        status = execute(t, hv, entry, low);
-        Py_DECREF(low);
-        Py_DECREF(entry);
+        found->in_it = 0;  /* ``hart.it.remove(entry)`` */
+        hv->reordered = 1;
+        HSET(hv, n_ready, hv->n_ready - 1);
+        ISET(found, issued, 1, D_ISSUED);
+        status = execute(t, hv, found);
         return status < 0 ? -1 : 1;
+    next:
+        ;
     }
     return 0;
 fail:
     return -1;
 }
 
-/* One source operand at rename: x0, a committed value, or a producer's
- * tag.  Returns borrowed references through *val / *wait. */
+/* One source operand at rename, into slot *k* of *rec*: x0, a committed
+ * value, or a producer's tag.  1 when it waits for one. */
 static int
-read_source(HartView *hv, int64_t reg, PyObject **val, PyObject **wait)
+read_source(HartView *hv, int64_t reg, Instr *rec, int k)
 {
+    int64_t tag;
+    int renamed;
     if (reg == 0) {
-        *val = zero_obj;
+        rec->has_val[k] = 1;
+        rec->val[k] = 0;
         return 0;
     }
-    if ((*wait = list_item(hv->rename, reg)) == NULL)
+    if ((renamed = ren_read(hv, reg, &tag)) < 0)
         return -1;
-    if (*wait != Py_None)
+    if (renamed) {
+        rec->has_wait[k] = 1;
+        rec->wait[k] = tag;
         return 1;  /* one more producer to wait for */
-    return (*val = list_item(hv->regs, reg)) == NULL ? -1 : 0;
+    }
+    rec->has_val[k] = 1;
+    return reg_read(hv, reg, &rec->val[k]);
 }
 
-/* Rename the instruction (*pc_obj*, *low*) taken from the fetch buffer of
- * hart *h*: Entry(tag, low, pc, val0, val1, wait0, wait1, nwaits) into the
- * instruction table and the ROB, then the next-pc determination. */
+/* Rename the instruction (*pc*, *d*) taken from the fetch buffer of hart
+ * *h*: a record into the ring, in the instruction table, then the next-pc
+ * determination. */
 static int
-rename_into(Tick *t, int h, PyObject *pc_obj, PyObject *low)
+rename_into(Tick *t, int h, int64_t pc, Decode *d)
 {
-    int status = -1, writes, more;
-    int64_t tag, nreads, reg, nwaits = 0, dec, pc, imm, held;
+    int more;
+    int64_t tag, old;
     CoreView *v = t->v;
     HartView *hv = &v->h[h];
-    PyObject *next_pc, *tag_obj = NULL, *entry = NULL;
-    PyObject *val0 = Py_None, *val1 = Py_None;
-    PyObject *wait0 = Py_None, *wait1 = Py_None;
+    Instr fresh = {.pc = pc, .dec = d, .in_it = 1}, *rec;
 
-    CHECK(low, low_type);
     if (cgate(v, G(_tag)) < 0)
         goto fail;
-    tag = v->_tag + 1;
-    if ((tag_obj = PyLong_FromLongLong(tag)) == NULL)
-        goto fail;
-    CSET_BOX(v, _tag, tag, tag_obj);
-    GETI(nreads, low, L.nreads);
-    if (nreads) {
-        GETI(reg, low, L.r1);
-        if ((more = read_source(hv, reg, &val0, &wait0)) < 0)
+    fresh.tag = tag = v->_tag + 1;
+    CSET(v, _tag, tag);
+    if (d->nreads) {
+        if ((more = read_source(hv, d->r1, &fresh, 0)) < 0)
             goto fail;
-        nwaits += more;
-        if (nreads == 2) {
-            GETI(reg, low, L.r2);
-            if ((more = read_source(hv, reg, &val1, &wait1)) < 0)
+        fresh.nwaits += more;
+        if (d->nreads == 2) {
+            if ((more = read_source(hv, d->r2, &fresh, 1)) < 0)
                 goto fail;
-            nwaits += more;
+            fresh.nwaits += more;
         }
     }
-    /* slot by slot, without Entry.__init__ (bind checked these are all),
-     * into a retired Entry when one is parked: every slot NULL, like new */
-    if (entry_pool_size) {
-        entry = entry_pool[--entry_pool_size];
-        PyObject_GC_Track(entry);
-    } else if ((entry = entry_type->tp_alloc(entry_type, 0)) == NULL)
+    if ((rec = ring_push(hv)) == NULL)
         goto fail;
-    set_obj(entry, E.tag, tag_obj);
-    set_obj(entry, E.low, low);
-    set_obj(entry, E.pc, pc_obj);
-    set_obj(entry, E.val0, val0);
-    set_obj(entry, E.val1, val1);
-    set_obj(entry, E.wait0, wait0);
-    set_obj(entry, E.wait1, wait1);
-    SETI(entry, E.nwaits, nwaits);
-    set_bool(entry, E.issued, 0);
-    set_bool(entry, E.done, 0);
-    set_none(entry, E.ret_action);
-    if (PyList_Append(hv->it, entry) < 0
-            || PyList_Append(hv->rob, entry) < 0)
-        goto fail;
-    if (nwaits == 0)
+    *rec = fresh;
+    if (fresh.nwaits == 0)
         HSET(hv, n_ready, hv->n_ready + 1);
-    GETB(writes, low, L.writes);
-    if (writes) {
-        GETI(reg, low, L.rd);
-        if (list_item(hv->rename, reg) == NULL
-                || list_set(hv->rename, reg, tag_obj) < 0)
+    if (d->writes) {
+        if (ren_read(hv, d->rd, &old) < 0)
             goto fail;
+        ren_write(hv, d->rd, 1, tag);
     }
-    GETI(dec, low, L.dec_kind);
-    if (dec == 5) {
+    if (d->dec_kind == 5) {
         /* DEC_PFN: request the fork token from the next core */
         if (tick_hart(t, h) == NULL || send_fork_req(t, hv) < 0
                 || tick_hart(t, h) == NULL)
             goto fail;
     }
     /* next-pc determination (fetch resumes when it is known) */
-    if (dec == 2) {
+    if (d->dec_kind == 2) {
         /* DEC_SUSPEND: resolved at issue; the hart stays suspended */
-    } else if (dec == 3) {
+    } else if (d->dec_kind == 3) {
         /* DEC_SYSTEM: halts (ebreak) / traps (ecall) at commit */
         HSET_OBJ(hv, pc, Py_None);
         HSET(hv, awaiting_nextpc, 0);
     } else {
-        pc = as_int(pc_obj);
-        if (pc == -1 && PyErr_Occurred())
-            goto fail;
-        if (dec == 1) {  /* DEC_JAL: pc + imm known at decode */
-            GETI(imm, low, L.imm);
-            pc = (pc + imm) & MASK32;
-        } else
-            pc += 4;
-        /* lowered.py boxed this value when it lowered the instruction at
-         * pc_obj; a *low* that says otherwise gets a new int */
-        GETO(next_pc, low, L.next_pc);
-        if (small_int(next_pc, &held) && held == pc)
-            HSET_OBJ(hv, pc, next_pc);
-        else {
-            if ((next_pc = PyLong_FromLongLong(pc)) == NULL)
-                goto fail;
-            HSET_OBJ(hv, pc, next_pc);
-            Py_DECREF(next_pc);
-        }
+        /* pc + 4, or pc + imm for DEC_JAL */
+        HSET_OBJ(hv, pc, d->next_pc);
         HSET(hv, awaiting_nextpc, 0);
         HSET(hv, fetch_ready_at, t->cycle + 1);
-        if (dec == 4)  /* DEC_SYNCM: block further fetch until it issues */
+        if (d->dec_kind == 4)  /* DEC_SYNCM: no fetch until it issues */
             HSET(hv, syncm_block, 1);
         else
             HSET(hv, fetch_ok, !hv->syncm_block);
     }
-    status = 0;
+    return 0;
 fail:
-    Py_XDECREF(entry);
-    Py_XDECREF(tag_obj);
-    return status;
+    return -1;
 }
 
 /* decode / rename: fetch buffer -> instruction table + ROB */
@@ -1430,52 +1602,58 @@ stage_rename(Tick *t)
     if (v == NULL || cgate(v, G(_rr_rename) | G(_rob_size)) < 0)
         return -1;
     for (k = 0; k < 4; k++) {
-        int h = (int)((v->_rr_rename + k) & 3), status;
+        int h = (int)((v->_rr_rename + k) & 3);
+        int64_t pc;
         HartView *hv = &v->h[h];
-        PyObject *fetch_buf;
+        PyObject *fetch_buf, *low;
+        Decode *d;
         if (gate(v, h, G(fetch_buf)) < 0)
             return -1;
         if ((fetch_buf = hv->fetch_buf) == Py_None)
             continue;
         if (gate(v, h, G(rob)) < 0)
             return -1;
-        if (PyList_GET_SIZE(hv->rob) >= v->_rob_size)
+        if (rob_len(hv) >= v->_rob_size)
             continue;
         if (!PyTuple_Check(fetch_buf) || PyTuple_GET_SIZE(fetch_buf) != 2) {
             wrong_type("(pc, low) tuple");
             return -1;
         }
-        if (gate(v, h, G(rename) | G(regs) | G(it) | G(n_ready)
+        if (gate(v, h, G(win) | G(rename) | G(regs) | G(n_ready)
                  | G(syncm_block)) < 0)
             return -1;
+        low = PyTuple_GET_ITEM(fetch_buf, 1);
+        if (!PyObject_TypeCheck(low, low_type)) {
+            wrong_type(low_type->tp_name);
+            return -1;
+        }
+        pc = as_int(PyTuple_GET_ITEM(fetch_buf, 0));
+        if ((pc == -1 && PyErr_Occurred())
+                || (d = decode_of(t->w, pc, low)) == NULL)
+            return -1;
         CSET(v, _rr_rename, (h + 1) & 3);
-        Py_INCREF(fetch_buf);  /* keeps pc and low alive once it is taken */
         HSET_OBJ(hv, fetch_buf, Py_None);
-        status = rename_into(t, h, PyTuple_GET_ITEM(fetch_buf, 0),
-                             PyTuple_GET_ITEM(fetch_buf, 1));
-        Py_DECREF(fetch_buf);
-        return status < 0 ? -1 : 1;
+        return rename_into(t, h, pc, d) < 0 ? -1 : 1;
     }
     return 0;
 }
 
-/* ``(pc, low)`` as a new reference: the pair lowered.py built with *low*
- * when it is that pair (this pc, this low -- a lowered program's always
- * is), else a new tuple. */
+/* ``low.fetch_pair`` when it is the pair lowered.py built, ``(pc, low)``
+ * for this pc and this *low* (a lowered program's always is), else NULL;
+ * borrowed */
 static PyObject *
-fetch_pair(PyObject *pc, PyObject *low)
+own_pair(PyObject *low, int64_t pc)
 {
-    int64_t pc_val, pair_pc;
+    int64_t pair_pc;
     PyObject *pair;
     if (PyObject_TypeCheck(low, low_type)
             && (pair = SLOT(low, L.fetch_pair)) != NULL
             && PyTuple_CheckExact(pair) && PyTuple_GET_SIZE(pair) == 2
             && PyTuple_GET_ITEM(pair, 1) == low
-            && small_int(pc, &pc_val)
             && small_int(PyTuple_GET_ITEM(pair, 0), &pair_pc)
-            && pc_val == pair_pc)
-        return new_ref(pair);
-    return PyTuple_Pack(2, pc, low);
+            && pair_pc == pc)
+        return pair;
+    return NULL;
 }
 
 /* fetch (gated on the collapsed predicate): one hart whose next pc is known */
@@ -1488,8 +1666,10 @@ stage_fetch(Tick *t)
         return -1;
     for (k = 0; k < 4; k++) {
         int h = (int)((v->_rr_fetch + k) & 3);
+        int64_t pc_val;
         HartView *hv = &v->h[h];
-        PyObject *pc, *low, *fetch_buf;
+        PyObject *pc, *low, *fetch_buf, *pair;
+        Decode *d;
         if (gate(v, h, G(fetch_ok)) < 0)
             return -1;
         if (!hv->fetch_ok)
@@ -1502,17 +1682,22 @@ stage_fetch(Tick *t)
             return -1;
         CSET(v, _rr_fetch, (h + 1) & 3);
         pc = new_ref(hv->pc);  /* the callback below may end the hart */
-        low = PyDict_Check(t->lowered)
-            ? PyDict_GetItemWithError(t->lowered, pc) : NULL;
-        if (low != NULL)
-            Py_INCREF(low);
-        else if (!PyErr_Occurred())
+        if ((d = decode_fetch(t->w, t->lowered, pc)) != NULL)
+            fetch_buf = d->fetch_pair != NULL ? new_ref(d->fetch_pair)
+                : PyTuple_Pack(2, pc, d->low);
+        else if (PyErr_Occurred())
+            fetch_buf = NULL;
+        else {
             /* non-code address: the slow error path */
             low = callback(t->w, t->machine, s_fetch_instruction, pc,
                            hv->hart, NULL);
-        fetch_buf = low == NULL ? NULL : fetch_pair(pc, low);
+            pair = low != NULL && small_int(pc, &pc_val)
+                ? own_pair(low, pc_val) : NULL;
+            fetch_buf = low == NULL ? NULL : pair != NULL ? new_ref(pair)
+                : PyTuple_Pack(2, pc, low);
+            Py_XDECREF(low);
+        }
         Py_DECREF(pc);
-        Py_XDECREF(low);
         if (fetch_buf == NULL || tick_view(t) == NULL) {
             Py_XDECREF(fetch_buf);
             return -1;
@@ -1719,50 +1904,41 @@ static int
 classify(Tick *t, PyObject *slot)
 {
     int64_t cls;
-    Py_ssize_t i;
-    int k, flag;
+    int k;
     CoreView *v = t->v;
     HartView *rep = NULL;
-    PyObject *head, *ret_action, *pred, *it, *low;
+    Instr *head;
+    PyObject *pred;
     if (cgate(v, G(_rr_commit)) < 0)
         goto fail;
     for (k = 0; k < 4 && rep == NULL; k++) {
         int h = (int)((v->_rr_commit + k) & 3);
         if (gate(v, h, G(rob)) < 0)
             goto fail;
-        if (PyList_GET_SIZE(v->h[h].rob))
+        if (rob_len(&v->h[h]))
             rep = &v->h[h];
     }
     if (rep == NULL)
         return WHY_fetch_starved;
-    if (tick_hart(t, HNUM(v, rep)) == NULL)
+    if (tick_hart(t, HNUM(v, rep)) == NULL
+            || gate(v, HNUM(v, rep), G(win)) < 0)
         goto fail;
-    head = PyList_GET_ITEM(rep->rob, 0);
-    CHECK(head, entry_type);
-    GETO(ret_action, head, E.ret_action);
-    if (ret_action != Py_None) {
-        GETB(flag, head, E.done);
-        if (flag) {
-            /* p_ret held at the ordered-release barrier: predecessor's
-             * ending signal pending, or own stores still in flight */
-            GETO(pred, rep->hart, H.pred);
-            if (pred != Py_None && !rep->pred_done)
-                return WHY_barrier_wait;
-            return rep->outstanding_mem ? mem_reason(slot, rep, t->cycle)
-                : WHY_barrier_wait;
-        }
+    head = AT(rep, 0);
+    if (LOADED(t->w, head) < 0)
+        goto fail;
+    if (head->ret_action != NULL && head->done) {
+        /* p_ret held at the ordered-release barrier: predecessor's
+         * ending signal pending, or own stores still in flight */
+        GETO(pred, rep->hart, H.pred);
+        if (pred != Py_None && !rep->pred_done)
+            return WHY_barrier_wait;
+        return rep->outstanding_mem ? mem_reason(slot, rep, t->cycle)
+            : WHY_barrier_wait;
     }
-    it = rep->it;
-    for (i = 0; i < PyList_GET_SIZE(it); i++)
-        if (PyList_GET_ITEM(it, i) == head)
-            break;
-    GETO(low, head, E.low);
-    CHECK(low, low_type);
-    GETI(cls, low, L.cls);
-    if (i < PyList_GET_SIZE(it)) {
+    cls = head->dec->cls;
+    if (head->in_it) {
         /* head not yet issued */
-        GETB(flag, head, E.nwaits);
-        if (flag)
+        if (head->nwaits)
             return WHY_operand_wait;
         if (cls == cls_p_lwre)
             return WHY_re_line_wait;
@@ -2050,6 +2226,7 @@ tick_bind(PyObject *Py_UNUSED(module), PyObject *args)
     PyTypeObject *core, *hart, *rb, *entry, *low, *stats, *mem, *bank, *port,
         *counters, *links, *machine;
     PyObject *tags, *shifts, *never, *handlers, *classes, *simulate, *bound;
+    PyObject *init;
     PyObject *method[METHOD_COUNT];
     long long never_value, base, size, ack_latency;
     long long cv[4];
@@ -2088,9 +2265,9 @@ tick_bind(PyObject *Py_UNUSED(module), PyObject *args)
             || resolve_slots(counters, K_names, &K) < 0
             || resolve_slots(links, LS_names, &LS) < 0)
         return NULL;
-    /* rename builds Entry objects slot by slot, without __init__, and
-     * commit empties them the same way: that is only right while these are
-     * all the slots an Entry has (a class with slots is collectable) */
+    /* the flush builds Entry objects slot by slot, without __init__: that
+     * is only right while these are all the slots an Entry has (a class
+     * with slots is collectable) */
     if (entry->tp_basicsize != (Py_ssize_t)(sizeof(PyObject)
             + ENTRY_NSLOTS * sizeof(PyObject *))
             || entry->tp_itemsize != 0 || !PyType_IS_GC(entry)) {
@@ -2098,6 +2275,16 @@ tick_bind(PyObject *Py_UNUSED(module), PyObject *args)
                         "Entry has slots the compiled tick does not fill");
         return NULL;
     }
+    /* and a new Port the same way, its one slot */
+    if (port->tp_basicsize != (Py_ssize_t)(sizeof(PyObject)
+            + sizeof(PyObject *)) || port->tp_itemsize != 0) {
+        PyErr_SetString(PyExc_TypeError,
+                        "Port has slots the compiled window does not fill");
+        return NULL;
+    }
+    if ((init = PyObject_GetAttr((PyObject *)port, s___init__)) == NULL)
+        return NULL;
+    Py_XSETREF(port_init, init);
     /* every event kind has a native spelling, used only while the table
      * still names the functions it names now; so has every call-back
      * site, while its method is the one found now */
@@ -2113,7 +2300,6 @@ tick_bind(PyObject *Py_UNUSED(module), PyObject *args)
         }
     for (k = 0; k < METHOD_COUNT; k++)
         Py_XSETREF(bound_method[k], method[k]);
-    entry_pool_clear();  /* they are of the Entry class bound before */
     KEEP(core_type, core);
     KEEP(hart_type, hart);
     KEEP(rb_type, rb);
@@ -2310,11 +2496,30 @@ tick_native_kinds(PyObject *Py_UNUSED(module), PyObject *Py_UNUSED(ignored))
     return result;
 }
 
+#ifdef TICK_COUNTS
 static PyObject *
-tick_parked_entries(PyObject *Py_UNUSED(module), PyObject *Py_UNUSED(ignored))
+tick_slot_counts(PyObject *Py_UNUSED(module), PyObject *Py_UNUSED(ignored))
 {
-    return Py_BuildValue("ii", entry_pool_size, ENTRY_POOL_MAX);
+#define COUNTED_NAME(name) #name,
+    static const char *const names[N_COUNTED] = {COUNTED(COUNTED_NAME)};
+    int k;
+    PyObject *counts = PyDict_New(), *count;
+    for (k = 0; counts != NULL && k <= N_COUNTED; k++) {
+        count = PyLong_FromLongLong(k < N_COUNTED ? slot_touches[k]
+                                    : long_boxes);
+        if (count == NULL
+                || PyDict_SetItemString(counts, k < N_COUNTED ? names[k]
+                                        : "PyLong_FromLongLong", count) < 0)
+            Py_CLEAR(counts);
+        Py_XDECREF(count);
+    }
+    if (counts != NULL) {
+        memset(slot_touches, 0, sizeof(slot_touches));
+        long_boxes = 0;
+    }
+    return counts;
 }
+#endif
 
 static PyMethodDef module_methods[] = {
     {"bind", tick_bind, METH_VARARGS,
@@ -2341,9 +2546,11 @@ static PyMethodDef module_methods[] = {
      "as_int(obj) -> the int64 every slot read makes of obj (for tests)."},
     {"zeroed", tick_zeroed, METH_O,
      "zeroed(n) -> bytearray(n), its pages mapped in when first touched."},
-    {"parked_entries", tick_parked_entries, METH_NOARGS,
-     "parked_entries() -> (retired Entry objects parked for rename, the "
-     "bound on that number) (for tests)."},
+#ifdef TICK_COUNTS
+    {"slot_counts", tick_slot_counts, METH_NOARGS,
+     "slot_counts() -> {class name: slot accesses, 'PyLong_FromLongLong': "
+     "ints boxed} since the last call (the counting build only)."},
+#endif
     {NULL, NULL, 0, NULL}};
 
 static struct PyModuleDef module_def = {

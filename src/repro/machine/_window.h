@@ -24,11 +24,14 @@
  * built only if it is still pending when the call returns.
  *
  * The core views.  The same rule holds for the cores' pipeline scalars
- * (_tick.c says which): one ``CoreView`` per core of ``machine.cores``,
- * loaded part by part from the slots the first time C needs a part in the
- * call or after a call into Python (``fresh``), flushed back -- only what C
- * wrote -- before every call into Python and on every way out.  A
- * window-less ``Core.tick`` or ``settle_idle`` has one view of its own.
+ * and each hart's instruction ring (_tick.c says which): one ``CoreView``
+ * per core of ``machine.cores``, loaded part by part from the slots the
+ * first time C needs a part in the call or after a call into Python
+ * (``fresh``), flushed back -- only what C wrote, and an ``Entry`` for each
+ * instruction that has none -- before every call into Python and on every
+ * way out.  The decode records and the boxes the flush made are the
+ * window's, for one call.  A window-less ``Core.tick`` or ``settle_idle``
+ * has one view of its own.
  *
  * The contract with the Python it calls (handlers, ticks that are not
  * ours, a replaced ``settle_idle``, everything behind the tick's
@@ -127,6 +130,9 @@ typedef struct {
     PyObject *tuple;            /* owned, or NULL */
 } Event;
 
+/* the flush's int boxes kept per call (Window.boxes) */
+#define BOXES 256
+
 struct Window {
     PyObject *machine;          /* borrowed: the caller's self */
     /* read once per call (owned; the Tick holds metrics and lowered) */
@@ -182,6 +188,15 @@ struct Window {
     Py_ssize_t nviews;
     Py_ssize_t *touched, ntouched;
     Py_ssize_t hint;            /* the view after the one view_for found */
+    /* the decode records made in this call: a table on (pc, instruction),
+     * open addressing, ``dcap`` a power of two */
+    Decode **decodes;
+    Py_ssize_t dcap, dcount;
+    /* the last int the flush boxed for each value modulo BOXES (owned, or
+     * NULL), so that a tag or a register value it stores in several slots
+     * is one object */
+    PyObject *boxes[BOXES];
+    int64_t boxed[BOXES];
     /* no window: Core.tick / settle_idle called on their own, every site
      * the Python call */
     int alone;
@@ -618,14 +633,22 @@ load_pipe(CoreView *v)
 #define LOAD_S_MISSING_INT(name) \
     if (missing & G(name)) LOAD_S_INT(name)
 
+static int buffer_load(HartView *hv);
+static int window_load(HartView *hv);
+
 /* The fields *bits* of hart *h* that *v* lacks, as load_cgates. */
 static INLINE int
 load_gates(CoreView *v, int h, unsigned bits)
 {
     HartView *hv = &v->h[h];
     PyObject *hart = hv->hart;
+    unsigned missing;
+    if (bits & G(win))
+        bits |= G(rob) | G(it) | G(rbv);
+    if (bits & G(rbv))
+        bits |= G(rb);
     /* a field C wrote before it needed it keeps what C wrote */
-    unsigned missing = bits & ~hv->gates & ~hv->dirty;
+    missing = bits & ~hv->gates & ~hv->dirty;
     if ((missing & G(rob)
          && load_obj(hart, H.rob, &PyList_Type, &hv->rob) < 0)
             || (missing & G(rb) && load_obj(hart, H.rb, rb_type, &hv->rb) < 0)
@@ -650,6 +673,14 @@ load_gates(CoreView *v, int h, unsigned bits)
     HV_INTS(LOAD_H_MISSING_INT)
     HV_BOOLS(LOAD_H_MISSING_BOOL)
     STATS_SLOTS(LOAD_S_MISSING_INT)
+    /* a register is read from its list when first needed */
+    if (missing & G(regs))
+        hv->reg_loaded = hv->reg_dirty = 0;
+    if (missing & G(rename))
+        hv->ren_loaded = hv->ren_dirty = 0;
+    if ((missing & G(rbv) && buffer_load(hv) < 0)
+            || (missing & G(win) && window_load(hv) < 0))
+        return -1;
     hv->gates |= bits;
     return 0;
 }
@@ -786,24 +817,55 @@ view_set_rename(HartView *hv, PyObject *list)
     set_obj(hv->hart, H.rename, list);
     hv->rename = list;
     hv->gates |= G(rename);
+    /* its 32 Nones, none of them written since */
+    hv->ren_loaded = 0xFFFFFFFFu;
+    hv->ren_set = hv->ren_dirty = 0;
+}
+
+/* *value* as an int object, a new reference (see Window.boxes) */
+static PyObject *
+box(Window *w, int64_t value)
+{
+    Py_ssize_t k = (Py_ssize_t)((uint64_t)value & (BOXES - 1));
+    if (value >= -5 && value <= 256)  /* CPython's own small ints */
+        return PyLong_FromLongLong(value);
+    if (w->boxes[k] == NULL || w->boxed[k] != value) {
+        PyObject *made = PyLong_FromLongLong(value);
+        if (made == NULL)
+            return NULL;
+        Py_XSETREF(w->boxes[k], made);
+        w->boxed[k] = value;
+    }
+    return new_ref(w->boxes[k]);
+}
+
+/* ``obj.<off> = value`` with the window's box of it */
+static inline int
+set_box(Window *w, PyObject *obj, Py_ssize_t off, int64_t value)
+{
+    PyObject *boxed = box(w, value);
+    if (boxed == NULL)
+        return -1;
+    Py_XSETREF(SLOT(obj, off), boxed);
+    return 0;
 }
 
 /* Store the view's *value* in the int slot: never_obj, the window's boxes
- * of cycle and cycle + 1, or a new int. */
+ * of cycle and cycle + 1, or its box of the value. */
 static inline int
 flush_int(Window *w, PyObject *obj, Py_ssize_t off, int64_t value)
 {
-    PyObject *box, *old;
+    PyObject *boxed, *old;
     if (value == never_val)
-        box = new_ref(never_obj);
+        boxed = new_ref(never_obj);
     else if (value == w->cycle || value == w->cycle + 1) {
-        if ((box = value == w->cycle ? cycle_box(w) : next_box(w)) == NULL)
+        if ((boxed = value == w->cycle ? cycle_box(w) : next_box(w)) == NULL)
             return -1;
-        Py_INCREF(box);
-    } else if ((box = PyLong_FromLongLong(value)) == NULL)
+        Py_INCREF(boxed);
+    } else if ((boxed = box(w, value)) == NULL)
         return -1;
     old = SLOT(obj, off);
-    SLOT(obj, off) = box;
+    SLOT(obj, off) = boxed;
     Py_XDECREF(old);
     return 0;
 }
@@ -818,6 +880,601 @@ flush_obj(PyObject *obj, Py_ssize_t off, PyObject *value)
     Py_XDECREF(old);
 }
 
+/* ---- the instruction ring: decode records, load, flush ---------------------------
+ * _tick.c says what the ring holds.  These are the only functions that read
+ * or write an Entry's or a ResultBuffer's slots, or ``regs`` / ``rename`` /
+ * ``it`` / ``rob``. */
+
+/* *value* as a register value, an int in [0, 2**32) */
+static int
+load_u32(PyObject *value, uint32_t *out)
+{
+    int64_t number;
+    if (read_int(value, &number) < 0)
+        return -1;
+    if (number < 0 || number > MASK32) {
+        PyErr_Format(PyExc_ValueError, "compiled tick: a register value "
+                     "outside [0, 2**32): %lld", (long long)number);
+        return -1;
+    }
+    *out = (uint32_t)number;
+    return 0;
+}
+
+#define LOAD_L_INT(name) \
+    if (load_int(low, L.name, &d->name) < 0) return -1;
+#define LOAD_L_BOOL(name) \
+    if (load_bool(low, L.name, &d->name) < 0) return -1;
+
+/* *d*'s fields, read from its instruction's slots */
+static int
+decode_read(Window *w, Decode *d)
+{
+    int k;
+    int64_t held, next_pc;
+    PyObject *low = d->low, *next, *pair;
+    LOAD_L_INT(cls) LOAD_L_INT(rd) LOAD_L_INT(imm) LOAD_L_INT(nreads)
+    LOAD_L_INT(r1) LOAD_L_INT(r2) LOAD_L_INT(alu_op) LOAD_L_INT(br_op)
+    LOAD_L_INT(latency) LOAD_L_INT(re_slot) LOAD_L_INT(dec_kind)
+    LOAD_L_INT(issue_kind) LOAD_L_INT(trap) LOAD_L_INT(width)
+    LOAD_L_BOOL(writes) LOAD_L_BOOL(store_like)
+    if (load_obj(low, L.mnemonic, NULL, &d->mnemonic) < 0
+            || load_obj(low, L.width, NULL, &d->width_obj) < 0
+            || load_obj(low, L.imm, NULL, &d->imm_obj) < 0
+            || load_obj(low, L.next_pc, NULL, &next) < 0)
+        return -1;
+    /* lowered.py boxed the pc a fall-through or jal resumes at; an
+     * instruction whose slot says otherwise gets a box of its own */
+    next_pc = d->dec_kind == 1 ? (d->pc + d->imm) & MASK32 : d->pc + 4;
+    Py_CLEAR(d->own_next);
+    if (small_int(next, &held) && held == next_pc)
+        d->next_pc = next;
+    else if ((d->next_pc = d->own_next = PyLong_FromLongLong(next_pc))
+             == NULL)
+        return -1;
+    pair = d->fetch_pair = own_pair(low, d->pc);
+    d->pc_obj = pair != NULL ? PyTuple_GET_ITEM(pair, 0) : NULL;
+    for (k = 0; k < LOW_NSLOTS; k++) {
+        PyObject *held = SLOT(low, ((Py_ssize_t *)&L)[k]);
+        Py_XINCREF(held);
+        Py_XSETREF(d->seen[k], held);
+    }
+    d->stamp = w->calls + 1;
+    return 0;
+}
+
+/* *d*, current: read again only when one of its instruction's slots holds
+ * another object than when it was read */
+static int
+decode_check(Window *w, Decode *d)
+{
+    int k;
+    for (k = 0; k < LOW_NSLOTS; k++)
+        if (SLOT(d->low, ((Py_ssize_t *)&L)[k]) != d->seen[k])
+            return decode_read(w, d);
+    d->stamp = w->calls + 1;
+    return 0;
+}
+
+/* the table's home slot of *pc* */
+static inline Py_ssize_t
+decode_home(const Window *w, int64_t pc)
+{
+    return (Py_ssize_t)(((uint64_t)pc >> 2) * 0x9E3779B97F4A7C15ull >> 40)
+        & (w->dcap - 1);
+}
+
+/* The record of (*pc*, *low*) in the table, made if it has none (fields
+ * not read yet); NULL on an exception */
+static Decode *
+decode_slot(Window *w, int64_t pc, PyObject *low)
+{
+    Py_ssize_t i;
+    Decode *d;
+    if (2 * (w->dcount + 1) > w->dcap) {
+        /* grown: every record moves to its slot of the larger table */
+        Py_ssize_t j, old = w->dcap, cap = old ? 2 * old : 256;
+        Decode **grown = PyMem_Calloc(cap, sizeof(Decode *)), **table;
+        if (grown == NULL) {
+            PyErr_NoMemory();
+            return NULL;
+        }
+        table = w->decodes;
+        w->decodes = grown;
+        w->dcap = cap;
+        for (j = 0; j < old; j++)
+            if ((d = table[j]) != NULL) {
+                for (i = decode_home(w, d->pc); grown[i] != NULL;
+                     i = (i + 1) & (cap - 1))
+                    ;
+                grown[i] = d;
+            }
+        PyMem_Free(table);
+    }
+    for (i = decode_home(w, pc); (d = w->decodes[i]) != NULL;
+         i = (i + 1) & (w->dcap - 1))
+        if (d->pc == pc && d->low == low)
+            return d;
+    if ((d = PyMem_Calloc(1, sizeof(Decode))) == NULL) {
+        PyErr_NoMemory();
+        return NULL;
+    }
+    d->pc = pc;
+    d->low = new_ref(low);
+    w->decodes[i] = d;
+    w->dcount++;
+    return d;
+}
+
+static Decode *
+decode_of(Window *w, int64_t pc, PyObject *low)
+{
+    Decode *d = decode_slot(w, pc, low);
+    if (d == NULL || (d->stamp != w->calls + 1
+                      && (d->seen[0] == NULL ? decode_read(w, d)
+                          : decode_check(w, d)) < 0))
+        return NULL;
+    return d;
+}
+
+static Decode *
+decode_fetch(Window *w, PyObject *lowered, PyObject *pc_obj)
+{
+    int64_t pc;
+    Py_ssize_t i;
+    Decode *d;
+    PyObject *low;
+    if (!PyDict_Check(lowered))
+        return NULL;
+    if (w->dcap && small_int(pc_obj, &pc))
+        for (i = decode_home(w, pc); (d = w->decodes[i]) != NULL;
+             i = (i + 1) & (w->dcap - 1))
+            if (d->pc == pc && d->probed == w->calls + 1)
+                return d;
+    if ((low = PyDict_GetItemWithError(lowered, pc_obj)) == NULL)
+        return NULL;
+    if (!PyObject_TypeCheck(low, low_type)) {
+        wrong_type(low_type->tp_name);
+        return NULL;
+    }
+    if (read_int(pc_obj, &pc) < 0 || (d = decode_of(w, pc, low)) == NULL)
+        return NULL;
+    d->probed = w->calls + 1;
+    return d;
+}
+
+/* The window's decode records go. */
+static void
+decodes_free(Window *w)
+{
+    Py_ssize_t i;
+    Decode *d;
+    for (i = 0; i < w->dcap; i++)
+        if ((d = w->decodes[i]) != NULL) {
+            int k;
+            for (k = 0; k < LOW_NSLOTS; k++)
+                Py_XDECREF(d->seen[k]);
+            Py_DECREF(d->low);
+            Py_XDECREF(d->own_next);
+            PyMem_Free(d);
+        }
+    PyMem_Free(w->decodes);
+}
+
+/* ``list[r]`` of a register list: an IndexError past it */
+static inline int
+reg_index(PyObject *list, int64_t r)
+{
+    if (r < 0 || r >= 32 || r >= PyList_GET_SIZE(list)) {
+        PyErr_SetString(PyExc_IndexError, "list index out of range");
+        return -1;
+    }
+    return 0;
+}
+
+static int
+reg_load(HartView *hv, int64_t r)
+{
+    if (reg_index(hv->regs, r) < 0
+            || load_u32(PyList_GET_ITEM(hv->regs, r), &hv->regv[r]) < 0)
+        return -1;
+    hv->reg_loaded |= 1u << r;
+    return 0;
+}
+
+static int
+ren_load(HartView *hv, int64_t r)
+{
+    PyObject *item;
+    if (reg_index(hv->rename, r) < 0)
+        return -1;
+    if ((item = PyList_GET_ITEM(hv->rename, r)) == Py_None)
+        hv->ren_set &= ~(1u << r);
+    else if (read_int(item, &hv->ren[r]) < 0)
+        return -1;
+    else
+        hv->ren_set |= 1u << r;
+    hv->ren_loaded |= 1u << r;
+    return 0;
+}
+
+/* a slot that holds an int or None */
+static inline int
+store_opt(Window *w, PyObject *obj, Py_ssize_t off, int has, int64_t value)
+{
+    if (has)
+        return set_box(w, obj, off, value);
+    set_none(obj, off);
+    return 0;
+}
+
+/* *rec*'s fields C changed since the load into its Entry */
+static int
+entry_store(Window *w, Instr *rec)
+{
+    PyObject *entry = rec->obj;
+    unsigned d = rec->dirty;
+    if ((d & D_VAL0 && store_opt(w, entry, E.val0, rec->has_val[0],
+                                 rec->val[0]) < 0)
+            || (d & D_VAL1 && store_opt(w, entry, E.val1, rec->has_val[1],
+                                        rec->val[1]) < 0)
+            || (d & D_WAIT0 && store_opt(w, entry, E.wait0, rec->has_wait[0],
+                                         rec->wait[0]) < 0)
+            || (d & D_WAIT1 && store_opt(w, entry, E.wait1, rec->has_wait[1],
+                                         rec->wait[1]) < 0)
+            || (d & D_NWAITS && set_box(w, entry, E.nwaits, rec->nwaits) < 0))
+        return -1;
+    if (d & D_ISSUED)
+        set_bool(entry, E.issued, rec->issued);
+    if (d & D_DONE)
+        set_bool(entry, E.done, rec->done);
+    if (d & D_RET)
+        set_obj(entry, E.ret_action,
+                rec->ret_action != NULL ? rec->ret_action : Py_None);
+    rec->dirty = 0;
+    return 0;
+}
+
+/* A new Entry for *rec*, slot by slot (bind checked these are all) */
+static PyObject *
+entry_new(Window *w, const Instr *rec)
+{
+    const Decode *d = rec->dec;
+    PyObject *entry = entry_type->tp_alloc(entry_type, 0);
+    if (entry == NULL)
+        return NULL;
+    set_obj(entry, E.low, d->low);
+    set_bool(entry, E.issued, rec->issued);
+    set_bool(entry, E.done, rec->done);
+    set_obj(entry, E.ret_action,
+            rec->ret_action != NULL ? rec->ret_action : Py_None);
+    if (d->pc_obj != NULL && d->pc == rec->pc)
+        set_obj(entry, E.pc, d->pc_obj);
+    else if (set_box(w, entry, E.pc, rec->pc) < 0)
+        goto fail;
+    if (set_box(w, entry, E.tag, rec->tag) < 0
+            || store_opt(w, entry, E.val0, rec->has_val[0], rec->val[0]) < 0
+            || store_opt(w, entry, E.val1, rec->has_val[1], rec->val[1]) < 0
+            || store_opt(w, entry, E.wait0, rec->has_wait[0], rec->wait[0]) < 0
+            || store_opt(w, entry, E.wait1, rec->has_wait[1], rec->wait[1]) < 0
+            || set_box(w, entry, E.nwaits, rec->nwaits) < 0)
+        goto fail;
+    return entry;
+fail:
+    Py_DECREF(entry);
+    return NULL;
+}
+
+/* *rec*'s Entry, made if it has none, holds what C left in the record */
+static int
+record_store(Window *w, Instr *rec)
+{
+    if (rec->obj == NULL) {
+        if ((rec->obj = entry_new(w, rec)) == NULL)
+            return -1;
+        rec->dirty = 0;
+        return 0;
+    }
+    return rec->dirty ? entry_store(w, rec) : 0;
+}
+
+static PyObject *
+record_entry(Window *w, Instr *rec)
+{
+    return record_store(w, rec) < 0 ? NULL : new_ref(rec->obj);
+}
+
+static int
+record_retire(Window *w, Instr *rec)
+{
+    int status = rec->obj != NULL && rec->dirty ? entry_store(w, rec) : 0;
+    Py_CLEAR(rec->obj);
+    Py_CLEAR(rec->ret_action);
+    return status;
+}
+
+/* The records of *hv*'s ring let go of their objects and go. */
+static void
+ring_clear(HartView *hv)
+{
+    Py_ssize_t i;
+    for (i = 0; i < hv->count; i++) {
+        Py_CLEAR(AT(hv, i)->obj);
+        Py_CLEAR(AT(hv, i)->ret_action);
+    }
+    hv->count = hv->first = 0;
+}
+
+/* The ring of *hv* lets go of what it holds; loaded again when next
+ * needed. */
+static void
+window_release(HartView *hv)
+{
+    ring_clear(hv);
+    hv->rb_entry = NULL;
+    hv->reordered = 0;
+    hv->rb_dirty = 0;
+    hv->gates &= ~(G(win) | G(rbv));
+}
+
+/* The writeback buffer of *hv* (whose rb is loaded), its producer as the
+ * Entry the slot holds */
+static int
+buffer_load(HartView *hv)
+{
+    PyObject *rb = hv->rb, *value;
+    hv->rb_entry = NULL;
+    if (load_bool(rb, R.busy, &hv->rb_busy) < 0
+            || load_int(rb, R.reg, &hv->rb_reg) < 0
+            || load_int(rb, R.ready_at, &hv->rb_ready_at) < 0
+            || load_obj(rb, R.tag, NULL, &value) < 0
+            || (value != Py_None && read_int(value, &hv->rb_tag) < 0))
+        return -1;
+    hv->rb_has_tag = value != Py_None;
+    if (load_obj(rb, R.value, NULL, &value) < 0
+            || (value != Py_None && load_u32(value, &hv->rb_value) < 0)
+            || load_obj(rb, R.entry, NULL, &hv->rb_entry_obj) < 0)
+        return -1;
+    hv->rb_has_value = value != Py_None;
+    return 0;
+}
+
+static int
+head_peek(Window *w, HartView *hv, int *done, int *ret)
+{
+    PyObject *head, *action;
+    if (hv->gates & G(win)) {
+        if (LOADED(w, AT(hv, 0)) < 0)
+            return -1;
+        *done = AT(hv, 0)->done;
+        *ret = AT(hv, 0)->ret_action != NULL;
+        return 0;
+    }
+    head = PyList_GET_ITEM(hv->rob, 0);
+    if (!PyObject_TypeCheck(head, entry_type)) {
+        wrong_type(entry_type->tp_name);
+        return -1;
+    }
+    if (load_bool(head, E.done, done) < 0
+            || load_obj(head, E.ret_action, NULL, &action) < 0)
+        return -1;
+    *ret = action != Py_None;
+    return 0;
+}
+
+/* The ring of *hv* (whose rob, it and rb are loaded) from those objects:
+ * every Entry of ``rob`` a record that keeps it as its obj (its fields read
+ * when a site first reads it), the ones of ``it`` flagged -- in the ROB's
+ * order, as rename and issue leave them -- and the buffer's producer found
+ * among them. */
+static int
+record_read(Window *w, Instr *rec)
+{
+    int j, flag;
+    unsigned d = rec->dirty;
+    PyObject *entry = rec->obj, *low, *value;
+    if (load_int(entry, E.tag, &rec->tag) < 0
+            || load_obj(entry, E.low, low_type, &low) < 0
+            || load_int(entry, E.pc, &rec->pc) < 0
+            || (rec->dec = decode_of(w, rec->pc, low)) == NULL
+            || (!(d & D_NWAITS) && load_int(entry, E.nwaits, &rec->nwaits) < 0))
+        return -1;
+    if (!(d & D_ISSUED)) {
+        if (load_bool(entry, E.issued, &flag) < 0)
+            return -1;
+        rec->issued = (unsigned char)flag;
+    }
+    if (!(d & D_DONE)) {
+        if (load_bool(entry, E.done, &flag) < 0)
+            return -1;
+        rec->done = (unsigned char)flag;
+    }
+    for (j = 0; j < 2; j++) {
+        if (!(d & (j ? D_VAL1 : D_VAL0))) {
+            if (load_obj(entry, j ? E.val1 : E.val0, NULL, &value) < 0
+                    || (value != Py_None
+                        && load_u32(value, &rec->val[j]) < 0))
+                return -1;
+            rec->has_val[j] = value != Py_None;
+        }
+        if (!(d & (j ? D_WAIT1 : D_WAIT0))) {
+            if (load_obj(entry, j ? E.wait1 : E.wait0, NULL, &value) < 0
+                    || (value != Py_None
+                        && read_int(value, &rec->wait[j]) < 0))
+                return -1;
+            rec->has_wait[j] = value != Py_None;
+        }
+    }
+    if (!(d & D_RET)) {
+        if (load_obj(entry, E.ret_action, NULL, &value) < 0)
+            return -1;
+        Py_XSETREF(rec->ret_action, value != Py_None ? new_ref(value) : NULL);
+    }
+    rec->stale = 0;
+    return 0;
+}
+
+static int
+window_load(HartView *hv)
+{
+    Py_ssize_t i, j, n = PyList_GET_SIZE(hv->rob), cap;
+    PyObject *entry;
+    ring_clear(hv);  /* (an earlier load of the call: flushed, let go) */
+    for (cap = hv->cap ? hv->cap : 8; cap < n; cap *= 2)
+        ;
+    if (cap != hv->cap) {
+        PyMem_Free(hv->ring);
+        hv->cap = 0;
+        if ((hv->ring = PyMem_Malloc(cap * sizeof(Instr))) == NULL) {
+            PyErr_NoMemory();
+            return -1;
+        }
+        hv->cap = cap;
+    }
+    for (i = 0; i < n; i++) {
+        entry = PyList_GET_ITEM(hv->rob, i);
+        if (!PyObject_TypeCheck(entry, entry_type)) {
+            wrong_type(entry_type->tp_name);
+            return -1;
+        }
+        hv->ring[i] = (Instr){.obj = new_ref(entry), .stale = 1};
+        hv->count = i + 1;  /* what a failure below leaves is released */
+    }
+    /* ``it`` is the unissued part of ``rob``, in its order */
+    for (i = j = 0; i < PyList_GET_SIZE(hv->it); i++) {
+        entry = PyList_GET_ITEM(hv->it, i);
+        if (!PyObject_TypeCheck(entry, entry_type)) {
+            wrong_type(entry_type->tp_name);
+            return -1;
+        }
+        while (j < n && hv->ring[j].obj != entry)
+            j++;
+        if (j == n) {
+            PyErr_SetString(PyExc_TypeError, "compiled tick: an "
+                            "instruction-table entry not in the ROB, in its "
+                            "order");
+            return -1;
+        }
+        hv->ring[j++].in_it = 1;
+    }
+    /* the buffer's producer (loaded with it, unchanged since) */
+    if ((entry = hv->rb_entry_obj) != Py_None) {
+        for (i = 0; i < n && hv->ring[i].obj != entry; i++)
+            ;
+        if (i == n) {
+            PyErr_SetString(PyExc_TypeError, "compiled tick: the writeback "
+                            "buffer's entry is not in the ROB");
+            return -1;
+        }
+        hv->rb_entry = &hv->ring[i];
+    }
+    return 0;
+}
+
+/* ``list[:] = [rec.obj for the records]`` (*it_only*: those still in the
+ * instruction table), the list object kept */
+static int
+list_refill(PyObject *list, const HartView *hv, int it_only)
+{
+    Py_ssize_t i, n = 0, size = PyList_GET_SIZE(list);
+    for (i = 0; i < hv->count; i++) {
+        PyObject *entry = AT(hv, i)->obj;
+        if (it_only && !AT(hv, i)->in_it)
+            continue;
+        if (n >= size) {
+            if (PyList_Append(list, entry) < 0)
+                return -1;
+        } else if (PyList_GET_ITEM(list, n) != entry)
+            list_set(list, n, entry);
+        n++;
+    }
+    return n < size ? PyList_SetSlice(list, n, size, NULL) : 0;
+}
+
+/* What C wrote of *hv*'s registers, into ``regs`` / ``rename`` */
+static int
+registers_flush(Window *w, HartView *hv)
+{
+    int r;
+    PyObject *boxed;
+    for (r = 0; r < 32 && hv->reg_dirty; r++)
+        if (hv->reg_dirty >> r & 1) {
+            if ((boxed = box(w, hv->regv[r])) == NULL)
+                return -1;
+            PyList_SetItem(hv->regs, r, boxed);  /* steals */
+            hv->reg_dirty &= ~(1u << r);
+        }
+    for (r = 0; r < 32 && hv->ren_dirty; r++)
+        if (hv->ren_dirty >> r & 1) {
+            if (!(hv->ren_set >> r & 1))
+                list_set(hv->rename, r, Py_None);
+            else if ((boxed = box(w, hv->ren[r])) == NULL)
+                return -1;
+            else
+                PyList_SetItem(hv->rename, r, boxed);
+            hv->ren_dirty &= ~(1u << r);
+        }
+    return 0;
+}
+
+/* The ring of *hv* back to the objects: every record an Entry holding its
+ * fields, ``rob`` / ``it`` their records' Entries, the buffer what C left
+ * in it; then the ring lets go. */
+static int
+window_flush(Window *w, HartView *hv)
+{
+    Py_ssize_t i;
+    unsigned d = hv->rb_dirty;
+    PyObject *rb = hv->rb;
+    if (hv->gates & G(win)) {
+        for (i = 0; i < hv->count; i++)
+            if (record_store(w, AT(hv, i)) < 0)
+                return -1;
+        if (hv->reordered) {
+            if (list_refill(hv->rob, hv, 0) < 0
+                    || list_refill(hv->it, hv, 1) < 0)
+                return -1;
+            hv->reordered = 0;
+        }
+    }
+    if (d & RB_BUSY)
+        set_bool(rb, R.busy, hv->rb_busy);
+    if (d & RB_ENTRY)
+        set_obj(rb, R.entry, hv->rb_entry != NULL ? hv->rb_entry->obj
+                : Py_None);
+    if ((d & RB_TAG && store_opt(w, rb, R.tag, hv->rb_has_tag, hv->rb_tag) < 0)
+            || (d & RB_REG && set_box(w, rb, R.reg, hv->rb_reg) < 0)
+            || (d & RB_VALUE && store_opt(w, rb, R.value, hv->rb_has_value,
+                                          hv->rb_value) < 0)
+            || (d & RB_READY
+                && flush_int(w, rb, R.ready_at, hv->rb_ready_at) < 0))
+        return -1;
+    window_release(hv);
+    return 0;
+}
+
+/* Every ring of the window lets go, and its memory is freed (the views are
+ * flushed or given up). */
+static void
+rings_free(Window *w)
+{
+    Py_ssize_t i;
+    int h;
+    /* (a window over no cores has one view all the same) */
+    Py_ssize_t n = w->views == NULL ? 0 : w->nviews ? w->nviews : 1;
+    for (i = 0; i < n; i++)
+        for (h = 0; h < 4; h++) {
+            HartView *hv = &w->views[i].h[h];
+            if (hv->ring != NULL)
+                window_release(hv);
+            PyMem_Free(hv->ring);
+            hv->ring = NULL;
+        }
+    for (i = 0; i < BOXES; i++)
+        Py_CLEAR(w->boxes[i]);
+    decodes_free(w);
+}
+
 /* Store dirty field *name* of a core (C), a hart (H), its HartStats (S) or
  * the CoreCounters (K), whose dirty bits are *d*; a failed box leaves that
  * field and the ones after it dirty. */
@@ -829,12 +1486,6 @@ flush_obj(PyObject *obj, Py_ssize_t off, PyObject *value)
 #define FLUSH_C_BOOL(name) \
     if (d & G(name)) set_bool(v->core, C.name, v->name);
 #define FLUSH_C_INT(name) FLUSH_INT(v->core, C, v, name, v->dirty, G(name))
-#define FLUSH_C_BOXED(name) \
-    if (d & G(name) && v->name##_box != NULL) { \
-        flush_obj(v->core, C.name, v->name##_box); \
-        v->name##_box = NULL; \
-        d &= ~G(name); \
-    }
 #define FLUSH_H_OBJ(name) \
     if (d & G(name)) flush_obj(hv->hart, H.name, hv->name);
 #define FLUSH_H_BOOL(name) \
@@ -853,6 +1504,10 @@ view_flush(Window *w, CoreView *v)
     unsigned d;
     for (h = 0; h < 4; h++) {
         HartView *hv = &v->h[h];
+        if ((hv->gates & (G(win) | G(rbv)) && window_flush(w, hv) < 0)
+                || ((hv->reg_dirty | hv->ren_dirty)
+                    && registers_flush(w, hv) < 0))
+            return -1;
         if ((d = hv->dirty) == 0)
             continue;
         HV_OBJS(FLUSH_H_OBJ)
@@ -862,8 +1517,6 @@ view_flush(Window *w, CoreView *v)
         hv->dirty = 0;
     }
     if ((d = v->dirty) != 0) {
-        FLUSH_C_BOXED(_tag)
-        FLUSH_C_BOXED(_wb_wake)
         CV_BOOLS(FLUSH_C_BOOL)
         CV_INTS(FLUSH_C_INT)
         v->dirty = 0;
@@ -1202,24 +1855,6 @@ call_method(Window *w, PyObject *name, PyObject *const *args, size_t nargs)
     return called(PyObject_VectorcallMethod(name, args, nargs, NULL));
 }
 
-/* ResultBuffer.occupy(entry) for the load *entry* of *hv*'s hart */
-static int
-occupy(HartView *hv, PyObject *entry, PyObject *low)
-{
-    PyObject *rb = hv->rb, *tag, *rd;
-    GETO(tag, entry, E.tag);
-    GETO(rd, low, L.rd);
-    set_bool(rb, R.busy, 1);
-    set_obj(rb, R.tag, tag);
-    set_obj(rb, R.reg, rd);
-    set_none(rb, R.value);
-    set_obj(rb, R.ready_at, zero_obj);
-    set_obj(rb, R.entry, entry);
-    return 0;
-fail:
-    return -1;
-}
-
 /* ``hart.stats.stores`` (*store*) or ``loads`` += 1, *hv* a hart of *v* */
 static int
 count_access(Window *w, CoreView *v, HartView *hv, int store)
@@ -1239,15 +1874,15 @@ count_access(Window *w, CoreView *v, HartView *hv, int store)
  * or its shared one when *shared*) through *port*: Port.reserve, the bank
  * event(s) posted to this domain. */
 static int
-own_access(Tick *t, HartView *hv, PyObject *entry, PyObject *low,
-           enum access kind, PyObject *addr_obj, PyObject *port, int shared)
+own_access(Tick *t, HartView *hv, Instr *rec, enum access kind,
+           PyObject *addr_obj, PyObject *port, int shared)
 {
     Window *w = t->w;
     CoreView *v = t->v;
+    const Decode *d = rec->dec;
     int status = -1;
     int64_t next_free, when;
-    PyObject *tag, *width_obj;
-    PyObject *after_obj = NULL, *ref = NULL;
+    PyObject *after_obj = NULL, *ref = NULL, *tag = NULL, *value = NULL;
 
     /* Port.reserve(now + local_mem_latency) */
     CHECK(port, port_type);
@@ -1263,29 +1898,27 @@ own_access(Tick *t, HartView *hv, PyObject *entry, PyObject *low,
             goto fail;
         KSET(v, local_accesses, v->local_accesses + 1);
     }
-    GETO(tag, entry, E.tag);
-    GETO(width_obj, low, L.width);
     if ((ref = PyTuple_Pack(2, shared ? s_shared : s_local, v->index_obj))
             == NULL)
         goto fail;
     if (kind == ACC_STORE) {
-        PyObject *value;
-        GETO(value, entry, E.val1);
+        int64_t stored;
+        if (operand(rec, 1, &stored) < 0
+                || (value = PyLong_FromLongLong(stored)) == NULL
+                || (tag = PyLong_FromLongLong(rec->tag)) == NULL)
+            goto fail;
         HSET(hv, outstanding_mem, hv->outstanding_mem + 1);
         if (post(w, v, v->index, when, EV_store_write,
-                 PyTuple_Pack(7, ref, addr_obj, value, width_obj,
+                 PyTuple_Pack(7, ref, addr_obj, value, d->width_obj,
                               v->index_obj, hv->gid_obj, tag)) < 0
                 || count_access(w, v, hv, 1) < 0)
             goto fail;
     } else {
-        PyObject *mnemonic;
-        GETO(mnemonic, low, L.mnemonic);
         /* the read is done at when + 1: the port's next free cycle */
-        if (occupy(hv, entry, low) < 0)
-            goto fail;
+        rb_occupy(hv, rec);
         HSET(hv, outstanding_mem, hv->outstanding_mem + 1);
         if (post(w, v, v->index, when, EV_load_read,
-                 PyTuple_Pack(7, ref, addr_obj, width_obj, mnemonic,
+                 PyTuple_Pack(7, ref, addr_obj, d->width_obj, d->mnemonic,
                               after_obj, v->index_obj, hv->gid_obj)) < 0
                 || post(w, v, v->index, when + 1, EV_load_done,
                         PyTuple_Pack(1, hv->gid_obj)) < 0
@@ -1296,6 +1929,8 @@ own_access(Tick *t, HartView *hv, PyObject *entry, PyObject *low,
 fail:
     Py_XDECREF(after_obj);
     Py_XDECREF(ref);
+    Py_XDECREF(tag);
+    Py_XDECREF(value);
     return status;
 }
 
@@ -1356,6 +1991,26 @@ reply_path(int64_t src, int64_t dst, Hop *path)
     return n;
 }
 
+/* ``Port()``: made here while ``Port.__init__`` is the function bind()
+ * found (``next_free = 0``, in the one slot bind checked a Port has), else
+ * the call into Python.  A new reference. */
+static PyObject *
+new_port(Window *w)
+{
+    PyObject *init = PyObject_GetAttr((PyObject *)port_type, s___init__);
+    PyObject *port;
+    int native = init == port_init;
+    if (init == NULL)
+        return NULL;
+    Py_DECREF(init);
+    if (!native)
+        return leave_c(w) < 0 ? NULL
+            : PyObject_CallNoArgs((PyObject *)port_type);
+    if ((port = port_type->tp_alloc(port_type, 0)) != NULL)
+        SLOT(port, P.next_free) = new_ref(zero_obj);
+    return port;
+}
+
 /* The first use of link *hop* on *links*, whose ``_links`` is *table*:
  * its tag's row of ``((num_cores - 1) >> shift) + 1`` Nones if the tag
  * has none yet, then its ``Port()``, as LinkScheduler.port makes them.  A
@@ -1379,13 +2034,12 @@ first_port(Window *w, PyObject *links, PyObject *table, const Hop *hop)
         wrong_type("list of link ports");
         return NULL;
     }
-    row = new_ref(row);  /* Port() is Python */
+    row = new_ref(row);  /* Port() may be Python */
     if (hop->index < 0 || hop->index >= PyList_GET_SIZE(row))
         PyErr_Format(PyExc_ValueError, "no link ('%s', %lld): index "
                      "outside [0, %zd)", link_tags[hop->code],
                      (long long)hop->index, PyList_GET_SIZE(row));
-    else if (leave_c(w) == 0
-             && (port = PyObject_CallNoArgs((PyObject *)port_type)) != NULL) {
+    else if ((port = new_port(w)) != NULL) {
         if (hop->index < PyList_GET_SIZE(row)) {
             PyList_SetItem(row, hop->index, new_ref(port));  /* steals */
         } else {
@@ -1457,7 +2111,7 @@ reserve_path(Window *w, PyObject *links, const Hop *path, int count,
     PyObject *held = NULL, *table = NULL, *port = NULL;
     PyObject *observer, *index;
     CHECK(links, links_type);
-    held = new_ref(links);  /* Port() and link_wait are Python */
+    held = new_ref(links);  /* Port() and link_wait may be Python */
     GETI(hop, links, LS.hop_latency);
     GETO(table, links, LS._links);
     if (!PyList_Check(table)) {
@@ -1540,38 +2194,41 @@ fail:
 /* The issue of an access to core *owner*'s shared bank: the request crosses
  * the router tree to the owner's domain (rreq_load / rreq_store). */
 static int
-remote_access(Tick *t, HartView *hv, PyObject *entry, PyObject *low,
-              enum access kind, PyObject *addr_obj, int64_t owner)
+remote_access(Tick *t, HartView *hv, Instr *rec, enum access kind,
+              PyObject *addr_obj, int64_t owner)
 {
     Window *w = t->w;
     CoreView *v = t->v;
+    const Decode *d = rec->dec;
     int status = -1, count;
     int64_t index = v->index, t_up;
     Hop path[MAX_HOPS], back[MAX_HOPS];
-    PyObject *gid = hv->gid_obj, *width_obj, *links = NULL;
+    PyObject *gid = hv->gid_obj, *links = NULL;
     PyObject *owner_obj = NULL, *args = NULL;
 
     if (fresh(w, v, V_COUNTERS) < 0)
         goto fail;
-    GETO(width_obj, low, L.width);
     GETO(links, t->core, C.links);
     /* the request's args hold what they carry across the calls below */
     if ((owner_obj = PyLong_FromLongLong(owner)) == NULL)
         goto fail;
     if (kind == ACC_STORE) {
-        PyObject *value, *tag;
-        GETO(value, entry, E.val1);
-        GETO(tag, entry, E.tag);
-        args = PyTuple_Pack(7, v->index_obj, gid, owner_obj, addr_obj, value,
-                            width_obj, tag);
-    } else {
-        PyObject *mnemonic;
-        GETO(mnemonic, low, L.mnemonic);
+        int64_t stored;
+        PyObject *value = NULL, *tag = NULL;
+        if (operand(rec, 1, &stored) == 0
+                && (value = PyLong_FromLongLong(stored)) != NULL
+                && (tag = PyLong_FromLongLong(rec->tag)) != NULL)
+            args = PyTuple_Pack(7, v->index_obj, gid, owner_obj, addr_obj,
+                                value, d->width_obj, tag);
+        Py_XDECREF(value);
+        Py_XDECREF(tag);
+    } else
         args = PyTuple_Pack(6, v->index_obj, gid, owner_obj, addr_obj,
-                            width_obj, mnemonic);
-    }
-    if (args == NULL || (kind != ACC_STORE && occupy(hv, entry, low) < 0))
+                            d->width_obj, d->mnemonic);
+    if (args == NULL)
         goto fail;
+    if (kind != ACC_STORE)
+        rb_occupy(hv, rec);
     KSET(v, remote_accesses, v->remote_accesses + 1);
     HSET(hv, outstanding_mem, hv->outstanding_mem + 1);
     Py_INCREF(links);
@@ -1602,27 +2259,24 @@ fail:
  * window_native said yes.  1: it is an access spelled here and is issued;
  * 0: it is not, nothing is changed and the caller calls Core._execute. */
 static int
-mem_access(Tick *t, HartView *hv, PyObject *entry, PyObject *low,
-           enum access kind)
+mem_access(Tick *t, HartView *hv, Instr *rec, enum access kind)
 {
     Window *w = t->w;
     int status, shared = 0;
-    int64_t imm, addr, width, owner = -1;
+    int64_t addr, width = rec->dec->width, owner = -1;
     char *at;
     PyObject *mem, *bank, *port = NULL, *addr_obj;
 
-    GETI(imm, low, L.imm);
     if (kind == ACC_LWCV) {
         /* machine.cv_address: the hart's own CV area, not masked */
         if (hv->index < 0 || hv->index > 3)
             return 0;
-        addr = cv_base[hv->index] + imm;
+        addr = cv_base[hv->index] + rec->dec->imm;
     } else {
         int64_t base;
-        GETI(base, entry, E.val0);
-        addr = (base + imm) & MASK32;
+        GETV(base, rec, 0);
+        addr = (base + rec->dec->imm) & MASK32;
     }
-    GETI(width, low, L.width);
     GETO(mem, t->core, C.mem);
     CHECK(mem, mem_type);
     GETO(bank, mem, M.local);
@@ -1661,8 +2315,8 @@ mem_access(Tick *t, HartView *hv, PyObject *entry, PyObject *low,
         goto fail;
     if ((status = is_device(w, addr_obj)) == 0)
         status = port != NULL
-            ? own_access(t, hv, entry, low, kind, addr_obj, port, shared)
-            : remote_access(t, hv, entry, low, kind, addr_obj, owner);
+            ? own_access(t, hv, rec, kind, addr_obj, port, shared)
+            : remote_access(t, hv, rec, kind, addr_obj, owner);
     else if (status > 0)
         status = 0;  /* a device's: the Python path talks to it */
     Py_DECREF(addr_obj);
@@ -1789,41 +2443,23 @@ load_value(PyObject *mnemonic, uint32_t raw)
     return raw;
 }
 
-/* ResultBuffer.fill(value, ready_at) on *hv*'s hart, of core *v*,
- * *ready_obj* holding *ready_at* */
+/* ResultBuffer.fill(value, ready_at) on *hv*'s hart, of core *v* */
 static int
-fill(CoreView *v, HartView *hv, uint32_t value, PyObject *ready_obj,
-     int64_t ready_at)
+fill(CoreView *v, HartView *hv, uint32_t value, int64_t ready_at)
 {
-    SETI(hv->rb, R.value, value);
-    set_obj(hv->rb, R.ready_at, ready_obj);
-    return lower_wb_wake(v, ready_at, ready_obj);
-fail:
-    return -1;
+    rb_fill(hv, value, ready_at);
+    return lower_wb_wake(v, ready_at);
 }
 
-/* _rob_by_tag: 1 and *entry* (borrowed) when *hv*'s ROB holds *tag_obj*,
- * else 0 (the Python handler words the assertion) */
+/* _rob_by_tag: 1 and *rec* when the ROB of *hv* (a hart of *v*) holds
+ * *tag_obj*, else 0 (the Python handler words the assertion) */
 static int
-rob_entry(HartView *hv, PyObject *tag_obj, PyObject **entry)
+rob_record(CoreView *v, HartView *hv, PyObject *tag_obj, Instr **rec)
 {
-    int same = 0;
-    int64_t tag = as_int(tag_obj);
-    Py_ssize_t i;
-    PyObject *rob = hv->rob;
-    if (tag == -1 && PyErr_Occurred())
-        goto fail;
-    for (i = 0; i < PyList_GET_SIZE(rob) && !same; i++) {
-        PyObject *entry_tag;
-        *entry = PyList_GET_ITEM(rob, i);
-        CHECK(*entry, entry_type);
-        GETO(entry_tag, *entry, E.tag);
-        if ((same = tag_is(entry_tag, tag)) < 0)
-            goto fail;
-    }
-    return same;
-fail:
-    return -1;
+    int64_t tag;
+    if (read_int(tag_obj, &tag) < 0 || gate(v, HNUM(v, hv), G(win)) < 0)
+        return -1;
+    return ring_find(v->w, hv, tag, rec);
 }
 
 /* ``machine.metrics.remote_done(src, hart_gid)`` on a metered machine: the
@@ -1888,7 +2524,7 @@ ev_load_read(Window *w, CoreView *Py_UNUSED(domain), PyObject *args)
     ready_at = as_int(done_obj);
     if ((ready_at == -1 && PyErr_Occurred())
             || fill(v, hv, load_value(mnemonic, read_bytes(at, width)),
-                    done_obj, ready_at) < 0)
+                    ready_at) < 0)
         return -1;
     return 1;
 }
@@ -1918,7 +2554,8 @@ ev_store_write(Window *w, CoreView *Py_UNUSED(domain), PyObject *args)
     char *at;
     CoreView *v;
     HartView *hv;
-    PyObject *value_obj, *tag_obj, *entry;
+    Instr *rec;
+    PyObject *value_obj, *tag_obj;
     if (PyTuple_GET_SIZE(args) != 7
             || !PyLong_Check(value_obj = PyTuple_GET_ITEM(args, 2))
             || !PyLong_Check(tag_obj = PyTuple_GET_ITEM(args, 6)))
@@ -1927,12 +2564,12 @@ ev_store_write(Window *w, CoreView *Py_UNUSED(domain), PyObject *args)
                               PyTuple_GET_ITEM(args, 1),
                               PyTuple_GET_ITEM(args, 3), &at, &width)) <= 0
             || (status = hart_of(w, PyTuple_GET_ITEM(args, 5), &v, &hv)) <= 0
-            || (status = rob_entry(hv, tag_obj, &entry)) <= 0)
+            || (status = rob_record(v, hv, tag_obj, &rec)) <= 0)
         return status;
     if (write_bytes(at, value_obj, width) < 0)
         return -1;
     HSET(hv, outstanding_mem, hv->outstanding_mem - 1);
-    set_bool(entry, E.done, 1);
+    ISET(rec, done, 1, D_DONE);
     return 1;
 }
 
@@ -2035,7 +2672,7 @@ ev_rrep_load(Window *w, CoreView *Py_UNUSED(domain), PyObject *args)
     uint32_t value;
     CoreView *v;
     HartView *hv;
-    PyObject *value_obj, *now;
+    PyObject *value_obj;
     if (PyTuple_GET_SIZE(args) != 4
             || !PyLong_Check(value_obj = PyTuple_GET_ITEM(args, 3)))
         return 0;
@@ -2043,8 +2680,7 @@ ev_rrep_load(Window *w, CoreView *Py_UNUSED(domain), PyObject *args)
         return status;
     value = (uint32_t)(small_int(value_obj, &small) ? (uint64_t)small
                        : PyLong_AsUnsignedLongLongMask(value_obj));
-    if (PyErr_Occurred() || (now = cycle_box(w)) == NULL
-            || fill(v, hv, value, now, w->cycle) < 0)
+    if (PyErr_Occurred() || fill(v, hv, value, w->cycle) < 0)
         return -1;
     HSET(hv, outstanding_mem, hv->outstanding_mem - 1);
     return remote_done(w, PyTuple_GET_ITEM(args, 0),
@@ -2098,23 +2734,27 @@ static int
 remote_ack(Window *w, PyObject *args, Py_ssize_t tag_at)
 {
     int status;
+    int64_t calls = w->calls;
     CoreView *v;
     HartView *hv;
-    PyObject *tag_obj, *entry;
+    Instr *rec;
+    PyObject *tag_obj;
     if (!PyLong_Check(tag_obj = PyTuple_GET_ITEM(args, tag_at)))
         return 0;
     if ((status = hart_of(w, PyTuple_GET_ITEM(args, 1), &v, &hv)) <= 0
-            || (status = rob_entry(hv, tag_obj, &entry)) <= 0)
+            || (status = rob_record(v, hv, tag_obj, &rec)) <= 0)
         return status;
-    Py_INCREF(entry);  /* remote_done is Python */
     HSET(hv, outstanding_mem, hv->outstanding_mem - 1);
     if (remote_done(w, PyTuple_GET_ITEM(args, 0),
                     PyTuple_GET_ITEM(args, 1)) < 0)
-        status = -1;
-    else
-        set_bool(entry, E.done, 1);
-    Py_DECREF(entry);
-    return status;
+        return -1;
+    /* a hook that is Python ran: the entry, in the ring as it is now */
+    if (w->calls != calls
+            && ((status = hart_of(w, PyTuple_GET_ITEM(args, 1), &v, &hv)) <= 0
+                || (status = rob_record(v, hv, tag_obj, &rec)) <= 0))
+        return status < 0 ? -1 : 1;
+    ISET(rec, done, 1, D_DONE);
+    return 1;
 }
 
 /* _ev_rack_store(src, hart_gid, addr, value, tag): the owner wrote */
@@ -2218,11 +2858,9 @@ is_free(const HartView *hv)
     if (hv->pc != Py_None || hv->reserved)
         return 0;
     GETB(flag, hv->hart, H.waiting_join);
-    if (flag || hv->fetch_buf != Py_None || PyList_GET_SIZE(hv->it)
-            || PyList_GET_SIZE(hv->rob))
-        return 0;
-    GETB(flag, hv->rb, R.busy);
-    return !flag;
+    /* (``it`` is part of the ROB) */
+    return !flag && hv->fetch_buf == Py_None && rob_len(hv) == 0
+        && !hv->rb_busy;
 fail:
     return -1;
 }
@@ -2325,9 +2963,10 @@ fail:
 static int
 reserve_for_fork(HartView *hv, PyObject *parent)
 {
-    PyObject *buffers, *list, *sp;
+    uint32_t sp;
+    PyObject *buffers, *list;
     GETLIST(buffers, hv->hart, H.re_buffers);
-    if (hv->index < 0 || hv->index > 3 || list_item(hv->regs, 2) == NULL) {
+    if (hv->index < 0 || hv->index > 3 || reg_read(hv, 2, &sp) < 0) {
         if (!PyErr_Occurred())
             wrong_type("hart of index 0-3");
         goto fail;
@@ -2337,9 +2976,7 @@ reserve_for_fork(HartView *hv, PyObject *parent)
         goto fail;
     view_set_rename(hv, list);
     Py_DECREF(list);
-    if ((sp = PyLong_FromLongLong(cv_base[hv->index])) == NULL
-            || PyList_SetItem(hv->regs, 2, sp) < 0)  /* steals sp */
-        goto fail;
+    reg_write(hv, 2, (uint32_t)cv_base[hv->index]);
     if ((list = none_list(PyList_GET_SIZE(buffers))) == NULL)
         goto fail;
     set_obj(hv->hart, H.re_buffers, list);
@@ -2489,8 +3126,7 @@ grant_fork(Window *w, CoreView *v, HartView *child, int64_t src,
 /* core._fork, the tail p_fc and p_fn share: hart *target* (an int) is
  * *hv*'s successor and the instruction's result */
 static int
-fork_to(Tick *t, HartView *hv, PyObject *entry, PyObject *low,
-        PyObject *target)
+fork_to(Tick *t, HartView *hv, Instr *rec, PyObject *target)
 {
     uint32_t gid;
     CoreView *v = t->v;
@@ -2501,12 +3137,12 @@ fork_to(Tick *t, HartView *hv, PyObject *entry, PyObject *low,
     set_obj(hv->hart, H.succ, target);
     HSET(hv, forks, hv->forks + 1);
     KSET(v, forks, v->forks + 1);
-    return finish_at(t, hv, entry, low, gid, t->cycle + 1) < 0 ? -1 : 1;
+    return finish_at(t, hv, rec, gid, t->cycle + 1) < 0 ? -1 : 1;
 }
 
 /* _exec_p_fc: the lowest free hart of this core is allocated */
 static int
-exec_p_fc(Tick *t, HartView *hv, PyObject *entry, PyObject *low)
+exec_p_fc(Tick *t, HartView *hv, Instr *rec)
 {
     int h, ok;
     HartView *target;
@@ -2520,12 +3156,12 @@ exec_p_fc(Tick *t, HartView *hv, PyObject *entry, PyObject *low)
     if (reserve_for_fork(target, hv->gid_obj) < 0
             || wake_re_waiters(t->w, t->v, target, -1) < 0)
         return -1;
-    return fork_to(t, hv, entry, low, target->gid_obj);
+    return fork_to(t, hv, rec, target->gid_obj);
 }
 
 /* _exec_p_fn: the oldest fork token granted by the next core */
 static int
-exec_p_fn(Tick *t, HartView *hv, PyObject *entry, PyObject *low)
+exec_p_fn(Tick *t, HartView *hv, Instr *rec)
 {
     int status;
     PyObject *tokens, *token;
@@ -2533,7 +3169,7 @@ exec_p_fn(Tick *t, HartView *hv, PyObject *entry, PyObject *low)
     if (!PyList_GET_SIZE(tokens) || !PyLong_Check(PyList_GET_ITEM(tokens, 0)))
         return 0;  /* none (issue checked there was): Python raises */
     token = list_take(tokens, 0);
-    status = fork_to(t, hv, entry, low, token);
+    status = fork_to(t, hv, rec, token);
     Py_DECREF(token);
     return status;
 fail:
@@ -2544,25 +3180,26 @@ fail:
  * this core (one cv_write event) or over the forward link to the next
  * (rreq_cv); any other hart is an error Python words */
 static int
-exec_p_swcv(Tick *t, HartView *hv, PyObject *entry, PyObject *low)
+exec_p_swcv(Tick *t, HartView *hv, Instr *rec)
 {
     Window *w = t->w;
     CoreView *v = t->v;
     int status = -1;
-    int64_t index = v->index, target, dst, offset, when, next_free;
-    PyObject *gid = hv->gid_obj, *value, *offset_obj, *tag, *mem, *port;
+    int64_t index = v->index, target, dst, offset, when, next_free, stored;
+    PyObject *gid = hv->gid_obj, *offset_obj = rec->dec->imm_obj, *mem;
+    PyObject *port, *value = NULL, *tag = NULL;
     PyObject *target_obj = NULL, *addr_obj = NULL, *args = NULL;
     PyObject *links = NULL;
-    GETI(target, entry, E.val0);
+    GETV(target, rec, 0);
     target &= 0xFFFF;
     dst = target >> 2;
     if (dst >= PyList_GET_SIZE(w->cores) || (dst != index && dst != index + 1))
         return 0;
-    GETO(value, entry, E.val1);
-    GETO(offset_obj, low, L.imm);
-    GETI(offset, low, L.imm);
-    GETO(tag, entry, E.tag);
-    if ((target_obj = PyLong_FromLongLong(target)) == NULL)
+    GETV(stored, rec, 1);
+    offset = rec->dec->imm;
+    if ((value = PyLong_FromLongLong(stored)) == NULL
+            || (tag = PyLong_FromLongLong(rec->tag)) == NULL
+            || (target_obj = PyLong_FromLongLong(target)) == NULL)
         goto fail;
     if (dst == index) {
         /* local_port.reserve(now + cv_write_latency) */
@@ -2603,6 +3240,8 @@ exec_p_swcv(Tick *t, HartView *hv, PyObject *entry, PyObject *low)
     if (status == 0)
         status = 1;
 fail:
+    Py_XDECREF(value);
+    Py_XDECREF(tag);
     Py_XDECREF(target_obj);
     Py_XDECREF(addr_obj);
     Py_XDECREF(args);
@@ -2614,30 +3253,33 @@ fail:
  * ``rs1 & 0xFFFF`` on this core or an earlier one, along the backward line;
  * a later core is an error Python words */
 static int
-exec_p_swre(Tick *t, HartView *hv, PyObject *entry, PyObject *low)
+exec_p_swre(Tick *t, HartView *hv, Instr *rec)
 {
     Window *w = t->w;
     int status = -1;
-    int64_t target, dst, slot;
-    PyObject *value, *tag, *target_obj = NULL, *slot_obj = NULL;
-    GETI(target, entry, E.val0);
+    int64_t target, dst, slot, stored;
+    PyObject *value = NULL, *tag = NULL, *target_obj = NULL;
+    PyObject *slot_obj = NULL;
+    GETV(target, rec, 0);
     target &= 0xFFFF;
     dst = target >> 2;
     if (dst >= PyList_GET_SIZE(w->cores) || dst > t->v->index
             || w->result_buffers < 1)
         return 0;
-    GETI(slot, low, L.imm);
-    slot %= w->result_buffers;  /* Python's %: never negative */
+    slot = rec->dec->imm % w->result_buffers;  /* Python's %: never < 0 */
     if (slot < 0)
         slot += w->result_buffers;
-    GETO(value, entry, E.val1);
-    GETO(tag, entry, E.tag);
-    if ((target_obj = PyLong_FromLongLong(target)) != NULL
+    GETV(stored, rec, 1);
+    if ((value = PyLong_FromLongLong(stored)) != NULL
+            && (tag = PyLong_FromLongLong(rec->tag)) != NULL
+            && (target_obj = PyLong_FromLongLong(target)) != NULL
             && (slot_obj = PyLong_FromLongLong(slot)) != NULL)
         status = send_along(w, t->v, dst, 0, EV_re_deliver,
                             PyTuple_Pack(7, t->v->index_obj, hv->gid_obj,
                                          target_obj, slot_obj, value, tag,
                                          Py_False));
+    Py_XDECREF(value);
+    Py_XDECREF(tag);
     Py_XDECREF(target_obj);
     Py_XDECREF(slot_obj);
     return status < 0 ? -1 : 1;
@@ -2648,13 +3290,12 @@ fail:
 /* _exec_p_lwre: the hart takes its filled result buffer, which a parked
  * delivery may refill */
 static int
-exec_p_lwre(Tick *t, HartView *hv, PyObject *entry, PyObject *low)
+exec_p_lwre(Tick *t, HartView *hv, Instr *rec)
 {
     int ok;
     uint32_t bits;
-    int64_t slot;
+    int64_t slot = rec->dec->re_slot;
     PyObject *buffers, *value;
-    GETI(slot, low, L.re_slot);
     GETLIST(buffers, hv->hart, H.re_buffers);
     if (slot < 0 || slot >= PyList_GET_SIZE(buffers)
             || !PyLong_Check(value = PyList_GET_ITEM(buffers, slot)))
@@ -2663,7 +3304,7 @@ exec_p_lwre(Tick *t, HartView *hv, PyObject *entry, PyObject *low)
         return ok;
     if (low32(value, &bits) < 0 || list_set(buffers, slot, Py_None) < 0
             || wake_re_waiters(t->w, t->v, hv, slot) < 0
-            || finish_at(t, hv, entry, low, bits, t->cycle + 1) < 0)
+            || finish_at(t, hv, rec, bits, t->cycle + 1) < 0)
         goto fail;
     return 1;
 fail:
@@ -2673,19 +3314,18 @@ fail:
 /* LBP.send_start_pc for p_jal / p_jalr: hart ``rs1 & 0xFFFF``, on this
  * core or the next, starts at pc + 4.  0: another hart (Python words it). */
 static int
-send_start_pc(Tick *t, PyObject *entry)
+send_start_pc(Tick *t, const Instr *rec)
 {
-    int64_t index = t->v->index, target, dst, pc;
+    int64_t index = t->v->index, target, dst;
     PyObject *target_obj, *pc_obj, *args;
-    GETI(target, entry, E.val0);
+    GETV(target, rec, 0);
     target &= 0xFFFF;
     dst = target >> 2;
     if (dst >= PyList_GET_SIZE(t->w->cores)
             || (dst != index && dst != index + 1))
         return 0;
-    GETI(pc, entry, E.pc);
     target_obj = PyLong_FromLongLong(target);
-    pc_obj = PyLong_FromLongLong(pc + 4);
+    pc_obj = PyLong_FromLongLong(rec->pc + 4);
     args = target_obj == NULL || pc_obj == NULL ? NULL
         : PyTuple_Pack(2, target_obj, pc_obj);
     Py_XDECREF(target_obj);
@@ -2698,19 +3338,27 @@ fail:
 /* _exec_p_jal / _exec_p_jalr (its non-p_ret form): the start pc goes, rd
  * gets 0, and p_jalr resumes fetch at rs2 */
 static int
-exec_p_jal(Tick *t, HartView *hv, PyObject *entry, PyObject *low,
-           int register_target)
+exec_p_jal(Tick *t, HartView *hv, Instr *rec, int register_target)
 {
     int sent;
-    int64_t target = 0;
+    int64_t target = 0, tag = rec->tag, calls = t->w->calls;
     if (register_target)
-        GETI(target, entry, E.val1);
-    if ((sent = send_start_pc(t, entry)) <= 0)
+        GETV(target, rec, 1);
+    if ((sent = send_start_pc(t, rec)) <= 0)
         return sent;
     if (tick_hart(t, HNUM(t->v, hv)) == NULL
-            || (register_target
-                && resolve_pc(t, hv, target & 0xFFFFFFFE) < 0)
-            || finish_at(t, hv, entry, low, 0, t->cycle + 1) < 0)
+            || gate(t->v, HNUM(t->v, hv), G(win)) < 0)
+        goto fail;
+    /* the path's Port() or link_wait ran Python: the record as loaded now */
+    if (t->w->calls != calls
+            && (sent = ring_find(t->w, hv, tag, &rec)) <= 0) {
+        if (sent == 0)
+            PyErr_SetString(PyExc_RuntimeError, "compiled tick: an issued "
+                            "instruction left the ROB during a call");
+        goto fail;
+    }
+    if ((register_target && resolve_pc(t, hv, target & 0xFFFFFFFE) < 0)
+            || finish_at(t, hv, rec, 0, t->cycle + 1) < 0)
         goto fail;
     return 1;
 fail:
@@ -2720,23 +3368,22 @@ fail:
 /* The execute step of an X_PAR message class, once window_native said
  * yes: 1 issued, 0 not one spelled here (Core._execute is called), -1 */
 static int
-team_execute(Tick *t, HartView *hv, PyObject *entry, PyObject *low,
-             int64_t cls)
+team_execute(Tick *t, HartView *hv, Instr *rec, int64_t cls)
 {
     if (cls == cls_p_swcv)
-        return exec_p_swcv(t, hv, entry, low);
+        return exec_p_swcv(t, hv, rec);
     if (cls == cls_p_jalr)
-        return exec_p_jal(t, hv, entry, low, 1);
+        return exec_p_jal(t, hv, rec, 1);
     if (cls == cls_p_fc)
-        return exec_p_fc(t, hv, entry, low);
+        return exec_p_fc(t, hv, rec);
     if (cls == cls_p_jal)
-        return exec_p_jal(t, hv, entry, low, 0);
+        return exec_p_jal(t, hv, rec, 0);
     if (cls == cls_p_fn)
-        return exec_p_fn(t, hv, entry, low);
+        return exec_p_fn(t, hv, rec);
     if (cls == cls_p_swre)
-        return exec_p_swre(t, hv, entry, low);
+        return exec_p_swre(t, hv, rec);
     if (cls == cls_p_lwre)
-        return exec_p_lwre(t, hv, entry, low);
+        return exec_p_lwre(t, hv, rec);
     return 0;
 }
 
@@ -2830,23 +3477,23 @@ fail:
     return -1;
 }
 
-/* Core._commit_p_ret: the committed p_ret *head* of *hv*'s hart consumes
- * its predecessor link, sends the ending signal to its successor and ends,
- * waits, joins or exits; a queued p_fn request may take the freed hart.
- * The Python call when not spelled here. */
+/* Core._commit_p_ret: the committed p_ret *head* (out of the ring: the
+ * record is retired here) of *hv*'s hart consumes its predecessor link,
+ * sends the ending signal to its successor and ends, waits, joins or exits;
+ * a queued p_fn request may take the freed hart.  The Python call, given
+ * the record's Entry, when not spelled here. */
 static int
-commit_p_ret(Tick *t, HartView *hv, PyObject *head)
+commit_p_ret(Tick *t, HartView *hv, Instr *head)
 {
     Window *w = t->w;
     CoreView *v = t->v;
     int native, kind, step, status = -1;
     int64_t index = v->index, gid = hv->gid, succ = -1, joiner = -1, cores;
-    PyObject *action, *succ_obj, *pending;
+    PyObject *action = head->ret_action, *succ_obj, *pending, *entry;
     if ((native = window_native(t, M_commit_p_ret)) <= 0)
         goto python;
     /* every check the Python spelling could fail, before anything */
     cores = PyList_GET_SIZE(w->cores);
-    GETO(action, head, E.ret_action);
     if (!PyTuple_Check(action) || PyTuple_GET_SIZE(action) != 3
             || (kind = action_kind(PyTuple_GET_ITEM(action, 0))) < 0)
         goto python;
@@ -2866,6 +3513,8 @@ commit_p_ret(Tick *t, HartView *hv, PyObject *head)
     if (fresh(w, v, V_COUNTERS) < 0)
         goto fail;
     Py_INCREF(action);
+    if (record_retire(w, head) < 0)
+        goto release;
     set_none(hv->hart, H.pred);
     HSET(hv, pred_done, 0);
     if (succ >= 0) {
@@ -2917,12 +3566,20 @@ release:
     Py_DECREF(action);
     return status;
 fail:
+    record_retire(w, head);
     return -1;
 python:
-    if (native < 0)
+    if (native < 0 || (entry = record_entry(w, head)) == NULL) {
+        record_retire(w, head);
         return -1;
-    return called(callback(w, t->core, s_commit_p_ret, hv->hart, head,
-                           NULL));
+    }
+    if (record_retire(w, head) < 0)
+        status = -1;
+    else
+        status = called(callback(w, t->core, s_commit_p_ret, hv->hart, entry,
+                                 NULL));
+    Py_DECREF(entry);
+    return status;
 }
 
 /* ---- the team-message event kinds (NATIVE_KINDS) --------------------------------- */
@@ -2951,7 +3608,8 @@ ev_cv_write(Window *w, CoreView *Py_UNUSED(domain), PyObject *args)
     char *at;
     CoreView *v;
     HartView *hv;
-    PyObject *value, *tag, *entry;
+    Instr *rec;
+    PyObject *value, *tag;
     if (PyTuple_GET_SIZE(args) != 8
             || !PyLong_Check(value = PyTuple_GET_ITEM(args, 2))
             || !PyLong_Check(tag = PyTuple_GET_ITEM(args, 7)))
@@ -2959,12 +3617,12 @@ ev_cv_write(Window *w, CoreView *Py_UNUSED(domain), PyObject *args)
     if ((status = cv_word(w, PyTuple_GET_ITEM(args, 0),
                           PyTuple_GET_ITEM(args, 1), &at)) <= 0
             || (status = hart_of(w, PyTuple_GET_ITEM(args, 4), &v, &hv)) <= 0
-            || (status = rob_entry(hv, tag, &entry)) <= 0)
+            || (status = rob_record(v, hv, tag, &rec)) <= 0)
         return status;
     if (write_bytes(at, value, 4) < 0)
         return -1;
     HSET(hv, outstanding_mem, hv->outstanding_mem - 1);
-    set_bool(entry, E.done, 1);
+    ISET(rec, done, 1, D_DONE);
     return 1;
 }
 
@@ -3099,7 +3757,7 @@ ev_re_ack(Window *w, CoreView *Py_UNUSED(domain), PyObject *args)
     int64_t index;
     CoreView *v, *src;
     HartView *hv;
-    PyObject *entry;
+    Instr *rec;
     if (PyTuple_GET_SIZE(args) != 6
             || !PyLong_Check(PyTuple_GET_ITEM(args, 5))
             || (index = index_in(PyTuple_GET_ITEM(args, 0),
@@ -3107,12 +3765,12 @@ ev_re_ack(Window *w, CoreView *Py_UNUSED(domain), PyObject *args)
             || index >= PyList_GET_SIZE(w->cores))
         return 0;
     if ((status = hart_of(w, PyTuple_GET_ITEM(args, 1), &v, &hv)) <= 0
-            || (status = rob_entry(hv, PyTuple_GET_ITEM(args, 5),
-                                   &entry)) <= 0)
+            || (status = rob_record(v, hv, PyTuple_GET_ITEM(args, 5),
+                                    &rec)) <= 0)
         return status;
     if ((src = view_at(w, index, V_COUNTERS)) == NULL)
         return -1;
-    set_bool(entry, E.done, 1);
+    ISET(rec, done, 1, D_DONE);
     KSET(src, re_messages, src->re_messages + 1);
     return 1;
 }
@@ -3363,6 +4021,8 @@ views_open(Window *w, Py_ssize_t count)
         PyErr_NoMemory();
         return -1;
     }
+    while (count--)
+        w->views[count].w = w;
     return 0;
 }
 
@@ -3481,6 +4141,7 @@ fail:
         Py_CLEAR(result);
     if (w.events != NULL && write_back(&w) < 0)
         Py_CLEAR(result);
+    rings_free(&w);
     PyMem_Free(w.heap);
     PyMem_Free(w.views);
     PyMem_Free(w.touched);
@@ -3512,7 +4173,8 @@ static PyMethodDef simulate_def = {
     CoreView view = {.core = core}; \
     Py_ssize_t touched; \
     Window w = {.alone = 1, .cycle_synced = 1, .origin_synced = 1, \
-                .views = &view, .nviews = 1, .touched = &touched}
+                .views = &view, .nviews = 1, .touched = &touched}; \
+    view.w = &w
 
 /* Core.tick() called on its own (a test, a wrapper around it): "now" is
  * what the machine's attributes say. */
@@ -3540,6 +4202,7 @@ core_tick(PyObject *core, PyObject *Py_UNUSED(ignored))
     if (busy >= 0)
         result = new_ref(busy ? Py_True : Py_False);
 fail:
+    rings_free(&w);
     Py_XDECREF(t.metrics);
     Py_XDECREF(t.lowered);
     Py_XDECREF(w.cycle_obj);
@@ -3567,6 +4230,7 @@ core_settle_idle(PyObject *core, PyObject *now)
     if (views_close(&w) < 0)
         status = -1;
 fail:
+    rings_free(&w);
     Py_XDECREF(w.metrics);
     Py_DECREF(w.cycle_obj);
     Py_XDECREF(w.next_obj);

@@ -1080,6 +1080,10 @@ class LBP:
             check_cycle_args(max_cycles=max_cycles,
                              stop_at_cycle=stop_at_cycle,
                              snapshot_every=snapshot_every)
+        # (a compare, not a call: a period below one would never move on)
+        if snapshot_every is not None and snapshot_every < 1:
+            raise ValueError("snapshot_every must be None or an int >= 1, "
+                             "got %r" % (snapshot_every,))
         limit = max_cycles if max_cycles is not None else MAX_CYCLES
         events = self._events
         cores = self.cores
@@ -1124,7 +1128,6 @@ class LBP:
                     barrier = stop_at_cycle
                 if next_snapshot is not None and next_snapshot < barrier:
                     barrier = next_snapshot
-                # (a snapshot_every <= 0 means "every cycle", as it always did)
                 cycle = self._simulate(cycle, max(barrier, cycle + 1), cores)
                 if self._error is not None:
                     raise MachineError(self._error)

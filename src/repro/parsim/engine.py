@@ -554,6 +554,9 @@ class ShardedLBP:
             snapshot_every=None, snapshot_callback=None):
         check_cycle_args(max_cycles=max_cycles, stop_at_cycle=stop_at_cycle,
                          snapshot_every=snapshot_every)
+        if snapshot_every is not None and snapshot_every < 1:
+            raise ValueError("snapshot_every must be None or an int >= 1, "
+                             "got %r" % (snapshot_every,))
         master = self.master
         if (self.shards <= 1
                 or master.halted

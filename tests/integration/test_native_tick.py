@@ -148,8 +148,6 @@ def test_twenty_runs_leak_no_reference_and_no_object():
         machine = LBP(Params(num_cores=2), **engine).load(assemble(FORK_JOIN))
         stats = machine.run(max_cycles=100_000)
         assert stats.forks == 1 and stats.retired > 20
-        parked, bound = native.load().parked_entries()
-        assert 0 < parked <= bound
         machine = LBP(Params(num_cores=2), **engine).load(
             assemble(REMOTE_HEAVY))
         stats = machine.run(max_cycles=100_000)
@@ -158,7 +156,7 @@ def test_twenty_runs_leak_no_reference_and_no_object():
     _assert_no_leak(once, runs=20, slack=50)
 
 
-# ---- recycled entries, shared boxes: none of it observable --------------------------
+# ---- entries made when Python looks, shared boxes: none of it observable ------------
 
 
 def _fields(entry):
@@ -171,10 +169,10 @@ def _in_flight(machine):
 
 @compiled
 def test_an_entry_python_still_holds_is_never_recycled(monkeypatch):
-    """commit parks a retired ``Entry`` for rename only while the tick
-    holds the last reference.  One that ``_commit_p_ret`` stashed, and one
-    read out of ``hart.rob`` before it committed, stay what they were
-    while the run goes on renaming into the parked ones."""
+    """An in-flight instruction gets its ``Entry`` only where Python can
+    see it, and the tick never reuses one.  One that ``_commit_p_ret``
+    stashed, and one read out of ``hart.rob`` before it committed, stay
+    what they were while the run goes on."""
     stashed = []
     inner = Core._commit_p_ret
 
@@ -201,15 +199,13 @@ def test_an_entry_python_still_holds_is_never_recycled(monkeypatch):
         assert _fields(head) == fields
     assert len({id(head) for head, _ in stashed} | {id(held)}) \
         == len(stashed) + 1
-    # and the others were parked: the run ended with its pipeline drained
-    assert native.load().parked_entries()[0] > 0
 
 
 @compiled
 def test_two_machines_taking_turns_end_on_their_golden_digests():
-    """The parked entries are one pool per process and the window boxes
-    ``cycle + 1`` once per call: two machines advanced alternately share
-    the first and never the second, and neither run can tell."""
+    """The window keeps its decode records and boxes of ``cycle + 1`` per
+    call, its rings per view: two machines advanced alternately share none
+    of them, and neither run can tell."""
     with open(GOLDEN_PATH) as handle:
         golden = json.load(handle)
     strides = {"matmul_tiled_h16_c4": 997, "re_contention_c1": 13}
@@ -226,24 +222,30 @@ def test_two_machines_taking_turns_end_on_their_golden_digests():
         _assert_matches_golden(machine, machine.stats, golden[name])
 
 
+def _entries_alive():
+    gc.collect()
+    return sum(type(obj) is Entry for obj in gc.get_objects())
+
+
 @compiled
-def test_the_parked_entries_never_exceed_their_bound():
-    """Pause enough machines mid-run that more entries are in flight than
-    the pool may hold, then finish them: all but the few a halt leaves in a
-    ROB retire, and the pool stops at its bound."""
-    tick = native.load()
-    bound = tick.parked_entries()[1]
+def test_an_entry_lives_only_where_python_can_see_it():
+    """Paused mid-run, every in-flight instruction is an Entry in its hart's
+    ROB and the window kept none besides; finished, the Entries left are
+    the ones the halt left in a ROB.  (Made per pause, freed at commit:
+    nothing is parked or pooled.)"""
+    before = _entries_alive()
     program, cores = _build("matmul_tiled_h16_c4")
     machines = []
-    while sum(map(_in_flight, machines)) <= bound + 20:
+    for pause in (1000, 2000, 3000):
         machine = LBP(Params(num_cores=cores)).load(program)
-        machine.run(max_cycles=50_000_000, stop_at_cycle=3000)
+        machine.run(max_cycles=50_000_000, stop_at_cycle=pause)
         machines.append(machine)
-        assert len(machines) < 40
+    assert sum(map(_in_flight, machines)) > 20
+    assert _entries_alive() - before == sum(map(_in_flight, machines))
     cycles = {machine.run(max_cycles=50_000_000).cycles
               for machine in machines}
     assert len(cycles) == 1
-    assert tick.parked_entries() == (bound, bound)
+    assert _entries_alive() - before == sum(map(_in_flight, machines))
 
 
 def _well_formed_heap(events):
@@ -293,6 +295,64 @@ def test_the_window_drops_each_event_args_reference_once(pause, kinds):
     machine.run(max_cycles=1_000_000)
     assert machine.halt_reason == "exit"
     _assert_only_held(held, machine)
+
+
+def _probe_counts(objects):
+    gc.collect()
+    return [sys.getrefcount(obj) for obj in objects]
+
+
+@compiled
+def test_the_handler_and_hook_caches_hold_exactly_their_references(
+        monkeypatch):
+    """bind() holds each native kind's handler and each Metrics hook once,
+    and a window compares ``EVENT_HANDLERS[kind]`` and the hooks with them
+    by identity, holding nothing of its own.  Twenty runs that replace a
+    handler or a hook and put it back, and one whose replaced handler
+    raises, leave the bind-time functions' counts exact, and the
+    replacements held by the test alone."""
+    handler = processor.EVENT_HANDLERS["load_done"]
+    hook = Metrics.stall
+
+    def swapped(*args):
+        return handler(*args)
+
+    def stall(*args):
+        return hook(*args)
+
+    def boom(*args):
+        raise Boom("load_done")
+
+    def run():
+        machine = LBP(Params(num_cores=2), metrics=True).load(
+            assemble(FORK_JOIN))
+        machine.run(max_cycles=100_000)
+
+    run()
+    before = _probe_counts([handler, hook])
+    for turn in range(20):
+        if turn % 2:
+            monkeypatch.setitem(processor.EVENT_HANDLERS, "load_done",
+                                swapped)
+        else:
+            monkeypatch.setattr(Metrics, "stall", stall)
+        run()
+        monkeypatch.undo()
+        run()
+    monkeypatch.setitem(processor.EVENT_HANDLERS, "load_done", boom)
+    try:
+        run()
+    except Boom:
+        raised = True
+    monkeypatch.undo()
+    assert raised
+
+    def control():
+        pass  # held as the replacements should be: by this frame alone
+
+    counts = _probe_counts([swapped, stall, boom, control])
+    assert counts == [counts[-1]] * 4
+    assert _probe_counts([handler, hook]) == before
 
 
 @compiled

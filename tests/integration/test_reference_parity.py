@@ -262,6 +262,27 @@ def test_cycle_arguments_are_checked_before_anything_runs(
     assert machine.state_dict() == before
 
 
+@pytest.mark.parametrize("engine", [{"backend": "soa"}, {"backend": "interp"},
+                                    {"shards": 2}])
+@pytest.mark.parametrize("every", [0, -1, -100])
+def test_a_snapshot_period_below_one_is_refused_before_anything_runs(
+        engine, every):
+    """A period below one cycle never reaches the next snapshot (the
+    sharded loop spun at cycle 0): every engine refuses it, and nothing
+    has run or changed."""
+    machine = LBP(Params(num_cores=2), **engine).load(
+        assemble(LOCAL_ACCESSES))
+    machine.run(max_cycles=10_000, stop_at_cycle=7)
+    before = machine.state_dict()
+    called = []
+    with pytest.raises(ValueError) as raised:
+        machine.run(snapshot_every=every, snapshot_callback=called.append)
+    assert str(raised.value) == (
+        "snapshot_every must be None or an int >= 1, got %r" % (every,))
+    assert not called and machine.cycle == 7
+    assert machine.state_dict() == before
+
+
 def test_cli_has_no_backend_option(tmp_path, capsys):
     source = tmp_path / "prog.s"
     source.write_text("main:\n    ebreak\n")
