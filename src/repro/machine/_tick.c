@@ -72,7 +72,15 @@
  *       them.  ``lowered.py`` builds, per pc, the int a fall-through or
  *       ``jal`` resumes fetch at and the fetch buffer's ``(pc, low)``;
  *       rename and fetch store those objects when they hold the value the
- *       record computed, else the record's own.
+ *       record computed, else the record's own;
+ *     . *typed memory traffic*: an event the window posts holds its args
+ *       as int64s typed by its kind's shape, a bank reference as a core
+ *       index and a shared bit, a load mnemonic as its position in a
+ *       table, and a tuple is made only where it leaves C; a Port the
+ *       window reserves is a cursor of its own, and a core's banks, ports
+ *       and link scheduler are parts of its view (_window.h, "events at
+ *       rest" and "the memory view"), so an access makes no object from
+ *       its issue to its reply.
  *
  * What needs the machine is issued by the cycle window (_window.h) when
  * nothing observes it -- no trace, no sanitizer -- and the method the
@@ -234,7 +242,9 @@ static PyObject *zero_obj;
     X(fork_grant, "fork_grant") X(start_pc, "start_pc") \
     X(ending_signal, "ending_signal") X(join, "join") X(exit, "exit") \
     X(wait, "wait") X(end, "end") X(cv_write_latency, "cv_write_latency") \
-    X(num_result_buffers, "num_result_buffers") X(__init__, "__init__")
+    X(num_result_buffers, "num_result_buffers") X(__init__, "__init__") \
+    X(lb, "lb") X(lh, "lh") X(lw, "lw") X(lbu, "lbu") X(lhu, "lhu") \
+    X(p_lwcv, "p_lwcv")
 #define STRING_VAR(name, text) static PyObject *s_##name;
 STRINGS(STRING_VAR)
 
@@ -261,14 +271,16 @@ static const int link_shifts[] = { LINK_TAGS(TAG_SHIFT) };
 
 #ifdef TICK_COUNTS
 /* The counting build (``-DTICK_COUNTS``, tests/counting.py): every slot
- * access is counted by the class of the object it touches, and every int
- * boxed by PyLong_FromLongLong; ``slot_counts()`` hands the counts over. */
+ * access is counted by the class of the object it touches, every int boxed
+ * by PyLong_FromLongLong, every tuple made by PyTuple_Pack / PyTuple_New
+ * and every event posted, by kind (_window.h); ``slot_counts()`` hands the
+ * counts over. */
 #define COUNTED(X) \
     X(Entry) X(ResultBuffer) X(LoweredInstr) X(Core) X(Hart) X(HartStats) \
-    X(CoreCounters) X(other)
+    X(CoreCounters) X(Port) X(Bank) X(CoreMemory) X(LinkScheduler) X(other)
 #define COUNTED_INDEX(name) N_##name,
 enum { COUNTED(COUNTED_INDEX) N_COUNTED };
-static long long slot_touches[N_COUNTED], long_boxes;
+static long long slot_touches[N_COUNTED], long_boxes, tuples_made;
 
 static PyObject **
 counted_slot(PyObject *obj, Py_ssize_t off)
@@ -280,7 +292,11 @@ counted_slot(PyObject *obj, Py_ssize_t off)
                  : PyObject_TypeCheck(obj, core_type) ? N_Core
                  : PyObject_TypeCheck(obj, hart_type) ? N_Hart
                  : type == stats_type ? N_HartStats
-                 : type == counters_type ? N_CoreCounters : N_other]++;
+                 : type == counters_type ? N_CoreCounters
+                 : type == port_type ? N_Port
+                 : type == bank_type ? N_Bank
+                 : type == mem_type ? N_CoreMemory
+                 : type == links_type ? N_LinkScheduler : N_other]++;
     return (PyObject **)((char *)obj + off);
 }
 
@@ -293,6 +309,9 @@ counted_long(long long value)
 
 #define SLOT(obj, off) (*counted_slot((PyObject *)(obj), (off)))
 #define PyLong_FromLongLong(value) counted_long(value)
+/* (a macro's own name inside it is the function) */
+#define PyTuple_New(size) (tuples_made++, PyTuple_New(size))
+#define PyTuple_Pack(...) (tuples_made++, PyTuple_Pack(__VA_ARGS__))
 #else
 #define SLOT(obj, off) (*(PyObject **)((char *)(obj) + (off)))
 #endif
@@ -592,8 +611,12 @@ enum { COUNTER_SLOTS(KFIELD_BIT) KV_BITS };
  * HartStats, in the groups a site reads (``gate``; G(rbv) for its
  * writeback buffer, G(win) for its instruction ring and buffer, HART_ALL
  * for the whole hart but its ring and HartStats); the CoreCounters
- * (V_COUNTERS) */
-enum { V_PIPE = 1, V_COUNTERS = 2 };
+ * (V_COUNTERS); the CoreMemory and its ports (V_MEM), each of its banks
+ * (V_LOCAL, V_SHARED) and the LinkScheduler (V_LINKS) */
+enum { V_PIPE = 1, V_COUNTERS = 2, V_MEM = 4, V_LOCAL = 8, V_SHARED = 16,
+       V_LINKS = 32 };
+/* CoreView.ports: the CoreMemory's ports, in MEM_SLOTS' order */
+enum { PORT_LOCAL, PORT_SHARED_LOCAL, PORT_SHARED_ROUTER };
 #define G(field) (1u << BIT_##field)
 #define HART_ALL \
     (G(fetch_ready_at) | G(n_ready) | G(outstanding_mem) | G(fetch_ok) \
@@ -627,11 +650,11 @@ typedef struct {
     int64_t probed;         /* ... when ``lowered[pc] is low`` was seen */
     int64_t pc;
     PyObject *low;          /* owned */
-    /* the objects events carry and rename and fetch store, borrowed from
-     * the instruction's slots (next_pc: a box of the record's own when the
-     * slot holds another value; fetch_pair, pc_obj: NULL when the slot is
-     * not ``(pc, low)``) */
-    PyObject *mnemonic, *width_obj, *imm_obj, *next_pc, *fetch_pair, *pc_obj;
+    /* the objects rename and fetch store, borrowed from the instruction's
+     * slots (next_pc: a box of the record's own when the slot holds
+     * another value; fetch_pair, pc_obj: NULL when the slot is not ``(pc,
+     * low)``) */
+    PyObject *next_pc, *fetch_pair, *pc_obj;
     PyObject *own_next;     /* owned: next_pc when it is the record's box */
     /* owned: what each of the instruction's slots (L's order) held when
      * the fields were read; the same objects after a call into Python
@@ -640,6 +663,7 @@ typedef struct {
     int64_t cls, rd, imm, nreads, r1, r2, alu_op, br_op, latency, re_slot,
         dec_kind, issue_kind, trap, width;
     int writes, store_like;
+    int mnem;               /* the mnemonic's MNEMONICS code, or -1 */
 } Decode;
 
 /* Entry fields C changed since the load (the flush stores only those) */
@@ -713,6 +737,17 @@ typedef struct {
     PyObject *index_obj;                /* borrowed */
     PyObject *counters;                 /* V_COUNTERS: per_core[index] */
     COUNTER_SLOTS(INT_FIELD)
+    /* V_MEM: the CoreMemory and its three ports; V_LOCAL / V_SHARED: its
+     * banks, bank[1] the shared one; V_LINKS: the LinkScheduler, its rows
+     * and observer (borrowed: the slots hold them) */
+    PyObject *mem, *ports[3];
+    struct {
+        int64_t base;
+        char *data;                     /* the bytearray's buffer */
+        Py_ssize_t size;
+    } bank[2];
+    PyObject *links, *link_rows, *link_observer, *link_core;
+    int64_t hop_latency;
     HartView h[4];
 } CoreView;
 
@@ -2497,26 +2532,47 @@ tick_native_kinds(PyObject *Py_UNUSED(module), PyObject *Py_UNUSED(ignored))
 }
 
 #ifdef TICK_COUNTS
+/* counts[name] = value */
+static int
+put_count(PyObject *counts, PyObject *name, long long value)
+{
+    PyObject *count = PyLong_FromLongLong(value);
+    int status = count == NULL || name == NULL ? -1
+        : PyDict_SetItem(counts, name, count);
+    Py_XDECREF(count);
+    Py_XDECREF(name);
+    return status;
+}
+
 static PyObject *
 tick_slot_counts(PyObject *Py_UNUSED(module), PyObject *Py_UNUSED(ignored))
 {
 #define COUNTED_NAME(name) #name,
     static const char *const names[N_COUNTED] = {COUNTED(COUNTED_NAME)};
-    int k;
-    PyObject *counts = PyDict_New(), *count;
-    for (k = 0; counts != NULL && k <= N_COUNTED; k++) {
-        count = PyLong_FromLongLong(k < N_COUNTED ? slot_touches[k]
-                                    : long_boxes);
-        if (count == NULL
-                || PyDict_SetItemString(counts, k < N_COUNTED ? names[k]
-                                        : "PyLong_FromLongLong", count) < 0)
-            Py_CLEAR(counts);
-        Py_XDECREF(count);
+    int k, status = 0;
+    /* (read first: the boxes made here are not the run's) */
+    long long boxes = long_boxes, tuples = tuples_made;
+    PyObject *counts = PyDict_New();
+    if (counts == NULL)
+        return NULL;
+    for (k = 0; status == 0 && k < N_COUNTED; k++)
+        status = put_count(counts, PyUnicode_FromString(names[k]),
+                           slot_touches[k]);
+    for (k = 0; status == 0 && k < NATIVE_COUNT; k++)
+        status = put_count(counts, PyUnicode_FromFormat("post %U",
+                                                        *kind_name[k]),
+                           posts[k]);
+    if (status < 0
+            || put_count(counts, PyUnicode_FromString("PyLong_FromLongLong"),
+                         boxes) < 0
+            || put_count(counts, PyUnicode_FromString("tuples"), tuples)
+               < 0) {
+        Py_DECREF(counts);
+        return NULL;
     }
-    if (counts != NULL) {
-        memset(slot_touches, 0, sizeof(slot_touches));
-        long_boxes = 0;
-    }
+    memset(slot_touches, 0, sizeof(slot_touches));
+    memset(posts, 0, sizeof(posts));
+    long_boxes = tuples_made = 0;
     return counts;
 }
 #endif
@@ -2549,7 +2605,8 @@ static PyMethodDef module_methods[] = {
 #ifdef TICK_COUNTS
     {"slot_counts", tick_slot_counts, METH_NOARGS,
      "slot_counts() -> {class name: slot accesses, 'PyLong_FromLongLong': "
-     "ints boxed} since the last call (the counting build only)."},
+     "ints boxed, 'tuples': tuples made, 'post <kind>': events posted} "
+     "since the last call (the counting build only)."},
 #endif
     {NULL, NULL, 0, NULL}};
 

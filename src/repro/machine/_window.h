@@ -20,8 +20,11 @@
  * their shape, and again after every call into Python (what ``LBP.post``
  * appended meanwhile); it writes everything it holds back to the list as
  * 6-tuples, a heap again, on every way out (barrier, halt, error,
- * exception).  An event posted here is a struct, not a tuple: the tuple is
- * built only if it is still pending when the call returns.
+ * exception).  An event posted here is a struct, not a tuple: its args are
+ * C data, typed as its kind's shape says, and a tuple is made only where
+ * it leaves C -- the write-back, the call into its Python handler, a shard
+ * worker's ``_outbox`` ("events at rest").  A tuple moved in is typed once,
+ * and keeps its tuple for the write-back.
  *
  * The core views.  The same rule holds for the cores' pipeline scalars
  * and each hart's instruction ring (_tick.c says which): one ``CoreView``
@@ -31,7 +34,10 @@
  * instruction that has none -- before every call into Python and on every
  * way out.  The decode records and the boxes the flush made are the
  * window's, for one call.  A window-less ``Core.tick`` or ``settle_idle``
- * has one view of its own.
+ * has one view of its own.  A view also holds, loaded when an access first
+ * needs them, its core's memory: the banks' bytes, the ports, the link
+ * scheduler; each Port the window reserves has a cursor of the window's,
+ * flushed with the views ("the memory view").
  *
  * The contract with the Python it calls (handlers, ticks that are not
  * ours, a replaced ``settle_idle``, everything behind the tick's
@@ -103,32 +109,79 @@
  */
 
 /* The event kinds spelled here: every kind of ``EVENT_HANDLERS``
- * (native_kinds() returns them for the test that checks that).  Each
- * native spelling takes the domain
- * running the event (the core its posts come from) and the event's args;
+ * (native_kinds() returns them for the test that checks that), each with
+ * the shape of its args, one letter per arg of its processor.py handler:
+ * ``i`` an int, ``r`` a ``("local" | "shared", core)`` bank reference,
+ * ``m`` a load mnemonic, ``b`` a bool.  Each native spelling takes the
+ * domain running the event (the core its posts come from) and the event;
  * it returns 1 when it handled the event, 0 when the event is not one it
  * spells (nothing is changed; the caller calls the Python handler, which
  * also words every error), -1 on an exception. */
 #define NATIVE_KINDS(X) \
-    X(load_read) X(load_done) X(store_write) X(cv_write) X(rreq_load) \
-    X(bank_read) X(rrep_load) X(rreq_store) X(bank_write) X(rack_store) \
-    X(rreq_cv) X(cv_apply) X(rack_cv) X(re_deliver) X(re_ack) X(fork_req) \
-    X(fork_grant) X(start_pc) X(ending_signal) X(join)
-#define KIND_INDEX(kind) EV_##kind,
+    X(load_read, "riimiii") X(load_done, "i") X(store_write, "riiiiii") \
+    X(cv_write, "iiiiiiii") X(rreq_load, "iiiiim") X(bank_read, "iiiiimi") \
+    X(rrep_load, "iiii") X(rreq_store, "iiiiiii") X(bank_write, "iiii") \
+    X(rack_store, "iiiii") X(rreq_cv, "iiiiii") X(cv_apply, "iii") \
+    X(rack_cv, "iiiiii") X(re_deliver, "iiiiiib") X(re_ack, "iiiiii") \
+    X(fork_req, "iii") X(fork_grant, "ii") X(start_pc, "ii") \
+    X(ending_signal, "iii") X(join, "ii")
+#define KIND_INDEX(kind, shape) EV_##kind,
 enum { NATIVE_KINDS(KIND_INDEX) NATIVE_COUNT };
-#define KIND_NAME(kind) &s_##kind,
+#define KIND_NAME(kind, shape) &s_##kind,
 static PyObject **const kind_name[NATIVE_COUNT] = {NATIVE_KINDS(KIND_NAME)};
+#define KIND_SHAPE(kind, shape) shape,
+static const char *const kind_shape[NATIVE_COUNT] = {
+    NATIVE_KINDS(KIND_SHAPE)};
+#define KIND_ARITY(kind, shape) (int)sizeof(shape) - 1,
+static const int kind_arity[NATIVE_COUNT] = {NATIVE_KINDS(KIND_ARITY)};
+/* the most args a native kind has */
+#define MAX_ARGS 8
 
-/* One pending event of the window's heap.  Moved in from
- * ``machine._events``, it holds that tuple, which owns *name* and *args*
- * and is what goes back; posted here, it owns *args*, and *name* is the
- * interned kind. */
+/* a bank reference, typed: the core's index doubled, plus 1 for its shared
+ * bank */
+#define REF(shared, index) ((index) * 2 + (shared))
+#define REF_SHARED(ref) ((int)((ref) & 1))
+#define REF_CORE(ref) ((ref) >> 1)
+
+/* the load mnemonics (isa/semantics.py's LOAD_WIDTH), each with the width
+ * load_value sign-extends from (0: none); a mnemonic, typed, is its
+ * position here */
+#define MNEMONICS(X) \
+    X(lb, 8) X(lh, 16) X(lw, 0) X(lbu, 0) X(lhu, 0) X(p_lwcv, 0)
+#define MNEMONIC_NAME(name, bits) &s_##name,
+static PyObject **const mnemonic_name[] = {MNEMONICS(MNEMONIC_NAME)};
+#define MNEMONIC_BITS(name, bits) bits,
+static const uint32_t mnemonic_bits[] = {MNEMONICS(MNEMONIC_BITS)};
+#define MNEMONIC_COUNT ((int)(sizeof(mnemonic_bits) / sizeof(uint32_t)))
+
+#ifdef TICK_COUNTS
+static long long posts[NATIVE_COUNT];  /* events posted, by kind */
+#endif
+
+/* One pending event of the window's heap: its key, its kind and its args,
+ * typed as the kind's shape says.  Moved in from ``machine._events``, it
+ * also holds the tuple it was, which is what goes back; posted here, it
+ * holds no object at all, and a tuple is made for it only if it leaves C
+ * (the events at rest, below).  An event of a kind not spelled here, or
+ * whose args are not of its kind's shape, is Python's: kind -1, and only
+ * its tuple. */
 typedef struct {
     int64_t cycle, origin, oseq, dst;   /* (cycle, origin, oseq): the key */
     int kind;                   /* a NATIVE_KINDS index, or -1 */
-    PyObject *name, *args;
     PyObject *tuple;            /* owned, or NULL */
+    int64_t a[MAX_ARGS];
 } Event;
+
+/* A Port's ``next_free`` while C runs: read from the slot when the window
+ * first reserves the port after the call started or after a call into
+ * Python, stored back (when C moved it) before every call into Python and
+ * on every way out (the memory view, below). */
+typedef struct {
+    PyObject *port;             /* borrowed: the key; NULL, an empty cell */
+    int64_t stamp;              /* the window's calls + 1 when read */
+    int64_t next_free;
+    int dirty;
+} Cursor;
 
 /* the flush's int boxes kept per call (Window.boxes) */
 #define BOXES 256
@@ -204,9 +257,13 @@ struct Window {
      * when ``calls`` was checked[k] - 1 (0: not yet) */
     unsigned live;
     int64_t checked[NATIVE_COUNT];
+    /* the ports' cursors: a table on the Port, open addressing, ``ccap`` a
+     * power of two; ``cdirty`` of them moved since the last flush */
+    Cursor *cursors;
+    Py_ssize_t ccap, ccount, cdirty;
 };
 
-typedef int (*NativeEvent)(Window *w, CoreView *domain, PyObject *args);
+typedef int (*NativeEvent)(Window *w, CoreView *domain, const Event *event);
 
 static PyObject *event_handlers;  /* processor.EVENT_HANDLERS */
 /* EVENT_HANDLERS[kind] at bind time, one per native kind, in that order */
@@ -313,8 +370,16 @@ heap_pop(Window *w, Event *out)
 static void
 release(Event *event)
 {
-    Py_DECREF(event->tuple != NULL ? event->tuple : event->args);
+    Py_XDECREF(event->tuple);
 }
+
+/* ---- events at rest --------------------------------------------------------------
+ * ``machine._events`` holds ``(cycle, origin, oseq, dst, kind, args)``
+ * tuples.  Only these functions read such a tuple or make one: an event
+ * moves in (event_in: the args typed, the tuple kept), goes back
+ * (event_out), goes to a shard worker's ``_outbox`` (post, through
+ * event_out) or to its Python handler (call_handler), and hands a slice of
+ * its args to a list of the hart state (event_args). */
 
 /* The NATIVE_KINDS index of the kind *name*, or -1 (a kind only Python
  * spells, or no kind at all: its handler lookup words that). */
@@ -333,6 +398,138 @@ kind_index(PyObject *name)
     return -1;
 }
 
+/* 1 and *out* when *obj* is an exact ``int`` within int64, else 0 */
+static int
+exact_int(PyObject *obj, int64_t *out)
+{
+    int overflow;
+    if (small_int(obj, out))
+        return 1;
+    if (!PyLong_CheckExact(obj))
+        return 0;
+    *out = PyLong_AsLongLongAndOverflow(obj, &overflow);
+    return !overflow;
+}
+
+/* The MNEMONICS position of *name*, or -1 */
+static int
+mnemonic_code(PyObject *name)
+{
+    int k;
+    for (k = 0; k < MNEMONIC_COUNT; k++)
+        if (name == *mnemonic_name[k])
+            return k;
+    if (PyUnicode_CheckExact(name))
+        for (k = 0; k < MNEMONIC_COUNT; k++)
+            if (PyUnicode_Compare(name, *mnemonic_name[k]) == 0)
+                return k;
+    return -1;
+}
+
+/* 1 and the bank reference *ref*, typed, in *out*; 0 when it is no
+ * ``("local" | "shared", core)`` tuple */
+static int
+ref_in(PyObject *ref, int64_t *out)
+{
+    int shared;
+    int64_t index;
+    PyObject *bank;
+    if (!PyTuple_CheckExact(ref) || PyTuple_GET_SIZE(ref) != 2
+            || !exact_int(PyTuple_GET_ITEM(ref, 1), &index)
+            || index < 0 || index > INT64_MAX / 2)
+        return 0;
+    bank = PyTuple_GET_ITEM(ref, 0);
+    if (bank == s_shared || bank == s_local)
+        shared = bank == s_shared;
+    else if (!PyUnicode_CheckExact(bank))
+        return 0;
+    else if (PyUnicode_Compare(bank, s_shared) == 0)
+        shared = 1;
+    else if (PyUnicode_Compare(bank, s_local) == 0)
+        shared = 0;
+    else
+        return 0;
+    *out = REF(shared, index);
+    return 1;
+}
+
+/* 1 and the *n* objects *items*, typed by *shape*, in *a*; 0 when they are
+ * not of that shape (so many of them, each of its letter's type) */
+static int
+args_in(PyObject *const *items, Py_ssize_t n, const char *shape, int64_t *a)
+{
+    Py_ssize_t i;
+    if (n != (Py_ssize_t)strlen(shape))
+        return 0;
+    for (i = 0; i < n; i++) {
+        switch (shape[i]) {
+        case 'b':
+            if (items[i] != Py_True && items[i] != Py_False)
+                return 0;
+            a[i] = items[i] == Py_True;
+            break;
+        case 'm':
+            if ((a[i] = mnemonic_code(items[i])) < 0)
+                return 0;
+            break;
+        case 'r':
+            if (!ref_in(items[i], &a[i]))
+                return 0;
+            break;
+        default:
+            if (!exact_int(items[i], &a[i]))
+                return 0;
+        }
+    }
+    return 1;
+}
+
+/* arg *i* of *event* as its tuple holds it: a new reference */
+static PyObject *
+arg_out(const Event *event, int i)
+{
+    int64_t value = event->a[i];
+    PyObject *index, *ref;
+    switch (kind_shape[event->kind][i]) {
+    case 'b':
+        return new_ref(value ? Py_True : Py_False);
+    case 'm':
+        return new_ref(*mnemonic_name[value]);
+    case 'r':
+        if ((index = PyLong_FromLongLong(REF_CORE(value))) == NULL)
+            return NULL;
+        ref = PyTuple_Pack(2, REF_SHARED(value) ? s_shared : s_local, index);
+        Py_DECREF(index);
+        return ref;
+    }
+    return PyLong_FromLongLong(value);
+}
+
+/* ``args[start:stop]`` of *event*: its tuple's own items, or objects made
+ * from its typed args (the ones its post would have made).  A new
+ * reference. */
+static PyObject *
+event_args(const Event *event, Py_ssize_t start, Py_ssize_t stop)
+{
+    Py_ssize_t i;
+    PyObject *args, *item;
+    if (event->tuple != NULL)
+        return PyTuple_GetSlice(PyTuple_GET_ITEM(event->tuple, 5), start,
+                                stop);
+    if (stop > kind_arity[event->kind])
+        stop = kind_arity[event->kind];
+    if ((args = PyTuple_New(stop - start)) == NULL)
+        return NULL;
+    for (i = start; i < stop; i++) {
+        if ((item = arg_out(event, (int)i)) == NULL) {
+            Py_DECREF(args);
+            return NULL;
+        }
+        PyTuple_SET_ITEM(args, i - start, item);
+    }
+    return args;
+}
+
 /* ``event[i]`` as the int64 *out* */
 static inline int
 key_field(PyObject *event, Py_ssize_t i, int64_t *out)
@@ -341,10 +538,12 @@ key_field(PyObject *event, Py_ssize_t i, int64_t *out)
     return *out == -1 && PyErr_Occurred() ? -1 : 0;
 }
 
-/* *into*: the heap entry for the tuple *event*, holding it. */
+/* *into*: the heap entry for the tuple *event*, holding it, its args typed
+ * when they are of its kind's shape. */
 static int
 event_in(PyObject *event, Event *into)
 {
+    PyObject *args;
     if (!PyTuple_Check(event) || PyTuple_GET_SIZE(event) != 6
             || !PyTuple_Check(PyTuple_GET_ITEM(event, 5))) {
         wrong_type("(cycle, origin, oseq, dst, kind, args) event");
@@ -360,35 +559,39 @@ event_in(PyObject *event, Event *into)
                         "compiled window: an event before cycle 0");
         return -1;
     }
-    into->name = PyTuple_GET_ITEM(event, 4);
-    into->kind = kind_index(into->name);
-    into->args = PyTuple_GET_ITEM(event, 5);
+    args = PyTuple_GET_ITEM(event, 5);
+    into->kind = kind_index(PyTuple_GET_ITEM(event, 4));
+    if (into->kind >= 0
+            && !args_in(((PyTupleObject *)args)->ob_item,
+                        PyTuple_GET_SIZE(args), kind_shape[into->kind],
+                        into->a))
+        into->kind = -1;  /* Python's: its handler words what is wrong */
     into->tuple = new_ref(event);
     return 0;
 }
 
 /* The heap entry *event* as the tuple ``machine._events`` holds: a new
- * reference, or NULL.  What the entry held is the result's (or dropped). */
+ * reference, or NULL.  The tuple the entry held is the result's. */
 static PyObject *
 event_out(Event *event)
 {
     int64_t key[4] = {event->cycle, event->origin, event->oseq, event->dst};
-    PyObject *tuple, *number;
+    PyObject *tuple, *item;
     int i;
     if (event->tuple != NULL)
         return event->tuple;
-    if ((tuple = PyTuple_New(6)) == NULL) {
-        Py_DECREF(event->args);
+    if ((tuple = PyTuple_New(6)) == NULL)
         return NULL;
-    }
-    PyTuple_SET_ITEM(tuple, 4, new_ref(event->name));
-    PyTuple_SET_ITEM(tuple, 5, event->args);
-    for (i = 0; i < 4; i++) {
-        if ((number = PyLong_FromLongLong(key[i])) == NULL) {
+    PyTuple_SET_ITEM(tuple, 4, new_ref(*kind_name[event->kind]));
+    for (i = 0; i < 6; i++) {
+        if (i == 4)
+            continue;
+        if ((item = i < 4 ? PyLong_FromLongLong(key[i])
+             : event_args(event, 0, MAX_ARGS)) == NULL) {
             Py_DECREF(tuple);
             return NULL;
         }
-        PyTuple_SET_ITEM(tuple, i, number);
+        PyTuple_SET_ITEM(tuple, i, item);
     }
     return tuple;
 }
@@ -470,6 +673,36 @@ write_back(Window *w)
         return 0;
     RAISE_AGAIN(&first);
     return -1;
+}
+
+/* ``EVENT_HANDLERS[kind](machine, *args)``: *event* as Python spells it */
+static int
+call_handler(Window *w, const Event *event)
+{
+    Py_ssize_t i, count;
+    PyObject *name = event->tuple != NULL ? PyTuple_GET_ITEM(event->tuple, 4)
+        : *kind_name[event->kind];
+    PyObject *handler, *args, *call = NULL;
+    int status = -1;
+    if ((handler = PyDict_GetItemWithError(event_handlers, name)) == NULL) {
+        if (!PyErr_Occurred())
+            PyErr_SetObject(PyExc_KeyError, name);
+        return -1;
+    }
+    handler = new_ref(handler);
+    if ((args = event_args(event, 0, PY_SSIZE_T_MAX)) != NULL
+            && (call = PyTuple_New(PyTuple_GET_SIZE(args) + 1)) != NULL
+            && leave_c(w) == 0) {
+        count = PyTuple_GET_SIZE(args);
+        PyTuple_SET_ITEM(call, 0, new_ref(w->machine));
+        for (i = 0; i < count; i++)
+            PyTuple_SET_ITEM(call, i + 1, new_ref(PyTuple_GET_ITEM(args, i)));
+        status = called(PyObject_Call(handler, call, NULL));
+    }
+    Py_XDECREF(call);
+    Py_XDECREF(args);
+    Py_DECREF(handler);
+    return status;
 }
 
 /* 1 while ``EVENT_HANDLERS`` still maps native kind *k* to the function it
@@ -635,6 +868,9 @@ load_pipe(CoreView *v)
 
 static int buffer_load(HartView *hv);
 static int window_load(HartView *hv);
+static int mem_load(CoreView *v);
+static int bank_load(CoreView *v, int shared);
+static int links_load(CoreView *v);
 
 /* The fields *bits* of hart *h* that *v* lacks, as load_cgates. */
 static INLINE int
@@ -727,8 +963,8 @@ view_load(Window *w, CoreView *v, unsigned parts)
                 || read_int(v->index_obj, &v->index) < 0)
             return -1;
     }
-    if (parts & ~(unsigned)V_COUNTERS)
-        parts |= V_PIPE;
+    if (parts & (V_LOCAL | V_SHARED))
+        parts |= V_MEM;
     parts &= ~v->loaded;
     if (parts & V_PIPE) {
         if (load_pipe(v) < 0)
@@ -739,6 +975,26 @@ view_load(Window *w, CoreView *v, unsigned parts)
         if (load_counters(w, v) < 0)
             return -1;
         v->loaded |= V_COUNTERS;
+    }
+    if (parts & V_MEM) {
+        if (mem_load(v) < 0)
+            return -1;
+        v->loaded |= V_MEM;
+    }
+    if (parts & V_LOCAL) {
+        if (bank_load(v, 0) < 0)
+            return -1;
+        v->loaded |= V_LOCAL;
+    }
+    if (parts & V_SHARED) {
+        if (bank_load(v, 1) < 0)
+            return -1;
+        v->loaded |= V_SHARED;
+    }
+    if (parts & V_LINKS) {
+        if (links_load(v) < 0)
+            return -1;
+        v->loaded |= V_LINKS;
     }
     return 0;
 }
@@ -880,6 +1136,184 @@ flush_obj(PyObject *obj, Py_ssize_t off, PyObject *value)
     Py_XDECREF(old);
 }
 
+/* ---- the memory view: a core's banks and ports, its link scheduler ----------------
+ * Read when an access first needs them after the call started or after a
+ * call into Python: the CoreMemory and its ports (V_MEM), each bank's base
+ * and bytes (V_LOCAL, V_SHARED: a pointer into the bytearray, which only
+ * Python can resize), the LinkScheduler's latency, rows and observer
+ * (V_LINKS).  Each Port the window reserves has a cursor of the window's
+ * (Cursor), read when first reserved and stored back, if C moved it, with
+ * the views.  These and the view's load are the only functions that read
+ * or write a CoreMemory's, a Bank's or a Port's slots. */
+
+static int
+mem_load(CoreView *v)
+{
+    if (load_obj(v->core, C.mem, mem_type, &v->mem) < 0
+            || load_obj(v->mem, M.local_port, NULL,
+                        &v->ports[PORT_LOCAL]) < 0
+            || load_obj(v->mem, M.shared_local_port, NULL,
+                        &v->ports[PORT_SHARED_LOCAL]) < 0
+            || load_obj(v->mem, M.shared_router_port, NULL,
+                        &v->ports[PORT_SHARED_ROUTER]) < 0)
+        return -1;
+    return 0;
+}
+
+/* ``bank[shared]`` of *v*, which holds V_MEM */
+static int
+bank_load(CoreView *v, int shared)
+{
+    PyObject *bank, *data;
+    if (load_obj(v->mem, shared ? M.shared : M.local, bank_type, &bank) < 0
+            || load_int(bank, B.base, &v->bank[shared].base) < 0
+            || load_obj(bank, B.data, &PyByteArray_Type, &data) < 0)
+        return -1;
+    v->bank[shared].data = PyByteArray_AS_STRING(data);
+    v->bank[shared].size = PyByteArray_GET_SIZE(data);
+    return 0;
+}
+
+static int
+links_load(CoreView *v)
+{
+    PyObject *links;
+    if (load_obj(v->core, C.links, links_type, &links) < 0
+            || load_int(links, LS.hop_latency, &v->hop_latency) < 0
+            || load_obj(links, LS._links, NULL, &v->link_rows) < 0)
+        return -1;
+    if (!PyList_Check(v->link_rows)) {
+        wrong_type("list of link port rows");
+        return -1;
+    }
+    if (load_obj(links, LS._metrics, NULL, &v->link_observer) < 0
+            || load_obj(links, LS._core_index, NULL, &v->link_core) < 0)
+        return -1;
+    v->links = links;
+    return 0;
+}
+
+/* the table's home cell of *port* */
+static inline Py_ssize_t
+cursor_home(const Window *w, PyObject *port)
+{
+    return (Py_ssize_t)((((uintptr_t)port >> 4) * 0x9E3779B1u)
+                        & (uintptr_t)(w->ccap - 1));
+}
+
+/* Room for one more cursor: the table doubled when it is half full */
+static int
+cursors_room(Window *w)
+{
+    Cursor *old = w->cursors;
+    Py_ssize_t i, j, cap = w->ccap;
+    if (2 * (w->ccount + 1) <= w->ccap)
+        return 0;
+    w->ccap = cap ? 2 * cap : 64;
+    if ((w->cursors = PyMem_Calloc(w->ccap, sizeof(Cursor))) == NULL) {
+        w->cursors = old;
+        w->ccap = cap;
+        PyErr_NoMemory();
+        return -1;
+    }
+    for (i = 0; i < cap; i++)
+        if (old[i].port != NULL) {
+            for (j = cursor_home(w, old[i].port); w->cursors[j].port != NULL;
+                 j = (j + 1) & (w->ccap - 1))
+                ;
+            w->cursors[j] = old[i];
+        }
+    PyMem_Free(old);
+    return 0;
+}
+
+/* The cursor of *port*, current -- a Port (checked) whose ``next_free`` is
+ * read when it is first reserved after the call started or after a call
+ * into Python -- or NULL.  Good until the next cursor_of. */
+static Cursor *
+cursor_of(Window *w, PyObject *port)
+{
+    Py_ssize_t i;
+    Cursor *c;
+    if (cursors_room(w) < 0)
+        return NULL;
+    for (i = cursor_home(w, port); (c = &w->cursors[i])->port != port;
+         i = (i + 1) & (w->ccap - 1))
+        if (c->port == NULL) {
+            c->port = port;
+            c->stamp = 0;
+            w->ccount++;
+            break;
+        }
+    if (c->stamp != w->calls + 1) {
+        if (!PyObject_TypeCheck(port, port_type)) {
+            wrong_type(port_type->tp_name);
+            return NULL;
+        }
+        if (load_int(port, P.next_free, &c->next_free) < 0)
+            return NULL;
+        c->stamp = w->calls + 1;
+        c->dirty = 0;
+    }
+    return c;
+}
+
+/* ``port.reserve(earliest)`` (Port.reserve) on *port*'s cursor: *slot* the
+ * cycle reserved */
+static int
+reserve(Window *w, PyObject *port, int64_t earliest, int64_t *slot)
+{
+    Cursor *c = cursor_of(w, port);
+    if (c == NULL)
+        return -1;
+    if (c->next_free > earliest)
+        earliest = c->next_free;
+    c->next_free = earliest + 1;
+    if (!c->dirty) {
+        c->dirty = 1;
+        w->cdirty++;
+    }
+    *slot = earliest;
+    return 0;
+}
+
+/* Store every cursor C moved since the last flush in its Port's slot. */
+static int
+cursors_flush(Window *w)
+{
+    Py_ssize_t i;
+    Cursor *c;
+    for (i = 0; w->cdirty > 0 && i < w->ccap; i++)
+        if ((c = &w->cursors[i])->dirty) {
+            if (flush_int(w, c->port, P.next_free, c->next_free) < 0)
+                return -1;
+            c->dirty = 0;
+            w->cdirty--;
+        }
+    w->cdirty = 0;
+    return 0;
+}
+
+/* ``Port()``: made here while ``Port.__init__`` is the function bind()
+ * found (``next_free = 0``, in the one slot bind checked a Port has), else
+ * the call into Python.  A new reference. */
+static PyObject *
+new_port(Window *w)
+{
+    PyObject *init = PyObject_GetAttr((PyObject *)port_type, s___init__);
+    PyObject *port;
+    int native = init == port_init;
+    if (init == NULL)
+        return NULL;
+    Py_DECREF(init);
+    if (!native)
+        return leave_c(w) < 0 ? NULL
+            : PyObject_CallNoArgs((PyObject *)port_type);
+    if ((port = port_type->tp_alloc(port_type, 0)) != NULL)
+        SLOT(port, P.next_free) = new_ref(zero_obj);
+    return port;
+}
+
 /* ---- the instruction ring: decode records, load, flush ---------------------------
  * _tick.c says what the ring holds.  These are the only functions that read
  * or write an Entry's or a ResultBuffer's slots, or ``regs`` / ``rename`` /
@@ -912,17 +1346,18 @@ decode_read(Window *w, Decode *d)
 {
     int k;
     int64_t held, next_pc;
-    PyObject *low = d->low, *next, *pair;
+    PyObject *low = d->low, *next, *pair, *mnemonic;
     LOAD_L_INT(cls) LOAD_L_INT(rd) LOAD_L_INT(imm) LOAD_L_INT(nreads)
     LOAD_L_INT(r1) LOAD_L_INT(r2) LOAD_L_INT(alu_op) LOAD_L_INT(br_op)
     LOAD_L_INT(latency) LOAD_L_INT(re_slot) LOAD_L_INT(dec_kind)
     LOAD_L_INT(issue_kind) LOAD_L_INT(trap) LOAD_L_INT(width)
     LOAD_L_BOOL(writes) LOAD_L_BOOL(store_like)
-    if (load_obj(low, L.mnemonic, NULL, &d->mnemonic) < 0
-            || load_obj(low, L.width, NULL, &d->width_obj) < 0
-            || load_obj(low, L.imm, NULL, &d->imm_obj) < 0
+    if (load_obj(low, L.mnemonic, NULL, &mnemonic) < 0
             || load_obj(low, L.next_pc, NULL, &next) < 0)
         return -1;
+    /* what a load's events carry of it (the mnemonic of anything else is
+     * -1 too, and never read) */
+    d->mnem = mnemonic_code(mnemonic);
     /* lowered.py boxed the pc a fall-through or jal resumes at; an
      * instruction whose slot says otherwise gets a box of its own */
     next_pc = d->dec_kind == 1 ? (d->pc + d->imm) & MASK32 : d->pc + 4;
@@ -1453,8 +1888,8 @@ window_flush(Window *w, HartView *hv)
     return 0;
 }
 
-/* Every ring of the window lets go, and its memory is freed (the views are
- * flushed or given up). */
+/* Every ring of the window lets go, and its memory and the cursors' are
+ * freed (the views are flushed or given up). */
 static void
 rings_free(Window *w)
 {
@@ -1473,6 +1908,9 @@ rings_free(Window *w)
     for (i = 0; i < BOXES; i++)
         Py_CLEAR(w->boxes[i]);
     decodes_free(w);
+    PyMem_Free(w->cursors);
+    w->cursors = NULL;
+    w->ccap = w->ccount = w->cdirty = 0;
 }
 
 /* Store dirty field *name* of a core (C), a hart (H), its HartStats (S) or
@@ -1528,11 +1966,13 @@ view_flush(Window *w, CoreView *v)
     return 0;
 }
 
-/* Flush every view loaded since the last flush. */
+/* Flush every view loaded since the last flush, and the ports' cursors. */
 static int
 views_flush(Window *w)
 {
     Py_ssize_t i;
+    if (w->cdirty && cursors_flush(w) < 0)
+        return -1;
     for (i = 0; i < w->ntouched; i++)
         if (view_flush(w, &w->views[w->touched[i]]) < 0)
             return -1;
@@ -1757,33 +2197,33 @@ window_native(Tick *t, enum method site)
 
 /* ---- the memory access ------------------------------------------------------------ */
 
-/* Does *bank* hold the *width* bytes at *addr*?  1 and *at -> the bytes, or
- * 0: not this bank, or not all of them (the Python path reports that). */
-static int
-bank_holds(PyObject *bank, int64_t addr, int64_t width, char **at)
+/* Does bank *shared* of *v* (loaded) hold the *width* bytes at *addr*?  1
+ * and *at -> the bytes, or 0: not this bank, or not all of them (the
+ * Python path reports that). */
+static inline int
+bank_holds(const CoreView *v, int shared, int64_t addr, int64_t width,
+           char **at)
 {
-    int64_t base;
-    PyObject *data;
-    CHECK(bank, bank_type);
-    GETI(base, bank, B.base);
-    GETO(data, bank, B.data);
-    if (!PyByteArray_Check(data)) {
-        wrong_type("bytearray");
-        goto fail;
-    }
-    if (addr < base || addr - base + width > PyByteArray_GET_SIZE(data))
+    int64_t base = v->bank[shared].base;
+    if (addr < base || addr - base + width > v->bank[shared].size)
         return 0;
-    *at = PyByteArray_AS_STRING(data) + (addr - base);
+    *at = v->bank[shared].data + (addr - base);
     return 1;
-fail:
-    return -1;
 }
 
 /* 1 when *addr* is a device's (the Python path talks to it) */
-static inline int
-is_device(Window *w, PyObject *addr)
+static int
+is_device(Window *w, int64_t addr)
 {
-    return PyDict_GET_SIZE(w->mmio) ? PyDict_Contains(w->mmio, addr) : 0;
+    int found;
+    PyObject *key;
+    if (!PyDict_GET_SIZE(w->mmio))
+        return 0;
+    if ((key = PyLong_FromLongLong(addr)) == NULL)
+        return -1;
+    found = PyDict_Contains(w->mmio, key);
+    Py_DECREF(key);
+    return found;
 }
 
 /* ``slot += delta`` */
@@ -1797,22 +2237,28 @@ fail:
     return -1;
 }
 
-/* LBP.post of the native kind *kind* from *origin*'s domain to domain *dst*:
- * the key takes the origin's next ``_seq``, and a shard worker diverts an
- * event for a domain it does not own to ``_outbox``.  Steals *args*. */
+/* the args of a post, typed as its kind's shape says */
+#define ARGS(...) ((const int64_t[]){__VA_ARGS__})
+
+/* LBP.post of the native kind *kind* with the args *a* from *origin*'s
+ * domain to domain *dst*: the key takes the origin's next ``_seq``, and a
+ * shard worker diverts an event for a domain it does not own to
+ * ``_outbox``. */
 static int
 post(Window *w, CoreView *origin, int64_t dst, int64_t when, int kind,
-     PyObject *args)
+     const int64_t *a)
 {
     int status = -1, mine = 1;
     int64_t seq;
-    PyObject *seq_obj = NULL, *dst_obj = NULL, *when_obj = NULL, *event;
-    if (args == NULL)
-        return -1;
+    PyObject *dst_obj = NULL, *outbox, *tuple;
+    Event *event, away;
     if (fresh(w, origin, 0) < 0 || cgate(origin, G(_seq)) < 0)
-        goto fail;
+        return -1;
     seq = origin->_seq + 1;
     CSET(origin, _seq, seq);
+#ifdef TICK_COUNTS
+    posts[kind]++;
+#endif
     if (w->owned != Py_None
             && ((dst_obj = PyLong_FromLongLong(dst)) == NULL
                 || (mine = PySequence_Contains(w->owned, dst_obj)) < 0))
@@ -1820,28 +2266,22 @@ post(Window *w, CoreView *origin, int64_t dst, int64_t when, int kind,
     if (mine) {
         if (heap_room(w, 1) < 0)
             goto fail;
-        w->heap[w->size] = (Event){when, origin->index, seq, dst, kind,
-                                   *kind_name[kind], args, NULL};
+        event = &w->heap[w->size];
+    } else
+        event = &away;
+    *event = (Event){when, origin->index, seq, dst, kind, NULL, {0}};
+    memcpy(event->a, a, kind_arity[kind] * sizeof(int64_t));
+    if (mine) {
         heap_push(w);
-        args = NULL;  /* the heap's */
         status = 0;
-    } else {
-        PyObject *outbox;
-        if ((seq_obj = PyLong_FromLongLong(seq)) == NULL
-                || (when_obj = PyLong_FromLongLong(when)) == NULL
-                || (outbox = attr_list(w->machine, s__outbox)) == NULL)
-            goto fail;
-        event = PyTuple_Pack(6, when_obj, origin->index_obj, seq_obj,
-                             dst_obj, *kind_name[kind], args);
-        status = event == NULL ? -1 : PyList_Append(outbox, event);
-        Py_XDECREF(event);
+    } else if ((outbox = attr_list(w->machine, s__outbox)) != NULL) {
+        tuple = event_out(&away);
+        status = tuple == NULL ? -1 : PyList_Append(outbox, tuple);
+        Py_XDECREF(tuple);
         Py_DECREF(outbox);
     }
 fail:
-    Py_XDECREF(seq_obj);
     Py_XDECREF(dst_obj);
-    Py_XDECREF(when_obj);
-    Py_XDECREF(args);
     return status;
 }
 
@@ -1870,68 +2310,49 @@ count_access(Window *w, CoreView *v, HartView *hv, int store)
     return 0;
 }
 
-/* The issue of an access to the ticked core's own *bank* (its local bank,
- * or its shared one when *shared*) through *port*: Port.reserve, the bank
+/* The issue of an access to *addr* in the ticked core's own local bank,
+ * or shared one when *shared*, through its port: Port.reserve, the bank
  * event(s) posted to this domain. */
 static int
-own_access(Tick *t, HartView *hv, Instr *rec, enum access kind,
-           PyObject *addr_obj, PyObject *port, int shared)
+own_access(Tick *t, HartView *hv, Instr *rec, enum access kind, int64_t addr,
+           int shared)
 {
     Window *w = t->w;
     CoreView *v = t->v;
     const Decode *d = rec->dec;
-    int status = -1;
-    int64_t next_free, when;
-    PyObject *after_obj = NULL, *ref = NULL, *tag = NULL, *value = NULL;
+    int64_t when, stored, ref = REF(shared, v->index);
 
     /* Port.reserve(now + local_mem_latency) */
-    CHECK(port, port_type);
-    GETI(next_free, port, P.next_free);
-    when = t->cycle + w->latency;
-    if (next_free > when)
-        when = next_free;
-    if ((after_obj = PyLong_FromLongLong(when + 1)) == NULL)
-        goto fail;
-    set_obj(port, P.next_free, after_obj);
+    if (reserve(w, v->ports[shared ? PORT_SHARED_LOCAL : PORT_LOCAL],
+                t->cycle + w->latency, &when) < 0)
+        return -1;
     if (shared) {
         if (fresh(w, v, V_COUNTERS) < 0)
-            goto fail;
+            return -1;
         KSET(v, local_accesses, v->local_accesses + 1);
     }
-    if ((ref = PyTuple_Pack(2, shared ? s_shared : s_local, v->index_obj))
-            == NULL)
-        goto fail;
     if (kind == ACC_STORE) {
-        int64_t stored;
-        if (operand(rec, 1, &stored) < 0
-                || (value = PyLong_FromLongLong(stored)) == NULL
-                || (tag = PyLong_FromLongLong(rec->tag)) == NULL)
-            goto fail;
+        if (operand(rec, 1, &stored) < 0)
+            return -1;
         HSET(hv, outstanding_mem, hv->outstanding_mem + 1);
         if (post(w, v, v->index, when, EV_store_write,
-                 PyTuple_Pack(7, ref, addr_obj, value, d->width_obj,
-                              v->index_obj, hv->gid_obj, tag)) < 0
+                 ARGS(ref, addr, stored, d->width, v->index, hv->gid,
+                      rec->tag)) < 0
                 || count_access(w, v, hv, 1) < 0)
-            goto fail;
+            return -1;
     } else {
         /* the read is done at when + 1: the port's next free cycle */
         rb_occupy(hv, rec);
         HSET(hv, outstanding_mem, hv->outstanding_mem + 1);
         if (post(w, v, v->index, when, EV_load_read,
-                 PyTuple_Pack(7, ref, addr_obj, d->width_obj, d->mnemonic,
-                              after_obj, v->index_obj, hv->gid_obj)) < 0
+                 ARGS(ref, addr, d->width, d->mnem, when + 1, v->index,
+                      hv->gid)) < 0
                 || post(w, v, v->index, when + 1, EV_load_done,
-                        PyTuple_Pack(1, hv->gid_obj)) < 0
+                        ARGS(hv->gid)) < 0
                 || (kind == ACC_LOAD && count_access(w, v, hv, 0) < 0))
-            goto fail;
+            return -1;
     }
-    status = 1;
-fail:
-    Py_XDECREF(after_obj);
-    Py_XDECREF(ref);
-    Py_XDECREF(tag);
-    Py_XDECREF(value);
-    return status;
+    return 1;
 }
 
 /* one link of a path: ``(tag, index)``, the tag by its LINK_TAGS code */
@@ -1989,26 +2410,6 @@ reply_path(int64_t src, int64_t dst, Hop *path)
     path[n++] = (Hop){LINK_r2_lt_r1, src / 4};
     path[n++] = (Hop){LINK_r1_c, src};
     return n;
-}
-
-/* ``Port()``: made here while ``Port.__init__`` is the function bind()
- * found (``next_free = 0``, in the one slot bind checked a Port has), else
- * the call into Python.  A new reference. */
-static PyObject *
-new_port(Window *w)
-{
-    PyObject *init = PyObject_GetAttr((PyObject *)port_type, s___init__);
-    PyObject *port;
-    int native = init == port_init;
-    if (init == NULL)
-        return NULL;
-    Py_DECREF(init);
-    if (!native)
-        return leave_c(w) < 0 ? NULL
-            : PyObject_CallNoArgs((PyObject *)port_type);
-    if ((port = port_type->tp_alloc(port_type, 0)) != NULL)
-        SLOT(port, P.next_free) = new_ref(zero_obj);
-    return port;
 }
 
 /* The first use of link *hop* on *links*, whose ``_links`` is *table*:
@@ -2099,71 +2500,68 @@ link_wait(Window *w, PyObject *observer, PyObject *index_obj, int64_t delay)
     return status;
 }
 
-/* LinkScheduler.reserve_path(path, start) on *links*: *out* the cycle the
- * message leaves the last link.  A metered scheduler is told how long the
- * path held the message up (``_metrics.link_wait``). */
+/* LinkScheduler.reserve_path(path, start) on the link scheduler of *v*'s
+ * core: *out* the cycle the message leaves the last link.  A metered
+ * scheduler is told how long the path held the message up
+ * (``_metrics.link_wait``). */
 static int
-reserve_path(Window *w, PyObject *links, const Hop *path, int count,
+reserve_path(Window *w, CoreView *v, const Hop *path, int count,
              int64_t start, int64_t *out)
 {
-    int status = -1, i;
-    int64_t hop, time = start, next_free;
-    PyObject *held = NULL, *table = NULL, *port = NULL;
-    PyObject *observer, *index;
-    CHECK(links, links_type);
-    held = new_ref(links);  /* Port() and link_wait may be Python */
-    GETI(hop, links, LS.hop_latency);
-    GETO(table, links, LS._links);
-    if (!PyList_Check(table)) {
-        table = NULL;
-        wrong_type("list of link port rows");
-        goto fail;
-    }
-    Py_INCREF(table);
+    int status = -1, reserved, i;
+    int64_t hop, time = start;
+    PyObject *links, *table, *port;
+    if (fresh(w, v, V_LINKS) < 0)
+        return -1;
+    /* held: Port() may be Python */
+    links = new_ref(v->links);
+    table = new_ref(v->link_rows);
+    hop = v->hop_latency;
     for (i = 0; i < count; i++) {
         /* Port.reserve(time + hop_latency) */
         if ((port = link_port(w, links, table, &path[i])) == NULL)
             goto fail;
-        CHECK(port, port_type);
-        GETI(next_free, port, P.next_free);
-        time += hop;
-        if (next_free > time)
-            time = next_free;
-        SETI(port, P.next_free, time + 1);
-        Py_CLEAR(port);
-    }
-    GETO(observer, links, LS._metrics);
-    if (observer != Py_None && count && time - (start + hop * count) > 0) {
-        GETO(index, links, LS._core_index);
-        if (link_wait(w, observer, index, time - (start + hop * count)) < 0)
+        reserved = reserve(w, port, time + hop, &time);
+        Py_DECREF(port);
+        if (reserved < 0)
             goto fail;
     }
+    /* (the observer as it is now: Port() may have been Python) */
+    if (fresh(w, v, V_LINKS) < 0
+            || (v->link_observer != Py_None && count
+                && time - (start + hop * count) > 0
+                && link_wait(w, v->link_observer, v->link_core,
+                             time - (start + hop * count)) < 0))
+        goto fail;
     *out = time;
     status = 0;
 fail:
-    Py_XDECREF(port);
-    Py_XDECREF(table);
-    Py_XDECREF(held);
+    Py_DECREF(table);
+    Py_DECREF(links);
     return status;
 }
 
-/* Metrics.remote_issue(index, gid, now, owner) for an access of hart *gid*
- * of the ticked core to core *owner_obj*'s bank (None: a CV write to the
- * next core), *rtt* its uncontended round trip -- for a bank access both
- * paths' links, the bank access and the cycle the reply fills in: its
- * completion eta joins the hart's FIFO.  (Not inlined: the unmetered issue
- * stays as compact as it was.) */
+/* Metrics.remote_issue(index, gid, now, owner) for an access of *hv*'s
+ * hart of the ticked core to core *owner*'s bank (-1: a CV write to the
+ * next core, owner None), *rtt* its uncontended round trip -- for a bank
+ * access both paths' links, the bank access and the cycle the reply fills
+ * in: its completion eta joins the hart's FIFO.  (Not inlined: the
+ * unmetered issue stays as compact as it was.) */
 static NOINLINE int
-remote_issue(Tick *t, PyObject *gid, PyObject *owner_obj, int64_t rtt)
+remote_issue(Tick *t, HartView *hv, int64_t owner, int64_t rtt)
 {
     Window *w = t->w;
     int native, status = -1;
-    PyObject *slot, *fifos, *fifo, *eta = NULL;
+    PyObject *slot, *fifos, *fifo, *eta = NULL, *gid = hv->gid_obj;
     if ((native = window_charges(w)) <= 0) {
+        PyObject *owner_obj = owner < 0 ? new_ref(Py_None)
+            : PyLong_FromLongLong(owner);
         PyObject *call[] = {w->metrics, t->v->index_obj, gid, cycle_box(w),
                             owner_obj};
-        return native < 0 || call[3] == NULL ? -1
+        status = native < 0 || owner_obj == NULL || call[3] == NULL ? -1
             : call_method(w, s_remote_issue, call, 5);
+        Py_XDECREF(owner_obj);
+        return status;
     }
     if ((slot = telemetry(w->metrics, t->v->index)) == NULL
             || (eta = PyLong_FromLongLong(t->cycle + rtt)) == NULL)
@@ -2191,68 +2589,43 @@ fail:
     return status;
 }
 
-/* The issue of an access to core *owner*'s shared bank: the request crosses
- * the router tree to the owner's domain (rreq_load / rreq_store). */
+/* The issue of an access to *addr* in core *owner*'s shared bank: the
+ * request crosses the router tree to the owner's domain (rreq_load /
+ * rreq_store). */
 static int
 remote_access(Tick *t, HartView *hv, Instr *rec, enum access kind,
-              PyObject *addr_obj, int64_t owner)
+              int64_t addr, int64_t owner)
 {
     Window *w = t->w;
     CoreView *v = t->v;
     const Decode *d = rec->dec;
-    int status = -1, count;
-    int64_t index = v->index, t_up;
+    int count;
+    int64_t index = v->index, gid = hv->gid, stored = 0, t_up;
     Hop path[MAX_HOPS], back[MAX_HOPS];
-    PyObject *gid = hv->gid_obj, *links = NULL;
-    PyObject *owner_obj = NULL, *args = NULL;
 
-    if (fresh(w, v, V_COUNTERS) < 0)
-        goto fail;
-    GETO(links, t->core, C.links);
-    /* the request's args hold what they carry across the calls below */
-    if ((owner_obj = PyLong_FromLongLong(owner)) == NULL)
-        goto fail;
-    if (kind == ACC_STORE) {
-        int64_t stored;
-        PyObject *value = NULL, *tag = NULL;
-        if (operand(rec, 1, &stored) == 0
-                && (value = PyLong_FromLongLong(stored)) != NULL
-                && (tag = PyLong_FromLongLong(rec->tag)) != NULL)
-            args = PyTuple_Pack(7, v->index_obj, gid, owner_obj, addr_obj,
-                                value, d->width_obj, tag);
-        Py_XDECREF(value);
-        Py_XDECREF(tag);
-    } else
-        args = PyTuple_Pack(6, v->index_obj, gid, owner_obj, addr_obj,
-                            d->width_obj, d->mnemonic);
-    if (args == NULL)
-        goto fail;
+    if (fresh(w, v, V_COUNTERS) < 0
+            || (kind == ACC_STORE && operand(rec, 1, &stored) < 0))
+        return -1;
     if (kind != ACC_STORE)
         rb_occupy(hv, rec);
     KSET(v, remote_accesses, v->remote_accesses + 1);
     HSET(hv, outstanding_mem, hv->outstanding_mem + 1);
-    Py_INCREF(links);
     count = request_path(index, owner, path);
-    if (w->metered
-            && remote_issue(t, gid, owner_obj,
-                            (count + reply_path(index, owner, back))
-                            * w->hop_latency + w->bank_latency + 1) < 0)
-        goto release;
-    if (reserve_path(w, links, path, count, t->cycle, &t_up) < 0)
-        goto release;
-    status = post(w, v, owner, t_up,
-                  kind == ACC_STORE ? EV_rreq_store : EV_rreq_load, args);
-    args = NULL;  /* post took it */
-    if (status == 0 && kind != ACC_LWCV)
-        status = count_access(w, v, hv, kind == ACC_STORE);
-    if (status == 0)
-        status = 1;
-release:
-    Py_DECREF(links);
-fail:
-    Py_XDECREF(owner_obj);
-    Py_XDECREF(args);
-    return status;
+    if ((w->metered
+         && remote_issue(t, hv, owner,
+                         (count + reply_path(index, owner, back))
+                         * w->hop_latency + w->bank_latency + 1) < 0)
+            || reserve_path(w, v, path, count, t->cycle, &t_up) < 0
+            || (kind == ACC_STORE
+                ? post(w, v, owner, t_up, EV_rreq_store,
+                       ARGS(index, gid, owner, addr, stored, d->width,
+                            rec->tag))
+                : post(w, v, owner, t_up, EV_rreq_load,
+                       ARGS(index, gid, owner, addr, d->width, d->mnem))) < 0
+            || (kind != ACC_LWCV
+                && count_access(w, v, hv, kind == ACC_STORE) < 0))
+        return -1;
+    return 1;
 }
 
 /* The issue of a LOAD / STORE / p_lwcv by the core being ticked, once
@@ -2262,11 +2635,13 @@ static int
 mem_access(Tick *t, HartView *hv, Instr *rec, enum access kind)
 {
     Window *w = t->w;
+    CoreView *v = t->v, *home;
     int status, shared = 0;
     int64_t addr, width = rec->dec->width, owner = -1;
     char *at;
-    PyObject *mem, *bank, *port = NULL, *addr_obj;
 
+    if (kind != ACC_STORE && rec->dec->mnem < 0)
+        return 0;  /* no load mnemonic load_value knows: Python's */
     if (kind == ACC_LWCV) {
         /* machine.cv_address: the hart's own CV area, not masked */
         if (hv->index < 0 || hv->index > 3)
@@ -2277,66 +2652,46 @@ mem_access(Tick *t, HartView *hv, Instr *rec, enum access kind)
         GETV(base, rec, 0);
         addr = (base + rec->dec->imm) & MASK32;
     }
-    GETO(mem, t->core, C.mem);
-    CHECK(mem, mem_type);
-    GETO(bank, mem, M.local);
-    if ((status = bank_holds(bank, addr, width, &at)) < 0)
-        goto fail;
-    if (status)
-        GETO(port, mem, M.local_port);
-    else {
-        GETO(bank, mem, M.shared);
-        if ((status = bank_holds(bank, addr, width, &at)) < 0)
-            goto fail;
-        if (status) {
-            GETO(port, mem, M.shared_local_port);
+    if (fresh(w, v, V_LOCAL) < 0)
+        return -1;
+    if (!bank_holds(v, 0, addr, width, &at)) {
+        if (fresh(w, v, V_SHARED) < 0)
+            return -1;
+        if (bank_holds(v, 1, addr, width, &at))
             shared = 1;
-        } else {
+        else {
             /* memmap.owner_core_of: another core's shared bank?  (Not
              * the code bank, nothing unmapped, no bytes past the end of
              * this core's own bank: Python reports those.) */
-            PyObject *core;
             if (addr < global_base)
                 return 0;
             owner = (addr - global_base) / global_bank_size;
-            if (owner >= w->num_cores || owner == t->v->index
+            if (owner >= w->num_cores || owner == v->index
                     || owner >= PyList_GET_SIZE(w->cores))
                 return 0;
-            core = PyList_GET_ITEM(w->cores, owner);
-            CHECK(core, core_type);
-            GETO(mem, core, C.mem);
-            CHECK(mem, mem_type);
-            GETO(bank, mem, M.shared);
-            if ((status = bank_holds(bank, addr, width, &at)) <= 0)
-                return status;
+            if ((home = view_at(w, owner, V_SHARED)) == NULL)
+                return -1;
+            if (!bank_holds(home, 1, addr, width, &at))
+                return 0;
         }
     }
-    if ((addr_obj = PyLong_FromLongLong(addr)) == NULL)
-        goto fail;
-    if ((status = is_device(w, addr_obj)) == 0)
-        status = port != NULL
-            ? own_access(t, hv, rec, kind, addr_obj, port, shared)
-            : remote_access(t, hv, rec, kind, addr_obj, owner);
-    else if (status > 0)
-        status = 0;  /* a device's: the Python path talks to it */
-    Py_DECREF(addr_obj);
-    return status;
+    if ((status = is_device(w, addr)) != 0)
+        return status < 0 ? -1 : 0;  /* a device's: the Python path's */
+    return owner < 0 ? own_access(t, hv, rec, kind, addr, shared)
+        : remote_access(t, hv, rec, kind, addr, owner);
 fail:
     return -1;
 }
 
 /* ---- the memory-access event kinds (NATIVE_KINDS) ---------------------------------- */
 
-/* hart *gid_obj* of this machine: the view of its core and its part of it;
+/* hart *gid* of this machine: the view of its core and its part of it;
  * 0: no such hart */
 static int
-hart_of(Window *w, PyObject *gid_obj, CoreView **v, HartView **hv)
+hart_of(Window *w, int64_t gid, CoreView **v, HartView **hv)
 {
-    int64_t gid = PyLong_Check(gid_obj) ? as_int(gid_obj) : -1;
-    if (gid < 0 || (gid >> 2) >= PyList_GET_SIZE(w->cores)) {
-        PyErr_Clear();  /* an id beyond int64 is no hart either */
+    if (gid < 0 || (gid >> 2) >= PyList_GET_SIZE(w->cores))
         return 0;
-    }
     if ((*v = view_at(w, gid >> 2, V_PIPE)) == NULL
             || gate(*v, (int)(gid & 3), HART_ALL) < 0)
         return -1;
@@ -2344,66 +2699,33 @@ hart_of(Window *w, PyObject *gid_obj, CoreView **v, HartView **hv)
     return 1;
 }
 
-/* an exact int in [0, bound), or -1 (the Python handler deals with
+/* *value* when it is in [0, bound), or -1 (the Python handler deals with
  * anything else) */
-static int64_t
-index_in(PyObject *obj, Py_ssize_t bound)
+static inline int64_t
+index_in(int64_t value, Py_ssize_t bound)
 {
-    int64_t value;
-    return small_int(obj, &value) && value >= 0 && value < bound ? value : -1;
+    return value >= 0 && value < bound ? value : -1;
 }
 
-/* The bytes core *index_obj*'s local bank, or shared one when *shared*,
- * holds at *addr_obj*, *width_obj* wide: 1 and *at, or 0 (no such core,
- * a device's address, out of range...). */
+/* The bytes core *index*'s local bank, or shared one when *shared*, holds
+ * at *addr*, *width* wide: 1 and *at, or 0 (no such core, a device's
+ * address, out of range...). */
 static int
-bank_bytes(Window *w, PyObject *index_obj, int shared, PyObject *addr_obj,
-           PyObject *width_obj, char **at, int64_t *width)
+bank_bytes(Window *w, int64_t index, int shared, int64_t addr, int64_t width,
+           char **at)
 {
     int status;
-    int64_t index, addr;
-    PyObject *core, *mem, *bank;
-    if ((index = index_in(index_obj, PyList_GET_SIZE(w->cores))) < 0
-            || !PyLong_Check(addr_obj) || !PyLong_Check(width_obj))
+    CoreView *v;
+    if (index_in(index, PyList_GET_SIZE(w->cores)) < 0
+            || (width != 1 && width != 2 && width != 4))
         return 0;
-    addr = as_int(addr_obj);
-    *width = as_int(width_obj);
-    if (PyErr_Occurred()) {
-        PyErr_Clear();  /* beyond int64: nothing a bank holds */
+    if ((v = view_at(w, index, shared ? V_SHARED : V_LOCAL)) == NULL)
+        return -1;
+    if (!bank_holds(v, shared, addr, width, at))
         return 0;
-    }
-    if (*width != 1 && *width != 2 && *width != 4)
-        return 0;
-    core = PyList_GET_ITEM(w->cores, index);
-    CHECK(core, core_type);
-    GETO(mem, core, C.mem);
-    CHECK(mem, mem_type);
-    GETO(bank, mem, shared ? M.shared : M.local);
-    if ((status = bank_holds(bank, addr, *width, at)) <= 0)
-        return status;
-    if ((status = is_device(w, addr_obj)) != 0)
+    if ((status = is_device(w, addr)) != 0)
         return status < 0 ? -1 : 0;
     return 1;
-fail:
-    return -1;
-}
-
-/* The bytes a ("local" | "shared", core) bank reference names (not the
- * code bank's), as bank_bytes. */
-static int
-event_bytes(Window *w, PyObject *ref, PyObject *addr_obj,
-            PyObject *width_obj, char **at, int64_t *width)
-{
-    int shared;
-    PyObject *kind;
-    if (!PyTuple_Check(ref) || PyTuple_GET_SIZE(ref) != 2
-            || !PyUnicode_Check(kind = PyTuple_GET_ITEM(ref, 0)))
-        return 0;
-    shared = PyUnicode_CompareWithASCIIString(kind, "shared") == 0;
-    if (!shared && PyUnicode_CompareWithASCIIString(kind, "local") != 0)
-        return 0;
-    return bank_bytes(w, PyTuple_GET_ITEM(ref, 1), shared, addr_obj,
-                      width_obj, at, width);
 }
 
 /* Bank.read: little-endian */
@@ -2416,28 +2738,21 @@ read_bytes(const char *at, int64_t width)
     return raw;
 }
 
-/* Bank.write: the low *width* bytes of *value_obj*, little-endian; -1 when
- * it is no int */
-static int
-write_bytes(char *at, PyObject *value_obj, int64_t width)
+/* Bank.write: the low *width* bytes of *value*, little-endian */
+static void
+write_bytes(char *at, int64_t value, int64_t width)
 {
-    int64_t small;
-    uint64_t value = small_int(value_obj, &small) ? (uint64_t)small
-        : PyLong_AsUnsignedLongLongMask(value_obj);
-    if (PyErr_Occurred())
-        return -1;
-    for (; width--; value >>= 8)
+    for (; width--; value = (int64_t)((uint64_t)value >> 8))
         *at++ = (char)(value & 0xFF);
-    return 0;
 }
 
-/* isa/semantics.py's load_value: lb and lh sign-extend, every other
- * mnemonic keeps the low 32 bits */
+/* isa/semantics.py's load_value for the mnemonic *mnem* (a MNEMONICS
+ * position): lb and lh sign-extend, every other one keeps the low 32
+ * bits */
 static uint32_t
-load_value(PyObject *mnemonic, uint32_t raw)
+load_value(int64_t mnem, uint32_t raw)
 {
-    uint32_t bits = PyUnicode_CompareWithASCIIString(mnemonic, "lb") == 0 ? 8
-        : PyUnicode_CompareWithASCIIString(mnemonic, "lh") == 0 ? 16 : 0;
+    uint32_t bits = mnemonic_bits[mnem];
     if (bits && raw & (1u << (bits - 1)))
         raw -= 1u << bits;
     return raw;
@@ -2452,28 +2767,31 @@ fill(CoreView *v, HartView *hv, uint32_t value, int64_t ready_at)
 }
 
 /* _rob_by_tag: 1 and *rec* when the ROB of *hv* (a hart of *v*) holds
- * *tag_obj*, else 0 (the Python handler words the assertion) */
+ * *tag*, else 0 (the Python handler words the assertion) */
 static int
-rob_record(CoreView *v, HartView *hv, PyObject *tag_obj, Instr **rec)
+rob_record(CoreView *v, HartView *hv, int64_t tag, Instr **rec)
 {
-    int64_t tag;
-    if (read_int(tag_obj, &tag) < 0 || gate(v, HNUM(v, hv), G(win)) < 0)
+    if (gate(v, HNUM(v, hv), G(win)) < 0)
         return -1;
     return ring_find(v->w, hv, tag, rec);
 }
 
-/* ``machine.metrics.remote_done(src, hart_gid)`` on a metered machine: the
- * oldest eta of the hart's FIFO goes.  (An empty or missing FIFO is a
- * machine resumed from an unmetered snapshot: nothing to pop.) */
+/* ``machine.metrics.remote_done(src, gid)`` on a metered machine, *hv*
+ * the hart *gid*: the oldest eta of the hart's FIFO goes.  (An empty or
+ * missing FIFO is a machine resumed from an unmetered snapshot: nothing to
+ * pop.) */
 static int
-remote_done(Window *w, PyObject *src, PyObject *gid)
+remote_done(Window *w, int64_t src, int64_t gid, const HartView *hv)
 {
-    int native;
+    int native, status = -1;
     int64_t index;
-    PyObject *slots, *slot, *fifos, *fifo;
+    PyObject *slots, *slot, *fifos, *fifo, *gid_obj, *src_obj;
     if (!w->metered)
         return 0;
-    if ((native = window_charges(w)) < 0)
+    /* (the hart's own object, as a rule: no box) */
+    if ((native = window_charges(w)) < 0
+            || (gid_obj = hv->gid == gid ? new_ref(hv->gid_obj)
+                : PyLong_FromLongLong(gid)) == NULL)
         return -1;
     if (native) {
         GETLIST(slots, w->metrics, MX._slots);
@@ -2482,63 +2800,59 @@ remote_done(Window *w, PyObject *src, PyObject *gid)
             CHECK(slot, telemetry_type);
             GETO(fifos, slot, TS.remote_inflight);
             if (PyDict_Check(fifos)) {
-                if ((fifo = PyDict_GetItemWithError(fifos, gid)) == NULL)
-                    return PyErr_Occurred() ? -1 : 0;
+                if ((fifo = PyDict_GetItemWithError(fifos, gid_obj)) == NULL) {
+                    status = PyErr_Occurred() ? -1 : 0;
+                    goto release;
+                }
                 if (PyList_Check(fifo)) {
                     if (PyList_GET_SIZE(fifo))
                         Py_DECREF(list_take(fifo, 0));
-                    return 0;
+                    status = 0;
+                    goto release;
                 }
             }
         }
         /* anything else (no such core, no FIFO): the hook words it */
     }
-    {
-        PyObject *call[] = {w->metrics, src, gid};
-        return call_method(w, s_remote_done, call, 3);
+    if ((src_obj = PyLong_FromLongLong(src)) != NULL) {
+        PyObject *call[] = {w->metrics, src_obj, gid_obj};
+        status = call_method(w, s_remote_done, call, 3);
+        Py_DECREF(src_obj);
     }
+    goto release;
 fail:
-    return -1;
+    status = -1;
+release:
+    Py_DECREF(gid_obj);
+    return status;
 }
 
 /* _ev_load_read(bank_ref, addr, width, mnemonic, t_done, core_index,
  * hart_gid): the bank-side read fills the hart's writeback buffer */
 static int
-ev_load_read(Window *w, CoreView *Py_UNUSED(domain), PyObject *args)
+ev_load_read(Window *w, CoreView *Py_UNUSED(domain), const Event *event)
 {
+    const int64_t *a = event->a;
     int status;
-    int64_t width, ready_at;
     char *at;
     CoreView *v;
     HartView *hv;
-    PyObject *mnemonic, *done_obj;
-    if (PyTuple_GET_SIZE(args) != 7
-            || !PyUnicode_Check(mnemonic = PyTuple_GET_ITEM(args, 3))
-            || !PyLong_Check(done_obj = PyTuple_GET_ITEM(args, 4)))
-        return 0;
-    if ((status = event_bytes(w, PyTuple_GET_ITEM(args, 0),
-                              PyTuple_GET_ITEM(args, 1),
-                              PyTuple_GET_ITEM(args, 2), &at, &width)) <= 0
-            || (status = hart_of(w, PyTuple_GET_ITEM(args, 6), &v, &hv)) <= 0)
+    if ((status = bank_bytes(w, REF_CORE(a[0]), REF_SHARED(a[0]), a[1], a[2],
+                             &at)) <= 0
+            || (status = hart_of(w, a[6], &v, &hv)) <= 0)
         return status;
-    ready_at = as_int(done_obj);
-    if ((ready_at == -1 && PyErr_Occurred())
-            || fill(v, hv, load_value(mnemonic, read_bytes(at, width)),
-                    ready_at) < 0)
-        return -1;
-    return 1;
+    return fill(v, hv, load_value(a[3], read_bytes(at, a[2])), a[4]) < 0
+        ? -1 : 1;
 }
 
 /* _ev_load_done(hart_gid) */
 static int
-ev_load_done(Window *w, CoreView *Py_UNUSED(domain), PyObject *args)
+ev_load_done(Window *w, CoreView *Py_UNUSED(domain), const Event *event)
 {
     int status;
     CoreView *v;
     HartView *hv;
-    if (PyTuple_GET_SIZE(args) != 1)
-        return 0;
-    if ((status = hart_of(w, PyTuple_GET_ITEM(args, 0), &v, &hv)) <= 0)
+    if ((status = hart_of(w, event->a[0], &v, &hv)) <= 0)
         return status;
     HSET(hv, outstanding_mem, hv->outstanding_mem - 1);
     return 1;
@@ -2547,27 +2861,20 @@ ev_load_done(Window *w, CoreView *Py_UNUSED(domain), PyObject *args)
 /* _ev_store_write(bank_ref, addr, value, width, core_index, hart_gid, tag):
  * the bank-side write completes the store's ROB entry */
 static int
-ev_store_write(Window *w, CoreView *Py_UNUSED(domain), PyObject *args)
+ev_store_write(Window *w, CoreView *Py_UNUSED(domain), const Event *event)
 {
+    const int64_t *a = event->a;
     int status;
-    int64_t width;
     char *at;
     CoreView *v;
     HartView *hv;
     Instr *rec;
-    PyObject *value_obj, *tag_obj;
-    if (PyTuple_GET_SIZE(args) != 7
-            || !PyLong_Check(value_obj = PyTuple_GET_ITEM(args, 2))
-            || !PyLong_Check(tag_obj = PyTuple_GET_ITEM(args, 6)))
-        return 0;
-    if ((status = event_bytes(w, PyTuple_GET_ITEM(args, 0),
-                              PyTuple_GET_ITEM(args, 1),
-                              PyTuple_GET_ITEM(args, 3), &at, &width)) <= 0
-            || (status = hart_of(w, PyTuple_GET_ITEM(args, 5), &v, &hv)) <= 0
-            || (status = rob_record(v, hv, tag_obj, &rec)) <= 0)
+    if ((status = bank_bytes(w, REF_CORE(a[0]), REF_SHARED(a[0]), a[1], a[3],
+                             &at)) <= 0
+            || (status = hart_of(w, a[5], &v, &hv)) <= 0
+            || (status = rob_record(v, hv, a[6], &rec)) <= 0)
         return status;
-    if (write_bytes(at, value_obj, width) < 0)
-        return -1;
+    write_bytes(at, a[2], a[3]);
     HSET(hv, outstanding_mem, hv->outstanding_mem - 1);
     ISET(rec, done, 1, D_DONE);
     return 1;
@@ -2578,180 +2885,124 @@ ev_store_write(Window *w, CoreView *Py_UNUSED(domain), PyObject *args)
  * *t_bank* and the cycle *t_back* the reply, reserved from it, leaves its
  * last link. */
 static int
-arrive(Window *w, PyObject *args, int64_t *src, int64_t *owner,
+arrive(Window *w, const int64_t *a, int64_t *src, int64_t *owner,
        int64_t *t_bank, int64_t *t_back)
 {
     int count;
-    int64_t next_free;
     Hop path[MAX_HOPS];
-    PyObject *core, *mem, *port, *links;
-    if ((*src = index_in(PyTuple_GET_ITEM(args, 0),
-                         PyList_GET_SIZE(w->cores))) < 0
-            || (*owner = index_in(PyTuple_GET_ITEM(args, 2),
-                                  PyList_GET_SIZE(w->cores))) < 0)
+    CoreView *v;
+    if ((*src = index_in(a[0], PyList_GET_SIZE(w->cores))) < 0
+            || (*owner = index_in(a[2], PyList_GET_SIZE(w->cores))) < 0)
         return 0;
-    core = PyList_GET_ITEM(w->cores, *owner);
-    CHECK(core, core_type);
-    GETO(mem, core, C.mem);
-    CHECK(mem, mem_type);
-    GETO(port, mem, M.shared_router_port);
-    CHECK(port, port_type);
-    GETO(links, core, C.links);
     /* shared_router_port.reserve(now + bank_access_latency) */
-    GETI(next_free, port, P.next_free);
-    *t_bank = w->cycle + w->bank_latency;
-    if (next_free > *t_bank)
-        *t_bank = next_free;
-    SETI(port, P.next_free, *t_bank + 1);
+    if ((v = view_at(w, *owner, V_MEM)) == NULL
+            || reserve(w, v->ports[PORT_SHARED_ROUTER],
+                       w->cycle + w->bank_latency, t_bank) < 0)
+        return -1;
     count = reply_path(*src, *owner, path);
-    return reserve_path(w, links, path, count, *t_bank, t_back) < 0 ? -1 : 1;
-fail:
-    return -1;
+    return reserve_path(w, v, path, count, *t_bank, t_back) < 0 ? -1 : 1;
 }
 
 /* _ev_rreq_load(src, hart_gid, owner, addr, width, mnemonic): the bank read
  * is booked, and with it the reply's way back */
 static int
-ev_rreq_load(Window *w, CoreView *domain, PyObject *args)
+ev_rreq_load(Window *w, CoreView *domain, const Event *event)
 {
-    int status, i;
+    const int64_t *a = event->a;
+    int status;
     int64_t src, owner, t_bank, t_back;
-    PyObject *done_obj, *a[6];
-    if (PyTuple_GET_SIZE(args) != 6)
-        return 0;
-    if ((status = arrive(w, args, &src, &owner, &t_bank, &t_back)) <= 0)
+    if ((status = arrive(w, a, &src, &owner, &t_bank, &t_back)) <= 0)
         return status;
-    for (i = 0; i < 6; i++)
-        a[i] = PyTuple_GET_ITEM(args, i);
-    if ((done_obj = PyLong_FromLongLong(t_back + 1)) == NULL)
-        return -1;
-    status = post(w, domain, owner, t_bank, EV_bank_read,
-                  PyTuple_Pack(7, a[0], a[1], a[2], a[3], a[4], a[5],
-                               done_obj));
-    Py_DECREF(done_obj);
-    return status < 0 ? -1 : 1;
+    return post(w, domain, owner, t_bank, EV_bank_read,
+                ARGS(a[0], a[1], a[2], a[3], a[4], a[5], t_back + 1)) < 0
+        ? -1 : 1;
 }
 
 /* _ev_bank_read(src, hart_gid, owner, addr, width, mnemonic, t_done): the
  * owner's bank is read, the value travels back as rrep_load */
 static int
-ev_bank_read(Window *w, CoreView *domain, PyObject *args)
+ev_bank_read(Window *w, CoreView *domain, const Event *event)
 {
+    const int64_t *a = event->a;
     int status;
-    int64_t src, t_done, width;
     char *at;
-    PyObject *mnemonic, *value;
-    if (PyTuple_GET_SIZE(args) != 7
-            || !PyUnicode_Check(mnemonic = PyTuple_GET_ITEM(args, 5))
-            || (src = index_in(PyTuple_GET_ITEM(args, 0),
-                               PyList_GET_SIZE(w->cores))) < 0
-            || !small_int(PyTuple_GET_ITEM(args, 6), &t_done) || t_done < 0)
+    if (index_in(a[0], PyList_GET_SIZE(w->cores)) < 0 || a[6] < 0)
         return 0;
-    if ((status = bank_bytes(w, PyTuple_GET_ITEM(args, 2), 1,
-                             PyTuple_GET_ITEM(args, 3),
-                             PyTuple_GET_ITEM(args, 4), &at, &width)) <= 0)
+    if ((status = bank_bytes(w, a[2], 1, a[3], a[4], &at)) <= 0)
         return status;
-    if ((value = PyLong_FromUnsignedLong(
-             load_value(mnemonic, read_bytes(at, width)))) == NULL)
-        return -1;
-    status = post(w, domain, src, t_done, EV_rrep_load,
-                  PyTuple_Pack(4, PyTuple_GET_ITEM(args, 0),
-                               PyTuple_GET_ITEM(args, 1),
-                               PyTuple_GET_ITEM(args, 3), value));
-    Py_DECREF(value);
-    return status < 0 ? -1 : 1;
+    return post(w, domain, a[0], a[6], EV_rrep_load,
+                ARGS(a[0], a[1], a[3], load_value(a[5], read_bytes(at, a[4]))))
+        < 0 ? -1 : 1;
 }
 
 /* _ev_rrep_load(src, hart_gid, addr, value): the reply fills the hart's
  * writeback buffer, ready now */
 static int
-ev_rrep_load(Window *w, CoreView *Py_UNUSED(domain), PyObject *args)
+ev_rrep_load(Window *w, CoreView *Py_UNUSED(domain), const Event *event)
 {
+    const int64_t *a = event->a;
     int status;
-    int64_t small;
-    uint32_t value;
     CoreView *v;
     HartView *hv;
-    PyObject *value_obj;
-    if (PyTuple_GET_SIZE(args) != 4
-            || !PyLong_Check(value_obj = PyTuple_GET_ITEM(args, 3)))
-        return 0;
-    if ((status = hart_of(w, PyTuple_GET_ITEM(args, 1), &v, &hv)) <= 0)
+    if ((status = hart_of(w, a[1], &v, &hv)) <= 0)
         return status;
-    value = (uint32_t)(small_int(value_obj, &small) ? (uint64_t)small
-                       : PyLong_AsUnsignedLongLongMask(value_obj));
-    if (PyErr_Occurred() || fill(v, hv, value, w->cycle) < 0)
+    if (fill(v, hv, (uint32_t)a[3], w->cycle) < 0)
         return -1;
     HSET(hv, outstanding_mem, hv->outstanding_mem - 1);
-    return remote_done(w, PyTuple_GET_ITEM(args, 0),
-                       PyTuple_GET_ITEM(args, 1)) < 0 ? -1 : 1;
+    return remote_done(w, a[0], a[1], hv) < 0 ? -1 : 1;
 }
 
 /* _ev_rreq_store(src, hart_gid, owner, addr, value, width, tag): the bank
  * write is booked, and the ack's way back */
 static int
-ev_rreq_store(Window *w, CoreView *domain, PyObject *args)
+ev_rreq_store(Window *w, CoreView *domain, const Event *event)
 {
-    int status, i;
+    const int64_t *a = event->a;
+    int status;
     int64_t src, owner, t_bank, t_back;
-    PyObject *a[7];
-    if (PyTuple_GET_SIZE(args) != 7)
-        return 0;
-    if ((status = arrive(w, args, &src, &owner, &t_bank, &t_back)) <= 0)
+    if ((status = arrive(w, a, &src, &owner, &t_bank, &t_back)) <= 0)
         return status;
-    for (i = 0; i < 7; i++)
-        a[i] = PyTuple_GET_ITEM(args, i);
     if (post(w, domain, owner, t_bank, EV_bank_write,
-             PyTuple_Pack(4, a[2], a[3], a[4], a[5])) < 0
+             ARGS(a[2], a[3], a[4], a[5])) < 0
             || post(w, domain, src, t_back + 1, EV_rack_store,
-                    PyTuple_Pack(5, a[0], a[1], a[3], a[4], a[6])) < 0)
+                    ARGS(a[0], a[1], a[3], a[4], a[6])) < 0)
         return -1;
     return 1;
 }
 
 /* _ev_bank_write(owner, addr, value, width) */
 static int
-ev_bank_write(Window *w, CoreView *Py_UNUSED(domain), PyObject *args)
+ev_bank_write(Window *w, CoreView *Py_UNUSED(domain), const Event *event)
 {
+    const int64_t *a = event->a;
     int status;
-    int64_t width;
     char *at;
-    PyObject *value_obj;
-    if (PyTuple_GET_SIZE(args) != 4
-            || !PyLong_Check(value_obj = PyTuple_GET_ITEM(args, 2)))
-        return 0;
-    if ((status = bank_bytes(w, PyTuple_GET_ITEM(args, 0), 1,
-                             PyTuple_GET_ITEM(args, 1),
-                             PyTuple_GET_ITEM(args, 3), &at, &width)) <= 0)
+    if ((status = bank_bytes(w, a[0], 1, a[1], a[3], &at)) <= 0)
         return status;
-    return write_bytes(at, value_obj, width) < 0 ? -1 : 1;
+    write_bytes(at, a[2], a[3]);
+    return 1;
 }
 
-/* _remote_done(src, hart_gid, tag) of an ack whose *args* are (src,
- * hart_gid, ...) with the tag at *tag_at*: the store or CV write of that
+/* _remote_done(src, hart_gid, tag) of an ack: the store or CV write of that
  * ROB entry completes */
 static int
-remote_ack(Window *w, PyObject *args, Py_ssize_t tag_at)
+remote_ack(Window *w, int64_t src, int64_t gid, int64_t tag)
 {
     int status;
     int64_t calls = w->calls;
     CoreView *v;
     HartView *hv;
     Instr *rec;
-    PyObject *tag_obj;
-    if (!PyLong_Check(tag_obj = PyTuple_GET_ITEM(args, tag_at)))
-        return 0;
-    if ((status = hart_of(w, PyTuple_GET_ITEM(args, 1), &v, &hv)) <= 0
-            || (status = rob_record(v, hv, tag_obj, &rec)) <= 0)
+    if ((status = hart_of(w, gid, &v, &hv)) <= 0
+            || (status = rob_record(v, hv, tag, &rec)) <= 0)
         return status;
     HSET(hv, outstanding_mem, hv->outstanding_mem - 1);
-    if (remote_done(w, PyTuple_GET_ITEM(args, 0),
-                    PyTuple_GET_ITEM(args, 1)) < 0)
+    if (remote_done(w, src, gid, hv) < 0)
         return -1;
     /* a hook that is Python ran: the entry, in the ring as it is now */
     if (w->calls != calls
-            && ((status = hart_of(w, PyTuple_GET_ITEM(args, 1), &v, &hv)) <= 0
-                || (status = rob_record(v, hv, tag_obj, &rec)) <= 0))
+            && ((status = hart_of(w, gid, &v, &hv)) <= 0
+                || (status = rob_record(v, hv, tag, &rec)) <= 0))
         return status < 0 ? -1 : 1;
     ISET(rec, done, 1, D_DONE);
     return 1;
@@ -2759,9 +3010,9 @@ remote_ack(Window *w, PyObject *args, Py_ssize_t tag_at)
 
 /* _ev_rack_store(src, hart_gid, addr, value, tag): the owner wrote */
 static int
-ev_rack_store(Window *w, CoreView *Py_UNUSED(domain), PyObject *args)
+ev_rack_store(Window *w, CoreView *Py_UNUSED(domain), const Event *event)
 {
-    return PyTuple_GET_SIZE(args) == 5 ? remote_ack(w, args, 4) : 0;
+    return remote_ack(w, event->a[0], event->a[1], event->a[4]);
 }
 
 /* ---- the idle settlement ------------------------------------------------------------ */
@@ -2902,13 +3153,25 @@ low32(PyObject *value, uint32_t *out)
     return PyErr_Occurred() ? -1 : 0;
 }
 
+/* 1 and *a*: the head of the queue *queue* is a parked p_swre delivery's
+ * descriptor, a tuple of six ints, typed; 0 when it is not */
+static int
+desc_in(PyObject *queue, int64_t *a)
+{
+    PyObject *desc = PyList_GET_ITEM(queue, 0);
+    return PyTuple_Check(desc)
+        && args_in(((PyTupleObject *)desc)->ob_item, PyTuple_GET_SIZE(desc),
+                   "iiiiii", a);
+}
+
 /* Can wake_re_waiters run on *hv*'s hart for *slot* (every slot when -1)?
- * Each queue a list, each queue's head a 6-tuple descriptor; 0 when not
+ * Each queue a list, each queue's head a descriptor (desc_in); 0 when not
  * (the Python spelling deals with it). */
 static int
 waiters_ok(const HartView *hv, int64_t slot)
 {
     Py_ssize_t i, end;
+    int64_t a[MAX_ARGS];
     PyObject *lists, *queue;
     GETO(lists, hv->hart, H.re_waiters);
     if (!PyList_Check(lists) || slot >= PyList_GET_SIZE(lists))
@@ -2918,9 +3181,7 @@ waiters_ok(const HartView *hv, int64_t slot)
         queue = PyList_GET_ITEM(lists, i);
         if (!PyList_Check(queue))
             return 0;
-        if (PyList_GET_SIZE(queue)
-                && !(PyTuple_Check(PyList_GET_ITEM(queue, 0))
-                     && PyTuple_GET_SIZE(PyList_GET_ITEM(queue, 0)) == 6))
+        if (PyList_GET_SIZE(queue) && !desc_in(queue, a))
             return 0;
     }
     return 1;
@@ -2934,23 +3195,19 @@ fail:
 static int
 wake_re_waiters(Window *w, CoreView *v, const HartView *hv, int64_t slot)
 {
-    Py_ssize_t i, k, end;
-    PyObject *lists, *queue, *desc, *args;
+    Py_ssize_t i, end;
+    int64_t a[MAX_ARGS];
+    PyObject *lists, *queue;
     GETO(lists, hv->hart, H.re_waiters);
     end = slot < 0 ? PyList_GET_SIZE(lists) : slot + 1;
     for (i = slot < 0 ? 0 : slot; i < end; i++) {
         queue = PyList_GET_ITEM(lists, i);
         if (!PyList_GET_SIZE(queue))
             continue;
-        desc = list_take(queue, 0);  /* ``tuple(desc) + (True,)`` */
-        if ((args = PyTuple_New(7)) != NULL) {
-            for (k = 0; k < 6; k++)
-                PyTuple_SET_ITEM(args, k,
-                                 new_ref(PyTuple_GET_ITEM(desc, k)));
-            PyTuple_SET_ITEM(args, 6, new_ref(Py_True));
-        }
-        Py_DECREF(desc);
-        if (post(w, v, v->index, w->cycle + 1, EV_re_deliver, args) < 0)
+        desc_in(queue, a);  /* ``tuple(desc) + (True,)`` */
+        a[6] = 1;
+        Py_DECREF(list_take(queue, 0));
+        if (post(w, v, v->index, w->cycle + 1, EV_re_deliver, a) < 0)
             goto fail;
     }
     return 0;
@@ -3036,20 +3293,21 @@ hart_end(HartView *hv)
     HSET(hv, fetch_ok, 0);
 }
 
-/* links.reserve_path(forward_links(src, dst), start) for *dst* src or
- * src + 1 (the caller checked) */
+/* links.reserve_path(forward_links(src, dst), start) on the links of
+ * *v*'s core, src, for *dst* src or src + 1 (the caller checked) */
 static int
-reserve_forward(Window *w, PyObject *links, int64_t src, int64_t dst,
+reserve_forward(Window *w, CoreView *v, int64_t src, int64_t dst,
                 int64_t start, int64_t *out)
 {
     Hop hop = {LINK_fwd, src};
-    return reserve_path(w, links, &hop, dst != src, start, out);
+    return reserve_path(w, v, &hop, dst != src, start, out);
 }
 
-/* links.reserve_path(backward_links(src, dst), start) for *dst* <= src
- * (the caller checked): the line ``("bwd", src)`` down to dst + 1 */
+/* links.reserve_path(backward_links(src, dst), start) on the links of
+ * *v*'s core, src, for *dst* <= src (the caller checked): the line
+ * ``("bwd", src)`` down to dst + 1 */
 static int
-reserve_backward(Window *w, PyObject *links, int64_t src, int64_t dst,
+reserve_backward(Window *w, CoreView *v, int64_t src, int64_t dst,
                  int64_t start, int64_t *out)
 {
     int status;
@@ -3062,65 +3320,45 @@ reserve_backward(Window *w, PyObject *links, int64_t src, int64_t dst,
     }
     for (i = 0; i < count; i++)
         path[i] = (Hop){LINK_bwd, src - i};
-    status = reserve_path(w, links, path, (int)count, start, out);
+    status = reserve_path(w, v, path, (int)count, start, out);
     if (path != near)
         PyMem_Free(path);
     return status;
 }
 
-/* ``core.links`` with a reference of its own (the paths' Port() and
- * link_wait calls are Python) */
-static PyObject *
-links_of(PyObject *core)
-{
-    PyObject *links;
-    GETO(links, core, C.links);
-    return new_ref(links);
-fail:
-    return NULL;
-}
-
-/* *args* posted as *kind* from the domain of *v* to core *dst*, one cycle
- * after its path *forward* (or back) from v's core to dst is free.  Steals
- * *args*.  (The view may need loading again after: the path may have run
+/* The args *a* posted as *kind* from the domain of *v* to core *dst*, one
+ * cycle after its path *forward* (or back) from v's core to dst is free.
+ * (The view may need loading again after: the path may have run
  * Python.) */
 static int
 send_along(Window *w, CoreView *v, int64_t dst, int forward, int kind,
-           PyObject *args)
+           const int64_t *a)
 {
-    int status = -1;
     int64_t when, index = v->index;
-    PyObject *links;
-    if (args == NULL)
+    if ((forward ? reserve_forward(w, v, index, dst, w->cycle, &when)
+         : reserve_backward(w, v, index, dst, w->cycle, &when)) < 0)
         return -1;
-    if ((links = links_of(v->core)) != NULL
-            && (forward ? reserve_forward(w, links, index, dst, w->cycle,
-                                          &when)
-                : reserve_backward(w, links, index, dst, w->cycle,
-                                   &when)) == 0) {
-        status = post(w, v, dst, when + 1, kind, args);
-        args = NULL;
-    }
-    Py_XDECREF(links);
-    Py_XDECREF(args);
-    return status;
+    return post(w, v, dst, when + 1, kind, a);
 }
 
 /* LBP.grant_fork(core, child, src, parent): *child* (a hart of domain
- * *v*) is allocated to hart *parent_obj* of core *src* (no later core
- * than this one: the caller checked), its token sent along the backward
- * line.
+ * *v*) is allocated to hart *parent* of core *src* (no later core than
+ * this one: the caller checked), its token sent along the backward line.
  * waiters_ok(child) said yes. */
 static int
 grant_fork(Window *w, CoreView *v, HartView *child, int64_t src,
-           PyObject *parent_obj)
+           int64_t parent)
 {
-    PyObject *gid = child->gid_obj;
-    if (reserve_for_fork(child, parent_obj) < 0
-            || wake_re_waiters(w, v, child, -1) < 0)
+    int status;
+    int64_t gid = child->gid;
+    PyObject *parent_obj = PyLong_FromLongLong(parent);
+    if (parent_obj == NULL)
         return -1;
-    return send_along(w, v, src, 0, EV_fork_grant,
-                      PyTuple_Pack(2, parent_obj, gid));
+    status = reserve_for_fork(child, parent_obj);
+    Py_DECREF(parent_obj);
+    if (status < 0 || wake_re_waiters(w, v, child, -1) < 0)
+        return -1;
+    return send_along(w, v, src, 0, EV_fork_grant, ARGS(parent, gid));
 }
 
 /* core._fork, the tail p_fc and p_fn share: hart *target* (an int) is
@@ -3184,12 +3422,8 @@ exec_p_swcv(Tick *t, HartView *hv, Instr *rec)
 {
     Window *w = t->w;
     CoreView *v = t->v;
-    int status = -1;
-    int64_t index = v->index, target, dst, offset, when, next_free, stored;
-    PyObject *gid = hv->gid_obj, *offset_obj = rec->dec->imm_obj, *mem;
-    PyObject *port, *value = NULL, *tag = NULL;
-    PyObject *target_obj = NULL, *addr_obj = NULL, *args = NULL;
-    PyObject *links = NULL;
+    int64_t index = v->index, gid = hv->gid, target, dst, offset, when;
+    int64_t stored;
     GETV(target, rec, 0);
     target &= 0xFFFF;
     dst = target >> 2;
@@ -3197,56 +3431,30 @@ exec_p_swcv(Tick *t, HartView *hv, Instr *rec)
         return 0;
     GETV(stored, rec, 1);
     offset = rec->dec->imm;
-    if ((value = PyLong_FromLongLong(stored)) == NULL
-            || (tag = PyLong_FromLongLong(rec->tag)) == NULL
-            || (target_obj = PyLong_FromLongLong(target)) == NULL)
-        goto fail;
     if (dst == index) {
         /* local_port.reserve(now + cv_write_latency) */
-        GETO(mem, t->core, C.mem);
-        CHECK(mem, mem_type);
-        GETO(port, mem, M.local_port);
-        CHECK(port, port_type);
-        GETI(next_free, port, P.next_free);
-        when = t->cycle + w->cv_latency;
-        if (next_free > when)
-            when = next_free;
-        SETI(port, P.next_free, when + 1);
-        if ((addr_obj = PyLong_FromLongLong(cv_base[target & 3] + offset))
-                == NULL)
-            goto fail;
+        if (fresh(w, v, V_MEM) < 0
+                || reserve(w, v->ports[PORT_LOCAL], t->cycle + w->cv_latency,
+                           &when) < 0)
+            return -1;
         HSET(hv, outstanding_mem, hv->outstanding_mem + 1);
-        status = post(w, v, index, when, EV_cv_write,
-                      PyTuple_Pack(8, v->index_obj, addr_obj, value,
-                                   v->index_obj, gid, target_obj, offset_obj,
-                                   tag));
-    } else {
-        /* the message holds what it carries across the calls below */
-        if ((args = PyTuple_Pack(6, v->index_obj, gid, target_obj,
-                                 offset_obj, value, tag)) == NULL
-                || (links = links_of(t->core)) == NULL)
-            goto fail;
-        if ((!w->metered
-             || remote_issue(t, gid, Py_None,
-                             2 * w->hop_latency + w->cv_latency + 1) == 0)
-                && reserve_forward(w, links, index, dst, t->cycle, &when) == 0
-                && fresh(w, v, V_PIPE) == 0
-                && gate(v, HNUM(v, hv), HART_ALL) == 0) {
-            HSET(hv, outstanding_mem, hv->outstanding_mem + 1);
-            status = post(w, v, dst, when + w->cv_latency, EV_rreq_cv, args);
-            args = NULL;
-        }
+        return post(w, v, index, when, EV_cv_write,
+                    ARGS(index, cv_base[target & 3] + offset, stored, index,
+                         gid, target, offset, rec->tag)) < 0 ? -1 : 1;
     }
-    if (status == 0)
-        status = 1;
+    if ((w->metered
+         && remote_issue(t, hv, -1, 2 * w->hop_latency + w->cv_latency + 1)
+         < 0)
+            || reserve_forward(w, v, index, dst, t->cycle, &when) < 0
+            || fresh(w, v, V_PIPE) < 0
+            || gate(v, HNUM(v, hv), HART_ALL) < 0)
+        return -1;
+    HSET(hv, outstanding_mem, hv->outstanding_mem + 1);
+    return post(w, v, dst, when + w->cv_latency, EV_rreq_cv,
+                ARGS(index, gid, target, offset, stored, rec->tag)) < 0
+        ? -1 : 1;
 fail:
-    Py_XDECREF(value);
-    Py_XDECREF(tag);
-    Py_XDECREF(target_obj);
-    Py_XDECREF(addr_obj);
-    Py_XDECREF(args);
-    Py_XDECREF(links);
-    return status;
+    return -1;
 }
 
 /* LBP.schedule_re_send: p_swre to result buffer ``imm % buffers`` of hart
@@ -3256,10 +3464,7 @@ static int
 exec_p_swre(Tick *t, HartView *hv, Instr *rec)
 {
     Window *w = t->w;
-    int status = -1;
     int64_t target, dst, slot, stored;
-    PyObject *value = NULL, *tag = NULL, *target_obj = NULL;
-    PyObject *slot_obj = NULL;
     GETV(target, rec, 0);
     target &= 0xFFFF;
     dst = target >> 2;
@@ -3270,19 +3475,9 @@ exec_p_swre(Tick *t, HartView *hv, Instr *rec)
     if (slot < 0)
         slot += w->result_buffers;
     GETV(stored, rec, 1);
-    if ((value = PyLong_FromLongLong(stored)) != NULL
-            && (tag = PyLong_FromLongLong(rec->tag)) != NULL
-            && (target_obj = PyLong_FromLongLong(target)) != NULL
-            && (slot_obj = PyLong_FromLongLong(slot)) != NULL)
-        status = send_along(w, t->v, dst, 0, EV_re_deliver,
-                            PyTuple_Pack(7, t->v->index_obj, hv->gid_obj,
-                                         target_obj, slot_obj, value, tag,
-                                         Py_False));
-    Py_XDECREF(value);
-    Py_XDECREF(tag);
-    Py_XDECREF(target_obj);
-    Py_XDECREF(slot_obj);
-    return status < 0 ? -1 : 1;
+    return send_along(w, t->v, dst, 0, EV_re_deliver,
+                      ARGS(t->v->index, hv->gid, target, slot, stored,
+                           rec->tag, 0)) < 0 ? -1 : 1;
 fail:
     return -1;
 }
@@ -3317,20 +3512,14 @@ static int
 send_start_pc(Tick *t, const Instr *rec)
 {
     int64_t index = t->v->index, target, dst;
-    PyObject *target_obj, *pc_obj, *args;
     GETV(target, rec, 0);
     target &= 0xFFFF;
     dst = target >> 2;
     if (dst >= PyList_GET_SIZE(t->w->cores)
             || (dst != index && dst != index + 1))
         return 0;
-    target_obj = PyLong_FromLongLong(target);
-    pc_obj = PyLong_FromLongLong(rec->pc + 4);
-    args = target_obj == NULL || pc_obj == NULL ? NULL
-        : PyTuple_Pack(2, target_obj, pc_obj);
-    Py_XDECREF(target_obj);
-    Py_XDECREF(pc_obj);
-    return send_along(t->w, t->v, dst, 1, EV_start_pc, args) < 0 ? -1 : 1;
+    return send_along(t->w, t->v, dst, 1, EV_start_pc,
+                      ARGS(target, rec->pc + 4)) < 0 ? -1 : 1;
 fail:
     return -1;
 }
@@ -3394,18 +3583,11 @@ send_fork_req(Tick *t, HartView *hv)
 {
     int native;
     int64_t index = t->v->index;
-    PyObject *dst_obj;
     if ((native = window_native(t, M_send_fork_req)) < 0)
         return -1;
-    if (native && index + 1 < PyList_GET_SIZE(t->w->cores)) {
-        if ((dst_obj = PyLong_FromLongLong(index + 1)) == NULL)
-            return -1;
-        native = send_along(t->w, t->v, index + 1, 1, EV_fork_req,
-                            PyTuple_Pack(3, dst_obj, t->v->index_obj,
-                                         hv->gid_obj));
-        Py_DECREF(dst_obj);
-        return native;
-    }
+    if (native && index + 1 < PyList_GET_SIZE(t->w->cores))
+        return send_along(t->w, t->v, index + 1, 1, EV_fork_req,
+                          ARGS(index + 1, index, hv->gid));
     return called(callback(t->w, t->machine, s_send_fork_req, t->core,
                            hv->hart, NULL));
 }
@@ -3430,20 +3612,32 @@ action_kind(PyObject *name)
     return -1;
 }
 
+/* 1 and the head of the fork queue *queue* (non-empty), typed in *a*,
+ * when it is a request the grant can serve: ``(src, parent)``, ints, src a
+ * core no later than *index*; 0 when it is not */
+static int
+request_in(PyObject *queue, int64_t index, int64_t *a)
+{
+    PyObject *request = PyList_GET_ITEM(queue, 0);
+    return PyTuple_Check(request)
+        && args_in(((PyTupleObject *)request)->ob_item,
+                   PyTuple_GET_SIZE(request), "ii", a)
+        && index_in(a[0], index + 1) >= 0;
+}
+
 /* Is the head of *v*'s core's fork queue a request the grant can serve
- * (``(src, parent)``, src no later core), and may each of its harts be the
- * child?  1 yes (or an empty queue), 0 no. */
+ * (request_in), and may each of its harts be the child?  1 yes (or an
+ * empty queue), 0 no. */
 static int
 fork_queue_ok(const CoreView *v)
 {
     int h, ok;
-    PyObject *queue, *request;
+    int64_t a[2];
+    PyObject *queue;
     GETLIST(queue, v->core, C.fork_queue);
     if (!PyList_GET_SIZE(queue))
         return 1;
-    request = PyList_GET_ITEM(queue, 0);
-    if (!PyTuple_Check(request) || PyTuple_GET_SIZE(request) != 2
-            || index_in(PyTuple_GET_ITEM(request, 0), v->index + 1) < 0)
+    if (!request_in(queue, v->index, a))
         return 0;
     for (h = 0; h < 4; h++)
         if ((ok = waiters_ok(&v->h[h], -1)) <= 0)
@@ -3459,8 +3653,9 @@ fail:
 static int
 grant_queued(Window *w, CoreView *v)
 {
-    int h, status;
-    PyObject *queue, *request;
+    int h;
+    int64_t a[2];
+    PyObject *queue;
     GETLIST(queue, v->core, C.fork_queue);
     if (!PyList_GET_SIZE(queue))
         return 0;
@@ -3468,11 +3663,9 @@ grant_queued(Window *w, CoreView *v)
         return -1;
     if (h == 4)
         return 0;
-    request = list_take(queue, 0);
-    status = grant_fork(w, v, &v->h[h], as_int(PyTuple_GET_ITEM(request, 0)),
-                        PyTuple_GET_ITEM(request, 1));
-    Py_DECREF(request);
-    return status;
+    request_in(queue, v->index, a);
+    Py_DECREF(list_take(queue, 0));
+    return grant_fork(w, v, &v->h[h], a[0], a[1]);
 fail:
     return -1;
 }
@@ -3489,6 +3682,7 @@ commit_p_ret(Tick *t, HartView *hv, Instr *head)
     CoreView *v = t->v;
     int native, kind, step, status = -1;
     int64_t index = v->index, gid = hv->gid, succ = -1, joiner = -1, cores;
+    int64_t addr;
     PyObject *action = head->ret_action, *succ_obj, *pending, *entry;
     if ((native = window_native(t, M_commit_p_ret)) <= 0)
         goto python;
@@ -3499,14 +3693,16 @@ commit_p_ret(Tick *t, HartView *hv, Instr *head)
         goto python;
     GETO(succ_obj, hv->hart, H.succ);
     if (succ_obj != Py_None
-            && ((succ = index_in(succ_obj, 4 * cores)) < 0
+            && (!small_int(succ_obj, &succ)
+                || index_in(succ, 4 * cores) < 0
                 || (succ >> 2 != index && succ >> 2 != index + 1)))
         goto python;
     if (kind == ACT_JOIN
             && (!small_int(PyTuple_GET_ITEM(action, 1), &joiner)
                 || (joiner != gid
                     && (joiner < 0 || joiner >> 2 >= cores
-                        || joiner >> 2 > index))))
+                        || joiner >> 2 > index
+                        || !exact_int(PyTuple_GET_ITEM(action, 2), &addr)))))
         goto python;
     if ((native = fork_queue_ok(v)) <= 0)
         goto python;
@@ -3520,8 +3716,7 @@ commit_p_ret(Tick *t, HartView *hv, Instr *head)
     if (succ >= 0) {
         /* LBP.send_ending_signal */
         if (send_along(w, v, succ >> 2, 1, EV_ending_signal,
-                       PyTuple_Pack(3, v->index_obj, hv->index_obj,
-                                    succ_obj)) < 0
+                       ARGS(index, hv->index, succ)) < 0
                 || fresh(w, v, V_PIPE | V_COUNTERS) < 0
                 || gate(v, HNUM(v, hv), HART_ALL) < 0)
             goto release;
@@ -3542,14 +3737,12 @@ commit_p_ret(Tick *t, HartView *hv, Instr *head)
     } else if (kind != ACT_EXIT) {
         hart_end(hv);
         if (kind == ACT_JOIN) {
-            PyObject *addr = PyTuple_GET_ITEM(action, 2);
             KSET(v, joins, v->joins + 1);
             if (joiner == gid)  /* a one-member team: the join hart resumes */
-                step = hart_start(w, v, hv, addr);
+                step = hart_start(w, v, hv, PyTuple_GET_ITEM(action, 2));
             else  /* LBP.send_join */
                 step = send_along(w, v, joiner >> 2, 0, EV_join,
-                                  PyTuple_Pack(2, PyTuple_GET_ITEM(action, 1),
-                                               addr));
+                                  ARGS(joiner, addr));
             if (step < 0)
                 goto release;
         }
@@ -3584,43 +3777,22 @@ python:
 
 /* ---- the team-message event kinds (NATIVE_KINDS) --------------------------------- */
 
-/* The four bytes of core *index_obj*'s local bank at *addr_obj* (a CV
- * word), as bank_bytes */
-static int
-cv_word(Window *w, PyObject *index_obj, PyObject *addr_obj, char **at)
-{
-    int status;
-    int64_t width;
-    PyObject *four = PyLong_FromLong(4);
-    if (four == NULL)
-        return -1;
-    status = bank_bytes(w, index_obj, 0, addr_obj, four, at, &width);
-    Py_DECREF(four);
-    return status;
-}
-
 /* _ev_cv_write(target_core_index, addr, value, core_index, hart_gid,
  * target_gid, offset, tag): a same-core p_swcv writes and completes */
 static int
-ev_cv_write(Window *w, CoreView *Py_UNUSED(domain), PyObject *args)
+ev_cv_write(Window *w, CoreView *Py_UNUSED(domain), const Event *event)
 {
+    const int64_t *a = event->a;
     int status;
     char *at;
     CoreView *v;
     HartView *hv;
     Instr *rec;
-    PyObject *value, *tag;
-    if (PyTuple_GET_SIZE(args) != 8
-            || !PyLong_Check(value = PyTuple_GET_ITEM(args, 2))
-            || !PyLong_Check(tag = PyTuple_GET_ITEM(args, 7)))
-        return 0;
-    if ((status = cv_word(w, PyTuple_GET_ITEM(args, 0),
-                          PyTuple_GET_ITEM(args, 1), &at)) <= 0
-            || (status = hart_of(w, PyTuple_GET_ITEM(args, 4), &v, &hv)) <= 0
-            || (status = rob_record(v, hv, tag, &rec)) <= 0)
+    if ((status = bank_bytes(w, a[0], 0, a[1], 4, &at)) <= 0
+            || (status = hart_of(w, a[4], &v, &hv)) <= 0
+            || (status = rob_record(v, hv, a[7], &rec)) <= 0)
         return status;
-    if (write_bytes(at, value, 4) < 0)
-        return -1;
+    write_bytes(at, a[2], 4);
     HSET(hv, outstanding_mem, hv->outstanding_mem - 1);
     ISET(rec, done, 1, D_DONE);
     return 1;
@@ -3630,118 +3802,85 @@ ev_cv_write(Window *w, CoreView *Py_UNUSED(domain), PyObject *args)
  * from the previous core reaches the target's local port; the ack goes
  * back along the backward line */
 static int
-ev_rreq_cv(Window *w, CoreView *domain, PyObject *args)
+ev_rreq_cv(Window *w, CoreView *domain, const Event *event)
 {
-    int status = -1;
-    int64_t target, dst, src, offset, t_bank, t_ack;
+    const int64_t *a = event->a;
+    int64_t target, dst, src, t_bank, t_ack;
     CoreView *v;
-    PyObject *mem, *port, *links = NULL, *addr_obj;
-    if (PyTuple_GET_SIZE(args) != 6
-            || (target = index_in(PyTuple_GET_ITEM(args, 2),
-                                  4 * PyList_GET_SIZE(w->cores))) < 0
-            || (src = index_in(PyTuple_GET_ITEM(args, 0),
-                               (target >> 2) + 1)) < 0
-            || !small_int(PyTuple_GET_ITEM(args, 3), &offset))
+    if ((target = index_in(a[2], 4 * PyList_GET_SIZE(w->cores))) < 0
+            || (src = index_in(a[0], (target >> 2) + 1)) < 0)
         return 0;
     dst = target >> 2;
-    if ((v = view_at(w, dst, 0)) == NULL)
-        return -1;
-    GETO(mem, v->core, C.mem);
-    CHECK(mem, mem_type);
-    GETO(port, mem, M.local_port);
-    CHECK(port, port_type);
-    if ((links = links_of(v->core)) == NULL)
-        goto fail;
     /* local_port.reserve(now) */
-    GETI(t_bank, port, P.next_free);
-    if (t_bank < w->cycle)
-        t_bank = w->cycle;
-    SETI(port, P.next_free, t_bank + 1);
-    if ((addr_obj = PyLong_FromLongLong(cv_base[target & 3] + offset))
-            == NULL)
-        goto fail;
-    status = post(w, domain, dst, t_bank, EV_cv_apply,
-                  PyTuple_Pack(3, v->index_obj, addr_obj,
-                               PyTuple_GET_ITEM(args, 4)));
-    Py_DECREF(addr_obj);
-    if (status == 0
-            && (status = reserve_backward(w, links, dst, src, t_bank,
-                                          &t_ack)) == 0)
-        status = post(w, domain, src, t_ack + 1, EV_rack_cv,
-                      new_ref(args));
-fail:
-    Py_XDECREF(links);
-    return status < 0 ? -1 : 1;
+    if ((v = view_at(w, dst, V_MEM)) == NULL
+            || reserve(w, v->ports[PORT_LOCAL], w->cycle, &t_bank) < 0
+            || post(w, domain, dst, t_bank, EV_cv_apply,
+                    ARGS(dst, cv_base[target & 3] + a[3], a[4])) < 0
+            || reserve_backward(w, v, dst, src, t_bank, &t_ack) < 0
+            || post(w, domain, src, t_ack + 1, EV_rack_cv,
+                    ARGS(a[0], a[1], a[2], a[3], a[4], a[5])) < 0)
+        return -1;
+    return 1;
 }
 
 /* _ev_cv_apply(core_index, addr, value) */
 static int
-ev_cv_apply(Window *w, CoreView *Py_UNUSED(domain), PyObject *args)
+ev_cv_apply(Window *w, CoreView *Py_UNUSED(domain), const Event *event)
 {
+    const int64_t *a = event->a;
     int status;
     char *at;
-    PyObject *value;
-    if (PyTuple_GET_SIZE(args) != 3
-            || !PyLong_Check(value = PyTuple_GET_ITEM(args, 2)))
-        return 0;
-    if ((status = cv_word(w, PyTuple_GET_ITEM(args, 0),
-                          PyTuple_GET_ITEM(args, 1), &at)) <= 0)
+    if ((status = bank_bytes(w, a[0], 0, a[1], 4, &at)) <= 0)
         return status;
-    return write_bytes(at, value, 4) < 0 ? -1 : 1;
+    write_bytes(at, a[2], 4);
+    return 1;
 }
 
 /* _ev_rack_cv(src, hart_gid, target_gid, offset, value, tag) */
 static int
-ev_rack_cv(Window *w, CoreView *Py_UNUSED(domain), PyObject *args)
+ev_rack_cv(Window *w, CoreView *Py_UNUSED(domain), const Event *event)
 {
-    return PyTuple_GET_SIZE(args) == 6 ? remote_ack(w, args, 5) : 0;
+    return remote_ack(w, event->a[0], event->a[1], event->a[5]);
 }
 
 /* _ev_re_deliver(core_index, hart_gid, target_gid, slot, value, tag,
  * parked): a p_swre reaches its result buffer, or parks behind the value
  * there (at the head of the queue when it had parked before) */
 static int
-ev_re_deliver(Window *w, CoreView *domain, PyObject *args)
+ev_re_deliver(Window *w, CoreView *domain, const Event *event)
 {
-    int status, parked;
-    uint32_t bits;
+    const int64_t *a = event->a;
+    int status;
     int64_t slot, src;
     CoreView *v;
     HartView *target;
     PyObject *buffers, *lists, *queue, *desc, *value;
-    if (PyTuple_GET_SIZE(args) != 7)
-        return 0;
-    if ((status = hart_of(w, PyTuple_GET_ITEM(args, 2), &v, &target)) <= 0)
+    if ((status = hart_of(w, a[2], &v, &target)) <= 0)
         return status;
     GETLIST(buffers, target->hart, H.re_buffers);
-    if ((slot = index_in(PyTuple_GET_ITEM(args, 3),
-                         PyList_GET_SIZE(buffers))) < 0)
+    if ((slot = index_in(a[3], PyList_GET_SIZE(buffers))) < 0)
         return 0;
     if (PyList_GET_ITEM(buffers, slot) != Py_None) {
         GETO(lists, target->hart, H.re_waiters);
         if (!PyList_Check(lists) || slot >= PyList_GET_SIZE(lists)
                 || !PyList_Check(queue = PyList_GET_ITEM(lists, slot)))
             return 0;
-        if ((parked = truth(PyTuple_GET_ITEM(args, 6))) < 0
-                || (desc = PyTuple_GetSlice(args, 0, 6)) == NULL)
+        if ((desc = event_args(event, 0, 6)) == NULL)
             return -1;
-        status = parked ? PyList_Insert(queue, 0, desc)
+        status = a[6] ? PyList_Insert(queue, 0, desc)
             : PyList_Append(queue, desc);
         Py_DECREF(desc);
         return status < 0 ? -1 : 1;
     }
-    if (!PyLong_Check(PyTuple_GET_ITEM(args, 4))
-            || (src = index_in(PyTuple_GET_ITEM(args, 0),
-                               PyList_GET_SIZE(w->cores))) < 0)
+    if ((src = index_in(a[0], PyList_GET_SIZE(w->cores))) < 0)
         return 0;
-    if (low32(PyTuple_GET_ITEM(args, 4), &bits) < 0
-            || (value = PyLong_FromUnsignedLong(bits)) == NULL)
+    if ((value = PyLong_FromUnsignedLong((uint32_t)a[4])) == NULL)
         return -1;
     status = list_set(buffers, slot, value);
     Py_DECREF(value);
     if (status < 0
             || post(w, domain, src, w->cycle + re_ack_latency, EV_re_ack,
-                    PyTuple_GetSlice(args, 0, 6)) < 0)
+                    a) < 0)
         return -1;
     return 1;
 fail:
@@ -3751,22 +3890,19 @@ fail:
 /* _ev_re_ack(core_index, hart_gid, target_gid, slot, value, tag): the
  * delivery's ack completes the p_swre */
 static int
-ev_re_ack(Window *w, CoreView *Py_UNUSED(domain), PyObject *args)
+ev_re_ack(Window *w, CoreView *Py_UNUSED(domain), const Event *event)
 {
+    const int64_t *a = event->a;
     int status;
     int64_t index;
     CoreView *v, *src;
     HartView *hv;
     Instr *rec;
-    if (PyTuple_GET_SIZE(args) != 6
-            || !PyLong_Check(PyTuple_GET_ITEM(args, 5))
-            || (index = index_in(PyTuple_GET_ITEM(args, 0),
-                                 PyList_GET_SIZE(w->per_core))) < 0
+    if ((index = index_in(a[0], PyList_GET_SIZE(w->per_core))) < 0
             || index >= PyList_GET_SIZE(w->cores))
         return 0;
-    if ((status = hart_of(w, PyTuple_GET_ITEM(args, 1), &v, &hv)) <= 0
-            || (status = rob_record(v, hv, PyTuple_GET_ITEM(args, 5),
-                                    &rec)) <= 0)
+    if ((status = hart_of(w, a[1], &v, &hv)) <= 0
+            || (status = rob_record(v, hv, a[5], &rec)) <= 0)
         return status;
     if ((src = view_at(w, index, V_COUNTERS)) == NULL)
         return -1;
@@ -3778,15 +3914,14 @@ ev_re_ack(Window *w, CoreView *Py_UNUSED(domain), PyObject *args)
 /* _ev_fork_req(target_core_index, src_core_index, parent_gid): a p_fn's
  * request is granted a free hart now, or queued */
 static int
-ev_fork_req(Window *w, CoreView *Py_UNUSED(domain), PyObject *args)
+ev_fork_req(Window *w, CoreView *Py_UNUSED(domain), const Event *event)
 {
+    const int64_t *a = event->a;
     int h = 4, ok;
     int64_t index, src = -1;
     CoreView *v;
     PyObject *queue, *request;
-    if (PyTuple_GET_SIZE(args) != 3
-            || (index = index_in(PyTuple_GET_ITEM(args, 0),
-                                 PyList_GET_SIZE(w->cores))) < 0)
+    if ((index = index_in(a[0], PyList_GET_SIZE(w->cores))) < 0)
         return 0;
     if ((v = view_at(w, index, V_PIPE)) == NULL)
         return -1;
@@ -3795,15 +3930,13 @@ ev_fork_req(Window *w, CoreView *Py_UNUSED(domain), PyObject *args)
         if ((h = free_hart(w, v)) < 0)
             return -1;
         if (h < 4
-                && ((src = index_in(PyTuple_GET_ITEM(args, 1),
-                                    index + 1)) < 0
+                && ((src = index_in(a[1], index + 1)) < 0
                     || (ok = waiters_ok(&v->h[h], -1)) <= 0))
             return src < 0 ? 0 : ok;
     }
     if (h < 4)
-        return grant_fork(w, v, &v->h[h], src,
-                          PyTuple_GET_ITEM(args, 2)) < 0 ? -1 : 1;
-    if ((request = PyTuple_GetSlice(args, 1, 3)) == NULL)
+        return grant_fork(w, v, &v->h[h], src, a[2]) < 0 ? -1 : 1;
+    if ((request = event_args(event, 1, 3)) == NULL)
         return -1;
     ok = PyList_Append(queue, request);
     Py_DECREF(request);
@@ -3814,48 +3947,59 @@ fail:
 
 /* _ev_fork_grant(parent_gid, child_gid): the token reaches the parent */
 static int
-ev_fork_grant(Window *w, CoreView *Py_UNUSED(domain), PyObject *args)
+ev_fork_grant(Window *w, CoreView *Py_UNUSED(domain), const Event *event)
 {
     int status;
     CoreView *v;
     HartView *hv;
-    PyObject *tokens;
-    if (PyTuple_GET_SIZE(args) != 2)
-        return 0;
-    if ((status = hart_of(w, PyTuple_GET_ITEM(args, 0), &v, &hv)) <= 0)
+    PyObject *tokens, *token;
+    if ((status = hart_of(w, event->a[0], &v, &hv)) <= 0)
         return status;
     GETLIST(tokens, hv->hart, H.fork_tokens);
-    return PyList_Append(tokens, PyTuple_GET_ITEM(args, 1)) < 0 ? -1 : 1;
+    if ((token = PyLong_FromLongLong(event->a[1])) == NULL)
+        return -1;
+    status = PyList_Append(tokens, token);
+    Py_DECREF(token);
+    return status < 0 ? -1 : 1;
 fail:
     return -1;
 }
 
+/* Hart.start(pc, now) on *hv*'s hart of *v*'s core, *pc* an int */
+static int
+hart_start_at(Window *w, CoreView *v, HartView *hv, int64_t pc)
+{
+    int status;
+    PyObject *pc_obj = PyLong_FromLongLong(pc);
+    if (pc_obj == NULL)
+        return -1;
+    status = hart_start(w, v, hv, pc_obj);
+    Py_DECREF(pc_obj);
+    return status;
+}
+
 /* _ev_start_pc(target_gid, pc): an allocated hart starts */
 static int
-ev_start_pc(Window *w, CoreView *Py_UNUSED(domain), PyObject *args)
+ev_start_pc(Window *w, CoreView *Py_UNUSED(domain), const Event *event)
 {
     int status;
     CoreView *v;
     HartView *hv;
-    if (PyTuple_GET_SIZE(args) != 2)
-        return 0;
-    if ((status = hart_of(w, PyTuple_GET_ITEM(args, 0), &v, &hv)) <= 0)
+    if ((status = hart_of(w, event->a[0], &v, &hv)) <= 0)
         return status;
     if (!hv->reserved)
         return 0;  /* not allocated: Python words the error */
-    return hart_start(w, v, hv, PyTuple_GET_ITEM(args, 1)) < 0 ? -1 : 1;
+    return hart_start_at(w, v, hv, event->a[1]) < 0 ? -1 : 1;
 }
 
 /* _ev_ending_signal(core_index, hart_index, succ_gid) */
 static int
-ev_ending_signal(Window *w, CoreView *Py_UNUSED(domain), PyObject *args)
+ev_ending_signal(Window *w, CoreView *Py_UNUSED(domain), const Event *event)
 {
     int status;
     CoreView *v;
     HartView *hv;
-    if (PyTuple_GET_SIZE(args) != 3)
-        return 0;
-    if ((status = hart_of(w, PyTuple_GET_ITEM(args, 2), &v, &hv)) <= 0)
+    if ((status = hart_of(w, event->a[2], &v, &hv)) <= 0)
         return status;
     HSET(hv, pred_done, 1);
     return 1;
@@ -3864,27 +4008,28 @@ ev_ending_signal(Window *w, CoreView *Py_UNUSED(domain), PyObject *args)
 /* _ev_join(target_gid, addr): the join hart resumes, now if it waits,
  * else when its p_ret commits */
 static int
-ev_join(Window *w, CoreView *Py_UNUSED(domain), PyObject *args)
+ev_join(Window *w, CoreView *Py_UNUSED(domain), const Event *event)
 {
     int status, waiting;
     CoreView *v;
     HartView *hv;
-    if (PyTuple_GET_SIZE(args) != 2)
-        return 0;
-    if ((status = hart_of(w, PyTuple_GET_ITEM(args, 0), &v, &hv)) <= 0)
+    PyObject *addr;
+    if ((status = hart_of(w, event->a[0], &v, &hv)) <= 0)
         return status;
     GETB(waiting, hv->hart, H.waiting_join);
-    if (!waiting) {
-        set_obj(hv->hart, H.pending_join, PyTuple_GET_ITEM(args, 1));
-        return 1;
-    }
-    return hart_start(w, v, hv, PyTuple_GET_ITEM(args, 1)) < 0 ? -1 : 1;
+    if (waiting)
+        return hart_start_at(w, v, hv, event->a[1]) < 0 ? -1 : 1;
+    if ((addr = PyLong_FromLongLong(event->a[1])) == NULL)
+        return -1;
+    set_obj(hv->hart, H.pending_join, addr);
+    Py_DECREF(addr);
+    return 1;
 fail:
     return -1;
 }
 
 /* NATIVE_KINDS' spellings, in that order */
-#define KIND_SPELLING(kind) ev_##kind,
+#define KIND_SPELLING(kind, shape) ev_##kind,
 static const NativeEvent native_event[NATIVE_COUNT] = {
     NATIVE_KINDS(KIND_SPELLING)};
 
@@ -3902,10 +4047,9 @@ static int
 dispatch(Window *w)
 {
     int status = -1, handled = 0;
-    Py_ssize_t i, count;
     Event event;
     CoreView *v;
-    PyObject *core = NULL, *handler, *call = NULL;
+    PyObject *core = NULL;
 
     heap_pop(w, &event);
     if ((v = view_at(w, event.dst, 0)) == NULL)
@@ -3924,31 +4068,14 @@ dispatch(Window *w)
         if ((handled = handler_is_native(w, event.kind)) > 0
                 && (handled = access_context(w)) > 0
                 && (handled = fresh(w, v, 0)) == 0)
-            handled = native_event[event.kind](w, v, event.args);
+            handled = native_event[event.kind](w, v, &event);
         if (handled < 0)
             goto fail;
     }
-    if (!handled) {
-        /* EVENT_HANDLERS[kind](machine, *args) */
-        if ((handler = PyDict_GetItemWithError(event_handlers,
-                                               event.name)) == NULL) {
-            if (!PyErr_Occurred())
-                PyErr_SetObject(PyExc_KeyError, event.name);
-            goto fail;
-        }
-        count = PyTuple_GET_SIZE(event.args);
-        if ((call = PyTuple_New(count + 1)) == NULL || leave_c(w) < 0)
-            goto fail;
-        PyTuple_SET_ITEM(call, 0, new_ref(w->machine));
-        for (i = 0; i < count; i++)
-            PyTuple_SET_ITEM(call, i + 1,
-                             new_ref(PyTuple_GET_ITEM(event.args, i)));
-        if (called(PyObject_Call(handler, call, NULL)) < 0)
-            goto fail;
-    }
+    if (!handled && call_handler(w, &event) < 0)
+        goto fail;
     status = 0;
 fail:
-    Py_XDECREF(call);
     Py_XDECREF(core);
     release(&event);
     return status;

@@ -121,6 +121,11 @@ class ServeConfig:
                  trace_out=None, flight_dir=None):
         if port is None and unix_path is None:
             raise ValueError("serve needs a TCP port and/or a unix socket")
+        # every job's run would refuse it (a bool is an int to isinstance)
+        if progress_every is not None and (
+                type(progress_every) is not int or progress_every < 1):
+            raise ValueError("progress_every must be None or an int >= 1, "
+                             "got %r" % (progress_every,))
         self.host = host
         self.port = port
         self.unix_path = unix_path

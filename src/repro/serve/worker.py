@@ -92,7 +92,8 @@ def execute_job(source, filename, params, max_cycles=None,
     if max_cycles is not None:
         run_kwargs["max_cycles"] = max_cycles
     if metered:
-        every = progress_every or DEFAULT_PROGRESS_EVERY
+        every = (DEFAULT_PROGRESS_EVERY if progress_every is None
+                 else progress_every)
         run_kwargs["snapshot_every"] = every
         run_kwargs["snapshot_callback"] = lambda m: progress(job_progress(m))
     run_span = spans.start("run", parent=execute_span)

@@ -2,13 +2,16 @@
 
 Run under the counting build only (``-p counting``, tests/counting.py):
 there ``slot_counts()`` says how many slot accesses the tick and window
-made per class of object, and how many ints they boxed.  The bounds are
-per retired instruction, the measured values plus 5 %, on the bench's two
-simulation workloads at seed 1 (``bench/workloads.py``): an instruction
-that is renamed, issued, written back and committed between two calls
-into Python lives in its hart's ring (``machine/_tick.c``, "the
-instruction ring") and touches no ``Entry``, ``ResultBuffer`` or
-``LoweredInstr`` slot.
+made per class of object, how many ints they boxed, how many tuples they
+made and how many events they posted.  The bounds are per retired
+instruction, the measured values plus 5 %, on the bench's two simulation
+workloads at seed 1 (``bench/workloads.py``): an instruction that is
+renamed, issued, written back and committed between two calls into Python
+lives in its hart's ring (``machine/_tick.c``, "the instruction ring") and
+touches no ``Entry``, ``ResultBuffer`` or ``LoweredInstr`` slot; a memory
+access makes no tuple and no int box from its issue to its reply, and
+reads its banks and ports from the core's view and the window's cursors
+(``machine/_window.h``, "events at rest" and "the memory view").
 """
 
 import pytest
@@ -33,12 +36,22 @@ IRREGULAR = (
 )
 
 #: per retired instruction: the measured value + 5 % (``pipeline objects``:
-#: Entry + ResultBuffer + LoweredInstr slots, 102.2 / 117.9 before the ring;
-#: boxes 4.08 / 5.60 before it)
+#: Entry + ResultBuffer + LoweredInstr slots, 102.2 / 117.9 before the ring)
 BOUNDS = {
-    "tiled16": {"pipeline objects": 0.4408, "PyLong_FromLongLong": 0.9359},
-    "irregular": {"pipeline objects": 1.4919,
-                  "PyLong_FromLongLong": 2.5629},
+    "tiled16": {"pipeline objects": 0.42298},
+    "irregular": {"pipeline objects": 1.43466},
+}
+
+#: the same for the memory traffic (before typed events and cursors: tuples
+#: 0.646 / 0.966, boxes 0.891 / 2.441, slots of the four classes together
+#: 3.04 / 8.01)
+MEMORY_BOUNDS = {
+    "tiled16": {"tuples": 0.00128, "PyLong_FromLongLong": 0.17539,
+                "Port": 0.01173, "Bank": 0.00133, "CoreMemory": 0.00166,
+                "LinkScheduler": 0.00194},
+    "irregular": {"tuples": 0.00597, "PyLong_FromLongLong": 0.33403,
+                  "Port": 0.0391, "Bank": 0.00588, "CoreMemory": 0.0074,
+                  "LinkScheduler": 0.0098},
 }
 
 
@@ -60,12 +73,24 @@ def _per_retired(runs):
     return per
 
 
+def _workload(name):
+    return ([(4, matmul_source("tiled", 16))] if name == "tiled16" else
+            [(cores, make().source) for cores, make in IRREGULAR])
+
+
 @counting
 @pytest.mark.parametrize("name", sorted(BOUNDS))
 def test_in_flight_instructions_touch_no_pipeline_object(name):
-    runs = ([(4, matmul_source("tiled", 16))] if name == "tiled16" else
-            [(cores, make().source) for cores, make in IRREGULAR])
-    per = _per_retired(runs)
+    per = _per_retired(_workload(name))
     print(name, {key: round(value, 4) for key, value in per.items()})
     for key, bound in BOUNDS[name].items():
+        assert per[key] <= bound, (key, per[key])
+
+
+@counting
+@pytest.mark.parametrize("name", sorted(MEMORY_BOUNDS))
+def test_a_memory_access_makes_no_object(name):
+    per = _per_retired(_workload(name))
+    assert per["post load_read"] > 0.1  # (the accesses did run in C)
+    for key, bound in MEMORY_BOUNDS[name].items():
         assert per[key] <= bound, (key, per[key])

@@ -471,6 +471,15 @@ def test_pool_rejects_a_negative_retry_count():
         WorkerPool(workers=1, retries=-1)
 
 
+@pytest.mark.parametrize("every", [0, -3, 2.5, True])
+def test_config_rejects_a_progress_period_no_run_takes(tmp_path, every):
+    """Each one failed every job at run time (``0`` ran with the default
+    period instead): the config refuses it up front."""
+    with pytest.raises(ValueError, match="progress_every"):
+        ServeConfig(unix_path=str(tmp_path / "unused.sock"),
+                    progress_every=every)
+
+
 # ---- the service, socket-free -----------------------------------------------
 
 
