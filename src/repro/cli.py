@@ -36,7 +36,8 @@ from repro.compiler import build_program, compile_c
 from repro.isa.semantics import to_signed
 from repro.machine import LBP, MAX_CYCLES, Params
 from repro.machine.timeline import LANE_KINDS
-from repro.machine.trace import Trace
+from repro.machine.trace import KINDS as TRACE_KINDS
+from repro.machine.trace import Trace, check_kinds, line as trace_line
 
 
 def positive_int(text):
@@ -54,6 +55,14 @@ def non_negative_int(text):
         raise argparse.ArgumentTypeError(
             "%r is not a non-negative integer" % (text,))
     return int(text)
+
+
+def kind_filter(text):
+    """``--trace-kinds``: comma-separated kinds of ``trace.KINDS``."""
+    try:
+        return check_kinds([k.strip() for k in text.split(",") if k.strip()])
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def port_number(text):
@@ -148,9 +157,14 @@ def cmd_run(args):
     if args.spans:
         spans = observe.SpanRecorder()
         root = spans.start("cli", tags={"source": args.source or args.resume})
+    shown = args.trace_kinds or None  # what --trace prints (None: all)
     if args.resume:
         from repro.snapshot import load_snapshot
 
+        if args.trace_kinds:
+            print("error: --trace-kinds cannot be given with --resume; the "
+                  "kind filter travels with the snapshot", file=sys.stderr)
+            return 2
         machine = load_snapshot(args.resume)
         program = machine.program
         if want_metrics and machine.metrics is None:
@@ -161,6 +175,12 @@ def cmd_run(args):
                   "snapshot resumes metered automatically)",
                   file=sys.stderr)
             return 2
+        if (args.trace or args.timeline) and not machine.trace.enabled:
+            # same rule: the trace starts at cycle 0
+            print("error: --trace and --timeline cannot be enabled mid-run; "
+                  "the snapshot was taken untraced (a traced snapshot "
+                  "resumes traced automatically)", file=sys.stderr)
+            return 2
     else:
         if not args.source:
             print("error: a source file is required unless --resume is given",
@@ -168,10 +188,11 @@ def cmd_run(args):
             return 2
         program = _build_program(args.source)
         trace_kinds = None
-        if args.trace_kinds:
-            trace_kinds = [k.strip() for k in args.trace_kinds.split(",")
-                           if k.strip()]
+        if shown:
             args.trace = True  # a kind filter implies printing the trace
+            # the lanes of --timeline and --perfetto are recorded too
+            trace_kinds = shown.union(
+                LANE_KINDS if args.timeline or args.perfetto else ())
         elif args.perfetto and not args.trace:
             trace_kinds = LANE_KINDS  # a full trace costs memory
         traced = bool(args.trace or args.timeline or args.perfetto)
@@ -281,9 +302,11 @@ def cmd_run(args):
         print("--- hart timeline ---")
         print_timeline(machine)
     if args.trace:
-        print("--- trace (%d events) ---" % len(machine.trace))
-        for line in machine.trace.formatted(limit=args.trace_limit):
-            print(line)
+        events = [event for event in machine.trace.events
+                  if shown is None or event[3] in shown]
+        print("--- trace (%d events) ---" % len(events))
+        for event in events[:args.trace_limit]:
+            print(trace_line(event))
     return 0
 
 
@@ -539,9 +562,9 @@ def main(argv=None):
                             "(optional with --resume)")
     p_run.add_argument("--trace", action="store_true")
     p_run.add_argument("--trace-limit", type=non_negative_int, default=100)
-    p_run.add_argument("--trace-kinds", metavar="K1,K2,...",
-                       help="record only these event kinds (implies --trace; "
-                            "e.g. mem_store,fork,join)")
+    p_run.add_argument("--trace-kinds", metavar="K1,K2,...", type=kind_filter,
+                       help="record only these event kinds (implies "
+                            "--trace): " + ", ".join(TRACE_KINDS))
     p_run.add_argument("--timeline", action="store_true",
                        help="render per-hart activity lanes (implies traces)")
     p_run.add_argument("--print", metavar="NAME[:N],...",

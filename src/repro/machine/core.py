@@ -114,7 +114,7 @@ def _fork(core, hart, entry, target_gid):
     machine.stats.per_core[core.index].forks += 1
     if machine.trace.enabled:
         machine.trace.record(now, core.index, hart.index, "fork",
-                             "allocate hart %d" % target_gid)
+                             (target_gid,))
     if machine.sanitizer is not None:
         machine.sanitizer.record(
             core.index, (now, "fork", hart.gid, entry.tag, target_gid))

@@ -38,7 +38,7 @@ from repro.machine.router import (
     request_path,
 )
 from repro.machine.stats import MachineStats
-from repro.machine.trace import Trace
+from repro.machine.trace import Trace, bank_code, check_kinds
 
 #: p_swre completion acks ride a virtual credit wire back to the sender
 #: (no physical forward path exists for arbitrary core distances)
@@ -159,10 +159,8 @@ def _ev_load_read(machine, bank_ref, addr, width, mnemonic, t_done,
     raw = _read(machine, bank_ref, addr, width)
     hart.rb.fill(load_value(mnemonic, raw), t_done)
     if machine.trace.enabled:
-        machine.trace.record(
-            machine.cycle, core_index, hart.index, "mem_load",
-            "addr 0x%x -> 0x%x" % (addr, hart.rb.value),
-        )
+        machine.trace.record(machine.cycle, core_index, hart.index, "mem_load",
+                             (addr, hart.rb.value))
 
 
 def _ev_load_done(machine, hart_gid):
@@ -176,10 +174,8 @@ def _ev_store_write(machine, bank_ref, addr, value, width,
     hart.outstanding_mem -= 1
     _rob_by_tag(hart, tag).done = True
     if machine.trace.enabled:
-        machine.trace.record(
-            machine.cycle, core_index, hart.index, "mem_store",
-            "addr 0x%x <- 0x%x" % (addr, value & 0xFFFFFFFF),
-        )
+        machine.trace.record(machine.cycle, core_index, hart.index,
+                             "mem_store", (addr, value & 0xFFFFFFFF))
 
 
 def _ev_cv_write(machine, target_core_index, addr, value,
@@ -190,11 +186,8 @@ def _ev_cv_write(machine, target_core_index, addr, value,
     hart.outstanding_mem -= 1
     _rob_by_tag(hart, tag).done = True
     if machine.trace.enabled:
-        machine.trace.record(
-            machine.cycle, core_index, hart.index, "cv_write",
-            "hart %d off %d <- 0x%x"
-            % (target_gid, offset, value & 0xFFFFFFFF),
-        )
+        machine.trace.record(machine.cycle, core_index, hart.index, "cv_write",
+                             (target_gid, offset, value & 0xFFFFFFFF))
 
 
 # ---- remote shared-memory protocol (request / bank op / reply) ---------------
@@ -218,10 +211,8 @@ def _ev_rrep_load(machine, src, hart_gid, addr, value):
     hart = _remote_done(machine, src, hart_gid)
     hart.rb.fill(value, machine.cycle)
     if machine.trace.enabled:
-        machine.trace.record(
-            machine.cycle, src, hart.index, "mem_load",
-            "addr 0x%x -> 0x%x" % (addr, hart.rb.value),
-        )
+        machine.trace.record(machine.cycle, src, hart.index, "mem_load",
+                             (addr, hart.rb.value))
 
 
 def _ev_rreq_store(machine, src, hart_gid, owner, addr, value, width, tag):
@@ -238,10 +229,8 @@ def _ev_bank_write(machine, owner, addr, value, width):
 def _ev_rack_store(machine, src, hart_gid, addr, value, tag):
     hart = _remote_done(machine, src, hart_gid, tag)
     if machine.trace.enabled:
-        machine.trace.record(
-            machine.cycle, src, hart.index, "mem_store",
-            "addr 0x%x <- 0x%x" % (addr, value & 0xFFFFFFFF),
-        )
+        machine.trace.record(machine.cycle, src, hart.index, "mem_store",
+                             (addr, value & 0xFFFFFFFF))
 
 
 # ---- cross-core continuation-value writes (p_swcv over the forward link) -----
@@ -267,11 +256,8 @@ def _ev_cv_apply(machine, core_index, addr, value):
 def _ev_rack_cv(machine, src, hart_gid, target_gid, offset, value, tag):
     hart = _remote_done(machine, src, hart_gid, tag)
     if machine.trace.enabled:
-        machine.trace.record(
-            machine.cycle, src, hart.index, "cv_write",
-            "hart %d off %d <- 0x%x"
-            % (target_gid, offset, value & 0xFFFFFFFF),
-        )
+        machine.trace.record(machine.cycle, src, hart.index, "cv_write",
+                             (target_gid, offset, value & 0xFFFFFFFF))
 
 
 # ---- backward-line result messages (p_swre) ----------------------------------
@@ -305,10 +291,8 @@ def _ev_re_ack(machine, core_index, hart_gid, target_gid, slot, value, tag):
     _rob_by_tag(hart, tag).done = True
     machine.stats.per_core[core_index].re_messages += 1
     if machine.trace.enabled:
-        machine.trace.record(
-            machine.cycle, core_index, hart.index, "re_send",
-            "hart %d buf %d <- 0x%x" % (target_gid, slot, value & 0xFFFFFFFF),
-        )
+        machine.trace.record(machine.cycle, core_index, hart.index, "re_send",
+                             (target_gid, slot, value & 0xFFFFFFFF))
 
 
 # ---- fork token protocol (p_fn over the forward link) ------------------------
@@ -342,9 +326,7 @@ def _ev_start_pc(machine, target_gid, pc):
     target.start(pc, machine.cycle)
     if machine.trace.enabled:
         machine.trace.record(
-            machine.cycle, target.core.index, target.index, "start",
-            "pc 0x%x" % pc,
-        )
+            machine.cycle, target.core.index, target.index, "start", (pc,))
     if machine.sanitizer is not None:
         # threshold: every instruction this hart decodes from here on
         # gets a rename tag greater than the core's current counter
@@ -362,17 +344,14 @@ def _ev_ending_signal(machine, core_index, hart_index, succ_gid):
         # disjoint
         machine.trace.record(
             machine.cycle, core_index, hart_index, "ending_signal",
-            "to hart %d" % succ_gid, domain=succ.core.index,
-        )
+            (succ_gid,), domain=succ.core.index)
 
 
 def _ev_join(machine, target_gid, addr):
     target = machine.hart_by_gid(target_gid)
     if machine.trace.enabled:
         machine.trace.record(
-            machine.cycle, target.core.index, target.index, "join",
-            "resume 0x%x" % addr,
-        )
+            machine.cycle, target.core.index, target.index, "join", (addr,))
     if target.waiting_join:
         target.start(addr, machine.cycle)
         if machine.sanitizer is not None:
@@ -626,6 +605,10 @@ class LBP:
                 # refused before anything is loaded, as a malformed event
                 # is: the window roll would never end, or fail mid-run
                 raise ValueError("snapshot observe state: %s" % exc) from None
+        try:
+            trace_kinds = check_kinds(state["trace"]["kinds"])
+        except ValueError as exc:
+            raise ValueError("snapshot trace state: %s" % exc) from None
         self.cycle = state["cycle"]
         self.halted = state["halted"]
         self.halt_reason = state["halt_reason"]
@@ -638,8 +621,7 @@ class LBP:
         self.code_bank.load_state_dict(state["code_bank"])
         self.stats.cycles = state["cycles"]
         self.trace.enabled = state["trace"]["enabled"]
-        kinds = state["trace"]["kinds"]
-        self.trace.kinds = None if kinds is None else frozenset(kinds)
+        self.trace.kinds = trace_kinds
         if state["sanitize"] is not None:
             from repro.sanitize import Sanitizer
 
@@ -847,44 +829,41 @@ class LBP:
 
     def _route(self, core, addr):
         """Which bank serves *core*'s access to *addr*, and whether it is
-        remote: ``(bank, bank_ref, t_bank, owner)``, with the port slot
+        remote: ``(bank_ref, t_bank, owner)``, with the port slot
         *t_bank* booked for an own bank or the code bank, and *owner* the
         core whose shared bank a remote access goes to (else None)."""
         now = self.cycle
         params = self.params
         if memmap.is_local(addr):
             t_bank = core.mem.local_port.reserve(now + params.local_mem_latency)
-            return core.mem.local, ("local", core.index), t_bank, None
+            return ("local", core.index), t_bank, None
         if memmap.is_code(addr):
-            return (self.code_bank, ("code", 0),
-                    now + params.local_mem_latency, None)
+            return ("code", 0), now + params.local_mem_latency, None
         owner = memmap.owner_core_of(addr, params.num_cores)
         if owner is None:
             self.error("access to unmapped address 0x%x" % addr)
             owner = core.index
         if owner != core.index:
             self.stats.per_core[core.index].remote_accesses += 1
-            return self.cores[owner].mem.shared, None, None, owner
+            return ("shared", owner), None, owner
         t_bank = core.mem.shared_local_port.reserve(
             now + params.local_mem_latency)
         self.stats.per_core[core.index].local_accesses += 1
-        return core.mem.shared, ("shared", owner), t_bank, None
+        return ("shared", owner), t_bank, None
 
     def schedule_access(self, core, hart, entry, low, addr, value=None):
         """Issue a load (*value* None) or a store of *value* at *addr*."""
         store = value is not None
         width = low.width
         now = self.cycle
-        bank, bank_ref, t_bank, owner = self._route(core, addr)
+        bank_ref, t_bank, owner = self._route(core, addr)
         if not store:
             hart.rb.occupy(entry)
         hart.outstanding_mem += 1
         if self.trace.enabled:
-            self.trace.record(
-                now, core.index, hart.index,
-                "mem_store_req" if store else "mem_load_req",
-                "addr 0x%x bank %s" % (addr, bank.name),
-            )
+            self.trace.record(now, core.index, hart.index,
+                              "mem_store_req" if store else "mem_load_req",
+                              (addr, bank_code(bank_ref)))
         if (self.sanitizer is not None and addr >= memmap.GLOBAL_BASE
                 and addr not in self.mmio):
             self.sanitizer.record(

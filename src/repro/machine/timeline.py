@@ -41,7 +41,7 @@ def build_lanes(trace_events, num_harts):
     open_since[0] = 0  # the boot hart runs from cycle 0
     lanes[0].marks.append((0, "F"))
 
-    for cycle, core, hart, kind, _payload in trace_events:
+    for cycle, core, hart, kind, args in trace_events:
         gid = gid_of(core, hart)
         if kind == "start":
             open_since.setdefault(gid, cycle)
@@ -54,7 +54,7 @@ def build_lanes(trace_events, num_harts):
             lanes[gid].intervals.append((begin, cycle))
             lanes[gid].marks.append(
                 (cycle, {"exit": "X", "wait": "W", "end": "E",
-                         "join": "E"}.get(_payload, "E")))
+                         "join": "E"}.get(args, "E")))
         elif kind == "fork":
             lanes[gid].marks.append((cycle, "f"))
     last = max((e[0] for e in trace_events), default=0)

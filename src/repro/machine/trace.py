@@ -1,10 +1,10 @@
 """Cycle event trace.
 
 When enabled, the machine records one tuple per architectural event:
-``(cycle, core, hart, kind, payload)``.  The determinism experiments
-(paper claim: "at cycle 467171, core 55, hart 2 sends a memory request to
-load address 106688 from memory bank 13") simply compare whole traces of
-repeated runs for equality.
+``(cycle, core, hart, kind, args)``, *args* its data, which :data:`KINDS`
+words.  The determinism experiments (paper claim: "at cycle 467171, core
+55, hart 2 sends a memory request to load address 106688 from memory
+bank 13") simply compare whole traces of repeated runs for equality.
 
 Events are buffered per *recording domain* (the core whose event loop
 produced the line — usually, but not always, the ``core`` field of the
@@ -19,6 +19,54 @@ single-process run.
 
 import heapq
 
+#: the trace kinds, each with the format its args are worded by (the only one)
+KINDS = {
+    "mem_load_req": "addr 0x%x bank %s",     # (addr, bank)
+    "mem_store_req": "addr 0x%x bank %s",    # (addr, bank)
+    "mem_load": "addr 0x%x -> 0x%x",         # (addr, value)
+    "mem_store": "addr 0x%x <- 0x%x",        # (addr, value)
+    "cv_write": "hart %d off %d <- 0x%x",    # (target hart, offset, value)
+    "re_send": "hart %d buf %d <- 0x%x",     # (target hart, slot, value)
+    "fork": "allocate hart %d",              # (allocated hart,)
+    "start": "pc 0x%x",                      # (pc,)
+    "ending_signal": "to hart %d",           # (successor hart,)
+    "join": "resume 0x%x",                   # (resume address,)
+    "p_ret": "%s",                           # "exit", "wait", "end", "join"
+}
+
+
+def bank_code(bank_ref):
+    """A ``("local" | "shared" | "code", core)`` bank reference as an int:
+    the core's index doubled, plus 1 for its shared bank, or -1 for code."""
+    kind, index = bank_ref
+    return -1 if kind == "code" else 2 * index + (kind == "shared")
+
+
+def render(kind, args):
+    """The words a trace line gives an event of *kind* with *args*."""
+    if kind.endswith("_req"):
+        bank = args[1]
+        args = (args[0], "code" if bank < 0 else "%s%d" % (
+            ("local", "shared")[bank & 1], bank >> 1))
+    return KINDS[kind] % args
+
+
+def line(event):
+    """One event in the paper's phrasing."""
+    cycle, core, hart, kind, args = event
+    return "at cycle %d, core %d, hart %d: %s %s" % (
+        cycle, core, hart, kind, render(kind, args))
+
+
+def check_kinds(kinds):
+    """*kinds* as a frozenset, or None; a kind not in :data:`KINDS` is a
+    ValueError that names it and them."""
+    unknown = sorted(set(kinds or ()).difference(KINDS))
+    if unknown:
+        raise ValueError("unknown trace kind(s) %s; the kinds are %s"
+                         % (", ".join(unknown), ", ".join(KINDS)))
+    return None if kinds is None else frozenset(kinds)
+
 
 class Trace:
     """An in-memory event trace with optional kind filtering."""
@@ -26,7 +74,7 @@ class Trace:
     def __init__(self, enabled=False, kinds=None):
         self.enabled = enabled
         #: restrict recording to these kinds (None = all)
-        self.kinds = frozenset(kinds) if kinds is not None else None
+        self.kinds = check_kinds(kinds)
         self._buffers = {}
         self._merged = None
 
@@ -44,12 +92,16 @@ class Trace:
 
     def load_domain_state_dict(self, domain, events):
         if events:
-            self._buffers[domain] = [tuple(event) for event in events]
+            # a JSON round trip leaves args a list; p_ret's stays a str
+            self._buffers[domain] = [
+                (cycle, core, hart, kind,
+                 args if isinstance(args, str) else tuple(args))
+                for cycle, core, hart, kind, args in events]
         else:
             self._buffers.pop(domain, None)
         self._merged = None
 
-    def record(self, cycle, core, hart, kind, payload, domain=None):
+    def record(self, cycle, core, hart, kind, args, domain=None):
         if not self.enabled:
             return
         if self.kinds is not None and kind not in self.kinds:
@@ -58,7 +110,7 @@ class Trace:
         buffer = self._buffers.get(key)
         if buffer is None:
             buffer = self._buffers[key] = []
-        buffer.append((cycle, core, hart, kind, payload))
+        buffer.append((cycle, core, hart, kind, args))
         self._merged = None
 
     def __len__(self):
@@ -73,9 +125,4 @@ class Trace:
 
     def formatted(self, limit=None):
         """Human-readable lines in the paper's phrasing."""
-        lines = []
-        for cycle, core, hart, kind, payload in self.events[:limit]:
-            lines.append(
-                "at cycle %d, core %d, hart %d: %s %s" % (cycle, core, hart, kind, payload)
-            )
-        return lines
+        return [line(event) for event in self.events[:limit]]

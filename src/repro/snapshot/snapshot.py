@@ -38,12 +38,14 @@ import zlib
 
 from repro.machine.params import Params
 from repro.machine.processor import LBP
+from repro.machine.trace import render
 from repro.snapshot.progio import program_from_state, program_state
 
 #: binary container version; bump on layout changes (2: the params part
 #: of the payload holds only the two ``Params`` knobs; 3: the machine
-#: state is the run-wide fields plus per-core slices)
-SNAPSHOT_FORMAT_VERSION = 3
+#: state is the run-wide fields plus per-core slices; 4: a trace event
+#: holds its args, not its words)
+SNAPSHOT_FORMAT_VERSION = 4
 
 #: semantic version of the simulated machine model.  Bump whenever a model
 #: change invalidates recorded state — i.e. whenever the golden trace
@@ -64,10 +66,11 @@ class SnapshotUnsupportedError(SnapshotError):
 
 
 def trace_digest(events):
-    """SHA-256 over the event tuples — same digest the golden traces pin."""
+    """SHA-256 over the events with their args worded, as the goldens pin."""
     digest = hashlib.sha256()
-    for event in events:
-        digest.update(repr(tuple(event)).encode())
+    for cycle, core, hart, kind, args in events:
+        digest.update(repr(
+            (cycle, core, hart, kind, render(kind, args))).encode())
     return digest.hexdigest()
 
 

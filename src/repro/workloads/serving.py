@@ -233,10 +233,10 @@ void main() {
         results_base = program.symbol("results")
         dispatch = {}
         complete = {}
-        for cycle, _core, _hart, kind, payload in machine.trace.events:
+        for cycle, _core, _hart, kind, args in machine.trace.events:
             if kind != "mem_store":
                 continue
-            addr = int(payload.split()[1], 16)
+            addr = args[0]
             if issued_base <= addr < issued_base + 4 * nr:
                 dispatch.setdefault((addr - issued_base) // 4, cycle)
             elif results_base <= addr < results_base + 4 * nr:

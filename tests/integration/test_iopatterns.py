@@ -78,10 +78,10 @@ def test_dma_consumer_reads_are_local():
     machine.run(max_cycles=20_000_000)
     # consumer loads of chunk words must hit the loading core's own bank
     local = 0
-    for cycle, core, hart, kind, payload in machine.trace.events:
+    for cycle, core, hart, kind, args in machine.trace.events:
         if kind != "mem_load":
             continue
-        addr = int(payload.split()[1], 16)
+        addr = args[0]
         offset = addr - 0x80000000
         if 0 <= offset and (offset % (1 << 20)) >> 16 == 6:  # chunk window
             bank = offset >> 20

@@ -14,7 +14,7 @@ machine, traced and sanitized.  The optimised program must
 (iii) make the same memory traffic: ``local_accesses``,
       ``remote_accesses``, ``forks``, ``joins``, ``re_messages`` and, per
       core, the same multiset of ``mem_load``/``mem_store``/``cv_write``
-      payloads (per core and not per hart: which free hart of a core
+      args (per core and not per hart: which free hart of a core
       ``p_fc`` hands a team member follows timing, a faster member's hart
       is free again sooner);
 (iv)  give the sanitizer the same verdict.
@@ -206,15 +206,13 @@ class Outcome:
                     (owner, addr - base, machine.read_word(addr)))
         #: (core, kind, where, value) -> occurrences
         self.traffic = collections.Counter()
-        for _cycle, core, _hart, kind, payload in machine.trace.events:
+        for _cycle, core, _hart, kind, args in machine.trace.events:
             if kind in ("mem_load", "mem_store", "cv_write"):
-                words = payload.split()
-                value = int(words[-1], 16)
-                if kind == "cv_write":      # "hart G off O <- 0xV"
-                    where = (int(words[1]) // memmap.HARTS_PER_CORE,
-                             int(words[3]))
-                else:                       # "addr 0xA -> 0xV"
-                    where = int(words[1], 16)
+                value = args[-1]
+                if kind == "cv_write":      # (hart G, offset O, value V)
+                    where = (args[0] // memmap.HARTS_PER_CORE, args[1])
+                else:                       # (address A, value V)
+                    where = args[0]
                     if memmap.is_local(where):
                         # a stack word: offset in the stack, no value
                         where, value = where % memmap.STACK_SIZE, 0

@@ -215,7 +215,7 @@ def test_trace_matches_golden_reference(name, golden):
 # ---- an untraced run formats nothing -----------------------------------------
 
 #: the functions that call ``trace.record``: eleven in processor.py, two
-#: in core.py; all but ``_commit_p_ret`` build their payload with ``%``
+#: in core.py; all but ``_commit_p_ret`` build an args tuple
 TRACE_SITES = {
     "_ev_load_read", "_ev_store_write", "_ev_cv_write", "_ev_rrep_load",
     "_ev_rack_store", "_ev_rack_cv", "_ev_re_ack", "_ev_start_pc",
@@ -237,9 +237,9 @@ class SiteTrace(Trace):
 
 
 def test_untraced_run_enters_no_trace_site():
-    """Each site tests ``trace.enabled`` *before* it builds its payload:
+    """Each site tests ``trace.enabled`` *before* it builds its args:
     with the trace off, ``record`` is never entered — so nothing was
-    formatted for it — and with it on, the same programs reach all 13."""
+    built for it — and with it on, the same programs reach all 13."""
     programs = [(golden_program("matmul_base_h16_c4"), 4),
                 (assemble(RE_CONTENTION), 1)]
     outcomes = {}

@@ -314,6 +314,70 @@ def test_cli_trace_kinds_subset_of_full_trace(tmp_path, capsys):
     assert filtered == full  # same events, same order — only non-matching dropped
 
 
+def test_cli_refuses_an_unknown_trace_kind(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        cli_main(["run", _write(tmp_path, _PROG), "--cores", "1",
+                  "--trace-kinds", "mem_store,mem_stor"])
+    assert exit_.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert ("error: argument --trace-kinds: unknown trace kind(s) mem_stor; "
+            "the kinds are mem_load_req, mem_store_req," in captured.err)
+
+
+def _section(out, title):
+    """The lines of *out* from the ``--- title`` line to the next one."""
+    lines = out.splitlines()
+    start = lines.index("--- %s ---" % title) + 1
+    end = next((n for n in range(start, len(lines))
+                if lines[n].startswith("--- ")), len(lines))
+    return lines[start:end]
+
+
+def test_cli_trace_kinds_keep_the_timeline_and_perfetto_lanes(tmp_path,
+                                                              capsys):
+    """A kind filter records the lanes' kinds too, and prints only its own."""
+    runs = {}
+    for name, extra in (("all", []), ("mem_store", ["--trace-kinds",
+                                                    "mem_store"])):
+        perfetto = tmp_path / ("%s.json" % name)
+        assert cli_main(["run", _write(tmp_path, _PROG), "--cores", "2",
+                         "--timeline", "--perfetto", str(perfetto),
+                         "--trace-limit", "10000"] + extra) == 0
+        runs[name] = (capsys.readouterr().out, perfetto.read_bytes())
+    (out_all, file_all), (out_kind, file_kind) = runs["all"], runs["mem_store"]
+    timeline = _section(out_all, "hart timeline")
+    assert len(timeline) > 2  # the boot hart and its team members
+    assert _section(out_kind, "hart timeline") == timeline
+    assert file_kind == file_all
+    printed = [line for line in out_kind.splitlines() if "at cycle" in line]
+    assert printed and all(" mem_store " in line for line in printed)
+    assert "--- trace (%d events) ---" % len(printed) in out_kind
+
+
+def test_cli_resume_refuses_trace_flags_the_snapshot_cannot_honour(
+        tmp_path, capsys):
+    path = _write(tmp_path, _PROG)
+    snaps = {}
+    for name, extra in (("untraced", []), ("traced", ["--trace"])):
+        snaps[name] = str(tmp_path / ("%s.lbpsnap" % name))
+        assert cli_main(["run", path, "--cores", "1", "--stop-at-cycle", "20",
+                         "--snapshot-out", snaps[name]] + extra) == 0
+    capsys.readouterr()
+    for flag in ("--trace", "--timeline"):
+        assert cli_main(["run", "--resume", snaps["untraced"], flag]) == 2
+        assert "the snapshot was taken untraced" in capsys.readouterr().err
+    for name in snaps:
+        assert cli_main(["run", "--resume", snaps[name],
+                         "--trace-kinds", "fork"]) == 2
+        assert ("--trace-kinds cannot be given with --resume"
+                in capsys.readouterr().err)
+    assert cli_main(["run", "--resume", snaps["traced"], "--trace",
+                     "--timeline"]) == 0
+    out = capsys.readouterr().out
+    assert "--- hart timeline ---" in out and "--- trace (" in out
+
+
 def test_cli_run_requires_source_unless_resuming(capsys):
     assert cli_main(["run"]) == 2
     assert "source file is required" in capsys.readouterr().err

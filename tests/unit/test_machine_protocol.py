@@ -11,7 +11,8 @@ import pytest
 
 from repro.asm import assemble
 from repro.machine import LBP, DeadlockError, MachineError, Params
-from repro.machine.trace import Trace
+from repro.machine.trace import KINDS, Trace
+from repro.snapshot import load_snapshot, save_snapshot
 
 
 def _run(source, cores=1, max_cycles=100_000, trace=False):
@@ -548,10 +549,83 @@ def test_hart_reuse_after_team_ends():
     assert stats2.cycles == first_cycles  # full determinism, incl. reuse
 
 
-def test_trace_formatting():
+#: one row per trace kind (and one per bank class): the args a site
+#: records, and the line a trace prints for them
+TRACE_LINES = [
+    ("mem_load_req", (0x1A0C0, 27),
+     "at cycle 467171, core 55, hart 2: mem_load_req "
+     "addr 0x1a0c0 bank shared13"),
+    ("mem_load_req", (0x40003FB4, 6),
+     "at cycle 467171, core 55, hart 2: mem_load_req "
+     "addr 0x40003fb4 bank local3"),
+    ("mem_load_req", (0x100, -1),
+     "at cycle 467171, core 55, hart 2: mem_load_req addr 0x100 bank code"),
+    ("mem_store_req", (0x80000234, 0),
+     "at cycle 467171, core 55, hart 2: mem_store_req "
+     "addr 0x80000234 bank local0"),
+    ("mem_load", (0x40003FB4, 0),
+     "at cycle 467171, core 55, hart 2: mem_load addr 0x40003fb4 -> 0x0"),
+    ("mem_store", (0x80000234, 0xFFFFFFFF),
+     "at cycle 467171, core 55, hart 2: mem_store "
+     "addr 0x80000234 <- 0xffffffff"),
+    ("cv_write", (5, 8, 0x2A),
+     "at cycle 467171, core 55, hart 2: cv_write hart 5 off 8 <- 0x2a"),
+    ("re_send", (4, 1, 7),
+     "at cycle 467171, core 55, hart 2: re_send hart 4 buf 1 <- 0x7"),
+    ("fork", (1,),
+     "at cycle 467171, core 55, hart 2: fork allocate hart 1"),
+    ("start", (0x10C,),
+     "at cycle 467171, core 55, hart 2: start pc 0x10c"),
+    ("ending_signal", (6,),
+     "at cycle 467171, core 55, hart 2: ending_signal to hart 6"),
+    ("join", (0x2A0,),
+     "at cycle 467171, core 55, hart 2: join resume 0x2a0"),
+    ("p_ret", "exit",
+     "at cycle 467171, core 55, hart 2: p_ret exit"),
+]
+
+
+@pytest.mark.parametrize("kind, args, line", TRACE_LINES,
+                         ids=["%s-%d" % (row[0], n)
+                              for n, row in enumerate(TRACE_LINES)])
+def test_trace_formatting(kind, args, line):
     trace = Trace(enabled=True)
-    trace.record(467171, 55, 2, "mem_load_req", "addr 0x1a0c0 bank shared13")
-    lines = trace.formatted()
-    assert lines == ["at cycle 467171, core 55, hart 2: mem_load_req "
-                     "addr 0x1a0c0 bank shared13"]
-    assert len(trace.of_kind("mem_load_req")) == 1
+    trace.record(467171, 55, 2, kind, args)
+    assert trace.formatted() == [line]
+    assert trace.of_kind(kind) == [(467171, 55, 2, kind, args)]
+
+
+def test_every_trace_kind_has_a_formatting_row():
+    assert sorted({row[0] for row in TRACE_LINES}) == sorted(KINDS)
+
+
+def test_an_unknown_trace_kind_is_refused():
+    with pytest.raises(ValueError, match="unknown trace kind.*mem_stor; "
+                       "the kinds are mem_load_req, .*, p_ret"):
+        Trace(enabled=True, kinds=["mem_store", "mem_stor"])
+
+
+def test_a_traced_run_resumes_with_the_same_events(tmp_path):
+    """Pause, save, load, resume: the trace equals the uninterrupted
+    run's, type for type (every args a tuple of ints, p_ret's a str)."""
+    program = assemble(FORK_PROTOCOL % {"fork": "p_fc"})
+    whole = LBP(Params(num_cores=1), trace=True).load(program)
+    whole.run(max_cycles=100_000)
+    first_p_ret = whole.trace.of_kind("p_ret")[0][0]
+    paused = LBP(Params(num_cores=1), trace=True).load(program)
+    paused.run(max_cycles=100_000, stop_at_cycle=first_p_ret + 1)
+    assert {"mem_store", "p_ret", "fork"} <= {
+        event[3] for event in paused.trace.events}
+    path = str(tmp_path / "paused.lbpsnap")
+    save_snapshot(paused, path)
+    resumed = load_snapshot(path)
+    resumed.run(max_cycles=100_000)
+
+    def typed(events):
+        return [(event, [type(field) for field in event[:4]],
+                 type(event[4]), [type(arg) for arg in event[4]])
+                for event in events]
+
+    assert len(resumed.trace.events) > len(paused.trace.events)
+    assert typed(resumed.trace.events) == typed(whole.trace.events)
+    assert {type(event[4]) for event in whole.trace.events} == {tuple, str}

@@ -349,6 +349,24 @@ def test_format_version_2_rejected():
         restore(_forged(as_v2, version=2))
 
 
+def test_format_version_3_rejected():
+    """Version 3 held a trace event's words, not its args; its files are
+    refused by type."""
+    def as_v3(payload):
+        payload["snapshot_version"] = 3
+
+    with pytest.raises(SnapshotError, match="version 3 not supported"):
+        restore(_forged(as_v3, version=3))
+
+
+def test_a_snapshot_with_an_unknown_trace_kind_is_refused():
+    forged = _forged(lambda payload: payload["machine"]["trace"].update(
+        enabled=True, kinds=["mem_store", "mem_stor"]))
+    with pytest.raises(ValueError, match="snapshot trace state: unknown "
+                       "trace kind.*mem_stor; the kinds are mem_load_req"):
+        restore(forged)
+
+
 def test_removed_knob_in_params_is_a_snapshot_error():
     forged = _forged(lambda payload: payload["params"].update(rob_size=8))
     with pytest.raises(SnapshotError, match="unknown Params knob.*rob_size"):
