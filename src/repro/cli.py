@@ -32,7 +32,9 @@ import math
 import os
 import sys
 
+from repro.asm.errors import AsmError
 from repro.compiler import build_program, compile_c
+from repro.compiler.errors import CompileError
 from repro.isa.semantics import to_signed
 from repro.machine import LBP, MAX_CYCLES, Params
 from repro.machine.timeline import LANE_KINDS
@@ -129,13 +131,36 @@ def _symbol_words(program, text, option):
     return items
 
 
+def _refuse(exc):
+    """Input the CLI cannot use: one ``error:`` line and exit status 2, as
+    argparse refuses a bad option."""
+    print("error: %s" % exc, file=sys.stderr)
+    raise SystemExit(2)
+
+
 def _read_source(path):
-    with open(path) as handle:
-        return handle.read()
+    try:
+        with open(path) as handle:
+            return handle.read()
+    except OSError as exc:
+        _refuse(exc)
 
 
 def _build_program(path):
-    return build_program(_read_source(path), path)
+    source = _read_source(path)
+    try:
+        return build_program(source, path)
+    except (AsmError, CompileError) as exc:
+        _refuse(exc)  # its message starts with file:line
+
+
+def _load_snapshot(path):
+    from repro.snapshot import SnapshotError, load_snapshot
+
+    try:
+        return load_snapshot(path)
+    except (OSError, SnapshotError, ValueError) as exc:
+        _refuse(exc)  # (a ValueError: a value the machine's checks refuse)
 
 
 def cmd_compile(args):
@@ -159,13 +184,11 @@ def cmd_run(args):
         root = spans.start("cli", tags={"source": args.source or args.resume})
     shown = args.trace_kinds or None  # what --trace prints (None: all)
     if args.resume:
-        from repro.snapshot import load_snapshot
-
         if args.trace_kinds:
             print("error: --trace-kinds cannot be given with --resume; the "
                   "kind filter travels with the snapshot", file=sys.stderr)
             return 2
-        machine = load_snapshot(args.resume)
+        machine = _load_snapshot(args.resume)
         program = machine.program
         if want_metrics and machine.metrics is None:
             # the charge history starts at cycle 0 — an unmetered

@@ -42,8 +42,7 @@
  *     attached: the stall classifier charges every busy cycle.
  *   - Metrics charges: a metered tick classifies its stall and charges
  *     its idle cycle here, on the CoreTelemetry slots ``Metrics.stall`` /
- *     ``idle`` write, while the machine's Metrics is exact and its hooks
- *     are the bind-time ones (see "the metrics charges" below).
+ *     ``idle`` write (see "the metrics charges" below).
  *   - No object traffic the state does not need.  Slots keep holding the
  *     Python values they always held; what went is the allocation and the
  *     call per instruction around them:
@@ -83,21 +82,19 @@
  *       its issue to its reply.
  *
  * What needs the machine is issued by the cycle window (_window.h) when
- * nothing observes it -- no trace, no sanitizer -- and the method the
- * reference tick calls at that site is still the one bind() found
- * (``window_native``): a load or store to the core's own banks or to
- * another core's shared bank and ``p_lwcv`` (``mem_access``), every X_PAR
- * message (``team_execute``), issue's free-hart probe, decode's fork
- * request (``send_fork_req``) and the p_ret commit (``commit_p_ret``).
- * Everything else is a call back into the one Python implementation, at
- * the call site the reference tick makes it: ``Core._execute`` (code-bank
- * and device accesses, every observed step, a step whose Python spelling
- * words a machine error), ``Core._commit_p_ret``,
- * ``Core.alloc_free_hart``, ``machine.send_fork_req`` /
- * ``fetch_instruction`` / ``error`` and -- once a run -- ``halt``,
- * ``metrics.roll`` and a window edge's ``_emit``; ``metrics.idle`` /
- * ``stall`` only for a Metrics the charges here do not stand for (a
- * subclass, a replaced hook).
+ * nothing observes it -- no trace, no sanitizer (``window_native``): a
+ * load or store to the core's own banks or to another core's shared bank
+ * and ``p_lwcv`` (``mem_access``), every X_PAR message (``team_execute``),
+ * issue's free-hart probe, decode's fork request (``send_fork_req``) and
+ * the p_ret commit (``commit_p_ret``).  Whether a site is spelled here is
+ * decided from the machine's state alone, never from which function a
+ * name holds.  Everything else is a call back into the one Python
+ * implementation, by name, at the call site the reference tick makes it:
+ * ``Core._execute`` (code-bank and device accesses, every observed step,
+ * a step whose Python spelling words a machine error),
+ * ``Core._commit_p_ret``, ``Core.alloc_free_hart``,
+ * ``machine.send_fork_req`` / ``fetch_instruction`` / ``error`` and --
+ * once a run -- ``halt``, ``metrics.roll`` and a window edge's ``_emit``.
  * Rules for the calls:
  *   - every one goes through ``callback``, which first flushes the views
  *     and lets the window publish ``machine.cycle`` and ``machine._origin``;
@@ -190,9 +187,6 @@ SLOT_TABLE(TS, TELEMETRY_SLOTS)
 static PyTypeObject *core_type, *hart_type, *rb_type, *entry_type, *low_type,
     *stats_type, *mem_type, *bank_type, *port_type, *counters_type,
     *links_type, *metrics_type, *telemetry_type;
-/* memory.Port.__init__ at bind time (a window makes a Port itself while it
- * is still the one) */
-static PyObject *port_init;
 /* hart.py's NEVER, as the object to store and the value to compare */
 static PyObject *never_obj;
 static int64_t never_val;
@@ -214,13 +208,12 @@ static PyObject *zero_obj;
 /* interned names and constants; PyInit__tick fills them from STRINGS */
 #define STRINGS(X) \
     X(metrics, "metrics") X(cycle, "cycle") X(lowered, "lowered") \
-    X(edges, "edges") X(idle, "idle") X(roll, "roll") X(stall, "stall") \
-    X(halt, "halt") X(error, "error") X(ebreak, "ebreak") \
+    X(roll, "roll") X(halt, "halt") X(error, "error") X(ebreak, "ebreak") \
     X(ecall, "ecall is not supported on bare-metal LBP") \
     X(commit_p_ret, "_commit_p_ret") X(execute, "_execute") \
     X(alloc_free_hart, "alloc_free_hart") X(send_fork_req, "send_fork_req") \
     X(fetch_instruction, "fetch_instruction") X(tick, "tick") \
-    X(settle_idle, "settle_idle") X(_events, "_events") X(cores, "cores") \
+    X(_events, "_events") X(cores, "cores") \
     X(_origin, "_origin") X(_halt_at, "_halt_at") X(_error, "_error") \
     X(_num_active, "_num_active") X(_active_cores, "_active_cores") \
     X(_owned, "_owned") X(_outbox, "_outbox") X(trace, "trace") \
@@ -232,17 +225,14 @@ static PyObject *zero_obj;
     X(bank_read, "bank_read") X(rrep_load, "rrep_load") \
     X(rreq_store, "rreq_store") X(bank_write, "bank_write") \
     X(rack_store, "rack_store") X(bank_access_latency, "bank_access_latency") \
-    X(num_cores, "num_cores") X(remote_issue, "remote_issue") \
-    X(remote_done, "remote_done") X(link_wait, "link_wait") \
-    X(_classify, "_classify") X(_mem_reason, "_mem_reason") \
-    X(_remote_rtt, "_remote_rtt") X(_emit, "_emit") \
+    X(num_cores, "num_cores") X(_emit, "_emit") \
     X(link_hop_latency, "link_hop_latency") X(cv_write, "cv_write") \
     X(rreq_cv, "rreq_cv") X(cv_apply, "cv_apply") X(rack_cv, "rack_cv") \
     X(re_deliver, "re_deliver") X(re_ack, "re_ack") X(fork_req, "fork_req") \
     X(fork_grant, "fork_grant") X(start_pc, "start_pc") \
     X(ending_signal, "ending_signal") X(join, "join") X(exit, "exit") \
     X(wait, "wait") X(end, "end") X(cv_write_latency, "cv_write_latency") \
-    X(num_result_buffers, "num_result_buffers") X(__init__, "__init__") \
+    X(num_result_buffers, "num_result_buffers") \
     X(lb, "lb") X(lh, "lh") X(lw, "lw") X(lbu, "lbu") X(lhu, "lhu") \
     X(p_lwcv, "p_lwcv")
 #define STRING_VAR(name, text) static PyObject *s_##name;
@@ -806,20 +796,8 @@ typedef struct {
 /* what mem_access (_window.h) issues */
 enum access { ACC_LOAD, ACC_STORE, ACC_LWCV };
 
-/* the Python methods the tick calls back at its sites (Core._execute,
- * Core._commit_p_ret, Core.alloc_free_hart, LBP.send_fork_req); a window
- * spells a site itself only while its method is the one bind() found */
-#define METHODS(X) \
-    X(execute) X(commit_p_ret) X(alloc_free_hart) X(send_fork_req)
-#define METHOD_INDEX(name) M_##name,
-enum method { METHODS(METHOD_INDEX) METHOD_COUNT };
-#define METHOD_NAME(name) &s_##name,
-static PyObject **const method_name[METHOD_COUNT] = {METHODS(METHOD_NAME)};
-static PyObject *bound_method[METHOD_COUNT];
-
 static int leave_c(Window *w);
-static int window_charges(Window *w);
-static int window_native(Tick *t, enum method site);
+static int window_native(Tick *t);
 static int mem_access(Tick *t, HartView *hv, Instr *rec, enum access kind);
 static int team_execute(Tick *t, HartView *hv, Instr *rec, int64_t cls);
 static int free_hart(Window *w, CoreView *v);
@@ -1404,7 +1382,7 @@ execute(Tick *t, HartView *hv, Instr *rec)
         return -1;
     if ((done = execute_local(t, hv, rec, cls)) <= 0)
         return done;
-    if ((native = window_native(t, M_execute)) < 0)
+    if ((native = window_native(t)) < 0)
         return -1;
     if (native) {
         if (!mem)
@@ -1480,7 +1458,7 @@ stage_issue(Tick *t)
                     ready = item != Py_None;
                     break;
                 case 3:  /* ISS_FC: a free hart on this core */
-                    if ((ready = window_native(t, M_alloc_free_hart)) < 0)
+                    if ((ready = window_native(t)) < 0)
                         goto fail;
                     if (ready) {
                         if ((number = free_hart(t->w, v)) < 0)
@@ -1749,13 +1727,12 @@ stage_fetch(Tick *t)
 
 /* ---- the metrics charges ------------------------------------------------------
  * A metered machine's charges (observe/metrics.py) are made here, on the
- * CoreTelemetry slots the Python hooks write, while ``machine.metrics`` is
- * an exact Metrics whose class still has every hook it had at bind time
- * (``native_charges``): the stall classifier and the gated-idle charges
- * here, the remote etas, ``link_wait`` and the idle settlement in
- * _window.h.  Python is called only where a window edge falls inside a
- * charge (``roll`` / ``_emit``).  Otherwise -- a subclass, a replaced hook
- * -- each charge is a call to its hook, where the reference tick makes it. */
+ * CoreTelemetry slots the Python hooks write: the stall classifier and the
+ * gated-idle charges here, the remote etas, ``link_wait`` and the idle
+ * settlement in _window.h.  Python is called only where a window edge
+ * falls inside a charge (``roll`` / ``_emit``).  ``machine.metrics`` is
+ * None or an exact Metrics (``machine_metrics``; LBP refuses a subclass,
+ * whose hooks the charges here would not stand for). */
 
 /* observe/metrics.py's STALL_REASONS, in its order (bind checks the names) */
 #define REASONS(X) \
@@ -1767,45 +1744,26 @@ enum { REASONS(REASON_INDEX) REASON_COUNT };
 #define REASON_NAME(name) #name,
 static const char *const reason_names[REASON_COUNT] = {REASONS(REASON_NAME)};
 
-/* the Metrics methods the charges here stand for, and the functions they
- * were at bind time */
-#define HOOKS(X) \
-    X(stall) X(_classify) X(_mem_reason) X(idle) X(remote_issue) \
-    X(_remote_rtt) X(remote_done) X(link_wait)
-#define HOOK_INDEX(name) HOOK_##name,
-enum { HOOKS(HOOK_INDEX) HOOK_COUNT };
-#define HOOK_NAME(name) &s_##name,
-static PyObject **const hook_name[HOOK_COUNT] = {HOOKS(HOOK_NAME)};
-static PyObject *hook_fn[HOOK_COUNT];
-
-/* 1: *metrics* is an exact Metrics (``__slots__``: no instance attribute
- * shadows a hook) and its class still has every bind-time hook; 0: the
- * charges are calls to the hooks */
+/* 0 when *metrics* is None or an exact Metrics (``__slots__``: no instance
+ * attribute shadows a hook), else a TypeError and -1 */
 static int
-hooks_native(PyObject *metrics)
+check_metrics(PyObject *metrics)
 {
-    int k, same;
-    PyObject *found;
-    if (Py_TYPE(metrics) != metrics_type)
+    if (metrics == Py_None || Py_TYPE(metrics) == metrics_type)
         return 0;
-    for (k = 0; k < HOOK_COUNT; k++) {
-        if ((found = PyObject_GetAttr((PyObject *)metrics_type,
-                                      *hook_name[k])) == NULL)
-            return -1;
-        same = found == hook_fn[k];
-        Py_DECREF(found);
-        if (!same)
-            return 0;
-    }
-    return 1;
+    PyErr_Format(PyExc_TypeError, "compiled tick: machine.metrics is a %s, "
+                 "not a Metrics", Py_TYPE(metrics)->tp_name);
+    return -1;
 }
 
-/* hooks_native for the machine being ticked, as checked after the
- * window's last call into Python */
-static inline int
-native_charges(Tick *t)
+/* ``machine.metrics``, checked: a new reference, or NULL */
+static PyObject *
+machine_metrics(PyObject *machine)
 {
-    return window_charges(t->w);
+    PyObject *metrics = PyObject_GetAttr(machine, s_metrics);
+    if (metrics != NULL && check_metrics(metrics) < 0)
+        Py_CLEAR(metrics);
+    return metrics;
 }
 
 /* ``metrics._slots[index]``: a core's CoreTelemetry, borrowed */
@@ -2001,14 +1959,8 @@ fail:
 static NOINLINE int
 charge_stall(Tick *t)
 {
-    int native, reason;
-    PyObject *slot, *stalls, *now;
-    if ((native = native_charges(t)) <= 0) {
-        if (native < 0 || (now = cycle_box(t->w)) == NULL)
-            return -1;
-        return called(callback(t->w, t->metrics, s_stall, t->core, now,
-                               NULL));
-    }
+    int reason;
+    PyObject *slot, *stalls;
     if (tick_view(t) == NULL
             || (slot = telemetry(t->metrics, t->v->index)) == NULL
             || (reason = classify(t, slot)) < 0)
@@ -2025,7 +1977,7 @@ fail:
 static NOINLINE int
 metered_prologue(Tick *t, PyObject *metrics)
 {
-    int h, work = 0, native, status = -1;
+    int h, work = 0, status = -1;
     int64_t edge;
     CoreView *v = t->v;
     PyObject *index, *edges, *item, *now;
@@ -2034,36 +1986,14 @@ metered_prologue(Tick *t, PyObject *metrics)
             return -1;
     /* held across the calls below */
     index = new_ref(v->index_obj);
-    if ((native = native_charges(t)) < 0)
-        goto release;
     if (!work) {
-        PyObject *one;
-        if (native) {
-            status = charge_idle(t->w, metrics, index, t->cycle, 1) < 0
-                ? -1 : 0;
-            goto release;
-        }
-        if ((now = cycle_box(t->w)) == NULL
-                || (one = PyLong_FromLong(1)) == NULL)
-            goto release;
-        work = called(callback(t->w, metrics, s_idle, index, now, one));
-        Py_DECREF(one);
-        status = work < 0 ? -1 : 0;
+        status = charge_idle(t->w, metrics, index, t->cycle, 1) < 0 ? -1 : 0;
         goto release;
     }
-    if (native) {
-        /* ``metrics.edges[index]``, read by offset */
-        GETLIST(edges, metrics, MX.edges);
-        if ((item = PyObject_GetItem(edges, index)) == NULL)
-            goto release;
-    } else {
-        if ((edges = PyObject_GetAttr(metrics, s_edges)) == NULL)
-            goto release;
-        item = PyObject_GetItem(edges, index);
-        Py_DECREF(edges);
-        if (item == NULL)
-            goto release;
-    }
+    /* ``metrics.edges[index]``, read by offset */
+    GETLIST(edges, metrics, MX.edges);
+    if ((item = PyObject_GetItem(edges, index)) == NULL)
+        goto release;
     edge = as_int(item);
     Py_DECREF(item);
     if (edge == -1 && PyErr_Occurred())
@@ -2152,10 +2082,9 @@ fail:
     return -1;
 }
 
-/* bind()'s Core.tick and Core.settle_idle: the window calls tick_core /
- * settle directly only while ``type(core).tick`` / ``.settle_idle`` is
- * this very object */
-static PyObject *tick_descr, *settle_descr;
+/* bind()'s Core.tick: the window calls tick_core directly only while
+ * ``type(core).tick`` is this very object */
+static PyObject *tick_descr;
 
 #include "_window.h"
 
@@ -2260,12 +2189,11 @@ tick_bind(PyObject *Py_UNUSED(module), PyObject *args)
 {
     PyTypeObject *core, *hart, *rb, *entry, *low, *stats, *mem, *bank, *port,
         *counters, *links, *machine;
-    PyObject *tags, *shifts, *never, *handlers, *classes, *simulate, *bound;
-    PyObject *init;
-    PyObject *method[METHOD_COUNT];
+    PyObject *tags, *shifts, *never, *handlers, *classes, *settle, *simulate;
+    PyObject *bound = NULL;
     long long never_value, base, size, ack_latency;
     long long cv[4];
-    int h, k;
+    int h;
     if (!PyArg_ParseTuple(args,
                           "O!O!O!O!O!O!O!O!O!O!O!O!O!O!O!O!O!LLL(LLLL):bind",
                           &PyType_Type, &core, &PyType_Type, &hart,
@@ -2317,24 +2245,9 @@ tick_bind(PyObject *Py_UNUSED(module), PyObject *args)
                         "Port has slots the compiled window does not fill");
         return NULL;
     }
-    if ((init = PyObject_GetAttr((PyObject *)port, s___init__)) == NULL)
-        return NULL;
-    Py_XSETREF(port_init, init);
-    /* every event kind has a native spelling, used only while the table
-     * still names the functions it names now; so has every call-back
-     * site, while its method is the one found now */
+    /* every event kind has a native spelling */
     if (keep_handlers(handlers) < 0)
         return NULL;
-    for (k = 0; k < METHOD_COUNT; k++)
-        if ((method[k] = PyObject_GetAttr(
-                 (PyObject *)(k == M_send_fork_req ? machine : core),
-                 *method_name[k])) == NULL) {
-            while (k--)
-                Py_DECREF(method[k]);
-            return NULL;
-        }
-    for (k = 0; k < METHOD_COUNT; k++)
-        Py_XSETREF(bound_method[k], method[k]);
     KEEP(core_type, core);
     KEEP(hart_type, hart);
     KEEP(rb_type, rb);
@@ -2354,25 +2267,24 @@ tick_bind(PyObject *Py_UNUSED(module), PyObject *args)
     for (h = 0; h < 4; h++)
         cv_base[h] = cv[h];
     Py_XSETREF(tick_descr, PyDescr_NewMethod(core, &tick_def));
-    Py_XSETREF(settle_descr, PyDescr_NewMethod(core, &settle_def));
-    if (tick_descr == NULL || settle_descr == NULL
-            || (simulate = PyDescr_NewMethod(machine, &simulate_def)) == NULL)
-        return NULL;
-    bound = PyTuple_Pack(3, tick_descr, settle_descr, simulate);
-    Py_DECREF(simulate);
+    settle = PyDescr_NewMethod(core, &settle_def);
+    simulate = PyDescr_NewMethod(machine, &simulate_def);
+    if (tick_descr != NULL && settle != NULL && simulate != NULL)
+        bound = PyTuple_Pack(3, tick_descr, settle, simulate);
+    Py_XDECREF(settle);
+    Py_XDECREF(simulate);
     return bound;
 }
 
 /* The metrics classes, bound apart: observe/metrics.py binds them when it
  * is first imported, so that an unmetered process never imports it.  Until
- * then (and on a failed bind) no object is an exact Metrics here, and every
- * charge is a call to its hook. */
+ * then (and on a failed bind) no object is a Metrics here, and a metered
+ * machine is a TypeError (machine_metrics). */
 static PyObject *
 tick_bind_metrics(PyObject *Py_UNUSED(module), PyObject *args)
 {
     PyTypeObject *metrics, *telemetry;
-    PyObject *reasons, *hook[HOOK_COUNT];
-    int k;
+    PyObject *reasons;
     if (!PyArg_ParseTuple(args, "O!O!O!:bind_metrics",
                           &PyType_Type, &metrics, &PyType_Type, &telemetry,
                           &PyTuple_Type, &reasons))
@@ -2382,16 +2294,6 @@ tick_bind_metrics(PyObject *Py_UNUSED(module), PyObject *args)
             || resolve_slots(metrics, MX_names, &MX) < 0
             || resolve_slots(telemetry, TS_names, &TS) < 0)
         return NULL;
-    /* the charges are made here while Metrics has these very functions */
-    for (k = 0; k < HOOK_COUNT; k++)
-        if ((hook[k] = PyObject_GetAttr((PyObject *)metrics,
-                                        *hook_name[k])) == NULL) {
-            while (k--)
-                Py_DECREF(hook[k]);
-            return NULL;
-        }
-    for (k = 0; k < HOOK_COUNT; k++)
-        Py_XSETREF(hook_fn[k], hook[k]);
     KEEP(telemetry_type, telemetry);
     KEEP(metrics_type, metrics);
     Py_RETURN_NONE;

@@ -40,8 +40,7 @@
  * flushed with the views ("the memory view").
  *
  * The contract with the Python it calls (handlers, ticks that are not
- * ours, a replaced ``settle_idle``, everything behind the tick's
- * ``callback``):
+ * ours, everything behind the tick's ``callback``):
  *   - the views are flushed first, and load again after: the view
  *     reloads after a call;
  *   - ``machine.cycle`` and ``machine._origin`` are written lazily: before
@@ -52,11 +51,13 @@
  *     cached and re-read after every call into Python (``refresh``; only
  *     Python writes the first two, ``Core.activate`` the others); the
  *     window's own writes (gate-off, the rebuilt active list) go to the
- *     attribute at once.  ``EVENT_HANDLERS[kind]`` of a native kind is
- *     compared with its bind-time function on that kind's first event after
- *     a call into Python, not per event; so are ``type(core).settle_idle``
- *     and, on a metered machine, whether the metrics hooks are Metrics'
- *     own (``window_charges``);
+ *     attribute at once;
+ *   - which function a name holds is looked at only for
+ *     ``type(core).tick`` (``tick_of``): a native kind's event, a call-back
+ *     site and a metrics charge are spelled here by the rules below,
+ *     whatever ``EVENT_HANDLERS``, ``Core``, ``LBP`` or ``Metrics`` hold,
+ *     and where the window calls Python it calls the handler or method by
+ *     name;
  *   - ``_events``, ``cores``, ``metrics``, ``lowered`` are read once per
  *     call, as the Python loop reads them; ``trace.enabled``,
  *     ``sanitizer``, ``mmio``, ``params.local_mem_latency`` /
@@ -74,21 +75,17 @@
  * ``bank_write`` + ``rack_store`` across the router tree.  Only when
  * nothing observes the access: trace off, no sanitizer, the address no
  * device's (on the issuing side for a request, on the owner's side for the
- * bank operation), the bytes inside the bank, and -- for an event --
- * ``EVENT_HANDLERS[kind]`` still the function it was at bind time.  A
- * metered run takes this path too, and makes the charges the Python
- * spelling's hooks make at the same points itself: the eta push of
- * ``remote_issue`` (the round trip from the two paths' lengths), the
- * scheduler's ``link_wait``, the FIFO pop of ``remote_done``; so does the
- * settlement of a gated core before an event runs in its domain
- * (``settle``: ``skipped_cycles``, the gated-idle charge, ``idle_since``).
- * Python is called only at a window edge inside an idle span (``_emit``);
- * for a Metrics subclass or a replaced hook each charge is a call to the
- * hook, as before.  Every other
- * case (code bank, device, traced, sanitized, out of range, unmapped, a
- * malformed event) is *not* spelled here: the window calls the Python
- * ``_execute`` or handler for that one access or event, before it has
- * changed anything.
+ * bank operation) and the bytes inside the bank.  A metered run takes
+ * this path too, and makes the charges the Python spelling's hooks make at
+ * the same points itself: the eta push of ``remote_issue`` (the round trip
+ * from the two paths' lengths), the scheduler's ``link_wait``, the FIFO
+ * pop of ``remote_done``; so does the settlement of a gated core before an
+ * event runs in its domain (``settle``: ``skipped_cycles``, the gated-idle
+ * charge, ``idle_since``).  Python is called only at a window edge inside
+ * an idle span (``_emit``).  Every other case (code bank, device, traced,
+ * sanitized, out of range, unmapped, a malformed event) is *not* spelled
+ * here: the window calls the Python ``_execute`` or handler for that one
+ * access or event, before it has changed anything.
  *
  * The team protocol.  The X_PAR messages -- p_fc / p_fn and the fork
  * token, p_swcv on the core and over the forward link, p_swre / p_lwre,
@@ -97,8 +94,7 @@
  * (``cv_write``, ``rreq_cv`` -> ``cv_apply`` + ``rack_cv``,
  * ``re_deliver`` -> ``re_ack``, ``fork_req`` -> ``fork_grant``,
  * ``start_pc``, ``ending_signal``, ``join``) are spelled here by the same
- * rule, a replaced ``Core`` / ``LBP`` method sending its site back to
- * Python as a replaced handler does its kind.  A metered run's CV write
+ * rule.  A metered run's CV write
  * to the next core pushes and pops its eta here too.  Every check the
  * Python spelling words as a machine error (a hart id outside the
  * machine, a core beyond the forward link's reach, p_fn on the last core,
@@ -192,10 +188,6 @@ struct Window {
     PyObject *events, *cores;
     PyObject *metrics;          /* machine.metrics: borrowed from the Tick */
     int metered;                /* machine.metrics is not None */
-    /* the charges are made here (1) or are calls to the hooks (0), as
-     * hooks_native said when ``calls`` was charges_checked - 1 */
-    int charges;
-    int64_t charges_checked;
     /* cached machine attributes, re-read when calls != seen */
     PyObject *active;           /* _active_cores: owned list, NULL for None */
     int64_t halt_at;            /* _halt_at, never_val for None */
@@ -218,19 +210,9 @@ struct Window {
     int64_t num_cores;          /* params.num_cores */
     int64_t cv_latency;         /* params.cv_write_latency */
     int64_t result_buffers;     /* params.num_result_buffers */
-    /* the core class whose METHODS were looked up last, when ``calls`` was
-     * methods_checked - 1, and which are still bind()'s (bit per method) */
-    PyTypeObject *method_type;
-    int64_t methods_checked;
-    unsigned methods_live;
     /* the core class whose ``tick`` was looked up last, and the answer */
     PyTypeObject *tick_type;
     int tick_direct;
-    /* the same for ``settle_idle``, looked up again after a call into
-     * Python (when ``calls`` was settle_checked - 1) */
-    PyTypeObject *settle_type;
-    int settle_direct;
-    int64_t settle_checked;
     /* the pending events while the call runs: a binary heap on the key */
     Event *heap;
     Py_ssize_t size, room;
@@ -253,10 +235,6 @@ struct Window {
     /* no window: Core.tick / settle_idle called on their own, every site
      * the Python call */
     int alone;
-    /* kind k's handler is native_handler[k]: bit k of *live*, as compared
-     * when ``calls`` was checked[k] - 1 (0: not yet) */
-    unsigned live;
-    int64_t checked[NATIVE_COUNT];
     /* the ports' cursors: a table on the Port, open addressing, ``ccap`` a
      * power of two; ``cdirty`` of them moved since the last flush */
     Cursor *cursors;
@@ -266,8 +244,6 @@ struct Window {
 typedef int (*NativeEvent)(Window *w, CoreView *domain, const Event *event);
 
 static PyObject *event_handlers;  /* processor.EVENT_HANDLERS */
-/* EVENT_HANDLERS[kind] at bind time, one per native kind, in that order */
-static PyObject *native_handler[NATIVE_COUNT];
 static PyObject *heapify;
 
 static int
@@ -281,24 +257,21 @@ import_heapq(void)
     return heapify != NULL ? 0 : -1;
 }
 
+/* *table*, EVENT_HANDLERS, kept when it has a handler for every native
+ * kind */
 static int
 keep_handlers(PyObject *table)
 {
-    PyObject *found[NATIVE_COUNT];
     int k;
-    for (k = 0; k < NATIVE_COUNT; k++) {
-        if ((found[k] = PyDict_GetItemWithError(table, *kind_name[k]))
-                == NULL) {
+    for (k = 0; k < NATIVE_COUNT; k++)
+        if (PyDict_GetItemWithError(table, *kind_name[k]) == NULL) {
             if (!PyErr_Occurred())
                 PyErr_Format(PyExc_KeyError,
                              "EVENT_HANDLERS lacks the kind %R",
                              *kind_name[k]);
             return -1;
         }
-    }
     KEEP(event_handlers, table);
-    for (k = 0; k < NATIVE_COUNT; k++)
-        KEEP(native_handler[k], found[k]);
     return 0;
 }
 
@@ -703,40 +676,6 @@ call_handler(Window *w, const Event *event)
     Py_XDECREF(args);
     Py_DECREF(handler);
     return status;
-}
-
-/* 1 while ``EVENT_HANDLERS`` still maps native kind *k* to the function it
- * did at bind time, else 0.  Only Python can replace it, so the entry is
- * looked up once per kind between two calls into Python, not per event. */
-static int
-handler_is_native(Window *w, int k)
-{
-    PyObject *found;
-    if (w->checked[k] != w->calls + 1) {
-        found = PyDict_GetItemWithError(event_handlers, *kind_name[k]);
-        if (found == NULL && PyErr_Occurred())
-            return -1;
-        if (found == native_handler[k])
-            w->live |= 1u << k;
-        else
-            w->live &= ~(1u << k);
-        w->checked[k] = w->calls + 1;
-    }
-    return w->live >> k & 1;
-}
-
-/* hooks_native(machine.metrics) of a metered machine, looked up as
- * handler_is_native looks up a handler: once between two calls into
- * Python */
-static int
-window_charges(Window *w)
-{
-    if (w->charges_checked != w->calls + 1) {
-        if ((w->charges = hooks_native(w->metrics)) < 0)
-            return -1;
-        w->charges_checked = w->calls + 1;
-    }
-    return w->charges;
 }
 
 /* ---- the core view ---------------------------------------------------------------
@@ -1294,21 +1233,12 @@ cursors_flush(Window *w)
     return 0;
 }
 
-/* ``Port()``: made here while ``Port.__init__`` is the function bind()
- * found (``next_free = 0``, in the one slot bind checked a Port has), else
- * the call into Python.  A new reference. */
+/* ``Port()``: ``next_free = 0``, in the one slot bind checked a Port has.
+ * A new reference. */
 static PyObject *
-new_port(Window *w)
+new_port(void)
 {
-    PyObject *init = PyObject_GetAttr((PyObject *)port_type, s___init__);
     PyObject *port;
-    int native = init == port_init;
-    if (init == NULL)
-        return NULL;
-    Py_DECREF(init);
-    if (!native)
-        return leave_c(w) < 0 ? NULL
-            : PyObject_CallNoArgs((PyObject *)port_type);
     if ((port = port_type->tp_alloc(port_type, 0)) != NULL)
         SLOT(port, P.next_free) = new_ref(zero_obj);
     return port;
@@ -2154,45 +2084,13 @@ access_context(Window *w)
     return 1;
 }
 
-/* 1 while ``type(core)``'s (``type(machine)``'s, for send_fork_req)
- * method *site* is the function bind() found, else 0: looked up once per
- * core class between two calls into Python, as a handler is */
+/* May the window spell the tick's call-back sites for the core being
+ * ticked?  1 yes; 0 no: no window (Core.tick called on its own) or an
+ * observer (access_context) -- the call is made. */
 static int
-method_is_native(Window *w, PyObject *core, enum method site)
+window_native(Tick *t)
 {
-    int k;
-    unsigned live = 0;
-    PyObject *owner, *found;
-    if (Py_TYPE(core) != w->method_type
-            || w->methods_checked != w->calls + 1) {
-        for (k = 0; k < METHOD_COUNT; k++) {
-            owner = (PyObject *)Py_TYPE(k == M_send_fork_req ? w->machine
-                                        : core);
-            if ((found = PyObject_GetAttr(owner, *method_name[k])) == NULL)
-                return -1;
-            if (found == bound_method[k])
-                live |= 1u << k;
-            Py_DECREF(found);
-        }
-        w->method_type = Py_TYPE(core);
-        w->methods_checked = w->calls + 1;
-        w->methods_live = live;
-    }
-    return w->methods_live >> site & 1;
-}
-
-/* May the window spell the tick's call-back site *site* for the core being
- * ticked?  1 yes; 0 no: no window (Core.tick called on its own), an
- * observer (access_context), or a replaced method -- the call is made. */
-static int
-window_native(Tick *t, enum method site)
-{
-    int status;
-    if (t->w->alone)
-        return 0;
-    if ((status = access_context(t->w)) <= 0)
-        return status;
-    return method_is_native(t->w, t->core, site);
+    return t->w->alone ? 0 : access_context(t->w);
 }
 
 /* ---- the memory access ------------------------------------------------------------ */
@@ -2283,16 +2181,6 @@ post(Window *w, CoreView *origin, int64_t dst, int64_t when, int kind,
 fail:
     Py_XDECREF(dst_obj);
     return status;
-}
-
-/* ``obj.name(*args[1:])`` with ``obj = args[0]``: a call from the window into
- * Python, which reads "now" */
-static int
-call_method(Window *w, PyObject *name, PyObject *const *args, size_t nargs)
-{
-    if (leave_c(w) < 0)
-        return -1;
-    return called(PyObject_VectorcallMethod(name, args, nargs, NULL));
 }
 
 /* ``hart.stats.stores`` (*store*) or ``loads`` += 1, *hv* a hart of *v* */
@@ -2414,14 +2302,14 @@ reply_path(int64_t src, int64_t dst, Hop *path)
 
 /* The first use of link *hop* on *links*, whose ``_links`` is *table*:
  * its tag's row of ``((num_cores - 1) >> shift) + 1`` Nones if the tag
- * has none yet, then its ``Port()``, as LinkScheduler.port makes them.  A
- * new reference. */
+ * has none yet, then its ``Port()``, as LinkScheduler.port makes them.
+ * Borrowed from the row. */
 static NOINLINE PyObject *
-first_port(Window *w, PyObject *links, PyObject *table, const Hop *hop)
+first_port(PyObject *links, PyObject *table, const Hop *hop)
 {
     int64_t cores;
     Py_ssize_t i, size;
-    PyObject *row = PyList_GET_ITEM(table, hop->code), *port = NULL;
+    PyObject *row = PyList_GET_ITEM(table, hop->code), *port;
     if (row == Py_None) {
         GETI(cores, links, LS.num_cores);
         size = cores < 1 ? 0 : ((cores - 1) >> link_shifts[hop->code]) + 1;
@@ -2435,30 +2323,23 @@ first_port(Window *w, PyObject *links, PyObject *table, const Hop *hop)
         wrong_type("list of link ports");
         return NULL;
     }
-    row = new_ref(row);  /* Port() may be Python */
-    if (hop->index < 0 || hop->index >= PyList_GET_SIZE(row))
+    if (hop->index < 0 || hop->index >= PyList_GET_SIZE(row)) {
         PyErr_Format(PyExc_ValueError, "no link ('%s', %lld): index "
                      "outside [0, %zd)", link_tags[hop->code],
                      (long long)hop->index, PyList_GET_SIZE(row));
-    else if ((port = new_port(w)) != NULL) {
-        if (hop->index < PyList_GET_SIZE(row)) {
-            PyList_SetItem(row, hop->index, new_ref(port));  /* steals */
-        } else {
-            wrong_type("list of link ports");
-            Py_CLEAR(port);
-        }
+        return NULL;
     }
-    Py_DECREF(row);
+    if ((port = new_port()) != NULL)
+        PyList_SetItem(row, hop->index, port);  /* steals it */
     return port;
 fail:
     return NULL;
 }
 
 /* The port of link *hop* on the scheduler *links*, whose ``_links`` is
- * *table*: row ``code``, slot ``index``; a new reference.  The sizes are
- * checked on every hop, as Python may have run since the caller looked. */
+ * *table*: row ``code``, slot ``index``; borrowed. */
 static PyObject *
-link_port(Window *w, PyObject *links, PyObject *table, const Hop *hop)
+link_port(PyObject *links, PyObject *table, const Hop *hop)
 {
     PyObject *row, *port;
     if (hop->code >= PyList_GET_SIZE(table)) {
@@ -2469,35 +2350,24 @@ link_port(Window *w, PyObject *links, PyObject *table, const Hop *hop)
     if (PyList_Check(row) && hop->index >= 0
             && hop->index < PyList_GET_SIZE(row)
             && (port = PyList_GET_ITEM(row, hop->index)) != Py_None)
-        return new_ref(port);
-    return first_port(w, links, table, hop);
+        return port;
+    return first_port(links, table, hop);
 }
 
 /* Metrics.link_wait(index, delay) by *observer*, a metered link
  * scheduler's: router queueing held a path of core *index_obj* up */
 static int
-link_wait(Window *w, PyObject *observer, PyObject *index_obj, int64_t delay)
+link_wait(PyObject *observer, PyObject *index_obj, int64_t delay)
 {
-    int native = 0, status;
     int64_t index;
-    PyObject *slot, *delay_obj;
-    if (observer == w->metrics && (native = window_charges(w)) < 0)
+    PyObject *slot;
+    if (check_metrics(observer) < 0)
         return -1;
-    if (native) {
-        index = as_int(index_obj);
-        if ((index == -1 && PyErr_Occurred())
-                || (slot = telemetry(observer, index)) == NULL)
-            return -1;
-        return add_int(slot, TS.link_wait, delay);
-    }
-    if ((delay_obj = PyLong_FromLongLong(delay)) == NULL)
+    index = as_int(index_obj);
+    if ((index == -1 && PyErr_Occurred())
+            || (slot = telemetry(observer, index)) == NULL)
         return -1;
-    {
-        PyObject *call[] = {observer, index_obj, delay_obj};
-        status = call_method(w, s_link_wait, call, 3);
-    }
-    Py_DECREF(delay_obj);
-    return status;
+    return add_int(slot, TS.link_wait, delay);
 }
 
 /* LinkScheduler.reserve_path(path, start) on the link scheduler of *v*'s
@@ -2508,61 +2378,38 @@ static int
 reserve_path(Window *w, CoreView *v, const Hop *path, int count,
              int64_t start, int64_t *out)
 {
-    int status = -1, reserved, i;
+    int i;
     int64_t hop, time = start;
-    PyObject *links, *table, *port;
+    PyObject *port;
     if (fresh(w, v, V_LINKS) < 0)
         return -1;
-    /* held: Port() may be Python */
-    links = new_ref(v->links);
-    table = new_ref(v->link_rows);
     hop = v->hop_latency;
-    for (i = 0; i < count; i++) {
+    for (i = 0; i < count; i++)
         /* Port.reserve(time + hop_latency) */
-        if ((port = link_port(w, links, table, &path[i])) == NULL)
-            goto fail;
-        reserved = reserve(w, port, time + hop, &time);
-        Py_DECREF(port);
-        if (reserved < 0)
-            goto fail;
-    }
-    /* (the observer as it is now: Port() may have been Python) */
-    if (fresh(w, v, V_LINKS) < 0
-            || (v->link_observer != Py_None && count
-                && time - (start + hop * count) > 0
-                && link_wait(w, v->link_observer, v->link_core,
-                             time - (start + hop * count)) < 0))
-        goto fail;
+        if ((port = link_port(v->links, v->link_rows, &path[i])) == NULL
+                || reserve(w, port, time + hop, &time) < 0)
+            return -1;
+    if (v->link_observer != Py_None && count
+            && time - (start + hop * count) > 0
+            && link_wait(v->link_observer, v->link_core,
+                         time - (start + hop * count)) < 0)
+        return -1;
     *out = time;
-    status = 0;
-fail:
-    Py_DECREF(table);
-    Py_DECREF(links);
-    return status;
+    return 0;
 }
 
 /* Metrics.remote_issue(index, gid, now, owner) for an access of *hv*'s
- * hart of the ticked core to core *owner*'s bank (-1: a CV write to the
- * next core, owner None), *rtt* its uncontended round trip -- for a bank
- * access both paths' links, the bank access and the cycle the reply fills
- * in: its completion eta joins the hart's FIFO.  (Not inlined: the
+ * hart of the ticked core to another core's bank or a CV write to the next
+ * core, *rtt* its uncontended round trip -- for a bank access both paths'
+ * links, the bank access and the cycle the reply fills in: its completion
+ * eta joins the hart's FIFO.  (Not inlined: the
  * unmetered issue stays as compact as it was.) */
 static NOINLINE int
-remote_issue(Tick *t, HartView *hv, int64_t owner, int64_t rtt)
+remote_issue(Tick *t, HartView *hv, int64_t rtt)
 {
     Window *w = t->w;
-    int native, status = -1;
+    int status = -1;
     PyObject *slot, *fifos, *fifo, *eta = NULL, *gid = hv->gid_obj;
-    if ((native = window_charges(w)) <= 0) {
-        PyObject *owner_obj = owner < 0 ? new_ref(Py_None)
-            : PyLong_FromLongLong(owner);
-        PyObject *call[] = {w->metrics, t->v->index_obj, gid, cycle_box(w),
-                            owner_obj};
-        status = native < 0 || owner_obj == NULL || call[3] == NULL ? -1
-            : call_method(w, s_remote_issue, call, 5);
-        Py_XDECREF(owner_obj);
-        return status;
-    }
     if ((slot = telemetry(w->metrics, t->v->index)) == NULL
             || (eta = PyLong_FromLongLong(t->cycle + rtt)) == NULL)
         goto fail;
@@ -2612,8 +2459,7 @@ remote_access(Tick *t, HartView *hv, Instr *rec, enum access kind,
     HSET(hv, outstanding_mem, hv->outstanding_mem + 1);
     count = request_path(index, owner, path);
     if ((w->metered
-         && remote_issue(t, hv, owner,
-                         (count + reply_path(index, owner, back))
+         && remote_issue(t, hv, (count + reply_path(index, owner, back))
                          * w->hop_latency + w->bank_latency + 1) < 0)
             || reserve_path(w, v, path, count, t->cycle, &t_up) < 0
             || (kind == ACC_STORE
@@ -2783,48 +2629,35 @@ rob_record(CoreView *v, HartView *hv, int64_t tag, Instr **rec)
 static int
 remote_done(Window *w, int64_t src, int64_t gid, const HartView *hv)
 {
-    int native, status = -1;
-    int64_t index;
-    PyObject *slots, *slot, *fifos, *fifo, *gid_obj, *src_obj;
+    int status = -1;
+    PyObject *slot, *fifos, *fifo, *gid_obj;
     if (!w->metered)
         return 0;
-    /* (the hart's own object, as a rule: no box) */
-    if ((native = window_charges(w)) < 0
-            || (gid_obj = hv->gid == gid ? new_ref(hv->gid_obj)
-                : PyLong_FromLongLong(gid)) == NULL)
+    if ((slot = telemetry(w->metrics, src)) == NULL)
         return -1;
-    if (native) {
-        GETLIST(slots, w->metrics, MX._slots);
-        if ((index = index_in(src, PyList_GET_SIZE(slots))) >= 0) {
-            slot = PyList_GET_ITEM(slots, index);
-            CHECK(slot, telemetry_type);
-            GETO(fifos, slot, TS.remote_inflight);
-            if (PyDict_Check(fifos)) {
-                if ((fifo = PyDict_GetItemWithError(fifos, gid_obj)) == NULL) {
-                    status = PyErr_Occurred() ? -1 : 0;
-                    goto release;
-                }
-                if (PyList_Check(fifo)) {
-                    if (PyList_GET_SIZE(fifo))
-                        Py_DECREF(list_take(fifo, 0));
-                    status = 0;
-                    goto release;
-                }
-            }
-        }
-        /* anything else (no such core, no FIFO): the hook words it */
+    GETO(fifos, slot, TS.remote_inflight);
+    if (!PyDict_Check(fifos)) {
+        wrong_type("dict of remote etas");
+        return -1;
     }
-    if ((src_obj = PyLong_FromLongLong(src)) != NULL) {
-        PyObject *call[] = {w->metrics, src_obj, gid_obj};
-        status = call_method(w, s_remote_done, call, 3);
-        Py_DECREF(src_obj);
+    /* (the hart's own object, as a rule: no box) */
+    if ((gid_obj = hv->gid == gid ? new_ref(hv->gid_obj)
+         : PyLong_FromLongLong(gid)) == NULL)
+        return -1;
+    if ((fifo = PyDict_GetItemWithError(fifos, gid_obj)) == NULL
+            || fifo == Py_None)
+        status = PyErr_Occurred() ? -1 : 0;
+    else if (!PyList_Check(fifo))
+        wrong_type("list of remote etas");
+    else {
+        if (PyList_GET_SIZE(fifo))
+            Py_DECREF(list_take(fifo, 0));
+        status = 0;
     }
-    goto release;
-fail:
-    status = -1;
-release:
     Py_DECREF(gid_obj);
     return status;
+fail:
+    return -1;
 }
 
 /* _ev_load_read(bank_ref, addr, width, mnemonic, t_done, core_index,
@@ -2989,7 +2822,6 @@ static int
 remote_ack(Window *w, int64_t src, int64_t gid, int64_t tag)
 {
     int status;
-    int64_t calls = w->calls;
     CoreView *v;
     HartView *hv;
     Instr *rec;
@@ -2999,11 +2831,6 @@ remote_ack(Window *w, int64_t src, int64_t gid, int64_t tag)
     HSET(hv, outstanding_mem, hv->outstanding_mem - 1);
     if (remote_done(w, src, gid, hv) < 0)
         return -1;
-    /* a hook that is Python ran: the entry, in the ring as it is now */
-    if (w->calls != calls
-            && ((status = hart_of(w, gid, &v, &hv)) <= 0
-                || (status = rob_record(v, hv, tag, &rec)) <= 0))
-        return status < 0 ? -1 : 1;
     ISET(rec, done, 1, D_DONE);
     return 1;
 }
@@ -3020,74 +2847,33 @@ ev_rack_store(Window *w, CoreView *Py_UNUSED(domain), const Event *event)
 /* Core.settle_idle(now), compiled: the gated-off cycles [idle_since, now)
  * of the core of *v* are charged in one step -- ``skipped_cycles``, the
  * gated-idle charge, then ``idle_since`` -- by a window before an event
- * runs in a gated core's domain, or for a call from Python.  The charge is
- * made here for a Core under native charges; a ReferenceCore's is the
- * call to ``Metrics.idle`` its reference tick makes too. */
+ * runs in a gated core's domain, or for a call from Python.  (A
+ * ReferenceCore has the Python one, reference.py.) */
 static int
 settle(Window *w, CoreView *v, int64_t now)
 {
-    int status = -1, native;
+    int status;
     int64_t since;
-    PyObject *index_obj, *since_obj = NULL, *delta_obj = NULL;
+    PyObject *index_obj;
     if (fresh(w, v, 0) < 0 || cgate(v, G(idle_since)) < 0)
         return -1;
     if (now - (since = v->idle_since) <= 0)
         return 0;
     if (w->metrics == NULL   /* a settlement called from Python */
-            && (w->metrics = PyObject_GetAttr(w->machine, s_metrics)) == NULL)
+            && (w->metrics = machine_metrics(w->machine)) == NULL)
         return -1;
     if (fresh(w, v, V_COUNTERS) < 0)
         return -1;
     KSET(v, skipped_cycles, v->skipped_cycles + now - since);
-    index_obj = new_ref(v->index_obj);  /* held across the calls below */
     if (w->metrics != Py_None) {
-        if (Py_TYPE(v->core) != core_type)
-            native = 0;
-        else if ((native = window_charges(w)) < 0)
-            goto release;
-        if (native) {
-            if (charge_idle(w, w->metrics, index_obj, since, now - since) < 0)
-                goto release;
-        } else if ((since_obj = PyLong_FromLongLong(since)) == NULL
-                   || (delta_obj = PyLong_FromLongLong(now - since)) == NULL
-                   || called(callback(w, w->metrics, s_idle, index_obj,
-                                      since_obj, delta_obj)) < 0)
-            goto release;
-        if (fresh(w, v, 0) < 0)
-            goto release;
+        index_obj = new_ref(v->index_obj);  /* held across _emit */
+        status = charge_idle(w, w->metrics, index_obj, since, now - since);
+        Py_DECREF(index_obj);
+        if (status < 0 || fresh(w, v, 0) < 0)
+            return -1;
     }
     CSET(v, idle_since, now);
-    status = 0;
-release:
-    Py_DECREF(index_obj);
-    Py_XDECREF(since_obj);
-    Py_XDECREF(delta_obj);
-    return status;
-}
-
-/* The settlement of gated *v*'s core before an event runs in its domain:
- * the compiled one while ``type(core).settle_idle`` is the descriptor
- * bind() made (looked up again after a call into Python), else whatever
- * replaced it, called the way Python calls it. */
-static int
-settle_of(Window *w, CoreView *v)
-{
-    PyObject *found, *core = v->core, *now;
-    if (Py_TYPE(core) != w->settle_type
-            || w->settle_checked != w->calls + 1) {
-        if ((found = PyObject_GetAttr((PyObject *)Py_TYPE(core),
-                                      s_settle_idle)) == NULL)
-            return -1;
-        w->settle_type = Py_TYPE(core);
-        w->settle_direct = found == settle_descr;
-        w->settle_checked = w->calls + 1;
-        Py_DECREF(found);
-    }
-    if (w->settle_direct)
-        return settle(w, v, w->cycle);
-    if ((now = cycle_box(w)) == NULL || leave_c(w) < 0)
-        return -1;
-    return called(PyObject_CallMethodOneArg(core, s_settle_idle, now));
+    return 0;
 }
 
 /* ---- the team protocol --------------------------------------------------------------
@@ -3095,9 +2881,8 @@ settle_of(Window *w, CoreView *v)
  * p_swre / p_lwre, the start pc of p_jal / p_jalr), the p_ret commit and
  * the eleven event kinds they post: processor.py's and core.py's
  * spelling, step for step.  A step is spelled here only when nothing
- * observes it and its method or handler is bind()'s (window_native,
- * handler_is_native), and only when it is one the Python spelling carries
- * out without an error: every check that spelling words as a machine
+ * observes it (window_native, access_context), and only when it is one
+ * the Python spelling carries out without an error: every check that spelling words as a machine
  * error (or raises on) is made first, and a step that fails one is handed
  * to Python before anything has changed. */
 
@@ -3254,7 +3039,7 @@ activate(Window *w, CoreView *v)
         return -1;
     if (v->active)
         return 0;
-    if (settle_of(w, v) < 0
+    if (settle(w, v, w->cycle) < 0
             || (w->calls != w->seen && refresh(w) < 0)
             || fresh(w, v, 0) < 0)
         return -1;
@@ -3327,9 +3112,7 @@ reserve_backward(Window *w, CoreView *v, int64_t src, int64_t dst,
 }
 
 /* The args *a* posted as *kind* from the domain of *v* to core *dst*, one
- * cycle after its path *forward* (or back) from v's core to dst is free.
- * (The view may need loading again after: the path may have run
- * Python.) */
+ * cycle after its path *forward* (or back) from v's core to dst is free. */
 static int
 send_along(Window *w, CoreView *v, int64_t dst, int forward, int kind,
            const int64_t *a)
@@ -3443,11 +3226,8 @@ exec_p_swcv(Tick *t, HartView *hv, Instr *rec)
                          gid, target, offset, rec->tag)) < 0 ? -1 : 1;
     }
     if ((w->metered
-         && remote_issue(t, hv, -1, 2 * w->hop_latency + w->cv_latency + 1)
-         < 0)
-            || reserve_forward(w, v, index, dst, t->cycle, &when) < 0
-            || fresh(w, v, V_PIPE) < 0
-            || gate(v, HNUM(v, hv), HART_ALL) < 0)
+         && remote_issue(t, hv, 2 * w->hop_latency + w->cv_latency + 1) < 0)
+            || reserve_forward(w, v, index, dst, t->cycle, &when) < 0)
         return -1;
     HSET(hv, outstanding_mem, hv->outstanding_mem + 1);
     return post(w, v, dst, when + w->cv_latency, EV_rreq_cv,
@@ -3530,22 +3310,11 @@ static int
 exec_p_jal(Tick *t, HartView *hv, Instr *rec, int register_target)
 {
     int sent;
-    int64_t target = 0, tag = rec->tag, calls = t->w->calls;
+    int64_t target = 0;
     if (register_target)
         GETV(target, rec, 1);
     if ((sent = send_start_pc(t, rec)) <= 0)
         return sent;
-    if (tick_hart(t, HNUM(t->v, hv)) == NULL
-            || gate(t->v, HNUM(t->v, hv), G(win)) < 0)
-        goto fail;
-    /* the path's Port() or link_wait ran Python: the record as loaded now */
-    if (t->w->calls != calls
-            && (sent = ring_find(t->w, hv, tag, &rec)) <= 0) {
-        if (sent == 0)
-            PyErr_SetString(PyExc_RuntimeError, "compiled tick: an issued "
-                            "instruction left the ROB during a call");
-        goto fail;
-    }
     if ((register_target && resolve_pc(t, hv, target & 0xFFFFFFFE) < 0)
             || finish_at(t, hv, rec, 0, t->cycle + 1) < 0)
         goto fail;
@@ -3583,7 +3352,7 @@ send_fork_req(Tick *t, HartView *hv)
 {
     int native;
     int64_t index = t->v->index;
-    if ((native = window_native(t, M_send_fork_req)) < 0)
+    if ((native = window_native(t)) < 0)
         return -1;
     if (native && index + 1 < PyList_GET_SIZE(t->w->cores))
         return send_along(t->w, t->v, index + 1, 1, EV_fork_req,
@@ -3684,7 +3453,7 @@ commit_p_ret(Tick *t, HartView *hv, Instr *head)
     int64_t index = v->index, gid = hv->gid, succ = -1, joiner = -1, cores;
     int64_t addr;
     PyObject *action = head->ret_action, *succ_obj, *pending, *entry;
-    if ((native = window_native(t, M_commit_p_ret)) <= 0)
+    if ((native = window_native(t)) <= 0)
         goto python;
     /* every check the Python spelling could fail, before anything */
     cores = PyList_GET_SIZE(w->cores);
@@ -4062,11 +3831,10 @@ dispatch(Window *w)
     /* on a metered machine it may also charge link_wait to a gated core's
      * current window: close the idle span up to now first */
     if (w->metered && (cgate(v, G(active)) < 0
-                       || (!v->active && settle_of(w, v) < 0)))
+                       || (!v->active && settle(w, v, w->cycle) < 0)))
         goto fail;
     if (event.kind >= 0) {
-        if ((handled = handler_is_native(w, event.kind)) > 0
-                && (handled = access_context(w)) > 0
+        if ((handled = access_context(w)) > 0
                 && (handled = fresh(w, v, 0)) == 0)
             handled = native_event[event.kind](w, v, &event);
         if (handled < 0)
@@ -4178,7 +3946,7 @@ machine_simulate(PyObject *machine, PyObject *const *args, Py_ssize_t nargs)
     if ((w.events = attr_list(machine, s__events)) == NULL
             || (w.cores = attr_list(machine, s_cores)) == NULL
             || views_open(&w, PyList_GET_SIZE(w.cores)) < 0
-            || (t.metrics = PyObject_GetAttr(machine, s_metrics)) == NULL
+            || (t.metrics = machine_metrics(machine)) == NULL
             || (t.lowered = PyObject_GetAttr(machine, s_lowered)) == NULL
             || refresh(&w) < 0)
         goto fail;
@@ -4315,7 +4083,7 @@ core_tick(PyObject *core, PyObject *Py_UNUSED(ignored))
 
     GETO(t.machine, core, C.machine);
     w.machine = t.machine;
-    if ((t.metrics = PyObject_GetAttr(t.machine, s_metrics)) == NULL
+    if ((t.metrics = machine_metrics(t.machine)) == NULL
             || (t.lowered = PyObject_GetAttr(t.machine, s_lowered)) == NULL
             || (w.cycle_obj = PyObject_GetAttr(t.machine, s_cycle)) == NULL)
         goto fail;

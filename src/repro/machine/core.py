@@ -16,8 +16,10 @@ re-chases ``Instruction``/spec attributes; see ``machine/lowered.py``.
 over the state defined here and in ``machine/hart.py``, bound to the
 class by ``machine/native.py`` when it could build and load it (how it
 is built for speed — stage gating, inline issue, parking — is written up
-at the top of that file).
-``machine/reference.py`` keeps a small, slow tick over the same state:
+at the top of that file); so is ``Core.settle_idle``, the idle settlement
+(``machine/_window.h``).
+``machine/reference.py`` keeps a small, slow tick and settlement over the
+same state:
 the oracle the tests compare the compiled one against
 (``LBP(backend="interp")``), and the only tick on a host without a C
 compiler.  Everything the stages need *from the machine* — loads,
@@ -290,25 +292,6 @@ class Core:
             self.active = True
             machine._num_active += 1
             machine._active_cores = None  # the run loop rebuilds its list
-
-    def settle_idle(self, now):
-        """Charge the gated-off cycles [idle_since, now) in one step.
-
-        A gated core costs the run loop nothing per cycle; its idle span
-        is closed here — on wakeup, before an event handler charges
-        telemetry in this domain, and wherever state leaves the loop
-        (``Metrics.idle`` splits the span at window edges, so the
-        samples equal the cycle-by-cycle charge).  The reference
-        spelling: machine/native.py binds the compiled one
-        (machine/_window.h) over the name when it can.
-        """
-        delta = now - self.idle_since
-        if delta > 0:
-            machine = self.machine
-            machine.stats.per_core[self.index].skipped_cycles += delta
-            if machine.metrics is not None:
-                machine.metrics.idle(self.index, self.idle_since, delta)
-            self.idle_since = now
 
     # ---- snapshot/restore --------------------------------------------------
 

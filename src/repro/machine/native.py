@@ -132,8 +132,8 @@ def _bind(module):
 
 def bind_metrics(*classes):
     """``_tick.bind_metrics``, when there is a compiled kernel: from now on
-    it charges for an exact ``Metrics`` itself (observe/metrics.py calls
-    this once, on its first import)."""
+    it charges for a ``Metrics`` itself (observe/metrics.py calls this
+    once, on its first import)."""
     module = load()
     if module is not None:
         module.bind_metrics(*classes)

@@ -433,14 +433,18 @@ class LBP:
 
     ``backend="interp"`` swaps in the reference tick
     (repro.machine.reference) — bit-identical traces, stats and
-    snapshots, only slower; the tests use it as their oracle and nothing
-    else selects it.
+    snapshots, only slower; the tests use it as their oracle.  It is also
+    what runs when this host could not build the compiled tick
+    (``native.load()`` is None).
 
     Observers are constructor arguments, each with a shorthand:
     ``trace=True`` records every event kind (a :class:`Trace` selects
     kinds), ``metrics=True`` attaches a default ``Metrics()`` and an int
     one with that window interval (None and False mean none),
-    ``sanitize=True`` the race detector.
+    ``sanitize=True`` the race detector.  A ``Metrics`` given is one of
+    that class itself: the compiled tick makes its charges without
+    calling its hooks, so a subclass's overrides would not run (a
+    TypeError).
     """
 
     def __new__(cls, params=None, trace=None, shards=None, sanitize=False,
@@ -490,6 +494,10 @@ class LBP:
             from repro.observe import Metrics
 
             if isinstance(metrics, Metrics):
+                if type(metrics) is not Metrics:
+                    raise TypeError(
+                        "metrics must be a Metrics, not an instance of the "
+                        "subclass %s" % type(metrics).__name__)
                 self._attach_metrics(metrics)
             elif metrics is True:
                 self._attach_metrics(Metrics())

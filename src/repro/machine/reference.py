@@ -2,7 +2,9 @@
 
 ``LBP(backend="interp")`` builds :class:`ReferenceCore`, which shares
 every piece of state and every instruction semantic with the production
-:class:`~repro.machine.core.Core` and replaces only ``tick()``.  It is
+:class:`~repro.machine.core.Core` and replaces only ``tick()`` and
+``settle_idle()``, the two methods that are compiled there: a machine of
+ReferenceCores runs no compiled function.  It is
 the oracle of the parity and scheduling tests, so it must not trust what
 they check: each cycle it derives every stage's eligibility from
 architectural state alone — the full fetch predicate, a scan of the
@@ -26,6 +28,23 @@ class ReferenceCore(Core):
     """:class:`Core` with the tick spelled out stage by stage."""
 
     __slots__ = ()
+
+    def settle_idle(self, now):
+        """Charge the gated-off cycles [idle_since, now) in one step.
+
+        A gated core costs the run loop nothing per cycle; its idle span
+        is closed here — on wakeup, before an event handler charges
+        telemetry in this domain, and wherever state leaves the loop
+        (``Metrics.idle`` splits the span at window edges, so the
+        samples equal the cycle-by-cycle charge).
+        """
+        delta = now - self.idle_since
+        if delta > 0:
+            machine = self.machine
+            machine.stats.per_core[self.index].skipped_cycles += delta
+            if machine.metrics is not None:
+                machine.metrics.idle(self.index, self.idle_since, delta)
+            self.idle_since = now
 
     def tick(self):
         """Run the five stages for one cycle (commit-side first).

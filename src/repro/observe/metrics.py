@@ -158,10 +158,9 @@ class Metrics:
 
     The hooks below are the reference spelling of every charge.  The
     compiled kernel (machine/_tick.c, _window.h) makes the same charges
-    on the same slots itself while this object is an exact ``Metrics``
-    whose class still has these functions, and calls into Python only at
-    a window edge (``roll`` / ``_emit``); a subclass or a replaced hook
-    is called, as on the reference tick.
+    on the same slots itself, and calls into Python only at a window edge
+    (``roll`` / ``_emit``); so ``LBP`` takes no subclass, whose overrides
+    it would not call.
     """
 
     # slots: the compiled kernel reads interval, _slots and edges by

@@ -6,8 +6,8 @@ view's ring (``machine/_tick.c``, "the instruction ring"); ``Hart.rob`` /
 ``it``, the ``Entry`` objects, the ``ResultBuffer`` and ``regs`` /
 ``rename`` are their at-rest form.  These tests look at that form where
 Python can: at pauses, inside calls into Python (``Core._execute``
-wrapped), and after Python changed it -- and hold both ticks to the same
-outcome.
+wrapped, on a traced machine), and after Python changed it -- and hold
+both ticks to the same outcome.
 """
 
 import os
@@ -21,7 +21,6 @@ from repro.isa.spec import InstrClass
 from repro.machine import LBP, MachineError, Params, native
 from repro.machine.core import Core
 from repro.machine.hart import Entry
-from repro.machine.memory import Port
 from repro.workloads import matmul_source
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
@@ -72,8 +71,8 @@ def test_an_entry_python_holds_is_the_entry_until_it_commits():
     assert len(seen["soa"]) > 60 and seen["soa"] == seen["interp"]
 
 
-#: stack traffic around a multiply and an add chain on x5 (t0): each load
-#: and store is a call into Python once ``Core._execute`` is wrapped
+#: stack traffic around a multiply and an add chain on x5 (t0): on a traced
+#: machine each load and store is a call into ``Core._execute``
 REGISTER_TRAFFIC = """
 main:
     li   t1, 120
@@ -105,15 +104,15 @@ def _outcome(machine):
 
 @compiled
 def test_what_python_writes_in_a_call_is_what_the_ring_reads(monkeypatch):
-    """A wrapped ``Core._execute`` writes, at its calls, a waiting entry's
-    ``val0`` / ``wait0`` / ``nwaits``, the buffer's ``ready_at``,
-    ``regs[5]`` and ``rename[5]``: the compiled tick reads them back after
-    the call, so both ticks end alike."""
+    """A wrapped ``Core._execute`` writes, at its calls on a traced
+    machine, a waiting entry's ``val0`` / ``wait0`` / ``nwaits``, the
+    buffer's ``ready_at``, ``regs[5]`` and ``rename[5]``: the compiled tick
+    reads them back after the call, so both ticks end alike."""
     outcomes = []
     inner = Core._execute
     for backend in BACKENDS:
-        machine = LBP(Params(num_cores=1), backend=backend).load(
-            assemble(REGISTER_TRAFFIC))
+        machine = LBP(Params(num_cores=1), backend=backend,
+                      trace=True).load(assemble(REGISTER_TRAFFIC))
         calls = [0]
 
         def wrapped(core, hart, entry):
@@ -186,29 +185,3 @@ def test_an_instruction_table_item_not_an_entry_is_a_type_error(alone):
                 machine.cores[0].tick()
             else:
                 machine.run(max_cycles=10_000)
-
-
-@compiled
-def test_a_replaced_port_init_is_what_makes_a_port(monkeypatch):
-    """A link's port is made in C on its first use while ``Port.__init__``
-    is the bind-time one; a replaced one is called for every port, and the
-    run is the same."""
-    program = compile_to_program(matmul_source("tiled", 16), "tiled.c")
-    plain = LBP(Params(num_cores=4)).load(program)
-    plain.run(max_cycles=1_000_000)
-    made = []
-    inner = Port.__init__
-
-    def init(port):
-        made.append(port)
-        inner(port)
-
-    monkeypatch.setattr(Port, "__init__", init)
-    machine = LBP(Params(num_cores=4)).load(program)
-    machine.run(max_cycles=1_000_000)
-    monkeypatch.undo()
-    ports = [port for core in machine.cores for row in core.links._links
-             if row is not None for port in row if port is not None]
-    assert ports and {id(port) for port in ports} <= {
-        id(port) for port in made}
-    assert machine.state_dict() == plain.state_dict()

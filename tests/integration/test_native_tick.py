@@ -171,8 +171,9 @@ def _in_flight(machine):
 def test_an_entry_python_still_holds_is_never_recycled(monkeypatch):
     """An in-flight instruction gets its ``Entry`` only where Python can
     see it, and the tick never reuses one.  One that ``_commit_p_ret``
-    stashed, and one read out of ``hart.rob`` before it committed, stay
-    what they were while the run goes on."""
+    stashed (a traced run calls it for every p_ret), and one read out of
+    ``hart.rob`` before it committed, stay what they were while the run
+    goes on."""
     stashed = []
     inner = Core._commit_p_ret
 
@@ -181,7 +182,7 @@ def test_an_entry_python_still_holds_is_never_recycled(monkeypatch):
         return inner(core, hart, head)
 
     monkeypatch.setattr(Core, "_commit_p_ret", stash)
-    machine = LBP(Params(num_cores=2)).load(assemble(FORK_JOIN))
+    machine = LBP(Params(num_cores=2), trace=True).load(assemble(FORK_JOIN))
     hart = machine.cores[0].harts[0]
     while not hart.rob:
         machine.run(max_cycles=100_000, stop_at_cycle=machine.cycle + 1)
@@ -297,64 +298,6 @@ def test_the_window_drops_each_event_args_reference_once(pause, kinds):
     _assert_only_held(held, machine)
 
 
-def _probe_counts(objects):
-    gc.collect()
-    return [sys.getrefcount(obj) for obj in objects]
-
-
-@compiled
-def test_the_handler_and_hook_caches_hold_exactly_their_references(
-        monkeypatch):
-    """bind() holds each native kind's handler and each Metrics hook once,
-    and a window compares ``EVENT_HANDLERS[kind]`` and the hooks with them
-    by identity, holding nothing of its own.  Twenty runs that replace a
-    handler or a hook and put it back, and one whose replaced handler
-    raises, leave the bind-time functions' counts exact, and the
-    replacements held by the test alone."""
-    handler = processor.EVENT_HANDLERS["load_done"]
-    hook = Metrics.stall
-
-    def swapped(*args):
-        return handler(*args)
-
-    def stall(*args):
-        return hook(*args)
-
-    def boom(*args):
-        raise Boom("load_done")
-
-    def run():
-        machine = LBP(Params(num_cores=2), metrics=True).load(
-            assemble(FORK_JOIN))
-        machine.run(max_cycles=100_000)
-
-    run()
-    before = _probe_counts([handler, hook])
-    for turn in range(20):
-        if turn % 2:
-            monkeypatch.setitem(processor.EVENT_HANDLERS, "load_done",
-                                swapped)
-        else:
-            monkeypatch.setattr(Metrics, "stall", stall)
-        run()
-        monkeypatch.undo()
-        run()
-    monkeypatch.setitem(processor.EVENT_HANDLERS, "load_done", boom)
-    try:
-        run()
-    except Boom:
-        raised = True
-    monkeypatch.undo()
-    assert raised
-
-    def control():
-        pass  # held as the replacements should be: by this frame alone
-
-    counts = _probe_counts([swapped, stall, boom, control])
-    assert counts == [counts[-1]] * 4
-    assert _probe_counts([handler, hook]) == before
-
-
 @compiled
 def test_an_exception_in_a_team_handler_hands_back_well_formed_events():
     """A CV write's request reaches a core whose local port cannot be read:
@@ -449,38 +392,36 @@ class Boom(Exception):
 @compiled
 @pytest.mark.parametrize("method", ["_execute", "_commit_p_ret"])
 def test_an_exception_in_a_callback_propagates(monkeypatch, method):
-    """``Core._execute`` / ``_commit_p_ret`` are calls back into Python:
-    what they raise comes out of ``run()``, under either tick, and the
-    machine is left usable enough to be inspected."""
+    """``Core._execute`` / ``_commit_p_ret`` are calls back into Python (on
+    a traced machine, at every site): what they raise comes out of
+    ``run()``, under either tick, and the machine is left usable enough to
+    be inspected."""
     def boom(*args):
         raise Boom(method)
 
     monkeypatch.setattr(Core, method, boom)
     for backend in ("soa", "interp"):
-        machine = LBP(Params(num_cores=2), backend=backend).load(
-            assemble(FORK_JOIN))
+        machine = LBP(Params(num_cores=2), backend=backend,
+                      trace=True).load(assemble(FORK_JOIN))
         with pytest.raises(Boom, match=method):
             machine.run(max_cycles=100_000)
         assert machine.state_dict()["cycle"] >= 0
 
 
-#: where Python runs under the window: an event handler, the idle-span
-#: settlement of a gated core an event wakes (metered runs), the metrics
-#: object, and schedule_access for an access the native path declines
+#: where Python runs under the window, and the machine that reaches it: an
+#: event handler (a traced machine calls every one), a window edge's
+#: ``_emit`` (a metered run's one call into observe/), and schedule_access
+#: for an access the native path declines (FORK_JOIN's code-bank load)
 RAISERS = {
-    "handler": lambda patch, boom: patch.setitem(
-        processor.EVENT_HANDLERS, "fork_req", boom),
-    "native_kind_handler": lambda patch, boom: patch.setitem(
-        processor.EVENT_HANDLERS, "load_done", boom),
-    "settle_idle": lambda patch, boom: patch.setattr(
-        Core, "settle_idle", boom),
-    "metrics.idle": lambda patch, boom: patch.setattr(Metrics, "idle", boom),
-    "metrics.stall": lambda patch, boom: patch.setattr(
-        Metrics, "stall", boom),
-    "metrics.remote_issue": lambda patch, boom: patch.setattr(
-        Metrics, "remote_issue", boom),
-    "schedule_access": lambda patch, boom: patch.setattr(
-        LBP, "schedule_access", boom),
+    "handler": ({"trace": True}, lambda patch, boom: patch.setitem(
+        processor.EVENT_HANDLERS, "fork_req", boom)),
+    "native_kind_handler": ({"trace": True}, lambda patch, boom:
+                            patch.setitem(processor.EVENT_HANDLERS,
+                                          "load_done", boom)),
+    "metrics._emit": ({"metrics": 16}, lambda patch, boom: patch.setattr(
+        Metrics, "_emit", boom)),
+    "schedule_access": ({}, lambda patch, boom: patch.setattr(
+        LBP, "schedule_access", boom)),
 }
 
 
@@ -492,14 +433,14 @@ def test_an_exception_under_the_window_propagates_and_leaks_nothing(
         raise Boom(where)
 
     left = {}
+    engine, patch = RAISERS[where]
+    engine = dict({"metrics": True}, **engine)
 
     def once(run):
-        # (FORK_JOIN's code-bank load goes through schedule_access on every
-        # path)
         backend = "soa" if run % 4 else "interp"
-        machine = LBP(Params(num_cores=2), metrics=True,
-                      backend=backend).load(assemble(FORK_JOIN))
-        RAISERS[where](monkeypatch, boom)
+        machine = LBP(Params(num_cores=2), backend=backend,
+                      **engine).load(assemble(FORK_JOIN))
+        patch(monkeypatch, boom)
         with pytest.raises(Boom, match=where):
             machine.run(max_cycles=100_000)
         monkeypatch.undo()
@@ -570,7 +511,7 @@ def test_state_the_window_cannot_read_is_an_exception_not_a_crash():
     assert machine().run(max_cycles=1000).retired == 6
 
 
-# ---- what a test replaces is what runs -------------------------------------------
+# ---- what runs in C, and what a test replaces -----------------------------------
 
 STACK_TRAFFIC = """
 main:
@@ -583,18 +524,15 @@ main:
 """
 
 
-def _count_calls(monkeypatch, owner, name, item=False, calls=None):
-    calls = [] if calls is None else calls
-    inner = owner[name] if item else getattr(owner, name)
+def _count_calls(monkeypatch, owner, name):
+    calls = []
+    inner = getattr(owner, name)
 
     def counted(*args):
         calls.append(name)
         return inner(*args)
 
-    if item:
-        monkeypatch.setitem(owner, name, counted)
-    else:
-        monkeypatch.setattr(owner, name, counted)
+    monkeypatch.setattr(owner, name, counted)
     return calls
 
 
@@ -737,80 +675,21 @@ def test_team_messages_stay_in_c_unless_observed():
 
 
 @compiled
-def test_a_replaced_handler_and_a_replaced_tick_are_what_runs(monkeypatch):
+def test_a_replaced_tick_is_what_runs(monkeypatch):
+    """``Core.tick`` is the one name the window looks up: a replaced one is
+    called for every tick (the parking tests count ticks through it)."""
     plain = LBP(Params(num_cores=1)).load(assemble(STACK_TRAFFIC))
     plain.run(max_cycles=1000)
-    done = _count_calls(monkeypatch, processor.EVENT_HANDLERS, "load_done",
-                        item=True)
     ticks = _count_calls(monkeypatch, Core, "tick")
     machine = LBP(Params(num_cores=1)).load(assemble(STACK_TRAFFIC))
     machine.run(max_cycles=1000)
-    assert len(done) == 2 and len(ticks) > 10
+    assert len(ticks) > 10
     assert machine.state_dict() == plain.state_dict()
     monkeypatch.undo()
     # and the tick stays callable on its own, outside any window
     machine = LBP(Params(num_cores=1)).load(assemble(STACK_TRAFFIC))
     assert Core.tick(machine.cores[0]) is True
     assert machine.cores[0].harts[0].fetch_buf is not None
-
-
-#: the Metrics hooks the compiled kernel charges for itself
-HOOKS = ("stall", "idle", "remote_issue", "remote_done", "link_wait")
-
-
-class CountingMetrics(Metrics):
-    """A subclass: every charge is a call to its hook again."""
-
-    __slots__ = ("counts",)
-
-    def __init__(self, interval):
-        super().__init__(interval)
-        self.counts = dict.fromkeys(HOOKS, 0)
-
-
-def _counting(name):
-    def hook(self, *args):
-        self.counts[name] += 1
-        return getattr(Metrics, name)(self, *args)
-    return hook
-
-
-for _name in HOOKS:
-    setattr(CountingMetrics, _name, _counting(_name))
-
-
-def _metered_remote_heavy(backend, metrics):
-    """REMOTE_HEAVY metered, with one link booked ahead so that a request
-    waits behind it (a link_wait charge)."""
-    machine = LBP(Params(num_cores=2), backend=backend,
-                  metrics=metrics).load(assemble(REMOTE_HEAVY))
-    machine.cores[0].links.port(("c>r1", 0)).next_free = 30
-    machine.run(max_cycles=100_000)
-    return machine
-
-
-@compiled
-@pytest.mark.parametrize("hook", HOOKS + ("subclass",))
-def test_a_replaced_metrics_hook_is_what_runs(monkeypatch, hook):
-    """The compiled kernel charges for an exact Metrics whose class has its
-    own hooks.  A subclass, or one hook replaced, and every charge is a
-    call to the hooks again: as many as the reference tick makes, with the
-    same report."""
-    seen = {}
-    for backend in ("soa", "interp"):
-        if hook == "subclass":
-            metrics = CountingMetrics(16)
-        else:
-            metrics = Metrics(16)
-            calls = _count_calls(monkeypatch, Metrics, hook)
-        machine = _metered_remote_heavy(backend, metrics)
-        monkeypatch.undo()
-        counts = metrics.counts if hook == "subclass" else len(calls)
-        seen[backend] = (counts, machine.metrics_report(),
-                         machine.state_dict())
-    assert seen["soa"] == seen["interp"]
-    counts = seen["soa"][0]
-    assert all(counts.values()) if hook == "subclass" else counts > 0
 
 
 def _metrics_calls(backend):
@@ -863,79 +742,6 @@ def test_a_metered_run_calls_python_only_at_window_edges():
         by_name[name] += n
     assert (by_name["stall"], by_name["remote_issue"],
             by_name["remote_done"], by_name["idle"]) == (852, 3282, 3282, 643)
-
-
-#: a stack store, a fork request (the tests below replace its handler: a
-#: call into Python when it arrives), and two more stack stores after it
-STORE_FORK_STORE = """
-main:
-    li   t1, 7
-    sw   t1, -4(sp)
-    p_fn t6
-    li   t2, 20
-wait:
-    addi t2, t2, -1
-    bnez t2, wait
-    sw   t1, -8(sp)
-    sw   t1, -12(sp)
-    ebreak
-"""
-
-
-@compiled
-def test_a_handler_replaced_under_the_window_is_what_runs_next(monkeypatch):
-    """Python the window calls (here a replaced fork_req handler) may
-    replace a native kind's handler: every event of that kind after the
-    call runs the replacement, as under the reference loop's lookup per
-    event."""
-    fork_req = processor.EVENT_HANDLERS["fork_req"]
-    store_write = processor.EVENT_HANDLERS["store_write"]
-    stores = []
-
-    def counted(*args):
-        stores.append(args[1:])  # (the machine, then the event args)
-        return store_write(*args)
-
-    def swap(*args):
-        monkeypatch.setitem(processor.EVENT_HANDLERS, "store_write", counted)
-        return fork_req(*args)
-
-    seen = []
-    for backend in (None, "interp"):
-        del stores[:]
-        monkeypatch.setitem(processor.EVENT_HANDLERS, "fork_req", swap)
-        machine = LBP(Params(num_cores=2), backend=backend).load(
-            assemble(STORE_FORK_STORE))
-        machine.run(max_cycles=10_000)
-        monkeypatch.undo()
-        seen.append((list(stores), machine.state_dict()))
-    assert [store[1] for store in seen[0][0]] == [
-        memmap.hart_initial_sp(0) - 8, memmap.hart_initial_sp(0) - 12]
-    assert seen[0] == seen[1]
-
-
-@compiled
-def test_a_hook_replaced_under_the_window_is_what_runs_next(monkeypatch):
-    """Python the window calls may replace a metrics hook: every charge
-    after that call is a call to the replacement, as on the reference."""
-    fork_req = processor.EVENT_HANDLERS["fork_req"]
-    stalls = []
-
-    def swap(*args):
-        _count_calls(monkeypatch, Metrics, "stall", calls=stalls)
-        return fork_req(*args)
-
-    seen = []
-    for backend in (None, "interp"):
-        del stalls[:]
-        monkeypatch.setitem(processor.EVENT_HANDLERS, "fork_req", swap)
-        machine = LBP(Params(num_cores=2), backend=backend,
-                      metrics=True).load(assemble(STORE_FORK_STORE))
-        machine.run(max_cycles=10_000)
-        monkeypatch.undo()
-        seen.append((len(stalls), machine.metrics_report()))
-    assert seen[0][0] > 0
-    assert seen[0] == seen[1]
 
 
 @compiled

@@ -25,6 +25,7 @@ import json
 import os
 import random
 import sys
+import types
 
 import pytest
 
@@ -80,6 +81,10 @@ def test_default_core_runs_the_native_tick():
     assert type(Core.tick) is type(list.append)
     assert Core.tick.__objclass__ is Core
     assert ReferenceCore.tick is not Core.tick
+    # and the idle settlement: a machine of ReferenceCores runs no C
+    assert type(Core.settle_idle) is type(list.append)
+    assert type(ReferenceCore.settle_idle) is types.FunctionType
+    assert ReferenceCore.settle_idle is not Core.settle_idle
     assert all(type(core) is Core for core in LBP(Params(num_cores=2)).cores)
     # the cycle loop too; the reference machine carries the Python one
     assert type(LBP._simulate) is type(list.append)

@@ -111,35 +111,49 @@ main:
     ebreak
 """ % memmap.global_bank_base(1)
 
-#: the kinds the test replaces: each also reaches its handler posted by a
-#: kind that stays compiled, or by the issue in C
-REPLACED = ("load_read", "store_write", "bank_read", "rrep_load",
-            "rack_store", "cv_apply", "rack_cv", "re_deliver", "re_ack",
-            "fork_grant", "start_pc", "ending_signal")
+#: the kinds whose compiled spelling declines a device's word -- the bank
+#: operation, on the owner's side -- each with the position of the address
+#: in its args
+DECLINED = {"load_read": 1, "store_write": 1, "bank_read": 3,
+            "bank_write": 1, "cv_write": 1, "cv_apply": 1}
+
+#: each source and the words mapped as devices: the remote word (its store
+#: and load are issued in Python, their bank operations posted in C), the
+#: CV word 0 of hart 1 (a CV write on the core) and of hart 4 (over the
+#: forward link)
+DEVICE_WORDS = {
+    "memory": (REMOTE_TRAFFIC, (memmap.global_bank_base(1),)),
+    "team": (TEAM_TRAFFIC, (memmap.hart_cv_base(1), memmap.hart_cv_base(0))),
+}
 
 
 @compiled
-@pytest.mark.parametrize("source", [REMOTE_TRAFFIC, TEAM_TRAFFIC],
-                         ids=["memory", "team"])
-def test_a_replaced_handler_gets_the_reference_args(monkeypatch, source):
-    """Half the kinds replaced by recording wrappers: the compiled window
-    calls each with the args tuple the reference loop's post made, at the
-    same cycle, and the runs end alike."""
+@pytest.mark.parametrize("name", sorted(DEVICE_WORDS))
+def test_a_replaced_handler_gets_the_reference_args(monkeypatch, name):
+    """The kinds whose bank operation declines a device replaced by
+    recording wrappers: the compiled window calls each for an event at a
+    device word, whose args tuple the post in C made, with the tuple the
+    reference loop's post made, at the same cycle, and the runs end
+    alike."""
+    source, words = DEVICE_WORDS[name]
     seen = {}
     for backend in BACKENDS:
         calls = seen[backend] = []
         with monkeypatch.context() as patch:
-            for kind in REPLACED:
-                def wrapper(machine, *args, kind=kind,
+            for kind, at in DECLINED.items():
+                def wrapper(machine, *args, kind=kind, at=at,
                             inner=processor.EVENT_HANDLERS[kind]):
-                    calls.append((machine.cycle, kind, _typed(args)))
+                    if args[at] in words:
+                        calls.append((machine.cycle, kind, _typed(args)))
                     return inner(machine, *args)
                 patch.setitem(processor.EVENT_HANDLERS, kind, wrapper)
             machine = LBP(Params(num_cores=2), backend=backend).load(
                 assemble(source))
+            for addr in words:
+                machine.add_device(addr, _Latch())
             stats = machine.run(max_cycles=100_000)
         calls.append((stats.cycles, stats.retired, machine.state_dict()))
-    assert len(seen["soa"]) > 6
+    assert len(seen["soa"]) > 2
     assert seen["soa"] == seen["interp"]
 
 

@@ -241,6 +241,40 @@ def test_cli_symbol_lists_refuse_a_bad_item(tmp_path, capsys, option, item,
     assert captured.out == ""  # refused before anything ran
 
 
+#: input the CLI cannot read, each a file written into the test's directory
+#: (None: none at all), and what its one ``error:`` line says
+UNREADABLE = {
+    "truncated snapshot": (["run", "--resume", "cut.lbpsnap"],
+                           b"LBPSNAP\x01garbage",
+                           "snapshot truncated (15 bytes)"),
+    "missing snapshot": (["run", "--resume", "nope.lbpsnap"], None,
+                         "[Errno 2] No such file or directory"),
+    "missing source": (["run", "nope.c"], None,
+                       "[Errno 2] No such file or directory"),
+    "missing checked source": (["check", "nope.c"], None,
+                               "[Errno 2] No such file or directory"),
+    "compile error": (["run", "bad.c"], b"int v;\nint main( {\n",
+                      "{dir}/bad.c:2: expected a type"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNREADABLE))
+def test_cli_refuses_input_it_cannot_read(tmp_path, capsys, name):
+    """Each was a traceback: now one ``error:`` line, exit status 2, and
+    nothing run (a compile error keeps its file:line)."""
+    argv, data, why = UNREADABLE[name]
+    path = tmp_path / argv[-1]
+    if data is not None:
+        path.write_bytes(data)
+    with pytest.raises(SystemExit) as exit_:
+        cli_main(argv[:-1] + [str(path)])
+    assert exit_.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(
+        "error: " + why.format(dir=tmp_path))
+    assert len(captured.err.splitlines()) == 1 and captured.out == ""
+
+
 def test_cli_trace_limit_zero_prints_no_events(tmp_path, capsys):
     assert cli_main(["run", _write(tmp_path, _PROG), "--cores", "1",
                      "--trace", "--trace-limit", "0"]) == 0

@@ -110,6 +110,17 @@ def test_what_metrics_accepts(given, interval):
     assert LBP(Params(num_cores=1), metrics=metrics).metrics is metrics
 
 
+@pytest.mark.parametrize("backend", [None, "interp"])
+def test_a_metrics_subclass_is_refused(backend):
+    """The compiled kernel makes a Metrics' charges itself and would not
+    call a subclass's overrides: both backends refuse one, naming it."""
+    class Counting(Metrics):
+        __slots__ = ()
+
+    with pytest.raises(TypeError, match="subclass Counting$"):
+        LBP(Params(num_cores=1), metrics=Counting(), backend=backend)
+
+
 def test_one_metrics_observes_one_machine():
     """Shared by two machines, one Metrics would sum both runs (or index
     past its slots on a larger machine): the second bind refuses."""

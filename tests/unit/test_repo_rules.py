@@ -125,3 +125,179 @@ def test_no_trace_record_call_formats_its_args():
                 hits.append("%s:%d" % (path.relative_to(ROOT), node.lineno))
     assert calls, "no trace.record call found: the rule checks nothing"
     assert hits == []
+
+
+# ---- the compiled kernel's structure ----------------------------------------
+
+KERNEL_DIR = ROOT / "src" / "repro" / "machine"
+
+
+def _kernel(*names):
+    """``(file:line, text)`` of each line of the kernel files *names*."""
+    lines = []
+    for name in names:
+        text = (KERNEL_DIR / name).read_text()
+        lines += [("%s:%d" % (name, number), line)
+                  for number, line in enumerate(text.splitlines(), 1)]
+    return lines
+
+
+def _span(lines, start, end, keep=True):
+    """sed's ``/start/,/end/p`` (*keep*) or ``/start/,/end/d``: each run of
+    lines from one that *start* finds through the next one *end* finds
+    (to the last line if none does)."""
+    kept, inside = [], False
+    for where, text in lines:
+        opened = not inside and re.search(start, text) is not None
+        inside = inside or opened
+        if inside == keep:
+            kept.append((where, text))
+        if inside and not opened and re.search(end, text):
+            inside = False
+    return kept
+
+
+def _function(lines, name):
+    """A C function of *lines*: from its ``name(`` line to its ``}``."""
+    return _span(lines, r"^%s\(" % name, r"^}")
+
+
+def _hits(lines, pattern):
+    return ["%s: %s" % (where, text.strip()) for where, text in lines
+            if re.search(pattern, text)]
+
+
+def _holds(lines, pattern):
+    """Whether *pattern* finds a line of *lines*: a rule whose region has
+    gone (a function renamed, a section header reworded) checks nothing."""
+    return any(re.search(pattern, text) for _where, text in lines)
+
+
+#: the "core view" section of _window.h, where a view loads and flushes
+VIEW_SECTION = (r"^/\* ---- the core view", r"^/\* ---- machine attributes")
+#: the "events at rest" section, where an event becomes a tuple
+AT_REST_SECTION = (r"^/\* ---- events at rest", r"^/\* ---- the core view")
+
+
+def _beside_the_view():
+    """The kernel but for the core-view section."""
+    return _kernel("_tick.c") + _span(_kernel("_window.h"), *VIEW_SECTION,
+                                      keep=False)
+
+
+HEAPQ_CALL = r"heappop|heappush"
+
+
+def test_the_window_makes_no_heapq_call():
+    """The window keeps its pending events in its own heap of C structs:
+    ``machine._events`` is touched only on the way in and out, never
+    pushed or popped per event."""
+    assert _hits(_kernel("_window.h"), HEAPQ_CALL) == []
+
+
+LINK_PORT_READ = r"PyList_GET_ITEM"
+LINK_KEY_MADE = r"PyLong_From|PyTuple_Pack|PyDict_"
+
+
+def test_a_link_port_is_a_list_slot():
+    """A link's port is a list slot: ``link_port`` boxes no index, packs
+    no ``(tag, index)`` key and probes no dict on any hop."""
+    lines = _function(_kernel("_window.h"), "link_port")
+    assert _holds(lines, LINK_PORT_READ)
+    assert _hits(lines, LINK_KEY_MADE) == []
+
+
+VIEW_LOAD = r"^view_load\("
+VIEW_SLOT = (
+    r"\b(C\.(index|active|idle_since|sleep_until|_seq|_tag|_rr_[a-z]+"
+    r"|_rob_size|_wb_wake|harts)|H\.(pc|awaiting_nextpc|fetch_ready_at"
+    r"|syncm_block|outstanding_mem|reserved|pred_done|fetch_ok|n_ready|gid"
+    r"|index|regs|rename|it|rob|rb|stats|fetch_buf)|S\.[a-z_]+|K\.[a-z_]+)\b")
+
+
+def test_only_the_core_view_names_a_pipeline_scalar_slot():
+    """A core's pipeline scalars live in its view while C runs: only the
+    view's load and flush (the "core view" section of _window.h) name
+    their slots, so no second path reads or writes them there."""
+    assert _holds(_kernel("_window.h"), VIEW_LOAD)
+    assert _hits(_beside_the_view(), VIEW_SLOT) == []
+
+
+RING_SLOT = r"\b[ER]\.[a-z_]+\b"
+
+
+def test_only_the_ring_names_an_entry_or_result_buffer_slot():
+    """An in-flight instruction lives in its hart's ring while C runs: only
+    the view's load and flush name an Entry's or a ResultBuffer's slots
+    (and the lists the ring is the at-rest form of, checked with the core
+    view)."""
+    assert _holds(_kernel("_window.h"), VIEW_LOAD)
+    assert _hits(_beside_the_view(), RING_SLOT) == []
+
+
+RENAME_PUSHES = r"ring_push"
+COMMIT_POPS = r"ring_pop"
+OBJECT_MADE = r"PyList_Append|PyObject_GC_New|PyLong_FromLongLong"
+
+
+def test_rename_and_commit_make_no_object_and_box_no_int():
+    """Rename pushes a record on the ring and commit pops one: neither
+    makes an object or boxes an int per instruction."""
+    tick = _kernel("_tick.c")
+    rename = _function(tick, "rename_into")
+    commit = _function(tick, "stage_commit")
+    assert _holds(rename, RENAME_PUSHES) and _holds(commit, COMMIT_POPS)
+    assert _hits(rename + commit, OBJECT_MADE) == []
+
+
+CYCLE_LOOP = (r"while \(cycle < barrier\)",
+              r"what the Python loop leaves behind")
+LOOP_DISPATCHES = r"dispatch\(&w\)"
+INT_BOXED = r"PyLong_FromLongLong"
+
+
+def test_the_cycle_loop_boxes_no_int():
+    """The cycle loop boxes no int: "now" is boxed when a call or a flush
+    needs it, not per cycle."""
+    loop = _span(_function(_kernel("_window.h"), "machine_simulate"),
+                 *CYCLE_LOOP)
+    assert _holds(loop, LOOP_DISPATCHES)
+    assert _hits(loop, INT_BOXED) == []
+
+
+CALL_HANDLER = r"^call_handler\("
+TUPLE_MADE = r"PyTuple_(Pack|New)"
+
+
+def test_an_event_tuple_is_made_only_at_rest():
+    """An event the window posts holds its args typed: a tuple is made
+    only where one leaves C, the "events at rest" section of _window.h
+    (``event_out``, ``event_args``, ``call_handler``)."""
+    window = _kernel("_window.h")
+    assert _holds(_span(window, *AT_REST_SECTION), CALL_HANDLER)
+    assert _hits(_span(window, *AT_REST_SECTION, keep=False),
+                 TUPLE_MADE) == []
+
+
+COMPILED_HANDLER = (r"^ev_[a-z_]*\(", r"^}")
+ARGS_TUPLE_READ = r"PyTuple_GET_ITEM"
+
+
+def test_a_compiled_handler_reads_its_typed_args_alone():
+    """Each compiled ``ev_*`` handler reads the event's typed args, never
+    an args tuple."""
+    handlers = _span(_kernel("_window.h"), *COMPILED_HANDLER)
+    assert _holds(handlers, r"^ev_load_read\(")
+    assert _hits(handlers, ARGS_TUPLE_READ) == []
+
+
+CURSORS_FLUSH = r"^cursors_flush\("
+MEMORY_SLOT = r"\b(P\.next_free|[BM]\.[a-z_]+)\b"
+
+
+def test_only_the_memory_view_names_a_port_or_bank_slot():
+    """A Port's ``next_free`` is a cursor and a bank a pointer while C
+    runs: only the view's load and flush name a Port's, a Bank's or a
+    CoreMemory's slots."""
+    assert _holds(_kernel("_window.h"), CURSORS_FLUSH)
+    assert _hits(_beside_the_view(), MEMORY_SLOT) == []
