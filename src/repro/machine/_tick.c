@@ -1744,25 +1744,19 @@ enum { REASONS(REASON_INDEX) REASON_COUNT };
 #define REASON_NAME(name) #name,
 static const char *const reason_names[REASON_COUNT] = {REASONS(REASON_NAME)};
 
-/* 0 when *metrics* is None or an exact Metrics (``__slots__``: no instance
- * attribute shadows a hook), else a TypeError and -1 */
-static int
-check_metrics(PyObject *metrics)
-{
-    if (metrics == Py_None || Py_TYPE(metrics) == metrics_type)
-        return 0;
-    PyErr_Format(PyExc_TypeError, "compiled tick: machine.metrics is a %s, "
-                 "not a Metrics", Py_TYPE(metrics)->tp_name);
-    return -1;
-}
-
-/* ``machine.metrics``, checked: a new reference, or NULL */
+/* ``machine.metrics``, checked to be None or an exact Metrics
+ * (``__slots__``: no instance attribute shadows a hook): a new reference,
+ * or NULL with a TypeError */
 static PyObject *
 machine_metrics(PyObject *machine)
 {
     PyObject *metrics = PyObject_GetAttr(machine, s_metrics);
-    if (metrics != NULL && check_metrics(metrics) < 0)
+    if (metrics != NULL && metrics != Py_None
+            && Py_TYPE(metrics) != metrics_type) {
+        PyErr_Format(PyExc_TypeError, "compiled tick: machine.metrics is a "
+                     "%s, not a Metrics", Py_TYPE(metrics)->tp_name);
         Py_CLEAR(metrics);
+    }
     return metrics;
 }
 

@@ -2355,14 +2355,18 @@ link_port(PyObject *links, PyObject *table, const Hop *hop)
 }
 
 /* Metrics.link_wait(index, delay) by *observer*, a metered link
- * scheduler's: router queueing held a path of core *index_obj* up */
+ * scheduler's: router queueing held a path of core *index_obj* up.  The
+ * observer is the machine's metrics (LBP._attach_metrics), checked at entry. */
 static int
-link_wait(PyObject *observer, PyObject *index_obj, int64_t delay)
+link_wait(Window *w, PyObject *observer, PyObject *index_obj, int64_t delay)
 {
     int64_t index;
     PyObject *slot;
-    if (check_metrics(observer) < 0)
+    if (observer != w->metrics) {
+        PyErr_SetString(PyExc_TypeError, "compiled tick: a link scheduler "
+                        "observes other than machine.metrics");
         return -1;
+    }
     index = as_int(index_obj);
     if ((index == -1 && PyErr_Occurred())
             || (slot = telemetry(observer, index)) == NULL)
@@ -2391,7 +2395,7 @@ reserve_path(Window *w, CoreView *v, const Hop *path, int count,
             return -1;
     if (v->link_observer != Py_None && count
             && time - (start + hop * count) > 0
-            && link_wait(v->link_observer, v->link_core,
+            && link_wait(w, v->link_observer, v->link_core,
                          time - (start + hop * count)) < 0)
         return -1;
     *out = time;

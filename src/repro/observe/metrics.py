@@ -415,7 +415,7 @@ class Metrics:
         return _EXEC_WAIT
 
 
-# the compiled kernel learns this class's slots and hooks (and the
-# classifier's taxonomy) once, here, so an unmetered process never
-# imports this module
+# the compiled kernel learns this class's slots and the classifier's
+# taxonomy (STALL_REASONS) once, here, and no hooks, so an unmetered
+# process never imports this module
 native.bind_metrics(Metrics, CoreTelemetry, STALL_REASONS)

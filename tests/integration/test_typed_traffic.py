@@ -126,6 +126,16 @@ DEVICE_WORDS = {
     "team": (TEAM_TRAFFIC, (memmap.hart_cv_base(1), memmap.hart_cv_base(0))),
 }
 
+#: each source's (kind, device word) pairs that reach a wrapped handler
+REACHED = {
+    "memory": {("bank_write", memmap.global_bank_base(1)),
+               ("bank_read", memmap.global_bank_base(1))},
+    "team": {("load_read", memmap.hart_cv_base(1)),
+             ("load_read", memmap.hart_cv_base(0)),
+             ("cv_write", memmap.hart_cv_base(1)),
+             ("cv_apply", memmap.hart_cv_base(0))},
+}
+
 
 @compiled
 @pytest.mark.parametrize("name", sorted(DEVICE_WORDS))
@@ -134,16 +144,18 @@ def test_a_replaced_handler_gets_the_reference_args(monkeypatch, name):
     recording wrappers: the compiled window calls each for an event at a
     device word, whose args tuple the post in C made, with the tuple the
     reference loop's post made, at the same cycle, and the runs end
-    alike."""
+    alike.  Each run reaches exactly its source's (kind, word) pairs."""
     source, words = DEVICE_WORDS[name]
     seen = {}
     for backend in BACKENDS:
         calls = seen[backend] = []
+        reached = set()
         with monkeypatch.context() as patch:
             for kind, at in DECLINED.items():
                 def wrapper(machine, *args, kind=kind, at=at,
                             inner=processor.EVENT_HANDLERS[kind]):
                     if args[at] in words:
+                        reached.add((kind, args[at]))
                         calls.append((machine.cycle, kind, _typed(args)))
                     return inner(machine, *args)
                 patch.setitem(processor.EVENT_HANDLERS, kind, wrapper)
@@ -152,8 +164,8 @@ def test_a_replaced_handler_gets_the_reference_args(monkeypatch, name):
             for addr in words:
                 machine.add_device(addr, _Latch())
             stats = machine.run(max_cycles=100_000)
+        assert reached == REACHED[name], backend
         calls.append((stats.cycles, stats.retired, machine.state_dict()))
-    assert len(seen["soa"]) > 2
     assert seen["soa"] == seen["interp"]
 
 

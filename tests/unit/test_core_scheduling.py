@@ -18,6 +18,7 @@ from repro.machine import LBP, DeadlockError, Params, native
 from repro.machine.core import Core
 from repro.machine.hart import NEVER
 from repro.machine.reference import ReferenceCore
+from repro.observe import Metrics
 from repro.workloads import ServingWorkload, SortWorkload, StencilWorkload
 
 MAX_CYCLES = 5_000_000
@@ -161,6 +162,17 @@ def test_metered_windows_survive_pauses_when_a_gated_core_is_charged(backend):
     charged = [row[0] for row in rows if row[5]]
     assert len(charged) == 3 and charged[0] > 0
     assert report["link_wait_per_core"][1] == 3
+
+
+@parks
+def test_a_link_observer_other_than_the_machines_metrics_is_refused():
+    """A link scheduler's observer is the machine's metrics (LBP binds
+    both); the compiled window charges link_wait to that one, so it
+    refuses a scheduler that observes another rather than charge it."""
+    machine = _machine(assemble(GATED_LINK_WAIT), 2, metrics=64)
+    machine.cores[1].links.observe(Metrics(64), 1)
+    with pytest.raises(TypeError, match="other than machine.metrics"):
+        machine.run(max_cycles=MAX_CYCLES)
 
 
 # ---- (c) parking -------------------------------------------------------------
