@@ -186,7 +186,7 @@ SLOT_TABLE(TS, TELEMETRY_SLOTS)
 
 static PyTypeObject *core_type, *hart_type, *rb_type, *entry_type, *low_type,
     *stats_type, *mem_type, *bank_type, *port_type, *counters_type,
-    *links_type, *metrics_type, *telemetry_type;
+    *links_type, *metrics_type, *telemetry_type, *trace_type;
 /* hart.py's NEVER, as the object to store and the value to compare */
 static PyObject *never_obj;
 static int64_t never_val;
@@ -234,7 +234,14 @@ static PyObject *zero_obj;
     X(wait, "wait") X(end, "end") X(cv_write_latency, "cv_write_latency") \
     X(num_result_buffers, "num_result_buffers") \
     X(lb, "lb") X(lh, "lh") X(lw, "lw") X(lbu, "lbu") X(lhu, "lhu") \
-    X(p_lwcv, "p_lwcv")
+    X(p_lwcv, "p_lwcv") X(_buffers, "_buffers") X(kinds, "kinds") \
+    X(_merged, "_merged") X(mem_load_req, "mem_load_req") \
+    X(mem_store_req, "mem_store_req") X(mem_load, "mem_load") \
+    X(mem_store, "mem_store") X(re_send, "re_send") X(fork, "fork") \
+    X(start, "start") X(p_ret, "p_ret") X(acc, "acc") X(swcv, "swcv") X(lwcv, "lwcv") \
+    X(swre, "swre") X(refill, "refill") X(lwre, "lwre") X(jsend, "jsend") \
+    X(esig, "esig") X(pred, "pred") X(jretsend, "jretsend") \
+    X(jrecv, "jrecv") X(jstart, "jstart")
 #define STRING_VAR(name, text) static PyObject *s_##name;
 STRINGS(STRING_VAR)
 
@@ -2182,14 +2189,14 @@ static PyObject *
 tick_bind(PyObject *Py_UNUSED(module), PyObject *args)
 {
     PyTypeObject *core, *hart, *rb, *entry, *low, *stats, *mem, *bank, *port,
-        *counters, *links, *machine;
+        *counters, *links, *machine, *trace;
     PyObject *tags, *shifts, *never, *handlers, *classes, *settle, *simulate;
     PyObject *bound = NULL;
     long long never_value, base, size, ack_latency;
     long long cv[4];
     int h;
     if (!PyArg_ParseTuple(args,
-                          "O!O!O!O!O!O!O!O!O!O!O!O!O!O!O!O!O!LLL(LLLL):bind",
+                          "O!O!O!O!O!O!O!O!O!O!O!O!O!O!O!O!O!LLL(LLLL)O!:bind",
                           &PyType_Type, &core, &PyType_Type, &hart,
                           &PyType_Type, &rb, &PyType_Type, &entry,
                           &PyType_Type, &low, &PyType_Type, &stats,
@@ -2199,7 +2206,8 @@ tick_bind(PyObject *Py_UNUSED(module), PyObject *args)
                           &PyTuple_Type, &shifts, &PyType_Type, &machine,
                           &PyDict_Type, &handlers, &PyLong_Type, &never,
                           &PyTuple_Type, &classes, &base, &size,
-                          &ack_latency, &cv[0], &cv[1], &cv[2], &cv[3]))
+                          &ack_latency, &cv[0], &cv[1], &cv[2], &cv[3],
+                          &PyType_Type, &trace))
         return NULL;
     if (check_link_tags(tags, shifts) < 0 || read_classes(classes) < 0)
         return NULL;
@@ -2253,6 +2261,7 @@ tick_bind(PyObject *Py_UNUSED(module), PyObject *args)
     KEEP(port_type, port);
     KEEP(counters_type, counters);
     KEEP(links_type, links);
+    KEEP(trace_type, trace);
     KEEP(never_obj, never);
     never_val = never_value;
     re_ack_latency = ack_latency;
@@ -2461,14 +2470,17 @@ tick_slot_counts(PyObject *Py_UNUSED(module), PyObject *Py_UNUSED(ignored))
     if (status < 0
             || put_count(counts, PyUnicode_FromString("PyLong_FromLongLong"),
                          boxes) < 0
-            || put_count(counts, PyUnicode_FromString("tuples"), tuples)
+            || put_count(counts, PyUnicode_FromString("tuples"), tuples) < 0
+            || put_count(counts, PyUnicode_FromString("calls into Python"),
+                         python_calls) < 0
+            || put_count(counts, PyUnicode_FromString("windows"), windows)
                < 0) {
         Py_DECREF(counts);
         return NULL;
     }
     memset(slot_touches, 0, sizeof(slot_touches));
     memset(posts, 0, sizeof(posts));
-    long_boxes = tuples_made = 0;
+    long_boxes = tuples_made = python_calls = windows = 0;
     return counts;
 }
 #endif
@@ -2478,7 +2490,8 @@ static PyMethodDef module_methods[] = {
      "bind(Core, Hart, ResultBuffer, Entry, LoweredInstr, HartStats, "
      "CoreMemory, Bank, Port, CoreCounters, LinkScheduler, LINK_TAGS, "
      "LINK_SHIFTS, LBP, EVENT_HANDLERS, NEVER, classes, GLOBAL_BASE, "
-     "GLOBAL_BANK_SIZE, RE_ACK_LATENCY, cv_bases) -> the method descriptors "
+     "GLOBAL_BANK_SIZE, RE_ACK_LATENCY, cv_bases, Trace) -> the method "
+     "descriptors "
      "(Core.tick, Core.settle_idle, LBP._simulate).\n\n*classes* are the "
      "InstrClass values named by class_names().  Resolves every slot offset "
      "they use; raises if a class lacks one."},

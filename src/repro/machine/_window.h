@@ -133,6 +133,18 @@ static const int kind_arity[NATIVE_COUNT] = {NATIVE_KINDS(KIND_ARITY)};
 /* the most args a native kind has */
 #define MAX_ARGS 8
 
+/* the trace kinds the window records (machine/trace.py's KINDS) */
+#define TRACE_KINDS(X) \
+    X(mem_load_req) X(mem_store_req) X(mem_load) X(mem_store) X(cv_write) \
+    X(re_send) X(fork) X(start) X(ending_signal) X(join) X(p_ret)
+#define TRACE_INDEX(kind) T_##kind,
+enum { TRACE_KINDS(TRACE_INDEX) TRACE_COUNT };
+#define TRACE_NAME(kind) &s_##kind,
+static PyObject **const trace_name[TRACE_COUNT] = {TRACE_KINDS(TRACE_NAME)};
+
+/* the args of a post, typed as its kind's shape says, or of a record */
+#define ARGS(...) ((const int64_t[]){__VA_ARGS__})
+
 /* a bank reference, typed: the core's index doubled, plus 1 for its shared
  * bank */
 #define REF(shared, index) ((index) * 2 + (shared))
@@ -152,6 +164,8 @@ static const uint32_t mnemonic_bits[] = {MNEMONICS(MNEMONIC_BITS)};
 
 #ifdef TICK_COUNTS
 static long long posts[NATIVE_COUNT];  /* events posted, by kind */
+/* calls into Python, and calls of the window (``_simulate``) */
+static long long python_calls, windows;
 #endif
 
 /* One pending event of the window's heap: its key, its kind and its args,
@@ -210,6 +224,13 @@ struct Window {
     int64_t num_cores;          /* params.num_cores */
     int64_t cv_latency;         /* params.cv_write_latency */
     int64_t result_buffers;     /* params.num_result_buffers */
+    /* the observers, resolved with the context: the trace when it is on
+     * and its buffers, the kinds it records (a bit per TRACE_KINDS index),
+     * whether C recorded one since Python last could look; the sanitizer's
+     * buffers (owned, NULL for none) */
+    PyObject *trace, *trace_buffers, *san_buffers;
+    unsigned trace_kinds;
+    int recorded;
     /* the core class whose ``tick`` was looked up last, and the answer */
     PyTypeObject *tick_type;
     int tick_direct;
@@ -352,7 +373,10 @@ release(Event *event)
  * moves in (event_in: the args typed, the tuple kept), goes back
  * (event_out), goes to a shard worker's ``_outbox`` (post, through
  * event_out) or to its Python handler (call_handler), and hands a slice of
- * its args to a list of the hart state (event_args). */
+ * its args to a list of the hart state (event_args).  The observers'
+ * records leave C here too: a trace event or a sanitizer observation is
+ * the tuple the Python spelling appends, appended to the same buffer
+ * (trace_ints, sanitize). */
 
 /* The NATIVE_KINDS index of the kind *name*, or -1 (a kind only Python
  * spells, or no kind at all: its handler lookup words that). */
@@ -677,6 +701,112 @@ call_handler(Window *w, const Event *event)
     Py_DECREF(handler);
     return status;
 }
+
+/* The list ``buffers[domain]`` (a dict's, made when missing), borrowed */
+static PyObject *
+domain_buffer(PyObject *buffers, int64_t domain)
+{
+    PyObject *key = PyLong_FromLongLong(domain), *list = NULL;
+    if (key == NULL)
+        return NULL;
+    if ((list = PyDict_GetItemWithError(buffers, key)) == NULL
+            && !PyErr_Occurred() && (list = PyList_New(0)) != NULL) {
+        if (PyDict_SetItem(buffers, key, list) < 0)
+            Py_CLEAR(list);
+        Py_XDECREF(list);  /* (the dict holds it) */
+    }
+    Py_DECREF(key);
+    if (list != NULL && !PyList_Check(list)) {
+        wrong_type("list of observations");
+        return NULL;
+    }
+    return list;
+}
+
+/* *record* (stolen; NULL: making it failed) joins ``buffers[domain]`` */
+static int
+observe(PyObject *buffers, int64_t domain, PyObject *record)
+{
+    PyObject *list;
+    int status = -1;
+    if (record != NULL && (list = domain_buffer(buffers, domain)) != NULL)
+        status = PyList_Append(list, record);
+    Py_XDECREF(record);
+    return status;
+}
+
+/* ``Trace.record(cycle, core, hart, kind, args, domain)``: the event
+ * ``(cycle, core, hart, kind, args)`` joins the buffer of *domain* when
+ * the trace records *kind* (a TRACE_KINDS index); *args* the *n* ints *a*,
+ * or *obj* when *n* is -1 */
+static int
+trace_event(Window *w, int kind, int64_t domain, int64_t core, int64_t hart,
+            int n, const int64_t *a, PyObject *obj)
+{
+    int i;
+    int64_t head[3] = {0, core, hart};  /* (the cycle: its box) */
+    PyObject *event, *args, *item;
+    if (!(w->trace_kinds >> kind & 1))
+        return 0;
+    if (cycle_box(w) == NULL || (event = PyTuple_New(5)) == NULL)
+        return -1;
+    PyTuple_SET_ITEM(event, 0, new_ref(w->cycle_obj));
+    PyTuple_SET_ITEM(event, 3, new_ref(*trace_name[kind]));
+    if (n < 0)
+        PyTuple_SET_ITEM(event, 4, new_ref(obj));
+    else if ((args = PyTuple_New(n)) != NULL) {
+        PyTuple_SET_ITEM(event, 4, args);
+        for (i = 0; i < n; i++) {
+            if ((item = PyLong_FromLongLong(a[i])) == NULL)
+                goto fail;
+            PyTuple_SET_ITEM(args, i, item);
+        }
+    } else
+        goto fail;
+    for (i = 1; i < 3; i++) {
+        if ((item = PyLong_FromLongLong(head[i])) == NULL)
+            goto fail;
+        PyTuple_SET_ITEM(event, i, item);
+    }
+    w->recorded = 1;
+    return observe(w->trace_buffers, domain, event);
+fail:
+    Py_DECREF(event);
+    return -1;
+}
+
+#define TRACE_INTS(w, kind, domain, core, hart, ...) \
+    trace_event(w, T_##kind, domain, core, hart, \
+                (int)(sizeof(ARGS(__VA_ARGS__)) / sizeof(int64_t)), \
+                ARGS(__VA_ARGS__), NULL)
+
+/* ``Sanitizer.record(domain, (cycle, kind, *a))``, the *n* ints *a*, when
+ * a sanitizer is attached */
+static int
+sanitize(Window *w, int64_t domain, PyObject *kind, int n, const int64_t *a)
+{
+    int i;
+    PyObject *record, *item;
+    if (w->san_buffers == NULL)
+        return 0;
+    if (cycle_box(w) == NULL || (record = PyTuple_New(n + 2)) == NULL)
+        return -1;
+    PyTuple_SET_ITEM(record, 0, new_ref(w->cycle_obj));
+    PyTuple_SET_ITEM(record, 1, new_ref(kind));
+    for (i = 0; i < n; i++) {
+        if ((item = PyLong_FromLongLong(a[i])) == NULL) {
+            Py_DECREF(record);
+            return -1;
+        }
+        PyTuple_SET_ITEM(record, i + 2, item);
+    }
+    return observe(w->san_buffers, domain, record);
+}
+
+#define SANITIZE(w, domain, kind, ...) \
+    sanitize(w, domain, s_##kind, \
+             (int)(sizeof(ARGS(__VA_ARGS__)) / sizeof(int64_t)), \
+             ARGS(__VA_ARGS__))
 
 /* ---- the core view ---------------------------------------------------------------
  * _tick.c says what a view holds.  These are the only functions that read
@@ -1949,6 +2079,8 @@ attr_int(PyObject *obj, PyObject *name, int64_t *out, const int64_t *none)
     return *out == -1 && PyErr_Occurred() ? -1 : 0;
 }
 
+static int trace_seen(Window *w);
+
 /* Make ``machine.cycle`` and ``machine._origin`` what the Python loop would
  * have left there by now. */
 static int
@@ -1974,10 +2106,13 @@ publish_now(Window *w)
 static int
 leave_c(Window *w)
 {
-    if (views_flush(w) < 0)
+    if (views_flush(w) < 0 || trace_seen(w) < 0)
         return -1;
     w->ntouched = 0;
     w->calls++;
+#ifdef TICK_COUNTS
+    python_calls++;
+#endif
     return publish_now(w);
 }
 
@@ -1988,7 +2123,7 @@ views_close(Window *w)
 {
     Raised first;
     SET_ASIDE(&first);
-    if (views_flush(w) < 0)
+    if (views_flush(w) < 0 || trace_seen(w) < 0)
         keep_first(&first);
     w->ntouched = 0;
     if (!RAISED(&first))
@@ -2038,32 +2173,89 @@ per_core(Window *w)
     return w->per_core;
 }
 
+/* ``obj._buffers``, a new reference to a dict */
+static PyObject *
+buffers_of(PyObject *obj)
+{
+    PyObject *buffers = PyObject_GetAttr(obj, s__buffers);
+    if (buffers != NULL && !PyDict_Check(buffers)) {
+        Py_DECREF(buffers);
+        wrong_type("dict of observation buffers");
+        return NULL;
+    }
+    return buffers;
+}
+
+/* What the observers record into, read once per call: the trace (an exact
+ * Trace; only when it is on) with its buffers and kinds, the sanitizer's
+ * buffers.  C records what the Python spelling records, where it does. */
+static int
+observers(Window *w)
+{
+    int k, on;
+    PyObject *trace, *value;
+    if ((trace = PyObject_GetAttr(w->machine, s_trace)) == NULL)
+        return -1;
+    if (Py_TYPE(trace) != trace_type) {
+        PyErr_Format(PyExc_TypeError, "compiled window: machine.trace is a "
+                     "%s, not a Trace", Py_TYPE(trace)->tp_name);
+        goto fail;
+    }
+    if ((value = PyObject_GetAttr(trace, s_enabled)) == NULL)
+        goto fail;
+    on = PyObject_IsTrue(value);
+    Py_DECREF(value);
+    if (on > 0) {
+        if ((value = PyObject_GetAttr(trace, s_kinds)) == NULL)
+            goto fail;
+        for (k = 0; k < TRACE_COUNT && on >= 0; k++)
+            if ((on = value == Py_None
+                 || PySequence_Contains(value, *trace_name[k])) > 0)
+                w->trace_kinds |= 1u << k;
+        Py_DECREF(value);
+        if (on >= 0 && (w->trace_buffers = buffers_of(trace)) != NULL) {
+            w->trace = trace;
+            trace = NULL;
+        }
+    }
+    if (on < 0 || PyErr_Occurred())
+        goto fail;
+    Py_XDECREF(trace);
+    if ((value = PyObject_GetAttr(w->machine, s_sanitizer)) == NULL)
+        return -1;
+    if (value != Py_None)
+        w->san_buffers = buffers_of(value);
+    Py_DECREF(value);
+    return PyErr_Occurred() ? -1 : 0;
+fail:
+    Py_XDECREF(trace);
+    return -1;
+}
+
+/* Python is about to look, or the call returns: ``trace._merged`` is
+ * dropped when C recorded since (Trace.record drops it each time). */
+static int
+trace_seen(Window *w)
+{
+    if (!w->recorded)
+        return 0;
+    w->recorded = 0;
+    return PyObject_SetAttr(w->trace, s__merged, Py_None);
+}
+
 /* May this call of the window take the native memory-access path?  1 yes,
- * 0 no (traced, sanitized: the Python spelling records what they need). */
+ * 0 no (``mmio`` is no dict: the Python spelling reads it). */
 static int
 access_context(Window *w)
 {
-    PyObject *value, *inner;
-    int observed, status;
+    PyObject *value;
+    int status;
     if (w->context)
         return w->context == 1;
-    if ((value = PyObject_GetAttr(w->machine, s_trace)) == NULL)
+    if (observers(w) < 0
+            || (w->mmio = PyObject_GetAttr(w->machine, s_mmio)) == NULL)
         return -1;
-    inner = PyObject_GetAttr(value, s_enabled);
-    Py_DECREF(value);
-    if (inner == NULL)
-        return -1;
-    observed = PyObject_IsTrue(inner);
-    Py_DECREF(inner);
-    if (observed < 0)
-        return -1;
-    if ((value = PyObject_GetAttr(w->machine, s_sanitizer)) == NULL)
-        return -1;
-    observed |= value != Py_None;
-    Py_DECREF(value);
-    if ((w->mmio = PyObject_GetAttr(w->machine, s_mmio)) == NULL)
-        return -1;
-    if (observed || !PyDict_Check(w->mmio)) {
+    if (!PyDict_Check(w->mmio)) {
         w->context = 2;
         return 0;
     }
@@ -2085,8 +2277,8 @@ access_context(Window *w)
 }
 
 /* May the window spell the tick's call-back sites for the core being
- * ticked?  1 yes; 0 no: no window (Core.tick called on its own) or an
- * observer (access_context) -- the call is made. */
+ * ticked?  1 yes; 0 no: no window (Core.tick called on its own) or no
+ * context (access_context) -- the call is made. */
 static int
 window_native(Tick *t)
 {
@@ -2135,8 +2327,6 @@ fail:
     return -1;
 }
 
-/* the args of a post, typed as its kind's shape says */
-#define ARGS(...) ((const int64_t[]){__VA_ARGS__})
 
 /* LBP.post of the native kind *kind* with the args *a* from *origin*'s
  * domain to domain *dst*: the key takes the origin's next ``_seq``, and a
@@ -2527,6 +2717,17 @@ mem_access(Tick *t, HartView *hv, Instr *rec, enum access kind)
     }
     if ((status = is_device(w, addr)) != 0)
         return status < 0 ? -1 : 0;  /* a device's: the Python path's */
+    /* what _exec_p_lwcv and schedule_access record of it */
+    if ((kind == ACC_LWCV
+         && SANITIZE(w, v->index, lwcv, hv->gid, rec->tag, rec->dec->imm) < 0)
+            || trace_event(w, kind == ACC_STORE ? T_mem_store_req
+                           : T_mem_load_req, v->index, v->index, hv->index, 2,
+                           ARGS(addr, owner < 0 ? REF(shared, v->index)
+                                : REF(1, owner)), NULL) < 0
+            || (addr >= global_base
+                && SANITIZE(w, v->index, acc, hv->gid, rec->tag, addr, width,
+                            kind == ACC_STORE, rec->pc) < 0))
+        return -1;
     return owner < 0 ? own_access(t, hv, rec, kind, addr, shared)
         : remote_access(t, hv, rec, kind, addr, owner);
 fail:
@@ -2671,6 +2872,7 @@ ev_load_read(Window *w, CoreView *Py_UNUSED(domain), const Event *event)
 {
     const int64_t *a = event->a;
     int status;
+    uint32_t value;
     char *at;
     CoreView *v;
     HartView *hv;
@@ -2678,7 +2880,9 @@ ev_load_read(Window *w, CoreView *Py_UNUSED(domain), const Event *event)
                              &at)) <= 0
             || (status = hart_of(w, a[6], &v, &hv)) <= 0)
         return status;
-    return fill(v, hv, load_value(a[3], read_bytes(at, a[2])), a[4]) < 0
+    value = load_value(a[3], read_bytes(at, a[2]));
+    return fill(v, hv, value, a[4]) < 0
+        || TRACE_INTS(w, mem_load, a[5], a[5], hv->index, a[1], value) < 0
         ? -1 : 1;
 }
 
@@ -2714,7 +2918,8 @@ ev_store_write(Window *w, CoreView *Py_UNUSED(domain), const Event *event)
     write_bytes(at, a[2], a[3]);
     HSET(hv, outstanding_mem, hv->outstanding_mem - 1);
     ISET(rec, done, 1, D_DONE);
-    return 1;
+    return TRACE_INTS(w, mem_store, a[4], a[4], hv->index, a[1],
+                      a[2] & MASK32) < 0 ? -1 : 1;
 }
 
 /* The arrival of a request (src, hart_gid, owner, ...) at the owner's router
@@ -2786,7 +2991,9 @@ ev_rrep_load(Window *w, CoreView *Py_UNUSED(domain), const Event *event)
     if (fill(v, hv, (uint32_t)a[3], w->cycle) < 0)
         return -1;
     HSET(hv, outstanding_mem, hv->outstanding_mem - 1);
-    return remote_done(w, a[0], a[1], hv) < 0 ? -1 : 1;
+    return remote_done(w, a[0], a[1], hv) < 0
+        || TRACE_INTS(w, mem_load, a[0], a[0], hv->index, a[2],
+                      (uint32_t)a[3]) < 0 ? -1 : 1;
 }
 
 /* _ev_rreq_store(src, hart_gid, owner, addr, value, width, tag): the bank
@@ -2821,9 +3028,11 @@ ev_bank_write(Window *w, CoreView *Py_UNUSED(domain), const Event *event)
 }
 
 /* _remote_done(src, hart_gid, tag) of an ack: the store or CV write of that
- * ROB entry completes */
+ * ROB entry completes, and is traced as *kind* with the two or three
+ * ints *a* */
 static int
-remote_ack(Window *w, int64_t src, int64_t gid, int64_t tag)
+remote_ack(Window *w, int64_t src, int64_t gid, int64_t tag, int kind, int n,
+           const int64_t *a)
 {
     int status;
     CoreView *v;
@@ -2836,14 +3045,16 @@ remote_ack(Window *w, int64_t src, int64_t gid, int64_t tag)
     if (remote_done(w, src, gid, hv) < 0)
         return -1;
     ISET(rec, done, 1, D_DONE);
-    return 1;
+    return trace_event(w, kind, src, src, hv->index, n, a, NULL) < 0 ? -1 : 1;
 }
 
 /* _ev_rack_store(src, hart_gid, addr, value, tag): the owner wrote */
 static int
 ev_rack_store(Window *w, CoreView *Py_UNUSED(domain), const Event *event)
 {
-    return remote_ack(w, event->a[0], event->a[1], event->a[4]);
+    const int64_t *a = event->a;
+    return remote_ack(w, a[0], a[1], a[4], T_mem_store, 2,
+                      ARGS(a[2], a[3] & MASK32));
 }
 
 /* ---- the idle settlement ------------------------------------------------------------ */
@@ -3101,7 +3312,9 @@ reserve_backward(Window *w, CoreView *v, int64_t src, int64_t dst,
 {
     int status;
     int64_t i, count = src - dst;
-    Hop near[MAX_HOPS], *path = near;
+    /* (set: reserve_path reads none of a path of no hops, which gcc -O2
+     * cannot tell) */
+    Hop near[MAX_HOPS] = {{0, 0}}, *path = near;
     if (count > MAX_HOPS
             && (path = PyMem_Malloc(count * sizeof(Hop))) == NULL) {
         PyErr_NoMemory();
@@ -3162,6 +3375,9 @@ fork_to(Tick *t, HartView *hv, Instr *rec, PyObject *target)
     set_obj(hv->hart, H.succ, target);
     HSET(hv, forks, hv->forks + 1);
     KSET(v, forks, v->forks + 1);
+    if (TRACE_INTS(t->w, fork, v->index, v->index, hv->index, gid) < 0
+            || SANITIZE(t->w, v->index, fork, hv->gid, rec->tag, gid) < 0)
+        return -1;
     return finish_at(t, hv, rec, gid, t->cycle + 1) < 0 ? -1 : 1;
 }
 
@@ -3218,6 +3434,8 @@ exec_p_swcv(Tick *t, HartView *hv, Instr *rec)
         return 0;
     GETV(stored, rec, 1);
     offset = rec->dec->imm;
+    if (SANITIZE(w, index, swcv, gid, rec->tag, target, offset) < 0)
+        return -1;
     if (dst == index) {
         /* local_port.reserve(now + cv_write_latency) */
         if (fresh(w, v, V_MEM) < 0
@@ -3259,6 +3477,8 @@ exec_p_swre(Tick *t, HartView *hv, Instr *rec)
     if (slot < 0)
         slot += w->result_buffers;
     GETV(stored, rec, 1);
+    if (SANITIZE(w, t->v->index, swre, hv->gid, rec->tag, target, slot) < 0)
+        return -1;
     return send_along(w, t->v, dst, 0, EV_re_deliver,
                       ARGS(t->v->index, hv->gid, target, slot, stored,
                            rec->tag, 0)) < 0 ? -1 : 1;
@@ -3282,6 +3502,7 @@ exec_p_lwre(Tick *t, HartView *hv, Instr *rec)
     if ((ok = waiters_ok(hv, slot)) <= 0)
         return ok;
     if (low32(value, &bits) < 0 || list_set(buffers, slot, Py_None) < 0
+            || SANITIZE(t->w, t->v->index, lwre, hv->gid, rec->tag, slot) < 0
             || wake_re_waiters(t->w, t->v, hv, slot) < 0
             || finish_at(t, hv, rec, bits, t->cycle + 1) < 0)
         goto fail;
@@ -3293,7 +3514,7 @@ fail:
 /* LBP.send_start_pc for p_jal / p_jalr: hart ``rs1 & 0xFFFF``, on this
  * core or the next, starts at pc + 4.  0: another hart (Python words it). */
 static int
-send_start_pc(Tick *t, const Instr *rec)
+send_start_pc(Tick *t, const HartView *hv, const Instr *rec)
 {
     int64_t index = t->v->index, target, dst;
     GETV(target, rec, 0);
@@ -3302,6 +3523,8 @@ send_start_pc(Tick *t, const Instr *rec)
     if (dst >= PyList_GET_SIZE(t->w->cores)
             || (dst != index && dst != index + 1))
         return 0;
+    if (SANITIZE(t->w, index, jsend, hv->gid, rec->tag, target) < 0)
+        return -1;
     return send_along(t->w, t->v, dst, 1, EV_start_pc,
                       ARGS(target, rec->pc + 4)) < 0 ? -1 : 1;
 fail:
@@ -3317,7 +3540,7 @@ exec_p_jal(Tick *t, HartView *hv, Instr *rec, int register_target)
     int64_t target = 0;
     if (register_target)
         GETV(target, rec, 1);
-    if ((sent = send_start_pc(t, rec)) <= 0)
+    if ((sent = send_start_pc(t, hv, rec)) <= 0)
         return sent;
     if ((register_target && resolve_pc(t, hv, target & 0xFFFFFFFE) < 0)
             || finish_at(t, hv, rec, 0, t->cycle + 1) < 0)
@@ -3455,8 +3678,8 @@ commit_p_ret(Tick *t, HartView *hv, Instr *head)
     CoreView *v = t->v;
     int native, kind, step, status = -1;
     int64_t index = v->index, gid = hv->gid, succ = -1, joiner = -1, cores;
-    int64_t addr;
-    PyObject *action = head->ret_action, *succ_obj, *pending, *entry;
+    int64_t addr = 0, tag = head->tag;  /* (addr: read for a join only) */
+    PyObject *action = head->ret_action, *succ_obj, *pred, *pending, *entry;
     if ((native = window_native(t)) <= 0)
         goto python;
     /* every check the Python spelling could fail, before anything */
@@ -3481,6 +3704,13 @@ commit_p_ret(Tick *t, HartView *hv, Instr *head)
         goto python;
     if (fresh(w, v, V_COUNTERS) < 0)
         goto fail;
+    /* the predecessor's signal is received before ours is sent */
+    GETO(pred, hv->hart, H.pred);
+    if (trace_event(w, T_p_ret, index, index, hv->index, -1, NULL,
+                    PyTuple_GET_ITEM(action, 0)) < 0
+            || (pred != Py_None && SANITIZE(w, index, pred, gid, tag) < 0)
+            || (succ >= 0 && SANITIZE(w, index, esig, gid, tag, succ) < 0))
+        goto fail;
     Py_INCREF(action);
     if (record_retire(w, head) < 0)
         goto release;
@@ -3502,7 +3732,9 @@ commit_p_ret(Tick *t, HartView *hv, Instr *head)
                 && pending != Py_None) {
             Py_INCREF(pending);
             set_none(hv->hart, H.pending_join);
-            step = hart_start(w, v, hv, pending);
+            step = SANITIZE(w, index, jrecv, gid, tag);
+            if (step == 0)
+                step = hart_start(w, v, hv, pending);
             Py_DECREF(pending);
             if (step < 0)
                 goto release;
@@ -3513,7 +3745,8 @@ commit_p_ret(Tick *t, HartView *hv, Instr *head)
             KSET(v, joins, v->joins + 1);
             if (joiner == gid)  /* a one-member team: the join hart resumes */
                 step = hart_start(w, v, hv, PyTuple_GET_ITEM(action, 2));
-            else  /* LBP.send_join */
+            else if ((step = SANITIZE(w, index, jretsend, gid, tag,
+                                      joiner)) == 0)  /* LBP.send_join */
                 step = send_along(w, v, joiner >> 2, 0, EV_join,
                                   ARGS(joiner, addr));
             if (step < 0)
@@ -3568,7 +3801,8 @@ ev_cv_write(Window *w, CoreView *Py_UNUSED(domain), const Event *event)
     write_bytes(at, a[2], 4);
     HSET(hv, outstanding_mem, hv->outstanding_mem - 1);
     ISET(rec, done, 1, D_DONE);
-    return 1;
+    return TRACE_INTS(w, cv_write, a[3], a[3], hv->index, a[5], a[6],
+                      a[2] & MASK32) < 0 ? -1 : 1;
 }
 
 /* _ev_rreq_cv(src, hart_gid, target_gid, offset, value, tag): a CV write
@@ -3613,7 +3847,9 @@ ev_cv_apply(Window *w, CoreView *Py_UNUSED(domain), const Event *event)
 static int
 ev_rack_cv(Window *w, CoreView *Py_UNUSED(domain), const Event *event)
 {
-    return remote_ack(w, event->a[0], event->a[1], event->a[5]);
+    const int64_t *a = event->a;
+    return remote_ack(w, a[0], a[1], a[5], T_cv_write, 3,
+                      ARGS(a[2], a[3], a[4] & MASK32));
 }
 
 /* _ev_re_deliver(core_index, hart_gid, target_gid, slot, value, tag,
@@ -3651,7 +3887,7 @@ ev_re_deliver(Window *w, CoreView *domain, const Event *event)
         return -1;
     status = list_set(buffers, slot, value);
     Py_DECREF(value);
-    if (status < 0
+    if (status < 0 || SANITIZE(w, v->index, refill, a[2], slot, a[1]) < 0
             || post(w, domain, src, w->cycle + re_ack_latency, EV_re_ack,
                     a) < 0)
         return -1;
@@ -3681,7 +3917,8 @@ ev_re_ack(Window *w, CoreView *Py_UNUSED(domain), const Event *event)
         return -1;
     ISET(rec, done, 1, D_DONE);
     KSET(src, re_messages, src->re_messages + 1);
-    return 1;
+    return TRACE_INTS(w, re_send, index, index, hv->index, a[2], a[3],
+                      a[4] & MASK32) < 0 ? -1 : 1;
 }
 
 /* _ev_fork_req(target_core_index, src_core_index, parent_gid): a p_fn's
@@ -3762,6 +3999,12 @@ ev_start_pc(Window *w, CoreView *Py_UNUSED(domain), const Event *event)
         return status;
     if (!hv->reserved)
         return 0;  /* not allocated: Python words the error */
+    /* (recorded first: the start changes nothing they read) */
+    if (cgate(v, G(_tag)) < 0
+            || TRACE_INTS(w, start, v->index, v->index, hv->index,
+                          event->a[1]) < 0
+            || SANITIZE(w, v->index, start, event->a[0], v->_tag) < 0)
+        return -1;
     return hart_start_at(w, v, hv, event->a[1]) < 0 ? -1 : 1;
 }
 
@@ -3772,10 +4015,13 @@ ev_ending_signal(Window *w, CoreView *Py_UNUSED(domain), const Event *event)
     int status;
     CoreView *v;
     HartView *hv;
-    if ((status = hart_of(w, event->a[2], &v, &hv)) <= 0)
+    const int64_t *a = event->a;
+    if ((status = hart_of(w, a[2], &v, &hv)) <= 0)
         return status;
     HSET(hv, pred_done, 1);
-    return 1;
+    /* the sender's line, in the receiving domain's buffer */
+    return TRACE_INTS(w, ending_signal, v->index, a[0], a[1], a[2]) < 0
+        ? -1 : 1;
 }
 
 /* _ev_join(target_gid, addr): the join hart resumes, now if it waits,
@@ -3790,8 +4036,13 @@ ev_join(Window *w, CoreView *Py_UNUSED(domain), const Event *event)
     if ((status = hart_of(w, event->a[0], &v, &hv)) <= 0)
         return status;
     GETB(waiting, hv->hart, H.waiting_join);
+    if (cgate(v, G(_tag)) < 0
+            || TRACE_INTS(w, join, v->index, v->index, hv->index,
+                          event->a[1]) < 0)
+        return -1;
     if (waiting)
-        return hart_start_at(w, v, hv, event->a[1]) < 0 ? -1 : 1;
+        return SANITIZE(w, v->index, jstart, event->a[0], v->_tag) < 0
+            || hart_start_at(w, v, hv, event->a[1]) < 0 ? -1 : 1;
     if ((addr = PyLong_FromLongLong(event->a[1])) == NULL)
         return -1;
     set_obj(hv->hart, H.pending_join, addr);
@@ -3947,6 +4198,9 @@ machine_simulate(PyObject *machine, PyObject *const *args, Py_ssize_t nargs)
     if (PyErr_Occurred())
         return NULL;
     w.cycle = t.cycle = cycle;
+#ifdef TICK_COUNTS
+    windows++;
+#endif
     if ((w.events = attr_list(machine, s__events)) == NULL
             || (w.cores = attr_list(machine, s_cores)) == NULL
             || views_open(&w, PyList_GET_SIZE(w.cores)) < 0
@@ -4056,6 +4310,9 @@ fail:
     Py_XDECREF(w.mmio);
     Py_XDECREF(w.per_core);
     Py_XDECREF(w.owned);
+    Py_XDECREF(w.trace);
+    Py_XDECREF(w.trace_buffers);
+    Py_XDECREF(w.san_buffers);
     return result;
 }
 

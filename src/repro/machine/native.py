@@ -115,7 +115,8 @@ def _bind(module):
     """``Core.tick``, ``Core.settle_idle`` and ``LBP._simulate`` := the C
     functions."""
     from repro.isa.spec import InstrClass
-    from repro.machine import core, hart, lowered, processor, router, stats
+    from repro.machine import (core, hart, lowered, processor, router, stats,
+                               trace)
 
     (core.Core.tick, core.Core.settle_idle,
      processor.LBP._simulate) = module.bind(
@@ -127,7 +128,8 @@ def _bind(module):
         tuple(int(InstrClass[name.upper()]) for name in module.class_names()),
         memmap.GLOBAL_BASE, memmap.GLOBAL_BANK_SIZE,
         processor.RE_ACK_LATENCY,
-        tuple(memmap.hart_cv_base(h) for h in range(memmap.HARTS_PER_CORE)))
+        tuple(memmap.hart_cv_base(h) for h in range(memmap.HARTS_PER_CORE)),
+        trace.Trace)
 
 
 def bind_metrics(*classes):

@@ -444,7 +444,8 @@ class LBP:
     ``sanitize=True`` the race detector.  A ``Metrics`` given is one of
     that class itself: the compiled tick makes its charges without
     calling its hooks, so a subclass's overrides would not run (a
-    TypeError).
+    TypeError).  So is a ``Trace`` given: the compiled window appends to
+    its buffers without calling ``record``.
     """
 
     def __new__(cls, params=None, trace=None, shards=None, sanitize=False,
@@ -462,7 +463,14 @@ class LBP:
         self.params = params or Params()
         self.stats = MachineStats(self.params.num_cores)
         # a type test, not truthiness: an empty Trace is falsy (len() == 0)
-        self.trace = trace if isinstance(trace, Trace) else Trace(bool(trace))
+        if isinstance(trace, Trace):
+            if type(trace) is not Trace:
+                raise TypeError(
+                    "trace must be a Trace, not an instance of the "
+                    "subclass %s" % type(trace).__name__)
+            self.trace = trace
+        else:
+            self.trace = Trace(bool(trace))
         #: referential-order race detector (observation only; the hooks
         #: never post events or reserve ports, so traces stay bit-exact)
         if sanitize:

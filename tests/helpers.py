@@ -1,5 +1,7 @@
 """Shared test helpers: compile DetC and run it on the machine."""
 
+import collections
+
 from repro.asm import assemble
 from repro.compiler import compile_c
 from repro.compiler.frontend import _generate
@@ -27,6 +29,21 @@ def run_c(source, cores=1, max_cycles=5_000_000, reference=False):
     machine = LBP(Params(num_cores=cores)).load(program)
     stats = machine.run(max_cycles=max_cycles)
     return program, machine, stats
+
+
+class DeviceTable(collections.UserDict):
+    """A machine's ``mmio``, its mapped devices, held in a mapping that is
+    not a ``dict``: the compiled window spells no access it cannot rule out
+    is a device's, so every load, store, X_PAR step, p_ret commit and event
+    of the machine is a call into its Python spelling, where the reference
+    tick makes it (what a traced run did before the window recorded the
+    trace itself)."""
+
+
+def devices_in_python(machine):
+    """*machine*, its devices moved into a :class:`DeviceTable`."""
+    machine.mmio = DeviceTable(machine.mmio)
+    return machine
 
 
 def word(machine, program, name, index=0):

@@ -4,7 +4,8 @@ While ``LBP._simulate``, ``Core.tick`` or ``Core.settle_idle`` runs, the
 scalars of each core, its harts, their HartStats and the core's
 CoreCounters live in a C struct (``machine/_tick.c``, "the core view").
 It is flushed to the slots before every call into Python and loaded again
-after one.  These tests run traced machines, on which every load, store
+after one.  These tests run machines whose devices are in a table the
+window does not read (``helpers.DeviceTable``), on which every load, store
 and X_PAR message is a call into ``Core._execute`` where the reference
 tick makes it, wrap that method in Python, and look at the state from
 inside those calls.  They also probe the references the window
@@ -25,11 +26,10 @@ from repro.machine import LBP, MachineError, Params, native
 from repro.machine.core import Core
 from repro.machine.hart import ResultBuffer
 from repro.machine.memory import CoreMemory
-from repro.machine.trace import Trace
 from repro.workloads import matmul_source
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-from helpers import TEAM_TRAFFIC  # noqa: E402
+from helpers import TEAM_TRAFFIC, devices_in_python  # noqa: E402
 
 compiled = pytest.mark.skipif(
     native.load() is None, reason="no compiled tick: " + native.status()[1])
@@ -46,8 +46,8 @@ def _team_traffic():
 PROGRAMS = {"tiled16": _tiled16, "team_traffic": _team_traffic}
 
 
-#: the classes the compiled tick hands to ``Core._execute`` on a traced
-#: machine: what the reference tick hands it too (it also hands it every
+#: the classes the compiled tick hands to ``Core._execute`` on a machine
+#: whose devices are in a DeviceTable: what the reference tick hands it too (it also hands it every
 #: other class, which the compiled tick issues itself)
 CALLED = frozenset(int(cls) for cls in (
     InstrClass.LOAD, InstrClass.STORE, InstrClass.P_LWCV, InstrClass.P_FC,
@@ -58,8 +58,8 @@ CALLED = frozenset(int(cls) for cls in (
 def _wrap_execute(monkeypatch, before_call):
     """``Core._execute`` (so also ReferenceCore's) as a Python wrapper that
     runs ``before_call(core, hart)`` first for a load, a store or an X_PAR
-    message: on a traced machine each is a call into Python under either
-    tick."""
+    message: on a machine whose devices are in a DeviceTable each is a call
+    into Python under either tick."""
     inner = Core._execute
 
     def wrapped(core, hart, entry):
@@ -75,8 +75,8 @@ def _wrap_execute(monkeypatch, before_call):
 def _digest(machine):
     """What ``core_state_dict(i)`` says of every core, hashed: without the
     pending events (while a call runs the window holds them in its own
-    heap; the pause tests compare them), and with each bank's bytes and
-    the trace's records left out by _ports_only."""
+    heap; the pause tests compare them), and with each bank's bytes left
+    out by _ports_only."""
     states = []
     for index in range(len(machine.cores)):
         state = machine.core_state_dict(index)
@@ -86,14 +86,11 @@ def _digest(machine):
 
 
 def _ports_only(monkeypatch):
-    """CoreMemory.state_dict without the banks, and a domain's trace as
-    its length: a copy of each per call would make every call cost
-    megabytes."""
+    """CoreMemory.state_dict without the banks: a copy of each per call
+    would make every call cost megabytes."""
     monkeypatch.setattr(CoreMemory, "state_dict", lambda mem: (
         mem.local_port.next_free, mem.shared_local_port.next_free,
         mem.shared_router_port.next_free))
-    monkeypatch.setattr(Trace, "domain_state_dict", lambda trace, domain:
-                        len(trace._buffers.get(domain, ())))
 
 
 @compiled
@@ -106,8 +103,8 @@ def test_every_call_into_python_sees_the_state_the_reference_does(
     _ports_only(monkeypatch)
     seen = {}
     for backend in ("soa", "interp"):
-        machine = LBP(Params(num_cores=cores), backend=backend,
-                      trace=True).load(program)
+        machine = devices_in_python(LBP(Params(num_cores=cores),
+                                    backend=backend).load(program))
         calls, digests = [0], []
         seen[backend] = digests
 
@@ -135,8 +132,8 @@ def test_what_python_writes_in_a_call_is_what_c_reads_after_it(
     program, cores = PROGRAMS[name]()
     outcomes = []
     for backend in ("soa", "interp"):
-        machine = LBP(Params(num_cores=cores), backend=backend,
-                      trace=True).load(program)
+        machine = devices_in_python(LBP(Params(num_cores=cores),
+                                    backend=backend).load(program))
 
         def write(core, hart):
             hart.stats.loads += 1
@@ -167,11 +164,11 @@ def test_objects_replaced_in_a_call_leave_no_reference_behind(
     be: the view borrowed the old ones and kept no reference past the
     call."""
     program, cores = _tiled16()
-    plain = LBP(Params(num_cores=cores), backend=backend,
-                trace=True).load(program)
+    plain = devices_in_python(LBP(Params(num_cores=cores),
+                                    backend=backend).load(program))
     plain.run(max_cycles=1_000_000)
-    machine = LBP(Params(num_cores=cores), backend=backend,
-                  trace=True).load(program)
+    machine = devices_in_python(LBP(Params(num_cores=cores),
+                                    backend=backend).load(program))
     calls, old, new = [0], [], []
     names = ("rob", "it", "rename", "regs", "rb")
 

@@ -6,7 +6,7 @@ view's ring (``machine/_tick.c``, "the instruction ring"); ``Hart.rob`` /
 ``it``, the ``Entry`` objects, the ``ResultBuffer`` and ``regs`` /
 ``rename`` are their at-rest form.  These tests look at that form where
 Python can: at pauses, inside calls into Python (``Core._execute``
-wrapped, on a traced machine), and after Python changed it -- and hold
+wrapped, on a machine whose devices are in a ``helpers.DeviceTable``), and after Python changed it -- and hold
 both ticks to the same outcome.
 """
 
@@ -24,7 +24,7 @@ from repro.machine.hart import Entry
 from repro.workloads import matmul_source
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-from helpers import TEAM_TRAFFIC  # noqa: E402
+from helpers import TEAM_TRAFFIC, devices_in_python  # noqa: E402
 
 compiled = pytest.mark.skipif(
     native.load() is None, reason="no compiled tick: " + native.status()[1])
@@ -104,15 +104,16 @@ def _outcome(machine):
 
 @compiled
 def test_what_python_writes_in_a_call_is_what_the_ring_reads(monkeypatch):
-    """A wrapped ``Core._execute`` writes, at its calls on a traced
-    machine, a waiting entry's ``val0`` / ``wait0`` / ``nwaits``, the
+    """A wrapped ``Core._execute`` writes, at its calls on a machine whose
+    devices are in a DeviceTable, a waiting entry's ``val0`` / ``wait0`` / ``nwaits``, the
     buffer's ``ready_at``, ``regs[5]`` and ``rename[5]``: the compiled tick
     reads them back after the call, so both ticks end alike."""
     outcomes = []
     inner = Core._execute
     for backend in BACKENDS:
-        machine = LBP(Params(num_cores=1), backend=backend,
-                      trace=True).load(assemble(REGISTER_TRAFFIC))
+        machine = devices_in_python(LBP(
+            Params(num_cores=1), backend=backend).load(
+                assemble(REGISTER_TRAFFIC)))
         calls = [0]
 
         def wrapped(core, hart, entry):

@@ -42,7 +42,7 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from test_trace_golden import GOLDEN_PATH, measure  # noqa: E402
 from test_snapshot_roundtrip import (  # noqa: E402
     _assert_matches_golden, _build, _fresh)
-from helpers import TEAM_KINDS, TEAM_TRAFFIC  # noqa: E402
+from helpers import TEAM_KINDS, TEAM_TRAFFIC, devices_in_python  # noqa: E402
 
 compiled = pytest.mark.skipif(
     native.load() is None, reason="no compiled tick: " + native.status()[1])
@@ -171,9 +171,9 @@ def _in_flight(machine):
 def test_an_entry_python_still_holds_is_never_recycled(monkeypatch):
     """An in-flight instruction gets its ``Entry`` only where Python can
     see it, and the tick never reuses one.  One that ``_commit_p_ret``
-    stashed (a traced run calls it for every p_ret), and one read out of
-    ``hart.rob`` before it committed, stay what they were while the run
-    goes on."""
+    stashed (called for every p_ret of a machine whose devices are in a
+    DeviceTable), and one read out of ``hart.rob`` before it committed,
+    stay what they were while the run goes on."""
     stashed = []
     inner = Core._commit_p_ret
 
@@ -182,7 +182,8 @@ def test_an_entry_python_still_holds_is_never_recycled(monkeypatch):
         return inner(core, hart, head)
 
     monkeypatch.setattr(Core, "_commit_p_ret", stash)
-    machine = LBP(Params(num_cores=2), trace=True).load(assemble(FORK_JOIN))
+    machine = devices_in_python(LBP(Params(num_cores=2)).load(
+        assemble(FORK_JOIN)))
     hart = machine.cores[0].harts[0]
     while not hart.rob:
         machine.run(max_cycles=100_000, stop_at_cycle=machine.cycle + 1)
@@ -393,29 +394,30 @@ class Boom(Exception):
 @pytest.mark.parametrize("method", ["_execute", "_commit_p_ret"])
 def test_an_exception_in_a_callback_propagates(monkeypatch, method):
     """``Core._execute`` / ``_commit_p_ret`` are calls back into Python (on
-    a traced machine, at every site): what they raise comes out of
-    ``run()``, under either tick, and the machine is left usable enough to
-    be inspected."""
+    a machine whose devices are in a DeviceTable, at every site): what
+    they raise comes out of ``run()``, under either tick, and the machine
+    is left usable enough to be inspected."""
     def boom(*args):
         raise Boom(method)
 
     monkeypatch.setattr(Core, method, boom)
     for backend in ("soa", "interp"):
-        machine = LBP(Params(num_cores=2), backend=backend,
-                      trace=True).load(assemble(FORK_JOIN))
+        machine = devices_in_python(LBP(
+            Params(num_cores=2), backend=backend).load(assemble(FORK_JOIN)))
         with pytest.raises(Boom, match=method):
             machine.run(max_cycles=100_000)
         assert machine.state_dict()["cycle"] >= 0
 
 
 #: where Python runs under the window, and the machine that reaches it: an
-#: event handler (a traced machine calls every one), a window edge's
-#: ``_emit`` (a metered run's one call into observe/), and schedule_access
-#: for an access the native path declines (FORK_JOIN's code-bank load)
+#: event handler (a machine whose devices are in a DeviceTable calls every
+#: one: ``None`` in place of its engine), a window edge's ``_emit`` (a
+#: metered run's one call into observe/), and schedule_access for an access
+#: the native path declines (FORK_JOIN's code-bank load)
 RAISERS = {
-    "handler": ({"trace": True}, lambda patch, boom: patch.setitem(
+    "handler": (None, lambda patch, boom: patch.setitem(
         processor.EVENT_HANDLERS, "fork_req", boom)),
-    "native_kind_handler": ({"trace": True}, lambda patch, boom:
+    "native_kind_handler": (None, lambda patch, boom:
                             patch.setitem(processor.EVENT_HANDLERS,
                                           "load_done", boom)),
     "metrics._emit": ({"metrics": 16}, lambda patch, boom: patch.setattr(
@@ -434,12 +436,15 @@ def test_an_exception_under_the_window_propagates_and_leaks_nothing(
 
     left = {}
     engine, patch = RAISERS[where]
-    engine = dict({"metrics": True}, **engine)
+    in_python = engine is None
+    engine = dict({"metrics": True}, **(engine or {}))
 
     def once(run):
         backend = "soa" if run % 4 else "interp"
         machine = LBP(Params(num_cores=2), backend=backend,
                       **engine).load(assemble(FORK_JOIN))
+        if in_python:
+            devices_in_python(machine)
         patch(monkeypatch, boom)
         with pytest.raises(Boom, match=where):
             machine.run(max_cycles=100_000)
@@ -538,26 +543,31 @@ def _count_calls(monkeypatch, owner, name):
 
 @compiled
 def test_private_bank_accesses_stay_in_c_unless_observed(monkeypatch):
-    """Untraced, unsanitized, no device: the issue, the post and the three
-    event kinds of a stack access run no Python at all.  Traced or
-    sanitized, every one of them is the Python spelling."""
+    """No device: the issue, the post and the three event kinds of a stack
+    access run no Python at all, traced and sanitized too (the window
+    records what they observe).  The reference tick makes each one a call
+    into the Python spelling."""
     issued = _count_calls(monkeypatch, LBP, "schedule_access")
     posted = _count_calls(monkeypatch, LBP, "post")
     handled = _count_calls(monkeypatch, LBP, "hart_by_gid")
     states = []
-    for engine in ({}, {"sanitize": True}, {"backend": "interp"}):
+    for engine in ({}, {"trace": True}, {"sanitize": True},
+                   {"backend": "interp"}):
         del issued[:], posted[:], handled[:]
         machine = LBP(Params(num_cores=1), **engine).load(
             assemble(STACK_TRAFFIC))
         stats = machine.run(max_cycles=1000)
         assert (machine.cores[0].harts[0].regs[28], stats.retired) == (77, 6)
-        if engine:
+        if "backend" in engine:
             assert (len(issued), len(posted), len(handled)) == (4, 6, 6)
-            machine.sanitizer = None
         else:
             assert issued == posted == handled == []
-        states.append(machine.state_dict())
-    assert states[0] == states[1] == states[2]
+        state = machine.state_dict()
+        for part in [state] + state["cores"]:
+            for observer in ("trace", "sanitize"):
+                del part[observer]
+        states.append(state)
+    assert all(state == states[0] for state in states)
 
 
 @compiled
@@ -592,10 +602,11 @@ main:
 
 @compiled
 def test_remote_accesses_stay_in_c_unless_observed(monkeypatch):
-    """Plain or metered, the issue of a remote load or store, its request,
-    bank operation and reply or ack run no Python handler and post nothing
-    from Python.  Traced or sanitized, every one is the Python spelling:
-    two loads and two stores, three posts and one hart lookup each."""
+    """Plain, metered, traced or sanitized, the issue of a remote load or
+    store, its request, bank operation and reply or ack run no Python
+    handler and post nothing from Python.  On the reference tick every one
+    is the Python spelling: two loads and two stores, three posts and one
+    hart lookup each."""
     issued = _count_calls(monkeypatch, LBP, "schedule_access")
     posted = _count_calls(monkeypatch, LBP, "post")
     handled = _count_calls(monkeypatch, LBP, "hart_by_gid")
@@ -608,7 +619,7 @@ def test_remote_accesses_stay_in_c_unless_observed(monkeypatch):
         stats = machine.run(max_cycles=1000)
         assert (machine.cores[0].harts[0].regs[28], stats.retired) == (77, 7)
         assert stats.remote_accesses == 4
-        if "trace" in engine or "sanitize" in engine or "backend" in engine:
+        if "backend" in engine:
             assert (len(issued), len(posted), len(handled)) == (4, 12, 4)
         else:
             assert issued == posted == handled == []
@@ -649,11 +660,11 @@ def _team_python_calls(machine):
 
 @compiled
 def test_team_messages_stay_in_c_unless_observed():
-    """Plain or metered, a team's forks on this core and the next, its CV
-    writes both ways, its result message, starts, p_ret commits and join
-    make no call to the Python spelling of the protocol.  Traced or
-    sanitized, every step is that spelling, as on the reference tick; the
-    states are equal."""
+    """Plain, metered, traced or sanitized, a team's forks on this core and
+    the next, its CV writes both ways, its result message, starts, p_ret
+    commits and join make no call to the Python spelling of the protocol.
+    On the reference tick every step is that spelling; the states are
+    equal."""
     states = []
     for engine in ({}, {"metrics": True}, {"trace": True},
                    {"sanitize": True}, {"backend": "interp"}):
@@ -662,7 +673,7 @@ def test_team_messages_stay_in_c_unless_observed():
         calls = _team_python_calls(machine)
         assert machine.halt_reason == "ebreak"
         assert machine.read_word(machine.program.symbol("result")) == 7
-        if engine in ({}, {"metrics": True}):
+        if "backend" not in engine:
             assert not calls
         else:
             assert set(calls) == TEAM_PYTHON

@@ -239,7 +239,9 @@ class SiteTrace(Trace):
 def test_untraced_run_enters_no_trace_site():
     """Each site tests ``trace.enabled`` *before* it builds its args:
     with the trace off, ``record`` is never entered — so nothing was
-    built for it — and with it on, the same programs reach all 13."""
+    built for it — and with it on, the same programs reach all 13.  (The
+    Python spelling's sites: the reference tick's.  ``LBP(trace=)`` takes
+    no subclass, and the compiled window appends without ``record``.)"""
     programs = [(golden_program("matmul_base_h16_c4"), 4),
                 (assemble(RE_CONTENTION), 1)]
     outcomes = {}
@@ -248,7 +250,9 @@ def test_untraced_run_enters_no_trace_site():
         stats = []
         for program, cores in programs:
             trace = SiteTrace(enabled)
-            machine = LBP(Params(num_cores=cores), trace=trace).load(program)
+            machine = LBP(Params(num_cores=cores), backend="interp")
+            machine.trace = trace
+            machine.load(program)
             stats.append(machine.run(max_cycles=50_000_000).state_dict())
             reached.update(trace.sites)
         outcomes[enabled] = (reached, stats)
