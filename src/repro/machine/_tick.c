@@ -115,15 +115,11 @@
 #include <unistd.h>
 #endif
 
-/* keeps a function out of its callers (Py_NO_INLINE is 3.11's spelling);
- * puts one into each of them (the view's loads, whose field masks are
- * constants at the call sites, fold to the fields asked for) */
+/* keeps a function out of its callers (Py_NO_INLINE is 3.11's spelling) */
 #if defined(__GNUC__)
 #define NOINLINE __attribute__((noinline))
-#define INLINE inline __attribute__((always_inline))
 #else
 #define NOINLINE
-#define INLINE inline
 #endif
 
 /* ---- slot offsets, resolved by bind() ------------------------------------ */
@@ -570,9 +566,10 @@ typedef struct Window Window;  /* _window.h */
 /* ---- the core view ------------------------------------------------------------
  * While C runs, a core's pipeline scalars live here, typed; the slots are
  * their at-rest layout, which everything in Python reads.  A view is
- * loaded from the slots lazily, each field the first time C reads it after
- * the call started or after its last call into Python; before every call
- * into Python and on every way out it is flushed: each field C wrote since
+ * loaded from the slots whole -- the core's scalars, its harts and their
+ * HartStats, its CoreCounters and its memory -- the first time C touches
+ * it in a call of the window or after a call into Python (``fresh``);
+ * before every call into Python and on every way out it is flushed: each field C wrote since
  * the load is stored back as the object set_bool / set_int / set_obj would
  * have stored (never_obj for NEVER, the window's boxes of ``cycle`` and
  * ``cycle + 1`` for those values).  Only the load and the flush
@@ -594,32 +591,16 @@ typedef struct Window Window;  /* _window.h */
 #define OBJ_FIELD(name) PyObject *name;
 /* (objects and flags first: the flush stores in bit order, and only an
  * int's box can fail) */
-enum { CV_BOOLS(FIELD_BIT) CV_INTS(FIELD_BIT) BIT__rob_size };
+enum { CV_BOOLS(FIELD_BIT) CV_INTS(FIELD_BIT) };
 enum { HV_OBJS(FIELD_BIT) HV_BOOLS(FIELD_BIT) HV_INTS(FIELD_BIT)
-       STATS_SLOTS(FIELD_BIT) BIT_rob, BIT_rb, BIT_regs, BIT_rename, BIT_it,
-       BIT_gid, BIT_index, BIT_stats, BIT_rbv, BIT_win };
+       STATS_SLOTS(FIELD_BIT) };
 #define KFIELD_BIT(name) KBIT_##name,
 enum { COUNTER_SLOTS(KFIELD_BIT) KV_BITS };
+/* the dirty bit of a view field */
+#define DIRTY(field) (1u << BIT_##field)
 
-/* A view is loaded in parts, each when first needed, so that a load after
- * a call into Python reads hardly more than the slot reads it replaces:
- * the core's index, always; each of its other scalars, in the groups a
- * site reads (``cgate``); its harts (V_PIPE); each field of a hart and of its
- * HartStats, in the groups a site reads (``gate``; G(rbv) for its
- * writeback buffer, G(win) for its instruction ring and buffer, HART_ALL
- * for the whole hart but its ring and HartStats); the CoreCounters
- * (V_COUNTERS); the CoreMemory and its ports (V_MEM), each of its banks
- * (V_LOCAL, V_SHARED) and the LinkScheduler (V_LINKS) */
-enum { V_PIPE = 1, V_COUNTERS = 2, V_MEM = 4, V_LOCAL = 8, V_SHARED = 16,
-       V_LINKS = 32 };
 /* CoreView.ports: the CoreMemory's ports, in MEM_SLOTS' order */
 enum { PORT_LOCAL, PORT_SHARED_LOCAL, PORT_SHARED_ROUTER };
-#define G(field) (1u << BIT_##field)
-#define HART_ALL \
-    (G(fetch_ready_at) | G(n_ready) | G(outstanding_mem) | G(fetch_ok) \
-     | G(awaiting_nextpc) | G(syncm_block) | G(reserved) | G(pred_done) \
-     | G(pc) | G(fetch_buf) | G(rob) | G(rb) | G(regs) | G(rename) | G(it) \
-     | G(gid) | G(index) | G(rbv))
 
 /* ---- the instruction ring ------------------------------------------------------
  * While C runs, each hart's in-flight instructions live in its view too: the
@@ -629,8 +610,7 @@ enum { PORT_LOCAL, PORT_SHARED_LOCAL, PORT_SHARED_ROUTER };
  * 32 values and 32 tags, each read from its list the first time a site
  * reads it.  ``Hart.rob`` / ``it``, the ``Entry`` objects, the
  * ``ResultBuffer``'s slots and ``regs`` / ``rename`` are the at-rest form.
- * The ring is loaded from them when a site first needs it after the call
- * started or after a call into Python (G(win)), each record keeping the
+ * The ring is loaded from them with the view, each record keeping the
  * Entry it came from as its ``obj`` and reading that Entry's fields when a
  * site first reads the record (``LOADED``); it is flushed with the view --
  * a record with an obj writes the fields C changed into it, one without
@@ -685,14 +665,9 @@ typedef struct {
 enum { RB_BUSY = 1, RB_TAG = 2, RB_REG = 4, RB_VALUE = 8, RB_READY = 16,
        RB_ENTRY = 32 };
 
-/* (the fields a stage probes first, next to the masks that say whether
- * they are loaded: a view is re-read after every call into Python, so the
- * fewer cache lines a load touches the better) */
 typedef struct {
     unsigned dirty;                     /* bit BIT_<field> */
-    unsigned gates;                     /* the G() fields loaded */
-    /* borrowed: the Hart (V_PIPE), its lists, ResultBuffer and
-     * HartStats */
+    /* borrowed: the Hart, its lists, ResultBuffer and HartStats */
     PyObject *hart, *rob, *rb, *it, *regs, *rename, *stats;
     HV_OBJS(OBJ_FIELD)                  /* owned when dirty, else borrowed */
     HV_INTS(INT_FIELD)
@@ -700,31 +675,29 @@ typedef struct {
     PyObject *gid_obj, *index_obj;      /* borrowed; C never writes them */
     int64_t gid, index;
     STATS_SLOTS(INT_FIELD)
-    /* G(win): the ring (``count`` records from ``first``, ``cap`` a power
-     * of two), whether rob / it changed since the load */
+    /* the ring (``count`` records from ``first``, ``cap`` a power of
+     * two), whether rob / it changed since the load */
     Instr *ring;
     Py_ssize_t cap, first, count;
     int reordered;
-    /* G(rbv): the buffer; its producer is the Entry *rb_entry_obj*
-     * (borrowed, None for none), which is record *rb_entry* once the ring
-     * is loaded too */
+    /* the buffer; its producer is the Entry *rb_entry_obj* (borrowed, None
+     * for none), which is record *rb_entry* */
     int rb_busy, rb_has_tag, rb_has_value;
     uint32_t rb_value;
     unsigned rb_dirty;                  /* RB_ bits */
     int64_t rb_tag, rb_reg, rb_ready_at;
     Instr *rb_entry;
     PyObject *rb_entry_obj;
-    /* G(regs) / G(rename): register r is read (bit r of *_loaded), C wrote
-     * it (*_dirty); a rename entry holds a tag (bit r of ren_set) */
-    uint32_t reg_loaded, reg_dirty, ren_loaded, ren_dirty, ren_set;
+    /* C wrote register r (bit r of *_dirty); a rename entry holds a tag
+     * (bit r of ren_set) */
+    uint32_t reg_dirty, ren_dirty, ren_set;
     uint32_t regv[32];
     int64_t ren[32];
 } HartView;
 
 typedef struct {
     int64_t stamp;                      /* the window's calls + 1 at load */
-    unsigned loaded;                    /* V_ parts */
-    unsigned gates;                     /* the G() scalars loaded */
+    int64_t mem_stamp;                  /* ... at the memory view's */
     unsigned dirty, kdirty;
     Window *w;                          /* the window the view is of */
     PyObject *core;                     /* borrowed */
@@ -732,11 +705,11 @@ typedef struct {
     CV_BOOLS(BOOL_FIELD)
     int64_t _rob_size, index;
     PyObject *index_obj;                /* borrowed */
-    PyObject *counters;                 /* V_COUNTERS: per_core[index] */
+    PyObject *counters;                 /* per_core[index] */
     COUNTER_SLOTS(INT_FIELD)
-    /* V_MEM: the CoreMemory and its three ports; V_LOCAL / V_SHARED: its
-     * banks, bank[1] the shared one; V_LINKS: the LinkScheduler, its rows
-     * and observer (borrowed: the slots hold them) */
+    /* the CoreMemory and its three ports, its banks (bank[1] the shared
+     * one), the LinkScheduler, its rows and observer (borrowed: the slots
+     * hold them) */
     PyObject *mem, *ports[3];
     struct {
         int64_t base;
@@ -775,15 +748,11 @@ hset_obj(HartView *hv, int bit, PyObject **field, PyObject *value)
         hv->dirty |= 1u << bit;
 }
 
-/* *v* holding *parts*, loaded again if Python ran since (_window.h) */
-static inline int fresh(Window *w, CoreView *v, unsigned parts);
-/* hart *h* of a fresh *v* holding the fields *bits* (G(field) | ...) */
-static INLINE int gate(CoreView *v, int h, unsigned bits);
-/* a fresh *v* holding the core's scalars *bits* (G(field) | ...) */
-static INLINE int cgate(CoreView *v, unsigned bits);
+/* *v*, loaded whole again if Python ran since it was (_window.h) */
+static inline int fresh(Window *w, CoreView *v);
 
-/* the view of *core* holding *parts*, or NULL */
-static CoreView *view_for(Window *w, PyObject *core, unsigned parts);
+/* the view of *core*, fresh, or NULL */
+static CoreView *view_for(Window *w, PyObject *core);
 /* borrowed boxes of the window's ``cycle`` and ``cycle + 1`` */
 static PyObject *cycle_box(Window *w);
 static PyObject *next_box(Window *w);
@@ -807,7 +776,7 @@ static int leave_c(Window *w);
 static int window_native(Tick *t);
 static int mem_access(Tick *t, HartView *hv, Instr *rec, enum access kind);
 static int team_execute(Tick *t, HartView *hv, Instr *rec, int64_t cls);
-static int free_hart(Window *w, CoreView *v);
+static int free_hart(const CoreView *v);
 static int send_fork_req(Tick *t, HartView *hv);
 static int commit_p_ret(Tick *t, HartView *hv, Instr *head);
 
@@ -817,13 +786,6 @@ static Decode *decode_of(Window *w, int64_t pc, PyObject *low);
 /* the decode record of ``lowered[pc]``, current; NULL and no exception
  * when *lowered* is no dict or has no such key */
 static Decode *decode_fetch(Window *w, PyObject *lowered, PyObject *pc);
-/* register *r* of a hart holding G(regs) / G(rename), read from its list
- * (an IndexError past it) */
-static int reg_load(HartView *hv, int64_t r);
-static int ren_load(HartView *hv, int64_t r);
-/* whether the ROB head of a hart holding G(rob) is done, and holds a
- * ret_action (*ret*): read from the Entry while the ring is not loaded */
-static int head_peek(Window *w, HartView *hv, int *done, int *ret);
 /* the fields of a record loaded stale, from its Entry (a field C wrote
  * since keeps what C wrote) */
 static int record_read(Window *w, Instr *rec);
@@ -834,12 +796,22 @@ static PyObject *record_entry(Window *w, Instr *rec);
 /* a committed *rec* goes: its Entry, if it has one, takes its last fields */
 static int record_retire(Window *w, Instr *rec);
 
+/* register *r*: an IndexError past the 32 */
+static int
+reg_index(int64_t r)
+{
+    if ((uint64_t)r < 32)
+        return 0;
+    PyErr_SetString(PyExc_IndexError, "list index out of range");
+    return -1;
+}
+
 /* ``regs[r]``; whether ``rename[r]`` holds a tag, and which: -1 on an
  * exception */
 static inline int
 reg_read(HartView *hv, int64_t r, uint32_t *value)
 {
-    if (!((uint64_t)r < 32 && hv->reg_loaded >> r & 1) && reg_load(hv, r) < 0)
+    if (reg_index(r) < 0)
         return -1;
     *value = hv->regv[r];
     return 0;
@@ -848,7 +820,7 @@ reg_read(HartView *hv, int64_t r, uint32_t *value)
 static inline int
 ren_read(HartView *hv, int64_t r, int64_t *tag)
 {
-    if (!((uint64_t)r < 32 && hv->ren_loaded >> r & 1) && ren_load(hv, r) < 0)
+    if (reg_index(r) < 0)
         return -1;
     *tag = hv->ren[r];
     return hv->ren_set >> r & 1;
@@ -860,7 +832,6 @@ static inline void
 reg_write(HartView *hv, int64_t r, uint32_t value)
 {
     hv->regv[r] = value;
-    hv->reg_loaded |= 1u << r;
     hv->reg_dirty |= 1u << r;
 }
 
@@ -872,7 +843,6 @@ ren_write(HartView *hv, int64_t r, int set, int64_t tag)
         hv->ren_set |= 1u << r;
     else
         hv->ren_set &= ~(1u << r);
-    hv->ren_loaded |= 1u << r;
     hv->ren_dirty |= 1u << r;
 }
 
@@ -891,14 +861,6 @@ operand(const Instr *rec, int k, int64_t *out)
 }
 #define GETV(var, rec, k) \
     do { if (operand(rec, k, &(var)) < 0) goto fail; } while (0)
-
-/* ``len(hart.rob)`` of a hart holding G(rob): until its ring is loaded, C
- * has changed nothing of it since Python last ran */
-static inline Py_ssize_t
-rob_len(const HartView *hv)
-{
-    return hv->gates & G(win) ? hv->count : PyList_GET_SIZE(hv->rob);
-}
 
 /* 1 and *rec*, the oldest record of *hv*'s ring holding *tag*
  * (``_rob_by_tag``), or 0 */
@@ -994,35 +956,16 @@ called(PyObject *result)
 /* ``hart.pc is not None or hart.rob or hart.fetch_buf is not None`` of
  * hart *h* of *v*, or -1 */
 static int
-holds_work(CoreView *v, int h)
+holds_work(const HartView *hv)
 {
-    HartView *hv = &v->h[h];
-    if (gate(v, h, G(pc)) < 0)
-        return -1;
-    if (hv->pc != Py_None)
-        return 1;
-    if (gate(v, h, G(rob)) < 0)
-        return -1;
-    if (rob_len(hv))
-        return 1;
-    if (gate(v, h, G(fetch_buf)) < 0)
-        return -1;
-    return hv->fetch_buf != Py_None;
+    return hv->pc != Py_None || hv->count || hv->fetch_buf != Py_None;
 }
 
-/* The ticked core's view, holding its harts (Python may have run). */
+/* The ticked core's view (Python may have run). */
 static inline CoreView *
 tick_view(Tick *t)
 {
-    return fresh(t->w, t->v, V_PIPE) < 0 ? NULL : t->v;
-}
-
-/* tick_view, and all of hart *h* */
-static inline HartView *
-tick_hart(Tick *t, int h)
-{
-    return fresh(t->w, t->v, V_PIPE) < 0 || gate(t->v, h, HART_ALL) < 0
-        ? NULL : &t->v->h[h];
+    return fresh(t->w, t->v) < 0 ? NULL : t->v;
 }
 
 /* Core._resolve_pc */
@@ -1030,9 +973,7 @@ static int
 resolve_pc(Tick *t, HartView *hv, int64_t target)
 {
     PyObject *pc;
-    if (gate(t->v, HNUM(t->v, hv), G(syncm_block) | G(fetch_buf)
-             | G(reserved)) < 0
-            || (pc = PyLong_FromLongLong(target & MASK32)) == NULL)
+    if ((pc = PyLong_FromLongLong(target & MASK32)) == NULL)
         return -1;
     HSET_OBJ(hv, pc, pc);
     Py_DECREF(pc);
@@ -1044,14 +985,11 @@ resolve_pc(Tick *t, HartView *hv, int64_t target)
 }
 
 /* ResultBuffer.fill's gate: keep the core's writeback gate a lower bound */
-static inline int
+static inline void
 lower_wb_wake(CoreView *v, int64_t ready_at)
 {
-    if (cgate(v, G(_wb_wake)) < 0)
-        return -1;
     if (ready_at < v->_wb_wake)
         CSET(v, _wb_wake, ready_at);
-    return 0;
 }
 
 /* ResultBuffer.occupy(entry) of *hv*'s buffer, *rec* the producer */
@@ -1090,7 +1028,8 @@ finish_at(Tick *t, HartView *hv, Instr *rec, uint32_t value, int64_t ready_at)
     }
     rb_occupy(hv, rec);
     rb_fill(hv, value, ready_at);
-    return lower_wb_wake(t->v, ready_at);
+    lower_wb_wake(t->v, ready_at);
+    return 0;
 }
 
 /* commit: the oldest instruction of a hart, once done */
@@ -1099,26 +1038,22 @@ stage_commit(Tick *t)
 {
     int k;
     CoreView *v = tick_view(t);
-    if (v == NULL || cgate(v, G(_rr_commit)) < 0)
+    if (v == NULL)
         return -1;
     for (k = 0; k < 4; k++) {
-        int h = (int)((v->_rr_commit + k) & 3), status, done, ret;
+        int h = (int)((v->_rr_commit + k) & 3), status;
         int64_t trap;
         HartView *hv = &v->h[h];
         Instr out;
-        if (gate(v, h, G(rob)) < 0)
-            goto fail;
-        if (rob_len(hv) == 0)
+        if (hv->count == 0)
             continue;
-        if (head_peek(t->w, hv, &done, &ret) < 0)
+        if (LOADED(t->w, AT(hv, 0)) < 0)
             goto fail;
-        if (!done)
+        if (!AT(hv, 0)->done)
             continue;
-        if (ret) {
+        if (AT(hv, 0)->ret_action != NULL) {
             /* the ordered-release barrier of a p_ret */
             PyObject *pred;
-            if (tick_hart(t, h) == NULL)
-                goto fail;
             GETO(pred, hv->hart, H.pred);
             if (pred != Py_None && !hv->pred_done)
                 continue;
@@ -1126,9 +1061,6 @@ stage_commit(Tick *t)
                 continue;
         }
         CSET(v, _rr_commit, (h + 1) & 3);
-        if (gate(v, h, G(stats) | G(retired) | G(win)) < 0
-                || LOADED(t->w, AT(hv, 0)) < 0)
-            goto fail;
         out = *AT(hv, 0);  /* ``hart.rob.pop(0)`` */
         ring_pop(hv);
         HSET(hv, retired, hv->retired + 1);
@@ -1156,12 +1088,10 @@ stage_writeback(Tick *t)
     int64_t wake;
     int k, fired = 0;
     CoreView *v = tick_view(t);
-    if (v == NULL || cgate(v, G(_wb_wake)) < 0)
+    if (v == NULL)
         return -1;
     if (v->_wb_wake > t->cycle)
         return 0;
-    if (cgate(v, G(_rr_wb)) < 0)
-        return -1;
     wake = never_val;
     for (k = 0; k < 4; k++) {
         int h = (int)((v->_rr_wb + k) & 3);
@@ -1169,8 +1099,6 @@ stage_writeback(Tick *t)
         uint32_t value;
         Py_ssize_t i;
         HartView *hv = &v->h[h];
-        if (gate(v, h, G(rbv)) < 0)
-            goto fail;
         if (!hv->rb_busy || !hv->rb_has_value)
             continue;
         if (hv->rb_ready_at > t->cycle) {
@@ -1178,8 +1106,6 @@ stage_writeback(Tick *t)
                 wake = hv->rb_ready_at;
             continue;
         }
-        if (gate(v, h, G(win) | G(rename) | G(regs) | G(n_ready)) < 0)
-            goto fail;
         if (!hv->rb_has_tag) {
             wrong_type("int rename tag");
             goto fail;
@@ -1382,11 +1308,7 @@ execute(Tick *t, HartView *hv, Instr *rec)
                 + (cls == cls_auipc ? (uint32_t)rec->pc : 0);
         return finish_at(t, hv, rec, value, t->cycle + 1);
     }
-    /* the rest: a load or store reads the hart's scalars it issues with
-     * only on the native path; anything else, all of them */
     mem = cls == cls_load || cls == cls_store || cls == cls_p_lwcv;
-    if (!mem && gate(t->v, HNUM(t->v, hv), HART_ALL) < 0)
-        return -1;
     if ((done = execute_local(t, hv, rec, cls)) <= 0)
         return done;
     if ((native = window_native(t)) < 0)
@@ -1394,9 +1316,6 @@ execute(Tick *t, HartView *hv, Instr *rec)
     if (native) {
         if (!mem)
             done = team_execute(t, hv, rec, cls);
-        else if (gate(t->v, HNUM(t->v, hv), G(gid) | G(index)
-                      | G(outstanding_mem)) < 0)
-            return -1;
         else
             done = mem_access(t, hv, rec,
                               cls == cls_load ? ACC_LOAD
@@ -1423,7 +1342,7 @@ stage_issue(Tick *t)
 {
     int k;
     CoreView *v = tick_view(t);
-    if (v == NULL || cgate(v, G(_rr_issue)) < 0)
+    if (v == NULL)
         return -1;
     for (k = 0; k < 4; k++) {
         int h = (int)((v->_rr_issue + k) & 3);
@@ -1431,12 +1350,8 @@ stage_issue(Tick *t)
         Py_ssize_t i, pos = 0;
         HartView *hv = &v->h[h];
         Instr *found = NULL;
-        if (gate(v, h, G(n_ready)) < 0)
-            goto fail;
         if (!hv->n_ready)
             continue;
-        if (gate(v, h, G(win)) < 0)
-            goto fail;
         /* the records still in the instruction table, in its order; *pos*
          * counts them */
         for (i = 0; i < hv->count; i++) {
@@ -1468,7 +1383,7 @@ stage_issue(Tick *t)
                     if ((ready = window_native(t)) < 0)
                         goto fail;
                     if (ready) {
-                        if ((number = free_hart(t->w, v)) < 0)
+                        if ((number = free_hart(v)) < 0)
                             goto fail;
                         ready = number < 4;
                         break;
@@ -1481,7 +1396,7 @@ stage_issue(Tick *t)
                     Py_DECREF(item);
                     /* Python ran: the scan goes on at the same place of
                      * the instruction table as it is now */
-                    if (tick_view(t) == NULL || gate(v, h, G(win)) < 0)
+                    if (tick_view(t) == NULL)
                         goto fail;
                     if ((i = it_index(hv, pos)) < 0)
                         goto next;
@@ -1495,8 +1410,6 @@ stage_issue(Tick *t)
                     ready = PyList_GET_SIZE(list) != 0;
                     break;
                 default:  /* ISS_SYNCM: at the head, memory drained */
-                    if (gate(v, h, G(outstanding_mem)) < 0)
-                        goto fail;
                     ready = pos == 0 && hv->outstanding_mem == 0;
                     break;
                 }
@@ -1561,8 +1474,6 @@ rename_into(Tick *t, int h, int64_t pc, Decode *d)
     HartView *hv = &v->h[h];
     Instr fresh = {.pc = pc, .dec = d, .in_it = 1}, *rec;
 
-    if (cgate(v, G(_tag)) < 0)
-        goto fail;
     fresh.tag = tag = v->_tag + 1;
     CSET(v, _tag, tag);
     if (d->nreads) {
@@ -1587,8 +1498,7 @@ rename_into(Tick *t, int h, int64_t pc, Decode *d)
     }
     if (d->dec_kind == 5) {
         /* DEC_PFN: request the fork token from the next core */
-        if (tick_hart(t, h) == NULL || send_fork_req(t, hv) < 0
-                || tick_hart(t, h) == NULL)
+        if (send_fork_req(t, hv) < 0 || tick_view(t) == NULL)
             goto fail;
     }
     /* next-pc determination (fetch resumes when it is known) */
@@ -1619,7 +1529,7 @@ stage_rename(Tick *t)
 {
     int k;
     CoreView *v = tick_view(t);
-    if (v == NULL || cgate(v, G(_rr_rename) | G(_rob_size)) < 0)
+    if (v == NULL)
         return -1;
     for (k = 0; k < 4; k++) {
         int h = (int)((v->_rr_rename + k) & 3);
@@ -1627,21 +1537,14 @@ stage_rename(Tick *t)
         HartView *hv = &v->h[h];
         PyObject *fetch_buf, *low;
         Decode *d;
-        if (gate(v, h, G(fetch_buf)) < 0)
-            return -1;
         if ((fetch_buf = hv->fetch_buf) == Py_None)
             continue;
-        if (gate(v, h, G(rob)) < 0)
-            return -1;
-        if (rob_len(hv) >= v->_rob_size)
+        if (hv->count >= v->_rob_size)
             continue;
         if (!PyTuple_Check(fetch_buf) || PyTuple_GET_SIZE(fetch_buf) != 2) {
             wrong_type("(pc, low) tuple");
             return -1;
         }
-        if (gate(v, h, G(win) | G(rename) | G(regs) | G(n_ready)
-                 | G(syncm_block)) < 0)
-            return -1;
         low = PyTuple_GET_ITEM(fetch_buf, 1);
         if (!PyObject_TypeCheck(low, low_type)) {
             wrong_type(low_type->tp_name);
@@ -1682,7 +1585,7 @@ stage_fetch(Tick *t)
 {
     int k;
     CoreView *v = tick_view(t);
-    if (v == NULL || cgate(v, G(_rr_fetch)) < 0)
+    if (v == NULL)
         return -1;
     for (k = 0; k < 4; k++) {
         int h = (int)((v->_rr_fetch + k) & 3);
@@ -1690,16 +1593,8 @@ stage_fetch(Tick *t)
         HartView *hv = &v->h[h];
         PyObject *pc, *low, *fetch_buf, *pair;
         Decode *d;
-        if (gate(v, h, G(fetch_ok)) < 0)
-            return -1;
-        if (!hv->fetch_ok)
+        if (!hv->fetch_ok || t->cycle < hv->fetch_ready_at)
             continue;
-        if (gate(v, h, G(fetch_ready_at)) < 0)
-            return -1;
-        if (t->cycle < hv->fetch_ready_at)
-            continue;
-        if (gate(v, h, G(pc)) < 0)
-            return -1;
         CSET(v, _rr_fetch, (h + 1) & 3);
         pc = new_ref(hv->pc);  /* the callback below may end the hart */
         if ((d = decode_fetch(t->w, t->lowered, pc)) != NULL)
@@ -1903,20 +1798,13 @@ classify(Tick *t, PyObject *slot)
     HartView *rep = NULL;
     Instr *head;
     PyObject *pred;
-    if (cgate(v, G(_rr_commit)) < 0)
-        goto fail;
     for (k = 0; k < 4 && rep == NULL; k++) {
         int h = (int)((v->_rr_commit + k) & 3);
-        if (gate(v, h, G(rob)) < 0)
-            goto fail;
-        if (rob_len(&v->h[h]))
+        if (v->h[h].count)
             rep = &v->h[h];
     }
     if (rep == NULL)
         return WHY_fetch_starved;
-    if (tick_hart(t, HNUM(v, rep)) == NULL
-            || gate(v, HNUM(v, rep), G(win)) < 0)
-        goto fail;
     head = AT(rep, 0);
     if (LOADED(t->w, head) < 0)
         goto fail;
@@ -1983,8 +1871,7 @@ metered_prologue(Tick *t, PyObject *metrics)
     CoreView *v = t->v;
     PyObject *index, *edges, *item, *now;
     for (h = 0; h < 4 && !work; h++)
-        if ((work = holds_work(v, h)) < 0)
-            return -1;
+        work = holds_work(&v->h[h]);
     /* held across the calls below */
     index = new_ref(v->index_obj);
     if (!work) {
@@ -2024,21 +1911,17 @@ park(Tick *t)
     int h, busy = 0;
     CoreView *v = tick_view(t);
     int64_t wake;
-    if (v == NULL || cgate(v, G(_wb_wake)) < 0)
+    if (v == NULL)
         return -1;
     wake = v->_wb_wake;
     for (h = 0; h < 4; h++) {
         HartView *hv = &v->h[h];
-        if (gate(v, h, G(fetch_ok)) < 0)
-            return -1;
         if (hv->fetch_ok) {
             busy = 1;
-            if (gate(v, h, G(fetch_ready_at)) < 0)
-                return -1;
             if (hv->fetch_ready_at < wake)
                 wake = hv->fetch_ready_at;
-        } else if (!busy && (busy = holds_work(v, h)) < 0)
-            return -1;
+        } else if (!busy)
+            busy = holds_work(hv);
     }
     if (!busy)
         return 0;

@@ -831,7 +831,7 @@ next_box(Window *w)
 }
 
 /* *out*: *value* as an int64, as GETI reads a slot */
-static INLINE int
+static inline int
 read_int(PyObject *value, int64_t *out)
 {
     *out = as_int(value);
@@ -839,7 +839,7 @@ read_int(PyObject *value, int64_t *out)
 }
 
 /* *out*: the slot as an int64, as GETI reads it */
-static INLINE int
+static inline int
 load_int(PyObject *obj, Py_ssize_t off, int64_t *out)
 {
     PyObject *value = SLOT(obj, off);
@@ -851,7 +851,7 @@ load_int(PyObject *obj, Py_ssize_t off, int64_t *out)
 }
 
 /* *out*: the slot's truth, as GETB reads it */
-static INLINE int
+static inline int
 load_bool(PyObject *obj, Py_ssize_t off, int *out)
 {
     PyObject *value = SLOT(obj, off);
@@ -863,7 +863,7 @@ load_bool(PyObject *obj, Py_ssize_t off, int *out)
 }
 
 /* *out*: the slot, borrowed, checked to be a *type* (any object: NULL) */
-static INLINE int
+static inline int
 load_obj(PyObject *obj, Py_ssize_t off, PyTypeObject *type, PyObject **out)
 {
     if ((*out = SLOT(obj, off)) == NULL) {
@@ -888,118 +888,61 @@ load_obj(PyObject *obj, Py_ssize_t off, PyTypeObject *type, PyObject **out)
 #define LOAD_S_INT(name) LOAD_INT(hv->stats, S, hv, name)
 #define LOAD_K_INT(name) LOAD_INT(v->counters, K, v, name)
 
-/* The core's scalars *bits* that *v* lacks.  Inlined where *bits* is a
- * constant, it loads those fields and no others. */
-static INLINE int
-load_cgates(CoreView *v, unsigned bits)
+static int registers_load(HartView *hv);
+static int buffer_load(HartView *hv);
+static int window_load(HartView *hv);
+
+/* Hart *hart* into *hv*: its scalars and objects, its HartStats, its
+ * writeback buffer and its ring (each record read when first needed, each
+ * register too) */
+static int
+hart_load(HartView *hv, PyObject *hart)
 {
-    /* a scalar C wrote before it needed it keeps what C wrote */
-    unsigned missing = bits & ~v->gates & ~v->dirty;
-#define LOAD_C_MISSING_INT(name) \
-    if (missing & G(name)) LOAD_C_INT(name)
-    CV_INTS(LOAD_C_MISSING_INT)
-    LOAD_C_MISSING_INT(_rob_size)
-    if (missing & G(active))
-        LOAD_C_BOOL(active)
-    v->gates |= bits;
-    return 0;
+    if (!PyObject_TypeCheck(hart, hart_type)) {
+        wrong_type(hart_type->tp_name);
+        return -1;
+    }
+    hv->hart = hart;
+    if (load_obj(hart, H.rob, &PyList_Type, &hv->rob) < 0
+            || load_obj(hart, H.rb, rb_type, &hv->rb) < 0
+            || load_obj(hart, H.regs, &PyList_Type, &hv->regs) < 0
+            || load_obj(hart, H.rename, &PyList_Type, &hv->rename) < 0
+            || load_obj(hart, H.it, &PyList_Type, &hv->it) < 0
+            || load_obj(hart, H.pc, NULL, &hv->pc) < 0
+            || load_obj(hart, H.fetch_buf, NULL, &hv->fetch_buf) < 0
+            || load_obj(hart, H.gid, NULL, &hv->gid_obj) < 0
+            || read_int(hv->gid_obj, &hv->gid) < 0
+            || load_obj(hart, H.index, NULL, &hv->index_obj) < 0
+            || read_int(hv->index_obj, &hv->index) < 0
+            || load_obj(hart, H.stats, stats_type, &hv->stats) < 0)
+        return -1;
+    HV_INTS(LOAD_H_INT)
+    HV_BOOLS(LOAD_H_BOOL)
+    STATS_SLOTS(LOAD_S_INT)
+    hv->dirty = 0;
+    return registers_load(hv) < 0 || buffer_load(hv) < 0
+        || window_load(hv) < 0 ? -1 : 0;
 }
 
+/* The core's scalars and harts into *v* */
 static int
-load_pipe(CoreView *v)
+pipe_load(CoreView *v)
 {
     int h;
     PyObject *harts;
+    CV_INTS(LOAD_C_INT)
+    CV_BOOLS(LOAD_C_BOOL)
+    LOAD_C_INT(_rob_size)
     if (load_obj(v->core, C.harts, &PyList_Type, &harts) < 0)
         return -1;
     if (PyList_GET_SIZE(harts) != 4) {
         wrong_type("list of four harts");
         return -1;
     }
-    for (h = 0; h < 4; h++) {
-        HartView *hv = &v->h[h];
-        hv->hart = PyList_GET_ITEM(harts, h);
-        if (!PyObject_TypeCheck(hv->hart, hart_type)) {
-            wrong_type(hart_type->tp_name);
+    for (h = 0; h < 4; h++)
+        if (hart_load(&v->h[h], PyList_GET_ITEM(harts, h)) < 0)
             return -1;
-        }
-        hv->gates = 0;
-    }
     return 0;
-}
-
-#define LOAD_H_MISSING_INT(name) \
-    if (missing & G(name)) LOAD_H_INT(name)
-#define LOAD_H_MISSING_BOOL(name) \
-    if (missing & G(name)) LOAD_H_BOOL(name)
-#define LOAD_S_MISSING_INT(name) \
-    if (missing & G(name)) LOAD_S_INT(name)
-
-static int buffer_load(HartView *hv);
-static int window_load(HartView *hv);
-static int mem_load(CoreView *v);
-static int bank_load(CoreView *v, int shared);
-static int links_load(CoreView *v);
-
-/* The fields *bits* of hart *h* that *v* lacks, as load_cgates. */
-static INLINE int
-load_gates(CoreView *v, int h, unsigned bits)
-{
-    HartView *hv = &v->h[h];
-    PyObject *hart = hv->hart;
-    unsigned missing;
-    if (bits & G(win))
-        bits |= G(rob) | G(it) | G(rbv);
-    if (bits & G(rbv))
-        bits |= G(rb);
-    /* a field C wrote before it needed it keeps what C wrote */
-    missing = bits & ~hv->gates & ~hv->dirty;
-    if ((missing & G(rob)
-         && load_obj(hart, H.rob, &PyList_Type, &hv->rob) < 0)
-            || (missing & G(rb) && load_obj(hart, H.rb, rb_type, &hv->rb) < 0)
-            || (missing & G(regs)
-                && load_obj(hart, H.regs, &PyList_Type, &hv->regs) < 0)
-            || (missing & G(rename)
-                && load_obj(hart, H.rename, &PyList_Type, &hv->rename) < 0)
-            || (missing & G(it)
-                && load_obj(hart, H.it, &PyList_Type, &hv->it) < 0)
-            || (missing & G(pc) && load_obj(hart, H.pc, NULL, &hv->pc) < 0)
-            || (missing & G(fetch_buf)
-                && load_obj(hart, H.fetch_buf, NULL, &hv->fetch_buf) < 0)
-            || (missing & G(gid)
-                && (load_obj(hart, H.gid, NULL, &hv->gid_obj) < 0
-                    || read_int(hv->gid_obj, &hv->gid) < 0))
-            || (missing & G(index)
-                && (load_obj(hart, H.index, NULL, &hv->index_obj) < 0
-                    || read_int(hv->index_obj, &hv->index) < 0))
-            || (missing & G(stats)
-                && load_obj(hart, H.stats, stats_type, &hv->stats) < 0))
-        return -1;
-    HV_INTS(LOAD_H_MISSING_INT)
-    HV_BOOLS(LOAD_H_MISSING_BOOL)
-    STATS_SLOTS(LOAD_S_MISSING_INT)
-    /* a register is read from its list when first needed */
-    if (missing & G(regs))
-        hv->reg_loaded = hv->reg_dirty = 0;
-    if (missing & G(rename))
-        hv->ren_loaded = hv->ren_dirty = 0;
-    if ((missing & G(rbv) && buffer_load(hv) < 0)
-            || (missing & G(win) && window_load(hv) < 0))
-        return -1;
-    hv->gates |= bits;
-    return 0;
-}
-
-static INLINE int
-gate(CoreView *v, int h, unsigned bits)
-{
-    return (v->h[h].gates & bits) == bits ? 0 : load_gates(v, h, bits);
-}
-
-static INLINE int
-cgate(CoreView *v, unsigned bits)
-{
-    return (v->gates & bits) == bits ? 0 : load_cgates(v, bits);
 }
 
 static int
@@ -1016,68 +959,29 @@ load_counters(Window *w, CoreView *v)
     return 0;
 }
 
-/* Load what *v* lacks of *parts*: all of them when Python ran since its
- * last load (the flush before that call left nothing dirty). */
+/* The view of its core, whole, from the slots: the one load of a view in
+ * a call of the window or after a call into Python (the flush before that
+ * call left nothing dirty). */
 static NOINLINE int
-view_load(Window *w, CoreView *v, unsigned parts)
+view_load(Window *w, CoreView *v)
 {
-    int h;
-    if (v->stamp != w->calls + 1) {
-        v->stamp = w->calls + 1;
-        v->loaded = v->gates = v->dirty = v->kdirty = 0;
-        for (h = 0; h < 4; h++)
-            v->h[h].dirty = 0;
-        w->touched[w->ntouched++] = v - w->views;
-        if (load_obj(v->core, C.index, NULL, &v->index_obj) < 0
-                || read_int(v->index_obj, &v->index) < 0)
-            return -1;
-    }
-    if (parts & (V_LOCAL | V_SHARED))
-        parts |= V_MEM;
-    parts &= ~v->loaded;
-    if (parts & V_PIPE) {
-        if (load_pipe(v) < 0)
-            return -1;
-        v->loaded |= V_PIPE;
-    }
-    if (parts & V_COUNTERS) {
-        if (load_counters(w, v) < 0)
-            return -1;
-        v->loaded |= V_COUNTERS;
-    }
-    if (parts & V_MEM) {
-        if (mem_load(v) < 0)
-            return -1;
-        v->loaded |= V_MEM;
-    }
-    if (parts & V_LOCAL) {
-        if (bank_load(v, 0) < 0)
-            return -1;
-        v->loaded |= V_LOCAL;
-    }
-    if (parts & V_SHARED) {
-        if (bank_load(v, 1) < 0)
-            return -1;
-        v->loaded |= V_SHARED;
-    }
-    if (parts & V_LINKS) {
-        if (links_load(v) < 0)
-            return -1;
-        v->loaded |= V_LINKS;
-    }
-    return 0;
+    v->stamp = w->calls + 1;
+    v->dirty = v->kdirty = 0;
+    w->touched[w->ntouched++] = v - w->views;
+    return load_obj(v->core, C.index, NULL, &v->index_obj) < 0
+        || read_int(v->index_obj, &v->index) < 0
+        || pipe_load(v) < 0 || load_counters(w, v) < 0 ? -1 : 0;
 }
 
 static inline int
-fresh(Window *w, CoreView *v, unsigned parts)
+fresh(Window *w, CoreView *v)
 {
-    return v->stamp == w->calls + 1 && (v->loaded & parts) == parts ? 0
-        : view_load(w, v, parts);
+    return v->stamp == w->calls + 1 ? 0 : view_load(w, v);
 }
 
-/* The view of ``cores[i]`` holding *parts*, or NULL. */
+/* The view of ``cores[i]``, fresh, or NULL. */
 static CoreView *
-view_at(Window *w, int64_t i, unsigned parts)
+view_at(Window *w, int64_t i)
 {
     PyObject *core;
     CoreView *v;
@@ -1096,11 +1000,11 @@ view_at(Window *w, int64_t i, unsigned parts)
         }
         v->core = core;
     }
-    return fresh(w, v, parts) < 0 ? NULL : v;
+    return fresh(w, v) < 0 ? NULL : v;
 }
 
 static CoreView *
-view_for(Window *w, PyObject *core, unsigned parts)
+view_for(Window *w, PyObject *core)
 {
     int64_t i = w->hint;
     PyObject *index;
@@ -1111,7 +1015,7 @@ view_for(Window *w, PyObject *core, unsigned parts)
                             "compiled tick: another core than its own");
             return NULL;
         }
-        return fresh(w, w->views, parts) < 0 ? NULL : w->views;
+        return fresh(w, w->views) < 0 ? NULL : w->views;
     }
     /* the one after the last found (the loop walks its cores in order) */
     if (i >= w->nviews || i >= PyList_GET_SIZE(w->cores)
@@ -1132,8 +1036,9 @@ view_for(Window *w, PyObject *core, unsigned parts)
         }
     }
     w->hint = i + 1;
-    return view_at(w, i, parts);
+    return view_at(w, i);
 }
+
 
 /* the hart's ``rename`` is *list* (Hart.reserve_for_fork) */
 static void
@@ -1141,9 +1046,7 @@ view_set_rename(HartView *hv, PyObject *list)
 {
     set_obj(hv->hart, H.rename, list);
     hv->rename = list;
-    hv->gates |= G(rename);
     /* its 32 Nones, none of them written since */
-    hv->ren_loaded = 0xFFFFFFFFu;
     hv->ren_set = hv->ren_dirty = 0;
 }
 
@@ -1206,30 +1109,15 @@ flush_obj(PyObject *obj, Py_ssize_t off, PyObject *value)
 }
 
 /* ---- the memory view: a core's banks and ports, its link scheduler ----------------
- * Read when an access first needs them after the call started or after a
- * call into Python: the CoreMemory and its ports (V_MEM), each bank's base
- * and bytes (V_LOCAL, V_SHARED: a pointer into the bytearray, which only
- * Python can resize), the LinkScheduler's latency, rows and observer
- * (V_LINKS).  Each Port the window reserves has a cursor of the window's
- * (Cursor), read when first reserved and stored back, if C moved it, with
- * the views.  These and the view's load are the only functions that read
- * or write a CoreMemory's, a Bank's or a Port's slots. */
+ * Read with the view: the CoreMemory and its ports, each bank's base and
+ * bytes (a pointer into the bytearray, which only Python can resize), the
+ * LinkScheduler's latency, rows and observer.  Each Port the window
+ * reserves has a cursor of the window's (Cursor), read when first reserved
+ * and stored back, if C moved it, with the views.  These and the view's
+ * load are the only functions that read or write a CoreMemory's, a Bank's
+ * or a Port's slots. */
 
-static int
-mem_load(CoreView *v)
-{
-    if (load_obj(v->core, C.mem, mem_type, &v->mem) < 0
-            || load_obj(v->mem, M.local_port, NULL,
-                        &v->ports[PORT_LOCAL]) < 0
-            || load_obj(v->mem, M.shared_local_port, NULL,
-                        &v->ports[PORT_SHARED_LOCAL]) < 0
-            || load_obj(v->mem, M.shared_router_port, NULL,
-                        &v->ports[PORT_SHARED_ROUTER]) < 0)
-        return -1;
-    return 0;
-}
-
-/* ``bank[shared]`` of *v*, which holds V_MEM */
+/* ``bank[shared]`` of *v*, whose CoreMemory is loaded */
 static int
 bank_load(CoreView *v, int shared)
 {
@@ -1260,6 +1148,27 @@ links_load(CoreView *v)
         return -1;
     v->links = links;
     return 0;
+}
+
+/* *v*'s memory view, loaded when an access or a message first needs it
+ * after the view was (the counted slot traffic of tests/test_tick_counts.py
+ * has no room for the banks of a core that only ticks) */
+static int
+mem_view(Window *w, CoreView *v)
+{
+    if (v->mem_stamp == w->calls + 1)
+        return 0;
+    v->mem_stamp = w->calls + 1;
+    if (load_obj(v->core, C.mem, mem_type, &v->mem) < 0
+            || load_obj(v->mem, M.local_port, NULL,
+                        &v->ports[PORT_LOCAL]) < 0
+            || load_obj(v->mem, M.shared_local_port, NULL,
+                        &v->ports[PORT_SHARED_LOCAL]) < 0
+            || load_obj(v->mem, M.shared_router_port, NULL,
+                        &v->ports[PORT_SHARED_ROUTER]) < 0)
+        return -1;
+    return bank_load(v, 0) < 0 || bank_load(v, 1) < 0 || links_load(v) < 0
+        ? -1 : 0;
 }
 
 /* the table's home cell of *port* */
@@ -1556,40 +1465,27 @@ decodes_free(Window *w)
     PyMem_Free(w->decodes);
 }
 
-/* ``list[r]`` of a register list: an IndexError past it */
-static inline int
-reg_index(PyObject *list, int64_t r)
+/* The 32 registers and rename entries of *hv*, from ``regs`` / ``rename``
+ * (an IndexError when one is shorter) */
+static int
+registers_load(HartView *hv)
 {
-    if (r < 0 || r >= 32 || r >= PyList_GET_SIZE(list)) {
+    int r;
+    PyObject *item;
+    hv->reg_dirty = hv->ren_dirty = hv->ren_set = 0;
+    if (PyList_GET_SIZE(hv->regs) < 32 || PyList_GET_SIZE(hv->rename) < 32) {
         PyErr_SetString(PyExc_IndexError, "list index out of range");
         return -1;
     }
-    return 0;
-}
-
-static int
-reg_load(HartView *hv, int64_t r)
-{
-    if (reg_index(hv->regs, r) < 0
-            || load_u32(PyList_GET_ITEM(hv->regs, r), &hv->regv[r]) < 0)
-        return -1;
-    hv->reg_loaded |= 1u << r;
-    return 0;
-}
-
-static int
-ren_load(HartView *hv, int64_t r)
-{
-    PyObject *item;
-    if (reg_index(hv->rename, r) < 0)
-        return -1;
-    if ((item = PyList_GET_ITEM(hv->rename, r)) == Py_None)
-        hv->ren_set &= ~(1u << r);
-    else if (read_int(item, &hv->ren[r]) < 0)
-        return -1;
-    else
+    for (r = 0; r < 32; r++) {
+        if (load_u32(PyList_GET_ITEM(hv->regs, r), &hv->regv[r]) < 0)
+            return -1;
+        if ((item = PyList_GET_ITEM(hv->rename, r)) == Py_None)
+            continue;
+        if (read_int(item, &hv->ren[r]) < 0)
+            return -1;
         hv->ren_set |= 1u << r;
-    hv->ren_loaded |= 1u << r;
+    }
     return 0;
 }
 
@@ -1709,7 +1605,6 @@ window_release(HartView *hv)
     hv->rb_entry = NULL;
     hv->reordered = 0;
     hv->rb_dirty = 0;
-    hv->gates &= ~(G(win) | G(rbv));
 }
 
 /* The writeback buffer of *hv* (whose rb is loaded), its producer as the
@@ -1731,29 +1626,6 @@ buffer_load(HartView *hv)
             || load_obj(rb, R.entry, NULL, &hv->rb_entry_obj) < 0)
         return -1;
     hv->rb_has_value = value != Py_None;
-    return 0;
-}
-
-static int
-head_peek(Window *w, HartView *hv, int *done, int *ret)
-{
-    PyObject *head, *action;
-    if (hv->gates & G(win)) {
-        if (LOADED(w, AT(hv, 0)) < 0)
-            return -1;
-        *done = AT(hv, 0)->done;
-        *ret = AT(hv, 0)->ret_action != NULL;
-        return 0;
-    }
-    head = PyList_GET_ITEM(hv->rob, 0);
-    if (!PyObject_TypeCheck(head, entry_type)) {
-        wrong_type(entry_type->tp_name);
-        return -1;
-    }
-    if (load_bool(head, E.done, done) < 0
-            || load_obj(head, E.ret_action, NULL, &action) < 0)
-        return -1;
-    *ret = action != Py_None;
     return 0;
 }
 
@@ -1921,16 +1793,13 @@ window_flush(Window *w, HartView *hv)
     Py_ssize_t i;
     unsigned d = hv->rb_dirty;
     PyObject *rb = hv->rb;
-    if (hv->gates & G(win)) {
-        for (i = 0; i < hv->count; i++)
-            if (record_store(w, AT(hv, i)) < 0)
-                return -1;
-        if (hv->reordered) {
-            if (list_refill(hv->rob, hv, 0) < 0
-                    || list_refill(hv->it, hv, 1) < 0)
-                return -1;
-            hv->reordered = 0;
-        }
+    for (i = 0; i < hv->count; i++)
+        if (record_store(w, AT(hv, i)) < 0)
+            return -1;
+    if (hv->reordered) {
+        if (list_refill(hv->rob, hv, 0) < 0 || list_refill(hv->it, hv, 1) < 0)
+            return -1;
+        hv->reordered = 0;
     }
     if (d & RB_BUSY)
         set_bool(rb, R.busy, hv->rb_busy);
@@ -1982,14 +1851,14 @@ rings_free(Window *w)
         return -1; \
     }
 #define FLUSH_C_BOOL(name) \
-    if (d & G(name)) set_bool(v->core, C.name, v->name);
-#define FLUSH_C_INT(name) FLUSH_INT(v->core, C, v, name, v->dirty, G(name))
+    if (d & DIRTY(name)) set_bool(v->core, C.name, v->name);
+#define FLUSH_C_INT(name) FLUSH_INT(v->core, C, v, name, v->dirty, DIRTY(name))
 #define FLUSH_H_OBJ(name) \
-    if (d & G(name)) flush_obj(hv->hart, H.name, hv->name);
+    if (d & DIRTY(name)) flush_obj(hv->hart, H.name, hv->name);
 #define FLUSH_H_BOOL(name) \
-    if (d & G(name)) set_bool(hv->hart, H.name, hv->name);
-#define FLUSH_H_INT(name) FLUSH_INT(hv->hart, H, hv, name, hv->dirty, G(name))
-#define FLUSH_S_INT(name) FLUSH_INT(hv->stats, S, hv, name, hv->dirty, G(name))
+    if (d & DIRTY(name)) set_bool(hv->hart, H.name, hv->name);
+#define FLUSH_H_INT(name) FLUSH_INT(hv->hart, H, hv, name, hv->dirty, DIRTY(name))
+#define FLUSH_S_INT(name) FLUSH_INT(hv->stats, S, hv, name, hv->dirty, DIRTY(name))
 #define FLUSH_K_INT(name) \
     FLUSH_INT(v->counters, K, v, name, v->kdirty, 1u << KBIT_##name)
 
@@ -2002,7 +1871,7 @@ view_flush(Window *w, CoreView *v)
     unsigned d;
     for (h = 0; h < 4; h++) {
         HartView *hv = &v->h[h];
-        if ((hv->gates & (G(win) | G(rbv)) && window_flush(w, hv) < 0)
+        if (window_flush(w, hv) < 0
                 || ((hv->reg_dirty | hv->ren_dirty)
                     && registers_flush(w, hv) < 0))
             return -1;
@@ -2340,7 +2209,7 @@ post(Window *w, CoreView *origin, int64_t dst, int64_t when, int kind,
     int64_t seq;
     PyObject *dst_obj = NULL, *outbox, *tuple;
     Event *event, away;
-    if (fresh(w, origin, 0) < 0 || cgate(origin, G(_seq)) < 0)
+    if (fresh(w, origin) < 0)
         return -1;
     seq = origin->_seq + 1;
     CSET(origin, _seq, seq);
@@ -2373,19 +2242,14 @@ fail:
     return status;
 }
 
-/* ``hart.stats.stores`` (*store*) or ``loads`` += 1, *hv* a hart of *v* */
-static int
-count_access(Window *w, CoreView *v, HartView *hv, int store)
+/* ``hart.stats.stores`` (*store*) or ``loads`` += 1 */
+static void
+count_access(HartView *hv, int store)
 {
-    if (fresh(w, v, V_PIPE) < 0
-            || gate(v, HNUM(v, hv), G(stats) | (store ? G(stores) : G(loads)))
-            < 0)
-        return -1;
     if (store)
         HSET(hv, stores, hv->stores + 1);
     else
         HSET(hv, loads, hv->loads + 1);
-    return 0;
 }
 
 /* The issue of an access to *addr* in the ticked core's own local bank,
@@ -2404,19 +2268,15 @@ own_access(Tick *t, HartView *hv, Instr *rec, enum access kind, int64_t addr,
     if (reserve(w, v->ports[shared ? PORT_SHARED_LOCAL : PORT_LOCAL],
                 t->cycle + w->latency, &when) < 0)
         return -1;
-    if (shared) {
-        if (fresh(w, v, V_COUNTERS) < 0)
-            return -1;
+    if (shared)
         KSET(v, local_accesses, v->local_accesses + 1);
-    }
     if (kind == ACC_STORE) {
         if (operand(rec, 1, &stored) < 0)
             return -1;
         HSET(hv, outstanding_mem, hv->outstanding_mem + 1);
         if (post(w, v, v->index, when, EV_store_write,
                  ARGS(ref, addr, stored, d->width, v->index, hv->gid,
-                      rec->tag)) < 0
-                || count_access(w, v, hv, 1) < 0)
+                      rec->tag)) < 0)
             return -1;
     } else {
         /* the read is done at when + 1: the port's next free cycle */
@@ -2426,8 +2286,7 @@ own_access(Tick *t, HartView *hv, Instr *rec, enum access kind, int64_t addr,
                  ARGS(ref, addr, d->width, d->mnem, when + 1, v->index,
                       hv->gid)) < 0
                 || post(w, v, v->index, when + 1, EV_load_done,
-                        ARGS(hv->gid)) < 0
-                || (kind == ACC_LOAD && count_access(w, v, hv, 0) < 0))
+                        ARGS(hv->gid)) < 0)
             return -1;
     }
     return 1;
@@ -2575,7 +2434,7 @@ reserve_path(Window *w, CoreView *v, const Hop *path, int count,
     int i;
     int64_t hop, time = start;
     PyObject *port;
-    if (fresh(w, v, V_LINKS) < 0)
+    if (fresh(w, v) < 0 || mem_view(w, v) < 0)
         return -1;
     hop = v->hop_latency;
     for (i = 0; i < count; i++)
@@ -2644,8 +2503,7 @@ remote_access(Tick *t, HartView *hv, Instr *rec, enum access kind,
     int64_t index = v->index, gid = hv->gid, stored = 0, t_up;
     Hop path[MAX_HOPS], back[MAX_HOPS];
 
-    if (fresh(w, v, V_COUNTERS) < 0
-            || (kind == ACC_STORE && operand(rec, 1, &stored) < 0))
+    if (kind == ACC_STORE && operand(rec, 1, &stored) < 0)
         return -1;
     if (kind != ACC_STORE)
         rb_occupy(hv, rec);
@@ -2661,9 +2519,7 @@ remote_access(Tick *t, HartView *hv, Instr *rec, enum access kind,
                        ARGS(index, gid, owner, addr, stored, d->width,
                             rec->tag))
                 : post(w, v, owner, t_up, EV_rreq_load,
-                       ARGS(index, gid, owner, addr, d->width, d->mnem))) < 0
-            || (kind != ACC_LWCV
-                && count_access(w, v, hv, kind == ACC_STORE) < 0))
+                       ARGS(index, gid, owner, addr, d->width, d->mnem))) < 0)
         return -1;
     return 1;
 }
@@ -2692,11 +2548,9 @@ mem_access(Tick *t, HartView *hv, Instr *rec, enum access kind)
         GETV(base, rec, 0);
         addr = (base + rec->dec->imm) & MASK32;
     }
-    if (fresh(w, v, V_LOCAL) < 0)
+    if (fresh(w, v) < 0 || mem_view(w, v) < 0)
         return -1;
     if (!bank_holds(v, 0, addr, width, &at)) {
-        if (fresh(w, v, V_SHARED) < 0)
-            return -1;
         if (bank_holds(v, 1, addr, width, &at))
             shared = 1;
         else {
@@ -2709,7 +2563,8 @@ mem_access(Tick *t, HartView *hv, Instr *rec, enum access kind)
             if (owner >= w->num_cores || owner == v->index
                     || owner >= PyList_GET_SIZE(w->cores))
                 return 0;
-            if ((home = view_at(w, owner, V_SHARED)) == NULL)
+            if ((home = view_at(w, owner)) == NULL
+                    || mem_view(w, home) < 0)
                 return -1;
             if (!bank_holds(home, 1, addr, width, &at))
                 return 0;
@@ -2728,8 +2583,12 @@ mem_access(Tick *t, HartView *hv, Instr *rec, enum access kind)
                 && SANITIZE(w, v->index, acc, hv->gid, rec->tag, addr, width,
                             kind == ACC_STORE, rec->pc) < 0))
         return -1;
-    return owner < 0 ? own_access(t, hv, rec, kind, addr, shared)
-        : remote_access(t, hv, rec, kind, addr, owner);
+    if ((owner < 0 ? own_access(t, hv, rec, kind, addr, shared)
+         : remote_access(t, hv, rec, kind, addr, owner)) < 0)
+        return -1;
+    if (kind != ACC_LWCV)
+        count_access(hv, kind == ACC_STORE);
+    return 1;
 fail:
     return -1;
 }
@@ -2743,8 +2602,7 @@ hart_of(Window *w, int64_t gid, CoreView **v, HartView **hv)
 {
     if (gid < 0 || (gid >> 2) >= PyList_GET_SIZE(w->cores))
         return 0;
-    if ((*v = view_at(w, gid >> 2, V_PIPE)) == NULL
-            || gate(*v, (int)(gid & 3), HART_ALL) < 0)
+    if ((*v = view_at(w, gid >> 2)) == NULL)
         return -1;
     *hv = &(*v)->h[gid & 3];
     return 1;
@@ -2770,7 +2628,7 @@ bank_bytes(Window *w, int64_t index, int shared, int64_t addr, int64_t width,
     if (index_in(index, PyList_GET_SIZE(w->cores)) < 0
             || (width != 1 && width != 2 && width != 4))
         return 0;
-    if ((v = view_at(w, index, shared ? V_SHARED : V_LOCAL)) == NULL)
+    if ((v = view_at(w, index)) == NULL || mem_view(w, v) < 0)
         return -1;
     if (!bank_holds(v, shared, addr, width, at))
         return 0;
@@ -2810,11 +2668,11 @@ load_value(int64_t mnem, uint32_t raw)
 }
 
 /* ResultBuffer.fill(value, ready_at) on *hv*'s hart, of core *v* */
-static int
+static void
 fill(CoreView *v, HartView *hv, uint32_t value, int64_t ready_at)
 {
     rb_fill(hv, value, ready_at);
-    return lower_wb_wake(v, ready_at);
+    lower_wb_wake(v, ready_at);
 }
 
 /* _rob_by_tag: 1 and *rec* when the ROB of *hv* (a hart of *v*) holds
@@ -2822,8 +2680,6 @@ fill(CoreView *v, HartView *hv, uint32_t value, int64_t ready_at)
 static int
 rob_record(CoreView *v, HartView *hv, int64_t tag, Instr **rec)
 {
-    if (gate(v, HNUM(v, hv), G(win)) < 0)
-        return -1;
     return ring_find(v->w, hv, tag, rec);
 }
 
@@ -2881,8 +2737,8 @@ ev_load_read(Window *w, CoreView *Py_UNUSED(domain), const Event *event)
             || (status = hart_of(w, a[6], &v, &hv)) <= 0)
         return status;
     value = load_value(a[3], read_bytes(at, a[2]));
-    return fill(v, hv, value, a[4]) < 0
-        || TRACE_INTS(w, mem_load, a[5], a[5], hv->index, a[1], value) < 0
+    fill(v, hv, value, a[4]);
+    return TRACE_INTS(w, mem_load, a[5], a[5], hv->index, a[1], value) < 0
         ? -1 : 1;
 }
 
@@ -2937,7 +2793,7 @@ arrive(Window *w, const int64_t *a, int64_t *src, int64_t *owner,
             || (*owner = index_in(a[2], PyList_GET_SIZE(w->cores))) < 0)
         return 0;
     /* shared_router_port.reserve(now + bank_access_latency) */
-    if ((v = view_at(w, *owner, V_MEM)) == NULL
+    if ((v = view_at(w, *owner)) == NULL || mem_view(w, v) < 0
             || reserve(w, v->ports[PORT_SHARED_ROUTER],
                        w->cycle + w->bank_latency, t_bank) < 0)
         return -1;
@@ -2988,8 +2844,7 @@ ev_rrep_load(Window *w, CoreView *Py_UNUSED(domain), const Event *event)
     HartView *hv;
     if ((status = hart_of(w, a[1], &v, &hv)) <= 0)
         return status;
-    if (fill(v, hv, (uint32_t)a[3], w->cycle) < 0)
-        return -1;
+    fill(v, hv, (uint32_t)a[3], w->cycle);
     HSET(hv, outstanding_mem, hv->outstanding_mem - 1);
     return remote_done(w, a[0], a[1], hv) < 0
         || TRACE_INTS(w, mem_load, a[0], a[0], hv->index, a[2],
@@ -3070,21 +2925,19 @@ settle(Window *w, CoreView *v, int64_t now)
     int status;
     int64_t since;
     PyObject *index_obj;
-    if (fresh(w, v, 0) < 0 || cgate(v, G(idle_since)) < 0)
+    if (fresh(w, v) < 0)
         return -1;
     if (now - (since = v->idle_since) <= 0)
         return 0;
     if (w->metrics == NULL   /* a settlement called from Python */
             && (w->metrics = machine_metrics(w->machine)) == NULL)
         return -1;
-    if (fresh(w, v, V_COUNTERS) < 0)
-        return -1;
     KSET(v, skipped_cycles, v->skipped_cycles + now - since);
     if (w->metrics != Py_None) {
         index_obj = new_ref(v->index_obj);  /* held across _emit */
         status = charge_idle(w, w->metrics, index_obj, since, now - since);
         Py_DECREF(index_obj);
-        if (status < 0 || fresh(w, v, 0) < 0)
+        if (status < 0 || fresh(w, v) < 0)
             return -1;
     }
     CSET(v, idle_since, now);
@@ -3110,7 +2963,7 @@ is_free(const HartView *hv)
         return 0;
     GETB(flag, hv->hart, H.waiting_join);
     /* (``it`` is part of the ROB) */
-    return !flag && hv->fetch_buf == Py_None && rob_len(hv) == 0
+    return !flag && hv->fetch_buf == Py_None && hv->count == 0
         && !hv->rb_busy;
 fail:
     return -1;
@@ -3119,12 +2972,11 @@ fail:
 /* Core.alloc_free_hart over the harts of *v*: the index of the lowest free
  * one, 4 when none is */
 static int
-free_hart(Window *w, CoreView *v)
+free_hart(const CoreView *v)
 {
     int h, found;
     for (h = 0; h < 4; h++) {
-        if (fresh(w, v, V_PIPE) < 0 || gate(v, h, HART_ALL) < 0
-                || (found = is_free(&v->h[h])) < 0)
+        if ((found = is_free(&v->h[h])) < 0)
             return -1;
         if (found)
             return h;
@@ -3250,13 +3102,11 @@ fail:
 static int
 activate(Window *w, CoreView *v)
 {
-    if (cgate(v, G(active)) < 0)
-        return -1;
     if (v->active)
         return 0;
     if (settle(w, v, w->cycle) < 0
             || (w->calls != w->seen && refresh(w) < 0)
-            || fresh(w, v, 0) < 0)
+            || fresh(w, v) < 0)
         return -1;
     CSET(v, active, 1);
     w->num_active++;
@@ -3368,9 +3218,7 @@ fork_to(Tick *t, HartView *hv, Instr *rec, PyObject *target)
 {
     uint32_t gid;
     CoreView *v = t->v;
-    if (fresh(t->w, v, V_PIPE | V_COUNTERS) < 0
-            || gate(v, HNUM(v, hv), G(stats) | G(forks)) < 0
-            || low32(target, &gid) < 0)
+    if (low32(target, &gid) < 0)
         return -1;
     set_obj(hv->hart, H.succ, target);
     HSET(hv, forks, hv->forks + 1);
@@ -3387,7 +3235,7 @@ exec_p_fc(Tick *t, HartView *hv, Instr *rec)
 {
     int h, ok;
     HartView *target;
-    if ((h = free_hart(t->w, t->v)) < 0)
+    if ((h = free_hart(t->v)) < 0)
         return -1;
     if (h == 4)
         return 0;  /* none (issue checked there was): Python raises */
@@ -3438,7 +3286,7 @@ exec_p_swcv(Tick *t, HartView *hv, Instr *rec)
         return -1;
     if (dst == index) {
         /* local_port.reserve(now + cv_write_latency) */
-        if (fresh(w, v, V_MEM) < 0
+        if (mem_view(w, v) < 0
                 || reserve(w, v->ports[PORT_LOCAL], t->cycle + w->cv_latency,
                            &when) < 0)
             return -1;
@@ -3655,7 +3503,7 @@ grant_queued(Window *w, CoreView *v)
     GETLIST(queue, v->core, C.fork_queue);
     if (!PyList_GET_SIZE(queue))
         return 0;
-    if ((h = free_hart(w, v)) < 0)
+    if ((h = free_hart(v)) < 0)
         return -1;
     if (h == 4)
         return 0;
@@ -3702,8 +3550,6 @@ commit_p_ret(Tick *t, HartView *hv, Instr *head)
         goto python;
     if ((native = fork_queue_ok(v)) <= 0)
         goto python;
-    if (fresh(w, v, V_COUNTERS) < 0)
-        goto fail;
     /* the predecessor's signal is received before ours is sent */
     GETO(pred, hv->hart, H.pred);
     if (trace_event(w, T_p_ret, index, index, hv->index, -1, NULL,
@@ -3719,9 +3565,7 @@ commit_p_ret(Tick *t, HartView *hv, Instr *head)
     if (succ >= 0) {
         /* LBP.send_ending_signal */
         if (send_along(w, v, succ >> 2, 1, EV_ending_signal,
-                       ARGS(index, hv->index, succ)) < 0
-                || fresh(w, v, V_PIPE | V_COUNTERS) < 0
-                || gate(v, HNUM(v, hv), HART_ALL) < 0)
+                       ARGS(index, hv->index, succ)) < 0)
             goto release;
         set_none(hv->hart, H.succ);
     }
@@ -3755,7 +3599,7 @@ commit_p_ret(Tick *t, HartView *hv, Instr *head)
     }
     /* after the restarts above, so a self-resuming hart is never stolen;
      * the halt last, its one call into Python changing nothing here */
-    if (fresh(w, v, V_PIPE) < 0 || grant_queued(w, v) < 0
+    if (grant_queued(w, v) < 0
             || (kind == ACT_EXIT
                 && called(callback(w, t->machine, s_halt, s_exit, NULL,
                                    NULL)) < 0))
@@ -3819,7 +3663,7 @@ ev_rreq_cv(Window *w, CoreView *domain, const Event *event)
         return 0;
     dst = target >> 2;
     /* local_port.reserve(now) */
-    if ((v = view_at(w, dst, V_MEM)) == NULL
+    if ((v = view_at(w, dst)) == NULL || mem_view(w, v) < 0
             || reserve(w, v->ports[PORT_LOCAL], w->cycle, &t_bank) < 0
             || post(w, domain, dst, t_bank, EV_cv_apply,
                     ARGS(dst, cv_base[target & 3] + a[3], a[4])) < 0
@@ -3913,7 +3757,7 @@ ev_re_ack(Window *w, CoreView *Py_UNUSED(domain), const Event *event)
     if ((status = hart_of(w, a[1], &v, &hv)) <= 0
             || (status = rob_record(v, hv, a[5], &rec)) <= 0)
         return status;
-    if ((src = view_at(w, index, V_COUNTERS)) == NULL)
+    if ((src = view_at(w, index)) == NULL)
         return -1;
     ISET(rec, done, 1, D_DONE);
     KSET(src, re_messages, src->re_messages + 1);
@@ -3933,11 +3777,11 @@ ev_fork_req(Window *w, CoreView *Py_UNUSED(domain), const Event *event)
     PyObject *queue, *request;
     if ((index = index_in(a[0], PyList_GET_SIZE(w->cores))) < 0)
         return 0;
-    if ((v = view_at(w, index, V_PIPE)) == NULL)
+    if ((v = view_at(w, index)) == NULL)
         return -1;
     GETLIST(queue, v->core, C.fork_queue);
     if (!PyList_GET_SIZE(queue)) {
-        if ((h = free_hart(w, v)) < 0)
+        if ((h = free_hart(v)) < 0)
             return -1;
         if (h < 4
                 && ((src = index_in(a[1], index + 1)) < 0
@@ -4000,8 +3844,7 @@ ev_start_pc(Window *w, CoreView *Py_UNUSED(domain), const Event *event)
     if (!hv->reserved)
         return 0;  /* not allocated: Python words the error */
     /* (recorded first: the start changes nothing they read) */
-    if (cgate(v, G(_tag)) < 0
-            || TRACE_INTS(w, start, v->index, v->index, hv->index,
+    if (TRACE_INTS(w, start, v->index, v->index, hv->index,
                           event->a[1]) < 0
             || SANITIZE(w, v->index, start, event->a[0], v->_tag) < 0)
         return -1;
@@ -4036,8 +3879,7 @@ ev_join(Window *w, CoreView *Py_UNUSED(domain), const Event *event)
     if ((status = hart_of(w, event->a[0], &v, &hv)) <= 0)
         return status;
     GETB(waiting, hv->hart, H.waiting_join);
-    if (cgate(v, G(_tag)) < 0
-            || TRACE_INTS(w, join, v->index, v->index, hv->index,
+    if (TRACE_INTS(w, join, v->index, v->index, hv->index,
                           event->a[1]) < 0)
         return -1;
     if (waiting)
@@ -4076,7 +3918,7 @@ dispatch(Window *w)
     PyObject *core = NULL;
 
     heap_pop(w, &event);
-    if ((v = view_at(w, event.dst, 0)) == NULL)
+    if ((v = view_at(w, event.dst)) == NULL)
         goto fail;
     core = new_ref(v->core);  /* the domain posts from it after calls */
     Py_XSETREF(w->origin, new_ref(v->index_obj));
@@ -4085,12 +3927,11 @@ dispatch(Window *w)
     CSET(v, sleep_until, 0);
     /* on a metered machine it may also charge link_wait to a gated core's
      * current window: close the idle span up to now first */
-    if (w->metered && (cgate(v, G(active)) < 0
-                       || (!v->active && settle(w, v, w->cycle) < 0)))
+    if (w->metered && !v->active && settle(w, v, w->cycle) < 0)
         goto fail;
     if (event.kind >= 0) {
         if ((handled = access_context(w)) > 0
-                && (handled = fresh(w, v, 0)) == 0)
+                && (handled = fresh(w, v)) == 0)
             handled = native_event[event.kind](w, v, &event);
         if (handled < 0)
             goto fail;
@@ -4116,7 +3957,7 @@ list_active(Window *w, PyObject *cores)
     for (i = 0; i < PyList_GET_SIZE(cores); i++) {
         PyObject *core = PyList_GET_ITEM(cores, i);
         CHECK(core, core_type);
-        if ((v = view_for(w, core, 0)) == NULL || cgate(v, G(active)) < 0
+        if ((v = view_for(w, core)) == NULL
                 || (v->active && PyList_Append(list, core) < 0))
             goto fail;
     }
@@ -4254,8 +4095,7 @@ machine_simulate(PyObject *machine, PyObject *const *args, Py_ssize_t nargs)
             CoreView *v;
             int busy;
             CHECK(core, core_type);
-            if ((v = view_for(&w, core, 0)) == NULL
-                    || cgate(v, G(sleep_until)) < 0)
+            if ((v = view_for(&w, core)) == NULL)
                 goto fail;
             if (v->sleep_until > cycle)
                 continue;
@@ -4266,7 +4106,7 @@ machine_simulate(PyObject *machine, PyObject *const *args, Py_ssize_t nargs)
                 goto fail;
             if (!busy) {
                 /* gate the core off; Hart.start wakes it */
-                if (fresh(&w, v, 0) < 0)
+                if (fresh(&w, v) < 0)
                     goto fail;
                 CSET(v, active, 0);
                 CSET(v, idle_since, cycle + 1);
