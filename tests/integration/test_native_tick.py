@@ -33,6 +33,7 @@ from repro.machine.hart import Entry
 from repro.machine.memory import Bank, Port
 from repro.machine.reference import ReferenceCore
 from repro.observe import Metrics
+from repro.observe.metrics import STALL_REASONS
 from repro.snapshot import restore, snapshot
 from repro.workloads import matmul_source
 
@@ -683,6 +684,97 @@ def test_team_messages_stay_in_c_unless_observed():
                 del part[observer]
         states.append(state)
     assert all(state == states[0] for state in states)
+
+
+# ---- kernel lines that few inputs reach ------------------------------------------
+
+
+def _alike(make, run):
+    """``run(make(backend))`` under both ticks, untraced: the machines'
+    ``state_dict()``s are equal.  Returns the compiled tick's machine."""
+    machines = [make(backend) for backend in ("soa", "interp")]
+    for machine in machines:
+        run(machine)
+    assert machines[0].state_dict() == machines[1].state_dict()
+    return machines[0]
+
+
+@compiled
+def test_a_negative_result_buffer_index_wraps_as_pythons_modulo():
+    """``p_swre`` with a negative immediate sends to result buffer
+    ``imm % num_result_buffers`` (Python's modulo, never negative): -1 is
+    the last buffer, which ``p_lwre`` then takes."""
+    source = TEAM_TRAFFIC.replace("p_swre t3, t1, 0", "p_swre t3, t1, -1")
+    source = source.replace("p_lwre t1, 0", "p_lwre t1, %d"
+                            % (Params.num_result_buffers - 1))
+    assert source.count("-1") > TEAM_TRAFFIC.count("-1")
+    program = assemble(source)
+    machine = _alike(
+        lambda backend: LBP(Params(num_cores=2),
+                            backend=backend).load(program),
+        lambda machine: machine.run(max_cycles=10_000))
+    assert machine.halt_reason == "ebreak"
+    assert machine.read_word(program.symbol("result")) == 7
+
+
+#: hart 0 ends its team member's part and waits for a join no one sends:
+#: its core holds no work and is gated off
+WAITING = """
+main:
+    li   ra, 0
+    li   t0, 0
+    p_ret
+"""
+
+
+@compiled
+def test_a_pending_halt_before_the_next_event_ends_an_all_gated_hop():
+    """Every core gated, a halt pending and the next event later than it:
+    the loop hops to the halt's cycle, not to the event's, and the event
+    stays pending."""
+    def make(backend):
+        machine = LBP(Params(num_cores=2), backend=backend).load(
+            assemble(WAITING))
+        machine.post(0, 500, "join", (0, 0))
+        machine.run(max_cycles=10_000, stop_at_cycle=40)
+        assert not any(core.active for core in machine.cores)
+        machine.halt("exit")
+        return machine
+
+    machine = _alike(make, lambda machine: machine.run(max_cycles=10_000))
+    assert machine.halted and machine.cycle == 40 + processor.HALT_LATENCY - 1
+    assert [event[4] for event in machine._events] == ["join"]
+
+
+#: hart 0 exits: its p_ret is decided at once and waits at the ROB head
+#: while the hart still has an access in flight (set up by the test)
+EXITING = """
+main:
+    li   ra, 0
+    li   t0, -1
+    p_ret
+"""
+
+
+@compiled
+def test_a_p_ret_held_by_its_own_access_is_charged_as_a_memory_wait():
+    """A metered p_ret done at the ROB head, no predecessor, its hart's
+    access still in flight: commit holds it (the ordered-release barrier)
+    and each held cycle is charged as the access's wait, as the reference
+    Metrics classifies it."""
+    def make(backend):
+        machine = LBP(Params(num_cores=1), metrics=True,
+                      backend=backend).load(assemble(EXITING))
+        machine.run(max_cycles=10_000, stop_at_cycle=2)
+        hart = machine.cores[0].harts[0]
+        hart.outstanding_mem += 1
+        machine.post(0, machine.cycle + 30, "load_done", (hart.gid,))
+        return machine
+
+    machine = _alike(make, lambda machine: machine.run(max_cycles=10_000))
+    assert machine.halt_reason == "exit" and machine.cycle > 30
+    stalls = dict(zip(STALL_REASONS, machine.metrics.slots[0].stalls))
+    assert stalls["local_mem_wait"] > 20, stalls
 
 
 @compiled

@@ -110,8 +110,7 @@ def _is_trace_record(node):
 def test_no_trace_record_call_formats_its_args():
     """A trace record is data: the sites pass ints (``p_ret`` its ending
     word) and ``machine/trace.py`` alone words them, so a record costs no
-    formatting and the compiled window can one day append the same
-    tuples."""
+    formatting and the compiled window appends the same tuples."""
     calls = 0
     hits = []
     for path in _files(["src"], ".py"):
@@ -125,6 +124,156 @@ def test_no_trace_record_call_formats_its_args():
                 hits.append("%s:%d" % (path.relative_to(ROOT), node.lineno))
     assert calls, "no trace.record call found: the rule checks nothing"
     assert hits == []
+
+
+# ---- names that are gone ----------------------------------------------------
+# Each rule is a set of spellings that a deleted knob, path or second
+# implementation had, and the files where one of them coming back would
+# be that thing coming back.
+
+SHARD_KNOBS = [
+    r'LBP_SHARD_TRANSPORT|LBP_SHM_|LBP_AUTOTUNE|LBP_BENCH_SHARDS'
+    r'|LBP_REQUIRE_SHARD|LBP_TRACE_OVERHEAD_JOBS|LBP_TRACE_MAX_RATIO'
+    r'|shared_memory|shards="auto"']
+SHARD_KNOB_PATHS = ["src", "tests", "benchmarks", ".github", "README.md",
+                    "DESIGN.md"]
+
+
+def test_no_second_shard_transport_or_tuner_is_left():
+    """The sharded engine has one transport (pipes) and no tuner: no
+    environment knob picks a transport, a shared-memory ring, a shard count
+    or a trace-overhead ratio."""
+    assert _matches(SHARD_KNOBS, SHARD_KNOB_PATHS) == []
+
+
+SIMULATOR_SELECTORS = [
+    r"--sim\b|simulator=|BENCH_perf|LBP_BENCH_JOBS|pytest_benchmark"
+    r"|pytest-benchmark"]
+SIMULATOR_SELECTOR_PATHS = ["src/repro/cli.py", "src/repro/eval", "examples",
+                            "benchmarks", ".github", "README.md",
+                            "DESIGN.md", "pyproject.toml"]
+
+
+def test_no_simulator_selector_or_second_benchmark_harness_is_left():
+    """One simulator runs the commands (``repro.fastsim`` is library-only)
+    and ``bench/run.py`` is the one harness: no ``--sim`` or
+    ``simulator=`` selector, no BENCH_perf file or pytest-benchmark."""
+    assert _matches(SIMULATOR_SELECTORS, SIMULATOR_SELECTOR_PATHS) == []
+
+
+UNTRACED_SERVE = [
+    r"--no-trace|run_program|snapshot_bytes=|snapshot_path"
+    r"|tracing is disabled"]
+UNTRACED_SERVE_PATHS = ["src", "README.md", "DESIGN.md", ".github"]
+
+
+def test_no_untraced_serve_mode_or_cache_sidecar_is_left():
+    """The service always traces and a served job runs one way: no
+    ``--no-trace`` switch, no second run entry point, no snapshot sidecar
+    beside the cache entry."""
+    assert _matches(UNTRACED_SERVE, UNTRACED_SERVE_PATHS) == []
+
+
+HTTP_FRAMING = [r"HTTP/1\.1"]
+HTTP_FRAMING_PATHS = ["src/repro/serve"]
+HTTP_FRAMING_HOME = "src/repro/serve/http.py:"
+
+
+def test_the_wire_format_lives_in_one_module():
+    """HTTP framing is ``serve/http.py``'s alone: no other serve module
+    writes a status line of its own."""
+    hits = _matches(HTTP_FRAMING, HTTP_FRAMING_PATHS)
+    assert [hit for hit in hits if not hit.startswith(HTTP_FRAMING_HOME)] \
+        == []
+
+
+DEADLINE_PATHS = [
+    r"TaskTimeoutError|TaskFailedError|_run_all_deadlined|repro_pool_busy"]
+DEADLINE_PATH_PATHS = ["src/repro/eval", "src/repro/serve"]
+
+
+def test_no_second_runner_deadline_path_is_left():
+    """The experiment runner and the serve pool share one failure path:
+    no second set of timeout errors, deadlined runner or busy gauge."""
+    assert _matches(DEADLINE_PATHS, DEADLINE_PATH_PATHS) == []
+
+
+SECOND_KEYS = [r"task_key|cmd_observe|_print_shard_telemetry|repro observe"]
+SECOND_KEY_PATHS = ["src", "tests", "benchmarks", "examples", ".github",
+                    "README.md", "DESIGN.md"]
+
+
+def test_one_cache_key_scheme_and_no_metered_run_command():
+    """A cache key is ``RunCache.key_for`` alone, a metered run is a
+    ``repro run`` flag (there is no ``repro observe``), and no printer of
+    shard telemetry is left."""
+    assert _matches(SECOND_KEYS, SECOND_KEY_PATHS) == []
+
+
+HOST_TIME_RECORDERS = [
+    r"profile_shard_zero|span_records|transport_table|_profiled|master="]
+
+
+def test_no_second_shard_selector_or_host_time_recorder_is_left():
+    """Spans are recorded one way and shards are picked one way: no
+    profiled shard, span-record list, transport table or master switch."""
+    assert _matches(HOST_TIME_RECORDERS, ["src"]) == []
+
+
+SHARDS_FLAG = [r"--shards"]
+SHARDS_FLAG_PATHS = ["src", "README.md", "DESIGN.md", ".github"]
+
+
+def test_no_command_takes_a_shard_count():
+    """``LBP(shards=)`` is selected from Python only: no command line has
+    a ``--shards`` flag."""
+    assert _matches(SHARDS_FLAG, SHARDS_FLAG_PATHS) == []
+
+
+LOAD_GENERATORS = [r"serve/load[g]en|run_loa[d]|execute_begi[n]|execute_en[d]"]
+LOAD_GENERATOR_PATHS = ["src", "tests", "benchmarks"]
+
+
+def test_no_second_serve_client_or_write_only_flight_note_is_left():
+    """``ServeClient`` is the one client in ``src/`` (the load generator
+    went), and the flight recorder keeps no note that nothing reads."""
+    assert _matches(LOAD_GENERATORS, LOAD_GENERATOR_PATHS) == []
+
+
+SNAPSHOT_HEADERS = [r"snapshot_inf[o]"]
+SNAPSHOT_HEADER_PATHS = ["src", "README.md", "DESIGN.md"]
+
+
+def test_no_snapshot_header_reader_is_left():
+    """A machine's snapshot is its run-wide fields plus the per-core
+    slices: no second reader of a header."""
+    assert _matches(SNAPSHOT_HEADERS, SNAPSHOT_HEADER_PATHS) == []
+
+
+OBSERVER_SERIALIZERS = [r"\.(trace|sanitizer|metrics)\.(load_)?state_dic[t]\("]
+
+
+def test_no_whole_machine_observer_serializer_is_left():
+    """An observer is saved per core (``domain_state_dict``), with the
+    core's slice: no whole-machine ``state_dict`` of the trace, the
+    sanitizer or the metrics."""
+    assert _matches(OBSERVER_SERIALIZERS, ["src"]) == []
+
+
+OPTIMISATION_SWITCHES = [r"-O[0-9s]\b|optimi[sz]e=|LBP_OPT|NO_OPT"]
+OPTIMISATION_SWITCH_PATHS = ["src/repro/cli.py",
+                             "src/repro/compiler/frontend.py",
+                             "src/repro/serve", "README.md"]
+#: the one ``-O2`` that may be named: the compiled tick's own build
+TICK_BUILD = "cc -O2"
+
+
+def test_the_compiler_has_no_optimisation_switch():
+    """``compiler/opt.py`` is one always-on pipeline: no ``-O`` level, no
+    ``optimize=`` argument and no environment switch turns it off (``cc
+    -O2`` is the compiled tick's build, not the compiler's)."""
+    hits = _matches(OPTIMISATION_SWITCHES, OPTIMISATION_SWITCH_PATHS)
+    assert [hit for hit in hits if TICK_BUILD not in hit] == []
 
 
 # ---- the compiled kernel's structure ----------------------------------------
