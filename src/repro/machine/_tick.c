@@ -18,8 +18,8 @@
  * ``ResultBuffer.fill``, ``state_dict``, the sanitizer, the metrics --
  * keeps reading and writing the very same slots.  While C runs, the
  * scalars of Core, Hart, HartStats and CoreCounters live in the *core
- * view* instead (below): typed, loaded from the slots when first needed,
- * written back before Python can look.  So does each hart's instruction
+ * view* instead (below): typed, loaded whole from the slots when first
+ * touched, written back before Python can look.  So does each hart's instruction
  * window -- its ROB and instruction table, writeback buffer, register file
  * and rename table -- as *the instruction ring*.
  *
@@ -81,17 +81,17 @@
  *       rest" and "the memory view"), so an access makes no object from
  *       its issue to its reply.
  *
- * What needs the machine is issued by the cycle window (_window.h) when
- * nothing observes it -- no trace, no sanitizer (``window_native``): a
- * load or store to the core's own banks or to another core's shared bank
- * and ``p_lwcv`` (``mem_access``), every X_PAR message (``team_execute``),
- * issue's free-hart probe, decode's fork request (``send_fork_req``) and
- * the p_ret commit (``commit_p_ret``).  Whether a site is spelled here is
- * decided from the machine's state alone, never from which function a
- * name holds.  Everything else is a call back into the one Python
- * implementation, by name, at the call site the reference tick makes it:
- * ``Core._execute`` (code-bank and device accesses, every observed step,
- * a step whose Python spelling words a machine error),
+ * What needs the machine is issued by the cycle window (_window.h), which
+ * records what the trace and the sanitizer observe of it itself
+ * (``window_native``): a load or store to the core's own banks or to
+ * another core's shared bank and ``p_lwcv`` (``mem_access``), every X_PAR
+ * message (``team_execute``), issue's free-hart probe, decode's fork
+ * request (``send_fork_req``) and the p_ret commit (``commit_p_ret``).
+ * Whether a site is spelled here is decided from the machine's state
+ * alone, never from which function a name holds.  Everything else is a
+ * call back into the one Python implementation, by name, at the call site
+ * the reference tick makes it: ``Core._execute`` (code-bank and device
+ * accesses, a step whose Python spelling words a machine error),
  * ``Core._commit_p_ret``, ``Core.alloc_free_hart``,
  * ``machine.send_fork_req`` / ``fetch_instruction`` / ``error`` and --
  * once a run -- ``halt``, ``metrics.roll`` and a window edge's ``_emit``.
@@ -99,8 +99,9 @@
  *   - every one goes through ``callback``, which first flushes the views
  *     and lets the window publish ``machine.cycle`` and ``machine._origin``;
  *   - a callee may write any slot, so nothing read before a call is
- *     trusted after it: the view reloads after a call (``fresh`` /
- *     ``tick_view`` before the next use of one that may have called);
+ *     trusted after it: the view loads whole again after a call
+ *     (``fresh`` / ``tick_view`` before the next use of one that may have
+ *     called);
  *   - an exception propagates (NULL), it is never swallowed;
  *   - objects used across a call are held by a strong reference.
  */
@@ -175,10 +176,8 @@ SLOT_TABLE(K, COUNTER_SLOTS)
 SLOT_TABLE(LS, LINK_SLOTS)
 SLOT_TABLE(MX, METRICS_SLOTS)
 SLOT_TABLE(TS, TELEMETRY_SLOTS)
-/* E as an array of offsets: every slot an Entry has (bind checks); L as
- * one: every slot of a LoweredInstr the tick reads */
+/* E as an array of offsets: every slot an Entry has (bind checks) */
 #define ENTRY_NSLOTS ((Py_ssize_t)(sizeof(E) / sizeof(Py_ssize_t)))
-#define LOW_NSLOTS ((int)(sizeof(L) / sizeof(Py_ssize_t)))
 
 static PyTypeObject *core_type, *hart_type, *rb_type, *entry_type, *low_type,
     *stats_type, *mem_type, *bank_type, *port_type, *counters_type,
@@ -621,7 +620,7 @@ enum { PORT_LOCAL, PORT_SHARED_LOCAL, PORT_SHARED_ROUTER };
  * from its ``Decode``, kept per window (_window.h). */
 
 /* a LoweredInstr at a pc, as the stages read it: filled from its slots when
- * first needed after the call started or after a call into Python */
+ * first needed in the call or after a call into Python */
 typedef struct {
     int64_t stamp;          /* the window's calls + 1 when it was read */
     int64_t probed;         /* ... when ``lowered[pc] is low`` was seen */
@@ -633,10 +632,6 @@ typedef struct {
      * low)``) */
     PyObject *next_pc, *fetch_pair, *pc_obj;
     PyObject *own_next;     /* owned: next_pc when it is the record's box */
-    /* owned: what each of the instruction's slots (L's order) held when
-     * the fields were read; the same objects after a call into Python
-     * mean the same fields */
-    PyObject *seen[LOW_NSLOTS];
     int64_t cls, rd, imm, nreads, r1, r2, alu_op, br_op, latency, re_slot,
         dec_kind, issue_kind, trap, width;
     int writes, store_like;
@@ -786,8 +781,8 @@ static Decode *decode_of(Window *w, int64_t pc, PyObject *low);
 /* the decode record of ``lowered[pc]``, current; NULL and no exception
  * when *lowered* is no dict or has no such key */
 static Decode *decode_fetch(Window *w, PyObject *lowered, PyObject *pc);
-/* the fields of a record loaded stale, from its Entry (a field C wrote
- * since keeps what C wrote) */
+/* the fields of a record loaded stale, from its Entry (C writes none of a
+ * record before it reads them) */
 static int record_read(Window *w, Instr *rec);
 #define LOADED(w, rec) ((rec)->stale ? record_read(w, rec) : 0)
 /* the Entry standing for *rec*, made if it has none, holding what C left in
@@ -1155,6 +1150,8 @@ stage_writeback(Tick *t)
                 ISET(waiter, nwaits, waiter->nwaits - hit, D_NWAITS);
             }
         }
+        if (LOADED(t->w, hv->rb_entry) < 0)
+            goto fail;
         ISET(hv->rb_entry, done, 1, D_DONE);
         hv->rb_busy = hv->rb_has_tag = hv->rb_has_value = 0;
         hv->rb_entry = NULL;
@@ -1262,10 +1259,9 @@ fail:
 
 /* The issued instruction's execute step.  ALU/MULDIV, branches, jal, lui,
  * auipc and execute_local's classes need nothing from the machine; a
- * load, a store and every X_PAR message nothing observes need only the
- * window (mem_access, team_execute in _window.h); the rest -- a code-bank
- * or device access, an observed or refused step -- is Core._execute, given
- * the record's Entry. */
+ * load, a store and every X_PAR message need only the window (mem_access,
+ * team_execute in _window.h); the rest -- a code-bank or device access, a
+ * refused step -- is Core._execute, given the record's Entry. */
 static int
 execute(Tick *t, HartView *hv, Instr *rec)
 {

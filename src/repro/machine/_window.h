@@ -28,16 +28,16 @@
  *
  * The core views.  The same rule holds for the cores' pipeline scalars
  * and each hart's instruction ring (_tick.c says which): one ``CoreView``
- * per core of ``machine.cores``, loaded part by part from the slots the
- * first time C needs a part in the call or after a call into Python
- * (``fresh``), flushed back -- only what C wrote, and an ``Entry`` for each
+ * per core of ``machine.cores``, loaded whole from the slots the first
+ * time C touches it in the call or after a call into Python (``fresh``),
+ * flushed back -- only what C wrote, and an ``Entry`` for each
  * instruction that has none -- before every call into Python and on every
- * way out.  The decode records and the boxes the flush made are the
- * window's, for one call.  A window-less ``Core.tick`` or ``settle_idle``
- * has one view of its own.  A view also holds, loaded when an access first
- * needs them, its core's memory: the banks' bytes, the ports, the link
- * scheduler; each Port the window reserves has a cursor of the window's,
- * flushed with the views ("the memory view").
+ * way out.  Its core's memory -- the banks' bytes, the ports, the link
+ * scheduler -- is loaded whole too, when an access first needs it
+ * (``mem_view``); each Port the window reserves has a cursor of the
+ * window's, flushed with the views ("the memory view").  The decode
+ * records and the boxes the flush made are the window's, for one call.  A
+ * window-less ``Core.tick`` or ``settle_idle`` has one view of its own.
  *
  * The contract with the Python it calls (handlers, ticks that are not
  * ours, everything behind the tick's ``callback``):
@@ -59,9 +59,8 @@
  *     and where the window calls Python it calls the handler or method by
  *     name;
  *   - ``_events``, ``cores``, ``metrics``, ``lowered`` are read once per
- *     call, as the Python loop reads them; ``trace.enabled``,
- *     ``sanitizer``, ``mmio``, ``params.local_mem_latency`` /
- *     ``bank_access_latency`` / ``num_cores``, ``stats.per_core`` and
+ *     call, as the Python loop reads them; the trace and the sanitizer
+ *     (``observers``), ``mmio``, ``params``, ``stats.per_core`` and
  *     ``_owned`` once per call, on the first event or access that needs
  *     them.
  *
@@ -72,20 +71,22 @@
  * them), and the events they post are handled here: ``load_read`` /
  * ``load_done`` / ``store_write`` for the own banks,
  * ``rreq_load`` -> ``bank_read`` -> ``rrep_load`` and ``rreq_store`` ->
- * ``bank_write`` + ``rack_store`` across the router tree.  Only when
- * nothing observes the access: trace off, no sanitizer, the address no
- * device's (on the issuing side for a request, on the owner's side for the
- * bank operation) and the bytes inside the bank.  A metered run takes
- * this path too, and makes the charges the Python spelling's hooks make at
- * the same points itself: the eta push of ``remote_issue`` (the round trip
+ * ``bank_write`` + ``rack_store`` across the router tree, when the address
+ * is no device's (on the issuing side for a request, on the owner's side
+ * for the bank operation) and the bytes lie inside the bank.  The
+ * observers ride along: the trace events and sanitizer records the Python
+ * spelling makes at a step, the window appends itself, the same tuples to
+ * the same buffers in the same order ("events at rest": ``trace_event``,
+ * ``sanitize``).  A metered run makes the charges the Python spelling's
+ * hooks make at the same points itself: the eta push of ``remote_issue`` (the round trip
  * from the two paths' lengths), the scheduler's ``link_wait``, the FIFO
  * pop of ``remote_done``; so does the settlement of a gated core before an
  * event runs in its domain (``settle``: ``skipped_cycles``, the gated-idle
  * charge, ``idle_since``).  Python is called only at a window edge inside
- * an idle span (``_emit``).  Every other case (code bank, device, traced,
- * sanitized, out of range, unmapped, a malformed event) is *not* spelled
- * here: the window calls the Python ``_execute`` or handler for that one
- * access or event, before it has changed anything.
+ * an idle span (``_emit``).  Every other case (code bank, device, out of
+ * range, unmapped, a malformed event) is *not* spelled here: the window
+ * calls the Python ``_execute`` or handler for that one access or event,
+ * before it has changed or recorded anything.
  *
  * The team protocol.  The X_PAR messages -- p_fc / p_fn and the fork
  * token, p_swcv on the core and over the forward link, p_swre / p_lwre,
@@ -1313,7 +1314,6 @@ load_u32(PyObject *value, uint32_t *out)
 static int
 decode_read(Window *w, Decode *d)
 {
-    int k;
     int64_t held, next_pc;
     PyObject *low = d->low, *next, *pair, *mnemonic;
     LOAD_L_INT(cls) LOAD_L_INT(rd) LOAD_L_INT(imm) LOAD_L_INT(nreads)
@@ -1338,24 +1338,6 @@ decode_read(Window *w, Decode *d)
         return -1;
     pair = d->fetch_pair = own_pair(low, d->pc);
     d->pc_obj = pair != NULL ? PyTuple_GET_ITEM(pair, 0) : NULL;
-    for (k = 0; k < LOW_NSLOTS; k++) {
-        PyObject *held = SLOT(low, ((Py_ssize_t *)&L)[k]);
-        Py_XINCREF(held);
-        Py_XSETREF(d->seen[k], held);
-    }
-    d->stamp = w->calls + 1;
-    return 0;
-}
-
-/* *d*, current: read again only when one of its instruction's slots holds
- * another object than when it was read */
-static int
-decode_check(Window *w, Decode *d)
-{
-    int k;
-    for (k = 0; k < LOW_NSLOTS; k++)
-        if (SLOT(d->low, ((Py_ssize_t *)&L)[k]) != d->seen[k])
-            return decode_read(w, d);
     d->stamp = w->calls + 1;
     return 0;
 }
@@ -1414,11 +1396,8 @@ static Decode *
 decode_of(Window *w, int64_t pc, PyObject *low)
 {
     Decode *d = decode_slot(w, pc, low);
-    if (d == NULL || (d->stamp != w->calls + 1
-                      && (d->seen[0] == NULL ? decode_read(w, d)
-                          : decode_check(w, d)) < 0))
-        return NULL;
-    return d;
+    return d == NULL || (d->stamp != w->calls + 1 && decode_read(w, d) < 0)
+        ? NULL : d;
 }
 
 static Decode *
@@ -1455,9 +1434,6 @@ decodes_free(Window *w)
     Decode *d;
     for (i = 0; i < w->dcap; i++)
         if ((d = w->decodes[i]) != NULL) {
-            int k;
-            for (k = 0; k < LOW_NSLOTS; k++)
-                Py_XDECREF(d->seen[k]);
             Py_DECREF(d->low);
             Py_XDECREF(d->own_next);
             PyMem_Free(d);
@@ -1629,58 +1605,43 @@ buffer_load(HartView *hv)
     return 0;
 }
 
-/* The ring of *hv* (whose rob, it and rb are loaded) from those objects:
- * every Entry of ``rob`` a record that keeps it as its obj (its fields read
- * when a site first reads it), the ones of ``it`` flagged -- in the ROB's
- * order, as rename and issue leave them -- and the buffer's producer found
- * among them. */
 static int
 record_read(Window *w, Instr *rec)
 {
-    int j, flag;
-    unsigned d = rec->dirty;
+    int j, flag[2];
     PyObject *entry = rec->obj, *low, *value;
     if (load_int(entry, E.tag, &rec->tag) < 0
             || load_obj(entry, E.low, low_type, &low) < 0
             || load_int(entry, E.pc, &rec->pc) < 0
             || (rec->dec = decode_of(w, rec->pc, low)) == NULL
-            || (!(d & D_NWAITS) && load_int(entry, E.nwaits, &rec->nwaits) < 0))
+            || load_int(entry, E.nwaits, &rec->nwaits) < 0
+            || load_bool(entry, E.issued, &flag[0]) < 0
+            || load_bool(entry, E.done, &flag[1]) < 0)
         return -1;
-    if (!(d & D_ISSUED)) {
-        if (load_bool(entry, E.issued, &flag) < 0)
-            return -1;
-        rec->issued = (unsigned char)flag;
-    }
-    if (!(d & D_DONE)) {
-        if (load_bool(entry, E.done, &flag) < 0)
-            return -1;
-        rec->done = (unsigned char)flag;
-    }
+    rec->issued = (unsigned char)flag[0];
+    rec->done = (unsigned char)flag[1];
     for (j = 0; j < 2; j++) {
-        if (!(d & (j ? D_VAL1 : D_VAL0))) {
-            if (load_obj(entry, j ? E.val1 : E.val0, NULL, &value) < 0
-                    || (value != Py_None
-                        && load_u32(value, &rec->val[j]) < 0))
-                return -1;
-            rec->has_val[j] = value != Py_None;
-        }
-        if (!(d & (j ? D_WAIT1 : D_WAIT0))) {
-            if (load_obj(entry, j ? E.wait1 : E.wait0, NULL, &value) < 0
-                    || (value != Py_None
-                        && read_int(value, &rec->wait[j]) < 0))
-                return -1;
-            rec->has_wait[j] = value != Py_None;
-        }
-    }
-    if (!(d & D_RET)) {
-        if (load_obj(entry, E.ret_action, NULL, &value) < 0)
+        if (load_obj(entry, j ? E.val1 : E.val0, NULL, &value) < 0
+                || (value != Py_None && load_u32(value, &rec->val[j]) < 0))
             return -1;
-        Py_XSETREF(rec->ret_action, value != Py_None ? new_ref(value) : NULL);
+        rec->has_val[j] = value != Py_None;
+        if (load_obj(entry, j ? E.wait1 : E.wait0, NULL, &value) < 0
+                || (value != Py_None && read_int(value, &rec->wait[j]) < 0))
+            return -1;
+        rec->has_wait[j] = value != Py_None;
     }
+    if (load_obj(entry, E.ret_action, NULL, &value) < 0)
+        return -1;
+    Py_XSETREF(rec->ret_action, value != Py_None ? new_ref(value) : NULL);
     rec->stale = 0;
     return 0;
 }
 
+/* The ring of *hv* (whose rob, it and rb are loaded) from those objects:
+ * every Entry of ``rob`` a record that keeps it as its obj (its fields read
+ * when a site first reads it), the ones of ``it`` flagged -- in the ROB's
+ * order, as rename and issue leave them -- and the buffer's producer found
+ * among them. */
 static int
 window_load(HartView *hv)
 {
@@ -2948,11 +2909,11 @@ settle(Window *w, CoreView *v, int64_t now)
  * The X_PAR messages (p_fc / p_fn forks and the fork token, p_swcv,
  * p_swre / p_lwre, the start pc of p_jal / p_jalr), the p_ret commit and
  * the eleven event kinds they post: processor.py's and core.py's
- * spelling, step for step.  A step is spelled here only when nothing
- * observes it (window_native, access_context), and only when it is one
- * the Python spelling carries out without an error: every check that spelling words as a machine
- * error (or raises on) is made first, and a step that fails one is handed
- * to Python before anything has changed. */
+ * spelling, step for step, with its trace and sanitizer records.  A step
+ * is spelled here only when the window may (window_native), and only when
+ * it is one the Python spelling carries out without an error: every check
+ * that spelling words as a machine error (or raises on) is made first, and
+ * a step that fails one is handed to Python before anything has changed. */
 
 /* Hart.is_free */
 static int
