@@ -13,11 +13,11 @@ metrics, and with serialized state moving between the two mid-run.
 The production *path* is more than the tick: ``LBP._simulate`` is the
 compiled cycle window (``machine/_window.h``), which also issues and
 completes loads and stores -- to the core's own banks and, across the
-router tree, to another core's shared bank -- when nothing observes
-them.  ``backend="interp"`` swaps all of it for the Python
-``_simulate``, ``schedule_access`` and handlers.  The
-golden digests are traced, so they never reach that path: the untraced
-tests at the bottom hold the memory access to the same standard.
+router tree, to another core's shared bank -- and records what the
+trace and the sanitizer observe of them.  ``backend="interp"`` swaps all
+of it for the Python ``_simulate``, ``schedule_access`` and handlers.
+The golden digests are traced, on that path; the untraced tests at the
+bottom hold it to the same standard without a trace.
 """
 
 import gc
