@@ -377,7 +377,7 @@ release(Event *event)
  * its args to a list of the hart state (event_args).  The observers'
  * records leave C here too: a trace event or a sanitizer observation is
  * the tuple the Python spelling appends, appended to the same buffer
- * (trace_ints, sanitize). */
+ * (trace_event, sanitize). */
 
 /* The NATIVE_KINDS index of the kind *name*, or -1 (a kind only Python
  * spells, or no kind at all: its handler lookup words that). */
@@ -894,8 +894,8 @@ static int buffer_load(HartView *hv);
 static int window_load(HartView *hv);
 
 /* Hart *hart* into *hv*: its scalars and objects, its HartStats, its
- * writeback buffer and its ring (each record read when first needed, each
- * register too) */
+ * registers, its writeback buffer and its ring (each record read when
+ * first needed) */
 static int
 hart_load(HartView *hv, PyObject *hart)
 {
@@ -1110,7 +1110,8 @@ flush_obj(PyObject *obj, Py_ssize_t off, PyObject *value)
 }
 
 /* ---- the memory view: a core's banks and ports, its link scheduler ----------------
- * Read with the view: the CoreMemory and its ports, each bank's base and
+ * Read as one unit when an access or a message first needs it after the
+ * view was loaded: the CoreMemory and its ports, each bank's base and
  * bytes (a pointer into the bytearray, which only Python can resize), the
  * LinkScheduler's latency, rows and observer.  Each Port the window
  * reserves has a cursor of the window's (Cursor), read when first reserved
@@ -1151,9 +1152,9 @@ links_load(CoreView *v)
     return 0;
 }
 
-/* *v*'s memory view, loaded when an access or a message first needs it
- * after the view was (the counted slot traffic of tests/test_tick_counts.py
- * has no room for the banks of a core that only ticks) */
+/* *v*'s memory view, current (not loaded with the view: the slot traffic
+ * tests/integration/test_tick_counts.py bounds has no room for the banks
+ * of a core that only ticks) */
 static int
 mem_view(Window *w, CoreView *v)
 {
