@@ -2023,44 +2023,40 @@ buffers_of(PyObject *obj)
 static int
 observers(Window *w)
 {
-    int k, on;
+    int k, on, has = 1;
     PyObject *trace, *value;
     if ((trace = PyObject_GetAttr(w->machine, s_trace)) == NULL)
         return -1;
+    w->trace = trace;  /* (kept when it is on) */
     if (Py_TYPE(trace) != trace_type) {
         PyErr_Format(PyExc_TypeError, "compiled window: machine.trace is a "
                      "%s, not a Trace", Py_TYPE(trace)->tp_name);
-        goto fail;
+        return -1;
     }
     if ((value = PyObject_GetAttr(trace, s_enabled)) == NULL)
-        goto fail;
+        return -1;
     on = PyObject_IsTrue(value);
     Py_DECREF(value);
-    if (on > 0) {
+    if (on < 0)
+        return -1;
+    if (on) {
         if ((value = PyObject_GetAttr(trace, s_kinds)) == NULL)
-            goto fail;
-        for (k = 0; k < TRACE_COUNT && on >= 0; k++)
-            if ((on = value == Py_None
-                 || PySequence_Contains(value, *trace_name[k])) > 0)
+            return -1;
+        for (k = 0; k < TRACE_COUNT && has >= 0; k++)
+            if (value == Py_None
+                    || (has = PySequence_Contains(value, *trace_name[k])) > 0)
                 w->trace_kinds |= 1u << k;
         Py_DECREF(value);
-        if (on >= 0 && (w->trace_buffers = buffers_of(trace)) != NULL) {
-            w->trace = trace;
-            trace = NULL;
-        }
-    }
-    if (on < 0 || PyErr_Occurred())
-        goto fail;
-    Py_XDECREF(trace);
+        if (has < 0 || (w->trace_buffers = buffers_of(trace)) == NULL)
+            return -1;
+    } else
+        Py_CLEAR(w->trace);
     if ((value = PyObject_GetAttr(w->machine, s_sanitizer)) == NULL)
         return -1;
     if (value != Py_None)
         w->san_buffers = buffers_of(value);
     Py_DECREF(value);
     return PyErr_Occurred() ? -1 : 0;
-fail:
-    Py_XDECREF(trace);
-    return -1;
 }
 
 /* Python is about to look, or the call returns: ``trace._merged`` is
