@@ -26,6 +26,7 @@ import threading
 
 from repro.compiler import build_program
 from repro.machine import Params
+from repro.snapshot.progio import program_digest
 
 __all__ = ["Job", "JobSpec", "JobTable", "PRIORITY_CLASSES",
            "compiled_program"]
@@ -39,31 +40,46 @@ QUEUED, RUNNING, DONE, FAILED, CANCELLED = (
     "queued", "running", "done", "failed", "cancelled")
 
 
+#: (sha256 of source, filename) -> (Program, its program_digest)
 _program_memo = {}
 _program_memo_lock = threading.Lock()
 _PROGRAM_MEMO_CAP = 256
 
 
-def compiled_program(source, filename):
-    """Memoized :func:`repro.compiler.build_program` — the hot-path
-    half of keying.
+def _compiled(source, filename):
+    """``(program, digest)`` for one job source, each computed once.
 
-    Serving a warm hit must not pay a compile: the memo makes repeat
-    keying a dict lookup.  Forked workers inherit the memo, so a miss
-    whose key was just computed in the parent re-uses the parent's
-    Program object without recompiling either.
+    The memo fill is the one place the serve layer serializes a program:
+    the digest (:func:`repro.snapshot.progio.program_digest`, the key's
+    program component) is taken here, beside the compile, and a warm
+    request reuses both.  The digest, not the canonical bytes, is kept:
+    64 characters per entry however large the program's data segments.
     """
     memo_key = (hashlib.sha256(source.encode()).hexdigest(), filename)
     with _program_memo_lock:
-        program = _program_memo.get(memo_key)
-    if program is not None:
-        return program
+        compiled = _program_memo.get(memo_key)
+    if compiled is not None:
+        return compiled
     program = build_program(source, filename)
+    compiled = (program, program_digest(program))
     with _program_memo_lock:
         if len(_program_memo) >= _PROGRAM_MEMO_CAP:
             _program_memo.clear()  # tiny programs; rebuild on demand
-        _program_memo[memo_key] = program
-    return program
+        _program_memo[memo_key] = compiled
+    return compiled
+
+
+def compiled_program(source, filename):
+    """Memoized :func:`repro.compiler.build_program`.
+
+    Serving a warm hit must not pay a compile: the memo makes repeat
+    compiling a dict lookup, and it holds each program's digest too, so
+    :meth:`JobSpec.cache_key` does not serialize the program again.
+    Forked workers inherit the memo, so a miss whose key was just
+    computed in the parent re-uses the parent's Program object without
+    recompiling either.
+    """
+    return _compiled(source, filename)[0]
 
 
 class JobSpec:
@@ -125,10 +141,14 @@ class JobSpec:
     def cache_key(self, cache):
         """The run-cache content key for this spec: ``key_for`` of the
         same (program, params, inputs) an in-process caller would pass,
-        so anyone who can build the program can look the entry up."""
+        so anyone who can build the program can look the entry up.
+
+        The program goes in as the digest the compile memo holds, so a
+        warm key costs a memo lookup, not a serialization of the program;
+        the key is the one ``key_for(program=<Program>)`` gives."""
         params = self.machine_params()  # a bad knob is not a bad program
-        program = compiled_program(self.source, self.filename)
-        return cache.key_for(program=program, params=params,
+        digest = _compiled(self.source, self.filename)[1]
+        return cache.key_for(program=digest, params=params,
                              inputs=self.inputs)
 
 

@@ -16,7 +16,7 @@ property into infrastructure:
   repeated experiment sweep with unchanged inputs is a cache hit.
 * :mod:`repro.snapshot.progio` — canonical program-image serialization
   shared by both (the snapshot must be restorable in a fresh process; the
-  cache key needs canonical program bytes).
+  cache key names the program by the SHA-256 of its canonical bytes).
 
 The fast simulator does not support snapshots (its quantum scheduler
 holds non-serializable in-flight state); :func:`snapshot` raises a clear
@@ -24,7 +24,12 @@ holds non-serializable in-flight state); :func:`snapshot` raises a clear
 """
 
 from repro.snapshot.cache import RunCache, default_cache_root
-from repro.snapshot.progio import program_bytes, program_from_state, program_state
+from repro.snapshot.progio import (
+    program_bytes,
+    program_digest,
+    program_from_state,
+    program_state,
+)
 from repro.snapshot.snapshot import (
     SIM_VERSION,
     SNAPSHOT_FORMAT_VERSION,
@@ -46,6 +51,7 @@ __all__ = [
     "default_cache_root",
     "load_snapshot",
     "program_bytes",
+    "program_digest",
     "program_from_state",
     "program_state",
     "restore",

@@ -40,10 +40,11 @@ import hashlib
 import itertools
 import json
 import os
+import re
 import shutil
 import time
 
-from repro.snapshot.progio import program_bytes
+from repro.snapshot.progio import program_digest
 from repro.snapshot.snapshot import SIM_VERSION
 
 _ENTRY_SUFFIX = ".json"
@@ -56,6 +57,8 @@ _AGE_BUCKETS = (("<1m", 60.0), ("<1h", 3600.0), ("<1d", 86400.0),
                 ("<7d", 7 * 86400.0), (">=7d", float("inf")))
 
 _tmp_counter = itertools.count()
+#: a program's digest as ``key_for`` takes it: lowercase hex SHA-256
+_DIGEST = re.compile(r"[0-9a-f]{64}")
 
 
 def default_cache_root():
@@ -87,17 +90,23 @@ class RunCache:
     def key_for(self, program=None, params=None, inputs=None):
         """Content-addressed key (hex SHA-256) for one run.
 
-        *program* is a Program or its canonical bytes; *params* a Params
-        or its state dict; *inputs* any JSON-serializable description of
-        the workload inputs (sizes, seeds, version names...).
+        *program* is a Program, its canonical bytes, or its
+        :func:`~repro.snapshot.progio.program_digest` (a hex ``str``) —
+        all three give the same key, and only the first two hash the
+        program; *params* a Params or its state dict; *inputs* any
+        JSON-serializable description of the workload inputs (sizes,
+        seeds, version names...).
         """
-        if program is not None and not isinstance(program, (bytes, bytearray)):
-            program = program_bytes(program)
+        if isinstance(program, str):
+            if not _DIGEST.fullmatch(program):
+                raise ValueError("a program given as a str must be its hex "
+                                 "SHA-256 digest, got %r" % (program[:80],))
+        elif program is not None:
+            program = program_digest(program)
         if params is not None and not isinstance(params, dict):
             params = params.state_dict()
         material = {
-            "program": None if program is None
-            else hashlib.sha256(bytes(program)).hexdigest(),
+            "program": program,
             "params": params,
             "inputs": inputs,
             "sim_version": SIM_VERSION,
@@ -112,14 +121,21 @@ class RunCache:
     def get(self, key):
         """The stored entry dict for *key*, or None; counts hit/miss.
 
-        A hit bumps the entry's mtime — recency of *use*, not of
-        creation — which is the order :meth:`gc` evicts in.
+        Only a dict naming *key* and holding a ``"value"`` is a hit: an
+        entry file that holds anything else (a truncated or foreign
+        write, another key's entry) is a miss, so the caller re-runs and
+        :meth:`put` overwrites it.  A hit bumps the entry's mtime —
+        recency of *use*, not of creation — which is the order :meth:`gc`
+        evicts in.
         """
         path = self._entry_path(key)
         try:
             with open(path) as handle:
                 entry = json.load(handle)
         except (OSError, ValueError):
+            entry = None
+        if (not isinstance(entry, dict) or entry.get("key") != key
+                or "value" not in entry):
             self.misses += 1
             return None
         self.hits += 1

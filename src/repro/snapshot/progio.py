@@ -1,14 +1,15 @@
 """Canonical serialization of an assembled :class:`Program` image.
 
 Snapshots must be restorable in a fresh process, so they carry the whole
-program (segments, symbols, decoded instructions); the run cache hashes
-the same canonical bytes as the program component of its key.
-Instructions are stored as explicit ``(addr, mnemonic, rd, rs1, rs2,
-imm)`` rows and re-bound to their :class:`InstrSpec` by mnemonic — the
-round-trip does not depend on binary encode/decode.
+program (segments, symbols, decoded instructions); the run cache's key
+names the program by :func:`program_digest`, the SHA-256 of the same
+canonical bytes.  Instructions are stored as explicit ``(addr, mnemonic,
+rd, rs1, rs2, imm)`` rows and re-bound to their :class:`InstrSpec` by
+mnemonic — the round-trip does not depend on binary encode/decode.
 """
 
 import base64
+import hashlib
 import json
 
 from repro.asm.program import Program, Segment
@@ -63,3 +64,11 @@ def program_bytes(program):
     for seg in state["segments"]:
         seg["data"] = base64.b64encode(seg["data"]).decode("ascii")
     return json.dumps(state, sort_keys=True, separators=(",", ":")).encode("utf-8")
+
+
+def program_digest(program):
+    """Hex SHA-256 of the canonical bytes of *program* (a Program or
+    those bytes) — the ``"program"`` component of a run-cache key."""
+    if not isinstance(program, (bytes, bytearray)):
+        program = program_bytes(program)
+    return hashlib.sha256(program).hexdigest()

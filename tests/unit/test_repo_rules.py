@@ -210,6 +210,31 @@ def test_one_cache_key_scheme_and_no_metered_run_command():
     assert _matches(SECOND_KEYS, SECOND_KEY_PATHS) == []
 
 
+PROGRAM_SERIALIZERS = [r"\bprogram_(bytes|digest)\("]
+PROGRAM_SERIALIZER_PATHS = ["src/repro/serve"]
+#: the memo fill: the one function under serve/ that may serialize
+PROGRAM_MEMO_FILL = ("src/repro/serve/jobs.py", "_compiled")
+
+
+def test_a_served_program_is_serialized_once_at_the_memo_fill():
+    """Under ``serve/`` only the compile memo's fill (``jobs._compiled``)
+    calls ``program_bytes(`` or ``program_digest(``: a job is keyed by the
+    digest the memo holds.  A serialization per request made a warm hit
+    cost about 1.8 times as much (``op_cal_ms`` of the ``serve_hit``
+    benchmark workload)."""
+    path, name = PROGRAM_MEMO_FILL
+    tree = ast.parse((ROOT / path).read_text())
+    (fill,) = [node for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef) and node.name == name]
+    hits = _matches(PROGRAM_SERIALIZERS, PROGRAM_SERIALIZER_PATHS)
+    where = [hit.split(":")[:2] for hit in hits]
+    outside = [hit for hit, (file, line) in zip(hits, where)
+               if file != path
+               or not fill.lineno <= int(line) <= fill.end_lineno]
+    assert outside == []
+    assert hits  # the fill itself still digests the program
+
+
 HOST_TIME_RECORDERS = [
     r"profile_shard_zero|span_records|transport_table|_profiled|master="]
 

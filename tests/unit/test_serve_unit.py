@@ -18,6 +18,7 @@ import pytest
 
 from repro.machine import Params
 from repro.observe.prom import validate_prometheus_text
+from repro.serve import jobs as serve_jobs
 from repro.serve.jobs import (
     DEFAULT_PRIORITY,
     PRIORITY_CLASSES,
@@ -33,6 +34,7 @@ from repro.serve.pool import (
 )
 from repro.serve.quota import QuotaExceeded, QuotaManager, TokenBucket
 from repro.serve.server import _METRICS, ServeConfig, SimServer
+from repro.snapshot import progio
 from repro.snapshot.cache import RunCache
 
 ASM = """
@@ -42,6 +44,13 @@ loop:
     addi t1, t1, -1
     bnez t1, loop
     ebreak
+"""
+
+C_SOURCE = """
+int v[4];
+void main() {
+    v[1] = 7;
+}
 """
 
 
@@ -265,6 +274,38 @@ def test_jobspec_key_sensitivity(tmp_path):
 def test_compiled_program_memoized():
     first = compiled_program(ASM, "job.s")
     assert compiled_program(ASM, "job.s") is first
+
+
+@pytest.mark.parametrize("source, filename", [(C_SOURCE, "job.c"),
+                                              (ASM, "job.s")],
+                         ids=["c", "s"])
+def test_a_warm_key_serializes_no_program(tmp_path, monkeypatch, source,
+                                          filename):
+    """The memo holds each program's digest: keying one source 100 times,
+    whatever its inputs and params, serializes the program once, and
+    every key is the one ``key_for`` gives the Program itself."""
+    monkeypatch.setattr(serve_jobs, "_program_memo", {})
+    calls = []
+    real_program_bytes = progio.program_bytes
+
+    def counting(program):
+        calls.append(program)
+        return real_program_bytes(program)
+
+    monkeypatch.setattr(progio, "program_bytes", counting)
+    cache = RunCache(str(tmp_path))
+    shapes = [({"num_cores": cores}, inputs)
+              for cores in (2, 4) for inputs in (None, {"n": 8}, "x", [1])]
+    work = [shapes[n % len(shapes)] for n in range(100)]
+    keys = [JobSpec(source, filename=filename, params=params,
+                    inputs=inputs).cache_key(cache)
+            for params, inputs in work]
+    assert len(calls) == 1
+    program = compiled_program(source, filename)
+    for (params, inputs), key in zip(work, keys):
+        assert key == cache.key_for(program=program,
+                                    params=Params(**params), inputs=inputs)
+    assert len(set(keys)) == len(shapes)
 
 
 # ---- single-flight table ----------------------------------------------------
@@ -597,6 +638,50 @@ def test_handle_mixed_batch(tmp_path):
                       for record in server.spans.records()
                       if record["name"] == "admission")
     assert outcomes == ["coalesced", "hit", "queued", "rejected", "rejected"]
+
+
+@pytest.mark.parametrize("entry_for", [
+    lambda key: [1, 2],
+    lambda key: "str",
+    lambda key: {"key": "x"},
+    lambda key: {"key": key[::-1], "value": {"cycles": 7}},
+    lambda key: {"key": key, "cycles": 7},
+], ids=["list", "str", "no-value", "other-key", "own-key-no-value"])
+def test_a_malformed_cache_entry_is_a_miss_that_re_executes(tmp_path,
+                                                           entry_for):
+    """An entry file holding anything but this key's ``{"key", "value"}``
+    dict is a miss: the job executes, answers 200 with the run's value,
+    and its ``put`` overwrites the entry, so the next submit is a hit."""
+    server = _server(tmp_path, workers=1)
+    key = JobSpec.from_wire(_wire_job("malformed")).cache_key(server.cache)
+    path = tmp_path / "cache" / "objects" / key[:2] / (key + ".json")
+    path.parent.mkdir(parents=True)
+    path.write_text(json.dumps(entry_for(key)))
+    body = json.dumps({"jobs": [_wire_job("malformed")]}).encode()
+
+    async def scenario():
+        await server.start()
+        try:
+            first = await server.handle("POST", "/v1/jobs", {"wait": "1"},
+                                        body)
+            second = await server.handle("POST", "/v1/jobs", {"wait": "1"},
+                                         body)
+        finally:
+            await server.drain()
+        return first, second
+
+    (status, answer), (again_status, again) = _run(scenario())
+    assert status == 200
+    (record,) = answer["jobs"]
+    assert record["status"] == "done" and record["key"] == key
+    assert record["value"]["cycles"] > 0
+    assert again_status == 200
+    assert again["jobs"] == [{"key": key, "status": "hit",
+                              "value": record["value"]}]
+    jobs = server.stats()["jobs"]
+    assert (jobs["executed"], jobs["misses"], jobs["hits"]) == (1, 1, 1)
+    assert json.loads(path.read_text()) == {"key": key,
+                                            "value": record["value"]}
 
 
 def test_handle_cancel_of_a_queued_job_and_its_stream(tmp_path):

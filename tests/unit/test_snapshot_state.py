@@ -29,6 +29,7 @@ from repro.snapshot import (
     SnapshotUnsupportedError,
     load_snapshot,
     program_bytes,
+    program_digest,
     program_from_state,
     program_state,
     restore,
@@ -440,10 +441,19 @@ def test_key_sensitivity_per_component(monkeypatch):
     assert cache.key_for(program=assemble(MEMORY_LOOP), params=Params(
         num_cores=2), inputs={"n": 8}) == base
 
-    # one program byte
+    # the program as a Program, its canonical bytes or their digest
+    for form in (program_bytes(program), program_digest(program)):
+        assert cache.key_for(program=form, params=params,
+                             inputs={"n": 8}) == base
+    with pytest.raises(ValueError, match="digest"):
+        cache.key_for(program="job.c", params=params, inputs={"n": 8})
+
+    # one program byte, given as bytes or as its digest
     blob = bytearray(program_bytes(program))
     blob[-2] ^= 1
     assert cache.key_for(program=bytes(blob), params=params,
+                         inputs={"n": 8}) != base
+    assert cache.key_for(program=program_digest(bytes(blob)), params=params,
                          inputs={"n": 8}) != base
     # one params knob
     assert cache.key_for(program=program, params=Params(num_cores=4),
