@@ -66,12 +66,11 @@
  *       keeps it until it commits, and then holds what the reference tick
  *       leaves in it;
  *     . *decode records*: what the stages read of a ``LoweredInstr`` is
- *       read once per (pc, instruction) between two calls into Python
- *       (``Decode``), and fetch probes ``lowered`` once per pc between
- *       them.  ``lowered.py`` builds, per pc, the int a fall-through or
- *       ``jal`` resumes fetch at and the fetch buffer's ``(pc, low)``;
- *       rename and fetch store those objects when they hold the value the
- *       record computed, else the record's own;
+ *       read once per (pc, instruction) per window (``Decode``), and fetch
+ *       probes ``lowered`` once per pc per window: nothing writes either
+ *       during a run.  A hart's pc is an int64 of its view and its fetch
+ *       buffer the decode record it names; the flush boxes the pc and
+ *       stores the ``(pc, low)`` that ``lowered.py`` built;
  *     . *typed memory traffic*: an event the window posts holds its args
  *       as int64s typed by its kind's shape, a bank reference as a core
  *       index and a shared bit, a load mnemonic as its position in a
@@ -143,7 +142,7 @@
 #define LOW_SLOTS(X) \
     X(cls) X(rd) X(imm) X(nreads) X(r1) X(r2) X(writes) X(alu_op) X(br_op) \
     X(latency) X(re_slot) X(dec_kind) X(issue_kind) X(store_like) X(trap) \
-    X(width) X(mnemonic) X(next_pc) X(fetch_pair)
+    X(width) X(mnemonic) X(fetch_pair)
 #define STATS_SLOTS(X) X(retired) X(loads) X(stores) X(forks)
 #define MEM_SLOTS(X) \
     X(local) X(shared) X(local_port) X(shared_local_port) X(shared_router_port)
@@ -565,17 +564,19 @@ typedef struct Window Window;  /* _window.h */
 /* ---- the core view ------------------------------------------------------------
  * While C runs, a core's pipeline scalars live here, typed; the slots are
  * their at-rest layout, which everything in Python reads.  A view is
- * loaded from the slots whole -- the core's scalars, its harts and their
- * HartStats, its CoreCounters and its memory -- the first time C touches
- * it in a call of the window or after a call into Python (``fresh``);
- * before every call into Python and on every way out it is flushed: each field C wrote since
- * the load is stored back as the object set_bool / set_int / set_obj would
+ * loaded from the slots whole -- the core's scalars, its harts, their
+ * HartStats and rings, its CoreCounters -- the first time C touches it in
+ * a call of the window or after a call into Python (``fresh``); its memory
+ * when an access first needs it (``mem_view``).  Before every call into
+ * Python and on every way out it is flushed: each field C wrote since the
+ * load is stored back as the object set_bool / set_int / set_obj would
  * have stored (never_obj for NEVER, the window's boxes of ``cycle`` and
  * ``cycle + 1`` for those values).  Only the load and the flush
- * (_window.h) touch these fields' slots.  The objects the view points to
- * are borrowed: their slots hold them, and C changes none of them but
- * ``rename`` (``view_set_rename``) and the owned ``pc`` / ``fetch_buf`` a
- * write makes (the flush hands them to their slots). */
+ * (_window.h) touch these fields' slots.  A hart's ``pc`` is an int64 and
+ * a has-pc flag, its ``fetch_buf`` the decode record it names (NULL for
+ * None): the view holds no object of a hart's own.  The objects it points
+ * to are borrowed: their slots hold them, and C changes none of them but
+ * ``rename`` (``view_set_rename``). */
 #define CV_INTS(X) \
     X(idle_since) X(sleep_until) X(_seq) X(_tag) X(_rr_fetch) X(_rr_rename) \
     X(_rr_issue) X(_rr_wb) X(_rr_commit) X(_wb_wake)
@@ -583,15 +584,13 @@ typedef struct Window Window;  /* _window.h */
 #define HV_INTS(X) X(fetch_ready_at) X(n_ready) X(outstanding_mem)
 #define HV_BOOLS(X) \
     X(fetch_ok) X(awaiting_nextpc) X(syncm_block) X(reserved) X(pred_done)
-#define HV_OBJS(X) X(pc) X(fetch_buf)
 #define FIELD_BIT(name) BIT_##name,
 #define INT_FIELD(name) int64_t name;
 #define BOOL_FIELD(name) int name;
-#define OBJ_FIELD(name) PyObject *name;
-/* (objects and flags first: the flush stores in bit order, and only an
- * int's box can fail) */
+/* (flags before ints: the flush stores in bit order, and a failed box
+ * leaves its field and the ones after it dirty) */
 enum { CV_BOOLS(FIELD_BIT) CV_INTS(FIELD_BIT) };
-enum { HV_OBJS(FIELD_BIT) HV_BOOLS(FIELD_BIT) HV_INTS(FIELD_BIT)
+enum { BIT_pc, BIT_fetch_buf, HV_BOOLS(FIELD_BIT) HV_INTS(FIELD_BIT)
        STATS_SLOTS(FIELD_BIT) };
 #define KFIELD_BIT(name) KBIT_##name,
 enum { COUNTER_SLOTS(KFIELD_BIT) KV_BITS };
@@ -606,32 +605,23 @@ enum { PORT_LOCAL, PORT_SHARED_LOCAL, PORT_SHARED_ROUTER };
  * ROB as a ring of ``Instr`` records, oldest first, each flagged while it is
  * still in the instruction table (``it`` is the ROB's unissued subset, in
  * its order); the writeback buffer; the register file and rename table as
- * 32 values and 32 tags, each read from its list the first time a site
- * reads it.  ``Hart.rob`` / ``it``, the ``Entry`` objects, the
+ * 32 values and 32 tags.  ``Hart.rob`` / ``it``, the ``Entry`` objects, the
  * ``ResultBuffer``'s slots and ``regs`` / ``rename`` are the at-rest form.
- * The ring is loaded from them with the view, each record keeping the
- * Entry it came from as its ``obj`` and reading that Entry's fields when a
- * site first reads the record (``LOADED``); it is flushed with the view --
- * a record with an obj writes the fields C changed into it, one without
- * gets a new Entry, ``rob`` / ``it`` get their contents rewritten in place,
- * the buffer and the registers what C wrote -- and then let go, to be
- * loaded again after the call.  A record pointer is good until the next call into
- * Python.  What the stages read of an instruction's ``LoweredInstr`` comes
- * from its ``Decode``, kept per window (_window.h). */
+ * The ring is loaded from them with the view, each record read whole from
+ * the Entry it came from and keeping it as its ``obj``; it is flushed with
+ * the view -- a record with an obj writes the fields C changed into it, one
+ * without gets a new Entry, ``rob`` / ``it`` get their contents rewritten
+ * in place, the buffer and the registers what C wrote -- and then let go,
+ * to be loaded again after the call.  A record pointer is good until the
+ * next call into Python.  What the stages read of an instruction's
+ * ``LoweredInstr`` comes from its ``Decode``, kept per window (_window.h). */
 
 /* a LoweredInstr at a pc, as the stages read it: filled from its slots when
- * first needed in the call or after a call into Python */
+ * the window first meets it */
 typedef struct {
-    int64_t stamp;          /* the window's calls + 1 when it was read */
-    int64_t probed;         /* ... when ``lowered[pc] is low`` was seen */
     int64_t pc;
     PyObject *low;          /* owned */
-    /* the objects rename and fetch store, borrowed from the instruction's
-     * slots (next_pc: a box of the record's own when the slot holds
-     * another value; fetch_pair, pc_obj: NULL when the slot is not ``(pc,
-     * low)``) */
-    PyObject *next_pc, *fetch_pair, *pc_obj;
-    PyObject *own_next;     /* owned: next_pc when it is the record's box */
+    int in_lowered;         /* low is ``lowered[pc]`` (fetch found it there) */
     int64_t cls, rd, imm, nreads, r1, r2, alu_op, br_op, latency, re_slot,
         dec_kind, issue_kind, trap, width;
     int writes, store_like;
@@ -649,7 +639,6 @@ typedef struct {
     uint32_t val[2];        /* the operand, when has_val */
     unsigned char has_val[2], has_wait[2];
     unsigned char issued, done, in_it;
-    unsigned char stale;    /* only obj and in_it known: not read yet */
     unsigned dirty;         /* D_ bits */
     Decode *dec;
     PyObject *ret_action;   /* owned; NULL for None */
@@ -664,7 +653,9 @@ typedef struct {
     unsigned dirty;                     /* bit BIT_<field> */
     /* borrowed: the Hart, its lists, ResultBuffer and HartStats */
     PyObject *hart, *rob, *rb, *it, *regs, *rename, *stats;
-    HV_OBJS(OBJ_FIELD)                  /* owned when dirty, else borrowed */
+    int64_t pc;                         /* when has_pc, else None */
+    int has_pc;
+    Decode *fetch_buf;                  /* NULL for None */
     HV_INTS(INT_FIELD)
     HV_BOOLS(BOOL_FIELD)
     PyObject *gid_obj, *index_obj;      /* borrowed; C never writes them */
@@ -719,9 +710,9 @@ typedef struct {
 #define CSET(v, f, x) ((v)->f = (x), (v)->dirty |= 1u << BIT_##f)
 #define HSET(hv, f, x) ((hv)->f = (x), (hv)->dirty |= 1u << BIT_##f)
 #define KSET(v, f, x) ((v)->f = (x), (v)->kdirty |= 1u << KBIT_##f)
-
-/* ``hv.pc`` / ``hv.fetch_buf`` = *value* (the view owns it until flushed) */
-#define HSET_OBJ(hv, f, value) hset_obj(hv, BIT_##f, &(hv)->f, value)
+/* ``hart.pc = pc``, or None when not *has* */
+#define HSET_PC(hv, has, x) \
+    ((hv)->has_pc = (has), (hv)->pc = (x), (hv)->dirty |= DIRTY(pc))
 
 /* record *i* of *hv*'s ring, 0 the oldest */
 #define AT(hv, i) (&(hv)->ring[((hv)->first + (i)) & ((hv)->cap - 1)])
@@ -730,18 +721,6 @@ typedef struct {
 
 /* the number of hart view *hv* of view *v* */
 #define HNUM(v, hv) ((int)((hv) - (v)->h))
-
-static inline void
-hset_obj(HartView *hv, int bit, PyObject **field, PyObject *value)
-{
-    PyObject *old = *field;
-    Py_INCREF(value);
-    *field = value;
-    if (hv->dirty & 1u << bit)
-        Py_DECREF(old);
-    else
-        hv->dirty |= 1u << bit;
-}
 
 /* *v*, loaded whole again if Python ran since it was (_window.h) */
 static inline int fresh(Window *w, CoreView *v);
@@ -776,15 +755,12 @@ static int send_fork_req(Tick *t, HartView *hv);
 static int commit_p_ret(Tick *t, HartView *hv, Instr *head);
 
 /* The ring's side of the view, in _window.h's core view section: */
-/* the decode record of the instruction *low* at *pc*, current, or NULL */
+/* the decode record of the instruction *low* (a TypeError unless it is a
+ * LoweredInstr) at *pc*, or NULL */
 static Decode *decode_of(Window *w, int64_t pc, PyObject *low);
-/* the decode record of ``lowered[pc]``, current; NULL and no exception
- * when *lowered* is no dict or has no such key */
-static Decode *decode_fetch(Window *w, PyObject *lowered, PyObject *pc);
-/* the fields of a record loaded stale, from its Entry (C writes none of a
- * record before it reads them) */
-static int record_read(Window *w, Instr *rec);
-#define LOADED(w, rec) ((rec)->stale ? record_read(w, rec) : 0)
+/* the decode record of ``lowered[pc]``; NULL and no exception when
+ * *lowered* is no dict or has no such key */
+static Decode *decode_fetch(Window *w, PyObject *lowered, int64_t pc);
 /* the Entry standing for *rec*, made if it has none, holding what C left in
  * the record: a new reference, or NULL */
 static PyObject *record_entry(Window *w, Instr *rec);
@@ -858,14 +834,12 @@ operand(const Instr *rec, int k, int64_t *out)
     do { if (operand(rec, k, &(var)) < 0) goto fail; } while (0)
 
 /* 1 and *rec*, the oldest record of *hv*'s ring holding *tag*
- * (``_rob_by_tag``), or 0 */
+ * (``_rob_by_tag``), or 0 (the Python handler words the assertion) */
 static int
-ring_find(Window *w, HartView *hv, int64_t tag, Instr **rec)
+ring_find(HartView *hv, int64_t tag, Instr **rec)
 {
     Py_ssize_t i;
     for (i = 0; i < hv->count; i++) {
-        if (LOADED(w, AT(hv, i)) < 0)
-            return -1;
         if (AT(hv, i)->tag == tag) {
             *rec = AT(hv, i);
             return 1;
@@ -953,7 +927,7 @@ called(PyObject *result)
 static int
 holds_work(const HartView *hv)
 {
-    return hv->pc != Py_None || hv->count || hv->fetch_buf != Py_None;
+    return hv->has_pc || hv->count || hv->fetch_buf != NULL;
 }
 
 /* The ticked core's view (Python may have run). */
@@ -964,19 +938,14 @@ tick_view(Tick *t)
 }
 
 /* Core._resolve_pc */
-static int
+static void
 resolve_pc(Tick *t, HartView *hv, int64_t target)
 {
-    PyObject *pc;
-    if ((pc = PyLong_FromLongLong(target & MASK32)) == NULL)
-        return -1;
-    HSET_OBJ(hv, pc, pc);
-    Py_DECREF(pc);
+    HSET_PC(hv, 1, target & MASK32);
     HSET(hv, awaiting_nextpc, 0);
     HSET(hv, fetch_ready_at, t->cycle + 1);
-    HSET(hv, fetch_ok, !hv->syncm_block && hv->fetch_buf == Py_None
+    HSET(hv, fetch_ok, !hv->syncm_block && hv->fetch_buf == NULL
          && !hv->reserved);
-    return 0;
 }
 
 /* ResultBuffer.fill's gate: keep the core's writeback gate a lower bound */
@@ -1040,11 +1009,7 @@ stage_commit(Tick *t)
         int64_t trap;
         HartView *hv = &v->h[h];
         Instr out;
-        if (hv->count == 0)
-            continue;
-        if (LOADED(t->w, AT(hv, 0)) < 0)
-            goto fail;
-        if (!AT(hv, 0)->done)
+        if (hv->count == 0 || !AT(hv, 0)->done)
             continue;
         if (AT(hv, 0)->ret_action != NULL) {
             /* the ordered-release barrier of a p_ret */
@@ -1133,8 +1098,6 @@ stage_writeback(Tick *t)
             int hit = 0, slot;
             if (!waiter->in_it)
                 continue;
-            if (LOADED(t->w, waiter) < 0)
-                goto fail;
             for (slot = 0; slot < 2; slot++)
                 if (waiter->has_wait[slot] && waiter->wait[slot] == tag) {
                     waiter->has_wait[slot] = 0;
@@ -1150,8 +1113,6 @@ stage_writeback(Tick *t)
                 ISET(waiter, nwaits, waiter->nwaits - hit, D_NWAITS);
             }
         }
-        if (LOADED(t->w, hv->rb_entry) < 0)
-            goto fail;
         ISET(hv->rb_entry, done, 1, D_DONE);
         hv->rb_busy = hv->rb_has_tag = hv->rb_has_value = 0;
         hv->rb_entry = NULL;
@@ -1164,7 +1125,7 @@ stage_writeback(Tick *t)
         fired = 1;
         break;
     }
-    /* exact when the scan drained nothing (the gate was stale) */
+    /* exact when the scan drained nothing (the gate was out of date) */
     CSET(v, _wb_wake, wake);
     return fired;
 fail:
@@ -1175,8 +1136,8 @@ fail:
 static inline void
 refresh_fetch_ok(HartView *hv)
 {
-    HSET(hv, fetch_ok, hv->pc != Py_None && !hv->awaiting_nextpc
-         && !hv->syncm_block && hv->fetch_buf == Py_None && !hv->reserved);
+    HSET(hv, fetch_ok, hv->has_pc && !hv->awaiting_nextpc
+         && !hv->syncm_block && hv->fetch_buf == NULL && !hv->reserved);
 }
 
 /* Core._execute_p_ret: ``p_ret`` (p_jalr zero, ra, t0) decides its ending
@@ -1185,7 +1146,8 @@ refresh_fetch_ok(HartView *hv)
 static int
 decide_p_ret(HartView *hv, Instr *rec)
 {
-    int64_t ra, t0, joiner;
+    /* (0: gcc 12 at -O2, inlining, cannot see that GETV sets them) */
+    int64_t ra = 0, t0 = 0, joiner;
     PyObject *action, *joiner_obj, *ra_obj;
     GETV(ra, rec, 0);
     GETV(t0, rec, 1);
@@ -1206,7 +1168,7 @@ decide_p_ret(HartView *hv, Instr *rec)
     Py_XSETREF(rec->ret_action, action);
     rec->dirty |= D_RET;
     ISET(rec, done, 1, D_DONE);
-    HSET_OBJ(hv, pc, Py_None);
+    HSET_PC(hv, 0, 0);
     HSET(hv, awaiting_nextpc, 0);
     HSET(hv, fetch_ok, 0);
     return 0;
@@ -1239,8 +1201,7 @@ execute_local(Tick *t, HartView *hv, Instr *rec, int64_t cls)
         return 1;
     GETV(a, rec, 0);
     if (cls == cls_jalr) {
-        if (resolve_pc(t, hv, (a + d->imm) & 0xFFFFFFFE) < 0)
-            goto fail;
+        resolve_pc(t, hv, (a + d->imm) & 0xFFFFFFFE);
         return finish_at(t, hv, rec, (uint32_t)(rec->pc + 4), t->cycle + 1);
     }
     if (cls == cls_p_set)  /* p_set_value: the hart identity stamped */
@@ -1288,9 +1249,7 @@ execute(Tick *t, HartView *hv, Instr *rec)
             goto bad_op;
         GETV(a, rec, 0);
         GETV(b, rec, 1);
-        if (resolve_pc(t, hv, branch(op, a, b) ? rec->pc + d->imm
-                       : rec->pc + 4) < 0)
-            return -1;
+        resolve_pc(t, hv, branch(op, a, b) ? rec->pc + d->imm : rec->pc + 4);
         ISET(rec, done, 1, D_DONE);
         return 0;
     }
@@ -1355,8 +1314,6 @@ stage_issue(Tick *t)
             const Decode *d;
             if (!candidate->in_it)
                 continue;
-            if (LOADED(t->w, candidate) < 0)
-                goto fail;
             d = candidate->dec;
             if (candidate->nwaits == 0 && !(d->writes && hv->rb_busy)) {
                 int64_t number;
@@ -1397,8 +1354,6 @@ stage_issue(Tick *t)
                     if ((i = it_index(hv, pos)) < 0)
                         goto next;
                     candidate = AT(hv, i);
-                    if (LOADED(t->w, candidate) < 0)
-                        goto fail;
                     d = candidate->dec;
                     break;
                 case 4:  /* ISS_FN: a fork token was granted */
@@ -1458,17 +1413,17 @@ read_source(HartView *hv, int64_t reg, Instr *rec, int k)
     return reg_read(hv, reg, &rec->val[k]);
 }
 
-/* Rename the instruction (*pc*, *d*) taken from the fetch buffer of hart
- * *h*: a record into the ring, in the instruction table, then the next-pc
+/* Rename the instruction *d* taken from the fetch buffer of hart *h*: a
+ * record into the ring, in the instruction table, then the next-pc
  * determination. */
 static int
-rename_into(Tick *t, int h, int64_t pc, Decode *d)
+rename_into(Tick *t, int h, Decode *d)
 {
     int more;
     int64_t tag, old;
     CoreView *v = t->v;
     HartView *hv = &v->h[h];
-    Instr fresh = {.pc = pc, .dec = d, .in_it = 1}, *rec;
+    Instr fresh = {.pc = d->pc, .dec = d, .in_it = 1}, *rec;
 
     fresh.tag = tag = v->_tag + 1;
     CSET(v, _tag, tag);
@@ -1502,11 +1457,12 @@ rename_into(Tick *t, int h, int64_t pc, Decode *d)
         /* DEC_SUSPEND: resolved at issue; the hart stays suspended */
     } else if (d->dec_kind == 3) {
         /* DEC_SYSTEM: halts (ebreak) / traps (ecall) at commit */
-        HSET_OBJ(hv, pc, Py_None);
+        HSET_PC(hv, 0, 0);
         HSET(hv, awaiting_nextpc, 0);
     } else {
         /* pc + 4, or pc + imm for DEC_JAL */
-        HSET_OBJ(hv, pc, d->next_pc);
+        HSET_PC(hv, 1, d->dec_kind == 1 ? (d->pc + d->imm) & MASK32
+                : d->pc + 4);
         HSET(hv, awaiting_nextpc, 0);
         HSET(hv, fetch_ready_at, t->cycle + 1);
         if (d->dec_kind == 4)  /* DEC_SYNCM: no fetch until it issues */
@@ -1529,50 +1485,36 @@ stage_rename(Tick *t)
         return -1;
     for (k = 0; k < 4; k++) {
         int h = (int)((v->_rr_rename + k) & 3);
-        int64_t pc;
         HartView *hv = &v->h[h];
-        PyObject *fetch_buf, *low;
         Decode *d;
-        if ((fetch_buf = hv->fetch_buf) == Py_None)
+        if ((d = hv->fetch_buf) == NULL || hv->count >= v->_rob_size)
             continue;
-        if (hv->count >= v->_rob_size)
-            continue;
-        if (!PyTuple_Check(fetch_buf) || PyTuple_GET_SIZE(fetch_buf) != 2) {
-            wrong_type("(pc, low) tuple");
-            return -1;
-        }
-        low = PyTuple_GET_ITEM(fetch_buf, 1);
-        if (!PyObject_TypeCheck(low, low_type)) {
-            wrong_type(low_type->tp_name);
-            return -1;
-        }
-        pc = as_int(PyTuple_GET_ITEM(fetch_buf, 0));
-        if ((pc == -1 && PyErr_Occurred())
-                || (d = decode_of(t->w, pc, low)) == NULL)
-            return -1;
         CSET(v, _rr_rename, (h + 1) & 3);
-        HSET_OBJ(hv, fetch_buf, Py_None);
-        return rename_into(t, h, pc, d) < 0 ? -1 : 1;
+        HSET(hv, fetch_buf, NULL);
+        return rename_into(t, h, d) < 0 ? -1 : 1;
     }
     return 0;
 }
 
-/* ``low.fetch_pair`` when it is the pair lowered.py built, ``(pc, low)``
- * for this pc and this *low* (a lowered program's always is), else NULL;
- * borrowed */
+/* The fetch buffer *d* names, at rest: ``low.fetch_pair`` when it is the
+ * pair lowered.py built, ``(pc, low)`` for this pc and this low (a lowered
+ * program's always is), else a new ``(pc, low)``; a new reference */
 static PyObject *
-own_pair(PyObject *low, int64_t pc)
+own_pair(const Decode *d)
 {
     int64_t pair_pc;
-    PyObject *pair;
-    if (PyObject_TypeCheck(low, low_type)
-            && (pair = SLOT(low, L.fetch_pair)) != NULL
-            && PyTuple_CheckExact(pair) && PyTuple_GET_SIZE(pair) == 2
-            && PyTuple_GET_ITEM(pair, 1) == low
+    PyObject *pair = SLOT(d->low, L.fetch_pair), *pc;
+    if (pair != NULL && PyTuple_CheckExact(pair)
+            && PyTuple_GET_SIZE(pair) == 2
+            && PyTuple_GET_ITEM(pair, 1) == d->low
             && small_int(PyTuple_GET_ITEM(pair, 0), &pair_pc)
-            && pair_pc == pc)
-        return pair;
-    return NULL;
+            && pair_pc == d->pc)
+        return new_ref(pair);
+    if ((pc = PyLong_FromLongLong(d->pc)) == NULL)
+        return NULL;
+    pair = PyTuple_Pack(2, pc, d->low);
+    Py_DECREF(pc);
+    return pair;
 }
 
 /* fetch (gated on the collapsed predicate): one hart whose next pc is known */
@@ -1585,36 +1527,28 @@ stage_fetch(Tick *t)
         return -1;
     for (k = 0; k < 4; k++) {
         int h = (int)((v->_rr_fetch + k) & 3);
-        int64_t pc_val;
+        int64_t pc;
         HartView *hv = &v->h[h];
-        PyObject *pc, *low, *fetch_buf, *pair;
+        PyObject *pc_box, *low;
         Decode *d;
         if (!hv->fetch_ok || t->cycle < hv->fetch_ready_at)
             continue;
         CSET(v, _rr_fetch, (h + 1) & 3);
-        pc = new_ref(hv->pc);  /* the callback below may end the hart */
-        if ((d = decode_fetch(t->w, t->lowered, pc)) != NULL)
-            fetch_buf = d->fetch_pair != NULL ? new_ref(d->fetch_pair)
-                : PyTuple_Pack(2, pc, d->low);
-        else if (PyErr_Occurred())
-            fetch_buf = NULL;
-        else {
+        pc = hv->pc;
+        if ((d = decode_fetch(t->w, t->lowered, pc)) == NULL) {
             /* non-code address: the slow error path */
-            low = callback(t->w, t->machine, s_fetch_instruction, pc,
+            if (PyErr_Occurred() || (pc_box = PyLong_FromLongLong(pc)) == NULL)
+                return -1;
+            low = callback(t->w, t->machine, s_fetch_instruction, pc_box,
                            hv->hart, NULL);
-            pair = low != NULL && small_int(pc, &pc_val)
-                ? own_pair(low, pc_val) : NULL;
-            fetch_buf = low == NULL ? NULL : pair != NULL ? new_ref(pair)
-                : PyTuple_Pack(2, pc, low);
+            Py_DECREF(pc_box);
+            d = low == NULL || tick_view(t) == NULL ? NULL
+                : decode_of(t->w, pc, low);
             Py_XDECREF(low);
+            if (d == NULL)
+                return -1;
         }
-        Py_DECREF(pc);
-        if (fetch_buf == NULL || tick_view(t) == NULL) {
-            Py_XDECREF(fetch_buf);
-            return -1;
-        }
-        HSET_OBJ(hv, fetch_buf, fetch_buf);
-        Py_DECREF(fetch_buf);
+        HSET(hv, fetch_buf, d);
         /* suspended until the next pc is known */
         HSET(hv, awaiting_nextpc, 1);
         HSET(hv, fetch_ok, 0);
@@ -1802,8 +1736,6 @@ classify(Tick *t, PyObject *slot)
     if (rep == NULL)
         return WHY_fetch_starved;
     head = AT(rep, 0);
-    if (LOADED(t->w, head) < 0)
-        goto fail;
     if (head->ret_action != NULL && head->done) {
         /* p_ret held at the ordered-release barrier: predecessor's
          * ending signal pending, or own stores still in flight */

@@ -28,7 +28,8 @@
  *
  * The core views.  The same rule holds for the cores' pipeline scalars
  * and each hart's instruction ring (_tick.c says which): one ``CoreView``
- * per core of ``machine.cores``, loaded whole from the slots the first
+ * per core of ``machine.cores``, loaded whole from the slots (a hart's pc
+ * and fetch buffer typed, each ring record read from its Entry) the first
  * time C touches it in the call or after a call into Python (``fresh``),
  * flushed back -- only what C wrote, and an ``Entry`` for each
  * instruction that has none -- before every call into Python and on every
@@ -36,8 +37,10 @@
  * scheduler -- is loaded whole too, when an access first needs it
  * (``mem_view``); each Port the window reserves has a cursor of the
  * window's, flushed with the views ("the memory view").  The decode
- * records and the boxes the flush made are the window's, for one call.  A
- * window-less ``Core.tick`` or ``settle_idle`` has one view of its own.
+ * records are the window's, each read once per call (nothing writes a
+ * ``LoweredInstr`` or ``machine.lowered`` during a run), and so are the
+ * boxes the flush made.  A window-less ``Core.tick`` or ``settle_idle`` has
+ * one view of its own.
  *
  * The contract with the Python it calls (handlers, ticks that are not
  * ours, everything behind the tick's ``callback``):
@@ -45,7 +48,7 @@
  *     reloads after a call;
  *   - ``machine.cycle`` and ``machine._origin`` are written lazily: before
  *     every call into Python (``leave_c``) and when the window returns, so
- *     Python never sees a stale "now" and a cycle that stays in C pays for
+ *     Python never sees an old "now" and a cycle that stays in C pays for
  *     neither;
  *   - ``_halt_at``, ``_error``, ``_num_active`` and ``_active_cores`` are
  *     cached and re-read after every call into Python (``refresh``; only
@@ -891,14 +894,16 @@ load_obj(PyObject *obj, Py_ssize_t off, PyTypeObject *type, PyObject **out)
 
 static int registers_load(HartView *hv);
 static int buffer_load(HartView *hv);
-static int window_load(HartView *hv);
+static int window_load(Window *w, HartView *hv);
 
-/* Hart *hart* into *hv*: its scalars and objects, its HartStats, its
- * registers, its writeback buffer and its ring (each record read when
- * first needed) */
+/* Hart *hart* into *hv*: its scalars, its pc and fetch buffer (``(pc,
+ * low)`` as its decode record), its HartStats, its registers, its
+ * writeback buffer and its ring */
 static int
-hart_load(HartView *hv, PyObject *hart)
+hart_load(Window *w, HartView *hv, PyObject *hart)
 {
+    int64_t pc;
+    PyObject *pc_slot, *buf;
     if (!PyObject_TypeCheck(hart, hart_type)) {
         wrong_type(hart_type->tp_name);
         return -1;
@@ -909,9 +914,24 @@ hart_load(HartView *hv, PyObject *hart)
             || load_obj(hart, H.regs, &PyList_Type, &hv->regs) < 0
             || load_obj(hart, H.rename, &PyList_Type, &hv->rename) < 0
             || load_obj(hart, H.it, &PyList_Type, &hv->it) < 0
-            || load_obj(hart, H.pc, NULL, &hv->pc) < 0
-            || load_obj(hart, H.fetch_buf, NULL, &hv->fetch_buf) < 0
-            || load_obj(hart, H.gid, NULL, &hv->gid_obj) < 0
+            || load_obj(hart, H.pc, NULL, &pc_slot) < 0
+            || (pc_slot != Py_None && read_int(pc_slot, &hv->pc) < 0)
+            || load_obj(hart, H.fetch_buf, NULL, &buf) < 0)
+        return -1;
+    hv->has_pc = pc_slot != Py_None;
+    hv->fetch_buf = NULL;
+    if (buf != Py_None) {
+        if (!PyTuple_Check(buf) || PyTuple_GET_SIZE(buf) != 2) {
+            wrong_type("(pc, low) tuple");
+            return -1;
+        }
+        if (read_int(PyTuple_GET_ITEM(buf, 0), &pc) < 0)
+            return -1;
+        hv->fetch_buf = decode_of(w, pc, PyTuple_GET_ITEM(buf, 1));
+        if (hv->fetch_buf == NULL)
+            return -1;
+    }
+    if (load_obj(hart, H.gid, NULL, &hv->gid_obj) < 0
             || read_int(hv->gid_obj, &hv->gid) < 0
             || load_obj(hart, H.index, NULL, &hv->index_obj) < 0
             || read_int(hv->index_obj, &hv->index) < 0
@@ -922,12 +942,12 @@ hart_load(HartView *hv, PyObject *hart)
     STATS_SLOTS(LOAD_S_INT)
     hv->dirty = 0;
     return registers_load(hv) < 0 || buffer_load(hv) < 0
-        || window_load(hv) < 0 ? -1 : 0;
+        || window_load(w, hv) < 0 ? -1 : 0;
 }
 
 /* The core's scalars and harts into *v* */
 static int
-pipe_load(CoreView *v)
+pipe_load(Window *w, CoreView *v)
 {
     int h;
     PyObject *harts;
@@ -941,7 +961,7 @@ pipe_load(CoreView *v)
         return -1;
     }
     for (h = 0; h < 4; h++)
-        if (hart_load(&v->h[h], PyList_GET_ITEM(harts, h)) < 0)
+        if (hart_load(w, &v->h[h], PyList_GET_ITEM(harts, h)) < 0)
             return -1;
     return 0;
 }
@@ -971,7 +991,7 @@ view_load(Window *w, CoreView *v)
     w->touched[w->ntouched++] = v - w->views;
     return load_obj(v->core, C.index, NULL, &v->index_obj) < 0
         || read_int(v->index_obj, &v->index) < 0
-        || pipe_load(v) < 0 || load_counters(w, v) < 0 ? -1 : 0;
+        || pipe_load(w, v) < 0 || load_counters(w, v) < 0 ? -1 : 0;
 }
 
 static inline int
@@ -1313,33 +1333,19 @@ load_u32(PyObject *value, uint32_t *out)
 
 /* *d*'s fields, read from its instruction's slots */
 static int
-decode_read(Window *w, Decode *d)
+decode_read(Decode *d)
 {
-    int64_t held, next_pc;
-    PyObject *low = d->low, *next, *pair, *mnemonic;
+    PyObject *low = d->low, *mnemonic;
     LOAD_L_INT(cls) LOAD_L_INT(rd) LOAD_L_INT(imm) LOAD_L_INT(nreads)
     LOAD_L_INT(r1) LOAD_L_INT(r2) LOAD_L_INT(alu_op) LOAD_L_INT(br_op)
     LOAD_L_INT(latency) LOAD_L_INT(re_slot) LOAD_L_INT(dec_kind)
     LOAD_L_INT(issue_kind) LOAD_L_INT(trap) LOAD_L_INT(width)
     LOAD_L_BOOL(writes) LOAD_L_BOOL(store_like)
-    if (load_obj(low, L.mnemonic, NULL, &mnemonic) < 0
-            || load_obj(low, L.next_pc, NULL, &next) < 0)
+    if (load_obj(low, L.mnemonic, NULL, &mnemonic) < 0)
         return -1;
     /* what a load's events carry of it (the mnemonic of anything else is
      * -1 too, and never read) */
     d->mnem = mnemonic_code(mnemonic);
-    /* lowered.py boxed the pc a fall-through or jal resumes at; an
-     * instruction whose slot says otherwise gets a box of its own */
-    next_pc = d->dec_kind == 1 ? (d->pc + d->imm) & MASK32 : d->pc + 4;
-    Py_CLEAR(d->own_next);
-    if (small_int(next, &held) && held == next_pc)
-        d->next_pc = next;
-    else if ((d->next_pc = d->own_next = PyLong_FromLongLong(next_pc))
-             == NULL)
-        return -1;
-    pair = d->fetch_pair = own_pair(low, d->pc);
-    d->pc_obj = pair != NULL ? PyTuple_GET_ITEM(pair, 0) : NULL;
-    d->stamp = w->calls + 1;
     return 0;
 }
 
@@ -1351,33 +1357,44 @@ decode_home(const Window *w, int64_t pc)
         & (w->dcap - 1);
 }
 
-/* The record of (*pc*, *low*) in the table, made if it has none (fields
- * not read yet); NULL on an exception */
+/* Room in the table for one more record: grown, every record moved to its
+ * slot of the larger table */
+static int
+decodes_room(Window *w)
+{
+    Py_ssize_t i, j, old = w->dcap, cap = old ? 2 * old : 256;
+    Decode *d, **grown, **table;
+    if (2 * (w->dcount + 1) <= w->dcap)
+        return 0;
+    if ((grown = PyMem_Calloc(cap, sizeof(Decode *))) == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    table = w->decodes;
+    w->decodes = grown;
+    w->dcap = cap;
+    for (j = 0; j < old; j++)
+        if ((d = table[j]) != NULL) {
+            for (i = decode_home(w, d->pc); grown[i] != NULL;
+                 i = (i + 1) & (cap - 1))
+                ;
+            grown[i] = d;
+        }
+    PyMem_Free(table);
+    return 0;
+}
+
 static Decode *
-decode_slot(Window *w, int64_t pc, PyObject *low)
+decode_of(Window *w, int64_t pc, PyObject *low)
 {
     Py_ssize_t i;
     Decode *d;
-    if (2 * (w->dcount + 1) > w->dcap) {
-        /* grown: every record moves to its slot of the larger table */
-        Py_ssize_t j, old = w->dcap, cap = old ? 2 * old : 256;
-        Decode **grown = PyMem_Calloc(cap, sizeof(Decode *)), **table;
-        if (grown == NULL) {
-            PyErr_NoMemory();
-            return NULL;
-        }
-        table = w->decodes;
-        w->decodes = grown;
-        w->dcap = cap;
-        for (j = 0; j < old; j++)
-            if ((d = table[j]) != NULL) {
-                for (i = decode_home(w, d->pc); grown[i] != NULL;
-                     i = (i + 1) & (cap - 1))
-                    ;
-                grown[i] = d;
-            }
-        PyMem_Free(table);
+    if (!PyObject_TypeCheck(low, low_type)) {
+        wrong_type(low_type->tp_name);
+        return NULL;
     }
+    if (decodes_room(w) < 0)
+        return NULL;
     for (i = decode_home(w, pc); (d = w->decodes[i]) != NULL;
          i = (i + 1) & (w->dcap - 1))
         if (d->pc == pc && d->low == low)
@@ -1387,43 +1404,37 @@ decode_slot(Window *w, int64_t pc, PyObject *low)
         return NULL;
     }
     d->pc = pc;
-    d->low = new_ref(low);
+    d->low = low;
+    if (decode_read(d) < 0) {
+        PyMem_Free(d);
+        return NULL;
+    }
     w->decodes[i] = d;
     w->dcount++;
+    Py_INCREF(low);
     return d;
 }
 
 static Decode *
-decode_of(Window *w, int64_t pc, PyObject *low)
+decode_fetch(Window *w, PyObject *lowered, int64_t pc)
 {
-    Decode *d = decode_slot(w, pc, low);
-    return d == NULL || (d->stamp != w->calls + 1 && decode_read(w, d) < 0)
-        ? NULL : d;
-}
-
-static Decode *
-decode_fetch(Window *w, PyObject *lowered, PyObject *pc_obj)
-{
-    int64_t pc;
     Py_ssize_t i;
     Decode *d;
-    PyObject *low;
+    PyObject *pc_box, *low;
     if (!PyDict_Check(lowered))
         return NULL;
-    if (w->dcap && small_int(pc_obj, &pc))
+    if (w->dcap)
         for (i = decode_home(w, pc); (d = w->decodes[i]) != NULL;
              i = (i + 1) & (w->dcap - 1))
-            if (d->pc == pc && d->probed == w->calls + 1)
+            if (d->pc == pc && d->in_lowered)
                 return d;
-    if ((low = PyDict_GetItemWithError(lowered, pc_obj)) == NULL)
+    if ((pc_box = PyLong_FromLongLong(pc)) == NULL)
         return NULL;
-    if (!PyObject_TypeCheck(low, low_type)) {
-        wrong_type(low_type->tp_name);
+    low = PyDict_GetItemWithError(lowered, pc_box);
+    Py_DECREF(pc_box);
+    if (low == NULL || (d = decode_of(w, pc, low)) == NULL)
         return NULL;
-    }
-    if (read_int(pc_obj, &pc) < 0 || (d = decode_of(w, pc, low)) == NULL)
-        return NULL;
-    d->probed = w->calls + 1;
+    d->in_lowered = 1;
     return d;
 }
 
@@ -1436,7 +1447,6 @@ decodes_free(Window *w)
     for (i = 0; i < w->dcap; i++)
         if ((d = w->decodes[i]) != NULL) {
             Py_DECREF(d->low);
-            Py_XDECREF(d->own_next);
             PyMem_Free(d);
         }
     PyMem_Free(w->decodes);
@@ -1516,11 +1526,8 @@ entry_new(Window *w, const Instr *rec)
     set_bool(entry, E.done, rec->done);
     set_obj(entry, E.ret_action,
             rec->ret_action != NULL ? rec->ret_action : Py_None);
-    if (d->pc_obj != NULL && d->pc == rec->pc)
-        set_obj(entry, E.pc, d->pc_obj);
-    else if (set_box(w, entry, E.pc, rec->pc) < 0)
-        goto fail;
-    if (set_box(w, entry, E.tag, rec->tag) < 0
+    if (set_box(w, entry, E.pc, rec->pc) < 0
+            || set_box(w, entry, E.tag, rec->tag) < 0
             || store_opt(w, entry, E.val0, rec->has_val[0], rec->val[0]) < 0
             || store_opt(w, entry, E.val1, rec->has_val[1], rec->val[1]) < 0
             || store_opt(w, entry, E.wait0, rec->has_wait[0], rec->wait[0]) < 0
@@ -1606,6 +1613,7 @@ buffer_load(HartView *hv)
     return 0;
 }
 
+/* *rec*'s fields, read from its Entry */
 static int
 record_read(Window *w, Instr *rec)
 {
@@ -1633,18 +1641,16 @@ record_read(Window *w, Instr *rec)
     }
     if (load_obj(entry, E.ret_action, NULL, &value) < 0)
         return -1;
-    Py_XSETREF(rec->ret_action, value != Py_None ? new_ref(value) : NULL);
-    rec->stale = 0;
+    rec->ret_action = value != Py_None ? new_ref(value) : NULL;
     return 0;
 }
 
 /* The ring of *hv* (whose rob, it and rb are loaded) from those objects:
- * every Entry of ``rob`` a record that keeps it as its obj (its fields read
- * when a site first reads it), the ones of ``it`` flagged -- in the ROB's
- * order, as rename and issue leave them -- and the buffer's producer found
- * among them. */
+ * every Entry of ``rob`` a record read from it that keeps it as its obj,
+ * the ones of ``it`` flagged -- in the ROB's order, as rename and issue
+ * leave them -- and the buffer's producer found among them. */
 static int
-window_load(HartView *hv)
+window_load(Window *w, HartView *hv)
 {
     Py_ssize_t i, j, n = PyList_GET_SIZE(hv->rob), cap;
     PyObject *entry;
@@ -1666,8 +1672,10 @@ window_load(HartView *hv)
             wrong_type(entry_type->tp_name);
             return -1;
         }
-        hv->ring[i] = (Instr){.obj = new_ref(entry), .stale = 1};
+        hv->ring[i] = (Instr){.obj = new_ref(entry)};
         hv->count = i + 1;  /* what a failure below leaves is released */
+        if (record_read(w, &hv->ring[i]) < 0)
+            return -1;
     }
     /* ``it`` is the unissued part of ``rob``, in its order */
     for (i = j = 0; i < PyList_GET_SIZE(hv->it); i++) {
@@ -1815,8 +1823,6 @@ rings_free(Window *w)
 #define FLUSH_C_BOOL(name) \
     if (d & DIRTY(name)) set_bool(v->core, C.name, v->name);
 #define FLUSH_C_INT(name) FLUSH_INT(v->core, C, v, name, v->dirty, DIRTY(name))
-#define FLUSH_H_OBJ(name) \
-    if (d & DIRTY(name)) flush_obj(hv->hart, H.name, hv->name);
 #define FLUSH_H_BOOL(name) \
     if (d & DIRTY(name)) set_bool(hv->hart, H.name, hv->name);
 #define FLUSH_H_INT(name) FLUSH_INT(hv->hart, H, hv, name, hv->dirty, DIRTY(name))
@@ -1824,8 +1830,9 @@ rings_free(Window *w)
 #define FLUSH_K_INT(name) \
     FLUSH_INT(v->counters, K, v, name, v->kdirty, 1u << KBIT_##name)
 
-/* Store every field C wrote since the load in its slot, in bit order
- * (objects and flags first: only an int's box can fail). */
+/* Store every field C wrote since the load in its slot, in bit order (the
+ * pc and fetch buffer, flags, ints: a failed box or pair leaves its field
+ * and the ones after it dirty). */
 static int
 view_flush(Window *w, CoreView *v)
 {
@@ -1839,7 +1846,18 @@ view_flush(Window *w, CoreView *v)
             return -1;
         if ((d = hv->dirty) == 0)
             continue;
-        HV_OBJS(FLUSH_H_OBJ)
+        if (d & DIRTY(pc)
+                && store_opt(w, hv->hart, H.pc, hv->has_pc, hv->pc) < 0)
+            return -1;
+        if (d & DIRTY(fetch_buf)) {
+            PyObject *buf = hv->fetch_buf == NULL ? new_ref(Py_None)
+                : own_pair(hv->fetch_buf);
+            if (buf == NULL) {
+                hv->dirty = d & ~DIRTY(pc);
+                return -1;
+            }
+            flush_obj(hv->hart, H.fetch_buf, buf);
+        }
         HV_BOOLS(FLUSH_H_BOOL)
         HV_INTS(FLUSH_H_INT)
         STATS_SLOTS(FLUSH_S_INT)
@@ -2633,14 +2651,6 @@ fill(CoreView *v, HartView *hv, uint32_t value, int64_t ready_at)
     lower_wb_wake(v, ready_at);
 }
 
-/* _rob_by_tag: 1 and *rec* when the ROB of *hv* (a hart of *v*) holds
- * *tag*, else 0 (the Python handler words the assertion) */
-static int
-rob_record(CoreView *v, HartView *hv, int64_t tag, Instr **rec)
-{
-    return ring_find(v->w, hv, tag, rec);
-}
-
 /* ``machine.metrics.remote_done(src, gid)`` on a metered machine, *hv*
  * the hart *gid*: the oldest eta of the hart's FIFO goes.  (An empty or
  * missing FIFO is a machine resumed from an unmetered snapshot: nothing to
@@ -2727,7 +2737,7 @@ ev_store_write(Window *w, CoreView *Py_UNUSED(domain), const Event *event)
     if ((status = bank_bytes(w, REF_CORE(a[0]), REF_SHARED(a[0]), a[1], a[3],
                              &at)) <= 0
             || (status = hart_of(w, a[5], &v, &hv)) <= 0
-            || (status = rob_record(v, hv, a[6], &rec)) <= 0)
+            || (status = ring_find(hv, a[6], &rec)) <= 0)
         return status;
     write_bytes(at, a[2], a[3]);
     HSET(hv, outstanding_mem, hv->outstanding_mem - 1);
@@ -2852,7 +2862,7 @@ remote_ack(Window *w, int64_t src, int64_t gid, int64_t tag, int kind, int n,
     HartView *hv;
     Instr *rec;
     if ((status = hart_of(w, gid, &v, &hv)) <= 0
-            || (status = rob_record(v, hv, tag, &rec)) <= 0)
+            || (status = ring_find(hv, tag, &rec)) <= 0)
         return status;
     HSET(hv, outstanding_mem, hv->outstanding_mem - 1);
     if (remote_done(w, src, gid, hv) < 0)
@@ -2917,11 +2927,11 @@ static int
 is_free(const HartView *hv)
 {
     int flag;
-    if (hv->pc != Py_None || hv->reserved)
+    if (hv->has_pc || hv->reserved)
         return 0;
     GETB(flag, hv->hart, H.waiting_join);
     /* (``it`` is part of the ROB) */
-    return !flag && hv->fetch_buf == Py_None && hv->count == 0
+    return !flag && hv->fetch_buf == NULL && hv->count == 0
         && !hv->rb_busy;
 fail:
     return -1;
@@ -3077,15 +3087,15 @@ activate(Window *w, CoreView *v)
 
 /* Hart.start(pc, now) on *hv*'s hart of *v*'s core */
 static int
-hart_start(Window *w, CoreView *v, HartView *hv, PyObject *pc)
+hart_start(Window *w, CoreView *v, HartView *hv, int64_t pc)
 {
-    HSET_OBJ(hv, pc, pc);
+    HSET_PC(hv, 1, pc);
     HSET(hv, reserved, 0);
     set_bool(hv->hart, H.waiting_join, 0);
     HSET(hv, awaiting_nextpc, 0);
     HSET(hv, syncm_block, 0);
     HSET(hv, fetch_ready_at, w->cycle + 1);
-    HSET(hv, fetch_ok, hv->fetch_buf == Py_None);
+    HSET(hv, fetch_ok, hv->fetch_buf == NULL);
     return activate(w, v);
 }
 
@@ -3093,7 +3103,7 @@ hart_start(Window *w, CoreView *v, HartView *hv, PyObject *pc)
 static void
 hart_end(HartView *hv)
 {
-    HSET_OBJ(hv, pc, Py_None);
+    HSET_PC(hv, 0, 0);
     HSET(hv, awaiting_nextpc, 0);
     HSET(hv, syncm_block, 0);
     HSET(hv, reserved, 0);
@@ -3272,7 +3282,7 @@ static int
 exec_p_swre(Tick *t, HartView *hv, Instr *rec)
 {
     Window *w = t->w;
-    int64_t target, dst, slot, stored;
+    int64_t target = 0, dst, slot, stored = 0;  /* (0: see decide_p_ret) */
     GETV(target, rec, 0);
     target &= 0xFFFF;
     dst = target >> 2;
@@ -3348,8 +3358,9 @@ exec_p_jal(Tick *t, HartView *hv, Instr *rec, int register_target)
         GETV(target, rec, 1);
     if ((sent = send_start_pc(t, hv, rec)) <= 0)
         return sent;
-    if ((register_target && resolve_pc(t, hv, target & 0xFFFFFFFE) < 0)
-            || finish_at(t, hv, rec, 0, t->cycle + 1) < 0)
+    if (register_target)
+        resolve_pc(t, hv, target & 0xFFFFFFFE);
+    if (finish_at(t, hv, rec, 0, t->cycle + 1) < 0)
         goto fail;
     return 1;
 fail:
@@ -3484,7 +3495,7 @@ commit_p_ret(Tick *t, HartView *hv, Instr *head)
     CoreView *v = t->v;
     int native, kind, step, status = -1;
     int64_t index = v->index, gid = hv->gid, succ = -1, joiner = -1, cores;
-    int64_t addr = 0, tag = head->tag;  /* (addr: read for a join only) */
+    int64_t addr = 0, tag = head->tag;  /* (addr: a join's or wait's pc) */
     PyObject *action = head->ret_action, *succ_obj, *pred, *pending, *entry;
     if ((native = window_native(t)) <= 0)
         goto python;
@@ -3501,10 +3512,16 @@ commit_p_ret(Tick *t, HartView *hv, Instr *head)
         goto python;
     if (kind == ACT_JOIN
             && (!small_int(PyTuple_GET_ITEM(action, 1), &joiner)
+                || !exact_int(PyTuple_GET_ITEM(action, 2), &addr)
                 || (joiner != gid
                     && (joiner < 0 || joiner >> 2 >= cores
-                        || joiner >> 2 > index
-                        || !exact_int(PyTuple_GET_ITEM(action, 2), &addr)))))
+                        || joiner >> 2 > index))))
+        goto python;
+    /* a wait resumes at once at a join that came first */
+    pending = kind == ACT_WAIT ? SLOT(hv->hart, H.pending_join) : NULL;
+    if (pending == Py_None)
+        pending = NULL;
+    if (pending != NULL && !exact_int(pending, &addr))
         goto python;
     if ((native = fork_queue_ok(v)) <= 0)
         goto python;
@@ -3528,17 +3545,12 @@ commit_p_ret(Tick *t, HartView *hv, Instr *head)
         set_none(hv->hart, H.succ);
     }
     if (kind == ACT_WAIT) {
-        HSET_OBJ(hv, pc, Py_None);
+        HSET_PC(hv, 0, 0);
         set_bool(hv->hart, H.waiting_join, 1);
-        if ((pending = SLOT(hv->hart, H.pending_join)) != NULL
-                && pending != Py_None) {
-            Py_INCREF(pending);
+        if (pending != NULL) {
             set_none(hv->hart, H.pending_join);
-            step = SANITIZE(w, index, jrecv, gid, tag);
-            if (step == 0)
-                step = hart_start(w, v, hv, pending);
-            Py_DECREF(pending);
-            if (step < 0)
+            if (SANITIZE(w, index, jrecv, gid, tag) < 0
+                    || hart_start(w, v, hv, addr) < 0)
                 goto release;
         }
     } else if (kind != ACT_EXIT) {
@@ -3546,7 +3558,7 @@ commit_p_ret(Tick *t, HartView *hv, Instr *head)
         if (kind == ACT_JOIN) {
             KSET(v, joins, v->joins + 1);
             if (joiner == gid)  /* a one-member team: the join hart resumes */
-                step = hart_start(w, v, hv, PyTuple_GET_ITEM(action, 2));
+                step = hart_start(w, v, hv, addr);
             else if ((step = SANITIZE(w, index, jretsend, gid, tag,
                                       joiner)) == 0)  /* LBP.send_join */
                 step = send_along(w, v, joiner >> 2, 0, EV_join,
@@ -3598,7 +3610,7 @@ ev_cv_write(Window *w, CoreView *Py_UNUSED(domain), const Event *event)
     Instr *rec;
     if ((status = bank_bytes(w, a[0], 0, a[1], 4, &at)) <= 0
             || (status = hart_of(w, a[4], &v, &hv)) <= 0
-            || (status = rob_record(v, hv, a[7], &rec)) <= 0)
+            || (status = ring_find(hv, a[7], &rec)) <= 0)
         return status;
     write_bytes(at, a[2], 4);
     HSET(hv, outstanding_mem, hv->outstanding_mem - 1);
@@ -3713,7 +3725,7 @@ ev_re_ack(Window *w, CoreView *Py_UNUSED(domain), const Event *event)
             || index >= PyList_GET_SIZE(w->cores))
         return 0;
     if ((status = hart_of(w, a[1], &v, &hv)) <= 0
-            || (status = rob_record(v, hv, a[5], &rec)) <= 0)
+            || (status = ring_find(hv, a[5], &rec)) <= 0)
         return status;
     if ((src = view_at(w, index)) == NULL)
         return -1;
@@ -3777,19 +3789,6 @@ fail:
     return -1;
 }
 
-/* Hart.start(pc, now) on *hv*'s hart of *v*'s core, *pc* an int */
-static int
-hart_start_at(Window *w, CoreView *v, HartView *hv, int64_t pc)
-{
-    int status;
-    PyObject *pc_obj = PyLong_FromLongLong(pc);
-    if (pc_obj == NULL)
-        return -1;
-    status = hart_start(w, v, hv, pc_obj);
-    Py_DECREF(pc_obj);
-    return status;
-}
-
 /* _ev_start_pc(target_gid, pc): an allocated hart starts */
 static int
 ev_start_pc(Window *w, CoreView *Py_UNUSED(domain), const Event *event)
@@ -3806,7 +3805,7 @@ ev_start_pc(Window *w, CoreView *Py_UNUSED(domain), const Event *event)
                           event->a[1]) < 0
             || SANITIZE(w, v->index, start, event->a[0], v->_tag) < 0)
         return -1;
-    return hart_start_at(w, v, hv, event->a[1]) < 0 ? -1 : 1;
+    return hart_start(w, v, hv, event->a[1]) < 0 ? -1 : 1;
 }
 
 /* _ev_ending_signal(core_index, hart_index, succ_gid) */
@@ -3842,7 +3841,7 @@ ev_join(Window *w, CoreView *Py_UNUSED(domain), const Event *event)
         return -1;
     if (waiting)
         return SANITIZE(w, v->index, jstart, event->a[0], v->_tag) < 0
-            || hart_start_at(w, v, hv, event->a[1]) < 0 ? -1 : 1;
+            || hart_start(w, v, hv, event->a[1]) < 0 ? -1 : 1;
     if ((addr = PyLong_FromLongLong(event->a[1])) == NULL)
         return -1;
     set_obj(hv->hart, H.pending_join, addr);
@@ -4046,7 +4045,7 @@ machine_simulate(PyObject *machine, PyObject *const *args, Py_ssize_t nargs)
         if (w.active == NULL && list_active(&w, cores) < 0)
             goto fail;
         /* the list is walked to its end even if a wakeup or a gate-off
-         * inside the walk makes it stale for the next cycle */
+         * inside the walk leaves it out of date for the next cycle */
         scan = new_ref(w.active);
         for (i = 0; i < PyList_GET_SIZE(scan); i++) {
             PyObject *core = PyList_GET_ITEM(scan, i);

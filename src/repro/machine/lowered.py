@@ -12,7 +12,7 @@ must stay bit-exact (see ``tests/integration/test_trace_golden.py``).
 """
 
 from repro.isa.semantics import (
-    ALU_OPS, BRANCH_OPS, LOAD_WIDTH, MASK32, STORE_WIDTH,
+    ALU_OPS, BRANCH_OPS, LOAD_WIDTH, STORE_WIDTH,
 )
 from repro.isa.spec import InstrClass
 
@@ -92,20 +92,17 @@ class LoweredInstr:
             loads wait on at issue.
         trap: commit-side trap code (0 none, 1 ebreak, 2 ecall),
             pre-tested so the commit stage does one compare.
-        next_pc / fetch_pair: the two objects every trip of this
-            location through the pipeline would otherwise build anew —
-            the pc that decode resumes fetch at (``pc + 4``, or the
-            target of a ``DEC_JAL``) and the fetch buffer's ``(pc,
-            low)``.  The compiled tick stores these very objects (after
-            checking they say what it computed); the reference tick
-            builds its own.
+        fetch_pair: the fetch buffer's ``(pc, low)`` at rest.  While
+            the compiled tick runs, a fetch buffer is the decode record
+            of this location; its flush stores this very tuple (after
+            checking it names this pc and this instruction).  The
+            reference tick builds its own.
     """
 
     __slots__ = (
         "ins", "mnemonic", "cls", "rd", "imm", "nreads", "r1", "r2",
         "writes", "op", "alu_op", "br_op", "latency", "width", "re_slot",
-        "dec_kind", "issue_kind", "store_like", "trap", "next_pc",
-        "fetch_pair",
+        "dec_kind", "issue_kind", "store_like", "trap", "fetch_pair",
     )
 
     def __init__(self, ins, params, pc):
@@ -127,8 +124,6 @@ class LoweredInstr:
         self.writes = writes_rd and ins.rd != 0
         self.re_slot = ins.imm % params.num_result_buffers \
             if self.cls == _P_SWRE or self.cls == _P_LWRE else 0
-        self.next_pc = (
-            (pc + ins.imm) & MASK32 if self.dec_kind == DEC_JAL else pc + 4)
         self.fetch_pair = (pc, self)
 
     def __repr__(self):

@@ -12,6 +12,7 @@ binary behind.
 
 import collections
 import gc
+import heapq
 import json
 import os
 import shutil
@@ -775,6 +776,152 @@ def test_a_p_ret_held_by_its_own_access_is_charged_as_a_memory_wait():
     assert machine.halt_reason == "exit" and machine.cycle > 30
     stalls = dict(zip(STALL_REASONS, machine.metrics.slots[0].stalls))
     assert stalls["local_mem_wait"] > 20, stalls
+
+
+#: hart 1 sends five results to hart 0's result buffer 0 back to back;
+#: hart 0 takes the first at once and the rest after waits, storing each
+RE_REQUEUE = """
+main:
+    li   t0, -1
+    addi sp, sp, -8
+    sw   ra, 0(sp)
+    sw   t0, 4(sp)
+    p_set t0, t0
+    p_fc t6
+    la   t1, rp
+    p_swcv t6, t1, 0
+    p_swcv t6, t0, 4
+    p_merge t0, t0, t6
+    p_syncm
+    la   a0, consumer
+    p_jalr ra, t0, a0
+    p_lwcv ra, 0
+    p_lwcv t0, 4
+    li   t4, 0
+    li   t3, 111
+    p_swre t4, t3, 0
+    li   t3, 222
+    p_swre t4, t3, 0
+    li   t3, 333
+    p_swre t4, t3, 0
+    li   t3, 444
+    p_swre t4, t3, 0
+    li   t3, 555
+    p_swre t4, t3, 0
+    p_ret
+rp: lw  ra, 0(sp)
+    lw  t0, 4(sp)
+    addi sp, sp, 8
+    p_ret
+consumer:
+    p_lwre a1, 0
+    li   t5, 20
+c1: addi t5, t5, -1
+    bnez t5, c1
+    p_lwre a2, 0
+    li   t5, 40
+c2: addi t5, t5, -1
+    bnez t5, c2
+    p_lwre a3, 0
+    p_lwre a4, 0
+    p_lwre a5, 0
+    la   t2, got
+    sw   a1, 0(t2)
+    sw   a2, 4(t2)
+    sw   a3, 8(t2)
+    sw   a4, 12(t2)
+    sw   a5, 16(t2)
+    p_ret
+.data
+got: .word 0, 0, 0, 0, 0
+"""
+
+
+def _hold_back(machine, delays):
+    """Step *machine* a cycle at a time until each p_swre delivery named in
+    *delays* -- a fresh one by its value, the first re-posted one by
+    ``"parked"`` -- has been seen pending and moved that many cycles
+    later."""
+    delays = dict(delays)
+    while delays:
+        assert not machine.halted
+        machine.run(max_cycles=10_000, stop_at_cycle=machine.cycle + 1)
+        events = []
+        for event in machine._events:
+            if event[4] == "re_deliver":
+                key = "parked" if event[5][-1] else event[5][4]
+                if key in delays:
+                    event = (event[0] + delays.pop(key),) + event[1:]
+            events.append(event)
+        heapq.heapify(events)
+        machine._events = events
+
+
+@compiled
+@pytest.mark.parametrize("trace", [False, True])
+def test_a_parked_delivery_that_loses_its_slot_goes_back_to_the_head(trace):
+    """222 fills hart 0's slot and 333 parks.  Held back by the test, 444
+    and 555 arrive after hart 0 drains 222, and the re-posted 333 after
+    them: 444 fills the slot, 555 parks, and 333 parks again at the head
+    of the queue, ahead of 555, so it is taken before it.  (Not held back,
+    a re-post arrives the next cycle, ahead of any fresh delivery: no
+    program reaches this alone.)"""
+    program = assemble(RE_REQUEUE)
+
+    def make(backend):
+        machine = LBP(Params(num_cores=1), trace=trace,
+                      backend=backend).load(program)
+        _hold_back(machine, {444: 150, 555: 150, "parked": 100})
+        return machine
+
+    def run(machine):
+        queue = machine.cores[0].harts[0].re_waiters[0]
+        while len(queue) < 2:
+            assert not machine.halted
+            machine.run(max_cycles=10_000, stop_at_cycle=machine.cycle + 1)
+        assert [desc[4] for desc in queue] == [333, 555]
+        machine.run(max_cycles=10_000)
+
+    machines = [make(backend) for backend in ("soa", "interp")]
+    for machine in machines:
+        run(machine)
+    assert machines[0].state_dict() == machines[1].state_dict()
+    assert machines[0].trace.events == machines[1].trace.events
+    machine = machines[0]
+    assert machine.halt_reason == "exit"
+    got = program.symbol("got")
+    assert [machine.read_word(got + 4 * i) for i in range(5)] \
+        == [111, 222, 444, 333, 555]
+
+
+#: hart 0 exits, its p_ret fetched after a branch: renamed at the head of
+#: an empty ROB, it is decided after that cycle's commit stage
+EXIT_AFTER_BRANCH = """
+main:
+    li   ra, 0
+    li   t0, -1
+    beqz zero, last
+last:
+    p_ret
+"""
+
+
+@compiled
+@pytest.mark.parametrize("source", [RE_REQUEUE, EXIT_AFTER_BRANCH],
+                         ids=["predecessor", "decided"])
+def test_a_p_ret_held_at_the_barrier_is_charged_as_a_barrier_wait(source):
+    """Metered, a p_ret at the ROB head that does not commit: held for its
+    predecessor's ending signal (the producer of RE_REQUEUE), or decided
+    at issue after that cycle's commit stage.  The compiled classifier
+    charges both as ``barrier_wait``, as the reference Metrics does."""
+    program = assemble(source)
+    machine = _alike(
+        lambda backend: LBP(Params(num_cores=1), metrics=True,
+                            backend=backend).load(program),
+        lambda machine: machine.run(max_cycles=10_000))
+    assert machine.halt_reason == "exit"
+    stalls = dict(zip(STALL_REASONS, machine.metrics.slots[0].stalls))
+    assert stalls["barrier_wait"] > 0, stalls
 
 
 @compiled

@@ -44,12 +44,12 @@ BOUNDS = {
 
 #: the same for the memory traffic (before typed events and cursors: tuples
 #: 0.646 / 0.966, boxes 0.891 / 2.441, slots of the four classes together
-#: 3.04 / 8.01)
+#: 3.04 / 8.01; boxes 0.167 / 0.318 while a hart's pc was an object)
 MEMORY_BOUNDS = {
-    "tiled16": {"tuples": 0.00128, "PyLong_FromLongLong": 0.17539,
+    "tiled16": {"tuples": 0.00128, "PyLong_FromLongLong": 0.06089,
                 "Port": 0.01173, "Bank": 0.00133, "CoreMemory": 0.00166,
                 "LinkScheduler": 0.00194},
-    "irregular": {"tuples": 0.00597, "PyLong_FromLongLong": 0.33403,
+    "irregular": {"tuples": 0.00597, "PyLong_FromLongLong": 0.20807,
                   "Port": 0.0391, "Bank": 0.00588, "CoreMemory": 0.0074,
                   "LinkScheduler": 0.0098},
 }
