@@ -24,18 +24,21 @@ caller that compiled it can name that.  ``run_matmul_figure`` keys each
 version with ``RunCache.key_for`` and hands only the misses to the
 runner.
 
-:class:`ForkedTask` — one callable in one forked child, owned from the
-parent — is the execution primitive behind the ``repro serve`` worker
-pool (:mod:`repro.serve.pool`), which adds deadlines, cancellation and
-progress streaming through its parent-side pipe.
+:class:`ForkedWorker` — a forked child that runs the calls its parent
+sends, one at a time, owned from the parent — is the execution primitive
+behind the ``repro serve`` worker pool (:mod:`repro.serve.pool`), which
+adds deadlines, cancellation and progress streaming through its
+parent-side pipe.  :class:`ForkedTask` is its one-call case: the call is
+made at the fork, unpickled.  Both run one child body,
+:func:`_child_main`.
 """
 
 import multiprocessing
 import os
 import time
 
-__all__ = ["ExperimentResults", "ForkedTask", "default_jobs",
-           "run_experiments"]
+__all__ = ["ExperimentResults", "ForkedTask", "ForkedWorker", "default_jobs",
+           "fork_available", "run_experiments"]
 
 
 def default_jobs():
@@ -78,15 +81,41 @@ class ExperimentResults(dict):
         return (self.__class__, (list(self.items()), self.meta))
 
 
-def _forked_child_main(conn, fn, args, kwargs, progress_arg):
-    """Child half of :class:`ForkedTask`: run *fn*, ship one final message.
+def fork_available():
+    """Whether the platform offers the ``fork`` start method that
+    :class:`ForkedWorker` needs; callers without it run in-process."""
+    try:
+        multiprocessing.get_context("fork")
+    except ValueError:
+        return False
+    return True
 
-    The wire protocol is tuples: zero or more ``("progress", payload)``
-    (only when the callable asked for a progress channel) followed by
-    exactly one ``("ok", value)`` or ``("err", detail)``.  ``os._exit``
-    skips the parent's inherited atexit/teardown machinery — the child
-    must not flush the parent's state.
+
+def _received(conn):
+    """The calls a worker's parent sends it, until it closes its end of
+    the pipe."""
+    while True:
+        try:
+            yield conn.recv()
+        except EOFError:
+            return
+
+
+def _child_main(conn, request):
+    """The one child body: run calls one at a time, report each one.
+
+    *request* is a :class:`ForkedTask`'s one ``(fn, args, kwargs,
+    progress_arg)`` call, inherited through the fork; when it is None the
+    child is a :class:`ForkedWorker` and serves each call its parent sends
+    until the parent closes the pipe.  The wire protocol
+    per call is tuples: zero or more ``("progress", payload)`` (only when
+    the call names a progress argument) followed by exactly one
+    ``("ok", value)`` or ``("err", detail)``.  An error ends the child
+    (exit code 1), so a worker only takes another call after a clean
+    ``"ok"``.  ``os._exit`` skips the parent's inherited atexit/teardown
+    machinery — the child must not flush the parent's state.
     """
+    import gc
     import signal
 
     # sever the parent's signal plumbing: an asyncio parent registers a
@@ -96,13 +125,23 @@ def _forked_child_main(conn, fn, args, kwargs, progress_arg):
     signal.set_wakeup_fd(-1)
     for signum in (signal.SIGTERM, signal.SIGINT):
         signal.signal(signum, signal.SIG_DFL)
+    # hold no dup of the parent's fds: a client socket kept open here
+    # would outlive the daemon's close of it (the peer never sees EOF)
+    os.closerange(3, conn.fileno())
+    os.closerange(conn.fileno() + 1, os.sysconf("SC_OPEN_MAX"))
+    # never collect what the fork inherited: its finalizers would close
+    # fd numbers this child has since reused, and a collection would
+    # touch (copy) every inherited page
+    gc.freeze()
     status = 0
     try:
-        if progress_arg is not None:
-            kwargs = dict(kwargs)
-            kwargs[progress_arg] = lambda payload: conn.send(
-                ("progress", payload))
-        conn.send(("ok", fn(*args, **kwargs)))
+        for fn, args, kwargs, progress_arg in (
+                [request] if request is not None else _received(conn)):
+            if progress_arg is not None:
+                kwargs = dict(kwargs)
+                kwargs[progress_arg] = lambda payload: conn.send(
+                    ("progress", payload))
+            conn.send(("ok", fn(*args, **kwargs)))
     except BaseException as exc:  # report, then die: nothing to recover
         status = 1
         try:
@@ -114,31 +153,37 @@ def _forked_child_main(conn, fn, args, kwargs, progress_arg):
         os._exit(status)
 
 
-class ForkedTask:
-    """One callable running in a forked child, owned from the parent.
+class ForkedWorker:
+    """A forked child that runs the calls its parent sends, one at a time,
+    owned from the parent.
 
     Unlike a ``Pool`` worker, the child is individually addressable: the
-    parent can :meth:`poll`/:meth:`recv` its message stream, enforce a
-    deadline, and :meth:`terminate` a hung run without disturbing any
-    sibling.  ``progress_arg`` names a keyword argument to inject into
-    the callable: a function the child calls to stream progress payloads
-    back through the pipe (fork means no pickling of the callable is
-    ever needed).
+    parent can :meth:`send` it a call, :meth:`poll`/:meth:`recv` the
+    call's message stream, enforce a deadline, and :meth:`terminate` a
+    hung run without disturbing any sibling.  Right after the fork the
+    child closes every inherited fd but stdio and its pipe.  :meth:`close`
+    of an idle worker lets it exit on its own.
 
     Raises ValueError where the platform offers no ``fork`` start
     method; callers degrade to in-process execution.
     """
 
-    def __init__(self, fn, args=(), kwargs=None, progress_arg=None):
+    def __init__(self, request=None):
         context = multiprocessing.get_context("fork")
-        self._conn, child_conn = context.Pipe(duplex=False)
+        self._conn, child_conn = context.Pipe()
         self.process = context.Process(
-            target=_forked_child_main,
-            args=(child_conn, fn, args, dict(kwargs or {}), progress_arg),
-            daemon=True)
+            target=_child_main, args=(child_conn, request), daemon=True)
         self.started_at = time.monotonic()
         self.process.start()
-        child_conn.close()  # parent keeps only the read end
+        child_conn.close()  # the child's end lives in the child only
+
+    def send(self, fn, args=(), kwargs=None, progress_arg=None):
+        """Hand the idle child its next call.  The call travels pickled,
+        so *fn* must be a module-level callable; ``progress_arg`` names a
+        keyword argument the child injects (see :class:`ForkedTask`).
+        Raises OSError when the child is gone."""
+        self._conn.send((fn, tuple(args), dict(kwargs or {}), progress_arg))
+        self.started_at = time.monotonic()
 
     def poll(self, timeout=0):
         """True when a message (or EOF) is ready within *timeout* seconds."""
@@ -171,8 +216,24 @@ class ForkedTask:
         self.close()
 
     def close(self):
+        """Close the pipe and reap the child, which exits on its own."""
         self._conn.close()
         self.process.join()
+
+
+class ForkedTask(ForkedWorker):
+    """One callable running in a forked child: a :class:`ForkedWorker`
+    whose one call is made at the fork and is its last.
+
+    ``progress_arg`` names a keyword argument to inject into the
+    callable: a function the child calls to stream progress payloads
+    back through the pipe (fork means no pickling of the callable is
+    ever needed).  The child exits 0 after its ``"ok"``, 1 after its
+    ``"err"``.
+    """
+
+    def __init__(self, fn, args=(), kwargs=None, progress_arg=None):
+        super().__init__((fn, args, dict(kwargs or {}), progress_arg))
 
 
 def _normalize(tasks):

@@ -9,17 +9,19 @@ stack uses, applied to deterministic simulations:
   single-flight table (N identical concurrent requests → 1 simulation);
 * :mod:`repro.serve.quota` — per-tenant token buckets charged per
   *execution* (hits and coalesced joins are free);
-* :mod:`repro.serve.pool` — bounded fork pool with per-job timeout,
-  bounded retry and cancellation, built on the experiment runner's
-  :class:`~repro.eval.runner.ForkedTask`;
-* :mod:`repro.serve.worker` — the forked child: run one simulation,
-  stream progress (cycle/IPC/top stall) from periodic-snapshot points;
+* :mod:`repro.serve.pool` — up to ``workers`` warm forked workers
+  (the experiment runner's :class:`~repro.eval.runner.ForkedWorker`),
+  each reused across jobs, with per-job timeout, bounded retry and
+  cancellation;
+* :mod:`repro.serve.worker` — the call a worker runs for a miss: rebuild
+  the shipped program, run one simulation, stream progress
+  (cycle/IPC/top stall) from periodic-snapshot points;
 * :mod:`repro.serve.http` — the wire framing, sans-IO: the one
   head parser and the two encoders daemon and client share;
 * :mod:`repro.serve.server` — the asyncio daemon (TCP + unix socket):
   the socket-free ``SimServer.handle``, priority scheduling, graceful
   drain, ``/stats`` and the Prometheus ``/metrics`` from one table, and
-  end-to-end request tracing (admission spans chained through the forked
+  end-to-end request tracing (admission spans chained through the
   worker's compile and run spans — see :mod:`repro.observe.spans`);
 * :mod:`repro.serve.client` — the one client: blocking, one connection
   per request, behind ``repro submit``, the serve tests and

@@ -75,9 +75,8 @@ def compiled_program(source, filename):
     Serving a warm hit must not pay a compile: the memo makes repeat
     compiling a dict lookup, and it holds each program's digest too, so
     :meth:`JobSpec.cache_key` does not serialize the program again.
-    Forked workers inherit the memo, so a miss whose key was just
-    computed in the parent re-uses the parent's Program object without
-    recompiling either.
+    A miss ships the memo's program to its worker as ``program_state``
+    data, so a source is compiled once per daemon.
     """
     return _compiled(source, filename)[0]
 

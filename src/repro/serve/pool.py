@@ -1,29 +1,39 @@
-"""Bounded fork-based worker pool with timeout, retry and cancellation.
+"""Bounded pool of warm forked workers with timeout, retry and cancellation.
 
 The serving daemon is a single asyncio loop; simulations are CPU-bound
-Python.  The pool keeps the two apart: each admitted execution forks a
-child (:class:`repro.eval.runner.ForkedTask`) and a driver thread from
+Python.  The pool keeps the two apart: it keeps up to ``workers``
+long-lived forked children (:class:`repro.eval.runner.ForkedWorker`) and
+sends each attempt to an idle one over its pipe; a driver thread from
 the pool's own executor — sized ``workers``, unlike the loop's default —
-relays its pipe back into the loop.  How many run at once is bounded by
-the caller: the server runs ``workers`` scheduler tasks.
+relays the worker's messages back into the loop.  A worker is forked at
+the first attempt that finds none idle, so a daemon forks once per
+worker, not once per job.  How many run at once is bounded by the
+caller: the server runs ``workers`` scheduler tasks.  Reusing a worker
+is unobservable for the reason coalescing is: a call's value is fixed by
+its arguments, whatever ran in that process before.
 
 Per attempt the driver enforces a wall-clock deadline (kill + bounded
 retry — a timeout may be a loaded host, so one more try is cheap) and a
-cancellation flag (kill, no retry — the client changed its mind).
+cancellation flag (kill, no retry — the client changed its mind).  A
+killed worker is replaced by the next attempt's fork; so is an idle one
+that died while it waited, which costs its next job nothing.
 Simulation *errors* are not retried: the machine is deterministic, so a
-deadlock or trap would only reproduce.
+deadlock or trap would only reproduce.  A worker that reported an error
+exits, so a warm worker has only ever finished clean calls.
 
-Where the platform offers no ``fork`` start method the pool degrades to
-in-thread execution: results are identical, but a runaway simulation
-can then only be abandoned, not killed (documented limitation, same
-spirit as the runner's sequential degrade).
+Calls reach a worker pickled: the callable must be a module-level
+function.  Where the platform offers no ``fork`` start method the pool
+degrades to in-thread execution: results are identical, but a runaway
+simulation can then only be abandoned, not killed (documented
+limitation, same spirit as the runner's sequential degrade).
 """
 
 import asyncio
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 
-from repro.eval.runner import ForkedTask
+from repro.eval.runner import ForkedWorker, fork_available
 
 __all__ = ["PoolCancelled", "PoolTaskError", "PoolTimeout", "WorkerPool"]
 
@@ -51,13 +61,13 @@ class PoolTaskError(Exception):
 
 
 class WorkerPool:
-    """Forked simulations, up to *workers* of them at once.
+    """Simulations in up to *workers* warm forked workers at once.
 
     ``timeout`` is the per-attempt deadline in seconds (None = no
     deadline); after a timeout the job is retried up to ``retries`` more
     times.  ``timeouts`` and ``retries_spent`` accumulate across jobs
     for the service's ``/stats``.  :meth:`shutdown` joins the driver
-    threads once no job is left.
+    threads and stops the workers once no job is left.
     """
 
     def __init__(self, workers=2, timeout=None, retries=1):
@@ -74,20 +84,40 @@ class WorkerPool:
                                             thread_name_prefix="repro-pool")
         self.timeouts = 0
         self.retries_spent = 0
-        try:
-            import multiprocessing
+        self._has_fork = fork_available()
+        #: workers waiting for a call, the most recently used last
+        self._idle = []
+        self._idle_lock = threading.Lock()
 
-            multiprocessing.get_context("fork")
-            self._has_fork = True
-        except ValueError:
-            self._has_fork = False
+    def _dispatch(self, request):
+        """A worker that has taken *request*: an idle one, else a fresh fork.
+
+        An idle worker that died while it waited (killed, say) breaks the
+        send: it is reaped and passed over, so the job is not blamed."""
+        while True:
+            with self._idle_lock:
+                if not self._idle:
+                    break
+                worker = self._idle.pop()
+            try:
+                worker.send(*request)
+                return worker
+            except OSError:
+                worker.terminate()
+        worker = ForkedWorker()
+        try:
+            worker.send(*request)
+        except OSError:
+            pass  # died at birth: its recv reports the death
+        return worker
 
     def _attempt(self, fn, args, kwargs, cancel_event, emit):
-        """One forked attempt, driven to completion from a worker thread."""
+        """One attempt in a worker, driven to completion from a driver
+        thread."""
+        if cancel_event is not None and cancel_event.is_set():
+            raise PoolCancelled()
         if not self._has_fork:
             # degrade: run in this thread; progress flows, deadlines don't
-            if cancel_event is not None and cancel_event.is_set():
-                raise PoolCancelled()
             if emit is not None:
                 kwargs = dict(kwargs)
                 kwargs["progress"] = emit
@@ -97,25 +127,25 @@ class WorkerPool:
                 raise
             except Exception as exc:
                 raise PoolTaskError("%s: %s" % (type(exc).__name__, exc))
-        task = ForkedTask(fn, args, kwargs,
-                          progress_arg="progress" if emit is not None else None)
-        deadline = (task.started_at + self.timeout
+        worker = self._dispatch((fn, args, kwargs,
+                                 "progress" if emit is not None else None))
+        deadline = (worker.started_at + self.timeout
                     if self.timeout is not None else None)
-        finished = False
+        outcome = None
         try:
             while True:
                 if cancel_event is not None and cancel_event.is_set():
                     raise PoolCancelled()
                 if deadline is not None and time.monotonic() >= deadline:
                     raise PoolTimeout()
-                if not task.poll(_POLL_SLICE):
+                if not worker.poll(_POLL_SLICE):
                     continue
-                kind, payload = task.recv()
+                kind, payload = worker.recv()
                 if kind == "progress":
                     if emit is not None:
                         emit(payload)
                     continue
-                finished = True
+                outcome = kind
                 if kind == "ok":
                     return payload
                 error = PoolTaskError(payload)
@@ -126,14 +156,17 @@ class WorkerPool:
                                      and payload.startswith("worker died"))
                 raise error
         finally:
-            if finished:
-                task.close()  # child is exiting on its own: just reap
+            if outcome == "ok":
+                with self._idle_lock:
+                    self._idle.append(worker)  # warm for the next call
+            elif outcome is not None:
+                worker.close()  # it reported an error and is exiting
             else:
-                task.terminate()
+                worker.terminate()
 
     async def run(self, fn, args=(), kwargs=None, on_progress=None,
                   on_attempt=None, cancel_event=None):
-        """Run ``fn(*args, **kwargs)`` in a forked child; returns its value.
+        """Run ``fn(*args, **kwargs)`` in a warm worker; returns its value.
 
         *on_progress* (called on the event loop) receives the payloads
         the child streams through its injected ``progress`` callable;
@@ -162,8 +195,13 @@ class WorkerPool:
                 self.retries_spent += 1
 
     def shutdown(self):
-        """Join the driver threads (call once every :meth:`run` returned)."""
+        """Join the driver threads, then stop the idle workers (call once
+        every :meth:`run` returned)."""
         self._executor.shutdown()
+        with self._idle_lock:
+            idle, self._idle = self._idle, []
+        for worker in idle:
+            worker.terminate()
 
     def snapshot(self):
         """Pool counters for the ``/stats`` endpoint."""

@@ -2,8 +2,8 @@
 
 One event loop owns everything light — accepting connections (TCP and/or
 unix socket, same handler), parsing HTTP, keying jobs, cache lookups,
-the priority queue — and forks everything heavy onto the bounded worker
-pool.  The request path for one submitted job::
+the priority queue — and sends everything heavy to the bounded pool of
+warm forked workers.  The request path for one submitted job::
 
     parse -> JobSpec -> content key -> cache.get
         hit  ............................. answer now, nothing simulates
@@ -58,6 +58,7 @@ from repro.serve.jobs import (
     RUNNING,
     JobSpec,
     JobTable,
+    compiled_program,
 )
 from repro.machine import native
 from repro.observe import prom
@@ -67,6 +68,7 @@ from repro.serve.pool import PoolCancelled, PoolTaskError, PoolTimeout, WorkerPo
 from repro.serve.quota import QuotaExceeded, QuotaManager
 from repro.serve.worker import execute_job
 from repro.snapshot.cache import RunCache
+from repro.snapshot.progio import program_state
 
 __all__ = ["ServeConfig", "ServerThread", "SimServer"]
 
@@ -271,7 +273,9 @@ class SimServer:
         try:
             value = await self.pool.run(
                 execute_job,
-                args=(spec.source, spec.filename, spec.params,
+                args=(program_state(compiled_program(spec.source,
+                                                     spec.filename)),
+                      spec.filename, spec.params,
                       spec.max_cycles, self.config.progress_every,
                       job.trace_ctx),
                 on_progress=on_progress, on_attempt=on_attempt,

@@ -1,27 +1,29 @@
-"""The forked worker's half of the job service: run one simulation.
+"""The worker's half of the job service: run one simulation.
 
-:func:`execute_job` is the module-level callable the pool forks for each
-cache miss.  It rebuilds the program (usually a memo hit inherited
-through fork from the parent that just keyed the request), runs the
-cycle-accurate machine, and returns :func:`job_value` of it — the one
-spelling of a cached result, which ``bench/`` and the tests rebuild
-in-process to check what the daemon served::
+:func:`execute_job` is the module-level callable the pool sends a warm
+forked worker for each cache miss.  The request carries the program the
+daemon compiled to key the job, as ``program_state`` data
+(:mod:`repro.snapshot.progio`): the worker rebuilds it (no compile,
+whatever the worker inherited), runs the cycle-accurate machine, and returns
+:func:`job_value` of it — the one spelling of a cached result, which
+``bench/`` and the tests rebuild in-process to check what the daemon
+served::
 
     {"summary": {...}, "cycles": N, "retired": N}
 
 When the caller wires a *progress* channel (see
-:class:`repro.eval.runner.ForkedTask`'s ``progress_arg``), the run is
-metered (zero-perturbation — PR 5's guarantee is that metrics never
-change results) and a compact progress payload is emitted at the same
-safe point periodic snapshots use: cycle count, retired, IPC so far and
-the dominant stall reason.
+:class:`repro.eval.runner.ForkedWorker`'s ``progress_arg``), the run is
+metered (zero-perturbation — metrics never change results) and a
+compact progress payload is emitted at the same safe point periodic
+snapshots use: cycle count, retired, IPC so far and the dominant stall
+reason.
 
-The worker always records its spans (execute, compile, run) plus a
-cycles↔wall clock anchor, and ships them up the same
-progress pipe as one ``{"kind": "spans"}`` payload just before
-returning.  *trace_ctx* — the admission span's ``(trace_id, span_id)``,
-propagated by value through the fork — is what they chain onto; without
-one ``execute`` is the root of a trace of its own.  The server
+The worker always records its spans (execute, compile — the rebuild of
+the shipped program —, run) plus a cycles↔wall clock anchor, and ships
+them up the same progress pipe as one ``{"kind": "spans"}`` payload just
+before returning.  *trace_ctx* — the admission span's ``(trace_id,
+span_id)``, sent by value with the call — is what they chain onto;
+without one ``execute`` is the root of a trace of its own.  The server
 intercepts that payload before stream fan-out, so clients never see it.
 Spans read clocks and nothing else: the result value and every cached
 byte are those of an untraced run.
@@ -31,7 +33,7 @@ import time
 
 from repro.machine import LBP, Params
 from repro.observe.spans import SpanRecorder, clock_anchor
-from repro.serve.jobs import compiled_program
+from repro.snapshot.progio import program_from_state
 
 __all__ = ["execute_job", "job_progress", "job_value"]
 
@@ -70,11 +72,13 @@ def job_value(machine, stats):
     }
 
 
-def execute_job(source, filename, params, max_cycles=None,
+def execute_job(program, filename, params, max_cycles=None,
                 progress_every=None, trace_ctx=None,
                 progress=None):
     """Run one job to completion; returns the canonical result value.
 
+    *program* is ``program_state`` data of the job's compiled program
+    (*filename* names its source in the compile span).
     *progress* (injected by the pool) receives :func:`job_progress`
     payloads roughly every *progress_every* cycles; passing it implies a
     metered run so the payloads carry IPC and the top stall reason.
@@ -83,7 +87,7 @@ def execute_job(source, filename, params, max_cycles=None,
     spans = SpanRecorder()
     execute_span = spans.start("execute", parent=trace_ctx)
     with spans.span("compile", parent=execute_span, filename=filename):
-        program = compiled_program(source, filename)
+        program = program_from_state(program)
 
     metered = progress is not None
     machine = LBP(Params.from_state_dict(params),

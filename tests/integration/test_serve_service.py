@@ -8,8 +8,11 @@ byte-identical canonical value (Deterministic Consistency makes the
 dedupe invisible).
 """
 
+import asyncio
 import json
 import logging
+import multiprocessing
+import os
 import socket
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -261,6 +264,67 @@ def test_drain_finishes_accepted_work(tmp_path):
     # and the results were durably cached for the next process
     cache = RunCache(handle.config.cache_root)
     assert cache.stats()["entries"] == 3
+
+
+def test_drain_leaves_no_worker_process(tmp_path):
+    with _serve(tmp_path) as handle:
+        client = _client(handle)
+        with ThreadPoolExecutor(max_workers=2) as submitters:
+            records = list(submitters.map(
+                lambda n: client.submit_one(_job(MEDIUM_ASM, inputs=n)),
+                range(2)))
+        assert [record["status"] for record in records] == ["done", "done"]
+        assert multiprocessing.active_children()  # warm until the drain
+    assert multiprocessing.active_children() == []
+
+
+def _countdown(count):
+    return SHORT_ASM.replace("li   t1, 40", "li   t1, %d" % count)
+
+
+def _in_process(source, cores=2):
+    """The canonical value of *source* run in this process."""
+    machine = LBP(Params(num_cores=cores)).load(build_program(source, "job.s"))
+    return _canonical(job_value(machine, machine.run()))
+
+
+def test_sequential_misses_run_in_one_warm_worker(tmp_path):
+    """Ten misses of distinct programs on a one-worker daemon run in one
+    forked worker, and what ran there before changes no value: each is
+    byte-identical to the same job run in this process."""
+    pids = set()
+    with _serve(tmp_path, workers=1) as handle:
+        client = _client(handle)
+        for count in range(30, 40):
+            record = client.submit_one(_job(_countdown(count)))
+            assert record["status"] == "done"
+            assert _canonical(record["value"]) == _in_process(
+                _countdown(count))
+            pids.update(child.pid
+                        for child in multiprocessing.active_children())
+    assert len(pids) == 1
+
+
+def _compile_refused(*_args, **_kwargs):
+    raise AssertionError("the worker compiled a program")
+
+
+def test_a_fresh_source_is_compiled_by_the_daemon_alone(tmp_path,
+                                                        monkeypatch):
+    """The worker runs the program the daemon compiled to key the job: it
+    is forked while compiling raises, and a source it never saw runs."""
+    with _serve(tmp_path, workers=1) as handle:
+        with monkeypatch.context() as patched:
+            patched.setattr("repro.serve.jobs.build_program",
+                            _compile_refused)
+            patched.setattr("repro.compiler.build_program", _compile_refused)
+            worker = asyncio.run_coroutine_threadsafe(
+                handle.server.pool.run(os.getpid), handle.loop).result(30)
+        record = _client(handle).submit_one(_job(_countdown(17)))
+        assert record["status"] == "done", record
+        assert [child.pid for child in multiprocessing.active_children()] \
+            == [worker]
+    assert _canonical(record["value"]) == _in_process(_countdown(17))
 
 
 def test_draining_server_rejects_new_submissions(tmp_path):

@@ -265,6 +265,34 @@ def test_no_second_serve_client_or_write_only_flight_note_is_left():
     assert _matches(LOAD_GENERATORS, LOAD_GENERATOR_PATHS) == []
 
 
+FORKS = [r"os\.fork\(|multiprocessing|\.Process\("]
+FORK_PATHS = ["src/repro/serve"]
+#: the module whose one function is the body of every forked child
+CHILD_BODY_HOME = "src/repro/eval/runner.py"
+
+
+def _ends_a_process(node):
+    """An ``os._exit(...)`` call: what a forked child's body ends with."""
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "_exit"
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "os")
+
+
+def test_every_forked_child_runs_the_one_child_body():
+    """The serve layer forks nothing itself (no ``os.fork(``,
+    ``multiprocessing`` or ``.Process(`` under ``serve/``), and the
+    runner has one child main loop, the one function that ends a child:
+    a ``ForkedTask`` and a warm worker cannot drift apart in how they
+    sever the parent's signals and fds or in what they send."""
+    assert _matches(FORKS, FORK_PATHS) == []
+    tree = ast.parse((ROOT / CHILD_BODY_HOME).read_text())
+    bodies = [node.name for node in ast.walk(tree)
+              if isinstance(node, ast.FunctionDef)
+              and any(_ends_a_process(inner) for inner in ast.walk(node))]
+    assert len(bodies) == 1, bodies
+
+
 SNAPSHOT_HEADERS = [r"snapshot_inf[o]"]
 SNAPSHOT_HEADER_PATHS = ["src", "README.md", "DESIGN.md"]
 

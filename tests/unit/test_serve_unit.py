@@ -11,6 +11,10 @@ the whole service through the socket-free ``SimServer.handle``.
 import asyncio
 import concurrent.futures
 import json
+import multiprocessing
+import os
+import signal
+import socket
 import threading
 import time
 
@@ -396,6 +400,7 @@ def test_pool_runs_and_streams_progress():
         assert value == "done"
         await asyncio.sleep(0.05)  # progress is relayed via call_soon
         assert seen == [{"stage": "started"}]
+        pool.shutdown()
 
     _run(scenario())
 
@@ -426,6 +431,7 @@ def test_pool_timeout_retries_then_raises():
         snap = pool.snapshot()
         assert snap["timeouts"] == 2      # both attempts hit the deadline
         assert snap["retries_spent"] == 1
+        pool.shutdown()
 
     _run(scenario())
 
@@ -478,6 +484,7 @@ def test_pool_task_error_not_retried():
         assert "deterministic failure" in str(excinfo.value)
         # deterministic errors spend no retries: they would only recur
         assert pool.snapshot()["retries_spent"] == 0
+        pool.shutdown()
 
     _run(scenario())
 
@@ -489,6 +496,82 @@ def test_pool_cancellation():
         flag.set()  # pre-cancelled: the attempt must die at the first slice
         with pytest.raises(PoolCancelled):
             await pool.run(_slow, args=(30.0,), cancel_event=flag)
+        pool.shutdown()
+
+    _run(scenario())
+
+
+def _process_state(pid):
+    """The one-letter state of process *pid* ("Z": dead, not reaped)."""
+    with open("/proc/%d/stat" % pid) as handle:
+        return handle.read().rsplit(")", 1)[1].split()[0]
+
+
+def _open_fds():
+    """The fds this process holds, the listing's own left out."""
+    held = []
+    for name in os.listdir("/proc/self/fd"):
+        try:
+            os.readlink("/proc/self/fd/" + name)
+        except OSError:
+            continue  # the directory the listing read, closed since
+        held.append(int(name))
+    return sorted(held)
+
+
+def test_pool_replaces_an_idle_worker_that_died():
+    """A worker killed while it waited is not blamed on the next job: the
+    pool passes it over and forks a fresh one."""
+    async def scenario():
+        pool = WorkerPool(workers=1, retries=0)
+        first = await pool.run(os.getpid)
+        os.kill(first, signal.SIGKILL)
+        deadline = time.monotonic() + 10.0
+        while _process_state(first) != "Z":  # dead, not yet reaped
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+        second = await pool.run(os.getpid)
+        assert second != first
+        pool.shutdown()
+
+    _run(scenario())
+
+
+def test_a_worker_holds_only_stdio_and_its_pipe():
+    """A dup of one of the daemon's sockets held in a worker would keep
+    it open after the daemon closed it: the worker closes every fd it
+    inherited but stdio and its own pipe."""
+    async def scenario():
+        pool = WorkerPool(workers=1)
+        with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as held:
+            fds = await pool.run(_open_fds)
+            assert held.fileno() not in fds
+        assert fds[:3] == [0, 1, 2] and len(fds) == 4, fds
+        pool.shutdown()
+
+    _run(scenario())
+
+
+def test_pool_shutdown_leaves_no_process():
+    async def scenario():
+        pool = WorkerPool(workers=2)
+        await asyncio.gather(pool.run(_slow, args=(0.2, "a")),
+                             pool.run(_slow, args=(0.2, "b")))
+        assert len(multiprocessing.active_children()) == 2
+        pool.shutdown()
+        assert multiprocessing.active_children() == []
+
+    _run(scenario())
+
+
+def test_a_worker_that_reported_an_error_is_not_reused():
+    async def scenario():
+        pool = WorkerPool(workers=1)
+        first = await pool.run(os.getpid)
+        with pytest.raises(PoolTaskError):
+            await pool.run(_boom)
+        assert await pool.run(os.getpid) != first
+        pool.shutdown()
 
     _run(scenario())
 
