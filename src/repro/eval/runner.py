@@ -28,13 +28,13 @@ runner.
 sends, one at a time, owned from the parent — is the execution primitive
 behind the ``repro serve`` worker pool (:mod:`repro.serve.pool`), which
 adds deadlines, cancellation and progress streaming through its
-parent-side pipe.  :class:`ForkedTask` is its one-call case: the call is
-made at the fork, unpickled.  Both run one child body,
-:func:`_child_main`.
+parent-side pipe.  :class:`ForkedTask` is its one-call case.  Every
+child runs one body, :func:`_child_main`.
 """
 
 import multiprocessing
 import os
+import stat
 import time
 
 __all__ = ["ExperimentResults", "ForkedTask", "ForkedWorker", "default_jobs",
@@ -101,19 +101,39 @@ def _received(conn):
             return
 
 
-def _child_main(conn, request):
-    """The one child body: run calls one at a time, report each one.
+def _close_inherited_sockets(keep):
+    """Close every socket this process inherited but fd *keep*.
 
-    *request* is a :class:`ForkedTask`'s one ``(fn, args, kwargs,
-    progress_arg)`` call, inherited through the fork; when it is None the
-    child is a :class:`ForkedWorker` and serves each call its parent sends
-    until the parent closes the pipe.  The wire protocol
+    A dup of a daemon's client socket held here would keep the connection
+    open after the daemon closed it (the peer never sees EOF), and a dup
+    of the parent's end of a sibling worker's pipe would keep that worker
+    from seeing its EOF.  Pipes stay open: the write end of
+    ``multiprocessing``'s sentinel is one, and closing it would tell the
+    parent this child had exited (its bounded ``join`` would then wait
+    unbounded)."""
+    for name in os.listdir("/dev/fd"):
+        fd = int(name)
+        if fd <= 2 or fd == keep:
+            continue
+        try:
+            if stat.S_ISSOCK(os.fstat(fd).st_mode):
+                os.close(fd)
+        except OSError:
+            continue  # the listing's own fd, closed since
+
+
+def _child_main(conn):
+    """The one child body: serve calls one at a time, report each one.
+
+    The child runs each ``(fn, args, kwargs, progress_arg)`` call its
+    parent sends until the parent closes the pipe.  The wire protocol
     per call is tuples: zero or more ``("progress", payload)`` (only when
     the call names a progress argument) followed by exactly one
     ``("ok", value)`` or ``("err", detail)``.  An error ends the child
     (exit code 1), so a worker only takes another call after a clean
-    ``"ok"``.  ``os._exit`` skips the parent's inherited atexit/teardown
-    machinery — the child must not flush the parent's state.
+    ``"ok"``; the parent's close ends it with exit code 0.  ``os._exit``
+    skips the parent's inherited atexit/teardown machinery — the child
+    must not flush the parent's state.
     """
     import gc
     import signal
@@ -125,18 +145,14 @@ def _child_main(conn, request):
     signal.set_wakeup_fd(-1)
     for signum in (signal.SIGTERM, signal.SIGINT):
         signal.signal(signum, signal.SIG_DFL)
-    # hold no dup of the parent's fds: a client socket kept open here
-    # would outlive the daemon's close of it (the peer never sees EOF)
-    os.closerange(3, conn.fileno())
-    os.closerange(conn.fileno() + 1, os.sysconf("SC_OPEN_MAX"))
+    _close_inherited_sockets(conn.fileno())
     # never collect what the fork inherited: its finalizers would close
     # fd numbers this child has since reused, and a collection would
     # touch (copy) every inherited page
     gc.freeze()
     status = 0
     try:
-        for fn, args, kwargs, progress_arg in (
-                [request] if request is not None else _received(conn)):
+        for fn, args, kwargs, progress_arg in _received(conn):
             if progress_arg is not None:
                 kwargs = dict(kwargs)
                 kwargs[progress_arg] = lambda payload: conn.send(
@@ -161,18 +177,18 @@ class ForkedWorker:
     parent can :meth:`send` it a call, :meth:`poll`/:meth:`recv` the
     call's message stream, enforce a deadline, and :meth:`terminate` a
     hung run without disturbing any sibling.  Right after the fork the
-    child closes every inherited fd but stdio and its pipe.  :meth:`close`
+    child closes every socket it inherited but its pipe.  :meth:`close`
     of an idle worker lets it exit on its own.
 
     Raises ValueError where the platform offers no ``fork`` start
     method; callers degrade to in-process execution.
     """
 
-    def __init__(self, request=None):
+    def __init__(self):
         context = multiprocessing.get_context("fork")
         self._conn, child_conn = context.Pipe()
         self.process = context.Process(
-            target=_child_main, args=(child_conn, request), daemon=True)
+            target=_child_main, args=(child_conn,), daemon=True)
         self.started_at = time.monotonic()
         self.process.start()
         child_conn.close()  # the child's end lives in the child only
@@ -223,17 +239,18 @@ class ForkedWorker:
 
 class ForkedTask(ForkedWorker):
     """One callable running in a forked child: a :class:`ForkedWorker`
-    whose one call is made at the fork and is its last.
+    sent one call at its fork.
 
     ``progress_arg`` names a keyword argument to inject into the
     callable: a function the child calls to stream progress payloads
-    back through the pipe (fork means no pickling of the callable is
-    ever needed).  The child exits 0 after its ``"ok"``, 1 after its
-    ``"err"``.
+    back through the pipe.  *fn* travels pickled, so it must be a
+    module-level callable.  The child exits 1 after an ``"err"``, and 0
+    once :meth:`close` follows its ``"ok"``.
     """
 
     def __init__(self, fn, args=(), kwargs=None, progress_arg=None):
-        super().__init__((fn, args, dict(kwargs or {}), progress_arg))
+        super().__init__()
+        self.send(fn, args, kwargs, progress_arg)
 
 
 def _normalize(tasks):

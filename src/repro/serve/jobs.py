@@ -75,8 +75,9 @@ def compiled_program(source, filename):
     Serving a warm hit must not pay a compile: the memo makes repeat
     compiling a dict lookup, and it holds each program's digest too, so
     :meth:`JobSpec.cache_key` does not serialize the program again.
-    A miss ships the memo's program to its worker as ``program_state``
-    data, so a source is compiled once per daemon.
+    A job takes the memo's program at admission and ships it to its
+    worker as ``program_state`` data, so a source is compiled once per
+    daemon.
     """
     return _compiled(source, filename)[0]
 
@@ -157,13 +158,16 @@ class Job:
     __slots__ = ("id", "key", "spec", "tenant", "priority", "state",
                  "value", "error", "progress", "attempts", "coalesced",
                  "done", "cancel_event", "subscribers", "seq", "trace_id",
-                 "trace_ctx")
+                 "trace_ctx", "program")
 
     def __init__(self, job_id, key, spec, tenant, priority, seq,
-                 trace_ctx=None):
+                 trace_ctx=None, program=None):
         self.id = job_id
         self.key = key
         self.spec = spec
+        #: the compiled Program the job runs, taken from the compile memo
+        #: at admission, so its execution never compiles on the loop
+        self.program = program
         self.tenant = tenant
         self.priority = priority
         self.seq = seq
@@ -258,9 +262,11 @@ class JobTable:
     def get(self, job_id):
         return self.jobs.get(job_id)
 
-    def admit(self, spec, key, tenant, priority, trace_ctx=None):
+    def admit(self, spec, key, tenant, priority, trace_ctx=None,
+              program=None):
         """(job, created): the single-flight decision for one submission;
-        a created job adopts *trace_ctx*, the admission span's context."""
+        a created job adopts *trace_ctx*, the admission span's context,
+        and *program*, the spec's compiled program."""
         self.counters["submitted"] += 1
         job = self.inflight.get(key)
         if job is not None:
@@ -269,7 +275,7 @@ class JobTable:
             return job, False
         self._next_id += 1
         job = Job("j-%d" % self._next_id, key, spec, tenant, priority,
-                  seq=self._next_id, trace_ctx=trace_ctx)
+                  seq=self._next_id, trace_ctx=trace_ctx, program=program)
         self.inflight[key] = job
         self.jobs[job.id] = job
         while len(self.jobs) > self.history:

@@ -273,9 +273,7 @@ class SimServer:
         try:
             value = await self.pool.run(
                 execute_job,
-                args=(program_state(compiled_program(spec.source,
-                                                     spec.filename)),
-                      spec.filename, spec.params,
+                args=(program_state(job.program), spec.filename, spec.params,
                       spec.max_cycles, self.config.progress_every,
                       job.trace_ctx),
                 on_progress=on_progress, on_attempt=on_attempt,
@@ -363,8 +361,12 @@ class SimServer:
                         self.quotas.charge(tenant)
                 except QuotaExceeded as exc:
                     raise HttpError(429, str(exc))
+            # a memo hit (cache_key compiled it): the job carries its
+            # program, so running it never compiles on the loop
+            program = compiled_program(spec.source, spec.filename)
             job, created = self.table.admit(spec, key, tenant, priority,
-                                            trace_ctx=admission.ctx)
+                                            trace_ctx=admission.ctx,
+                                            program=program)
             admission.tags["job"] = job.id
             if created:
                 flight().note("admit", job=job.id, key=key[:16],

@@ -253,3 +253,32 @@ def test_forked_task_terminate_kills_a_hung_child():
     task.terminate()
     assert not task.process.is_alive()
     assert task.process.exitcode is not None and task.process.exitcode < 0
+
+
+@needs_fork
+def test_terminate_kills_a_child_that_outlives_sigterm_in_bounded_time():
+    """terminate() escalates to SIGKILL after a bounded wait, so a child
+    that survives SIGTERM (here: it ignores it) is still reaped; its
+    bounded wait needs the pipe that tells the parent the child exited,
+    which the child must therefore keep open."""
+    import os
+    import signal
+    import threading
+    import time
+
+    from repro.eval.runner import ForkedWorker
+
+    worker = ForkedWorker()
+    worker.send(signal.signal, (signal.SIGTERM, signal.SIG_IGN))
+    assert worker.poll(30) and worker.recv()[0] == "ok"
+    worker.send(time.sleep, (60,))
+    started = time.monotonic()
+    killer = threading.Thread(target=worker.terminate, daemon=True)
+    killer.start()
+    killer.join(10.0)
+    elapsed = time.monotonic() - started
+    if killer.is_alive():  # unbounded: free the thread, then fail
+        os.kill(worker.process.pid, signal.SIGKILL)
+        killer.join()
+    assert elapsed < 2.5, elapsed
+    assert worker.process.exitcode == -signal.SIGKILL

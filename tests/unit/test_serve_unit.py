@@ -15,6 +15,7 @@ import multiprocessing
 import os
 import signal
 import socket
+import stat
 import threading
 import time
 
@@ -391,6 +392,10 @@ def _boom():
     raise RuntimeError("deterministic failure")
 
 
+def _compile_refused(*_args, **_kwargs):
+    raise AssertionError("a program was compiled")
+
+
 def test_pool_runs_and_streams_progress():
     async def scenario():
         pool = WorkerPool(workers=1)
@@ -507,16 +512,17 @@ def _process_state(pid):
         return handle.read().rsplit(")", 1)[1].split()[0]
 
 
-def _open_fds():
-    """The fds this process holds, the listing's own left out."""
+def _open_sockets():
+    """The sockets this process holds, by fd."""
     held = []
     for name in os.listdir("/proc/self/fd"):
         try:
-            os.readlink("/proc/self/fd/" + name)
+            mode = os.fstat(int(name)).st_mode
         except OSError:
             continue  # the directory the listing read, closed since
-        held.append(int(name))
-    return sorted(held)
+        if stat.S_ISSOCK(mode):
+            held.append(int(name))
+    return held
 
 
 def test_pool_replaces_an_idle_worker_that_died():
@@ -537,16 +543,16 @@ def test_pool_replaces_an_idle_worker_that_died():
     _run(scenario())
 
 
-def test_a_worker_holds_only_stdio_and_its_pipe():
+def test_a_worker_holds_no_socket_but_its_pipe():
     """A dup of one of the daemon's sockets held in a worker would keep
-    it open after the daemon closed it: the worker closes every fd it
-    inherited but stdio and its own pipe."""
+    it open after the daemon closed it: the worker closes every socket
+    it inherited but its own pipe."""
     async def scenario():
         pool = WorkerPool(workers=1)
         with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as held:
-            fds = await pool.run(_open_fds)
-            assert held.fileno() not in fds
-        assert fds[:3] == [0, 1, 2] and len(fds) == 4, fds
+            sockets = await pool.run(_open_sockets)
+            assert held.fileno() not in sockets
+        assert len(sockets) == 1, sockets  # the pipe
         pool.shutdown()
 
     _run(scenario())
@@ -765,6 +771,28 @@ def test_a_malformed_cache_entry_is_a_miss_that_re_executes(tmp_path,
     assert (jobs["executed"], jobs["misses"], jobs["hits"]) == (1, 1, 1)
     assert json.loads(path.read_text()) == {"key": key,
                                             "value": record["value"]}
+
+
+def test_a_queued_job_runs_the_program_it_was_admitted_with(tmp_path,
+                                                          monkeypatch):
+    """Running a job compiles nothing on the loop, even when the compile
+    memo forgot its source while the job waited in the queue."""
+    server = _server(tmp_path, workers=1)
+    _, body = _submit(server, [_wire_job("queued")])
+    job = server.table.get(body["jobs"][0]["id"])
+    monkeypatch.setattr(serve_jobs, "_program_memo", {})
+    monkeypatch.setattr(serve_jobs, "build_program", _compile_refused)
+
+    async def scenario():
+        await server.start()
+        try:
+            await asyncio.wait_for(job.done.wait(), 30)
+        finally:
+            await server.drain()
+
+    _run(scenario())
+    assert job.state == "done", job.error
+    assert job.value["cycles"] > 0
 
 
 def test_handle_cancel_of_a_queued_job_and_its_stream(tmp_path):
