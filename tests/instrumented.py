@@ -1,12 +1,10 @@
 """pytest plugin: the compiled tick built with AddressSanitizer and UBSan.
 
-``-p instrumented`` loads it before any machine is built.  Importing
-``repro.machine`` has loaded the plain build already, so the plugin sets
-the flags below and loads again: ``_tick.c`` is compiled into a binary of
-its own (the build digest covers the flags), bound over the plain one's
-functions and smoke-run like it.  That binary needs the sanitizers'
-runtimes in the interpreter, and CPython's own allocator out of their
-way::
+``-p instrumented`` loads it before any machine is built: ``_tick.c`` is
+compiled into a binary of its own (``tests/kernel_variant.py``), bound
+over the plain one's functions and smoke-run like it.  That binary needs
+the sanitizers' runtimes in the interpreter, and CPython's own allocator
+out of their way::
 
     LD_PRELOAD="$(gcc -print-file-name=libasan.so) \\
                 $(gcc -print-file-name=libubsan.so)" \\
@@ -17,17 +15,9 @@ A bad read or write, a use after free or undefined behaviour in the C
 aborts the run; the header line says which binary ran.
 """
 
-from repro.machine import native
+import kernel_variant
 
-native._FLAGS = ("-O1", "-g", "-fno-omit-frame-pointer",
-                 "-fsanitize=address,undefined",
-                 "-fno-sanitize-recover=undefined", "-shared", "-fPIC")
-native._load.cache_clear()
-native.load()
-
-
-def pytest_report_header(config):
-    kind, detail = native.status()
-    if kind != "native":
-        raise RuntimeError("no instrumented compiled tick: %s" % detail)
-    return "compiled tick: instrumented (%s)" % detail
+pytest_report_header = kernel_variant.load(
+    "instrumented", ("-O1", "-g", "-fno-omit-frame-pointer",
+                     "-fsanitize=address,undefined",
+                     "-fno-sanitize-recover=undefined", "-shared", "-fPIC"))

@@ -22,7 +22,7 @@ from repro.workloads.matmul import (MATMUL_VERSIONS, matmul_source,
                                     verify_matmul)
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-from test_trace_golden import SCENARIOS  # noqa: E402
+from parity import SCENARIOS  # noqa: E402
 
 COUNTS_PATH = os.path.join(
     os.path.dirname(__file__), "..", "data", "codegen_counts.json")

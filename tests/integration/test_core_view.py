@@ -14,36 +14,27 @@ error, and the last domain it published as ``machine._origin``.
 """
 
 import hashlib
-import os
 import sys
 
 import pytest
 
 from repro.asm import assemble
-from repro.compiler import compile_to_program
 from repro.isa.spec import InstrClass
-from repro.machine import LBP, MachineError, Params, native
+from repro.machine import LBP, MachineError, Params
 from repro.machine.core import Core
 from repro.machine.hart import ResultBuffer
 from repro.machine.memory import CoreMemory
-from repro.workloads import matmul_source
 
-sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-from helpers import TEAM_TRAFFIC, devices_in_python  # noqa: E402
+from helpers import compiled, devices_in_python
+import parity
+from parity import LOCAL_LOOP, STORES_IN_FLIGHT
 
-compiled = pytest.mark.skipif(
-    native.load() is None, reason="no compiled tick: " + native.status()[1])
-
-
-def _tiled16():
-    return compile_to_program(matmul_source("tiled", 16), "tiled.c"), 4
+#: the parity harness's rows these tests run
+PROGRAMS = ("tiled16", "team_traffic")
 
 
-def _team_traffic():
-    return assemble(TEAM_TRAFFIC), 2
-
-
-PROGRAMS = {"tiled16": _tiled16, "team_traffic": _team_traffic}
+def _row(name):
+    return parity.program(name), parity.CORPUS[name].cores
 
 
 #: the classes the compiled tick hands to ``Core._execute`` on a machine
@@ -94,12 +85,12 @@ def _ports_only(monkeypatch):
 
 
 @compiled
-@pytest.mark.parametrize("name", sorted(PROGRAMS))
+@pytest.mark.parametrize("name", PROGRAMS)
 def test_every_call_into_python_sees_the_state_the_reference_does(
         monkeypatch, name):
     """At every fourth call into Python (every call costs tiled16 8 s),
     all cores' state is what the reference loop and tick show there."""
-    program, cores = PROGRAMS[name]()
+    program, cores = _row(name)
     _ports_only(monkeypatch)
     seen = {}
     for backend in ("soa", "interp"):
@@ -123,13 +114,13 @@ def test_every_call_into_python_sees_the_state_the_reference_does(
 
 
 @compiled
-@pytest.mark.parametrize("name", sorted(PROGRAMS))
+@pytest.mark.parametrize("name", PROGRAMS)
 def test_what_python_writes_in_a_call_is_what_c_reads_after_it(
         monkeypatch, name):
     """The wrapper counts one more load per call on the hart's HartStats and
     parks nothing (``sleep_until`` = now): the C, which counts loads and
     stores in its view, must take both up after the call."""
-    program, cores = PROGRAMS[name]()
+    program, cores = _row(name)
     outcomes = []
     for backend in ("soa", "interp"):
         machine = devices_in_python(LBP(Params(num_cores=cores),
@@ -163,7 +154,7 @@ def test_objects_replaced_in_a_call_leave_no_reference_behind(
     changes, and afterwards each object is held by exactly whom it should
     be: the view borrowed the old ones and kept no reference past the
     call."""
-    program, cores = _tiled16()
+    program, cores = _row("tiled16")
     plain = devices_in_python(LBP(Params(num_cores=cores),
                                     backend=backend).load(program))
     plain.run(max_cycles=1_000_000)
@@ -217,37 +208,14 @@ def _assert_args_owned_by_their_events(machine):
 
 @compiled
 def test_events_written_back_at_a_barrier_own_their_args():
-    program, cores = _tiled16()
+    program, cores = _row("tiled16")
     machine = LBP(Params(num_cores=cores)).load(program)
     machine.run(max_cycles=1_000_000, stop_at_cycle=2000)
     _assert_args_owned_by_their_events(machine)
 
 
-#: hart 1 stores to core 7's shared bank without end while hart 0 spins,
-#: then stops the machine: the run ends with stores in flight
-STORES_IN_FLIGHT = """
-main:
-    p_fc  t5
-    p_jal ra, t5, stopper     # hart 0 runs stopper, hart 1 starts below
-    li    a0, %d
-    li    t1, 7
-storing:
-    sw    t1, 0(a0)
-    j     storing
-stopper:
-    li    t4, 60
-spin:
-    addi  t4, t4, -1
-    bnez  t4, spin
-    %s
-"""
-
-
 def _stores_in_flight(stop):
-    from repro.memmap import GLOBAL_BANK_SIZE, GLOBAL_BASE
-
-    return LBP(Params(num_cores=8)).load(assemble(STORES_IN_FLIGHT % (
-        GLOBAL_BASE + 7 * GLOBAL_BANK_SIZE, stop)))
+    return LBP(Params(num_cores=8)).load(assemble(STORES_IN_FLIGHT % stop))
 
 
 @compiled
@@ -261,7 +229,7 @@ def test_events_written_back_at_a_halt_own_their_args():
 @compiled
 def test_events_written_back_at_an_error_own_their_args():
     # a jump to a non-code address: the fetch stage records the error
-    machine = _stores_in_flight("li t0, 0x1000\n    jr t0")
+    machine = _stores_in_flight(parity.JUMP_TO_DATA)
     with pytest.raises(MachineError, match="0x1000|4096"):
         machine.run(max_cycles=10_000)
     _assert_args_owned_by_their_events(machine)
@@ -288,19 +256,6 @@ def _held_by_state(machine, obj):
     an event Python posted, of a halt or of an error its origin."""
     return _count([machine._events, machine._halt_key, machine._error_key]
                   + [core.fork_queue for core in machine.cores], obj)
-
-
-#: stack stores and loads in a loop, then a stop
-LOCAL_LOOP = """
-main:
-    li   t1, 30
-loop:
-    sw   t1, -4(sp)
-    lw   t2, -4(sp)
-    addi t1, t1, -1
-    bnez t1, loop
-    %s
-"""
 
 
 @compiled

@@ -7,43 +7,22 @@ view's ring (``machine/_tick.c``, "the instruction ring"); ``Hart.rob`` /
 ``rename`` are their at-rest form.  These tests look at that form where
 Python can: at pauses, inside calls into Python (``Core._execute``
 wrapped, on a machine whose devices are in a ``helpers.DeviceTable``), and after Python changed it -- and hold
-both ticks to the same outcome.
+both ticks to the same outcome.  (A ROB filled past its size is a row of
+the parity harness, ``tests/parity.py``.)
 """
-
-import os
-import sys
 
 import pytest
 
 from repro.asm import assemble
-from repro.compiler import compile_to_program
 from repro.isa.spec import InstrClass
-from repro.machine import LBP, MachineError, Params, native
+from repro.machine import LBP, MachineError, Params
 from repro.machine.core import Core
 from repro.machine.hart import Entry
-from repro.workloads import matmul_source
 
-sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-from helpers import TEAM_TRAFFIC, devices_in_python  # noqa: E402
-
-compiled = pytest.mark.skipif(
-    native.load() is None, reason="no compiled tick: " + native.status()[1])
+from helpers import compiled, devices_in_python
+from parity import REGISTER_TRAFFIC, TEAM_TRAFFIC, fields, in_flight
 
 BACKENDS = ("soa", "interp")
-
-
-def _fields(entry):
-    """An Entry's fields (its instruction by mnemonic: each machine has
-    its own LoweredInstr objects)"""
-    fields = {name: getattr(entry, name) for name in Entry.__slots__}
-    fields["low"] = entry.low.mnemonic
-    return fields
-
-
-def _in_flight(machine):
-    return {(hart.gid, entry.tag): entry
-            for core in machine.cores for hart in core.harts
-            for entry in hart.rob}
 
 
 @compiled
@@ -60,34 +39,15 @@ def test_an_entry_python_holds_is_the_entry_until_it_commits():
         held, actions = {}, {}
         while not machine.halted:
             machine.run(max_cycles=100_000, stop_at_cycle=machine.cycle + 1)
-            for key, entry in _in_flight(machine).items():
+            for key, entry in in_flight(machine).items():
                 assert held.setdefault(key, entry) is entry, key
                 if entry.ret_action is not None:
                     assert actions.setdefault(key, entry.ret_action) \
                         is entry.ret_action, key
         for key, action in actions.items():
             assert held[key].ret_action is action, key
-        seen[backend] = {key: _fields(entry) for key, entry in held.items()}
+        seen[backend] = {key: fields(entry) for key, entry in held.items()}
     assert len(seen["soa"]) > 60 and seen["soa"] == seen["interp"]
-
-
-#: stack traffic around a multiply and an add chain on x5 (t0): on a traced
-#: machine each load and store is a call into ``Core._execute``
-REGISTER_TRAFFIC = """
-main:
-    li   t1, 120
-    li   t0, 1
-    li   a0, 0
-loop:
-    add  t0, t0, t1
-    mul  a1, t0, t1
-    sw   a1, -4(sp)
-    lw   a2, -4(sp)
-    add  a0, a0, a2
-    addi t1, t1, -1
-    bnez t1, loop
-    ebreak
-"""
 
 
 MEMORY = (int(InstrClass.LOAD), int(InstrClass.STORE))
@@ -142,32 +102,6 @@ def test_what_python_writes_in_a_call_is_what_the_ring_reads(monkeypatch):
         monkeypatch.undo()
         assert calls[0] > 100
     assert outcomes[0][0] == "ebreak" and outcomes[0] == outcomes[1]
-
-
-@compiled
-def test_a_rob_filled_past_rob_size_stalls_rename_alike():
-    """Twelve in flight while ``_rob_size`` says so (the ring grows past
-    its eight), then back to eight: rename waits until the ROB drains below
-    it, on both ticks alike."""
-    program = compile_to_program(matmul_source("tiled", 16), "tiled.c")
-    outcomes, longest = [], {}
-    for backend in BACKENDS:
-        machine = LBP(Params(num_cores=4), backend=backend).load(program)
-        machine.run(max_cycles=1_000_000, stop_at_cycle=500)
-        for core in machine.cores:
-            core._rob_size = 12
-        while machine.cycle < 1500:
-            machine.run(max_cycles=1_000_000, stop_at_cycle=machine.cycle + 1)
-            longest[backend] = max(
-                [longest.get(backend, 0)]
-                + [len(hart.rob) for core in machine.cores
-                   for hart in core.harts])
-        for core in machine.cores:
-            core._rob_size = 8
-        outcomes.append(_outcome(machine))
-    assert longest["soa"] > 8 and longest == {
-        backend: longest["soa"] for backend in BACKENDS}
-    assert outcomes[0][0] == "exit" and outcomes[0] == outcomes[1]
 
 
 @compiled

@@ -16,8 +16,6 @@ Four contracts:
 """
 
 import json
-import os
-import sys
 
 import pytest
 
@@ -27,9 +25,7 @@ from repro.observe import build_report, report_json
 from repro.snapshot import restore, snapshot, trace_digest
 from repro.workloads.matmul import matmul_source, verify_matmul
 
-sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-from test_trace_golden import (  # noqa: E402
-    GOLDEN_PATH, golden_program)
+from parity import golden_program
 
 INTERVAL = 512
 
@@ -51,9 +47,7 @@ def _report_bytes(machine):
     ("matmul_base_h16_c4", "base"),
     ("matmul_tiled_h16_c4", "tiled"),
 ])
-def test_metrics_do_not_perturb_golden_digests(name, version):
-    with open(GOLDEN_PATH) as handle:
-        golden = json.load(handle)
+def test_metrics_do_not_perturb_golden_digests(name, version, golden):
     machine = _metered_run(version, trace=True)
     assert machine.stats.cycles == golden[name]["cycles"]
     assert machine.stats.retired == golden[name]["retired"]

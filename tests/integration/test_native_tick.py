@@ -1,6 +1,6 @@
 """The compiled tick and cycle window as C: what parity tests cannot see.
 
-``test_reference_parity.py`` holds ``machine/_tick.c`` and
+The parity harness (``tests/parity.py``) holds ``machine/_tick.c`` and
 ``machine/_window.h`` to the reference tick and loop bit for bit.  This
 file checks the rest of the contract a CPython extension has: it
 balances every reference, errors cross the boundary as the exceptions
@@ -12,8 +12,6 @@ binary behind.
 
 import collections
 import gc
-import heapq
-import json
 import os
 import shutil
 import subprocess
@@ -26,7 +24,6 @@ import pytest
 import repro
 from repro import memmap
 from repro.asm import assemble
-from repro.compiler import compile_to_program
 from repro.machine import (
     LBP, MachineError, Params, memory, native, processor, router)
 from repro.machine.core import Core
@@ -34,94 +31,25 @@ from repro.machine.hart import Entry
 from repro.machine.memory import Bank, Port
 from repro.machine.reference import ReferenceCore
 from repro.observe import Metrics
-from repro.observe.metrics import STALL_REASONS
-from repro.snapshot import restore, snapshot
-from repro.workloads import matmul_source
+from repro.snapshot import restore, snapshot, trace_digest
+
+from helpers import compiled, devices_in_python
+import parity
+from parity import (
+    BAD_FETCH, CORPUS, ECALL, FORK_JOIN, REMOTE_HEAVY,
+    STACK_TRAFFIC, TEAM_KINDS, TEAM_TRAFFIC, fields, in_flight, measure,
+    program, well_formed_heap)
 
 #: the directory the ``repro`` package is in, for subprocesses
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-from test_trace_golden import GOLDEN_PATH, measure  # noqa: E402
-from test_snapshot_roundtrip import (  # noqa: E402
-    _assert_matches_golden, _build, _fresh)
-from helpers import TEAM_KINDS, TEAM_TRAFFIC, devices_in_python  # noqa: E402
-
-compiled = pytest.mark.skipif(
-    native.load() is None, reason="no compiled tick: " + native.status()[1])
-
-
-#: hart 0 forks one hart on the next core (p_fn: token request at decode,
-#: CV writes over the forward link), which reads a word of the code bank
-#: (an access only the Python schedule_access spells), stores a flag and
-#: joins back
-FORK_JOIN = """
-main:
-    li   t0, -1
-    addi sp, sp, -8
-    sw   ra, 0(sp)
-    sw   t0, 4(sp)
-    p_set t0, t0
-    p_fn t6
-    la   t1, rp
-    p_swcv t6, t1, 0
-    p_swcv t6, t0, 4
-    p_merge t0, t0, t6
-    p_syncm
-    la   a0, child
-    p_jalr ra, t0, a0
-    p_lwcv ra, 0
-    p_lwcv t0, 4
-    la   t2, flag
-    li   t3, 1
-    sw   t3, 0(t2)
-    p_ret
-rp: lw  ra, 0(sp)
-    lw  t0, 4(sp)
-    addi sp, sp, 8
-    p_ret
-child:
-    lw  t4, 0(zero)
-    li  t3, 21
-    mul t3, t3, t3
-    p_ret
-.data
-flag: .word 0
-"""
-
-
-REMOTE_BANK = memmap.GLOBAL_BASE + memmap.GLOBAL_BANK_SIZE
-
-#: core 0 stores to and loads from core 1's shared bank in a loop: every
-#: access a remote request, bank operation and reply or ack
-REMOTE_HEAVY = """
-main:
-    li   a0, %d
-    li   t1, 40
-loop:
-    sw   t1, 0(a0)
-    lw   t2, 0(a0)
-    sh   t2, 6(a0)
-    lb   t3, 6(a0)
-    addi a0, a0, 8
-    addi t1, t1, -1
-    bnez t1, loop
-    ebreak
-""" % REMOTE_BANK
-
-
-def _run(source, backend=None, cores=2, **engine):
-    machine = LBP(Params(num_cores=cores), backend=backend,
-                  **engine).load(assemble(source))
-    return machine, machine.run(max_cycles=100_000)
-
 
 # ---- reference counts ----------------------------------------------------------
 
 
-#: the ways a run reaches the C: plain and metered (memory accesses
-#: native), and the three that send every access back to Python
-ENGINES = ({}, {"metrics": True}, {"trace": True}, {"sanitize": True},
-           {"shards": 2})
+#: the ways a run reaches the C: each observer and each engine of the
+#: parity harness
+WAYS = list(parity.OBSERVERS.values()) + [
+    lambda engine=engine: engine.kwargs for engine in parity.ENGINES.values()]
 
 
 def _assert_no_leak(once, runs, slack):
@@ -146,7 +74,7 @@ def test_twenty_runs_leak_no_reference_and_no_object():
     run; before 3.12 each is an ordinary counted object, so one missing
     INCREF frees a singleton and one missing DECREF leaks per tick."""
     def once(run):
-        engine = ENGINES[run % len(ENGINES)]
+        engine = WAYS[run % len(WAYS)]()
         machine = LBP(Params(num_cores=2), **engine).load(assemble(FORK_JOIN))
         stats = machine.run(max_cycles=100_000)
         assert stats.forks == 1 and stats.retired > 20
@@ -161,14 +89,6 @@ def test_twenty_runs_leak_no_reference_and_no_object():
 # ---- entries made when Python looks, shared boxes: none of it observable ------------
 
 
-def _fields(entry):
-    return {name: getattr(entry, name) for name in Entry.__slots__}
-
-
-def _in_flight(machine):
-    return sum(len(hart.rob) for core in machine.cores for hart in core.harts)
-
-
 @compiled
 def test_an_entry_python_still_holds_is_never_recycled(monkeypatch):
     """An in-flight instruction gets its ``Entry`` only where Python can
@@ -180,7 +100,7 @@ def test_an_entry_python_still_holds_is_never_recycled(monkeypatch):
     inner = Core._commit_p_ret
 
     def stash(core, hart, head):
-        stashed.append((head, _fields(head)))
+        stashed.append((head, fields(head)))
         return inner(core, hart, head)
 
     monkeypatch.setattr(Core, "_commit_p_ret", stash)
@@ -192,28 +112,28 @@ def test_an_entry_python_still_holds_is_never_recycled(monkeypatch):
     held = hart.rob[0]
     while hart.rob and hart.rob[0] is held:
         machine.run(max_cycles=100_000, stop_at_cycle=machine.cycle + 1)
-    committed = _fields(held)
+    committed = fields(held)
     assert committed["done"] is True and committed["issued"] is True
     retired = machine.stats.retired
     machine.run(max_cycles=100_000)
     assert machine.stats.retired > retired + 20 and len(stashed) >= 3
-    assert _fields(held) == committed
-    for head, fields in stashed:
-        assert fields["ret_action"] is not None
-        assert _fields(head) == fields
+    assert fields(held) == committed
+    for head, stashed_fields in stashed:
+        assert stashed_fields["ret_action"] is not None
+        assert fields(head) == stashed_fields
     assert len({id(head) for head, _ in stashed} | {id(held)}) \
         == len(stashed) + 1
 
 
 @compiled
-def test_two_machines_taking_turns_end_on_their_golden_digests():
+def test_two_machines_taking_turns_end_on_their_golden_digests(golden):
     """The window keeps its decode records and boxes of ``cycle + 1`` per
     call, its rings per view: two machines advanced alternately share none
     of them, and neither run can tell."""
-    with open(GOLDEN_PATH) as handle:
-        golden = json.load(handle)
     strides = {"matmul_tiled_h16_c4": 997, "re_contention_c1": 13}
-    machines = {name: _fresh(name) for name in strides}
+    machines = {name: LBP(Params(num_cores=CORPUS[name].cores),
+                          trace=True).load(program(name))
+                for name in strides}
     turns = 0
     while not all(machine.halted for machine in machines.values()):
         for name, machine in machines.items():
@@ -223,7 +143,9 @@ def test_two_machines_taking_turns_end_on_their_golden_digests():
                 turns += 1
     assert turns > 40
     for name, machine in machines.items():
-        _assert_matches_golden(machine, machine.stats, golden[name])
+        assert (machine.stats.cycles, machine.stats.retired,
+                trace_digest(machine.trace.events)) == tuple(
+            golden[name][key] for key in ("cycles", "retired", "trace_sha256"))
 
 
 def _entries_alive():
@@ -238,27 +160,19 @@ def test_an_entry_lives_only_where_python_can_see_it():
     the ones the halt left in a ROB.  (Made per pause, freed at commit:
     nothing is parked or pooled.)"""
     before = _entries_alive()
-    program, cores = _build("matmul_tiled_h16_c4")
     machines = []
     for pause in (1000, 2000, 3000):
-        machine = LBP(Params(num_cores=cores)).load(program)
+        machine = LBP(Params(num_cores=4)).load(program("matmul_tiled_h16_c4"))
         machine.run(max_cycles=50_000_000, stop_at_cycle=pause)
         machines.append(machine)
-    assert sum(map(_in_flight, machines)) > 20
-    assert _entries_alive() - before == sum(map(_in_flight, machines))
+    flying = [len(in_flight(machine)) for machine in machines]
+    assert sum(flying) > 20
+    assert _entries_alive() - before == sum(flying)
     cycles = {machine.run(max_cycles=50_000_000).cycles
               for machine in machines}
     assert len(cycles) == 1
-    assert _entries_alive() - before == sum(map(_in_flight, machines))
-
-
-def _well_formed_heap(events):
-    """``machine._events`` at rest: (cycle, origin, oseq, dst, kind, args)
-    tuples with tuple args, in ``heapq`` order."""
-    return (all(type(event) is tuple and len(event) == 6
-                and type(event[5]) is tuple for event in events)
-            and all(events[(i - 1) // 2] < events[i]
-                    for i in range(1, len(events))))
+    assert _entries_alive() - before == sum(
+        len(in_flight(machine)) for machine in machines)
 
 
 def _hold_args(machine):
@@ -291,8 +205,7 @@ def test_the_window_drops_each_event_args_reference_once(pause, kinds):
     C, at 2000 own-bank loads -- and run to the end.  The window moved each
     in, handled it (a rreq_cv re-posts its args as the rack_cv's) and let
     go of it exactly once: a reference too many or too few shows here."""
-    program = compile_to_program(matmul_source("tiled", 16), "tiled.c")
-    machine = LBP(Params(num_cores=4)).load(program)
+    machine = LBP(Params(num_cores=4)).load(program("tiled16"))
     machine.run(max_cycles=1_000_000, stop_at_cycle=pause)
     assert {event[4] for event in machine._events} == kinds
     held = _hold_args(machine)
@@ -317,7 +230,7 @@ def test_an_exception_in_a_team_handler_hands_back_well_formed_events():
         machine.cores[1].mem.local_port.next_free = "soon"
         with pytest.raises(TypeError):
             machine.run(max_cycles=10_000)
-        assert _well_formed_heap(machine._events)
+        assert well_formed_heap(machine._events)
         assert "rreq_cv" not in {event[4] for event in machine._events}
         _assert_only_held(held, machine)
         left.append(sorted(machine._events))
@@ -331,31 +244,6 @@ def test_the_window_spells_every_event_kind():
 
 
 # ---- errors cross the boundary ---------------------------------------------------
-
-BAD_FETCH = """
-main:
-    li t1, 0x1000
-    jr t1
-"""
-
-ECALL = """
-main:
-    ecall
-"""
-
-
-@compiled
-@pytest.mark.parametrize("source", [BAD_FETCH, ECALL])
-def test_machine_errors_equal_the_reference(source):
-    outcomes = {}
-    for backend in ("soa", "interp"):
-        machine = LBP(Params(num_cores=1), backend=backend).load(
-            assemble(source))
-        with pytest.raises(MachineError) as err:
-            machine.run(max_cycles=10_000)
-        outcomes[backend] = (str(err.value), machine.cycle,
-                             machine.state_dict())
-    assert outcomes["soa"] == outcomes["interp"]
 
 
 @compiled
@@ -454,12 +342,9 @@ def test_an_exception_under_the_window_propagates_and_leaks_nothing(
         assert machine.state_dict()["cycle"] >= 0
         # the window handed back what it held when the raise went through
         # it: the events the reference loop is left with, as tuples
-        events = machine._events
-        assert all(type(event) is tuple and len(event) == 6
-                   and type(event[5]) is tuple for event in events)
-        assert all(events[(i - 1) // 2] < events[i]
-                   for i in range(1, len(events)))
-        assert left.setdefault(backend, sorted(events)) == sorted(events)
+        assert well_formed_heap(machine._events)
+        assert left.setdefault(backend, sorted(machine._events)) \
+            == sorted(machine._events)
 
     # a raise-and-catch round trip moves None's count by a few on the pure
     # Python path too; a reference dropped per tick or per event would move
@@ -520,17 +405,6 @@ def test_state_the_window_cannot_read_is_an_exception_not_a_crash():
 
 # ---- what runs in C, and what a test replaces -----------------------------------
 
-STACK_TRAFFIC = """
-main:
-    li  t1, 77
-    sw  t1, -4(sp)
-    lw  t2, -4(sp)
-    sw  t2, -8(sp)
-    lw  t3, -8(sp)
-    ebreak
-"""
-
-
 def _count_calls(monkeypatch, owner, name):
     calls = []
     inner = getattr(owner, name)
@@ -543,33 +417,57 @@ def _count_calls(monkeypatch, owner, name):
     return calls
 
 
+#: the Python spelling of a memory access and of the team protocol: the
+#: tick's call-back sites (core.py, processor.py) and the handlers of the
+#: team kinds
+SPELLING = frozenset(
+    {"schedule_access", "post", "hart_by_gid", "_execute", "_commit_p_ret",
+     "alloc_free_hart", "send_fork_req"}
+    | {processor.EVENT_HANDLERS[kind].__name__ for kind in TEAM_KINDS})
+TEAM_PYTHON = SPELLING - {"schedule_access", "post", "hart_by_gid"}
+
+
+def _python_calls(machine):
+    """Run *machine*; the calls it made into SPELLING, by name."""
+    files = {Core._execute.__code__.co_filename,
+             LBP.send_fork_req.__code__.co_filename}
+    calls = collections.Counter()
+
+    def profile(frame, event, _arg):
+        code = frame.f_code
+        if (event == "call" and code.co_name in SPELLING
+                and code.co_filename in files):
+            calls[code.co_name] += 1
+
+    sys.setprofile(profile)
+    try:
+        machine.run(max_cycles=10_000)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
 @compiled
-def test_private_bank_accesses_stay_in_c_unless_observed(monkeypatch):
-    """No device: the issue, the post and the three event kinds of a stack
-    access run no Python at all, traced and sanitized too (the window
-    records what they observe).  The reference tick makes each one a call
-    into the Python spelling."""
-    issued = _count_calls(monkeypatch, LBP, "schedule_access")
-    posted = _count_calls(monkeypatch, LBP, "post")
-    handled = _count_calls(monkeypatch, LBP, "hart_by_gid")
-    states = []
-    for engine in ({}, {"trace": True}, {"sanitize": True},
-                   {"backend": "interp"}):
-        del issued[:], posted[:], handled[:]
-        machine = LBP(Params(num_cores=1), **engine).load(
-            assemble(STACK_TRAFFIC))
-        stats = machine.run(max_cycles=1000)
-        assert (machine.cores[0].harts[0].regs[28], stats.retired) == (77, 6)
-        if "backend" in engine:
-            assert (len(issued), len(posted), len(handled)) == (4, 6, 6)
-        else:
-            assert issued == posted == handled == []
-        state = machine.state_dict()
-        for part in [state] + state["cores"]:
-            for observer in ("trace", "sanitize"):
-                del part[observer]
-        states.append(state)
-    assert all(state == states[0] for state in states)
+@pytest.mark.parametrize("name,reference", [
+    # the issue, the posts and the three event kinds of four stack accesses
+    ("stack_traffic", {"schedule_access": 4, "post": 6, "hart_by_gid": 6}),
+    # two remote loads and two remote stores: their requests, bank
+    # operations and replies or acks, three posts and one lookup each
+    ("remote_traffic", {"schedule_access": 4, "post": 12, "hart_by_gid": 4}),
+    # a team's forks on this core and the next, its CV writes both ways,
+    # its result message, starts, p_ret commits and join
+    ("team_traffic", dict.fromkeys(TEAM_PYTHON, True))])
+def test_accesses_and_team_messages_stay_in_c_unless_observed(
+        name, reference):
+    """No device: plain, traced, sanitized or metered, the run makes no
+    call to the Python spelling (the window records what the observers
+    see).  The reference tick makes every step a call into it.  (The
+    parity harness holds the runs' states to each other.)"""
+    for observer in ("untraced", "traced", "sanitized", "metered"):
+        assert not _python_calls(parity.machine(name, (observer,), "native"))
+    calls = _python_calls(parity.machine(name, ("untraced",), "interp"))
+    assert {key: calls[key] if count is not True else calls[key] > 0
+            for key, count in reference.items()} == reference
 
 
 @compiled
@@ -588,340 +486,6 @@ def test_events_read_back_from_a_snapshot_stay_in_c(monkeypatch):
     resumed.run(max_cycles=1000)
     assert handled == []
     assert resumed.state_dict() == whole.state_dict()
-
-
-REMOTE_TRAFFIC = """
-main:
-    li  t0, %d
-    li  t1, 77
-    sw  t1, 0(t0)
-    lw  t2, 0(t0)
-    sw  t2, 4(t0)
-    lw  t3, 4(t0)
-    ebreak
-""" % REMOTE_BANK
-
-
-@compiled
-def test_remote_accesses_stay_in_c_unless_observed(monkeypatch):
-    """Plain, metered, traced or sanitized, the issue of a remote load or
-    store, its request, bank operation and reply or ack run no Python
-    handler and post nothing from Python.  On the reference tick every one
-    is the Python spelling: two loads and two stores, three posts and one
-    hart lookup each."""
-    issued = _count_calls(monkeypatch, LBP, "schedule_access")
-    posted = _count_calls(monkeypatch, LBP, "post")
-    handled = _count_calls(monkeypatch, LBP, "hart_by_gid")
-    states = []
-    for engine in ({}, {"metrics": True}, {"trace": True},
-                   {"sanitize": True}, {"backend": "interp"}):
-        del issued[:], posted[:], handled[:]
-        machine = LBP(Params(num_cores=2), **engine).load(
-            assemble(REMOTE_TRAFFIC))
-        stats = machine.run(max_cycles=1000)
-        assert (machine.cores[0].harts[0].regs[28], stats.retired) == (77, 7)
-        assert stats.remote_accesses == 4
-        if "backend" in engine:
-            assert (len(issued), len(posted), len(handled)) == (4, 12, 4)
-        else:
-            assert issued == posted == handled == []
-        state = machine.state_dict()
-        for part in [state] + state["cores"]:
-            for observer in ("trace", "sanitize", "observe"):
-                del part[observer]
-        states.append(state)
-    assert all(state == states[0] for state in states)
-
-
-#: the Python spelling of the team protocol: the tick's call-back sites
-#: (core.py, processor.py) and the handlers of the team kinds
-TEAM_PYTHON = frozenset(
-    {"_execute", "_commit_p_ret", "alloc_free_hart", "send_fork_req"}
-    | {processor.EVENT_HANDLERS[kind].__name__ for kind in TEAM_KINDS})
-
-
-def _team_python_calls(machine):
-    """Run *machine*; the calls it made into TEAM_PYTHON, by name."""
-    files = {Core._execute.__code__.co_filename,
-             LBP.send_fork_req.__code__.co_filename}
-    calls = collections.Counter()
-
-    def profile(frame, event, _arg):
-        code = frame.f_code
-        if (event == "call" and code.co_name in TEAM_PYTHON
-                and code.co_filename in files):
-            calls[code.co_name] += 1
-
-    sys.setprofile(profile)
-    try:
-        machine.run(max_cycles=10_000)
-    finally:
-        sys.setprofile(None)
-    return calls
-
-
-@compiled
-def test_team_messages_stay_in_c_unless_observed():
-    """Plain, metered, traced or sanitized, a team's forks on this core and
-    the next, its CV writes both ways, its result message, starts, p_ret
-    commits and join make no call to the Python spelling of the protocol.
-    On the reference tick every step is that spelling; the states are
-    equal."""
-    states = []
-    for engine in ({}, {"metrics": True}, {"trace": True},
-                   {"sanitize": True}, {"backend": "interp"}):
-        machine = LBP(Params(num_cores=2), **engine).load(
-            assemble(TEAM_TRAFFIC))
-        calls = _team_python_calls(machine)
-        assert machine.halt_reason == "ebreak"
-        assert machine.read_word(machine.program.symbol("result")) == 7
-        if "backend" not in engine:
-            assert not calls
-        else:
-            assert set(calls) == TEAM_PYTHON
-        state = machine.state_dict()
-        for part in [state] + state["cores"]:
-            for observer in ("trace", "sanitize", "observe"):
-                del part[observer]
-        states.append(state)
-    assert all(state == states[0] for state in states)
-
-
-# ---- kernel lines that few inputs reach ------------------------------------------
-
-
-def _alike(make, run):
-    """``run(make(backend))`` under both ticks, untraced: the machines'
-    ``state_dict()``s are equal.  Returns the compiled tick's machine."""
-    machines = [make(backend) for backend in ("soa", "interp")]
-    for machine in machines:
-        run(machine)
-    assert machines[0].state_dict() == machines[1].state_dict()
-    return machines[0]
-
-
-@compiled
-def test_a_negative_result_buffer_index_wraps_as_pythons_modulo():
-    """``p_swre`` with a negative immediate sends to result buffer
-    ``imm % num_result_buffers`` (Python's modulo, never negative): -1 is
-    the last buffer, which ``p_lwre`` then takes."""
-    source = TEAM_TRAFFIC.replace("p_swre t3, t1, 0", "p_swre t3, t1, -1")
-    source = source.replace("p_lwre t1, 0", "p_lwre t1, %d"
-                            % (Params.num_result_buffers - 1))
-    assert source.count("-1") > TEAM_TRAFFIC.count("-1")
-    program = assemble(source)
-    machine = _alike(
-        lambda backend: LBP(Params(num_cores=2),
-                            backend=backend).load(program),
-        lambda machine: machine.run(max_cycles=10_000))
-    assert machine.halt_reason == "ebreak"
-    assert machine.read_word(program.symbol("result")) == 7
-
-
-#: hart 0 ends its team member's part and waits for a join no one sends:
-#: its core holds no work and is gated off
-WAITING = """
-main:
-    li   ra, 0
-    li   t0, 0
-    p_ret
-"""
-
-
-@compiled
-def test_a_pending_halt_before_the_next_event_ends_an_all_gated_hop():
-    """Every core gated, a halt pending and the next event later than it:
-    the loop hops to the halt's cycle, not to the event's, and the event
-    stays pending."""
-    def make(backend):
-        machine = LBP(Params(num_cores=2), backend=backend).load(
-            assemble(WAITING))
-        machine.post(0, 500, "join", (0, 0))
-        machine.run(max_cycles=10_000, stop_at_cycle=40)
-        assert not any(core.active for core in machine.cores)
-        machine.halt("exit")
-        return machine
-
-    machine = _alike(make, lambda machine: machine.run(max_cycles=10_000))
-    assert machine.halted and machine.cycle == 40 + processor.HALT_LATENCY - 1
-    assert [event[4] for event in machine._events] == ["join"]
-
-
-#: hart 0 exits: its p_ret is decided at once and waits at the ROB head
-#: while the hart still has an access in flight (set up by the test)
-EXITING = """
-main:
-    li   ra, 0
-    li   t0, -1
-    p_ret
-"""
-
-
-@compiled
-def test_a_p_ret_held_by_its_own_access_is_charged_as_a_memory_wait():
-    """A metered p_ret done at the ROB head, no predecessor, its hart's
-    access still in flight: commit holds it (the ordered-release barrier)
-    and each held cycle is charged as the access's wait, as the reference
-    Metrics classifies it."""
-    def make(backend):
-        machine = LBP(Params(num_cores=1), metrics=True,
-                      backend=backend).load(assemble(EXITING))
-        machine.run(max_cycles=10_000, stop_at_cycle=2)
-        hart = machine.cores[0].harts[0]
-        hart.outstanding_mem += 1
-        machine.post(0, machine.cycle + 30, "load_done", (hart.gid,))
-        return machine
-
-    machine = _alike(make, lambda machine: machine.run(max_cycles=10_000))
-    assert machine.halt_reason == "exit" and machine.cycle > 30
-    stalls = dict(zip(STALL_REASONS, machine.metrics.slots[0].stalls))
-    assert stalls["local_mem_wait"] > 20, stalls
-
-
-#: hart 1 sends five results to hart 0's result buffer 0 back to back;
-#: hart 0 takes the first at once and the rest after waits, storing each
-RE_REQUEUE = """
-main:
-    li   t0, -1
-    addi sp, sp, -8
-    sw   ra, 0(sp)
-    sw   t0, 4(sp)
-    p_set t0, t0
-    p_fc t6
-    la   t1, rp
-    p_swcv t6, t1, 0
-    p_swcv t6, t0, 4
-    p_merge t0, t0, t6
-    p_syncm
-    la   a0, consumer
-    p_jalr ra, t0, a0
-    p_lwcv ra, 0
-    p_lwcv t0, 4
-    li   t4, 0
-    li   t3, 111
-    p_swre t4, t3, 0
-    li   t3, 222
-    p_swre t4, t3, 0
-    li   t3, 333
-    p_swre t4, t3, 0
-    li   t3, 444
-    p_swre t4, t3, 0
-    li   t3, 555
-    p_swre t4, t3, 0
-    p_ret
-rp: lw  ra, 0(sp)
-    lw  t0, 4(sp)
-    addi sp, sp, 8
-    p_ret
-consumer:
-    p_lwre a1, 0
-    li   t5, 20
-c1: addi t5, t5, -1
-    bnez t5, c1
-    p_lwre a2, 0
-    li   t5, 40
-c2: addi t5, t5, -1
-    bnez t5, c2
-    p_lwre a3, 0
-    p_lwre a4, 0
-    p_lwre a5, 0
-    la   t2, got
-    sw   a1, 0(t2)
-    sw   a2, 4(t2)
-    sw   a3, 8(t2)
-    sw   a4, 12(t2)
-    sw   a5, 16(t2)
-    p_ret
-.data
-got: .word 0, 0, 0, 0, 0
-"""
-
-
-def _hold_back(machine, delays):
-    """Step *machine* a cycle at a time until each p_swre delivery named in
-    *delays* -- a fresh one by its value, the first re-posted one by
-    ``"parked"`` -- has been seen pending and moved that many cycles
-    later."""
-    delays = dict(delays)
-    while delays:
-        assert not machine.halted
-        machine.run(max_cycles=10_000, stop_at_cycle=machine.cycle + 1)
-        events = []
-        for event in machine._events:
-            if event[4] == "re_deliver":
-                key = "parked" if event[5][-1] else event[5][4]
-                if key in delays:
-                    event = (event[0] + delays.pop(key),) + event[1:]
-            events.append(event)
-        heapq.heapify(events)
-        machine._events = events
-
-
-@compiled
-@pytest.mark.parametrize("trace", [False, True])
-def test_a_parked_delivery_that_loses_its_slot_goes_back_to_the_head(trace):
-    """222 fills hart 0's slot and 333 parks.  Held back by the test, 444
-    and 555 arrive after hart 0 drains 222, and the re-posted 333 after
-    them: 444 fills the slot, 555 parks, and 333 parks again at the head
-    of the queue, ahead of 555, so it is taken before it.  (Not held back,
-    a re-post arrives the next cycle, ahead of any fresh delivery: no
-    program reaches this alone.)"""
-    program = assemble(RE_REQUEUE)
-
-    def make(backend):
-        machine = LBP(Params(num_cores=1), trace=trace,
-                      backend=backend).load(program)
-        _hold_back(machine, {444: 150, 555: 150, "parked": 100})
-        return machine
-
-    def run(machine):
-        queue = machine.cores[0].harts[0].re_waiters[0]
-        while len(queue) < 2:
-            assert not machine.halted
-            machine.run(max_cycles=10_000, stop_at_cycle=machine.cycle + 1)
-        assert [desc[4] for desc in queue] == [333, 555]
-        machine.run(max_cycles=10_000)
-
-    machines = [make(backend) for backend in ("soa", "interp")]
-    for machine in machines:
-        run(machine)
-    assert machines[0].state_dict() == machines[1].state_dict()
-    assert machines[0].trace.events == machines[1].trace.events
-    machine = machines[0]
-    assert machine.halt_reason == "exit"
-    got = program.symbol("got")
-    assert [machine.read_word(got + 4 * i) for i in range(5)] \
-        == [111, 222, 444, 333, 555]
-
-
-#: hart 0 exits, its p_ret fetched after a branch: renamed at the head of
-#: an empty ROB, it is decided after that cycle's commit stage
-EXIT_AFTER_BRANCH = """
-main:
-    li   ra, 0
-    li   t0, -1
-    beqz zero, last
-last:
-    p_ret
-"""
-
-
-@compiled
-@pytest.mark.parametrize("source", [RE_REQUEUE, EXIT_AFTER_BRANCH],
-                         ids=["predecessor", "decided"])
-def test_a_p_ret_held_at_the_barrier_is_charged_as_a_barrier_wait(source):
-    """Metered, a p_ret at the ROB head that does not commit: held for its
-    predecessor's ending signal (the producer of RE_REQUEUE), or decided
-    at issue after that cycle's commit stage.  The compiled classifier
-    charges both as ``barrier_wait``, as the reference Metrics does."""
-    program = assemble(source)
-    machine = _alike(
-        lambda backend: LBP(Params(num_cores=1), metrics=True,
-                            backend=backend).load(program),
-        lambda machine: machine.run(max_cycles=10_000))
-    assert machine.halt_reason == "exit"
-    stalls = dict(zip(STALL_REASONS, machine.metrics.slots[0].stalls))
-    assert stalls["barrier_wait"] > 0, stalls
 
 
 @compiled
@@ -947,9 +511,8 @@ def _metrics_calls(backend):
     run of the served job (matmul base, h=16, on 4 cores), and every
     ``_emit``: a Counter of ``(function, caller)``.  Returns it and the
     machine."""
-    program = compile_to_program(matmul_source("base", 16), "job.c")
     machine = LBP(Params(num_cores=4), metrics=True,
-                  backend=backend).load(program)
+                  backend=backend).load(program("base16"))
     here = Metrics.stall.__code__.co_filename
     calls = collections.Counter()
 
@@ -1019,8 +582,8 @@ def _banks(machine):
 
 def _subprocess(script, *flags, **env):
     """stdout of *script* run by this Python with *flags*, the package and
-    this directory importable, *env* set; it must exit 0."""
-    path = os.pathsep.join((SRC, os.path.dirname(os.path.abspath(__file__))))
+    the parity harness importable, *env* set; it must exit 0."""
+    path = os.pathsep.join((SRC, os.path.dirname(parity.__file__)))
     done = subprocess.run(
         [sys.executable] + list(flags) + ["-c", script],
         stdin=subprocess.DEVNULL, stdout=subprocess.PIPE,
@@ -1079,7 +642,7 @@ def test_building_a_machine_touches_no_bank_page():
 
 
 DEBUG_ALLOCATOR = """
-import ctypes, gc, json
+import ctypes, gc
 from repro.machine import LBP, Params, memory, native
 assert native.status()[0] == "native", native.status()
 assert memory.zeroed is native.load().zeroed
@@ -1109,9 +672,8 @@ for size in (0, 1, 4097, 1 << 20):
         del start
     data += b"x"
     del data
-from test_trace_golden import GOLDEN_PATH, measure
-with open(GOLDEN_PATH) as handle:
-    assert measure("re_contention_c1") == json.load(handle)["re_contention_c1"]
+from parity import load_golden, measure
+assert measure("re_contention_c1") == load_golden()["re_contention_c1"]
 print("ok")
 """
 
@@ -1217,7 +779,7 @@ def _raising_zeroed(monkeypatch, tmp_path):
     pytest.param(_broken_zeroed, marks=compiled),
     pytest.param(_raising_zeroed, marks=compiled)])
 def test_fallback_builds_reference_cores_and_warns_once(
-        monkeypatch, tmp_path, fault):
+        monkeypatch, tmp_path, fault, golden):
     """No compiler (here: a compile step that fails) is a supported
     platform, and so is a compiler whose output does not survive the
     smoke run: one RuntimeWarning per process names the reason, every
@@ -1234,8 +796,6 @@ def test_fallback_builds_reference_cores_and_warns_once(
             assert memory.zeroed is bytearray  # banks are memset ones
             assert native.status()[0] == "reference"
             assert reason in native.status()[1]
-            with open(GOLDEN_PATH) as handle:
-                golden = json.load(handle)
             for name in ("re_contention_c1", "stencil_h8_c2"):
                 assert measure(name) == golden[name]
         assert all(type(core) is ReferenceCore

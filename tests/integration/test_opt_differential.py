@@ -56,7 +56,7 @@ from helpers import compile_both  # noqa: E402
 from repro.compiler import codegen, compile_c, opt  # noqa: E402
 from test_paper_listings import (  # noqa: E402
     FIGURE_1_SOURCE, FIGURE_2_SOURCE, FIGURE_18_SOURCE, figure_16_source)
-from test_trace_golden import SCENARIOS  # noqa: E402
+from parity import SCENARIOS  # noqa: E402
 import quickstart  # noqa: E402
 
 CORPUS = os.path.join(os.path.dirname(__file__), "..", "data", "races")

@@ -14,7 +14,6 @@ machine (golden trace digests unchanged under sanitize=True), and shard
 merging is exact (byte-identical reports for shards=1 vs shards=4).
 """
 
-import json
 
 import pytest
 
@@ -38,12 +37,7 @@ from tests.integration.test_paper_listings import (
     FIGURE_18_SOURCE,
     figure_16_source,
 )
-from tests.integration.test_trace_golden import (
-    GOLDEN_PATH,
-    RE_CONTENTION,
-    SCENARIOS,
-    golden_program,
-)
+from parity import RE_CONTENTION, SCENARIOS, program
 
 
 def _sanitized(program, cores, shards=None, trace=False, max_cycles=50_000_000):
@@ -176,12 +170,9 @@ def test_deterministic_surface_is_race_free(name):
     assert report.blocked == 0       # referential order fully replayed
 
 
-def test_observation_does_not_perturb_golden_trace():
+def test_observation_does_not_perturb_golden_trace(golden):
     """sanitize=True is observation-only: the golden digest still holds."""
-    with open(GOLDEN_PATH) as handle:
-        golden = json.load(handle)
-    program = golden_program("matmul_base_h16_c4")
-    machine = _sanitized(program, cores=4, trace=True)
+    machine = _sanitized(program("matmul_base_h16_c4"), cores=4, trace=True)
     assert (trace_digest(machine.trace.events)
             == golden["matmul_base_h16_c4"]["trace_sha256"])
     assert machine.race_report().clean

@@ -8,13 +8,11 @@ outcome (halt / pause / error / deadlock / cycle-limit) at the same
 cycle.  Snapshots taken under any shard count restore under any other.
 
 These tests pin that contract against the golden workloads of
-``test_trace_golden`` and against the error paths.
+``tests/parity.py`` and against the error paths.
 """
 
-import json
 import os
 import signal
-import sys
 import threading
 import time
 
@@ -29,20 +27,13 @@ from repro.snapshot import restore, snapshot
 from repro.snapshot.snapshot import trace_digest
 from repro.workloads.setget import setget_source, verify_setget
 
-sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-from test_trace_golden import GOLDEN_PATH, WORKLOADS, measure  # noqa: E402
+from parity import GOLDENS, measure
 
 MAX_CYCLES = 50_000_000
 
 
-@pytest.fixture(scope="module")
-def golden():
-    with open(GOLDEN_PATH) as handle:
-        return json.load(handle)
-
-
 @pytest.mark.parametrize("shards", [2, 4])
-@pytest.mark.parametrize("name", sorted(WORKLOADS))
+@pytest.mark.parametrize("name", sorted(GOLDENS))
 def test_sharded_runs_match_golden_digests(name, shards, golden):
     """Acceptance bar: sharded digests equal tests/data/golden_traces.json.
 

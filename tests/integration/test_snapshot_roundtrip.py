@@ -16,14 +16,11 @@ import sys
 
 import pytest
 
-from repro.asm import assemble
 from repro.machine import LBP, Params
 from repro.snapshot import load_snapshot, restore, save_snapshot, snapshot
 from repro.snapshot.snapshot import trace_digest
 
-sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-from test_trace_golden import (  # noqa: E402
-    GOLDEN_PATH, RE_CONTENTION, golden_program)
+from parity import CORPUS, RE_CONTENTION, program
 
 MAX_CYCLES = 50_000_000
 
@@ -31,22 +28,9 @@ SRC_ROOT = os.path.abspath(
     os.path.join(os.path.dirname(__file__), "..", "..", "src"))
 
 
-def _build(name):
-    """(program, cores) for a golden workload, by name."""
-    if name == "re_contention_c1":
-        return assemble(RE_CONTENTION), 1
-    return golden_program(name), 4
-
-
 def _fresh(name):
-    program, cores = _build(name)
-    return LBP(Params(num_cores=cores), trace=True).load(program)
-
-
-@pytest.fixture(scope="module")
-def golden():
-    with open(GOLDEN_PATH) as handle:
-        return json.load(handle)
+    return LBP(Params(num_cores=CORPUS[name].cores),
+               trace=True).load(program(name))
 
 
 def _assert_matches_golden(machine, stats, reference):

@@ -16,24 +16,21 @@ reads its banks and ports from the core's view and the window's cursors
 
 import pytest
 
-from repro.compiler import compile_to_program
 from repro.machine import LBP, Params, native
-from repro.workloads import (
-    HistogramWorkload, ReductionWorkload, ServingWorkload, SortWorkload,
-    StencilWorkload, matmul_source)
+
+from parity import CORPUS, program
 
 counting = pytest.mark.skipif(
     native.load() is None or not hasattr(native.load(), "slot_counts"),
     reason="the counting build only (-p counting)")
 
-#: the irregular pass of bench/workloads.py: (cores, workload) at seed 1
-IRREGULAR = (
-    (16, lambda: StencilWorkload(64, width=8, steps=2, seed=1)),
-    (16, lambda: SortWorkload(64, chunk=4, seed=1)),
-    (16, lambda: HistogramWorkload(64, chunk=16, bins=16, seed=1)),
-    (16, lambda: ReductionWorkload(64, chunk=32, seed=1)),
-    (4, lambda: ServingWorkload(cores=4, num_requests=24, seed=1)),
-)
+#: the programs of each bound: the parity harness's rows (tiled matmul
+#: h=16 on 4 cores, and the irregular pass of bench/workloads.py at seed 1)
+WORKLOADS = {
+    "tiled16": ("tiled16",),
+    "irregular": ("bench_stencil", "bench_sort", "bench_histogram",
+                  "bench_reduction", "bench_serving"),
+}
 
 #: per retired instruction: the measured value + 5 % (``pipeline objects``:
 #: Entry + ResultBuffer + LoweredInstr slots, 102.2 / 117.9 before the ring)
@@ -55,13 +52,13 @@ MEMORY_BOUNDS = {
 }
 
 
-def _per_retired(runs):
-    """Counts per retired instruction over *runs* ((cores, source))."""
+def _per_retired(names):
+    """Counts per retired instruction over the rows *names*."""
     tick = native.load()
     totals, retired = {}, 0
-    for cores, source in runs:
-        program = compile_to_program(source, "bench.c")
-        machine = LBP(Params(num_cores=cores)).load(program)
+    for name in names:
+        machine = LBP(Params(num_cores=CORPUS[name].cores)).load(
+            program(name))
         tick.slot_counts()
         stats = machine.run()
         for name, count in tick.slot_counts().items():
@@ -73,15 +70,10 @@ def _per_retired(runs):
     return per
 
 
-def _workload(name):
-    return ([(4, matmul_source("tiled", 16))] if name == "tiled16" else
-            [(cores, make().source) for cores, make in IRREGULAR])
-
-
 @counting
 @pytest.mark.parametrize("name", sorted(BOUNDS))
 def test_in_flight_instructions_touch_no_pipeline_object(name):
-    per = _per_retired(_workload(name))
+    per = _per_retired(WORKLOADS[name])
     print(name, {key: round(value, 4) for key, value in per.items()})
     for key, bound in BOUNDS[name].items():
         assert per[key] <= bound, (key, per[key])
@@ -90,7 +82,7 @@ def test_in_flight_instructions_touch_no_pipeline_object(name):
 @counting
 @pytest.mark.parametrize("name", sorted(MEMORY_BOUNDS))
 def test_a_memory_access_makes_no_object(name):
-    per = _per_retired(_workload(name))
+    per = _per_retired(WORKLOADS[name])
     assert per["post load_read"] > 0.1  # (the accesses did run in C)
     for key, bound in MEMORY_BOUNDS[name].items():
         assert per[key] <= bound, (key, per[key])

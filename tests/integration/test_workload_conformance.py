@@ -1,6 +1,6 @@
 """Golden conformance tier for the scenario-diversity workloads.
 
-Every workload in ``test_trace_golden.SCENARIOS`` (serving, sort,
+Every workload in ``parity.SCENARIOS`` (serving, sort,
 stencil, reduction, histogram) must reproduce its pinned golden trace
 digest **bit-exactly** under the full engine matrix:
 
@@ -21,18 +21,13 @@ workload's own response self-check).
 """
 
 import itertools
-import json
-import os
-import sys
 
 import pytest
 
 from repro.machine import LBP, Params
 from repro.snapshot import restore, snapshot, trace_digest
 
-sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-from test_trace_golden import (  # noqa: E402
-    GOLDEN_PATH, SCENARIOS, golden_program, run_scenario_workload)
+from parity import SCENARIOS, golden_program, run_golden
 
 MAX_CYCLES = 50_000_000
 
@@ -49,19 +44,13 @@ def _config_id(config):
         "metrics" if metrics else "nometrics")
 
 
-@pytest.fixture(scope="module")
-def golden():
-    with open(GOLDEN_PATH) as handle:
-        return json.load(handle)
-
-
 @pytest.mark.slow
 @pytest.mark.parametrize("config", MATRIX, ids=_config_id)
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_scenario_conforms_across_engine_matrix(name, config, golden):
     backend, shards, sanitize, metrics = config
     reference = golden[name]
-    machine, stats = run_scenario_workload(
+    machine, stats = run_golden(
         name, shards=shards, backend=backend,
         sanitize=sanitize, metrics=metrics)
     observed = {

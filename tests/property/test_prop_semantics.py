@@ -7,6 +7,8 @@ from repro.isa.semantics import ALU_OPS, BRANCH_OPS, to_signed, to_unsigned
 from repro.machine import native
 from repro.machine.lowered import ALU_CODES, BRANCH_CODES
 
+from helpers import compiled
+
 u32 = st.integers(min_value=0, max_value=0xFFFFFFFF)
 
 
@@ -85,9 +87,6 @@ def test_sign_conversions_inverse(a):
 
 
 # ---- the compiled tick's ALU and branch switches (machine/_tick.c) ------------
-
-compiled = pytest.mark.skipif(
-    native.load() is None, reason="no compiled tick: " + native.status()[1])
 
 #: what the edge table is made of: zero, one, the sign boundary, all ones
 #: (-1, and as a shift amount >= 32), a shift of exactly 32

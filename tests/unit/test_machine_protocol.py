@@ -4,7 +4,8 @@ Covers the four p_ret ending cases, fork placement (p_fc/p_fn), the CV
 transfer handshake, result-buffer synchronisation (p_swre/p_lwre), the
 ordered-release barrier, two branches only hand-built teams reach (a
 queued p_fn request, a join that arrives before its wait), and the
-machine's deterministic traps.
+machine's deterministic traps.  (The parity harness, ``tests/parity.py``,
+holds the refused team messages and the branches to the reference tick.)
 """
 
 import pytest
@@ -14,6 +15,8 @@ from repro.machine import LBP, DeadlockError, MachineError, Params
 from repro.machine.trace import KINDS, Trace
 from repro.snapshot import load_snapshot, save_snapshot
 
+from parity import TEAM_BRANCHES, team
+
 
 def _run(source, cores=1, max_cycles=100_000, trace=False):
     program = assemble(source)
@@ -22,33 +25,11 @@ def _run(source, cores=1, max_cycles=100_000, trace=False):
     return program, machine, stats
 
 
-FORK_PROTOCOL = """
-main:
-    li   t0, -1
-    addi sp, sp, -8
-    sw   ra, 0(sp)
-    sw   t0, 4(sp)
-    p_set t0, t0
-    %(fork)s t6
-    la   t1, rp
-    p_swcv t6, t1, 0
-    p_swcv t6, t0, 4
-    p_merge t0, t0, t6
-    p_syncm
-    la   a0, child
-    p_jalr ra, t0, a0
-    # forked hart starts here
-    p_lwcv ra, 0
-    p_lwcv t0, 4
+FORK_PROTOCOL = team("%(fork)s", """
     la   t2, forked_flag
     li   t3, 1
     sw   t3, 0(t2)
-    p_ret                     # case 4: joins back
-rp: lw  ra, 0(sp)
-    lw  t0, 4(sp)
-    addi sp, sp, 8
-    p_ret                     # case 1: exit
-child:
+    p_ret                     # case 4: joins back""", "child", """
     la  t2, child_flag
     li  t3, 1
     sw  t3, 0(t2)
@@ -56,7 +37,7 @@ child:
 .data
 forked_flag: .word 0
 child_flag:  .word 0
-"""
+""")
 
 
 def test_fork_on_current_core():
@@ -176,85 +157,6 @@ def test_ending_signal_orders_release():
     assert len(signals) == 1
 
 
-#: team messages the machine refuses: (cores, program, the exact error)
-PROTOCOL_ERRORS = {
-    "p_swcv_past_next_core": (3, """
-main:
-    li   t6, 8            # hart 8 lives on core 2
-    li   t1, 5
-    p_swcv t6, t1, 0
-    ebreak
-""", "forward link only reaches the next core (0 -> 2)"),
-    "p_jal_past_next_core": (3, """
-main:
-    li   t0, 8
-    p_jal ra, t0, child
-    ebreak
-child:
-    ebreak
-""", "forward link only reaches the next core (0 -> 2)"),
-    "p_jal_to_unallocated_hart": (1, """
-main:
-    li   t0, 1            # hart 1 was never forked
-    p_jal ra, t0, child
-    ebreak
-child:
-    li   t1, 50
-spin:
-    addi t1, t1, -1
-    bnez t1, spin
-    ebreak
-""", "start pc sent to hart 1 which was not allocated"),
-    "p_swre_to_missing_hart": (1, """
-main:
-    li   t1, 99
-    li   t2, 5
-    p_swre t1, t2, 0
-    ebreak
-""", "hart id 99 does not exist"),
-    "p_swcv_to_missing_hart": (1, """
-main:
-    li   t6, 99
-    li   t1, 5
-    p_swcv t6, t1, 0
-    ebreak
-""", "hart id 99 does not exist"),
-    "join_to_later_core": (2, """
-main:
-    li   ra, 4            # nonzero: a join, not an end
-    li   t0, 0x40000      # join hart 4, on core 1
-    p_ret
-""", "join from hart 0 to a later core (hart 4)"),
-}
-
-
-def _errors_on_both_ticks(name, **engine):
-    cores, source, message = PROTOCOL_ERRORS[name]
-    seen = []
-    for backend in (None, "interp"):
-        machine = LBP(Params(num_cores=cores), backend=backend,
-                      **engine).load(assemble(source))
-        with pytest.raises(MachineError) as err:
-            machine.run(max_cycles=10_000)
-        assert str(err.value) == "cycle %d: %s" % (machine.cycle, message)
-        seen.append((str(err.value), machine.cycle))
-    assert seen[0] == seen[1]
-
-
-@pytest.mark.parametrize("name", sorted(PROTOCOL_ERRORS))
-def test_team_protocol_errors_are_the_same_on_both_ticks(name):
-    """Each message is worded once, in processor.py: the compiled window
-    hands the refused step to it, and stops at the reference tick's cycle
-    with the same text."""
-    _errors_on_both_ticks(name)
-
-
-@pytest.mark.parametrize("name", sorted(PROTOCOL_ERRORS))
-def test_team_protocol_errors_are_the_same_metered(name):
-    """The same on a metered run, whose team steps also stay in C."""
-    _errors_on_both_ticks(name, metrics=True)
-
-
 @pytest.mark.parametrize("backend", [None, "interp"])
 @pytest.mark.parametrize("gid", [-1, 2 * 4])
 def test_a_hart_id_outside_the_machine_is_no_hart(backend, gid):
@@ -269,127 +171,6 @@ def test_a_hart_id_outside_the_machine_is_no_hart(backend, gid):
     assert machine._error == message
 
 
-#: hand-built teams for protocol branches no compiled program reaches:
-#: name -> (cores, program, the branch as a predicate on a paused machine).
-#: Each writes `data` before an edge and reads it after (ordered), and
-#: plants one unordered write-write pair on `shared` (race_a, race_b).
-TEAM_BRANCHES = {
-    # the join reaches its hart before that hart's waiting p_ret: the
-    # ordered release cannot prevent it when the joiner is the waiter's
-    # *predecessor*, here after a one-member team of its own has already
-    # sent the ending signal (so the join is the only edge left)
-    "join_before_its_wait": (1, """
-main:
-    p_fc t6                   # hart 1, hart 0's successor
-    p_jal ra, t6, h0          # hart 0 -> h0, hart 1 starts below
-    la   t2, shared
-    li   t3, 1
-race_b:
-    sw   t3, 0(t2)
-    li   t1, 200
-spin:
-    addi t1, t1, -1
-    bnez t1, spin
-    li   ra, 0
-    li   t0, 0x10000          # join hart 1 = itself: wait
-    p_ret                     # the join is already pending
-resume:
-    la   t2, data
-    lw   t3, 0(t2)
-    la   t2, got
-    sw   t3, 0(t2)
-    ebreak
-h0:
-    la   ra, h0b
-    li   t0, 0                # join hart 0 = itself: a one-member team
-    p_ret                     # signals hart 1, resumes at h0b
-h0b:
-    la   t2, data
-    li   t3, 42
-    sw   t3, 0(t2)
-    la   t2, shared
-    li   t3, 2
-race_a:
-    sw   t3, 0(t2)
-    la   ra, resume
-    li   t0, 0x10000          # join hart 1
-    p_ret                     # no predecessor left: the join goes now
-.data
-data:   .word 0
-got:    .word 0
-shared: .word 0
-""", lambda m: m.hart_by_gid(1).pending_join is not None),
-    # a p_fn request queued at a core with no free hart, granted when a
-    # later p_ret frees one
-    "p_fn_queued_until_a_p_ret": (2, """
-main:
-    p_fc s0                   # hart 1 will ask core 1 for a hart
-    p_jal ra, s0, h0
-    j    requester
-h0:
-    p_fn s1                   # harts 4..7: core 1 is full
-    p_fn s2
-    p_fn s3
-    p_fn s4
-    p_jal ra, s1, h0a
-    j    orphan               # hart 4
-h0a:
-    p_jal ra, s2, h0b
-    j    park
-h0b:
-    p_jal ra, s3, h0c
-    j    park
-h0c:
-    p_jal ra, s4, h0d
-    j    leaver               # hart 7, hart 0's successor by now
-h0d:
-    li   t1, 300
-spin0:
-    addi t1, t1, -1
-    bnez t1, spin0
-    li   ra, 0
-    li   t0, 0
-    p_ret                     # end: the ending signal releases hart 7
-leaver:
-    li   ra, 0
-    li   t0, 0
-    p_ret                     # end: frees hart 7, granted to the queue
-orphan:
-    la   t2, shared
-    li   t3, 1
-race_a:
-    sw   t3, 0(t2)
-park:
-    li   ra, 0
-    li   t0, 0
-    p_ret                     # no ending signal ever comes: stays busy
-requester:
-    la   t2, data
-    li   t3, 42
-    sw   t3, 0(t2)
-    li   t1, 40
-spin1:
-    addi t1, t1, -1
-    bnez t1, spin1
-    p_fn s5                   # core 1 has no free hart: queued
-    p_jal ra, s5, park
-    la   t2, data             # the granted hart
-    lw   t3, 0(t2)
-    la   t2, got
-    sw   t3, 0(t2)
-    la   t2, shared
-    li   t3, 2
-race_b:
-    sw   t3, 0(t2)
-    ebreak
-.data
-data:   .word 0
-got:    .word 0
-shared: .word 0
-""", lambda m: bool(m.cores[1].fork_queue)),
-}
-
-
 @pytest.mark.parametrize("name", sorted(TEAM_BRANCHES))
 def test_team_branch_is_reached(name):
     """Stepped one cycle at a time, the run passes through its branch."""
@@ -400,41 +181,6 @@ def test_team_branch_is_reached(name):
         machine.run(stop_at_cycle=machine.cycle + 1, max_cycles=100_000)
         seen = seen or reached(machine)
     assert seen and machine.halt_reason == "ebreak"
-
-
-def _branch_on_both_ticks(name, **engine):
-    """The branch run on both ticks: (trace events, stats, state, metrics
-    report) of each"""
-    cores, source, _ = TEAM_BRANCHES[name]
-    program = assemble(source)
-    runs = []
-    for backend in (None, "interp"):
-        machine = LBP(Params(num_cores=cores), backend=backend,
-                      **engine).load(program)
-        stats = machine.run(max_cycles=100_000)
-        assert machine.halt_reason == "ebreak"
-        assert machine.read_word(program.symbol("got")) == 42
-        runs.append((machine.trace.events, stats.state_dict(),
-                     machine.state_dict(),
-                     None if machine.metrics is None
-                     else machine.metrics_report()))
-    return runs
-
-
-@pytest.mark.parametrize("name", sorted(TEAM_BRANCHES))
-def test_team_branch_is_the_same_on_both_ticks(name):
-    """Traced: every team step is the Python spelling on both ticks."""
-    runs = _branch_on_both_ticks(name, trace=True)
-    assert runs[0] == runs[1]
-
-
-@pytest.mark.parametrize("metered", [False, True], ids=["plain", "metered"])
-@pytest.mark.parametrize("name", sorted(TEAM_BRANCHES))
-def test_team_branch_untraced_is_the_same_on_both_ticks(name, metered):
-    """Untraced, plain or metered: the compiled window spells the team
-    steps, and holds to the reference tick's state, stats and report."""
-    runs = _branch_on_both_ticks(name, metrics=metered)
-    assert runs[0] == runs[1]
 
 
 @pytest.mark.parametrize("name", sorted(TEAM_BRANCHES))
