@@ -22,10 +22,10 @@ import pytest
 from repro.compiler import compile_to_program
 from repro.machine import LBP, Params
 from repro.observe import build_report, report_json
-from repro.snapshot import restore, snapshot, trace_digest
+from repro.snapshot import restore, snapshot
 from repro.workloads.matmul import matmul_source, verify_matmul
 
-from parity import golden_program
+from parity import golden_program, summary
 
 INTERVAL = 512
 
@@ -48,10 +48,7 @@ def _report_bytes(machine):
     ("matmul_tiled_h16_c4", "tiled"),
 ])
 def test_metrics_do_not_perturb_golden_digests(name, version, golden):
-    machine = _metered_run(version, trace=True)
-    assert machine.stats.cycles == golden[name]["cycles"]
-    assert machine.stats.retired == golden[name]["retired"]
-    assert trace_digest(machine.trace.events) == golden[name]["trace_sha256"]
+    assert summary(_metered_run(version, trace=True)) == golden[name]
 
 
 def test_repeat_runs_are_byte_identical():

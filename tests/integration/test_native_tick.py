@@ -31,12 +31,12 @@ from repro.machine.hart import Entry
 from repro.machine.memory import Bank, Port
 from repro.machine.reference import ReferenceCore
 from repro.observe import Metrics
-from repro.snapshot import restore, snapshot, trace_digest
+from repro.snapshot import restore, snapshot
 
 from helpers import compiled, devices_in_python
 import parity
 from parity import (
-    BAD_FETCH, CORPUS, ECALL, FORK_JOIN, REMOTE_HEAVY,
+    BAD_FETCH, ECALL, FORK_JOIN, REMOTE_HEAVY,
     STACK_TRAFFIC, TEAM_KINDS, TEAM_TRAFFIC, fields, in_flight, measure,
     program, well_formed_heap)
 
@@ -131,8 +131,7 @@ def test_two_machines_taking_turns_end_on_their_golden_digests(golden):
     call, its rings per view: two machines advanced alternately share none
     of them, and neither run can tell."""
     strides = {"matmul_tiled_h16_c4": 997, "re_contention_c1": 13}
-    machines = {name: LBP(Params(num_cores=CORPUS[name].cores),
-                          trace=True).load(program(name))
+    machines = {name: parity.machine(name, ("traced",), "native")
                 for name in strides}
     turns = 0
     while not all(machine.halted for machine in machines.values()):
@@ -143,9 +142,7 @@ def test_two_machines_taking_turns_end_on_their_golden_digests(golden):
                 turns += 1
     assert turns > 40
     for name, machine in machines.items():
-        assert (machine.stats.cycles, machine.stats.retired,
-                trace_digest(machine.trace.events)) == tuple(
-            golden[name][key] for key in ("cycles", "retired", "trace_sha256"))
+        assert parity.summary(machine) == golden[name]
 
 
 def _entries_alive():

@@ -44,6 +44,14 @@ def test_sharded_runs_match_golden_digests(name, shards, golden):
     assert measure(name, shards=shards) == golden[name]
 
 
+@pytest.mark.slow
+@pytest.mark.parametrize("name", ["matmul_base_h16_c4", "re_contention_c1"])
+def test_golden_digests_reference_sharded(name, golden):
+    """The façade forwards the selector: shard workers tick the reference
+    too."""
+    assert measure(name, shards=2, backend="interp") == golden[name]
+
+
 def _setget_machine(shards=None, trace=True):
     program = compile_to_program(setget_source(16, 64), "setget.c")
     machine = LBP(Params(num_cores=4), trace=trace,

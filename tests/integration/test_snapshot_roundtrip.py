@@ -16,28 +16,14 @@ import sys
 
 import pytest
 
-from repro.machine import LBP, Params
-from repro.snapshot import load_snapshot, restore, save_snapshot, snapshot
-from repro.snapshot.snapshot import trace_digest
+from repro.snapshot import restore, save_snapshot, snapshot
 
-from parity import CORPUS, RE_CONTENTION, program
+from parity import RE_CONTENTION, machine as fresh, summary
 
 MAX_CYCLES = 50_000_000
 
 SRC_ROOT = os.path.abspath(
     os.path.join(os.path.dirname(__file__), "..", "..", "src"))
-
-
-def _fresh(name):
-    return LBP(Params(num_cores=CORPUS[name].cores),
-               trace=True).load(program(name))
-
-
-def _assert_matches_golden(machine, stats, reference):
-    assert stats.cycles == reference["cycles"]
-    assert stats.retired == reference["retired"]
-    assert len(machine.trace.events) == reference["events"]
-    assert trace_digest(machine.trace.events) == reference["trace_sha256"]
 
 
 @pytest.mark.slow
@@ -48,16 +34,15 @@ def _assert_matches_golden(machine, stats, reference):
     "re_contention_c1",
 ])
 def test_midrun_snapshot_resume_is_bit_exact(name, golden):
-    reference = golden[name]
-    machine = _fresh(name)
-    pause_at = reference["cycles"] // 2
+    machine = fresh(name, ("traced",), "native")
+    pause_at = golden[name]["cycles"] // 2
     machine.run(max_cycles=MAX_CYCLES, stop_at_cycle=pause_at)
     assert not machine.halted and machine.cycle == pause_at
 
     resumed = restore(snapshot(machine))
     assert resumed is not machine
-    stats = resumed.run(max_cycles=MAX_CYCLES)
-    _assert_matches_golden(resumed, stats, reference)
+    resumed.run(max_cycles=MAX_CYCLES)
+    assert summary(resumed) == golden[name]
 
 
 @pytest.mark.slow
@@ -66,7 +51,7 @@ def test_fresh_process_restore_is_bit_exact(tmp_path, golden):
     state inherited from the snapshotting process."""
     name = "matmul_base_h16_c4"
     reference = golden[name]
-    machine = _fresh(name)
+    machine = fresh(name, ("traced",), "native")
     machine.run(max_cycles=MAX_CYCLES,
                 stop_at_cycle=reference["cycles"] // 2)
     path = str(tmp_path / "pause.lbpsnap")
@@ -97,8 +82,7 @@ def test_periodic_snapshots_each_resume_bit_exact(golden):
     """--snapshot-every semantics: every periodic checkpoint of one run
     is a valid resume point producing the golden trace."""
     name = "re_contention_c1"
-    reference = golden[name]
-    machine = _fresh(name)
+    machine = fresh(name, ("traced",), "native")
     blobs = []
     machine.run(max_cycles=MAX_CYCLES, snapshot_every=200,
                 snapshot_callback=lambda m: blobs.append(snapshot(m)))
@@ -107,8 +91,8 @@ def test_periodic_snapshots_each_resume_bit_exact(golden):
             for b in blobs] == [200, 400, 600]
     for blob in blobs:
         resumed = restore(blob)
-        stats = resumed.run(max_cycles=MAX_CYCLES)
-        _assert_matches_golden(resumed, stats, reference)
+        resumed.run(max_cycles=MAX_CYCLES)
+        assert summary(resumed) == golden[name]
 
 
 @pytest.mark.slow

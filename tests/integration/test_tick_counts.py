@@ -16,9 +16,9 @@ reads its banks and ports from the core's view and the window's cursors
 
 import pytest
 
-from repro.machine import LBP, Params, native
+from repro.machine import native
 
-from parity import CORPUS, program
+import parity
 
 counting = pytest.mark.skipif(
     native.load() is None or not hasattr(native.load(), "slot_counts"),
@@ -57,8 +57,7 @@ def _per_retired(names):
     tick = native.load()
     totals, retired = {}, 0
     for name in names:
-        machine = LBP(Params(num_cores=CORPUS[name].cores)).load(
-            program(name))
+        machine = parity.machine(name, ("untraced",), "native")
         tick.slot_counts()
         stats = machine.run()
         for name, count in tick.slot_counts().items():

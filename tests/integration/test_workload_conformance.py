@@ -24,10 +24,9 @@ import itertools
 
 import pytest
 
-from repro.machine import LBP, Params
-from repro.snapshot import restore, snapshot, trace_digest
+from repro.snapshot import restore, snapshot
 
-from parity import SCENARIOS, golden_program, run_golden
+from parity import SCENARIOS, machine as fresh, measure, summary
 
 MAX_CYCLES = 50_000_000
 
@@ -49,17 +48,8 @@ def _config_id(config):
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_scenario_conforms_across_engine_matrix(name, config, golden):
     backend, shards, sanitize, metrics = config
-    reference = golden[name]
-    machine, stats = run_golden(
-        name, shards=shards, backend=backend,
-        sanitize=sanitize, metrics=metrics)
-    observed = {
-        "cycles": stats.cycles,
-        "retired": stats.retired,
-        "events": len(machine.trace.events),
-        "trace_sha256": trace_digest(machine.trace.events),
-    }
-    assert observed == {key: reference[key] for key in observed}
+    assert measure(name, shards=shards, backend=backend, sanitize=sanitize,
+                   metrics=metrics) == golden[name]
 
 
 @pytest.mark.slow
@@ -68,10 +58,9 @@ def test_serving_snapshot_resume_mid_burst_is_bit_exact(golden):
     restore, run out — the trace must be byte-identical to the golden
     uninterrupted run and the responses must still self-check."""
     reference = golden["serving_r12_c2"]
-    factory, cores = SCENARIOS["serving_r12_c2"]
-    workload = factory()
-    program = golden_program("serving_r12_c2")
-    machine = LBP(Params(num_cores=cores), trace=True).load(program)
+    workload = SCENARIOS["serving_r12_c2"][0]()
+    machine = fresh("serving_r12_c2", ("traced",), "native")
+    program = machine.program
 
     pause_at = reference["cycles"] // 2
     machine.run(max_cycles=MAX_CYCLES, stop_at_cycle=pause_at)
@@ -85,9 +74,6 @@ def test_serving_snapshot_resume_mid_burst_is_bit_exact(golden):
 
     resumed = restore(snapshot(machine))
     assert resumed is not machine
-    stats = resumed.run(max_cycles=MAX_CYCLES)
-    assert stats.cycles == reference["cycles"]
-    assert stats.retired == reference["retired"]
-    assert len(resumed.trace.events) == reference["events"]
-    assert trace_digest(resumed.trace.events) == reference["trace_sha256"]
+    resumed.run(max_cycles=MAX_CYCLES)
+    assert summary(resumed) == reference
     workload.verify(resumed, program)

@@ -40,7 +40,7 @@ import pytest
 from repro import memmap
 from repro.asm import assemble
 from repro.compiler import compile_to_program
-from repro.machine import LBP, Params, native, processor
+from repro.machine import LBP, MachineError, Params, native, processor
 from repro.machine.hart import Entry
 from repro.machine.io import (
     Actuator, ScriptedInput, attach_input, attach_output)
@@ -811,15 +811,18 @@ shared: .word 0
 
 
 #: each malformed event Python posts: a kind the window spells, its args of
-#: the wrong arity or holding something else than its kind's shape says
+#: the wrong arity or holding something else than its kind's shape says,
+#: and what the Python handler then raises
 MALFORMED = {
-    "arity": ("load_done", (1, 2)),
-    "float_gid": ("load_done", (2.0,)),
+    "arity": ("load_done", (1, 2), TypeError),
+    "float_gid": ("load_done", (2.0,), TypeError),
     "str_addr": ("store_write",
-                 (("local", 0), "0x40000000", 7, 4, 0, 0, 1)),
-    "bank_ref": ("load_read", (("stack", 0), 0x40000000, 4, "lw", 9, 0, 0)),
+                 (("local", 0), "0x40000000", 7, 4, 0, 0, 1), TypeError),
+    "bank_ref": ("load_read", (("stack", 0), 0x40000000, 4, "lw", 9, 0, 0),
+                 "address 0x40000000 (+4) outside bank shared0 "
+                 "[0x80000000, 0x80100000)"),
     "mnemonic": ("load_read", (("local", 0), 0x40000000, 4, ["lw"], 9, 0,
-                               0)),
+                               0), TypeError),
 }
 
 
@@ -832,7 +835,7 @@ ALL = ("untraced", "traced", "sanitized", "metered")
 TRACE_KINDS = ("mem_load", "mem_store_req", "fork", "p_ret", "ending_signal")
 
 #: each observer: the LBP arguments that switch it on (made per machine: a
-#: Trace belongs to one)
+#: Trace belongs to one; a row may give the metered window its own length)
 OBSERVERS = {
     "untraced": lambda: {},
     "traced": lambda: {"trace": True},
@@ -857,7 +860,8 @@ ENGINES = {
 
 class Row(collections.namedtuple("Row", (
         "build", "cores", "observers", "prepare", "verify", "fails",
-        "paused", "stride", "kinds", "resume_kinds"))):
+        "interval", "paused", "stride", "pending", "kinds",
+        "resume_kinds"))):
     """One program of the corpus.
 
     ``build()`` returns the program, run on ``cores`` cores under each of
@@ -865,19 +869,23 @@ class Row(collections.namedtuple("Row", (
     and the run (it may attach devices, post events or step the machine),
     and may return a callable whose result at the end is compared too;
     ``verify(machine, extra)`` checks a finished run's result on every
-    engine.  ``fails`` is the text the error of a failing program holds.
-    Under each of ``paused`` the engines are also stepped ``stride``
-    cycles at a time; the sweep must see each of ``kinds`` pending, and
-    resumes on
-    the other backend at the first pause with the most kinds pending (and
-    all of ``resume_kinds``).
+    engine.  ``fails`` is what a failing program raises: the text of its
+    :class:`MachineError` after ``cycle <n>: ``, or an exception type.
+    ``interval``, if given, is the metered observer's window length on
+    this row.  Under each of ``paused`` the engines are also stepped
+    ``stride`` cycles at a time; the sweep must see more than ``pending``
+    events pending in all and each of ``kinds``, and resumes on the other
+    backend at the first pause with the most kinds pending (and all of
+    ``resume_kinds``).
     """
 
 
 def row(build, cores=1, observers=ALL, prepare=None, verify=None, fails=None,
-        paused=(), stride=1, kinds=(), resume_kinds=()):
-    return Row(build, cores, observers, prepare, verify, fails, paused,
-               stride, frozenset(kinds), frozenset(resume_kinds))
+        interval=None, paused=(), stride=1, pending=0, kinds=(),
+        resume_kinds=()):
+    return Row(build, cores, observers, prepare, verify, fails, interval,
+               paused, stride, pending, frozenset(kinds),
+               frozenset(resume_kinds))
 
 
 def _asm(source):
@@ -917,12 +925,36 @@ def _stall(reason, least):
     return verify
 
 
+def _stats(**expected):
+    """A verify: the run's stats hold *expected*."""
+    def verify(machine, _extra):
+        assert {name: getattr(machine.stats, name)
+                for name in expected} == expected
+    return verify
+
+
+def _each(*verifies):
+    """A verify: each of *verifies*."""
+    def verify(machine, extra):
+        for one in verifies:
+            one(machine, extra)
+    return verify
+
+
+def _charged(machine, _extra):
+    """A verify: metered, the run closed windows inside idle spans as well
+    as at busy ticks, and charged gated-idle cycles and remote accesses."""
+    if machine.metrics is not None:
+        report = machine.metrics_report()
+        assert len(report["windows"]) > 10
+        assert report["stalls"]["gated_idle"] > 0
+        assert report["remote_accesses"] > 0
+
+
 def _workload(factory):
     """A verify: the workload's own self-check."""
     return lambda machine, _extra: factory().verify(machine, machine.program)
 
-
-# the golden workloads (their checked-in programs)
 
 #: scenario-diversity families: self-checking workload objects (see
 #: ``repro.workloads``) pinned at tiny, fast configurations, each with
@@ -937,32 +969,48 @@ SCENARIOS = {
         (lambda: HistogramWorkload(8, chunk=16, bins=8, seed=3), 2),
 }
 
+LOCAL_KINDS = {"load_read", "load_done", "store_write"}
+REMOTE_STORE_KINDS = {"rreq_store", "bank_write", "rack_store"}
+
+
+def _matmul(version):
+    """A verify: the product of the h=16 *version* matmul is right."""
+    return lambda machine, _extra: verify_matmul(
+        machine, machine.program, version, 16)
+
+
+def _golden(name, cores, verify, **sweep):
+    return row(lambda: golden_program(name), cores, verify=verify, **sweep)
+
+
+def _scenario(name, **sweep):
+    factory, cores = SCENARIOS[name]
+    return _golden(name, cores, _workload(factory), **sweep)
+
+
+#: the golden workloads, run from their checked-in programs (a few also
+#: swept, and sort_h8_c2 under the kinds filter too)
 GOLDENS = {
-    name: row(lambda name=name: golden_program(name), 4,
-              verify=lambda machine, _extra, version=version:
-              verify_matmul(machine, machine.program, version, 16))
-    for version in ("base", "tiled")
-    for name in ["matmul_%s_h16_c4" % version]}
-GOLDENS["setget_h16_chunk64_c4"] = row(
-    lambda: golden_program("setget_h16_chunk64_c4"), 4,
-    verify=lambda machine, _extra: verify_setget(machine, 16, 64))
-GOLDENS["re_contention_c1"] = row(
-    _asm(RE_CONTENTION), verify=_words("got", 111 + 222 + 333))
-GOLDENS.update({
-    name: row(lambda name=name: golden_program(name), cores,
-              verify=_workload(factory))
-    for name, (factory, cores) in SCENARIOS.items()})
-# the pause sweeps and kinds filter of some goldens
-GOLDENS["matmul_base_h16_c4"] = GOLDENS["matmul_base_h16_c4"]._replace(
-    paused=("traced",), stride=2981)
-GOLDENS["re_contention_c1"] = GOLDENS["re_contention_c1"]._replace(
-    paused=("traced",), stride=7)
-GOLDENS["stencil_h8_c2"] = GOLDENS["stencil_h8_c2"]._replace(
-    paused=("untraced",), stride=53,
-    kinds={"load_read", "load_done", "store_write"})
-GOLDENS["sort_h8_c2"] = GOLDENS["sort_h8_c2"]._replace(
-    observers=ALL + ("kinds",), paused=("untraced",), stride=61,
-    resume_kinds={"rreq_load", "bank_read", "rrep_load"})
+    "matmul_base_h16_c4": _golden(
+        "matmul_base_h16_c4", 4, _matmul("base"), paused=("traced",),
+        stride=4471),
+    "matmul_tiled_h16_c4": _golden("matmul_tiled_h16_c4", 4, _matmul("tiled")),
+    "setget_h16_chunk64_c4": _golden(
+        "setget_h16_chunk64_c4", 4,
+        lambda machine, _extra: verify_setget(machine, 16, 64)),
+    "re_contention_c1": row(
+        _asm(RE_CONTENTION), verify=_words("got", 111 + 222 + 333),
+        paused=("traced",), stride=20),
+    "serving_r12_c2": _scenario("serving_r12_c2"),
+    "sort_h8_c2": _scenario(
+        "sort_h8_c2", observers=ALL + ("kinds",), paused=("untraced",),
+        stride=616, resume_kinds={"rreq_load", "bank_read", "rrep_load"}),
+    "stencil_h8_c2": _scenario(
+        "stencil_h8_c2", paused=("untraced",), stride=53, kinds=LOCAL_KINDS,
+        pending=100),
+    "reduction_h8_c2": _scenario("reduction_h8_c2"),
+    "histogram_h8_c2": _scenario("histogram_h8_c2"),
+}
 
 
 def _race_row(name):
@@ -994,11 +1042,14 @@ SLOW_CHECKS = {
         machine.cores[0].harts[0].regs[6:8])),  # the program's own words
     "remote_lb_lh": dict(verify=_regs(x7=0xFFFFFFFD, x28=0xFFFFFFFF,
                                       x29=0xFF, x30=0xFFFD)),
-    "local_out_of_range": dict(fails="outside bank"),
-    "store_out_of_range": dict(fails="outside bank"),
-    "remote_out_of_range": dict(fails="outside bank"),
-    "unmapped": dict(fails="unmapped address"),
-    "remote_unmapped": dict(fails="unmapped address"),
+    "local_out_of_range": dict(fails="address 0x4000fffe (+4) outside bank "
+                               "local0 [0x40000000, 0x40010000)"),
+    "store_out_of_range": dict(fails="address 0x800fffff (+4) outside bank "
+                               "shared0 [0x80000000, 0x80100000)"),
+    "remote_out_of_range": dict(fails="address 0x801ffffe (+4) outside bank "
+                                "shared1 [0x80100000, 0x80200000)"),
+    "unmapped": dict(fails="access to unmapped address 0x50000000"),
+    "remote_unmapped": dict(fails="access to unmapped address 0x80800000"),
 }
 
 
@@ -1106,29 +1157,30 @@ NEGATIVE_RE_INDEX = TEAM_TRAFFIC.replace(
     "p_swre t3, t1, 0", "p_swre t3, t1, -1").replace(
     "p_lwre t1, 0", "p_lwre t1, %d" % (Params.num_result_buffers - 1))
 
-LOCAL_KINDS = {"load_read", "load_done", "store_write"}
-REMOTE_STORE_KINDS = {"rreq_store", "bank_write", "rack_store"}
-
 HAND_BUILT = {
     "fork_join": row(_asm(FORK_JOIN), 2, verify=_words("flag", 1)),
     "remote_heavy": row(_asm(REMOTE_HEAVY), 2),
-    "stack_traffic": row(_asm(STACK_TRAFFIC), verify=_regs(x28=77)),
-    "remote_traffic": row(_asm(REMOTE_TRAFFIC), 2, verify=_regs(x28=77)),
+    "stack_traffic": row(_asm(STACK_TRAFFIC), verify=_each(
+        _regs(x28=77), _stats(retired=6))),
+    "remote_traffic": row(_asm(REMOTE_TRAFFIC), 2, verify=_each(
+        _regs(x28=77), _stats(retired=7, remote_accesses=4))),
     "mixed_traffic": row(_asm(MIXED_TRAFFIC), 2),
     "local_accesses": row(
-        _asm(LOCAL_ACCESSES), paused=("untraced",), kinds=LOCAL_KINDS,
-        resume_kinds=LOCAL_KINDS,
+        _asm(LOCAL_ACCESSES), paused=("untraced",), pending=20,
+        kinds=LOCAL_KINDS, resume_kinds=LOCAL_KINDS,
         verify=_regs(x7=0xFFFFFFFD, x28=0xFFFFFFFD,      # lw, lh
                      x29=0xFFFFFFFF, x30=0xFF,           # lb, lbu
                      x31=0xFFFD, x11=0xFFFD0000,         # lhu, lw
                      x12=0xFF)),                         # sb + lw
     "remote_stores": row(
-        _asm(REMOTE_STORES), 2, paused=("untraced", "metered"),
-        kinds=REMOTE_STORE_KINDS, resume_kinds=REMOTE_STORE_KINDS,
+        _asm(REMOTE_STORES), 2, interval=4, paused=("untraced", "metered"),
+        pending=20, kinds=REMOTE_STORE_KINDS,
+        resume_kinds=REMOTE_STORE_KINDS,
         verify=_regs(x7=0xFFFFFFFD, x28=0xFFFFFFFD,       # lw, lh
                      x29=0xFD, x30=REMOTE_BANK)),         # lbu, lw
     "team_traffic": row(_asm(TEAM_TRAFFIC), 2, paused=("untraced",),
-                        kinds=TEAM_KINDS, verify=_words("result", 7)),
+                        pending=20, kinds=TEAM_KINDS,
+                        verify=_words("result", 7)),
     "negative_re_index": row(_asm(NEGATIVE_RE_INDEX), 2,
                              observers=("untraced", "traced"),
                              verify=_words("result", 7)),
@@ -1136,9 +1188,9 @@ HAND_BUILT = {
                        observers=("untraced", "metered"),
                        prepare=_book_r2, verify=_every_level),
     "bad_fetch": row(_asm(BAD_FETCH), observers=("untraced", "traced"),
-                     fails="non-code address 0x1000"),
+                     fails="hart 0 fetches from non-code address 0x1000"),
     "ecall": row(_asm(ECALL), observers=("untraced", "traced"),
-                 fails="ecall"),
+                 fails="ecall is not supported on bare-metal LBP"),
     "waiting": row(_asm(WAITING), 2, observers=("untraced", "metered"),
                    prepare=_waiting, verify=_halted_before_the_join),
     "exiting": row(_asm(EXITING), observers=("untraced", "metered"),
@@ -1157,11 +1209,14 @@ HAND_BUILT = {
     "stack_loop": row(_asm(STACK_LOOP)),
     "local_loop": row(_asm(LOCAL_LOOP % "ebreak")),
     "local_loop_ecall": row(_asm(LOCAL_LOOP % "ecall"),
-                            observers=("untraced",), fails="ecall"),
+                            observers=("untraced",),
+                            fails="ecall is not supported on bare-metal LBP"),
     "stores_in_flight": row(_asm(STORES_IN_FLIGHT % "ebreak"), 8,
                             observers=("untraced", "traced")),
     "stores_in_flight_error": row(_asm(STORES_IN_FLIGHT % JUMP_TO_DATA), 8,
-                                  observers=("untraced",), fails="0x1000"),
+                                  observers=("untraced",),
+                                  fails="hart 0 fetches from non-code "
+                                  "address 0x1000"),
 }
 HAND_BUILT.update({
     "slow_" + name: row(_asm(source), 2 if name.startswith("remote") else 1,
@@ -1179,13 +1234,15 @@ HAND_BUILT.update({
     for name, (cores, source, _reached) in TEAM_BRANCHES.items()})
 HAND_BUILT.update({
     "malformed_" + name: row(_asm(STACK_LOOP), observers=("untraced",),
-                             prepare=_post_malformed(kind, args), fails="")
-    for name, (kind, args) in MALFORMED.items()})
+                             prepare=_post_malformed(kind, args),
+                             fails=fails)
+    for name, (kind, args, fails) in MALFORMED.items()})
 
 
 def _bench(name, factory, cores):
     return row(_compiled(name, factory().source), cores,
-               observers=("metered",), verify=_workload(factory))
+               observers=("metered",),
+               verify=_each(_workload(factory), _charged))
 
 
 #: the programs of bench/workloads.py at seed 1, and tiled and base matmul
@@ -1194,11 +1251,10 @@ COMPILED = {
     "tiled16": row(
         _compiled("tiled16", matmul_source("tiled", 16)), 4,
         observers=("untraced", "metered"),
-        verify=lambda machine, _extra: verify_matmul(
-            machine, machine.program, "tiled", 16),
-        paused=("untraced",), stride=89, kinds=LOCAL_KINDS),
+        verify=_each(_matmul("tiled"), _charged),
+        paused=("untraced",), stride=89, pending=100, kinds=LOCAL_KINDS),
     "base16": row(_compiled("base16", matmul_source("base", 16)), 4,
-                  observers=("metered",)),
+                  observers=("metered",), verify=_charged),
     "rob_past_size": row(lambda: program("tiled16"), 4,
                          observers=("untraced",), prepare=_rob_past_size),
     "bench_stencil": _bench(
@@ -1240,6 +1296,8 @@ def machine(name, observers, engine, start=True):
     kwargs = dict(ENGINES[engine].kwargs)
     for observer in observers:
         kwargs.update(OBSERVERS[observer]())
+    if "metrics" in kwargs and CORPUS[name].interval:
+        kwargs["metrics"] = CORPUS[name].interval
     built = LBP(Params(num_cores=CORPUS[name].cores), **kwargs)
     return built.load(program(name), start=start)
 
@@ -1254,8 +1312,10 @@ def engines(name, observer):
 
 def fingerprint(value):
     """*value* with each bytes, list or tuple of more than 64 items
-    replaced by its length and digest: small enough to keep for the
-    session, and a mismatch still names its key."""
+    replaced by its length and digest, and each shorter list or tuple by
+    a tuple led by its type's name: small enough to keep for the session,
+    left alone by the garbage collector (a tuple of atoms is untracked,
+    a list never is), and a mismatch still names its key."""
     if type(value) is dict:
         return {key: fingerprint(item) for key, item in value.items()}
     if type(value) in (bytes, list, tuple) and len(value) > 64:
@@ -1263,7 +1323,8 @@ def fingerprint(value):
         return (type(value).__name__, len(value),
                 hashlib.sha256(data).hexdigest())
     if type(value) in (list, tuple):
-        return type(value)(fingerprint(item) for item in value)
+        return (type(value).__name__,) + tuple(
+            fingerprint(item) for item in value)
     return value
 
 
@@ -1326,8 +1387,11 @@ def run(name, observers, engine):
         if found.fails is None:
             raise
         error = exc
-    if found.fails is not None:
-        assert error is not None and found.fails in str(error), error
+    if isinstance(found.fails, str):
+        assert type(error) is MachineError, error
+        assert str(error) == "cycle %d: %s" % (built.cycle, found.fails)
+    elif found.fails is not None:
+        assert type(error) is found.fails, error
     elif found.verify is not None:
         found.verify(built, extra)
     return built, extra, error
@@ -1339,7 +1403,8 @@ def finished(name, observers, engine):
     built, extra, error = run(name, observers, engine)
     found = {
         "state": (state(built), None if extra is None else extra()),
-        "stats": (built.halt_reason, built.cycle, built.stats.state_dict()),
+        "stats": (built.halt_reason, built.cycle,
+                  fingerprint(built.stats.state_dict())),
         "error": None if error is None else (
             type(error), str(error), built.cycle,
             [typed(event) for event in sorted(built._events)]),
@@ -1372,22 +1437,17 @@ def outcome(name, observer, engine):
                               found["state"][1]))
 
 
-def run_golden(name, shards=None, **engine):
-    """A golden workload run traced to its end, self-checked: (machine,
-    stats).  *engine* may hold backend, sanitize or metrics."""
+def measure(name, shards=None, **engine):
+    """Result summary of one golden workload run traced to its end and
+    self-checked (optionally space-sharded, or with *engine*'s backend,
+    sanitize or metrics -- every engine must reproduce the golden digests
+    bit-exactly)."""
     kwargs = dict({"trace": True, "shards": shards}, **engine)
     built = LBP(Params(num_cores=CORPUS[name].cores), **kwargs).load(
         program(name))
-    stats = built.run(max_cycles=MAX_CYCLES)
+    built.run(max_cycles=MAX_CYCLES)
     CORPUS[name].verify(built, None)
-    return built, stats
-
-
-def measure(name, shards=None, **engine):
-    """Result summary of one golden workload (optionally space-sharded or
-    on the reference core -- every engine must reproduce the golden
-    digests bit-exactly)."""
-    return summary(run_golden(name, shards, **engine)[0])
+    return summary(built)
 
 
 # ---- the checks ------------------------------------------------------------
@@ -1428,20 +1488,18 @@ def check_golden(name, observer):
         assert found == {key: recorded[key] for key in found}, engine
 
 
-Sweep = collections.namedtuple("Sweep", "pauses pending kinds resume_at")
+Sweep = collections.namedtuple(
+    "Sweep", "pauses pending in_flight kinds resume_at")
 
-#: how many pauses of a sweep compare snapshot bytes (each costs ~35 ms a
-#: core: the banks are encoded)
-SNAPSHOTS = 2
+#: every how many pauses of a sweep the snapshot bytes are compared (each
+#: snapshot is ~50 ms a core: the banks are encoded)
+SNAPSHOT_EVERY = 10
 
 
-def _observed(machine):
-    """Each domain's stats and observer records (without its banks)."""
-    return [(machine.stats.core_state_dict(index),
-             machine.trace.domain_state_dict(index),
-             machine.sanitizer and machine.sanitizer.domain_state_dict(index),
-             machine.metrics and machine.metrics.domain_state_dict(index))
-            for index in range(len(machine.cores))]
+def _remote_etas(found):
+    """How many remote accesses a metered state holds in flight."""
+    return sum(len(etas) for core in found["cores"] if "observe" in core
+               for _gid, etas in core["observe"]["slot"]["remote_inflight"])
 
 
 @functools.lru_cache(maxsize=None)
@@ -1449,16 +1507,15 @@ def sweep(name, observer):
     """Step the native and the reference machine ``stride`` cycles at a
     time: at every pause the window has handed back the reference loop's
     pending events, as a well-formed heap of tuples, element for element
-    and type for type, and each domain's stats and observer records are
-    the reference's (the in-flight remote etas of a metered run); at
-    :data:`SNAPSHOTS` pauses spread over the run the two snapshot to the
-    same bytes; at the end both equal the whole run."""
+    and type for type, and the whole ``state_dict()`` is the reference's
+    (a metered run's in-flight remote etas among it); every
+    :data:`SNAPSHOT_EVERY` pauses the two snapshot to the same bytes; at
+    the end both equal the whole run."""
     found = CORPUS[name]
     whole = outcome(name, observer, "interp")
-    snap_every = max(1, whole["stats"][1] // found.stride // SNAPSHOTS)
     machines = [machine(name, (observer,), engine)
                 for engine in ("native", "interp")]
-    cycle = pauses = pending = 0
+    cycle = pauses = pending = in_flight = 0
     kinds, most, resume_at = set(), -1, None
     while not all(each.halted for each in machines):
         cycle += found.stride
@@ -1469,25 +1526,29 @@ def sweep(name, observer):
             assert well_formed_heap(each._events), cycle
             seen.append((each.cycle,
                          [typed(event) for event in sorted(each._events)],
-                         _observed(each)))
+                         project(each.state_dict(), observer)))
         assert seen[0] == seen[1], cycle
-        if pauses % snap_every == 0 and not machines[0].halted:
+        if (pauses % SNAPSHOT_EVERY == SNAPSHOT_EVERY // 2
+                and not machines[0].halted):
             assert snapshot(machines[0]) == snapshot(machines[1]), cycle
         now = {event[4][1] for event in seen[0][1]}
         pending += len(seen[0][1])
+        in_flight += _remote_etas(seen[0][2])
         kinds |= now
         if (not machines[0].halted and len(now) > most
                 and found.resume_kinds <= now):
             most, resume_at = len(now), cycle
     assert [project(state(each), observer) for each in machines] \
         == [whole["state"][0]] * 2
-    return Sweep(pauses, pending, kinds, resume_at)
+    return Sweep(pauses, pending, in_flight, kinds, resume_at)
 
 
 def check_pauses(name, observer):
     found = sweep(name, observer)
-    assert found.pauses > 2 and found.pending > 0
+    assert found.pauses > 2 and found.pending > CORPUS[name].pending
     assert CORPUS[name].kinds <= found.kinds
+    if observer == "metered":
+        assert found.in_flight > 20
 
 
 def check_resume(name, observer):
