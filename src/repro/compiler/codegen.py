@@ -613,17 +613,11 @@ class FunctionCodegen:
     def _load_op(ctype):
         if ctype.size == 1:
             return "lb" if getattr(ctype, "signed", True) else "lbu"
-        if ctype.size == 2:
-            return "lh" if getattr(ctype, "signed", True) else "lhu"
         return "lw"
 
     @staticmethod
     def _store_op(ctype):
-        if ctype.size == 1:
-            return "sb"
-        if ctype.size == 2:
-            return "sh"
-        return "sw"
+        return "sb" if ctype.size == 1 else "sw"
 
     # -- lvalues --
 
@@ -715,17 +709,8 @@ class FunctionCodegen:
         return size_reg
 
     def load_from_place(self, place, node):
-        kind = place[0]
-        if kind == "reg":
-            loc = place[1]
-            reg = self.alloc_temp(node)
-            self.emit("mv %s, %s" % (reg, loc.reg))
-            return reg, loc.ctype
-        if kind == "memsp":
-            _, _, offset, ctype = place
-            reg = self.alloc_temp(node)
-            self.emit_load(self._load_op(ctype), reg, offset, "sp", node)
-            return reg, ctype
+        """The value at the ``"mem"`` place of an Index, Member or Deref:
+        an array or a struct is its address."""
         _, reg, offset, ctype = place
         if isinstance(ctype, T.ArrayType):
             if offset:
@@ -961,8 +946,8 @@ class FunctionCodegen:
 
     def _expr_Un(self, expr, want_value):
         if expr.op == "sizeof":
-            ctype = self.type_of(expr.operand)
-            return self.load_const(ctype.size, expr), T.UINT
+            return self.load_const(self._sizeof(expr.operand).size, expr), \
+                T.UINT
         reg, ctype = self.gen_expr(expr.operand)
         out = self._result_reg(reg, expr)
         if expr.op == "-":
@@ -1022,25 +1007,19 @@ class FunctionCodegen:
             if gtype is not None:
                 reg = self.alloc_temp(expr)
                 self.emit("la %s, %s" % (reg, operand.name))
-                base = gtype.base if isinstance(gtype, T.ArrayType) else gtype
-                return reg, T.PtrType(base if isinstance(gtype, T.ArrayType) else gtype)
+                return reg, T.PtrType(gtype.base if isinstance(
+                    gtype, T.ArrayType) else gtype)
             ftype = self.module.func_types.get(operand.name)
             if ftype is not None:
                 reg = self.alloc_temp(expr)
                 self.emit("la %s, %s" % (reg, operand.name))
                 return reg, T.PtrType(ftype)
             self.error("undefined identifier %r" % operand.name, expr)
-        place = self.gen_lvalue(operand)
-        if place[0] == "memsp":
-            reg = self.alloc_temp(expr)
-            self.emit_addi(reg, "sp", place[2], expr)
-            return reg, T.PtrType(place[3])
-        if place[0] == "mem":
-            _, reg, offset, ctype = place
-            if offset:
-                self.emit_addi(reg, reg, offset, expr)
-            return reg, T.PtrType(ctype)
-        self.error("cannot take the address of this expression", expr)
+        # a Deref, an Index or a Member: its place is "mem"
+        _, reg, offset, ctype = self.gen_lvalue(operand)
+        if offset:
+            self.emit_addi(reg, reg, offset, expr)
+        return reg, T.PtrType(ctype)
 
     def _expr_Cast(self, expr, want_value):
         reg, _ = self.gen_expr(expr.operand)
@@ -1114,64 +1093,25 @@ class FunctionCodegen:
         self.emit("mv %s, a0" % out)
         return out, ret_type
 
-    # ---- static typing (for sizeof expr and pointer checks) -------------------
-
-    def type_of(self, expr):
-        if isinstance(expr, A.Num):
-            return T.INT
-        if isinstance(expr, A.Var):
-            loc = self.lookup(expr.name)
-            if loc is not None:
-                return loc.ctype
-            gtype = self.module.global_types.get(expr.name)
-            if gtype is not None:
-                return gtype
-            ftype = self.module.func_types.get(expr.name)
-            if ftype is not None:
-                return ftype
-            self.error("undefined identifier %r" % expr.name, expr)
-        if isinstance(expr, A.Deref):
-            base = T.decay(self.type_of(expr.operand))
-            if not base.is_pointer():
-                self.error("dereference of non-pointer", expr)
-            return base.base
-        if isinstance(expr, A.Index):
-            base = T.decay(self.type_of(expr.base))
-            if not base.is_pointer():
-                self.error("indexing a non-pointer", expr)
-            return base.base
-        if isinstance(expr, A.Member):
-            base = self.type_of(expr.base)
-            if expr.arrow:
-                base = T.decay(base)
-                if not base.is_pointer():
-                    self.error("-> on non-pointer", expr)
-                base = base.base
-            if not isinstance(base, T.StructType):
-                self.error("member of a non-struct", expr)
-            field = base.field(expr.name)
-            if field is None:
-                self.error("no member %r" % expr.name, expr)
-            return field[0]
-        if isinstance(expr, A.Cast):
-            return expr.ctype
-        if isinstance(expr, A.AddrOf):
-            return T.PtrType(self.type_of(expr.operand))
-        if isinstance(expr, A.Call):
-            if isinstance(expr.callee, A.Var) and \
-                    expr.callee.name in self.module.func_types:
-                return self.module.func_types[expr.callee.name].ret
-            return T.INT
-        if isinstance(expr, A.Bin):
-            return self._binary_type(
-                expr.op, T.decay(self.type_of(expr.lhs)),
-                T.decay(self.type_of(expr.rhs)))
-        if isinstance(expr, (A.Un, A.IncDec)):
-            return self.type_of(expr.operand)
-        if isinstance(expr, A.Assign):
-            return self.type_of(expr.lhs)
-        if isinstance(expr, A.Cond):
-            return self.type_of(expr.then)
-        if isinstance(expr, A.SizeofType):
-            return T.UINT
-        return T.INT
+    def _sizeof(self, operand):
+        """The type ``sizeof operand`` measures: an array variable's or an
+        lvalue's own (undecayed), else the type :meth:`gen_expr` gives the
+        operand.  Whatever is generated on the way is discarded: C does
+        not evaluate the operand."""
+        saved = (self.lines, list(self.temps_free), list(self.temps_used),
+                 self.stack_cursor, self.max_stack,
+                 self.module._label_counter)
+        self.lines = []
+        try:
+            if isinstance(operand, A.Var):
+                loc = self.lookup(operand.name)
+                declared = self.module.global_types.get(operand.name) \
+                    if loc is None else loc.ctype
+                if isinstance(declared, T.ArrayType):
+                    return declared
+            elif isinstance(operand, (A.Deref, A.Index, A.Member)):
+                return self.gen_lvalue(operand)[3]
+            return self.gen_expr(operand)[1]
+        finally:
+            (self.lines, self.temps_free, self.temps_used, self.stack_cursor,
+             self.max_stack, self.module._label_counter) = saved

@@ -30,20 +30,6 @@ class Instruction:
         self.spec = spec
         self.addr = addr
 
-    def replace(self, **kwargs):
-        """Return a copy with the given fields replaced."""
-        fields = {
-            "mnemonic": self.mnemonic,
-            "rd": self.rd,
-            "rs1": self.rs1,
-            "rs2": self.rs2,
-            "imm": self.imm,
-            "spec": self.spec,
-            "addr": self.addr,
-        }
-        fields.update(kwargs)
-        return Instruction(**fields)
-
     def __eq__(self, other):
         if not isinstance(other, Instruction):
             return NotImplemented
@@ -54,9 +40,6 @@ class Instruction:
             and self.rs2 == other.rs2
             and self.imm == other.imm
         )
-
-    def __hash__(self):
-        return hash((self.mnemonic, self.rd, self.rs1, self.rs2, self.imm))
 
     def __repr__(self):
         return "Instruction(%r, rd=%d, rs1=%d, rs2=%d, imm=%d)" % (

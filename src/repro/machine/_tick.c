@@ -536,9 +536,9 @@ alu(int64_t op, int64_t a64, int64_t b64)
         if (sb == 0) return a;
         if (sa == INT32_MIN && sb == -1) return 0;
         return (uint32_t)(sa % sb);
-    case A_REMU: return b == 0 ? a : a % b;
+    default:  /* A_REMU: callers range-check op */
+        return b == 0 ? a : a % b;
     }
-    return 0;  /* unreachable: callers range-check op */
 }
 
 static int
@@ -552,9 +552,8 @@ branch(int64_t op, int64_t a64, int64_t b64)
     case B_BLT: return sa < sb;
     case B_BGE: return sa >= sb;
     case B_BLTU: return a < b;
-    case B_BGEU: return a >= b;
+    default: return a >= b;  /* B_BGEU: callers range-check op */
     }
-    return 0;  /* unreachable: callers range-check op */
 }
 
 /* ---- the tick ---------------------------------------------------------------- */
@@ -886,14 +885,11 @@ ring_push(HartView *hv)
     return AT(hv, hv->count++);
 }
 
-/* The oldest record leaves the ring (its references are the caller's) */
+/* The oldest record leaves the ring (its references are the caller's; it
+ * is done, so not the writeback buffer's, which is done when it drains) */
 static inline void
 ring_pop(HartView *hv)
 {
-    if (hv->rb_entry == AT(hv, 0)) {
-        hv->rb_entry = NULL;
-        hv->rb_dirty |= RB_ENTRY;
-    }
     hv->first = (hv->first + 1) & (hv->cap - 1);
     hv->count--;
     hv->reordered = 1;
@@ -1351,8 +1347,10 @@ stage_issue(Tick *t)
                      * the instruction table as it is now */
                     if (tick_view(t) == NULL)
                         goto fail;
-                    if ((i = it_index(hv, pos)) < 0)
-                        goto next;
+                    if ((i = it_index(hv, pos)) < 0) {
+                        wrong_type("p_fc still in its instruction table");
+                        goto fail;
+                    }
                     candidate = AT(hv, i);
                     d = candidate->dec;
                     break;
@@ -1382,8 +1380,6 @@ stage_issue(Tick *t)
         ISET(found, issued, 1, D_ISSUED);
         status = execute(t, hv, found);
         return status < 0 ? -1 : 1;
-    next:
-        ;
     }
     return 0;
 fail:
@@ -1496,25 +1492,22 @@ stage_rename(Tick *t)
     return 0;
 }
 
-/* The fetch buffer *d* names, at rest: ``low.fetch_pair`` when it is the
- * pair lowered.py built, ``(pc, low)`` for this pc and this low (a lowered
- * program's always is), else a new ``(pc, low)``; a new reference */
+/* The fetch buffer *d* names, at rest: ``low.fetch_pair``, the pair
+ * lowered.py built, ``(pc, low)`` for this pc and this low (a lowered
+ * program's always is), else a TypeError; a new reference */
 static PyObject *
 own_pair(const Decode *d)
 {
     int64_t pair_pc;
-    PyObject *pair = SLOT(d->low, L.fetch_pair), *pc;
+    PyObject *pair = SLOT(d->low, L.fetch_pair);
     if (pair != NULL && PyTuple_CheckExact(pair)
             && PyTuple_GET_SIZE(pair) == 2
             && PyTuple_GET_ITEM(pair, 1) == d->low
             && small_int(PyTuple_GET_ITEM(pair, 0), &pair_pc)
             && pair_pc == d->pc)
         return new_ref(pair);
-    if ((pc = PyLong_FromLongLong(d->pc)) == NULL)
-        return NULL;
-    pair = PyTuple_Pack(2, pc, d->low);
-    Py_DECREF(pc);
-    return pair;
+    wrong_type("(pc, low) fetch_pair of its LoweredInstr");
+    return NULL;
 }
 
 /* fetch (gated on the collapsed predicate): one hart whose next pc is known */
@@ -1747,9 +1740,8 @@ classify(Tick *t, PyObject *slot)
     }
     cls = head->dec->cls;
     if (head->in_it) {
-        /* head not yet issued */
-        if (head->nwaits)
-            return WHY_operand_wait;
+        /* head not yet issued: its producers are older, so committed,
+         * and each cleared its waits at writeback (never operand_wait) */
         if (cls == cls_p_lwre)
             return WHY_re_line_wait;
         if (cls == cls_p_fc || cls == cls_p_fn)

@@ -1029,15 +1029,6 @@ view_for(Window *w, PyObject *core)
 {
     int64_t i = w->hint;
     PyObject *index;
-    if (w->cores == NULL) {
-        /* a window-less call: the one core it was made for */
-        if (core != w->views[0].core) {
-            PyErr_SetString(PyExc_TypeError,
-                            "compiled tick: another core than its own");
-            return NULL;
-        }
-        return fresh(w, w->views) < 0 ? NULL : w->views;
-    }
     /* the one after the last found (the loop walks its cores in order) */
     if (i >= w->nviews || i >= PyList_GET_SIZE(w->cores)
             || PyList_GET_ITEM(w->cores, i) != core) {
@@ -1698,9 +1689,9 @@ window_load(Window *w, HartView *hv)
     if ((entry = hv->rb_entry_obj) != Py_None) {
         for (i = 0; i < n && hv->ring[i].obj != entry; i++)
             ;
-        if (i == n) {
+        if (i == n || hv->ring[i].done) {
             PyErr_SetString(PyExc_TypeError, "compiled tick: the writeback "
-                            "buffer's entry is not in the ROB");
+                            "buffer's entry is not an undone ROB entry");
             return -1;
         }
         hv->rb_entry = &hv->ring[i];
@@ -3668,7 +3659,7 @@ ev_rack_cv(Window *w, CoreView *Py_UNUSED(domain), const Event *event)
 
 /* _ev_re_deliver(core_index, hart_gid, target_gid, slot, value, tag,
  * parked): a p_swre reaches its result buffer, or parks behind the value
- * there (at the head of the queue when it had parked before) */
+ * there (a re-posted one that finds it full is Python's internal error) */
 static int
 ev_re_deliver(Window *w, CoreView *domain, const Event *event)
 {
@@ -3685,13 +3676,12 @@ ev_re_deliver(Window *w, CoreView *domain, const Event *event)
         return 0;
     if (PyList_GET_ITEM(buffers, slot) != Py_None) {
         GETO(lists, target->hart, H.re_waiters);
-        if (!PyList_Check(lists) || slot >= PyList_GET_SIZE(lists)
+        if (a[6] || !PyList_Check(lists) || slot >= PyList_GET_SIZE(lists)
                 || !PyList_Check(queue = PyList_GET_ITEM(lists, slot)))
             return 0;
         if ((desc = event_args(event, 0, 6)) == NULL)
             return -1;
-        status = a[6] ? PyList_Insert(queue, 0, desc)
-            : PyList_Append(queue, desc);
+        status = PyList_Append(queue, desc);
         Py_DECREF(desc);
         return status < 0 ? -1 : 1;
     }
@@ -3961,8 +3951,6 @@ static int
 views_open(Window *w, Py_ssize_t count)
 {
     w->nviews = count;
-    if (count == 0)
-        count = 1;
     w->views = PyMem_Calloc(count, sizeof(CoreView));
     w->touched = PyMem_Malloc(count * sizeof(Py_ssize_t));
     if (w->views == NULL || w->touched == NULL) {

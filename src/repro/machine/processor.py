@@ -268,14 +268,15 @@ def _ev_re_deliver(machine, core_index, hart_gid, target_gid, slot, value,
     """p_swre arrival at the target's result buffer (see schedule_re_send)."""
     target = machine.hart_by_gid(target_gid)
     if target.re_buffers[slot] is not None:
-        desc = (core_index, hart_gid, target_gid, slot, value, tag)
-        waiters = target.re_waiters[slot]
         if parked:
-            # a fresh arrival won the drained slot first: keep this
-            # delivery at the head (it is the oldest)
-            waiters.insert(0, desc)
-        else:
-            waiters.append(desc)
+            # re-posted for the cycle after the slot drained, it arrives
+            # ahead of any fresh delivery: only moved events get here
+            machine.error("internal error: the parked p_swre from hart %d "
+                          "finds slot %d of hart %d full"
+                          % (hart_gid, slot, target_gid))
+            return
+        target.re_waiters[slot].append(
+            (core_index, hart_gid, target_gid, slot, value, tag))
         return
     target.re_buffers[slot] = value & 0xFFFFFFFF
     if machine.sanitizer is not None:
@@ -1274,20 +1275,29 @@ class LBP:
 
     # ---- debugging / inspection --------------------------------------------------
 
+    def _bank_of(self, addr, core_index=None):
+        """The bank a direct access to *addr* names: the shared bank of
+        the core that owns it, or core *core_index*'s local bank (only
+        :meth:`read_local` names a core)."""
+        if core_index is None:
+            if memmap.is_local(addr):
+                raise MachineError(
+                    "local addresses are per-core; use read_local")
+            owner = memmap.owner_core_of(addr, self.params.num_cores)
+            if owner is None:
+                raise MachineError("unmapped address 0x%x" % addr)
+            return self.cores[owner].mem.shared
+        if not 0 <= core_index < len(self.cores):
+            raise MachineError("no core %d in a %d-core machine"
+                               % (core_index, len(self.cores)))
+        return self.cores[core_index].mem.local
+
     def read_word(self, addr):
         """Read a data word directly (for tests and result extraction)."""
-        if memmap.is_local(addr):
-            raise MachineError("local addresses are per-core; use read_local")
-        owner = memmap.owner_core_of(addr, self.params.num_cores)
-        if owner is None:
-            raise MachineError("unmapped address 0x%x" % addr)
-        return self.cores[owner].mem.shared.read(addr, 4)
+        return self._bank_of(addr).read(addr, 4)
 
     def write_word(self, addr, value):
-        owner = memmap.owner_core_of(addr, self.params.num_cores)
-        if owner is None:
-            raise MachineError("unmapped address 0x%x" % addr)
-        self.cores[owner].mem.shared.write(addr, value, 4)
+        self._bank_of(addr).write(addr, value, 4)
 
     def read_local(self, core_index, addr):
-        return self.cores[core_index].mem.local.read(addr, 4)
+        return self._bank_of(addr, core_index).read(addr, 4)

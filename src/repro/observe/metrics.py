@@ -43,7 +43,12 @@ _P_SYNCM = int(_C.P_SYNCM)
 #: per-core counter vectors — append, never reorder
 STALL_REASONS = (
     "fetch_starved",      # no hart of the core holds a decoded instruction
-    "operand_wait",       # commit head still waits for producer values
+    # never charged: an unissued ROB head's producers are older, so they
+    # have committed, and each cleared its consumers' waits at writeback.
+    # It stays, reading 0, because bench/probes.py's EXACT list,
+    # BENCHMARK.json's per-layer set and bench/run.py's with_units name it
+    # (with_units refuses a metric set that differs)
+    "operand_wait",
     "issue_wait",         # head ready but lost arbitration / wb buffer busy
     "exec_wait",          # issued, executing (multi-cycle ALU latency)
     "local_mem_wait",     # waiting on a local/own-bank access
@@ -58,7 +63,6 @@ STALL_REASONS = (
 NUM_REASONS = len(STALL_REASONS)
 
 _FETCH_STARVED = STALL_REASONS.index("fetch_starved")
-_OPERAND_WAIT = STALL_REASONS.index("operand_wait")
 _ISSUE_WAIT = STALL_REASONS.index("issue_wait")
 _EXEC_WAIT = STALL_REASONS.index("exec_wait")
 _LOCAL_MEM_WAIT = STALL_REASONS.index("local_mem_wait")
@@ -397,8 +401,6 @@ class Metrics:
         cls = head.low.cls
         if entry is not None:
             # head not yet issued
-            if entry.nwaits:
-                return _OPERAND_WAIT
             if cls == _P_LWRE:
                 return _RE_LINE_WAIT
             if cls == _P_FC or cls == _P_FN:

@@ -1,5 +1,7 @@
 """Data: globals, initializers, arrays, structs, pointers, banks, char."""
 
+import pytest
+
 from repro import memmap
 from helpers import run_c, uword, word
 
@@ -124,7 +126,8 @@ def test_address_of_local_scalar():
 int out;
 void bump(int *p) { *p += 1; }
 void main() {
-    int x = 41;
+    int x;
+    x = 41;
     bump(&x);
     out = x;
 }
@@ -257,3 +260,104 @@ void main() {
     program, machine, _ = run_c(source)
     assert [word(machine, program, "out", i) for i in range(4)] == [
         3, 8, 11, 15]
+
+
+#: DESIGN §2.3's pointers, ``&``, ``sizeof``, structs and arrays, each as
+#: (program, the words of ``out`` it must leave)
+DOCUMENTED = {
+    "pointer_arithmetic": ("""
+struct triple { int a; int b; int c; };
+struct triple ts[4];
+int v[8];
+int out[4];
+void main() {
+    int i = 3;
+    int *p = v + i;
+    int *q = 2 + p;
+    struct triple *t = ts + i;
+    *q = 9;
+    t->b = 4;
+    out[0] = q - v;
+    out[1] = v[5];
+    out[2] = t - ts;
+    out[3] = ts[3].b;
+}
+""", [5, 9, 3, 4]),
+    "stack_array_and_struct": ("""
+struct point { int x; int y; };
+int out[3];
+void main() {
+    int a[4];
+    struct point s;
+    int i;
+    for (i = 0; i < 4; i++)
+        a[i] = i * i;
+    s.x = a[3];
+    s.y = a[2] + 1;
+    out[0] = a[1] + a[3];
+    out[1] = s.x;
+    out[2] = s.y;
+}
+""", [10, 9, 5]),
+    "address_of_local": ("""
+int out[2];
+void bump(int *p) { *p = *p + 1; }
+void main() {
+    int x;
+    x = 41;
+    bump(&x);
+    out[0] = x;
+    x += 2;
+    out[1] = x;
+}
+""", [42, 44]),
+    "call_through_address_of_function": ("""
+int out[1];
+int twice(int x) { return 2 * x; }
+void main() {
+    int (*f)(int);
+    f = &twice;
+    out[0] = f(21);
+}
+""", [42]),
+    "omp_threads_and_bank_base": ("""
+#include <det_omp.h>
+int out[2];
+void main() {
+    int n = 1;
+    omp_set_num_threads(3);
+    out[0] = omp_get_num_threads();
+    out[1] = (int)__bank_base(n);
+}
+""", [3, 0x80100000 - (1 << 32)]),
+    "struct_initializer_padding": ("""
+struct rec { int a; int b; int c; };
+struct rec r = {5};
+int out[3];
+void main() { out[0] = r.a; out[1] = r.b; out[2] = r.c; }
+""", [5, 0, 0]),
+    "sizeof_of_expressions": ("""
+struct point { int x; int y; };
+struct point pts[3];
+char bytes[5];
+int out[6];
+void main() {
+    int x = 7;
+    struct point *p = pts;
+    out[0] = sizeof x;
+    out[1] = sizeof pts[1];
+    out[2] = sizeof pts[0].y;
+    out[3] = sizeof *p + sizeof bytes;
+    out[4] = sizeof(x++);
+    out[5] = x;
+}
+""", [4, 8, 4, 13, 4, 7]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DOCUMENTED))
+def test_documented_detc_features_run(name):
+    source, expected = DOCUMENTED[name]
+    program, machine, _ = run_c(source)
+    assert [word(machine, program, "out", i)
+            for i in range(len(expected))] == expected

@@ -6,7 +6,7 @@ from repro import memmap
 from repro.asm import assemble
 from repro.isa.instruction import Instruction
 from repro.isa.spec import INSTR_SPECS
-from repro.machine import LBP, lowered
+from repro.machine import LBP, MachineError, lowered
 from repro.machine.lowered import LoweredInstr, lower_program
 from repro.machine.memory import Bank, Port
 from repro.machine.params import Params
@@ -299,3 +299,25 @@ def test_every_source_of_the_compiled_tick_is_package_data():
         name = os.path.basename(source)
         assert any(fnmatch.fnmatch(name, pattern) for pattern in patterns), (
             "%s is compiled by native.py but not shipped" % name)
+
+
+def test_local_memory_is_core_private_and_named_by_a_core():
+    """The same local address names a different bank on every core;
+    ``read_local`` refuses a core the machine does not have, and a word
+    access without a core refuses a local address, reads and writes
+    alike."""
+    machine = LBP(Params(num_cores=2))
+    machine.cores[0].mem.local.write(memmap.LOCAL_BASE, 111, 4)
+    machine.cores[1].mem.local.write(memmap.LOCAL_BASE, 222, 4)
+    assert machine.read_local(0, memmap.LOCAL_BASE) == 111
+    assert machine.read_local(1, memmap.LOCAL_BASE) == 222
+    for core in (-1, 2):
+        with pytest.raises(MachineError,
+                           match="^no core %d in a 2-core machine$" % core):
+            machine.read_local(core, memmap.LOCAL_BASE)
+    for access in (lambda: machine.read_word(memmap.LOCAL_BASE),
+                   lambda: machine.write_word(memmap.LOCAL_BASE, 5)):
+        with pytest.raises(MachineError, match="^local addresses are "
+                           "per-core; use read_local$"):
+            access()
+    assert machine.read_local(0, memmap.LOCAL_BASE) == 111
