@@ -946,8 +946,8 @@ class FunctionCodegen:
 
     def _expr_Un(self, expr, want_value):
         if expr.op == "sizeof":
-            return self.load_const(self._sizeof(expr.operand).size, expr), \
-                T.UINT
+            size = self._sizeof(expr.operand).size
+            return self.load_const(size, expr), T.UINT
         reg, ctype = self.gen_expr(expr.operand)
         out = self._result_reg(reg, expr)
         if expr.op == "-":
@@ -1007,8 +1007,8 @@ class FunctionCodegen:
             if gtype is not None:
                 reg = self.alloc_temp(expr)
                 self.emit("la %s, %s" % (reg, operand.name))
-                return reg, T.PtrType(gtype.base if isinstance(
-                    gtype, T.ArrayType) else gtype)
+                base = gtype.base if isinstance(gtype, T.ArrayType) else gtype
+                return reg, T.PtrType(base)
             ftype = self.module.func_types.get(operand.name)
             if ftype is not None:
                 reg = self.alloc_temp(expr)

@@ -1275,29 +1275,26 @@ class LBP:
 
     # ---- debugging / inspection --------------------------------------------------
 
-    def _bank_of(self, addr, core_index=None):
-        """The bank a direct access to *addr* names: the shared bank of
-        the core that owns it, or core *core_index*'s local bank (only
-        :meth:`read_local` names a core)."""
-        if core_index is None:
-            if memmap.is_local(addr):
-                raise MachineError(
-                    "local addresses are per-core; use read_local")
-            owner = memmap.owner_core_of(addr, self.params.num_cores)
-            if owner is None:
-                raise MachineError("unmapped address 0x%x" % addr)
-            return self.cores[owner].mem.shared
-        if not 0 <= core_index < len(self.cores):
-            raise MachineError("no core %d in a %d-core machine"
-                               % (core_index, len(self.cores)))
-        return self.cores[core_index].mem.local
+    def _shared_bank(self, addr):
+        """The shared bank a direct word access to *addr* names: the one
+        of the core that owns it (a local address names a bank per core:
+        :meth:`read_local`)."""
+        if memmap.is_local(addr):
+            raise MachineError("local addresses are per-core; use read_local")
+        owner = memmap.owner_core_of(addr, self.params.num_cores)
+        if owner is None:
+            raise MachineError("unmapped address 0x%x" % addr)
+        return self.cores[owner].mem.shared
 
     def read_word(self, addr):
         """Read a data word directly (for tests and result extraction)."""
-        return self._bank_of(addr).read(addr, 4)
+        return self._shared_bank(addr).read(addr, 4)
 
     def write_word(self, addr, value):
-        self._bank_of(addr).write(addr, value, 4)
+        self._shared_bank(addr).write(addr, value, 4)
 
     def read_local(self, core_index, addr):
-        return self._bank_of(addr, core_index).read(addr, 4)
+        if not 0 <= core_index < len(self.cores):
+            raise MachineError("no core %d in a %d-core machine"
+                               % (core_index, len(self.cores)))
+        return self.cores[core_index].mem.local.read(addr, 4)

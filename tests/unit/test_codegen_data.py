@@ -126,8 +126,7 @@ def test_address_of_local_scalar():
 int out;
 void bump(int *p) { *p += 1; }
 void main() {
-    int x;
-    x = 41;
+    int x = 41;
     bump(&x);
     out = x;
 }
