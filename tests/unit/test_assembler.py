@@ -149,6 +149,97 @@ def test_errors():
         assemble("main: addi a0, a0, 99999")  # imm overflow
 
 
+#: every pseudo-instruction form -> (mnemonic, rd, rs1, rs2, imm) of each
+#: instruction it expands to.  The line sits at address 4, so a
+#: pc-relative target 20 is the offset 16 and an absolute 20 stays 20
+#: (a0 = 10, a1 = 11, ra = 1, t0 = 5).
+PSEUDO_EXPANSIONS = [
+    ("nop", [("addi", 0, 0, 0, 0)]),
+    ("li a0, 5", [("addi", 10, 0, 0, 5)]),
+    ("li a0, -1", [("addi", 10, 0, 0, -1)]),
+    ("li a0, 0x800", [("lui", 10, 0, 0, 1), ("addi", 10, 10, 0, -2048)]),
+    ("li a0, 0x12345000", [("lui", 10, 0, 0, 0x12345)]),
+    ("li a0, 0x12345678",
+     [("lui", 10, 0, 0, 0x12345), ("addi", 10, 10, 0, 0x678)]),
+    ("li a0, K", [("lui", 10, 0, 0, 0x12345), ("addi", 10, 10, 0, 0x678)]),
+    ("la a0, 0x12345678",
+     [("lui", 10, 0, 0, 0x12345), ("addi", 10, 10, 0, 0x678)]),
+    ("la a0, 20", [("lui", 10, 0, 0, 0), ("addi", 10, 10, 0, 20)]),
+    ("mv a0, a1", [("addi", 10, 11, 0, 0)]),
+    ("not a0, a1", [("xori", 10, 11, 0, -1)]),
+    ("neg a0, a1", [("sub", 10, 0, 11, 0)]),
+    ("seqz a0, a1", [("sltiu", 10, 11, 0, 1)]),
+    ("snez a0, a1", [("sltu", 10, 0, 11, 0)]),
+    ("sltz a0, a1", [("slt", 10, 11, 0, 0)]),
+    ("sgtz a0, a1", [("slt", 10, 0, 11, 0)]),
+    ("beqz a0, 20", [("beq", 0, 10, 0, 16)]),
+    ("bnez a0, 20", [("bne", 0, 10, 0, 16)]),
+    ("bgez a0, 20", [("bge", 0, 10, 0, 16)]),
+    ("bltz a0, 20", [("blt", 0, 10, 0, 16)]),
+    ("blez a0, 20", [("bge", 0, 0, 10, 16)]),
+    ("bgtz a0, 20", [("blt", 0, 0, 10, 16)]),
+    ("bgt a0, a1, 20", [("blt", 0, 11, 10, 16)]),
+    ("ble a0, a1, 20", [("bge", 0, 11, 10, 16)]),
+    ("bgtu a0, a1, 20", [("bltu", 0, 11, 10, 16)]),
+    ("bleu a0, a1, 20", [("bgeu", 0, 11, 10, 16)]),
+    ("j 20", [("jal", 0, 0, 0, 16)]),
+    ("jal 20", [("jal", 1, 0, 0, 16)]),
+    ("jal a0, 20", [("jal", 10, 0, 0, 16)]),
+    ("jalr a0", [("jalr", 1, 10, 0, 0)]),
+    ("jalr a1, a0, 20", [("jalr", 11, 10, 0, 20)]),
+    ("jalr a1, 20(a0)", [("jalr", 11, 10, 0, 20)]),
+    ("jalr a1, (a0)", [("jalr", 11, 10, 0, 0)]),
+    ("jr a0", [("jalr", 0, 10, 0, 0)]),
+    ("call 20", [("jal", 1, 0, 0, 16)]),
+    ("tail 20", [("jal", 0, 0, 0, 16)]),
+    ("ret", [("jalr", 0, 1, 0, 0)]),
+    ("p_ret", [("p_jalr", 0, 1, 5, 0)]),
+]
+
+
+@pytest.mark.parametrize("line,expected", PSEUDO_EXPANSIONS,
+                         ids=[line for line, _ in PSEUDO_EXPANSIONS])
+def test_pseudo_expansion(line, expected):
+    program = assemble(".equ K, 0x12345678\n nop\n %s" % line)
+    got = [(ins.mnemonic, ins.rd, ins.rs1, ins.rs2, ins.imm)
+           for addr, ins in sorted(program.instructions.items())
+           if addr >= 4]
+    assert got == expected
+
+
+#: a malformed line -> the exact text of the AsmError it raises
+ERROR_TEXTS = [
+    ("add a0 a1, a2", "<asm>:1: expected ','"),
+    ("add a0, 5, a2", "<asm>:1: expected register, got 5"),
+    ("mv a0, 3", "<asm>:1: expected register, got 3"),
+    ("add a0, a1, a2, a3", "<asm>:1: trailing tokens after instruction"),
+    ("nop 5", "<asm>:1: trailing tokens after instruction"),
+    ("ret a0", "<asm>:1: trailing tokens after instruction"),
+    ("lw a0, 4(a1", "<asm>:1: expected ')' of memory operand"),
+    ("sw a0, a1", "<asm>:1: expected '(' of memory operand"),
+    ("addi a0, a1, (1+2", "<asm>:1: expected ')'"),
+    ("lui a0, %hi 5", "<asm>:1: expected '('"),
+    ("addi a0, a1,", "<asm>:1: expected expression"),
+    ("addi a0, a1, 1 +", "<asm>:1: expected expression"),
+    ("addi a0, a1, * 2", "<asm>:1: unexpected token '*' in expression"),
+    ("li a0", "<asm>:1: expected ','"),
+    ("jal ra", "<asm>:1: jal needs a target label"),
+    ("bgt a0, a1", "<asm>:1: expected ','"),
+    ("j nowhere", "<asm>:1: undefined symbol 'nowhere'"),
+    (".bank sym", "<asm>:1: .bank needs a constant bank number"),
+    (".data\n.space sym", "<asm>:2: .space needs a constant size"),
+    (".align 99", "<asm>:1: .align needs a small constant"),
+]
+
+
+@pytest.mark.parametrize("source,text", ERROR_TEXTS,
+                         ids=[source for source, _ in ERROR_TEXTS])
+def test_error_texts(source, text):
+    with pytest.raises(AsmError) as caught:
+        assemble(source)
+    assert str(caught.value) == text
+
+
 def test_entry_point_selection():
     has_main = assemble("main: nop")
     assert has_main.entry == has_main.symbol("main")

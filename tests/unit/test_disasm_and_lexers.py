@@ -7,7 +7,7 @@ from repro.asm.errors import AsmError
 from repro.asm.lexer import tokenize_line
 from repro.compiler.clexer import tokenize
 from repro.compiler.errors import CompileError
-from repro.isa import INSTR_SPECS, disassemble
+from repro.isa import INSTR_SPECS, disassemble, encode_instruction
 from repro.isa.disasm import disassemble_program
 
 
@@ -39,14 +39,32 @@ main:
 
 
 def test_disassemble_every_shape():
+    """Every mnemonic at address 0: encode, disassemble, assemble the text
+    again, and the word is the same (a pc-relative operand is printed as
+    the offset, which at address 0 is the target)."""
     from repro.isa.instruction import Instruction
 
     for spec in INSTR_SPECS.values():
-        ins = Instruction(spec.mnemonic, rd=1, rs1=2, rs2=3, imm=4, spec=spec)
-        if spec.fmt in ("B", "J"):
-            ins.imm = 8
+        ins = Instruction(spec.mnemonic, spec=spec, addr=0)
+        if "rd" in spec.operands:
+            ins.rd = 11
+        if "rs1" in spec.operands:
+            ins.rs1 = 12
+        if "rs2" in spec.operands:
+            ins.rs2 = 13
+        if "imm" in spec.operands or "label" in spec.operands:
+            if spec.mnemonic in ("slli", "srli", "srai"):
+                ins.imm = 7
+            elif spec.fmt == "U":
+                ins.imm = 0x12345
+            elif spec.fmt in ("B", "J"):
+                ins.imm = -8
+            else:
+                ins.imm = -5
         text = disassemble(ins)
         assert text.startswith(spec.mnemonic)
+        program = assemble(text)
+        assert program.read_word_initial(0) == encode_instruction(ins), text
 
 
 def test_disassemble_program_listing():
