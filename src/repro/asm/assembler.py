@@ -9,21 +9,22 @@ binary and materialises data segments.
 
 from repro import memmap
 from repro.asm.errors import AsmError
-from repro.asm.expr import ExprParser, eval_expr, try_fold, hi20, lo12
+from repro.asm.expr import BINARY, eval_expr, hi20, lo12, try_fold
 from repro.asm.lexer import tokenize_line
 from repro.asm.program import Program, Segment
 from repro.isa.encoding import encode_instruction, sign_extend
 from repro.isa.instruction import Instruction
 from repro.isa.registers import is_register_name, reg_num
-from repro.isa.spec import INSTR_SPECS
+from repro.isa.spec import FORMS, INSTR_SPECS
 
-_ZERO = ("num", 0)
+RA = reg_num("ra")
 
 
 class _Operands:
-    """Cursor over one line's operand tokens."""
+    """Cursor over one line's operand tokens: registers, memory operands
+    and expressions."""
 
-    def __init__(self, tokens, pos, line, source_name):
+    def __init__(self, tokens, pos=0, line=None, source_name=None):
         self.tokens = tokens
         self.pos = pos
         self.line = line
@@ -42,10 +43,10 @@ class _Operands:
         if not self.at_end():
             self.error("trailing tokens after instruction")
 
-    def comma(self):
+    def punct(self, value, where=""):
         tok = self.peek()
-        if tok is None or tok.kind != "PUNCT" or tok.value != ",":
-            self.error("expected ','")
+        if tok is None or tok.kind != "PUNCT" or tok.value != value:
+            self.error("expected %r%s" % (value, where))
         self.pos += 1
 
     def reg(self):
@@ -59,28 +60,59 @@ class _Operands:
         tok = self.peek()
         return tok is not None and tok.kind == "IDENT" and is_register_name(tok.value)
 
-    def expr(self):
-        parser = ExprParser(self.tokens, self.pos, self.line, self.source_name)
-        node = parser.parse()
-        self.pos = parser.pos
-        return node
+    def expr(self, floor=1):
+        """One expression whose binary operators all bind at least as
+        tightly as *floor* (precedence climbing over ``expr.BINARY``: a
+        right operand binds tighter than its operator, so equal powers
+        associate to the left)."""
+        node = self.unary()
+        while True:
+            tok = self.peek()
+            if tok is None or tok.kind != "PUNCT" or tok.value not in BINARY:
+                return node
+            power = BINARY[tok.value][0]
+            if power < floor:
+                return node
+            self.pos += 1
+            node = ("bin", tok.value, node, self.expr(power + 1))
+
+    def unary(self):
+        tok = self.peek()
+        if tok is None:
+            self.error("expected expression")
+        self.pos += 1
+        if tok.kind == "NUM":
+            return ("num", tok.value)
+        if tok.kind == "IDENT":
+            if tok.value not in ("%hi", "%lo"):
+                return ("sym", tok.value)
+            self.punct("(")
+            inner = self.expr()
+            self.punct(")")
+            return (tok.value[1:], inner)
+        if tok.kind == "PUNCT":
+            if tok.value == "-":
+                return ("neg", self.unary())
+            if tok.value == "~":
+                return ("inv", self.unary())
+            if tok.value == "+":
+                return self.unary()
+            if tok.value == "(":
+                inner = self.expr()
+                self.punct(")")
+                return inner
+        self.error("unexpected token %r in expression" % (tok.value,))
 
     def mem(self):
         """Parse ``imm(reg)`` (imm optional) → (expr, reg)."""
+        offset = ("num", 0)
         tok = self.peek()
-        offset = _ZERO
         if not (tok is not None and tok.kind == "PUNCT" and tok.value == "("
                 and self._paren_is_base()):
             offset = self.expr()
-        tok = self.peek()
-        if tok is None or tok.kind != "PUNCT" or tok.value != "(":
-            self.error("expected '(' of memory operand")
-        self.pos += 1
+        self.punct("(", " of memory operand")
         base = self.reg()
-        tok = self.peek()
-        if tok is None or tok.kind != "PUNCT" or tok.value != ")":
-            self.error("expected ')' of memory operand")
-        self.pos += 1
+        self.punct(")", " of memory operand")
         return offset, base
 
     def _paren_is_base(self):
@@ -98,267 +130,92 @@ class _Operands:
 
 
 class _Instr:
-    """A pending instruction: fields plus unresolved operand expressions."""
+    """A pending instruction: fields plus an unresolved operand expression
+    (*imm* when none is given)."""
 
-    __slots__ = ("mnemonic", "rd", "rs1", "rs2", "expr", "mode", "addr", "line")
+    __slots__ = ("mnemonic", "rd", "rs1", "rs2", "expr", "addr", "line")
 
-    def __init__(self, mnemonic, rd=0, rs1=0, rs2=0, expr=None, mode="abs"):
+    def __init__(self, mnemonic, rd=0, rs1=0, rs2=0, imm=0, expr=None):
         self.mnemonic = mnemonic
         self.rd = rd
         self.rs1 = rs1
         self.rs2 = rs2
-        self.expr = expr if expr is not None else _ZERO
-        self.mode = mode  # "abs" or "rel" (pc-relative)
+        self.expr = ("num", imm) if expr is None else expr
         self.addr = None
         self.line = None
 
 
-RA, SP, T0, ZERO = reg_num("ra"), reg_num("sp"), reg_num("t0"), 0
+def _walk(ops, shape, ins):
+    """Read one operand per field of *shape* (``spec.FIELDS``), comma
+    separated, into *ins*; nothing may follow."""
+    for index, field in enumerate(shape):
+        if index:
+            ops.punct(",")
+        if field == "imm(rs1)":
+            ins.expr, ins.rs1 = ops.mem()
+        elif field in ("imm", "label"):
+            ins.expr = ops.expr()
+        else:
+            setattr(ins, field, ops.reg())
+    ops.end()
+    return ins
+
+
+def _hi_lo(ins):
+    """``lui`` + ``addi`` of the %hi / %lo halves of *ins*'s expression."""
+    return [_Instr("lui", rd=ins.rd, expr=("hi", ins.expr)),
+            _Instr("addi", rd=ins.rd, rs1=ins.rd, expr=("lo", ins.expr))]
 
 
 def _expand_li(ops):
-    rd = ops.reg()
-    ops.comma()
-    expr = ops.expr()
-    ops.end()
-    value = try_fold(expr)
-    if value is not None:
-        value = sign_extend(value & 0xFFFFFFFF, 32)
-        if -2048 <= value <= 2047:
-            return [_Instr("addi", rd=rd, rs1=ZERO, expr=("num", value))]
-        out = [_Instr("lui", rd=rd, expr=("num", hi20(value)))]
-        low = lo12(value)
-        if low:
-            out.append(_Instr("addi", rd=rd, rs1=rd, expr=("num", low)))
-        return out
-    return [
-        _Instr("lui", rd=rd, expr=("hi", expr)),
-        _Instr("addi", rd=rd, rs1=rd, expr=("lo", expr)),
-    ]
+    """``li rd, value``: the shortest sequence when the value folds to a
+    constant, else ``la``'s pair."""
+    ins = _walk(ops, ("rd", "imm"), _Instr("addi"))
+    value = try_fold(ins.expr)
+    if value is None:
+        return _hi_lo(ins)
+    value = sign_extend(value & 0xFFFFFFFF, 32)
+    if -2048 <= value <= 2047:
+        return [_Instr("addi", rd=ins.rd, imm=value)]
+    out = [_Instr("lui", rd=ins.rd, imm=hi20(value))]
+    if lo12(value):
+        out.append(_Instr("addi", rd=ins.rd, rs1=ins.rd, imm=lo12(value)))
+    return out
 
 
 def _expand_la(ops):
-    rd = ops.reg()
-    ops.comma()
-    expr = ops.expr()
-    ops.end()
-    return [
-        _Instr("lui", rd=rd, expr=("hi", expr)),
-        _Instr("addi", rd=rd, rs1=rd, expr=("lo", expr)),
-    ]
+    return _hi_lo(_walk(ops, ("rd", "imm"), _Instr("addi")))
 
 
 def _expand_jal(ops):
-    first = ops.reg() if ops.looks_like_reg() else None
-    if first is not None and not ops.at_end():
-        ops.comma()
-        expr = ops.expr()
-        ops.end()
-        return [_Instr("jal", rd=first, expr=expr, mode="rel")]
-    if first is not None:
-        # "jal rs" would be odd; treat a bare register as an error.
-        ops.error("jal needs a target label")
-    expr = ops.expr()
-    ops.end()
-    return [_Instr("jal", rd=RA, expr=expr, mode="rel")]
+    """``jal label`` links ``ra``; ``jal rd, label`` links *rd*."""
+    rd = RA
+    if ops.looks_like_reg():
+        rd = ops.reg()
+        if ops.at_end():
+            ops.error("jal needs a target label")
+        ops.punct(",")
+    return [_walk(ops, ("label",), _Instr("jal", rd=rd))]
 
 
 def _expand_jalr(ops):
-    first = ops.reg()
+    """``jalr rs`` links ``ra``; ``jalr rd, rs1, imm`` and
+    ``jalr rd, imm(rs1)`` are the real instruction."""
+    rd = ops.reg()
     if ops.at_end():
-        return [_Instr("jalr", rd=RA, rs1=first, expr=_ZERO)]
-    ops.comma()
-    if ops.looks_like_reg():
-        rs1 = ops.reg()
-        ops.comma()
-        expr = ops.expr()
-        ops.end()
-        return [_Instr("jalr", rd=first, rs1=rs1, expr=expr)]
-    offset, base = ops.mem()
-    ops.end()
-    return [_Instr("jalr", rd=first, rs1=base, expr=offset)]
+        return [_Instr("jalr", rd=RA, rs1=rd)]
+    ops.punct(",")
+    shape = ("rs1", "imm") if ops.looks_like_reg() else ("imm(rs1)",)
+    return [_walk(ops, shape, _Instr("jalr", rd=rd))]
 
 
-def _unary_pseudo(real, rs1_from, rs2_from, imm=None):
-    """Build an expander for `op rd, rs` one-source pseudos."""
-
-    def expand(ops):
-        rd = ops.reg()
-        ops.comma()
-        rs = ops.reg()
-        ops.end()
-        ins = _Instr(real, rd=rd, expr=("num", imm or 0))
-        if rs1_from == "rs":
-            ins.rs1 = rs
-        if rs2_from == "rs":
-            ins.rs2 = rs
-        return [ins]
-
-    return expand
-
-
-def _branch_zero(real, reg_field):
-    def expand(ops):
-        rs = ops.reg()
-        ops.comma()
-        expr = ops.expr()
-        ops.end()
-        ins = _Instr(real, expr=expr, mode="rel")
-        setattr(ins, reg_field, rs)
-        return [ins]
-
-    return expand
-
-
-def _branch_swapped(real):
-    def expand(ops):
-        a = ops.reg()
-        ops.comma()
-        b = ops.reg()
-        ops.comma()
-        expr = ops.expr()
-        ops.end()
-        return [_Instr(real, rs1=b, rs2=a, expr=expr, mode="rel")]
-
-    return expand
-
-
-def _fixed(*protos):
-    def expand(ops):
-        ops.end()
-        return [
-            _Instr(mn, rd=rd, rs1=rs1, rs2=rs2, expr=_ZERO)
-            for (mn, rd, rs1, rs2) in protos
-        ]
-
-    return expand
-
-
-def _expand_j(ops):
-    expr = ops.expr()
-    ops.end()
-    return [_Instr("jal", rd=ZERO, expr=expr, mode="rel")]
-
-
-def _expand_call(ops):
-    expr = ops.expr()
-    ops.end()
-    return [_Instr("jal", rd=RA, expr=expr, mode="rel")]
-
-
-def _expand_tail(ops):
-    expr = ops.expr()
-    ops.end()
-    return [_Instr("jal", rd=ZERO, expr=expr, mode="rel")]
-
-
-def _expand_jr(ops):
-    rs = ops.reg()
-    ops.end()
-    return [_Instr("jalr", rd=ZERO, rs1=rs, expr=_ZERO)]
-
-
-_PSEUDOS = {
-    "nop": _fixed(("addi", 0, 0, 0)),
+#: the mnemonics that are not one ``spec.FORMS`` row
+_EXPANDERS = {
     "li": _expand_li,
     "la": _expand_la,
-    "mv": _unary_pseudo("addi", "rs", None),
-    "not": _unary_pseudo("xori", "rs", None, imm=-1),
-    "neg": _unary_pseudo("sub", None, "rs"),
-    "seqz": _unary_pseudo("sltiu", "rs", None, imm=1),
-    "snez": _unary_pseudo("sltu", None, "rs"),
-    "sltz": _unary_pseudo("slt", "rs", None),
-    "sgtz": _unary_pseudo("slt", None, "rs"),
-    "beqz": _branch_zero("beq", "rs1"),
-    "bnez": _branch_zero("bne", "rs1"),
-    "bgez": _branch_zero("bge", "rs1"),
-    "bltz": _branch_zero("blt", "rs1"),
-    "blez": _branch_zero("bge", "rs2"),
-    "bgtz": _branch_zero("blt", "rs2"),
-    "bgt": _branch_swapped("blt"),
-    "ble": _branch_swapped("bge"),
-    "bgtu": _branch_swapped("bltu"),
-    "bleu": _branch_swapped("bgeu"),
-    "j": _expand_j,
     "jal": _expand_jal,
     "jalr": _expand_jalr,
-    "jr": _expand_jr,
-    "call": _expand_call,
-    "tail": _expand_tail,
-    "ret": _fixed(("jalr", 0, RA, 0)),
-    "p_ret": _fixed(("p_jalr", 0, RA, T0)),
 }
-
-# `not` negates with xori -1; patch its immediate handling:
-
-
-def _parse_real(mnemonic, spec, ops):
-    shape = spec.operands
-    ins = _Instr(mnemonic)
-    if shape == "":
-        ops.end()
-        return [ins]
-    if shape == "rd":
-        ins.rd = ops.reg()
-    elif shape == "rd,rs1":
-        ins.rd = ops.reg()
-        ops.comma()
-        ins.rs1 = ops.reg()
-    elif shape == "rd,rs1,rs2":
-        ins.rd = ops.reg()
-        ops.comma()
-        ins.rs1 = ops.reg()
-        ops.comma()
-        ins.rs2 = ops.reg()
-    elif shape == "rd,rs1,imm":
-        ins.rd = ops.reg()
-        ops.comma()
-        ins.rs1 = ops.reg()
-        ops.comma()
-        ins.expr = ops.expr()
-    elif shape == "rd,imm":
-        ins.rd = ops.reg()
-        ops.comma()
-        ins.expr = ops.expr()
-    elif shape == "rd,imm(rs1)":
-        ins.rd = ops.reg()
-        ops.comma()
-        ins.expr, ins.rs1 = ops.mem()
-    elif shape == "rs2,imm(rs1)":
-        ins.rs2 = ops.reg()
-        ops.comma()
-        ins.expr, ins.rs1 = ops.mem()
-    elif shape == "rs1,rs2,imm":
-        ins.rs1 = ops.reg()
-        ops.comma()
-        ins.rs2 = ops.reg()
-        ops.comma()
-        ins.expr = ops.expr()
-    elif shape == "rd,label":
-        ins.rd = ops.reg()
-        ops.comma()
-        ins.expr = ops.expr()
-        ins.mode = "rel"
-    elif shape == "rs1,rs2,label":
-        ins.rs1 = ops.reg()
-        ops.comma()
-        ins.rs2 = ops.reg()
-        ops.comma()
-        ins.expr = ops.expr()
-        ins.mode = "rel"
-    elif shape == "rd,rs1,label":
-        ins.rd = ops.reg()
-        ops.comma()
-        ins.rs1 = ops.reg()
-        ops.comma()
-        ins.expr = ops.expr()
-        ins.mode = "rel"
-    else:
-        raise AssertionError("unhandled shape %r" % (shape,))
-    ops.end()
-    if ins.expr is None:
-        ins.expr = _ZERO
-    return [ins]
 
 
 class Assembler:
@@ -438,7 +295,7 @@ class Assembler:
             expr = ops.expr()
             fill = 0
             if not ops.at_end():
-                ops.comma()
+                ops.punct(",")
                 fill_expr = ops.expr()
                 fill = try_fold(fill_expr)
                 if fill is None:
@@ -457,7 +314,7 @@ class Assembler:
             alignment = 1 << power
             if self.section == "text":
                 while self.code_cursor % alignment:
-                    self._emit_instrs([_Instr("addi", expr=_ZERO)])
+                    self._emit_instrs([_Instr("addi")])
             else:
                 cursor = self._data_cursor()
                 pad = -cursor % alignment
@@ -478,7 +335,7 @@ class Assembler:
             if tok is None or tok.kind != "IDENT":
                 self._error("%s needs a symbol name" % name)
             ops.pos += 1
-            ops.comma()
+            ops.punct(",")
             expr = ops.expr()
             ops.end()
             self.equs.append((tok.value, expr, self.line))
@@ -491,7 +348,7 @@ class Assembler:
     def _data_list(self, ops, size):
         exprs = [ops.expr()]
         while not ops.at_end():
-            ops.comma()
+            ops.punct(",")
             exprs.append(ops.expr())
         self._emit_data("words", (size, exprs), size * len(exprs))
 
@@ -519,13 +376,14 @@ class Assembler:
             self._directive(name, ops)
             return
         mnemonic = name.lower()
-        if mnemonic in _PSEUDOS:
-            self._emit_instrs(_PSEUDOS[mnemonic](ops))
+        if mnemonic in _EXPANDERS:
+            self._emit_instrs(_EXPANDERS[mnemonic](ops))
             return
-        spec = INSTR_SPECS.get(mnemonic)
-        if spec is None:
+        form = FORMS.get(mnemonic)
+        if form is None:
             self._error("unknown mnemonic %r" % name)
-        self._emit_instrs(_parse_real(mnemonic, spec, ops))
+        shape, real, fixed = form
+        self._emit_instrs([_walk(ops, shape, _Instr(real, **fixed))])
 
     # ---- pass 2 -----------------------------------------------------------
 
@@ -559,8 +417,8 @@ class Assembler:
         code = bytearray()
         for item in self.instr_items:
             value = eval_expr(item.expr, self.symbols, item.line, self.source_name)
-            imm = value - item.addr if item.mode == "rel" else value
             spec = INSTR_SPECS[item.mnemonic]
+            imm = value - item.addr if "label" in spec.shape else value
             ins = Instruction(
                 item.mnemonic, rd=item.rd, rs1=item.rs1, rs2=item.rs2,
                 imm=imm, spec=spec, addr=item.addr,

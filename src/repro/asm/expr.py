@@ -1,16 +1,11 @@
-"""Operand expressions: parsing and evaluation.
+"""Operand expressions: the operator table and evaluation.
 
-Expressions appear in immediate operands and data directives.  Grammar
-(loosest binding first)::
+Expressions appear in immediate operands and data directives.  The
+assembler's operand cursor parses one by precedence climbing over
+:data:`BINARY` (loosest binding first: ``|``, ``^``, ``&``, ``<<``/``>>``,
+``+``/``-``, ``*``/``/``; all left-associative, as in C) on top of::
 
-    expr   := or
-    or     := xor ('|' xor)*
-    xor    := and ('^' and)*
-    and    := shift ('&' shift)*
-    shift  := sum ('<<'|'>>' sum)*
-    sum    := term (('+'|'-') term)*
-    term   := unary (('*'|'/') unary)*
-    unary  := ('-'|'~')* atom
+    unary  := ('-'|'~'|'+')* atom
     atom   := NUM | IDENT | '%hi' '(' expr ')' | '%lo' '(' expr ')'
             | '(' expr ')'
 
@@ -19,95 +14,23 @@ Expression nodes are plain tuples: ``("num", v)``, ``("sym", name)``,
 ``("lo", e)``.
 """
 
+import operator
+
 from repro.asm.errors import AsmError
 from repro.isa.encoding import sign_extend
 
-_BINOPS = {
-    "+": lambda a, b: a + b,
-    "-": lambda a, b: a - b,
-    "*": lambda a, b: a * b,
-    "/": lambda a, b: a // b if b else 0,
-    "&": lambda a, b: a & b,
-    "|": lambda a, b: a | b,
-    "^": lambda a, b: a ^ b,
-    "<<": lambda a, b: a << b,
-    ">>": lambda a, b: a >> b,
+#: binary operator -> (binding power, function)
+BINARY = {
+    "|": (1, operator.or_),
+    "^": (2, operator.xor),
+    "&": (3, operator.and_),
+    "<<": (4, operator.lshift),
+    ">>": (4, operator.rshift),
+    "+": (5, operator.add),
+    "-": (5, operator.sub),
+    "*": (6, operator.mul),
+    "/": (6, lambda a, b: a // b if b else 0),
 }
-
-_LEVELS = [["|"], ["^"], ["&"], ["<<", ">>"], ["+", "-"], ["*", "/"]]
-
-
-class ExprParser:
-    """Parses one expression from a token stream (shared cursor)."""
-
-    def __init__(self, tokens, pos, line=None, source_name=None):
-        self.tokens = tokens
-        self.pos = pos
-        self.line = line
-        self.source_name = source_name
-
-    def _peek(self):
-        if self.pos < len(self.tokens):
-            return self.tokens[self.pos]
-        return None
-
-    def _error(self, message):
-        raise AsmError(message, self.line, self.source_name)
-
-    def parse(self, level=0):
-        if level == len(_LEVELS):
-            return self._unary()
-        node = self.parse(level + 1)
-        while True:
-            tok = self._peek()
-            if tok is None or tok.kind != "PUNCT" or tok.value not in _LEVELS[level]:
-                return node
-            self.pos += 1
-            rhs = self.parse(level + 1)
-            node = ("bin", tok.value, node, rhs)
-
-    def _unary(self):
-        tok = self._peek()
-        if tok is not None and tok.kind == "PUNCT" and tok.value == "-":
-            self.pos += 1
-            return ("neg", self._unary())
-        if tok is not None and tok.kind == "PUNCT" and tok.value == "~":
-            self.pos += 1
-            return ("inv", self._unary())
-        if tok is not None and tok.kind == "PUNCT" and tok.value == "+":
-            self.pos += 1
-            return self._unary()
-        return self._atom()
-
-    def _atom(self):
-        tok = self._peek()
-        if tok is None:
-            self._error("expected expression")
-        if tok.kind == "NUM":
-            self.pos += 1
-            return ("num", tok.value)
-        if tok.kind == "IDENT":
-            name = tok.value
-            if name in ("%hi", "%lo"):
-                self.pos += 1
-                self._expect_punct("(")
-                inner = self.parse()
-                self._expect_punct(")")
-                return ("hi" if name == "%hi" else "lo", inner)
-            self.pos += 1
-            return ("sym", name)
-        if tok.kind == "PUNCT" and tok.value == "(":
-            self.pos += 1
-            inner = self.parse()
-            self._expect_punct(")")
-            return inner
-        self._error("unexpected token %r in expression" % (tok.value,))
-
-    def _expect_punct(self, value):
-        tok = self._peek()
-        if tok is None or tok.kind != "PUNCT" or tok.value != value:
-            self._error("expected %r" % value)
-        self.pos += 1
 
 
 def hi20(value):
@@ -133,41 +56,22 @@ def eval_expr(node, symbols, line=None, source_name=None):
     if kind == "bin":
         lhs = eval_expr(node[2], symbols, line, source_name)
         rhs = eval_expr(node[3], symbols, line, source_name)
-        return _BINOPS[node[1]](lhs, rhs)
+        return BINARY[node[1]][1](lhs, rhs)
+    inner = eval_expr(node[1], symbols, line, source_name)
     if kind == "neg":
-        return -eval_expr(node[1], symbols, line, source_name)
+        return -inner
     if kind == "inv":
-        return ~eval_expr(node[1], symbols, line, source_name)
+        return ~inner
     if kind == "hi":
-        return hi20(eval_expr(node[1], symbols, line, source_name))
+        return hi20(inner)
     if kind == "lo":
-        return lo12(eval_expr(node[1], symbols, line, source_name))
+        return lo12(inner)
     raise AssertionError("bad expression node %r" % (node,))
 
 
 def try_fold(node):
-    """Evaluate a symbol-free expression, or return None if it has symbols."""
-    kind = node[0]
-    if kind == "num":
-        return node[1]
-    if kind == "sym":
+    """The value of a symbol-free expression, or None if it names one."""
+    try:
+        return eval_expr(node, {})
+    except AsmError:
         return None
-    if kind == "bin":
-        lhs = try_fold(node[2])
-        rhs = try_fold(node[3])
-        if lhs is None or rhs is None:
-            return None
-        return _BINOPS[node[1]](lhs, rhs)
-    if kind == "neg":
-        inner = try_fold(node[1])
-        return None if inner is None else -inner
-    if kind == "inv":
-        inner = try_fold(node[1])
-        return None if inner is None else ~inner
-    if kind == "hi":
-        inner = try_fold(node[1])
-        return None if inner is None else hi20(inner)
-    if kind == "lo":
-        inner = try_fold(node[1])
-        return None if inner is None else lo12(inner)
-    raise AssertionError("bad expression node %r" % (node,))

@@ -164,7 +164,11 @@ def _load_snapshot(path):
 
 
 def cmd_compile(args):
-    print(compile_c(_read_source(args.source), args.source))
+    source = _read_source(args.source)
+    try:
+        print(compile_c(source, args.source))
+    except CompileError as exc:
+        _refuse(exc)  # its message starts with file:line
     return 0
 
 

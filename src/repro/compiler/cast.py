@@ -45,7 +45,7 @@ class GlobalVar(Node):
 
 
 class InitList(Node):
-    """Brace initializer: items are exprs or RangeInit."""
+    """Brace initializer: items are exprs, RangeInit or nested InitList."""
 
     __slots__ = ("items",)
 

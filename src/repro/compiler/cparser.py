@@ -328,7 +328,7 @@ class Parser:
                 value = self.parse_assignment()
                 items.append(A.RangeInit(lo, hi, value, line))
             else:
-                items.append(self.parse_assignment())
+                items.append(self.parse_initializer())
             if not self.accept("PUNCT", ","):
                 break
         self.expect("PUNCT", "}")

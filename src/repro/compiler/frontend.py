@@ -328,26 +328,34 @@ class ModuleCodegen:
                 self._data_lines.append("%s:        .space %d"
                                         % (label, max(ctype.size, 4)))
                 continue
-            if isinstance(ctype, T.ArrayType):
-                self._emit_array_init(label, ctype, item.init, item.line)
-            elif isinstance(ctype, T.StructType):
-                self._emit_struct_init(label, ctype, item.init, item.line)
+            if isinstance(ctype, (T.ArrayType, T.StructType)):
+                self._data_lines.append("%s:" % label)
+                self._emit_aggregate_init(ctype, item.init, item.line)
             else:
                 value = self._const_or_symbol(
                     item.init if not isinstance(item.init, A.InitList)
                     else item.init.items[0], item.line)
                 self._data_lines.append("%s:        .word %s" % (label, value))
 
-    def _emit_array_init(self, label, ctype, init, line):
+    def _emit_aggregate_init(self, ctype, init, line):
+        """The data lines of an array or struct from its braced
+        initializer (the label, if any, is the caller's)."""
+        kind = "array" if isinstance(ctype, T.ArrayType) else "struct"
+        if not isinstance(init, A.InitList):
+            raise CompileError("%s initializer must be braced" % kind, line,
+                               self.source_name)
+        if kind == "array":
+            self._emit_array_init(ctype, init, line)
+        else:
+            self._emit_struct_init(ctype, init, line)
+
+    def _emit_array_init(self, ctype, init, line):
         count = ctype.count
         element = ctype.base
         if element.size not in (1, 4):
             raise CompileError("unsupported array element size", line,
                                self.source_name)
         values = [0] * count
-        if not isinstance(init, A.InitList):
-            raise CompileError("array initializer must be braced", line,
-                               self.source_name)
         cursor = 0
         for item in init.items:
             if isinstance(item, A.RangeInit):
@@ -366,7 +374,6 @@ class ModuleCodegen:
                 values[cursor] = self._const_or_symbol(item, line)
                 cursor += 1
         directive = ".word" if element.size == 4 else ".byte"
-        self._data_lines.append("%s:" % label)
         # compress long runs of equal constants into .space when zero
         index = 0
         while index < count:
@@ -386,19 +393,28 @@ class ModuleCodegen:
             )
             index += len(chunk)
 
-    def _emit_struct_init(self, label, ctype, init, line):
-        if not isinstance(init, A.InitList):
-            raise CompileError("struct initializer must be braced", line,
-                               self.source_name)
-        self._data_lines.append("%s:" % label)
+    def _emit_struct_init(self, ctype, init, line):
+        """Each field at its offset and size: a scalar item as one
+        ``.word`` or ``.byte``, a braced sub-list for an array or struct
+        field; the gaps and the fields without an item are zeros."""
+        if len(init.items) > len(ctype.fields):
+            raise CompileError("too many initializers for %r" % (ctype,),
+                               line, self.source_name)
         position = 0
         for (fname, ftype, foffset), item in zip(ctype.fields, init.items):
             if foffset > position:
                 self._data_lines.append("        .space %d" % (foffset - position))
-                position = foffset
-            value = self._const_or_symbol(item, line)
-            self._data_lines.append("        .word %s" % value)
-            position += 4
+            if isinstance(ftype, (T.ArrayType, T.StructType)):
+                if not isinstance(item, A.InitList):
+                    raise CompileError(
+                        "field %r of %r needs a braced initializer"
+                        % (fname, ctype), line, self.source_name)
+                self._emit_aggregate_init(ftype, item, line)
+            else:
+                self._data_lines.append("        %s %s" % (
+                    ".word" if ftype.size == 4 else ".byte",
+                    self._const_or_symbol(item, line)))
+            position = foffset + ftype.size
         if position < ctype.size:
             self._data_lines.append("        .space %d" % (ctype.size - position))
 

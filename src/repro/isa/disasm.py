@@ -9,40 +9,22 @@ from repro.isa.registers import reg_name
 from repro.isa.spec import spec_for
 
 
-def disassemble(ins):
-    """Return the assembly text for one decoded :class:`Instruction`."""
-    spec = ins.spec or spec_for(ins.mnemonic)
-    shape = spec.operands
-    rd = reg_name(ins.rd)
-    rs1 = reg_name(ins.rs1)
-    rs2 = reg_name(ins.rs2)
-    imm = ins.imm
+def _operand(ins, field):
+    if field == "imm(rs1)":
+        return "%d(%s)" % (ins.imm, reg_name(ins.rs1))
+    if field in ("imm", "label"):
+        return "%d" % ins.imm
+    return reg_name(getattr(ins, field))
 
-    if shape == "":
+
+def disassemble(ins):
+    """Return the assembly text for one decoded :class:`Instruction`: one
+    operand per field of its spec's shape."""
+    spec = ins.spec or spec_for(ins.mnemonic)
+    if not spec.shape:
         return ins.mnemonic
-    if shape == "rd":
-        return "%s %s" % (ins.mnemonic, rd)
-    if shape == "rd,rs1":
-        return "%s %s, %s" % (ins.mnemonic, rd, rs1)
-    if shape == "rd,rs1,rs2":
-        return "%s %s, %s, %s" % (ins.mnemonic, rd, rs1, rs2)
-    if shape == "rd,rs1,imm":
-        return "%s %s, %s, %d" % (ins.mnemonic, rd, rs1, imm)
-    if shape == "rd,imm":
-        return "%s %s, %d" % (ins.mnemonic, rd, imm)
-    if shape == "rd,imm(rs1)":
-        return "%s %s, %d(%s)" % (ins.mnemonic, rd, imm, rs1)
-    if shape == "rs2,imm(rs1)":
-        return "%s %s, %d(%s)" % (ins.mnemonic, rs2, imm, rs1)
-    if shape == "rs1,rs2,imm":
-        return "%s %s, %s, %d" % (ins.mnemonic, rs1, rs2, imm)
-    if shape == "rd,label":
-        return "%s %s, %d" % (ins.mnemonic, rd, imm)
-    if shape == "rs1,rs2,label":
-        return "%s %s, %s, %d" % (ins.mnemonic, rs1, rs2, imm)
-    if shape == "rd,rs1,label":
-        return "%s %s, %s, %d" % (ins.mnemonic, rd, rs1, imm)
-    raise AssertionError("unhandled operand shape %r" % (shape,))
+    return "%s %s" % (ins.mnemonic,
+                      ", ".join(_operand(ins, field) for field in spec.shape))
 
 
 def disassemble_program(instructions, base_addr=0):

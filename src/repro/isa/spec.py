@@ -3,7 +3,7 @@
 Every machine instruction known to the toolchain has one :class:`InstrSpec`
 here.  The table is the single source of truth for:
 
-* assembler operand syntax (``operands``),
+* assembler operand syntax (``operands``, parsed once into ``shape``),
 * binary encoding (``fmt``/``opcode``/``funct3``/``funct7``),
 * simulator dispatch (``cls``) and timing (``latency``),
 * register dataflow (``reads``/``writes_rd``) used by rename/issue.
@@ -14,6 +14,8 @@ manipulation and intra-hart memory ordering.
 """
 
 import enum
+
+from repro.isa.registers import reg_num
 
 
 class InstrClass(enum.IntEnum):
@@ -44,6 +46,20 @@ class InstrClass(enum.IntEnum):
     P_SYNCM = 21     # drain in-flight memory accesses
 
 
+#: the fields an operand names: a register, an immediate, a pc-relative
+#: target (written as an absolute address or label) and a memory operand
+FIELDS = ("rd", "rs1", "rs2", "imm", "label", "imm(rs1)")
+
+
+def parse_shape(operands):
+    """The tuple of fields an operand string names, in order:
+    ``"rs2,imm(rs1)"`` -> ``("rs2", "imm(rs1)")``, ``""`` -> ``()``."""
+    shape = tuple(operands.split(",")) if operands else ()
+    if not set(shape) <= set(FIELDS):
+        raise ValueError("bad operand shape %r" % (operands,))
+    return shape
+
+
 class InstrSpec:
     """Static description of one machine instruction.
 
@@ -52,11 +68,10 @@ class InstrSpec:
         cls: :class:`InstrClass` for simulator dispatch.
         fmt: encoding format letter (R/I/S/B/U/J).
         opcode/funct3/funct7: encoding discriminators.
-        operands: assembler operand shape, one of
-            ``""``, ``"rd"``, ``"rd,rs1"``, ``"rd,rs1,rs2"``, ``"rd,rs1,imm"``,
-            ``"rd,imm"``, ``"rd,imm(rs1)"``, ``"rs2,imm(rs1)"``,
-            ``"rs1,rs2,imm"``, ``"rd,label"`` (jal), ``"rs1,rs2,label"``
-            (branches).
+        operands: assembler operand syntax, the fields written in order,
+            e.g. ``"rd,rs1,imm"`` or ``"rs2,imm(rs1)"`` (see :data:`FIELDS`).
+        shape: ``operands`` parsed, a tuple of fields: what the assembler
+            reads and the disassembler prints, one field per operand.
         reads: tuple of source-register field names ("rs1"/"rs2").
         writes_rd: whether the instruction produces a register result.
         latency: execution latency in cycles (issue to result ready).
@@ -70,6 +85,7 @@ class InstrSpec:
         "funct3",
         "funct7",
         "operands",
+        "shape",
         "reads",
         "writes_rd",
         "latency",
@@ -95,6 +111,7 @@ class InstrSpec:
         self.funct3 = funct3
         self.funct7 = funct7
         self.operands = operands
+        self.shape = parse_shape(operands)
         self.reads = reads
         self.writes_rd = writes_rd
         self.latency = latency
@@ -253,6 +270,44 @@ _SPECS = [
 ]
 
 INSTR_SPECS = {spec.mnemonic: spec for spec in _SPECS}
+
+#: the pseudo-instructions that are one real instruction: mnemonic ->
+#: (operands, real mnemonic, fixed fields).  Each operand fills the field
+#: its shape names (``bgt a, b, L`` is ``blt b, a, L``); the fixed fields
+#: are set as given and every other field is 0.  ``li``, ``la``, ``jal``
+#: and ``jalr`` are not rows: they take several forms or fold a constant.
+_PSEUDOS = {
+    "nop": ("", "addi", {}),
+    "mv": ("rd,rs1", "addi", {}),
+    "not": ("rd,rs1", "xori", {"imm": -1}),
+    "neg": ("rd,rs2", "sub", {}),
+    "seqz": ("rd,rs1", "sltiu", {"imm": 1}),
+    "snez": ("rd,rs2", "sltu", {}),
+    "sltz": ("rd,rs1", "slt", {}),
+    "sgtz": ("rd,rs2", "slt", {}),
+    "beqz": ("rs1,label", "beq", {}),
+    "bnez": ("rs1,label", "bne", {}),
+    "bgez": ("rs1,label", "bge", {}),
+    "bltz": ("rs1,label", "blt", {}),
+    "blez": ("rs2,label", "bge", {}),
+    "bgtz": ("rs2,label", "blt", {}),
+    "bgt": ("rs2,rs1,label", "blt", {}),
+    "ble": ("rs2,rs1,label", "bge", {}),
+    "bgtu": ("rs2,rs1,label", "bltu", {}),
+    "bleu": ("rs2,rs1,label", "bgeu", {}),
+    "j": ("label", "jal", {}),
+    "call": ("label", "jal", {"rd": reg_num("ra")}),
+    "tail": ("label", "jal", {}),
+    "jr": ("rs1", "jalr", {}),
+    "ret": ("", "jalr", {"rs1": reg_num("ra")}),
+    "p_ret": ("", "p_jalr", {"rs1": reg_num("ra"), "rs2": reg_num("t0")}),
+}
+
+#: every mnemonic that is one instruction, real or pseudo -> (shape, real
+#: mnemonic, fixed fields): what the assembler's one walk reads
+FORMS = {spec.mnemonic: (spec.shape, spec.mnemonic, {}) for spec in _SPECS}
+FORMS.update((mnemonic, (parse_shape(operands), real, fixed))
+             for mnemonic, (operands, real, fixed) in _PSEUDOS.items())
 
 XPAR_MNEMONICS = frozenset(
     spec.mnemonic for spec in _SPECS if spec.cls >= InstrClass.P_FC

@@ -74,14 +74,20 @@ def _binary(name):
 def _compile(target):
     """Compile ``_tick.c`` into *target*.  Written under a temporary name
     and renamed into place, so two processes racing here both end up with
-    a whole file."""
+    a whole file.  A ``--coverage`` build names gcov's notes (and the
+    counts it writes) after *target*, not the temporary name, and stamps
+    them from that name: a rebuild writes the same notes over them, which
+    still match the counts of a binary loaded before it."""
     compiler = shlex.split(sysconfig.get_config_var("CC") or "cc")
     handle, partial = tempfile.mkstemp(
         dir=os.path.dirname(target), suffix=".partial")
     os.close(handle)
+    notes = (["-dumpbase", target,
+              "-frandom-seed=" + os.path.basename(target)]
+             if "--coverage" in _FLAGS else [])
     try:
         done = subprocess.run(
-            compiler + list(_FLAGS)
+            compiler + list(_FLAGS) + notes
             + ["-I" + sysconfig.get_paths()["include"], _SOURCES[0],
                "-o", partial],
             stdin=subprocess.DEVNULL, stdout=subprocess.PIPE,

@@ -898,3 +898,23 @@ def test_a_build_sweeps_dead_binaries_and_every_source_is_in_the_digest(
     with open(machine_dir / "_window.h", "a") as handle:
         handle.write("/* edited */\n")
     assert build() != first
+
+
+@compiled
+def test_two_coverage_builds_leave_one_set_of_notes(monkeypatch, tmp_path):
+    """A ``--coverage`` build (the gcov leg's) names its notes after the
+    binary, not the temporary name it is written under, and stamps them
+    from that name: a rebuild overwrites them with the same bytes, instead
+    of leaving a ``.gcno`` per build, and a binary loaded before the
+    rebuild still matches them."""
+    monkeypatch.setattr(native, "_FLAGS",
+                        ("-O0", "--coverage", "-shared", "-fPIC"))
+    target = tmp_path / ("_tick-%s%s" % (
+        "c" * 16, sysconfig.get_config_var("EXT_SUFFIX")))
+    notes = []
+    for _ in range(2):
+        native._compile(str(target))
+        notes.append((tmp_path / (target.name + "-_tick.gcno")).read_bytes())
+    assert sorted(os.listdir(tmp_path)) == [
+        target.name, target.name + "-_tick.gcno"]
+    assert notes[0] == notes[1]

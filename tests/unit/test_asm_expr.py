@@ -2,17 +2,22 @@
 
 import pytest
 
+from repro.asm.assembler import _Operands
 from repro.asm.errors import AsmError
-from repro.asm.expr import ExprParser, eval_expr, hi20, lo12, try_fold
+from repro.asm.expr import eval_expr, hi20, lo12, try_fold
 from repro.asm.lexer import tokenize_line
 
 
 def _parse(text):
-    tokens = tokenize_line(text)
-    parser = ExprParser(tokens, 0)
-    node = parser.parse()
-    assert parser.pos == len(tokens), "trailing tokens"
+    ops = _Operands(tokenize_line(text))
+    node = ops.expr()
+    assert ops.at_end(), "trailing tokens"
     return node
+
+
+def _fold(text):
+    """The value of a symbol-free expression."""
+    return eval_expr(_parse(text), {})
 
 
 @pytest.mark.parametrize("text,expected", [
@@ -27,9 +32,12 @@ def _parse(text):
     ("~0", -1),
     ("100/7", 14),
     ("7/0", 0),  # divide-by-zero folds to 0 (deterministic)
+    ("10-3-2", 5),  # equal powers associate to the left
+    ("64/4/2", 8),
+    ("1<<2>>1", 2),
 ])
 def test_constant_folding(text, expected):
-    assert try_fold(_parse(text)) == expected
+    assert _fold(text) == expected
 
 
 def test_symbols_defer_folding_but_evaluate():
@@ -59,13 +67,20 @@ def test_hi_lo_nodes_in_expressions():
 
 def test_precedence_matches_c():
     # | < ^ < & < shift < additive < multiplicative
-    assert try_fold(_parse("1|2^3&4<<1+2*0")) == (1 | (2 ^ (3 & (4 << (1 + 2 * 0)))))
+    assert _fold("1|2^3&4<<1+2*0") == (1 | (2 ^ (3 & (4 << (1 + 2 * 0)))))
+
+
+def test_the_tree_is_left_associative():
+    assert _parse("a-b-c") == (
+        "bin", "-", ("bin", "-", ("sym", "a"), ("sym", "b")), ("sym", "c"))
+    assert _parse("a-b*c") == (
+        "bin", "-", ("sym", "a"), ("bin", "*", ("sym", "b"), ("sym", "c")))
 
 
 def test_unary_chains():
-    assert try_fold(_parse("--5")) == 5
-    assert try_fold(_parse("~~7")) == 7
-    assert try_fold(_parse("+-+3")) == -3
+    assert _fold("--5") == 5
+    assert _fold("~~7") == 7
+    assert _fold("+-+3") == -3
 
 
 def test_parse_error_on_garbage():

@@ -3,6 +3,7 @@
 import pytest
 
 from repro import memmap
+from repro.compiler.errors import CompileError
 from helpers import run_c, uword, word
 
 
@@ -93,6 +94,40 @@ void main() { out = p.a * 100 + p.b; }
 """
     program, machine, _ = run_c(source)
     assert word(machine, program, "out") == 1122
+
+
+def test_struct_initializer_fields_at_their_size_and_braced_sub_lists():
+    """A char field takes one byte, an array or struct field takes a
+    braced sub-list, and what follows lands at its own offset."""
+    source = """
+struct bytes { char a; char b; int n; };
+struct bytes v = {1, 2, 3};
+struct pair { int p[2]; int z; };
+struct pair w = {{7, 8}};
+struct nest { char c; struct bytes s; int t; };
+struct nest x = {9, {4, 5, 6}, 10};
+int out[8];
+void main() {
+    out[0] = v.a; out[1] = v.b; out[2] = v.n; out[3] = sizeof(v);
+    out[4] = w.p[0]; out[5] = w.p[1]; out[6] = w.z;
+    out[7] = x.c + 10 * x.s.a + 100 * x.s.b + 1000 * x.s.n + 10000 * x.t;
+}
+"""
+    program, machine, _ = run_c(source)
+    assert [word(machine, program, "out", i) for i in range(8)] == [
+        1, 2, 3, 8, 7, 8, 0, 106549]
+    assert program.symbol("w") - program.symbol("v") == 8
+
+
+@pytest.mark.parametrize("init,message", [
+    ("{7, 8}", "field 'p' of struct pair needs a braced initializer"),
+    ("{{7, 8}, 9, 10}", "too many initializers for struct pair"),
+])
+def test_struct_initializer_refusals(init, message):
+    source = "struct pair { int p[2]; int z; };\nstruct pair w = %s;\n" \
+             "void main() { }\n" % init
+    with pytest.raises(CompileError, match=message):
+        run_c(source)
 
 
 def test_local_array_on_stack():

@@ -255,6 +255,8 @@ UNREADABLE = {
                                "[Errno 2] No such file or directory"),
     "compile error": (["run", "bad.c"], b"int v;\nint main( {\n",
                       "{dir}/bad.c:2: expected a type"),
+    "compile error, compile": (["compile", "bad.c"], b"int v;\nint main( {\n",
+                               "{dir}/bad.c:2: expected a type"),
 }
 
 

@@ -118,3 +118,10 @@ def test_shift_decode_shamt():
     decoded = decode_word(word)
     assert decoded.mnemonic == "srai"
     assert decoded.imm == 31
+
+
+def test_instruction_repr_and_comparison_with_another_type():
+    ins = Instruction("addi", rd=1, rs1=2, imm=-3)
+    assert repr(ins) == "Instruction('addi', rd=1, rs1=2, rs2=0, imm=-3)"
+    assert ins.__eq__(("addi", 1, 2, 0, -3)) is NotImplemented
+    assert ins != "addi"

@@ -10,6 +10,7 @@ pattern it forbids.
 import ast
 import pathlib
 import re
+import sys
 
 ROOT = pathlib.Path(__file__).resolve().parents[2]
 SELF = pathlib.Path(__file__).resolve()
@@ -503,3 +504,44 @@ def test_only_the_memory_view_names_a_port_or_bank_slot():
     CoreMemory's slots."""
     assert _holds(_kernel("_window.h"), CURSORS_FLUSH)
     assert _hits(_beside_the_view(), MEMORY_SLOT) == []
+
+
+# ---- the assembly language ---------------------------------------------------
+
+#: an operand string read outside ``isa/spec.py``: the attribute, or a shape
+#: spelled as a string literal (what a per-shape ladder compares against)
+OPERAND_STRING = [
+    r"\.operands\b",
+    r"""["'](rd|rs[12]|imm|label)(,(rd|rs[12]|imm|label|imm\(rs1\)))+["']""",
+]
+OPERAND_STRING_OWNER = "src/repro/isa/spec.py:"
+
+
+def _operand_string_reads():
+    return [hit for hit in _matches(OPERAND_STRING, ["src"])
+            if not hit.startswith(OPERAND_STRING_OWNER)]
+
+
+def test_only_the_isa_table_reads_an_operand_string():
+    """``isa/spec.py`` parses each instruction's and pseudo-instruction's
+    operand string once, into a tuple of fields; the assembler reads and
+    the disassembler prints by walking that tuple.  A second reader of the
+    string is a second spelling of the operand syntax, free to drift from
+    the first."""
+    assert _operand_string_reads() == []
+
+
+def test_the_operand_string_rule_finds_a_planted_ladder(monkeypatch, tmp_path):
+    """The rule is not vacuous: a per-shape ladder planted in a copy of
+    ``isa/disasm.py`` is found, its attribute read and its shape."""
+    disasm = pathlib.Path("src", "repro", "isa", "disasm.py")
+    planted = tmp_path / disasm
+    planted.parent.mkdir(parents=True)
+    planted.write_text((ROOT / disasm).read_text() + (
+        "\n\ndef ladder(ins, spec):\n"
+        "    shape = spec.operands\n"
+        "    if shape == 'rd,rs1':\n"
+        "        return ins.rd, ins.rs1\n"))
+    monkeypatch.setattr(sys.modules[__name__], "ROOT", tmp_path)
+    assert [hit.split(": ", 1)[1] for hit in _operand_string_reads()] == [
+        "shape = spec.operands", "if shape == 'rd,rs1':"]
